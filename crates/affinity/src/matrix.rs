@@ -167,7 +167,7 @@ impl AffinityMatrix {
     /// Probability mass of the top `k` successors of expert `i`.
     pub fn topk_mass(&self, i: usize, k: usize) -> f64 {
         let mut row = self.row(i).to_vec();
-        row.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        row.sort_by(|a, b| b.total_cmp(a));
         row.iter().take(k).sum()
     }
 

@@ -63,7 +63,7 @@ pub fn transfer_score(a: &AffinityMatrix, b: &AffinityMatrix, k: usize) -> f64 {
     for i in 0..e {
         // Top-k successor set according to A.
         let mut idx: Vec<usize> = (0..e).collect();
-        idx.sort_by(|&x, &y| a.prob(i, y).partial_cmp(&a.prob(i, x)).unwrap());
+        idx.sort_by(|&x, &y| a.prob(i, y).total_cmp(&a.prob(i, x)));
         captured += idx.iter().take(k).map(|&p| b.prob(i, p)).sum::<f64>();
         optimal += b.topk_mass(i, k);
     }

@@ -1,5 +1,6 @@
 //! `bench_summary` — the fixed-seed solver micro-benchmark behind the
-//! repo's `BENCH_*.json` perf trajectory, and the CI perf-gate.
+//! repo's perf trajectory (`BENCH_BASELINE.json`, with the per-PR history
+//! under `crates/bench/history/`), and the CI perf-gate.
 //!
 //! Sweeps the Table II model zoo × the solver roster (timing the whole
 //! sweep at `--jobs 1` and at `--jobs N`, verified bit-identical across
@@ -25,24 +26,21 @@
 //!
 //! ```text
 //! cargo run --release -p exflow-bench --bin bench_summary -- \
-//!     --quick --jobs 4 --out fresh.json --check BENCH_PR9.json
+//!     --quick --jobs 4 --out BENCH.fresh.json --check BENCH_BASELINE.json
 //! ```
 //!
 //! With `--check BASELINE`, the fresh summary is compared against the
-//! committed baseline (v8, or an older v3–v7 whose sections are
-//! compared as far as they go — the skew note names every fresh section
-//! the old baseline cannot gate): any objective mismatch (`cross_mass`,
-//! `nnz`, the online/replication cross counts, the serving latency
-//! quantiles, the elasticity recovery facts, the re-plan cost counters),
-//! a fresh serving row whose adaptive p99 is worse than the static
-//! incumbent's, a fresh elasticity row whose replicated fleet does not
-//! recover strictly faster, an incremental re-plan whose cross mass
-//! diverges from the rebuild's, an `E = 512` cell below the 5x
-//! scan-reduction bar, a partial-replication row where the subset policy
-//! loses to the full fan-out at equal memory, or a sweep where no top-2
-//! CC row placed a replica is a hard failure;
-//! wall-time regressions beyond 25% are reported as warnings in the
-//! markdown printed to stdout (CI appends it to the job summary).
+//! committed baseline by `exflow_bench::gate::compare`. The baseline must
+//! carry the current schema tag — an older one is rejected with a
+//! "regenerate the baseline" failure, never partially compared. What is
+//! gated is listed in one place, the `gate::SECTIONS` table: per section,
+//! the deterministic fields that are bit-compared against the baseline
+//! (any mismatch, missing row, or extra row is a hard failure), the
+//! acceptance bars the fresh rows must clear on their own, and the
+//! wall-time fields whose regressions beyond 25% are only reported as
+//! warnings in the markdown printed to stdout (CI appends it to the job
+//! summary). Regenerate the baseline deliberately with
+//! `--quick --jobs 4 --seed 20240522 --out BENCH_BASELINE.json`.
 //!
 //! Exit codes: 0 on success, 1 if a verification/gate check fails or the
 //! output cannot be written, 2 on usage errors (consistent with `repro`).

@@ -1,17 +1,25 @@
-//! The CI perf-gate: compare a fresh `BENCH_*.json` against the committed
-//! baseline.
+//! The CI perf-gate: compare a fresh bench summary against the committed
+//! baseline (`BENCH_BASELINE.json`).
 //!
-//! Objectives (`cross_mass`, `nnz`) are deterministic facts — they are
-//! printed with shortest round-trip formatting, so *string* inequality in
-//! the JSON is *bit* inequality of the value, and any mismatch is a hard
-//! failure (the baseline must be regenerated deliberately, never drift
-//! silently). Wall-clock numbers are machine-dependent measurements:
+//! Objectives (`cross_mass`, `nnz`, ...) are deterministic facts — they
+//! are printed with shortest round-trip formatting, so *token* inequality
+//! in the JSON is *bit* inequality of the value, and any mismatch is a
+//! hard failure (the baseline must be regenerated deliberately, never
+//! drift silently). Wall-clock numbers are machine-dependent measurements:
 //! regressions beyond [`WALL_REGRESSION_WARN`] only produce warnings for
 //! the job summary, because CI runners are noisy.
 //!
-//! The parser is deliberately minimal: it reads exactly the line-oriented
-//! JSON this workspace emits (`BenchSummary::to_json`), not arbitrary
-//! JSON — the workspace builds offline and carries no serde.
+//! Both documents are parsed with the workspace's one JSON layer
+//! (`exflow_core::json`), and everything the gate checks is listed in one
+//! place: the [`SECTIONS`] table names, per array section of the summary,
+//! the fields that identify a row, the fields compared bit for bit, the
+//! wall-clock fields that only warn, and the acceptance bars the fresh
+//! rows must clear on their own. Adding a section or a gated field is one
+//! table entry.
+
+use exflow_core::json::Json;
+
+use crate::summary::SCHEMA;
 
 /// Fractional wall-clock regression beyond which a warning is emitted
 /// (fresh > 1.25x baseline).
@@ -38,50 +46,23 @@ pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 /// holds on 1-core runners too.
 pub const MIN_REPLAN_SCAN_REDUCTION_512: f64 = 5.0;
 
-/// Every array section of the current (`v8`) schema, oldest first, with
-/// the schema version that introduced it. A baseline at version `v`
-/// lacks exactly the sections introduced after `v` — the gate skips
-/// bit-comparing those and *names* them in the skew note, so a reader
-/// can see precisely which row families ride ungated until the baseline
-/// is regenerated.
-const SECTION_INTRODUCED: &[(&str, u32)] = &[
-    ("rows", 1),
-    ("sparse_rows", 2),
-    ("online_rows", 3),
-    ("replication_online_rows", 4),
-    ("serving_rows", 5),
-    ("elasticity_rows", 6),
-    ("replan_latency_rows", 7),
-    ("partial_replication_rows", 8),
-];
-
 /// Outcome of a baseline comparison.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
     /// Hard failures: objective drift, schema/coverage mismatches, a
-    /// sparse backend slower than its acceptance bar.
+    /// fresh run below an acceptance bar.
     pub drifts: Vec<String>,
     /// Soft findings: wall-clock regressions beyond the noise allowance.
     pub warnings: Vec<String>,
-    /// Informational notes: accepted schema-version skew between the
-    /// baseline and fresh documents. Distinct from the metric warnings —
-    /// skew is *expected* right after a schema bump (the older baseline
-    /// simply lacks the newer sections, so they are not gated) and clears
-    /// once the committed baseline is regenerated, whereas a wall-time
-    /// warning means a measured value actually moved.
-    pub notes: Vec<String>,
 }
 
 impl GateReport {
-    /// Whether the gate passes (warnings and notes allowed, drifts not).
+    /// Whether the gate passes (warnings allowed, drifts not).
     pub fn ok(&self) -> bool {
         self.drifts.is_empty()
     }
 
-    /// Render as markdown for the CI job summary. The two soft classes
-    /// are labeled separately so a reader can tell schema-version skew
-    /// (fix: regenerate the baseline) from wall-time drift (fix: check
-    /// the runner or the code) at a glance.
+    /// Render as markdown for the CI job summary.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         if self.ok() {
@@ -91,13 +72,6 @@ impl GateReport {
             for d in &self.drifts {
                 out.push_str(&format!("- :x: {d}\n"));
             }
-        }
-        if !self.notes.is_empty() {
-            out.push_str("#### Schema-version skew (informational)\n\n");
-            for n in &self.notes {
-                out.push_str(&format!("- :information_source: {n}\n"));
-            }
-            out.push('\n');
         }
         if self.warnings.is_empty() {
             out.push_str("No wall-time regressions beyond the noise allowance.\n");
@@ -111,971 +85,531 @@ impl GateReport {
     }
 }
 
-/// Extract the value of `"key": <value>` from one JSON object line
-/// (string values lose their quotes).
-fn field(obj: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": ");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest
-        .char_indices()
-        .find(|&(i, c)| {
-            if rest[..i].matches('"').count() % 2 == 1 {
-                false // inside a string value
-            } else {
-                c == ',' || c == '}'
-            }
-        })
-        .map(|(i, _)| i)
-        .unwrap_or(rest.len());
-    Some(rest[..end].trim().trim_matches('"').to_string())
+/// What the gate checks on one array section of the summary document.
+pub struct Section {
+    /// JSON key of the array section.
+    pub key: &'static str,
+    /// Section name in messages: rows are `<name> row <id>`, drifted
+    /// fields `<field> drift on <name>/<id>`.
+    pub name: &'static str,
+    /// Fields that together identify a row (joined with `/` in messages).
+    pub id: &'static [&'static str],
+    /// Name drift messages use instead of the field name (Table II's one
+    /// gated field is simply "the objective").
+    pub drift_name: Option<&'static str>,
+    /// Deterministic fields, bit-compared against the baseline row.
+    pub exact: &'static [&'static str],
+    /// Wall-clock fields that only warn, with the suffix naming each in
+    /// the warning.
+    pub warn_wall: &'static [(&'static str, &'static str)],
+    /// Acceptance bars the fresh run's rows must clear on their own,
+    /// whatever the baseline says.
+    pub bars: fn(&[Json], &mut Vec<String>),
 }
 
-/// The object lines of one `"key": [ ... ]` array section.
-fn rows_section<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
-    let pat = format!("\"{key}\": [");
-    let Some(start) = json.find(&pat) else {
-        return Vec::new();
-    };
-    json[start + pat.len()..]
-        .lines()
-        .map(str::trim)
-        .take_while(|l| !l.starts_with(']'))
-        .filter(|l| l.starts_with('{'))
-        .collect()
-}
+/// Every array section of the summary, in document order: the single
+/// list of what the perf-gate gates.
+pub const SECTIONS: &[Section] = &[
+    Section {
+        key: "rows",
+        name: "table2",
+        id: &["model", "solver"],
+        drift_name: Some("objective"),
+        exact: &["cross_mass"],
+        warn_wall: &[("wall_ms", "")],
+        bars: |_, _| {},
+    },
+    Section {
+        key: "sparse_rows",
+        name: "sparse",
+        id: &["preset"],
+        drift_name: None,
+        exact: &["cross_mass", "nnz"],
+        warn_wall: &[
+            ("wall_ms_dense", " (dense)"),
+            ("wall_ms_sparse", " (sparse)"),
+        ],
+        bars: sparse_bars,
+    },
+    Section {
+        key: "online_rows",
+        name: "online",
+        id: &["scenario"],
+        drift_name: None,
+        exact: &[
+            "static_cross",
+            "oracle_cross",
+            "budgeted_cross",
+            "migrated_bytes",
+            "cross_mass",
+        ],
+        warn_wall: &[],
+        bars: online_bars,
+    },
+    Section {
+        key: "replication_online_rows",
+        name: "replication",
+        id: &["scenario"],
+        drift_name: None,
+        exact: &[
+            "static_cross",
+            "owner_cross",
+            "joint_cross",
+            "owner_migrated_bytes",
+            "joint_migrated_bytes",
+            "replicas_added",
+            "replicas_dropped",
+            "extra_copies",
+            "cross_mass",
+        ],
+        warn_wall: &[],
+        bars: replication_bars,
+    },
+    Section {
+        key: "serving_rows",
+        name: "serving",
+        id: &["arrival"],
+        drift_name: None,
+        exact: &[
+            "offered_load",
+            "static_p50",
+            "static_p95",
+            "static_p99",
+            "static_goodput",
+            "online_p50",
+            "online_p95",
+            "online_p99",
+            "online_goodput",
+            "online_replans",
+            "online_migrated_bytes",
+            "repl_p50",
+            "repl_p95",
+            "repl_p99",
+            "repl_goodput",
+            "repl_replicas_added",
+        ],
+        warn_wall: &[],
+        bars: serving_bars,
+    },
+    Section {
+        key: "elasticity_rows",
+        name: "elasticity",
+        id: &["fault"],
+        drift_name: None,
+        exact: &[
+            "fault_time",
+            "plain_p99",
+            "plain_disrupted",
+            "plain_steps_degraded",
+            "plain_emergency_bytes",
+            "plain_recovery",
+            "repl_p99",
+            "repl_disrupted",
+            "repl_steps_degraded",
+            "repl_emergency_bytes",
+            "repl_recovery",
+            "repl_extra_copies",
+        ],
+        warn_wall: &[],
+        bars: elasticity_bars,
+    },
+    Section {
+        key: "replan_latency_rows",
+        name: "replan-latency",
+        id: &["preset"],
+        drift_name: None,
+        exact: &[
+            "replans",
+            "considered",
+            "evaluated_rebuild",
+            "evaluated_incremental",
+            "reused",
+            "cross_mass_rebuild",
+            "cross_mass_incremental",
+        ],
+        warn_wall: &[
+            ("wall_ms_rebuild", " (re-plan, rebuild)"),
+            ("wall_ms_incremental", " (re-plan, incremental)"),
+        ],
+        bars: replan_latency_bars,
+    },
+    Section {
+        key: "partial_replication_rows",
+        name: "partial-replication",
+        id: &["scenario"],
+        drift_name: None,
+        exact: &[
+            "partial_replans",
+            "replicas_added",
+            "partial_migrated_bytes",
+            "full_migrated_bytes",
+            "partial_extra_copies",
+            "full_extra_copies",
+            "partial_cross_mass",
+            "full_cross_mass",
+            "realized_cross",
+            "cc_replicas_added",
+            "cc_local_fraction",
+        ],
+        warn_wall: &[],
+        bars: partial_replication_bars,
+    },
+];
 
-fn parse_ms(value: Option<String>) -> Option<f64> {
-    value.and_then(|v| v.parse().ok())
-}
-
-fn warn_wall(warnings: &mut Vec<String>, what: &str, base: Option<f64>, fresh: Option<f64>) {
-    if let (Some(base), Some(fresh)) = (base, fresh) {
-        if base >= WALL_FLOOR_MS && fresh > WALL_REGRESSION_WARN * base {
-            warnings.push(format!(
-                "{what}: wall {fresh:.1} ms vs baseline {base:.1} ms ({:.0}% regression)",
-                (fresh / base - 1.0) * 100.0
-            ));
-        }
+/// A field's value as message text: strings unquoted, numbers as their
+/// exact token, nothing for an absent field.
+fn text(row: &Json, key: &str) -> String {
+    match row.get(key) {
+        Some(Json::Str(s)) => s.clone(),
+        Some(v) => v.write().unwrap_or_default(),
+        None => String::new(),
     }
 }
 
-/// Compare a fresh summary JSON against the committed baseline JSON.
-/// The fresh document must be `exflow-bench-summary/v8`; the baseline may
-/// be v8 or the older v3 through v7 (whose sections are compared as far
-/// as they go — a v3 baseline simply has no `replication_online_rows`,
-/// `serving_rows`, `elasticity_rows`, `replan_latency_rows`, or
-/// `partial_replication_rows` to gate against, and so on up the
-/// versions; the skew is surfaced as an informational note that *names*
-/// the absent row families).
-pub fn compare(baseline: &str, fresh: &str) -> GateReport {
-    let mut report = GateReport::default();
+/// A numeric field, or NaN when the row lacks it — NaN satisfies no
+/// comparison, so a bar over an absent field never reports a bogus
+/// violation (coverage of the gated fields is the bit-compare's job).
+fn num(row: &Json, key: &str) -> f64 {
+    row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
 
-    let get_schema = |json: &str| {
-        json.lines()
-            .find(|l| l.trim_start().starts_with("\"schema\""))
-            .and_then(|l| field(l, "schema"))
-    };
-    if get_schema(fresh).as_deref() != Some("exflow-bench-summary/v8") {
-        report.drifts.push(
-            "schema mismatch: the fresh document must be exflow-bench-summary/v8".to_string(),
-        );
-        return report;
-    }
-    let baseline_schema = get_schema(baseline);
-    let baseline_version = match baseline_schema.as_deref() {
-        Some("exflow-bench-summary/v3") => 3u32,
-        Some("exflow-bench-summary/v4") => 4,
-        Some("exflow-bench-summary/v5") => 5,
-        Some("exflow-bench-summary/v6") => 6,
-        Some("exflow-bench-summary/v7") => 7,
-        Some("exflow-bench-summary/v8") => 8,
-        _ => {
-            report.drifts.push(
-                "schema mismatch: the baseline must be exflow-bench-summary/v3 through /v8 \
-                 (regenerate the committed baseline with bench_summary)"
-                    .to_string(),
-            );
-            return report;
-        }
-    };
-    if baseline_version < 8 {
-        let absent: Vec<&str> = SECTION_INTRODUCED
-            .iter()
-            .filter(|&&(_, since)| since > baseline_version)
-            .map(|&(name, _)| name)
-            .collect();
-        report.notes.push(format!(
-            "baseline is {}: fresh sections {} are present in the fresh run but not gated \
-             until the committed baseline is regenerated",
-            baseline_schema.as_deref().unwrap_or_default(),
-            absent.join(", ")
+fn warn_wall(warnings: &mut Vec<String>, what: &str, base: f64, fresh: f64) {
+    if base >= WALL_FLOOR_MS && fresh > WALL_REGRESSION_WARN * base {
+        warnings.push(format!(
+            "{what}: wall {fresh:.1} ms vs baseline {base:.1} ms ({:.0}% regression)",
+            (fresh / base - 1.0) * 100.0
         ));
     }
+}
 
-    // Table rows: keyed by (model, solver); cross_mass is bit-compared.
-    let key_of = |line: &str| {
-        (
-            field(line, "model").unwrap_or_default(),
-            field(line, "solver").unwrap_or_default(),
-        )
+/// The rows of one array section; a document without the section is a
+/// drift (both documents carry the same schema, so neither may lack it).
+fn rows_of<'a>(doc: &'a Json, key: &str, which: &str, drifts: &mut Vec<String>) -> &'a [Json] {
+    let rows = doc.get(key).and_then(Json::as_arr);
+    if rows.is_none() {
+        drifts.push(format!("section {key} missing from the {which} document"));
+    }
+    rows.unwrap_or_default()
+}
+
+/// Compare a fresh summary JSON against the committed baseline JSON. Both
+/// must carry the current schema tag ([`SCHEMA`]): an older (or newer)
+/// baseline is not partially compared, it is rejected with a "regenerate
+/// the baseline" drift.
+pub fn compare(baseline: &str, fresh: &str) -> GateReport {
+    let mut report = GateReport::default();
+    let mut parse = |which: &str, text: &str| {
+        let doc = Json::parse(text);
+        if let Err(err) = &doc {
+            let drift = format!("the {which} document does not parse: {err}");
+            report.drifts.push(drift);
+        }
+        doc.ok()
     };
-    let base_rows = rows_section(baseline, "rows");
-    let fresh_rows = rows_section(fresh, "rows");
-    for b in &base_rows {
-        let key = key_of(b);
-        match fresh_rows.iter().find(|f| key_of(f) == key) {
-            None => report
-                .drifts
-                .push(format!("row {}/{} missing from fresh run", key.0, key.1)),
-            Some(f) => {
-                let (bc, fc) = (field(b, "cross_mass"), field(f, "cross_mass"));
-                if bc != fc {
+    let (base_doc, fresh_doc) = (parse("baseline", baseline), parse("fresh", fresh));
+    let (Some(base_doc), Some(fresh_doc)) = (base_doc, fresh_doc) else {
+        return report;
+    };
+    if text(&fresh_doc, "schema") != SCHEMA {
+        let drift = format!("schema mismatch: the fresh document must be {SCHEMA}");
+        report.drifts.push(drift);
+        return report;
+    }
+    if text(&base_doc, "schema") != SCHEMA {
+        report.drifts.push(format!(
+            "schema mismatch: the baseline is {:?}, not {SCHEMA} — regenerate the committed \
+             baseline with bench_summary",
+            text(&base_doc, "schema")
+        ));
+        return report;
+    }
+
+    for section in SECTIONS {
+        let base_rows = rows_of(&base_doc, section.key, "baseline", &mut report.drifts);
+        let fresh_rows = rows_of(&fresh_doc, section.key, "fresh", &mut report.drifts);
+        let id_of = |row: &Json| {
+            let parts: Vec<String> = section.id.iter().map(|key| text(row, key)).collect();
+            parts.join("/")
+        };
+        for b in base_rows {
+            let id = id_of(b);
+            let Some(f) = fresh_rows.iter().find(|f| id_of(f) == id) else {
+                let drift = format!("{} row {id} missing from fresh run", section.name);
+                report.drifts.push(drift);
+                continue;
+            };
+            for &fact in section.exact {
+                if b.get(fact) != f.get(fact) {
                     report.drifts.push(format!(
-                        "objective drift on {}/{}: baseline {} vs fresh {}",
-                        key.0,
-                        key.1,
-                        bc.unwrap_or_default(),
-                        fc.unwrap_or_default()
+                        "{} drift on {}/{id}: baseline {} vs fresh {}",
+                        section.drift_name.unwrap_or(fact),
+                        section.name,
+                        text(b, fact),
+                        text(f, fact)
                     ));
                 }
-                warn_wall(
-                    &mut report.warnings,
-                    &format!("{}/{}", key.0, key.1),
-                    parse_ms(field(b, "wall_ms")),
-                    parse_ms(field(f, "wall_ms")),
-                );
+            }
+            for &(field, suffix) in section.warn_wall {
+                let what = format!("{id}{suffix}");
+                warn_wall(&mut report.warnings, &what, num(b, field), num(f, field));
             }
         }
-    }
-    for f in &fresh_rows {
-        let key = key_of(f);
-        if !base_rows.iter().any(|b| key_of(b) == key) {
-            report.drifts.push(format!(
-                "row {}/{} not in baseline (regenerate the committed JSON)",
-                key.0, key.1
-            ));
-        }
-    }
-
-    // Sparse rows: keyed by preset; cross_mass and nnz are bit-compared.
-    let base_sparse = rows_section(baseline, "sparse_rows");
-    let fresh_sparse = rows_section(fresh, "sparse_rows");
-    for b in &base_sparse {
-        let preset = field(b, "preset").unwrap_or_default();
-        match fresh_sparse
-            .iter()
-            .find(|f| field(f, "preset").as_deref() == Some(preset.as_str()))
-        {
-            None => report
-                .drifts
-                .push(format!("sparse row {preset} missing from fresh run")),
-            Some(f) => {
-                for fact in ["cross_mass", "nnz"] {
-                    let (bv, fv) = (field(b, fact), field(f, fact));
-                    if bv != fv {
-                        report.drifts.push(format!(
-                            "{fact} drift on {preset}: baseline {} vs fresh {}",
-                            bv.unwrap_or_default(),
-                            fv.unwrap_or_default()
-                        ));
-                    }
-                }
-                warn_wall(
-                    &mut report.warnings,
-                    &format!("{preset} (dense)"),
-                    parse_ms(field(b, "wall_ms_dense")),
-                    parse_ms(field(f, "wall_ms_dense")),
-                );
-                warn_wall(
-                    &mut report.warnings,
-                    &format!("{preset} (sparse)"),
-                    parse_ms(field(b, "wall_ms_sparse")),
-                    parse_ms(field(f, "wall_ms_sparse")),
-                );
-            }
-        }
-    }
-    for f in &fresh_sparse {
-        let preset = field(f, "preset").unwrap_or_default();
-        if !base_sparse
-            .iter()
-            .any(|b| field(b, "preset").as_deref() == Some(preset.as_str()))
-        {
-            report
-                .drifts
-                .push(format!("sparse row {preset} not in baseline"));
-        }
-    }
-
-    // Acceptance bar: the sparse backend must hold its >= 2x win on the
-    // E=512 top-1 cell of the *fresh* run. This is algorithmic (not
-    // thread-parallel) speedup, so it holds on 1-core runners too.
-    for f in &fresh_sparse {
-        let preset = field(f, "preset").unwrap_or_default();
-        if field(f, "experts").as_deref() == Some("512") && field(f, "k").as_deref() == Some("1") {
-            let speedup: f64 = field(f, "speedup")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0);
-            if speedup < MIN_SPARSE_SPEEDUP_512 {
+        for f in fresh_rows {
+            let id = id_of(f);
+            if !base_rows.iter().any(|b| id_of(b) == id) {
                 report.drifts.push(format!(
-                    "sparse backend speedup on {preset} is {speedup:.2}x, below the \
-                     {MIN_SPARSE_SPEEDUP_512:.1}x acceptance bar"
+                    "{} row {id} not in baseline (regenerate the committed JSON)",
+                    section.name
                 ));
             }
         }
+        (section.bars)(fresh_rows, &mut report.drifts);
     }
 
-    // Online rows: keyed by scenario; cross counts, migrated bytes, and
-    // the final cross mass are bit-compared. A v2 baseline has no online
-    // section, so coverage checks only apply when the baseline has one.
-    let base_online = rows_section(baseline, "online_rows");
-    let fresh_online = rows_section(fresh, "online_rows");
-    if baseline.contains("\"online_rows\": [") {
-        let scenario_of = |line: &str| field(line, "scenario").unwrap_or_default();
-        for b in &base_online {
-            let scenario = scenario_of(b);
-            match fresh_online.iter().find(|f| scenario_of(f) == scenario) {
-                None => report
-                    .drifts
-                    .push(format!("online row {scenario} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "static_cross",
-                        "oracle_cross",
-                        "budgeted_cross",
-                        "migrated_bytes",
-                        "cross_mass",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on {scenario}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_online {
-            let scenario = scenario_of(f);
-            if !base_online.iter().any(|b| scenario_of(b) == scenario) {
-                report
-                    .drifts
-                    .push(format!("online row {scenario} not in baseline"));
-            }
+    for (field, what) in [
+        ("wall_ms_jobs1", "whole sweep (jobs=1)"),
+        ("wall_ms_jobsN", "whole sweep (jobs=N)"),
+    ] {
+        let (base, fresh) = (num(&base_doc, field), num(&fresh_doc, field));
+        warn_wall(&mut report.warnings, what, base, fresh);
+    }
+    report
+}
+
+/// The sparse backend must hold its >= 2x win on the E=512 top-1 cell.
+/// This is algorithmic (not thread-parallel) speedup, so it holds on
+/// 1-core runners too.
+fn sparse_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    for f in rows {
+        let speedup = num(f, "speedup");
+        if num(f, "experts") == 512.0 && num(f, "k") == 1.0 && speedup < MIN_SPARSE_SPEEDUP_512 {
+            drifts.push(format!(
+                "sparse backend speedup on {} is {speedup:.2}x, below the \
+                 {MIN_SPARSE_SPEEDUP_512:.1}x acceptance bar",
+                text(f, "preset")
+            ));
         }
     }
+}
 
-    // Acceptance bars of the online subsystem, checked on the fresh run
-    // regardless of baseline version: budgeted incremental re-placement
-    // must recover >= 80% of the oracle's cross-traffic reduction, and
-    // must never migrate more than its byte budget per re-plan.
-    for f in &fresh_online {
-        let scenario = field(f, "scenario").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
+/// `" moved M bytes across R re-plans, over the B-byte per-re-plan
+/// budget"` when the policy whose fields start with `prefix` migrated more
+/// than its budget allows.
+fn over_byte_budget(f: &Json, prefix: &str) -> Option<String> {
+    let migrated = num(f, &format!("{prefix}migrated_bytes"));
+    let (budget, replans) = (num(f, "budget_bytes"), num(f, &format!("{prefix}replans")));
+    (migrated > budget * replans).then(|| {
+        format!(
+            " moved {migrated} bytes across {replans} re-plans, over the {budget}-byte \
+             per-re-plan budget"
+        )
+    })
+}
+
+/// Budgeted incremental re-placement must recover >= 80% of the oracle's
+/// cross-traffic reduction, and must never migrate more than its byte
+/// budget per re-plan.
+fn online_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    for f in rows {
+        let scenario = text(f, "scenario");
         // Recompute recovery from the exact integer cross counts rather
         // than trusting the 4-decimal-rounded `recovery` field (0.79997
         // would serialize as "0.8000" and sneak past the bar).
-        if let (Some(stat), Some(oracle), Some(budgeted)) = (
-            num("static_cross"),
-            num("oracle_cross"),
-            num("budgeted_cross"),
-        ) {
-            let recovery = if stat <= oracle {
-                1.0
-            } else {
-                (stat - budgeted) / (stat - oracle)
-            };
-            if recovery < MIN_ONLINE_RECOVERY {
-                report.drifts.push(format!(
-                    "online recovery on {scenario} is {recovery:.4}, below the \
-                     {MIN_ONLINE_RECOVERY:.1} acceptance bar"
-                ));
-            }
+        let (stat, oracle) = (num(f, "static_cross"), num(f, "oracle_cross"));
+        let recovery = if stat <= oracle {
+            1.0
+        } else {
+            (stat - num(f, "budgeted_cross")) / (stat - oracle)
+        };
+        if recovery < MIN_ONLINE_RECOVERY {
+            drifts.push(format!(
+                "online recovery on {scenario} is {recovery:.4}, below the \
+                 {MIN_ONLINE_RECOVERY:.1} acceptance bar"
+            ));
         }
-        if let (Some(migrated), Some(budget), Some(replans)) =
-            (num("migrated_bytes"), num("budget_bytes"), num("replans"))
-        {
-            if migrated > budget * replans {
-                report.drifts.push(format!(
-                    "online migration on {scenario} moved {migrated} bytes across \
-                     {replans} re-plans, over the {budget}-byte per-re-plan budget"
-                ));
-            }
+        if let Some(over) = over_byte_budget(f, "") {
+            drifts.push(format!("online migration on {scenario}{over}"));
         }
     }
+}
 
-    // Replication-online rows: keyed by scenario; cross counts, replica
-    // churn, migrated bytes, and the final cross mass are bit-compared. A
-    // v3 baseline has no such section, so coverage checks only apply when
-    // the baseline has one.
-    let base_rep = rows_section(baseline, "replication_online_rows");
-    let fresh_rep = rows_section(fresh, "replication_online_rows");
-    if baseline.contains("\"replication_online_rows\": [") {
-        let scenario_of = |line: &str| field(line, "scenario").unwrap_or_default();
-        for b in &base_rep {
-            let scenario = scenario_of(b);
-            match fresh_rep.iter().find(|f| scenario_of(f) == scenario) {
-                None => report
-                    .drifts
-                    .push(format!("replication row {scenario} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "static_cross",
-                        "owner_cross",
-                        "joint_cross",
-                        "owner_migrated_bytes",
-                        "joint_migrated_bytes",
-                        "replicas_added",
-                        "replicas_dropped",
-                        "extra_copies",
-                        "cross_mass",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on {scenario}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_rep {
-            let scenario = scenario_of(f);
-            if !base_rep.iter().any(|b| scenario_of(b) == scenario) {
-                report
-                    .drifts
-                    .push(format!("replication row {scenario} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the replication-aware online subsystem, checked
-    // on the fresh run regardless of baseline version: the joint policy
-    // must respect both budget axes on every scenario (replica memory in
-    // slots, migration bytes per re-plan), never lose to owner-moves-only
-    // in realized cross traffic, and strictly beat it on at least one
-    // scenario — that is the memory-for-migration-bytes trade-off the
-    // subsystem exists to buy.
-    let mut joint_dominates_somewhere = fresh_rep.is_empty();
-    for f in &fresh_rep {
-        let scenario = field(f, "scenario").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let (Some(extra), Some(slots)) = (num("extra_copies"), num("replica_slots")) {
-            if extra > slots {
-                report.drifts.push(format!(
-                    "replication memory on {scenario}: {extra} extra copies over the \
-                     {slots}-slot per-GPU budget"
-                ));
-            }
+/// The joint policy must respect both budget axes on every scenario
+/// (replica memory in slots, migration bytes per re-plan), never lose to
+/// owner-moves-only in realized cross traffic, and strictly beat it on at
+/// least one scenario — that is the memory-for-migration-bytes trade-off
+/// the subsystem exists to buy.
+fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    let mut joint_dominates_somewhere = rows.is_empty();
+    for f in rows {
+        let scenario = text(f, "scenario");
+        let (extra, slots) = (num(f, "extra_copies"), num(f, "replica_slots"));
+        if extra > slots {
+            drifts.push(format!(
+                "replication memory on {scenario}: {extra} extra copies over the \
+                 {slots}-slot per-GPU budget"
+            ));
         }
         for policy in ["owner", "joint"] {
-            if let (Some(migrated), Some(budget), Some(replans)) = (
-                num(&format!("{policy}_migrated_bytes")),
-                num("budget_bytes"),
-                num(&format!("{policy}_replans")),
-            ) {
-                if migrated > budget * replans {
-                    report.drifts.push(format!(
-                        "replication migration ({policy}) on {scenario} moved {migrated} bytes \
-                         across {replans} re-plans, over the {budget}-byte per-re-plan budget"
-                    ));
-                }
-            }
-        }
-        if let (Some(owner), Some(joint)) = (num("owner_cross"), num("joint_cross")) {
-            if joint > owner {
-                report.drifts.push(format!(
-                    "replication on {scenario}: joint policy crossed {joint} vs owner-moves-only \
-                     {owner} at equal migration bytes"
+            if let Some(over) = over_byte_budget(f, &format!("{policy}_")) {
+                drifts.push(format!(
+                    "replication migration ({policy}) on {scenario}{over}"
                 ));
             }
-            if joint < owner {
-                joint_dominates_somewhere = true;
-            }
         }
+        let (owner, joint) = (num(f, "owner_cross"), num(f, "joint_cross"));
+        if joint > owner {
+            drifts.push(format!(
+                "replication on {scenario}: joint policy crossed {joint} vs owner-moves-only \
+                 {owner} at equal migration bytes"
+            ));
+        }
+        joint_dominates_somewhere |= joint < owner;
     }
     if !joint_dominates_somewhere {
-        report.drifts.push(
+        drifts.push(
             "replication: the joint policy beats owner-moves-only on no scenario \
              (the replica memory budget bought nothing)"
                 .to_string(),
         );
     }
+}
 
-    // Serving rows: keyed by arrival process; every latency percentile,
-    // goodput, offered load, re-plan count, and migrated-byte figure is a
-    // deterministic virtual-time fact, so all of them are bit-compared. A
-    // v3/v4 baseline has no serving section, so coverage checks only
-    // apply when the baseline has one.
-    let base_serving = rows_section(baseline, "serving_rows");
-    let fresh_serving = rows_section(fresh, "serving_rows");
-    if baseline.contains("\"serving_rows\": [") {
-        let arrival_of = |line: &str| field(line, "arrival").unwrap_or_default();
-        for b in &base_serving {
-            let arrival = arrival_of(b);
-            match fresh_serving.iter().find(|f| arrival_of(f) == arrival) {
-                None => report
-                    .drifts
-                    .push(format!("serving row {arrival} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "offered_load",
-                        "static_p50",
-                        "static_p95",
-                        "static_p99",
-                        "static_goodput",
-                        "online_p50",
-                        "online_p95",
-                        "online_p99",
-                        "online_goodput",
-                        "online_replans",
-                        "online_migrated_bytes",
-                        "repl_p50",
-                        "repl_p95",
-                        "repl_p99",
-                        "repl_goodput",
-                        "repl_replicas_added",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on serving/{arrival}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_serving {
-            let arrival = arrival_of(f);
-            if !base_serving.iter().any(|b| arrival_of(b) == arrival) {
-                report
-                    .drifts
-                    .push(format!("serving row {arrival} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the serving front-end, checked on the fresh run
-    // regardless of baseline version: under every arrival process the
-    // adaptive policies — which pay for their re-placements with real
-    // migration stalls in serving time — must never worsen the p99
-    // latency tail over the static incumbent, and no policy may report
-    // more goodput than the load it was offered.
-    for f in &fresh_serving {
-        let arrival = field(f, "arrival").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let Some(static_p99) = num("static_p99") {
-            for policy in ["online", "repl"] {
-                if let Some(p99) = num(&format!("{policy}_p99")) {
-                    if p99 > static_p99 {
-                        report.drifts.push(format!(
-                            "serving tail on {arrival}: {policy} p99 {p99} worse than the \
-                             static incumbent's {static_p99} at equal budget"
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(offered) = num("offered_load") {
-            for policy in ["static", "online", "repl"] {
-                if let Some(goodput) = num(&format!("{policy}_goodput")) {
-                    if goodput > offered {
-                        report.drifts.push(format!(
-                            "serving goodput on {arrival}: {policy} reports {goodput} over \
-                             the offered load {offered}"
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // Elasticity rows: keyed by fault schedule; disruption counts,
-    // emergency bytes, latency tails, and recovery times are all
-    // deterministic virtual-time facts, so all of them are bit-compared.
-    // A v3/v4/v5 baseline has no elasticity section, so coverage checks
-    // only apply when the baseline has one.
-    let base_elastic = rows_section(baseline, "elasticity_rows");
-    let fresh_elastic = rows_section(fresh, "elasticity_rows");
-    if baseline.contains("\"elasticity_rows\": [") {
-        let fault_of = |line: &str| field(line, "fault").unwrap_or_default();
-        for b in &base_elastic {
-            let fault = fault_of(b);
-            match fresh_elastic.iter().find(|f| fault_of(f) == fault) {
-                None => report
-                    .drifts
-                    .push(format!("elasticity row {fault} missing from fresh run")),
-                Some(f) => {
-                    for fact in [
-                        "fault_time",
-                        "plain_p99",
-                        "plain_disrupted",
-                        "plain_steps_degraded",
-                        "plain_emergency_bytes",
-                        "plain_recovery",
-                        "repl_p99",
-                        "repl_disrupted",
-                        "repl_steps_degraded",
-                        "repl_emergency_bytes",
-                        "repl_recovery",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on elasticity/{fault}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                    // `repl_extra_copies` joined the elasticity row at
-                    // v8; older baselines simply lack the field.
-                    if baseline_version >= 8 {
-                        let (bv, fv) =
-                            (field(b, "repl_extra_copies"), field(f, "repl_extra_copies"));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "repl_extra_copies drift on elasticity/{fault}: baseline {} vs \
-                                 fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        for f in &fresh_elastic {
-            let fault = fault_of(f);
-            if !base_elastic.iter().any(|b| fault_of(b) == fault) {
-                report
-                    .drifts
-                    .push(format!("elasticity row {fault} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the fault-tolerance layer, checked on the fresh
-    // run regardless of baseline version: under every fault schedule the
-    // replicated fleet must recover its latency tail (recovery >= 0)
-    // strictly faster than the unreplicated fleet (which may never
-    // recover at all, encoded as -1), and replica failover must save
-    // emergency wire traffic over restoring from a checkpoint shard.
-    for f in &fresh_elastic {
-        let fault = field(f, "fault").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let (Some(plain_rec), Some(repl_rec)) = (num("plain_recovery"), num("repl_recovery")) {
-            let faster = repl_rec >= 0.0 && (plain_rec < 0.0 || repl_rec < plain_rec);
-            if !faster {
-                report.drifts.push(format!(
-                    "elasticity on {fault}: replicated fleet recovery {repl_rec} vs \
-                     unreplicated {plain_rec} — replication must buy strictly faster recovery"
+/// Under every arrival process the adaptive policies — which pay for
+/// their re-placements with real migration stalls in serving time — must
+/// never worsen the p99 latency tail over the static incumbent, and no
+/// policy may report more goodput than the load it was offered.
+fn serving_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    for f in rows {
+        let arrival = text(f, "arrival");
+        let (static_p99, offered) = (num(f, "static_p99"), num(f, "offered_load"));
+        for policy in ["online", "repl"] {
+            let p99 = num(f, &format!("{policy}_p99"));
+            if p99 > static_p99 {
+                drifts.push(format!(
+                    "serving tail on {arrival}: {policy} p99 {p99} worse than the \
+                     static incumbent's {static_p99} at equal budget"
                 ));
             }
         }
-        if let (Some(plain_bytes), Some(repl_bytes)) =
-            (num("plain_emergency_bytes"), num("repl_emergency_bytes"))
-        {
-            if repl_bytes >= plain_bytes {
-                report.drifts.push(format!(
-                    "elasticity on {fault}: replication shipped {repl_bytes} emergency bytes vs \
-                     {plain_bytes} without — failover must save wire traffic"
+        for policy in ["static", "online", "repl"] {
+            let goodput = num(f, &format!("{policy}_goodput"));
+            if goodput > offered {
+                drifts.push(format!(
+                    "serving goodput on {arrival}: {policy} reports {goodput} over \
+                     the offered load {offered}"
                 ));
             }
         }
     }
+}
 
-    // Replan-latency rows: keyed by preset; the solver-cost counters and
-    // both final cross masses are deterministic operation counts /
-    // objectives, so all of them are bit-compared. A v3..v6 baseline has
-    // no such section, so coverage checks only apply when the baseline
-    // has one.
-    let base_replan = rows_section(baseline, "replan_latency_rows");
-    let fresh_replan = rows_section(fresh, "replan_latency_rows");
-    if baseline.contains("\"replan_latency_rows\": [") {
-        let preset_of = |line: &str| field(line, "preset").unwrap_or_default();
-        for b in &base_replan {
-            let preset = preset_of(b);
-            match fresh_replan.iter().find(|f| preset_of(f) == preset) {
-                None => report.drifts.push(format!(
-                    "replan-latency row {preset} missing from fresh run"
-                )),
-                Some(f) => {
-                    for fact in [
-                        "replans",
-                        "considered",
-                        "evaluated_rebuild",
-                        "evaluated_incremental",
-                        "reused",
-                        "cross_mass_rebuild",
-                        "cross_mass_incremental",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on replan-latency/{preset}: baseline {} vs fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                    warn_wall(
-                        &mut report.warnings,
-                        &format!("{preset} (re-plan, rebuild)"),
-                        parse_ms(field(b, "wall_ms_rebuild")),
-                        parse_ms(field(f, "wall_ms_rebuild")),
-                    );
-                    warn_wall(
-                        &mut report.warnings,
-                        &format!("{preset} (re-plan, incremental)"),
-                        parse_ms(field(b, "wall_ms_incremental")),
-                        parse_ms(field(f, "wall_ms_incremental")),
-                    );
-                }
-            }
-        }
-        for f in &fresh_replan {
-            let preset = preset_of(f);
-            if !base_replan.iter().any(|b| preset_of(b) == preset) {
-                report
-                    .drifts
-                    .push(format!("replan-latency row {preset} not in baseline"));
-            }
-        }
-    }
-
-    // Acceptance bars of the incremental re-plan engine, checked on the
-    // fresh run regardless of baseline version: the delta-maintained
-    // objective must land bit-identical to the cold rebuild (string
-    // equality of the shortest-round-trip cross masses *is* bit
-    // equality), and at E = 512 the swap-gain cache must cut
-    // candidate-gain recomputation at least
-    // [`MIN_REPLAN_SCAN_REDUCTION_512`]x. The reduction is recomputed
-    // from the exact integer counters rather than trusting the
-    // 3-decimal-rounded `scan_reduction` field.
-    for f in &fresh_replan {
-        let preset = field(f, "preset").unwrap_or_default();
-        let (cm_rebuild, cm_incremental) = (
-            field(f, "cross_mass_rebuild"),
-            field(f, "cross_mass_incremental"),
-        );
-        if cm_rebuild != cm_incremental {
-            report.drifts.push(format!(
-                "replan-latency on {preset}: incremental cross mass {} diverged from the \
-                 rebuild's {} — incremental maintenance must be bit-identical",
-                cm_incremental.unwrap_or_default(),
-                cm_rebuild.unwrap_or_default()
+/// Under every fault schedule the replicated fleet must recover its
+/// latency tail (recovery >= 0) strictly faster than the unreplicated
+/// fleet (which may never recover at all, encoded as -1), and replica
+/// failover must save emergency wire traffic over restoring from a
+/// checkpoint shard.
+fn elasticity_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    for f in rows {
+        let fault = text(f, "fault");
+        let (plain_rec, repl_rec) = (num(f, "plain_recovery"), num(f, "repl_recovery"));
+        let faster = repl_rec >= 0.0 && (plain_rec < 0.0 || repl_rec < plain_rec);
+        if !faster {
+            drifts.push(format!(
+                "elasticity on {fault}: replicated fleet recovery {repl_rec} vs \
+                 unreplicated {plain_rec} — replication must buy strictly faster recovery"
             ));
         }
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if field(f, "experts").as_deref() == Some("512") {
-            if let (Some(rebuild), Some(incremental)) =
-                (num("evaluated_rebuild"), num("evaluated_incremental"))
-            {
-                let reduction = if incremental > 0.0 {
-                    rebuild / incremental
-                } else {
-                    0.0
-                };
-                if reduction < MIN_REPLAN_SCAN_REDUCTION_512 {
-                    report.drifts.push(format!(
-                        "replan-latency scan reduction on {preset} is {reduction:.2}x, below \
-                         the {MIN_REPLAN_SCAN_REDUCTION_512:.1}x acceptance bar"
-                    ));
-                }
-            }
+        let (plain_bytes, repl_bytes) = (
+            num(f, "plain_emergency_bytes"),
+            num(f, "repl_emergency_bytes"),
+        );
+        if repl_bytes >= plain_bytes {
+            drifts.push(format!(
+                "elasticity on {fault}: replication shipped {repl_bytes} emergency bytes vs \
+                 {plain_bytes} without — failover must save wire traffic"
+            ));
         }
     }
+}
 
-    // Partial-replication rows: keyed by scenario; every field is a
-    // deterministic objective, byte count, or copy count (there are no
-    // wall-clock columns), so all of them are bit-compared. A v3..v7
-    // baseline has no such section, so coverage checks only apply when
-    // the baseline has one.
-    let base_partial = rows_section(baseline, "partial_replication_rows");
-    let fresh_partial = rows_section(fresh, "partial_replication_rows");
-    if baseline.contains("\"partial_replication_rows\": [") {
-        let scenario_of = |line: &str| field(line, "scenario").unwrap_or_default();
-        for b in &base_partial {
-            let scenario = scenario_of(b);
-            match fresh_partial.iter().find(|f| scenario_of(f) == scenario) {
-                None => report.drifts.push(format!(
-                    "partial-replication row {scenario} missing from fresh run"
-                )),
-                Some(f) => {
-                    for fact in [
-                        "partial_replans",
-                        "replicas_added",
-                        "partial_migrated_bytes",
-                        "full_migrated_bytes",
-                        "partial_extra_copies",
-                        "full_extra_copies",
-                        "partial_cross_mass",
-                        "full_cross_mass",
-                        "realized_cross",
-                        "cc_replicas_added",
-                        "cc_local_fraction",
-                    ] {
-                        let (bv, fv) = (field(b, fact), field(f, fact));
-                        if bv != fv {
-                            report.drifts.push(format!(
-                                "{fact} drift on partial-replication/{scenario}: baseline {} vs \
-                                 fresh {}",
-                                bv.unwrap_or_default(),
-                                fv.unwrap_or_default()
-                            ));
-                        }
-                    }
-                }
-            }
+/// The delta-maintained objective must land bit-identical to the cold
+/// rebuild (token equality of the shortest-round-trip cross masses *is*
+/// bit equality), and at E = 512 the swap-gain cache must cut
+/// candidate-gain recomputation at least [`MIN_REPLAN_SCAN_REDUCTION_512`]x.
+/// The reduction is recomputed from the exact integer counters rather
+/// than trusting the 3-decimal-rounded `scan_reduction` field.
+fn replan_latency_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    for f in rows {
+        let preset = text(f, "preset");
+        if f.get("cross_mass_rebuild") != f.get("cross_mass_incremental") {
+            drifts.push(format!(
+                "replan-latency on {preset}: incremental cross mass {} diverged from the \
+                 rebuild's {} — incremental maintenance must be bit-identical",
+                text(f, "cross_mass_incremental"),
+                text(f, "cross_mass_rebuild")
+            ));
         }
-        for f in &fresh_partial {
-            let scenario = scenario_of(f);
-            if !base_partial.iter().any(|b| scenario_of(b) == scenario) {
-                report.drifts.push(format!(
-                    "partial-replication row {scenario} not in baseline"
-                ));
-            }
+        let incremental = num(f, "evaluated_incremental");
+        let reduction = if incremental > 0.0 {
+            num(f, "evaluated_rebuild") / incremental
+        } else {
+            0.0
+        };
+        if num(f, "experts") == 512.0 && reduction < MIN_REPLAN_SCAN_REDUCTION_512 {
+            drifts.push(format!(
+                "replan-latency scan reduction on {preset} is {reduction:.2}x, below \
+                 the {MIN_REPLAN_SCAN_REDUCTION_512:.1}x acceptance bar"
+            ));
         }
     }
+}
 
-    // Acceptance bars of partial replication, checked on the fresh run
-    // regardless of baseline version: on every cell the subset policy —
-    // which races the full fan-out from the same incumbent at the same
-    // memory and migration budgets — must never lose to full replication
-    // in solver cross mass, both policies must respect the per-GPU slot
-    // and per-re-plan byte budgets, and at least one top-2 CC engine row
-    // must actually place replicas (the regression the sweep exists to
-    // catch is top-2 models silently falling back to owner-only serving).
-    let mut top2_uses_replicas = fresh_partial.is_empty();
-    for f in &fresh_partial {
-        let scenario = field(f, "scenario").unwrap_or_default();
-        let num = |key: &str| field(f, key).and_then(|v| v.parse::<f64>().ok());
-        if let (Some(partial), Some(full)) = (num("partial_cross_mass"), num("full_cross_mass")) {
-            if partial > full {
-                report.drifts.push(format!(
-                    "partial replication on {scenario}: subset policy crossed {partial} vs full \
-                     fan-out's {full} at equal memory"
+/// On every cell the subset policy — which races the full fan-out from
+/// the same incumbent at the same memory and migration budgets — must
+/// never lose to full replication in solver cross mass, both policies
+/// must respect the per-GPU slot and per-re-plan byte budgets, and at
+/// least one top-2 CC engine row must actually place replicas (the
+/// regression the sweep exists to catch is top-2 models silently falling
+/// back to owner-only serving).
+fn partial_replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
+    let mut top2_uses_replicas = rows.is_empty();
+    for f in rows {
+        let scenario = text(f, "scenario");
+        let (partial, full) = (num(f, "partial_cross_mass"), num(f, "full_cross_mass"));
+        if partial > full {
+            drifts.push(format!(
+                "partial replication on {scenario}: subset policy crossed {partial} vs full \
+                 fan-out's {full} at equal memory"
+            ));
+        }
+        let slots = num(f, "replica_slots");
+        for policy in ["partial", "full"] {
+            let extra = num(f, &format!("{policy}_extra_copies"));
+            if extra > slots {
+                drifts.push(format!(
+                    "partial replication on {scenario}: {policy} policy holds {extra} \
+                     extra copies over the {slots}-slot per-GPU budget"
                 ));
             }
         }
-        if let Some(slots) = num("replica_slots") {
-            for policy in ["partial", "full"] {
-                if let Some(extra) = num(&format!("{policy}_extra_copies")) {
-                    if extra > slots {
-                        report.drifts.push(format!(
-                            "partial replication on {scenario}: {policy} policy holds {extra} \
-                             extra copies over the {slots}-slot per-GPU budget"
-                        ));
-                    }
-                }
-            }
+        if let Some(over) = over_byte_budget(f, "partial_") {
+            drifts.push(format!("partial replication on {scenario}{over}"));
         }
-        if let (Some(migrated), Some(budget), Some(replans)) = (
-            num("partial_migrated_bytes"),
-            num("budget_bytes"),
-            num("partial_replans"),
-        ) {
-            if migrated > budget * replans {
-                report.drifts.push(format!(
-                    "partial replication on {scenario} moved {migrated} bytes across {replans} \
-                     re-plans, over the {budget}-byte per-re-plan budget"
-                ));
-            }
-        }
-        if field(f, "k").as_deref() == Some("2")
-            && num("cc_replicas_added").is_some_and(|n| n > 0.0)
-        {
-            top2_uses_replicas = true;
-        }
+        top2_uses_replicas |= num(f, "k") == 2.0 && num(f, "cc_replicas_added") > 0.0;
     }
     if !top2_uses_replicas {
-        report.drifts.push(
+        drifts.push(
             "partial replication: no top-2 CC row placed a replica \
              (top-2 dispatch fell back to owner-only serving)"
                 .to_string(),
         );
     }
-
-    // Whole-sweep walls.
-    let top_field = |json: &str, key: &str| {
-        json.lines()
-            .find(|l| l.trim_start().starts_with(&format!("\"{key}\"")))
-            .and_then(|l| field(l, key))
-            .and_then(|v| v.parse::<f64>().ok())
-    };
-    warn_wall(
-        &mut report.warnings,
-        "whole sweep (jobs=1)",
-        top_field(baseline, "wall_ms_jobs1"),
-        top_field(fresh, "wall_ms_jobs1"),
-    );
-    warn_wall(
-        &mut report.warnings,
-        "whole sweep (jobs=N)",
-        top_field(baseline, "wall_ms_jobsN"),
-        top_field(fresh, "wall_ms_jobsN"),
-    );
-
-    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::{
-        BenchRow, BenchSummary, ElasticityRow, OnlineBenchRow, PartialReplicationRow,
-        ReplanLatencyRow, ReplicationOnlineRow, ServingBenchRow, SparseBenchRow,
-    };
-
-    fn summary(cross: f64, wall: f64, sparse_wall_dense: f64) -> BenchSummary {
-        BenchSummary {
-            seed: 1,
-            scale: "quick".into(),
-            jobs: 4,
-            wall_ms_jobs1: wall,
-            wall_ms_jobs_n: wall / 2.0,
-            rows: vec![BenchRow {
-                model: "MoE-GPT-M/8e-24L".into(),
-                solver: "greedy".into(),
-                wall_ms: wall / 10.0,
-                cross_mass: cross,
-            }],
-            sparse_rows: vec![SparseBenchRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                nnz: 3000,
-                density: 0.011,
-                wall_ms_dense: sparse_wall_dense,
-                wall_ms_sparse: 10.0,
-                cross_mass: cross / 2.0,
-            }],
-            online_rows: vec![OnlineBenchRow {
-                scenario: "piecewise-2phase".into(),
-                n_experts: 16,
-                layers: 5,
-                windows: 6,
-                replan_every: 1,
-                budget_bytes: 1 << 28,
-                migrated_bytes: 3 << 27,
-                replans: 3,
-                static_cross: 5000,
-                oracle_cross: 3000,
-                budgeted_cross: 3200,
-                cross_mass: cross / 3.0,
-            }],
-            replication_online_rows: vec![ReplicationOnlineRow {
-                scenario: "piecewise-2phase/E16".into(),
-                n_experts: 16,
-                layers: 5,
-                units: 4,
-                windows: 10,
-                replan_every: 1,
-                budget_bytes: 1 << 26,
-                replica_slots: 8,
-                owner_migrated_bytes: 3 << 25,
-                joint_migrated_bytes: 1 << 26,
-                owner_replans: 2,
-                joint_replans: 2,
-                replicas_added: 5,
-                replicas_dropped: 1,
-                extra_copies: 4,
-                static_cross: 5000,
-                owner_cross: 3600,
-                joint_cross: 3100,
-                cross_mass: cross / 4.0,
-            }],
-            serving_rows: vec![ServingBenchRow {
-                arrival: "poisson".into(),
-                requests: 48,
-                decode_steps: 2,
-                windows: 6,
-                max_batch: 8,
-                offered_load: 0.125,
-                static_p50: 20.0,
-                static_p95: 44.0,
-                static_p99: 52.0,
-                static_goodput: 0.115,
-                online_p50: 18.0,
-                online_p95: 34.0,
-                online_p99: 40.0,
-                online_goodput: 0.12,
-                online_replans: 2,
-                online_migrated_bytes: 9 << 20,
-                repl_p50: 17.5,
-                repl_p95: 33.0,
-                repl_p99: 39.0,
-                repl_goodput: 0.121,
-                repl_replicas_added: 3,
-            }],
-            elasticity_rows: vec![ElasticityRow {
-                fault: "gpu-loss".into(),
-                requests: 500,
-                fault_time: 12.5,
-                plain_p99: 60.0,
-                plain_disrupted: 9,
-                plain_steps_degraded: 40,
-                plain_emergency_bytes: 7 << 20,
-                plain_recovery: 8.25,
-                repl_p99: 48.0,
-                repl_disrupted: 9,
-                repl_steps_degraded: 12,
-                repl_emergency_bytes: 0,
-                repl_recovery: 1.5,
-                repl_extra_copies: 6,
-            }],
-            replan_latency_rows: vec![ReplanLatencyRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                windows: 4,
-                replans: 3,
-                max_moves: 40,
-                considered: 8_000_000,
-                evaluated_rebuild: 8_000_000,
-                evaluated_incremental: 1_000_000,
-                reused: 7_000_000,
-                wall_ms_rebuild: 900.0,
-                wall_ms_incremental: 120.0,
-                cross_mass_rebuild: cross / 5.0,
-                cross_mass_incremental: cross / 5.0,
-            }],
-            partial_replication_rows: vec![PartialReplicationRow {
-                scenario: "partial-repl/256e-top2".into(),
-                n_experts: 256,
-                k: 2,
-                layers: 2,
-                units: 8,
-                windows: 3,
-                replica_slots: 4,
-                budget_bytes: 12 << 20,
-                partial_replans: 2,
-                replicas_added: 5,
-                partial_migrated_bytes: 6 << 20,
-                full_migrated_bytes: 9 << 20,
-                partial_extra_copies: 3,
-                full_extra_copies: 4,
-                partial_cross_mass: cross / 6.0,
-                full_cross_mass: cross / 5.0,
-                realized_cross: 1234,
-                cc_replicas_added: 2,
-                cc_local_fraction: 0.875,
-            }],
-        }
-    }
+    use crate::summary::fixture::summary;
 
     #[test]
     fn identical_documents_pass() {
@@ -1170,143 +704,52 @@ mod tests {
         assert!(report.drifts[0].contains("schema"));
     }
 
-    /// Drop the last array section of a document (the emitter always
-    /// closes it with `  ]\n}`) and relabel the schema.
-    fn strip_last_section(json: &str, key: &str, from: &str, to: &str) -> String {
-        let start = json.find(&format!(",\n  \"{key}\": [")).unwrap();
-        let end = json.rfind("  ]\n}").unwrap();
-        let mut out = String::new();
-        out.push_str(&json[..start]);
-        out.push('\n');
-        out.push_str(&json[end + 4..]);
-        out.replace(from, to)
-    }
-
-    /// Strip a v8 document down to the v7 schema (drop the
-    /// partial_replication_rows section and relabel).
-    fn as_v7(json: &str) -> String {
-        strip_last_section(
-            json,
-            "partial_replication_rows",
-            "exflow-bench-summary/v8",
-            "exflow-bench-summary/v7",
-        )
-    }
-
-    /// Strip a v8 document down to the v6 schema (drop the
-    /// partial_replication_rows and replan_latency_rows sections and
-    /// relabel).
-    fn as_v6(json: &str) -> String {
-        strip_last_section(
-            &as_v7(json),
-            "replan_latency_rows",
-            "exflow-bench-summary/v7",
-            "exflow-bench-summary/v6",
-        )
-    }
-
-    /// Strip a v8 document down to the v5 schema (additionally drop the
-    /// elasticity_rows section and relabel).
-    fn as_v5(json: &str) -> String {
-        strip_last_section(
-            &as_v6(json),
-            "elasticity_rows",
-            "exflow-bench-summary/v6",
-            "exflow-bench-summary/v5",
-        )
-    }
-
-    /// Strip a v8 document down to the v4 schema (additionally drop the
-    /// serving_rows section and relabel).
-    fn as_v4(json: &str) -> String {
-        strip_last_section(
-            &as_v5(json),
-            "serving_rows",
-            "exflow-bench-summary/v5",
-            "exflow-bench-summary/v4",
-        )
-    }
-
-    /// Strip a v8 document down to the v3 schema (keep only the rows,
-    /// sparse_rows, and online_rows sections and relabel).
-    fn as_v3(json: &str) -> String {
-        strip_last_section(
-            &as_v4(json),
-            "replication_online_rows",
-            "exflow-bench-summary/v4",
-            "exflow-bench-summary/v3",
-        )
-    }
-
     #[test]
-    fn v3_baseline_is_still_accepted() {
+    fn any_other_baseline_schema_is_rejected_with_a_regenerate_drift() {
         let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v3(&fresh);
-        assert!(old.contains("exflow-bench-summary/v3"));
-        assert!(!old.contains("replication_online_rows"));
-        assert!(!old.contains("serving_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        // But objective drift in the shared sections still fails.
-        let drifted = summary(0.26, 100.0, 100.0).to_json();
-        assert!(!compare(&old, &drifted).ok());
+        for tag in [
+            "exflow-bench-summary/v2",
+            "exflow-bench-summary/v9",
+            "other",
+        ] {
+            let report = compare(&fresh.replace(SCHEMA, tag), &fresh);
+            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
+            assert!(report.drifts[0].contains("regenerate") && report.drifts[0].contains(tag));
+        }
     }
 
     #[test]
-    fn v4_baseline_is_still_accepted_and_noted_as_skew() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v4(&fresh);
-        assert!(old.contains("exflow-bench-summary/v4"));
-        assert!(old.contains("replication_online_rows"));
-        assert!(!old.contains("serving_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        // The skew is surfaced as an informational note, labeled apart
-        // from wall-time warnings in the markdown.
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v4"));
-        let md = report.to_markdown();
-        assert!(md.contains("Schema-version skew"));
-        assert!(!md.contains("Wall-time regressions"));
+    fn stale_fresh_document_is_rejected() {
+        let base = summary(0.25, 100.0, 100.0).to_json();
+        let fresh = base.replace(SCHEMA, "exflow-bench-summary/v1");
+        let report = compare(&base, &fresh);
+        assert!(!report.ok());
+        assert!(report.drifts[0].contains("must be exflow-bench-summary/v8"));
     }
 
     #[test]
-    fn matching_schemas_produce_no_skew_note() {
+    fn unparseable_and_truncated_documents_fail() {
         let json = summary(0.25, 100.0, 100.0).to_json();
-        let report = compare(&json, &json);
-        assert!(report.notes.is_empty(), "{:?}", report.notes);
-        assert!(!report.to_markdown().contains("Schema-version skew"));
+        let report = compare(&json[..json.len() / 2], &json);
+        assert!(report.drifts[0].contains("baseline document does not parse"));
+        // A document that lost a whole section is a drift, not a skip.
+        let report = compare(&json.replace("\"serving_rows\"", "\"other_rows\""), &json);
+        assert!(
+            report
+                .drifts
+                .iter()
+                .any(|d| d.contains("section serving_rows missing from the baseline")),
+            "{:?}",
+            report.drifts
+        );
     }
 
     #[test]
-    fn wall_warnings_are_labeled_apart_from_skew_notes() {
+    fn wall_warnings_are_labeled_in_the_markdown() {
         let base = summary(0.25, 100.0, 100.0).to_json();
         let fresh = summary(0.25, 200.0, 100.0).to_json();
         let md = compare(&base, &fresh).to_markdown();
         assert!(md.contains("Wall-time regressions"));
-        assert!(!md.contains("Schema-version skew"));
-    }
-
-    #[test]
-    fn v5_baseline_is_still_accepted_and_noted_as_skew() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v5(&fresh);
-        assert!(old.contains("exflow-bench-summary/v5"));
-        assert!(old.contains("serving_rows"));
-        assert!(!old.contains("elasticity_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v5"));
-    }
-
-    #[test]
-    fn v5_fresh_document_is_rejected() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = as_v5(&base);
-        let report = compare(&base, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("must be exflow-bench-summary/v8"));
     }
 
     #[test]
@@ -1429,17 +872,6 @@ mod tests {
             "{:?}",
             report.drifts
         );
-        // The bar also binds against a v4 baseline, where no bit-compare
-        // covers the serving section at all.
-        let report = compare(&as_v4(&base.to_json()), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("serving tail on poisson")),
-            "{:?}",
-            report.drifts
-        );
     }
 
     #[test]
@@ -1503,17 +935,6 @@ mod tests {
                 "repl_recovery {repl_recovery}: {:?}",
                 report.drifts
             );
-            // The bar also binds against a v5 baseline, where no
-            // bit-compare covers the elasticity section at all.
-            let report = compare(&as_v5(&base.to_json()), &fresh.to_json());
-            assert!(
-                report
-                    .drifts
-                    .iter()
-                    .any(|d| d.contains("strictly faster recovery")),
-                "repl_recovery {repl_recovery} (v5 baseline): {:?}",
-                report.drifts
-            );
         }
     }
 
@@ -1546,59 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn v6_baseline_is_accepted_and_note_names_the_replan_section() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v6(&fresh);
-        assert!(old.contains("exflow-bench-summary/v6"));
-        assert!(old.contains("elasticity_rows"));
-        assert!(!old.contains("replan_latency_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v6"));
-        assert!(report.notes[0].contains("replan_latency_rows"));
-        // Only the one section rides ungated at v6.
-        assert!(!report.notes[0].contains("elasticity_rows"));
-    }
-
-    #[test]
-    fn skew_note_enumerates_every_absent_section() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let report = compare(&as_v4(&fresh), &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        for section in [
-            "serving_rows",
-            "elasticity_rows",
-            "replan_latency_rows",
-            "partial_replication_rows",
-        ] {
-            assert!(
-                report.notes[0].contains(section),
-                "note must name {section}: {:?}",
-                report.notes
-            );
-        }
-        assert!(!report.notes[0].contains("replication_online_rows"));
-    }
-
-    #[test]
-    fn v7_baseline_is_accepted_and_note_names_the_partial_section() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = as_v7(&fresh);
-        assert!(old.contains("exflow-bench-summary/v7"));
-        assert!(old.contains("replan_latency_rows"));
-        assert!(!old.contains("partial_replication_rows"));
-        let report = compare(&old, &fresh);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert_eq!(report.notes.len(), 1, "{:?}", report.notes);
-        assert!(report.notes[0].contains("exflow-bench-summary/v7"));
-        assert!(report.notes[0].contains("partial_replication_rows"));
-        // Only the one section rides ungated at v7.
-        assert!(!report.notes[0].contains("replan_latency_rows"));
-    }
-
-    #[test]
     fn partial_cross_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
@@ -1622,14 +990,6 @@ mod tests {
         fresh.partial_replication_rows[0].partial_cross_mass =
             fresh.partial_replication_rows[0].full_cross_mass + 0.1;
         let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("at equal memory")),
-            "{:?}",
-            report.drifts
-        );
-        // The bar also binds against a v7 baseline, where no bit-compare
-        // covers the partial-replication section at all.
-        let report = compare(&as_v7(&base.to_json()), &fresh.to_json());
         assert!(
             report.drifts.iter().any(|d| d.contains("at equal memory")),
             "{:?}",
@@ -1690,7 +1050,7 @@ mod tests {
     }
 
     #[test]
-    fn repl_extra_copies_drift_fails_only_against_a_v8_baseline() {
+    fn repl_extra_copies_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
         fresh.elasticity_rows[0].repl_extra_copies += 1;
@@ -1700,17 +1060,6 @@ mod tests {
                 .drifts
                 .iter()
                 .any(|d| d.contains("repl_extra_copies drift")),
-            "{:?}",
-            report.drifts
-        );
-        // A v7 baseline has elasticity rows but not the field: the drift
-        // must not misfire as "" vs value.
-        let report = compare(&as_v7(&base.to_json()), &fresh.to_json());
-        assert!(
-            !report
-                .drifts
-                .iter()
-                .any(|d| d.contains("repl_extra_copies")),
             "{:?}",
             report.drifts
         );
@@ -1747,17 +1096,6 @@ mod tests {
             "{:?}",
             report.drifts
         );
-        // The bit-equality bar also binds against a v6 baseline, where
-        // no bit-compare covers the replan-latency section at all.
-        let report = compare(&as_v6(&base.to_json()), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("diverged from the rebuild")),
-            "{:?}",
-            report.drifts
-        );
     }
 
     #[test]
@@ -1768,13 +1106,6 @@ mod tests {
         fresh.replan_latency_rows[0].evaluated_incremental = 4_000_000;
         fresh.replan_latency_rows[0].reused = 4_000_000;
         let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("below the")),
-            "{:?}",
-            report.drifts
-        );
-        // The bar also binds against a v6 baseline.
-        let report = compare(&as_v6(&base.to_json()), &fresh.to_json());
         assert!(
             report.drifts.iter().any(|d| d.contains("below the")),
             "{:?}",

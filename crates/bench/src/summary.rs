@@ -65,11 +65,12 @@
 //! Quality numbers in `BENCH_*.json` are deterministic facts (the CI
 //! perf-gate compares them bit for bit against the committed baseline);
 //! timing numbers are machine-dependent measurements. The schema
-//! (`exflow-bench-summary/v8`) keeps them apart.
+//! ([`SCHEMA`]) keeps them apart.
 
 use std::time::Instant;
 
 use exflow_affinity::{RoutingTrace, SparseAffinity, StreamingAffinity};
+use exflow_core::json::Json;
 use exflow_core::{
     BatchPolicy, InferenceEngine, OnlineConfig, ParallelismMode, ReplicaPlacement, Scenario,
     ServingConfig, ServingReport,
@@ -240,6 +241,17 @@ const REPLAN_LATENCY_TOKENS: (usize, usize) = (800, 2400);
 /// successor (CSR-row) and predecessor (CSC-column) invalidation paths.
 const REPLAN_LATENCY_LAYERS: usize = 2;
 
+/// Schema tag of the summary document; bump on any field change. The
+/// perf-gate rejects a baseline carrying any other tag.
+pub const SCHEMA: &str = "exflow-bench-summary/v8";
+
+/// A row type of the summary: its JSON fields, declared once, in emission
+/// order. The perf-gate's section table names the same keys.
+pub trait JsonRow {
+    /// `(key, value)` pairs of this row's JSON object.
+    fn fields(&self) -> Vec<(&'static str, Json)>;
+}
+
 /// One (model, solver) measurement.
 #[derive(Debug, Clone)]
 pub struct BenchRow {
@@ -253,6 +265,17 @@ pub struct BenchRow {
     /// Achieved objective: expected cross-unit transition mass (lower is
     /// better; bit-identical across thread counts).
     pub cross_mass: f64,
+}
+
+impl JsonRow for BenchRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("model", self.model.as_str().into()),
+            ("solver", self.solver.as_str().into()),
+            ("wall_ms", Json::Fixed(self.wall_ms, 3)),
+            ("cross_mass", self.cross_mass.into()),
+        ]
+    }
 }
 
 /// One `table_sparse` cell: a large-expert instance solved on both
@@ -289,6 +312,23 @@ impl SparseBenchRow {
             return 0.0;
         }
         self.wall_ms_dense / self.wall_ms_sparse
+    }
+}
+
+impl JsonRow for SparseBenchRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("preset", self.preset.as_str().into()),
+            ("experts", self.n_experts.into()),
+            ("k", self.k.into()),
+            ("layers", self.layers.into()),
+            ("nnz", self.nnz.into()),
+            ("density", Json::Fixed(self.density, 6)),
+            ("wall_ms_dense", Json::Fixed(self.wall_ms_dense, 3)),
+            ("wall_ms_sparse", Json::Fixed(self.wall_ms_sparse, 3)),
+            ("speedup", Json::Fixed(self.speedup(), 3)),
+            ("cross_mass", self.cross_mass.into()),
+        ]
     }
 }
 
@@ -335,6 +375,26 @@ impl OnlineBenchRow {
         }
         (self.static_cross as f64 - self.budgeted_cross as f64)
             / (self.static_cross as f64 - self.oracle_cross as f64)
+    }
+}
+
+impl JsonRow for OnlineBenchRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("experts", self.n_experts.into()),
+            ("layers", self.layers.into()),
+            ("windows", self.windows.into()),
+            ("replan_every", self.replan_every.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("migrated_bytes", self.migrated_bytes.into()),
+            ("replans", self.replans.into()),
+            ("static_cross", self.static_cross.into()),
+            ("oracle_cross", self.oracle_cross.into()),
+            ("budgeted_cross", self.budgeted_cross.into()),
+            ("recovery", Json::Fixed(self.recovery(), 4)),
+            ("cross_mass", self.cross_mass.into()),
+        ]
     }
 }
 
@@ -414,9 +474,37 @@ impl ReplicationOnlineRow {
     }
 }
 
+impl JsonRow for ReplicationOnlineRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("experts", self.n_experts.into()),
+            ("layers", self.layers.into()),
+            ("units", self.units.into()),
+            ("windows", self.windows.into()),
+            ("replan_every", self.replan_every.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("replica_slots", self.replica_slots.into()),
+            ("owner_migrated_bytes", self.owner_migrated_bytes.into()),
+            ("joint_migrated_bytes", self.joint_migrated_bytes.into()),
+            ("owner_replans", self.owner_replans.into()),
+            ("joint_replans", self.joint_replans.into()),
+            ("replicas_added", self.replicas_added.into()),
+            ("replicas_dropped", self.replicas_dropped.into()),
+            ("extra_copies", self.extra_copies.into()),
+            ("static_cross", self.static_cross.into()),
+            ("owner_cross", self.owner_cross.into()),
+            ("joint_cross", self.joint_cross.into()),
+            ("owner_recovery", Json::Fixed(self.owner_recovery(), 4)),
+            ("joint_recovery", Json::Fixed(self.joint_recovery(), 4)),
+            ("cross_mass", self.cross_mass.into()),
+        ]
+    }
+}
+
 /// One `table_serving` cell: one arrival process (Poisson / diurnal /
 /// flash-crowd) served end-to-end through the request-level front-end
-/// (`InferenceEngine::run_serving`) under three placement policies —
+/// (`Scenario::with_serving`) under three placement policies —
 /// static incumbent, budgeted-online re-placement, and replication-aware
 /// re-placement. Latencies, goodput, and offered load are virtual-time
 /// facts (bit-identical across thread counts and gap backends — verified
@@ -480,6 +568,34 @@ impl ServingBenchRow {
     }
 }
 
+impl JsonRow for ServingBenchRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("arrival", self.arrival.as_str().into()),
+            ("requests", self.requests.into()),
+            ("decode_steps", self.decode_steps.into()),
+            ("windows", self.windows.into()),
+            ("max_batch", self.max_batch.into()),
+            ("offered_load", self.offered_load.into()),
+            ("static_p50", self.static_p50.into()),
+            ("static_p95", self.static_p95.into()),
+            ("static_p99", self.static_p99.into()),
+            ("static_goodput", self.static_goodput.into()),
+            ("online_p50", self.online_p50.into()),
+            ("online_p95", self.online_p95.into()),
+            ("online_p99", self.online_p99.into()),
+            ("online_goodput", self.online_goodput.into()),
+            ("online_replans", self.online_replans.into()),
+            ("online_migrated_bytes", self.online_migrated_bytes.into()),
+            ("repl_p50", self.repl_p50.into()),
+            ("repl_p95", self.repl_p95.into()),
+            ("repl_p99", self.repl_p99.into()),
+            ("repl_goodput", self.repl_goodput.into()),
+            ("repl_replicas_added", self.repl_replicas_added.into()),
+        ]
+    }
+}
+
 /// One `table_elasticity` cell: the same arrival sample served through
 /// the same mid-run GPU fault by two fleets — one with no replicas
 /// (every expert lost with its GPU must be emergency-restored over the
@@ -536,6 +652,27 @@ impl ElasticityRow {
     pub fn replication_recovers_faster(&self) -> bool {
         self.repl_recovery >= 0.0
             && (self.plain_recovery < 0.0 || self.repl_recovery < self.plain_recovery)
+    }
+}
+
+impl JsonRow for ElasticityRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("fault", self.fault.as_str().into()),
+            ("requests", self.requests.into()),
+            ("fault_time", self.fault_time.into()),
+            ("plain_p99", self.plain_p99.into()),
+            ("plain_disrupted", self.plain_disrupted.into()),
+            ("plain_steps_degraded", self.plain_steps_degraded.into()),
+            ("plain_emergency_bytes", self.plain_emergency_bytes.into()),
+            ("plain_recovery", self.plain_recovery.into()),
+            ("repl_p99", self.repl_p99.into()),
+            ("repl_disrupted", self.repl_disrupted.into()),
+            ("repl_steps_degraded", self.repl_steps_degraded.into()),
+            ("repl_emergency_bytes", self.repl_emergency_bytes.into()),
+            ("repl_recovery", self.repl_recovery.into()),
+            ("repl_extra_copies", self.repl_extra_copies.into()),
+        ]
     }
 }
 
@@ -604,6 +741,32 @@ impl PartialReplicationRow {
     }
 }
 
+impl JsonRow for PartialReplicationRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("scenario", self.scenario.as_str().into()),
+            ("experts", self.n_experts.into()),
+            ("k", self.k.into()),
+            ("layers", self.layers.into()),
+            ("units", self.units.into()),
+            ("windows", self.windows.into()),
+            ("replica_slots", self.replica_slots.into()),
+            ("budget_bytes", self.budget_bytes.into()),
+            ("partial_replans", self.partial_replans.into()),
+            ("replicas_added", self.replicas_added.into()),
+            ("partial_migrated_bytes", self.partial_migrated_bytes.into()),
+            ("full_migrated_bytes", self.full_migrated_bytes.into()),
+            ("partial_extra_copies", self.partial_extra_copies.into()),
+            ("full_extra_copies", self.full_extra_copies.into()),
+            ("partial_cross_mass", self.partial_cross_mass.into()),
+            ("full_cross_mass", self.full_cross_mass.into()),
+            ("realized_cross", self.realized_cross.into()),
+            ("cc_replicas_added", self.cc_replicas_added.into()),
+            ("cc_local_fraction", Json::Fixed(self.cc_local_fraction, 6)),
+        ]
+    }
+}
+
 /// One `table_replan_latency` cell: a large-expert drift scenario
 /// re-planned window by window along two lockstep paths — a cold rebuild
 /// (fresh `Objective::from_snapshot` plus an uncached budgeted solve) and
@@ -666,6 +829,32 @@ impl ReplanLatencyRow {
     }
 }
 
+impl JsonRow for ReplanLatencyRow {
+    fn fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("preset", self.preset.as_str().into()),
+            ("experts", self.n_experts.into()),
+            ("k", self.k.into()),
+            ("layers", self.layers.into()),
+            ("windows", self.windows.into()),
+            ("replans", self.replans.into()),
+            ("max_moves", self.max_moves.into()),
+            ("considered", self.considered.into()),
+            ("evaluated_rebuild", self.evaluated_rebuild.into()),
+            ("evaluated_incremental", self.evaluated_incremental.into()),
+            ("reused", self.reused.into()),
+            ("scan_reduction", Json::Fixed(self.scan_reduction(), 3)),
+            ("wall_ms_rebuild", Json::Fixed(self.wall_ms_rebuild, 3)),
+            (
+                "wall_ms_incremental",
+                Json::Fixed(self.wall_ms_incremental, 3),
+            ),
+            ("cross_mass_rebuild", self.cross_mass_rebuild.into()),
+            ("cross_mass_incremental", self.cross_mass_incremental.into()),
+        ]
+    }
+}
+
 /// The full benchmark result.
 #[derive(Debug, Clone)]
 pub struct BenchSummary {
@@ -711,223 +900,41 @@ impl BenchSummary {
         self.wall_ms_jobs1 / self.wall_ms_jobs_n
     }
 
-    /// Serialize as the `exflow-bench-summary/v8` schema (see README).
-    /// Hand-rolled: the workspace builds offline, so no serde. Objectives
-    /// and serving latencies are printed with Rust's shortest round-trip
-    /// float formatting, so string equality in the JSON is bit equality
-    /// of the f64 — what the CI perf-gate compares.
+    /// Serialize as the [`SCHEMA`] document (see README). Objectives and
+    /// serving latencies print with shortest round-trip float formatting,
+    /// so string equality in the JSON is bit equality of the f64 — what
+    /// the CI perf-gate compares; wall times and derived ratios are
+    /// display-rounded.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(8192);
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"exflow-bench-summary/v8\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"scale\": \"{}\",\n", self.scale));
-        out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-        out.push_str(&format!(
-            "  \"wall_ms_jobs1\": {:.3},\n",
-            self.wall_ms_jobs1
-        ));
-        out.push_str(&format!(
-            "  \"wall_ms_jobsN\": {:.3},\n",
-            self.wall_ms_jobs_n
-        ));
-        out.push_str(&format!("  \"speedup\": {:.3},\n", self.speedup()));
-        out.push_str("  \"objectives_bit_identical_across_jobs\": true,\n");
-        out.push_str("  \"rows\": [\n");
-        for (i, row) in self.rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"model\": \"{}\", \"solver\": \"{}\", \"wall_ms\": {:.3}, \"cross_mass\": {}}}{}\n",
-                row.model,
-                row.solver,
-                row.wall_ms,
-                row.cross_mass,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
+        fn section<R: JsonRow>(rows: &[R]) -> Json {
+            Json::Arr(rows.iter().map(|r| Json::obj(r.fields())).collect())
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"sparse_rows\": [\n");
-        for (i, row) in self.sparse_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"preset\": \"{}\", \"experts\": {}, \"k\": {}, \"layers\": {}, \"nnz\": {}, \"density\": {:.6}, \"wall_ms_dense\": {:.3}, \"wall_ms_sparse\": {:.3}, \"speedup\": {:.3}, \"cross_mass\": {}}}{}\n",
-                row.preset,
-                row.n_experts,
-                row.k,
-                row.layers,
-                row.nnz,
-                row.density,
-                row.wall_ms_dense,
-                row.wall_ms_sparse,
-                row.speedup(),
-                row.cross_mass,
-                if i + 1 == self.sparse_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"online_rows\": [\n");
-        for (i, row) in self.online_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"experts\": {}, \"layers\": {}, \"windows\": {}, \"replan_every\": {}, \"budget_bytes\": {}, \"migrated_bytes\": {}, \"replans\": {}, \"static_cross\": {}, \"oracle_cross\": {}, \"budgeted_cross\": {}, \"recovery\": {:.4}, \"cross_mass\": {}}}{}\n",
-                row.scenario,
-                row.n_experts,
-                row.layers,
-                row.windows,
-                row.replan_every,
-                row.budget_bytes,
-                row.migrated_bytes,
-                row.replans,
-                row.static_cross,
-                row.oracle_cross,
-                row.budgeted_cross,
-                row.recovery(),
-                row.cross_mass,
-                if i + 1 == self.online_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"replication_online_rows\": [\n");
-        for (i, row) in self.replication_online_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"experts\": {}, \"layers\": {}, \"units\": {}, \"windows\": {}, \"replan_every\": {}, \"budget_bytes\": {}, \"replica_slots\": {}, \"owner_migrated_bytes\": {}, \"joint_migrated_bytes\": {}, \"owner_replans\": {}, \"joint_replans\": {}, \"replicas_added\": {}, \"replicas_dropped\": {}, \"extra_copies\": {}, \"static_cross\": {}, \"owner_cross\": {}, \"joint_cross\": {}, \"owner_recovery\": {:.4}, \"joint_recovery\": {:.4}, \"cross_mass\": {}}}{}\n",
-                row.scenario,
-                row.n_experts,
-                row.layers,
-                row.units,
-                row.windows,
-                row.replan_every,
-                row.budget_bytes,
-                row.replica_slots,
-                row.owner_migrated_bytes,
-                row.joint_migrated_bytes,
-                row.owner_replans,
-                row.joint_replans,
-                row.replicas_added,
-                row.replicas_dropped,
-                row.extra_copies,
-                row.static_cross,
-                row.owner_cross,
-                row.joint_cross,
-                row.owner_recovery(),
-                row.joint_recovery(),
-                row.cross_mass,
-                if i + 1 == self.replication_online_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"serving_rows\": [\n");
-        for (i, row) in self.serving_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"arrival\": \"{}\", \"requests\": {}, \"decode_steps\": {}, \"windows\": {}, \"max_batch\": {}, \"offered_load\": {}, \"static_p50\": {}, \"static_p95\": {}, \"static_p99\": {}, \"static_goodput\": {}, \"online_p50\": {}, \"online_p95\": {}, \"online_p99\": {}, \"online_goodput\": {}, \"online_replans\": {}, \"online_migrated_bytes\": {}, \"repl_p50\": {}, \"repl_p95\": {}, \"repl_p99\": {}, \"repl_goodput\": {}, \"repl_replicas_added\": {}}}{}\n",
-                row.arrival,
-                row.requests,
-                row.decode_steps,
-                row.windows,
-                row.max_batch,
-                row.offered_load,
-                row.static_p50,
-                row.static_p95,
-                row.static_p99,
-                row.static_goodput,
-                row.online_p50,
-                row.online_p95,
-                row.online_p99,
-                row.online_goodput,
-                row.online_replans,
-                row.online_migrated_bytes,
-                row.repl_p50,
-                row.repl_p95,
-                row.repl_p99,
-                row.repl_goodput,
-                row.repl_replicas_added,
-                if i + 1 == self.serving_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"elasticity_rows\": [\n");
-        for (i, row) in self.elasticity_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"fault\": \"{}\", \"requests\": {}, \"fault_time\": {}, \"plain_p99\": {}, \"plain_disrupted\": {}, \"plain_steps_degraded\": {}, \"plain_emergency_bytes\": {}, \"plain_recovery\": {}, \"repl_p99\": {}, \"repl_disrupted\": {}, \"repl_steps_degraded\": {}, \"repl_emergency_bytes\": {}, \"repl_recovery\": {}, \"repl_extra_copies\": {}}}{}\n",
-                row.fault,
-                row.requests,
-                row.fault_time,
-                row.plain_p99,
-                row.plain_disrupted,
-                row.plain_steps_degraded,
-                row.plain_emergency_bytes,
-                row.plain_recovery,
-                row.repl_p99,
-                row.repl_disrupted,
-                row.repl_steps_degraded,
-                row.repl_emergency_bytes,
-                row.repl_recovery,
-                row.repl_extra_copies,
-                if i + 1 == self.elasticity_rows.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"replan_latency_rows\": [\n");
-        for (i, row) in self.replan_latency_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"preset\": \"{}\", \"experts\": {}, \"k\": {}, \"layers\": {}, \"windows\": {}, \"replans\": {}, \"max_moves\": {}, \"considered\": {}, \"evaluated_rebuild\": {}, \"evaluated_incremental\": {}, \"reused\": {}, \"scan_reduction\": {:.3}, \"wall_ms_rebuild\": {:.3}, \"wall_ms_incremental\": {:.3}, \"cross_mass_rebuild\": {}, \"cross_mass_incremental\": {}}}{}\n",
-                row.preset,
-                row.n_experts,
-                row.k,
-                row.layers,
-                row.windows,
-                row.replans,
-                row.max_moves,
-                row.considered,
-                row.evaluated_rebuild,
-                row.evaluated_incremental,
-                row.reused,
-                row.scan_reduction(),
-                row.wall_ms_rebuild,
-                row.wall_ms_incremental,
-                row.cross_mass_rebuild,
-                row.cross_mass_incremental,
-                if i + 1 == self.replan_latency_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"partial_replication_rows\": [\n");
-        for (i, row) in self.partial_replication_rows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"experts\": {}, \"k\": {}, \"layers\": {}, \"units\": {}, \"windows\": {}, \"replica_slots\": {}, \"budget_bytes\": {}, \"partial_replans\": {}, \"replicas_added\": {}, \"partial_migrated_bytes\": {}, \"full_migrated_bytes\": {}, \"partial_extra_copies\": {}, \"full_extra_copies\": {}, \"partial_cross_mass\": {}, \"full_cross_mass\": {}, \"realized_cross\": {}, \"cc_replicas_added\": {}, \"cc_local_fraction\": {:.6}}}{}\n",
-                row.scenario,
-                row.n_experts,
-                row.k,
-                row.layers,
-                row.units,
-                row.windows,
-                row.replica_slots,
-                row.budget_bytes,
-                row.partial_replans,
-                row.replicas_added,
-                row.partial_migrated_bytes,
-                row.full_migrated_bytes,
-                row.partial_extra_copies,
-                row.full_extra_copies,
-                row.partial_cross_mass,
-                row.full_cross_mass,
-                row.realized_cross,
-                row.cc_replicas_added,
-                row.cc_local_fraction,
-                if i + 1 == self.partial_replication_rows.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        Json::obj(vec![
+            ("schema", SCHEMA.into()),
+            ("seed", self.seed.into()),
+            ("scale", self.scale.as_str().into()),
+            ("jobs", self.jobs.into()),
+            ("wall_ms_jobs1", Json::Fixed(self.wall_ms_jobs1, 3)),
+            ("wall_ms_jobsN", Json::Fixed(self.wall_ms_jobs_n, 3)),
+            ("speedup", Json::Fixed(self.speedup(), 3)),
+            ("objectives_bit_identical_across_jobs", Json::Bool(true)),
+            ("rows", section(&self.rows)),
+            ("sparse_rows", section(&self.sparse_rows)),
+            ("online_rows", section(&self.online_rows)),
+            (
+                "replication_online_rows",
+                section(&self.replication_online_rows),
+            ),
+            ("serving_rows", section(&self.serving_rows)),
+            ("elasticity_rows", section(&self.elasticity_rows)),
+            ("replan_latency_rows", section(&self.replan_latency_rows)),
+            (
+                "partial_replication_rows",
+                section(&self.partial_replication_rows),
+            ),
+        ])
+        .write_pretty()
+        .expect("bench summaries hold only finite numbers")
     }
 }
 
@@ -1472,7 +1479,7 @@ pub fn replication_online_table(
 
 /// Build one serving engine. All policies share the model, cluster, and
 /// master seed, so the profiled incumbent placement — and, downstream,
-/// the arrival sample and per-request routing draws of `run_serving` —
+/// the arrival sample and per-request routing draws of the serving run —
 /// are identical across policies; only the re-placement behavior differs.
 fn serving_engine(
     layers: usize,
@@ -2307,6 +2314,152 @@ pub fn run(scale: Scale, jobs: usize, seed: u64) -> Result<BenchSummary, String>
     })
 }
 
+/// The hand-built summary the `to_json` and perf-gate tests share: one
+/// row per section, every acceptance bar cleared.
+#[cfg(test)]
+pub(crate) mod fixture {
+    use super::*;
+
+    pub(crate) fn summary(cross: f64, wall: f64, sparse_wall_dense: f64) -> BenchSummary {
+        BenchSummary {
+            seed: 1,
+            scale: "quick".into(),
+            jobs: 4,
+            wall_ms_jobs1: wall,
+            wall_ms_jobs_n: wall / 2.0,
+            rows: vec![BenchRow {
+                model: "MoE-GPT-M/8e-24L".into(),
+                solver: "greedy".into(),
+                wall_ms: wall / 10.0,
+                cross_mass: cross,
+            }],
+            sparse_rows: vec![SparseBenchRow {
+                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
+                n_experts: 512,
+                k: 1,
+                layers: 2,
+                nnz: 3000,
+                density: 0.011,
+                wall_ms_dense: sparse_wall_dense,
+                wall_ms_sparse: 10.0,
+                cross_mass: cross / 2.0,
+            }],
+            online_rows: vec![OnlineBenchRow {
+                scenario: "piecewise-2phase".into(),
+                n_experts: 16,
+                layers: 5,
+                windows: 6,
+                replan_every: 1,
+                budget_bytes: 1 << 28,
+                migrated_bytes: 3 << 27,
+                replans: 3,
+                static_cross: 5000,
+                oracle_cross: 3000,
+                budgeted_cross: 3200,
+                cross_mass: cross / 3.0,
+            }],
+            replication_online_rows: vec![ReplicationOnlineRow {
+                scenario: "piecewise-2phase/E16".into(),
+                n_experts: 16,
+                layers: 5,
+                units: 4,
+                windows: 10,
+                replan_every: 1,
+                budget_bytes: 1 << 26,
+                replica_slots: 8,
+                owner_migrated_bytes: 3 << 25,
+                joint_migrated_bytes: 1 << 26,
+                owner_replans: 2,
+                joint_replans: 2,
+                replicas_added: 5,
+                replicas_dropped: 1,
+                extra_copies: 4,
+                static_cross: 5000,
+                owner_cross: 3600,
+                joint_cross: 3100,
+                cross_mass: cross / 4.0,
+            }],
+            serving_rows: vec![ServingBenchRow {
+                arrival: "poisson".into(),
+                requests: 48,
+                decode_steps: 2,
+                windows: 6,
+                max_batch: 8,
+                offered_load: 0.125,
+                static_p50: 20.0,
+                static_p95: 44.0,
+                static_p99: 52.0,
+                static_goodput: 0.115,
+                online_p50: 18.0,
+                online_p95: 34.0,
+                online_p99: 40.0,
+                online_goodput: 0.12,
+                online_replans: 2,
+                online_migrated_bytes: 9 << 20,
+                repl_p50: 17.5,
+                repl_p95: 33.0,
+                repl_p99: 39.0,
+                repl_goodput: 0.121,
+                repl_replicas_added: 3,
+            }],
+            elasticity_rows: vec![ElasticityRow {
+                fault: "gpu-loss".into(),
+                requests: 500,
+                fault_time: 12.5,
+                plain_p99: 60.0,
+                plain_disrupted: 9,
+                plain_steps_degraded: 40,
+                plain_emergency_bytes: 7 << 20,
+                plain_recovery: 8.25,
+                repl_p99: 48.0,
+                repl_disrupted: 9,
+                repl_steps_degraded: 12,
+                repl_emergency_bytes: 0,
+                repl_recovery: 1.5,
+                repl_extra_copies: 6,
+            }],
+            replan_latency_rows: vec![ReplanLatencyRow {
+                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
+                n_experts: 512,
+                k: 1,
+                layers: 2,
+                windows: 4,
+                replans: 3,
+                max_moves: 40,
+                considered: 8_000_000,
+                evaluated_rebuild: 8_000_000,
+                evaluated_incremental: 1_000_000,
+                reused: 7_000_000,
+                wall_ms_rebuild: 900.0,
+                wall_ms_incremental: 120.0,
+                cross_mass_rebuild: cross / 5.0,
+                cross_mass_incremental: cross / 5.0,
+            }],
+            partial_replication_rows: vec![PartialReplicationRow {
+                scenario: "partial-repl/256e-top2".into(),
+                n_experts: 256,
+                k: 2,
+                layers: 2,
+                units: 8,
+                windows: 3,
+                replica_slots: 4,
+                budget_bytes: 12 << 20,
+                partial_replans: 2,
+                replicas_added: 5,
+                partial_migrated_bytes: 6 << 20,
+                full_migrated_bytes: 9 << 20,
+                partial_extra_copies: 3,
+                full_extra_copies: 4,
+                partial_cross_mass: cross / 6.0,
+                full_cross_mass: cross / 5.0,
+                realized_cross: 1234,
+                cc_replicas_added: 2,
+                cc_local_fraction: 0.875,
+            }],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2509,186 +2662,86 @@ mod tests {
     }
 
     #[test]
-    fn json_has_schema_and_balanced_braces() {
-        let summary = BenchSummary {
-            seed: 1,
-            scale: "quick".to_string(),
-            jobs: 4,
-            wall_ms_jobs1: 100.0,
-            wall_ms_jobs_n: 40.0,
-            rows: vec![BenchRow {
-                model: "MoE-GPT-M/8e-24L".to_string(),
-                solver: "greedy".to_string(),
-                wall_ms: 1.5,
-                cross_mass: 0.25,
-            }],
-            sparse_rows: vec![SparseBenchRow {
-                preset: "MoE-GPT-XXL/256e-24L-top1".to_string(),
-                n_experts: 256,
-                k: 1,
-                layers: 2,
-                nnz: 2600,
-                density: 0.0397,
-                wall_ms_dense: 80.0,
-                wall_ms_sparse: 8.0,
-                cross_mass: 0.75,
-            }],
-            online_rows: vec![OnlineBenchRow {
-                scenario: "piecewise-2phase".to_string(),
-                n_experts: 16,
-                layers: 5,
-                windows: 6,
-                replan_every: 1,
-                budget_bytes: 16 << 24,
-                migrated_bytes: 10 << 24,
-                replans: 3,
-                static_cross: 5000,
-                oracle_cross: 3000,
-                budgeted_cross: 3400,
-                cross_mass: 1.25,
-            }],
-            replication_online_rows: vec![ReplicationOnlineRow {
-                scenario: "piecewise-2phase/E16".to_string(),
-                n_experts: 16,
-                layers: 5,
-                windows: 10,
-                units: 4,
-                replan_every: 1,
-                budget_bytes: 16 << 24,
-                replica_slots: 8,
-                owner_migrated_bytes: 9 << 24,
-                joint_migrated_bytes: 8 << 24,
-                owner_replans: 4,
-                joint_replans: 4,
-                replicas_added: 6,
-                replicas_dropped: 2,
-                extra_copies: 4,
-                static_cross: 5000,
-                owner_cross: 3600,
-                joint_cross: 3100,
-                cross_mass: 1.5,
-            }],
-            serving_rows: vec![ServingBenchRow {
-                arrival: "flash-crowd".to_string(),
-                requests: 48,
-                decode_steps: 2,
-                windows: 6,
-                max_batch: 8,
-                offered_load: 0.125,
-                static_p50: 20.0,
-                static_p95: 44.0,
-                static_p99: 52.0,
-                static_goodput: 0.115,
-                online_p50: 18.0,
-                online_p95: 34.0,
-                online_p99: 40.0,
-                online_goodput: 0.12,
-                online_replans: 2,
-                online_migrated_bytes: 9 << 20,
-                repl_p50: 17.5,
-                repl_p95: 33.0,
-                repl_p99: 39.0,
-                repl_goodput: 0.121,
-                repl_replicas_added: 3,
-            }],
-            elasticity_rows: vec![ElasticityRow {
-                fault: "gpu1-loss".to_string(),
-                requests: 500,
-                fault_time: 12.5,
-                plain_p99: 60.0,
-                plain_disrupted: 9,
-                plain_steps_degraded: 40,
-                plain_emergency_bytes: 7 << 20,
-                plain_recovery: 8.25,
-                repl_p99: 48.0,
-                repl_disrupted: 9,
-                repl_steps_degraded: 12,
-                repl_emergency_bytes: 0,
-                repl_recovery: 1.5,
-                repl_extra_copies: 6,
-            }],
-            replan_latency_rows: vec![ReplanLatencyRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".to_string(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                windows: 4,
-                replans: 3,
-                max_moves: 24,
-                considered: 8_000_000,
-                evaluated_rebuild: 8_000_000,
-                evaluated_incremental: 1_000_000,
-                reused: 7_000_000,
-                wall_ms_rebuild: 900.0,
-                wall_ms_incremental: 120.0,
-                cross_mass_rebuild: 0.625,
-                cross_mass_incremental: 0.625,
-            }],
-            partial_replication_rows: vec![PartialReplicationRow {
-                scenario: "partial-repl/256e-top2".to_string(),
-                n_experts: 256,
-                k: 2,
-                layers: 2,
-                units: 8,
-                windows: 3,
-                replica_slots: 4,
-                budget_bytes: 12 << 20,
-                partial_replans: 2,
-                replicas_added: 5,
-                partial_migrated_bytes: 6 << 20,
-                full_migrated_bytes: 9 << 20,
-                partial_extra_copies: 3,
-                full_extra_copies: 4,
-                partial_cross_mass: 0.375,
-                full_cross_mass: 0.5,
-                realized_cross: 1234,
-                cc_replicas_added: 2,
-                cc_local_fraction: 0.875,
-            }],
-        };
+    fn json_parses_and_carries_every_declared_field() {
+        let summary = fixture::summary(0.25, 100.0, 100.0);
         let json = summary.to_json();
-        assert!(json.contains("\"schema\": \"exflow-bench-summary/v8\""));
-        assert!(json.contains("\"speedup\": 2.500"));
-        assert!(json.contains("\"speedup\": 10.000"));
-        assert!(json.contains("\"cross_mass\": 0.25"));
-        assert!(json.contains("\"recovery\": 0.8000"));
-        assert!(json.contains("\"budgeted_cross\": 3400"));
-        assert!(json.contains("\"joint_cross\": 3100"));
-        // (5000 - 3600) / 5000 and (5000 - 3100) / 5000, 4 decimals.
-        assert!(json.contains("\"owner_recovery\": 0.2800"));
-        assert!(json.contains("\"joint_recovery\": 0.3800"));
-        // Serving latencies print with shortest round-trip formatting.
-        assert!(json.contains("\"arrival\": \"flash-crowd\""));
-        assert!(json.contains("\"static_p99\": 52"));
-        assert!(json.contains("\"online_goodput\": 0.12,"));
-        assert!(json.contains("\"fault\": \"gpu1-loss\""));
-        assert!(json.contains("\"repl_emergency_bytes\": 0"));
-        assert!(json.contains("\"repl_recovery\": 1.5"));
-        // 8M rebuild evals over 1M incremental, 3 decimals.
-        assert!(json.contains("\"scan_reduction\": 8.000"));
-        assert!(json.contains("\"evaluated_incremental\": 1000000"));
-        assert!(json.contains("\"cross_mass_incremental\": 0.625"));
-        assert!(json.contains("\"scenario\": \"partial-repl/256e-top2\""));
-        assert!(json.contains("\"partial_cross_mass\": 0.375"));
-        assert!(json.contains("\"cc_local_fraction\": 0.875000"));
-        assert!(json.contains("\"repl_extra_copies\": 6"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON:\n{json}"
+        let doc = Json::parse(&json).expect("to_json emits valid JSON");
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("wall_ms_jobsN").and_then(Json::as_f64), Some(50.0));
+
+        /// Every emitted row is exactly what its declaration serializes
+        /// to: same keys, same order, same tokens.
+        fn check<R: JsonRow>(doc: &Json, key: &str, rows: &[R]) {
+            let emitted = doc.get(key).and_then(Json::as_arr);
+            let emitted = emitted.unwrap_or_else(|| panic!("no {key} section"));
+            assert_eq!(emitted.len(), rows.len(), "{key}");
+            for (obj, row) in emitted.iter().zip(rows) {
+                let declared = Json::obj(row.fields()).write().unwrap();
+                assert_eq!(obj, &Json::parse(&declared).unwrap(), "{key}");
+            }
+        }
+        check(&doc, "rows", &summary.rows);
+        check(&doc, "sparse_rows", &summary.sparse_rows);
+        check(&doc, "online_rows", &summary.online_rows);
+        check(
+            &doc,
+            "replication_online_rows",
+            &summary.replication_online_rows,
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        check(&doc, "serving_rows", &summary.serving_rows);
+        check(&doc, "elasticity_rows", &summary.elasticity_rows);
+        check(&doc, "replan_latency_rows", &summary.replan_latency_rows);
+        check(
+            &doc,
+            "partial_replication_rows",
+            &summary.partial_replication_rows,
+        );
+
+        // Derived ratios and wall times are display-rounded; deterministic
+        // facts print with shortest round-trip formatting.
+        for pinned in [
+            "\"speedup\": 2.000,",
+            "\"wall_ms\": 10.000,",
+            "\"speedup\": 10.000,",
+            "\"density\": 0.011000,",
+            "\"recovery\": 0.9000,",
+            "\"owner_recovery\": 0.2800,",
+            "\"joint_recovery\": 0.3800,",
+            "\"scan_reduction\": 8.000,",
+            "\"cc_local_fraction\": 0.875000}",
+            "\"cross_mass\": 0.25}",
+            "\"static_p99\": 52,",
+            "\"online_goodput\": 0.12,",
+            "\"repl_recovery\": 1.5,",
+        ] {
+            assert!(json.contains(pinned), "{pinned} not in:\n{json}");
+        }
     }
 
     #[test]
-    fn cross_mass_round_trips_through_json() {
-        // Shortest round-trip formatting: parsing the printed value back
-        // recovers the exact bits, which is what lets the perf-gate
-        // compare objectives as strings.
-        for &x in &[0.1f64, 1.0 / 3.0, 2.7755575615628914e-17, 5.0] {
-            let printed = format!("{x}");
-            let back: f64 = printed.parse().unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{printed}");
+    fn every_gated_field_is_declared_by_its_row_type() {
+        // The SECTIONS table and the row types' `fields()` name the same
+        // keys: a typo on either side would silently gate nothing.
+        let doc = Json::parse(&fixture::summary(0.25, 100.0, 100.0).to_json()).unwrap();
+        for section in crate::gate::SECTIONS {
+            let rows = doc.get(section.key).and_then(Json::as_arr).unwrap();
+            assert!(!rows.is_empty(), "{} has no fixture row", section.key);
+            let walls = section.warn_wall.iter().map(|&(field, _)| field);
+            for field in section.id.iter().chain(section.exact).copied().chain(walls) {
+                assert!(
+                    rows[0].get(field).is_some(),
+                    "{}: no field {field:?} in the emitted row",
+                    section.key
+                );
+            }
         }
+        let Json::Obj(top) = &doc else { panic!() };
+        let sections = top.iter().filter(|(_, v)| v.as_arr().is_some()).count();
+        assert_eq!(
+            sections,
+            crate::gate::SECTIONS.len(),
+            "an emitted section is ungated"
+        );
     }
 }

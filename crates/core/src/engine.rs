@@ -47,7 +47,7 @@ pub enum ReplicaPlacement {
     Everywhere,
 }
 
-/// Knobs of the online serving mode (`InferenceEngine::run_online`):
+/// Knobs of the online serving mode ([`crate::Scenario::with_drift`]):
 /// when to check for routing drift, how much drift justifies a re-plan,
 /// how many bytes of expert weights one re-plan may migrate, and how much
 /// per-GPU memory (if any) re-plans may spend on expert replicas.
@@ -166,104 +166,6 @@ impl OnlineConfig {
     }
 }
 
-/// The re-plan knobs every adaptive serving surface shares — the
-/// windowed online mode and the request-level serving loop read the same
-/// six fields out of [`OnlineConfig`]. `ReplanPolicy` names that shared
-/// subset so callers can build it once and stamp it into either config
-/// path; the remaining [`OnlineConfig`] fields (`decay`,
-/// `replica_memory_bytes`, `replica_policy`) are estimator/memory knobs,
-/// not re-plan policy.
-///
-/// `From` impls convert both ways, so old construction paths keep
-/// working:
-///
-/// ```
-/// use exflow_core::{OnlineConfig, ReplanPolicy};
-///
-/// let policy = ReplanPolicy {
-///     replan_every: 2,
-///     drift_threshold: 0.1,
-///     ..ReplanPolicy::default()
-/// };
-/// let oc = OnlineConfig::from(policy);
-/// assert_eq!(oc.replan_every, 2);
-/// assert_eq!(oc.decay, OnlineConfig::default().decay);
-/// assert_eq!(ReplanPolicy::from(oc), policy);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplanPolicy {
-    /// Serving windows between drift checks (see
-    /// [`OnlineConfig::replan_every`]).
-    pub replan_every: usize,
-    /// Windowed divergence above which a re-plan fires (see
-    /// [`OnlineConfig::drift_threshold`]).
-    pub drift_threshold: f64,
-    /// Byte budget of one re-plan (see
-    /// [`OnlineConfig::migration_budget_bytes`]).
-    pub migration_budget_bytes: u64,
-    /// Roll unspent budget over to later re-plans (see
-    /// [`OnlineConfig::budget_rollover`]).
-    pub budget_rollover: bool,
-    /// Scale each re-plan's budget by the measured drift (see
-    /// [`OnlineConfig::scale_budget_by_drift`]).
-    pub scale_budget_by_drift: bool,
-    /// Solver-time budget of one re-plan in swap candidates considered
-    /// (see [`OnlineConfig::replan_time_budget`]).
-    pub replan_time_budget: u64,
-}
-
-impl Default for ReplanPolicy {
-    fn default() -> Self {
-        ReplanPolicy::from(OnlineConfig::default())
-    }
-}
-
-impl From<OnlineConfig> for ReplanPolicy {
-    fn from(oc: OnlineConfig) -> Self {
-        ReplanPolicy {
-            replan_every: oc.replan_every,
-            drift_threshold: oc.drift_threshold,
-            migration_budget_bytes: oc.migration_budget_bytes,
-            budget_rollover: oc.budget_rollover,
-            scale_budget_by_drift: oc.scale_budget_by_drift,
-            replan_time_budget: oc.replan_time_budget,
-        }
-    }
-}
-
-impl From<ReplanPolicy> for OnlineConfig {
-    fn from(p: ReplanPolicy) -> Self {
-        OnlineConfig {
-            replan_every: p.replan_every,
-            drift_threshold: p.drift_threshold,
-            migration_budget_bytes: p.migration_budget_bytes,
-            budget_rollover: p.budget_rollover,
-            scale_budget_by_drift: p.scale_budget_by_drift,
-            replan_time_budget: p.replan_time_budget,
-            ..OnlineConfig::default()
-        }
-    }
-}
-
-impl OnlineConfig {
-    /// The re-plan policy subset of this config.
-    pub fn replan_policy(&self) -> ReplanPolicy {
-        ReplanPolicy::from(*self)
-    }
-
-    /// This config with the re-plan policy fields replaced (estimator and
-    /// replica-memory knobs untouched).
-    pub fn with_replan_policy(mut self, p: ReplanPolicy) -> Self {
-        self.replan_every = p.replan_every;
-        self.drift_threshold = p.drift_threshold;
-        self.migration_budget_bytes = p.migration_budget_bytes;
-        self.budget_rollover = p.budget_rollover;
-        self.scale_budget_by_drift = p.scale_budget_by_drift;
-        self.replan_time_budget = p.replan_time_budget;
-        self
-    }
-}
-
 /// Full configuration of an engine instance.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -299,9 +201,9 @@ pub struct EngineConfig {
     /// purely a speed/memory knob; `Auto` picks CSR per gap once density
     /// drops below the sparse threshold (the large-expert regime).
     pub gap_backend: GapBackend,
-    /// Online serving knobs (consulted only by
-    /// [`InferenceEngine::run_online`]): re-plan cadence, drift threshold,
-    /// migration byte budget, and estimator decay.
+    /// Online re-planning knobs (consulted only by drift and serving
+    /// scenarios): re-plan cadence, drift threshold, migration byte
+    /// budget, and estimator decay.
     pub online: OnlineConfig,
     /// Master seed.
     pub seed: u64,
@@ -420,15 +322,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Override just the shared re-plan policy subset of the online
-    /// knobs (see [`ReplanPolicy`]); estimator decay and replica memory
-    /// keep whatever they were.
-    pub fn replan_policy(mut self, policy: ReplanPolicy) -> Self {
-        self.cfg.online = self.cfg.online.with_replan_policy(policy);
-        self.cfg.online.validate();
-        self
-    }
-
     /// Per-GPU replica memory budget for the online mode (see
     /// [`OnlineConfig::replica_memory_bytes`]); a convenience over
     /// [`EngineBuilder::online`] for turning on replication-aware
@@ -451,8 +344,8 @@ impl EngineBuilder {
 }
 
 /// The engine: owns the routing process, the profiled affinity objective,
-/// and one placement per mode; [`InferenceEngine::run`] executes a full
-/// multi-iteration generation benchmark on the simulated cluster.
+/// and one placement per mode; [`InferenceEngine::run_scenario`] executes
+/// a full multi-iteration generation benchmark on the simulated cluster.
 pub struct InferenceEngine {
     cfg: EngineConfig,
     routing: RoutingModel,
@@ -555,23 +448,11 @@ impl InferenceEngine {
         }
     }
 
-    /// Run a full generation benchmark in `mode` with its default
-    /// placement.
-    #[deprecated(note = "use `run_scenario(&Scenario::offline(mode))`")]
-    pub fn run(&self, mode: ParallelismMode) -> InferenceReport {
-        self.run_offline_impl(mode)
-    }
-
-    /// One offline benchmark in `mode` (the `run_scenario` offline path).
-    pub(crate) fn run_offline_impl(&self, mode: ParallelismMode) -> InferenceReport {
-        self.run_with_placement(mode, self.placement_for(mode))
-    }
-
     /// Run with an explicit placement (used by the sampling study, which
     /// derives placements from truncated profiling traces). This is the
     /// explicit-placement escape hatch under [`crate::Scenario`]'s front door
     /// (`crate::scenario::Scenario` covers the engine-chosen placements
-    /// only), so it is *not* deprecated.
+    /// only).
     pub fn run_with_placement(
         &self,
         mode: ParallelismMode,
@@ -582,37 +463,10 @@ impl InferenceEngine {
         self.run_with_batches(mode, placement, &no_replicas, &batches, 0, None)
     }
 
-    /// Run with an explicit [`ReplicationPlan`]: dispatch serves a token's
-    /// expert from a local (or same-node) replica whenever the plan holds
-    /// one there (see `OnlineConfig::replica_memory_bytes` for where such
-    /// plans come from in the online mode). Context-coherent top-2 keeps
-    /// its secondary-merge meeting point computable from the route alone
-    /// by always running the *primary* copy on the owner GPU; secondaries
-    /// are free to be served from replicas.
-    #[deprecated(note = "use `run_scenario(&Scenario::offline(mode).with_replication(plan))`")]
-    pub fn run_with_replication(
-        &self,
-        mode: ParallelismMode,
-        plan: &ReplicationPlan,
-    ) -> InferenceReport {
-        self.run_with_replication_impl(mode, plan)
-    }
-
-    /// One offline benchmark under an explicit replication plan (the
-    /// `run_scenario` offline-with-replication path).
-    pub(crate) fn run_with_replication_impl(
-        &self,
-        mode: ParallelismMode,
-        plan: &ReplicationPlan,
-    ) -> InferenceReport {
-        let batches = self.serving_batches(&self.routing, 0);
-        self.run_with_batches(mode, &plan.base, &plan.replicas, &batches, 0, None)
-    }
-
     /// Serving batches for one window: fresh routes per generation
     /// iteration, from seed streams disjoint from the profiling seed (and
     /// from every other window's streams).
-    fn serving_batches(&self, routing: &RoutingModel, window: usize) -> Vec<TokenBatch> {
+    pub(crate) fn serving_batches(&self, routing: &RoutingModel, window: usize) -> Vec<TokenBatch> {
         let cfg = &self.cfg;
         let w = cfg.cluster.world_size();
         (0..cfg.n_iterations)
@@ -708,46 +562,8 @@ impl InferenceEngine {
         }
     }
 
-    /// Online serving: execute one window per entry of `drift`'s schedule,
-    /// maintaining a streaming affinity estimate of the live traffic and
-    /// incrementally re-placing experts when the estimate drifts from the
-    /// one the current placement was solved against.
-    ///
-    /// Per window: serve `EngineConfig::n_iterations` generation
-    /// iterations from the window's routing model, fold the realized
-    /// routing paths into the decayed [`StreamingAffinity`] estimate, and
-    /// compute the drift signal. Every `OnlineConfig::replan_every`
-    /// windows, if the drift exceeds `OnlineConfig::drift_threshold` (and
-    /// `mode` uses affinity placement at all), a budgeted incremental
-    /// re-placement runs from the incumbent and the resulting
-    /// [`MigrationPlan`] is executed over the simulated collectives
-    /// before the next window starts.
-    ///
-    /// The re-plan's migration byte budget starts from
-    /// `OnlineConfig::migration_budget_bytes`, optionally scaled by the
-    /// drift magnitude and topped up with rolled-over budget from earlier
-    /// re-plans (see the `scale_budget_by_drift` / `budget_rollover`
-    /// toggles). With `OnlineConfig::replica_memory_bytes > 0` the
-    /// re-plan is **replication-aware**: it may also add or drop expert
-    /// replicas onto `OnlineConfig::replica_policy`-chosen GPU subsets
-    /// (`solve_budgeted_replicated` races subset selection against full
-    /// fan-out and owner-move descent under the joint budget), replica
-    /// fan-out traffic to the selected subset is priced into the same
-    /// migration budget, and dispatch serves replicated experts from the
-    /// token's own GPU — or a same-node holder — whenever the subset
-    /// covers one. Context-coherent top-2 joins in: primaries always run
-    /// on the owner (the route-derivable secondary-merge meeting point),
-    /// secondaries serve from replicas. The
-    /// whole run is a pure function of (config, drift schedule):
-    /// bit-identical at any parallelism width, and cadence-invariant
-    /// whenever no re-plan fires.
-    #[deprecated(note = "use `run_scenario(&Scenario::offline(mode).with_drift(drift))`")]
-    pub fn run_online(&self, mode: ParallelismMode, drift: &DriftSchedule) -> OnlineReport {
-        self.run_online_impl(mode, drift)
-    }
-
-    /// One windowed online run (the `run_scenario` drift path); see the
-    /// deprecated [`InferenceEngine::run_online`] for the full contract.
+    /// One windowed online run (the `run_scenario` drift path); see
+    /// [`crate::Scenario::with_drift`] for the full contract.
     pub(crate) fn run_online_impl(
         &self,
         mode: ParallelismMode,
@@ -1297,9 +1113,9 @@ struct RankResult {
 /// windows: the affinity objective — built once from the estimator's seed
 /// snapshot and kept current by CSR delta splices — and the persistent
 /// swap-gain cache the metered re-plan solvers draw on. Both surfaces
-/// (`run_online` and the request-level serving loop) thread one of these
-/// through every `replan_step` instead of rebuilding the `O(L x E^2)`
-/// objective per re-plan.
+/// (the windowed online loop and the request-level serving loop) thread
+/// one of these through every `replan_step` instead of rebuilding the
+/// `O(L x E^2)` objective per re-plan.
 pub(crate) struct ReplanState {
     objective: Objective,
     cache: SwapGainCache,
@@ -1315,7 +1131,8 @@ impl ReplanState {
 }
 
 /// Everything one executed re-plan changed, for the caller's accounting
-/// (shared by `run_online` and the serving front-end's event loop).
+/// (shared by the windowed online loop and the serving front-end's event
+/// loop).
 pub(crate) struct ReplanExec {
     pub(crate) experts_moved: u64,
     pub(crate) replicas_added: u64,
@@ -1381,13 +1198,36 @@ fn merge_topk(primaries: Vec<Token>, secondaries: Vec<Token>, _sim_dim: usize) -
 }
 
 #[cfg(test)]
-// These unit tests pin the legacy `run`/`run_online`/`run_with_replication`
-// entry points (now thin wrappers over the `Scenario` dispatch) until the
-// wrappers are removed; `scenario::tests` proves wrapper/scenario parity.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
     use exflow_model::presets::moe_gpt_m;
+
+    fn offline(engine: &InferenceEngine, mode: ParallelismMode) -> InferenceReport {
+        engine
+            .run_scenario(&Scenario::offline(mode))
+            .expect_offline()
+    }
+
+    fn online(
+        engine: &InferenceEngine,
+        mode: ParallelismMode,
+        drift: &DriftSchedule,
+    ) -> OnlineReport {
+        engine
+            .run_scenario(&Scenario::offline(mode).with_drift(drift.clone()))
+            .expect_online()
+    }
+
+    fn replicated(
+        engine: &InferenceEngine,
+        mode: ParallelismMode,
+        plan: &ReplicationPlan,
+    ) -> InferenceReport {
+        engine
+            .run_scenario(&Scenario::offline(mode).with_replication(plan.clone()))
+            .expect_offline()
+    }
 
     fn tiny_engine(nodes: usize, gpn: usize) -> InferenceEngine {
         let mut model = moe_gpt_m(8);
@@ -1405,7 +1245,7 @@ mod tests {
     fn all_modes_process_every_token() {
         let engine = tiny_engine(2, 2);
         for mode in ParallelismMode::ALL {
-            let r = engine.run(mode);
+            let r = offline(&engine, mode);
             assert_eq!(r.tokens_processed, 4 * 16 * 2, "{mode}");
             assert!(r.total_time > 0.0);
             assert!(r.breakdown.total() > 0.0);
@@ -1415,8 +1255,8 @@ mod tests {
     #[test]
     fn context_coherence_cuts_alltoall_traffic() {
         let engine = tiny_engine(2, 2);
-        let vanilla = engine.run(ParallelismMode::Vanilla);
-        let cc = engine.run(ParallelismMode::ContextCoherent);
+        let vanilla = offline(&engine, ParallelismMode::Vanilla);
+        let cc = offline(&engine, ParallelismMode::ContextCoherent);
         assert!(
             cc.alltoall_bytes.cross_gpu() < vanilla.alltoall_bytes.cross_gpu(),
             "cc {} vs vanilla {}",
@@ -1431,8 +1271,8 @@ mod tests {
     #[test]
     fn affinity_placement_improves_dispatch_locality() {
         let engine = tiny_engine(2, 2);
-        let cc = engine.run(ParallelismMode::ContextCoherent);
-        let aff = engine.run(ParallelismMode::ContextCoherentAffinity);
+        let cc = offline(&engine, ParallelismMode::ContextCoherent);
+        let aff = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert!(
             aff.dispatch.gpu_local_fraction() > cc.dispatch.gpu_local_fraction(),
             "affinity {} vs cc {}",
@@ -1444,8 +1284,8 @@ mod tests {
     #[test]
     fn exflow_beats_vanilla_end_to_end() {
         let engine = tiny_engine(2, 2);
-        let vanilla = engine.run(ParallelismMode::Vanilla);
-        let exflow = engine.run(ParallelismMode::ContextCoherentAffinity);
+        let vanilla = offline(&engine, ParallelismMode::Vanilla);
+        let exflow = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert!(
             exflow.throughput() > vanilla.throughput(),
             "exflow {} <= vanilla {}",
@@ -1477,8 +1317,8 @@ mod tests {
                 seq.placement_for(ParallelismMode::ContextCoherentAffinity),
                 "{threads} threads diverged"
             );
-            let a = seq.run(ParallelismMode::ContextCoherentAffinity);
-            let b = par.run(ParallelismMode::ContextCoherentAffinity);
+            let a = offline(&seq, ParallelismMode::ContextCoherentAffinity);
+            let b = offline(&par, ParallelismMode::ContextCoherentAffinity);
             assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
             assert_eq!(a.dispatch, b.dispatch);
         }
@@ -1505,8 +1345,8 @@ mod tests {
             sparse.placement_for(ParallelismMode::ContextCoherentAffinity),
             "backends must solve to the same placement"
         );
-        let a = dense.run(ParallelismMode::ContextCoherentAffinity);
-        let b = sparse.run(ParallelismMode::ContextCoherentAffinity);
+        let a = offline(&dense, ParallelismMode::ContextCoherentAffinity);
+        let b = offline(&sparse, ParallelismMode::ContextCoherentAffinity);
         assert_eq!(a.total_time.to_bits(), b.total_time.to_bits());
         assert_eq!(a.dispatch, b.dispatch);
     }
@@ -1514,8 +1354,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let engine = tiny_engine(1, 4);
-        let a = engine.run(ParallelismMode::ContextCoherentAffinity);
-        let b = engine.run(ParallelismMode::ContextCoherentAffinity);
+        let a = offline(&engine, ParallelismMode::ContextCoherentAffinity);
+        let b = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.dispatch, b.dispatch);
         assert_eq!(a.alltoall_bytes, b.alltoall_bytes);
@@ -1530,7 +1370,7 @@ mod tests {
             .n_iterations(1)
             .profile_tokens(500)
             .build();
-        let r = engine.run(ParallelismMode::ContextCoherentAffinity);
+        let r = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert_eq!(r.alltoall_bytes.cross_gpu(), 0);
         assert_eq!(r.dispatch.gpu_local_fraction(), 1.0);
     }
@@ -1540,7 +1380,7 @@ mod tests {
         let engine = tiny_engine(1, 4);
         let rr = engine.placement_for(ParallelismMode::Vanilla).clone();
         let via_custom = engine.run_with_placement(ParallelismMode::ContextCoherent, &rr);
-        let via_default = engine.run(ParallelismMode::ContextCoherent);
+        let via_default = offline(&engine, ParallelismMode::ContextCoherent);
         assert_eq!(via_custom.dispatch, via_default.dispatch);
     }
 
@@ -1579,12 +1419,16 @@ mod tests {
     fn online_adaptation_beats_static_placement_under_drift() {
         let engine = online_engine(1);
         let drift = online_drift(&engine, 6);
-        let adaptive = engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let adaptive = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
         // Static baseline: infinite threshold never re-plans.
         let mut static_cfg = engine.config().clone();
         static_cfg.online.drift_threshold = f64::INFINITY;
         let static_engine = InferenceEngine::from_config(static_cfg);
-        let fixed = static_engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let fixed = online(
+            &static_engine,
+            ParallelismMode::ContextCoherentAffinity,
+            &drift,
+        );
         assert!(
             adaptive.migrations.replans > 0,
             "drift must trigger re-plans"
@@ -1602,7 +1446,7 @@ mod tests {
     fn online_drift_signal_spikes_at_the_phase_boundary() {
         let engine = online_engine(1);
         let drift = online_drift(&engine, 6);
-        let report = engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let report = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
         assert_eq!(report.drift.len(), 6);
         // The phase flips after window 2 (6 windows, 2 phases): the
         // signal at window 3 dwarfs the in-phase sampling noise before it.
@@ -1631,7 +1475,7 @@ mod tests {
         cfg.online.migration_budget_bytes = budget;
         let capped = InferenceEngine::from_config(cfg);
         let drift = online_drift(&capped, 6);
-        let report = capped.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let report = online(&capped, ParallelismMode::ContextCoherentAffinity, &drift);
         assert!(report.migrations.replans > 0);
         for replan in &report.replans {
             assert!(
@@ -1648,10 +1492,10 @@ mod tests {
     fn online_runs_are_thread_count_invariant() {
         let seq = online_engine(1);
         let drift = online_drift(&seq, 4);
-        let a = seq.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let a = online(&seq, ParallelismMode::ContextCoherentAffinity, &drift);
         for threads in [2, 8] {
             let par = online_engine(threads);
-            let b = par.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+            let b = online(&par, ParallelismMode::ContextCoherentAffinity, &drift);
             assert_eq!(a, b, "{threads} threads diverged");
         }
     }
@@ -1665,7 +1509,7 @@ mod tests {
             .clone();
         let bare = engine.run_with_placement(ParallelismMode::ContextCoherentAffinity, &base);
         let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
-        let rep = engine.run_with_replication(ParallelismMode::ContextCoherentAffinity, &plan);
+        let rep = replicated(&engine, ParallelismMode::ContextCoherentAffinity, &plan);
         assert!(
             rep.dispatch.gpu_local_fraction() > bare.dispatch.gpu_local_fraction(),
             "replicas {} vs bare {}",
@@ -1681,7 +1525,7 @@ mod tests {
                 .placement_for(ParallelismMode::ContextCoherentAffinity)
                 .clone(),
         );
-        let same = engine.run_with_replication(ParallelismMode::ContextCoherentAffinity, &empty);
+        let same = replicated(&engine, ParallelismMode::ContextCoherentAffinity, &empty);
         assert_eq!(same, bare);
     }
 
@@ -1694,7 +1538,7 @@ mod tests {
         cfg.online.migration_budget_bytes = 24 * bytes_per_expert;
         let engine = InferenceEngine::from_config(cfg);
         let drift = online_drift(&engine, 6);
-        let report = engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let report = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
         assert!(report.migrations.replans > 0, "drift must trigger re-plans");
         assert!(
             report.migrations.replicas_added > 0,
@@ -1727,7 +1571,7 @@ mod tests {
             cfg.online.replica_memory_bytes = replica_memory;
             let engine = InferenceEngine::from_config(cfg);
             let drift = online_drift(&engine, 6);
-            engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift)
+            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
         };
         let owner_only = run(0);
         let joint = run(8 * bytes_per_expert);
@@ -1765,7 +1609,7 @@ mod tests {
                 .seed(11)
                 .build();
             let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, 4);
-            engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift)
+            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
         };
         let owner_only = run(0);
         let with_budget = run(1 << 30);
@@ -1793,7 +1637,7 @@ mod tests {
             cfg.online.scale_budget_by_drift = true;
             let engine = InferenceEngine::from_config(cfg);
             let drift = online_drift(&engine, 6);
-            engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift)
+            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
         };
         let a = run();
         let b = run();
@@ -1813,7 +1657,7 @@ mod tests {
     fn replan_events_report_consistent_solver_costs() {
         let engine = online_engine(1);
         let drift = online_drift(&engine, 6);
-        let report = engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift);
+        let report = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
         assert!(report.migrations.replans > 0);
         for replan in &report.replans {
             let c = replan.solver_cost;
@@ -1833,7 +1677,7 @@ mod tests {
             cfg.online.replan_time_budget = scan_budget;
             let engine = InferenceEngine::from_config(cfg);
             let drift = online_drift(&engine, 6);
-            engine.run_online(ParallelismMode::ContextCoherentAffinity, &drift)
+            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
         };
         let tight = run(400);
         let again = run(400);
@@ -1852,23 +1696,10 @@ mod tests {
     }
 
     #[test]
-    fn replan_policy_carries_the_time_budget() {
-        let policy = ReplanPolicy {
-            replan_time_budget: 123,
-            ..ReplanPolicy::default()
-        };
-        let oc = OnlineConfig::from(policy);
-        assert_eq!(oc.replan_time_budget, 123);
-        assert_eq!(ReplanPolicy::from(oc), policy);
-        let stamped = OnlineConfig::default().with_replan_policy(policy);
-        assert_eq!(stamped.replan_time_budget, 123);
-    }
-
-    #[test]
     fn online_without_affinity_mode_never_migrates() {
         let engine = online_engine(1);
         let drift = online_drift(&engine, 4);
-        let report = engine.run_online(ParallelismMode::ContextCoherent, &drift);
+        let report = online(&engine, ParallelismMode::ContextCoherent, &drift);
         assert_eq!(report.migrations.replans, 0);
         assert!(report.replans.is_empty());
         assert_eq!(report.migrations.bytes.total(), 0);
@@ -1902,8 +1733,8 @@ mod tests {
             .seed(11)
             .build();
         let e2 = top2_engine(2, 2);
-        let r1 = e1.run(ParallelismMode::Vanilla);
-        let r2 = e2.run(ParallelismMode::Vanilla);
+        let r1 = offline(&e1, ParallelismMode::Vanilla);
+        let r2 = offline(&e2, ParallelismMode::Vanilla);
         assert_eq!(r2.dispatch.total, 2 * r1.dispatch.total);
         // Generated-token count is unchanged — copies merge back.
         assert_eq!(r1.tokens_processed, r2.tokens_processed);
@@ -1914,8 +1745,8 @@ mod tests {
         let e1 = tiny_engine(2, 2);
         let e2 = top2_engine(2, 2);
         for mode in [ParallelismMode::Vanilla, ParallelismMode::ContextCoherent] {
-            let b1 = e1.run(mode).alltoall_bytes.cross_gpu();
-            let b2 = e2.run(mode).alltoall_bytes.cross_gpu();
+            let b1 = offline(&e1, mode).alltoall_bytes.cross_gpu();
+            let b2 = offline(&e2, mode).alltoall_bytes.cross_gpu();
             assert!(
                 b2 as f64 > 1.5 * b1 as f64,
                 "{mode}: top-2 bytes {b2} vs top-1 {b1}"
@@ -1926,8 +1757,8 @@ mod tests {
     #[test]
     fn top2_exflow_still_beats_vanilla() {
         let engine = top2_engine(2, 2);
-        let vanilla = engine.run(ParallelismMode::Vanilla);
-        let exflow = engine.run(ParallelismMode::ContextCoherentAffinity);
+        let vanilla = offline(&engine, ParallelismMode::Vanilla);
+        let exflow = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert!(
             exflow.throughput() > vanilla.throughput(),
             "top-2 exflow {} <= vanilla {}",
@@ -1939,8 +1770,8 @@ mod tests {
     #[test]
     fn top2_runs_are_deterministic() {
         let engine = top2_engine(1, 4);
-        let a = engine.run(ParallelismMode::ContextCoherentAffinity);
-        let b = engine.run(ParallelismMode::ContextCoherentAffinity);
+        let a = offline(&engine, ParallelismMode::ContextCoherentAffinity);
+        let b = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.dispatch, b.dispatch);
     }

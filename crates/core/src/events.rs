@@ -10,12 +10,12 @@
 //! schema version, so downstream consumers can never silently misread a
 //! field that moved.
 //!
-//! The workspace builds offline (no serde), so both directions are
-//! hand-rolled: [`WindowEvent::to_json`] prints floats with Rust's
+//! Both directions go through the workspace's one JSON layer
+//! ([`crate::json`]): [`WindowEvent::to_json`] prints floats with Rust's
 //! shortest round-trip formatting and [`WindowEvent::from_json`] parses
-//! them back with `str::parse`, which recovers the exact bits — so
-//! `from_json(to_json(e)) == e` holds field-for-field, and CI can assert
-//! the round-trip on every emitted line.
+//! them back to the exact bits — so `from_json(to_json(e)) == e` holds
+//! field-for-field, and CI can assert the round-trip on every emitted
+//! line.
 //!
 //! ```
 //! use exflow_core::events::{events_from_report, WindowEvent, EVENT_SCHEMA};
@@ -34,6 +34,7 @@
 //! assert_eq!(WindowEvent::from_json(&line).unwrap(), events[0]);
 //! ```
 
+use crate::json::Json;
 use crate::report::ServingReport;
 
 /// Schema tag every emitted line carries; bump on any field change.
@@ -180,172 +181,93 @@ pub fn events_from_report(report: &ServingReport) -> Vec<WindowEvent> {
         .collect()
 }
 
-fn fmt_usize_list(xs: &[usize]) -> String {
-    let inner: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", inner.join(","))
+fn usize_list(xs: &[usize]) -> Json {
+    Json::Arr(xs.iter().map(|&x| x.into()).collect())
+}
+
+fn as_usize(v: &Json) -> Option<usize> {
+    usize::try_from(v.as_u64()?).ok()
+}
+
+fn as_usize_list(v: &Json) -> Option<Vec<usize>> {
+    v.as_arr()?.iter().map(as_usize).collect()
+}
+
+/// Field `key` of the event object `doc`, read as a `T`.
+fn field<T>(doc: &Json, key: &str, read: fn(&Json) -> Option<T>) -> Result<T, String> {
+    let v = doc
+        .get(key)
+        .ok_or_else(|| format!("missing field {key:?}"))?;
+    read(v).ok_or_else(|| format!("field {key:?} has the wrong type: {v:?}"))
 }
 
 impl WindowEvent {
     /// One JSONL line (no trailing newline). Floats print with shortest
     /// round-trip formatting, so the line re-parses to the exact bits.
+    ///
+    /// # Panics
+    ///
+    /// If a float field is NaN or infinite (JSON has no token for either;
+    /// events bucketed from a [`ServingReport`] of finite times never are).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{}\",\"window\":{},\"t_start\":{},\"t_end\":{},\"completed\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"queue_depth\":{},\"drift\":{},\"replans\":{},\"bytes_local\":{},\"bytes_intra\":{},\"bytes_inter\":{},\"replicas_added\":{},\"replicas_dropped\":{},\"gpus_down\":{},\"gpus_up\":{}}}",
-            EVENT_SCHEMA,
-            self.window,
-            self.t_start,
-            self.t_end,
-            self.completed,
-            self.p50,
-            self.p95,
-            self.p99,
-            self.queue_depth,
-            self.drift,
-            self.replans,
-            self.bytes_local,
-            self.bytes_intra,
-            self.bytes_inter,
-            self.replicas_added,
-            self.replicas_dropped,
-            fmt_usize_list(&self.gpus_down),
-            fmt_usize_list(&self.gpus_up),
-        )
+        Json::obj(vec![
+            ("schema", EVENT_SCHEMA.into()),
+            ("window", self.window.into()),
+            ("t_start", self.t_start.into()),
+            ("t_end", self.t_end.into()),
+            ("completed", self.completed.into()),
+            ("p50", self.p50.into()),
+            ("p95", self.p95.into()),
+            ("p99", self.p99.into()),
+            ("queue_depth", self.queue_depth.into()),
+            ("drift", self.drift.into()),
+            ("replans", self.replans.into()),
+            ("bytes_local", self.bytes_local.into()),
+            ("bytes_intra", self.bytes_intra.into()),
+            ("bytes_inter", self.bytes_inter.into()),
+            ("replicas_added", self.replicas_added.into()),
+            ("replicas_dropped", self.replicas_dropped.into()),
+            ("gpus_down", usize_list(&self.gpus_down)),
+            ("gpus_up", usize_list(&self.gpus_up)),
+        ])
+        .write()
+        .expect("window events hold only finite floats")
     }
 
     /// Parse one JSONL line emitted by [`WindowEvent::to_json`]. Rejects
-    /// lines missing the `{}`-object shape, carrying an unknown schema
-    /// tag, or missing/mistyping any field — the CI schema check.
+    /// lines that are not one JSON object, carry an unknown schema tag,
+    /// or miss/mistype any field — the CI schema check.
     pub fn from_json(line: &str) -> Result<WindowEvent, String> {
-        let fields = split_flat_object(line)?;
-        let get = |key: &str| -> Result<&str, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.as_str())
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let schema = get("schema")?;
-        let schema = schema
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .ok_or_else(|| format!("schema is not a string: {schema}"))?;
+        let doc = &Json::parse(line)?;
+        if !matches!(doc, Json::Obj(_)) {
+            return Err(format!("not a JSON object: {line}"));
+        }
+        let schema = field(doc, "schema", |v| v.as_str().map(str::to_string))?;
         if schema != EVENT_SCHEMA {
             return Err(format!(
                 "schema mismatch: got {schema:?}, expected {EVENT_SCHEMA:?}"
             ));
         }
-        let num_u64 = |key: &str| -> Result<u64, String> {
-            get(key)?
-                .parse::<u64>()
-                .map_err(|e| format!("field {key:?}: {e}"))
-        };
-        let num_usize = |key: &str| -> Result<usize, String> {
-            get(key)?
-                .parse::<usize>()
-                .map_err(|e| format!("field {key:?}: {e}"))
-        };
-        let num_f64 = |key: &str| -> Result<f64, String> {
-            get(key)?
-                .parse::<f64>()
-                .map_err(|e| format!("field {key:?}: {e}"))
-        };
-        let list = |key: &str| -> Result<Vec<usize>, String> {
-            let raw = get(key)?;
-            let inner = raw
-                .strip_prefix('[')
-                .and_then(|s| s.strip_suffix(']'))
-                .ok_or_else(|| format!("field {key:?} is not a list: {raw}"))?;
-            if inner.trim().is_empty() {
-                return Ok(Vec::new());
-            }
-            inner
-                .split(',')
-                .map(|x| {
-                    x.trim()
-                        .parse::<usize>()
-                        .map_err(|e| format!("field {key:?}: {e}"))
-                })
-                .collect()
-        };
         Ok(WindowEvent {
-            window: num_usize("window")?,
-            t_start: num_f64("t_start")?,
-            t_end: num_f64("t_end")?,
-            completed: num_u64("completed")?,
-            p50: num_f64("p50")?,
-            p95: num_f64("p95")?,
-            p99: num_f64("p99")?,
-            queue_depth: num_usize("queue_depth")?,
-            drift: num_f64("drift")?,
-            replans: num_u64("replans")?,
-            bytes_local: num_u64("bytes_local")?,
-            bytes_intra: num_u64("bytes_intra")?,
-            bytes_inter: num_u64("bytes_inter")?,
-            replicas_added: num_u64("replicas_added")?,
-            replicas_dropped: num_u64("replicas_dropped")?,
-            gpus_down: list("gpus_down")?,
-            gpus_up: list("gpus_up")?,
+            window: field(doc, "window", as_usize)?,
+            t_start: field(doc, "t_start", Json::as_f64)?,
+            t_end: field(doc, "t_end", Json::as_f64)?,
+            completed: field(doc, "completed", Json::as_u64)?,
+            p50: field(doc, "p50", Json::as_f64)?,
+            p95: field(doc, "p95", Json::as_f64)?,
+            p99: field(doc, "p99", Json::as_f64)?,
+            queue_depth: field(doc, "queue_depth", as_usize)?,
+            drift: field(doc, "drift", Json::as_f64)?,
+            replans: field(doc, "replans", Json::as_u64)?,
+            bytes_local: field(doc, "bytes_local", Json::as_u64)?,
+            bytes_intra: field(doc, "bytes_intra", Json::as_u64)?,
+            bytes_inter: field(doc, "bytes_inter", Json::as_u64)?,
+            replicas_added: field(doc, "replicas_added", Json::as_u64)?,
+            replicas_dropped: field(doc, "replicas_dropped", Json::as_u64)?,
+            gpus_down: field(doc, "gpus_down", as_usize_list)?,
+            gpus_up: field(doc, "gpus_up", as_usize_list)?,
         })
     }
-}
-
-/// Split one flat JSON object (string/number/int-list values, no nesting,
-/// no escapes — exactly what `to_json` emits) into `(key, raw value)`
-/// pairs.
-fn split_flat_object(line: &str) -> Result<Vec<(String, String)>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line}"))?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        let after_quote = rest
-            .strip_prefix('"')
-            .ok_or_else(|| format!("expected a quoted key at: {rest}"))?;
-        let key_end = after_quote
-            .find('"')
-            .ok_or_else(|| format!("unterminated key at: {rest}"))?;
-        let key = &after_quote[..key_end];
-        let after_key = after_quote[key_end + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key {key:?}"))?
-            .trim_start();
-        // Value runs to the next top-level comma (never inside a string
-        // or a [...] list).
-        let mut depth = 0usize;
-        let mut in_str = false;
-        let mut end = after_key.len();
-        for (i, c) in after_key.char_indices() {
-            match c {
-                '"' => in_str = !in_str,
-                '[' if !in_str => depth += 1,
-                ']' if !in_str => {
-                    depth = depth
-                        .checked_sub(1)
-                        .ok_or_else(|| format!("unbalanced ']' in value of {key:?}"))?
-                }
-                ',' if !in_str && depth == 0 => {
-                    end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let value = after_key[..end].trim();
-        if value.is_empty() {
-            return Err(format!("empty value for key {key:?}"));
-        }
-        fields.push((key.to_string(), value.to_string()));
-        rest = if end == after_key.len() {
-            ""
-        } else {
-            after_key[end + 1..].trim_start()
-        };
-    }
-    Ok(fields)
 }
 
 /// Emit the whole stream: one line per window, trailing newline included.
@@ -448,6 +370,20 @@ mod tests {
         assert_eq!(back.to_json(), line);
         // Float bits survive exactly, not just approximately.
         assert_eq!(back.p99.to_bits(), ev.p99.to_bits());
+    }
+
+    #[test]
+    fn wire_layout_is_pinned() {
+        // The exflow-events/v1 bytes: field order, no whitespace, floats
+        // in positional (never exponent) shortest round-trip form.
+        assert_eq!(
+            sample_event().to_json(),
+            "{\"schema\":\"exflow-events/v1\",\"window\":3,\"t_start\":4.5,\"t_end\":6,\
+             \"completed\":17,\"p50\":0.1,\"p95\":0.3333333333333333,\
+             \"p99\":0.000000000000000027755575615628914,\"queue_depth\":5,\"drift\":0.125,\
+             \"replans\":1,\"bytes_local\":0,\"bytes_intra\":1048576,\"bytes_inter\":3145728,\
+             \"replicas_added\":2,\"replicas_dropped\":1,\"gpus_down\":[2,5],\"gpus_up\":[]}"
+        );
     }
 
     #[test]

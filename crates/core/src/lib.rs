@@ -24,15 +24,15 @@
 //! quantities behind the paper's Figs. 6–10.
 //!
 //! Beyond the paper's offline setting, the engine also serves
-//! **non-stationary** traffic: [`InferenceEngine::run_online`] maintains a
-//! decayed streaming affinity estimate of the live routing, detects drift
-//! against the estimate the current placement was solved for, and executes
-//! budgeted incremental re-placements (expert-weight migrations priced on
-//! the cluster's links) between serving windows — configured by
-//! [`OnlineConfig`] via `EngineConfig::online`.
+//! **non-stationary** traffic: a scenario built with [`Scenario::with_drift`]
+//! maintains a decayed streaming affinity estimate of the live routing,
+//! detects drift against the estimate the current placement was solved
+//! for, and executes budgeted incremental re-placements (expert-weight
+//! migrations priced on the cluster's links) between serving windows —
+//! configured by [`OnlineConfig`] via `EngineConfig::online`.
 //!
 //! On top of that sits the **request-level serving front-end**
-//! ([`serving`]): [`InferenceEngine::run_serving`] drives a deterministic
+//! ([`serving`]): [`Scenario::with_serving`] drives a deterministic
 //! discrete-event loop over a seeded arrival process
 //! (`exflow_model::arrival`), queues requests, assembles decode batches
 //! under a pluggable [`BatchPolicy`] with continuous batching, and reports
@@ -42,15 +42,15 @@
 //!
 //! All of these paths share one front door: [`Scenario`] names a run's
 //! mode plus its optional drift, serving, fault, and replication layers,
-//! and [`InferenceEngine::run_scenario`] dispatches it (the per-path
-//! `run_*` methods survive as deprecated wrappers). The serving loop also
-//! tolerates **fleet churn**: a seeded `exflow_model::FaultSchedule`
+//! and [`InferenceEngine::run_scenario`] dispatches it. The serving loop
+//! also tolerates **fleet churn**: a seeded `exflow_model::FaultSchedule`
 //! injects GPU loss/rejoin events, losses fail over to replicas or
 //! trigger emergency restores, and the disruption lands in
 //! [`ServingReport`]'s `DisruptionStats`. Every serving run can be
 //! flattened into a versioned JSONL event stream ([`events`]) — one
 //! record per serving window — for dashboards and the `repro
-//! render-events` renderer.
+//! render-events` renderer. That stream, the bench summary, and the CI
+//! perf-gate all read and write JSON through one module ([`json`]).
 //!
 //! ```
 //! use exflow_core::{InferenceEngine, ParallelismMode, Scenario};
@@ -77,14 +77,13 @@ pub mod commvolume;
 pub mod engine;
 pub mod events;
 pub mod frame;
+pub mod json;
 pub mod modes;
 pub mod report;
 pub mod scenario;
 pub mod serving;
 
-pub use engine::{
-    EngineBuilder, EngineConfig, InferenceEngine, OnlineConfig, ReplanPolicy, ReplicaPlacement,
-};
+pub use engine::{EngineBuilder, EngineConfig, InferenceEngine, OnlineConfig, ReplicaPlacement};
 pub use events::{events_from_report, render_events, to_jsonl, WindowEvent, EVENT_SCHEMA};
 pub use exflow_placement::{
     GapBackend, LayerReplicas, Parallelism, ReplicaPolicy, ReplicationBudget, ReplicationPlan,

@@ -241,7 +241,7 @@ pub struct DisruptionStats {
     pub faults: Vec<FaultMarker>,
 }
 
-/// Result of one online serving run (`InferenceEngine::run_online`): the
+/// Result of one windowed online run (`Scenario::with_drift`): the
 /// per-window inference reports plus the drift trajectory and every
 /// migration the incremental re-placement engine executed.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,7 +303,7 @@ impl OnlineReport {
 }
 
 /// Result of one request-level serving run
-/// (`InferenceEngine::run_serving`): per-request tail latency, queueing
+/// (`Scenario::with_serving`): per-request tail latency, queueing
 /// and batching trajectories, plus the same drift/re-plan accounting the
 /// windowed online mode reports.
 ///

@@ -2,9 +2,7 @@
 //! run can vary — execution mode, drift schedule, serving front-end,
 //! fault schedule, starting replication plan — and
 //! [`InferenceEngine::run_scenario`] dispatches it to the right engine
-//! path. The legacy entry points (`run`, `run_online`,
-//! `run_with_replication`, `run_serving`) survive as thin deprecated
-//! wrappers over the same implementations.
+//! path.
 //!
 //! Composition rules:
 //!
@@ -78,7 +76,40 @@ impl Scenario {
         }
     }
 
-    /// Serve non-stationary traffic drawn from `drift`.
+    /// Serve non-stationary traffic drawn from `drift`: one window per
+    /// entry of the schedule, maintaining a streaming affinity estimate
+    /// of the live traffic and incrementally re-placing experts when the
+    /// estimate drifts from the one the current placement was solved
+    /// against. (Under [`Scenario::with_serving`] the same re-plan logic
+    /// runs inside the request-level event loop instead.)
+    ///
+    /// Per window: serve `EngineConfig::n_iterations` generation
+    /// iterations from the window's routing model, fold the realized
+    /// routing paths into the decayed `StreamingAffinity` estimate, and
+    /// compute the drift signal. Every `OnlineConfig::replan_every`
+    /// windows, if the drift exceeds `OnlineConfig::drift_threshold` (and
+    /// `mode` uses affinity placement at all), a budgeted incremental
+    /// re-placement runs from the incumbent and the resulting
+    /// `MigrationPlan` is executed over the simulated collectives before
+    /// the next window starts.
+    ///
+    /// The re-plan's migration byte budget starts from
+    /// `OnlineConfig::migration_budget_bytes`, optionally scaled by the
+    /// drift magnitude and topped up with rolled-over budget from earlier
+    /// re-plans (see the `scale_budget_by_drift` / `budget_rollover`
+    /// toggles). With `OnlineConfig::replica_memory_bytes > 0` the
+    /// re-plan is **replication-aware**: it may also add or drop expert
+    /// replicas onto `OnlineConfig::replica_policy`-chosen GPU subsets
+    /// (`solve_budgeted_replicated` races subset selection against full
+    /// fan-out and owner-move descent under the joint budget), replica
+    /// fan-out traffic to the selected subset is priced into the same
+    /// migration budget, and dispatch serves replicated experts from the
+    /// token's own GPU — or a same-node holder — whenever the subset
+    /// covers one. Context-coherent top-2 joins in: primaries always run
+    /// on the owner (the route-derivable secondary-merge meeting point),
+    /// secondaries serve from replicas. The whole run is a pure function
+    /// of (config, drift schedule): bit-identical at any parallelism
+    /// width, and cadence-invariant whenever no re-plan fires.
     pub fn with_drift(mut self, drift: DriftSchedule) -> Self {
         self.drift = Some(drift);
         self
@@ -97,7 +128,12 @@ impl Scenario {
     }
 
     /// Start from an explicit replication plan instead of the
-    /// engine-solved placement.
+    /// engine-solved placement: dispatch serves a token's expert from a
+    /// local (or same-node) replica whenever the plan holds one there.
+    /// Context-coherent top-2 keeps its secondary-merge meeting point
+    /// computable from the route alone by always running the *primary*
+    /// copy on the owner GPU; secondaries are free to be served from
+    /// replicas.
     pub fn with_replication(mut self, plan: ReplicationPlan) -> Self {
         self.replication = Some(plan);
         self
@@ -220,9 +256,17 @@ impl InferenceEngine {
             return ScenarioReport::Online(self.run_online_impl(mode, drift));
         }
         if let Some(plan) = &scenario.replication {
-            return ScenarioReport::Offline(self.run_with_replication_impl(mode, plan));
+            let batches = self.serving_batches(self.routing(), 0);
+            return ScenarioReport::Offline(self.run_with_batches(
+                mode,
+                &plan.base,
+                &plan.replicas,
+                &batches,
+                0,
+                None,
+            ));
         }
-        ScenarioReport::Offline(self.run_offline_impl(mode))
+        ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))
     }
 }
 
@@ -264,45 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn offline_scenario_matches_the_legacy_entry_point() {
-        let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let via_scenario = eng.run_scenario(&Scenario::offline(mode));
-        #[allow(deprecated)]
-        let legacy = eng.run(mode);
-        assert_eq!(via_scenario.offline().unwrap(), &legacy);
-        assert!(via_scenario.online().is_none());
-        assert!(via_scenario.serving().is_none());
-    }
-
-    #[test]
-    fn drift_scenario_matches_run_online() {
-        let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, 4);
-        let via_scenario = eng.run_scenario(&Scenario::offline(mode).with_drift(drift.clone()));
-        #[allow(deprecated)]
-        let legacy = eng.run_online(mode, &drift);
-        assert_eq!(via_scenario.online().unwrap(), &legacy);
-    }
-
-    #[test]
-    fn serving_scenario_matches_run_serving() {
-        let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, 4);
-        let cfg = serving_cfg(&eng, mode);
-        let via_scenario = eng.run_scenario(
-            &Scenario::offline(mode)
-                .with_drift(drift.clone())
-                .with_serving(cfg.clone()),
-        );
-        #[allow(deprecated)]
-        let legacy = eng.run_serving(mode, &drift, &cfg);
-        assert_eq!(via_scenario.serving().unwrap(), &legacy);
-    }
-
-    #[test]
     fn serving_without_drift_serves_stationary_traffic() {
         let eng = engine();
         let mode = ParallelismMode::ContextCoherentAffinity;
@@ -322,17 +327,5 @@ mod tests {
         let _ = eng.run_scenario(
             &Scenario::offline(ParallelismMode::ContextCoherentAffinity).with_faults(faults),
         );
-    }
-
-    #[test]
-    fn replication_scenario_matches_run_with_replication() {
-        let eng = engine();
-        let mode = ParallelismMode::Vanilla;
-        let plan = ReplicationPlan::bare(eng.placement_for(mode).clone());
-        let via_scenario =
-            eng.run_scenario(&Scenario::offline(mode).with_replication(plan.clone()));
-        #[allow(deprecated)]
-        let legacy = eng.run_with_replication(mode, &plan);
-        assert_eq!(via_scenario.offline().unwrap(), &legacy);
     }
 }

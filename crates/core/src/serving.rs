@@ -3,9 +3,9 @@
 //! batching, feeding assembled decode batches through the engine's
 //! dispatch/collectives path.
 //!
-//! Where [`InferenceEngine::run_online`] consumes pre-aggregated windows
-//! of traffic, [`InferenceEngine::run_serving`] consumes *requests*: each
-//! arrives at a timestamp drawn from a seeded
+//! Where a [`crate::Scenario::with_drift`] run consumes pre-aggregated
+//! windows of traffic, a [`crate::Scenario::with_serving`] run consumes
+//! *requests*: each arrives at a timestamp drawn from a seeded
 //! [`ArrivalProcess`], waits in a
 //! FIFO queue until the [`BatchPolicy`] opens a batch, then generates
 //! `decode_steps` tokens — one engine pass per step — under continuous
@@ -141,7 +141,7 @@ impl BatchPolicy {
     }
 }
 
-/// Configuration of one [`InferenceEngine::run_serving`] call.
+/// Configuration of one [`crate::Scenario::with_serving`] run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingConfig {
     /// Seeded arrival process generating request timestamps (rates are in
@@ -285,28 +285,14 @@ impl InferenceEngine {
         .total_time
     }
 
-    /// Serve `serving.n_requests` requests arriving per
-    /// `serving.arrival` under continuous batching, interleaving the
-    /// online mode's drift-triggered budgeted re-placement with serving
-    /// time. See the [module docs](crate::serving) for the event-loop
-    /// semantics; the result is bit-identical at any thread width.
-    #[deprecated(
-        note = "use `run_scenario(&Scenario::offline(mode).with_drift(drift).with_serving(serving))`"
-    )]
-    pub fn run_serving(
-        &self,
-        mode: ParallelismMode,
-        drift: &DriftSchedule,
-        serving: &ServingConfig,
-    ) -> ServingReport {
-        let w = self.config().cluster.world_size();
-        self.run_serving_impl(mode, drift, serving, &FaultSchedule::none(w), None)
-    }
-
     /// One request-level serving run (the `run_scenario` serving path):
-    /// the deprecated [`InferenceEngine::run_serving`] contract plus a
-    /// fault schedule and an optional starting replication plan (the
-    /// replicas emergency failover draws on).
+    /// serve `serving.n_requests` requests arriving per `serving.arrival`
+    /// under continuous batching, interleaving the online mode's
+    /// drift-triggered budgeted re-placement with serving time, under a
+    /// fault schedule and from an optional starting replication plan (the
+    /// replicas emergency failover draws on). See the
+    /// [module docs](crate::serving) for the event-loop semantics; the
+    /// result is bit-identical at any thread width.
     pub(crate) fn run_serving_impl(
         &self,
         mode: ParallelismMode,
@@ -865,16 +851,13 @@ impl InferenceEngine {
 }
 
 #[cfg(test)]
-// These unit tests pin the legacy `run_serving` entry point (now a thin
-// wrapper over the `Scenario` dispatch) until the wrapper is removed;
-// `scenario::tests` proves wrapper/scenario parity.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use exflow_model::presets::moe_gpt_m;
     use exflow_topology::ClusterSpec;
 
     use crate::engine::OnlineConfig;
+    use crate::scenario::Scenario;
 
     fn engine(online: OnlineConfig) -> InferenceEngine {
         let mut model = moe_gpt_m(8);
@@ -906,6 +889,18 @@ mod tests {
         }
     }
 
+    fn serve(
+        e: &InferenceEngine,
+        mode: ParallelismMode,
+        drift: &DriftSchedule,
+        cfg: &ServingConfig,
+    ) -> ServingReport {
+        let scenario = Scenario::offline(mode)
+            .with_drift(drift.clone())
+            .with_serving(cfg.clone());
+        e.run_scenario(&scenario).expect_serving()
+    }
+
     fn scenario(e: &InferenceEngine, mode: ParallelismMode) -> (DriftSchedule, ServingConfig) {
         let schedule = DriftSchedule::piecewise(&e.config().routing_spec, 2, 6);
         let step = e.probe_step_time(mode, 8);
@@ -932,7 +927,7 @@ mod tests {
         let mode = ParallelismMode::ContextCoherentAffinity;
         let eng = engine(adaptive());
         let (schedule, cfg) = scenario(&eng, mode);
-        let r = eng.run_serving(mode, &schedule, &cfg);
+        let r = serve(&eng, mode, &schedule, &cfg);
         assert_eq!(r.n_requests(), cfg.n_requests);
         assert!(r.latencies.iter().all(|&l| l > 0.0));
         assert!(r.p50() <= r.p95() && r.p95() <= r.p99());
@@ -968,8 +963,8 @@ mod tests {
         let mode = ParallelismMode::ContextCoherentAffinity;
         let eng = engine(adaptive());
         let (schedule, cfg) = scenario(&eng, mode);
-        let a = eng.run_serving(mode, &schedule, &cfg);
-        let b = eng.run_serving(mode, &schedule, &cfg);
+        let a = serve(&eng, mode, &schedule, &cfg);
+        let b = serve(&eng, mode, &schedule, &cfg);
         assert_eq!(a, b);
     }
 
@@ -978,7 +973,7 @@ mod tests {
         let mode = ParallelismMode::ContextCoherentAffinity;
         let eng = engine(adaptive());
         let (schedule, cfg) = scenario(&eng, mode);
-        let r = eng.run_serving(mode, &schedule, &cfg);
+        let r = serve(&eng, mode, &schedule, &cfg);
         assert!(
             r.migrations.replans > 0,
             "piecewise drift must fire at least one re-plan"
@@ -993,7 +988,7 @@ mod tests {
         let mode = ParallelismMode::ContextCoherentAffinity;
         let eng = engine(static_cfg());
         let (schedule, cfg) = scenario(&eng, mode);
-        let r = eng.run_serving(mode, &schedule, &cfg);
+        let r = serve(&eng, mode, &schedule, &cfg);
         assert_eq!(r.migrations.replans, 0);
         assert!(r.replans.is_empty());
         assert_eq!(r.n_requests(), cfg.n_requests);
@@ -1004,9 +999,9 @@ mod tests {
         let mode = ParallelismMode::ContextCoherentAffinity;
         let eng = engine(static_cfg());
         let (schedule, mut cfg) = scenario(&eng, mode);
-        let waited = eng.run_serving(mode, &schedule, &cfg);
+        let waited = serve(&eng, mode, &schedule, &cfg);
         cfg.batch = BatchPolicy::Greedy { max_size: 8 };
-        let greedy = eng.run_serving(mode, &schedule, &cfg);
+        let greedy = serve(&eng, mode, &schedule, &cfg);
         assert_eq!(greedy.n_requests(), cfg.n_requests);
         // Greedy opens batches earlier, so it can only run more (or
         // equally many) steps at lower (or equal) mean occupancy.
@@ -1156,6 +1151,6 @@ mod tests {
             batch: BatchPolicy::Greedy { max_size: 1 },
             window_duration: 0.0,
         };
-        let _ = eng.run_serving(ParallelismMode::Vanilla, &schedule, &cfg);
+        let _ = serve(&eng, ParallelismMode::Vanilla, &schedule, &cfg);
     }
 }

@@ -2,7 +2,10 @@
 
 use exflow_core::commvolume::{uniform_crossing_fraction, System, VolumeParams};
 use exflow_core::frame::{decode, encode, frame_size, Token};
+use exflow_core::json::Json;
+use exflow_core::WindowEvent;
 use proptest::prelude::*;
+use proptest::strategy::boxed;
 
 fn arb_token(dim: usize) -> impl Strategy<Value = Token> {
     (0u32..10_000, 0u32..64, 0u32..8, 0u32..2).prop_map(move |(id, home, domain, slot)| Token {
@@ -14,7 +17,175 @@ fn arb_token(dim: usize) -> impl Strategy<Value = Token> {
     })
 }
 
+/// Finite floats over the whole bit space, salted with the values a
+/// text round trip is most likely to lose.
+fn arb_finite_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0u64..=u64::MAX).prop_map(|bits| {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                x
+            } else {
+                f64::from_bits(bits & !(1 << 62))
+            }
+        }),
+        Just(-0.0),
+        Just(f64::MAX),
+        Just(f64::MIN_POSITIVE),
+        Just(f64::from_bits(1)), // smallest subnormal
+        Just(20.0),              // prints as an integer token
+    ]
+}
+
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u32..0x2_0000, 0..6)
+        .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
+}
+
+/// Arbitrary JSON trees up to `depth` containers deep.
+fn arb_json(depth: usize) -> Box<dyn Strategy<Value = Json>> {
+    let leaf = prop_oneof![
+        Just(Json::Null),
+        (0u8..2).prop_map(|b| Json::Bool(b == 1)),
+        prop_oneof![0u64..=u64::MAX, Just(u64::MAX)].prop_map(Json::U64),
+        (i64::MIN..0).prop_map(Json::I64),
+        arb_finite_f64().prop_map(Json::F64),
+        arb_text().prop_map(Json::Str),
+    ];
+    if depth == 0 {
+        return boxed(leaf);
+    }
+    boxed(prop_oneof![
+        leaf,
+        proptest::collection::vec(arb_json(depth - 1), 0..4).prop_map(Json::Arr),
+        proptest::collection::vec((arb_text(), arb_json(depth - 1)), 0..4).prop_map(Json::Obj),
+    ])
+}
+
+fn arb_event() -> impl Strategy<Value = WindowEvent> {
+    (
+        (
+            0usize..1000,
+            arb_finite_f64(),
+            arb_finite_f64(),
+            0u64..=u64::MAX,
+        ),
+        (
+            arb_finite_f64(),
+            arb_finite_f64(),
+            arb_finite_f64(),
+            arb_finite_f64(),
+        ),
+        proptest::collection::vec(0u64..=u64::MAX, 6),
+        proptest::collection::vec(0usize..64, 0..4),
+        proptest::collection::vec(0usize..64, 0..4),
+    )
+        .prop_map(
+            |((window, t_start, t_end, completed), (p50, p95, p99, drift), n, down, up)| {
+                WindowEvent {
+                    window,
+                    t_start,
+                    t_end,
+                    completed,
+                    p50,
+                    p95,
+                    p99,
+                    queue_depth: window / 2,
+                    drift,
+                    replans: n[0],
+                    bytes_local: n[1],
+                    bytes_intra: n[2],
+                    bytes_inter: n[3],
+                    replicas_added: n[4],
+                    replicas_dropped: n[5],
+                    gpus_down: down,
+                    gpus_up: up,
+                }
+            },
+        )
+}
+
+/// Both parsers must reject or accept — never panic — on any text.
+fn parsers_survive(text: &str) {
+    let _ = Json::parse(text);
+    let _ = WindowEvent::from_json(text);
+}
+
 proptest! {
+    #[test]
+    fn json_round_trips_value_for_value(v in arb_json(3)) {
+        // `Json` equality is token equality, so floats compare by bits
+        // and u64::MAX compares exactly.
+        let compact = v.write().unwrap();
+        prop_assert_eq!(&Json::parse(&compact).unwrap(), &v, "{}", compact);
+        let pretty = v.write_pretty().unwrap();
+        prop_assert_eq!(&Json::parse(&pretty).unwrap(), &v, "{}", pretty);
+    }
+
+    #[test]
+    fn json_floats_survive_to_the_bit(x in arb_finite_f64()) {
+        let text = Json::F64(x).write().unwrap();
+        let back = Json::parse(&text).unwrap().as_f64().unwrap();
+        prop_assert_eq!(back.to_bits(), x.to_bits(), "{}", text);
+    }
+
+    #[test]
+    fn non_finite_floats_never_reach_the_wire(
+        v in arb_json(2),
+        bad in prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+    ) {
+        let doc = Json::Arr(vec![v, Json::obj(vec![("x", Json::F64(bad))])]);
+        prop_assert!(doc.write().is_err());
+        prop_assert!(doc.write_pretty().is_err());
+    }
+
+    #[test]
+    fn events_round_trip_bit_for_bit(ev in arb_event()) {
+        let line = ev.to_json();
+        let back = WindowEvent::from_json(&line).unwrap();
+        prop_assert_eq!(back.to_json(), line);
+        prop_assert_eq!(back.p99.to_bits(), ev.p99.to_bits());
+        prop_assert_eq!(back, ev);
+    }
+
+    #[test]
+    fn parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..200),
+    ) {
+        parsers_survive(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parsers_never_panic_on_json_shaped_noise(
+        picks in proptest::collection::vec(0usize..24, 0..60),
+    ) {
+        const ALPHABET: [&str; 24] = [
+            "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "d83d", "-", "0", "1", ".", "e",
+            "E", "+", "null", "true", "false", " ", "\n", "é", "\"schema\"",
+        ];
+        let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+        parsers_survive(&text);
+    }
+
+    #[test]
+    fn parsers_never_panic_on_damaged_lines(
+        ev in arb_event(),
+        at in 0usize..10_000,
+        byte in 0u8..=255,
+    ) {
+        let line = ev.to_json();
+        // Every prefix (cut on a char boundary; the line is ASCII)...
+        for cut in 0..line.len() {
+            parsers_survive(&line[..cut]);
+            prop_assert!(WindowEvent::from_json(&line[..cut]).is_err());
+        }
+        // ...and a single-byte mutation anywhere in it.
+        let mut bytes = line.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        parsers_survive(&String::from_utf8_lossy(&bytes));
+    }
+
     #[test]
     fn frames_round_trip(
         tokens in proptest::collection::vec(arb_token(8), 0..20),

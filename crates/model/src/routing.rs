@@ -491,7 +491,7 @@ mod tests {
         // the "only a few columns are red" structure of Fig. 2.
         for row in 0..32 {
             let mut probs: Vec<f64> = t[row * 32..(row + 1) * 32].to_vec();
-            probs.sort_by(|a, b| b.partial_cmp(a).unwrap());
+            probs.sort_by(|a, b| b.total_cmp(a));
             let top6: f64 = probs[..6].iter().sum();
             assert!(top6 > 0.9, "row {row} top6 mass {top6}");
         }

@@ -15,11 +15,10 @@ pub use exflow_topology as topology;
 
 // The headline entry points, lifted to the facade root: one scenario
 // value + one run call covers offline, online, serving, and faulted
-// runs, with a shared re-plan policy shape — plus the serving-facing
-// surface that scenario compositions are built from and the JSONL
-// event stream every serving report exports.
+// runs — plus the serving-facing surface that scenario compositions are
+// built from and the JSONL event stream every serving report exports.
 pub use exflow_core::{
-    events_from_report, render_events, to_jsonl, BatchPolicy, InferenceEngine, ReplanPolicy,
-    Scenario, ScenarioReport, ServingConfig, WindowEvent, EVENT_SCHEMA,
+    events_from_report, render_events, to_jsonl, BatchPolicy, InferenceEngine, Scenario,
+    ScenarioReport, ServingConfig, WindowEvent, EVENT_SCHEMA,
 };
 pub use exflow_model::{ArrivalProcess, FaultSchedule};
