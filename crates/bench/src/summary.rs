@@ -72,8 +72,8 @@ use std::time::Instant;
 use exflow_affinity::{RoutingTrace, SparseAffinity, StreamingAffinity};
 use exflow_core::json::Json;
 use exflow_core::{
-    BatchPolicy, InferenceEngine, OnlineConfig, ParallelismMode, ReplicaPlacement, Scenario,
-    ServingConfig, ServingReport,
+    BatchPolicy, InferenceEngine, OnlineConfig, ParallelismMode, Scenario, ServingConfig,
+    ServingReport,
 };
 use exflow_model::presets::{large_zoo, moe_gpt_m, table2};
 use exflow_model::routing::AffinityModelSpec;
@@ -2165,7 +2165,6 @@ fn partial_replication_cell(
                 migration_budget_bytes: PARTIAL_BUDGET_MOVES * engine_bpe,
                 decay: 0.3,
                 replica_memory_bytes: PARTIAL_REPLICA_SLOTS * engine_bpe,
-                replica_policy: ReplicaPlacement::OnePerNode,
                 ..OnlineConfig::default()
             })
             .seed(seed ^ 0x77_aa_01)

@@ -13,19 +13,11 @@ pub enum OpKind {
     AllGather,
     /// Barrier — clock synchronization only, no payload.
     Barrier,
-    /// Expert-weight migration — bulk point-to-point transfers issued by
-    /// the online re-placement engine between serving windows.
-    Migration,
 }
 
 impl OpKind {
     /// All operation kinds.
-    pub const ALL: [OpKind; 4] = [
-        OpKind::Alltoall,
-        OpKind::AllGather,
-        OpKind::Barrier,
-        OpKind::Migration,
-    ];
+    pub const ALL: [OpKind; 3] = [OpKind::Alltoall, OpKind::AllGather, OpKind::Barrier];
 
     /// Human-readable label used in reports.
     pub fn label(self) -> &'static str {
@@ -33,7 +25,6 @@ impl OpKind {
             OpKind::Alltoall => "alltoall",
             OpKind::AllGather => "allgather",
             OpKind::Barrier => "barrier",
-            OpKind::Migration => "migration",
         }
     }
 }

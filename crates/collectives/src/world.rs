@@ -323,15 +323,6 @@ impl RankComm {
             .collect()
     }
 
-    /// Fold an externally orchestrated operation into the world's shared
-    /// [`CommStats`] — used by the engine for traffic it prices
-    /// analytically on this rank's clock (e.g. expert-weight migrations,
-    /// `OpKind::Migration`) so byte accounting stays complete without
-    /// moving payloads the simulation never inspects.
-    pub fn record(&self, rec: CommRecord) {
-        self.stats.record(rec);
-    }
-
     /// Barrier: synchronizes all ranks' virtual clocks to the global max.
     ///
     /// Used between generation iterations, where the paper's engine

@@ -7,45 +7,23 @@ use std::collections::BTreeMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use exflow_affinity::{
-    AffinitySnapshot, RoutingTrace, SnapshotDelta, SparseAffinity, StreamingAffinity,
-};
-use exflow_collectives::{CommRecord, CommWorld, OpKind, RankComm};
+use exflow_affinity::{RoutingTrace, SparseAffinity};
+use exflow_collectives::{CommWorld, OpKind, RankComm};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{
     ComputeCostModel, CorpusSpec, DriftSchedule, Expert, Matrix, ModelConfig, RoutingModel,
     TokenBatch,
 };
-use exflow_placement::online::MigrationPlan;
 use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{
-    solve_budgeted_metered, solve_budgeted_replicated_metered, GapBackend, LayerReplicas,
-    Objective, Parallelism, Placement, ReplanCost, ReplicaPolicy, ReplicationBudget,
-    ReplicationPlan, SwapGainCache,
+    GapBackend, LayerReplicas, Objective, Parallelism, Placement, ReplicationPlan,
 };
-use exflow_topology::collective_cost::BytesByClass;
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
+use crate::adaptive::AdaptiveState;
 use crate::frame::{decode, encode, frame_size, Token};
 use crate::modes::ParallelismMode;
-use crate::report::{
-    DispatchStats, InferenceReport, MigrationStats, OnlineReport, OpBreakdown, ReplanEvent,
-};
-
-/// Which GPUs a newly selected replica fans out to. This is the
-/// config-level knob; a re-plan resolves it against the engine's cluster
-/// shape into an [`exflow_placement::ReplicaPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplicaPlacement {
-    /// One replica per node other than the owner's — the paper's staged
-    /// node-then-GPU topology, and the default. The budgeted solver still
-    /// races a full fan-out candidate, so this policy never finishes
-    /// behind [`ReplicaPlacement::Everywhere`] at equal budgets.
-    #[default]
-    OnePerNode,
-    /// A copy on every non-owner GPU (the Lina-style baseline).
-    Everywhere,
-}
+use crate::report::{DispatchStats, InferenceReport, OnlineReport, OpBreakdown};
 
 /// Knobs of the online serving mode ([`crate::Scenario::with_drift`]):
 /// when to check for routing drift, how much drift justifies a re-plan,
@@ -69,12 +47,12 @@ pub struct OnlineConfig {
     /// `ReplicationPlan::extra_copies_per_gpu` convention: a copy on the
     /// owner GPU is the original and costs nothing). `0` — the default —
     /// disables replication-aware re-planning entirely: re-plans move
-    /// owners only, exactly the pre-replication behavior.
+    /// owners only, exactly the pre-replication behavior. A selected
+    /// replica fans out to one GPU per node other than the owner's (the
+    /// paper's staged node-then-GPU topology); the budgeted solver still
+    /// races a full fan-out candidate, so this never finishes behind
+    /// copy-everywhere at equal budgets.
     pub replica_memory_bytes: u64,
-    /// Target subset each selected replica fans out to (see
-    /// [`ReplicaPlacement`]); consulted only when `replica_memory_bytes`
-    /// is nonzero.
-    pub replica_policy: ReplicaPlacement,
     /// Roll migration budget a re-plan left unspent over to later
     /// re-plans (opt-in; the ROADMAP's "smarter budget allocation").
     pub budget_rollover: bool,
@@ -88,7 +66,7 @@ pub struct OnlineConfig {
     /// any machine, thread count, or cache state). When the descent
     /// exhausts the budget it commits the best move found so far and
     /// stops; the truncation is reported per
-    /// [`ReplanEvent`]. `u64::MAX` — the
+    /// [`ReplanEvent`](crate::report::ReplanEvent). `u64::MAX` — the
     /// default — never truncates.
     pub replan_time_budget: u64,
 }
@@ -101,7 +79,6 @@ impl Default for OnlineConfig {
             migration_budget_bytes: u64::MAX,
             decay: 0.5,
             replica_memory_bytes: 0,
-            replica_policy: ReplicaPlacement::default(),
             budget_rollover: false,
             scale_budget_by_drift: false,
             replan_time_budget: u64::MAX,
@@ -322,15 +299,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-GPU replica memory budget for the online mode (see
-    /// [`OnlineConfig::replica_memory_bytes`]); a convenience over
-    /// [`EngineBuilder::online`] for turning on replication-aware
-    /// re-planning alone.
-    pub fn replication(mut self, replica_memory_bytes: u64) -> Self {
-        self.cfg.online.replica_memory_bytes = replica_memory_bytes;
-        self
-    }
-
     /// Master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -354,6 +322,7 @@ pub struct InferenceEngine {
     round_robin: Placement,
     affinity_gpu: Placement,
     affinity_node: Placement,
+    all_ranks: Vec<usize>,
 }
 
 impl InferenceEngine {
@@ -411,6 +380,7 @@ impl InferenceEngine {
             round_robin,
             affinity_gpu: staged.gpu_level,
             affinity_node: staged.node_level,
+            all_ranks: (0..world).collect(),
         }
     }
 
@@ -460,7 +430,13 @@ impl InferenceEngine {
     ) -> InferenceReport {
         let batches = self.serving_batches(&self.routing, 0);
         let no_replicas = vec![Vec::new(); self.cfg.model.n_layers];
-        self.run_with_batches(mode, placement, &no_replicas, &batches, 0, None)
+        self.run_with_batches(mode, placement, &no_replicas, &batches, 0, &self.all_ranks)
+    }
+
+    /// Every provisioned GPU, ascending: the `live_ranks` of a healthy
+    /// fleet.
+    pub(crate) fn all_ranks(&self) -> &[usize] {
+        &self.all_ranks
     }
 
     /// Serving batches for one window: fresh routes per generation
@@ -492,13 +468,13 @@ impl InferenceEngine {
     /// request-level serving loop (`crate::serving`) can feed it
     /// continuous-batching pools of whatever occupancy the queue yields.
     ///
-    /// `live` masks out failed GPUs: dead ranks hold no tokens or
-    /// experts but still join every collective (with empty payloads), so
-    /// the SPMD clocks stay synchronized across the provisioned fleet.
-    /// `None` — and equivalently an all-`true` mask — is the healthy
-    /// fleet: token homing and context-setup accounting then reduce to
-    /// exactly the unmasked arithmetic, so fault-free runs are
-    /// bit-identical to the pre-fault-layer engine.
+    /// `live_ranks` lists the live GPUs ascending. Dead ranks hold no
+    /// tokens or experts but still join every collective (with empty
+    /// payloads), so the SPMD clocks stay synchronized across the
+    /// provisioned fleet. With every rank live
+    /// ([`InferenceEngine::all_ranks`]) token homing and context-setup
+    /// accounting reduce to exactly the unmasked arithmetic:
+    /// `live_ranks[id % live_ranks.len()]` is then `id % w`.
     pub(crate) fn run_with_batches(
         &self,
         mode: ParallelismMode,
@@ -506,38 +482,28 @@ impl InferenceEngine {
         replicated: &[LayerReplicas],
         batches: &[TokenBatch],
         ctx_offset: usize,
-        live: Option<&[bool]>,
+        live_ranks: &[usize],
     ) -> InferenceReport {
         let cfg = &self.cfg;
         let w = cfg.cluster.world_size();
         assert_eq!(placement.n_units(), w, "placement must cover every GPU");
         assert_eq!(placement.n_layers(), cfg.model.n_layers);
         assert_eq!(replicated.len(), cfg.model.n_layers);
-        if let Some(mask) = live {
-            assert_eq!(mask.len(), w, "live mask must cover every GPU");
-            assert!(mask.iter().any(|&x| x), "at least one GPU must be live");
-        }
-        let live_ranks: Vec<usize> = match live {
-            Some(mask) => mask
-                .iter()
-                .enumerate()
-                .filter_map(|(r, &up)| up.then_some(r))
-                .collect(),
-            None => (0..w).collect(),
-        };
+        assert!(
+            live_ranks.is_sorted() && live_ranks.last().is_some_and(|&r| r < w),
+            "live ranks must be a non-empty ascending list of the fleet's GPUs"
+        );
 
+        let pass = Pass {
+            cfg,
+            mode,
+            placement,
+            replicated,
+            live_ranks,
+            frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
+        };
         let world = CommWorld::new(cfg.cluster, cfg.link_cost);
-        let rank_results = world.run(|comm| {
-            self.rank_loop(
-                comm,
-                mode,
-                placement,
-                replicated,
-                batches,
-                ctx_offset,
-                &live_ranks,
-            )
-        });
+        let rank_results = world.run(|comm| pass.rank_loop(comm, batches, ctx_offset));
 
         let total_time = rank_results
             .iter()
@@ -570,348 +536,85 @@ impl InferenceEngine {
         drift: &DriftSchedule,
     ) -> OnlineReport {
         let cfg = &self.cfg;
-        let oc = cfg.online;
-        oc.validate();
-        let e = cfg.model.n_experts;
-        let shape = drift.model_at(0);
-        assert_eq!(shape.n_layers(), cfg.model.n_layers, "drift layer mismatch");
-        assert_eq!(shape.n_experts(), e, "drift expert mismatch");
-        assert_eq!(
-            shape.n_domains(),
-            cfg.corpus.domain_weights.len(),
-            "drift domain mismatch"
-        );
-
-        // The incumbent placement was solved against the offline profile
-        // estimate; seed the streaming estimator with the same trace so
-        // the first reference snapshot is exactly what the incumbent knows.
-        let mut streaming = StreamingAffinity::new(cfg.model.n_layers, e, oc.decay);
-        streaming.observe(&self.profile_trace);
-        let mut reference = streaming.snapshot();
-        // The re-plan objective is built once from the seed snapshot and
-        // then kept current by per-window delta application — never
-        // rebuilt — with the swap-gain cache riding along across re-plans.
-        let mut replan_state = self.replan_state(&reference);
-        let mut placement = self.placement_for(mode).clone();
-        let mut replicated: Vec<LayerReplicas> = vec![Vec::new(); cfg.model.n_layers];
-        let mut carry = 0u64;
-
+        cfg.online.validate();
+        let start = ReplicationPlan::bare(self.placement_for(mode).clone());
+        let mut adaptive = AdaptiveState::new(self, mode, drift, start);
         let mut windows = Vec::with_capacity(drift.n_windows());
-        let mut drifts = Vec::with_capacity(drift.n_windows());
-        let mut replans = Vec::new();
-        let mut migrations = MigrationStats::default();
-
         for window in 0..drift.n_windows() {
             let batches = self.serving_batches(drift.model_at(window), window);
-            let report = self.run_with_batches(
+            windows.push(self.run_with_batches(
                 mode,
-                &placement,
-                &replicated,
+                &adaptive.live.base,
+                &adaptive.live.replicas,
                 &batches,
                 window * cfg.n_iterations,
-                None,
-            );
-
-            // Online profiling is free: the engine already knows every
-            // serving token's expert path. Folding the window in yields
-            // the CSR delta of exactly the rows it touched; splicing that
-            // into the incumbent objective is bit-identical to rebuilding
-            // from a fresh snapshot, at O(changed rows) instead of O(E^2).
-            let paths: Vec<Vec<u16>> = batches.iter().flat_map(TokenBatch::top1_paths).collect();
-            let delta = streaming.observe_delta(&RoutingTrace::new(paths, e));
-            replan_state.absorb(&delta);
-            let drift_now = streaming.divergence(&reference);
-            windows.push(report);
-            drifts.push(drift_now);
-
-            // A re-plan after the final window would charge migration
-            // time and bytes that no subsequent traffic benefits from.
-            let due = (window + 1) % oc.replan_every == 0 && window + 1 < drift.n_windows();
-            if due && drift_now > oc.drift_threshold && mode.uses_affinity() {
-                if let Some(exec) = self.replan_step(
-                    mode,
-                    drift_now,
-                    &mut replan_state,
-                    &mut placement,
-                    &mut replicated,
-                    &mut carry,
-                ) {
-                    migrations.absorb(&exec);
-                    replans.push(exec.event(window, drift_now));
-                }
-                // Whether or not anything moved, the live estimate is now
-                // what the incumbent placement has been (re-)optimized
-                // for; re-anchor the drift reference to it.
-                reference = streaming.snapshot();
-            }
+                &self.all_ranks,
+            ));
+            adaptive.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
+            // Windows run back to back on the new plan: the migration is
+            // charged to the ledger, not to any window's clock.
+            adaptive.close_window(window);
         }
-
-        let final_extra_copies = if replicated.iter().all(Vec::is_empty) {
-            0
-        } else {
-            ReplicationPlan {
-                base: placement,
-                replicas: replicated,
-            }
-            .extra_copies_per_gpu() as u64
-        };
-
         OnlineReport {
             mode,
             windows,
-            drift: drifts,
-            replans,
-            migrations,
-            final_extra_copies,
+            drift: adaptive.drift,
+            replans: adaptive.replans,
+            migrations: adaptive.migrations,
+            final_extra_copies: adaptive.live.extra_copies_per_gpu() as u64,
         }
     }
+}
 
-    /// Seed the incremental re-plan state both adaptive serving surfaces
-    /// maintain: an objective built once from the estimator's starting
-    /// snapshot — thereafter kept current by
-    /// [`ReplanState::absorb`]-ing each window's
-    /// [`SnapshotDelta`] instead of rebuilding from scratch — plus the
-    /// persistent swap-gain cache the metered solvers reuse across
-    /// re-plans.
-    pub(crate) fn replan_state(&self, reference: &AffinitySnapshot) -> ReplanState {
-        let objective = Objective::from_snapshot_with(reference, self.cfg.gap_backend);
-        let cache = SwapGainCache::for_objective(&objective);
-        ReplanState { objective, cache }
-    }
+/// What every rank of one SPMD pass agrees on. The per-rank body is
+/// [`Pass::rank_loop`]; its per-layer stages are the methods below, in
+/// call order.
+struct Pass<'a> {
+    cfg: &'a EngineConfig,
+    mode: ParallelismMode,
+    placement: &'a Placement,
+    replicated: &'a [LayerReplicas],
+    /// Live GPUs, ascending. Dead ranks own nothing and carry nothing but
+    /// still enter every collective so the virtual clocks agree.
+    live_ranks: &'a [usize],
+    /// Wire size of one token frame.
+    frame: usize,
+}
 
-    /// One budgeted re-plan against the live affinity estimate, shared by
-    /// the windowed online loop and the request-level serving loop: take
-    /// the incrementally maintained objective from `state` (bit-identical
-    /// to a cold rebuild from the live snapshot), size the byte budget
-    /// from the drift magnitude and rollover carry, race replica-aware vs
-    /// owner-move solving under it — each solve metered by
-    /// `OnlineConfig::replan_time_budget` and served from the persistent
-    /// swap-gain cache — commit the winning placement into
-    /// `placement`/`replicated`, and execute the migration plan over the
-    /// simulated collectives. Returns `None` when the plan is empty
-    /// (nothing moved, no time charged); the rollover carry updates
-    /// either way.
-    pub(crate) fn replan_step(
-        &self,
-        _mode: ParallelismMode,
-        drift_now: f64,
-        state: &mut ReplanState,
-        placement: &mut Placement,
-        replicated: &mut Vec<LayerReplicas>,
-        carry: &mut u64,
-    ) -> Option<ReplanExec> {
-        let cfg = &self.cfg;
-        let oc = cfg.online;
-        let bytes_per_expert = (cfg.model.expert_params() * 2).max(1);
-        let ReplanState { objective, cache } = state;
-        let budget_now = oc.budget_for(drift_now, *carry);
-        let scan_budget = oc.replan_time_budget;
-        let (plan, cost) = if oc.replica_memory_bytes > 0 {
-            let incumbent = ReplicationPlan {
-                base: placement.clone(),
-                replicas: replicated.clone(),
-            };
-            // Resolve the config-level fan-out knob against this engine's
-            // cluster shape.
-            let policy = match oc.replica_policy {
-                ReplicaPlacement::Everywhere => ReplicaPolicy::Everywhere,
-                ReplicaPlacement::OnePerNode => ReplicaPolicy::OnePerNode(cfg.cluster),
-            };
-            let (next, cost) = solve_budgeted_replicated_metered(
-                objective,
-                &incumbent,
-                bytes_per_expert,
-                &ReplicationBudget {
-                    replica_memory_bytes: oc.replica_memory_bytes,
-                    migration_budget_bytes: budget_now,
-                },
-                &policy,
-                scan_budget,
-                Some(cache),
-            );
-            let plan = MigrationPlan::between_replicated(&incumbent, &next, bytes_per_expert);
-            *placement = next.base;
-            *replicated = next.replicas;
-            (plan, cost)
-        } else {
-            let max_moves = budget_now / bytes_per_expert;
-            let (next, cost) =
-                solve_budgeted_metered(objective, placement, max_moves, scan_budget, Some(cache));
-            let plan = MigrationPlan::between(placement, &next, bytes_per_expert);
-            *placement = next;
-            (plan, cost)
-        };
-        debug_assert!(plan.total_bytes() <= budget_now);
-        if oc.budget_rollover {
-            *carry = budget_now.saturating_sub(plan.total_bytes());
-        }
-        if plan.is_empty() {
-            return None;
-        }
-        let (time, bytes) = self.execute_migrations(&plan);
-        Some(ReplanExec {
-            experts_moved: plan.n_relocations() as u64,
-            replicas_added: plan.n_replica_adds() as u64,
-            replicas_dropped: plan.n_replica_drops() as u64,
-            bytes_moved: plan.total_bytes(),
-            budget_bytes: budget_now,
-            migration_time: time,
-            bytes,
-            cost,
-        })
-    }
+/// One rank's share of a pass.
+#[derive(Default)]
+struct RankResult {
+    breakdown: OpBreakdown,
+    dispatch: DispatchStats,
+    final_clock: f64,
+}
 
-    /// Execute a migration plan over the simulated collectives: each rank
-    /// serializes its outgoing expert transfers (and absorbs its incoming
-    /// ones) on the α–β cost model at full link bandwidth, then a barrier
-    /// holds the fleet until the slowest endpoint finishes — the same
-    /// busiest-endpoint bound `CollectiveCostModel::exchange_time` prices.
-    /// Weight payloads are charged analytically (precedent: the context
-    /// AllGather of prompt tokens), since the simulation never inspects
-    /// their contents. Returns the completion time and bytes by class.
-    pub(crate) fn execute_migrations(&self, plan: &MigrationPlan) -> (f64, BytesByClass) {
-        let cfg = &self.cfg;
-        let matrix = plan.send_matrix(cfg.cluster.world_size());
-        let world = CommWorld::new(cfg.cluster, cfg.link_cost);
-        let finish = world.run(|comm| {
-            let me = comm.rank().0;
-            let start = comm.now();
-            let mut sent = BytesByClass::default();
-            let mut send_time = 0.0f64;
-            for (dst, &bytes) in matrix[me].iter().enumerate() {
-                if bytes > 0 {
-                    let class = cfg.cluster.link_class(Rank(me), Rank(dst));
-                    send_time += cfg.link_cost.transfer_time(class, bytes);
-                    sent.add(class, bytes);
-                }
-            }
-            let mut recv_time = 0.0f64;
-            for (src, row) in matrix.iter().enumerate() {
-                if row[me] > 0 {
-                    let class = cfg.cluster.link_class(Rank(src), Rank(me));
-                    recv_time += cfg.link_cost.transfer_time(class, row[me]);
-                }
-            }
-            comm.advance(send_time.max(recv_time));
-            comm.barrier();
-            comm.record(CommRecord {
-                op: OpKind::Migration,
-                rank: me,
-                start,
-                end: comm.now(),
-                sent,
-            });
-            comm.now()
-        });
-        let time = finish.into_iter().fold(0.0f64, f64::max);
-        (time, world.stats().totals(OpKind::Migration).sent)
-    }
-
-    /// The per-rank SPMD body. `live_ranks` lists the live GPUs
-    /// ascending; dead ranks own nothing and carry nothing but still
-    /// enter every collective so the virtual clocks agree. With every
-    /// rank live this computes bit-identically to the unmasked loop:
-    /// `live_ranks[id % live_ranks.len()]` is then exactly `id % w`.
-    // Mirrors the SPMD rank-body signature; bundling into a struct would
-    // hide which inputs every rank must agree on.
-    #[allow(clippy::too_many_arguments)]
+impl Pass<'_> {
+    /// The per-rank SPMD body. Per MoE layer: attention and gating where
+    /// the token sits, `route` + `exchange` (the dispatch Alltoall),
+    /// `run_experts`, then `combine` — which for context-coherent top-1
+    /// is a no-op (tokens stay where their experts are: *one* Alltoall
+    /// per layer) and for vanilla and context-coherent top-2 is a second
+    /// `exchange`.
     fn rank_loop(
         &self,
         comm: &mut RankComm,
-        mode: ParallelismMode,
-        placement: &Placement,
-        replicated: &[LayerReplicas],
         batches: &[TokenBatch],
         ctx_offset: usize,
-        live_ranks: &[usize],
     ) -> RankResult {
-        let cfg = &self.cfg;
+        let cfg = self.cfg;
         let me = comm.rank().0;
-        let w = comm.world_size();
-        let alive = live_ranks.contains(&me);
-        let n_live = live_ranks.len();
-        let sim_dim = cfg.model.sim_dim;
-        let frame = frame_size(cfg.model.token_bytes(), sim_dim);
-        let my_node = cfg.cluster.node_of(Rank(me));
-        let k = cfg.model.gate.k();
-
-        // Load this rank's experts (deterministic per (layer, expert), so
-        // any placement sees identical weights), including replicas whose
-        // subset covers this rank. Dead ranks hold nothing — an evacuated
-        // placement never routes to them anyway. Ordered map per the
-        // determinism contract (detlint D001).
-        let mut experts: BTreeMap<(usize, usize), Expert> = BTreeMap::new();
-        if alive {
-            for (layer, layer_replicas) in replicated.iter().enumerate() {
-                let mut ids = placement.experts_on(layer, me);
-                for (x, units) in layer_replicas {
-                    if units.contains(&me) && !ids.contains(x) {
-                        ids.push(*x);
-                    }
-                }
-                for e in ids {
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed ^ (layer as u64) << 32 ^ (e as u64) << 8 ^ 0xe4e4,
-                    );
-                    experts.insert((layer, e), Expert::random(sim_dim, sim_dim * 4, &mut rng));
-                }
-            }
-        }
-
-        let mut breakdown = OpBreakdown::default();
-        let mut dispatch = DispatchStats::default();
-
-        // Context coherence setup: one AllGather of all prompt contexts.
-        // This happens once before generation and its payload (every
-        // prompt token on every GPU) would dominate the simulation's
-        // memory traffic without affecting any per-layer behaviour, so it
-        // is charged analytically: every rank advances by the same ring
-        // AllGather time the cost model predicts.
-        if mode.context_coherent() {
-            // Tokens are resident round-robin by id over the *live*
-            // ranks, so the live rank at position `j` holds `ceil`-or-
-            // `floor` of `n / n_live` of them and dead ranks contribute
-            // nothing; every rank computes the same contribution vector
-            // and hence the same analytic time.
-            let n_tokens = batches.first().map_or(0, TokenBatch::len);
-            let contribs: Vec<u64> = (0..w)
-                .map(|r| {
-                    let mine = match live_ranks.iter().position(|&lr| lr == r) {
-                        Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
-                        None => 0,
-                    };
-                    (mine * cfg.prompt_len * frame) as u64
-                })
-                .collect();
-            let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
-            let t = analytic.allgatherv_time(&contribs);
-            comm.advance(t);
-            breakdown.allgather += t;
+        let mut acc = RankResult::default();
+        let experts = self.load_experts(me);
+        if self.mode.context_coherent() {
+            self.gather_prompt_contexts(comm, batches, &mut acc.breakdown);
         }
 
         for (iter, batch) in batches.iter().enumerate() {
             let ctx_len = cfg.prompt_len + ctx_offset + iter;
+            let mut resident = self.home_tokens(me, iter, batch);
 
-            // This rank's requests each contribute one in-flight token;
-            // tokens spread round-robin over the live ranks, whatever the
-            // batch size (dead ranks home nothing).
-            let mut resident: Vec<Token> = (0..batch.len())
-                .filter(|id| live_ranks[id % n_live] == me)
-                .map(|id| {
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed ^ (iter as u64) << 40 ^ (id as u64) << 4 ^ 0x70_6b,
-                    );
-                    Token {
-                        id: id as u32,
-                        home: me as u32,
-                        domain: batch.domains[id] as u32,
-                        slot: 0,
-                        emb: (0..sim_dim).map(|_| rng.gen_range(-1.0..1.0f32)).collect(),
-                    }
-                })
-                .collect();
-
-            for (layer, layer_replicas) in replicated.iter().enumerate() {
+            for layer in 0..cfg.model.n_layers {
                 // Attention: in-place on whatever GPU the token occupies
                 // (context-coherent) or on the home GPU (vanilla — tokens
                 // are home here because the previous layer combined).
@@ -919,258 +622,307 @@ impl InferenceEngine {
                     .compute
                     .attention_time(&cfg.model, resident.len(), ctx_len);
                 comm.advance(t_att);
-                breakdown.attention += t_att;
+                acc.breakdown.attention += t_att;
 
-                // Gating.
                 let t_gate = cfg.compute.gating_time(&cfg.model, resident.len());
                 comm.advance(t_gate);
-                breakdown.gating += t_gate;
+                acc.breakdown.gating += t_gate;
 
-                // Dispatch Alltoall: route every resident token (one copy
-                // per gated expert) to the GPU holding that expert.
-                let mut outgoing: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
-                for tok in resident.drain(..) {
-                    for slot in 0..k {
-                        let expert = batch.routes[tok.id as usize][layer][slot] as usize;
-                        let owner = placement.unit_of(layer, expert);
-                        // Subsets are sorted by expert, so holder lookup
-                        // is a binary search.
-                        let units: &[usize] = layer_replicas
-                            .binary_search_by_key(&expert, |r| r.0)
-                            .map(|i| layer_replicas[i].1.as_slice())
-                            .unwrap_or(&[]);
-                        // Meeting-point rule: in context-coherent top-2
-                        // the *primary* always runs on the owner GPU, so
-                        // every rank can derive the secondary-merge
-                        // destination from the route alone; all other
-                        // dispatch serves from the nearest live holder —
-                        // this GPU if it holds a copy, else a same-node
-                        // replica when the owner is off-node, else the
-                        // owner.
-                        let dst = if mode.context_coherent() && k > 1 && slot == 0 {
-                            owner
-                        } else if me == owner || units.contains(&me) {
-                            me
-                        } else if cfg.cluster.node_of(Rank(owner)) != my_node {
-                            units
-                                .iter()
-                                .copied()
-                                .filter(|&u| {
-                                    cfg.cluster.node_of(Rank(u)) == my_node
-                                        && live_ranks.binary_search(&u).is_ok()
-                                })
-                                .min()
-                                .unwrap_or(owner)
-                        } else {
-                            owner
-                        };
-                        dispatch.total += 1;
-                        if dst == me {
-                            dispatch.same_gpu += 1;
-                            dispatch.same_node += 1;
-                        } else if cfg.cluster.node_of(Rank(dst)) == my_node {
-                            dispatch.same_node += 1;
-                        }
-                        let mut copy = tok.clone();
-                        copy.slot = slot as u32;
-                        outgoing[dst].push(copy);
-                    }
-                }
-                let bufs: Vec<Vec<u8>> = outgoing.iter().map(|ts| encode(ts, frame)).collect();
-                // The Alltoall is a synchronization point: straggler wait
-                // at entry is attributed to `imbalance`, the collective's
-                // own cost to `alltoall`.
-                let t0 = comm.now();
-                comm.barrier();
-                breakdown.imbalance += comm.now() - t0;
-                let t1 = comm.now();
-                let received_bufs = comm.all_to_all_v(bufs);
-                breakdown.alltoall += comm.now() - t1;
-
-                let mut received: Vec<Token> = received_bufs
-                    .iter()
-                    .flat_map(|b| decode(b, frame))
-                    .collect();
-
-                // Expert FFN: group by expert, run the real reduced-dim
-                // matmuls, advance the clock by the true-dim cost. The
-                // per-token outputs are order-independent, but an ordered
-                // map keeps the group walk reproducible by construction
-                // (detlint D001).
-                let mut by_expert: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-                for (idx, tok) in received.iter().enumerate() {
-                    let expert = batch.routes[tok.id as usize][layer][tok.slot as usize] as usize;
-                    by_expert.entry(expert).or_default().push(idx);
-                }
-                for (expert_id, idxs) in &by_expert {
-                    let expert = experts
-                        .get(&(layer, *expert_id))
-                        .expect("token routed to an expert this rank does not hold");
-                    let mut flat = Vec::with_capacity(idxs.len() * sim_dim);
-                    for &i in idxs {
-                        flat.extend_from_slice(&received[i].emb);
-                    }
-                    let x = Matrix::from_vec(idxs.len(), sim_dim, flat);
-                    let y = expert.forward(&x);
-                    for (row, &i) in idxs.iter().enumerate() {
-                        received[i].emb.copy_from_slice(y.row(row));
-                    }
-                }
-                let t_ffn = cfg
-                    .compute
-                    .expert_time(&cfg.model, received.len(), by_expert.len(), 1);
-                comm.advance(t_ffn);
-                breakdown.expert_ffn += t_ffn;
-
-                if mode.context_coherent() {
-                    if k == 1 {
-                        // Tokens stay where their experts are.
-                        resident = received;
-                    } else {
-                        // Top-2: the primary copy's GPU is the meeting
-                        // point. Secondary outputs travel there in a second
-                        // (sparse) Alltoall and the copies are merged.
-                        let mut to_primary: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
-                        let mut primaries: Vec<Token> = Vec::new();
-                        for tok in received.drain(..) {
-                            if tok.slot == 0 {
-                                primaries.push(tok);
-                            } else {
-                                let pe = batch.routes[tok.id as usize][layer][0] as usize;
-                                let dst = placement.unit_of(layer, pe);
-                                to_primary[dst].push(tok);
-                            }
-                        }
-                        let bufs: Vec<Vec<u8>> =
-                            to_primary.iter().map(|ts| encode(ts, frame)).collect();
-                        let t0 = comm.now();
-                        comm.barrier();
-                        breakdown.imbalance += comm.now() - t0;
-                        let t1 = comm.now();
-                        let returned = comm.all_to_all_v(bufs);
-                        breakdown.alltoall += comm.now() - t1;
-                        let secondaries: Vec<Token> =
-                            returned.iter().flat_map(|b| decode(b, frame)).collect();
-                        resident = merge_topk(primaries, secondaries, sim_dim);
-                    }
-                } else {
-                    // Combine Alltoall: every copy returns to its home GPU
-                    // so the next layer's attention can see its context;
-                    // top-2 copies are merged there.
-                    let mut back: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
-                    for tok in received.drain(..) {
-                        let home = tok.home as usize;
-                        back[home].push(tok);
-                    }
-                    let bufs: Vec<Vec<u8>> = back.iter().map(|ts| encode(ts, frame)).collect();
-                    let t0 = comm.now();
-                    comm.barrier();
-                    breakdown.imbalance += comm.now() - t0;
-                    let t1 = comm.now();
-                    let returned = comm.all_to_all_v(bufs);
-                    breakdown.alltoall += comm.now() - t1;
-                    let all: Vec<Token> = returned.iter().flat_map(|b| decode(b, frame)).collect();
-                    resident = if k == 1 {
-                        all
-                    } else {
-                        let (primaries, secondaries): (Vec<Token>, Vec<Token>) =
-                            all.into_iter().partition(|t| t.slot == 0);
-                        merge_topk(primaries, secondaries, sim_dim)
-                    };
-                }
+                let outgoing = self.route(me, batch, layer, resident, &mut acc.dispatch);
+                let mut received = self.exchange(comm, &outgoing, &mut acc.breakdown);
+                self.run_experts(
+                    comm,
+                    &experts,
+                    batch,
+                    layer,
+                    &mut received,
+                    &mut acc.breakdown,
+                );
+                resident = self.combine(comm, batch, layer, received, &mut acc.breakdown);
             }
 
             // Context coherence upkeep: broadcast this iteration's newly
             // generated tokens so every GPU's context stays complete.
-            if mode.context_coherent() {
+            if self.mode.context_coherent() {
                 let t0 = comm.now();
                 comm.barrier();
-                breakdown.imbalance += comm.now() - t0;
+                acc.breakdown.imbalance += comm.now() - t0;
                 let t1 = comm.now();
-                let contrib = encode(&resident, frame);
+                let contrib = encode(&resident, self.frame);
                 let _ = comm.all_gather_v(contrib);
-                breakdown.allgather += comm.now() - t1;
+                acc.breakdown.allgather += comm.now() - t1;
             }
 
             comm.barrier();
         }
 
-        RankResult {
-            breakdown,
-            dispatch,
-            final_clock: comm.now(),
+        acc.final_clock = comm.now();
+        acc
+    }
+
+    /// Load rank `me`'s experts (deterministic per (layer, expert), so
+    /// any placement sees identical weights), including replicas whose
+    /// subset covers it. Dead ranks hold nothing — an evacuated placement
+    /// never routes to them anyway. Ordered map per the determinism
+    /// contract (detlint D001).
+    fn load_experts(&self, me: usize) -> BTreeMap<(usize, usize), Expert> {
+        let cfg = self.cfg;
+        let sim_dim = cfg.model.sim_dim;
+        let mut experts = BTreeMap::new();
+        if !self.live_ranks.contains(&me) {
+            return experts;
         }
-    }
-}
-
-struct RankResult {
-    breakdown: OpBreakdown,
-    dispatch: DispatchStats,
-    final_clock: f64,
-}
-
-/// The incremental solver state an adaptive serving loop carries across
-/// windows: the affinity objective — built once from the estimator's seed
-/// snapshot and kept current by CSR delta splices — and the persistent
-/// swap-gain cache the metered re-plan solvers draw on. Both surfaces
-/// (the windowed online loop and the request-level serving loop) thread
-/// one of these through every `replan_step` instead of rebuilding the
-/// `O(L x E^2)` objective per re-plan.
-pub(crate) struct ReplanState {
-    objective: Objective,
-    cache: SwapGainCache,
-}
-
-impl ReplanState {
-    /// Fold one estimator window delta into the maintained objective.
-    /// Bit-identical to `Objective::from_snapshot_with` on the
-    /// post-window snapshot, at the cost of only the touched rows.
-    pub(crate) fn absorb(&mut self, delta: &SnapshotDelta) {
-        self.objective.apply_snapshot_delta(delta);
-    }
-}
-
-/// Everything one executed re-plan changed, for the caller's accounting
-/// (shared by the windowed online loop and the serving front-end's event
-/// loop).
-pub(crate) struct ReplanExec {
-    pub(crate) experts_moved: u64,
-    pub(crate) replicas_added: u64,
-    pub(crate) replicas_dropped: u64,
-    pub(crate) bytes_moved: u64,
-    pub(crate) budget_bytes: u64,
-    pub(crate) migration_time: f64,
-    pub(crate) bytes: BytesByClass,
-    pub(crate) cost: ReplanCost,
-}
-
-impl ReplanExec {
-    /// The [`ReplanEvent`] this execution records at `window`.
-    pub(crate) fn event(&self, window: usize, drift: f64) -> ReplanEvent {
-        ReplanEvent {
-            window,
-            drift,
-            experts_moved: self.experts_moved,
-            replicas_added: self.replicas_added,
-            replicas_dropped: self.replicas_dropped,
-            bytes_moved: self.bytes_moved,
-            budget_bytes: self.budget_bytes,
-            migration_time: self.migration_time,
-            bytes_by_class: self.bytes,
-            solver_cost: self.cost,
+        for (layer, layer_replicas) in self.replicated.iter().enumerate() {
+            let mut ids = self.placement.experts_on(layer, me);
+            for (x, units) in layer_replicas {
+                if units.contains(&me) && !ids.contains(x) {
+                    ids.push(*x);
+                }
+            }
+            for e in ids {
+                let mut rng = StdRng::seed_from_u64(
+                    cfg.seed ^ (layer as u64) << 32 ^ (e as u64) << 8 ^ 0xe4e4,
+                );
+                experts.insert((layer, e), Expert::random(sim_dim, sim_dim * 4, &mut rng));
+            }
         }
+        experts
     }
-}
 
-impl MigrationStats {
-    /// Fold one executed re-plan into the running totals.
-    pub(crate) fn absorb(&mut self, exec: &ReplanExec) {
-        self.replans += 1;
-        self.experts_moved += exec.experts_moved;
-        self.replicas_added += exec.replicas_added;
-        self.replicas_dropped += exec.replicas_dropped;
-        self.bytes.merge(&exec.bytes);
-        self.time += exec.migration_time;
+    /// Context coherence setup: one AllGather of all prompt contexts.
+    /// This happens once before generation and its payload (every prompt
+    /// token on every GPU) would dominate the simulation's memory traffic
+    /// without affecting any per-layer behaviour, so it is charged
+    /// analytically: every rank advances by the same ring AllGather time
+    /// the cost model predicts.
+    fn gather_prompt_contexts(
+        &self,
+        comm: &mut RankComm,
+        batches: &[TokenBatch],
+        breakdown: &mut OpBreakdown,
+    ) {
+        let cfg = self.cfg;
+        let n_live = self.live_ranks.len();
+        // Tokens are resident round-robin by id over the *live* ranks, so
+        // the live rank at position `j` holds `ceil`-or-`floor` of
+        // `n / n_live` of them and dead ranks contribute nothing; every
+        // rank computes the same contribution vector and hence the same
+        // analytic time.
+        let n_tokens = batches.first().map_or(0, TokenBatch::len);
+        let contribs: Vec<u64> = (0..comm.world_size())
+            .map(|r| {
+                let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
+                    Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
+                    None => 0,
+                };
+                (mine * cfg.prompt_len * self.frame) as u64
+            })
+            .collect();
+        let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
+        let t = analytic.allgatherv_time(&contribs);
+        comm.advance(t);
+        breakdown.allgather += t;
+    }
+
+    /// Rank `me`'s requests each contribute one in-flight token; tokens
+    /// spread round-robin over the live ranks, whatever the batch size
+    /// (dead ranks home nothing).
+    fn home_tokens(&self, me: usize, iter: usize, batch: &TokenBatch) -> Vec<Token> {
+        let cfg = self.cfg;
+        let n_live = self.live_ranks.len();
+        (0..batch.len())
+            .filter(|id| self.live_ranks[id % n_live] == me)
+            .map(|id| {
+                let mut rng = StdRng::seed_from_u64(
+                    cfg.seed ^ (iter as u64) << 40 ^ (id as u64) << 4 ^ 0x70_6b,
+                );
+                Token {
+                    id: id as u32,
+                    home: me as u32,
+                    domain: batch.domains[id] as u32,
+                    slot: 0,
+                    emb: (0..cfg.model.sim_dim)
+                        .map(|_| rng.gen_range(-1.0..1.0f32))
+                        .collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Dispatch routing: one copy of every resident token per gated
+    /// expert, bucketed by the GPU that will serve it.
+    fn route(
+        &self,
+        me: usize,
+        batch: &TokenBatch,
+        layer: usize,
+        resident: Vec<Token>,
+        dispatch: &mut DispatchStats,
+    ) -> Vec<Vec<Token>> {
+        let cluster = &self.cfg.cluster;
+        let my_node = cluster.node_of(Rank(me));
+        let k = self.cfg.model.gate.k();
+        let layer_replicas = &self.replicated[layer];
+        let mut outgoing: Vec<Vec<Token>> = (0..cluster.world_size()).map(|_| Vec::new()).collect();
+        for tok in resident {
+            for slot in 0..k {
+                let expert = batch.routes[tok.id as usize][layer][slot] as usize;
+                let owner = self.placement.unit_of(layer, expert);
+                // Subsets are sorted by expert, so holder lookup is a
+                // binary search.
+                let units: &[usize] = layer_replicas
+                    .binary_search_by_key(&expert, |r| r.0)
+                    .map(|i| layer_replicas[i].1.as_slice())
+                    .unwrap_or(&[]);
+                // Meeting-point rule: in context-coherent top-2 the
+                // *primary* always runs on the owner GPU, so every rank
+                // can derive the secondary-merge destination from the
+                // route alone; all other dispatch serves from the nearest
+                // live holder — this GPU if it holds a copy, else a
+                // same-node replica when the owner is off-node, else the
+                // owner.
+                let dst = if self.mode.context_coherent() && k > 1 && slot == 0 {
+                    owner
+                } else if me == owner || units.contains(&me) {
+                    me
+                } else if cluster.node_of(Rank(owner)) != my_node {
+                    units
+                        .iter()
+                        .copied()
+                        .filter(|&u| {
+                            cluster.node_of(Rank(u)) == my_node
+                                && self.live_ranks.binary_search(&u).is_ok()
+                        })
+                        .min()
+                        .unwrap_or(owner)
+                } else {
+                    owner
+                };
+                dispatch.total += 1;
+                if dst == me {
+                    dispatch.same_gpu += 1;
+                    dispatch.same_node += 1;
+                } else if cluster.node_of(Rank(dst)) == my_node {
+                    dispatch.same_node += 1;
+                }
+                let mut copy = tok.clone();
+                copy.slot = slot as u32;
+                outgoing[dst].push(copy);
+            }
+        }
+        outgoing
+    }
+
+    /// The Alltoall every token movement goes through: `outgoing[dst]`
+    /// travels to rank `dst`; returns what arrived here, in source-rank
+    /// order. The Alltoall is a synchronization point: straggler wait at
+    /// entry is attributed to `imbalance`, the collective's own cost to
+    /// `alltoall`.
+    fn exchange(
+        &self,
+        comm: &mut RankComm,
+        outgoing: &[Vec<Token>],
+        breakdown: &mut OpBreakdown,
+    ) -> Vec<Token> {
+        let bufs: Vec<Vec<u8>> = outgoing.iter().map(|ts| encode(ts, self.frame)).collect();
+        let t0 = comm.now();
+        comm.barrier();
+        breakdown.imbalance += comm.now() - t0;
+        let t1 = comm.now();
+        let received = comm.all_to_all_v(bufs);
+        breakdown.alltoall += comm.now() - t1;
+        received
+            .iter()
+            .flat_map(|b| decode(b, self.frame))
+            .collect()
+    }
+
+    /// Expert FFN: group by expert, run the real reduced-dim matmuls,
+    /// advance the clock by the true-dim cost. The per-token outputs are
+    /// order-independent, but an ordered map keeps the group walk
+    /// reproducible by construction (detlint D001).
+    fn run_experts(
+        &self,
+        comm: &mut RankComm,
+        experts: &BTreeMap<(usize, usize), Expert>,
+        batch: &TokenBatch,
+        layer: usize,
+        received: &mut [Token],
+        breakdown: &mut OpBreakdown,
+    ) {
+        let cfg = self.cfg;
+        let sim_dim = cfg.model.sim_dim;
+        let mut by_expert: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (idx, tok) in received.iter().enumerate() {
+            let expert = batch.routes[tok.id as usize][layer][tok.slot as usize] as usize;
+            by_expert.entry(expert).or_default().push(idx);
+        }
+        for (expert_id, idxs) in &by_expert {
+            let expert = experts
+                .get(&(layer, *expert_id))
+                .expect("token routed to an expert this rank does not hold");
+            let mut flat = Vec::with_capacity(idxs.len() * sim_dim);
+            for &i in idxs {
+                flat.extend_from_slice(&received[i].emb);
+            }
+            let x = Matrix::from_vec(idxs.len(), sim_dim, flat);
+            let y = expert.forward(&x);
+            for (row, &i) in idxs.iter().enumerate() {
+                received[i].emb.copy_from_slice(y.row(row));
+            }
+        }
+        let t_ffn = cfg
+            .compute
+            .expert_time(&cfg.model, received.len(), by_expert.len(), 1);
+        comm.advance(t_ffn);
+        breakdown.expert_ffn += t_ffn;
+    }
+
+    /// Where expert outputs go before the next layer's attention, and
+    /// the top-2 merge.
+    fn combine(
+        &self,
+        comm: &mut RankComm,
+        batch: &TokenBatch,
+        layer: usize,
+        received: Vec<Token>,
+        breakdown: &mut OpBreakdown,
+    ) -> Vec<Token> {
+        let w = comm.world_size();
+        let k = self.cfg.model.gate.k();
+        if self.mode.context_coherent() && k == 1 {
+            // Tokens stay where their experts are.
+            return received;
+        }
+        let mut outgoing: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
+        if self.mode.context_coherent() {
+            // Top-2: the primary copy's GPU is the meeting point.
+            // Secondary outputs travel there in a second (sparse)
+            // Alltoall and the copies are merged.
+            let mut primaries = Vec::new();
+            for tok in received {
+                if tok.slot == 0 {
+                    primaries.push(tok);
+                } else {
+                    let primary = batch.routes[tok.id as usize][layer][0] as usize;
+                    outgoing[self.placement.unit_of(layer, primary)].push(tok);
+                }
+            }
+            let secondaries = self.exchange(comm, &outgoing, breakdown);
+            return merge_topk(primaries, secondaries);
+        }
+        // Vanilla: every copy returns to its home GPU so the next layer's
+        // attention can see its context; top-2 copies are merged there.
+        for tok in received {
+            let home = tok.home as usize;
+            outgoing[home].push(tok);
+        }
+        let all = self.exchange(comm, &outgoing, breakdown);
+        if k == 1 {
+            return all;
+        }
+        let (primaries, secondaries) = all.into_iter().partition(|t| t.slot == 0);
+        merge_topk(primaries, secondaries)
     }
 }
 
@@ -1181,7 +933,7 @@ const TOP2_WEIGHTS: (f32, f32) = (0.7, 0.3);
 
 /// Merge top-2 copies: each primary output is blended with its token's
 /// secondary output (when present on this rank after the return Alltoall).
-fn merge_topk(primaries: Vec<Token>, secondaries: Vec<Token>, _sim_dim: usize) -> Vec<Token> {
+fn merge_topk(primaries: Vec<Token>, secondaries: Vec<Token>) -> Vec<Token> {
     let mut sec: BTreeMap<u32, Vec<f32>> = secondaries.into_iter().map(|t| (t.id, t.emb)).collect();
     primaries
         .into_iter()

@@ -99,9 +99,9 @@ impl Scenario {
     /// re-plans (see the `scale_budget_by_drift` / `budget_rollover`
     /// toggles). With `OnlineConfig::replica_memory_bytes > 0` the
     /// re-plan is **replication-aware**: it may also add or drop expert
-    /// replicas onto `OnlineConfig::replica_policy`-chosen GPU subsets
-    /// (`solve_budgeted_replicated` races subset selection against full
-    /// fan-out and owner-move descent under the joint budget), replica
+    /// replicas onto one-GPU-per-node subsets (`solve_budgeted_replicated`
+    /// races subset selection against full fan-out and owner-move descent
+    /// under the joint budget), replica
     /// fan-out traffic to the selected subset is priced into the same
     /// migration budget, and dispatch serves replicated experts from the
     /// token's own GPU — or a same-node holder — whenever the subset
@@ -263,7 +263,7 @@ impl InferenceEngine {
                 &plan.replicas,
                 &batches,
                 0,
-                None,
+                self.all_ranks(),
             ));
         }
         ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))

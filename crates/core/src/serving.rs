@@ -14,34 +14,50 @@
 //! each pass's simulated `total_time`, so queueing delay, batching
 //! efficiency, and placement quality all land in the same clock.
 //!
-//! Drift handling composes exactly like the windowed mode: virtual time
-//! is divided into serving windows of `window_duration`; when the clock
-//! crosses a boundary, the realized expert paths folded into the decayed
-//! streaming estimate produce a drift signal, and an over-threshold
-//! signal triggers the same budgeted re-plan (`replan_step`) the online
-//! loop uses. The migration itself overlaps with serving: expert weights
-//! stream over the interconnect in the background while decode steps
-//! keep running on the *old* placement, and the new placement activates
-//! only once the copy lands. Overlap is not free — steps that run while
-//! a copy is in flight share links with it and pay a
-//! [`MIGRATION_CONTENTION`] surcharge — so re-placement cost still
-//! surfaces in the latency tail, as contention plus deferred benefit
-//! rather than a dead stop.
+//! # Handler map
 //!
-//! Faults compose on top: a seeded
-//! [`FaultSchedule`] injects GPU loss,
-//! rejoin, and fleet scale events into the same event queue. On a loss
-//! the engine *evacuates* the dead GPU's experts to the survivors — for
-//! free where a replica already holds a copy (failover), priced as an
-//! *emergency* restore copy otherwise (mandatory, so its byte budget is
-//! elevated to whatever the restore needs; it overlaps with serving and
-//! charges the same [`MIGRATION_CONTENTION`] surcharge). In-flight
-//! requests homed on the lost GPU are re-queued and counted in the
-//! report's [`DisruptionStats`]. On a
-//! rejoin the engine re-homes experts back onto the returned GPU the
-//! same way. Dead GPUs stay in the collectives with empty payloads, so
-//! the SPMD clocks — and hence bit-identity across thread counts — are
-//! unaffected by fleet churn.
+//! The loop pops `(time, seq)`-ordered events into one `ServingState`;
+//! each event kind has one handler, and `try_start_step` runs after
+//! every event.
+//!
+//! | event | handler | what it may mutate |
+//! | --- | --- | --- |
+//! | `Arrival` | `on_arrival` | queue, queue-depth log, a wait deadline |
+//! | `WaitDeadline` | none — it only re-runs `try_start_step` | — |
+//! | `StepDone` | `on_step_done` | in-flight pool, completions, pending paths; per crossed window boundary the shared window-close, then `queue_copy` |
+//! | `Fleet` down | `on_fleet_down` | live ranks, disrupted requests back to the queue, the live plan (at once), `copying` (cancelled), `emergency_until` |
+//! | `Fleet` up | `on_fleet_up` | live ranks, the live plan, `queue_copy` |
+//! | after each | `try_start_step` | pool top-up, one engine pass, step counters, the next `StepDone` |
+//!
+//! **Drift** composes exactly like the windowed mode: virtual time is
+//! divided into serving windows of `window_duration`; when a finished
+//! step's clock has crossed a boundary, the realized expert paths fold
+//! into the decayed streaming estimate and each ended window goes
+//! through the same window-close the online loop uses
+//! (`crate::adaptive`: drift signal, cadence and threshold check,
+//! budgeted re-plan, re-anchor). The migration itself overlaps with
+//! serving (`queue_copy`): expert weights stream over the interconnect
+//! in the background while decode steps keep running on the *old*
+//! placement, and the new placement activates only once the copy lands.
+//! Overlap is not free — steps that run while a copy is in flight share
+//! links with it and pay a [`MIGRATION_CONTENTION`] surcharge — so
+//! re-placement cost still surfaces in the latency tail, as contention
+//! plus deferred benefit rather than a dead stop.
+//!
+//! **Faults** compose on top: a seeded [`FaultSchedule`] injects GPU
+//! loss, rejoin, and fleet scale events into the same event queue. On a
+//! loss the engine *evacuates* the dead GPU's experts to the survivors
+//! (`exflow_placement::online::plan_gpu_loss`) — for free where a
+//! replica already holds a copy (failover), priced as an *emergency*
+//! restore copy otherwise (mandatory, so its byte budget is whatever
+//! the restore needs; it overlaps with serving and charges the same
+//! [`MIGRATION_CONTENTION`] surcharge). In-flight requests homed on the
+//! lost GPU are re-queued and counted in the report's
+//! [`DisruptionStats`]. On a rejoin the engine re-homes experts back
+//! onto the returned GPU (`plan_gpu_rejoin`) as a background copy. Dead
+//! GPUs stay in the collectives with empty payloads, so the SPMD clocks
+//! — and hence bit-identity across thread counts — are unaffected by
+//! fleet churn.
 //!
 //! The whole run is a pure function of `(config, drift schedule, serving
 //! config, fault schedule)`: the event queue orders events by `(time,
@@ -55,12 +71,12 @@ use std::collections::{BinaryHeap, VecDeque};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use exflow_affinity::{RoutingTrace, StreamingAffinity};
 use exflow_model::arrival::ArrivalProcess;
 use exflow_model::{DriftSchedule, FaultKind, FaultSchedule, TokenBatch};
-use exflow_placement::online::{ExpertMove, MigrationPlan};
-use exflow_placement::{LayerReplicas, Placement, ReplicationPlan};
+use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin, MigrationPlan};
+use exflow_placement::ReplicationPlan;
 
+use crate::adaptive::AdaptiveState;
 use crate::engine::InferenceEngine;
 use crate::modes::ParallelismMode;
 use crate::report::{DispatchStats, DisruptionStats, FaultMarker, MigrationStats, ServingReport};
@@ -280,7 +296,7 @@ impl InferenceEngine {
             &no_replicas,
             &[batch],
             0,
-            None,
+            self.all_ranks(),
         )
         .total_time
     }
@@ -301,527 +317,392 @@ impl InferenceEngine {
         faults: &FaultSchedule,
         initial: Option<&ReplicationPlan>,
     ) -> ServingReport {
+        let mut state = ServingState::new(self, mode, drift, serving, faults, initial);
+        while let Some(ev) = state.events.pop() {
+            let clock = ev.time;
+            match ev.kind {
+                EventKind::Arrival(i) => state.on_arrival(clock, i),
+                // Deadlines carry no state of their own; they exist to
+                // re-run the batch-opening check below.
+                EventKind::WaitDeadline(_) => {}
+                EventKind::StepDone => state.on_step_done(clock),
+                EventKind::Fleet(i) => {
+                    let fault = faults.events()[i];
+                    match fault.kind {
+                        FaultKind::Down => state.on_fleet_down(clock, fault.gpu),
+                        FaultKind::Up => state.on_fleet_up(clock, fault.gpu),
+                    }
+                }
+            }
+            state.try_start_step(clock);
+        }
+        state.finish()
+    }
+}
+
+/// Everything the event loop carries between events. One handler per
+/// [`EventKind`] mutates it; [`ServingState::try_start_step`] runs after
+/// every event.
+struct ServingState<'a> {
+    engine: &'a InferenceEngine,
+    serving: &'a ServingConfig,
+    requests: Vec<Request>,
+    events: EventQueue,
+    /// Streaming estimate, live plan and re-plan ledgers, seeded exactly
+    /// as the windowed online loop seeds them.
+    adaptive: AdaptiveState<'a>,
+    cur_window: usize,
+    /// Realized paths of steps finished since the last window close.
+    pending_paths: Vec<Vec<u16>>,
+    /// Live GPUs, ascending; recomputed only on fleet events.
+    live_ranks: Vec<usize>,
+    /// `live_ranks` as of the current step's start (mirrors
+    /// `run_with_batches` token homing, so a loss disrupts exactly the
+    /// requests the dead GPU was serving).
+    step_live: Vec<usize>,
+    /// Steps before this instant share links with an emergency restore.
+    emergency_until: f64,
+    /// An in-flight background weight copy: when it lands, and the
+    /// *stale* plan steps keep using until then (`adaptive.live` already
+    /// holds the new one).
+    copying: Option<(f64, ReplicationPlan)>,
+    queue: VecDeque<usize>,
+    in_flight: Vec<usize>,
+    stepping: bool,
+    /// Accumulates in place; the adaptive ledgers join it in `finish`.
+    report: ServingReport,
+}
+
+impl<'a> ServingState<'a> {
+    fn new(
+        engine: &'a InferenceEngine,
+        mode: ParallelismMode,
+        drift: &DriftSchedule,
+        serving: &'a ServingConfig,
+        faults: &FaultSchedule,
+        initial: Option<&ReplicationPlan>,
+    ) -> Self {
         serving.validate();
-        let cfg = self.config();
-        let oc = cfg.online;
-        let e = cfg.model.n_experts;
-        let w = cfg.cluster.world_size();
+        let cfg = engine.config();
         assert_eq!(
             faults.n_units(),
-            w,
+            cfg.cluster.world_size(),
             "fault schedule must cover the provisioned fleet"
         );
-        let shape = drift.model_at(0);
-        assert_eq!(shape.n_layers(), cfg.model.n_layers, "drift layer mismatch");
-        assert_eq!(shape.n_experts(), e, "drift expert mismatch");
-        assert_eq!(
-            shape.n_domains(),
-            cfg.corpus.domain_weights.len(),
-            "drift domain mismatch"
-        );
-
+        // An explicit starting plan (`Scenario::with_replication`)
+        // overrides the engine-chosen placement.
+        let start = match initial {
+            Some(plan) => plan.clone(),
+            None => ReplicationPlan::bare(engine.placement_for(mode).clone()),
+        };
+        let adaptive = AdaptiveState::new(engine, mode, drift, start);
         let n = serving.n_requests;
-        let max_size = serving.batch.max_size();
-        let window_of = |t: f64| -> usize {
-            ((t / serving.window_duration) as usize).min(drift.n_windows() - 1)
+        let mut state = ServingState {
+            engine,
+            serving,
+            requests: Vec::with_capacity(n),
+            events: EventQueue::new(),
+            adaptive,
+            cur_window: 0,
+            pending_paths: Vec::new(),
+            live_ranks: engine.all_ranks().to_vec(),
+            step_live: engine.all_ranks().to_vec(),
+            emergency_until: 0.0,
+            copying: None,
+            queue: VecDeque::new(),
+            in_flight: Vec::new(),
+            stepping: false,
+            report: ServingReport {
+                mode,
+                latencies: Vec::with_capacity(n),
+                offered_load: 0.0,
+                makespan: 0.0,
+                queue_depth: Vec::new(),
+                batch_occupancy: vec![0; serving.batch.max_size() + 1],
+                steps: 0,
+                busy: 0.0,
+                dispatch: DispatchStats::default(),
+                drift: Vec::new(),
+                replans: Vec::new(),
+                migrations: MigrationStats::default(),
+                completions: Vec::with_capacity(n),
+                disruption: DisruptionStats::default(),
+                window_duration: serving.window_duration,
+            },
         };
 
         // Seeded traffic: arrival timestamps from the arrival process,
         // then each request's domain and full decode route from the
         // routing model of the window it arrives in (its own seed stream,
         // disjoint from profiling and from the windowed mode's).
-        let arrivals = serving.arrival.sample(n, cfg.seed ^ 0xac71_0e55);
         let k = cfg.model.gate.k();
-        let mut requests: Vec<Request> = arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| {
-                let mut rng = StdRng::seed_from_u64(
-                    cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5e59,
-                );
-                let model = drift.model_at(window_of(t));
-                let domain = cfg.corpus.sample_domain(&mut rng);
-                let routes = (0..serving.decode_steps)
-                    .map(|_| model.sample_route(&mut rng, domain, k))
-                    .collect();
-                Request {
-                    arrival: t,
-                    domain,
-                    routes,
-                    steps_done: 0,
-                }
-            })
-            .collect();
-
-        // Streaming estimator and re-plan state, exactly as the windowed
-        // online loop seeds them; an explicit starting replication plan
-        // (the [`Scenario`](crate::scenario::Scenario) front door's
-        // `with_replication`) overrides the engine-chosen placement.
-        let mut streaming = StreamingAffinity::new(cfg.model.n_layers, e, oc.decay);
-        streaming.observe(self.profile_trace());
-        let mut reference = streaming.snapshot();
-        // The incremental re-plan state (delta-maintained objective plus
-        // persistent swap-gain cache) rides across every window boundary,
-        // exactly as in the windowed loop.
-        let mut replan_state = self.replan_state(&reference);
-        let (mut placement, mut replicated): (Placement, Vec<LayerReplicas>) = match initial {
-            Some(plan) => (plan.base.clone(), plan.replicas.clone()),
-            None => (
-                self.placement_for(mode).clone(),
-                vec![Vec::new(); cfg.model.n_layers],
-            ),
-        };
-        let mut carry = 0u64;
-        let mut cur_window = 0usize;
-        let mut pending_paths: Vec<Vec<u16>> = Vec::new();
-        let mut drifts = Vec::new();
-        let mut replans = Vec::new();
-        let mut migrations = MigrationStats::default();
-
-        // Event loop state.
-        let mut events = EventQueue::new();
+        let arrivals = serving.arrival.sample(n, cfg.seed ^ 0xac71_0e55);
         for (i, &t) in arrivals.iter().enumerate() {
-            events.push(t, EventKind::Arrival(i));
+            let mut rng = StdRng::seed_from_u64(
+                cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5e59,
+            );
+            let model = drift.model_at(state.window_of(t));
+            let domain = cfg.corpus.sample_domain(&mut rng);
+            let routes = (0..serving.decode_steps)
+                .map(|_| model.sample_route(&mut rng, domain, k))
+                .collect();
+            state.requests.push(Request {
+                arrival: t,
+                domain,
+                routes,
+                steps_done: 0,
+            });
+            state.events.push(t, EventKind::Arrival(i));
         }
         for (i, ev) in faults.events().iter().enumerate() {
-            events.push(ev.time, EventKind::Fleet(i));
+            state.events.push(ev.time, EventKind::Fleet(i));
         }
-        // Fleet state: which GPUs are up, the emergency-restore horizon
-        // (steps before it share links with a restore copy), and which
-        // live rank each in-flight slot was homed on when the current
-        // step started (mirrors `run_with_batches` token homing, so a
-        // loss disrupts exactly the requests the dead GPU was serving).
-        let mut live_mask = vec![true; w];
-        let mut emergency_until = 0.0f64;
-        let mut step_live: Vec<usize> = (0..w).collect();
-        let mut disruption = DisruptionStats::default();
-        let mut completions: Vec<(f64, f64)> = Vec::with_capacity(n);
-        let bytes_per_expert = (cfg.model.expert_params() * 2).max(1);
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut in_flight: Vec<usize> = Vec::new();
-        let mut stepping = false;
-        // An in-flight background weight copy: `(lands_at, placement,
-        // replicas)` — the *stale* plan steps keep using until the copy
-        // completes. `placement`/`replicated` already hold the new plan.
-        let mut copying: Option<(f64, Placement, Vec<LayerReplicas>)> = None;
-        let mut latencies: Vec<f64> = Vec::with_capacity(n);
-        let mut makespan = 0.0f64;
-        let mut queue_depth: Vec<(f64, usize)> = Vec::new();
-        let mut occupancy = vec![0u64; max_size + 1];
-        let mut steps = 0u64;
-        let mut busy = 0.0f64;
-        let mut dispatch = DispatchStats::default();
+        state
+    }
 
-        while let Some(ev) = events.pop() {
-            let clock = ev.time;
-            match ev.kind {
-                EventKind::Arrival(i) => {
-                    queue.push_back(i);
-                    queue_depth.push((clock, queue.len()));
-                    if let BatchPolicy::SizeOrWait { max_wait, .. } = serving.batch {
-                        events.push(clock + max_wait, EventKind::WaitDeadline(i));
-                    }
-                }
-                // Deadlines carry no state of their own; they exist to
-                // re-run the batch-opening check below.
-                EventKind::WaitDeadline(_) => {}
-                EventKind::StepDone => {
-                    stepping = false;
-                    // Completions and per-step realized paths.
-                    let mut still = Vec::with_capacity(in_flight.len());
-                    for &i in &in_flight {
-                        let req = &mut requests[i];
-                        let path = req.routes[req.steps_done]
-                            .iter()
-                            .map(|slots| slots[0])
-                            .collect();
-                        pending_paths.push(path);
-                        req.steps_done += 1;
-                        if req.steps_done == serving.decode_steps {
-                            latencies.push(clock - req.arrival);
-                            completions.push((clock, clock - req.arrival));
-                            makespan = makespan.max(clock);
-                        } else {
-                            still.push(i);
-                        }
-                    }
-                    in_flight = still;
+    fn window_of(&self, t: f64) -> usize {
+        ((t / self.serving.window_duration) as usize).min(self.adaptive.n_windows - 1)
+    }
 
-                    // Window boundaries crossed while this step ran: fold
-                    // the accumulated paths into the estimate once, then
-                    // evaluate each ended window's drift/re-plan exactly
-                    // as the windowed loop would.
-                    let wnow = window_of(clock);
-                    if wnow > cur_window && !pending_paths.is_empty() {
-                        let delta = streaming.observe_delta(&RoutingTrace::new(
-                            std::mem::take(&mut pending_paths),
-                            e,
-                        ));
-                        replan_state.absorb(&delta);
-                    }
-                    while cur_window < wnow {
-                        let ended = cur_window;
-                        cur_window += 1;
-                        let drift_now = streaming.divergence(&reference);
-                        drifts.push(drift_now);
-                        let due = (ended + 1).is_multiple_of(oc.replan_every)
-                            && ended + 1 < drift.n_windows();
-                        if due && drift_now > oc.drift_threshold && mode.uses_affinity() {
-                            let stale = (placement.clone(), replicated.clone());
-                            if let Some(exec) = self.replan_step(
-                                mode,
-                                drift_now,
-                                &mut replan_state,
-                                &mut placement,
-                                &mut replicated,
-                                &mut carry,
-                            ) {
-                                // A re-plan landing mid-outage may have
-                                // picked replica targets on dead GPUs;
-                                // those copies cannot exist (the shipped
-                                // bytes were still charged — a documented
-                                // overcharge).
-                                if live_mask.iter().any(|&up| !up) {
-                                    for lr in replicated.iter_mut() {
-                                        for (_, units) in lr.iter_mut() {
-                                            units.retain(|&u| live_mask[u]);
-                                        }
-                                        lr.retain(|(_, units)| !units.is_empty());
-                                    }
-                                }
-                                // The weight exchange streams in the
-                                // background: steps keep running on the
-                                // stale plan (with link contention) and
-                                // the new plan activates when the copy
-                                // lands. A copy still in flight keeps its
-                                // stale plan active and queues this one
-                                // behind it.
-                                let (start, sp, sr) = match copying.take() {
-                                    Some((done, sp, sr)) if done > clock => (done, sp, sr),
-                                    _ => (clock, stale.0, stale.1),
-                                };
-                                copying = Some((start + exec.migration_time, sp, sr));
-                                migrations.absorb(&exec);
-                                replans.push(exec.event(ended, drift_now));
-                            }
-                            reference = streaming.snapshot();
-                        }
-                    }
-                }
-                EventKind::Fleet(fi) => {
-                    let fev = faults.events()[fi];
-                    match fev.kind {
-                        FaultKind::Down => {
-                            live_mask[fev.gpu] = false;
-                            disruption.faults.push(FaultMarker {
-                                time: clock,
-                                gpu: fev.gpu,
-                                up: false,
-                            });
-                            // Requests the dead GPU was serving lose their
-                            // in-progress step: back to the front of the
-                            // queue (oldest first), step not counted.
-                            if stepping {
-                                let nl_step = step_live.len();
-                                let mut keep = Vec::with_capacity(in_flight.len());
-                                let mut lost = Vec::new();
-                                for (j, &i) in in_flight.iter().enumerate() {
-                                    if step_live[j % nl_step] == fev.gpu {
-                                        lost.push(i);
-                                    } else {
-                                        keep.push(i);
-                                    }
-                                }
-                                disruption.requests_disrupted += lost.len() as u64;
-                                for &i in lost.iter().rev() {
-                                    queue.push_front(i);
-                                }
-                                if let BatchPolicy::SizeOrWait { max_wait, .. } = serving.batch {
-                                    for &i in &lost {
-                                        events.push(clock + max_wait, EventKind::WaitDeadline(i));
-                                    }
-                                }
-                                in_flight = keep;
-                                queue_depth.push((clock, queue.len()));
-                            }
-                            // Evacuate the dead GPU's experts onto the
-                            // survivors: where the replica subset still
-                            // holds a live copy, the least-loaded holder
-                            // is *promoted* to owner for free (failover);
-                            // an expert whose only copies just died needs
-                            // a priced emergency restore from a surviving
-                            // checkpoint shard. The evacuated placement
-                            // activates *immediately* — steps must not
-                            // route to a dead GPU — so any in-flight
-                            // background copy (whose stale plan may still
-                            // route there) is cancelled.
-                            let live_ranks: Vec<usize> = live_mask
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(r, &up)| up.then_some(r))
-                                .collect();
-                            // The dead GPU's replica copies are gone too:
-                            // strip it from every subset before failover
-                            // consults them.
-                            for lr in replicated.iter_mut() {
-                                for (_, units) in lr.iter_mut() {
-                                    units.retain(|&u| u != fev.gpu);
-                                }
-                                lr.retain(|(_, units)| !units.is_empty());
-                            }
-                            let nl = cfg.model.n_layers;
-                            let mut assign: Vec<Vec<usize>> = (0..nl)
-                                .map(|l| (0..e).map(|x| placement.unit_of(l, x)).collect())
-                                .collect();
-                            let mut moves = Vec::new();
-                            let mut free_moves = Vec::new();
-                            for (l, row) in assign.iter_mut().enumerate() {
-                                let mut load = vec![0usize; w];
-                                for &u in row.iter() {
-                                    load[u] += 1;
-                                }
-                                for x in 0..e {
-                                    if row[x] != fev.gpu {
-                                        continue;
-                                    }
-                                    let holder = replicated[l]
-                                        .binary_search_by_key(&x, |r| r.0)
-                                        .ok()
-                                        .and_then(|i| {
-                                            replicated[l][i]
-                                                .1
-                                                .iter()
-                                                .copied()
-                                                .min_by_key(|&r| (load[r], r))
-                                        });
-                                    load[fev.gpu] -= 1;
-                                    match holder {
-                                        Some(dst) => {
-                                            // A surviving holder already has
-                                            // the weights: promote it to
-                                            // owner and retire its subset
-                                            // membership.
-                                            load[dst] += 1;
-                                            row[x] = dst;
-                                            free_moves.push(ExpertMove {
-                                                layer: l,
-                                                expert: x,
-                                                from: fev.gpu,
-                                                to: dst,
-                                            });
-                                            let i = replicated[l]
-                                                .iter()
-                                                .position(|r| r.0 == x)
-                                                .expect("holder came from this entry");
-                                            replicated[l][i].1.retain(|&u| u != dst);
-                                            if replicated[l][i].1.is_empty() {
-                                                replicated[l].remove(i);
-                                            }
-                                        }
-                                        None => {
-                                            let &dst = live_ranks
-                                                .iter()
-                                                .min_by_key(|&&r| (load[r], r))
-                                                .expect("at least one live GPU");
-                                            load[dst] += 1;
-                                            row[x] = dst;
-                                            // Deterministic surviving source
-                                            // of the restore copy (a
-                                            // checkpoint shard, not the dead
-                                            // GPU).
-                                            let src = live_ranks[(l + x) % live_ranks.len()];
-                                            moves.push(ExpertMove {
-                                                layer: l,
-                                                expert: x,
-                                                from: src,
-                                                to: dst,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            copying = None;
-                            placement = Placement::new_degraded(assign, w);
-                            let plan = MigrationPlan {
-                                bytes_per_expert,
-                                moves,
-                                free_moves,
-                                replica_adds: Vec::new(),
-                                replica_drops: Vec::new(),
-                            };
-                            if !plan.is_empty() {
-                                let (time, _) = self.execute_migrations(&plan);
-                                // Restores are mandatory: the byte budget
-                                // is whatever the evacuation needs, and the
-                                // copy overlaps serving (steps before
-                                // `emergency_until` pay link contention).
-                                let start = if emergency_until > clock {
-                                    emergency_until
-                                } else {
-                                    clock
-                                };
-                                emergency_until = start + time;
-                                disruption.emergency_replans += 1;
-                                disruption.emergency_bytes += plan.total_bytes();
-                            }
-                        }
-                        FaultKind::Up => {
-                            live_mask[fev.gpu] = true;
-                            disruption.faults.push(FaultMarker {
-                                time: clock,
-                                gpu: fev.gpu,
-                                up: true,
-                            });
-                            // Re-home a fair share of each layer's experts
-                            // back onto the rejoined GPU, pulling from the
-                            // most-loaded survivors (lowest expert index
-                            // first). Unlike a loss, nothing is on fire:
-                            // the copy streams in the background through
-                            // the same stale-plan mechanism a drift
-                            // re-plan uses.
-                            let stale = (placement.clone(), replicated.clone());
-                            let nl = cfg.model.n_layers;
-                            let mut assign: Vec<Vec<usize>> = (0..nl)
-                                .map(|l| (0..e).map(|x| placement.unit_of(l, x)).collect())
-                                .collect();
-                            let mut moves = Vec::new();
-                            for (l, row) in assign.iter_mut().enumerate() {
-                                let mut load = vec![0usize; w];
-                                for &u in row.iter() {
-                                    load[u] += 1;
-                                }
-                                let target = e / w;
-                                while load[fev.gpu] < target {
-                                    let src = (0..w)
-                                        .filter(|&r| r != fev.gpu && load[r] > 0)
-                                        .min_by_key(|&r| (std::cmp::Reverse(load[r]), r))
-                                        .expect("survivors hold every expert");
-                                    let x = (0..e)
-                                        .find(|&x| row[x] == src)
-                                        .expect("loaded unit owns an expert");
-                                    row[x] = fev.gpu;
-                                    load[src] -= 1;
-                                    load[fev.gpu] += 1;
-                                    moves.push(ExpertMove {
-                                        layer: l,
-                                        expert: x,
-                                        from: src,
-                                        to: fev.gpu,
-                                    });
-                                }
-                            }
-                            placement = Placement::new_degraded(assign, w);
-                            let plan = MigrationPlan {
-                                bytes_per_expert,
-                                moves,
-                                free_moves: Vec::new(),
-                                replica_adds: Vec::new(),
-                                replica_drops: Vec::new(),
-                            };
-                            if !plan.is_empty() {
-                                let (time, _) = self.execute_migrations(&plan);
-                                let (start, sp, sr) = match copying.take() {
-                                    Some((done, sp, sr)) if done > clock => (done, sp, sr),
-                                    _ => (clock, stale.0, stale.1),
-                                };
-                                copying = Some((start + time, sp, sr));
-                                disruption.emergency_replans += 1;
-                                disruption.emergency_bytes += plan.total_bytes();
-                            }
-                        }
-                    }
-                }
-            }
+    /// Request `i` (re-)enters the queue at `clock`: its wait deadline
+    /// re-runs the batch-opening check even if nothing else happens.
+    fn arm_deadline(&mut self, clock: f64, i: usize) {
+        if let BatchPolicy::SizeOrWait { max_wait, .. } = self.serving.batch {
+            self.events
+                .push(clock + max_wait, EventKind::WaitDeadline(i));
+        }
+    }
 
-            // After every event: try to open/continue a batch.
-            if stepping {
-                continue;
-            }
-            if in_flight.is_empty() {
-                // Opening a fresh batch is the policy's call.
-                match queue.front() {
-                    None => continue,
-                    Some(&head) => {
-                        let oldest_wait = clock - requests[head].arrival;
-                        if !serving.batch.ready(queue.len(), oldest_wait) {
-                            continue;
-                        }
-                    }
-                }
-            }
-            // Continuous batching: top the pool up to the cap.
-            while in_flight.len() < max_size {
-                match queue.pop_front() {
-                    Some(i) => in_flight.push(i),
-                    None => break,
-                }
-            }
-            queue_depth.push((clock, queue.len()));
+    fn on_arrival(&mut self, clock: f64, i: usize) {
+        self.queue.push_back(i);
+        self.report.queue_depth.push((clock, self.queue.len()));
+        self.arm_deadline(clock, i);
+    }
 
-            // One decode step of the pool through the engine: each
-            // in-flight request contributes the token of its current step.
-            let batch = TokenBatch {
-                routes: in_flight
+    /// The in-flight batch finished a decode step: retire completed
+    /// requests, bank the realized paths, and close every serving window
+    /// the step ran across.
+    fn on_step_done(&mut self, clock: f64) {
+        self.stepping = false;
+        let decode_steps = self.serving.decode_steps;
+        let requests = &mut self.requests;
+        let (report, pending) = (&mut self.report, &mut self.pending_paths);
+        self.in_flight.retain(|&i| {
+            let req = &mut requests[i];
+            pending.push(
+                req.routes[req.steps_done]
                     .iter()
-                    .map(|&i| requests[i].routes[requests[i].steps_done].clone())
+                    .map(|slots| slots[0])
                     .collect(),
-                domains: in_flight.iter().map(|&i| requests[i].domain).collect(),
+            );
+            req.steps_done += 1;
+            if req.steps_done < decode_steps {
+                return true;
+            }
+            report.latencies.push(clock - req.arrival);
+            report.completions.push((clock, clock - req.arrival));
+            report.makespan = report.makespan.max(clock);
+            false
+        });
+
+        // Fold the accumulated paths into the estimate once, then
+        // evaluate each ended window's drift/re-plan exactly as the
+        // windowed loop would.
+        let wnow = self.window_of(clock);
+        if wnow > self.cur_window && !self.pending_paths.is_empty() {
+            self.adaptive
+                .ingest(std::mem::take(&mut self.pending_paths));
+        }
+        while self.cur_window < wnow {
+            let ended = self.cur_window;
+            self.cur_window += 1;
+            let Some((copy_time, stale)) = self.adaptive.close_window(ended) else {
+                continue;
             };
-            let ctx_offset = in_flight
-                .iter()
-                .map(|&i| requests[i].steps_done)
-                .max()
-                .unwrap_or(0);
-            if let Some((done, _, _)) = &copying {
-                if clock >= *done {
-                    copying = None;
+            // A re-plan landing mid-outage may have picked replica
+            // targets on dead GPUs; those copies cannot exist (the
+            // shipped bytes were still charged — a documented
+            // overcharge).
+            if self.live_ranks.len() < self.engine.all_ranks().len() {
+                for lr in &mut self.adaptive.live.replicas {
+                    for (_, units) in lr.iter_mut() {
+                        units.retain(|u| self.live_ranks.binary_search(u).is_ok());
+                    }
+                    lr.retain(|(_, units)| !units.is_empty());
                 }
             }
-            let (active_p, active_r) = match &copying {
-                Some((_, sp, sr)) => (sp, sr),
-                None => (&placement, &replicated),
-            };
-            // Dead ranks stay in the collectives with empty payloads
-            // (bit-identical clocks at any thread width); the all-live
-            // mask is elided so fault-free runs take the exact code path
-            // they always did.
-            let any_dead = live_mask.iter().any(|&up| !up);
-            let report = self.run_with_batches(
-                mode,
-                active_p,
-                active_r,
-                &[batch],
-                ctx_offset,
-                if any_dead { Some(&live_mask) } else { None },
-            );
-            // A background copy — drift re-plan or emergency restore —
-            // shares links with the step; the surcharge does not stack.
-            let degraded = clock < emergency_until;
-            let step_time = if copying.is_some() || degraded {
-                report.total_time * (1.0 + MIGRATION_CONTENTION)
-            } else {
-                report.total_time
-            };
-            if degraded {
-                disruption.steps_degraded += 1;
-            }
-            step_live = live_mask
-                .iter()
-                .enumerate()
-                .filter_map(|(r, &up)| up.then_some(r))
-                .collect();
-            occupancy[in_flight.len()] += 1;
-            steps += 1;
-            busy += step_time;
-            dispatch.merge(&report.dispatch);
-            stepping = true;
-            events.push(clock + step_time, EventKind::StepDone);
+            self.queue_copy(clock, copy_time, stale);
         }
+    }
 
-        debug_assert_eq!(latencies.len(), n, "every request must complete");
-        latencies.sort_by(f64::total_cmp);
-        let last_arrival = arrivals.last().copied().unwrap_or(0.0);
-        let offered_load = if last_arrival > 0.0 {
+    /// Start a background weight copy towards `adaptive.live`: steps
+    /// keep running on the `stale` plan (with link contention) and the
+    /// new plan activates when the copy lands. A copy still in flight
+    /// keeps *its* stale plan active and queues this one behind it.
+    fn queue_copy(&mut self, clock: f64, copy_time: f64, stale: ReplicationPlan) {
+        let (start, stale) = match self.copying.take() {
+            Some((done, older)) if done > clock => (done, older),
+            _ => (clock, stale),
+        };
+        self.copying = Some((start + copy_time, stale));
+    }
+
+    /// Price a fleet event's mandatory copy — its byte budget is whatever
+    /// the plan needs — and count it.
+    fn price_fleet_copy(&mut self, plan: &MigrationPlan) -> f64 {
+        let cfg = self.engine.config();
+        self.report.disruption.emergency_replans += 1;
+        self.report.disruption.emergency_bytes += plan.total_bytes();
+        plan.priced(&cfg.cluster, &cfg.link_cost).time
+    }
+
+    fn mark_fault(&mut self, time: f64, gpu: usize, up: bool) {
+        self.report
+            .disruption
+            .faults
+            .push(FaultMarker { time, gpu, up });
+    }
+
+    /// GPU loss: re-queue what the dead GPU was serving and evacuate its
+    /// experts onto the survivors.
+    fn on_fleet_down(&mut self, clock: f64, gpu: usize) {
+        self.live_ranks.retain(|&r| r != gpu);
+        self.mark_fault(clock, gpu, false);
+        // Requests the dead GPU was serving lose their in-progress step:
+        // back to the front of the queue (oldest first), step not
+        // counted.
+        if self.stepping {
+            let step_live = &self.step_live;
+            let mut slot = 0;
+            let mut lost = Vec::new();
+            self.in_flight.retain(|&i| {
+                let homed_on_dead = step_live[slot % step_live.len()] == gpu;
+                slot += 1;
+                if homed_on_dead {
+                    lost.push(i);
+                }
+                !homed_on_dead
+            });
+            self.report.disruption.requests_disrupted += lost.len() as u64;
+            for &i in lost.iter().rev() {
+                self.queue.push_front(i);
+            }
+            for &i in &lost {
+                self.arm_deadline(clock, i);
+            }
+            self.report.queue_depth.push((clock, self.queue.len()));
+        }
+        // The evacuated plan activates *immediately* — steps must not
+        // route to a dead GPU — so any in-flight background copy (whose
+        // stale plan may still route there) is cancelled.
+        let (next, plan) = plan_gpu_loss(
+            &self.adaptive.live,
+            &self.live_ranks,
+            gpu,
+            self.adaptive.bytes_per_expert(),
+        );
+        self.adaptive.live = next;
+        self.copying = None;
+        if !plan.is_empty() {
+            // The restore overlaps serving: steps before
+            // `emergency_until` pay link contention.
+            let copy_time = self.price_fleet_copy(&plan);
+            self.emergency_until = self.emergency_until.max(clock) + copy_time;
+        }
+    }
+
+    /// GPU rejoin: re-home a fair share of experts back onto it. Unlike a
+    /// loss nothing is on fire, so the copy streams in the background
+    /// through the same stale-plan mechanism a drift re-plan uses.
+    fn on_fleet_up(&mut self, clock: f64, gpu: usize) {
+        if let Err(at) = self.live_ranks.binary_search(&gpu) {
+            self.live_ranks.insert(at, gpu);
+        }
+        self.mark_fault(clock, gpu, true);
+        let (next, plan) =
+            plan_gpu_rejoin(&self.adaptive.live, gpu, self.adaptive.bytes_per_expert());
+        let stale = std::mem::replace(&mut self.adaptive.live, next);
+        if !plan.is_empty() {
+            let copy_time = self.price_fleet_copy(&plan);
+            self.queue_copy(clock, copy_time, stale);
+        }
+    }
+
+    /// After every event: open a batch if the policy allows (continuous
+    /// batching tops a running pool up regardless) and run one decode
+    /// step of it through the engine.
+    fn try_start_step(&mut self, clock: f64) {
+        if self.stepping {
+            return;
+        }
+        if self.in_flight.is_empty() {
+            // Opening a fresh batch is the policy's call.
+            let Some(&head) = self.queue.front() else {
+                return;
+            };
+            let oldest_wait = clock - self.requests[head].arrival;
+            if !self.serving.batch.ready(self.queue.len(), oldest_wait) {
+                return;
+            }
+        }
+        while self.in_flight.len() < self.serving.batch.max_size() {
+            match self.queue.pop_front() {
+                Some(i) => self.in_flight.push(i),
+                None => break,
+            }
+        }
+        self.report.queue_depth.push((clock, self.queue.len()));
+
+        // Each in-flight request contributes the token of its current
+        // step.
+        let pool = || self.in_flight.iter().map(|&i| &self.requests[i]);
+        let batch = TokenBatch {
+            routes: pool().map(|r| r.routes[r.steps_done].clone()).collect(),
+            domains: pool().map(|r| r.domain).collect(),
+        };
+        let ctx_offset = pool().map(|r| r.steps_done).max().unwrap_or(0);
+        if matches!(self.copying, Some((done, _)) if clock >= done) {
+            self.copying = None;
+        }
+        let active = match &self.copying {
+            Some((_, stale)) => stale,
+            None => &self.adaptive.live,
+        };
+        let step = self.engine.run_with_batches(
+            self.report.mode,
+            &active.base,
+            &active.replicas,
+            &[batch],
+            ctx_offset,
+            &self.live_ranks,
+        );
+        // A background copy — drift re-plan or emergency restore —
+        // shares links with the step; the surcharge does not stack.
+        let degraded = clock < self.emergency_until;
+        let step_time = if self.copying.is_some() || degraded {
+            step.total_time * (1.0 + MIGRATION_CONTENTION)
+        } else {
+            step.total_time
+        };
+        if degraded {
+            self.report.disruption.steps_degraded += 1;
+        }
+        self.step_live.clone_from(&self.live_ranks);
+        self.report.batch_occupancy[self.in_flight.len()] += 1;
+        self.report.steps += 1;
+        self.report.busy += step_time;
+        self.report.dispatch.merge(&step.dispatch);
+        self.stepping = true;
+        self.events.push(clock + step_time, EventKind::StepDone);
+    }
+
+    fn finish(self) -> ServingReport {
+        let n = self.requests.len();
+        let mut report = self.report;
+        debug_assert_eq!(report.latencies.len(), n, "every request must complete");
+        report.latencies.sort_by(f64::total_cmp);
+        let last_arrival = self.requests.last().map_or(0.0, |r| r.arrival);
+        report.offered_load = if last_arrival > 0.0 {
             n as f64 / last_arrival
         } else if n > 0 {
             f64::INFINITY
@@ -829,24 +710,10 @@ impl InferenceEngine {
             // An idle (0-request) run offered nothing.
             0.0
         };
-
-        ServingReport {
-            mode,
-            latencies,
-            offered_load,
-            makespan,
-            queue_depth,
-            batch_occupancy: occupancy,
-            steps,
-            busy,
-            dispatch,
-            drift: drifts,
-            replans,
-            migrations,
-            completions,
-            disruption,
-            window_duration: serving.window_duration,
-        }
+        report.drift = self.adaptive.drift;
+        report.replans = self.adaptive.replans;
+        report.migrations = self.adaptive.migrations;
+        report
     }
 }
 

@@ -17,7 +17,7 @@
 //! full link bandwidth, not a derated Alltoall.
 
 use exflow_topology::collective_cost::{BytesByClass, CollectiveCostModel};
-use exflow_topology::{ClusterSpec, CostModel, Rank};
+use exflow_topology::{ClusterSpec, CostModel};
 
 use crate::incremental::{
     solve_budgeted_metered, solve_budgeted_replicated_metered, solve_budgeted_toward_metered,
@@ -422,19 +422,164 @@ impl MigrationPlan {
     pub fn priced(&self, cluster: &ClusterSpec, cost: &CostModel) -> PricedMigration {
         let model = CollectiveCostModel::new(*cluster, *cost);
         let matrix = self.send_matrix(cluster.world_size());
-        let mut bytes = BytesByClass::default();
-        for (src, row) in matrix.iter().enumerate() {
-            for (dst, &b) in row.iter().enumerate() {
-                if b > 0 {
-                    bytes.add(cluster.link_class(Rank(src), Rank(dst)), b);
-                }
-            }
-        }
         PricedMigration {
             time: model.exchange_time(&matrix),
-            bytes,
+            bytes: model.alltoallv_bytes(&matrix),
         }
     }
+}
+
+/// Evacuate a failed GPU: the fleet plan after `gpu` dies, and the
+/// migration that reaches it from `current`. `live_ranks` lists the
+/// surviving GPUs ascending (`gpu` is not among them).
+///
+/// The dead GPU's replica copies die with it, so it is stripped from
+/// every subset first. Then, per expert it owned: where a surviving
+/// replica holder exists, the least-loaded one is *promoted* to owner
+/// for free (a `free_move`; its subset membership retires); an expert
+/// whose only copies just died is re-homed on the least-loaded survivor
+/// and restored — a priced move — from a deterministic surviving source
+/// (a checkpoint shard, never the dead GPU).
+pub fn plan_gpu_loss(
+    current: &ReplicationPlan,
+    live_ranks: &[usize],
+    gpu: usize,
+    bytes_per_expert: u64,
+) -> (ReplicationPlan, MigrationPlan) {
+    assert!(!live_ranks.is_empty(), "at least one GPU must survive");
+    let w = current.base.n_units();
+    let mut replicas: Vec<LayerReplicas> = current
+        .replicas
+        .iter()
+        .map(|lr| {
+            lr.iter()
+                .map(|(x, units)| (*x, units.iter().copied().filter(|&u| u != gpu).collect()))
+                .filter(|(_, units): &(usize, Vec<usize>)| !units.is_empty())
+                .collect()
+        })
+        .collect();
+    let mut assign = Vec::with_capacity(current.base.n_layers());
+    let mut moves = Vec::new();
+    let mut free_moves = Vec::new();
+    for (layer, held) in replicas.iter_mut().enumerate() {
+        let mut row = current.base.layer(layer).to_vec();
+        let mut load = vec![0usize; w];
+        for &u in &row {
+            load[u] += 1;
+        }
+        for (expert, owner) in row.iter_mut().enumerate() {
+            if *owner != gpu {
+                continue;
+            }
+            load[gpu] -= 1;
+            // Subsets are sorted by expert, so holder lookup is a binary
+            // search.
+            let to = match held.binary_search_by_key(&expert, |r| r.0) {
+                Ok(i) => {
+                    let units = &mut held[i].1;
+                    let to = units
+                        .iter()
+                        .copied()
+                        .min_by_key(|&r| (load[r], r))
+                        .expect("emptied subsets were dropped");
+                    units.retain(|&u| u != to);
+                    if units.is_empty() {
+                        held.remove(i);
+                    }
+                    free_moves.push(ExpertMove {
+                        layer,
+                        expert,
+                        from: gpu,
+                        to,
+                    });
+                    to
+                }
+                Err(_) => {
+                    let &to = live_ranks
+                        .iter()
+                        .min_by_key(|&&r| (load[r], r))
+                        .expect("at least one live GPU");
+                    moves.push(ExpertMove {
+                        layer,
+                        expert,
+                        from: live_ranks[(layer + expert) % live_ranks.len()],
+                        to,
+                    });
+                    to
+                }
+            };
+            load[to] += 1;
+            *owner = to;
+        }
+        assign.push(row);
+    }
+    let next = ReplicationPlan {
+        base: Placement::new_degraded(assign, w),
+        replicas,
+    };
+    let plan = MigrationPlan {
+        bytes_per_expert,
+        moves,
+        free_moves,
+        replica_adds: Vec::new(),
+        replica_drops: Vec::new(),
+    };
+    (next, plan)
+}
+
+/// Re-home a returned GPU: per layer, pull experts off the most-loaded
+/// survivors (lowest rank on ties, lowest expert index first) until
+/// `gpu` owns its fair share `E / W`. Replica subsets are untouched.
+/// Returns the healed fleet plan and the priced migration that reaches
+/// it from `current`.
+pub fn plan_gpu_rejoin(
+    current: &ReplicationPlan,
+    gpu: usize,
+    bytes_per_expert: u64,
+) -> (ReplicationPlan, MigrationPlan) {
+    let w = current.base.n_units();
+    let target = current.base.n_experts() / w;
+    let mut assign = Vec::with_capacity(current.base.n_layers());
+    let mut moves = Vec::new();
+    for layer in 0..current.base.n_layers() {
+        let mut row = current.base.layer(layer).to_vec();
+        let mut load = vec![0usize; w];
+        for &u in &row {
+            load[u] += 1;
+        }
+        while load[gpu] < target {
+            let from = (0..w)
+                .filter(|&r| r != gpu && load[r] > 0)
+                .min_by_key(|&r| (std::cmp::Reverse(load[r]), r))
+                .expect("survivors hold every expert");
+            let expert = row
+                .iter()
+                .position(|&u| u == from)
+                .expect("loaded unit owns an expert");
+            row[expert] = gpu;
+            load[from] -= 1;
+            load[gpu] += 1;
+            moves.push(ExpertMove {
+                layer,
+                expert,
+                from,
+                to: gpu,
+            });
+        }
+        assign.push(row);
+    }
+    let next = ReplicationPlan {
+        base: Placement::new_degraded(assign, w),
+        replicas: current.replicas.clone(),
+    };
+    let plan = MigrationPlan {
+        bytes_per_expert,
+        moves,
+        free_moves: Vec::new(),
+        replica_adds: Vec::new(),
+        replica_drops: Vec::new(),
+    };
+    (next, plan)
 }
 
 /// A [`MigrationPlan`] priced on a concrete cluster.

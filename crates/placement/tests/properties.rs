@@ -1,6 +1,7 @@
 //! Property-based tests for the placement solvers.
 
 use exflow_placement::objective::{measure_trace_locality, measure_trace_node_locality};
+use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin};
 use exflow_placement::{
     solve, solve_budgeted_replicated, GapBackend, MigrationPlan, Objective, Placement,
     ReplicaPolicy, ReplicationBudget, ReplicationPlan, SolverKind, SPARSE_DENSITY_THRESHOLD,
@@ -411,6 +412,129 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A random fleet state for the pure fleet planners: a random balanced
+/// placement, random non-owner replica subsets, and then `n_dead` GPUs
+/// already lost (each evacuated through [`plan_gpu_loss`] itself).
+/// Returns the plan and the surviving ranks, ascending.
+fn random_fleet(
+    e: usize,
+    u: usize,
+    layers: usize,
+    n_dead: usize,
+    seed: u64,
+) -> (ReplicationPlan, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xf1ee7);
+    let base = exflow_placement::local_search::random_placement(layers, e, u, &mut rng);
+    let replicas = (0..layers)
+        .map(|l| {
+            (0..e)
+                .filter_map(|x| {
+                    let owner = base.unit_of(l, x);
+                    let units: Vec<usize> = (0..u)
+                        .filter(|&r| r != owner && rng.gen_range(0..3) == 0)
+                        .collect();
+                    (!units.is_empty()).then_some((x, units))
+                })
+                .collect()
+        })
+        .collect();
+    let mut plan = ReplicationPlan { base, replicas };
+    let mut live: Vec<usize> = (0..u).collect();
+    for _ in 0..n_dead {
+        let gone = live.remove(rng.gen_range(0..live.len()));
+        plan = plan_gpu_loss(&plan, &live, gone, 1).0;
+    }
+    (plan, live)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn gpu_loss_plans_evacuate_for_free_where_a_replica_survives(
+        (e, u) in divisor_pairs(),
+        layers in 1usize..4,
+        dead_before in 0usize..2,
+        seed in 0u64..500,
+    ) {
+        prop_assume!(u >= dead_before + 2);
+        let (before, mut live) = random_fleet(e, u, layers, dead_before, seed);
+        let gpu = live.remove(seed as usize % live.len());
+        let (after, plan) = plan_gpu_loss(&before, &live, gpu, 8);
+
+        for l in 0..layers {
+            for x in 0..e {
+                // Exactly one owner, and it is alive.
+                prop_assert!(live.contains(&after.base.unit_of(l, x)));
+            }
+            for (x, units) in &after.replicas[l] {
+                prop_assert!(!units.is_empty());
+                prop_assert!(units.iter().all(|r| live.contains(r)), "replica on a dead GPU");
+                prop_assert!(!units.contains(&after.base.unit_of(l, *x)), "owner in its subset");
+            }
+        }
+        // Every expert the dead GPU owned moved exactly once: for free
+        // onto a surviving holder when there was one, else restored — a
+        // priced move — from a live source.
+        let mut relocated = 0;
+        for l in 0..layers {
+            for x in (0..e).filter(|&x| before.base.unit_of(l, x) == gpu) {
+                relocated += 1;
+                let holders: Vec<usize> = before
+                    .replica_units(l, x)
+                    .iter()
+                    .copied()
+                    .filter(|&r| r != gpu)
+                    .collect();
+                let is = |m: &&exflow_placement::ExpertMove| m.layer == l && m.expert == x;
+                let free = plan.free_moves.iter().find(is);
+                let priced = plan.moves.iter().find(is);
+                if holders.is_empty() {
+                    let m = priced.expect("an unreplicated expert needs a restore");
+                    prop_assert!(free.is_none());
+                    prop_assert!(live.contains(&m.from), "restore from a dead GPU");
+                    prop_assert_eq!(m.to, after.base.unit_of(l, x));
+                } else {
+                    let m = free.expect("a surviving holder must be promoted");
+                    prop_assert!(priced.is_none(), "priced restore despite a live replica");
+                    prop_assert!(holders.contains(&m.to));
+                    prop_assert_eq!(m.to, after.base.unit_of(l, x));
+                }
+            }
+        }
+        prop_assert_eq!(plan.n_relocations(), relocated);
+        prop_assert_eq!(plan.total_bytes(), 8 * plan.n_moves() as u64);
+        let _ = plan.send_matrix(u);
+    }
+
+    #[test]
+    fn gpu_rejoin_plans_restore_the_fair_share(
+        (e, u) in divisor_pairs(),
+        layers in 1usize..4,
+        dead in 1usize..3,
+        seed in 0u64..500,
+    ) {
+        prop_assume!(u > dead);
+        let (degraded, live) = random_fleet(e, u, layers, dead, seed);
+        let gpu = (0..u).find(|r| !live.contains(r)).expect("one GPU is down");
+        let (healed, plan) = plan_gpu_rejoin(&degraded, gpu, 8);
+        for l in 0..layers {
+            prop_assert_eq!(healed.base.experts_on(l, gpu).len(), e / u);
+        }
+        prop_assert_eq!(&healed.replicas, &degraded.replicas);
+        prop_assert_eq!(plan.n_moves(), layers * (e / u));
+        prop_assert!(plan.free_moves.is_empty());
+        for m in &plan.moves {
+            prop_assert_eq!(m.to, gpu);
+            prop_assert!(live.contains(&m.from), "pulled from a dead GPU");
+            prop_assert_eq!(degraded.base.unit_of(m.layer, m.expert), m.from);
+            prop_assert_eq!(healed.base.unit_of(m.layer, m.expert), gpu);
+        }
+        // Loss-then-rejoin plans only name ranks of the fleet.
+        let _ = plan.send_matrix(u);
     }
 }
 
