@@ -11,6 +11,41 @@
 //! (bytes, link class) — independent of host load, exactly what the paper's
 //! figures need.
 //!
+//! # Threads live for a session
+//!
+//! [`CommWorld::session`] spawns the W rank threads once (scoped, so jobs
+//! may borrow from the caller) and hands the driver a [`Session`]. Each
+//! rank thread owns its [`RankComm`] — mailbox, early-arrival queues,
+//! clock, per-job ledger — for the session's whole life. The single driver
+//! posts one job at a time; every rank runs it and hands its result back,
+//! and the driver returns them in rank order. Posting wakes the ranks once
+//! and the last rank to hand in wakes the driver once, so a job costs no
+//! thread spawn, no join and no per-rank channel traffic. A job starts with
+//! every virtual clock at zero, so N jobs through one session report
+//! exactly what N fresh worlds would. [`CommWorld::run`] is a session of
+//! one job. A serving run therefore pays thread spawn and join once, not
+//! once per decode step.
+//!
+//! A job that panics on a rank is caught there; the rank wakes every peer
+//! that is (or will be) blocked on it — they unwind too — and the driver
+//! re-raises the original panic from [`Session::run`].
+//!
+//! Communication totals are accumulated without locking in a per-rank
+//! ledger, returned with the rank's result and folded into the world's
+//! [`CommStats`] in rank order when the job completes.
+//!
+//! # The barrier
+//!
+//! [`RankComm::barrier`] is a max-reduction of the ranks' clocks behind one
+//! mutex and one condition variable: every arriver folds its clock into a
+//! running max; the last arriver publishes it as the released max, zeroes
+//! the running slots, bumps a generation counter and wakes the others, who
+//! return the released max. One wake-up per waiter suffices — no second
+//! round to protect the released value — because it can only be
+//! overwritten by the last arriver of the *next* barrier, which cannot
+//! happen until every rank, including each waiter still reading it under
+//! the lock, has returned from this one.
+//!
 //! The API mirrors the collectives the ExFlow engine issues:
 //!
 //! * [`RankComm::all_to_all_v`] — the token dispatch/combine primitive;
@@ -43,4 +78,4 @@ pub mod world;
 pub use clock::VirtualClock;
 pub use error::CommError;
 pub use record::{CommRecord, CommStats, OpKind};
-pub use world::{CommWorld, RankComm};
+pub use world::{CommWorld, RankComm, Session};

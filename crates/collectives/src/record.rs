@@ -2,7 +2,6 @@
 
 use exflow_topology::collective_cost::BytesByClass;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 
 /// The kind of operation a [`CommRecord`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,21 +39,8 @@ impl std::fmt::Display for OpKind {
 pub struct CommRecord {
     /// What operation this was.
     pub op: OpKind,
-    /// Rank that recorded it.
-    pub rank: usize,
-    /// Virtual time when the rank entered the operation.
-    pub start: f64,
-    /// Virtual time when the rank left the operation.
-    pub end: f64,
     /// Bytes this rank *sent*, bucketed by link class.
     pub sent: BytesByClass,
-}
-
-impl CommRecord {
-    /// Elapsed virtual time this rank spent inside the op.
-    pub fn elapsed(&self) -> f64 {
-        self.end - self.start
-    }
 }
 
 /// Aggregated totals for one [`OpKind`].
@@ -62,23 +48,45 @@ impl CommRecord {
 pub struct OpTotals {
     /// Number of (rank, invocation) records folded in.
     pub records: u64,
-    /// Sum over ranks of time spent inside the op.
-    pub rank_time_sum: f64,
-    /// Max single-record elapsed time (critical-path proxy).
-    pub max_elapsed: f64,
     /// Bytes sent, bucketed by link class, summed over ranks.
     pub sent: BytesByClass,
 }
 
-/// Thread-safe accumulator of [`CommRecord`]s shared by all rank threads.
+/// Per-op totals without a lock: what one rank accumulates during one job,
+/// and what the driver folds the ranks' ledgers into, in rank order, when
+/// the job completes.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Ledger([OpTotals; OpKind::ALL.len()]);
+
+impl Ledger {
+    pub(crate) fn record(&mut self, rec: CommRecord) {
+        let t = &mut self.0[rec.op as usize];
+        t.records += 1;
+        t.sent.merge(&rec.sent);
+    }
+
+    pub(crate) fn merge(&mut self, other: &Ledger) {
+        for (t, o) in self.0.iter_mut().zip(&other.0) {
+            t.records += o.records;
+            t.sent.merge(&o.sent);
+        }
+    }
+
+    pub(crate) fn totals(&self, op: OpKind) -> OpTotals {
+        self.0[op as usize]
+    }
+}
+
+/// Thread-safe accumulator of communication totals for one
+/// [`CommWorld`](crate::CommWorld).
 ///
-/// The engine reads it back after a run to build time-breakdown and
-/// communication-volume reports (paper Figs. 6 and 9, Table I).
+/// Rank threads never touch it: each keeps a private ledger for the job it
+/// is running and the driver folds those in, in rank order, when the job
+/// completes. The engine reads it back to build communication-volume
+/// reports (paper Fig. 6, Table I).
 #[derive(Debug, Default)]
 pub struct CommStats {
-    // Ordered map per the determinism contract (detlint D001): snapshots
-    // iterate in OpKind order whatever the record arrival interleaving.
-    inner: Mutex<BTreeMap<OpKind, OpTotals>>,
+    inner: Mutex<Ledger>,
 }
 
 impl CommStats {
@@ -89,27 +97,22 @@ impl CommStats {
 
     /// Fold one record into the totals.
     pub fn record(&self, rec: CommRecord) {
-        let mut map = self.inner.lock();
-        let t = map.entry(rec.op).or_default();
-        t.records += 1;
-        t.rank_time_sum += rec.elapsed();
-        t.max_elapsed = t.max_elapsed.max(rec.elapsed());
-        t.sent.merge(&rec.sent);
+        self.inner.lock().record(rec);
+    }
+
+    /// Fold a finished job's merged ledger into the totals.
+    pub(crate) fn absorb(&self, job: &Ledger) {
+        self.inner.lock().merge(job);
     }
 
     /// Snapshot the totals for one op kind.
     pub fn totals(&self, op: OpKind) -> OpTotals {
-        self.inner.lock().get(&op).copied().unwrap_or_default()
-    }
-
-    /// Snapshot everything, in `OpKind` order.
-    pub fn all_totals(&self) -> BTreeMap<OpKind, OpTotals> {
-        self.inner.lock().clone()
+        self.inner.lock().totals(op)
     }
 
     /// Drop all accumulated records.
     pub fn reset(&self) {
-        self.inner.lock().clear();
+        *self.inner.lock() = Ledger::default();
     }
 }
 
@@ -117,37 +120,24 @@ impl CommStats {
 mod tests {
     use super::*;
 
-    fn rec(op: OpKind, start: f64, end: f64, intra: u64, inter: u64) -> CommRecord {
+    fn rec(op: OpKind, intra: u64, inter: u64) -> CommRecord {
         let sent = BytesByClass {
             intra_node: intra,
             inter_node: inter,
             ..BytesByClass::default()
         };
-        CommRecord {
-            op,
-            rank: 0,
-            start,
-            end,
-            sent,
-        }
-    }
-
-    #[test]
-    fn elapsed_is_end_minus_start() {
-        assert_eq!(rec(OpKind::Alltoall, 1.0, 3.5, 0, 0).elapsed(), 2.5);
+        CommRecord { op, sent }
     }
 
     #[test]
     fn stats_accumulate_per_op() {
         let stats = CommStats::new();
-        stats.record(rec(OpKind::Alltoall, 0.0, 1.0, 100, 50));
-        stats.record(rec(OpKind::Alltoall, 1.0, 4.0, 10, 5));
-        stats.record(rec(OpKind::AllGather, 0.0, 0.5, 1, 1));
+        stats.record(rec(OpKind::Alltoall, 100, 50));
+        stats.record(rec(OpKind::Alltoall, 10, 5));
+        stats.record(rec(OpKind::AllGather, 1, 1));
 
         let a2a = stats.totals(OpKind::Alltoall);
         assert_eq!(a2a.records, 2);
-        assert!((a2a.rank_time_sum - 4.0).abs() < 1e-12);
-        assert!((a2a.max_elapsed - 3.0).abs() < 1e-12);
         assert_eq!(a2a.sent.intra_node, 110);
         assert_eq!(a2a.sent.inter_node, 55);
 
@@ -160,9 +150,32 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let stats = CommStats::new();
-        stats.record(rec(OpKind::Barrier, 0.0, 0.1, 0, 0));
+        stats.record(rec(OpKind::Barrier, 0, 0));
         stats.reset();
         assert_eq!(stats.totals(OpKind::Barrier).records, 0);
+    }
+
+    #[test]
+    fn ledgers_fold_into_the_shared_totals() {
+        let mut rank0 = Ledger::default();
+        rank0.record(rec(OpKind::Alltoall, 7, 0));
+        let mut rank1 = Ledger::default();
+        rank1.record(rec(OpKind::Alltoall, 0, 3));
+        rank1.record(rec(OpKind::Barrier, 0, 0));
+        let mut job = Ledger::default();
+        job.merge(&rank0);
+        job.merge(&rank1);
+
+        let stats = CommStats::new();
+        stats.record(rec(OpKind::Alltoall, 1, 1));
+        stats.absorb(&job);
+        let a2a = stats.totals(OpKind::Alltoall);
+        assert_eq!(
+            (a2a.records, a2a.sent.intra_node, a2a.sent.inter_node),
+            (3, 8, 4)
+        );
+        assert_eq!(stats.totals(OpKind::Barrier).records, 1);
+        assert_eq!(job.totals(OpKind::AllGather), OpTotals::default());
     }
 
     #[test]
@@ -170,15 +183,12 @@ mod tests {
         use std::sync::Arc;
         let stats = Arc::new(CommStats::new());
         let handles: Vec<_> = (0..4)
-            .map(|r| {
+            .map(|_| {
                 let s = Arc::clone(&stats);
                 std::thread::spawn(move || {
-                    for i in 0..100 {
+                    for _ in 0..100 {
                         s.record(CommRecord {
                             op: OpKind::Alltoall,
-                            rank: r,
-                            start: i as f64,
-                            end: i as f64 + 1.0,
                             sent: BytesByClass::default(),
                         });
                     }

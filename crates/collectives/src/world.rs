@@ -1,17 +1,17 @@
 //! The simulated communication world: rank threads, mailboxes, collectives.
 
-// detlint: allow(D001) pending is a lookup-only match table (exact-key remove/insert), never iterated or drained
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use exflow_topology::collective_cost::BytesByClass;
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
 use crate::clock::VirtualClock;
-use crate::record::{CommRecord, CommStats, OpKind};
+use crate::record::{CommRecord, CommStats, Ledger, OpKind, OpTotals};
 
 /// A message between rank threads. Payloads are real buffers; `arrival` is
 /// the virtual time at which the bytes are fully delivered.
@@ -24,20 +24,97 @@ struct Msg {
     payload: Vec<u8>,
 }
 
-/// Shared state backing [`RankComm::barrier`]: a three-phase max-reduction
-/// of the ranks' virtual clocks.
+/// What travels through a rank's mailbox.
+enum Wire {
+    Data(Msg),
+    /// A peer's job panicked: whoever is blocked on this mailbox unwinds
+    /// too instead of waiting for a message that will never come.
+    PeerPanicked,
+}
+
+/// Panic payload of a rank that unwound only because a peer did; the
+/// driver re-raises the peer's own payload in preference to it.
+struct PeerPanicked;
+
+/// Shared state backing [`RankComm::barrier`]: a max-reduction of the
+/// ranks' virtual clocks that costs each waiter one wake-up.
+///
+/// Every arriver folds its clock into `running_max` under the lock. The
+/// last one publishes it as `released_max`, clears the running slots, bumps
+/// `generation` and wakes the rest, who return `released_max`. That single
+/// round is race-free because `released_max` is only ever overwritten by
+/// the last arriver of the *next* generation, and that rank cannot arrive
+/// before every rank — each waiter of this generation included — has read
+/// the value (under the lock) and left.
+#[derive(Default)]
+struct ClockBarrier {
+    state: Mutex<BarrierState>,
+    released: Condvar,
+}
+
+#[derive(Default)]
 struct BarrierState {
-    gate: std::sync::Barrier,
-    max_clock: Mutex<f64>,
+    count: usize,
+    generation: u64,
+    running_max: f64,
+    released_max: f64,
+    /// A rank's job panicked; nobody will complete this generation.
+    aborted: bool,
+}
+
+impl ClockBarrier {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BarrierState> {
+        self.state
+            .lock()
+            .expect("no code path panics while holding the barrier lock")
+    }
+
+    /// Block until all `w` ranks have arrived; returns the max of their
+    /// `now`s.
+    fn sync(&self, w: usize, now: f64) -> f64 {
+        let mut s = self.lock();
+        if !s.aborted {
+            if now > s.running_max {
+                s.running_max = now;
+            }
+            s.count += 1;
+            if s.count == w {
+                s.released_max = s.running_max;
+                s.running_max = 0.0;
+                s.count = 0;
+                s.generation += 1;
+                self.released.notify_all();
+                return s.released_max;
+            }
+            let arrived_in = s.generation;
+            while s.generation == arrived_in && !s.aborted {
+                s = self
+                    .released
+                    .wait(s)
+                    .expect("no code path panics while holding the barrier lock");
+            }
+            if s.generation != arrived_in {
+                return s.released_max;
+            }
+        }
+        drop(s);
+        resume_unwind(Box::new(PeerPanicked))
+    }
+
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.released.notify_all();
+    }
 }
 
 /// A simulated cluster communicator. Owns the cluster shape, the cost model
-/// and the shared [`CommStats`]; [`CommWorld::run`] spawns one thread per
-/// rank and hands each a [`RankComm`].
+/// and the shared [`CommStats`]; [`CommWorld::session`] spawns one thread
+/// per rank, each owning a [`RankComm`], and keeps them for as many jobs as
+/// the caller submits. [`CommWorld::run`] is the one-job shorthand.
 pub struct CommWorld {
     cluster: ClusterSpec,
     cost: CostModel,
-    stats: Arc<CommStats>,
+    stats: CommStats,
 }
 
 impl CommWorld {
@@ -46,7 +123,7 @@ impl CommWorld {
         CommWorld {
             cluster,
             cost,
-            stats: Arc::new(CommStats::new()),
+            stats: CommStats::new(),
         }
     }
 
@@ -60,14 +137,94 @@ impl CommWorld {
         &self.cost
     }
 
-    /// Shared communication statistics, accumulated across all runs until
-    /// [`CommStats::reset`].
-    pub fn stats(&self) -> &Arc<CommStats> {
+    /// Communication statistics, accumulated across all jobs of all
+    /// sessions until [`CommStats::reset`]. A job's records appear when it
+    /// completes.
+    pub fn stats(&self) -> &CommStats {
         &self.stats
     }
 
-    /// Spawn one thread per rank, run `f` on each with its [`RankComm`],
-    /// and return the per-rank results ordered by rank.
+    /// Spawn one thread per rank and hand `body` the [`Session`] that feeds
+    /// them jobs. The threads — with their mailboxes, barrier and
+    /// [`RankComm`]s — live until `body` returns and are joined before this
+    /// does.
+    ///
+    /// Jobs may borrow anything that outlives this call (`'env`), but
+    /// nothing created inside `body`: a rank thread outlives the driver's
+    /// locals.
+    pub fn session<'env, R, T>(&'env self, body: impl FnOnce(&mut Session<'env, R>) -> T) -> T
+    where
+        R: Send,
+    {
+        self.open(None, body)
+    }
+
+    /// [`CommWorld::session`], optionally with its `only` job already on
+    /// the desk when the rank threads start: they run it without first
+    /// going to sleep waiting for it, and leave without being woken for
+    /// the close.
+    fn open<'env, R, T>(
+        &'env self,
+        only: Option<Job<'env, R>>,
+        body: impl FnOnce(&mut Session<'env, R>) -> T,
+    ) -> T
+    where
+        R: Send,
+    {
+        let w = self.cluster.world_size();
+        let (senders, mailboxes): (Vec<Sender<Wire>>, Vec<Receiver<Wire>>) =
+            (0..w).map(|_| unbounded()).unzip();
+        let barrier = Arc::new(ClockBarrier::default());
+        let desk = Arc::new(JobDesk::new(w));
+        let closed = only.is_some();
+        if let Some(job) = only {
+            desk.post(job, true);
+        }
+
+        std::thread::scope(|scope| {
+            for (rank, rx) in mailboxes.into_iter().enumerate() {
+                let mut comm = RankComm {
+                    rank: Rank(rank),
+                    cluster: self.cluster,
+                    cost: self.cost,
+                    senders: senders.clone(),
+                    rx,
+                    pending: (0..w).map(|_| VecDeque::new()).collect(),
+                    clock: VirtualClock::new(),
+                    seq: 0,
+                    barrier: Arc::clone(&barrier),
+                    ledger: Ledger::default(),
+                };
+                let desk = Arc::clone(&desk);
+                scope.spawn(move || {
+                    let mut done = 0;
+                    while let Some(job) = desk.next_job(done) {
+                        done += 1;
+                        comm.clock = VirtualClock::new();
+                        let out = catch_unwind(AssertUnwindSafe(|| job(&mut comm)));
+                        // Release the job's captures before the driver
+                        // can observe the result.
+                        drop(job);
+                        if out.is_err() {
+                            comm.abort_peers();
+                        }
+                        let ledger = std::mem::take(&mut comm.ledger);
+                        desk.hand_in(rank, out.map(|r| (r, ledger)));
+                    }
+                });
+            }
+            let mut session = Session {
+                desk,
+                stats: &self.stats,
+                last_job: Ledger::default(),
+                closed,
+            };
+            body(&mut session)
+        })
+    }
+
+    /// Run `f` once on every rank (a one-job [`CommWorld::session`]) and
+    /// return the per-rank results ordered by rank.
     ///
     /// Panics in any rank propagate (the run is aborted and the panic
     /// re-raised), so test failures inside rank closures surface normally.
@@ -76,87 +233,209 @@ impl CommWorld {
         F: Fn(&mut RankComm) -> R + Sync,
         R: Send,
     {
-        let w = self.cluster.world_size();
-        let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(w);
-        let mut receivers: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(w);
-        for _ in 0..w {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        let barrier = Arc::new(BarrierState {
-            gate: std::sync::Barrier::new(w),
-            max_clock: Mutex::new(0.0),
-        });
-
-        let mut results: Vec<Option<R>> = (0..w).map(|_| None).collect();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(w);
-            for (rank, (slot, rx)) in results.iter_mut().zip(receivers.iter_mut()).enumerate() {
-                let senders = senders.clone();
-                let rx = rx.take().expect("receiver taken once");
-                let barrier = Arc::clone(&barrier);
-                let stats = Arc::clone(&self.stats);
-                let cluster = self.cluster;
-                let cost = self.cost;
-                let f = &f;
-                handles.push(scope.spawn(move |_| {
-                    let mut comm = RankComm {
-                        rank: Rank(rank),
-                        cluster,
-                        cost,
-                        senders,
-                        rx,
-                        // detlint: allow(D001) lookup-only match table, never iterated
-                        pending: HashMap::new(),
-                        clock: VirtualClock::new(),
-                        seq: 0,
-                        barrier,
-                        stats,
-                    };
-                    *slot = Some(f(&mut comm));
-                }));
-            }
-            let mut first_panic = None;
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-            if let Some(payload) = first_panic {
-                std::panic::resume_unwind(payload);
-            }
-        })
-        .expect("comm scope failed");
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every rank produces a result"))
-            .collect()
+        let f = &f;
+        self.open(Some(Arc::new(move |comm| f(comm))), Session::collect)
     }
 }
 
-/// One rank's endpoint inside a [`CommWorld::run`] closure.
+type Job<'env, R> = Arc<dyn Fn(&mut RankComm) -> R + Send + Sync + 'env>;
+
+type RankOutcome<R> = Result<(R, Ledger), Box<dyn Any + Send>>;
+
+/// Where the driver posts jobs and the ranks hand in their outcomes: one
+/// lock, one wake-up of the ranks per job and one of the driver per job.
+struct JobDesk<'env, R> {
+    state: Mutex<DeskState<'env, R>>,
+    posted: Condvar,
+    handed_in: Condvar,
+}
+
+struct DeskState<'env, R> {
+    /// The running job, if any.
+    job: Option<Job<'env, R>>,
+    /// Jobs posted so far; a rank that has done fewer has one to run.
+    posted: u64,
+    /// No further job will be posted.
+    closed: bool,
+    /// Slot `r` is rank `r`'s outcome of the running job.
+    outcomes: Vec<Option<RankOutcome<R>>>,
+    outstanding: usize,
+}
+
+impl<'env, R> JobDesk<'env, R> {
+    fn new(w: usize) -> Self {
+        JobDesk {
+            state: Mutex::new(DeskState {
+                job: None,
+                posted: 0,
+                closed: false,
+                outcomes: (0..w).map(|_| None).collect(),
+                outstanding: 0,
+            }),
+            posted: Condvar::new(),
+            handed_in: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, DeskState<'env, R>> {
+        self.state
+            .lock()
+            .expect("no code path panics while holding the desk lock")
+    }
+
+    /// Rank side: block for the job after the `done`-th, `None` once the
+    /// session is over.
+    fn next_job(&self, done: u64) -> Option<Job<'env, R>> {
+        let mut s = self.lock();
+        while s.posted == done && !s.closed {
+            s = self
+                .posted
+                .wait(s)
+                .expect("no code path panics while holding the desk lock");
+        }
+        if s.posted == done {
+            return None;
+        }
+        let job = s.job.as_ref();
+        let job = job.expect("a posted job stays on the desk until every rank hands in");
+        Some(Arc::clone(job))
+    }
+
+    /// Rank side: the last rank to hand in wakes the driver.
+    fn hand_in(&self, rank: usize, outcome: RankOutcome<R>) {
+        let mut s = self.lock();
+        s.outcomes[rank] = Some(outcome);
+        s.outstanding -= 1;
+        if s.outstanding == 0 {
+            drop(s);
+            self.handed_in.notify_one();
+        }
+    }
+
+    /// Driver side: put `job` on the desk and wake the ranks. Closing the
+    /// desk along with the `last` job lets each rank leave as it hands in.
+    fn post(&self, job: Job<'env, R>, last: bool) {
+        let mut s = self.lock();
+        s.outstanding = s.outcomes.len();
+        s.job = Some(job);
+        s.posted += 1;
+        s.closed = last;
+        drop(s);
+        self.posted.notify_all();
+    }
+
+    /// Driver side: block until every rank has handed in the posted job
+    /// and return the outcomes in rank order.
+    fn collect(&self) -> Vec<RankOutcome<R>> {
+        let mut s = self.lock();
+        while s.outstanding > 0 {
+            s = self
+                .handed_in
+                .wait(s)
+                .expect("no code path panics while holding the desk lock");
+        }
+        s.job = None;
+        s.outcomes
+            .iter_mut()
+            .map(|o| o.take().expect("every rank handed in"))
+            .collect()
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.posted.notify_all();
+    }
+}
+
+/// The driver's handle on the rank threads of one [`CommWorld::session`].
+pub struct Session<'env, R> {
+    desk: Arc<JobDesk<'env, R>>,
+    stats: &'env CommStats,
+    last_job: Ledger,
+    /// No further job may be posted: one panicked, or the session was
+    /// opened for a single job.
+    closed: bool,
+}
+
+impl<'env, R> Session<'env, R> {
+    /// Run `job` on every rank and return the per-rank results ordered by
+    /// rank. Jobs run one at a time, in submission order; each starts with
+    /// every rank's virtual clock at zero.
+    ///
+    /// If the job panics on any rank, the other ranks are unblocked, the
+    /// first such panic (in rank order) is re-raised here, and the session
+    /// accepts no further jobs.
+    pub fn run<F>(&mut self, job: F) -> Vec<R>
+    where
+        F: Fn(&mut RankComm) -> R + Send + Sync + 'env,
+    {
+        assert!(!self.closed, "this session takes no further jobs");
+        self.desk.post(Arc::new(job), false);
+        self.collect()
+    }
+
+    /// Wait for the posted job; fold the ranks' ledgers, in rank order,
+    /// into this job's totals and the world's.
+    fn collect(&mut self) -> Vec<R> {
+        self.last_job = Ledger::default();
+        let mut out = Vec::new();
+        let mut panic: Option<Box<dyn Any + Send>> = None;
+        for outcome in self.desk.collect() {
+            match outcome {
+                Ok((r, ledger)) => {
+                    out.push(r);
+                    self.last_job.merge(&ledger);
+                }
+                Err(payload) => {
+                    if panic.as_ref().is_none_or(|p| p.is::<PeerPanicked>()) {
+                        panic = Some(payload);
+                    }
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            self.closed = true;
+            resume_unwind(payload);
+        }
+        self.stats.absorb(&self.last_job);
+        out
+    }
+
+    /// Totals of the most recent job alone (the world's
+    /// [`CommWorld::stats`] keep accumulating across jobs).
+    pub fn job_totals(&self, op: OpKind) -> OpTotals {
+        self.last_job.totals(op)
+    }
+}
+
+impl<R> Drop for Session<'_, R> {
+    /// Lets the rank threads go, so the scope can join them.
+    fn drop(&mut self) {
+        self.desk.close();
+    }
+}
+
+/// One rank's endpoint inside a job.
 ///
 /// All methods are *collective*: every rank in the world must call them in
 /// the same order (the usual SPMD contract). Sequence numbers are checked in
-/// debug builds via message tags — a mismatched schedule deadlocks rather
-/// than silently mismatching payloads.
+/// debug builds via message tags.
 pub struct RankComm {
     rank: Rank,
     cluster: ClusterSpec,
     cost: CostModel,
-    senders: Vec<Sender<Msg>>,
-    rx: Receiver<Msg>,
-    /// Out-of-order message stash, keyed by (src, seq, step). Every
-    /// access is an exact-key `remove`/`insert` — the map is never
-    /// iterated, so hash order cannot leak into any result.
-    // detlint: allow(D001) lookup-only match table, never iterated or drained
-    pending: HashMap<(usize, u64, u32), Msg>,
+    senders: Vec<Sender<Wire>>,
+    rx: Receiver<Wire>,
+    /// Early arrivals, one FIFO per source rank. A channel keeps one
+    /// sender's messages in its program order and this rank consumes them
+    /// in the same (SPMD) order, so the head of `pending[src]` is always
+    /// the next message expected from `src`.
+    pending: Vec<VecDeque<Msg>>,
     clock: VirtualClock,
     seq: u64,
-    barrier: Arc<BarrierState>,
-    stats: Arc<CommStats>,
+    barrier: Arc<ClockBarrier>,
+    /// This rank's accounting for the running job.
+    ledger: Ledger,
 }
 
 impl RankComm {
@@ -193,21 +472,42 @@ impl RankComm {
             arrival: self.clock.now(),
             payload,
         };
-        self.senders[dst].send(msg).expect("receiver alive");
+        self.senders[dst]
+            .send(Wire::Data(msg))
+            .expect("receiver alive");
     }
 
     fn recv(&mut self, src: usize, seq: u64, step: u32) -> Msg {
-        let key = (src, seq, step);
-        if let Some(m) = self.pending.remove(&key) {
-            return m;
-        }
-        loop {
-            let m = self.rx.recv().expect("peer disconnected mid-collective");
-            let mkey = (m.src, m.seq, m.step);
-            if mkey == key {
-                return m;
-            }
-            self.pending.insert(mkey, m);
+        let msg = match self.pending[src].pop_front() {
+            Some(m) => m,
+            None => loop {
+                match self
+                    .rx
+                    .recv()
+                    .expect("this rank holds a sender to its own mailbox")
+                {
+                    Wire::Data(m) if m.src == src => break m,
+                    Wire::Data(m) => self.pending[m.src].push_back(m),
+                    Wire::PeerPanicked => resume_unwind(Box::new(PeerPanicked)),
+                }
+            },
+        };
+        debug_assert_eq!(
+            (msg.seq, msg.step),
+            (seq, step),
+            "rank {src} and rank {} disagree on the collective schedule",
+            self.rank.0
+        );
+        msg
+    }
+
+    /// This rank's job panicked: unblock every peer waiting on it, in the
+    /// barrier or on a mailbox.
+    fn abort_peers(&self) {
+        self.barrier.abort();
+        for tx in &self.senders {
+            // A peer that already exited has nothing to be told.
+            let _ = tx.send(Wire::PeerPanicked);
         }
     }
 
@@ -226,7 +526,6 @@ impl RankComm {
         );
         let seq = self.seq;
         self.seq += 1;
-        let start = self.clock.now();
         let mut sent = BytesByClass::default();
         let me = self.rank.0;
 
@@ -260,11 +559,8 @@ impl RankComm {
             out[src] = msg.payload;
         }
 
-        self.stats.record(CommRecord {
+        self.ledger.record(CommRecord {
             op: OpKind::Alltoall,
-            rank: me,
-            start,
-            end: self.clock.now(),
             sent,
         });
         out
@@ -281,7 +577,6 @@ impl RankComm {
         let w = self.world_size();
         let seq = self.seq;
         self.seq += 1;
-        let start = self.clock.now();
         let me = self.rank.0;
         let mut sent = BytesByClass::default();
 
@@ -310,11 +605,8 @@ impl RankComm {
             }
         }
 
-        self.stats.record(CommRecord {
+        self.ledger.record(CommRecord {
             op: OpKind::AllGather,
-            rank: me,
-            start,
-            end: self.clock.now(),
             sent,
         });
         blocks
@@ -329,29 +621,10 @@ impl RankComm {
     /// implicitly synchronizes through the AllGather anyway; modeled as
     /// cost-free because its latency is dwarfed by data-bearing collectives.
     pub fn barrier(&mut self) {
-        let start = self.clock.now();
-        {
-            let mut m = self.barrier.max_clock.lock();
-            if self.clock.now() > *m {
-                *m = self.clock.now();
-            }
-        }
-        self.barrier.gate.wait();
-        let target = *self.barrier.max_clock.lock();
-        self.clock.wait_until(target);
-        self.barrier.gate.wait();
-        // Third phase: one rank resets the slot for the next barrier, then
-        // everyone re-synchronizes so no writer can race the reset.
-        if self.barrier.gate.wait().is_leader() {
-            *self.barrier.max_clock.lock() = 0.0;
-        }
-        self.barrier.gate.wait();
-
-        self.stats.record(CommRecord {
+        let released = self.barrier.sync(self.world_size(), self.clock.now());
+        self.clock.wait_until(released);
+        self.ledger.record(CommRecord {
             op: OpKind::Barrier,
-            rank: self.rank.0,
-            start,
-            end: self.clock.now(),
             sent: BytesByClass::default(),
         });
     }
@@ -504,6 +777,98 @@ mod tests {
         let w = world(1, 2);
         w.run(|comm| {
             let _ = comm.all_to_all_v(vec![Vec::new()]);
+        });
+    }
+
+    /// A seeded per-(rank, round) skew in [0, 1) without a `rand`
+    /// dependency: the top bits of a multiplicative hash.
+    fn skew(seed: u64, rank: usize, round: u64) -> f64 {
+        let z = (seed ^ (rank as u64) << 32 ^ round).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        (z >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    #[test]
+    fn back_to_back_barriers_release_the_same_max_to_every_rank() {
+        // A fast rank re-entering the next barrier must never overwrite the
+        // released value a slow waiter of this one has yet to read.
+        const ROUNDS: u64 = 10_000;
+        for (nodes, gpn) in [(1, 1), (1, 2), (2, 4)] {
+            let w = world(nodes, gpn);
+            let n = nodes * gpn;
+            let per_rank = w.run(|comm| {
+                (0..ROUNDS)
+                    .map(|round| {
+                        comm.advance(skew(17, comm.rank().0, round));
+                        comm.barrier();
+                        comm.now().to_bits()
+                    })
+                    .collect::<Vec<u64>>()
+            });
+            // What the max must be, replayed sequentially.
+            let mut clocks = vec![0.0f64; n];
+            for round in 0..ROUNDS {
+                for (rank, c) in clocks.iter_mut().enumerate() {
+                    *c += skew(17, rank, round);
+                }
+                let max = clocks.iter().copied().fold(0.0, f64::max);
+                clocks.fill(max);
+                for seen in &per_rank {
+                    assert_eq!(seen[round as usize], max.to_bits(), "W={n} round {round}");
+                }
+            }
+            assert_eq!(w.stats().totals(OpKind::Barrier).records, ROUNDS * n as u64);
+        }
+    }
+
+    #[test]
+    fn rank_threads_live_for_the_session_not_the_job() {
+        use std::collections::BTreeSet;
+        let w = world(1, 4);
+        let ids = || format!("{:?}", std::thread::current().id());
+        let in_session = |w: &CommWorld| {
+            w.session(|session| {
+                let first: BTreeSet<String> = session.run(move |_| ids()).into_iter().collect();
+                for _ in 0..5 {
+                    session.run(move |comm| {
+                        comm.barrier();
+                        ids()
+                    });
+                }
+                let last: BTreeSet<String> = session.run(move |_| ids()).into_iter().collect();
+                assert_eq!(first, last, "a session must not respawn its ranks");
+                first
+            })
+        };
+        let a = in_session(&w);
+        let b = in_session(&w);
+        assert_eq!(a.len(), 4);
+        assert!(a.is_disjoint(&b), "each session spawns its own ranks");
+    }
+
+    #[test]
+    #[should_panic(expected = "boom on every rank")]
+    fn a_job_that_panics_on_every_rank_reraises_on_the_driver() {
+        let w = world(1, 4);
+        w.session(|session| {
+            session.run(|comm| comm.barrier());
+            session.run(|_| -> () { panic!("boom on every rank") });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom on rank 2")]
+    fn a_single_rank_panic_unblocks_its_peers_and_reraises() {
+        // Ranks 0, 1 and 3 are parked in a barrier and an Alltoall that
+        // rank 2 never joins; they must unwind rather than hang the scope.
+        let w = world(1, 4);
+        w.run(|comm| {
+            if comm.rank().0 == 2 {
+                panic!("boom on rank 2");
+            }
+            if comm.rank().0 == 3 {
+                comm.all_to_all_v(vec![vec![1u8]; 4]);
+            }
+            comm.barrier();
         });
     }
 }

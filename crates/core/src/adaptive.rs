@@ -5,6 +5,8 @@
 //! surface decides only *when* a window ends and what a landed re-plan
 //! means for its own clock.
 
+use std::sync::Arc;
+
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_model::DriftSchedule;
 use exflow_placement::online::MigrationPlan;
@@ -35,7 +37,9 @@ pub(crate) struct AdaptiveState<'e> {
     objective: Objective,
     cache: SwapGainCache,
     /// The placement and replica subsets re-plans have committed to.
-    pub(crate) live: ReplicationPlan,
+    /// Passes share it by `Arc`, so a re-plan replaces it rather than
+    /// editing what a rank thread may still be reading.
+    pub(crate) live: Arc<ReplicationPlan>,
     /// Migration budget earlier re-plans left unspent (`budget_rollover`).
     carry: u64,
     /// Drift signal at each closed window.
@@ -82,7 +86,7 @@ impl<'e> AdaptiveState<'e> {
             reference,
             objective,
             cache,
-            live,
+            live: Arc::new(live),
             carry: 0,
             drift: Vec::new(),
             replans: Vec::new(),
@@ -108,7 +112,7 @@ impl<'e> AdaptiveState<'e> {
     /// over threshold, re-plan against the live estimate. Returns the
     /// migration's completion time and the plan it replaces when a re-plan
     /// changed anything; `self.live` already holds the new plan.
-    pub(crate) fn close_window(&mut self, ended: usize) -> Option<(f64, ReplicationPlan)> {
+    pub(crate) fn close_window(&mut self, ended: usize) -> Option<(f64, Arc<ReplicationPlan>)> {
         let oc = self.cfg.online;
         let drift_now = self.streaming.divergence(&self.reference);
         self.drift.push(drift_now);
@@ -131,12 +135,12 @@ impl<'e> AdaptiveState<'e> {
     /// served from the swap-gain cache), commit the winner into
     /// `self.live`, and price the migration. `None` when the plan is
     /// empty (no event, no time charged); the carry updates either way.
-    fn replan(&mut self, window: usize, drift_now: f64) -> Option<(f64, ReplicationPlan)> {
+    fn replan(&mut self, window: usize, drift_now: f64) -> Option<(f64, Arc<ReplicationPlan>)> {
         let cfg = self.cfg;
         let oc = cfg.online;
         let bytes_per_expert = self.bytes_per_expert();
         let budget_now = oc.budget_for(drift_now, self.carry);
-        let (plan, cost, replaced) = if oc.replica_memory_bytes > 0 {
+        let (plan, cost, next) = if oc.replica_memory_bytes > 0 {
             let (next, cost) = solve_budgeted_replicated_metered(
                 &self.objective,
                 &self.live,
@@ -150,7 +154,7 @@ impl<'e> AdaptiveState<'e> {
                 Some(&mut self.cache),
             );
             let plan = MigrationPlan::between_replicated(&self.live, &next, bytes_per_expert);
-            (plan, cost, std::mem::replace(&mut self.live, next))
+            (plan, cost, next)
         } else {
             let (next, cost) = solve_budgeted_metered(
                 &self.objective,
@@ -160,12 +164,13 @@ impl<'e> AdaptiveState<'e> {
                 Some(&mut self.cache),
             );
             let plan = MigrationPlan::between(&self.live.base, &next, bytes_per_expert);
-            let replaced = ReplicationPlan {
-                base: std::mem::replace(&mut self.live.base, next),
+            let next = ReplicationPlan {
+                base: next,
                 replicas: self.live.replicas.clone(),
             };
-            (plan, cost, replaced)
+            (plan, cost, next)
         };
+        let replaced = std::mem::replace(&mut self.live, Arc::new(next));
         debug_assert!(plan.total_bytes() <= budget_now);
         if oc.budget_rollover {
             self.carry = budget_now.saturating_sub(plan.total_bytes());

@@ -3,21 +3,20 @@
 //! cluster.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use exflow_affinity::{RoutingTrace, SparseAffinity};
-use exflow_collectives::{CommWorld, OpKind, RankComm};
+use exflow_collectives::{CommWorld, OpKind, RankComm, Session};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{
     ComputeCostModel, CorpusSpec, DriftSchedule, Expert, Matrix, ModelConfig, RoutingModel,
     TokenBatch,
 };
 use exflow_placement::staged::solve_staged_with;
-use exflow_placement::{
-    GapBackend, LayerReplicas, Objective, Parallelism, Placement, ReplicationPlan,
-};
+use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
 use crate::adaptive::AdaptiveState;
@@ -322,7 +321,10 @@ pub struct InferenceEngine {
     round_robin: Placement,
     affinity_gpu: Placement,
     affinity_node: Placement,
-    all_ranks: Vec<usize>,
+    all_ranks: Arc<[usize]>,
+    /// Every expert's weights, `layer * n_experts + expert`; built by the
+    /// first pass (see [`InferenceEngine::experts`]).
+    experts: OnceLock<Vec<Expert>>,
 }
 
 impl InferenceEngine {
@@ -381,6 +383,7 @@ impl InferenceEngine {
             affinity_gpu: staged.gpu_level,
             affinity_node: staged.node_level,
             all_ranks: (0..world).collect(),
+            experts: OnceLock::new(),
         }
     }
 
@@ -428,15 +431,34 @@ impl InferenceEngine {
         mode: ParallelismMode,
         placement: &Placement,
     ) -> InferenceReport {
-        let batches = self.serving_batches(&self.routing, 0);
-        let no_replicas = vec![Vec::new(); self.cfg.model.n_layers];
-        self.run_with_batches(mode, placement, &no_replicas, &batches, 0, &self.all_ranks)
+        let plan = ReplicationPlan::bare(placement.clone());
+        self.run_once(mode, plan, self.serving_batches(&self.routing, 0))
     }
 
     /// Every provisioned GPU, ascending: the `live_ranks` of a healthy
     /// fleet.
-    pub(crate) fn all_ranks(&self) -> &[usize] {
+    pub(crate) fn all_ranks(&self) -> &Arc<[usize]> {
         &self.all_ranks
+    }
+
+    /// The expert table: weights are a pure function of `(seed, layer,
+    /// expert)` — whatever the placement, replica set or fleet state — so
+    /// one table serves every pass of this engine's life and is never
+    /// invalidated. Built by the first pass, not by `build()`.
+    fn experts(&self) -> &[Expert] {
+        self.experts.get_or_init(|| {
+            let cfg = &self.cfg;
+            let sim_dim = cfg.model.sim_dim;
+            (0..cfg.model.n_layers)
+                .flat_map(|layer| (0..cfg.model.n_experts).map(move |e| (layer, e)))
+                .map(|(layer, e)| {
+                    let mut rng = StdRng::seed_from_u64(
+                        cfg.seed ^ (layer as u64) << 32 ^ (e as u64) << 8 ^ 0xe4e4,
+                    );
+                    Expert::random(sim_dim, sim_dim * 4, &mut rng)
+                })
+                .collect()
+        })
     }
 
     /// Serving batches for one window: fresh routes per generation
@@ -461,10 +483,83 @@ impl InferenceEngine {
             .collect()
     }
 
-    /// Execute one serving run over explicit batches. `ctx_offset` shifts
-    /// the per-iteration context length (tokens generated in earlier
-    /// windows of an online run are part of every later context). Batches
-    /// may be any size: tokens spread round-robin over the ranks, so the
+    /// Spawn this engine's rank threads and hand `body` the session that
+    /// runs passes on them; the threads live until `body` returns. Every
+    /// pass of every run goes through here — a serving or online run opens
+    /// one session around its loop, a single offline pass
+    /// ([`InferenceEngine::run_once`]) a one-job session.
+    pub(crate) fn with_session<T>(&self, body: impl FnOnce(&mut PassSession<'_, '_>) -> T) -> T {
+        let world = CommWorld::new(self.cfg.cluster, self.cfg.link_cost);
+        world.session(|session| {
+            body(&mut PassSession {
+                engine: self,
+                session,
+            })
+        })
+    }
+
+    /// One pass on a healthy fleet in a session of its own.
+    pub(crate) fn run_once(
+        &self,
+        mode: ParallelismMode,
+        plan: ReplicationPlan,
+        batches: Vec<TokenBatch>,
+    ) -> InferenceReport {
+        self.with_session(|s| s.run(mode, &Arc::new(plan), batches, 0, &self.all_ranks))
+    }
+
+    /// One windowed online run (the `run_scenario` drift path); see
+    /// [`crate::Scenario::with_drift`] for the full contract.
+    pub(crate) fn run_online_impl(
+        &self,
+        mode: ParallelismMode,
+        drift: &DriftSchedule,
+    ) -> OnlineReport {
+        let cfg = &self.cfg;
+        cfg.online.validate();
+        let start = ReplicationPlan::bare(self.placement_for(mode).clone());
+        let mut adaptive = AdaptiveState::new(self, mode, drift, start);
+        let mut windows = Vec::with_capacity(drift.n_windows());
+        self.with_session(|session| {
+            for window in 0..drift.n_windows() {
+                let batches = self.serving_batches(drift.model_at(window), window);
+                let paths = batches.iter().flat_map(TokenBatch::top1_paths).collect();
+                windows.push(session.run(
+                    mode,
+                    &adaptive.live,
+                    batches,
+                    window * cfg.n_iterations,
+                    &self.all_ranks,
+                ));
+                adaptive.ingest(paths);
+                // Windows run back to back on the new plan: the migration
+                // is charged to the ledger, not to any window's clock.
+                adaptive.close_window(window);
+            }
+        });
+        OnlineReport {
+            mode,
+            windows,
+            drift: adaptive.drift,
+            replans: adaptive.replans,
+            migrations: adaptive.migrations,
+            final_extra_copies: adaptive.live.extra_copies_per_gpu() as u64,
+        }
+    }
+}
+
+/// The rank threads of one [`InferenceEngine::with_session`], executing
+/// one [`Pass`] per [`PassSession::run`].
+pub(crate) struct PassSession<'s, 'e> {
+    engine: &'e InferenceEngine,
+    session: &'s mut Session<'e, RankResult>,
+}
+
+impl PassSession<'_, '_> {
+    /// Execute one pass over explicit batches. `ctx_offset` shifts the
+    /// per-iteration context length (tokens generated in earlier windows
+    /// of an online run are part of every later context). Batches may be
+    /// any size: tokens spread round-robin over the ranks, so the
     /// request-level serving loop (`crate::serving`) can feed it
     /// continuous-batching pools of whatever occupancy the queue yields.
     ///
@@ -475,35 +570,39 @@ impl InferenceEngine {
     /// ([`InferenceEngine::all_ranks`]) token homing and context-setup
     /// accounting reduce to exactly the unmasked arithmetic:
     /// `live_ranks[id % live_ranks.len()]` is then `id % w`.
-    pub(crate) fn run_with_batches(
-        &self,
+    ///
+    /// The rank threads outlive this call's locals, so the pass shares
+    /// `plan` and `live_ranks` by `Arc` and owns its batches.
+    pub(crate) fn run(
+        &mut self,
         mode: ParallelismMode,
-        placement: &Placement,
-        replicated: &[LayerReplicas],
-        batches: &[TokenBatch],
+        plan: &Arc<ReplicationPlan>,
+        batches: Vec<TokenBatch>,
         ctx_offset: usize,
-        live_ranks: &[usize],
+        live_ranks: &Arc<[usize]>,
     ) -> InferenceReport {
-        let cfg = &self.cfg;
+        let cfg = &self.engine.cfg;
         let w = cfg.cluster.world_size();
-        assert_eq!(placement.n_units(), w, "placement must cover every GPU");
-        assert_eq!(placement.n_layers(), cfg.model.n_layers);
-        assert_eq!(replicated.len(), cfg.model.n_layers);
+        assert_eq!(plan.base.n_units(), w, "placement must cover every GPU");
+        assert_eq!(plan.base.n_layers(), cfg.model.n_layers);
+        assert_eq!(plan.replicas.len(), cfg.model.n_layers);
         assert!(
             live_ranks.is_sorted() && live_ranks.last().is_some_and(|&r| r < w),
             "live ranks must be a non-empty ascending list of the fleet's GPUs"
         );
 
+        let tokens_processed = batches.iter().map(|b| b.len() as u64).sum();
         let pass = Pass {
             cfg,
+            experts: self.engine.experts(),
             mode,
-            placement,
-            replicated,
-            live_ranks,
+            plan: Arc::clone(plan),
+            live_ranks: Arc::clone(live_ranks),
+            batches,
+            ctx_offset,
             frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
         };
-        let world = CommWorld::new(cfg.cluster, cfg.link_cost);
-        let rank_results = world.run(|comm| pass.rank_loop(comm, batches, ctx_offset));
+        let rank_results = self.session.run(move |comm| pass.rank_loop(comm));
 
         let total_time = rank_results
             .iter()
@@ -521,62 +620,30 @@ impl InferenceEngine {
             mode,
             total_time,
             breakdown,
-            tokens_processed: batches.iter().map(|b| b.len() as u64).sum(),
+            tokens_processed,
             dispatch,
-            alltoall_bytes: world.stats().totals(OpKind::Alltoall).sent,
-            allgather_bytes: world.stats().totals(OpKind::AllGather).sent,
-        }
-    }
-
-    /// One windowed online run (the `run_scenario` drift path); see
-    /// [`crate::Scenario::with_drift`] for the full contract.
-    pub(crate) fn run_online_impl(
-        &self,
-        mode: ParallelismMode,
-        drift: &DriftSchedule,
-    ) -> OnlineReport {
-        let cfg = &self.cfg;
-        cfg.online.validate();
-        let start = ReplicationPlan::bare(self.placement_for(mode).clone());
-        let mut adaptive = AdaptiveState::new(self, mode, drift, start);
-        let mut windows = Vec::with_capacity(drift.n_windows());
-        for window in 0..drift.n_windows() {
-            let batches = self.serving_batches(drift.model_at(window), window);
-            windows.push(self.run_with_batches(
-                mode,
-                &adaptive.live.base,
-                &adaptive.live.replicas,
-                &batches,
-                window * cfg.n_iterations,
-                &self.all_ranks,
-            ));
-            adaptive.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
-            // Windows run back to back on the new plan: the migration is
-            // charged to the ledger, not to any window's clock.
-            adaptive.close_window(window);
-        }
-        OnlineReport {
-            mode,
-            windows,
-            drift: adaptive.drift,
-            replans: adaptive.replans,
-            migrations: adaptive.migrations,
-            final_extra_copies: adaptive.live.extra_copies_per_gpu() as u64,
+            alltoall_bytes: self.session.job_totals(OpKind::Alltoall).sent,
+            allgather_bytes: self.session.job_totals(OpKind::AllGather).sent,
         }
     }
 }
 
 /// What every rank of one SPMD pass agrees on. The per-rank body is
 /// [`Pass::rank_loop`]; its per-layer stages are the methods below, in
-/// call order.
-struct Pass<'a> {
-    cfg: &'a EngineConfig,
+/// call order. Engine-lifetime data is borrowed; what changes from pass to
+/// pass is owned or shared by `Arc`, because the rank threads executing
+/// the pass outlive the caller's stack frame.
+struct Pass<'e> {
+    cfg: &'e EngineConfig,
+    /// The engine's expert table ([`InferenceEngine::experts`]).
+    experts: &'e [Expert],
     mode: ParallelismMode,
-    placement: &'a Placement,
-    replicated: &'a [LayerReplicas],
+    plan: Arc<ReplicationPlan>,
     /// Live GPUs, ascending. Dead ranks own nothing and carry nothing but
     /// still enter every collective so the virtual clocks agree.
-    live_ranks: &'a [usize],
+    live_ranks: Arc<[usize]>,
+    batches: Vec<TokenBatch>,
+    ctx_offset: usize,
     /// Wire size of one token frame.
     frame: usize,
 }
@@ -596,22 +663,16 @@ impl Pass<'_> {
     /// is a no-op (tokens stay where their experts are: *one* Alltoall
     /// per layer) and for vanilla and context-coherent top-2 is a second
     /// `exchange`.
-    fn rank_loop(
-        &self,
-        comm: &mut RankComm,
-        batches: &[TokenBatch],
-        ctx_offset: usize,
-    ) -> RankResult {
+    fn rank_loop(&self, comm: &mut RankComm) -> RankResult {
         let cfg = self.cfg;
         let me = comm.rank().0;
         let mut acc = RankResult::default();
-        let experts = self.load_experts(me);
         if self.mode.context_coherent() {
-            self.gather_prompt_contexts(comm, batches, &mut acc.breakdown);
+            self.gather_prompt_contexts(comm, &mut acc.breakdown);
         }
 
-        for (iter, batch) in batches.iter().enumerate() {
-            let ctx_len = cfg.prompt_len + ctx_offset + iter;
+        for (iter, batch) in self.batches.iter().enumerate() {
+            let ctx_len = cfg.prompt_len + self.ctx_offset + iter;
             let mut resident = self.home_tokens(me, iter, batch);
 
             for layer in 0..cfg.model.n_layers {
@@ -630,14 +691,7 @@ impl Pass<'_> {
 
                 let outgoing = self.route(me, batch, layer, resident, &mut acc.dispatch);
                 let mut received = self.exchange(comm, &outgoing, &mut acc.breakdown);
-                self.run_experts(
-                    comm,
-                    &experts,
-                    batch,
-                    layer,
-                    &mut received,
-                    &mut acc.breakdown,
-                );
+                self.run_experts(comm, batch, layer, &mut received, &mut acc.breakdown);
                 resident = self.combine(comm, batch, layer, received, &mut acc.breakdown);
             }
 
@@ -660,33 +714,22 @@ impl Pass<'_> {
         acc
     }
 
-    /// Load rank `me`'s experts (deterministic per (layer, expert), so
-    /// any placement sees identical weights), including replicas whose
-    /// subset covers it. Dead ranks hold nothing — an evacuated placement
-    /// never routes to them anyway. Ordered map per the determinism
-    /// contract (detlint D001).
-    fn load_experts(&self, me: usize) -> BTreeMap<(usize, usize), Expert> {
-        let cfg = self.cfg;
-        let sim_dim = cfg.model.sim_dim;
-        let mut experts = BTreeMap::new();
-        if !self.live_ranks.contains(&me) {
-            return experts;
-        }
-        for (layer, layer_replicas) in self.replicated.iter().enumerate() {
-            let mut ids = self.placement.experts_on(layer, me);
-            for (x, units) in layer_replicas {
-                if units.contains(&me) && !ids.contains(x) {
-                    ids.push(*x);
-                }
-            }
-            for e in ids {
-                let mut rng = StdRng::seed_from_u64(
-                    cfg.seed ^ (layer as u64) << 32 ^ (e as u64) << 8 ^ 0xe4e4,
-                );
-                experts.insert((layer, e), Expert::random(sim_dim, sim_dim * 4, &mut rng));
-            }
-        }
-        experts
+    /// The GPUs holding a replica of `(layer, expert)` besides its owner
+    /// (subsets are sorted by expert, so the lookup is a binary search).
+    fn replica_units(&self, layer: usize, expert: usize) -> &[usize] {
+        let layer_replicas = &self.plan.replicas[layer];
+        layer_replicas
+            .binary_search_by_key(&expert, |r| r.0)
+            .map_or(&[], |i| layer_replicas[i].1.as_slice())
+    }
+
+    /// Whether rank `me` serves `(layer, expert)`: it is live and is the
+    /// owner or one of the replica holders. Dead ranks hold nothing — an
+    /// evacuated placement never routes to them anyway.
+    fn holds(&self, me: usize, layer: usize, expert: usize) -> bool {
+        self.live_ranks.binary_search(&me).is_ok()
+            && (self.plan.base.unit_of(layer, expert) == me
+                || self.replica_units(layer, expert).contains(&me))
     }
 
     /// Context coherence setup: one AllGather of all prompt contexts.
@@ -695,12 +738,7 @@ impl Pass<'_> {
     /// without affecting any per-layer behaviour, so it is charged
     /// analytically: every rank advances by the same ring AllGather time
     /// the cost model predicts.
-    fn gather_prompt_contexts(
-        &self,
-        comm: &mut RankComm,
-        batches: &[TokenBatch],
-        breakdown: &mut OpBreakdown,
-    ) {
+    fn gather_prompt_contexts(&self, comm: &mut RankComm, breakdown: &mut OpBreakdown) {
         let cfg = self.cfg;
         let n_live = self.live_ranks.len();
         // Tokens are resident round-robin by id over the *live* ranks, so
@@ -708,7 +746,7 @@ impl Pass<'_> {
         // `n / n_live` of them and dead ranks contribute nothing; every
         // rank computes the same contribution vector and hence the same
         // analytic time.
-        let n_tokens = batches.first().map_or(0, TokenBatch::len);
+        let n_tokens = self.batches.first().map_or(0, TokenBatch::len);
         let contribs: Vec<u64> = (0..comm.world_size())
             .map(|r| {
                 let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
@@ -762,18 +800,12 @@ impl Pass<'_> {
         let cluster = &self.cfg.cluster;
         let my_node = cluster.node_of(Rank(me));
         let k = self.cfg.model.gate.k();
-        let layer_replicas = &self.replicated[layer];
         let mut outgoing: Vec<Vec<Token>> = (0..cluster.world_size()).map(|_| Vec::new()).collect();
-        for tok in resident {
+        for mut tok in resident {
             for slot in 0..k {
                 let expert = batch.routes[tok.id as usize][layer][slot] as usize;
-                let owner = self.placement.unit_of(layer, expert);
-                // Subsets are sorted by expert, so holder lookup is a
-                // binary search.
-                let units: &[usize] = layer_replicas
-                    .binary_search_by_key(&expert, |r| r.0)
-                    .map(|i| layer_replicas[i].1.as_slice())
-                    .unwrap_or(&[]);
+                let owner = self.plan.base.unit_of(layer, expert);
+                let units = self.replica_units(layer, expert);
                 // Meeting-point rule: in context-coherent top-2 the
                 // *primary* always runs on the owner GPU, so every rank
                 // can derive the secondary-merge destination from the
@@ -804,6 +836,13 @@ impl Pass<'_> {
                     dispatch.same_node += 1;
                 } else if cluster.node_of(Rank(dst)) == my_node {
                     dispatch.same_node += 1;
+                }
+                // The last slot takes the token itself; only top-2's
+                // first slot needs a copy.
+                if slot + 1 == k {
+                    tok.slot = slot as u32;
+                    outgoing[dst].push(tok);
+                    break;
                 }
                 let mut copy = tok.clone();
                 copy.slot = slot as u32;
@@ -844,7 +883,6 @@ impl Pass<'_> {
     fn run_experts(
         &self,
         comm: &mut RankComm,
-        experts: &BTreeMap<(usize, usize), Expert>,
         batch: &TokenBatch,
         layer: usize,
         received: &mut [Token],
@@ -852,15 +890,20 @@ impl Pass<'_> {
     ) {
         let cfg = self.cfg;
         let sim_dim = cfg.model.sim_dim;
+        let me = comm.rank().0;
         let mut by_expert: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (idx, tok) in received.iter().enumerate() {
             let expert = batch.routes[tok.id as usize][layer][tok.slot as usize] as usize;
             by_expert.entry(expert).or_default().push(idx);
         }
-        for (expert_id, idxs) in &by_expert {
-            let expert = experts
-                .get(&(layer, *expert_id))
-                .expect("token routed to an expert this rank does not hold");
+        for (&expert_id, idxs) in &by_expert {
+            // The table holds every expert, so routing and placement
+            // disagreeing would otherwise go unnoticed.
+            assert!(
+                self.holds(me, layer, expert_id),
+                "token routed to an expert this rank does not hold"
+            );
+            let expert = &self.experts[layer * cfg.model.n_experts + expert_id];
             let mut flat = Vec::with_capacity(idxs.len() * sim_dim);
             for &i in idxs {
                 flat.extend_from_slice(&received[i].emb);
@@ -905,7 +948,7 @@ impl Pass<'_> {
                     primaries.push(tok);
                 } else {
                     let primary = batch.routes[tok.id as usize][layer][0] as usize;
-                    outgoing[self.placement.unit_of(layer, primary)].push(tok);
+                    outgoing[self.plan.base.unit_of(layer, primary)].push(tok);
                 }
             }
             let secondaries = self.exchange(comm, &outgoing, breakdown);
@@ -1134,6 +1177,57 @@ mod tests {
         let via_custom = engine.run_with_placement(ParallelismMode::ContextCoherent, &rr);
         let via_default = offline(&engine, ParallelismMode::ContextCoherent);
         assert_eq!(via_custom.dispatch, via_default.dispatch);
+    }
+
+    #[test]
+    fn expert_table_is_lazy_and_a_pure_function_of_seed_layer_expert() {
+        // No report field observes the weights, so pin the derivation
+        // here: any placement, replica set or fleet state sees these.
+        let engine = tiny_engine(1, 4);
+        assert!(
+            engine.experts.get().is_none(),
+            "build() must not pay for it"
+        );
+        let cfg = engine.config();
+        let (n_experts, sim_dim) = (cfg.model.n_experts, cfg.model.sim_dim);
+        let table = engine.experts();
+        assert_eq!(table.len(), cfg.model.n_layers * n_experts);
+        for (i, expert) in table.iter().enumerate() {
+            let (l, e) = ((i / n_experts) as u64, (i % n_experts) as u64);
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ l << 32 ^ e << 8 ^ 0xe4e4);
+            let expected = Expert::random(sim_dim, 4 * sim_dim, &mut rng);
+            // `{:?}` of an f32 round-trips, so equal text is equal weights.
+            assert_eq!(format!("{expert:?}"), format!("{expected:?}"), "({l}, {e})");
+        }
+        offline(&engine, ParallelismMode::Vanilla);
+        assert!(std::ptr::eq(table, engine.experts()), "built once");
+    }
+
+    #[test]
+    #[should_panic(expected = "token routed to an expert this rank does not hold")]
+    fn tokens_for_experts_held_elsewhere_are_rejected() {
+        let engine = tiny_engine(1, 4);
+        let cfg = engine.config();
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let pass = Pass {
+            cfg,
+            experts: engine.experts(),
+            mode,
+            plan: Arc::new(ReplicationPlan::bare(engine.placement_for(mode).clone())),
+            live_ranks: Arc::clone(engine.all_ranks()),
+            batches: engine.serving_batches(engine.routing(), 0),
+            ctx_offset: 0,
+            frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
+        };
+        // A dispatch that ignored the placement: every rank is handed the
+        // whole batch, wherever each token's expert lives.
+        CommWorld::new(cfg.cluster, cfg.link_cost).run(|comm| {
+            let batch = &pass.batches[0];
+            let mut everything: Vec<Token> = (0..comm.world_size())
+                .flat_map(|home| pass.home_tokens(home, 0, batch))
+                .collect();
+            pass.run_experts(comm, batch, 0, &mut everything, &mut OpBreakdown::default());
+        });
     }
 
     #[test]

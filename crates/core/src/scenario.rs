@@ -257,14 +257,7 @@ impl InferenceEngine {
         }
         if let Some(plan) = &scenario.replication {
             let batches = self.serving_batches(self.routing(), 0);
-            return ScenarioReport::Offline(self.run_with_batches(
-                mode,
-                &plan.base,
-                &plan.replicas,
-                &batches,
-                0,
-                self.all_ranks(),
-            ));
+            return ScenarioReport::Offline(self.run_once(mode, plan.clone(), batches));
         }
         ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))
     }

@@ -67,6 +67,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,7 +78,7 @@ use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin, MigrationPlan};
 use exflow_placement::ReplicationPlan;
 
 use crate::adaptive::AdaptiveState;
-use crate::engine::InferenceEngine;
+use crate::engine::{InferenceEngine, PassSession};
 use crate::modes::ParallelismMode;
 use crate::report::{DispatchStats, DisruptionStats, FaultMarker, MigrationStats, ServingReport};
 
@@ -289,16 +290,8 @@ impl InferenceEngine {
             cfg.model.gate.k(),
             cfg.seed ^ 0x5e_41_9e,
         );
-        let no_replicas = vec![Vec::new(); cfg.model.n_layers];
-        self.run_with_batches(
-            mode,
-            self.placement_for(mode),
-            &no_replicas,
-            &[batch],
-            0,
-            self.all_ranks(),
-        )
-        .total_time
+        let plan = ReplicationPlan::bare(self.placement_for(mode).clone());
+        self.run_once(mode, plan, vec![batch]).total_time
     }
 
     /// One request-level serving run (the `run_scenario` serving path):
@@ -318,24 +311,27 @@ impl InferenceEngine {
         initial: Option<&ReplicationPlan>,
     ) -> ServingReport {
         let mut state = ServingState::new(self, mode, drift, serving, faults, initial);
-        while let Some(ev) = state.events.pop() {
-            let clock = ev.time;
-            match ev.kind {
-                EventKind::Arrival(i) => state.on_arrival(clock, i),
-                // Deadlines carry no state of their own; they exist to
-                // re-run the batch-opening check below.
-                EventKind::WaitDeadline(_) => {}
-                EventKind::StepDone => state.on_step_done(clock),
-                EventKind::Fleet(i) => {
-                    let fault = faults.events()[i];
-                    match fault.kind {
-                        FaultKind::Down => state.on_fleet_down(clock, fault.gpu),
-                        FaultKind::Up => state.on_fleet_up(clock, fault.gpu),
+        // One set of rank threads serves every decode step of the run.
+        self.with_session(|session| {
+            while let Some(ev) = state.events.pop() {
+                let clock = ev.time;
+                match ev.kind {
+                    EventKind::Arrival(i) => state.on_arrival(clock, i),
+                    // Deadlines carry no state of their own; they exist to
+                    // re-run the batch-opening check below.
+                    EventKind::WaitDeadline(_) => {}
+                    EventKind::StepDone => state.on_step_done(clock),
+                    EventKind::Fleet(i) => {
+                        let fault = faults.events()[i];
+                        match fault.kind {
+                            FaultKind::Down => state.on_fleet_down(clock, fault.gpu),
+                            FaultKind::Up => state.on_fleet_up(clock, fault.gpu),
+                        }
                     }
                 }
+                state.try_start_step(clock, session);
             }
-            state.try_start_step(clock);
-        }
+        });
         state.finish()
     }
 }
@@ -354,18 +350,18 @@ struct ServingState<'a> {
     cur_window: usize,
     /// Realized paths of steps finished since the last window close.
     pending_paths: Vec<Vec<u16>>,
-    /// Live GPUs, ascending; recomputed only on fleet events.
-    live_ranks: Vec<usize>,
-    /// `live_ranks` as of the current step's start (mirrors
-    /// `run_with_batches` token homing, so a loss disrupts exactly the
-    /// requests the dead GPU was serving).
-    step_live: Vec<usize>,
+    /// Live GPUs, ascending; replaced only on fleet events.
+    live_ranks: Arc<[usize]>,
+    /// `live_ranks` as of the current step's start (mirrors the pass's
+    /// token homing, so a loss disrupts exactly the requests the dead GPU
+    /// was serving).
+    step_live: Arc<[usize]>,
     /// Steps before this instant share links with an emergency restore.
     emergency_until: f64,
     /// An in-flight background weight copy: when it lands, and the
     /// *stale* plan steps keep using until then (`adaptive.live` already
     /// holds the new one).
-    copying: Option<(f64, ReplicationPlan)>,
+    copying: Option<(f64, Arc<ReplicationPlan>)>,
     queue: VecDeque<usize>,
     in_flight: Vec<usize>,
     stepping: bool,
@@ -405,8 +401,8 @@ impl<'a> ServingState<'a> {
             adaptive,
             cur_window: 0,
             pending_paths: Vec::new(),
-            live_ranks: engine.all_ranks().to_vec(),
-            step_live: engine.all_ranks().to_vec(),
+            live_ranks: Arc::clone(engine.all_ranks()),
+            step_live: Arc::clone(engine.all_ranks()),
             emergency_until: 0.0,
             copying: None,
             queue: VecDeque::new(),
@@ -524,7 +520,7 @@ impl<'a> ServingState<'a> {
             // shipped bytes were still charged — a documented
             // overcharge).
             if self.live_ranks.len() < self.engine.all_ranks().len() {
-                for lr in &mut self.adaptive.live.replicas {
+                for lr in &mut Arc::make_mut(&mut self.adaptive.live).replicas {
                     for (_, units) in lr.iter_mut() {
                         units.retain(|u| self.live_ranks.binary_search(u).is_ok());
                     }
@@ -539,7 +535,7 @@ impl<'a> ServingState<'a> {
     /// keep running on the `stale` plan (with link contention) and the
     /// new plan activates when the copy lands. A copy still in flight
     /// keeps *its* stale plan active and queues this one behind it.
-    fn queue_copy(&mut self, clock: f64, copy_time: f64, stale: ReplicationPlan) {
+    fn queue_copy(&mut self, clock: f64, copy_time: f64, stale: Arc<ReplicationPlan>) {
         let (start, stale) = match self.copying.take() {
             Some((done, older)) if done > clock => (done, older),
             _ => (clock, stale),
@@ -566,7 +562,12 @@ impl<'a> ServingState<'a> {
     /// GPU loss: re-queue what the dead GPU was serving and evacuate its
     /// experts onto the survivors.
     fn on_fleet_down(&mut self, clock: f64, gpu: usize) {
-        self.live_ranks.retain(|&r| r != gpu);
+        self.live_ranks = self
+            .live_ranks
+            .iter()
+            .copied()
+            .filter(|&r| r != gpu)
+            .collect();
         self.mark_fault(clock, gpu, false);
         // Requests the dead GPU was serving lose their in-progress step:
         // back to the front of the queue (oldest first), step not
@@ -601,7 +602,7 @@ impl<'a> ServingState<'a> {
             gpu,
             self.adaptive.bytes_per_expert(),
         );
-        self.adaptive.live = next;
+        self.adaptive.live = Arc::new(next);
         self.copying = None;
         if !plan.is_empty() {
             // The restore overlaps serving: steps before
@@ -616,12 +617,14 @@ impl<'a> ServingState<'a> {
     /// through the same stale-plan mechanism a drift re-plan uses.
     fn on_fleet_up(&mut self, clock: f64, gpu: usize) {
         if let Err(at) = self.live_ranks.binary_search(&gpu) {
-            self.live_ranks.insert(at, gpu);
+            let mut live = self.live_ranks.to_vec();
+            live.insert(at, gpu);
+            self.live_ranks = live.into();
         }
         self.mark_fault(clock, gpu, true);
         let (next, plan) =
             plan_gpu_rejoin(&self.adaptive.live, gpu, self.adaptive.bytes_per_expert());
-        let stale = std::mem::replace(&mut self.adaptive.live, next);
+        let stale = std::mem::replace(&mut self.adaptive.live, Arc::new(next));
         if !plan.is_empty() {
             let copy_time = self.price_fleet_copy(&plan);
             self.queue_copy(clock, copy_time, stale);
@@ -631,7 +634,7 @@ impl<'a> ServingState<'a> {
     /// After every event: open a batch if the policy allows (continuous
     /// batching tops a running pool up regardless) and run one decode
     /// step of it through the engine.
-    fn try_start_step(&mut self, clock: f64) {
+    fn try_start_step(&mut self, clock: f64, session: &mut PassSession<'_, '_>) {
         if self.stepping {
             return;
         }
@@ -668,11 +671,10 @@ impl<'a> ServingState<'a> {
             Some((_, stale)) => stale,
             None => &self.adaptive.live,
         };
-        let step = self.engine.run_with_batches(
+        let step = session.run(
             self.report.mode,
-            &active.base,
-            &active.replicas,
-            &[batch],
+            active,
+            vec![batch],
             ctx_offset,
             &self.live_ranks,
         );
@@ -687,7 +689,7 @@ impl<'a> ServingState<'a> {
         if degraded {
             self.report.disruption.steps_degraded += 1;
         }
-        self.step_live.clone_from(&self.live_ranks);
+        self.step_live = Arc::clone(&self.live_ranks);
         self.report.batch_occupancy[self.in_flight.len()] += 1;
         self.report.steps += 1;
         self.report.busy += step_time;

@@ -1,9 +1,7 @@
 //! Offline shim for the `crossbeam` crate.
 //!
 //! `channel` maps onto `std::sync::mpsc` (whose unbounded channel has been
-//! crossbeam-backed in std since Rust 1.72), and `thread::scope` maps onto
-//! `std::thread::scope` while keeping crossbeam's `Result`-returning shape
-//! and `|scope|`-taking spawn closures. See `shims/README.md`.
+//! crossbeam-backed in std since Rust 1.72). See `shims/README.md`.
 
 /// Multi-producer channels, mirroring `crossbeam::channel`.
 pub mod channel {
@@ -12,41 +10,6 @@ pub mod channel {
     /// Create an unbounded channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         std::sync::mpsc::channel()
-    }
-}
-
-/// Scoped threads, mirroring `crossbeam::thread`.
-pub mod thread {
-    pub use std::thread::ScopedJoinHandle;
-
-    /// A scope for spawning borrowing threads, wrapping `std::thread::Scope`
-    /// so spawn closures receive a `&Scope` argument like crossbeam's.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawn a thread inside the scope. The closure receives the scope
-        /// (crossbeam's signature) so it could spawn nested threads.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            inner.spawn(move || f(&Scope { inner }))
-        }
-    }
-
-    /// Run `f` with a scope in which borrowing threads can be spawned; all
-    /// spawned threads are joined before this returns. Panics from threads
-    /// that were joined inside `f` surface through their `join()` results;
-    /// panics from unjoined threads propagate as in `std::thread::scope`.
-    pub fn scope<'env, F, R>(f: F) -> std::thread::Result<R>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
     }
 }
 
@@ -59,26 +22,5 @@ mod tests {
         tx.send(1).unwrap();
         tx2.send(2).unwrap();
         assert_eq!(rx.recv().unwrap() + rx.recv().unwrap(), 3);
-    }
-
-    #[test]
-    fn scope_joins_and_borrows() {
-        let data = [1, 2, 3];
-        let sum = super::thread::scope(|scope| {
-            let handles: Vec<_> = data.iter().map(|&x| scope.spawn(move |_| x * 10)).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum::<i32>()
-        })
-        .unwrap();
-        assert_eq!(sum, 60);
-    }
-
-    #[test]
-    fn join_surfaces_panics() {
-        let caught = super::thread::scope(|scope| {
-            let h = scope.spawn(|_| panic!("boom"));
-            h.join().is_err()
-        })
-        .unwrap();
-        assert!(caught);
     }
 }
