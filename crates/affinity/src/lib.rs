@@ -10,18 +10,20 @@
 //! * records token routing decisions into a [`RoutingTrace`]
 //!   (the simulated analogue of "tracing tokens from the Pile through a
 //!   pre-trained checkpoint");
-//! * estimates [`AffinityMatrix`] conditionals for consecutive layers
-//!   (Fig. 2) and arbitrary layer gaps (appendix Figs. 14–16);
+//! * estimates dense [`AffinityMatrix`] conditionals for consecutive
+//!   layers (Fig. 2) and arbitrary layer gaps (appendix Figs. 14–16) —
+//!   the figure view, and the reference the CSR estimate is proven
+//!   bit-equal to;
 //! * computes the summary [`metrics`] the evaluation plots: scaled
 //!   affinity, top-k conditional mass, row entropy, and the
 //!   placement-transfer scores of Table III;
 //! * supports [`sampling`] studies — how many tokens are needed before the
 //!   estimate stabilizes (Fig. 13);
-//! * estimates [`SparseAffinity`] conditionals in CSR form for
-//!   large-expert instances (`E = 256/512`), where top-k routing leaves
-//!   the dense table overwhelmingly zero;
-//! * maintains a [`StreamingAffinity`] estimate online — exponentially
-//!   decayed ingestion of serving-window traces, frozen
+//! * maintains a [`StreamingAffinity`] estimate — the one trace → CSR
+//!   estimator, offline (a single profiling window) and online alike:
+//!   exponentially decayed pair-count ingestion that never materializes
+//!   an `E x E` table (what `E = 256/512` needs, where top-k routing
+//!   leaves the dense table overwhelmingly zero), frozen
 //!   [`AffinitySnapshot`]s for the placement solver, and the windowed
 //!   divergence signal the drift detector triggers re-placement on.
 
@@ -32,11 +34,9 @@ pub mod io;
 pub mod matrix;
 pub mod metrics;
 pub mod sampling;
-pub mod sparse;
 pub mod streaming;
 pub mod trace;
 
 pub use matrix::AffinityMatrix;
-pub use sparse::SparseAffinity;
 pub use streaming::{AffinitySnapshot, SnapshotDelta, StreamingAffinity};
 pub use trace::RoutingTrace;

@@ -4,7 +4,7 @@
 
 use crate::matrix::AffinityMatrix;
 use crate::metrics;
-use crate::sparse::SparseAffinity;
+use crate::streaming::StreamingAffinity;
 use crate::trace::RoutingTrace;
 
 /// One point of the sample-efficiency curve.
@@ -74,9 +74,11 @@ pub fn support_curve(trace: &RoutingTrace, sizes: &[usize]) -> Vec<SupportPoint>
         .iter()
         .map(|&n| {
             let n = n.min(trace.n_tokens()).max(1);
-            let estimates = SparseAffinity::consecutive(&trace.truncated(n));
-            let nnz: usize = estimates.iter().map(SparseAffinity::nnz).sum();
-            let cells = estimates.len() * e * e;
+            let mut estimate = StreamingAffinity::new(trace.n_layers(), e, 1.0);
+            estimate.observe(&trace.truncated(n));
+            let snapshot = estimate.snapshot();
+            let nnz: usize = (0..snapshot.n_gaps()).map(|g| snapshot.gap_nnz(g)).sum();
+            let cells = snapshot.n_gaps() * e * e;
             SupportPoint {
                 n_tokens: n,
                 nnz,

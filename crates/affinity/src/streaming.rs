@@ -1,32 +1,34 @@
-//! Streaming affinity estimation with exponential decay — the online
-//! counterpart of [`AffinityMatrix`](crate::AffinityMatrix) /
-//! [`SparseAffinity`](crate::SparseAffinity).
+//! Streaming affinity estimation with exponential decay — the one
+//! trace → CSR estimator. The dense
+//! [`AffinityMatrix`](crate::AffinityMatrix) is the figure view and the
+//! reference this estimate is proven bit-equal to.
 //!
-//! The offline estimators consume one profiling trace and freeze. Under
+//! Offline, the engine folds one profiling trace in and freezes it. Under
 //! live traffic the routing distribution drifts, so the online serving
-//! mode instead maintains a *decayed* estimate: each serving window's
-//! routing decisions are folded in after multiplying all accumulated mass
-//! by a decay factor, making the estimate an exponentially weighted
-//! average over recent windows. Like the offline sparse path, ingestion is
-//! pair-count based (at most `n_tokens` distinct `(expert, successor)`
-//! pairs per window per gap) and never materializes an `E x E` table.
+//! mode keeps folding: each serving window's routing decisions are added
+//! after multiplying all accumulated mass by a decay factor, making the
+//! estimate an exponentially weighted average over recent windows.
+//! Ingestion is pair-count based (at most `n_tokens` distinct `(expert,
+//! successor)` pairs per window per gap) and never materializes an
+//! `E x E` table.
 //!
 //! Three consumers hang off the estimator:
 //!
 //! * [`StreamingAffinity::snapshot`] freezes the current estimate into an
 //!   [`AffinitySnapshot`] (per-gap CSR conditionals + source marginals) —
-//!   the form the placement objective builds from
-//!   (`Objective::from_snapshot` in `exflow-placement`, sharing the
-//!   dense/CSR gap duality);
+//!   the single interchange the placement objective builds from
+//!   (`Objective::from_snapshot` in `exflow-placement`);
 //! * [`StreamingAffinity::divergence`] measures how far the live estimate
 //!   has drifted from a reference snapshot (the one the current placement
 //!   was solved against) — the drift-detector signal;
 //! * the marginal/row accessors feed diagnostics.
 //!
-//! With `decay = 1.0` and a single window, the streaming estimate defines
-//! — bit for bit — the same conditionals and marginals as the offline
-//! estimators on the same trace (integer counts below 2^53 are exact in
-//! f64), so online and offline paths agree wherever they overlap.
+//! A first window defines — bit for bit, whatever the decay — the same
+//! conditionals and marginals as [`AffinityMatrix::from_trace`] on the
+//! same trace (integer counts below 2^53 are exact in f64), so the one
+//! estimator serves the offline and online paths alike.
+//!
+//! [`AffinityMatrix::from_trace`]: crate::AffinityMatrix::from_trace
 
 use std::collections::BTreeMap;
 
@@ -190,10 +192,13 @@ impl StreamingAffinity {
             // Touched rows: materialize the lazy state first (stepwise
             // decay to `now`), then fold the counts in, in ingestion
             // order, mirrored onto the eager and lazy totals alike.
+            // `pair_counts` is ascending in `(from, to)`, so a new row is
+            // exactly a change of the last one and `touched` stays sorted.
             let mut touched: Vec<usize> = Vec::new();
             for ((i, p), c) in window.pair_counts(gap, gap + 1) {
                 let row = i as usize;
-                if touched.last() != Some(&row) && !touched.contains(&row) {
+                if touched.last() != Some(&row) {
+                    debug_assert!(touched.last().is_none_or(|&last| last < row));
                     touched.push(row);
                 }
                 self.materialize_row(gap, row, now);
@@ -202,7 +207,6 @@ impl StreamingAffinity {
                 self.row_mass[gap][row] += c as f64;
             }
             if emit {
-                touched.sort_unstable();
                 // A flipped row that also received counts is an ordinary
                 // touched row (its mass is positive again); only the
                 // untouched flips emit as uniform rows.
@@ -297,8 +301,9 @@ impl StreamingAffinity {
     }
 
     /// Freeze the current estimate: per-gap CSR conditionals (rows with no
-    /// observed mass estimate uniform, stored explicitly like the offline
-    /// estimators) plus per-gap source-marginal weights.
+    /// observed mass estimate uniform, stored explicitly so the snapshot
+    /// defines the dense estimator's matrix cell for cell) plus per-gap
+    /// source-marginal weights.
     ///
     /// Read-only: conditionals come from each row's lazy state (stale
     /// values over the equally stale `row_total` denominator), so
@@ -404,7 +409,7 @@ struct SnapshotGap {
 
 /// A frozen [`StreamingAffinity`] estimate: per-gap CSR conditional
 /// matrices plus source-marginal weights. This is what placements are
-/// solved against in the online mode, and the reference the drift
+/// solved against — offline and online — and the reference the drift
 /// detector compares the live estimate to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AffinitySnapshot {
@@ -463,44 +468,6 @@ impl AffinitySnapshot {
             Ok(k) => probs[k],
             Err(_) => 0.0,
         }
-    }
-
-    /// Per-expert popularity at one *layer* (not gap): the marginal share
-    /// of traffic each expert receives there, summing to 1.
-    ///
-    /// For every layer with an outgoing gap this is that gap's source
-    /// marginal ([`AffinitySnapshot::gap_weights`]); the last layer has no
-    /// outgoing gap, so its popularity is the successor mass flowing *into*
-    /// it (`Σ_i w(i) · P(p|i)` over the final gap). A gapless single-layer
-    /// snapshot carries no routing information, so every expert is equally
-    /// popular. This is the popularity signal replication policies rank
-    /// experts by (the "expert popularity" heuristic of the paper's §VI
-    /// replication baseline), available online without rebuilding an
-    /// objective.
-    pub fn layer_popularity(&self, layer: usize) -> Vec<f64> {
-        assert!(layer < self.n_layers, "layer out of range");
-        let e = self.n_experts;
-        if self.gaps.is_empty() {
-            return vec![1.0 / e as f64; e];
-        }
-        if layer < self.n_gaps() {
-            return self.weights[layer].clone();
-        }
-        // Successor mass into the last layer, accumulated in ascending
-        // (source, column) order so the sums are bit-deterministic.
-        let gap = self.n_gaps() - 1;
-        let mut mass = vec![0.0f64; e];
-        for i in 0..e {
-            let w = self.weights[gap][i];
-            if w == 0.0 {
-                continue;
-            }
-            let (cols, probs) = self.row(gap, i);
-            for (&p, &v) in cols.iter().zip(probs) {
-                mass[p] += w * v;
-            }
-        }
-        mass
     }
 }
 
@@ -611,8 +578,6 @@ fn merge_rows<F: FnMut(usize, f64, f64)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::AffinityMatrix;
-    use crate::sparse::SparseAffinity;
     use exflow_model::routing::AffinityModelSpec;
     use exflow_model::{CorpusSpec, TokenBatch};
 
@@ -620,34 +585,6 @@ mod tests {
         let model = AffinityModelSpec::new(l, e).build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), n, 1, seed);
         RoutingTrace::from_batch(&batch, e)
-    }
-
-    #[test]
-    fn single_window_matches_offline_estimators_bitwise() {
-        let t = sampled_trace(16, 4, 1200, 3);
-        let mut s = StreamingAffinity::new(4, 16, 1.0);
-        s.observe(&t);
-        let snap = s.snapshot();
-        for gap in 0..3 {
-            let dense = AffinityMatrix::from_trace(&t, gap, gap + 1);
-            let sparse = SparseAffinity::from_trace(&t, gap, gap + 1);
-            for i in 0..16 {
-                for p in 0..16 {
-                    assert_eq!(
-                        snap.prob(gap, i, p).to_bits(),
-                        dense.prob(i, p).to_bits(),
-                        "gap {gap} cell ({i},{p})"
-                    );
-                }
-            }
-            assert_eq!(snap.gap_nnz(gap), sparse.nnz());
-            // Marginal weights match the offline row-count shares.
-            let total: u64 = (0..16).map(|i| dense.row_count(i)).sum();
-            for i in 0..16 {
-                let offline = dense.row_count(i) as f64 / total as f64;
-                assert_eq!(snap.gap_weights(gap)[i].to_bits(), offline.to_bits());
-            }
-        }
     }
 
     #[test]
@@ -678,28 +615,8 @@ mod tests {
         for p in 0..4 {
             assert!((snap.prob(0, 2, p) - 0.25).abs() < 1e-15);
         }
-        // Uniform rows are stored explicitly, like the offline estimators.
+        // Uniform rows are stored explicitly.
         assert_eq!(snap.row(0, 2).0.len(), 4);
-    }
-
-    #[test]
-    fn layer_popularity_sums_to_one_and_matches_marginals() {
-        let t = sampled_trace(8, 4, 900, 5);
-        let mut s = StreamingAffinity::new(4, 8, 1.0);
-        s.observe(&t);
-        let snap = s.snapshot();
-        for layer in 0..4 {
-            let pop = snap.layer_popularity(layer);
-            let sum: f64 = pop.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "layer {layer} sums to {sum}");
-            if layer < snap.n_gaps() {
-                assert_eq!(pop, snap.gap_weights(layer).to_vec());
-            }
-        }
-        // A gapless snapshot has no routing information: uniform.
-        let mut g = StreamingAffinity::new(1, 4, 0.5);
-        g.observe(&RoutingTrace::new(vec![vec![0]], 4));
-        assert_eq!(g.snapshot().layer_popularity(0), vec![0.25; 4]);
     }
 
     #[test]

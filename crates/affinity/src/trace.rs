@@ -81,8 +81,8 @@ impl RoutingTrace {
 
     /// Joint `(from_expert, to_expert)` observation counts between two
     /// layers, sorted row-major (ascending source, then successor). This
-    /// is the sparse raw material [`crate::SparseAffinity`] estimates
-    /// from: at most `n_tokens` distinct pairs exist per gap, so large-`E`
+    /// is the sparse raw material [`crate::StreamingAffinity`] folds in:
+    /// at most `n_tokens` distinct pairs exist per gap, so large-`E`
     /// ingestion never touches an `E x E` table.
     pub fn pair_counts(&self, from_layer: usize, to_layer: usize) -> Vec<((u16, u16), u64)> {
         assert!(

@@ -1,6 +1,6 @@
 //! Property-based tests for affinity estimation.
 
-use exflow_affinity::{metrics, AffinityMatrix, RoutingTrace};
+use exflow_affinity::{metrics, AffinityMatrix, RoutingTrace, StreamingAffinity};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{CorpusSpec, TokenBatch};
 use proptest::prelude::*;
@@ -13,8 +13,61 @@ fn arb_trace() -> impl Strategy<Value = RoutingTrace> {
     })
 }
 
+/// Raw traces over `L in 1..=5` layers and `E <= 40` experts whose ids
+/// come from the first `active` experts only, so every row past `active`
+/// stays unobserved (and few tokens leave more rows empty still).
+fn arb_sparse_trace() -> impl Strategy<Value = RoutingTrace> {
+    (
+        1usize..=5,
+        1usize..=40,
+        1u16..=40,
+        proptest::collection::vec(0u16..u16::MAX, 5..300),
+    )
+        .prop_map(|(l, e, active, raw)| {
+            let active = active.min(e as u16);
+            let paths = raw
+                .chunks_exact(l)
+                .map(|c| c.iter().map(|&x| x % active).collect())
+                .collect();
+            RoutingTrace::new(paths, e)
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The one trace -> CSR estimator against the dense reference: a first
+    /// window defines `AffinityMatrix::from_trace`'s matrix cell for cell
+    /// and its row-count marginals weight for weight, whatever the decay.
+    #[test]
+    fn first_window_snapshot_matches_dense_estimator_bitwise(
+        trace in arb_sparse_trace(),
+        decay in 0.01f64..=1.0,
+    ) {
+        let (l, e) = (trace.n_layers(), trace.n_experts());
+        let mut estimate = StreamingAffinity::new(l, e, decay);
+        estimate.observe(&trace);
+        let snap = estimate.snapshot();
+        prop_assert_eq!(snap.n_gaps(), l - 1);
+        for gap in 0..l - 1 {
+            let dense = AffinityMatrix::from_trace(&trace, gap, gap + 1);
+            let mut nonzero = 0;
+            for i in 0..e {
+                for p in 0..e {
+                    prop_assert_eq!(
+                        snap.prob(gap, i, p).to_bits(),
+                        dense.prob(i, p).to_bits(),
+                        "gap {} cell ({},{})", gap, i, p
+                    );
+                    nonzero += usize::from(dense.prob(i, p) != 0.0);
+                }
+                let offline = dense.row_count(i) as f64 / dense.total_count() as f64;
+                prop_assert_eq!(snap.gap_weights(gap)[i].to_bits(), offline.to_bits());
+            }
+            // Only the support is stored (unobserved rows: the uniform fill).
+            prop_assert_eq!(snap.gap_nnz(gap), nonzero);
+        }
+    }
 
     #[test]
     fn estimated_rows_are_distributions(trace in arb_trace()) {

@@ -69,7 +69,7 @@
 
 use std::time::Instant;
 
-use exflow_affinity::{RoutingTrace, SparseAffinity, StreamingAffinity};
+use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_core::json::Json;
 use exflow_core::{
     BatchPolicy, InferenceEngine, OnlineConfig, ParallelismMode, Scenario, ServingConfig,
@@ -85,11 +85,10 @@ use exflow_placement::annealing::AnnealParams;
 use exflow_placement::greedy::solve_greedy;
 use exflow_placement::local_search::{improve, solve_local_search_with};
 use exflow_placement::objective::measure_trace_locality;
-use exflow_placement::online::{
-    solve_budgeted, solve_budgeted_replicated, solve_budgeted_toward, MigrationPlan,
-};
+use exflow_placement::online::MigrationPlan;
 use exflow_placement::{
-    replicated_cross_mass, solve_budgeted_metered, solve_with, split_seed, GapBackend, Objective,
+    replicated_cross_mass, solve_budgeted_metered, solve_budgeted_replicated_metered,
+    solve_budgeted_toward_metered, solve_with, split_seed, CostMeter, GapBackend, Objective,
     Parallelism, Placement, ReplicaPolicy, ReplicationBudget, ReplicationPlan, SolverKind,
     SwapGainCache,
 };
@@ -969,8 +968,15 @@ fn instance(n_experts: usize, n_layers: usize, scale: Scale, seed: u64) -> Objec
         1,
         seed,
     );
-    let trace = RoutingTrace::from_batch(&batch, n_experts);
-    Objective::from_sparse_affinities(&SparseAffinity::consecutive(&trace))
+    Objective::from_snapshot(&profile(&RoutingTrace::from_batch(&batch, n_experts)))
+}
+
+/// One profiling trace through the streaming estimator: the CSR snapshot
+/// objectives are built from.
+fn profile(trace: &RoutingTrace) -> AffinitySnapshot {
+    let mut estimate = StreamingAffinity::new(trace.n_layers(), trace.n_experts(), 1.0);
+    estimate.observe(trace);
+    estimate.snapshot()
 }
 
 /// One full sweep over models × solvers at the installed pool width.
@@ -1020,11 +1026,10 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<SparseBench
         k,
         seed,
     );
-    let trace = RoutingTrace::from_batch(&batch, e);
-    let estimates = SparseAffinity::consecutive(&trace);
+    let snapshot = profile(&RoutingTrace::from_batch(&batch, e));
 
     let run = |backend: GapBackend| {
-        let objective = Objective::from_sparse_affinities_with(&estimates, backend);
+        let objective = Objective::from_snapshot_with(&snapshot, backend);
         let mut placement = Placement::round_robin(layers, e, N_UNITS_LARGE);
         let t = Instant::now();
         // A bounded first-improvement polish: every step is swap_delta +
@@ -1169,19 +1174,18 @@ fn online_scenario(
             // traffic, not solver compute). Gap-backend invariance is
             // verified on the walk.
             let max_moves = budget_bytes / bytes_per_expert;
-            let dense = solve_budgeted_toward(
-                &Objective::from_snapshot_with(&snapshot, GapBackend::Dense),
-                &budgeted_placement,
-                &oracle_placement,
-                max_moves,
-            );
-            let sparse = solve_budgeted_toward(
-                &Objective::from_snapshot_with(&snapshot, GapBackend::Sparse),
-                &budgeted_placement,
-                &oracle_placement,
-                max_moves,
-            );
-            if dense != sparse {
+            let toward = |backend: GapBackend| {
+                solve_budgeted_toward_metered(
+                    &Objective::from_snapshot_with(&snapshot, backend),
+                    &budgeted_placement,
+                    &oracle_placement,
+                    max_moves,
+                    &mut CostMeter::unlimited(),
+                    None,
+                )
+            };
+            let dense = toward(GapBackend::Dense);
+            if dense != toward(GapBackend::Sparse) {
                 return Err(format!(
                     "{}: budgeted re-solve diverged across gap backends at window {window}",
                     drift.name()
@@ -1324,8 +1328,12 @@ fn replication_scenario(
 
             // Owner-moves-only: the whole migration budget buys
             // relocations.
-            let owner_next = solve_budgeted(&dense, &owner_placement, REPLICATION_BUDGET_MOVES);
-            if owner_next != solve_budgeted(&sparse, &owner_placement, REPLICATION_BUDGET_MOVES) {
+            let owner = |objective: &Objective| {
+                let moves = REPLICATION_BUDGET_MOVES;
+                solve_budgeted_metered(objective, &owner_placement, moves, u64::MAX, None).0
+            };
+            let owner_next = owner(&dense);
+            if owner_next != owner(&sparse) {
                 return Err(format!(
                     "{scenario}: owner re-solve diverged across gap backends at window {window}"
                 ));
@@ -1345,22 +1353,20 @@ fn replication_scenario(
 
             // Joint: replica adds/drops race owner moves under the same
             // migration budget plus the replica memory budget.
-            let joint_next = solve_budgeted_replicated(
-                &dense,
-                &joint_plan,
-                bytes_per_expert,
-                &joint_budget,
-                &ReplicaPolicy::Everywhere,
-            );
-            if joint_next
-                != solve_budgeted_replicated(
-                    &sparse,
+            let joint = |objective: &Objective| {
+                solve_budgeted_replicated_metered(
+                    objective,
                     &joint_plan,
                     bytes_per_expert,
                     &joint_budget,
                     &ReplicaPolicy::Everywhere,
+                    u64::MAX,
+                    None,
                 )
-            {
+                .0
+            };
+            let joint_next = joint(&dense);
+            if joint_next != joint(&sparse) {
                 return Err(format!(
                     "{scenario}: joint re-solve diverged across gap backends at window {window}"
                 ));
@@ -2072,22 +2078,21 @@ fn partial_replication_cell(
             let sparse = Objective::from_snapshot_with(&snapshot, GapBackend::Sparse);
 
             let solve_both = |policy: &ReplicaPolicy| -> Result<(ReplicationPlan, f64), String> {
-                let next = solve_budgeted_replicated(
-                    &dense,
-                    &incumbent,
-                    bytes_per_expert,
-                    &budget,
-                    policy,
-                );
-                if next
-                    != solve_budgeted_replicated(
-                        &sparse,
+                let solve = |objective: &Objective| {
+                    let bpe = bytes_per_expert;
+                    solve_budgeted_replicated_metered(
+                        objective,
                         &incumbent,
-                        bytes_per_expert,
+                        bpe,
                         &budget,
                         policy,
+                        u64::MAX,
+                        None,
                     )
-                {
+                    .0
+                };
+                let next = solve(&dense);
+                if next != solve(&sparse) {
                     return Err(format!(
                         "{scenario}: {policy:?} solve diverged across gap backends at window {window}"
                     ));

@@ -30,10 +30,10 @@ pub(crate) struct AdaptiveState<'e> {
     /// The estimate the live placement was last (re-)optimized for; drift
     /// is measured against it.
     reference: AffinitySnapshot,
-    /// Built once from the seed snapshot and kept current by per-window
-    /// delta splices — bit-identical to a rebuild from the live snapshot
-    /// at O(changed rows) instead of O(E^2) — with the swap-gain cache the
-    /// metered solvers reuse riding along across re-plans.
+    /// Cloned from the engine's profiled objective and kept current by
+    /// per-window delta splices — bit-identical to a rebuild from the live
+    /// snapshot at O(changed rows) instead of O(E^2) — with the swap-gain
+    /// cache the metered solvers reuse riding along across re-plans.
     objective: Objective,
     cache: SwapGainCache,
     /// The placement and replica subsets re-plans have committed to.
@@ -49,8 +49,8 @@ pub(crate) struct AdaptiveState<'e> {
 }
 
 impl<'e> AdaptiveState<'e> {
-    /// Start from `live`, with the streaming estimator seeded from the
-    /// offline profiling trace: the incumbent placement was solved against
+    /// Start from `live`, with the engine's own profiled estimator,
+    /// snapshot and objective: the incumbent placement was solved against
     /// that estimate, so the first reference snapshot is exactly what the
     /// incumbent knows.
     pub(crate) fn new(
@@ -72,20 +72,16 @@ impl<'e> AdaptiveState<'e> {
             cfg.corpus.domain_weights.len(),
             "drift domain mismatch"
         );
-        let mut streaming =
-            StreamingAffinity::new(cfg.model.n_layers, cfg.model.n_experts, cfg.online.decay);
-        streaming.observe(engine.profile_trace());
-        let reference = streaming.snapshot();
-        let objective = Objective::from_snapshot_with(&reference, cfg.gap_backend);
-        let cache = SwapGainCache::for_objective(&objective);
+        let (streaming, reference) = engine.profile_estimate();
+        let objective = engine.objective().clone();
         AdaptiveState {
             cfg,
             adapts: mode.uses_affinity(),
             n_windows: drift.n_windows(),
-            streaming,
-            reference,
+            streaming: streaming.clone(),
+            reference: reference.clone(),
+            cache: SwapGainCache::for_objective(&objective),
             objective,
-            cache,
             live: Arc::new(live),
             carry: 0,
             drift: Vec::new(),

@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use exflow_affinity::{RoutingTrace, SparseAffinity};
+use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_collectives::{CommWorld, OpKind, RankComm, Session};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{
@@ -318,6 +318,10 @@ pub struct InferenceEngine {
     routing: RoutingModel,
     objective: Objective,
     profile_trace: RoutingTrace,
+    /// The estimator after the profiling window and the snapshot
+    /// `objective` was built from — what every adaptive run starts from.
+    profile_estimate: StreamingAffinity,
+    profile_snapshot: AffinitySnapshot,
     round_robin: Placement,
     affinity_gpu: Placement,
     affinity_node: Placement,
@@ -335,6 +339,7 @@ impl InferenceEngine {
 
     /// Build from a complete config.
     pub fn from_config(cfg: EngineConfig) -> Self {
+        cfg.online.validate();
         let world = cfg.cluster.world_size();
         assert!(
             cfg.model.n_experts.is_multiple_of(world),
@@ -359,11 +364,14 @@ impl InferenceEngine {
             cfg.seed ^ 0x0ff1_1e5e,
         );
         let profile_trace = RoutingTrace::from_batch(&profile_batch, cfg.model.n_experts);
-        // Sparse-native ingestion: trace -> CSR estimates without ever
+        // Sparse-native ingestion: trace -> CSR snapshot without ever
         // materializing dense E x E tables (bit-identical to the dense
         // estimator); `gap_backend` then picks the evaluation layout.
-        let estimates = SparseAffinity::consecutive(&profile_trace);
-        let objective = Objective::from_sparse_affinities_with(&estimates, cfg.gap_backend);
+        let mut profile_estimate =
+            StreamingAffinity::new(cfg.model.n_layers, cfg.model.n_experts, cfg.online.decay);
+        profile_estimate.observe(&profile_trace);
+        let profile_snapshot = profile_estimate.snapshot();
+        let objective = Objective::from_snapshot_with(&profile_snapshot, cfg.gap_backend);
 
         let staged = solve_staged_with(
             &objective,
@@ -379,6 +387,8 @@ impl InferenceEngine {
             routing,
             objective,
             profile_trace,
+            profile_estimate,
+            profile_snapshot,
             round_robin,
             affinity_gpu: staged.gpu_level,
             affinity_node: staged.node_level,
@@ -400,6 +410,12 @@ impl InferenceEngine {
     /// The offline profiling trace.
     pub fn profile_trace(&self) -> &RoutingTrace {
         &self.profile_trace
+    }
+
+    /// The streaming estimator as the profiling window left it, and the
+    /// snapshot [`InferenceEngine::objective`] was built from.
+    pub(crate) fn profile_estimate(&self) -> (&StreamingAffinity, &AffinitySnapshot) {
+        (&self.profile_estimate, &self.profile_snapshot)
     }
 
     /// The routing model used for both profiling and serving.
@@ -516,7 +532,6 @@ impl InferenceEngine {
         drift: &DriftSchedule,
     ) -> OnlineReport {
         let cfg = &self.cfg;
-        cfg.online.validate();
         let start = ReplicationPlan::bare(self.placement_for(mode).clone());
         let mut adaptive = AdaptiveState::new(self, mode, drift, start);
         let mut windows = Vec::with_capacity(drift.n_windows());
@@ -1235,6 +1250,43 @@ mod tests {
     fn indivisible_expert_count_rejected() {
         let model = moe_gpt_m(8);
         let _ = InferenceEngine::builder(model, ClusterSpec::new(3, 1).unwrap()).build();
+    }
+
+    #[test]
+    fn single_layer_model_builds_and_runs() {
+        // Regression: an L = 1 model profiles into a gapless objective,
+        // which the engine's builder used to reject ("need at least one
+        // layer gap"). No transitions means nothing can leave its GPU.
+        let mut model = moe_gpt_m(8);
+        model.n_layers = 1;
+        let engine = InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
+            .requests_per_gpu(16)
+            .n_iterations(2)
+            .prompt_len(16)
+            .profile_tokens(1500)
+            .seed(11)
+            .build();
+        assert_eq!(engine.objective().n_gaps(), 0);
+        for mode in ParallelismMode::ALL {
+            let r = offline(&engine, mode);
+            assert_eq!(r.tokens_processed, 4 * 16 * 2, "{mode}");
+            let placement = engine.placement_for(mode);
+            assert_eq!(engine.objective().local_fraction(placement), 1.0);
+        }
+    }
+
+    #[test]
+    fn from_config_rejects_a_bad_decay_with_the_config_message() {
+        let mut cfg = tiny_engine(1, 2).config().clone();
+        cfg.online.decay = 0.0;
+        let panic = std::panic::catch_unwind(|| InferenceEngine::from_config(cfg))
+            .err()
+            .expect("a zero decay must not build");
+        // The estimator's own assert says "..., got 0"; the config's does not.
+        assert_eq!(
+            panic.downcast_ref::<&str>().copied(),
+            Some("decay must be in (0, 1]")
+        );
     }
 
     fn online_engine(threads: usize) -> InferenceEngine {

@@ -99,7 +99,7 @@ impl Scenario {
     /// re-plans (see the `scale_budget_by_drift` / `budget_rollover`
     /// toggles). With `OnlineConfig::replica_memory_bytes > 0` the
     /// re-plan is **replication-aware**: it may also add or drop expert
-    /// replicas onto one-GPU-per-node subsets (`solve_budgeted_replicated`
+    /// replicas onto one-GPU-per-node subsets (`solve_budgeted_replicated_metered`
     /// races subset selection against full fan-out and owner-move descent
     /// under the joint budget), replica
     /// fan-out traffic to the selected subset is priced into the same

@@ -240,45 +240,6 @@ impl RoutingModel {
         &self.transitions[domain][gap]
     }
 
-    /// Exact transition matrix for `domain` between layers `gap` and
-    /// `gap + 1` in CSR form: `(row_ptr, cols, vals)` with ascending
-    /// columns per row, zero cells dropped. With `affinity < 1` the
-    /// uniform leak makes every cell nonzero, so this equals the dense
-    /// table; at `affinity = 1` (pure permutation mixture) each row holds
-    /// at most `2 * n_permutations` cells. The triplet feeds
-    /// `exflow_affinity::SparseAffinity::from_exact` — the oracle
-    /// counterpart of trace estimation for the CSR placement backend.
-    pub fn transition_sparse(
-        &self,
-        domain: usize,
-        gap: usize,
-    ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        let e = self.spec.n_experts;
-        let flat = self.transition(domain, gap);
-        let mut row_ptr = Vec::with_capacity(e + 1);
-        row_ptr.push(0usize);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..e {
-            for (p, &v) in flat[i * e..(i + 1) * e].iter().enumerate() {
-                if v != 0.0 {
-                    cols.push(p);
-                    vals.push(v);
-                }
-            }
-            row_ptr.push(cols.len());
-        }
-        (row_ptr, cols, vals)
-    }
-
-    /// Structural nonzeros of one exact transition matrix.
-    pub fn transition_nnz(&self, domain: usize, gap: usize) -> usize {
-        self.transition(domain, gap)
-            .iter()
-            .filter(|&&v| v != 0.0)
-            .count()
-    }
-
     /// Convex interpolation towards `other`: every domain/gap transition
     /// matrix becomes `(1 - alpha) * self + alpha * other`. Both models
     /// must share a shape (layers, experts, domains). The blend of two
@@ -498,35 +459,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_transition_matches_dense() {
-        let m = model(16, 4, 0.9);
-        let (row_ptr, cols, vals) = m.transition_sparse(1, 2);
-        let flat = m.transition(1, 2);
-        assert_eq!(row_ptr.len(), 17);
-        assert_eq!(cols.len(), m.transition_nnz(1, 2));
-        for i in 0..16 {
-            let mut rebuilt = [0.0f64; 16];
-            for idx in row_ptr[i]..row_ptr[i + 1] {
-                rebuilt[cols[idx]] = vals[idx];
-            }
-            assert_eq!(&rebuilt[..], &flat[i * 16..(i + 1) * 16]);
-        }
-    }
-
-    #[test]
     fn pure_affinity_routing_is_natively_sparse() {
         // κ = 1: no uniform leak, each row holds at most the core +
         // domain permutation successors.
         let m = AffinityModelSpec::new(3, 64).with_affinity(1.0).build();
-        let (row_ptr, cols, _) = m.transition_sparse(0, 0);
-        assert!(cols.len() <= 64 * 4, "nnz {} not sparse", cols.len());
-        for i in 0..64 {
-            let nnz = row_ptr[i + 1] - row_ptr[i];
+        for (i, row) in m.transition(0, 0).chunks(64).enumerate() {
+            let nnz = row.iter().filter(|&&v| v != 0.0).count();
             assert!((1..=4).contains(&nnz), "row {i} has {nnz} cells");
         }
         // With leak, every cell is alive.
         let leaky = AffinityModelSpec::new(3, 64).with_affinity(0.9).build();
-        assert_eq!(leaky.transition_nnz(0, 0), 64 * 64);
+        assert!(leaky.transition(0, 0).iter().all(|&v| v != 0.0));
     }
 
     #[test]

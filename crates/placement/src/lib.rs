@@ -25,9 +25,14 @@
 //! * [`annealing`] — simulated annealing for rugged instances;
 //! * [`portfolio`] — race several solvers on worker threads, keep the best;
 //! * [`staged`] — the paper's two-stage node→GPU pipeline;
-//! * [`online`] — warm-started and byte-budgeted incremental re-placement
-//!   from an incumbent, plus the [`MigrationPlan`] pricing expert moves
-//!   against `exflow-topology`'s α–β link costs (the online serving mode).
+//! * [`incremental`] — byte-budgeted incremental re-placement from an
+//!   incumbent (the online serving mode): the metered solvers
+//!   ([`solve_budgeted_metered`], [`solve_budgeted_toward_metered`],
+//!   [`solve_budgeted_replicated_metered`]) and the [`SwapGainCache`]
+//!   they reuse gains from;
+//! * [`online`] — the [`MigrationPlan`] pricing the resulting expert moves
+//!   against `exflow-topology`'s α–β link costs, and the fleet planners
+//!   for GPU loss and rejoin.
 //!
 //! All stochastic solvers take an optional [`parallel::Parallelism`]
 //! width (the `*_with` entry points): restarts, annealing starts,
@@ -38,13 +43,16 @@
 //! [`objective::Objective`] scores placements (expected cross-unit
 //! transition mass) and [`objective::measure_trace_locality`] measures the
 //! realized locality of a placement on a concrete routing trace (the bars
-//! of the paper's Figs. 7–8). The objective stores each layer gap behind
-//! [`objective::GapStorage`] — dense `E x E` or CSR with a transposed
-//! companion index — selected by density ([`objective::GapBackend`]);
-//! evaluations are bit-identical across backends, so large-expert
-//! instances (`E = 256/512`, where top-k routing leaves the matrices
-//! overwhelmingly sparse) solve in `O(nnz)` instead of `O(E^2)` without
-//! changing any result.
+//! of the paper's Figs. 7–8). Every objective is built the same way —
+//! an `exflow-affinity` snapshot's per-gap CSR (or a dense source
+//! compressed into that shape) through one constructor — and stores each
+//! layer gap once, as CSR with a transposed companion index; a flat
+//! `E x E` expansion rides along as a lookup accelerator when the gap is
+//! dense enough ([`objective::GapBackend`]). Evaluations are
+//! bit-identical across backends, so large-expert instances
+//! (`E = 256/512`, where top-k routing leaves the matrices overwhelmingly
+//! sparse) solve in `O(nnz)` instead of `O(E^2)` without changing any
+//! result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,16 +78,13 @@ pub use incremental::{
     improve_metered, solve_budgeted_metered, solve_budgeted_replicated_metered,
     solve_budgeted_toward_metered, CostMeter, ReplanCost, SwapGainCache,
 };
-pub use objective::{GapBackend, GapStorage, Objective, SPARSE_DENSITY_THRESHOLD};
-pub use online::{
-    solve_budgeted, solve_budgeted_replicated, solve_budgeted_toward, solve_warm_start, ExpertMove,
-    MigrationPlan, PricedMigration, ReplicaAdd,
-};
+pub use objective::{GapBackend, Objective, SPARSE_DENSITY_THRESHOLD};
+pub use online::{ExpertMove, MigrationPlan, PricedMigration, ReplicaAdd};
 pub use parallel::{split_seed, Parallelism};
 pub use placement::Placement;
 pub use replication::{
-    replica_gains, replica_gains_by_unit, replicated_cross_mass, LayerReplicas, ReplicaPolicy,
-    ReplicationBudget, ReplicationPlan,
+    replica_gains_by_unit, replicated_cross_mass, LayerReplicas, ReplicaPolicy, ReplicationBudget,
+    ReplicationPlan,
 };
 pub use solver::{solve, solve_with, SolverKind};
 pub use staged::{solve_staged_with, StagedPlacement};

@@ -6,33 +6,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::greedy::solve_greedy;
+use crate::incremental::{improve_metered, CostMeter};
 use crate::objective::Objective;
 use crate::parallel::{argmin_by_cost, split_seed, Parallelism};
 use crate::placement::Placement;
 
 /// Improve `placement` in place by first-improvement swap passes until a
-/// local optimum or `max_passes`. Returns the final cross mass.
+/// local optimum or `max_passes`: the [`improve_metered`] walk with an
+/// unlimited meter and no cache. Returns the final cross mass.
 pub fn improve(objective: &Objective, placement: &mut Placement, max_passes: usize) -> f64 {
-    let e = objective.n_experts();
-    let l = objective.n_layers();
-    for _ in 0..max_passes {
-        let mut improved = false;
-        for layer in 0..l {
-            for e1 in 0..e {
-                for e2 in (e1 + 1)..e {
-                    let delta = objective.swap_delta(placement, layer, e1, e2);
-                    if delta < -1e-12 {
-                        placement.swap(layer, e1, e2);
-                        improved = true;
-                    }
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    objective.cross_mass(placement)
+    improve_metered(
+        objective,
+        placement,
+        max_passes,
+        &mut CostMeter::unlimited(),
+        None,
+    )
 }
 
 /// A random balanced placement (restart seed for multi-start search).

@@ -1,58 +1,86 @@
-//! The ILP objective (paper formula 8) and locality measurement, with
-//! selectable dense / sparse (CSR) gap storage.
+//! The ILP objective (paper formula 8) and locality measurement.
+//!
+//! One build path: every constructor adapts its input into per-gap
+//! stored-cell CSR plus source-marginal weights — the shape an
+//! [`AffinitySnapshot`] already has — and one private constructor turns
+//! those into gaps. Each gap holds its CSR (row access) and a transposed
+//! CSC companion (column access) exactly once; a flat `E x E` expansion
+//! rides along as an accelerator for the point lookups of `swap_delta` /
+//! `gap_prob` when the gap is dense enough to pay for it
+//! ([`GapBackend`]).
 
-use exflow_affinity::{
-    AffinityMatrix, AffinitySnapshot, RoutingTrace, SnapshotDelta, SparseAffinity,
-};
+use exflow_affinity::{AffinityMatrix, AffinitySnapshot, RoutingTrace, SnapshotDelta};
 
 use crate::placement::Placement;
 
-/// How [`Objective`] stores each layer gap's conditional matrix.
+/// Whether [`Objective`] keeps a flat `E x E` expansion beside each layer
+/// gap's CSR/CSC index.
 ///
-/// Both backends define exactly the same matrix, and every consumer
+/// Both choices define exactly the same matrix, and every consumer
 /// (`cross_mass`, `swap_delta`, the solvers) is arranged so the two
 /// produce **bit-identical** results — the backend is purely a
-/// speed/memory choice. Dense work is `O(E^2)` per gap; sparse work is
-/// `O(nnz)`, which is what top-k routing leaves at `E = 256/512`.
+/// speed/memory choice. Flat lookups make `swap_delta` `O(E)` per call;
+/// the index walks make it `O(row-nnz + col-nnz)`, which is what top-k
+/// routing leaves at `E = 256/512`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GapBackend {
-    /// Pick per gap: CSR when the gap's density is below
-    /// [`SPARSE_DENSITY_THRESHOLD`], dense otherwise.
+    /// Pick per gap: index-only when the gap's density is below
+    /// [`SPARSE_DENSITY_THRESHOLD`], flat-accelerated otherwise.
     #[default]
     Auto,
-    /// Force the flattened row-major `E x E` layout for every gap.
+    /// Keep the flattened row-major `E x E` expansion for every gap.
     Dense,
-    /// Force the CSR layout for every gap.
+    /// Keep only the CSR/CSC index for every gap.
     Sparse,
 }
 
 /// Density (`nnz / E^2`) below which [`GapBackend::Auto`] stores a gap as
-/// CSR. Below ~25% the CSR traversals win despite their index indirection;
-/// near-dense matrices are faster flat.
+/// CSR only. Below ~25% the CSR traversals win despite their index
+/// indirection; near-dense matrices are faster flat.
 pub const SPARSE_DENSITY_THRESHOLD: f64 = 0.25;
 
-/// A CSR layer-gap matrix with a transposed (CSC) companion index.
+fn pick_sparse(nnz: usize, e: usize, backend: GapBackend) -> bool {
+    match backend {
+        GapBackend::Dense => false,
+        GapBackend::Sparse => true,
+        GapBackend::Auto => (nnz as f64) < SPARSE_DENSITY_THRESHOLD * (e * e) as f64,
+    }
+}
+
+/// One layer gap's conditional matrix: the stored cells in CSR with a
+/// transposed (CSC) companion index.
 ///
 /// The CSR side serves row access (`cross_mass`, the outgoing half of
-/// `swap_delta`, greedy gain accumulation); the CSC side serves column
+/// `swap_delta`, greedy gain accumulation) and is the structure
+/// [`Objective::apply_snapshot_delta`] splices; the CSC side serves column
 /// access (the incoming half of `swap_delta`) in `O(col-nnz)` instead of
 /// `O(E)`. Entries are ascending within each row/column.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SparseGap {
+struct Gap {
     row_ptr: Vec<usize>,
     cols: Vec<usize>,
     vals: Vec<f64>,
     col_ptr: Vec<usize>,
     rows: Vec<usize>,
     tvals: Vec<f64>,
+    /// The stored cells expanded row-major over `E x E` — present exactly
+    /// when [`pick_sparse`] says dense.
+    flat: Option<Vec<f64>>,
 }
 
-impl SparseGap {
+impl Gap {
     /// Build from CSR parts, deriving the CSC index (counting sort keeps
-    /// rows ascending within each column).
-    fn from_csr(n: usize, row_ptr: Vec<usize>, cols: Vec<usize>, vals: Vec<f64>) -> Self {
-        debug_assert_eq!(row_ptr.len(), n + 1);
-        debug_assert_eq!(cols.len(), vals.len());
+    /// rows ascending within each column) and, on a dense pick, the flat
+    /// expansion. No floating-point arithmetic: values move verbatim.
+    fn new(
+        n: usize,
+        row_ptr: Vec<usize>,
+        cols: Vec<usize>,
+        vals: Vec<f64>,
+        backend: GapBackend,
+    ) -> Self {
+        assert_eq!(row_ptr.len(), n + 1, "row_ptr must have E + 1 bounds");
+        assert_eq!(cols.len(), vals.len());
         let nnz = cols.len();
         let mut col_ptr = vec![0usize; n + 1];
         for &c in &cols {
@@ -64,151 +92,60 @@ impl SparseGap {
         let mut cursor = col_ptr.clone();
         let mut rows = vec![0usize; nnz];
         let mut tvals = vec![0.0f64; nnz];
+        let mut flat = (!pick_sparse(nnz, n, backend)).then(|| vec![0.0f64; n * n]);
         for i in 0..n {
             for idx in row_ptr[i]..row_ptr[i + 1] {
                 let slot = cursor[cols[idx]];
                 cursor[cols[idx]] += 1;
                 rows[slot] = i;
                 tvals[slot] = vals[idx];
+                if let Some(flat) = &mut flat {
+                    flat[i * n + cols[idx]] = vals[idx];
+                }
             }
         }
-        SparseGap {
+        Gap {
             row_ptr,
             cols,
             vals,
             col_ptr,
             rows,
             tvals,
+            flat,
         }
-    }
-
-    /// Compress a flattened row-major `E x E` matrix.
-    fn from_dense(flat: &[f64], n: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..n {
-            for (p, &v) in flat[i * n..(i + 1) * n].iter().enumerate() {
-                if v != 0.0 {
-                    cols.push(p);
-                    vals.push(v);
-                }
-            }
-            row_ptr.push(cols.len());
-        }
-        SparseGap::from_csr(n, row_ptr, cols, vals)
     }
 
     /// Stored entries of row `i`: `(columns, values)`, columns ascending.
     #[inline]
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
         (&self.cols[lo..hi], &self.vals[lo..hi])
     }
 
     /// Stored entries of column `p`: `(rows, values)`, rows ascending.
     #[inline]
-    pub fn col(&self, p: usize) -> (&[usize], &[f64]) {
+    fn col(&self, p: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.col_ptr[p], self.col_ptr[p + 1]);
         (&self.rows[lo..hi], &self.tvals[lo..hi])
     }
-
-    /// The value at `(i, p)` (0 for cells not stored).
-    pub fn get(&self, i: usize, p: usize) -> f64 {
-        let (cols, vals) = self.row(i);
-        match cols.binary_search(&p) {
-            Ok(k) => vals[k],
-            Err(_) => 0.0,
-        }
-    }
-
-    /// Number of stored cells.
-    pub fn nnz(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The raw CSR triplet `(row_ptr, cols, vals)` this gap stores — the
-    /// stored-cell structure incremental maintenance splices.
-    pub fn csr(&self) -> (&[usize], &[usize], &[f64]) {
-        (&self.row_ptr, &self.cols, &self.vals)
-    }
 }
 
-/// One layer gap's conditional matrix, in whichever layout the builder
-/// selected.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GapStorage {
-    /// Flattened row-major `E x E` conditional probabilities.
-    Dense(Vec<f64>),
-    /// CSR (plus a CSC companion index) over the structural nonzeros.
-    Sparse(SparseGap),
-}
-
-impl GapStorage {
-    /// Whether this gap is stored as CSR.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, GapStorage::Sparse(_))
-    }
-}
-
-/// The stored-cell CSR structure of a *dense*-stored gap.
-///
-/// [`Objective::apply_snapshot_delta`] splices whole rows of the
-/// stored-cell structure (exactly what the snapshot emits, including any
-/// explicitly stored zeros), which the flat array alone cannot represent.
-/// Sparse-stored gaps already carry this structure inside [`SparseGap`],
-/// so their mirror stays empty.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct CsrMirror {
-    row_ptr: Vec<usize>,
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-}
-
-impl CsrMirror {
-    fn from_parts(row_ptr: Vec<usize>, cols: Vec<usize>, vals: Vec<f64>) -> Self {
-        CsrMirror {
-            row_ptr,
-            cols,
-            vals,
-        }
-    }
-
-    /// Derive the structure of a flattened dense matrix (every nonzero
-    /// cell is a stored cell).
-    fn from_flat(flat: &[f64], n: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0usize);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
-        for i in 0..n {
-            for (p, &v) in flat[i * n..(i + 1) * n].iter().enumerate() {
-                if v != 0.0 {
-                    cols.push(p);
-                    vals.push(v);
-                }
+/// Stored-cell CSR `(row_ptr, cols, vals)` of dense rows: every nonzero
+/// cell is a stored cell.
+fn compress_rows<'a>(rows: impl Iterator<Item = &'a [f64]>) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+    let mut row_ptr = vec![0usize];
+    let mut cols = Vec::new();
+    let mut vals = Vec::new();
+    for row in rows {
+        for (p, &v) in row.iter().enumerate() {
+            if v != 0.0 {
+                cols.push(p);
+                vals.push(v);
             }
-            row_ptr.push(cols.len());
         }
-        CsrMirror {
-            row_ptr,
-            cols,
-            vals,
-        }
+        row_ptr.push(cols.len());
     }
-}
-
-fn count_nnz(flat: &[f64]) -> usize {
-    flat.iter().filter(|&&v| v != 0.0).count()
-}
-
-fn pick_sparse(nnz: usize, e: usize, backend: GapBackend) -> bool {
-    match backend {
-        GapBackend::Dense => false,
-        GapBackend::Sparse => true,
-        GapBackend::Auto => (nnz as f64) < SPARSE_DENSITY_THRESHOLD * (e * e) as f64,
-    }
+    (row_ptr, cols, vals)
 }
 
 /// The placement objective: expected number of cross-unit transitions per
@@ -223,30 +160,49 @@ fn pick_sparse(nnz: usize, e: usize, backend: GapBackend) -> bool {
 /// Fig. 12a) where a uniform weighting would dilute the objective with
 /// never-visited experts.
 ///
-/// Gaps are stored behind [`GapStorage`]: dense `E x E` or CSR, selected
-/// by the builder ([`GapBackend`]); all evaluations are bit-identical
-/// across backends.
+/// Every gap is a stored-cell CSR/CSC index, flat-accelerated or not per
+/// [`GapBackend`]; all evaluations are bit-identical across backends.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Objective {
     n_experts: usize,
     /// The backend policy the objective was built with; re-applied when a
     /// window delta moves a gap across the `Auto` density threshold.
     backend: GapBackend,
-    /// Per-gap conditional matrix (dense or CSR).
-    gaps: Vec<GapStorage>,
-    /// Stored-cell CSR mirror for dense-stored gaps (empty for sparse
-    /// gaps, which carry their structure themselves).
-    csr: Vec<CsrMirror>,
+    /// Per-gap conditional matrix.
+    gaps: Vec<Gap>,
     /// Per-gap source-expert marginal weights (each sums to 1).
     weights: Vec<Vec<f64>>,
-    /// Per-gap structural nonzero count (backend-independent).
-    nnz: Vec<usize>,
 }
 
 impl Objective {
+    /// The one constructor every public builder adapts into: per gap, the
+    /// stored-cell CSR `(row_ptr, cols, vals)` and the source-marginal
+    /// `weights`. An empty iterator models a single-layer (L = 1)
+    /// instance with no transitions at all.
+    fn from_gaps(
+        n_experts: usize,
+        backend: GapBackend,
+        gaps: impl Iterator<Item = (Vec<usize>, Vec<usize>, Vec<f64>, Vec<f64>)>,
+    ) -> Self {
+        assert!(n_experts >= 1);
+        let (gaps, weights) = gaps
+            .map(|(row_ptr, cols, vals, weights)| {
+                assert_eq!(weights.len(), n_experts);
+                (Gap::new(n_experts, row_ptr, cols, vals, backend), weights)
+            })
+            .unzip();
+        Objective {
+            n_experts,
+            backend,
+            gaps,
+            weights,
+        }
+    }
+
     /// Build from consecutive-layer affinity matrices (length `L - 1`,
-    /// ordered by layer), weighting each row by its observed marginal.
-    /// Storage is selected per gap by [`GapBackend::Auto`].
+    /// ordered by layer), weighting each row by its observed marginal —
+    /// the dense reference view of [`Objective::from_snapshot`]. Storage
+    /// is selected per gap by [`GapBackend::Auto`].
     pub fn from_affinities(matrices: &[AffinityMatrix]) -> Self {
         Self::from_affinities_with(matrices, GapBackend::Auto)
     }
@@ -255,108 +211,32 @@ impl Objective {
     pub fn from_affinities_with(matrices: &[AffinityMatrix], backend: GapBackend) -> Self {
         assert!(!matrices.is_empty(), "need at least one layer gap");
         let e = matrices[0].n_experts();
-        let mut gaps = Vec::with_capacity(matrices.len());
-        let mut csr = Vec::with_capacity(matrices.len());
-        let mut weights = Vec::with_capacity(matrices.len());
-        let mut nnz = Vec::with_capacity(matrices.len());
-        for m in matrices {
-            assert_eq!(m.n_experts(), e, "matrices must agree on expert count");
-            let mut flat = Vec::with_capacity(e * e);
-            for i in 0..e {
-                flat.extend_from_slice(m.row(i));
-            }
-            let gap_nnz = count_nnz(&flat);
-            gaps.push(if pick_sparse(gap_nnz, e, backend) {
-                csr.push(CsrMirror::default());
-                GapStorage::Sparse(SparseGap::from_dense(&flat, e))
-            } else {
-                csr.push(CsrMirror::from_flat(&flat, e));
-                GapStorage::Dense(flat)
-            });
-            nnz.push(gap_nnz);
-            let total: u64 = (0..e).map(|i| m.row_count(i)).sum();
-            weights.push(if total == 0 {
-                vec![1.0 / e as f64; e]
-            } else {
-                (0..e)
-                    .map(|i| m.row_count(i) as f64 / total as f64)
-                    .collect()
-            });
-        }
-        Objective {
-            n_experts: e,
+        Self::from_gaps(
+            e,
             backend,
-            gaps,
-            csr,
-            weights,
-            nnz,
-        }
+            matrices.iter().map(|m| {
+                assert_eq!(m.n_experts(), e, "matrices must agree on expert count");
+                let (row_ptr, cols, vals) = compress_rows((0..e).map(|i| m.row(i)));
+                let total = m.total_count();
+                let weights = if total == 0 {
+                    vec![1.0 / e as f64; e]
+                } else {
+                    (0..e)
+                        .map(|i| m.row_count(i) as f64 / total as f64)
+                        .collect()
+                };
+                (row_ptr, cols, vals, weights)
+            }),
+        )
     }
 
-    /// Build from CSR affinity estimates without ever materializing the
-    /// dense `E x E` tables (the large-expert path). Defines the same
-    /// objective — bit for bit — as [`Objective::from_affinities`] on the
-    /// dense estimates of the same trace. Storage is selected per gap by
-    /// [`GapBackend::Auto`].
-    pub fn from_sparse_affinities(matrices: &[SparseAffinity]) -> Self {
-        Self::from_sparse_affinities_with(matrices, GapBackend::Auto)
-    }
-
-    /// [`Objective::from_sparse_affinities`] with an explicit backend
-    /// override (`Dense` expands the CSR estimates).
-    pub fn from_sparse_affinities_with(matrices: &[SparseAffinity], backend: GapBackend) -> Self {
-        assert!(!matrices.is_empty(), "need at least one layer gap");
-        let e = matrices[0].n_experts();
-        let mut gaps = Vec::with_capacity(matrices.len());
-        let mut csr = Vec::with_capacity(matrices.len());
-        let mut weights = Vec::with_capacity(matrices.len());
-        let mut nnz = Vec::with_capacity(matrices.len());
-        for m in matrices {
-            assert_eq!(m.n_experts(), e, "matrices must agree on expert count");
-            let gap_nnz = m.nnz();
-            let (row_ptr, cols, vals) = m.csr();
-            gaps.push(if pick_sparse(gap_nnz, e, backend) {
-                csr.push(CsrMirror::default());
-                GapStorage::Sparse(SparseGap::from_csr(
-                    e,
-                    row_ptr.to_vec(),
-                    cols.to_vec(),
-                    vals.to_vec(),
-                ))
-            } else {
-                csr.push(CsrMirror::from_parts(
-                    row_ptr.to_vec(),
-                    cols.to_vec(),
-                    vals.to_vec(),
-                ));
-                GapStorage::Dense(m.to_dense_probs())
-            });
-            nnz.push(gap_nnz);
-            let total: u64 = (0..e).map(|i| m.row_count(i)).sum();
-            weights.push(if total == 0 {
-                vec![1.0 / e as f64; e]
-            } else {
-                (0..e)
-                    .map(|i| m.row_count(i) as f64 / total as f64)
-                    .collect()
-            });
-        }
-        Objective {
-            n_experts: e,
-            backend,
-            gaps,
-            csr,
-            weights,
-            nnz,
-        }
-    }
-
-    /// Build from a frozen [`AffinitySnapshot`] of the online streaming
-    /// estimator — the re-placement path of the online serving mode.
-    /// Conditional rows come in CSR form and source marginals come from
-    /// the snapshot's decayed row mass, so a snapshot of a single
-    /// undecayed window defines the same objective — bit for bit — as
-    /// [`Objective::from_sparse_affinities`] on that window's trace.
+    /// Build from a frozen [`AffinitySnapshot`] of the streaming estimator
+    /// — the path the engine profiles through offline and re-places
+    /// through online. Conditional rows come in CSR form (the dense
+    /// `E x E` table is never materialized unless the backend asks for
+    /// it) and source marginals come from the snapshot's decayed row mass,
+    /// so a first-window snapshot defines the same objective — bit for
+    /// bit — as [`Objective::from_affinities`] on that window's trace.
     /// Storage is selected per gap by [`GapBackend::Auto`].
     pub fn from_snapshot(snapshot: &AffinitySnapshot) -> Self {
         Self::from_snapshot_with(snapshot, GapBackend::Auto)
@@ -365,47 +245,19 @@ impl Objective {
     /// [`Objective::from_snapshot`] with an explicit backend override
     /// (`Dense` expands the CSR rows).
     pub fn from_snapshot_with(snapshot: &AffinitySnapshot, backend: GapBackend) -> Self {
-        let e = snapshot.n_experts();
-        let mut gaps = Vec::with_capacity(snapshot.n_gaps());
-        let mut csr = Vec::with_capacity(snapshot.n_gaps());
-        let mut weights = Vec::with_capacity(snapshot.n_gaps());
-        let mut nnz = Vec::with_capacity(snapshot.n_gaps());
-        for gap in 0..snapshot.n_gaps() {
-            let (row_ptr, cols, probs) = snapshot.gap_csr(gap);
-            let gap_nnz = cols.len();
-            gaps.push(if pick_sparse(gap_nnz, e, backend) {
-                csr.push(CsrMirror::default());
-                GapStorage::Sparse(SparseGap::from_csr(
-                    e,
-                    row_ptr.to_vec(),
-                    cols.to_vec(),
-                    probs.to_vec(),
-                ))
-            } else {
-                csr.push(CsrMirror::from_parts(
-                    row_ptr.to_vec(),
-                    cols.to_vec(),
-                    probs.to_vec(),
-                ));
-                let mut flat = vec![0.0f64; e * e];
-                for i in 0..e {
-                    for idx in row_ptr[i]..row_ptr[i + 1] {
-                        flat[i * e + cols[idx]] = probs[idx];
-                    }
-                }
-                GapStorage::Dense(flat)
-            });
-            nnz.push(gap_nnz);
-            weights.push(snapshot.gap_weights(gap).to_vec());
-        }
-        Objective {
-            n_experts: e,
+        Self::from_gaps(
+            snapshot.n_experts(),
             backend,
-            gaps,
-            csr,
-            weights,
-            nnz,
-        }
+            (0..snapshot.n_gaps()).map(|gap| {
+                let (row_ptr, cols, probs) = snapshot.gap_csr(gap);
+                (
+                    row_ptr.to_vec(),
+                    cols.to_vec(),
+                    probs.to_vec(),
+                    snapshot.gap_weights(gap).to_vec(),
+                )
+            }),
+        )
     }
 
     /// Build from raw flattened transition matrices (each row-stochastic
@@ -419,34 +271,16 @@ impl Objective {
 
     /// [`Objective::from_raw`] with an explicit backend override.
     pub fn from_raw_with(gaps: Vec<Vec<f64>>, n_experts: usize, backend: GapBackend) -> Self {
-        assert!(n_experts >= 1);
-        for g in &gaps {
-            assert_eq!(g.len(), n_experts * n_experts);
-        }
-        let weights = vec![vec![1.0 / n_experts as f64; n_experts]; gaps.len()];
-        let nnz: Vec<usize> = gaps.iter().map(|g| count_nnz(g)).collect();
-        let mut csr = Vec::with_capacity(gaps.len());
-        let gaps = gaps
-            .into_iter()
-            .zip(&nnz)
-            .map(|(flat, &gap_nnz)| {
-                if pick_sparse(gap_nnz, n_experts, backend) {
-                    csr.push(CsrMirror::default());
-                    GapStorage::Sparse(SparseGap::from_dense(&flat, n_experts))
-                } else {
-                    csr.push(CsrMirror::from_flat(&flat, n_experts));
-                    GapStorage::Dense(flat)
-                }
-            })
-            .collect();
-        Objective {
+        Self::from_gaps(
             n_experts,
             backend,
-            gaps,
-            csr,
-            weights,
-            nnz,
-        }
+            gaps.iter().map(|flat| {
+                assert_eq!(flat.len(), n_experts * n_experts);
+                let (row_ptr, cols, vals) = compress_rows(flat.chunks(n_experts));
+                let weights = vec![1.0 / n_experts as f64; n_experts];
+                (row_ptr, cols, vals, weights)
+            }),
+        )
     }
 
     /// Fold a [`SnapshotDelta`] — the rows one streaming window actually
@@ -459,15 +293,16 @@ impl Objective {
     /// bit for bit — where `s` is the snapshot the estimator would freeze
     /// after the same `observe` call that produced the delta. That holds
     /// for values, for the storage choice (the `Auto` density rule is
-    /// re-applied with the updated stored-cell count, so a gap can flip
-    /// layout mid-stream), and therefore for every downstream evaluation
-    /// (`cross_mass`, `swap_delta`, the solvers).
+    /// re-applied with the updated stored-cell count, so a gap can gain or
+    /// lose its flat expansion mid-stream), and therefore for every
+    /// downstream evaluation (`cross_mass`, `swap_delta`, the solvers).
     ///
-    /// Work is `O(touched-row cells)` of float stores plus an integer
-    /// memcpy/counting-sort pass over the gap's stored cells when its CSR
-    /// structure shifts; no floating-point arithmetic happens at all —
-    /// stored probabilities move verbatim, which is what makes the
-    /// bit-identity structural rather than numerical.
+    /// Untouched gaps cost nothing; a touched gap's stored-cell CSR is
+    /// spliced (untouched rows copied, touched rows taken from the delta's
+    /// fragments) and its companions re-derived by the same integer
+    /// counting sort the constructors run. No floating-point arithmetic
+    /// happens at all — stored probabilities move verbatim, which is what
+    /// makes the bit-identity structural rather than numerical.
     pub fn apply_snapshot_delta(&mut self, delta: &SnapshotDelta) {
         assert_eq!(
             delta.n_experts(),
@@ -476,7 +311,7 @@ impl Objective {
         );
         assert_eq!(delta.n_gaps(), self.gaps.len(), "delta gap count mismatch");
         let e = self.n_experts;
-        for gap in 0..self.gaps.len() {
+        for (gap, old) in self.gaps.iter_mut().enumerate() {
             // Marginal weights shift globally whenever any mass decays, so
             // the delta always carries each gap's vector whole.
             self.weights[gap].clear();
@@ -485,73 +320,25 @@ impl Objective {
             if rows.is_empty() {
                 continue;
             }
-            // Splice the stored-cell CSR: untouched rows are copied from
-            // the current structure, touched rows come from the fragment.
-            let (old_row_ptr, old_cols, old_vals) = match &self.gaps[gap] {
-                GapStorage::Sparse(s) => s.csr(),
-                GapStorage::Dense(_) => (
-                    self.csr[gap].row_ptr.as_slice(),
-                    self.csr[gap].cols.as_slice(),
-                    self.csr[gap].vals.as_slice(),
-                ),
-            };
             let mut row_ptr = Vec::with_capacity(e + 1);
             row_ptr.push(0usize);
-            let mut cols = Vec::with_capacity(old_cols.len());
-            let mut vals = Vec::with_capacity(old_vals.len());
+            let mut cols = Vec::with_capacity(old.cols.len());
+            let mut vals = Vec::with_capacity(old.vals.len());
             let mut k = 0usize;
             for i in 0..e {
-                if k < rows.len() && rows[k] == i {
-                    let (fc, fv) = delta.fragment(gap, k);
-                    cols.extend_from_slice(fc);
-                    vals.extend_from_slice(fv);
-                    k += 1;
+                let touched = rows.get(k) == Some(&i);
+                let (c, v) = if touched {
+                    delta.fragment(gap, k)
                 } else {
-                    let (lo, hi) = (old_row_ptr[i], old_row_ptr[i + 1]);
-                    cols.extend_from_slice(&old_cols[lo..hi]);
-                    vals.extend_from_slice(&old_vals[lo..hi]);
-                }
+                    old.row(i)
+                };
+                k += usize::from(touched);
+                cols.extend_from_slice(c);
+                vals.extend_from_slice(v);
                 row_ptr.push(cols.len());
             }
             debug_assert_eq!(k, rows.len(), "delta rows must be ascending in [0, E)");
-            let gap_nnz = cols.len();
-            self.nnz[gap] = gap_nnz;
-            if pick_sparse(gap_nnz, e, self.backend) {
-                // CSR gap (or a dense gap the Auto rule just flipped):
-                // adopt the spliced arrays; the CSC companion is re-derived
-                // by the same integer counting sort `from_snapshot` runs.
-                self.gaps[gap] = GapStorage::Sparse(SparseGap::from_csr(e, row_ptr, cols, vals));
-                self.csr[gap] = CsrMirror::default();
-            } else {
-                match &mut self.gaps[gap] {
-                    GapStorage::Dense(flat) => {
-                        // The truly in-place path: rewrite only touched rows.
-                        for (k, &i) in rows.iter().enumerate() {
-                            let (fc, fv) = delta.fragment(gap, k);
-                            let row = &mut flat[i * e..(i + 1) * e];
-                            row.fill(0.0);
-                            for (&c, &v) in fc.iter().zip(fv) {
-                                row[c] = v;
-                            }
-                        }
-                    }
-                    GapStorage::Sparse(_) => {
-                        // Auto flipped CSR -> dense: expand, as from_snapshot does.
-                        let mut flat = vec![0.0f64; e * e];
-                        for i in 0..e {
-                            for idx in row_ptr[i]..row_ptr[i + 1] {
-                                flat[i * e + cols[idx]] = vals[idx];
-                            }
-                        }
-                        self.gaps[gap] = GapStorage::Dense(flat);
-                    }
-                }
-                self.csr[gap] = CsrMirror {
-                    row_ptr,
-                    cols,
-                    vals,
-                };
-            }
+            *old = Gap::new(e, row_ptr, cols, vals, self.backend);
         }
     }
 
@@ -575,25 +362,19 @@ impl Objective {
         self.gaps.len() + 1
     }
 
-    /// The storage one gap was built into.
-    pub fn gap_storage(&self, gap: usize) -> &GapStorage {
-        &self.gaps[gap]
-    }
-
-    /// Whether `gap` is stored as CSR.
+    /// Whether `gap` is index-only (no flat expansion).
     pub fn gap_is_sparse(&self, gap: usize) -> bool {
-        self.gaps[gap].is_sparse()
+        self.gaps[gap].flat.is_none()
     }
 
-    /// Structural nonzeros of one gap's conditional matrix
-    /// (backend-independent).
+    /// Stored cells of one gap's conditional matrix (backend-independent).
     pub fn gap_nnz(&self, gap: usize) -> usize {
-        self.nnz[gap]
+        self.gaps[gap].cols.len()
     }
 
-    /// Structural nonzeros across all gaps.
+    /// Stored cells across all gaps.
     pub fn nnz(&self) -> usize {
-        self.nnz.iter().sum()
+        self.gaps.iter().map(|g| g.cols.len()).sum()
     }
 
     /// `nnz` over the dense cell count (`gaps x E^2`); 0 for a gapless
@@ -606,13 +387,18 @@ impl Objective {
     }
 
     /// The conditional probability `P(expert p at layer gap+1 | expert i at
-    /// layer gap)` this objective was built from. `O(1)` dense,
-    /// `O(log row-nnz)` sparse.
+    /// layer gap)` this objective was built from. `O(1)` flat,
+    /// `O(log row-nnz)` otherwise.
     #[inline]
     pub fn gap_prob(&self, gap: usize, i: usize, p: usize) -> f64 {
-        match &self.gaps[gap] {
-            GapStorage::Dense(m) => m[i * self.n_experts + p],
-            GapStorage::Sparse(s) => s.get(i, p),
+        let g = &self.gaps[gap];
+        if let Some(m) = &g.flat {
+            return m[i * self.n_experts + p];
+        }
+        let (cols, vals) = g.row(i);
+        match cols.binary_search(&p) {
+            Ok(k) => vals[k],
+            Err(_) => 0.0,
         }
     }
 
@@ -623,85 +409,46 @@ impl Objective {
         self.weights[gap][i]
     }
 
-    /// Visit the structurally nonzero entries of one conditional row in
-    /// ascending column order: `f(p, P(p | i))`. `O(row-nnz)` sparse,
-    /// `O(E)` dense (zero cells are skipped either way — they cannot
-    /// change any sum this crate accumulates).
+    /// Visit the stored entries of one conditional row in ascending column
+    /// order: `f(p, P(p | i))`. `O(row-nnz)`; cells not stored are zero
+    /// and cannot change any sum this crate accumulates.
     #[inline]
     pub fn for_each_in_row<F: FnMut(usize, f64)>(&self, gap: usize, i: usize, mut f: F) {
-        let e = self.n_experts;
-        match &self.gaps[gap] {
-            GapStorage::Dense(m) => {
-                for (p, &v) in m[i * e..(i + 1) * e].iter().enumerate() {
-                    if v != 0.0 {
-                        f(p, v);
-                    }
-                }
-            }
-            GapStorage::Sparse(s) => {
-                let (cols, vals) = s.row(i);
-                for (&p, &v) in cols.iter().zip(vals) {
-                    f(p, v);
-                }
-            }
+        let (cols, vals) = self.gaps[gap].row(i);
+        for (&p, &v) in cols.iter().zip(vals) {
+            f(p, v);
         }
     }
 
-    /// Visit the structurally nonzero entries of one conditional *column*
-    /// in ascending row order: `f(i, P(p | i))` — the predecessor set the
-    /// swap-gain cache invalidates when expert `p` moves. `O(col-nnz)`
-    /// sparse (via the CSC companion), `O(E)` dense.
+    /// Visit the stored entries of one conditional *column* in ascending
+    /// row order: `f(i, P(p | i))` — the predecessor set the swap-gain
+    /// cache invalidates when expert `p` moves. `O(col-nnz)` via the CSC
+    /// companion.
     #[inline]
     pub fn for_each_in_col<F: FnMut(usize, f64)>(&self, gap: usize, p: usize, mut f: F) {
-        let e = self.n_experts;
-        match &self.gaps[gap] {
-            GapStorage::Dense(m) => {
-                for i in 0..e {
-                    let v = m[i * e + p];
-                    if v != 0.0 {
-                        f(i, v);
-                    }
-                }
-            }
-            GapStorage::Sparse(s) => {
-                let (rows, vals) = s.col(p);
-                for (&i, &v) in rows.iter().zip(vals) {
-                    f(i, v);
-                }
-            }
+        let (rows, vals) = self.gaps[gap].col(p);
+        for (&i, &v) in rows.iter().zip(vals) {
+            f(i, v);
         }
     }
 
     /// Expected cross-unit transitions per token across the whole forward
-    /// pass (lower is better; range `[0, L-1]`). `O(nnz)` on sparse gaps.
+    /// pass (lower is better; range `[0, L-1]`). `O(nnz)`.
     pub fn cross_mass(&self, placement: &Placement) -> f64 {
         assert_eq!(placement.n_layers(), self.n_layers());
         assert_eq!(placement.n_experts(), self.n_experts);
-        let e = self.n_experts;
         let mut total = 0.0f64;
-        for (gap, storage) in self.gaps.iter().enumerate() {
-            for i in 0..e {
-                let w = self.weights[gap][i];
+        for (gap, g) in self.gaps.iter().enumerate() {
+            for (i, &w) in self.weights[gap].iter().enumerate() {
                 if w == 0.0 {
                     continue;
                 }
                 let ui = placement.unit_of(gap, i);
+                let (cols, vals) = g.row(i);
                 let mut cross = 0.0f64;
-                match storage {
-                    GapStorage::Dense(m) => {
-                        for (p, &prob) in m[i * e..(i + 1) * e].iter().enumerate() {
-                            if placement.unit_of(gap + 1, p) != ui {
-                                cross += prob;
-                            }
-                        }
-                    }
-                    GapStorage::Sparse(s) => {
-                        let (cols, vals) = s.row(i);
-                        for (&p, &prob) in cols.iter().zip(vals) {
-                            if placement.unit_of(gap + 1, p) != ui {
-                                cross += prob;
-                            }
-                        }
+                for (&p, &prob) in cols.iter().zip(vals) {
+                    if placement.unit_of(gap + 1, p) != ui {
+                        cross += prob;
                     }
                 }
                 total += w * cross;
@@ -725,10 +472,11 @@ impl Objective {
     }
 
     /// Change in [`Objective::cross_mass`] if `e1` and `e2` swapped units
-    /// at `layer` (negative = improvement). `O(E)` dense — the enabler for
-    /// large-instance local search — and `O(col-nnz + row-nnz)` sparse:
-    /// the incoming direction walks the CSC index of columns `e1`/`e2`,
-    /// the outgoing direction merges the CSR rows.
+    /// at `layer` (negative = improvement). `O(E)` on flat gaps — the
+    /// enabler for large-instance local search — and
+    /// `O(col-nnz + row-nnz)` on index-only ones: the incoming direction
+    /// walks the CSC index of columns `e1`/`e2`, the outgoing direction
+    /// merges the CSR rows.
     pub fn swap_delta(&self, placement: &Placement, layer: usize, e1: usize, e2: usize) -> f64 {
         let e = self.n_experts;
         let u1 = placement.unit_of(layer, e1);
@@ -741,34 +489,25 @@ impl Objective {
         if layer > 0 {
             let gap = layer - 1;
             let weights = &self.weights[gap];
-            match &self.gaps[gap] {
-                GapStorage::Dense(m) => {
-                    for (i, &w) in weights.iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let ui = placement.unit_of(gap, i);
-                        let p1 = m[i * e + e1];
-                        let p2 = m[i * e + e2];
-                        let before = f64::from(u1 != ui) * p1 + f64::from(u2 != ui) * p2;
-                        let after = f64::from(u2 != ui) * p1 + f64::from(u1 != ui) * p2;
-                        delta += w * (after - before);
-                    }
+            let mut incoming = |i: usize, p1: f64, p2: f64| {
+                let w = weights[i];
+                if w == 0.0 {
+                    return;
                 }
-                GapStorage::Sparse(s) => {
-                    let (r1, v1) = s.col(e1);
-                    let (r2, v2) = s.col(e2);
-                    merge_indexed(r1, v1, r2, v2, |i, p1, p2| {
-                        let w = weights[i];
-                        if w == 0.0 {
-                            return;
-                        }
-                        let ui = placement.unit_of(gap, i);
-                        let before = f64::from(u1 != ui) * p1 + f64::from(u2 != ui) * p2;
-                        let after = f64::from(u2 != ui) * p1 + f64::from(u1 != ui) * p2;
-                        delta += w * (after - before);
-                    });
+                let ui = placement.unit_of(gap, i);
+                let before = f64::from(u1 != ui) * p1 + f64::from(u2 != ui) * p2;
+                let after = f64::from(u2 != ui) * p1 + f64::from(u1 != ui) * p2;
+                delta += w * (after - before);
+            };
+            let g = &self.gaps[gap];
+            if let Some(m) = &g.flat {
+                for i in 0..e {
+                    incoming(i, m[i * e + e1], m[i * e + e2]);
                 }
+            } else {
+                let (r1, v1) = g.col(e1);
+                let (r2, v2) = g.col(e2);
+                merge_indexed(r1, v1, r2, v2, incoming);
             }
         }
         // Outgoing gap: transitions from e1/e2 into layer+1 experts, each
@@ -776,27 +515,21 @@ impl Objective {
         if layer + 1 < self.n_layers() {
             let w1 = self.weights[layer][e1];
             let w2 = self.weights[layer][e2];
-            match &self.gaps[layer] {
-                GapStorage::Dense(m) => {
-                    for p in 0..e {
-                        let up = placement.unit_of(layer + 1, p);
-                        let p1 = m[e1 * e + p];
-                        let p2 = m[e2 * e + p];
-                        let before = w1 * f64::from(up != u1) * p1 + w2 * f64::from(up != u2) * p2;
-                        let after = w1 * f64::from(up != u2) * p1 + w2 * f64::from(up != u1) * p2;
-                        delta += after - before;
-                    }
+            let mut outgoing = |p: usize, p1: f64, p2: f64| {
+                let up = placement.unit_of(layer + 1, p);
+                let before = w1 * f64::from(up != u1) * p1 + w2 * f64::from(up != u2) * p2;
+                let after = w1 * f64::from(up != u2) * p1 + w2 * f64::from(up != u1) * p2;
+                delta += after - before;
+            };
+            let g = &self.gaps[layer];
+            if let Some(m) = &g.flat {
+                for p in 0..e {
+                    outgoing(p, m[e1 * e + p], m[e2 * e + p]);
                 }
-                GapStorage::Sparse(s) => {
-                    let (c1, v1) = s.row(e1);
-                    let (c2, v2) = s.row(e2);
-                    merge_indexed(c1, v1, c2, v2, |p, p1, p2| {
-                        let up = placement.unit_of(layer + 1, p);
-                        let before = w1 * f64::from(up != u1) * p1 + w2 * f64::from(up != u2) * p2;
-                        let after = w1 * f64::from(up != u2) * p1 + w2 * f64::from(up != u1) * p2;
-                        delta += after - before;
-                    });
-                }
+            } else {
+                let (c1, v1) = g.row(e1);
+                let (c2, v2) = g.row(e2);
+                merge_indexed(c1, v1, c2, v2, outgoing);
             }
         }
         delta
@@ -1146,59 +879,50 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_build_matches_offline_build_bitwise() {
+    fn snapshot_build_matches_dense_reference_build_bitwise() {
         use exflow_affinity::StreamingAffinity;
         use exflow_model::routing::AffinityModelSpec;
         use exflow_model::{CorpusSpec, TokenBatch};
         let model = AffinityModelSpec::new(4, 16).with_affinity(0.9).build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 2500, 1, 21);
         let trace = RoutingTrace::from_batch(&batch, 16);
-        // One undecayed window == the offline estimate.
-        let mut streaming = StreamingAffinity::new(4, 16, 1.0);
+        // One window through the CSR estimator == the dense estimate.
+        let mut streaming = StreamingAffinity::new(4, 16, 0.5);
         streaming.observe(&trace);
-        let offline = Objective::from_sparse_affinities(&SparseAffinity::consecutive(&trace));
+        let snapshot = streaming.snapshot();
+        let dense_mats = AffinityMatrix::consecutive(&trace);
+        let p = Placement::round_robin(4, 16, 4);
         for backend in [GapBackend::Dense, GapBackend::Sparse] {
-            let online = Objective::from_snapshot_with(&streaming.snapshot(), backend);
+            let online = Objective::from_snapshot_with(&snapshot, backend);
+            let offline = Objective::from_affinities_with(&dense_mats, backend);
             assert_eq!(online.nnz(), offline.nnz());
-            let p = Placement::round_robin(4, 16, 4);
             assert_eq!(
                 online.cross_mass(&p).to_bits(),
                 offline.cross_mass(&p).to_bits()
             );
-            for i in 0..16 {
-                assert_eq!(
-                    online.row_weight(1, i).to_bits(),
-                    offline.row_weight(1, i).to_bits()
-                );
-                for j in 0..16 {
+            for gap in 0..3 {
+                for i in 0..16 {
                     assert_eq!(
-                        online.gap_prob(2, i, j).to_bits(),
-                        offline.gap_prob(2, i, j).to_bits()
+                        online.row_weight(gap, i).to_bits(),
+                        offline.row_weight(gap, i).to_bits()
                     );
+                    for j in 0..16 {
+                        assert_eq!(
+                            online.gap_prob(gap, i, j).to_bits(),
+                            offline.gap_prob(gap, i, j).to_bits()
+                        );
+                    }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn sparse_affinity_build_matches_dense_build_bitwise() {
-        use exflow_model::routing::AffinityModelSpec;
-        use exflow_model::{CorpusSpec, TokenBatch};
-        let model = AffinityModelSpec::new(4, 16).with_affinity(0.9).build();
-        let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 2500, 1, 21);
-        let trace = RoutingTrace::from_batch(&batch, 16);
-        let dense_mats = AffinityMatrix::consecutive(&trace);
-        let sparse_mats = SparseAffinity::consecutive(&trace);
-        for backend in [GapBackend::Dense, GapBackend::Sparse] {
-            let a = Objective::from_affinities_with(&dense_mats, backend);
-            let b = Objective::from_sparse_affinities_with(&sparse_mats, backend);
-            assert_eq!(a.nnz(), b.nnz());
-            let p = Placement::round_robin(4, 16, 4);
-            assert_eq!(a.cross_mass(&p).to_bits(), b.cross_mass(&p).to_bits());
-            for i in 0..16 {
-                assert_eq!(a.row_weight(0, i).to_bits(), b.row_weight(0, i).to_bits());
-                for j in 0..16 {
-                    assert_eq!(a.gap_prob(1, i, j).to_bits(), b.gap_prob(1, i, j).to_bits());
+            for layer in 0..4 {
+                for e1 in 0..16 {
+                    for e2 in 0..16 {
+                        assert_eq!(
+                            online.swap_delta(&p, layer, e1, e2).to_bits(),
+                            offline.swap_delta(&p, layer, e1, e2).to_bits(),
+                            "{backend:?} swap({layer},{e1},{e2})"
+                        );
+                    }
                 }
             }
         }

@@ -1,16 +1,9 @@
-//! Incremental re-placement for the online serving mode: warm-started and
-//! byte-budgeted solves from an incumbent placement, plus the
-//! [`MigrationPlan`] that prices the resulting expert moves.
-//!
-//! Offline, ExFlow solves placements from scratch; online, a from-scratch
-//! re-solve would discard the incumbent and migrate almost every expert.
-//! Following the budgeted-re-optimization view of the interval-subset-sum
-//! line of work (Diao et al., arXiv:1704.06928), re-placement is instead
-//! treated as an *incremental* problem: start from the incumbent, apply
-//! the highest-gain balanced swaps first, and stop when the migration
-//! budget — bytes of expert weights moved between GPUs — is exhausted.
-//! Every function here is sequential and deterministic, so online runs
-//! stay bit-identical at any thread count by construction.
+//! What a re-plan costs and what a fleet change forces: the
+//! [`MigrationPlan`] that diffs two placements into expert moves and
+//! prices them, and the fleet planners ([`plan_gpu_loss`],
+//! [`plan_gpu_rejoin`]) that re-home experts when a GPU dies or returns.
+//! The budgeted solvers that *choose* the moves live in
+//! [`crate::incremental`].
 //!
 //! Moves are priced against the cluster's α–β link costs
 //! (`exflow-topology`): a migration is a bulk point-to-point exchange at
@@ -19,29 +12,8 @@
 use exflow_topology::collective_cost::{BytesByClass, CollectiveCostModel};
 use exflow_topology::{ClusterSpec, CostModel};
 
-use crate::incremental::{
-    solve_budgeted_metered, solve_budgeted_replicated_metered, solve_budgeted_toward_metered,
-    CostMeter,
-};
-use crate::local_search::improve;
-use crate::objective::Objective;
 use crate::placement::Placement;
-use crate::replication::{LayerReplicas, ReplicaPolicy, ReplicationBudget, ReplicationPlan};
-
-/// Warm-start solve: polish the incumbent in place with first-improvement
-/// swap passes (no restarts, no randomness). The cheap end of the
-/// re-placement spectrum — returns a placement at least as good as the
-/// incumbent, typically after moving only the experts the drift actually
-/// affected.
-pub fn solve_warm_start(
-    objective: &Objective,
-    incumbent: &Placement,
-    max_passes: usize,
-) -> Placement {
-    let mut placement = incumbent.clone();
-    improve(objective, &mut placement, max_passes);
-    placement
-}
+use crate::replication::{LayerReplicas, ReplicationPlan};
 
 /// Experts whose unit differs between two placements (the net migration
 /// size of jumping from `a` to `b`).
@@ -55,45 +27,6 @@ pub(crate) fn net_moves(a: &Placement, b: &Placement) -> u64 {
         }
     }
     n
-}
-
-/// Budgeted incremental re-placement: starting from the incumbent, spend
-/// at most `max_moves` *net* expert relocations (what a
-/// [`MigrationPlan`] between incumbent and result would migrate) to
-/// reduce the objective as much as possible.
-///
-/// The budget caps *migration traffic*, not solver compute, so the
-/// target of the walk may be as good a solution as the caller can
-/// afford to compute. This convenience entry point builds a
-/// deterministic from-scratch target (greedy chain + swap polish, no
-/// randomness) and delegates to [`solve_budgeted_toward`]; callers that
-/// already hold a stronger solution — e.g. an oracle re-solve — should
-/// pass it to [`solve_budgeted_toward`] directly.
-pub fn solve_budgeted(objective: &Objective, incumbent: &Placement, max_moves: u64) -> Placement {
-    solve_budgeted_metered(objective, incumbent, max_moves, u64::MAX, None).0
-}
-
-/// Budgeted incremental re-placement toward an explicit unconstrained
-/// target. Two deterministic strategies race:
-///
-/// * **descent** — best-improvement swaps from the incumbent (cheap
-///   polish; ideal when drift only perturbed the structure);
-/// * **toward-target** — walk the incumbent toward `target`
-///   best-gain-first, keeping the cheapest placement visited within
-///   budget (escapes the stale basin after a regime change).
-///
-/// The cheaper result wins (descent on ties). Both walks are
-/// budget-independent paths that a larger budget merely extends, so the
-/// returned cost improves monotonically with `max_moves`, and
-/// `max_moves = 0` returns the incumbent unchanged.
-pub fn solve_budgeted_toward(
-    objective: &Objective,
-    incumbent: &Placement,
-    target: &Placement,
-    max_moves: u64,
-) -> Placement {
-    let mut meter = CostMeter::unlimited();
-    solve_budgeted_toward_metered(objective, incumbent, target, max_moves, &mut meter, None)
 }
 
 /// Rank `(layer, expert, score)` replica candidates best-first under the
@@ -135,60 +68,6 @@ pub(crate) fn pack_to_gpu_slots(
     out
 }
 
-/// Replication-aware budgeted re-plan: starting from an incumbent
-/// [`ReplicationPlan`], spend a joint budget — replica memory per GPU plus
-/// migration bytes — on whichever mix of **replica adds/drops** and
-/// **owner moves** reduces the replication-aware objective
-/// ([`crate::replicated_cross_mass`]) the most. Up to three deterministic
-/// candidates race:
-///
-/// * **owner-moves-only** — the full migration budget goes to
-///   [`solve_budgeted`] on the base placement; the incumbent's replica
-///   entries are kept, re-packed into the per-GPU memory budget if it
-///   shrank;
-/// * **replica-first under `policy`** — `(expert, target-subset)`
-///   candidates (the subset is what `policy` selects for the expert's
-///   owner) are ranked by absorbed incoming cross mass *per fan-out byte*
-///   ([`crate::replica_gains_by_unit`] summed over the subset, divided by
-///   the bytes the add must ship), in the budgeted-subset-selection style
-///   of the interval-subset-sum line of work (Diao et al.,
-///   arXiv:1704.06928). Entries the incumbent already holds are free and
-///   rank first; new ones are accepted best-density-first while every
-///   subset unit has a free memory slot and the migration budget covers
-///   the fan-out; whatever bytes remain fund owner-move descent.
-/// * **replica-first everywhere** — the same construction under
-///   [`ReplicaPolicy::Everywhere`], raced only when `policy` is not
-///   already the full fan-out. This makes "partial replication never
-///   loses to full replication at equal budgets" structural: the partial
-///   solve's candidate set is a superset of the full solve's.
-///
-/// The candidate with the lower [`crate::replicated_cross_mass`] wins
-/// (earlier candidate on ties, so owner-moves-only is the conservative
-/// default that never spends memory without a measured win). Every
-/// candidate respects both budget axes by construction: extra copies per
-/// GPU never exceed `replica_memory_bytes / bytes_per_expert` and a
-/// [`MigrationPlan::between_replicated`] diff against the incumbent never
-/// exceeds `migration_budget_bytes`. Everything is sequential and
-/// deterministic, so online runs stay bit-identical at any thread count.
-pub fn solve_budgeted_replicated(
-    objective: &Objective,
-    incumbent: &ReplicationPlan,
-    bytes_per_expert: u64,
-    budget: &ReplicationBudget,
-    policy: &ReplicaPolicy,
-) -> ReplicationPlan {
-    solve_budgeted_replicated_metered(
-        objective,
-        incumbent,
-        bytes_per_expert,
-        budget,
-        policy,
-        u64::MAX,
-        None,
-    )
-    .0
-}
-
 /// One expert relocation: `expert` at `layer` moves from unit `from` to
 /// unit `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,8 +104,8 @@ pub struct ReplicaAdd {
 /// the byte accounting and α–β pricing the online engine budgets against.
 ///
 /// ```
-/// use exflow_placement::online::{solve_budgeted, MigrationPlan};
-/// use exflow_placement::{Objective, Placement};
+/// use exflow_placement::online::MigrationPlan;
+/// use exflow_placement::{solve_budgeted_metered, Objective, Placement};
 /// use exflow_topology::{ClusterSpec, CostModel};
 ///
 /// // Shift affinity (expert i routes to i+1) on 2 layers, 4 experts.
@@ -236,7 +115,7 @@ pub struct ReplicaAdd {
 /// let incumbent = Placement::round_robin(2, 4, 2);
 ///
 /// // Re-place under a budget of at most 2 expert moves (one swap).
-/// let next = solve_budgeted(&objective, &incumbent, 2);
+/// let (next, _cost) = solve_budgeted_metered(&objective, &incumbent, 2, u64::MAX, None);
 /// let plan = MigrationPlan::between(&incumbent, &next, 1 << 20);
 /// assert!(plan.n_moves() <= 2);
 /// assert!(plan.total_bytes() <= 2 << 20);
@@ -594,101 +473,6 @@ pub struct PricedMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::greedy::solve_greedy;
-    use crate::replication::replicated_cross_mass;
-
-    /// Shift affinity with a uniform leak: optimum differs from
-    /// round-robin, so re-placement has work to do.
-    fn objective(e: usize, gaps: usize, kappa: f64) -> Objective {
-        let u = 1.0 / e as f64;
-        let mut m = vec![0.0f64; e * e];
-        for i in 0..e {
-            for p in 0..e {
-                let s = f64::from(p == (i + 3) % e);
-                m[i * e + p] = kappa * s + (1.0 - kappa) * u;
-            }
-        }
-        Objective::from_raw(vec![m; gaps], e)
-    }
-
-    #[test]
-    fn zero_budget_returns_incumbent_unchanged() {
-        let obj = objective(8, 3, 0.8);
-        let incumbent = Placement::round_robin(4, 8, 4);
-        for budget in [0u64, 1] {
-            let p = solve_budgeted(&obj, &incumbent, budget);
-            assert_eq!(p, incumbent, "budget {budget} must not move anything");
-            assert!(MigrationPlan::between(&incumbent, &p, 1).is_empty());
-        }
-    }
-
-    #[test]
-    fn budget_caps_moves_exactly() {
-        let obj = objective(16, 4, 0.9);
-        let incumbent = Placement::round_robin(5, 16, 4);
-        for budget in [2u64, 4, 8, 16] {
-            let p = solve_budgeted(&obj, &incumbent, budget);
-            let plan = MigrationPlan::between(&incumbent, &p, 1);
-            assert!(
-                plan.n_moves() as u64 <= budget,
-                "budget {budget}: {} moves",
-                plan.n_moves()
-            );
-        }
-    }
-
-    #[test]
-    fn budgeted_cost_is_monotone_in_budget() {
-        let obj = objective(16, 4, 0.9);
-        let incumbent = Placement::round_robin(5, 16, 4);
-        let mut last = obj.cross_mass(&incumbent);
-        for budget in [0u64, 2, 6, 12, 24, 1000] {
-            let cost = obj.cross_mass(&solve_budgeted(&obj, &incumbent, budget));
-            assert!(
-                cost <= last + 1e-12,
-                "budget {budget}: cost {cost} worse than {last}"
-            );
-            last = cost;
-        }
-    }
-
-    #[test]
-    fn unbounded_budget_matches_from_scratch_quality() {
-        let obj = objective(8, 3, 0.85);
-        let incumbent = Placement::round_robin(4, 8, 2);
-        let p = solve_budgeted(&obj, &incumbent, u64::MAX);
-        // At least as good as the from-scratch greedy + polish target it
-        // races against (the toward-walk visits the target itself), and
-        // strictly better than the stale incumbent.
-        let mut target = solve_greedy(&obj, 2);
-        improve(&obj, &mut target, 50);
-        let cost = obj.cross_mass(&p);
-        assert!(cost <= obj.cross_mass(&target) + 1e-12);
-        assert!(cost < obj.cross_mass(&incumbent));
-    }
-
-    #[test]
-    fn warm_start_never_worsens_and_is_deterministic() {
-        let obj = objective(12, 5, 0.8);
-        let incumbent = Placement::round_robin(6, 12, 4);
-        let a = solve_warm_start(&obj, &incumbent, 50);
-        let b = solve_warm_start(&obj, &incumbent, 50);
-        assert_eq!(a, b);
-        assert!(obj.cross_mass(&a) <= obj.cross_mass(&incumbent) + 1e-12);
-    }
-
-    #[test]
-    fn budgeted_beats_warm_start_budget_for_budget_or_ties() {
-        // Best-improvement spends a tight budget on the steepest swaps;
-        // with the same unlimited budget both reach swap-local optima.
-        let obj = objective(16, 4, 0.9);
-        let incumbent = Placement::round_robin(5, 16, 4);
-        let budgeted = solve_budgeted(&obj, &incumbent, u64::MAX);
-        let warm = solve_warm_start(&obj, &incumbent, usize::MAX);
-        for p in [&budgeted, &warm] {
-            assert!(obj.cross_mass(p) < obj.cross_mass(&incumbent));
-        }
-    }
 
     #[test]
     fn plan_between_lists_exactly_the_diff() {
@@ -813,126 +597,5 @@ mod tests {
         assert_eq!(free_only.n_relocations(), 2);
         assert!(!free_only.is_empty());
         assert_eq!(free_only.send_matrix(2), vec![vec![0; 2]; 2]);
-    }
-
-    #[test]
-    fn joint_solve_respects_both_budget_axes() {
-        let obj = objective(16, 4, 0.9);
-        let incumbent = bare(Placement::round_robin(5, 16, 4));
-        let policies = [
-            ReplicaPolicy::Everywhere,
-            ReplicaPolicy::OnePerNode(ClusterSpec::new(2, 2).unwrap()),
-        ];
-        for policy in &policies {
-            for (mem_slots, move_slots) in [(0u64, 4u64), (4, 0), (4, 8), (8, 16)] {
-                let budget = ReplicationBudget {
-                    replica_memory_bytes: mem_slots * 10,
-                    migration_budget_bytes: move_slots * 10,
-                };
-                let next = solve_budgeted_replicated(&obj, &incumbent, 10, &budget, policy);
-                let extra = next.extra_copies_per_gpu() as u64;
-                assert!(
-                    extra <= mem_slots,
-                    "{policy:?} ({mem_slots},{move_slots}): {extra} extra copies over budget"
-                );
-                let plan = MigrationPlan::between_replicated(&incumbent, &next, 10);
-                assert!(
-                    plan.total_bytes() <= budget.migration_budget_bytes,
-                    "{policy:?} ({mem_slots},{move_slots}): {} bytes over budget",
-                    plan.total_bytes()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn partial_policy_never_loses_to_full_at_equal_budget() {
-        // The partial solve races the everywhere candidate too, so at any
-        // equal joint budget its winner is at least as good — exactly the
-        // bench gate's bar, here as a unit invariant.
-        let obj = objective(16, 4, 0.9);
-        let incumbent = bare(Placement::round_robin(5, 16, 4));
-        let partial = ReplicaPolicy::OnePerNode(ClusterSpec::new(2, 2).unwrap());
-        for (mem_slots, move_slots) in [(2u64, 8u64), (4, 8), (6, 16)] {
-            let budget = ReplicationBudget {
-                replica_memory_bytes: mem_slots * 10,
-                migration_budget_bytes: move_slots * 10,
-            };
-            let full_plan = solve_budgeted_replicated(
-                &obj,
-                &incumbent,
-                10,
-                &budget,
-                &ReplicaPolicy::Everywhere,
-            );
-            let partial_plan = solve_budgeted_replicated(&obj, &incumbent, 10, &budget, &partial);
-            let full_cross = replicated_cross_mass(&obj, &full_plan);
-            let partial_cross = replicated_cross_mass(&obj, &partial_plan);
-            assert!(
-                partial_cross <= full_cross,
-                "({mem_slots},{move_slots}): partial {partial_cross} vs full {full_cross}"
-            );
-        }
-    }
-
-    #[test]
-    fn joint_solve_never_loses_to_owner_moves_only() {
-        let obj = objective(16, 4, 0.9);
-        let incumbent = bare(Placement::round_robin(5, 16, 4));
-        for move_slots in [4u64, 8, 24] {
-            let bytes = move_slots * 10;
-            let owner_only = solve_budgeted(&obj, &incumbent.base, move_slots);
-            let owner_cost = obj.cross_mass(&owner_only);
-            let joint = solve_budgeted_replicated(
-                &obj,
-                &incumbent,
-                10,
-                &ReplicationBudget {
-                    replica_memory_bytes: 6 * 10,
-                    migration_budget_bytes: bytes,
-                },
-                &ReplicaPolicy::Everywhere,
-            );
-            let joint_cost = replicated_cross_mass(&obj, &joint);
-            assert!(
-                joint_cost <= owner_cost + 1e-12,
-                "moves {move_slots}: joint {joint_cost} vs owner-only {owner_cost}"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_memory_budget_reduces_to_owner_moves() {
-        let obj = objective(12, 3, 0.85);
-        let incumbent = bare(Placement::round_robin(4, 12, 4));
-        let budget = ReplicationBudget {
-            replica_memory_bytes: 0,
-            migration_budget_bytes: 8 * 10,
-        };
-        let next =
-            solve_budgeted_replicated(&obj, &incumbent, 10, &budget, &ReplicaPolicy::Everywhere);
-        assert!(!next.has_replicas());
-        assert_eq!(next.base, solve_budgeted(&obj, &incumbent.base, 8));
-    }
-
-    #[test]
-    fn joint_solve_is_deterministic_and_drops_stale_replicas() {
-        let obj = objective(16, 4, 0.9);
-        // Incumbent replicates two experts the drifted objective gives no
-        // incoming cross mass... pick experts and verify drop behavior on
-        // a shrunken memory budget.
-        let mut lists = vec![Vec::new(); 5];
-        lists[2] = vec![3, 7];
-        let incumbent = ReplicationPlan::everywhere(Placement::round_robin(5, 16, 4), lists);
-        let budget = ReplicationBudget {
-            replica_memory_bytes: 10, // one slot per GPU
-            migration_budget_bytes: 6 * 10,
-        };
-        let a =
-            solve_budgeted_replicated(&obj, &incumbent, 10, &budget, &ReplicaPolicy::Everywhere);
-        let b =
-            solve_budgeted_replicated(&obj, &incumbent, 10, &budget, &ReplicaPolicy::Everywhere);
-        assert_eq!(a, b, "joint solve must be deterministic");
-        assert!(a.extra_copies_per_gpu() <= 1);
     }
 }

@@ -18,7 +18,7 @@
 //! so the Lina baseline remains expressible and all its constructors
 //! survive unchanged.
 
-use exflow_affinity::{AffinitySnapshot, RoutingTrace};
+use exflow_affinity::RoutingTrace;
 use exflow_topology::{ClusterSpec, Rank};
 
 use crate::objective::{Objective, TraceLocality};
@@ -205,22 +205,6 @@ impl ReplicationPlan {
         Self::from_popularity(&popularity, base, budget)
     }
 
-    /// [`ReplicationPlan::most_popular`] driven by a frozen streaming
-    /// estimate instead of an offline objective: popularity per layer is
-    /// [`AffinitySnapshot::layer_popularity`], so the online serving mode
-    /// can rank replica candidates without rebuilding a placement
-    /// objective first.
-    pub fn most_popular_from_snapshot(
-        snapshot: &AffinitySnapshot,
-        base: Placement,
-        budget: usize,
-    ) -> Self {
-        let popularity: Vec<Vec<f64>> = (0..base.n_layers())
-            .map(|layer| snapshot.layer_popularity(layer))
-            .collect();
-        Self::from_popularity(&popularity, base, budget)
-    }
-
     /// Replicate everywhere, at every layer, the `budget` experts with the
     /// highest `popularity[layer][expert]` score. Selection uses a *total*
     /// order — popularity descending, expert index ascending on ties — so
@@ -393,46 +377,18 @@ impl ReplicationPlan {
     }
 }
 
-/// Expected cross-unit transition mass a replica-everywhere add would
-/// absorb, per `(layer, expert)`: the mass flowing *into* `expert` at
-/// `layer` from source experts placed on a different unit. A replica
-/// everywhere turns exactly those incoming hops local, so this is the
-/// marginal value of full replication (layer 0 has no incoming gap — its
-/// entries are 0). Accumulation visits cells in ascending `(gap, source,
-/// column)` order and skips structural zeros, so the scores are
-/// bit-identical across dense/CSR gap backends. For subset-resolved gains
-/// see [`replica_gains_by_unit`].
-pub fn replica_gains(objective: &Objective, base: &Placement) -> Vec<Vec<f64>> {
-    assert_eq!(base.n_layers(), objective.n_layers());
-    assert_eq!(base.n_experts(), objective.n_experts());
-    let e = objective.n_experts();
-    let mut gains = vec![vec![0.0f64; e]; base.n_layers()];
-    for gap in 0..objective.n_gaps() {
-        for i in 0..e {
-            let w = objective.row_weight(gap, i);
-            if w == 0.0 {
-                continue;
-            }
-            let from = base.unit_of(gap, i);
-            objective.for_each_in_row(gap, i, |p, prob| {
-                if base.unit_of(gap + 1, p) != from {
-                    gains[gap + 1][p] += w * prob;
-                }
-            });
-        }
-    }
-    gains
-}
-
-/// [`replica_gains`] resolved per source unit: `gains[layer][expert][unit]`
-/// is the cross mass flowing into `expert` at `layer` from tokens sitting
-/// on `unit`. A copy of `expert` placed on the subset `S` absorbs exactly
+/// Expected cross-unit transition mass a replica add would absorb,
+/// resolved per source unit: `gains[layer][expert][unit]` is the cross
+/// mass flowing into `expert` at `layer` from tokens sitting on `unit`
+/// (layer 0 has no incoming gap — its entries are 0). A copy of `expert`
+/// placed on the subset `S` absorbs exactly
 /// `sum over u in S of gains[layer][expert][u]`, which is what the
-/// budgeted solver ranks `(expert, target-subset)` candidates by. Entries
-/// at the owner unit are zero (those hops were already local), so subset
-/// sums never double-count. Accumulation order matches [`replica_gains`]
-/// (ascending `(gap, source, column)`, structural zeros skipped), keeping
-/// the scores bit-identical across dense/CSR gap backends.
+/// budgeted solver ranks `(expert, target-subset)` candidates by; a
+/// replica everywhere absorbs the whole row. Entries at the owner unit
+/// are zero (those hops were already local), so subset sums never
+/// double-count. Accumulation visits stored cells in ascending
+/// `(gap, source, column)` order, so the scores are bit-identical across
+/// gap backends.
 pub fn replica_gains_by_unit(objective: &Objective, base: &Placement) -> Vec<Vec<Vec<f64>>> {
     assert_eq!(base.n_layers(), objective.n_layers());
     assert_eq!(base.n_experts(), objective.n_experts());
@@ -613,21 +569,15 @@ mod tests {
     }
 
     #[test]
-    fn by_unit_gains_sum_to_replica_gains() {
+    fn by_unit_gains_sum_to_the_cross_mass() {
+        // Every cross hop lands on exactly one (layer, expert, source
+        // unit) cell, so the table partitions the objective.
         let (obj, _) = instance(16, 5);
         let base = Placement::round_robin(5, 16, 4);
-        let rows = replica_gains(&obj, &base);
         let by_unit = replica_gains_by_unit(&obj, &base);
-        for layer in 0..5 {
-            for x in 0..16 {
-                let total: f64 = by_unit[layer][x].iter().sum();
-                assert!(
-                    (total - rows[layer][x]).abs() <= 1e-12 * rows[layer][x].abs().max(1.0),
-                    "layer {layer} expert {x}: {total} vs {}",
-                    rows[layer][x]
-                );
-            }
-        }
+        let total: f64 = by_unit.iter().flatten().flatten().sum();
+        let cross = obj.cross_mass(&base);
+        assert!((total - cross).abs() <= 1e-12 * cross.max(1.0));
     }
 
     #[test]
@@ -766,7 +716,10 @@ mod tests {
         }
         let obj = Objective::from_raw(vec![gap], e);
         let base = Placement::round_robin(2, e, 2);
-        let gains = replica_gains(&obj, &base);
+        let gains: Vec<Vec<f64>> = replica_gains_by_unit(&obj, &base)
+            .iter()
+            .map(|layer| layer.iter().map(|units| units.iter().sum()).collect())
+            .collect();
         // Layer 0 has no incoming gap.
         assert_eq!(gains[0], vec![0.0; e]);
         // Units: {0,1} on GPU 0, {2,3} on GPU 1. Cross hops: 1 -> 2 and
@@ -782,20 +735,6 @@ mod tests {
             replicated_cross_mass(&obj, &bare).to_bits(),
             obj.cross_mass(&base).to_bits()
         );
-    }
-
-    #[test]
-    fn snapshot_popularity_matches_objective_popularity() {
-        use exflow_affinity::StreamingAffinity;
-        let (_, trace) = instance(8, 4);
-        let mut s = StreamingAffinity::new(4, 8, 1.0);
-        s.observe(&trace);
-        let snap = s.snapshot();
-        let obj = crate::objective::Objective::from_snapshot(&snap);
-        let base = Placement::round_robin(4, 8, 4);
-        let a = ReplicationPlan::most_popular(&obj, base.clone(), 3);
-        let b = ReplicationPlan::most_popular_from_snapshot(&snap, base, 3);
-        assert_eq!(a, b, "snapshot and objective popularity must agree");
     }
 
     #[test]

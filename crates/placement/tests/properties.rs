@@ -3,7 +3,7 @@
 use exflow_placement::objective::{measure_trace_locality, measure_trace_node_locality};
 use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin};
 use exflow_placement::{
-    solve, solve_budgeted_replicated, GapBackend, MigrationPlan, Objective, Placement,
+    solve, solve_budgeted_replicated_metered, GapBackend, MigrationPlan, Objective, Placement,
     ReplicaPolicy, ReplicationBudget, ReplicationPlan, SolverKind, SPARSE_DENSITY_THRESHOLD,
 };
 use exflow_topology::ClusterSpec;
@@ -287,7 +287,9 @@ proptest! {
         };
         for policy in policies_for(u) {
             let incumbent = ReplicationPlan::bare(Placement::round_robin(4, e, u));
-            let plan = solve_budgeted_replicated(&obj, &incumbent, bpe, &budget, &policy);
+            let (plan, _) = solve_budgeted_replicated_metered(
+                &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
+            );
             for layer in 0..4 {
                 for &(expert, ref units) in &plan.replicas[layer] {
                     let owner = plan.base.unit_of(layer, expert);
@@ -335,7 +337,9 @@ proptest! {
                 .map(|l| (0..incumbent_picks).map(|i| (l + i * 3) % e).collect())
                 .collect();
             let incumbent = ReplicationPlan::with_policy(base, listed, &policy);
-            let plan = solve_budgeted_replicated(&obj, &incumbent, bpe, &budget, &policy);
+            let (plan, _) = solve_budgeted_replicated_metered(
+                &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
+            );
             let mut load = vec![0u64; u];
             for layer in 0..4 {
                 for (_, units) in &plan.replicas[layer] {
@@ -396,7 +400,9 @@ proptest! {
             for threads in [1usize, 2, 8] {
                 let base = solve_local_search_with(&obj, u, 1, seed, Parallelism::new(threads));
                 let incumbent = ReplicationPlan::bare(base);
-                let plan = solve_budgeted_replicated(&obj, &incumbent, bpe, &budget, &policy);
+                let (plan, _) = solve_budgeted_replicated_metered(
+                &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
+            );
                 let cross = exflow_placement::replicated_cross_mass(&obj, &plan).to_bits();
                 let frac = plan.trace_local_fraction(&trace).to_bits();
                 match &reference {

@@ -4,7 +4,7 @@
 //! cross mass on both backends — the sparse backend is a speed/memory
 //! choice, never a quality choice.
 
-use exflow::affinity::SparseAffinity;
+use exflow::affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow::model::routing::AffinityModelSpec;
 use exflow::model::{CorpusSpec, TokenBatch};
 use exflow::placement::annealing::AnnealParams;
@@ -18,14 +18,15 @@ const UNITS: usize = 8;
 /// A profiled E=256 instance (1 gap keeps the dense side of the gate
 /// affordable in debug builds; the backends' contract is per-gap, so one
 /// gap exercises everything).
-fn estimates() -> Vec<SparseAffinity> {
+fn estimates() -> AffinitySnapshot {
     let model = AffinityModelSpec::new(2, E)
         .with_affinity(0.9)
         .with_seed(33)
         .build();
     let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 2500, 1, 33);
-    let trace = exflow::affinity::RoutingTrace::from_batch(&batch, E);
-    SparseAffinity::consecutive(&trace)
+    let mut estimate = StreamingAffinity::new(2, E, 1.0);
+    estimate.observe(&RoutingTrace::from_batch(&batch, E));
+    estimate.snapshot()
 }
 
 /// Every solver family, parameterized lean — the gate is about backend
@@ -59,8 +60,8 @@ fn all_kinds() -> Vec<SolverKind> {
 #[test]
 fn every_solver_is_backend_invariant_at_e256() {
     let mats = estimates();
-    let dense = Objective::from_sparse_affinities_with(&mats, GapBackend::Dense);
-    let sparse = Objective::from_sparse_affinities_with(&mats, GapBackend::Sparse);
+    let dense = Objective::from_snapshot_with(&mats, GapBackend::Dense);
+    let sparse = Objective::from_snapshot_with(&mats, GapBackend::Sparse);
     assert!(!dense.gap_is_sparse(0));
     assert!(sparse.gap_is_sparse(0));
     // The instance must actually be in the sparse regime for the gate to
@@ -94,10 +95,10 @@ fn every_solver_is_backend_invariant_at_e256() {
 #[test]
 fn auto_backend_matches_both_forced_backends_at_e256() {
     let mats = estimates();
-    let auto = Objective::from_sparse_affinities(&mats);
+    let auto = Objective::from_snapshot(&mats);
     // At this density Auto must have picked CSR.
     assert!(auto.gap_is_sparse(0));
-    let dense = Objective::from_sparse_affinities_with(&mats, GapBackend::Dense);
+    let dense = Objective::from_snapshot_with(&mats, GapBackend::Dense);
     let kind = SolverKind::LocalSearch { restarts: 0 };
     let pa = solve_with(&auto, UNITS, &kind, 5, Parallelism::single());
     let pd = solve_with(&dense, UNITS, &kind, 5, Parallelism::single());
