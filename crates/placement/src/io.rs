@@ -78,7 +78,8 @@ pub fn parse_placement(text: &str) -> Result<Placement, PlacementIoError> {
     let experts = field("experts").ok_or(PlacementIoError::BadHeader)?;
     let layers = field("layers").ok_or(PlacementIoError::BadHeader)?;
 
-    let mut assign: Vec<Vec<usize>> = Vec::with_capacity(layers);
+    // Sized by the rows actually read, never by the header's claim.
+    let mut assign: Vec<Vec<usize>> = Vec::new();
     for (idx, line) in lines {
         let line = line.trim();
         if line.is_empty() {

@@ -1,5 +1,6 @@
 //! Property-based tests for the placement solvers.
 
+use exflow_placement::io::{parse_placement, write_placement};
 use exflow_placement::objective::{measure_trace_locality, measure_trace_node_locality};
 use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin};
 use exflow_placement::{
@@ -617,4 +618,79 @@ fn matrix_with_nnz(e: usize, nnz: usize, seed: u64) -> Vec<f64> {
         }
     }
     m
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // `parse_placement` reads a file an operator hands the loader: whatever
+    // it is given it must answer `Ok` or `Err`, never panic (a panic in
+    // these bodies fails the test) and never allocate from a header field.
+
+    #[test]
+    fn parse_placement_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..200),
+    ) {
+        let _ = parse_placement(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parse_placement_never_panics_on_placement_shaped_noise(
+        picks in proptest::collection::vec(0usize..20, 0..40),
+    ) {
+        const ALPHABET: [&str; 20] = [
+            "#", " ", "units=", "experts=", "layers=", "0", "1", "2", "7", ",", "\n", "\r\n",
+            "-", "+", "q", "é", "18446744073709551615", "18446744073709551616", "1099511627776",
+            "\t",
+        ];
+        let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+        let _ = parse_placement(&text);
+    }
+
+    #[test]
+    fn parse_placement_survives_hostile_dimensions(
+        dims in proptest::collection::vec(0usize..6, 3..=3),
+        rows in 0usize..4,
+    ) {
+        // Header fields far beyond anything the rows below could back: the
+        // answer must come from the rows, not from an allocation sized by
+        // the header.
+        const SIZES: [usize; 6] = [0, 1, 2, 4, 1 << 40, usize::MAX];
+        let mut text = format!(
+            "# units={} experts={} layers={}\n",
+            SIZES[dims[0]], SIZES[dims[1]], SIZES[dims[2]]
+        );
+        for _ in 0..rows {
+            text.push_str("0,0,1,1\n");
+        }
+        if let Ok(p) = parse_placement(&text) {
+            prop_assert_eq!((p.n_units(), p.n_experts(), p.n_layers()), (2, 4, rows));
+        }
+    }
+
+    #[test]
+    fn parse_placement_never_panics_on_damaged_files(
+        (e, u) in divisor_pairs(),
+        layers in 1usize..4,
+        seed in 0u64..1_000,
+        at in 0usize..10_000,
+        byte in 0u8..=255,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let placement = exflow_placement::local_search::random_placement(layers, e, u, &mut rng);
+        let text = write_placement(&placement);
+        prop_assert_eq!(parse_placement(&text), Ok(placement.clone()));
+        // Every prefix (the file is ASCII, so every cut is a char
+        // boundary): a truncated file parses to the original or not at all.
+        for cut in 0..text.len() {
+            if let Ok(p) = parse_placement(&text[..cut]) {
+                prop_assert_eq!(p, placement.clone(), "prefix of {} bytes", cut);
+            }
+        }
+        // ...and a single-byte mutation anywhere in it.
+        let mut bytes = text.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _ = parse_placement(&String::from_utf8_lossy(&bytes));
+    }
 }
