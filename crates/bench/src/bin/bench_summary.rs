@@ -201,9 +201,9 @@ fn main() {
 
     for row in &summary.replan_latency_rows {
         eprintln!(
-            "table_replan_latency: {} evaluated rebuild {} vs incremental {} ({:.2}x cut, {} reused), wall {:.1} ms vs {:.1} ms",
+            "table_replan_latency: {} considered {} for {} exact evaluations ({:.0}x, {} decided by the table), wall {:.1} ms vs {:.1} ms",
             row.preset,
-            row.evaluated_rebuild,
+            row.considered,
             row.evaluated_incremental,
             row.scan_reduction(),
             row.reused,

@@ -128,7 +128,7 @@ impl<'e> AdaptiveState<'e> {
     /// One budgeted re-plan: size the byte budget from the drift
     /// magnitude and rollover carry, solve replica-aware or owner-moves
     /// only under it (metered by `OnlineConfig::replan_time_budget`,
-    /// served from the swap-gain cache), commit the winner into
+    /// its attraction table built in the held buffer), commit the winner into
     /// `self.live`, and price the migration. `None` when the plan is
     /// empty (no event, no time charged); the carry updates either way.
     fn replan(&mut self, window: usize, drift_now: f64) -> Option<(f64, Arc<ReplicationPlan>)> {

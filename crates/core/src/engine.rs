@@ -62,7 +62,7 @@ pub struct OnlineConfig {
     /// Solver-time budget of one re-plan, in swap candidates *considered*
     /// (the deterministic operation count [`exflow_placement::CostMeter`]
     /// charges — not wall clock, so truncated runs stay bit-identical on
-    /// any machine, thread count, or cache state). When the descent
+    /// any machine or thread count). When the descent
     /// exhausts the budget it commits the best move found so far and
     /// stops; the truncation is reported per
     /// [`ReplanEvent`](crate::report::ReplanEvent). `u64::MAX` — the
@@ -1559,9 +1559,9 @@ mod tests {
         assert!(report.migrations.replans > 0);
         for replan in &report.replans {
             let c = replan.solver_cost;
-            // Every considered candidate was either recomputed or served
-            // from the swap-gain cache, and an unlimited budget never
-            // truncates.
+            // Every considered candidate was decided either by an exact
+            // evaluation or by the attraction table alone, and an
+            // unlimited budget never truncates.
             assert_eq!(c.considered, c.evaluated + c.reused);
             assert!(c.considered > 0);
             assert!(!c.truncated);

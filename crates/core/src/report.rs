@@ -202,8 +202,8 @@ pub struct ReplanEvent {
     pub bytes_by_class: BytesByClass,
     /// What the re-plan solve itself cost, in the deterministic
     /// operation counts of [`exflow_placement::CostMeter`]: swap
-    /// candidates considered, gains actually recomputed vs served from
-    /// the swap-gain cache, and whether
+    /// candidates considered, how many needed an exact gain evaluation vs
+    /// were decided by the attraction table alone, and whether
     /// `OnlineConfig::replan_time_budget` truncated the descent (see
     /// [`crate::OnlineConfig::replan_time_budget`]).
     pub solver_cost: ReplanCost,

@@ -1,8 +1,8 @@
 //! Incremental re-placement for the online serving mode: the budgeted
 //! solvers that re-plan from an incumbent placement, the deterministic
 //! operation-count [`CostMeter`] every one of them charges, and the
-//! persistent [`SwapGainCache`] with structural (CSR/CSC-keyed)
-//! invalidation they can reuse gains from.
+//! unit-attraction table ([`SwapGainCache`]) that prices their swap
+//! candidates in `O(1)`.
 //!
 //! Offline, ExFlow solves placements from scratch; online, a from-scratch
 //! re-solve would discard the incumbent and migrate almost every expert.
@@ -15,25 +15,30 @@
 //! stay bit-identical at any thread count by construction. The resulting
 //! moves are priced by [`crate::online::MigrationPlan`].
 //!
-//! The budgeted solvers rescan every `(layer, e1, e2)` swap candidate on
-//! every descent step, so a re-plan that executes `S` swaps costs
-//! `(S + 1) * L * E^2 / 2` gain evaluations — the actual bottleneck at
-//! `E = 512`, where the solver, not migration bytes, dominates re-plan
-//! latency. A swap only perturbs the gains of candidates that *touch* it
-//! structurally (the swapped experts, their successors one layer down,
-//! their predecessors one layer up), so after the first full scan each
-//! subsequent rescan re-evaluates `O(dirty)` candidates and answers the
-//! rest from the cache.
+//! The walks rescan every `(layer, e1, e2)` swap candidate on every step,
+//! so a re-plan that executes `S` swaps *considers* about
+//! `(S + 1) * L * E^2 / 2` candidates. Considering is cheap; recomputing
+//! each gain (a CSR/CSC merge per [`Objective::swap_delta`]) is not. Experts
+//! of one layer share no edge, so a swap's gain separates into each
+//! expert's attraction to the two units involved: four reads of a
+//! per-`(layer, expert, unit)` table of `L * E * G` floats built in
+//! `O(nnz)`. `swap_delta` is called only where rounding could change the
+//! decision — within the table's rounding bound of the accept threshold
+//! (polish) or of the scan's running minimum (descent, toward-target) —
+//! and an accepted swap re-derives only the rows of its structural
+//! neighbours.
 //!
 //! Everything here preserves the crate's bit-determinism contract:
 //!
-//! * a cache hit returns the exact `f64` a fresh [`Objective::swap_delta`]
-//!   call would produce (invalidation is a structural superset of every
-//!   value-changing dependency), so cached and uncached runs pick the
-//!   same swaps;
-//! * the scan budget counts *considered* candidates — cache hits and
-//!   misses cost the same — so budgeted truncation points are identical
-//!   with and without a cache;
+//! * whatever the table cannot separate by more than its rounding bound is
+//!   decided on exact `swap_delta` values in the scan's
+//!   `(delta, layer, e1, e2)` order, so the walks return the placements a
+//!   rescan evaluating every candidate exactly would — bit for bit;
+//! * the table is history-independent (a refreshed row is recomputed from
+//!   scratch in index order), so a caller-held buffer saves an allocation
+//!   and changes nothing else;
+//! * the scan budget counts *considered* candidates in scan order, however
+//!   each was answered, so budgeted truncation points never move;
 //! * nothing here consults the clock. Wall time is reported by the bench
 //!   harness, never branched on.
 
@@ -46,20 +51,26 @@ use crate::replication::{
     ReplicationPlan,
 };
 
+/// A swap improves only if its delta is below this; the rest is noise.
+const IMPROVES: f64 = -1e-12;
+
+#[cfg(test)]
+#[path = "incremental_oracle.rs"]
+mod oracle;
+
 /// Deterministic solver-cost accounting for one re-plan.
 ///
 /// All counters are operation counts, not wall clock, so they are
 /// bit-reproducible across machines and thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplanCost {
-    /// Swap candidates the scan loops looked at — cache hits and misses
-    /// alike. This is the quantity a scan budget truncates on, which is
-    /// what keeps budgeted runs bit-identical whether or not a cache is
-    /// attached.
+    /// Swap candidates the scan loops looked at, however each was
+    /// answered. This is the quantity a scan budget truncates on.
     pub considered: u64,
-    /// Candidates whose gain was recomputed via [`Objective::swap_delta`].
+    /// Candidates decided by an exact [`Objective::swap_delta`] call: the
+    /// attraction table's rounding bound could not separate them.
     pub evaluated: u64,
-    /// Candidates answered from the [`SwapGainCache`].
+    /// Candidates the table decided alone (`considered - evaluated`).
     pub reused: u64,
     /// Whether the scan budget ran out before the walks converged.
     pub truncated: bool,
@@ -103,204 +114,214 @@ impl CostMeter {
         }
     }
 
+    /// One exact call for an already considered candidate.
+    fn exact_delta(&mut self, objective: &Objective, placement: &Placement, swap: Swap) -> f64 {
+        self.cost.evaluated += 1;
+        objective.swap_delta(placement, swap.0, swap.1, swap.2)
+    }
+
     /// The accumulated cost so far.
     pub fn cost(&self) -> ReplanCost {
-        self.cost
+        ReplanCost {
+            reused: self.cost.considered - self.cost.evaluated,
+            ..self.cost
+        }
     }
 }
 
-/// A persistent per-`(layer, e1, e2)` swap-gain cache with structural
-/// invalidation.
+/// A swap candidate: `(layer, e1, e2)`.
+type Swap = (usize, usize, usize);
+
+/// The unit-attraction table every metered walk prices its candidates
+/// from, as a reusable buffer.
 ///
-/// An entry is valid while neither endpoint's *dirty stamp* is newer than
-/// the entry. Executing a swap of `(a, b)` at layer `l`
-/// ([`SwapGainCache::note_swap`]) dirties exactly the experts whose unit
-/// assignment feeds some candidate's gain:
+/// `A[layer][expert][unit]` is the weighted affinity mass `expert`
+/// exchanges with the experts currently on `unit` one layer down
+/// (`w_i * P(expert | i)`, the CSC column of the gap below) and one layer
+/// up (`w_expert * P(p | expert)`, the CSR row of the gap above). With
+/// `u1`/`u2` the units of `e1`/`e2`, `swap_delta(layer, e1, e2)` equals
+/// `(A[e1][u1] - A[e1][u2]) + (A[e2][u2] - A[e2][u1])` up to the rounding
+/// bound stated on the private `SwapGainCache::load`.
 ///
-/// * `a` and `b` at layer `l`;
-/// * their structural successors at layer `l + 1` (the CSR rows `a`/`b`
-///   of gap `l`) — candidates there read `a`/`b`'s units through the
-///   incoming half of `swap_delta`;
-/// * their structural predecessors at layer `l - 1` (the CSC columns
-///   `a`/`b` of gap `l - 1`) — candidates there read the units through
-///   the outgoing half.
-///
-/// A gap's stored cells are the structure on either backend; a cell not
-/// stored is zero and contributes an exactly-zero term to every gain on
-/// both sides of any unit change, so skipping it never lets a stale value
-/// change a solver decision.
-///
-/// Cached values are position-symmetric: `swap_delta(l, a, b)` and
-/// `swap_delta(l, b, a)` are bit-identical (IEEE addition is commutative
-/// and both orders visit indices ascending), so entries are stored on the
-/// unordered pair.
-///
-/// The cache carries **no values across trajectories**: each metered walk
-/// starts with [`SwapGainCache::invalidate_all`] because it descends its
-/// own placement sequence (and each streaming window rewrites the
-/// marginal weights wholesale). What persists is the allocation and the
-/// within-walk reuse — which is where the `O(E^2)`-per-step cost was.
+/// Every walk loads the table for its own starting placement, so the
+/// buffer carries **no values** from one walk to the next: passing `None`
+/// to a solver builds the same table locally and does identical work.
 #[derive(Debug, Clone)]
 pub struct SwapGainCache {
-    n_layers: usize,
     n_experts: usize,
-    /// Entries per layer: `E * (E - 1) / 2` unordered pairs.
-    tri: usize,
-    vals: Vec<f64>,
-    /// Tick at which each entry was computed; 0 = never.
-    stamp: Vec<u64>,
-    /// Tick at which each `(layer, expert)` was last dirtied.
-    dirty: Vec<u64>,
-    tick: u64,
+    n_units: usize,
+    /// `attraction[(layer * E + expert) * G + unit]`.
+    attraction: Vec<f64>,
+    /// Per-`(layer, expert)` half of a pair's rounding bound.
+    band: Vec<f64>,
+    #[cfg(test)]
+    probe: oracle::Probe,
 }
 
 impl SwapGainCache {
-    /// An empty cache for `n_layers x n_experts` instances.
-    pub fn new(n_layers: usize, n_experts: usize) -> Self {
-        assert!(n_layers >= 1 && n_experts >= 1);
-        let tri = n_experts * (n_experts - 1) / 2;
-        SwapGainCache {
-            n_layers,
-            n_experts,
-            tri,
-            vals: vec![0.0; n_layers * tri],
-            stamp: vec![0; n_layers * tri],
-            dirty: vec![1; n_layers * n_experts],
-            tick: 1,
-        }
-    }
-
-    /// An empty cache shaped for `objective`.
+    /// An empty buffer for walks over `objective`.
     pub fn for_objective(objective: &Objective) -> Self {
-        SwapGainCache::new(objective.n_layers(), objective.n_experts())
-    }
-
-    /// Layers this cache is shaped for.
-    pub fn n_layers(&self) -> usize {
-        self.n_layers
-    }
-
-    /// Experts per layer this cache is shaped for.
-    pub fn n_experts(&self) -> usize {
-        self.n_experts
-    }
-
-    #[inline]
-    fn slot(&self, layer: usize, e1: usize, e2: usize) -> usize {
-        let (lo, hi) = if e1 < e2 { (e1, e2) } else { (e2, e1) };
-        debug_assert!(lo < hi && hi < self.n_experts);
-        layer * self.tri + lo * (2 * self.n_experts - lo - 1) / 2 + (hi - lo - 1)
-    }
-
-    /// The cached gain for swapping `e1`/`e2` at `layer`, if still valid.
-    #[inline]
-    pub fn get(&self, layer: usize, e1: usize, e2: usize) -> Option<f64> {
-        let s = self.slot(layer, e1, e2);
-        let t = self.stamp[s];
-        let d = &self.dirty[layer * self.n_experts..(layer + 1) * self.n_experts];
-        (t != 0 && t >= d[e1] && t >= d[e2]).then(|| self.vals[s])
-    }
-
-    /// Store a freshly computed gain.
-    #[inline]
-    pub fn put(&mut self, layer: usize, e1: usize, e2: usize, val: f64) {
-        let s = self.slot(layer, e1, e2);
-        self.vals[s] = val;
-        self.stamp[s] = self.tick;
-    }
-
-    /// Drop every entry (start of a new walk trajectory, or a streaming
-    /// window rewrote the objective's weights). `O(L * E)` — no entry
-    /// storage is touched.
-    pub fn invalidate_all(&mut self) {
-        self.tick += 1;
-        self.dirty.fill(self.tick);
-    }
-
-    #[inline]
-    fn mark(&mut self, layer: usize, x: usize) {
-        self.dirty[layer * self.n_experts + x] = self.tick;
-    }
-
-    /// Record that `a` and `b` swapped units at `layer`, dirtying exactly
-    /// the experts whose unit feeds some cached gain (see the type docs).
-    pub fn note_swap(&mut self, objective: &Objective, layer: usize, a: usize, b: usize) {
-        debug_assert_eq!(objective.n_layers(), self.n_layers);
-        debug_assert_eq!(objective.n_experts(), self.n_experts);
-        self.tick += 1;
-        self.mark(layer, a);
-        self.mark(layer, b);
-        if layer + 1 < self.n_layers {
-            objective.for_each_in_row(layer, a, |p, _| self.mark(layer + 1, p));
-            objective.for_each_in_row(layer, b, |p, _| self.mark(layer + 1, p));
+        SwapGainCache {
+            n_experts: objective.n_experts(),
+            n_units: 0,
+            attraction: Vec::new(),
+            band: vec![0.0; objective.n_layers() * objective.n_experts()],
+            #[cfg(test)]
+            probe: oracle::Probe::default(),
         }
+    }
+
+    /// Build the table for `placement`, and the rounding bound of every
+    /// pair: `tol(e1, e2) = band[e1] + band[e2]` with
+    /// `band[e] = 2 * EPSILON * (2 * n + 8) * mass[e]`, where `mass[e]` is
+    /// the row sum of `A[e]` (placement-independent up to rounding) and
+    /// `n = 2 * E` bounds the stored cells one expert touches.
+    ///
+    /// Why that is sufficient: `swap_delta` and the table formula are
+    /// floating-point sums of the same real terms `w * P`, all belonging to
+    /// `e1` or `e2`, whose absolute values add up to `mass[e1] + mass[e2]`.
+    /// `swap_delta` adds at most `2n` nonzero terms (absent cells are exact
+    /// zeros), each formed with at most three roundings; the table adds at
+    /// most `n` products per cell and combines four cells with three more.
+    /// By the `gamma_k = k u / (1 - k u)` bound for recursive summation
+    /// (`u = EPSILON / 2`) each side is within `gamma_(2n + 3)` times that
+    /// mass of the real value, so to first order they differ by less than
+    /// `EPSILON * (2n + 3) * (mass[e1] + mass[e2])`. The bound used is more
+    /// than twice that, which also covers the second-order terms and the
+    /// rounding of `mass` itself and of `approx +- tol` in the callers.
+    fn load(&mut self, objective: &Objective, placement: &Placement) {
+        let (e, g) = (objective.n_experts(), placement.n_units());
+        let rows = objective.n_layers() * e;
+        (self.n_experts, self.n_units) = (e, g);
+        self.attraction.resize(rows * g, 0.0);
+        self.band.resize(rows, 0.0);
+        let scale = 2.0 * f64::EPSILON * (4 * e + 8) as f64;
+        for row in 0..rows {
+            self.fill_row(objective, placement, row / e, row % e);
+            let mass: f64 = self.attraction[row * g..][..g].iter().sum();
+            self.band[row] = scale * mass;
+        }
+    }
+
+    /// Recompute `A[layer][expert]` from scratch: incoming cells in
+    /// ascending source order, then outgoing cells in ascending target
+    /// order.
+    fn fill_row(&mut self, objective: &Objective, base: &Placement, layer: usize, expert: usize) {
+        let g = self.n_units;
+        let row = &mut self.attraction[(layer * self.n_experts + expert) * g..][..g];
+        row.fill(0.0);
         if layer > 0 {
-            objective.for_each_in_col(layer - 1, a, |i, _| self.mark(layer - 1, i));
-            objective.for_each_in_col(layer - 1, b, |i, _| self.mark(layer - 1, i));
+            let units = base.layer(layer - 1);
+            objective.for_each_in_col(layer - 1, expert, |i, prob| {
+                row[units[i]] += objective.row_weight(layer - 1, i) * prob;
+            });
+        }
+        if layer + 1 < objective.n_layers() {
+            let (units, w) = (base.layer(layer + 1), objective.row_weight(layer, expert));
+            objective.for_each_in_row(layer, expert, |p, prob| row[units[p]] += w * prob);
         }
     }
-}
 
-/// One gain lookup: cache hit, or recompute-and-fill. The value is
-/// bit-identical either way; only the `evaluated`/`reused` split differs.
-#[inline]
-fn gain(
-    objective: &Objective,
-    placement: &Placement,
-    layer: usize,
-    e1: usize,
-    e2: usize,
-    meter: &mut CostMeter,
-    cache: &mut Option<&mut SwapGainCache>,
-) -> f64 {
-    if let Some(c) = cache.as_deref_mut() {
-        if let Some(v) = c.get(layer, e1, e2) {
-            meter.cost.reused += 1;
-            return v;
+    /// `a` and `b` swapped units at `layer` (`base` already has the swap):
+    /// re-derive the rows that read their units — their CSR successors one
+    /// layer up and CSC predecessors one layer down. Their own rows depend
+    /// only on the other layers.
+    fn refresh(&mut self, objective: &Objective, base: &Placement, (layer, a, b): Swap) {
+        #[cfg(test)]
+        self.probe.swaps.push((layer, a, b));
+        for x in [a, b] {
+            if layer + 1 < objective.n_layers() {
+                objective.for_each_in_row(layer, x, |p, _| {
+                    self.fill_row(objective, base, layer + 1, p)
+                });
+            }
+            if layer > 0 {
+                objective.for_each_in_col(layer - 1, x, |i, _| {
+                    self.fill_row(objective, base, layer - 1, i)
+                });
+            }
         }
-        let v = objective.swap_delta(placement, layer, e1, e2);
-        meter.cost.evaluated += 1;
-        c.put(layer, e1, e2, v);
-        v
-    } else {
-        meter.cost.evaluated += 1;
-        objective.swap_delta(placement, layer, e1, e2)
+    }
+
+    /// For every `e2` in `from..E` that `keep(e2, unit of e2)` admits, in
+    /// ascending order: `(e2, approx, tol)` — the table's value for
+    /// `swap_delta(layer, e1, e2)` and the bound on how far the exact value
+    /// can be from it. `units` is the placement's row for `layer`; a
+    /// same-unit pair is an exact zero on both sides.
+    #[inline]
+    fn candidates<'a>(
+        &'a self,
+        units: &'a [usize],
+        (layer, e1, from): Swap,
+        keep: impl Fn(usize, usize) -> bool + 'a,
+    ) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
+        let (e, g) = (self.n_experts, self.n_units);
+        let rows = &self.attraction[layer * e * g..][..e * g];
+        let band = &self.band[layer * e..][..e];
+        let (u1, r1, b1) = (units[e1], &rows[e1 * g..][..g], band[e1]);
+        let pairs = (from..e).zip(&units[from..]);
+        let pairs = pairs.zip(rows[from * g..].chunks_exact(g).zip(&band[from..]));
+        pairs.filter(move |&((e2, &u2), _)| keep(e2, u2)).map(
+            move |((e2, &u2), (r2, &b2))| match u1 == u2 {
+                true => (e2, 0.0, 0.0),
+                false => (e2, (r1[u1] - r1[u2]) + (r2[u2] - r2[u1]), b1 + b2),
+            },
+        )
     }
 }
 
 /// First-improvement swap passes over `placement`, in place, until a local
 /// optimum or `max_passes` — the walk behind
-/// [`crate::local_search::improve`] — charged to `meter`, optionally
-/// served from `cache`, and truncated when the scan budget runs out (swaps
-/// already applied stay applied). Returns the final cross mass.
+/// [`crate::local_search::improve`] — charged to `meter`, priced from the
+/// attraction table (built in `cache` when one is passed), and truncated
+/// when the scan budget runs out (applied swaps stay). Returns the final
+/// cross mass.
 pub fn improve_metered(
     objective: &Objective,
     placement: &mut Placement,
     max_passes: usize,
     meter: &mut CostMeter,
-    mut cache: Option<&mut SwapGainCache>,
+    cache: Option<&mut SwapGainCache>,
 ) -> f64 {
-    if let Some(c) = cache.as_deref_mut() {
-        c.invalidate_all();
+    let mut local = None;
+    let table = cache.unwrap_or_else(|| local.insert(SwapGainCache::for_objective(objective)));
+    table.load(objective, placement);
+    #[cfg(test)]
+    if table.probe.reference {
+        return oracle::improve(objective, placement, max_passes, meter, table);
     }
-    let e = objective.n_experts();
-    let l = objective.n_layers();
+    let (e, l) = (objective.n_experts(), objective.n_layers());
+    let every = |_: usize, _: usize| true;
     'passes: for _ in 0..max_passes {
         let mut improved = false;
         for layer in 0..l {
             for e1 in 0..e {
-                for e2 in (e1 + 1)..e {
-                    if !meter.try_consider() {
-                        break 'passes;
-                    }
-                    let delta = gain(objective, placement, layer, e1, e2, meter, &mut cache);
-                    if delta < -1e-12 {
-                        placement.swap(layer, e1, e2);
-                        if let Some(c) = cache.as_deref_mut() {
-                            c.note_swap(objective, layer, e1, e2);
+                // A row is scanned in stretches, each ending at an accepted
+                // swap: applying it needs the placement and table back.
+                let mut from = e1 + 1;
+                while from < e {
+                    let mut accepted = None;
+                    let units = placement.layer(layer);
+                    for (e2, approx, tol) in table.candidates(units, (layer, e1, from), every) {
+                        if !meter.try_consider() {
+                            break 'passes;
                         }
-                        improved = true;
+                        // Only inside the rounding band can the exact delta
+                        // fall on the other side of the threshold.
+                        if approx < IMPROVES - tol
+                            || (approx < IMPROVES + tol
+                                && meter.exact_delta(objective, placement, (layer, e1, e2))
+                                    < IMPROVES)
+                        {
+                            accepted = Some(e2);
+                            break;
+                        }
                     }
+                    let Some(e2) = accepted else { break };
+                    placement.swap(layer, e1, e2);
+                    table.refresh(objective, placement, (layer, e1, e2));
+                    improved = true;
+                    from = e2 + 1;
                 }
             }
         }
@@ -311,119 +332,115 @@ pub fn improve_metered(
     objective.cross_mass(placement)
 }
 
-/// Best-improvement descent (see [`solve_budgeted_toward_metered`] for the
-/// walk's semantics). A spent scan budget finishes the decision in flight
-/// from the scanned prefix and stops.
-fn budgeted_descent_metered(
-    objective: &Objective,
-    incumbent: &Placement,
-    max_moves: u64,
-    meter: &mut CostMeter,
-    mut cache: Option<&mut SwapGainCache>,
-) -> Placement {
-    if let Some(c) = cache.as_deref_mut() {
-        c.invalidate_all();
-    }
-    let e = objective.n_experts();
-    let l = objective.n_layers();
-    let mut placement = incumbent.clone();
-    loop {
-        let mut best: Option<(f64, usize, usize, usize)> = None;
-        let mut exhausted = false;
-        'scan: for layer in 0..l {
-            for e1 in 0..e {
-                for e2 in (e1 + 1)..e {
-                    if !meter.try_consider() {
-                        exhausted = true;
-                        break 'scan;
-                    }
-                    let delta = gain(objective, &placement, layer, e1, e2, meter, &mut cache);
-                    if delta < -1e-12 && best.is_none_or(|(b, _, _, _)| delta < b) {
-                        best = Some((delta, layer, e1, e2));
-                    }
-                }
-            }
-        }
-        let Some((_, layer, e1, e2)) = best else {
-            break;
-        };
-        let mut next = placement.clone();
-        next.swap(layer, e1, e2);
-        if net_moves(incumbent, &next) > max_moves {
-            break;
-        }
-        placement = next;
-        if let Some(c) = cache.as_deref_mut() {
-            c.note_swap(objective, layer, e1, e2);
-        }
-        if exhausted {
-            break;
-        }
-    }
-    placement
+/// Best-of-scan state: `(approx - tol, swap)` of every candidate whose lower
+/// bound was not above `upper`, the smallest `approx + tol` seen when it
+/// came up. Only those can hold the scan's exact minimum.
+struct Shortlist {
+    kept: Vec<(f64, Swap)>,
+    upper: f64,
 }
 
-/// Toward-target walk (see [`solve_budgeted_toward_metered`]). Same
-/// truncation semantics as the descent.
-fn budgeted_toward_metered(
+impl Shortlist {
+    /// Offer the candidates of one `(layer, e1)` row, charging each to
+    /// `meter`; `false` when its budget ran out.
+    fn offer_row(
+        &mut self,
+        row: impl Iterator<Item = (usize, f64, f64)>,
+        (layer, e1): (usize, usize),
+        meter: &mut CostMeter,
+    ) -> bool {
+        for (e2, approx, tol) in row {
+            if !meter.try_consider() {
+                return false;
+            }
+            if approx - tol <= self.upper {
+                self.kept.push((approx - tol, (layer, e1, e2)));
+                self.upper = self.upper.min(approx + tol);
+            }
+        }
+        true
+    }
+}
+
+/// One strategy of [`solve_budgeted_toward_metered`]: apply the scan's
+/// best swap and rescan, while the result stays within `max_moves` net
+/// moves of the incumbent. Without a `target` (descent) every pair is a
+/// candidate and only improving swaps are taken; with one, an expert off
+/// its target unit pairs with the experts that sit there and do not belong,
+/// best swap first whatever its sign. A spent scan budget finishes the
+/// decision in flight from the scanned prefix and stops.
+fn budgeted_walk(
     objective: &Objective,
     incumbent: &Placement,
-    target: &Placement,
+    target: Option<&Placement>,
     max_moves: u64,
     meter: &mut CostMeter,
-    mut cache: Option<&mut SwapGainCache>,
+    cache: Option<&mut SwapGainCache>,
 ) -> Placement {
-    if let Some(c) = cache.as_deref_mut() {
-        c.invalidate_all();
+    let mut local = None;
+    let table = cache.unwrap_or_else(|| local.insert(SwapGainCache::for_objective(objective)));
+    table.load(objective, incumbent);
+    #[cfg(test)]
+    if table.probe.reference {
+        return oracle::walk(objective, incumbent, target, max_moves, meter, table);
     }
-    let e = objective.n_experts();
-    let l = objective.n_layers();
+    let (e, l) = (objective.n_experts(), objective.n_layers());
+    let threshold = target.map_or(IMPROVES, |_| f64::INFINITY);
     let mut placement = incumbent.clone();
     let mut best = (objective.cross_mass(&placement), placement.clone());
-    loop {
-        let mut pick: Option<(f64, usize, usize, usize)> = None;
-        let mut exhausted = false;
+    let mut exhausted = false;
+    let mut scan = Shortlist {
+        kept: Vec::new(),
+        upper: threshold,
+    };
+    while !exhausted {
         'scan: for layer in 0..l {
+            let units = placement.layer(layer);
+            let wanted = target.map(|t| t.layer(layer));
             for e1 in 0..e {
-                let want = target.unit_of(layer, e1);
-                if placement.unit_of(layer, e1) == want {
-                    continue;
-                }
-                for e2 in 0..e {
-                    if e2 != e1
-                        && placement.unit_of(layer, e2) == want
-                        && target.unit_of(layer, e2) != want
-                    {
-                        if !meter.try_consider() {
-                            exhausted = true;
-                            break 'scan;
-                        }
-                        let delta = gain(objective, &placement, layer, e1, e2, meter, &mut cache);
-                        if pick.is_none_or(|(b, _, _, _)| delta < b) {
-                            pick = Some((delta, layer, e1, e2));
-                        }
+                let in_budget = match wanted {
+                    None => {
+                        let row = table.candidates(units, (layer, e1, e1 + 1), |_, _| true);
+                        scan.offer_row(row, (layer, e1), meter)
                     }
+                    Some(w) if w[e1] == units[e1] => true,
+                    Some(w) => {
+                        let partner = |e2: usize, u2: usize| u2 == w[e1] && w[e2] != u2;
+                        let row = table.candidates(units, (layer, e1, 0), partner);
+                        scan.offer_row(row, (layer, e1), meter)
+                    }
+                };
+                if !in_budget {
+                    exhausted = true;
+                    break 'scan;
                 }
             }
         }
-        let Some((_, layer, e1, e2)) = pick else {
-            break;
-        };
+        // Exact calls for what the bounds left, in scan order: the first
+        // smallest delta wins, as if every candidate had been evaluated.
+        let mut pick: Option<(f64, Swap)> = None;
+        for (lower, swap) in scan.kept.drain(..) {
+            if lower <= scan.upper {
+                let delta = meter.exact_delta(objective, &placement, swap);
+                if delta < threshold && pick.is_none_or(|(b, _)| delta < b) {
+                    pick = Some((delta, swap));
+                }
+            }
+        }
+        scan.upper = threshold;
+        let Some((_, swap)) = pick else { break };
         let mut next = placement.clone();
-        next.swap(layer, e1, e2);
+        next.swap(swap.0, swap.1, swap.2);
         if net_moves(incumbent, &next) > max_moves {
             break;
         }
         placement = next;
-        if let Some(c) = cache.as_deref_mut() {
-            c.note_swap(objective, layer, e1, e2);
-        }
+        table.refresh(objective, &placement, swap);
+        // The toward-target walk may pass through worse placements and
+        // returns the cheapest visited; the descent returns its last.
         let cost = objective.cross_mass(&placement);
-        if cost < best.0 {
+        if target.is_none() || cost < best.0 {
             best = (cost, placement.clone());
-        }
-        if exhausted {
-            break;
         }
     }
     best.1
@@ -451,9 +468,9 @@ pub fn solve_budgeted_toward_metered(
     meter: &mut CostMeter,
     mut cache: Option<&mut SwapGainCache>,
 ) -> Placement {
-    let descent =
-        budgeted_descent_metered(objective, incumbent, max_moves, meter, cache.as_deref_mut());
-    let toward = budgeted_toward_metered(objective, incumbent, target, max_moves, meter, cache);
+    let buffer = cache.as_deref_mut();
+    let descent = budgeted_walk(objective, incumbent, None, max_moves, meter, buffer);
+    let toward = budgeted_walk(objective, incumbent, Some(target), max_moves, meter, cache);
     if objective.cross_mass(&toward) < objective.cross_mass(&descent) {
         toward
     } else {
@@ -488,13 +505,12 @@ fn solve_budgeted_with_meter(
 /// stronger solution — e.g. an oracle re-solve — should pass it there
 /// directly.
 ///
-/// Solver compute is capped by `scan_budget`. The returned placement is
-/// the same for any cache state; the [`ReplanCost`] reports how many
-/// candidates were considered, how many gains were actually recomputed,
-/// and how many were reused from the cache. A finite budget truncates the
-/// walks deterministically — cache hits and misses are charged alike, so
-/// the truncation point does not depend on cache state — and
-/// `u64::MAX` never truncates.
+/// Solver compute is capped by `scan_budget`. The returned placement and
+/// [`ReplanCost`] are the same with or without a `cache` buffer; the cost
+/// reports how many candidates were considered, how many needed an exact
+/// `swap_delta` call, and how many the attraction table decided alone. A
+/// finite budget truncates the walks deterministically — every considered
+/// candidate is charged alike — and `u64::MAX` never truncates.
 pub fn solve_budgeted_metered(
     objective: &Objective,
     incumbent: &Placement,
@@ -644,7 +660,7 @@ fn replica_first_candidate(
 ///
 /// Every inner budgeted solve is charged to one meter of `scan_budget`
 /// considered candidates in a fixed order (owner-moves-only first, then
-/// the policy's replica-first, then full fan-out) and may reuse `cache`.
+/// the policy's replica-first, then full fan-out), with `cache` as buffer.
 /// Replica-gain ranking is `O(nnz)` bookkeeping and is not charged.
 pub fn solve_budgeted_replicated_metered(
     objective: &Objective,
@@ -768,49 +784,40 @@ mod tests {
     }
 
     #[test]
-    fn cached_solve_is_bit_identical_to_uncached() {
+    fn solve_is_the_same_with_and_without_a_buffer() {
         for obj in [
             objective_with(12, 4, 0.85, GapBackend::Dense),
             objective_with(12, 4, 0.85, GapBackend::Sparse),
             sparse_objective(16, 3),
         ] {
             let incumbent = Placement::round_robin(obj.n_layers(), obj.n_experts(), 4);
+            // One buffer across every budget: nothing carries over.
+            let mut cache = SwapGainCache::for_objective(&obj);
             for budget in [0u64, 4, 12, u64::MAX] {
-                let (uncached, cost_u) =
+                let (local, cost_l) =
                     solve_budgeted_metered(&obj, &incumbent, budget, u64::MAX, None);
-                let mut cache = SwapGainCache::for_objective(&obj);
                 let (cached, cost_c) =
                     solve_budgeted_metered(&obj, &incumbent, budget, u64::MAX, Some(&mut cache));
-                assert_eq!(uncached, cached, "budget {budget}: cached diverged");
-                assert_eq!(
-                    obj.cross_mass(&cached).to_bits(),
-                    obj.cross_mass(&uncached).to_bits()
-                );
-                // Considered counts never depend on the cache; evaluated +
-                // reused always partitions considered.
-                assert_eq!(cost_u.considered, cost_c.considered);
-                assert_eq!(cost_u.evaluated, cost_u.considered);
-                assert_eq!(cost_u.reused, 0);
+                assert_eq!(local, cached, "budget {budget}: buffer changed the walk");
+                // Same code, same work: the whole cost is equal, and
+                // evaluated + reused partitions considered.
+                assert_eq!(cost_l, cost_c);
                 assert_eq!(cost_c.evaluated + cost_c.reused, cost_c.considered);
-                assert!(!cost_u.truncated && !cost_c.truncated);
+                assert!(!cost_c.truncated);
             }
         }
     }
 
     #[test]
-    fn cache_reuse_cuts_evaluations_substantially() {
+    fn the_table_answers_almost_every_candidate() {
         let obj = sparse_objective(32, 4);
         let incumbent = Placement::round_robin(obj.n_layers(), 32, 4);
-        let (_, uncached) = solve_budgeted_metered(&obj, &incumbent, u64::MAX, u64::MAX, None);
-        let mut cache = SwapGainCache::for_objective(&obj);
-        let (_, cached) =
-            solve_budgeted_metered(&obj, &incumbent, u64::MAX, u64::MAX, Some(&mut cache));
-        assert!(cached.reused > 0, "no reuse at all");
+        let (_, cost) = solve_budgeted_metered(&obj, &incumbent, u64::MAX, u64::MAX, None);
         assert!(
-            cached.evaluated * 2 < uncached.evaluated,
-            "cache saved too little: {} vs {}",
-            cached.evaluated,
-            uncached.evaluated
+            cost.evaluated * 20 < cost.considered,
+            "too many exact calls: {} of {}",
+            cost.evaluated,
+            cost.considered
         );
     }
 
@@ -880,51 +887,6 @@ mod tests {
             assert!(cost.reused > 0);
             let plan = MigrationPlan::between_replicated(&incumbent, &cached, 10);
             assert!(plan.total_bytes() <= budget.migration_budget_bytes);
-        }
-    }
-
-    #[test]
-    fn note_swap_invalidation_is_exact_on_both_backends() {
-        // After any executed swap, every *valid* cache entry must still
-        // equal a fresh recomputation — the core soundness property.
-        for obj in [
-            objective_with(10, 3, 0.8, GapBackend::Dense),
-            objective_with(10, 3, 0.8, GapBackend::Sparse),
-            sparse_objective(10, 3),
-        ] {
-            let e = obj.n_experts();
-            let l = obj.n_layers();
-            let mut placement = Placement::round_robin(l, e, 5);
-            let mut cache = SwapGainCache::for_objective(&obj);
-            cache.invalidate_all();
-            // Fill the cache completely.
-            for layer in 0..l {
-                for e1 in 0..e {
-                    for e2 in (e1 + 1)..e {
-                        cache.put(layer, e1, e2, obj.swap_delta(&placement, layer, e1, e2));
-                    }
-                }
-            }
-            // Execute a few swaps, each time checking every still-valid
-            // entry against a recomputation.
-            for (layer, a, b) in [(1, 0, 5), (0, 2, 7), (2, 4, 9), (1, 1, 6)] {
-                placement.swap(layer, a, b);
-                cache.note_swap(&obj, layer, a, b);
-                for layer in 0..l {
-                    for e1 in 0..e {
-                        for e2 in (e1 + 1)..e {
-                            if let Some(v) = cache.get(layer, e1, e2) {
-                                let fresh = obj.swap_delta(&placement, layer, e1, e2);
-                                assert_eq!(
-                                    v.to_bits(),
-                                    fresh.to_bits(),
-                                    "stale cache entry ({layer},{e1},{e2}) after swap"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
         }
     }
 

@@ -28,8 +28,8 @@
 //! * [`incremental`] — byte-budgeted incremental re-placement from an
 //!   incumbent (the online serving mode): the metered solvers
 //!   ([`solve_budgeted_metered`], [`solve_budgeted_toward_metered`],
-//!   [`solve_budgeted_replicated_metered`]) and the [`SwapGainCache`]
-//!   they reuse gains from;
+//!   [`solve_budgeted_replicated_metered`]) and the unit-attraction
+//!   table ([`SwapGainCache`]) they price swap candidates from;
 //! * [`online`] — the [`MigrationPlan`] pricing the resulting expert moves
 //!   against `exflow-topology`'s α–β link costs, and the fleet planners
 //!   for GPU loss and rejoin.

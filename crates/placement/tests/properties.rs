@@ -174,10 +174,10 @@ proptest! {
         seed in 0u64..40,
     ) {
         // Random window-delta streams: a delta-maintained objective (one
-        // per gap backend) plus a persistent swap-gain cache must stay
-        // bit-equal to a cold `from_snapshot` rebuild with a full
-        // rescan, window after window — the cache and the in-place
-        // update are memoisation, never approximation.
+        // per gap backend) plus a persistent attraction-table buffer must
+        // stay bit-equal to a cold `from_snapshot` rebuild solved without
+        // one, window after window — the buffer and the in-place update
+        // change what is allocated, never what is decided.
         use exflow_affinity::{RoutingTrace, StreamingAffinity};
         use exflow_model::routing::AffinityModelSpec;
         use exflow_model::{CorpusSpec, TokenBatch};
@@ -210,8 +210,8 @@ proptest! {
             prop_assert!(live_dense == rebuilt_dense, "dense objective diverged at window {w}");
             prop_assert!(live_sparse == rebuilt_sparse, "sparse objective diverged at window {w}");
 
-            // Same incumbent, four budgeted solves: cached incremental,
-            // uncached full rescan, cold rebuild, sparse backend.
+            // Same incumbent, four budgeted solves: held buffer, local
+            // table, cold rebuild, sparse backend.
             let (p_cached, c_cached) =
                 solve_budgeted_metered(&live_dense, &placement, 6, u64::MAX, Some(&mut cache));
             let (p_fresh, c_fresh) =
@@ -221,10 +221,8 @@ proptest! {
             prop_assert_eq!(&p_cached, &p_fresh, "cache changed the walk at window {}", w);
             prop_assert_eq!(&p_cached, &p_cold, "delta maintenance changed the walk at window {}", w);
             prop_assert_eq!(&p_cached, &p_sparse, "backend changed the walk at window {}", w);
-            prop_assert_eq!(c_fresh.evaluated, c_fresh.considered);
-            prop_assert_eq!(c_fresh.reused, 0);
+            prop_assert_eq!(c_cached, c_fresh, "the buffer changed the work at window {}", w);
             prop_assert_eq!(c_cached.evaluated + c_cached.reused, c_cached.considered);
-            prop_assert_eq!(c_cached.considered, c_fresh.considered);
 
             let cm = live_dense.cross_mass(&p_cached);
             prop_assert_eq!(cm.to_bits(), rebuilt_dense.cross_mass(&p_cached).to_bits());

@@ -202,7 +202,7 @@ fn online_report_fingerprint_is_pinned() {
     );
     let work = Fnv::solver_work(&report.replans);
     assert_eq!(
-        work, 0xe977_d8e0_fb72_2ca0,
+        work, 0x494b_1044_4fe4_f3be,
         "online_solver_work fingerprint moved: {work:#018x}"
     );
 }
@@ -279,7 +279,7 @@ fn serving_report_fingerprint_is_pinned() {
     );
     let work = Fnv::solver_work(&report.replans);
     assert_eq!(
-        work, 0x6b9c_ece3_7046_f4a9,
+        work, 0xf31e_04c0_b7d0_7a68,
         "serving_solver_work fingerprint moved: {work:#018x}"
     );
 }
