@@ -1,8 +1,10 @@
 //! Property-based tests: the simulated communicator against structural
 //! invariants and the analytic cost model from `exflow-topology`.
 
-use exflow_collectives::{CommWorld, OpKind, RankComm};
+use exflow_collectives::{CommWorld, Lockstep, OpKind, RankComm};
+use exflow_topology::cost::LinkCost;
 use exflow_topology::{ClusterSpec, CollectiveCostModel, CostModel};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn arb_shape() -> impl Strategy<Value = (usize, usize)> {
@@ -176,6 +178,173 @@ proptest! {
         });
         for seen in &per_rank[1..] {
             prop_assert_eq!(seen, &per_rank[0]);
+        }
+    }
+}
+
+/// The widest `arb_shape()` fleet. Generated per-rank tables are this big;
+/// a narrower fleet reads the entries of the ranks it has.
+const MAX_W: usize = 16;
+
+/// One step of a generated SPMD job.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Rank `r` computes for `skews[r]` seconds.
+    Advance(Vec<f64>),
+    Barrier,
+    /// Lane `src -> dst` carries `lanes[src * MAX_W + dst]` bytes.
+    AllToAll(Vec<usize>),
+    /// Rank `r` contributes `contribs[r]` bytes.
+    AllGather(Vec<usize>),
+}
+
+/// Half of all payloads are empty, the rest up to a few hundred bytes.
+fn arb_len() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(0usize), 0usize..400]
+}
+
+fn arb_job() -> impl Strategy<Value = Vec<Op>> {
+    let op = prop_oneof![
+        vec(0.0f64..1e-4, MAX_W).prop_map(Op::Advance),
+        Just(Op::Barrier),
+        vec(arb_len(), MAX_W * MAX_W).prop_map(Op::AllToAll),
+        Just(Op::AllToAll(vec![0; MAX_W * MAX_W])),
+        vec(arb_len(), MAX_W).prop_map(Op::AllGather),
+    ];
+    vec(op, 1..12)
+}
+
+/// What `src` sends `dst` in step `step`: recognisable bytes, so a
+/// misrouted or swapped payload cannot compare equal.
+fn payload(step: usize, src: usize, dst: usize, len: usize) -> Vec<u8> {
+    vec![(step * 61 + src * 17 + dst * 5) as u8; len]
+}
+
+/// One rank's view after one op: its clock, and what it was delivered.
+type Seen = (u64, Vec<Vec<u8>>);
+
+/// `job` on the threaded reference world: `seen[rank][step]`.
+fn run_threaded(world: &CommWorld, job: &[Op]) -> Vec<Vec<Seen>> {
+    world.run(|comm| {
+        let (me, w) = (comm.rank().0, comm.world_size());
+        job.iter()
+            .enumerate()
+            .map(|(step, op)| {
+                let delivered = match op {
+                    Op::Advance(skews) => {
+                        comm.advance(skews[me]);
+                        Vec::new()
+                    }
+                    Op::Barrier => {
+                        comm.barrier();
+                        Vec::new()
+                    }
+                    Op::AllToAll(lanes) => comm.all_to_all_v(
+                        (0..w)
+                            .map(|dst| payload(step, me, dst, lanes[me * MAX_W + dst]))
+                            .collect(),
+                    ),
+                    Op::AllGather(contribs) => {
+                        comm.all_gather_v(payload(step, me, me, contribs[me]))
+                    }
+                };
+                (comm.now().to_bits(), delivered)
+            })
+            .collect()
+    })
+}
+
+/// `job` on the lockstep kernel: `seen[step][rank]`.
+fn run_lockstep(fleet: &mut Lockstep, w: usize, job: &[Op]) -> Vec<Vec<Seen>> {
+    job.iter()
+        .enumerate()
+        .map(|(step, op)| {
+            let delivered: Vec<Vec<Vec<u8>>> = match op {
+                Op::Advance(skews) => {
+                    (0..w).for_each(|r| fleet.advance(r, skews[r]));
+                    vec![Vec::new(); w]
+                }
+                Op::Barrier => {
+                    fleet.barrier();
+                    vec![Vec::new(); w]
+                }
+                Op::AllToAll(lanes) => fleet.all_to_all_v(
+                    (0..w)
+                        .map(|src| {
+                            (0..w)
+                                .map(|dst| payload(step, src, dst, lanes[src * MAX_W + dst]))
+                                .collect()
+                        })
+                        .collect(),
+                ),
+                Op::AllGather(contribs) => {
+                    let all = fleet
+                        .all_gather_v((0..w).map(|r| payload(step, r, r, contribs[r])).collect());
+                    vec![all; w]
+                }
+            };
+            delivered
+                .into_iter()
+                .enumerate()
+                .map(|(r, d)| (fleet.now(r).to_bits(), d))
+                .collect()
+        })
+        .collect()
+}
+
+/// The Wilkes3 preset with every link's bandwidth scaled by `speedup`
+/// (that is, every `beta` divided by it).
+fn wilkes3_scaled(speedup: f64) -> CostModel {
+    CostModel::new(
+        LinkCost::from_latency_bandwidth(0.3e-6, 1.5e12 * speedup),
+        LinkCost::from_latency_bandwidth(1.0e-6, 300.0e9 * speedup),
+        LinkCost::from_latency_bandwidth(3.5e-6, 50.0e9 * speedup),
+    )
+    .with_alltoall_efficiency([1.0, 0.5, 0.16])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The kernel against the message-passing world it replaces under the
+    /// engine: same clocks to the bit after every operation, same
+    /// deliveries, same accounting.
+    #[test]
+    fn lockstep_matches_the_threaded_world_bit_for_bit((nodes, gpn) in arb_shape(), job in arb_job()) {
+        let cluster = ClusterSpec::new(nodes, gpn).unwrap();
+        let w = nodes * gpn;
+        let world = CommWorld::new(cluster, CostModel::wilkes3());
+        let threaded = run_threaded(&world, &job);
+        let mut fleet = Lockstep::new(cluster, CostModel::wilkes3());
+        let lockstep = run_lockstep(&mut fleet, w, &job);
+        for (step, seen) in lockstep.iter().enumerate() {
+            for (rank, seen) in seen.iter().enumerate() {
+                prop_assert_eq!(seen, &threaded[rank][step], "rank {} after step {}", rank, step);
+            }
+        }
+        for op in OpKind::ALL {
+            prop_assert_eq!(fleet.totals(op), world.stats().totals(op), "{}", op);
+        }
+    }
+
+    #[test]
+    fn faster_links_never_delay_any_rank(
+        (nodes, gpn) in arb_shape(),
+        job in arb_job(),
+        speedup in 1.0f64..16.0,
+    ) {
+        let cluster = ClusterSpec::new(nodes, gpn).unwrap();
+        let w = nodes * gpn;
+        let slow = run_lockstep(&mut Lockstep::new(cluster, wilkes3_scaled(1.0)), w, &job);
+        let fast = run_lockstep(&mut Lockstep::new(cluster, wilkes3_scaled(speedup)), w, &job);
+        for (step, (slow, fast)) in slow.iter().zip(&fast).enumerate() {
+            for (rank, (slow, fast)) in slow.iter().zip(fast).enumerate() {
+                prop_assert!(
+                    f64::from_bits(fast.0) <= f64::from_bits(slow.0),
+                    "rank {} after step {}", rank, step
+                );
+                prop_assert_eq!(&fast.1, &slow.1);
+            }
         }
     }
 }
