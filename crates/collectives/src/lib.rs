@@ -3,38 +3,45 @@
 //! A simulated multi-GPU communication layer: the substrate that stands in
 //! for NCCL in this reproduction of ExFlow (IPDPS 2024).
 //!
-//! Every simulated GPU is a real OS thread. Messages are real byte buffers
-//! moved through crossbeam channels, so the concurrency (and any ordering
-//! bug) is genuine. *Time*, however, is virtual: each rank carries a
+//! Messages are real byte buffers; *time* is virtual: each rank carries a
 //! [`VirtualClock`] advanced by the α–β cost model from `exflow-topology`,
 //! which makes every reported latency a deterministic function of
 //! (bytes, link class) — independent of host load, exactly what the paper's
 //! figures need.
 //!
-//! # Threads live for a session
+//! The same three collectives — AlltoallV (token dispatch / combine),
+//! AllGatherV over a ring (context coherence) and a clock barrier — exist
+//! on two surfaces that apply the same clock rules and are property-tested
+//! against each other bit for bit (`tests/properties.rs`).
 //!
-//! [`CommWorld::session`] spawns the W rank threads once (scoped, so jobs
-//! may borrow from the caller) and hands the driver a [`Session`]. Each
-//! rank thread owns its [`RankComm`] — mailbox, early-arrival queues,
-//! clock, per-job ledger — for the session's whole life. The single driver
-//! posts one job at a time; every rank runs it and hands its result back,
-//! and the driver returns them in rank order. Posting wakes the ranks once
-//! and the last rank to hand in wakes the driver once, so a job costs no
-//! thread spawn, no join and no per-rank channel traffic. A job starts with
-//! every virtual clock at zero, so N jobs through one session report
-//! exactly what N fresh worlds would. [`CommWorld::run`] is a session of
-//! one job. A serving run therefore pays thread spawn and join once, not
-//! once per decode step.
+//! # [`Lockstep`]: what the engine runs on
+//!
+//! One value holds all W clocks and one ledger, and a collective is a
+//! single call on the calling thread: `all_to_all_v(bufs[src][dst])`
+//! returns `out[dst][src]`, `all_gather_v(bufs[rank])` returns the
+//! contributions in rank order, `barrier()` lifts every clock to the
+//! fleet's max. The caller is a bulk-synchronous loop — run a stage for
+//! rank 0, 1, .. and charge it with `advance(rank, dt)`, then one
+//! collective, then the next stage — so a pass costs no thread, channel or
+//! wake-up, whatever W is. The clock rule of each collective is stated on
+//! the method that implements it.
+//!
+//! # [`CommWorld::run`]: the threaded reference, and the probe surface
+//!
+//! Every rank is a real OS thread (scoped, so the job may borrow from the
+//! caller) owning a [`RankComm`]: a mailbox fed through crossbeam channels,
+//! early-arrival queues, its clock and a lock-free per-job ledger that
+//! `run` folds into the world's [`CommStats`] in rank order. A collective
+//! completes once all W threads have called it, so the concurrency (and
+//! any ordering bug) is genuine. This is the message-passing formulation
+//! the clock rules were written down in — a send serializes on the sender
+//! and stamps the message, a receive waits for the stamp — which makes it
+//! the independent oracle for the kernel; `benchmark/`'s `collectives.*`
+//! probes time it. The engine never runs on it.
 //!
 //! A job that panics on a rank is caught there; the rank wakes every peer
-//! that is (or will be) blocked on it — they unwind too — and the driver
-//! re-raises the original panic from [`Session::run`].
-//!
-//! Communication totals are accumulated without locking in a per-rank
-//! ledger, returned with the rank's result and folded into the world's
-//! [`CommStats`] in rank order when the job completes.
-//!
-//! # The barrier
+//! that is (or will be) blocked on it — they unwind too — and `run`
+//! re-raises the original panic on the caller.
 //!
 //! [`RankComm::barrier`] is a max-reduction of the ranks' clocks behind one
 //! mutex and one condition variable: every arriver folds its clock into a
@@ -46,24 +53,23 @@
 //! happen until every rank, including each waiter still reading it under
 //! the lock, has returned from this one.
 //!
-//! The API mirrors the collectives the ExFlow engine issues:
-//!
-//! * [`RankComm::all_to_all_v`] — the token dispatch/combine primitive;
-//! * [`RankComm::all_gather_v`] — the context-coherence primitive;
-//! * [`RankComm::barrier`] — clock synchronization between iterations.
-//!
 //! ```
-//! use exflow_collectives::CommWorld;
+//! use exflow_collectives::{CommWorld, Lockstep};
 //! use exflow_topology::{ClusterSpec, CostModel};
 //!
-//! let world = CommWorld::new(ClusterSpec::new(1, 4).unwrap(), CostModel::wilkes3());
-//! let results = world.run(|comm| {
-//!     // Every rank contributes its rank id; AllGather returns all of them.
+//! let cluster = ClusterSpec::new(1, 4).unwrap();
+//! // Every rank contributes its rank id; AllGather returns all of them.
+//! let world = CommWorld::new(cluster, CostModel::wilkes3());
+//! let per_rank = world.run(|comm| {
 //!     let gathered = comm.all_gather_v(vec![comm.rank().0 as u8]);
-//!     gathered.into_iter().map(|b| b[0]).collect::<Vec<u8>>()
+//!     (gathered, comm.now())
 //! });
-//! for r in &results {
-//!     assert_eq!(r, &[0, 1, 2, 3]);
+//! // The same collective as one call, with the same clocks.
+//! let mut fleet = Lockstep::new(cluster, CostModel::wilkes3());
+//! let gathered = fleet.all_gather_v((0..4).map(|r| vec![r as u8]).collect());
+//! for (rank, (seen, now)) in per_rank.iter().enumerate() {
+//!     assert_eq!(seen, &gathered);
+//!     assert_eq!(*now, fleet.now(rank));
 //! }
 //! ```
 
@@ -80,4 +86,4 @@ pub use clock::VirtualClock;
 pub use error::CommError;
 pub use lockstep::Lockstep;
 pub use record::{CommRecord, CommStats, OpKind};
-pub use world::{CommWorld, RankComm, Session};
+pub use world::{CommWorld, RankComm};

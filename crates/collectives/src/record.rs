@@ -52,9 +52,10 @@ pub struct OpTotals {
     pub sent: BytesByClass,
 }
 
-/// Per-op totals without a lock: what one rank accumulates during one job,
-/// and what the driver folds the ranks' ledgers into, in rank order, when
-/// the job completes.
+/// Per-op totals without a lock: what a [`Lockstep`](crate::Lockstep)
+/// accumulates for its whole fleet, and what one rank thread of a
+/// [`CommWorld`](crate::CommWorld) accumulates during a job (folded into
+/// the world's [`CommStats`], in rank order, when the job completes).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Ledger([OpTotals; OpKind::ALL.len()]);
 
@@ -81,9 +82,8 @@ impl Ledger {
 /// [`CommWorld`](crate::CommWorld).
 ///
 /// Rank threads never touch it: each keeps a private ledger for the job it
-/// is running and the driver folds those in, in rank order, when the job
-/// completes. The engine reads it back to build communication-volume
-/// reports (paper Fig. 6, Table I).
+/// is running and [`CommWorld::run`](crate::CommWorld::run) folds those
+/// in, in rank order, when the job completes.
 #[derive(Debug, Default)]
 pub struct CommStats {
     inner: Mutex<Ledger>,

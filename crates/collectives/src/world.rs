@@ -1,4 +1,4 @@
-//! The simulated communication world: rank threads, mailboxes, collectives.
+//! The threaded reference world: rank threads, mailboxes, collectives.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -11,7 +11,7 @@ use exflow_topology::collective_cost::BytesByClass;
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
 use crate::clock::VirtualClock;
-use crate::record::{CommRecord, CommStats, Ledger, OpKind, OpTotals};
+use crate::record::{CommRecord, CommStats, Ledger, OpKind};
 
 /// A message between rank threads. Payloads are real buffers; `arrival` is
 /// the virtual time at which the bytes are fully delivered.
@@ -32,8 +32,8 @@ enum Wire {
     PeerPanicked,
 }
 
-/// Panic payload of a rank that unwound only because a peer did; the
-/// driver re-raises the peer's own payload in preference to it.
+/// Panic payload of a rank that unwound only because a peer did;
+/// [`CommWorld::run`] re-raises the peer's own payload in preference to it.
 struct PeerPanicked;
 
 /// Shared state backing [`RankComm::barrier`]: a max-reduction of the
@@ -107,10 +107,10 @@ impl ClockBarrier {
     }
 }
 
-/// A simulated cluster communicator. Owns the cluster shape, the cost model
-/// and the shared [`CommStats`]; [`CommWorld::session`] spawns one thread
-/// per rank, each owning a [`RankComm`], and keeps them for as many jobs as
-/// the caller submits. [`CommWorld::run`] is the one-job shorthand.
+/// A simulated cluster communicator, one OS thread per rank. Owns the
+/// cluster shape, the cost model and the shared [`CommStats`];
+/// [`CommWorld::run`] spawns the rank threads, each owning a [`RankComm`],
+/// for one job.
 pub struct CommWorld {
     cluster: ClusterSpec,
     cost: CostModel,
@@ -137,254 +137,73 @@ impl CommWorld {
         &self.cost
     }
 
-    /// Communication statistics, accumulated across all jobs of all
-    /// sessions until [`CommStats::reset`]. A job's records appear when it
-    /// completes.
+    /// Communication statistics, accumulated across all jobs until
+    /// [`CommStats::reset`]. A job's records appear when it completes.
     pub fn stats(&self) -> &CommStats {
         &self.stats
     }
 
-    /// Spawn one thread per rank and hand `body` the [`Session`] that feeds
-    /// them jobs. The threads — with their mailboxes, barrier and
-    /// [`RankComm`]s — live until `body` returns and are joined before this
-    /// does.
+    /// Run `f` once on every rank, each on a thread of its own (scoped, so
+    /// `f` may borrow from the caller), and return the per-rank results
+    /// ordered by rank. Every rank starts with its virtual clock at zero;
+    /// the ranks' ledgers are folded into [`CommWorld::stats`] in rank
+    /// order once all have finished.
     ///
-    /// Jobs may borrow anything that outlives this call (`'env`), but
-    /// nothing created inside `body`: a rank thread outlives the driver's
-    /// locals.
-    pub fn session<'env, R, T>(&'env self, body: impl FnOnce(&mut Session<'env, R>) -> T) -> T
+    /// A rank whose `f` panics wakes every peer that is (or will be)
+    /// blocked on it — they unwind too — and the first original panic, in
+    /// rank order, is re-raised here, so test failures inside rank closures
+    /// surface normally.
+    pub fn run<F, R>(&self, f: F) -> Vec<R>
     where
-        R: Send,
-    {
-        self.open(None, body)
-    }
-
-    /// [`CommWorld::session`], optionally with its `only` job already on
-    /// the desk when the rank threads start: they run it without first
-    /// going to sleep waiting for it, and leave without being woken for
-    /// the close.
-    fn open<'env, R, T>(
-        &'env self,
-        only: Option<Job<'env, R>>,
-        body: impl FnOnce(&mut Session<'env, R>) -> T,
-    ) -> T
-    where
+        F: Fn(&mut RankComm) -> R + Sync,
         R: Send,
     {
         let w = self.cluster.world_size();
         let (senders, mailboxes): (Vec<Sender<Wire>>, Vec<Receiver<Wire>>) =
             (0..w).map(|_| unbounded()).unzip();
         let barrier = Arc::new(ClockBarrier::default());
-        let desk = Arc::new(JobDesk::new(w));
-        let closed = only.is_some();
-        if let Some(job) = only {
-            desk.post(job, true);
-        }
+        let f = &f;
 
-        std::thread::scope(|scope| {
-            for (rank, rx) in mailboxes.into_iter().enumerate() {
-                let mut comm = RankComm {
-                    rank: Rank(rank),
-                    cluster: self.cluster,
-                    cost: self.cost,
-                    senders: senders.clone(),
-                    rx,
-                    pending: (0..w).map(|_| VecDeque::new()).collect(),
-                    clock: VirtualClock::new(),
-                    seq: 0,
-                    barrier: Arc::clone(&barrier),
-                    ledger: Ledger::default(),
-                };
-                let desk = Arc::clone(&desk);
-                scope.spawn(move || {
-                    let mut done = 0;
-                    while let Some(job) = desk.next_job(done) {
-                        done += 1;
-                        comm.clock = VirtualClock::new();
-                        let out = catch_unwind(AssertUnwindSafe(|| job(&mut comm)));
-                        // Release the job's captures before the driver
-                        // can observe the result.
-                        drop(job);
+        let outcomes: Vec<RankOutcome<R>> = std::thread::scope(|scope| {
+            let ranks: Vec<_> = mailboxes
+                .into_iter()
+                .enumerate()
+                .map(|(rank, rx)| {
+                    let mut comm = RankComm {
+                        rank: Rank(rank),
+                        cluster: self.cluster,
+                        cost: self.cost,
+                        senders: senders.clone(),
+                        rx,
+                        pending: (0..w).map(|_| VecDeque::new()).collect(),
+                        clock: VirtualClock::new(),
+                        seq: 0,
+                        barrier: Arc::clone(&barrier),
+                        ledger: Ledger::default(),
+                    };
+                    scope.spawn(move || {
+                        let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                         if out.is_err() {
                             comm.abort_peers();
                         }
-                        let ledger = std::mem::take(&mut comm.ledger);
-                        desk.hand_in(rank, out.map(|r| (r, ledger)));
-                    }
-                });
-            }
-            let mut session = Session {
-                desk,
-                stats: &self.stats,
-                last_job: Ledger::default(),
-                closed,
-            };
-            body(&mut session)
-        })
-    }
+                        out.map(|r| (r, comm.ledger))
+                    })
+                })
+                .collect();
+            ranks
+                .into_iter()
+                .map(|h| h.join().expect("a rank catches its own job's panic"))
+                .collect()
+        });
 
-    /// Run `f` once on every rank (a one-job [`CommWorld::session`]) and
-    /// return the per-rank results ordered by rank.
-    ///
-    /// Panics in any rank propagate (the run is aborted and the panic
-    /// re-raised), so test failures inside rank closures surface normally.
-    pub fn run<F, R>(&self, f: F) -> Vec<R>
-    where
-        F: Fn(&mut RankComm) -> R + Sync,
-        R: Send,
-    {
-        let f = &f;
-        self.open(Some(Arc::new(move |comm| f(comm))), Session::collect)
-    }
-}
-
-type Job<'env, R> = Arc<dyn Fn(&mut RankComm) -> R + Send + Sync + 'env>;
-
-type RankOutcome<R> = Result<(R, Ledger), Box<dyn Any + Send>>;
-
-/// Where the driver posts jobs and the ranks hand in their outcomes: one
-/// lock, one wake-up of the ranks per job and one of the driver per job.
-struct JobDesk<'env, R> {
-    state: Mutex<DeskState<'env, R>>,
-    posted: Condvar,
-    handed_in: Condvar,
-}
-
-struct DeskState<'env, R> {
-    /// The running job, if any.
-    job: Option<Job<'env, R>>,
-    /// Jobs posted so far; a rank that has done fewer has one to run.
-    posted: u64,
-    /// No further job will be posted.
-    closed: bool,
-    /// Slot `r` is rank `r`'s outcome of the running job.
-    outcomes: Vec<Option<RankOutcome<R>>>,
-    outstanding: usize,
-}
-
-impl<'env, R> JobDesk<'env, R> {
-    fn new(w: usize) -> Self {
-        JobDesk {
-            state: Mutex::new(DeskState {
-                job: None,
-                posted: 0,
-                closed: false,
-                outcomes: (0..w).map(|_| None).collect(),
-                outstanding: 0,
-            }),
-            posted: Condvar::new(),
-            handed_in: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, DeskState<'env, R>> {
-        self.state
-            .lock()
-            .expect("no code path panics while holding the desk lock")
-    }
-
-    /// Rank side: block for the job after the `done`-th, `None` once the
-    /// session is over.
-    fn next_job(&self, done: u64) -> Option<Job<'env, R>> {
-        let mut s = self.lock();
-        while s.posted == done && !s.closed {
-            s = self
-                .posted
-                .wait(s)
-                .expect("no code path panics while holding the desk lock");
-        }
-        if s.posted == done {
-            return None;
-        }
-        let job = s.job.as_ref();
-        let job = job.expect("a posted job stays on the desk until every rank hands in");
-        Some(Arc::clone(job))
-    }
-
-    /// Rank side: the last rank to hand in wakes the driver.
-    fn hand_in(&self, rank: usize, outcome: RankOutcome<R>) {
-        let mut s = self.lock();
-        s.outcomes[rank] = Some(outcome);
-        s.outstanding -= 1;
-        if s.outstanding == 0 {
-            drop(s);
-            self.handed_in.notify_one();
-        }
-    }
-
-    /// Driver side: put `job` on the desk and wake the ranks. Closing the
-    /// desk along with the `last` job lets each rank leave as it hands in.
-    fn post(&self, job: Job<'env, R>, last: bool) {
-        let mut s = self.lock();
-        s.outstanding = s.outcomes.len();
-        s.job = Some(job);
-        s.posted += 1;
-        s.closed = last;
-        drop(s);
-        self.posted.notify_all();
-    }
-
-    /// Driver side: block until every rank has handed in the posted job
-    /// and return the outcomes in rank order.
-    fn collect(&self) -> Vec<RankOutcome<R>> {
-        let mut s = self.lock();
-        while s.outstanding > 0 {
-            s = self
-                .handed_in
-                .wait(s)
-                .expect("no code path panics while holding the desk lock");
-        }
-        s.job = None;
-        s.outcomes
-            .iter_mut()
-            .map(|o| o.take().expect("every rank handed in"))
-            .collect()
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.posted.notify_all();
-    }
-}
-
-/// The driver's handle on the rank threads of one [`CommWorld::session`].
-pub struct Session<'env, R> {
-    desk: Arc<JobDesk<'env, R>>,
-    stats: &'env CommStats,
-    last_job: Ledger,
-    /// No further job may be posted: one panicked, or the session was
-    /// opened for a single job.
-    closed: bool,
-}
-
-impl<'env, R> Session<'env, R> {
-    /// Run `job` on every rank and return the per-rank results ordered by
-    /// rank. Jobs run one at a time, in submission order; each starts with
-    /// every rank's virtual clock at zero.
-    ///
-    /// If the job panics on any rank, the other ranks are unblocked, the
-    /// first such panic (in rank order) is re-raised here, and the session
-    /// accepts no further jobs.
-    pub fn run<F>(&mut self, job: F) -> Vec<R>
-    where
-        F: Fn(&mut RankComm) -> R + Send + Sync + 'env,
-    {
-        assert!(!self.closed, "this session takes no further jobs");
-        self.desk.post(Arc::new(job), false);
-        self.collect()
-    }
-
-    /// Wait for the posted job; fold the ranks' ledgers, in rank order,
-    /// into this job's totals and the world's.
-    fn collect(&mut self) -> Vec<R> {
-        self.last_job = Ledger::default();
-        let mut out = Vec::new();
+        let mut job = Ledger::default();
+        let mut out = Vec::with_capacity(w);
         let mut panic: Option<Box<dyn Any + Send>> = None;
-        for outcome in self.desk.collect() {
+        for outcome in outcomes {
             match outcome {
                 Ok((r, ledger)) => {
                     out.push(r);
-                    self.last_job.merge(&ledger);
+                    job.merge(&ledger);
                 }
                 Err(payload) => {
                     if panic.as_ref().is_none_or(|p| p.is::<PeerPanicked>()) {
@@ -394,26 +213,14 @@ impl<'env, R> Session<'env, R> {
             }
         }
         if let Some(payload) = panic {
-            self.closed = true;
             resume_unwind(payload);
         }
-        self.stats.absorb(&self.last_job);
+        self.stats.absorb(&job);
         out
     }
-
-    /// Totals of the most recent job alone (the world's
-    /// [`CommWorld::stats`] keep accumulating across jobs).
-    pub fn job_totals(&self, op: OpKind) -> OpTotals {
-        self.last_job.totals(op)
-    }
 }
 
-impl<R> Drop for Session<'_, R> {
-    /// Lets the rank threads go, so the scope can join them.
-    fn drop(&mut self) {
-        self.desk.close();
-    }
-}
+type RankOutcome<R> = Result<(R, Ledger), Box<dyn Any + Send>>;
 
 /// One rank's endpoint inside a job.
 ///
@@ -821,38 +628,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_threads_live_for_the_session_not_the_job() {
-        use std::collections::BTreeSet;
-        let w = world(1, 4);
-        let ids = || format!("{:?}", std::thread::current().id());
-        let in_session = |w: &CommWorld| {
-            w.session(|session| {
-                let first: BTreeSet<String> = session.run(move |_| ids()).into_iter().collect();
-                for _ in 0..5 {
-                    session.run(move |comm| {
-                        comm.barrier();
-                        ids()
-                    });
-                }
-                let last: BTreeSet<String> = session.run(move |_| ids()).into_iter().collect();
-                assert_eq!(first, last, "a session must not respawn its ranks");
-                first
-            })
-        };
-        let a = in_session(&w);
-        let b = in_session(&w);
-        assert_eq!(a.len(), 4);
-        assert!(a.is_disjoint(&b), "each session spawns its own ranks");
-    }
-
-    #[test]
     #[should_panic(expected = "boom on every rank")]
-    fn a_job_that_panics_on_every_rank_reraises_on_the_driver() {
-        let w = world(1, 4);
-        w.session(|session| {
-            session.run(|comm| comm.barrier());
-            session.run(|_| -> () { panic!("boom on every rank") });
-        });
+    fn a_job_that_panics_on_every_rank_reraises_on_the_caller() {
+        world(1, 4).run(|_| -> () { panic!("boom on every rank") });
     }
 
     #[test]

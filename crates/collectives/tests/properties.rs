@@ -1,7 +1,7 @@
 //! Property-based tests: the simulated communicator against structural
 //! invariants and the analytic cost model from `exflow-topology`.
 
-use exflow_collectives::{CommWorld, Lockstep, OpKind, RankComm};
+use exflow_collectives::{CommWorld, Lockstep, OpKind};
 use exflow_topology::cost::LinkCost;
 use exflow_topology::{ClusterSpec, CollectiveCostModel, CostModel};
 use proptest::collection::vec;
@@ -9,22 +9,6 @@ use proptest::prelude::*;
 
 fn arb_shape() -> impl Strategy<Value = (usize, usize)> {
     (1usize..=4, 1usize..=4)
-}
-
-/// One job's worth of every collective, sized and skewed by `param`;
-/// returns the rank's final clock.
-fn mixed_job(comm: &mut RankComm, param: u64) -> u64 {
-    let w = comm.world_size();
-    let me = comm.rank().0;
-    comm.advance(1e-5 * ((me as u64 + param) % 5) as f64);
-    comm.all_to_all_v(
-        (0..w)
-            .map(|dst| vec![0u8; ((param + (me * w + dst) as u64) % 97) as usize])
-            .collect(),
-    );
-    comm.barrier();
-    let _ = comm.all_gather_v(vec![0u8; (param % 61) as usize + me]);
-    comm.now().to_bits()
 }
 
 proptest! {
@@ -127,34 +111,6 @@ proptest! {
         let first = times[0];
         for t in times {
             prop_assert!((t - first).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn session_jobs_are_indistinguishable_from_separate_runs(
-        (nodes, gpn) in arb_shape(),
-        params in proptest::collection::vec(0u64..1000, 1..6),
-    ) {
-        let cluster = ClusterSpec::new(nodes, gpn).unwrap();
-        let sessioned = CommWorld::new(cluster, CostModel::wilkes3());
-        let in_session: Vec<_> = sessioned.session(|session| {
-            params
-                .iter()
-                .map(|&p| {
-                    let clocks = session.run(move |comm| mixed_job(comm, p));
-                    (clocks, OpKind::ALL.map(|op| session.job_totals(op)))
-                })
-                .collect()
-        });
-        let separate = CommWorld::new(cluster, CostModel::wilkes3());
-        for (&p, (clocks, totals)) in params.iter().zip(&in_session) {
-            let fresh = CommWorld::new(cluster, CostModel::wilkes3());
-            prop_assert_eq!(&fresh.run(|comm| mixed_job(comm, p)), clocks);
-            prop_assert_eq!(&OpKind::ALL.map(|op| fresh.stats().totals(op)), totals);
-            separate.run(|comm| mixed_job(comm, p));
-        }
-        for op in OpKind::ALL {
-            prop_assert_eq!(sessioned.stats().totals(op), separate.stats().totals(op));
         }
     }
 

@@ -36,9 +36,9 @@ pub(crate) struct AdaptiveState<'e> {
     /// cache the metered solvers reuse riding along across re-plans.
     objective: Objective,
     cache: SwapGainCache,
-    /// The placement and replica subsets re-plans have committed to.
-    /// Passes share it by `Arc`, so a re-plan replaces it rather than
-    /// editing what a rank thread may still be reading.
+    /// The placement and replica subsets re-plans have committed to. An
+    /// `Arc` because the serving loop keeps the plan a re-plan replaced
+    /// alive as its stale plan until the weight copy lands.
     pub(crate) live: Arc<ReplicationPlan>,
     /// Migration budget earlier re-plans left unspent (`budget_rollover`).
     carry: u64,

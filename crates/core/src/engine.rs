@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
-use exflow_collectives::{CommWorld, OpKind, RankComm, Session};
+use exflow_collectives::{Lockstep, OpKind};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{
     ComputeCostModel, CorpusSpec, DriftSchedule, Expert, Matrix, ModelConfig, RoutingModel,
@@ -448,7 +448,7 @@ impl InferenceEngine {
         placement: &Placement,
     ) -> InferenceReport {
         let plan = ReplicationPlan::bare(placement.clone());
-        self.run_once(mode, plan, self.serving_batches(&self.routing, 0))
+        self.run_once(mode, &plan, &self.serving_batches(&self.routing, 0))
     }
 
     /// Every provisioned GPU, ascending: the `live_ranks` of a healthy
@@ -499,29 +499,79 @@ impl InferenceEngine {
             .collect()
     }
 
-    /// Spawn this engine's rank threads and hand `body` the session that
-    /// runs passes on them; the threads live until `body` returns. Every
-    /// pass of every run goes through here — a serving or online run opens
-    /// one session around its loop, a single offline pass
-    /// ([`InferenceEngine::run_once`]) a one-job session.
-    pub(crate) fn with_session<T>(&self, body: impl FnOnce(&mut PassSession<'_, '_>) -> T) -> T {
-        let world = CommWorld::new(self.cfg.cluster, self.cfg.link_cost);
-        world.session(|session| {
-            body(&mut PassSession {
-                engine: self,
-                session,
-            })
-        })
-    }
-
-    /// One pass on a healthy fleet in a session of its own.
+    /// One pass on a healthy fleet.
     pub(crate) fn run_once(
         &self,
         mode: ParallelismMode,
-        plan: ReplicationPlan,
-        batches: Vec<TokenBatch>,
+        plan: &ReplicationPlan,
+        batches: &[TokenBatch],
     ) -> InferenceReport {
-        self.with_session(|s| s.run(mode, &Arc::new(plan), batches, 0, &self.all_ranks))
+        self.run_pass(mode, plan, batches, 0, &self.all_ranks)
+    }
+
+    /// Execute one pass over explicit batches, on the calling thread.
+    /// `ctx_offset` shifts the per-iteration context length (tokens
+    /// generated in earlier windows of an online run are part of every
+    /// later context). Batches may be any size: tokens spread round-robin
+    /// over the ranks, so the request-level serving loop
+    /// (`crate::serving`) can feed it continuous-batching pools of
+    /// whatever occupancy the queue yields.
+    ///
+    /// `live_ranks` lists the live GPUs ascending. Dead ranks hold no
+    /// tokens or experts but still join every collective (with empty
+    /// payloads), so the clocks stay synchronized across the provisioned
+    /// fleet. With every rank live ([`InferenceEngine::all_ranks`]) token
+    /// homing and context-setup accounting reduce to exactly the unmasked
+    /// arithmetic: `live_ranks[id % live_ranks.len()]` is then `id % w`.
+    pub(crate) fn run_pass(
+        &self,
+        mode: ParallelismMode,
+        plan: &ReplicationPlan,
+        batches: &[TokenBatch],
+        ctx_offset: usize,
+        live_ranks: &[usize],
+    ) -> InferenceReport {
+        let cfg = &self.cfg;
+        let w = cfg.cluster.world_size();
+        assert_eq!(plan.base.n_units(), w, "placement must cover every GPU");
+        assert_eq!(plan.base.n_layers(), cfg.model.n_layers);
+        assert_eq!(plan.replicas.len(), cfg.model.n_layers);
+        assert!(
+            live_ranks.is_sorted() && live_ranks.last().is_some_and(|&r| r < w),
+            "live ranks must be a non-empty ascending list of the fleet's GPUs"
+        );
+
+        let pass = Pass {
+            cfg,
+            experts: self.experts(),
+            mode,
+            plan,
+            live_ranks,
+            batches,
+            ctx_offset,
+            frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
+        };
+        let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
+        let rank_results = pass.run(&mut fleet);
+
+        let total_time = (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max);
+        let mut breakdown = OpBreakdown::default();
+        let mut dispatch = DispatchStats::default();
+        for r in &rank_results {
+            breakdown.merge(&r.breakdown);
+            dispatch.merge(&r.dispatch);
+        }
+        let breakdown = breakdown.scaled(1.0 / w as f64);
+
+        InferenceReport {
+            mode,
+            total_time,
+            breakdown,
+            tokens_processed: batches.iter().map(|b| b.len() as u64).sum(),
+            dispatch,
+            alltoall_bytes: fleet.totals(OpKind::Alltoall).sent,
+            allgather_bytes: fleet.totals(OpKind::AllGather).sent,
+        }
     }
 
     /// One windowed online run (the `run_scenario` drift path); see
@@ -535,23 +585,20 @@ impl InferenceEngine {
         let start = ReplicationPlan::bare(self.placement_for(mode).clone());
         let mut adaptive = AdaptiveState::new(self, mode, drift, start);
         let mut windows = Vec::with_capacity(drift.n_windows());
-        self.with_session(|session| {
-            for window in 0..drift.n_windows() {
-                let batches = self.serving_batches(drift.model_at(window), window);
-                let paths = batches.iter().flat_map(TokenBatch::top1_paths).collect();
-                windows.push(session.run(
-                    mode,
-                    &adaptive.live,
-                    batches,
-                    window * cfg.n_iterations,
-                    &self.all_ranks,
-                ));
-                adaptive.ingest(paths);
-                // Windows run back to back on the new plan: the migration
-                // is charged to the ledger, not to any window's clock.
-                adaptive.close_window(window);
-            }
-        });
+        for window in 0..drift.n_windows() {
+            let batches = self.serving_batches(drift.model_at(window), window);
+            windows.push(self.run_pass(
+                mode,
+                &adaptive.live,
+                &batches,
+                window * cfg.n_iterations,
+                &self.all_ranks,
+            ));
+            adaptive.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
+            // Windows run back to back on the new plan: the migration is
+            // charged to the ledger, not to any window's clock.
+            adaptive.close_window(window);
+        }
         OnlineReport {
             mode,
             windows,
@@ -563,101 +610,19 @@ impl InferenceEngine {
     }
 }
 
-/// The rank threads of one [`InferenceEngine::with_session`], executing
-/// one [`Pass`] per [`PassSession::run`].
-pub(crate) struct PassSession<'s, 'e> {
-    engine: &'e InferenceEngine,
-    session: &'s mut Session<'e, RankResult>,
-}
-
-impl PassSession<'_, '_> {
-    /// Execute one pass over explicit batches. `ctx_offset` shifts the
-    /// per-iteration context length (tokens generated in earlier windows
-    /// of an online run are part of every later context). Batches may be
-    /// any size: tokens spread round-robin over the ranks, so the
-    /// request-level serving loop (`crate::serving`) can feed it
-    /// continuous-batching pools of whatever occupancy the queue yields.
-    ///
-    /// `live_ranks` lists the live GPUs ascending. Dead ranks hold no
-    /// tokens or experts but still join every collective (with empty
-    /// payloads), so the SPMD clocks stay synchronized across the
-    /// provisioned fleet. With every rank live
-    /// ([`InferenceEngine::all_ranks`]) token homing and context-setup
-    /// accounting reduce to exactly the unmasked arithmetic:
-    /// `live_ranks[id % live_ranks.len()]` is then `id % w`.
-    ///
-    /// The rank threads outlive this call's locals, so the pass shares
-    /// `plan` and `live_ranks` by `Arc` and owns its batches.
-    pub(crate) fn run(
-        &mut self,
-        mode: ParallelismMode,
-        plan: &Arc<ReplicationPlan>,
-        batches: Vec<TokenBatch>,
-        ctx_offset: usize,
-        live_ranks: &Arc<[usize]>,
-    ) -> InferenceReport {
-        let cfg = &self.engine.cfg;
-        let w = cfg.cluster.world_size();
-        assert_eq!(plan.base.n_units(), w, "placement must cover every GPU");
-        assert_eq!(plan.base.n_layers(), cfg.model.n_layers);
-        assert_eq!(plan.replicas.len(), cfg.model.n_layers);
-        assert!(
-            live_ranks.is_sorted() && live_ranks.last().is_some_and(|&r| r < w),
-            "live ranks must be a non-empty ascending list of the fleet's GPUs"
-        );
-
-        let tokens_processed = batches.iter().map(|b| b.len() as u64).sum();
-        let pass = Pass {
-            cfg,
-            experts: self.engine.experts(),
-            mode,
-            plan: Arc::clone(plan),
-            live_ranks: Arc::clone(live_ranks),
-            batches,
-            ctx_offset,
-            frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
-        };
-        let rank_results = self.session.run(move |comm| pass.rank_loop(comm));
-
-        let total_time = rank_results
-            .iter()
-            .map(|r| r.final_clock)
-            .fold(0.0f64, f64::max);
-        let mut breakdown = OpBreakdown::default();
-        let mut dispatch = DispatchStats::default();
-        for r in &rank_results {
-            breakdown.merge(&r.breakdown);
-            dispatch.merge(&r.dispatch);
-        }
-        let breakdown = breakdown.scaled(1.0 / w as f64);
-
-        InferenceReport {
-            mode,
-            total_time,
-            breakdown,
-            tokens_processed,
-            dispatch,
-            alltoall_bytes: self.session.job_totals(OpKind::Alltoall).sent,
-            allgather_bytes: self.session.job_totals(OpKind::AllGather).sent,
-        }
-    }
-}
-
-/// What every rank of one SPMD pass agrees on. The per-rank body is
-/// [`Pass::rank_loop`]; its per-layer stages are the methods below, in
-/// call order. Engine-lifetime data is borrowed; what changes from pass to
-/// pass is owned or shared by `Arc`, because the rank threads executing
-/// the pass outlive the caller's stack frame.
+/// One pass over the fleet: what every rank agrees on, all of it borrowed
+/// from the caller. [`Pass::run`] is the superstep loop; its per-layer
+/// stages are the methods below, in call order.
 struct Pass<'e> {
     cfg: &'e EngineConfig,
     /// The engine's expert table ([`InferenceEngine::experts`]).
     experts: &'e [Expert],
     mode: ParallelismMode,
-    plan: Arc<ReplicationPlan>,
+    plan: &'e ReplicationPlan,
     /// Live GPUs, ascending. Dead ranks own nothing and carry nothing but
     /// still enter every collective so the virtual clocks agree.
-    live_ranks: Arc<[usize]>,
-    batches: Vec<TokenBatch>,
+    live_ranks: &'e [usize],
+    batches: &'e [TokenBatch],
     ctx_offset: usize,
     /// Wire size of one token frame.
     frame: usize,
@@ -668,64 +633,90 @@ struct Pass<'e> {
 struct RankResult {
     breakdown: OpBreakdown,
     dispatch: DispatchStats,
-    final_clock: f64,
+}
+
+/// Run the collective `op` and charge each rank's clock movement across
+/// it to the breakdown field `slot` picks.
+fn timed<T>(
+    fleet: &mut Lockstep,
+    acc: &mut [RankResult],
+    slot: fn(&mut OpBreakdown) -> &mut f64,
+    op: impl FnOnce(&mut Lockstep) -> T,
+) -> T {
+    let entered: Vec<f64> = (0..acc.len()).map(|r| fleet.now(r)).collect();
+    let out = op(fleet);
+    for (r, (a, t0)) in acc.iter_mut().zip(entered).enumerate() {
+        *slot(&mut a.breakdown) += fleet.now(r) - t0;
+    }
+    out
 }
 
 impl Pass<'_> {
-    /// The per-rank SPMD body. Per MoE layer: attention and gating where
-    /// the token sits, `route` + `exchange` (the dispatch Alltoall),
-    /// `run_experts`, then `combine` — which for context-coherent top-1
-    /// is a no-op (tokens stay where their experts are: *one* Alltoall
-    /// per layer) and for vanilla and context-coherent top-2 is a second
-    /// `exchange`.
-    fn rank_loop(&self, comm: &mut RankComm) -> RankResult {
+    /// The bulk-synchronous body: every stage runs for rank 0, 1, .. in
+    /// turn over that rank's own state (`resident[rank]`, `acc[rank]`),
+    /// and the collectives between stages are single calls on `fleet`.
+    /// Per MoE layer: attention and gating where the token sits, `route`
+    /// and `exchange` (the dispatch Alltoall), `run_experts`, then
+    /// `combine` — which for context-coherent top-1 is a no-op (tokens
+    /// stay where their experts are: *one* Alltoall per layer) and for
+    /// vanilla and context-coherent top-2 is a second `exchange`.
+    fn run(&self, fleet: &mut Lockstep) -> Vec<RankResult> {
         let cfg = self.cfg;
-        let me = comm.rank().0;
-        let mut acc = RankResult::default();
+        let w = cfg.cluster.world_size();
+        let mut acc: Vec<RankResult> = (0..w).map(|_| RankResult::default()).collect();
         if self.mode.context_coherent() {
-            self.gather_prompt_contexts(comm, &mut acc.breakdown);
+            self.gather_prompt_contexts(fleet, &mut acc);
         }
 
         for (iter, batch) in self.batches.iter().enumerate() {
             let ctx_len = cfg.prompt_len + self.ctx_offset + iter;
-            let mut resident = self.home_tokens(me, iter, batch);
+            let mut resident: Vec<Vec<Token>> =
+                (0..w).map(|me| self.home_tokens(me, iter, batch)).collect();
 
             for layer in 0..cfg.model.n_layers {
                 // Attention: in-place on whatever GPU the token occupies
                 // (context-coherent) or on the home GPU (vanilla — tokens
                 // are home here because the previous layer combined).
-                let t_att = cfg
-                    .compute
-                    .attention_time(&cfg.model, resident.len(), ctx_len);
-                comm.advance(t_att);
-                acc.breakdown.attention += t_att;
+                for (me, (tokens, a)) in resident.iter().zip(&mut acc).enumerate() {
+                    let t_att = cfg
+                        .compute
+                        .attention_time(&cfg.model, tokens.len(), ctx_len);
+                    fleet.advance(me, t_att);
+                    a.breakdown.attention += t_att;
 
-                let t_gate = cfg.compute.gating_time(&cfg.model, resident.len());
-                comm.advance(t_gate);
-                acc.breakdown.gating += t_gate;
+                    let t_gate = cfg.compute.gating_time(&cfg.model, tokens.len());
+                    fleet.advance(me, t_gate);
+                    a.breakdown.gating += t_gate;
+                }
 
-                let outgoing = self.route(me, batch, layer, resident, &mut acc.dispatch);
-                let mut received = self.exchange(comm, &outgoing, &mut acc.breakdown);
-                self.run_experts(comm, batch, layer, &mut received, &mut acc.breakdown);
-                resident = self.combine(comm, batch, layer, received, &mut acc.breakdown);
+                let outgoing: Vec<Vec<Vec<Token>>> = resident
+                    .into_iter()
+                    .zip(&mut acc)
+                    .enumerate()
+                    .map(|(me, (tokens, a))| self.route(me, batch, layer, tokens, &mut a.dispatch))
+                    .collect();
+                let mut received = self.exchange(fleet, &outgoing, &mut acc);
+                for (me, (tokens, a)) in received.iter_mut().zip(&mut acc).enumerate() {
+                    self.run_experts(fleet, me, batch, layer, tokens, &mut a.breakdown);
+                }
+                resident = self.combine(fleet, batch, layer, received, &mut acc);
             }
 
             // Context coherence upkeep: broadcast this iteration's newly
             // generated tokens so every GPU's context stays complete.
             if self.mode.context_coherent() {
-                let t0 = comm.now();
-                comm.barrier();
-                acc.breakdown.imbalance += comm.now() - t0;
-                let t1 = comm.now();
-                let contrib = encode(&resident, self.frame);
-                let _ = comm.all_gather_v(contrib);
-                acc.breakdown.allgather += comm.now() - t1;
+                timed(fleet, &mut acc, |b| &mut b.imbalance, Lockstep::barrier);
+                let contribs = resident.iter().map(|ts| encode(ts, self.frame)).collect();
+                timed(
+                    fleet,
+                    &mut acc,
+                    |b| &mut b.allgather,
+                    |fleet| fleet.all_gather_v(contribs),
+                );
             }
 
-            comm.barrier();
+            fleet.barrier();
         }
-
-        acc.final_clock = comm.now();
         acc
     }
 
@@ -751,18 +742,16 @@ impl Pass<'_> {
     /// This happens once before generation and its payload (every prompt
     /// token on every GPU) would dominate the simulation's memory traffic
     /// without affecting any per-layer behaviour, so it is charged
-    /// analytically: every rank advances by the same ring AllGather time
-    /// the cost model predicts.
-    fn gather_prompt_contexts(&self, comm: &mut RankComm, breakdown: &mut OpBreakdown) {
+    /// analytically: every rank advances by the ring AllGather time the
+    /// cost model predicts.
+    fn gather_prompt_contexts(&self, fleet: &mut Lockstep, acc: &mut [RankResult]) {
         let cfg = self.cfg;
         let n_live = self.live_ranks.len();
         // Tokens are resident round-robin by id over the *live* ranks, so
         // the live rank at position `j` holds `ceil`-or-`floor` of
-        // `n / n_live` of them and dead ranks contribute nothing; every
-        // rank computes the same contribution vector and hence the same
-        // analytic time.
+        // `n / n_live` of them and dead ranks contribute nothing.
         let n_tokens = self.batches.first().map_or(0, TokenBatch::len);
-        let contribs: Vec<u64> = (0..comm.world_size())
+        let contribs: Vec<u64> = (0..acc.len())
             .map(|r| {
                 let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
                     Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
@@ -773,8 +762,10 @@ impl Pass<'_> {
             .collect();
         let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
         let t = analytic.allgatherv_time(&contribs);
-        comm.advance(t);
-        breakdown.allgather += t;
+        for (r, a) in acc.iter_mut().enumerate() {
+            fleet.advance(r, t);
+            a.breakdown.allgather += t;
+        }
     }
 
     /// Rank `me`'s requests each contribute one in-flight token; tokens
@@ -867,37 +858,42 @@ impl Pass<'_> {
         outgoing
     }
 
-    /// The Alltoall every token movement goes through: `outgoing[dst]`
-    /// travels to rank `dst`; returns what arrived here, in source-rank
-    /// order. The Alltoall is a synchronization point: straggler wait at
-    /// entry is attributed to `imbalance`, the collective's own cost to
-    /// `alltoall`.
+    /// The Alltoall every token movement goes through:
+    /// `outgoing[src][dst]` travels from rank `src` to rank `dst`; returns
+    /// what arrived at each rank, in source-rank order. The Alltoall is a
+    /// synchronization point: straggler wait at entry is attributed to
+    /// `imbalance`, the collective's own cost to `alltoall`.
     fn exchange(
         &self,
-        comm: &mut RankComm,
-        outgoing: &[Vec<Token>],
-        breakdown: &mut OpBreakdown,
-    ) -> Vec<Token> {
-        let bufs: Vec<Vec<u8>> = outgoing.iter().map(|ts| encode(ts, self.frame)).collect();
-        let t0 = comm.now();
-        comm.barrier();
-        breakdown.imbalance += comm.now() - t0;
-        let t1 = comm.now();
-        let received = comm.all_to_all_v(bufs);
-        breakdown.alltoall += comm.now() - t1;
+        fleet: &mut Lockstep,
+        outgoing: &[Vec<Vec<Token>>],
+        acc: &mut [RankResult],
+    ) -> Vec<Vec<Token>> {
+        let bufs = outgoing
+            .iter()
+            .map(|lanes| lanes.iter().map(|ts| encode(ts, self.frame)).collect())
+            .collect();
+        timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
+        let received = timed(
+            fleet,
+            acc,
+            |b| &mut b.alltoall,
+            |fleet| fleet.all_to_all_v(bufs),
+        );
         received
             .iter()
-            .flat_map(|b| decode(b, self.frame))
+            .map(|lanes| lanes.iter().flat_map(|b| decode(b, self.frame)).collect())
             .collect()
     }
 
-    /// Expert FFN: group by expert, run the real reduced-dim matmuls,
-    /// advance the clock by the true-dim cost. The per-token outputs are
-    /// order-independent, but an ordered map keeps the group walk
-    /// reproducible by construction (detlint D001).
+    /// Expert FFN on rank `me`: group by expert, run the real reduced-dim
+    /// matmuls, advance the clock by the true-dim cost. The per-token
+    /// outputs are order-independent, but an ordered map keeps the group
+    /// walk reproducible by construction (detlint D001).
     fn run_experts(
         &self,
-        comm: &mut RankComm,
+        fleet: &mut Lockstep,
+        me: usize,
         batch: &TokenBatch,
         layer: usize,
         received: &mut [Token],
@@ -905,7 +901,6 @@ impl Pass<'_> {
     ) {
         let cfg = self.cfg;
         let sim_dim = cfg.model.sim_dim;
-        let me = comm.rank().0;
         let mut by_expert: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (idx, tok) in received.iter().enumerate() {
             let expert = batch.routes[tok.id as usize][layer][tok.slot as usize] as usize;
@@ -932,7 +927,7 @@ impl Pass<'_> {
         let t_ffn = cfg
             .compute
             .expert_time(&cfg.model, received.len(), by_expert.len(), 1);
-        comm.advance(t_ffn);
+        fleet.advance(me, t_ffn);
         breakdown.expert_ffn += t_ffn;
     }
 
@@ -940,47 +935,59 @@ impl Pass<'_> {
     /// the top-2 merge.
     fn combine(
         &self,
-        comm: &mut RankComm,
+        fleet: &mut Lockstep,
         batch: &TokenBatch,
         layer: usize,
-        received: Vec<Token>,
-        breakdown: &mut OpBreakdown,
-    ) -> Vec<Token> {
-        let w = comm.world_size();
+        received: Vec<Vec<Token>>,
+        acc: &mut [RankResult],
+    ) -> Vec<Vec<Token>> {
+        let w = received.len();
         let k = self.cfg.model.gate.k();
-        if self.mode.context_coherent() && k == 1 {
+        let coherent = self.mode.context_coherent();
+        if coherent && k == 1 {
             // Tokens stay where their experts are.
             return received;
         }
-        let mut outgoing: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
-        if self.mode.context_coherent() {
-            // Top-2: the primary copy's GPU is the meeting point.
-            // Secondary outputs travel there in a second (sparse)
-            // Alltoall and the copies are merged.
-            let mut primaries = Vec::new();
-            for tok in received {
-                if tok.slot == 0 {
-                    primaries.push(tok);
-                } else {
-                    let primary = batch.routes[tok.id as usize][layer][0] as usize;
-                    outgoing[self.plan.base.unit_of(layer, primary)].push(tok);
+        // Context-coherent top-2: the primary copy's GPU is the meeting
+        // point. Primaries are held back there; secondary outputs travel
+        // to it in a second (sparse) Alltoall. Vanilla: every copy returns
+        // to its home GPU so the next layer's attention can see its
+        // context.
+        let mut held: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
+        let outgoing: Vec<Vec<Vec<Token>>> = received
+            .into_iter()
+            .zip(&mut held)
+            .map(|(tokens, held)| {
+                let mut lanes: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
+                for tok in tokens {
+                    if !coherent {
+                        lanes[tok.home as usize].push(tok);
+                    } else if tok.slot == 0 {
+                        held.push(tok);
+                    } else {
+                        let primary = batch.routes[tok.id as usize][layer][0] as usize;
+                        lanes[self.plan.base.unit_of(layer, primary)].push(tok);
+                    }
                 }
-            }
-            let secondaries = self.exchange(comm, &outgoing, breakdown);
-            return merge_topk(primaries, secondaries);
-        }
-        // Vanilla: every copy returns to its home GPU so the next layer's
-        // attention can see its context; top-2 copies are merged there.
-        for tok in received {
-            let home = tok.home as usize;
-            outgoing[home].push(tok);
-        }
-        let all = self.exchange(comm, &outgoing, breakdown);
+                lanes
+            })
+            .collect();
+        let arrived = self.exchange(fleet, &outgoing, acc);
         if k == 1 {
-            return all;
+            return arrived;
         }
-        let (primaries, secondaries) = all.into_iter().partition(|t| t.slot == 0);
-        merge_topk(primaries, secondaries)
+        // Top-2 copies are merged where they meet.
+        arrived
+            .into_iter()
+            .zip(held)
+            .map(|(arrived, held)| {
+                if coherent {
+                    return merge_topk(held, arrived);
+                }
+                let (primaries, secondaries) = arrived.into_iter().partition(|t| t.slot == 0);
+                merge_topk(primaries, secondaries)
+            })
+            .collect()
     }
 }
 
@@ -1224,25 +1231,27 @@ mod tests {
         let engine = tiny_engine(1, 4);
         let cfg = engine.config();
         let mode = ParallelismMode::ContextCoherentAffinity;
+        let plan = ReplicationPlan::bare(engine.placement_for(mode).clone());
+        let batches = engine.serving_batches(engine.routing(), 0);
         let pass = Pass {
             cfg,
             experts: engine.experts(),
             mode,
-            plan: Arc::new(ReplicationPlan::bare(engine.placement_for(mode).clone())),
-            live_ranks: Arc::clone(engine.all_ranks()),
-            batches: engine.serving_batches(engine.routing(), 0),
+            plan: &plan,
+            live_ranks: engine.all_ranks(),
+            batches: &batches,
             ctx_offset: 0,
             frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
         };
-        // A dispatch that ignored the placement: every rank is handed the
+        // A dispatch that ignored the placement: rank 0 is handed the
         // whole batch, wherever each token's expert lives.
-        CommWorld::new(cfg.cluster, cfg.link_cost).run(|comm| {
-            let batch = &pass.batches[0];
-            let mut everything: Vec<Token> = (0..comm.world_size())
-                .flat_map(|home| pass.home_tokens(home, 0, batch))
-                .collect();
-            pass.run_experts(comm, batch, 0, &mut everything, &mut OpBreakdown::default());
-        });
+        let batch = &batches[0];
+        let mut everything: Vec<Token> = (0..cfg.cluster.world_size())
+            .flat_map(|home| pass.home_tokens(home, 0, batch))
+            .collect();
+        let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
+        let breakdown = &mut OpBreakdown::default();
+        pass.run_experts(&mut fleet, 0, batch, 0, &mut everything, breakdown);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   staged affinity placement from `exflow-placement`, so most dispatch
 //!   traffic never leaves the GPU (or at worst the node).
 //!
-//! The engine runs real rank threads (via `exflow-collectives`), moves real
-//! token frames, executes real (reduced-dimension) expert FFN matmuls, and
-//! reports deterministic virtual-time breakdowns per operator — the
-//! quantities behind the paper's Figs. 6–10.
+//! The engine steps every rank of the fleet in lockstep on the calling
+//! thread (`exflow_collectives::Lockstep`), moves real token frames,
+//! executes real (reduced-dimension) expert FFN matmuls, and reports
+//! deterministic virtual-time breakdowns per operator — the quantities
+//! behind the paper's Figs. 6–10.
 //!
 //! Beyond the paper's offline setting, the engine also serves
 //! **non-stationary** traffic: a scenario built with [`Scenario::with_drift`]

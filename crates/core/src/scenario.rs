@@ -257,7 +257,7 @@ impl InferenceEngine {
         }
         if let Some(plan) = &scenario.replication {
             let batches = self.serving_batches(self.routing(), 0);
-            return ScenarioReport::Offline(self.run_once(mode, plan.clone(), batches));
+            return ScenarioReport::Offline(self.run_once(mode, plan, &batches));
         }
         ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))
     }

@@ -55,8 +55,8 @@
 //! lost GPU are re-queued and counted in the report's
 //! [`DisruptionStats`]. On a rejoin the engine re-homes experts back
 //! onto the returned GPU (`plan_gpu_rejoin`) as a background copy. Dead
-//! GPUs stay in the collectives with empty payloads, so the SPMD clocks
-//! — and hence bit-identity across thread counts — are unaffected by
+//! GPUs stay in the collectives with empty payloads, so every rank's
+//! clock — and hence bit-identity across thread counts — is unaffected by
 //! fleet churn.
 //!
 //! The whole run is a pure function of `(config, drift schedule, serving
@@ -78,7 +78,7 @@ use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin, MigrationPlan};
 use exflow_placement::ReplicationPlan;
 
 use crate::adaptive::AdaptiveState;
-use crate::engine::{InferenceEngine, PassSession};
+use crate::engine::InferenceEngine;
 use crate::modes::ParallelismMode;
 use crate::report::{DispatchStats, DisruptionStats, FaultMarker, MigrationStats, ServingReport};
 
@@ -291,7 +291,7 @@ impl InferenceEngine {
             cfg.seed ^ 0x5e_41_9e,
         );
         let plan = ReplicationPlan::bare(self.placement_for(mode).clone());
-        self.run_once(mode, plan, vec![batch]).total_time
+        self.run_once(mode, &plan, &[batch]).total_time
     }
 
     /// One request-level serving run (the `run_scenario` serving path):
@@ -311,27 +311,24 @@ impl InferenceEngine {
         initial: Option<&ReplicationPlan>,
     ) -> ServingReport {
         let mut state = ServingState::new(self, mode, drift, serving, faults, initial);
-        // One set of rank threads serves every decode step of the run.
-        self.with_session(|session| {
-            while let Some(ev) = state.events.pop() {
-                let clock = ev.time;
-                match ev.kind {
-                    EventKind::Arrival(i) => state.on_arrival(clock, i),
-                    // Deadlines carry no state of their own; they exist to
-                    // re-run the batch-opening check below.
-                    EventKind::WaitDeadline(_) => {}
-                    EventKind::StepDone => state.on_step_done(clock),
-                    EventKind::Fleet(i) => {
-                        let fault = faults.events()[i];
-                        match fault.kind {
-                            FaultKind::Down => state.on_fleet_down(clock, fault.gpu),
-                            FaultKind::Up => state.on_fleet_up(clock, fault.gpu),
-                        }
+        while let Some(ev) = state.events.pop() {
+            let clock = ev.time;
+            match ev.kind {
+                EventKind::Arrival(i) => state.on_arrival(clock, i),
+                // Deadlines carry no state of their own; they exist to
+                // re-run the batch-opening check below.
+                EventKind::WaitDeadline(_) => {}
+                EventKind::StepDone => state.on_step_done(clock),
+                EventKind::Fleet(i) => {
+                    let fault = faults.events()[i];
+                    match fault.kind {
+                        FaultKind::Down => state.on_fleet_down(clock, fault.gpu),
+                        FaultKind::Up => state.on_fleet_up(clock, fault.gpu),
                     }
                 }
-                state.try_start_step(clock, session);
             }
-        });
+            state.try_start_step(clock);
+        }
         state.finish()
     }
 }
@@ -634,7 +631,7 @@ impl<'a> ServingState<'a> {
     /// After every event: open a batch if the policy allows (continuous
     /// batching tops a running pool up regardless) and run one decode
     /// step of it through the engine.
-    fn try_start_step(&mut self, clock: f64, session: &mut PassSession<'_, '_>) {
+    fn try_start_step(&mut self, clock: f64) {
         if self.stepping {
             return;
         }
@@ -671,10 +668,10 @@ impl<'a> ServingState<'a> {
             Some((_, stale)) => stale,
             None => &self.adaptive.live,
         };
-        let step = session.run(
+        let step = self.engine.run_pass(
             self.report.mode,
             active,
-            vec![batch],
+            &[batch],
             ctx_offset,
             &self.live_ranks,
         );
