@@ -29,6 +29,16 @@ pub enum IoError {
     },
     /// Header metadata was missing or malformed.
     BadHeader,
+    /// A number parsed but cannot stand where it does: an expert id not
+    /// below the header's `experts`, a probability that is negative or not
+    /// finite, or (with the whole row as `cell`) probabilities that do not
+    /// sum to a positive finite value.
+    OutOfRange {
+        /// 1-based line number.
+        line: usize,
+        /// The offending cell text.
+        cell: String,
+    },
 }
 
 impl fmt::Display for IoError {
@@ -40,6 +50,9 @@ impl fmt::Display for IoError {
             }
             IoError::RaggedRow { line } => write!(f, "line {line}: inconsistent column count"),
             IoError::BadHeader => write!(f, "missing or malformed header line"),
+            IoError::OutOfRange { line, cell } => {
+                write!(f, "line {line}: `{cell}` is out of range")
+            }
         }
     }
 }
@@ -81,6 +94,12 @@ pub fn parse_trace_csv(text: &str) -> Result<RoutingTrace, IoError> {
                 line: idx + 1,
                 cell: cell.to_string(),
             })?;
+            if usize::from(v) >= n_experts {
+                return Err(IoError::OutOfRange {
+                    line: idx + 1,
+                    cell: cell.to_string(),
+                });
+            }
             row.push(v);
         }
         match width {
@@ -128,38 +147,46 @@ pub fn parse_matrix_csv(text: &str) -> Result<AffinityMatrix, IoError> {
     let to = parse_field("to").ok_or(IoError::BadHeader)?;
     let e = parse_field("experts").ok_or(IoError::BadHeader)?;
 
-    let mut probs: Vec<f64> = Vec::with_capacity(e * e);
+    // Sized by the rows read, never by the header: `experts=` is whatever
+    // the file claims.
+    let mut probs: Vec<f64> = Vec::new();
+    let mut n_rows = 0usize;
     for (idx, line) in lines {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let row: Result<Vec<f64>, IoError> = line
-            .split(',')
-            .map(|cell| {
-                cell.trim().parse().map_err(|_| IoError::BadNumber {
+        let start = probs.len();
+        for cell in line.split(',') {
+            let p: f64 = cell.trim().parse().map_err(|_| IoError::BadNumber {
+                line: idx + 1,
+                cell: cell.to_string(),
+            })?;
+            if !(p.is_finite() && p >= 0.0) {
+                return Err(IoError::OutOfRange {
                     line: idx + 1,
                     cell: cell.to_string(),
-                })
-            })
-            .collect();
-        let row = row?;
-        if row.len() != e {
+                });
+            }
+            probs.push(p);
+        }
+        if probs.len() - start != e {
             return Err(IoError::RaggedRow { line: idx + 1 });
         }
-        probs.extend(row);
-    }
-    if probs.len() != e * e {
-        return Err(IoError::Empty);
-    }
-    // Re-normalize tiny fp drift from the fixed-precision text format.
-    for i in 0..e {
-        let s: f64 = probs[i * e..(i + 1) * e].iter().sum();
-        if s > 0.0 {
-            for p in probs[i * e..(i + 1) * e].iter_mut() {
-                *p /= s;
-            }
+        // Re-normalize tiny fp drift from the fixed-precision text format.
+        let row = &mut probs[start..];
+        let s: f64 = row.iter().sum();
+        if !(s.is_finite() && s > 0.0) {
+            return Err(IoError::OutOfRange {
+                line: idx + 1,
+                cell: line.to_string(),
+            });
         }
+        row.iter_mut().for_each(|p| *p /= s);
+        n_rows += 1;
+    }
+    if n_rows == 0 || n_rows != e {
+        return Err(IoError::Empty);
     }
     Ok(AffinityMatrix::from_probs(probs, e, from, to))
 }
@@ -226,6 +253,39 @@ mod tests {
     fn ragged_rows_rejected() {
         let err = parse_trace_csv("# experts=4\n1,2\n1,2,3\n").unwrap_err();
         assert_eq!(err, IoError::RaggedRow { line: 3 });
+    }
+
+    #[test]
+    fn out_of_range_values_are_errors_not_panics() {
+        let out_of_range = |line, cell: &str| {
+            Some(IoError::OutOfRange {
+                line,
+                cell: cell.into(),
+            })
+        };
+        let trace = |text| parse_trace_csv(text).err();
+        assert_eq!(trace("# experts=4\n7\n"), out_of_range(2, "7"));
+        assert_eq!(trace("# experts=0\n0\n"), out_of_range(2, "0"));
+        let matrix =
+            |rows: &str| parse_matrix_csv(&format!("# from=0 to=1 experts=2\n{rows}")).err();
+        assert_eq!(matrix("0,0\n0.5,0.5\n"), out_of_range(2, "0,0"));
+        assert_eq!(matrix("nan,1\n0.5,0.5\n"), out_of_range(2, "nan"));
+        assert_eq!(matrix("0.5,0.5\n-1,2\n"), out_of_range(3, "-1"));
+        assert_eq!(matrix("1e308,1e308\n1,0\n"), out_of_range(2, "1e308,1e308"));
+    }
+
+    #[test]
+    fn a_header_cannot_size_an_allocation_or_overflow() {
+        for experts in ["4294967296", "3037000500", "18446744073709551615"] {
+            let text = format!("# from=0 to=1 experts={experts}\n0.5,0.5\n");
+            assert_eq!(parse_matrix_csv(&text), Err(IoError::RaggedRow { line: 2 }));
+            let header_only = format!("# from=0 to=1 experts={experts}\n");
+            assert_eq!(parse_matrix_csv(&header_only), Err(IoError::Empty));
+        }
+        assert_eq!(
+            parse_matrix_csv("# from=0 to=1 experts=0\n"),
+            Err(IoError::Empty)
+        );
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Property-based tests for affinity estimation.
 
+use exflow_affinity::io::{parse_matrix_csv, parse_trace_csv, write_matrix_csv, write_trace_csv};
 use exflow_affinity::{metrics, AffinityMatrix, RoutingTrace, StreamingAffinity};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{CorpusSpec, TokenBatch};
 use proptest::prelude::*;
 
 fn arb_trace() -> impl Strategy<Value = RoutingTrace> {
-    (2usize..16, 2usize..8, 1u64..500, 10usize..200).prop_map(|(e, l, seed, n)| {
+    arb_trace_of(10..200)
+}
+
+fn arb_trace_of(tokens: std::ops::Range<usize>) -> impl Strategy<Value = RoutingTrace> {
+    (2usize..16, 2usize..8, 1u64..500, tokens).prop_map(|(e, l, seed, n)| {
         let model = AffinityModelSpec::new(l, e).with_seed(seed).build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), n, 1, seed);
         RoutingTrace::from_batch(&batch, e)
@@ -136,5 +141,102 @@ proptest! {
         let weak = metrics::affinity_score(&make(0.2), 4);
         let strong = metrics::affinity_score(&make(0.9), 4);
         prop_assert!(strong > weak, "strong {} <= weak {}", strong, weak);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The two CSV parsers read files an operator hands the deployment
+    // stage: whatever they are given they must answer `Ok` or `Err`, never
+    // panic (a panic in these bodies fails the test) and never allocate
+    // from a header field.
+
+    #[test]
+    fn csv_parsers_never_panic_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..200),
+    ) {
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = parse_trace_csv(&text);
+        let _ = parse_matrix_csv(&text);
+    }
+
+    #[test]
+    fn csv_parsers_never_panic_on_format_shaped_noise(
+        picks in proptest::collection::vec(0usize..28, 0..40),
+    ) {
+        const ALPHABET: [&str; 28] = [
+            "#", " ", "experts=", "from=", "to=", "0", "1", "2", "7", ",", "\n", "\r\n", "-",
+            "+", ".", "e", "0.5", "nan", "inf", "-1", "1e308", "q", "é", "65535", "65536",
+            "18446744073709551615", "18446744073709551616", "\t",
+        ];
+        let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
+        let _ = parse_trace_csv(&text);
+        let _ = parse_matrix_csv(&text);
+        // ...and as the body under a header that parses.
+        let _ = parse_trace_csv(&format!("# experts=4\n{text}"));
+        let _ = parse_matrix_csv(&format!("# from=0 to=1 experts=2\n{text}"));
+    }
+
+    #[test]
+    fn csv_parsers_survive_hostile_expert_counts(claimed in 0usize..8, rows in 0usize..4) {
+        // Header fields far beyond anything the rows below could back: the
+        // answer must come from the rows, not from an allocation (or a
+        // product) sized by the header.
+        const SIZES: [usize; 8] =
+            [0, 1, 2, 3, 1 << 32, 3_037_000_500, 1 << 40, usize::MAX];
+        let experts = SIZES[claimed];
+        let trace = format!("# experts={experts}\n{}", "0,1\n".repeat(rows));
+        if let Ok(t) = parse_trace_csv(&trace) {
+            prop_assert!(experts >= 2, "ids 0 and 1 need two experts");
+            prop_assert_eq!((t.n_experts(), t.n_tokens(), t.n_layers()), (experts, rows, 2));
+        }
+        let matrix = format!("# from=0 to=1 experts={experts}\n{}", "0.25,0.75\n".repeat(rows));
+        if let Ok(m) = parse_matrix_csv(&matrix) {
+            prop_assert_eq!((m.n_experts(), experts, rows), (2, 2, 2));
+        }
+    }
+
+    #[test]
+    fn csv_parsers_never_panic_on_damaged_files(
+        trace in arb_trace_of(4..40),
+        at in 0usize..100_000,
+        byte in 0u8..=255,
+    ) {
+        let matrix = AffinityMatrix::from_trace(&trace, 0, 1);
+        let e = trace.n_experts();
+        let trace_text = write_trace_csv(&trace);
+        prop_assert_eq!(parse_trace_csv(&trace_text), Ok(trace.clone()));
+        let matrix_text = write_matrix_csv(&matrix);
+        let reparsed = parse_matrix_csv(&matrix_text).unwrap();
+        prop_assert_eq!((reparsed.from_layer(), reparsed.to_layer()), (0, 1));
+        for i in 0..e {
+            for p in 0..e {
+                // The text keeps nine decimals.
+                prop_assert!((reparsed.prob(i, p) - matrix.prob(i, p)).abs() < 1e-8);
+            }
+        }
+        // Every prefix (both files are ASCII, so every cut is a char
+        // boundary): a truncated file is rejected or parses to what its
+        // header states.
+        for cut in 0..trace_text.len() {
+            if let Ok(t) = parse_trace_csv(&trace_text[..cut]) {
+                prop_assert_eq!(t.n_experts(), e);
+            }
+        }
+        for cut in 0..matrix_text.len() {
+            if let Ok(m) = parse_matrix_csv(&matrix_text[..cut]) {
+                prop_assert_eq!(m.n_experts(), e);
+            }
+        }
+        // ...and a single-byte mutation anywhere in either.
+        for text in [trace_text, matrix_text] {
+            let mut bytes = text.into_bytes();
+            let at = at % bytes.len();
+            bytes[at] = byte;
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = parse_trace_csv(&text);
+            let _ = parse_matrix_csv(&text);
+        }
     }
 }

@@ -4,8 +4,9 @@
 ///
 /// All latencies the suite reports are differences of these clocks. Compute
 /// phases call [`VirtualClock::advance`] with model-derived durations;
-/// communication advances clocks through the send/receive rules in
-/// [`crate::world`]:
+/// communication advances clocks through the send/receive rules that
+/// [`crate::world`] applies message by message and [`crate::lockstep`]
+/// applies to the whole fleet at once:
 ///
 /// * a send serializes on the sender (the clock advances by the α–β transfer
 ///   time) and stamps the message with its completion time;

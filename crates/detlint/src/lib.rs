@@ -19,6 +19,7 @@
 //! | D004 | no unordered parallel float reduction |
 //! | D005 | every `unsafe` carries a `// SAFETY:` comment |
 //! | D006 | no reason-less `#[allow(...)]` of workspace-policed lints |
+//! | D007 | no `partial_cmp(..).unwrap()` / `.expect(..)`; `total_cmp` orders floats |
 //!
 //! Escape hatches: inline `// detlint: allow(D00x) <reason>` suppressions
 //! (reason mandatory — D000 otherwise) and the committed

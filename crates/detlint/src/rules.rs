@@ -1,4 +1,4 @@
-//! The determinism & safety rules (D001–D006) and the engine that applies
+//! The determinism & safety rules (D001–D007) and the engine that applies
 //! them to a scanned file.
 //!
 //! Every rule is lexical and module-scoped: the engine sees the
@@ -35,18 +35,21 @@ pub enum RuleId {
     D005,
     /// `#[allow(...)]` of a workspace-policed lint without a reason.
     D006,
+    /// `partial_cmp(..)` unwrapped with `.unwrap()` / `.expect(..)`.
+    D007,
 }
 
 impl RuleId {
     /// Every real rule, in code order (D000 is engine-internal and not
     /// suppressible, so it is not listed).
-    pub const ALL: [RuleId; 6] = [
+    pub const ALL: [RuleId; 7] = [
         RuleId::D001,
         RuleId::D002,
         RuleId::D003,
         RuleId::D004,
         RuleId::D005,
         RuleId::D006,
+        RuleId::D007,
     ];
 
     /// The rule code as written in suppressions and reports.
@@ -59,6 +62,7 @@ impl RuleId {
             RuleId::D004 => "D004",
             RuleId::D005 => "D005",
             RuleId::D006 => "D006",
+            RuleId::D007 => "D007",
         }
     }
 
@@ -71,6 +75,7 @@ impl RuleId {
             "D004" => Some(RuleId::D004),
             "D005" => Some(RuleId::D005),
             "D006" => Some(RuleId::D006),
+            "D007" => Some(RuleId::D007),
             _ => None,
         }
     }
@@ -96,6 +101,10 @@ impl RuleId {
             RuleId::D006 => {
                 "no `#[allow(...)]` of workspace-policed lints (unsafe_code, \
                  missing_docs, clippy::*) without a reason comment"
+            }
+            RuleId::D007 => {
+                "no `partial_cmp(..).unwrap()` / `.expect(..)` — it panics on NaN; \
+                 order floats with `total_cmp`"
             }
         }
     }
@@ -166,6 +175,7 @@ pub fn check_file(rel_path: &str, sf: &ScannedFile) -> FileReport {
         check_d003(&ctx, line, i, &mut raw);
         check_d004(&ctx, sf, line, i, in_test, &mut raw);
         check_d005(&ctx, sf, line, i, &mut raw);
+        check_d007(&ctx, sf, line, i, &mut raw);
     }
     check_d006(&ctx, sf, &mut raw);
 
@@ -559,6 +569,40 @@ fn allow_has_reason(sf: &ScannedFile, first: usize, last: usize, inner: &str) ->
     false
 }
 
+fn check_d007(
+    ctx: &FileContext,
+    sf: &ScannedFile,
+    line: &ScanLine,
+    i: usize,
+    out: &mut Vec<Finding>,
+) {
+    let Some(at) = find_token(&line.code, "partial_cmp") else {
+        return;
+    };
+    // The rest of the statement (bounded window): this line from the call
+    // on, then the lines below until one ends in `;`, `{` or `}`.
+    let mut rest = line.code[at..].to_string();
+    for below in sf.lines.iter().skip(i + 1).take(4) {
+        let so_far = rest.trim_end();
+        if so_far.ends_with(';') || so_far.ends_with('{') || so_far.ends_with('}') {
+            break;
+        }
+        rest.push_str(&below.code);
+    }
+    let unwrapped = [".unwrap()", ".expect("].iter().find(|u| rest.contains(*u));
+    if let Some(unwrapped) = unwrapped {
+        out.push(ctx.finding(
+            RuleId::D007,
+            i,
+            line,
+            format!(
+                "`partial_cmp(..){unwrapped}`: panics as soon as a NaN reaches the \
+                 comparison — use `total_cmp`, a total order on every float"
+            ),
+        ));
+    }
+}
+
 /// Convenience used by tests and the driver: scan + check in one call.
 pub fn scan_and_check(rel_path: &str, source: &str) -> FileReport {
     check_file(rel_path, &crate::lexer::scan_source(source))
@@ -680,6 +724,29 @@ mod tests {
                 .findings
                 .is_empty()
         );
+    }
+
+    #[test]
+    fn d007_fires_on_unwrapped_partial_cmp_only() {
+        let one_line = "xs.sort_by(|a, b| a.partial_cmp(b).unwrap());\n";
+        assert_eq!(
+            rules_of(&scan_and_check("tests/x.rs", one_line)),
+            vec![RuleId::D007],
+            "test code sorts floats too"
+        );
+        let chained = "let o = a\n    .partial_cmp(&b)\n    .expect(\"finite\");\n";
+        let r = scan_and_check("crates/core/src/x.rs", chained);
+        assert_eq!(rules_of(&r), vec![RuleId::D007]);
+        assert_eq!(r.findings[0].line, 2);
+        for clean in [
+            "xs.sort_by(|a, b| a.total_cmp(b));\n",
+            "let o = a.partial_cmp(&b).unwrap_or(Ordering::Equal);\n",
+            "fn partial_cmp(&self, o: &Self) -> Option<Ordering> {\n    Some(self.cmp(o))\n}\n",
+            "let o = a.partial_cmp(&b);\nlet v = w.unwrap();\n",
+        ] {
+            let r = scan_and_check("crates/core/src/x.rs", clean);
+            assert!(r.findings.is_empty(), "{clean}: {:?}", r.findings);
+        }
     }
 
     #[test]

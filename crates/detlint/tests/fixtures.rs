@@ -56,14 +56,14 @@ fn check_pass(name: &str) {
 
 #[test]
 fn every_fire_fixture_fires_exactly_where_marked() {
-    for rule in ["d001", "d002", "d003", "d004", "d005", "d006"] {
+    for rule in ["d001", "d002", "d003", "d004", "d005", "d006", "d007"] {
         check_fire(&format!("{rule}_fire.rs"));
     }
 }
 
 #[test]
 fn every_pass_fixture_is_clean() {
-    for rule in ["d001", "d002", "d003", "d004", "d005", "d006"] {
+    for rule in ["d001", "d002", "d003", "d004", "d005", "d006", "d007"] {
         check_pass(&format!("{rule}_pass.rs"));
     }
 }

@@ -36,7 +36,7 @@ if [ "$selftest" -eq 1 ]; then
       exit 2
     fi
   done
-  echo "detlint selftest: OK (6 fire + 6 pass fixtures)"
+  echo "detlint selftest: OK (7 fire + 7 pass fixtures)"
 fi
 
 md_args=()

@@ -196,6 +196,65 @@ fn faulted_runs_are_gap_backend_invariant() {
     assert_bit_identical(&a, &b, "faulted, gap backends");
 }
 
+#[test]
+fn a_64_gpu_fleet_is_bit_identical_at_every_width_and_backend() {
+    // The paper's largest testbed: 16 nodes x 4 GPUs, two experts and two
+    // in-flight tokens per GPU.
+    const FLEET_BATCH: usize = 128;
+    let fleet = |threads: usize, backend: GapBackend| {
+        let mut model = moe_gpt_m(128);
+        model.n_layers = 4;
+        model.d_ff = 128;
+        let online = OnlineConfig {
+            replan_every: 2,
+            drift_threshold: 0.08,
+            decay: 0.3,
+            // An unmetered E = 128 re-plan takes ~2 s in the debug
+            // profile; the scan budget is an operation count, so a
+            // truncated re-plan is as deterministic as a finished one.
+            replan_time_budget: 300_000,
+            ..OnlineConfig::default()
+        };
+        InferenceEngine::builder(model, ClusterSpec::new(16, 4).unwrap())
+            .requests_per_gpu(FLEET_BATCH / 64)
+            .prompt_len(4)
+            .profile_tokens(1600)
+            .parallelism(Parallelism::new(threads))
+            .gap_backend(backend)
+            .online(online)
+            .seed(11)
+            .build()
+    };
+    let seq = fleet(1, GapBackend::Auto);
+    let drift = DriftSchedule::piecewise(&seq.config().routing_spec, 2, WINDOWS);
+    let step = seq.probe_step_time(MODE, FLEET_BATCH);
+    let rate = 0.8 * FLEET_BATCH as f64 / (DECODE_STEPS as f64 * step);
+    let n_requests = 384;
+    let cfg = ServingConfig {
+        arrival: ArrivalProcess::poisson(rate),
+        n_requests,
+        decode_steps: DECODE_STEPS,
+        batch: BatchPolicy::SizeOrWait {
+            max_size: FLEET_BATCH,
+            max_wait: 2.0 * step,
+        },
+        window_duration: n_requests as f64 / rate / WINDOWS as f64,
+    };
+    let baseline = serve(&seq, &drift, &cfg);
+    assert_eq!(baseline.n_requests(), n_requests, "requests lost");
+    assert!(baseline.migrations.replans > 0, "no re-plan fired");
+    for (threads, backend) in [
+        (2, GapBackend::Auto),
+        (8, GapBackend::Auto),
+        (1, GapBackend::Dense),
+        (1, GapBackend::Sparse),
+    ] {
+        let report = serve(&fleet(threads, backend), &drift, &cfg);
+        let what = format!("64 GPUs, {threads} threads, {backend:?}");
+        assert_bit_identical(&report, &baseline, &what);
+    }
+}
+
 /// A quiet engine (drift never fires) so the seeded replication plan
 /// survives untouched until the fault schedule strikes it.
 fn quiet_engine(threads: usize, seed: u64) -> InferenceEngine {
