@@ -22,7 +22,7 @@ use exflow_topology::{ClusterSpec, CostModel, Rank};
 use crate::adaptive::AdaptiveState;
 use crate::frame::{decode, encode, frame_size, Token};
 use crate::modes::ParallelismMode;
-use crate::report::{DispatchStats, InferenceReport, OnlineReport, OpBreakdown};
+use crate::report::{fnv1a, DispatchStats, InferenceReport, OnlineReport, OpBreakdown, FNV_OFFSET};
 
 /// Knobs of the online serving mode ([`crate::Scenario::with_drift`]):
 /// when to check for routing drift, how much drift justifies a re-plan,
@@ -552,7 +552,7 @@ impl InferenceEngine {
             frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
         };
         let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
-        let rank_results = pass.run(&mut fleet);
+        let (rank_results, output_digest) = pass.run(&mut fleet);
 
         let total_time = (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max);
         let mut breakdown = OpBreakdown::default();
@@ -571,6 +571,7 @@ impl InferenceEngine {
             dispatch,
             alltoall_bytes: fleet.totals(OpKind::Alltoall).sent,
             allgather_bytes: fleet.totals(OpKind::AllGather).sent,
+            output_digest,
         }
     }
 
@@ -659,11 +660,13 @@ impl Pass<'_> {
     /// and `exchange` (the dispatch Alltoall), `run_experts`, then
     /// `combine` — which for context-coherent top-1 is a no-op (tokens
     /// stay where their experts are: *one* Alltoall per layer) and for
-    /// vanilla and context-coherent top-2 is a second `exchange`.
-    fn run(&self, fleet: &mut Lockstep) -> Vec<RankResult> {
+    /// vanilla and context-coherent top-2 is a second `exchange`. Returns
+    /// the per-rank ledgers and [`InferenceReport::output_digest`].
+    fn run(&self, fleet: &mut Lockstep) -> (Vec<RankResult>, u64) {
         let cfg = self.cfg;
         let w = cfg.cluster.world_size();
         let mut acc: Vec<RankResult> = (0..w).map(|_| RankResult::default()).collect();
+        let mut digest = FNV_OFFSET;
         if self.mode.context_coherent() {
             self.gather_prompt_contexts(fleet, &mut acc);
         }
@@ -701,6 +704,7 @@ impl Pass<'_> {
                 }
                 resident = self.combine(fleet, batch, layer, received, &mut acc);
             }
+            digest = fold_outputs(digest, iter, &resident);
 
             // Context coherence upkeep: broadcast this iteration's newly
             // generated tokens so every GPU's context stays complete.
@@ -717,7 +721,7 @@ impl Pass<'_> {
 
             fleet.barrier();
         }
-        acc
+        (acc, digest)
     }
 
     /// The GPUs holding a replica of `(layer, expert)` besides its owner
@@ -989,6 +993,21 @@ impl Pass<'_> {
             })
             .collect()
     }
+}
+
+/// Fold one iteration's finished tokens into the running
+/// [`InferenceReport::output_digest`], in ascending id order wherever
+/// each token came to rest.
+fn fold_outputs(digest: u64, iter: usize, resident: &[Vec<Token>]) -> u64 {
+    let mut tokens: Vec<&Token> = resident.iter().flatten().collect();
+    tokens.sort_unstable_by_key(|t| t.id);
+    tokens.iter().fold(digest, |h, t| {
+        let h = fnv1a(h, &(iter as u64).to_le_bytes());
+        let h = fnv1a(h, &t.id.to_le_bytes());
+        t.emb
+            .iter()
+            .fold(h, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
+    })
 }
 
 /// Gate mixing weights for top-2 (primary, secondary). The paper's models
@@ -1672,6 +1691,58 @@ mod tests {
             exflow.throughput(),
             vanilla.throughput()
         );
+    }
+
+    #[test]
+    fn every_mode_computes_the_same_token_outputs() {
+        // The abstract's one Alltoall "to deliver the same functionality"
+        // with no "accuracy degradation": whichever mode, placement or
+        // replica set moved a token, its output is the same bits.
+        for (nodes, gpn) in [(2, 2), (2, 4)] {
+            for engine in [tiny_engine(nodes, gpn), top2_engine(nodes, gpn)] {
+                let gate = engine.config().model.gate;
+                let vanilla = offline(&engine, ParallelismMode::Vanilla).output_digest;
+                assert_ne!(vanilla, FNV_OFFSET, "nothing was hashed");
+                for mode in ParallelismMode::ALL {
+                    let bare = offline(&engine, mode).output_digest;
+                    assert_eq!(bare, vanilla, "{nodes}x{gpn} {gate:?} {mode}");
+                    let base = engine.placement_for(mode).clone();
+                    let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
+                    assert!(plan.replicas.iter().any(|lr| !lr.is_empty()));
+                    let rep = replicated(&engine, mode, &plan).output_digest;
+                    assert_eq!(rep, vanilla, "{nodes}x{gpn} {gate:?} {mode} replicated");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn output_digest_sees_the_seed_the_iterations_and_the_weights() {
+        // A digest that ignored its inputs would pass the test above.
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let engine = tiny_engine(2, 2);
+        let reference = offline(&engine, mode).output_digest;
+        assert_eq!(offline(&engine, mode).output_digest, reference);
+
+        let mut cfg = engine.config().clone();
+        cfg.seed += 1;
+        let reseeded = InferenceEngine::from_config(cfg);
+        assert_ne!(offline(&reseeded, mode).output_digest, reference);
+
+        let mut cfg = engine.config().clone();
+        cfg.n_iterations += 1;
+        let longer = InferenceEngine::from_config(cfg);
+        assert_ne!(offline(&longer, mode).output_digest, reference);
+
+        // Swap the weights of one expert a token certainly visits: the
+        // first token's layer-0 expert.
+        let visited = engine.serving_batches(engine.routing(), 0)[0].routes[0][0][0] as usize;
+        let sim_dim = engine.config().model.sim_dim;
+        let mut table = engine.experts().to_vec();
+        table[visited] = Expert::random(sim_dim, 4 * sim_dim, &mut StdRng::seed_from_u64(0));
+        let mut patched = tiny_engine(2, 2);
+        patched.experts = OnceLock::from(table);
+        assert_ne!(offline(&patched, mode).output_digest, reference);
     }
 
     #[test]

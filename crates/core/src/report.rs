@@ -137,6 +137,23 @@ pub struct InferenceReport {
     pub alltoall_bytes: BytesByClass,
     /// AllGather bytes sent, by link class.
     pub allgather_bytes: BytesByClass,
+    /// What the run *computed*: FNV-1a over `(iteration, token id,
+    /// embedding bits)` of every token as it stands at the end of each
+    /// generation iteration, in ascending `(iteration, id)` order — so it
+    /// does not depend on which GPU a token ends on, and every mode,
+    /// placement and replica set that delivers "the same functionality"
+    /// (the paper's abstract) reports the same value.
+    pub output_digest: u64,
+}
+
+/// Initial state of [`fnv1a`].
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a (64-bit) step: `state` folded over `bytes`.
+pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 impl InferenceReport {
@@ -347,6 +364,9 @@ pub struct ServingReport {
     pub busy: f64,
     /// Dispatch locality counters summed over every decode step.
     pub dispatch: DispatchStats,
+    /// Every decode step's [`InferenceReport::output_digest`], folded
+    /// (FNV-1a) in step order: what the run computed for its tokens.
+    pub output_digest: u64,
     /// Drift signal at each serving-window boundary the run crossed.
     pub drift: Vec<f64>,
     /// Re-plans that moved experts, in firing order (`window` is the
@@ -381,6 +401,7 @@ impl Default for ServingReport {
             steps: 0,
             busy: 0.0,
             dispatch: DispatchStats::default(),
+            output_digest: FNV_OFFSET,
             drift: Vec::new(),
             replans: Vec::new(),
             migrations: MigrationStats::default(),
@@ -578,6 +599,7 @@ mod tests {
             dispatch: DispatchStats::default(),
             alltoall_bytes: BytesByClass::default(),
             allgather_bytes: BytesByClass::default(),
+            output_digest: FNV_OFFSET,
         };
         assert_eq!(r.throughput(), 50.0);
         assert_eq!(r.comm_time(), 4.0);

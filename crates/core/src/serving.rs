@@ -80,7 +80,9 @@ use exflow_placement::ReplicationPlan;
 use crate::adaptive::AdaptiveState;
 use crate::engine::InferenceEngine;
 use crate::modes::ParallelismMode;
-use crate::report::{DispatchStats, DisruptionStats, FaultMarker, MigrationStats, ServingReport};
+use crate::report::{
+    fnv1a, DispatchStats, DisruptionStats, FaultMarker, MigrationStats, ServingReport, FNV_OFFSET,
+};
 
 /// Fractional slowdown of a decode step that overlaps a background
 /// weight copy: the copy streams over the same links the step's
@@ -415,6 +417,7 @@ impl<'a> ServingState<'a> {
                 steps: 0,
                 busy: 0.0,
                 dispatch: DispatchStats::default(),
+                output_digest: FNV_OFFSET,
                 drift: Vec::new(),
                 replans: Vec::new(),
                 migrations: MigrationStats::default(),
@@ -691,6 +694,8 @@ impl<'a> ServingState<'a> {
         self.report.steps += 1;
         self.report.busy += step_time;
         self.report.dispatch.merge(&step.dispatch);
+        self.report.output_digest =
+            fnv1a(self.report.output_digest, &step.output_digest.to_le_bytes());
         self.stepping = true;
         self.events.push(clock + step_time, EventKind::StepDone);
     }

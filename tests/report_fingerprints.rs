@@ -99,6 +99,19 @@ impl Fnv {
         h.0
     }
 
+    /// What the runs computed for their tokens, not what they cost: no
+    /// field of the main fingerprints depends on an embedding, so
+    /// `output_digest` is pinned apart and a change to the expert math
+    /// moves these pins alone. These values hold on the machine that
+    /// wrote them only: GELU still calls the platform's libm `tanhf`.
+    fn outputs(windows: &[InferenceReport]) -> u64 {
+        let mut h = Fnv::new();
+        for w in windows {
+            h.u(w.output_digest);
+        }
+        h.0
+    }
+
     fn floats(&mut self, xs: &[f64]) {
         self.u(xs.len() as u64);
         for &x in xs {
@@ -205,6 +218,11 @@ fn online_report_fingerprint_is_pinned() {
         work, 0x494b_1044_4fe4_f3be,
         "online_solver_work fingerprint moved: {work:#018x}"
     );
+    let outputs = Fnv::outputs(&report.windows);
+    assert_eq!(
+        outputs, 0x9e0f_824a_216b_f9d2,
+        "online output_digest moved: {outputs:#018x}"
+    );
 }
 
 #[test]
@@ -282,6 +300,11 @@ fn serving_report_fingerprint_is_pinned() {
         work, 0xf31e_04c0_b7d0_7a68,
         "serving_solver_work fingerprint moved: {work:#018x}"
     );
+    assert_eq!(
+        report.output_digest, 0x3479_6e8d_7a4c_5a15,
+        "serving output_digest moved: {:#018x}",
+        report.output_digest
+    );
 }
 
 #[test]
@@ -307,5 +330,10 @@ fn offline_top2_replicated_fingerprint_is_pinned() {
         h.0, 0x08e9_b4f2_5891_8e36,
         "InferenceReport fingerprint moved: {:#018x}",
         h.0
+    );
+    assert_eq!(
+        report.output_digest, 0x419f_05f2_fea4_6c7d,
+        "offline top-2 output_digest moved: {:#018x}",
+        report.output_digest
     );
 }
