@@ -12,8 +12,7 @@ use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_collectives::{Lockstep, OpKind};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{
-    ComputeCostModel, CorpusSpec, DriftSchedule, Expert, Matrix, ModelConfig, RoutingModel,
-    TokenBatch,
+    ComputeCostModel, CorpusSpec, DriftSchedule, Expert, ModelConfig, RoutingModel, TokenBatch,
 };
 use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
@@ -890,10 +889,12 @@ impl Pass<'_> {
             .collect()
     }
 
-    /// Expert FFN on rank `me`: group by expert, run the real reduced-dim
-    /// matmuls, advance the clock by the true-dim cost. The per-token
-    /// outputs are order-independent, but an ordered map keeps the group
-    /// walk reproducible by construction (detlint D001).
+    /// Expert FFN on rank `me`: the real reduced-dim kernel on every
+    /// token's embedding in place, the clock advanced by the true-dim
+    /// cost. Tokens are visited in ascending `(expert, position)` order,
+    /// so each expert's weights stream once per group — what
+    /// `expert_time`'s `experts_touched` models — and the walk is
+    /// reproducible by construction; outputs do not depend on it.
     fn run_experts(
         &self,
         fleet: &mut Lockstep,
@@ -904,13 +905,19 @@ impl Pass<'_> {
         breakdown: &mut OpBreakdown,
     ) {
         let cfg = self.cfg;
-        let sim_dim = cfg.model.sim_dim;
-        let mut by_expert: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (idx, tok) in received.iter().enumerate() {
-            let expert = batch.routes[tok.id as usize][layer][tok.slot as usize] as usize;
-            by_expert.entry(expert).or_default().push(idx);
-        }
-        for (&expert_id, idxs) in &by_expert {
+        let mut order: Vec<(usize, usize)> = received
+            .iter()
+            .enumerate()
+            .map(|(pos, tok)| {
+                let expert = batch.routes[tok.id as usize][layer][tok.slot as usize];
+                (expert as usize, pos)
+            })
+            .collect();
+        order.sort_unstable();
+        let mut hidden = vec![0.0f32; self.experts[0].hidden()];
+        let mut touched = 0;
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let expert_id = group[0].0;
             // The table holds every expert, so routing and placement
             // disagreeing would otherwise go unnoticed.
             assert!(
@@ -918,19 +925,14 @@ impl Pass<'_> {
                 "token routed to an expert this rank does not hold"
             );
             let expert = &self.experts[layer * cfg.model.n_experts + expert_id];
-            let mut flat = Vec::with_capacity(idxs.len() * sim_dim);
-            for &i in idxs {
-                flat.extend_from_slice(&received[i].emb);
+            for &(_, pos) in group {
+                expert.forward_row(&mut received[pos].emb, &mut hidden);
             }
-            let x = Matrix::from_vec(idxs.len(), sim_dim, flat);
-            let y = expert.forward(&x);
-            for (row, &i) in idxs.iter().enumerate() {
-                received[i].emb.copy_from_slice(y.row(row));
-            }
+            touched += 1;
         }
         let t_ffn = cfg
             .compute
-            .expert_time(&cfg.model, received.len(), by_expert.len(), 1);
+            .expert_time(&cfg.model, received.len(), touched, 1);
         fleet.advance(me, t_ffn);
         breakdown.expert_ffn += t_ffn;
     }

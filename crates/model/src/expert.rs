@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::tensor::Matrix;
+use crate::tensor::{gelu_inplace, Matrix};
 
 /// One expert FFN: `y = W2 · gelu(W1 · x)`.
 ///
@@ -35,6 +35,16 @@ impl Expert {
         self.w1.cols()
     }
 
+    /// Apply the FFN to one token in place: `row = W2 · gelu(W1 · row)`.
+    /// `hidden` is caller-owned scratch of [`Expert::hidden`] floats,
+    /// overwritten before it is read. This is the only kernel: the engine
+    /// calls it per token, [`Expert::forward`] per row.
+    pub fn forward_row(&self, row: &mut [f32], hidden: &mut [f32]) {
+        self.w1.vecmat(row, hidden);
+        gelu_inplace(hidden);
+        self.w2.vecmat(hidden, row);
+    }
+
     /// Apply the FFN to a batch of tokens (rows of `x`).
     pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(
@@ -44,9 +54,12 @@ impl Expert {
             x.cols(),
             self.dim()
         );
-        let mut h = x.matmul(&self.w1);
-        h.gelu_inplace();
-        h.matmul(&self.w2)
+        let mut y = x.clone();
+        let mut hidden = vec![0.0; self.hidden()];
+        for row in y.rows_mut() {
+            self.forward_row(row, &mut hidden);
+        }
+        y
     }
 }
 

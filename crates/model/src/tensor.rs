@@ -7,7 +7,6 @@
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
-use rayon::prelude::*;
 
 /// A row-major `rows x cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +77,13 @@ impl Matrix {
         &self.data
     }
 
-    /// Matrix product `self * other`, rows parallelized with rayon.
+    /// Every row, mutably, in order.
+    pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        self.data.chunks_exact_mut(self.cols)
+    }
+
+    /// Matrix product `self * other`: the naive reference [`Matrix::vecmat`]
+    /// is tested against, bit for bit. No engine path calls it.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -86,32 +91,49 @@ impl Matrix {
             self.rows, self.cols, other.rows, other.cols
         );
         let mut out = vec![0.0f32; self.rows * other.cols];
-        out.par_chunks_mut(other.cols)
-            .enumerate()
-            .for_each(|(i, out_row)| {
-                let a_row = self.row(i);
-                // k-outer loop keeps the inner loop contiguous over `other`'s
-                // rows: sequential access on both sides, auto-vectorizable.
-                for (k, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let b_row = other.row(k);
-                    for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                        *o += a * b;
-                    }
+        for (i, out_row) in out.chunks_mut(other.cols).enumerate() {
+            for (k, &a) in self.row(i).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
                 }
-            });
+                for (o, &b) in out_row.iter_mut().zip(other.row(k)) {
+                    *o += a * b;
+                }
+            }
+        }
         Matrix::from_vec(self.rows, other.cols, out)
     }
 
-    /// Apply GELU (tanh approximation) element-wise, in place.
+    /// Row-vector product `out = x * self`, the expert kernel's mat-vec:
+    /// [`TILE`] output columns at a time accumulate in registers over
+    /// ascending `k`, the remainder columns one by one. Per output element
+    /// that is `matmul`'s sequence of `acc += a * b`, so the two agree to
+    /// the bit for finite weights (`matmul`'s zero skip cannot show: an
+    /// accumulator that starts at `+0.0` never becomes `-0.0`, and adding
+    /// `±0.0` to anything else changes nothing).
+    pub fn vecmat(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.rows, "vecmat input length mismatch");
+        assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
+        let mut tiles = out.chunks_exact_mut(TILE);
+        for (t, tile) in tiles.by_ref().enumerate() {
+            let mut acc = [0.0f32; TILE];
+            for (&a, b_row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
+                for (o, &b) in acc.iter_mut().zip(&b_row[t * TILE..][..TILE]) {
+                    *o += a * b;
+                }
+            }
+            tile.copy_from_slice(&acc);
+        }
+        let tiled = self.cols - self.cols % TILE;
+        for (c, o) in tiles.into_remainder().iter_mut().enumerate() {
+            let column = self.data[tiled + c..].iter().step_by(self.cols);
+            *o = x.iter().zip(column).fold(0.0, |acc, (&a, &b)| acc + a * b);
+        }
+    }
+
+    /// Apply [`gelu_inplace`] to every element.
     pub fn gelu_inplace(&mut self) {
-        const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-        self.data.par_iter_mut().for_each(|x| {
-            let v = *x;
-            *x = 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
-        });
+        gelu_inplace(&mut self.data);
     }
 
     /// Frobenius norm.
@@ -120,6 +142,18 @@ impl Matrix {
         // `par_iter` is ordered today, but a real rayon would make
         // `par_iter().sum()` accumulate in nondeterministic order.
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
+    }
+}
+
+/// Output columns [`Matrix::vecmat`] holds in registers at once.
+const TILE: usize = 16;
+
+/// GELU (tanh approximation) over a slice, in place.
+pub fn gelu_inplace(xs: &mut [f32]) {
+    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+    for x in xs {
+        let v = *x;
+        *x = 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
     }
 }
 

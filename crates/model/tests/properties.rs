@@ -3,10 +3,10 @@
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::tensor::{softmax, Matrix};
 use exflow_model::training::TrainingSimulator;
-use exflow_model::{CorpusSpec, TokenBatch};
+use exflow_model::{CorpusSpec, Expert, TokenBatch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -126,6 +126,54 @@ proptest! {
         for r in 0..6 {
             for k in 0..4 {
                 prop_assert!((lhs.get(r, k) - (ac.get(r, k) + bc.get(r, k))).abs() < 1e-4);
+            }
+        }
+    }
+}
+
+proptest! {
+    // Enough cases that `hidden` lands below, on and across multiples of
+    // the kernel's 16-column tile, and `dim` below it.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn expert_kernel_matches_the_matmul_reference_to_the_bit(
+        dim in 1usize..40,
+        hidden in 1usize..90,
+        n_rows in 1usize..6,
+        seed in 0u64..1_000_000,
+    ) {
+        // `Expert::random` draws W1 then W2, so replaying its seed gives
+        // the reference the same weights.
+        let expert = Expert::random(dim, hidden, &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let w1 = Matrix::random(dim, hidden, &mut rng);
+        let w2 = Matrix::random(hidden, dim, &mut rng);
+        // Exact zeros of both signs: `matmul` skips them, the kernel does not.
+        let data = (0..n_rows * dim)
+            .map(|_| match rng.gen_range(0..20) {
+                0..=2 => 0.0,
+                3 => -0.0,
+                _ => rng.gen_range(-2.0..2.0f32),
+            })
+            .collect();
+        let x = Matrix::from_vec(n_rows, dim, data);
+        let mut h = x.matmul(&w1);
+        h.gelu_inplace();
+        let reference = h.matmul(&w2);
+
+        let batched = expert.forward(&x);
+        // The scratch starts as NaN and then carries the previous row's
+        // hidden activations: neither may reach a result.
+        let mut scratch = vec![f32::NAN; hidden];
+        for r in 0..n_rows {
+            let mut row = x.row(r).to_vec();
+            expert.forward_row(&mut row, &mut scratch);
+            for (c, v) in row.iter().enumerate() {
+                prop_assert_eq!(v.to_bits(), reference.get(r, c).to_bits(), "row {} col {}", r, c);
+                // Batch-position independence: what lets the engine visit
+                // tokens in any order, on any rank.
+                prop_assert_eq!(batched.get(r, c).to_bits(), v.to_bits(), "batched row {}", r);
             }
         }
     }
