@@ -148,13 +148,39 @@ impl Matrix {
 /// Output columns [`Matrix::vecmat`] holds in registers at once.
 const TILE: usize = 16;
 
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+
 /// GELU (tanh approximation) over a slice, in place.
 pub fn gelu_inplace(xs: &mut [f32]) {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     for x in xs {
         let v = *x;
-        *x = 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
+        *x = 0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)));
     }
+}
+
+/// `tanh` without libm: clamp, then an odd degree-13 over an even
+/// degree-6 polynomial in Horner form (the Eigen / XLA `fast_tanh`
+/// coefficients), within 3e-7 of `f32::tanh` and never beyond ±1. Adds,
+/// multiplies and one division, no branch or table — so a loop over it
+/// vectorises, and because `+ × ÷` on `f32` are IEEE-exact the result is
+/// the same bits on every platform, which no libm's `tanhf` promises
+/// (`output_digest` is pinned across machines on the strength of that).
+#[inline]
+fn tanh(x: f32) -> f32 {
+    const NUM: [f32; 7] = [
+        -2.760_768_4e-16,
+        2.000_188e-13,
+        -8.604_672e-11,
+        5.122_297_3e-8,
+        1.485_722_35e-5,
+        6.372_619_5e-4,
+        4.893_524_6e-3,
+    ];
+    const DEN: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.893_525e-3];
+    let x = x.clamp(-7.905_311, 7.905_311);
+    let x2 = x * x;
+    let horner = |coeffs: &[f32]| coeffs[1..].iter().fold(coeffs[0], |acc, &c| acc * x2 + c);
+    x * horner(&NUM) / horner(&DEN)
 }
 
 /// Row-wise softmax of a slice, returned as a fresh `Vec`.
@@ -198,13 +224,38 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
+    fn gelu(v: f32) -> f32 {
+        let mut x = [v];
+        gelu_inplace(&mut x);
+        x[0]
+    }
+
     #[test]
     fn gelu_fixed_points() {
-        let mut m = Matrix::from_vec(1, 3, vec![0.0, 10.0, -10.0]);
-        m.gelu_inplace();
-        assert_eq!(m.get(0, 0), 0.0);
-        assert!((m.get(0, 1) - 10.0).abs() < 1e-3); // gelu(x) -> x for large x
-        assert!(m.get(0, 2).abs() < 1e-3); // gelu(x) -> 0 for very negative x
+        assert_eq!(gelu(0.0).to_bits(), 0.0f32.to_bits());
+        for i in 8_000..=12_000 {
+            let v = i as f32 * 1e-3;
+            assert!((gelu(v) - v).abs() <= 1e-6, "gelu({v}) -> x for large x");
+            assert!(gelu(-v).abs() <= 1e-6, "gelu({}) -> 0", -v);
+        }
+        assert!(gelu(f32::MAX).is_finite() && gelu(f32::MIN).is_finite());
+        assert!(gelu(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn gelu_tracks_the_libm_form() {
+        // The expression `gelu_inplace` evaluated while `tanh` was libm's.
+        let gelu_libm =
+            |v: f32| 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
+        for i in -12_000..=12_000 {
+            let v = i as f32 * 1e-3;
+            let (got, want) = (gelu(v), gelu_libm(v));
+            assert!(got.is_finite(), "gelu({v}) = {got}");
+            assert!(
+                (got - want).abs() <= 1e-6 * v.abs().max(1.0),
+                "gelu({v}) = {got}, libm form {want}"
+            );
+        }
     }
 
     #[test]
