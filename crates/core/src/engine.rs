@@ -773,12 +773,15 @@ impl Pass<'_> {
 
     /// Rank `me`'s requests each contribute one in-flight token; tokens
     /// spread round-robin over the live ranks, whatever the batch size
-    /// (dead ranks home nothing).
+    /// (dead ranks home nothing): the live rank at position `j` homes ids
+    /// `j`, `j + n_live`, ..
     fn home_tokens(&self, me: usize, iter: usize, batch: &TokenBatch) -> Vec<Token> {
         let cfg = self.cfg;
-        let n_live = self.live_ranks.len();
-        (0..batch.len())
-            .filter(|id| self.live_ranks[id % n_live] == me)
+        let Ok(first) = self.live_ranks.binary_search(&me) else {
+            return Vec::new();
+        };
+        (first..batch.len())
+            .step_by(self.live_ranks.len())
             .map(|id| {
                 let mut rng = StdRng::seed_from_u64(
                     cfg.seed ^ (iter as u64) << 40 ^ (id as u64) << 4 ^ 0x70_6b,
@@ -891,10 +894,9 @@ impl Pass<'_> {
 
     /// Expert FFN on rank `me`: the real reduced-dim kernel on every
     /// token's embedding in place, the clock advanced by the true-dim
-    /// cost. Tokens are visited in ascending `(expert, position)` order,
-    /// so each expert's weights stream once per group — what
-    /// `expert_time`'s `experts_touched` models — and the walk is
-    /// reproducible by construction; outputs do not depend on it.
+    /// cost. Ascending `(expert, position)` order streams each expert's
+    /// weights once per group (what `expert_time`'s `experts_touched`
+    /// models); the outputs do not depend on the order.
     fn run_experts(
         &self,
         fleet: &mut Lockstep,
@@ -997,18 +999,15 @@ impl Pass<'_> {
     }
 }
 
-/// Fold one iteration's finished tokens into the running
-/// [`InferenceReport::output_digest`], in ascending id order wherever
-/// each token came to rest.
+/// Fold one iteration's finished tokens, in ascending id order wherever
+/// each came to rest, into the running [`InferenceReport::output_digest`].
 fn fold_outputs(digest: u64, iter: usize, resident: &[Vec<Token>]) -> u64 {
     let mut tokens: Vec<&Token> = resident.iter().flatten().collect();
     tokens.sort_unstable_by_key(|t| t.id);
     tokens.iter().fold(digest, |h, t| {
         let h = fnv1a(h, &(iter as u64).to_le_bytes());
         let h = fnv1a(h, &t.id.to_le_bytes());
-        t.emb
-            .iter()
-            .fold(h, |h, v| fnv1a(h, &v.to_bits().to_le_bytes()))
+        t.emb.iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
     })
 }
 

@@ -138,11 +138,10 @@ pub struct InferenceReport {
     /// AllGather bytes sent, by link class.
     pub allgather_bytes: BytesByClass,
     /// What the run *computed*: FNV-1a over `(iteration, token id,
-    /// embedding bits)` of every token as it stands at the end of each
-    /// generation iteration, in ascending `(iteration, id)` order — so it
-    /// does not depend on which GPU a token ends on, and every mode,
-    /// placement and replica set that delivers "the same functionality"
-    /// (the paper's abstract) reports the same value.
+    /// embedding bits)` of every token at the end of each generation
+    /// iteration, in ascending `(iteration, id)` order — blind to where a
+    /// token ends up, so every mode, placement and replica set that
+    /// delivers the paper's "same functionality" reports the same value.
     pub output_digest: u64,
 }
 
@@ -152,7 +151,7 @@ pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// One FNV-1a (64-bit) step: `state` folded over `bytes`.
 pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(state, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
     })
 }
 

@@ -53,7 +53,7 @@
 //! the restore needs; it overlaps with serving and charges the same
 //! [`MIGRATION_CONTENTION`] surcharge). In-flight requests homed on the
 //! lost GPU are re-queued and counted in the report's
-//! [`DisruptionStats`]. On a rejoin the engine re-homes experts back
+//! `DisruptionStats`. On a rejoin the engine re-homes experts back
 //! onto the returned GPU (`plan_gpu_rejoin`) as a background copy. Dead
 //! GPUs stay in the collectives with empty payloads, so every rank's
 //! clock — and hence bit-identity across thread counts — is unaffected by
@@ -80,9 +80,7 @@ use exflow_placement::ReplicationPlan;
 use crate::adaptive::AdaptiveState;
 use crate::engine::InferenceEngine;
 use crate::modes::ParallelismMode;
-use crate::report::{
-    fnv1a, DispatchStats, DisruptionStats, FaultMarker, MigrationStats, ServingReport, FNV_OFFSET,
-};
+use crate::report::{fnv1a, FaultMarker, ServingReport};
 
 /// Fractional slowdown of a decode step that overlaps a background
 /// weight copy: the copy streams over the same links the step's
@@ -410,20 +408,10 @@ impl<'a> ServingState<'a> {
             report: ServingReport {
                 mode,
                 latencies: Vec::with_capacity(n),
-                offered_load: 0.0,
-                makespan: 0.0,
-                queue_depth: Vec::new(),
                 batch_occupancy: vec![0; serving.batch.max_size() + 1],
-                steps: 0,
-                busy: 0.0,
-                dispatch: DispatchStats::default(),
-                output_digest: FNV_OFFSET,
-                drift: Vec::new(),
-                replans: Vec::new(),
-                migrations: MigrationStats::default(),
                 completions: Vec::with_capacity(n),
-                disruption: DisruptionStats::default(),
                 window_duration: serving.window_duration,
+                ..ServingReport::default()
             },
         };
 

@@ -54,12 +54,12 @@ impl Expert {
             x.cols(),
             self.dim()
         );
-        let mut y = x.clone();
+        let mut y = x.as_slice().to_vec();
         let mut hidden = vec![0.0; self.hidden()];
-        for row in y.rows_mut() {
+        for row in y.chunks_exact_mut(self.dim()) {
             self.forward_row(row, &mut hidden);
         }
-        y
+        Matrix::from_vec(x.rows(), x.cols(), y)
     }
 }
 

@@ -12,8 +12,9 @@
 //! * [`config`] / [`presets`] — the paper's Table II model zoo, plus a
 //!   FLOP/byte cost model per operator ([`cost`]);
 //! * [`tensor`] / [`expert`] — small but *real* dense linear algebra
-//!   (rayon-parallel matmul, GELU) so the engine genuinely computes expert
-//!   FFNs on token vectors;
+//!   (one sequential mat-vec + GELU kernel, a naive matmul as its
+//!   reference) so the engine genuinely computes expert FFNs on token
+//!   vectors;
 //! * [`routing`] — the core substitution: a layer-to-layer Markov routing
 //!   process over experts whose transition structure is a mixture of
 //!   permutation matrices (doubly stochastic, hence GShard-load-balanced)

@@ -1,9 +1,10 @@
 //! Minimal dense linear algebra: just enough real math for expert FFNs.
 //!
-//! The engine runs *genuine* matrix products on token activations (at the
-//! reduced `sim_dim`), parallelized with rayon as the hpc-parallel guides
-//! prescribe, while FLOP/byte *accounting* uses the true model dimensions
-//! from [`crate::config::ModelConfig`].
+//! The engine runs *genuine* products on token activations (at the
+//! reduced `sim_dim`) through one sequential kernel — [`Matrix::vecmat`]
+//! and [`gelu_inplace`], with [`Matrix::matmul`] as the reference it is
+//! tested against — while FLOP/byte *accounting* uses the true model
+//! dimensions from [`crate::config::ModelConfig`].
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
@@ -77,11 +78,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Every row, mutably, in order.
-    pub fn rows_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
-        self.data.chunks_exact_mut(self.cols)
-    }
-
     /// Matrix product `self * other`: the naive reference [`Matrix::vecmat`]
     /// is tested against, bit for bit. No engine path calls it.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
@@ -105,12 +101,11 @@ impl Matrix {
     }
 
     /// Row-vector product `out = x * self`, the expert kernel's mat-vec:
-    /// [`TILE`] output columns at a time accumulate in registers over
-    /// ascending `k`, the remainder columns one by one. Per output element
-    /// that is `matmul`'s sequence of `acc += a * b`, so the two agree to
-    /// the bit for finite weights (`matmul`'s zero skip cannot show: an
-    /// accumulator that starts at `+0.0` never becomes `-0.0`, and adding
-    /// `±0.0` to anything else changes nothing).
+    /// `TILE` output columns at a time accumulate in registers over
+    /// ascending `k`, the remainder columns one by one. Per element that is
+    /// `matmul`'s sequence of `acc += a * b`, and its zero skip cannot show
+    /// for finite weights (an accumulator that starts at `+0.0` never
+    /// becomes `-0.0`), so the two agree to the bit.
     pub fn vecmat(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "vecmat input length mismatch");
         assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
@@ -130,19 +125,6 @@ impl Matrix {
             *o = x.iter().zip(column).fold(0.0, |acc, (&a, &b)| acc + a * b);
         }
     }
-
-    /// Apply [`gelu_inplace`] to every element.
-    pub fn gelu_inplace(&mut self) {
-        gelu_inplace(&mut self.data);
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f32 {
-        // Sequential, index-ordered accumulation (detlint D004): the shim
-        // `par_iter` is ordered today, but a real rayon would make
-        // `par_iter().sum()` accumulate in nondeterministic order.
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 /// Output columns [`Matrix::vecmat`] holds in registers at once.
@@ -159,12 +141,10 @@ pub fn gelu_inplace(xs: &mut [f32]) {
 }
 
 /// `tanh` without libm: clamp, then an odd degree-13 over an even
-/// degree-6 polynomial in Horner form (the Eigen / XLA `fast_tanh`
-/// coefficients), within 3e-7 of `f32::tanh` and never beyond ±1. Adds,
-/// multiplies and one division, no branch or table — so a loop over it
-/// vectorises, and because `+ × ÷` on `f32` are IEEE-exact the result is
-/// the same bits on every platform, which no libm's `tanhf` promises
-/// (`output_digest` is pinned across machines on the strength of that).
+/// degree-6 polynomial (the Eigen / XLA `fast_tanh` coefficients), within
+/// 3e-7 of `f32::tanh` and never beyond ±1. No branch or table, so loops
+/// over it vectorise; and `+ × ÷` on `f32` are IEEE-exact, so the bits are
+/// the same on every platform, which no libm's `tanhf` promises.
 #[inline]
 fn tanh(x: f32) -> f32 {
     const NUM: [f32; 7] = [
@@ -181,14 +161,6 @@ fn tanh(x: f32) -> f32 {
     let x2 = x * x;
     let horner = |coeffs: &[f32]| coeffs[1..].iter().fold(coeffs[0], |acc, &c| acc * x2 + c);
     x * horner(&NUM) / horner(&DEN)
-}
-
-/// Row-wise softmax of a slice, returned as a fresh `Vec`.
-pub fn softmax(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&l| (l - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
 }
 
 #[cfg(test)]
@@ -268,35 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn softmax_sums_to_one_and_orders() {
-        let p = softmax(&[1.0, 2.0, 3.0]);
-        let sum: f32 = p.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-6);
-        assert!(p[2] > p[1] && p[1] > p[0]);
-    }
-
-    #[test]
-    fn softmax_is_shift_invariant() {
-        let a = softmax(&[1.0, 2.0, 3.0]);
-        let b = softmax(&[101.0, 102.0, 103.0]);
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn norm_of_unit_row() {
-        let m = Matrix::from_vec(1, 4, vec![0.5, 0.5, 0.5, 0.5]);
-        assert!((m.norm() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parallel_matmul_matches_serial_reference() {
+    fn matmul_matches_the_triple_loop() {
         let mut rng = StdRng::seed_from_u64(42);
         let a = Matrix::random(17, 13, &mut rng);
         let b = Matrix::random(13, 11, &mut rng);
         let c = a.matmul(&b);
-        // Naive reference.
         for i in 0..17 {
             for j in 0..11 {
                 let mut acc = 0.0f32;

@@ -1,7 +1,7 @@
 //! Property-based tests for the model substrate.
 
 use exflow_model::routing::AffinityModelSpec;
-use exflow_model::tensor::{softmax, Matrix};
+use exflow_model::tensor::{gelu_inplace, Matrix};
 use exflow_model::training::TrainingSimulator;
 use exflow_model::{CorpusSpec, Expert, TokenBatch};
 use proptest::prelude::*;
@@ -100,14 +100,6 @@ proptest! {
     }
 
     #[test]
-    fn softmax_is_a_distribution(logits in proptest::collection::vec(-20.0f32..20.0, 1..32)) {
-        let p = softmax(&logits);
-        let sum: f32 = p.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-4);
-        prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
-    }
-
-    #[test]
     fn matmul_distributes_over_addition(seed in 0u64..50) {
         // (A + B) * C == A*C + B*C within fp tolerance.
         let mut rng = StdRng::seed_from_u64(seed);
@@ -158,9 +150,9 @@ proptest! {
             })
             .collect();
         let x = Matrix::from_vec(n_rows, dim, data);
-        let mut h = x.matmul(&w1);
-        h.gelu_inplace();
-        let reference = h.matmul(&w2);
+        let mut h = x.matmul(&w1).as_slice().to_vec();
+        gelu_inplace(&mut h);
+        let reference = Matrix::from_vec(n_rows, hidden, h).matmul(&w2);
 
         let batched = expert.forward(&x);
         // The scratch starts as NaN and then carries the previous row's
