@@ -216,7 +216,8 @@ mod tests {
 
     #[test]
     fn gelu_tracks_the_libm_form() {
-        // The expression `gelu_inplace` evaluated while `tanh` was libm's.
+        // The same expression over the platform's `tanhf`: the accuracy
+        // reference, not a bit reference.
         let gelu_libm =
             |v: f32| 0.5 * v * (1.0 + (SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)).tanh());
         for i in -12_000..=12_000 {
