@@ -120,6 +120,26 @@ mod tests {
         }
     }
 
+    // One NaN cell used to be read as a forbidden (expert, unit) edge and
+    // returned a placement without a word.
+    #[test]
+    #[should_panic(expected = "assignment cost must be finite: cost[row 1][unit 0] = NaN")]
+    fn a_nan_cell_panics_instead_of_being_solved_around() {
+        let mut m = vec![0.25f64; 16];
+        m[5] = f64::NAN;
+        solve_greedy(&Objective::from_raw(vec![m], 4), 2);
+    }
+
+    // An expert with no finite unit left (here one NaN cell and one unit)
+    // used to spin the gap solve forever.
+    #[test]
+    #[should_panic(expected = "assignment cost must be finite: cost[row 1][unit 0] = NaN")]
+    fn an_expert_with_no_finite_unit_panics_instead_of_hanging() {
+        let mut m = vec![0.25f64; 16];
+        m[5] = f64::NAN;
+        solve_greedy(&Objective::from_raw(vec![m], 4), 1);
+    }
+
     #[test]
     fn capacity_one_works() {
         let obj = shift_objective(4, 2, 1);
