@@ -1,6 +1,8 @@
 //! Greedy chain construction: place layer 0 arbitrarily, then choose each
 //! subsequent layer's placement *optimally given the previous layer* via the
-//! Hungarian algorithm on the slot-expanded assignment problem.
+//! Hungarian algorithm on the slot-expanded assignment problem — solved
+//! from the `E x units` gain table itself
+//! ([`crate::hungarian::solve_capacitated`]); no `E x E` matrix is built.
 //!
 //! This is the natural constructive reading of the paper's formulas 2–5
 //! ("find the most affiliated experts at layer j+1 for the experts a GPU
@@ -8,7 +10,7 @@
 //! solved to optimality, but the chain as a whole is still greedy (no
 //! lookahead), which is why [`crate::local_search`] runs afterwards.
 
-use crate::hungarian::solve_assignment;
+use crate::hungarian::solve_capacitated;
 use crate::objective::Objective;
 use crate::placement::Placement;
 
@@ -45,15 +47,10 @@ pub fn solve_greedy(objective: &Objective, n_units: usize) -> Placement {
                 gain[p * n_units + u] += w * prob;
             });
         }
-        // Slot expansion: slot s belongs to unit s / cap. Hungarian
-        // minimizes, so negate the gain.
-        let mut cost = vec![0.0f64; e * e];
-        for p in 0..e {
-            for s in 0..e {
-                cost[p * e + s] = -gain[p * n_units + s / cap];
-            }
-        }
-        let slots = solve_assignment(&cost, e);
+        // Hungarian minimizes, so negate the gain; slot s belongs to unit
+        // s / cap.
+        gain.iter_mut().for_each(|g| *g = -*g);
+        let slots = solve_capacitated(&gain, e, n_units);
         assign.push((0..e).map(|p| slots[p] / cap).collect());
     }
 

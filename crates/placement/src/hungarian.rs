@@ -8,8 +8,12 @@
 //! identical slots. The greedy chain solver ([`crate::greedy`]) applies
 //! this gap by gap.
 //!
-//! The expansion is never materialised: [`solve_capacitated`] takes the
-//! `rows x units` cost table and scans *runs* of interchangeable slots.
+//! The expansion is never materialised. [`solve_capacitated`] takes the
+//! `rows x units` cost table and its inner scan visits *runs* — stretches of
+//! a unit's slots that are interchangeable because their potentials are
+//! equal — instead of slots. It performs the arithmetic of the textbook
+//! column loop on the expanded matrix and returns that loop's slot vector,
+//! ties included; the loop itself lives on as the test oracle.
 
 /// Panic on the first non-finite cell. A row with no finite cost gives the
 /// augmenting search no column to reach — it would spin forever — and a NaN
@@ -27,69 +31,9 @@ fn assert_finite(cost: &[f64], n_units: usize) {
 
 /// Solve min-cost assignment on an `n x n` cost matrix (row-major).
 /// Returns `assignment[row] = col`. O(n³), the classic potentials/augmenting
-/// path formulation.
+/// path formulation: [`solve_capacitated`] with one slot per unit.
 pub fn solve_assignment(cost: &[f64], n: usize) -> Vec<usize> {
-    assert_eq!(cost.len(), n * n, "cost matrix must be n*n");
-    assert!(n >= 1);
-    assert_finite(cost, n);
-    const INF: f64 = f64::INFINITY;
-
-    // 1-indexed potentials over rows (u) and columns (v).
-    let mut u = vec![0.0f64; n + 1];
-    let mut v = vec![0.0f64; n + 1];
-    // p[col] = row matched to col (0 = unmatched); p[0] is the working row.
-    let mut p = vec![0usize; n + 1];
-    let mut way = vec![0usize; n + 1];
-
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0usize;
-        let mut minv = vec![INF; n + 1];
-        let mut used = vec![false; n + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = INF;
-            let mut j1 = 0usize;
-            for j in 1..=n {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
-            for j in 0..=n {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
-            }
-        }
-        // Augment along the alternating path.
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
-            }
-        }
-    }
-
-    slots_by_row(&p)
+    solve_capacitated(cost, n, n)
 }
 
 /// `assignment[row] = slot` from the 1-indexed `p[slot] = row` matching.
@@ -122,12 +66,13 @@ struct Run {
 /// `cost[row * n_units + unit]` for any slot of `unit`. Returns
 /// `slot[row]`; slot `s` belongs to unit `s / (n_rows / n_units)`.
 ///
-/// The result is the slot vector [`solve_assignment`] returns on the
-/// `n_rows x n_rows` matrix with every unit's column repeated once per
-/// slot — the same potentials / augmenting-path algorithm performing the
-/// same `f64` operations on the same values — but the inner scan visits
-/// **runs** instead of slots: maximal stretches of adjacent slots of one
-/// unit whose potentials `v` compare equal, rebuilt in one pass when an
+/// The result is the slot vector the textbook column loop (potentials,
+/// one augmenting path per row, every column scanned on every step — this
+/// module's test oracle) returns on the `n_rows x n_rows` matrix with every
+/// unit's column repeated once per slot. The algorithm and its `f64`
+/// operations are that loop's, on the same values, but the inner scan
+/// visits **runs** instead of slots: maximal stretches of adjacent slots of
+/// one unit whose potentials `v` compare equal, rebuilt in one pass when an
 /// outer row begins (no slot is used then). Why that is exact:
 ///
 /// * the slots of a run share a cost column and `v`, so the column loop
@@ -263,6 +208,72 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The oracle of [`solve_capacitated`]: the classic column loop over an
+    /// `n x n` matrix, every column scanned on every step.
+    fn reference_assignment(cost: &[f64], n: usize) -> Vec<usize> {
+        assert_eq!(cost.len(), n * n, "cost matrix must be n*n");
+        assert!(n >= 1);
+        assert_finite(cost, n);
+        const INF: f64 = f64::INFINITY;
+
+        // 1-indexed potentials over rows (u) and columns (v).
+        let mut u = vec![0.0f64; n + 1];
+        let mut v = vec![0.0f64; n + 1];
+        // p[col] = row matched to col (0 = unmatched); p[0] is the working row.
+        let mut p = vec![0usize; n + 1];
+        let mut way = vec![0usize; n + 1];
+
+        for i in 1..=n {
+            p[0] = i;
+            let mut j0 = 0usize;
+            let mut minv = vec![INF; n + 1];
+            let mut used = vec![false; n + 1];
+            loop {
+                used[j0] = true;
+                let i0 = p[j0];
+                let mut delta = INF;
+                let mut j1 = 0usize;
+                for j in 1..=n {
+                    if used[j] {
+                        continue;
+                    }
+                    let cur = cost[(i0 - 1) * n + (j - 1)] - u[i0] - v[j];
+                    if cur < minv[j] {
+                        minv[j] = cur;
+                        way[j] = j0;
+                    }
+                    if minv[j] < delta {
+                        delta = minv[j];
+                        j1 = j;
+                    }
+                }
+                for j in 0..=n {
+                    if used[j] {
+                        u[p[j]] += delta;
+                        v[j] -= delta;
+                    } else {
+                        minv[j] -= delta;
+                    }
+                }
+                j0 = j1;
+                if p[j0] == 0 {
+                    break;
+                }
+            }
+            // Augment along the alternating path.
+            loop {
+                let j1 = way[j0];
+                p[j0] = p[j1];
+                j0 = j1;
+                if j0 == 0 {
+                    break;
+                }
+            }
+        }
+
+        slots_by_row(&p)
+    }
+
     fn brute_force(cost: &[f64], n: usize) -> f64 {
         // Enumerate all permutations (n <= 7 in tests).
         fn perms(n: usize) -> Vec<Vec<usize>> {
@@ -364,8 +375,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "assignment cost must be finite: cost[row 1][unit 0] = NaN")]
-    fn the_capacitated_solver_names_the_first_non_finite_cell() {
+    fn the_first_non_finite_cell_is_named() {
         solve_capacitated(&[1.0, 2.0, f64::NAN, f64::INFINITY], 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "assignment cost must be finite: cost[row 0][unit 1] = -inf")]
+    fn the_oracle_refuses_non_finite_costs_too() {
+        reference_assignment(&[1.0, f64::NEG_INFINITY, 1.0, 2.0], 2);
     }
 
     /// The `n x n` matrix [`solve_capacitated`] never builds: every unit's
@@ -438,7 +455,7 @@ mod tests {
                 // What `solve_greedy` passes: zero gains become `-0.0`.
                 cost.iter_mut().for_each(|c| *c = -*c);
             }
-            let want = solve_assignment(&slot_expanded(&cost, n, n_units), n);
+            let want = reference_assignment(&slot_expanded(&cost, n, n_units), n);
             prop_assert_eq!(solve_capacitated(&cost, n, n_units), want);
         }
 
