@@ -244,14 +244,19 @@ mod properties {
         (objectives, start)
     }
 
-    /// Shapes `(layers, experts, units)` drawn by index.
-    const SHAPES: [(usize, usize, usize); 6] = [
+    /// Shapes `(layers, experts, units)` drawn by index. The last two have
+    /// rows long enough for the descent's row bound to skip some and keep
+    /// others, and units crowded enough for the toward-target partner lists
+    /// to hold several experts.
+    const SHAPES: [(usize, usize, usize); 8] = [
         (1, 8, 4),
         (2, 6, 3),
         (2, 12, 4),
         (4, 8, 2),
         (4, 8, 4),
         (2, 16, 8),
+        (2, 24, 4),
+        (3, 32, 8),
     ];
 
     /// Run `walk` once on a table-driven buffer and once on the reference
@@ -277,12 +282,25 @@ mod properties {
         (got, c_table)
     }
 
-    /// A scan budget from a draw: unlimited, or a finite cut that lands
-    /// anywhere from the first candidate to a few full scans in.
+    /// A scan budget from a draw: unlimited, a finite cut that lands
+    /// anywhere from the first candidate to a few full scans in, or one at
+    /// the end of a whole descent row `(layer, e1)` give or take a
+    /// candidate — where a row charged in bulk must stop exactly as a row
+    /// charged one candidate at a time.
     fn scan_budget(draw: u64, layers: usize, e: usize) -> u64 {
         let scan = (layers * e * (e - 1) / 2) as u64;
-        match draw % 4 {
+        let (kind, draw) = (draw % 4, draw / 4);
+        match kind {
             0 => u64::MAX,
+            1 => {
+                let rows = (layers * e) as u64;
+                let (k, nudge) = (draw % (3 * rows + 1), draw / (3 * rows + 1) % 3);
+                let in_layer = k % e as u64;
+                let whole_rows = k / rows * scan
+                    + k % rows / e as u64 * (scan / layers as u64)
+                    + (0..in_layer).map(|e1| e as u64 - e1 - 1).sum::<u64>();
+                (whole_rows + nudge).saturating_sub(1)
+            }
             _ => draw % (4 * scan + 1),
         }
     }
@@ -292,7 +310,7 @@ mod properties {
 
         #[test]
         fn table_walks_accept_the_reference_swap_sequence(
-            shape in 0usize..6,
+            shape in 0usize..8,
             counts in 0u64..2,
             density_pct in 15u64..100,
             max_moves in 0u64..12,
@@ -328,7 +346,7 @@ mod properties {
 
         #[test]
         fn replicated_solve_matches_the_reference_under_each_policy(
-            shape in 2usize..6,
+            shape in 2usize..8,
             counts in 0u64..2,
             density_pct in 15u64..100,
             mem_slots in 0u64..4,
@@ -373,7 +391,7 @@ mod properties {
 
         #[test]
         fn table_delta_is_within_the_rounding_bound_and_refresh_is_exact(
-            shape in 0usize..6,
+            shape in 0usize..8,
             counts in 0u64..2,
             density_pct in 15u64..100,
             seed in 0u64..10_000,
