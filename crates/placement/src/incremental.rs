@@ -114,6 +114,19 @@ impl CostMeter {
         }
     }
 
+    /// Charge `n` candidates at once: by definition what `n` calls of
+    /// [`Self::try_consider`], stopped at the first `false`, leave behind.
+    fn try_consider_many(&mut self, n: u64) -> bool {
+        if self.budget - self.cost.considered >= n {
+            self.cost.considered += n;
+            true
+        } else {
+            self.cost.considered = self.budget;
+            self.cost.truncated = true;
+            false
+        }
+    }
+
     /// One exact call for an already considered candidate.
     fn exact_delta(&mut self, objective: &Objective, placement: &Placement, swap: Swap) -> f64 {
         self.cost.evaluated += 1;
@@ -243,30 +256,101 @@ impl SwapGainCache {
         }
     }
 
-    /// For every `e2` in `from..E` that `keep(e2, unit of e2)` admits, in
-    /// ascending order: `(e2, approx, tol)` — the table's value for
-    /// `swap_delta(layer, e1, e2)` and the bound on how far the exact value
-    /// can be from it. `units` is the placement's row for `layer`; a
-    /// same-unit pair is an exact zero on both sides.
+    /// The table rows and the bands of one layer's experts.
+    fn layer(&self, layer: usize) -> (&[f64], &[f64]) {
+        let (e, g) = (self.n_experts, self.n_units);
+        (
+            &self.attraction[layer * e * g..][..e * g],
+            &self.band[layer * e..][..e],
+        )
+    }
+
+    /// For every `e2` in `from..E`, in ascending order: `(e2, approx, tol)` —
+    /// the table's value for `swap_delta(layer, e1, e2)` and the bound on
+    /// how far the exact value can be from it. `units` is the placement's
+    /// row for `layer`.
     #[inline]
     fn candidates<'a>(
         &'a self,
         units: &'a [usize],
         (layer, e1, from): Swap,
-        keep: impl Fn(usize, usize) -> bool + 'a,
     ) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
-        let (e, g) = (self.n_experts, self.n_units);
-        let rows = &self.attraction[layer * e * g..][..e * g];
-        let band = &self.band[layer * e..][..e];
-        let (u1, r1, b1) = (units[e1], &rows[e1 * g..][..g], band[e1]);
-        let pairs = (from..e).zip(&units[from..]);
+        let (g, (rows, band)) = (self.n_units, self.layer(layer));
+        let first = (units[e1], &rows[e1 * g..][..g], band[e1]);
+        let pairs = (from..self.n_experts).zip(&units[from..]);
         let pairs = pairs.zip(rows[from * g..].chunks_exact(g).zip(&band[from..]));
-        pairs.filter(move |&((e2, &u2), _)| keep(e2, u2)).map(
-            move |((e2, &u2), (r2, &b2))| match u1 == u2 {
-                true => (e2, 0.0, 0.0),
-                false => (e2, (r1[u1] - r1[u2]) + (r2[u2] - r2[u1]), b1 + b2),
-            },
-        )
+        pairs.map(move |((e2, &u2), (r2, &b2))| priced(first, (u2, r2, b2), e2))
+    }
+
+    /// [`Self::candidates`] for the `e2` of an ascending list.
+    #[inline]
+    fn partners<'a>(
+        &'a self,
+        units: &'a [usize],
+        (layer, e1): (usize, usize),
+        list: &'a [usize],
+    ) -> impl Iterator<Item = (usize, f64, f64)> + 'a {
+        let (g, (rows, band)) = (self.n_units, self.layer(layer));
+        let first = (units[e1], &rows[e1 * g..][..g], band[e1]);
+        list.iter()
+            .map(move |&e2| priced(first, (units[e2], &rows[e2 * g..][..g], band[e2]), e2))
+    }
+
+    /// What any partner can add to a pair of `layer`, for
+    /// [`Self::row_floor`]: `floor[u1 * G + u2]`, the least
+    /// `A[e2][u2] - A[e2][u1]` over the experts `e2` that `units` puts on
+    /// `u2` — the partner's half of `approx`, computed as in [`priced`] —
+    /// and the largest `band` of the layer.
+    fn partner_floor(&self, units: &[usize], layer: usize) -> (Vec<f64>, f64) {
+        let (g, (rows, band)) = (self.n_units, self.layer(layer));
+        let mut floor = vec![f64::INFINITY; g * g];
+        for (r2, &u2) in rows.chunks_exact(g).zip(units) {
+            for (u1, a) in r2.iter().enumerate() {
+                floor[u1 * g + u2] = floor[u1 * g + u2].min(r2[u2] - a);
+            }
+        }
+        (floor, band.iter().fold(0.0, |m, &b| m.max(b)))
+    }
+
+    /// A value no greater than `approx - tol` of any pair of `(layer, e1)`
+    /// with an expert on another unit, exactly as [`priced`] computes them
+    /// — no epsilon. With `a = A[e1][u1] - A[e1][u2]` the pair's `approx` is
+    /// `fl(a + x)` for a partner half `x >= floor[u1][u2]` and its `tol` is
+    /// `fl(band[e1] + b)` for a `b <= bmax`; a rounded sum is non-decreasing
+    /// in either operand and a rounded difference non-decreasing in its
+    /// first, non-increasing in its second, so replacing `x` by the floor,
+    /// `b` by `bmax` and the unit by the one that minimises can only lower
+    /// the result. (The floor ranges over every expert of the unit, `e1 <
+    /// e2` or not: merely conservative.)
+    fn row_floor(
+        &self,
+        units: &[usize],
+        (layer, e1): (usize, usize),
+        (floor, bmax): &(Vec<f64>, f64),
+    ) -> f64 {
+        let (g, (rows, band)) = (self.n_units, self.layer(layer));
+        let (u1, r1) = (units[e1], &rows[e1 * g..][..g]);
+        let mut least = f64::INFINITY;
+        for (u2, (a2, f)) in r1.iter().zip(&floor[u1 * g..][..g]).enumerate() {
+            if u2 != u1 {
+                least = least.min((r1[u1] - a2) + f);
+            }
+        }
+        least - (band[e1] + bmax)
+    }
+}
+
+/// One candidate from the `(unit, table row, band)` of its two experts: a
+/// same-unit pair is an exact zero on both sides.
+#[inline]
+fn priced(
+    (u1, r1, b1): (usize, &[f64], f64),
+    (u2, r2, b2): (usize, &[f64], f64),
+    e2: usize,
+) -> (usize, f64, f64) {
+    match u1 == u2 {
+        true => (e2, 0.0, 0.0),
+        false => (e2, (r1[u1] - r1[u2]) + (r2[u2] - r2[u1]), b1 + b2),
     }
 }
 
@@ -291,7 +375,6 @@ pub fn improve_metered(
         return oracle::improve(objective, placement, max_passes, meter, table);
     }
     let (e, l) = (objective.n_experts(), objective.n_layers());
-    let every = |_: usize, _: usize| true;
     'passes: for _ in 0..max_passes {
         let mut improved = false;
         for layer in 0..l {
@@ -302,7 +385,7 @@ pub fn improve_metered(
                 while from < e {
                     let mut accepted = None;
                     let units = placement.layer(layer);
-                    for (e2, approx, tol) in table.candidates(units, (layer, e1, from), every) {
+                    for (e2, approx, tol) in table.candidates(units, (layer, e1, from)) {
                         if !meter.try_consider() {
                             break 'passes;
                         }
@@ -335,6 +418,7 @@ pub fn improve_metered(
 /// Best-of-scan state: `(approx - tol, swap)` of every candidate whose lower
 /// bound was not above `upper`, the smallest `approx + tol` seen when it
 /// came up. Only those can hold the scan's exact minimum.
+#[derive(Debug, PartialEq)]
 struct Shortlist {
     kept: Vec<(f64, Swap)>,
     upper: f64,
@@ -360,6 +444,58 @@ impl Shortlist {
         }
         true
     }
+
+    /// Offer every pair `e1 < e2` of `layer`, row by row — the descent's
+    /// candidates. A row whose floor is above `upper` would offer nothing:
+    /// it is charged as if scanned and not visited.
+    fn offer_pairs(
+        &mut self,
+        table: &SwapGainCache,
+        units: &[usize],
+        layer: usize,
+        meter: &mut CostMeter,
+    ) -> bool {
+        // The floor leaves same-unit pairs out. Their `approx - tol` is an
+        // exact zero: never kept below a negative `upper`.
+        assert!(self.upper < 0.0);
+        let e = units.len();
+        let bound = table.partner_floor(units, layer);
+        (0..e).all(|e1| {
+            if table.row_floor(units, (layer, e1), &bound) <= self.upper {
+                let row = table.candidates(units, (layer, e1, e1 + 1));
+                self.offer_row(row, (layer, e1), meter)
+            } else {
+                meter.try_consider_many((e - e1 - 1) as u64)
+            }
+        })
+    }
+
+    /// Offer the trades of `layer` that move an expert to the unit `wanted`
+    /// names for it — the toward-target walk's candidates: an expert off
+    /// its wanted unit pairs with the experts that sit there and do not
+    /// belong, listed per unit in ascending order before the rows are
+    /// walked.
+    fn offer_trades(
+        &mut self,
+        table: &SwapGainCache,
+        units: &[usize],
+        wanted: &[usize],
+        layer: usize,
+        meter: &mut CostMeter,
+    ) -> bool {
+        let mut misplaced = vec![Vec::new(); table.n_units];
+        for (e2, (&u2, &w2)) in units.iter().zip(wanted).enumerate() {
+            if u2 != w2 {
+                misplaced[u2].push(e2);
+            }
+        }
+        (0..units.len())
+            .filter(|&e1| wanted[e1] != units[e1])
+            .all(|e1| {
+                let row = table.partners(units, (layer, e1), &misplaced[wanted[e1]]);
+                self.offer_row(row, (layer, e1), meter)
+            })
+    }
 }
 
 /// One strategy of [`solve_budgeted_toward_metered`]: apply the scan's
@@ -384,7 +520,7 @@ fn budgeted_walk(
     if table.probe.reference {
         return oracle::walk(objective, incumbent, target, max_moves, meter, table);
     }
-    let (e, l) = (objective.n_experts(), objective.n_layers());
+    let l = objective.n_layers();
     let threshold = target.map_or(IMPROVES, |_| f64::INFINITY);
     let mut placement = incumbent.clone();
     let mut best = (objective.cross_mass(&placement), placement.clone());
@@ -394,26 +530,15 @@ fn budgeted_walk(
         upper: threshold,
     };
     while !exhausted {
-        'scan: for layer in 0..l {
+        for layer in 0..l {
             let units = placement.layer(layer);
-            let wanted = target.map(|t| t.layer(layer));
-            for e1 in 0..e {
-                let in_budget = match wanted {
-                    None => {
-                        let row = table.candidates(units, (layer, e1, e1 + 1), |_, _| true);
-                        scan.offer_row(row, (layer, e1), meter)
-                    }
-                    Some(w) if w[e1] == units[e1] => true,
-                    Some(w) => {
-                        let partner = |e2: usize, u2: usize| u2 == w[e1] && w[e2] != u2;
-                        let row = table.candidates(units, (layer, e1, 0), partner);
-                        scan.offer_row(row, (layer, e1), meter)
-                    }
-                };
-                if !in_budget {
-                    exhausted = true;
-                    break 'scan;
-                }
+            let in_budget = match target {
+                None => scan.offer_pairs(table, units, layer, meter),
+                Some(t) => scan.offer_trades(table, units, t.layer(layer), layer, meter),
+            };
+            if !in_budget {
+                exhausted = true;
+                break;
             }
         }
         // Exact calls for what the bounds left, in scan order: the first
@@ -781,6 +906,22 @@ mod tests {
             m[i * e + (i + 1) % e] = 0.3;
         }
         Objective::from_raw(vec![m; gaps], e)
+    }
+
+    #[test]
+    fn a_bulk_charge_is_that_many_single_charges() {
+        for n in [0u64, 1, 2, 7] {
+            let rooms = [0, 1, n.saturating_sub(1), n, n + 1, u64::MAX];
+            for (room, spent) in rooms.into_iter().flat_map(|r| [(r, 0u64), (r, 5)]) {
+                let budget = room.saturating_add(spent);
+                let mut bulk = CostMeter::new(budget);
+                bulk.cost.considered = spent;
+                let mut single = bulk.clone();
+                let fits = (0..n).all(|_| single.try_consider());
+                assert_eq!(bulk.try_consider_many(n), fits, "n {n} room {room}");
+                assert_eq!(bulk.cost, single.cost, "n {n} room {room}");
+            }
+        }
     }
 
     #[test]

@@ -389,6 +389,58 @@ mod properties {
             }
         }
 
+        /// The two layer scans against the loops they replaced: every pair
+        /// `e1 < e2` offered row by row, and every off-target expert's row
+        /// filtered down to its partners. `upper` starts at each negative
+        /// `approx - tol` the layer holds — where a row bound loose by the
+        /// width of one band, or compared with `<`, skips a row that held
+        /// a candidate — under an unlimited budget and a finite one.
+        #[test]
+        fn layer_scans_keep_and_charge_what_the_full_scans_do(
+            shape in 0usize..8,
+            counts in 0u64..2,
+            density_pct in 15u64..100,
+            seed in 0u64..10_000,
+        ) {
+            let (layers, e, n_units) = SHAPES[shape];
+            let (objectives, start) = instance(layers, e, n_units, counts == 1, density_pct, seed);
+            let target = random_placement(layers, e, n_units, &mut StdRng::seed_from_u64(seed ^ 1));
+            let obj = &objectives[seed as usize % 2];
+            let mut table = SwapGainCache::for_objective(obj);
+            table.load(obj, &start);
+            let fresh = |upper: f64, budget: u64| {
+                (Shortlist { kept: Vec::new(), upper }, CostMeter::new(budget))
+            };
+            for layer in 0..layers {
+                let (units, wanted) = (start.layer(layer), target.layer(layer));
+                let pairs = |e1: usize| table.candidates(units, (layer, e1, e1 + 1));
+                let mut uppers = vec![IMPROVES];
+                for e1 in 0..e {
+                    uppers.extend(pairs(e1).map(|(_, approx, tol)| approx - tol).filter(|&x| x < 0.0));
+                }
+                for (k, &upper) in uppers.iter().enumerate() {
+                    let budget = [u64::MAX, (k * 37 % (e * e / 2 + 2)) as u64][k % 2];
+                    let (mut pruned, mut m_pruned) = fresh(upper, budget);
+                    let (mut full, mut m_full) = fresh(upper, budget);
+                    let got = pruned.offer_pairs(&table, units, layer, &mut m_pruned);
+                    let want = (0..e).all(|e1| full.offer_row(pairs(e1), (layer, e1), &mut m_full));
+                    prop_assert_eq!((got, &pruned, m_pruned.cost()), (want, &full, m_full.cost()));
+                }
+                for budget in [u64::MAX, seed % (e * n_units) as u64] {
+                    let (mut listed, mut m_listed) = fresh(f64::INFINITY, budget);
+                    let (mut full, mut m_full) = fresh(f64::INFINITY, budget);
+                    let got = listed.offer_trades(&table, units, wanted, layer, &mut m_listed);
+                    let want = (0..e).filter(|&e1| wanted[e1] != units[e1]).all(|e1| {
+                        let row = table.candidates(units, (layer, e1, 0)).filter(|&(e2, _, _)| {
+                            units[e2] == wanted[e1] && wanted[e2] != units[e2]
+                        });
+                        full.offer_row(row, (layer, e1), &mut m_full)
+                    });
+                    prop_assert_eq!((got, &listed, m_listed.cost()), (want, &full, m_full.cost()));
+                }
+            }
+        }
+
         #[test]
         fn table_delta_is_within_the_rounding_bound_and_refresh_is_exact(
             shape in 0usize..8,
@@ -407,7 +459,7 @@ mod properties {
                     for layer in 0..layers {
                         for e1 in 0..e {
                             let units = placement.layer(layer);
-                            let all = table.candidates(units, (layer, e1, 0), |_, _| true);
+                            let all = table.candidates(units, (layer, e1, 0));
                             for (e2, approx, tol) in all {
                                 let exact = obj.swap_delta(&placement, layer, e1, e2);
                                 prop_assert!(
