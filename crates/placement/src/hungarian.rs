@@ -204,6 +204,7 @@ pub fn assignment_cost(cost: &[f64], n: usize, assignment: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local_search::random_placement;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -488,11 +489,7 @@ mod tests {
             // Relabel the experts (rows), then the units (columns).
             let mut rng = StdRng::seed_from_u64(seed ^ 1);
             let shuffled = |len: usize, rng: &mut StdRng| -> Vec<usize> {
-                let mut perm: Vec<usize> = (0..len).collect();
-                for i in (1..len).rev() {
-                    perm.swap(i, rng.gen_range(0..=i));
-                }
-                perm
+                random_placement(1, len, len, rng).layer(0).to_vec()
             };
             let rows = shuffled(n, &mut rng);
             let by_row: Vec<f64> =

@@ -28,6 +28,15 @@
 //! and an accepted swap re-derives only the rows of its structural
 //! neighbours.
 //!
+//! Every candidate is still *considered* — charged to the meter — but no
+//! longer *visited*. The descent bounds each `(layer, e1)` row from below
+//! in `O(G)` (the private `SwapGainCache::row_floor`, exact in floating
+//! point) and charges a row that cannot hold a candidate under the scan's
+//! running minimum in one addition; at `E = 512` that is all but a few
+//! rows of a scan. The toward-target walk lists, per unit, the experts an
+//! off-target expert may trade with, once per `(scan, layer)`, instead of
+//! filtering all `E` for every row.
+//!
 //! Everything here preserves the crate's bit-determinism contract:
 //!
 //! * whatever the table cannot separate by more than its rounding bound is
@@ -39,6 +48,11 @@
 //!   and changes nothing else;
 //! * the scan budget counts *considered* candidates in scan order, however
 //!   each was answered, so budgeted truncation points never move;
+//! * a skipped row is charged as if scanned: `try_consider_many(n)` is by
+//!   definition `n` calls of `try_consider`, a budget that runs out inside
+//!   the row stops the walk where it always did, and since the row would
+//!   have offered nothing the shortlist — hence the exact calls and the
+//!   pick — is what the full scan leaves;
 //! * nothing here consults the clock. Wall time is reported by the bench
 //!   harness, never branched on.
 
