@@ -46,6 +46,7 @@
 //! output cannot be written, 2 on usage errors (consistent with `repro`).
 
 use exflow_bench::cli::parse_jobs;
+use exflow_bench::table::TABLES;
 use exflow_bench::Scale;
 use exflow_bench::{gate, summary};
 
@@ -67,7 +68,7 @@ fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         scale: Scale::Quick,
         jobs: 4,
-        seed: 20_240_522,
+        seed: summary::BASELINE_SEED,
         out: None,
         check: None,
     };
@@ -122,94 +123,14 @@ fn main() {
     };
 
     eprintln!(
-        "sweep: {} rows, jobs=1 {:.0} ms, jobs={} {:.0} ms, speedup {:.2}x, objectives bit-identical",
-        summary.rows.len(),
+        "sweep: jobs=1 {:.0} ms, jobs={} {:.0} ms, speedup {:.2}x, objectives bit-identical",
         summary.wall_ms_jobs1,
         summary.jobs,
         summary.wall_ms_jobs_n,
         summary.speedup()
     );
-    for row in &summary.sparse_rows {
-        eprintln!(
-            "table_sparse: {} nnz {} (density {:.4}), dense {:.1} ms vs sparse {:.1} ms ({:.1}x)",
-            row.preset,
-            row.nnz,
-            row.density,
-            row.wall_ms_dense,
-            row.wall_ms_sparse,
-            row.speedup()
-        );
-    }
-    for row in &summary.online_rows {
-        eprintln!(
-            "table_online: {} cross static {} / oracle {} / budgeted {} (recovery {:.1}%), migrated {} MiB over {} re-plans",
-            row.scenario,
-            row.static_cross,
-            row.oracle_cross,
-            row.budgeted_cross,
-            row.recovery() * 100.0,
-            row.migrated_bytes >> 20,
-            row.replans
-        );
-    }
-
-    for row in &summary.replication_online_rows {
-        eprintln!(
-            "table_replication_online: {} cross static {} / owner {} / joint {} (recovery {:.1}% vs {:.1}%), replicas +{}/-{}, {} extra copies",
-            row.scenario,
-            row.static_cross,
-            row.owner_cross,
-            row.joint_cross,
-            row.owner_recovery() * 100.0,
-            row.joint_recovery() * 100.0,
-            row.replicas_added,
-            row.replicas_dropped,
-            row.extra_copies
-        );
-    }
-
-    for row in &summary.serving_rows {
-        eprintln!(
-            "table_serving: {} p99 static {:.1} us / online {:.1} us ({:.2}x) / repl {:.1} us ({:.2}x), {} re-plans",
-            row.arrival,
-            row.static_p99 * 1e6,
-            row.online_p99 * 1e6,
-            row.p99_speedup(row.online_p99),
-            row.repl_p99 * 1e6,
-            row.p99_speedup(row.repl_p99),
-            row.online_replans
-        );
-    }
-
-    for row in &summary.elasticity_rows {
-        let recovery = |r: f64| {
-            if r < 0.0 {
-                "never".to_string()
-            } else {
-                format!("{:.1} us", r * 1e6)
-            }
-        };
-        eprintln!(
-            "table_elasticity: {} recovery no-repl {} / repl {}, emergency bytes {} vs {}",
-            row.fault,
-            recovery(row.plain_recovery),
-            recovery(row.repl_recovery),
-            row.plain_emergency_bytes,
-            row.repl_emergency_bytes
-        );
-    }
-
-    for row in &summary.replan_latency_rows {
-        eprintln!(
-            "table_replan_latency: {} considered {} for {} exact evaluations ({:.0}x, {} decided by the table), wall {:.1} ms vs {:.1} ms",
-            row.preset,
-            row.considered,
-            row.evaluated_incremental,
-            row.scan_reduction(),
-            row.reused,
-            row.wall_ms_rebuild,
-            row.wall_ms_incremental
-        );
+    for (table, (_, rows)) in TABLES.iter().zip(&summary.tables) {
+        eprintln!("\n{}", (table.render)(rows));
     }
 
     let json = summary.to_json();

@@ -44,7 +44,7 @@ fn main() {
         let run = cli::runner(&target).expect("parse validates against the dispatch table");
         // Catch panics so one failing artifact doesn't abort the rest and
         // the documented exit code (1, not the panic's 101) is honored.
-        if std::panic::catch_unwind(|| pool.install(|| run(scale))).is_err() {
+        if std::panic::catch_unwind(|| pool.install(|| run.run(scale, jobs))).is_err() {
             eprintln!("error: artifact {target} failed to regenerate");
             ok = false;
         }

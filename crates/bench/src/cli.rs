@@ -3,62 +3,96 @@
 //! unknown artifact) are detected *before* any experiment runs and exit with
 //! status 2; failures while running exit with status 1.
 //!
-//! The dispatch table below is the single source of truth for artifact
-//! names: `parse` validates against it and `runner` dispatches from it, so
-//! the two cannot drift apart.
+//! [`artifacts`] is the single source of truth for artifact names: `parse`
+//! validates against it and `runner` dispatches from it, so the two cannot
+//! drift apart. The `table_*` names in it come from [`TABLES`].
 
 use crate::experiments::{
-    ablations, elasticity, events, fig10, fig11, fig12, fig13, fig2, fig6, fig7, fig8, fig9,
-    online, partial_replication, replan_latency, replication_online, serving, table1, table2,
+    ablations, events, fig10, fig11, fig12, fig13, fig2, fig6, fig7, fig8, fig9, table1, table2,
     table3,
 };
+use crate::summary::BASELINE_SEED;
 use crate::sweep::MAX_JOBS;
+use crate::table::{Table, TABLES};
 use crate::Scale;
 
-/// A named artifact entry: `(name, runner)`.
-pub type Artifact = (&'static str, fn(Scale));
+/// What regenerates an artifact.
+#[derive(Clone, Copy)]
+pub enum Runner {
+    /// A paper artifact: its module's `print(scale)`.
+    Paper(fn(Scale)),
+    /// A gated summary table, swept at the baseline seed so the printed
+    /// numbers are exactly the gated ones.
+    Table(&'static Table),
+}
 
-/// Every artifact the `repro` binary can regenerate, with its runner.
-pub const ARTIFACTS: &[Artifact] = &[
-    ("table1", table1::print),
-    ("table2", table2::print),
-    ("table3", table3::print),
-    ("fig2", fig2::print),
-    ("fig6", fig6::print),
-    ("fig7", fig7::print),
-    ("fig8", fig8::print),
-    ("fig9", fig9::print),
-    ("fig10", fig10::print),
-    ("fig11", fig11::print),
-    ("fig12", fig12::print),
-    ("fig13", fig13::print),
-    ("fig14", fig2::print_gaps),
-    ("ablations", ablations::print),
-    ("table_online", online::print),
-    ("table_replication_online", replication_online::print),
-    ("table_serving", serving::print),
-    ("table_elasticity", elasticity::print),
-    ("table_replan_latency", replan_latency::print),
-    ("table_partial_replication", partial_replication::print),
-    ("render-events", events::print),
+impl Runner {
+    /// Regenerate and print the artifact. Panics if it cannot be
+    /// regenerated: a sweep's invariance check failed, or its rows miss
+    /// one of the table's own acceptance bars.
+    pub fn run(self, scale: Scale, jobs: usize) {
+        match self {
+            Runner::Paper(print) => print(scale),
+            Runner::Table(table) => {
+                let rows = (table.sweep)(scale, jobs, BASELINE_SEED)
+                    .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
+                let violations = table.violations(&rows);
+                assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);
+                print!("{}", (table.render)(&rows));
+            }
+        }
+    }
+}
+
+/// A named artifact entry: `(name, runner)`.
+pub type Artifact = (&'static str, Runner);
+
+/// The paper's tables and figures, in `all` order.
+const PAPER: &[Artifact] = &[
+    ("table1", Runner::Paper(table1::print)),
+    ("table2", Runner::Paper(table2::print)),
+    ("table3", Runner::Paper(table3::print)),
+    ("fig2", Runner::Paper(fig2::print)),
+    ("fig6", Runner::Paper(fig6::print)),
+    ("fig7", Runner::Paper(fig7::print)),
+    ("fig8", Runner::Paper(fig8::print)),
+    ("fig9", Runner::Paper(fig9::print)),
+    ("fig10", Runner::Paper(fig10::print)),
+    ("fig11", Runner::Paper(fig11::print)),
+    ("fig12", Runner::Paper(fig12::print)),
+    ("fig13", Runner::Paper(fig13::print)),
+    ("fig14", Runner::Paper(fig2::print_gaps)),
+    ("ablations", Runner::Paper(ablations::print)),
 ];
 
 /// Accepted aliases: the paper's Figs. 15/16 are gap-sweep variants of the
 /// same experiment as Fig. 14.
-pub const ALIASES: &[Artifact] = &[("fig15", fig2::print_gaps), ("fig16", fig2::print_gaps)];
+const ALIASES: &[Artifact] = &[
+    ("fig15", Runner::Paper(fig2::print_gaps)),
+    ("fig16", Runner::Paper(fig2::print_gaps)),
+];
+
+/// Every artifact the `repro` binary can regenerate, with its runner, in
+/// `all` order: the paper's, then each [`TABLES`] entry that names one,
+/// then the event stream.
+pub fn artifacts() -> Vec<Artifact> {
+    let tables = TABLES
+        .iter()
+        .filter_map(|table| Some((table.artifact?, Runner::Table(table))));
+    let events = ("render-events", Runner::Paper(events::print));
+    let paper = PAPER.iter().copied();
+    paper.chain(tables).chain([events]).collect()
+}
 
 /// All artifact names (without aliases), for usage text.
 pub fn artifact_names() -> Vec<&'static str> {
-    ARTIFACTS.iter().map(|&(name, _)| name).collect()
+    artifacts().into_iter().map(|(name, _)| name).collect()
 }
 
 /// Look up the runner for a validated artifact name or alias.
-pub fn runner(name: &str) -> Option<fn(Scale)> {
-    ARTIFACTS
-        .iter()
-        .chain(ALIASES)
-        .find(|&&(n, _)| n == name)
-        .map(|&(_, f)| f)
+pub fn runner(name: &str) -> Option<Runner> {
+    let mut known = artifacts().into_iter().chain(ALIASES.iter().copied());
+    known.find(|&(n, _)| n == name).map(|(_, runner)| runner)
 }
 
 /// A parsed invocation.
@@ -141,7 +175,7 @@ where
             other if other.starts_with("--jobs=") => {
                 jobs = parse_jobs(&other["--jobs=".len()..])?;
             }
-            "all" => targets.extend(ARTIFACTS.iter().map(|&(name, _)| name.to_string())),
+            "all" => targets.extend(artifact_names().into_iter().map(String::from)),
             other if is_artifact(other) => targets.push(other.to_string()),
             other => return Err(UsageError::UnknownArtifact(other.to_string())),
         }
@@ -225,7 +259,7 @@ mod tests {
     #[test]
     fn all_expands_to_every_artifact() {
         match parse(["all"]).unwrap() {
-            Command::Run { targets, .. } => assert_eq!(targets.len(), ARTIFACTS.len()),
+            Command::Run { targets, .. } => assert_eq!(targets, artifact_names()),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -263,9 +297,22 @@ mod tests {
     fn every_parseable_artifact_has_a_runner() {
         // The dispatch table is shared, so anything parse accepts must
         // resolve to a runner — including every alias.
-        for &(name, _) in ARTIFACTS.iter().chain(ALIASES) {
+        let aliases = ALIASES.iter().map(|&(name, _)| name);
+        for name in artifact_names().into_iter().chain(aliases) {
             assert!(parse([name]).is_ok(), "{name} should parse");
             assert!(runner(name).is_some(), "{name} should dispatch");
         }
+    }
+
+    #[test]
+    fn artifact_names_and_their_order_are_pinned() {
+        // The usage text and the `all` order: the paper's artifacts, the
+        // six gated tables in `TABLES` order, the event stream.
+        assert_eq!(
+            artifact_names().join(" "),
+            "table1 table2 table3 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 \
+             ablations table_online table_replication_online table_serving table_elasticity \
+             table_replan_latency table_partial_replication render-events"
+        );
     }
 }

@@ -10,40 +10,19 @@
 //! to return to its pre-fault p99 (`recovery`, `-` when the tail never
 //! recovers within the run).
 
-use crate::fmt::render_table;
-use crate::summary::{elasticity_table, ElasticityRow};
-use crate::Scale;
+use exflow_core::json::Json;
 
-/// Regenerate the table rows (delegates to the `bench_summary` sweep so
-/// the printed numbers are exactly the gated ones).
-pub fn run(scale: Scale) -> Vec<ElasticityRow> {
-    elasticity_table(scale, 4, 20_240_522).expect("elasticity sweep invariance must hold")
-}
+use crate::fmt::render_table;
+use crate::table::{num, text};
 
 /// Virtual seconds rendered as microseconds.
 fn us(v: f64) -> String {
     format!("{:.1}", v * 1e6)
 }
 
-/// A recovery time (`-1` = the tail never recovered) rendered as
-/// microseconds or `-`.
-fn recovery(v: f64) -> String {
-    if v < 0.0 {
-        "-".to_string()
-    } else {
-        us(v)
-    }
-}
-
-/// Print the table.
-pub fn print(scale: Scale) {
-    println!("table_elasticity: GPU loss and recovery under continuous serving");
-    println!("(latencies and recovery in virtual microseconds; `no-repl` restores the");
-    println!(" dead GPU's experts over the wire, `repl` holds a live copy of every");
-    println!(" expert and fails over for free; recovery = time until the rolling p99");
-    println!(" over the last 32 completions returns to the pre-fault p99, `-` = never)\n");
-    let rows = run(scale);
-    let headers = vec![
+/// The rows as the printed table: one line per (fault, fleet).
+pub fn render(rows: &[Json]) -> String {
+    let headers = [
         "fault",
         "fleet",
         "p99 us",
@@ -53,72 +32,40 @@ pub fn print(scale: Scale) {
         "recovery us",
     ];
     let mut body: Vec<Vec<String>> = Vec::new();
-    for r in &rows {
-        let fleets = [
-            (
-                "no-repl",
-                r.plain_p99,
-                r.plain_disrupted,
-                r.plain_steps_degraded,
-                r.plain_emergency_bytes,
-                r.plain_recovery,
-            ),
-            (
-                "repl",
-                r.repl_p99,
-                r.repl_disrupted,
-                r.repl_steps_degraded,
-                r.repl_emergency_bytes,
-                r.repl_recovery,
-            ),
-        ];
-        for (fleet, p99, disrupted, degraded, bytes, rec) in fleets {
+    for r in rows {
+        for (fleet, prefix) in [("no-repl", "plain"), ("repl", "repl")] {
+            // `-1` = the tail never recovered, rendered as `-`.
+            let recovery = num(r, &format!("{prefix}_recovery"));
             body.push(vec![
-                r.fault.clone(),
+                text(r, "fault"),
                 fleet.to_string(),
-                us(p99),
-                disrupted.to_string(),
-                degraded.to_string(),
-                format!("{:.2}", bytes as f64 / 1e6),
-                recovery(rec),
+                us(num(r, &format!("{prefix}_p99"))),
+                text(r, &format!("{prefix}_disrupted")),
+                text(r, &format!("{prefix}_steps_degraded")),
+                format!("{:.2}", num(r, &format!("{prefix}_emergency_bytes")) / 1e6),
+                if recovery < 0.0 {
+                    "-".to_string()
+                } else {
+                    us(recovery)
+                },
             ]);
         }
     }
-    println!("{}", render_table(&headers, &body));
+    let mut out = format!(
+        "table_elasticity: GPU loss and recovery under continuous serving\n\
+         (latencies and recovery in virtual microseconds; `no-repl` restores the\n \
+         dead GPU's experts over the wire, `repl` holds a live copy of every\n \
+         expert and fails over for free; recovery = time until the rolling p99\n \
+         over the last 32 completions returns to the pre-fault p99, `-` = never)\n\n\
+         {}\n",
+        render_table(&headers, &body)
+    );
     if let Some(r) = rows.first() {
-        println!(
-            "\n({} requests per cell; the fault lands at t = {} virtual us)",
-            r.requests,
-            us(r.fault_time)
-        );
+        out.push_str(&format!(
+            "\n({} requests per cell; the fault lands at t = {} virtual us)\n",
+            text(r, "requests"),
+            us(num(r, "fault_time"))
+        ));
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn elasticity_table_contrasts_the_two_fleets() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 2, "one row per fault schedule");
-        for r in &rows {
-            assert!(
-                r.replication_recovers_faster(),
-                "{}: bar regressed",
-                r.fault
-            );
-            assert!(
-                r.repl_emergency_bytes < r.plain_emergency_bytes,
-                "{}: failover saved no wire traffic",
-                r.fault
-            );
-        }
-        // The loss-only cell's failover is completely free; the rejoin
-        // cell still ships weights back to the returning GPU.
-        assert_eq!(
-            rows[0].repl_emergency_bytes, 0,
-            "loss-only failover not free"
-        );
-    }
+    out
 }

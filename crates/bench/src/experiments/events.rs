@@ -19,6 +19,7 @@ use exflow_model::{ArrivalProcess, DriftSchedule, FaultSchedule};
 use exflow_placement::Parallelism;
 use exflow_topology::ClusterSpec;
 
+use crate::summary::BASELINE_SEED;
 use crate::Scale;
 
 const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
@@ -46,7 +47,7 @@ pub fn run(scale: Scale) -> Vec<WindowEvent> {
         .profile_tokens(400)
         .parallelism(Parallelism::new(1))
         .online(online)
-        .seed(20_240_522)
+        .seed(BASELINE_SEED)
         .build();
     let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, WINDOWS);
     let step = eng.probe_step_time(MODE, MAX_BATCH);

@@ -10,23 +10,14 @@
 //! recovers most of a full re-solve's cross-traffic reduction while
 //! migrating a bounded number of expert weights.
 
+use exflow_core::json::Json;
+
 use crate::fmt::{pct, render_table};
-use crate::summary::{online_table, OnlineBenchRow};
-use crate::Scale;
+use crate::table::{int, num, text};
 
-/// Regenerate the table rows (delegates to the `bench_summary` sweep so
-/// the printed numbers are exactly the gated ones).
-pub fn run(scale: Scale) -> Vec<OnlineBenchRow> {
-    online_table(scale, 4, 20_240_522).expect("online sweep invariance must hold")
-}
-
-/// Print the table.
-pub fn print(scale: Scale) {
-    println!("table_online: re-placement policies under routing drift");
-    println!("(cross = realized cross-GPU layer transitions, lower is better;");
-    println!(" recovery = share of the oracle's reduction the budgeted policy keeps)\n");
-    let rows = run(scale);
-    let headers = vec![
+/// The rows as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    let headers = [
         "scenario",
         "windows",
         "static",
@@ -40,36 +31,22 @@ pub fn print(scale: Scale) {
         .iter()
         .map(|r| {
             vec![
-                r.scenario.clone(),
-                r.windows.to_string(),
-                r.static_cross.to_string(),
-                r.oracle_cross.to_string(),
-                r.budgeted_cross.to_string(),
-                pct(r.recovery()),
-                format!("{} MiB", r.migrated_bytes >> 20),
-                format!("{} MiB", r.budget_bytes >> 20),
+                text(r, "scenario"),
+                text(r, "windows"),
+                text(r, "static_cross"),
+                text(r, "oracle_cross"),
+                text(r, "budgeted_cross"),
+                pct(num(r, "recovery")),
+                format!("{} MiB", int(r, "migrated_bytes") >> 20),
+                format!("{} MiB", int(r, "budget_bytes") >> 20),
             ]
         })
         .collect();
-    println!("{}", render_table(&headers, &body));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn budgeted_policy_recovers_most_of_the_oracle_reduction() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(
-                r.static_cross > r.oracle_cross && r.static_cross > r.budgeted_cross,
-                "{}: drift must penalize the static incumbent",
-                r.scenario
-            );
-            assert!(r.recovery() >= 0.8, "{}: {:.3}", r.scenario, r.recovery());
-            assert!(r.migrated_bytes <= r.budget_bytes * r.replans as u64);
-        }
-    }
+    format!(
+        "table_online: re-placement policies under routing drift\n\
+         (cross = realized cross-GPU layer transitions, lower is better;\n \
+         recovery = share of the oracle's reduction the budgeted policy keeps)\n\n\
+         {}\n",
+        render_table(&headers, &body)
+    )
 }

@@ -13,26 +13,14 @@
 //! guards against is top-2 models silently falling back to owner-only
 //! dispatch).
 
+use exflow_core::json::Json;
+
 use crate::fmt::render_table;
-use crate::summary::{partial_replication_table, PartialReplicationRow};
-use crate::Scale;
+use crate::table::{num, text};
 
-/// Regenerate the table rows (delegates to the `bench_summary` sweep so
-/// the printed numbers are exactly the gated ones).
-pub fn run(scale: Scale) -> Vec<PartialReplicationRow> {
-    partial_replication_table(scale, 20_240_522)
-        .expect("partial-replication sweep invariance must hold")
-}
-
-/// Print the table.
-pub fn print(scale: Scale) {
-    println!("table_partial_replication: subset vs full replica fan-out at equal memory");
-    println!("(both policies race from the same incumbent at the same slot and byte");
-    println!(" budgets; `partial`/`full cross` sum the solver objective over every");
-    println!(" re-plan, `cc repl` counts replicas the top-2 CC serving engine placed");
-    println!(" under replica-aware meeting-point dispatch)\n");
-    let rows = run(scale);
-    let headers = vec![
+/// The rows as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    let headers = [
         "scenario",
         "k",
         "windows",
@@ -46,71 +34,44 @@ pub fn print(scale: Scale) {
         "cc repl",
         "cc local",
     ];
+    let mib = |r: &Json, key: &str| format!("{:.1}", num(r, key) / (1 << 20) as f64);
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.scenario.clone(),
-                r.k.to_string(),
-                r.windows.to_string(),
-                r.partial_replans.to_string(),
-                r.replicas_added.to_string(),
-                format!("{:.4}", r.partial_cross_mass),
-                format!("{:.4}", r.full_cross_mass),
-                format!("{:.1}", r.partial_migrated_bytes as f64 / (1 << 20) as f64),
-                format!("{:.1}", r.full_migrated_bytes as f64 / (1 << 20) as f64),
-                format!("{}/{}", r.partial_extra_copies, r.full_extra_copies),
-                r.cc_replicas_added.to_string(),
-                format!("{:.3}", r.cc_local_fraction),
+                text(r, "scenario"),
+                text(r, "k"),
+                text(r, "windows"),
+                text(r, "partial_replans"),
+                text(r, "replicas_added"),
+                format!("{:.4}", num(r, "partial_cross_mass")),
+                format!("{:.4}", num(r, "full_cross_mass")),
+                mib(r, "partial_migrated_bytes"),
+                mib(r, "full_migrated_bytes"),
+                format!(
+                    "{}/{}",
+                    text(r, "partial_extra_copies"),
+                    text(r, "full_extra_copies")
+                ),
+                text(r, "cc_replicas_added"),
+                format!("{:.3}", num(r, "cc_local_fraction")),
             ]
         })
         .collect();
-    println!("{}", render_table(&headers, &body));
-    let losses = rows.iter().filter(|r| !r.partial_never_loses()).count();
-    println!(
-        "\n({} of {} rows where the subset policy loses to the full fan-out; \
-         the perf-gate requires 0)",
-        losses,
+    let losses = rows
+        .iter()
+        .filter(|r| num(r, "partial_cross_mass") > num(r, "full_cross_mass"))
+        .count();
+    format!(
+        "table_partial_replication: subset vs full replica fan-out at equal memory\n\
+         (both policies race from the same incumbent at the same slot and byte\n \
+         budgets; `partial`/`full cross` sum the solver objective over every\n \
+         re-plan, `cc repl` counts replicas the top-2 CC serving engine placed\n \
+         under replica-aware meeting-point dispatch)\n\n\
+         {}\n\n\
+         ({losses} of {} rows where the subset policy loses to the full fan-out; \
+         the perf-gate requires 0)\n",
+        render_table(&headers, &body),
         rows.len()
-    );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // The sweep itself (backend/thread invariance, the never-loses and
-    // top-2-uses-replicas bars) is exercised by `summary::tests`;
-    // re-running it here would double the most expensive cells of the
-    // suite, so this module only checks the presentation-layer predicate.
-    #[test]
-    fn never_loses_predicate_is_a_plain_comparison() {
-        let row = PartialReplicationRow {
-            scenario: "partial-repl/16e-top2".into(),
-            n_experts: 16,
-            k: 2,
-            layers: 4,
-            units: 4,
-            windows: 6,
-            replica_slots: 4,
-            budget_bytes: 12 << 20,
-            partial_replans: 2,
-            replicas_added: 3,
-            partial_migrated_bytes: 5 << 20,
-            full_migrated_bytes: 7 << 20,
-            partial_extra_copies: 2,
-            full_extra_copies: 3,
-            partial_cross_mass: 0.25,
-            full_cross_mass: 0.25,
-            realized_cross: 100,
-            cc_replicas_added: 1,
-            cc_local_fraction: 0.9,
-        };
-        assert!(row.partial_never_loses(), "ties must count as not losing");
-        let losing = PartialReplicationRow {
-            partial_cross_mass: 0.26,
-            ..row
-        };
-        assert!(!losing.partial_never_loses());
-    }
+    )
 }

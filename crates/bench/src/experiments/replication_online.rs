@@ -9,25 +9,14 @@
 //! does a bounded per-GPU replica memory budget buy on top of the same
 //! migration bytes?
 
+use exflow_core::json::Json;
+
 use crate::fmt::{pct, render_table};
-use crate::summary::{replication_online_table, ReplicationOnlineRow};
-use crate::Scale;
+use crate::table::{num, text};
 
-/// Regenerate the table rows (delegates to the `bench_summary` sweep so
-/// the printed numbers are exactly the gated ones).
-pub fn run(scale: Scale) -> Vec<ReplicationOnlineRow> {
-    replication_online_table(scale, 20_240_522).expect("replication sweep invariance must hold")
-}
-
-/// Print the table.
-pub fn print(scale: Scale) {
-    println!("table_replication_online: joint replica + owner-move re-placement under drift");
-    println!("(cross = realized cross-GPU layer transitions, lower is better; recovery =");
-    println!(" share of the static incumbent's cross traffic a policy eliminated; owner");
-    println!(" and joint spend identical migration bytes — joint also holds <= `slots`");
-    println!(" replica payloads per GPU)\n");
-    let rows = run(scale);
-    let headers = vec![
+/// The rows as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    let headers = [
         "scenario",
         "windows",
         "static",
@@ -43,41 +32,30 @@ pub fn print(scale: Scale) {
         .iter()
         .map(|r| {
             vec![
-                r.scenario.clone(),
-                r.windows.to_string(),
-                r.static_cross.to_string(),
-                r.owner_cross.to_string(),
-                r.joint_cross.to_string(),
-                pct(r.owner_recovery()),
-                pct(r.joint_recovery()),
-                r.replica_slots.to_string(),
-                r.extra_copies.to_string(),
-                format!("+{}/-{}", r.replicas_added, r.replicas_dropped),
+                text(r, "scenario"),
+                text(r, "windows"),
+                text(r, "static_cross"),
+                text(r, "owner_cross"),
+                text(r, "joint_cross"),
+                pct(num(r, "owner_recovery")),
+                pct(num(r, "joint_recovery")),
+                text(r, "replica_slots"),
+                text(r, "extra_copies"),
+                format!(
+                    "+{}/-{}",
+                    text(r, "replicas_added"),
+                    text(r, "replicas_dropped")
+                ),
             ]
         })
         .collect();
-    println!("{}", render_table(&headers, &body));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn joint_policy_dominates_owner_moves_at_equal_bytes() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 4);
-        assert!(
-            rows.iter().any(|r| r.joint_cross < r.owner_cross),
-            "the replica memory budget must buy locality somewhere"
-        );
-        for r in &rows {
-            assert!(
-                r.joint_cross <= r.owner_cross,
-                "{}: joint must never lose at equal migration bytes",
-                r.scenario
-            );
-            assert!(r.extra_copies <= r.replica_slots, "{}", r.scenario);
-        }
-    }
+    format!(
+        "table_replication_online: joint replica + owner-move re-placement under drift\n\
+         (cross = realized cross-GPU layer transitions, lower is better; recovery =\n \
+         share of the static incumbent's cross traffic a policy eliminated; owner\n \
+         and joint spend identical migration bytes — joint also holds <= `slots`\n \
+         replica payloads per GPU)\n\n\
+         {}\n",
+        render_table(&headers, &body)
+    )
 }

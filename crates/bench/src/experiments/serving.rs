@@ -14,104 +14,59 @@
 //! costs `n_units - 1` payloads per replica) ever beats direct moves on
 //! these slow inter-node links.
 
+use exflow_core::json::Json;
+
 use crate::fmt::{render_table, speedup};
-use crate::summary::{serving_table, ServingBenchRow};
-use crate::Scale;
+use crate::summary::ratio;
+use crate::table::{num, text};
 
-/// Regenerate the table rows (delegates to the `bench_summary` sweep so
-/// the printed numbers are exactly the gated ones).
-pub fn run(scale: Scale) -> Vec<ServingBenchRow> {
-    serving_table(scale, 4, 20_240_522).expect("serving sweep invariance must hold")
-}
-
-/// Virtual seconds rendered as microseconds.
-fn us(v: f64) -> String {
-    format!("{:.1}", v * 1e6)
-}
-
-/// Requests per virtual second, rendered compactly.
-fn rps(v: f64) -> String {
-    format!("{v:.0}")
-}
-
-/// Print the table.
-pub fn print(scale: Scale) {
-    println!("table_serving: request-level tail latency under non-stationary arrivals");
-    println!("(latencies in virtual microseconds; goodput in completed requests per");
-    println!(" virtual second; `x static` = static p99 over this policy's p99, > 1.00");
-    println!(" exactly when adaptive re-placement protects the tail; online spends the");
-    println!(" full migration-byte budget, repl gets half the bytes plus replica memory)\n");
-    let rows = run(scale);
-    let headers = vec![
+/// The rows as the printed table: one line per (arrival, policy).
+pub fn render(rows: &[Json]) -> String {
+    let headers = [
         "arrival", "policy", "p50 us", "p95 us", "p99 us", "x static", "goodput", "replans",
     ];
+    // Virtual seconds rendered as microseconds.
+    let us = |r: &Json, key: &str| format!("{:.1}", num(r, key) * 1e6);
     let mut body: Vec<Vec<String>> = Vec::new();
-    for r in &rows {
-        let policies = [
-            (
-                "static",
-                r.static_p50,
-                r.static_p95,
-                r.static_p99,
-                r.static_goodput,
-                0,
-            ),
-            (
-                "online",
-                r.online_p50,
-                r.online_p95,
-                r.online_p99,
-                r.online_goodput,
-                r.online_replans,
-            ),
-            (
-                "repl",
-                r.repl_p50,
-                r.repl_p95,
-                r.repl_p99,
-                r.repl_goodput,
-                r.online_replans,
-            ),
-        ];
-        for (name, p50, p95, p99, goodput, replans) in policies {
+    for r in rows {
+        for policy in ["static", "online", "repl"] {
+            let p99 = num(r, &format!("{policy}_p99"));
             body.push(vec![
-                r.arrival.clone(),
-                name.to_string(),
-                us(p50),
-                us(p95),
-                us(p99),
-                speedup(r.p99_speedup(p99)),
-                rps(goodput),
-                replans.to_string(),
+                text(r, "arrival"),
+                policy.to_string(),
+                us(r, &format!("{policy}_p50")),
+                us(r, &format!("{policy}_p95")),
+                us(r, &format!("{policy}_p99")),
+                // Static p99 over this policy's p99: > 1 exactly when the
+                // adaptive policy improves the tail over never re-placing.
+                speedup(ratio(num(r, "static_p99"), p99)),
+                // Requests per virtual second.
+                format!("{:.0}", num(r, &format!("{policy}_goodput"))),
+                if policy == "static" {
+                    "0".to_string()
+                } else {
+                    text(r, "online_replans")
+                },
             ]);
         }
     }
-    println!("{}", render_table(&headers, &body));
+    let mut out = format!(
+        "table_serving: request-level tail latency under non-stationary arrivals\n\
+         (latencies in virtual microseconds; goodput in completed requests per\n \
+         virtual second; `x static` = static p99 over this policy's p99, > 1.00\n \
+         exactly when adaptive re-placement protects the tail; online spends the\n \
+         full migration-byte budget, repl gets half the bytes plus replica memory)\n\n\
+         {}\n",
+        render_table(&headers, &body)
+    );
     if let Some(r) = rows.first() {
-        println!(
-            "\n({} requests per cell, {} decode steps each, batch cap {}, {} serving windows)",
-            r.requests, r.decode_steps, r.max_batch, r.windows
-        );
+        out.push_str(&format!(
+            "\n({} requests per cell, {} decode steps each, batch cap {}, {} serving windows)\n",
+            text(r, "requests"),
+            text(r, "decode_steps"),
+            text(r, "max_batch"),
+            text(r, "windows")
+        ));
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn serving_table_has_nine_policy_rows() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows.len(), 3, "one row per arrival process");
-        for r in &rows {
-            for p99 in [r.static_p99, r.online_p99, r.repl_p99] {
-                assert!(r.p99_speedup(p99) > 0.0, "{}: degenerate p99", r.arrival);
-            }
-            assert!(
-                r.p99_speedup(r.online_p99) >= 1.0,
-                "{}: online must protect the tail",
-                r.arrival
-            );
-        }
-    }
+    out
 }

@@ -11,15 +11,15 @@
 //!
 //! Both documents are parsed with the workspace's one JSON layer
 //! (`exflow_core::json`), and everything the gate checks is listed in one
-//! place: the [`SECTIONS`] table names, per array section of the summary,
-//! the fields that identify a row, the fields compared bit for bit, the
-//! wall-clock fields that only warn, and the acceptance bars the fresh
-//! rows must clear on their own. Adding a section or a gated field is one
-//! table entry.
+//! place: each [`TABLES`] entry names the fields that identify a row, the
+//! fields compared bit for bit, the wall-clock fields that only warn, and
+//! the `bars` function — one of those below — the fresh rows must clear on
+//! their own.
 
 use exflow_core::json::Json;
 
-use crate::summary::SCHEMA;
+use crate::summary::{online_recovery, SCHEMA};
+use crate::table::TABLES;
 
 /// Fractional wall-clock regression beyond which a warning is emitted
 /// (fresh > 1.25x baseline).
@@ -85,177 +85,6 @@ impl GateReport {
         out
     }
 }
-
-/// What the gate checks on one array section of the summary document.
-pub struct Section {
-    /// JSON key of the array section.
-    pub key: &'static str,
-    /// Section name in messages: rows are `<name> row <id>`, drifted
-    /// fields `<field> drift on <name>/<id>`.
-    pub name: &'static str,
-    /// Fields that together identify a row (joined with `/` in messages).
-    pub id: &'static [&'static str],
-    /// Name drift messages use instead of the field name (Table II's one
-    /// gated field is simply "the objective").
-    pub drift_name: Option<&'static str>,
-    /// Deterministic fields, bit-compared against the baseline row.
-    pub exact: &'static [&'static str],
-    /// Wall-clock fields that only warn, with the suffix naming each in
-    /// the warning.
-    pub warn_wall: &'static [(&'static str, &'static str)],
-    /// Acceptance bars the fresh run's rows must clear on their own,
-    /// whatever the baseline says.
-    pub bars: fn(&[Json], &mut Vec<String>),
-}
-
-/// Every array section of the summary, in document order: the single
-/// list of what the perf-gate gates.
-pub const SECTIONS: &[Section] = &[
-    Section {
-        key: "rows",
-        name: "table2",
-        id: &["model", "solver"],
-        drift_name: Some("objective"),
-        exact: &["cross_mass"],
-        warn_wall: &[("wall_ms", "")],
-        bars: |_, _| {},
-    },
-    Section {
-        key: "sparse_rows",
-        name: "sparse",
-        id: &["preset"],
-        drift_name: None,
-        exact: &["cross_mass", "nnz"],
-        warn_wall: &[
-            ("wall_ms_dense", " (dense)"),
-            ("wall_ms_sparse", " (sparse)"),
-        ],
-        bars: sparse_bars,
-    },
-    Section {
-        key: "online_rows",
-        name: "online",
-        id: &["scenario"],
-        drift_name: None,
-        exact: &[
-            "static_cross",
-            "oracle_cross",
-            "budgeted_cross",
-            "migrated_bytes",
-            "cross_mass",
-        ],
-        warn_wall: &[],
-        bars: online_bars,
-    },
-    Section {
-        key: "replication_online_rows",
-        name: "replication",
-        id: &["scenario"],
-        drift_name: None,
-        exact: &[
-            "static_cross",
-            "owner_cross",
-            "joint_cross",
-            "owner_migrated_bytes",
-            "joint_migrated_bytes",
-            "replicas_added",
-            "replicas_dropped",
-            "extra_copies",
-            "cross_mass",
-        ],
-        warn_wall: &[],
-        bars: replication_bars,
-    },
-    Section {
-        key: "serving_rows",
-        name: "serving",
-        id: &["arrival"],
-        drift_name: None,
-        exact: &[
-            "offered_load",
-            "static_p50",
-            "static_p95",
-            "static_p99",
-            "static_goodput",
-            "online_p50",
-            "online_p95",
-            "online_p99",
-            "online_goodput",
-            "online_replans",
-            "online_migrated_bytes",
-            "repl_p50",
-            "repl_p95",
-            "repl_p99",
-            "repl_goodput",
-            "repl_replicas_added",
-        ],
-        warn_wall: &[],
-        bars: serving_bars,
-    },
-    Section {
-        key: "elasticity_rows",
-        name: "elasticity",
-        id: &["fault"],
-        drift_name: None,
-        exact: &[
-            "fault_time",
-            "plain_p99",
-            "plain_disrupted",
-            "plain_steps_degraded",
-            "plain_emergency_bytes",
-            "plain_recovery",
-            "repl_p99",
-            "repl_disrupted",
-            "repl_steps_degraded",
-            "repl_emergency_bytes",
-            "repl_recovery",
-            "repl_extra_copies",
-        ],
-        warn_wall: &[],
-        bars: elasticity_bars,
-    },
-    Section {
-        key: "replan_latency_rows",
-        name: "replan-latency",
-        id: &["preset"],
-        drift_name: None,
-        exact: &[
-            "replans",
-            "considered",
-            "evaluated_rebuild",
-            "evaluated_incremental",
-            "reused",
-            "cross_mass_rebuild",
-            "cross_mass_incremental",
-        ],
-        warn_wall: &[
-            ("wall_ms_rebuild", " (re-plan, rebuild)"),
-            ("wall_ms_incremental", " (re-plan, incremental)"),
-        ],
-        bars: replan_latency_bars,
-    },
-    Section {
-        key: "partial_replication_rows",
-        name: "partial-replication",
-        id: &["scenario"],
-        drift_name: None,
-        exact: &[
-            "partial_replans",
-            "replicas_added",
-            "partial_migrated_bytes",
-            "full_migrated_bytes",
-            "partial_extra_copies",
-            "full_extra_copies",
-            "partial_cross_mass",
-            "full_cross_mass",
-            "realized_cross",
-            "cc_replicas_added",
-            "cc_local_fraction",
-        ],
-        warn_wall: &[],
-        bars: partial_replication_bars,
-    },
-];
 
 /// A field's value as message text: strings unquoted, numbers as their
 /// exact token, nothing for an absent field.
@@ -325,32 +154,32 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
         return report;
     }
 
-    for section in SECTIONS {
-        let base_rows = rows_of(&base_doc, section.key, "baseline", &mut report.drifts);
-        let fresh_rows = rows_of(&fresh_doc, section.key, "fresh", &mut report.drifts);
+    for table in TABLES {
+        let base_rows = rows_of(&base_doc, table.key, "baseline", &mut report.drifts);
+        let fresh_rows = rows_of(&fresh_doc, table.key, "fresh", &mut report.drifts);
         let id_of = |row: &Json| {
-            let parts: Vec<String> = section.id.iter().map(|key| text(row, key)).collect();
+            let parts: Vec<String> = table.id.iter().map(|key| text(row, key)).collect();
             parts.join("/")
         };
         for b in base_rows {
             let id = id_of(b);
             let Some(f) = fresh_rows.iter().find(|f| id_of(f) == id) else {
-                let drift = format!("{} row {id} missing from fresh run", section.name);
+                let drift = format!("{} row {id} missing from fresh run", table.name);
                 report.drifts.push(drift);
                 continue;
             };
-            for &fact in section.exact {
+            for &fact in table.exact {
                 if b.get(fact) != f.get(fact) {
                     report.drifts.push(format!(
                         "{} drift on {}/{id}: baseline {} vs fresh {}",
-                        section.drift_name.unwrap_or(fact),
-                        section.name,
+                        table.drift_name.unwrap_or(fact),
+                        table.name,
                         text(b, fact),
                         text(f, fact)
                     ));
                 }
             }
-            for &(field, suffix) in section.warn_wall {
+            for &(field, suffix) in table.wall {
                 let what = format!("{id}{suffix}");
                 warn_wall(&mut report.warnings, &what, num(b, field), num(f, field));
             }
@@ -360,11 +189,11 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
             if !base_rows.iter().any(|b| id_of(b) == id) {
                 report.drifts.push(format!(
                     "{} row {id} not in baseline (regenerate the committed JSON)",
-                    section.name
+                    table.name
                 ));
             }
         }
-        (section.bars)(fresh_rows, &mut report.drifts);
+        (table.bars)(fresh_rows, &mut report.drifts);
     }
 
     for (field, what) in [
@@ -380,7 +209,7 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
 /// The sparse backend must hold its >= 2x win on the E=512 top-1 cell.
 /// This is algorithmic (not thread-parallel) speedup, so it holds on
 /// 1-core runners too.
-fn sparse_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn sparse_bars(rows: &[Json], drifts: &mut Vec<String>) {
     for f in rows {
         let speedup = num(f, "speedup");
         if num(f, "experts") == 512.0 && num(f, "k") == 1.0 && speedup < MIN_SPARSE_SPEEDUP_512 {
@@ -410,18 +239,17 @@ fn over_byte_budget(f: &Json, prefix: &str) -> Option<String> {
 /// Budgeted incremental re-placement must recover >= 80% of the oracle's
 /// cross-traffic reduction, and must never migrate more than its byte
 /// budget per re-plan.
-fn online_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn online_bars(rows: &[Json], drifts: &mut Vec<String>) {
     for f in rows {
         let scenario = text(f, "scenario");
         // Recompute recovery from the exact integer cross counts rather
         // than trusting the 4-decimal-rounded `recovery` field (0.79997
         // would serialize as "0.8000" and sneak past the bar).
-        let (stat, oracle) = (num(f, "static_cross"), num(f, "oracle_cross"));
-        let recovery = if stat <= oracle {
-            1.0
-        } else {
-            (stat - num(f, "budgeted_cross")) / (stat - oracle)
-        };
+        let recovery = online_recovery(
+            num(f, "static_cross"),
+            num(f, "oracle_cross"),
+            num(f, "budgeted_cross"),
+        );
         if recovery < MIN_ONLINE_RECOVERY {
             drifts.push(format!(
                 "online recovery on {scenario} is {recovery:.4}, below the \
@@ -439,7 +267,7 @@ fn online_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// owner-moves-only in realized cross traffic, and strictly beat it on at
 /// least one scenario — that is the memory-for-migration-bytes trade-off
 /// the subsystem exists to buy.
-fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
     let mut joint_dominates_somewhere = rows.is_empty();
     for f in rows {
         let scenario = text(f, "scenario");
@@ -479,7 +307,7 @@ fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// their re-placements with real migration stalls in serving time — must
 /// never worsen the p99 latency tail over the static incumbent, and no
 /// policy may report more goodput than the load it was offered.
-fn serving_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn serving_bars(rows: &[Json], drifts: &mut Vec<String>) {
     for f in rows {
         let arrival = text(f, "arrival");
         let (static_p99, offered) = (num(f, "static_p99"), num(f, "offered_load"));
@@ -509,7 +337,7 @@ fn serving_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// fleet (which may never recover at all, encoded as -1), and replica
 /// failover must save emergency wire traffic over restoring from a
 /// checkpoint shard.
-fn elasticity_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn elasticity_bars(rows: &[Json], drifts: &mut Vec<String>) {
     for f in rows {
         let fault = text(f, "fault");
         let (plain_rec, repl_rec) = (num(f, "plain_recovery"), num(f, "repl_recovery"));
@@ -540,7 +368,7 @@ fn elasticity_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// The bar is checked on the exact integer counters rather than the
 /// 3-decimal-rounded `scan_reduction` field (and a re-plan that needed no
 /// exact evaluation at all passes it).
-fn replan_latency_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn replan_latency_bars(rows: &[Json], drifts: &mut Vec<String>) {
     for f in rows {
         let preset = text(f, "preset");
         if f.get("cross_mass_rebuild") != f.get("cross_mass_incremental") {
@@ -568,7 +396,7 @@ fn replan_latency_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// least one top-2 CC engine row must actually place replicas (the
 /// regression the sweep exists to catch is top-2 models silently falling
 /// back to owner-only serving).
-fn partial_replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn partial_replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
     let mut top2_uses_replicas = rows.is_empty();
     for f in rows {
         let scenario = text(f, "scenario");
@@ -661,7 +489,8 @@ mod tests {
     fn nnz_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.sparse_rows[0].nnz += 1;
+        let nnz = fresh.int("sparse_rows", "nnz");
+        fresh.set("sparse_rows", "nnz", nnz + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(report.drifts[0].contains("nnz drift"));
@@ -685,7 +514,7 @@ mod tests {
     fn missing_and_extra_rows_fail() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.rows[0].solver = "renamed".into();
+        fresh.set("rows", "solver", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(report.drifts.iter().any(|d| d.contains("missing")));
@@ -753,7 +582,8 @@ mod tests {
     fn replication_cross_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_cross -= 1;
+        let joint = fresh.int("replication_online_rows", "joint_cross");
+        fresh.set("replication_online_rows", "joint_cross", joint - 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -770,8 +600,8 @@ mod tests {
     fn replication_memory_violation_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replication_online_rows[0].extra_copies =
-            fresh.replication_online_rows[0].replica_slots + 1;
+        let slots = fresh.int("replication_online_rows", "replica_slots");
+        fresh.set("replication_online_rows", "extra_copies", slots + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -787,10 +617,9 @@ mod tests {
     fn replication_migration_violation_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_migrated_bytes = fresh.replication_online_rows[0]
-            .budget_bytes
-            * fresh.replication_online_rows[0].joint_replans as u64
-            + 1;
+        let key = "replication_online_rows";
+        let allowed = fresh.int(key, "budget_bytes") * fresh.int(key, "joint_replans");
+        fresh.set(key, "joint_migrated_bytes", allowed + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -806,8 +635,8 @@ mod tests {
     fn joint_policy_losing_to_owner_moves_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_cross =
-            fresh.replication_online_rows[0].owner_cross + 100;
+        let owner = fresh.int("replication_online_rows", "owner_cross");
+        fresh.set("replication_online_rows", "joint_cross", owner + 100);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -823,7 +652,8 @@ mod tests {
     fn joint_policy_tying_everywhere_fails_the_domination_bar() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replication_online_rows[0].joint_cross = fresh.replication_online_rows[0].owner_cross;
+        let owner = fresh.int("replication_online_rows", "owner_cross");
+        fresh.set("replication_online_rows", "joint_cross", owner);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -839,7 +669,8 @@ mod tests {
     fn serving_latency_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.serving_rows[0].online_p99 += 1e-9;
+        let p99 = fresh.num("serving_rows", "online_p99");
+        fresh.set("serving_rows", "online_p99", p99 + 1e-9);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -859,7 +690,8 @@ mod tests {
         // Online p99 worse than static: the whole point of paying
         // migration stalls is lost, and the gate must say so even though
         // the baseline (bit-compare) would also catch the change.
-        fresh.serving_rows[0].online_p99 = fresh.serving_rows[0].static_p99 + 1.0;
+        let static_p99 = fresh.num("serving_rows", "static_p99");
+        fresh.set("serving_rows", "online_p99", static_p99 + 1.0);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -875,7 +707,8 @@ mod tests {
     fn serving_goodput_over_offered_load_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.serving_rows[0].repl_goodput = fresh.serving_rows[0].offered_load * 2.0;
+        let offered = fresh.num("serving_rows", "offered_load");
+        fresh.set("serving_rows", "repl_goodput", offered * 2.0);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -891,7 +724,7 @@ mod tests {
     fn serving_missing_arrival_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.serving_rows[0].arrival = "renamed".into();
+        fresh.set("serving_rows", "arrival", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(report.drifts.iter().any(|d| d.contains("serving row")));
@@ -902,7 +735,8 @@ mod tests {
     fn elasticity_recovery_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.elasticity_rows[0].repl_recovery += 1e-9;
+        let recovery = fresh.num("elasticity_rows", "repl_recovery");
+        fresh.set("elasticity_rows", "repl_recovery", recovery + 1e-9);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -922,7 +756,7 @@ mod tests {
             // Never recovering, or recovering slower than the
             // unreplicated fleet's 8.25, both fail.
             let mut fresh = base.clone();
-            fresh.elasticity_rows[0].repl_recovery = repl_recovery;
+            fresh.set("elasticity_rows", "repl_recovery", repl_recovery);
             let report = compare(&base.to_json(), &fresh.to_json());
             assert!(
                 report
@@ -939,8 +773,8 @@ mod tests {
     fn failover_saving_no_wire_traffic_fails_the_bar() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.elasticity_rows[0].repl_emergency_bytes =
-            fresh.elasticity_rows[0].plain_emergency_bytes;
+        let plain = fresh.int("elasticity_rows", "plain_emergency_bytes");
+        fresh.set("elasticity_rows", "repl_emergency_bytes", plain);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -956,7 +790,7 @@ mod tests {
     fn elasticity_missing_fault_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.elasticity_rows[0].fault = "renamed".into();
+        fresh.set("elasticity_rows", "fault", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(report.drifts.iter().any(|d| d.contains("elasticity row")));
@@ -967,7 +801,12 @@ mod tests {
     fn partial_cross_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_cross_mass += 1e-12;
+        let partial = fresh.num("partial_replication_rows", "partial_cross_mass");
+        fresh.set(
+            "partial_replication_rows",
+            "partial_cross_mass",
+            partial + 1e-12,
+        );
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -984,8 +823,8 @@ mod tests {
     fn partial_losing_to_full_fails_the_bar() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_cross_mass =
-            fresh.partial_replication_rows[0].full_cross_mass + 0.1;
+        let full = fresh.num("partial_replication_rows", "full_cross_mass");
+        fresh.set("partial_replication_rows", "partial_cross_mass", full + 0.1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report.drifts.iter().any(|d| d.contains("at equal memory")),
@@ -998,7 +837,7 @@ mod tests {
     fn top2_falling_back_to_owner_only_fails_the_bar() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].cc_replicas_added = 0;
+        fresh.set("partial_replication_rows", "cc_replicas_added", 0u64);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -1014,8 +853,12 @@ mod tests {
     fn partial_memory_violation_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_extra_copies =
-            fresh.partial_replication_rows[0].replica_slots + 1;
+        let slots = fresh.int("partial_replication_rows", "replica_slots");
+        fresh.set(
+            "partial_replication_rows",
+            "partial_extra_copies",
+            slots + 1,
+        );
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -1031,10 +874,9 @@ mod tests {
     fn partial_migration_violation_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.partial_replication_rows[0].partial_migrated_bytes =
-            fresh.partial_replication_rows[0].budget_bytes
-                * fresh.partial_replication_rows[0].partial_replans as u64
-                + 1;
+        let key = "partial_replication_rows";
+        let allowed = fresh.int(key, "budget_bytes") * fresh.int(key, "partial_replans");
+        fresh.set(key, "partial_migrated_bytes", allowed + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -1050,7 +892,8 @@ mod tests {
     fn repl_extra_copies_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.elasticity_rows[0].repl_extra_copies += 1;
+        let copies = fresh.int("elasticity_rows", "repl_extra_copies");
+        fresh.set("elasticity_rows", "repl_extra_copies", copies + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -1066,7 +909,12 @@ mod tests {
     fn replan_counter_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replan_latency_rows[0].evaluated_incremental += 1;
+        let evaluated = fresh.int("replan_latency_rows", "evaluated_incremental");
+        fresh.set(
+            "replan_latency_rows",
+            "evaluated_incremental",
+            evaluated + 1,
+        );
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -1083,7 +931,8 @@ mod tests {
     fn incremental_cross_mass_divergence_fails_the_bar() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replan_latency_rows[0].cross_mass_incremental += 1e-12;
+        let cm = fresh.num("replan_latency_rows", "cross_mass_incremental");
+        fresh.set("replan_latency_rows", "cross_mass_incremental", cm + 1e-12);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report
@@ -1101,8 +950,8 @@ mod tests {
         let mut fresh = base.clone();
         // 8M considered, 8k of them evaluated exactly: only 1000x on the
         // 512 cell.
-        fresh.replan_latency_rows[0].evaluated_incremental = 8_000;
-        fresh.replan_latency_rows[0].reused = 7_992_000;
+        fresh.set("replan_latency_rows", "evaluated_incremental", 8_000u64);
+        fresh.set("replan_latency_rows", "reused", 7_992_000u64);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report.drifts.iter().any(|d| d.contains("below the")),
@@ -1115,7 +964,7 @@ mod tests {
     fn replan_missing_preset_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.replan_latency_rows[0].preset = "renamed".into();
+        fresh.set("replan_latency_rows", "preset", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -1133,7 +982,8 @@ mod tests {
     fn online_cross_drift_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.online_rows[0].budgeted_cross += 1;
+        let budgeted = fresh.int("online_rows", "budgeted_cross");
+        fresh.set("online_rows", "budgeted_cross", budgeted + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
@@ -1150,7 +1000,7 @@ mod tests {
     fn online_missing_scenario_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.online_rows[0].scenario = "renamed".into();
+        fresh.set("online_rows", "scenario", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(report.drifts.iter().any(|d| d.contains("missing")));
@@ -1162,7 +1012,7 @@ mod tests {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
         // static 5000, oracle 3000: budgeted 4000 recovers only 50%.
-        fresh.online_rows[0].budgeted_cross = 4000;
+        fresh.set("online_rows", "budgeted_cross", 4000u64);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report.drifts.iter().any(|d| d.contains("acceptance bar")),
@@ -1175,8 +1025,9 @@ mod tests {
     fn online_budget_violation_fails() {
         let base = summary(0.25, 100.0, 100.0);
         let mut fresh = base.clone();
-        fresh.online_rows[0].migrated_bytes =
-            fresh.online_rows[0].budget_bytes * fresh.online_rows[0].replans as u64 + 1;
+        let allowed =
+            fresh.int("online_rows", "budget_bytes") * fresh.int("online_rows", "replans");
+        fresh.set("online_rows", "migrated_bytes", allowed + 1);
         let report = compare(&base.to_json(), &fresh.to_json());
         assert!(
             report

@@ -22,6 +22,7 @@ pub mod fmt;
 pub mod gate;
 pub mod summary;
 pub mod sweep;
+pub mod table;
 
 /// How big an experiment sweep to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,68 +1,10 @@
 //! Machine-readable solver benchmark: the `BENCH_*.json` emitter that
 //! drives the repo's performance trajectory.
 //!
-//! Two sweeps feed the summary:
-//!
-//! * **Table II sweep** — the model zoo × the solver portfolio on
-//!   fixed-seed profiled instances, recording wall milliseconds and the
-//!   achieved objective (cross mass) per `SolverKind`. The whole sweep
-//!   runs twice — once at `--jobs 1` and once at the requested width —
-//!   and the emitter *verifies* that every objective is bit-identical
-//!   across the two runs before reporting the parallel speedup.
-//! * **`table_sparse` sweep** — the large-expert zoo (`E = 256/512`,
-//!   top-1 and top-2) solved once per objective backend (dense `E x E`
-//!   vs CSR), verifying the two produce identical placements and
-//!   bit-identical cross mass, and recording nnz/density plus the
-//!   dense-vs-sparse wall time of one exact `swap_delta` pass over every
-//!   swap candidate per cell.
-//! * **`table_online` sweep** — the non-stationary drift presets served
-//!   under three re-placement policies (static incumbent, oracle
-//!   re-solve, byte-budgeted incremental), recording realized cross-unit
-//!   transition counts, migrated bytes, and the recovery fraction —
-//!   verified bit-identical across thread counts and gap backends.
-//! * **`table_replication_online` sweep** — the same drift presets (at
-//!   `E = 16` and one `E = 256` sparse instance) under static /
-//!   owner-moves-only / joint replication-aware re-placement: at equal
-//!   migration bytes, the joint policy may additionally spend a per-GPU
-//!   replica memory budget, and the sweep records cross counts, replica
-//!   churn, and budget compliance — verified invariant across gap
-//!   backends.
-//!
-//! * **`table_serving` sweep** — the request-level serving front-end:
-//!   Poisson / diurnal / flash-crowd arrival processes served under
-//!   static, budgeted-online, and replication-aware placements, recording
-//!   p50/p95/p99 request latency, goodput, re-plan counts, and migrated
-//!   bytes per cell — verified bit-identical across thread counts and
-//!   gap backends.
-//!
-//! * **`table_elasticity` sweep** — the fault-tolerance front-end: the
-//!   same Poisson arrival sample served through a mid-run GPU loss (and
-//!   a loss-and-rejoin cycle) by an unreplicated fleet and a fully
-//!   replicated one, recording disrupted requests, degraded steps,
-//!   emergency migration bytes, and tail-recovery time per cell —
-//!   verified bit-identical across thread counts and gap backends, with
-//!   the replicated fleet required to recover strictly faster.
-//!
-//! * **`table_partial_replication` sweep** — partial vs full replica
-//!   fan-out at `E ∈ {16, 256} × top-1/top-2`: every re-plan solves the
-//!   same incumbent under the one-replica-per-node subset policy and the
-//!   Lina-style everywhere policy at *equal* migration and per-GPU
-//!   memory budgets, verifying bit-identical solves across gap backends
-//!   and that the partial solve never scores worse; each row also runs
-//!   the context-coherent engine under the subset policy at 1/2/8 solver
-//!   threads (and dense/CSR backends), recording the replica adds and
-//!   dispatch locality the meeting-point rule realizes — top-2 rows must
-//!   actually buy replicas, not fall back to owner moves.
-//!
-//! * **`table_replan_latency` sweep** — re-plan latency at `E = 256/512`:
-//!   the same drifting instance re-planned window by window along two
-//!   lockstep paths — a cold rebuild (`Objective::from_snapshot` plus a
-//!   budgeted solve on a local table) and incremental maintenance
-//!   (`Objective::apply_snapshot_delta` plus the same solve in a held
-//!   [`SwapGainCache`] buffer) — verified to pick bit-identical placements
-//!   at bit-identical objectives for identical solver work, while
-//!   recording how many considered candidates needed an exact gain
-//!   evaluation and the wall time of each path.
+//! One sweep per entry of [`TABLES`]; each table's paragraph is the doc
+//! comment of its sweep function below, and the `Json::obj` literal that
+//! ends the sweep — one commented line per key — is the only place the
+//! table's columns are declared.
 //!
 //! Quality numbers in `BENCH_*.json` are deterministic facts (the CI
 //! perf-gate compares them bit for bit against the committed baseline);
@@ -96,7 +38,9 @@ use exflow_placement::{
 };
 use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
+use crate::fmt::render_table;
 use crate::sweep::{par_map, SweepPool};
+use crate::table::{num, text, TABLES};
 use crate::Scale;
 
 /// GPUs each Table II instance is solved for (divides every Table II
@@ -246,619 +190,11 @@ const REPLAN_LATENCY_LAYERS: usize = 2;
 /// perf-gate rejects a baseline carrying any other tag.
 pub const SCHEMA: &str = "exflow-bench-summary/v8";
 
-/// A row type of the summary: its JSON fields, declared once, in emission
-/// order. The perf-gate's section table names the same keys.
-pub trait JsonRow {
-    /// `(key, value)` pairs of this row's JSON object.
-    fn fields(&self) -> Vec<(&'static str, Json)>;
-}
-
-/// One (model, solver) measurement.
-#[derive(Debug, Clone)]
-pub struct BenchRow {
-    /// Table II model name.
-    pub model: String,
-    /// Stable solver label (`SolverKind::label`).
-    pub solver: String,
-    /// Wall time of the solve, in milliseconds (measured in the
-    /// uncontended `--jobs 1` pass).
-    pub wall_ms: f64,
-    /// Achieved objective: expected cross-unit transition mass (lower is
-    /// better; bit-identical across thread counts).
-    pub cross_mass: f64,
-}
-
-impl JsonRow for BenchRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("model", self.model.as_str().into()),
-            ("solver", self.solver.as_str().into()),
-            ("wall_ms", Json::Fixed(self.wall_ms, 3)),
-            ("cross_mass", self.cross_mass.into()),
-        ]
-    }
-}
-
-/// One `table_sparse` cell: a large-expert instance solved on both
-/// objective backends.
-#[derive(Debug, Clone)]
-pub struct SparseBenchRow {
-    /// Large-zoo preset name.
-    pub preset: String,
-    /// Experts per layer.
-    pub n_experts: usize,
-    /// Gating fan-out the instance was sampled with.
-    pub k: usize,
-    /// Layers of the profiled instance (scaled down from the preset).
-    pub layers: usize,
-    /// Structural nonzeros across the instance's gap matrices
-    /// (backend-independent, deterministic).
-    pub nnz: usize,
-    /// `nnz` over the dense cell count.
-    pub density: f64,
-    /// Wall milliseconds of one exact `swap_delta` evaluation of every
-    /// `(layer, e1 < e2)` candidate on the dense backend.
-    pub wall_ms_dense: f64,
-    /// Wall milliseconds of the same pass on the CSR backend.
-    pub wall_ms_sparse: f64,
-    /// Final cross mass (bit-identical across backends — verified).
-    pub cross_mass: f64,
-}
-
-impl SparseBenchRow {
-    /// Dense wall over sparse wall: the sparse backend's algorithmic
-    /// speedup on this cell.
-    pub fn speedup(&self) -> f64 {
-        if self.wall_ms_sparse <= 0.0 {
-            return 0.0;
-        }
-        self.wall_ms_dense / self.wall_ms_sparse
-    }
-}
-
-impl JsonRow for SparseBenchRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("preset", self.preset.as_str().into()),
-            ("experts", self.n_experts.into()),
-            ("k", self.k.into()),
-            ("layers", self.layers.into()),
-            ("nnz", self.nnz.into()),
-            ("density", Json::Fixed(self.density, 6)),
-            ("wall_ms_dense", Json::Fixed(self.wall_ms_dense, 3)),
-            ("wall_ms_sparse", Json::Fixed(self.wall_ms_sparse, 3)),
-            ("speedup", Json::Fixed(self.speedup(), 3)),
-            ("cross_mass", self.cross_mass.into()),
-        ]
-    }
-}
-
-/// One `table_online` cell: a drift scenario served under the three
-/// re-placement policies. Cross counts are realized cross-unit layer
-/// transitions summed over every serving window — integers, so any drift
-/// across thread counts or backends is unambiguous.
-#[derive(Debug, Clone)]
-pub struct OnlineBenchRow {
-    /// Drift preset name (`piecewise-2phase`, `smooth`, ...).
-    pub scenario: String,
-    /// Experts per layer.
-    pub n_experts: usize,
-    /// MoE layers.
-    pub layers: usize,
-    /// Serving windows.
-    pub windows: usize,
-    /// Windows between re-plans.
-    pub replan_every: usize,
-    /// Byte budget of one budgeted re-plan.
-    pub budget_bytes: u64,
-    /// Bytes the budgeted policy actually migrated, whole run.
-    pub migrated_bytes: u64,
-    /// Budgeted re-plans that moved at least one expert.
-    pub replans: usize,
-    /// Cross-unit transitions under the never-re-placed incumbent.
-    pub static_cross: u64,
-    /// Cross-unit transitions under from-scratch oracle re-solves.
-    pub oracle_cross: u64,
-    /// Cross-unit transitions under budgeted incremental re-placement.
-    pub budgeted_cross: u64,
-    /// Final cross mass of the budgeted placement on the live estimate
-    /// (bit-identical across backends — verified).
-    pub cross_mass: f64,
-}
-
-impl OnlineBenchRow {
-    /// Fraction of the oracle's cross-traffic reduction the budgeted
-    /// policy recovers: `(static - budgeted) / (static - oracle)`. 1.0
-    /// when the scenario gives the oracle nothing to improve.
-    pub fn recovery(&self) -> f64 {
-        if self.static_cross <= self.oracle_cross {
-            return 1.0;
-        }
-        (self.static_cross as f64 - self.budgeted_cross as f64)
-            / (self.static_cross as f64 - self.oracle_cross as f64)
-    }
-}
-
-impl JsonRow for OnlineBenchRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("scenario", self.scenario.as_str().into()),
-            ("experts", self.n_experts.into()),
-            ("layers", self.layers.into()),
-            ("windows", self.windows.into()),
-            ("replan_every", self.replan_every.into()),
-            ("budget_bytes", self.budget_bytes.into()),
-            ("migrated_bytes", self.migrated_bytes.into()),
-            ("replans", self.replans.into()),
-            ("static_cross", self.static_cross.into()),
-            ("oracle_cross", self.oracle_cross.into()),
-            ("budgeted_cross", self.budgeted_cross.into()),
-            ("recovery", Json::Fixed(self.recovery(), 4)),
-            ("cross_mass", self.cross_mass.into()),
-        ]
-    }
-}
-
-/// One `table_replication_online` cell: a drift scenario served under
-/// three re-placement policies — static incumbent, owner-moves-only
-/// (migration budget spent exclusively on relocations), and the joint
-/// replica + owner-move policy (same migration budget, plus a per-GPU
-/// replica memory budget). Cross counts are realized cross-unit layer
-/// transitions on the window traces — the joint policy's counts honor
-/// replica availability (`ReplicationPlan::trace_locality`).
-#[derive(Debug, Clone)]
-pub struct ReplicationOnlineRow {
-    /// Scenario label: drift preset plus the instance size
-    /// (`piecewise-2phase/E16`, ...).
-    pub scenario: String,
-    /// Experts per layer.
-    pub n_experts: usize,
-    /// MoE layers.
-    pub layers: usize,
-    /// GPUs the instance is placed across.
-    pub units: usize,
-    /// Serving windows.
-    pub windows: usize,
-    /// Windows between re-plans.
-    pub replan_every: usize,
-    /// Migration byte budget of one re-plan (identical for both adaptive
-    /// policies).
-    pub budget_bytes: u64,
-    /// Per-GPU replica memory budget of the joint policy, in expert
-    /// payloads.
-    pub replica_slots: u64,
-    /// Bytes the owner-moves-only policy migrated, whole run.
-    pub owner_migrated_bytes: u64,
-    /// Bytes the joint policy migrated (owner moves + replica fan-out).
-    pub joint_migrated_bytes: u64,
-    /// Owner-policy re-plans that moved at least one expert.
-    pub owner_replans: usize,
-    /// Joint-policy re-plans that changed anything.
-    pub joint_replans: usize,
-    /// Replica copies the joint policy created, whole run.
-    pub replicas_added: u64,
-    /// Replica copies the joint policy retired, whole run.
-    pub replicas_dropped: u64,
-    /// Worst-case extra replica copies any GPU holds at the end of the
-    /// joint run (must stay within `replica_slots`).
-    pub extra_copies: u64,
-    /// Cross-unit transitions under the never-re-placed incumbent.
-    pub static_cross: u64,
-    /// Cross-unit transitions under owner-moves-only re-placement.
-    pub owner_cross: u64,
-    /// Cross-unit transitions under the joint policy.
-    pub joint_cross: u64,
-    /// Final replication-aware cross mass of the joint plan on the live
-    /// estimate (bit-identical across backends — verified).
-    pub cross_mass: f64,
-}
-
-impl ReplicationOnlineRow {
-    /// Fraction of the static incumbent's cross traffic a policy
-    /// eliminated: `(static - cross) / static` (0 when the static run had
-    /// none).
-    fn locality_recovery(&self, cross: u64) -> f64 {
-        if self.static_cross == 0 {
-            return 0.0;
-        }
-        (self.static_cross as f64 - cross as f64) / self.static_cross as f64
-    }
-
-    /// Locality recovery of the owner-moves-only policy.
-    pub fn owner_recovery(&self) -> f64 {
-        self.locality_recovery(self.owner_cross)
-    }
-
-    /// Locality recovery of the joint policy.
-    pub fn joint_recovery(&self) -> f64 {
-        self.locality_recovery(self.joint_cross)
-    }
-}
-
-impl JsonRow for ReplicationOnlineRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("scenario", self.scenario.as_str().into()),
-            ("experts", self.n_experts.into()),
-            ("layers", self.layers.into()),
-            ("units", self.units.into()),
-            ("windows", self.windows.into()),
-            ("replan_every", self.replan_every.into()),
-            ("budget_bytes", self.budget_bytes.into()),
-            ("replica_slots", self.replica_slots.into()),
-            ("owner_migrated_bytes", self.owner_migrated_bytes.into()),
-            ("joint_migrated_bytes", self.joint_migrated_bytes.into()),
-            ("owner_replans", self.owner_replans.into()),
-            ("joint_replans", self.joint_replans.into()),
-            ("replicas_added", self.replicas_added.into()),
-            ("replicas_dropped", self.replicas_dropped.into()),
-            ("extra_copies", self.extra_copies.into()),
-            ("static_cross", self.static_cross.into()),
-            ("owner_cross", self.owner_cross.into()),
-            ("joint_cross", self.joint_cross.into()),
-            ("owner_recovery", Json::Fixed(self.owner_recovery(), 4)),
-            ("joint_recovery", Json::Fixed(self.joint_recovery(), 4)),
-            ("cross_mass", self.cross_mass.into()),
-        ]
-    }
-}
-
-/// One `table_serving` cell: one arrival process (Poisson / diurnal /
-/// flash-crowd) served end-to-end through the request-level front-end
-/// (`Scenario::with_serving`) under three placement policies —
-/// static incumbent, budgeted-online re-placement, and replication-aware
-/// re-placement. Latencies, goodput, and offered load are virtual-time
-/// facts (bit-identical across thread counts and gap backends — verified
-/// in-sweep); all three policies see the *same* arrival sample and
-/// routing draws, so the tails differ only through placement quality and
-/// migration stalls.
-#[derive(Debug, Clone)]
-pub struct ServingBenchRow {
-    /// Arrival-process label (`poisson`, `diurnal`, `flash-crowd`).
-    pub arrival: String,
-    /// Requests served per cell.
-    pub requests: usize,
-    /// Decode steps (generated tokens) per request.
-    pub decode_steps: usize,
-    /// Serving windows of the drift schedule.
-    pub windows: usize,
-    /// Batch-size cap of the continuous-batching policy.
-    pub max_batch: usize,
-    /// Requests per unit virtual time the arrival process offered.
-    pub offered_load: f64,
-    /// p50 request latency under the static incumbent.
-    pub static_p50: f64,
-    /// p95 request latency under the static incumbent.
-    pub static_p95: f64,
-    /// p99 request latency under the static incumbent.
-    pub static_p99: f64,
-    /// Completed requests per unit virtual time, static incumbent.
-    pub static_goodput: f64,
-    /// p50 request latency under budgeted-online re-placement.
-    pub online_p50: f64,
-    /// p95 request latency under budgeted-online re-placement.
-    pub online_p95: f64,
-    /// p99 request latency under budgeted-online re-placement.
-    pub online_p99: f64,
-    /// Completed requests per unit virtual time, budgeted-online.
-    pub online_goodput: f64,
-    /// Re-plans the budgeted-online policy executed.
-    pub online_replans: u64,
-    /// Bytes the budgeted-online policy migrated, whole run.
-    pub online_migrated_bytes: u64,
-    /// p50 request latency under replication-aware re-placement.
-    pub repl_p50: f64,
-    /// p95 request latency under replication-aware re-placement.
-    pub repl_p95: f64,
-    /// p99 request latency under replication-aware re-placement.
-    pub repl_p99: f64,
-    /// Completed requests per unit virtual time, replication-aware.
-    pub repl_goodput: f64,
-    /// Replica copies the replication-aware policy created, whole run.
-    pub repl_replicas_added: u64,
-}
-
-impl ServingBenchRow {
-    /// Static p99 over a policy's p99: > 1 exactly when the adaptive
-    /// policy improves the latency tail over never re-placing.
-    pub fn p99_speedup(&self, p99: f64) -> f64 {
-        if p99 <= 0.0 {
-            return 0.0;
-        }
-        self.static_p99 / p99
-    }
-}
-
-impl JsonRow for ServingBenchRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("arrival", self.arrival.as_str().into()),
-            ("requests", self.requests.into()),
-            ("decode_steps", self.decode_steps.into()),
-            ("windows", self.windows.into()),
-            ("max_batch", self.max_batch.into()),
-            ("offered_load", self.offered_load.into()),
-            ("static_p50", self.static_p50.into()),
-            ("static_p95", self.static_p95.into()),
-            ("static_p99", self.static_p99.into()),
-            ("static_goodput", self.static_goodput.into()),
-            ("online_p50", self.online_p50.into()),
-            ("online_p95", self.online_p95.into()),
-            ("online_p99", self.online_p99.into()),
-            ("online_goodput", self.online_goodput.into()),
-            ("online_replans", self.online_replans.into()),
-            ("online_migrated_bytes", self.online_migrated_bytes.into()),
-            ("repl_p50", self.repl_p50.into()),
-            ("repl_p95", self.repl_p95.into()),
-            ("repl_p99", self.repl_p99.into()),
-            ("repl_goodput", self.repl_goodput.into()),
-            ("repl_replicas_added", self.repl_replicas_added.into()),
-        ]
-    }
-}
-
-/// One `table_elasticity` cell: the same arrival sample served through
-/// the same mid-run GPU fault by two fleets — one with no replicas
-/// (every expert lost with its GPU must be emergency-restored over the
-/// wire) and one fully replicated (failover is a free ownership flip).
-/// All figures are deterministic virtual-time facts, bit-identical
-/// across thread counts and gap backends (verified in-sweep). Recovery
-/// times are `-1` when the fleet's rolling tail never returned to its
-/// pre-fault p99 within the run.
-#[derive(Debug, Clone)]
-pub struct ElasticityRow {
-    /// Fault-schedule label (`gpu-loss`, `gpu-loss+rejoin`).
-    pub fault: String,
-    /// Requests served per cell.
-    pub requests: usize,
-    /// Virtual time of the GPU loss.
-    pub fault_time: f64,
-    /// p99 request latency of the no-replica fleet, whole run.
-    pub plain_p99: f64,
-    /// In-flight requests the loss re-queued, no-replica fleet.
-    pub plain_disrupted: u64,
-    /// Decode steps served under emergency-migration contention,
-    /// no-replica fleet.
-    pub plain_steps_degraded: u64,
-    /// Bytes the emergency re-placements copied, no-replica fleet.
-    pub plain_emergency_bytes: u64,
-    /// Virtual time from the loss until the rolling p99 recovered, or
-    /// `-1` if it never did.
-    pub plain_recovery: f64,
-    /// p99 request latency of the fully replicated fleet, whole run.
-    pub repl_p99: f64,
-    /// In-flight requests the loss re-queued, replicated fleet.
-    pub repl_disrupted: u64,
-    /// Decode steps served under emergency-migration contention,
-    /// replicated fleet.
-    pub repl_steps_degraded: u64,
-    /// Bytes the emergency re-placements copied, replicated fleet
-    /// (zero: every lost expert has a live replica).
-    pub repl_emergency_bytes: u64,
-    /// Virtual time from the loss until the rolling p99 recovered, or
-    /// `-1` if it never did.
-    pub repl_recovery: f64,
-    /// Worst-case extra replica copies any GPU holds in the replicated
-    /// fleet's starting plan — counted from the materialized subsets
-    /// (`ReplicationPlan::extra_copies_per_gpu`), not a world-size
-    /// fan-out assumption.
-    pub repl_extra_copies: u64,
-}
-
-impl ElasticityRow {
-    /// Whether the replicated fleet recovered strictly faster than the
-    /// no-replica fleet (the acceptance bar): it must recover at all,
-    /// and beat a no-replica fleet that either recovered later or never
-    /// did.
-    pub fn replication_recovers_faster(&self) -> bool {
-        self.repl_recovery >= 0.0
-            && (self.plain_recovery < 0.0 || self.repl_recovery < self.plain_recovery)
-    }
-}
-
-impl JsonRow for ElasticityRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("fault", self.fault.as_str().into()),
-            ("requests", self.requests.into()),
-            ("fault_time", self.fault_time.into()),
-            ("plain_p99", self.plain_p99.into()),
-            ("plain_disrupted", self.plain_disrupted.into()),
-            ("plain_steps_degraded", self.plain_steps_degraded.into()),
-            ("plain_emergency_bytes", self.plain_emergency_bytes.into()),
-            ("plain_recovery", self.plain_recovery.into()),
-            ("repl_p99", self.repl_p99.into()),
-            ("repl_disrupted", self.repl_disrupted.into()),
-            ("repl_steps_degraded", self.repl_steps_degraded.into()),
-            ("repl_emergency_bytes", self.repl_emergency_bytes.into()),
-            ("repl_recovery", self.repl_recovery.into()),
-            ("repl_extra_copies", self.repl_extra_copies.into()),
-        ]
-    }
-}
-
-/// One `table_partial_replication` cell: a drifting instance re-planned
-/// window by window under the partial (one-replica-per-node) and full
-/// (everywhere) fan-out policies at equal migration-byte and per-GPU
-/// memory budgets, always from the same shared incumbent — so the
-/// per-cell cross-mass comparison is exact, not a trajectory artifact.
-/// The `cc_*` figures come from a context-coherent engine run under the
-/// subset policy (the meeting-point dispatch rule), verified bit-identical
-/// at 1/2/8 solver threads and across gap backends.
-#[derive(Debug, Clone)]
-pub struct PartialReplicationRow {
-    /// Cell label (`E16/top1`, `E256/top2`, ...).
-    pub scenario: String,
-    /// Experts per layer.
-    pub n_experts: usize,
-    /// Gating fan-out the window traces are sampled with.
-    pub k: usize,
-    /// MoE layers of the placement instance.
-    pub layers: usize,
-    /// GPUs the instance is placed across.
-    pub units: usize,
-    /// Serving windows.
-    pub windows: usize,
-    /// Extra replica payloads each GPU may hold (both policies).
-    pub replica_slots: u64,
-    /// Migration byte budget of one re-plan (both policies).
-    pub budget_bytes: u64,
-    /// Re-plans where the partial policy changed the plan.
-    pub partial_replans: usize,
-    /// Replica copies the partial policy created, summed over re-plans
-    /// (each ships only to its chosen subset).
-    pub replicas_added: u64,
-    /// Bytes the partial-policy re-plans actually migrated.
-    pub partial_migrated_bytes: u64,
-    /// Bytes the everywhere-policy solves would have migrated from the
-    /// same incumbents.
-    pub full_migrated_bytes: u64,
-    /// Final worst-case extra copies per GPU under the partial policy.
-    pub partial_extra_copies: u64,
-    /// Worst-case extra copies per GPU of the last everywhere solve.
-    pub full_extra_copies: u64,
-    /// Replicated cross mass of the partial solves, summed over re-plans
-    /// (bit-identical across gap backends — verified).
-    pub partial_cross_mass: f64,
-    /// Replicated cross mass of the everywhere solves from the same
-    /// incumbents, summed over re-plans.
-    pub full_cross_mass: f64,
-    /// Realized cross-unit transitions of the partial trajectory on the
-    /// window traces (set-semantics replica locality).
-    pub realized_cross: u64,
-    /// Replica copies the context-coherent engine run created under the
-    /// one-per-node policy (top-2 rows must not fall back to zero).
-    pub cc_replicas_added: u64,
-    /// GPU-local dispatch fraction of that engine run.
-    pub cc_local_fraction: f64,
-}
-
-impl PartialReplicationRow {
-    /// The equal-memory acceptance bar: the partial fan-out solve never
-    /// scores worse than the everywhere solve from the same incumbent
-    /// (structural — the partial candidate set is a superset).
-    pub fn partial_never_loses(&self) -> bool {
-        self.partial_cross_mass <= self.full_cross_mass
-    }
-}
-
-impl JsonRow for PartialReplicationRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("scenario", self.scenario.as_str().into()),
-            ("experts", self.n_experts.into()),
-            ("k", self.k.into()),
-            ("layers", self.layers.into()),
-            ("units", self.units.into()),
-            ("windows", self.windows.into()),
-            ("replica_slots", self.replica_slots.into()),
-            ("budget_bytes", self.budget_bytes.into()),
-            ("partial_replans", self.partial_replans.into()),
-            ("replicas_added", self.replicas_added.into()),
-            ("partial_migrated_bytes", self.partial_migrated_bytes.into()),
-            ("full_migrated_bytes", self.full_migrated_bytes.into()),
-            ("partial_extra_copies", self.partial_extra_copies.into()),
-            ("full_extra_copies", self.full_extra_copies.into()),
-            ("partial_cross_mass", self.partial_cross_mass.into()),
-            ("full_cross_mass", self.full_cross_mass.into()),
-            ("realized_cross", self.realized_cross.into()),
-            ("cc_replicas_added", self.cc_replicas_added.into()),
-            ("cc_local_fraction", Json::Fixed(self.cc_local_fraction, 6)),
-        ]
-    }
-}
-
-/// One `table_replan_latency` cell: a large-expert drift scenario
-/// re-planned window by window along two lockstep paths — a cold rebuild
-/// (fresh `Objective::from_snapshot` plus a budgeted solve on a local
-/// attraction table) and incremental maintenance
-/// (`Objective::apply_snapshot_delta` plus the same solve in a persistent
-/// `SwapGainCache` buffer). Both paths are verified in-sweep to hold
-/// bit-identical objectives, pick identical placements for an identical
-/// `ReplanCost`, and land on bit-identical cross mass; the counters record
-/// how many considered candidates the attraction table could not decide
-/// without an exact gain evaluation.
-#[derive(Debug, Clone)]
-pub struct ReplanLatencyRow {
-    /// Large-zoo preset name.
-    pub preset: String,
-    /// Experts per layer.
-    pub n_experts: usize,
-    /// Gating fan-out the instance was sampled with.
-    pub k: usize,
-    /// Layers of the drifting instance.
-    pub layers: usize,
-    /// Serving windows (window 0 profiles; every later window re-plans).
-    pub windows: usize,
-    /// Re-plans that actually moved at least one expert.
-    pub replans: usize,
-    /// Expert-move budget of each re-plan.
-    pub max_moves: u64,
-    /// Swap candidates the scan loops looked at, summed over every
-    /// re-plan — identical on both paths (verified; the meter charges
-    /// every candidate alike).
-    pub considered: u64,
-    /// Candidates the rebuild path decided by an exact `swap_delta` call
-    /// (both paths run the same table-driven solver: equals
-    /// `evaluated_incremental`, verified).
-    pub evaluated_rebuild: u64,
-    /// Candidates the incremental path decided by an exact `swap_delta`
-    /// call.
-    pub evaluated_incremental: u64,
-    /// Candidates the incremental path's attraction table decided alone
-    /// (`considered - evaluated_incremental`).
-    pub reused: u64,
-    /// Wall milliseconds of the rebuild path (objective rebuild + solve),
-    /// summed over every re-plan.
-    pub wall_ms_rebuild: f64,
-    /// Wall milliseconds of the incremental path (delta apply + cached
-    /// solve), summed over every re-plan.
-    pub wall_ms_incremental: f64,
-    /// Final cross mass of the rebuild path's placement on its objective
-    /// (bit-identical to the incremental path's — verified).
-    pub cross_mass_rebuild: f64,
-    /// Final cross mass of the incremental path's placement on its
-    /// delta-maintained objective.
-    pub cross_mass_incremental: f64,
-}
-
-impl ReplanLatencyRow {
-    /// Candidates considered per exact gain evaluation paid — how much
-    /// of the scan the attraction table answers, which the acceptance bar
-    /// gates at `E = 512`.
-    pub fn scan_reduction(&self) -> f64 {
-        if self.evaluated_incremental == 0 {
-            return 0.0;
-        }
-        self.considered as f64 / self.evaluated_incremental as f64
-    }
-}
-
-impl JsonRow for ReplanLatencyRow {
-    fn fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("preset", self.preset.as_str().into()),
-            ("experts", self.n_experts.into()),
-            ("k", self.k.into()),
-            ("layers", self.layers.into()),
-            ("windows", self.windows.into()),
-            ("replans", self.replans.into()),
-            ("max_moves", self.max_moves.into()),
-            ("considered", self.considered.into()),
-            ("evaluated_rebuild", self.evaluated_rebuild.into()),
-            ("evaluated_incremental", self.evaluated_incremental.into()),
-            ("reused", self.reused.into()),
-            ("scan_reduction", Json::Fixed(self.scan_reduction(), 3)),
-            ("wall_ms_rebuild", Json::Fixed(self.wall_ms_rebuild, 3)),
-            (
-                "wall_ms_incremental",
-                Json::Fixed(self.wall_ms_incremental, 3),
-            ),
-            ("cross_mass_rebuild", self.cross_mass_rebuild.into()),
-            ("cross_mass_incremental", self.cross_mass_incremental.into()),
-        ]
-    }
-}
+/// Master seed of the committed baseline (`BENCH_BASELINE.json`):
+/// `bench_summary`'s default, and the seed `repro` regenerates the
+/// `table_*` artifacts at, so the printed numbers are exactly the gated
+/// ones.
+pub const BASELINE_SEED: u64 = 20_240_522;
 
 /// The full benchmark result.
 #[derive(Debug, Clone)]
@@ -875,34 +211,15 @@ pub struct BenchSummary {
     /// Wall time of the whole Table II sweep at `--jobs N`, in
     /// milliseconds.
     pub wall_ms_jobs_n: f64,
-    /// Per-point measurements, in (model-major, solver-minor) grid order.
-    pub rows: Vec<BenchRow>,
-    /// The `table_sparse` cells, in `large_zoo()` order.
-    pub sparse_rows: Vec<SparseBenchRow>,
-    /// The `table_online` cells, in `DriftSchedule::presets` order.
-    pub online_rows: Vec<OnlineBenchRow>,
-    /// The `table_replication_online` cells: the 3 drift presets at
-    /// `E = 16`, then one `large_zoo()` sparse instance.
-    pub replication_online_rows: Vec<ReplicationOnlineRow>,
-    /// The `table_serving` cells, one per arrival process.
-    pub serving_rows: Vec<ServingBenchRow>,
-    /// The `table_elasticity` cells, one per fault schedule.
-    pub elasticity_rows: Vec<ElasticityRow>,
-    /// The `table_replan_latency` cells, in `large_zoo()` order.
-    pub replan_latency_rows: Vec<ReplanLatencyRow>,
-    /// The `table_partial_replication` cells, in
-    /// `E ∈ {16, 256} × top-1/top-2` grid order.
-    pub partial_replication_rows: Vec<PartialReplicationRow>,
+    /// `(section key, rows)` per [`TABLES`] entry, in that order.
+    pub tables: Vec<(&'static str, Vec<Json>)>,
 }
 
 impl BenchSummary {
     /// Parallel speedup of the Table II sweep (jobs=1 wall over jobs=N
     /// wall).
     pub fn speedup(&self) -> f64 {
-        if self.wall_ms_jobs_n <= 0.0 {
-            return 0.0;
-        }
-        self.wall_ms_jobs1 / self.wall_ms_jobs_n
+        ratio(self.wall_ms_jobs1, self.wall_ms_jobs_n)
     }
 
     /// Serialize as the [`SCHEMA`] document (see README). Objectives and
@@ -911,10 +228,7 @@ impl BenchSummary {
     /// the CI perf-gate compares; wall times and derived ratios are
     /// display-rounded.
     pub fn to_json(&self) -> String {
-        fn section<R: JsonRow>(rows: &[R]) -> Json {
-            Json::Arr(rows.iter().map(|r| Json::obj(r.fields())).collect())
-        }
-        Json::obj(vec![
+        let mut doc = vec![
             ("schema", SCHEMA.into()),
             ("seed", self.seed.into()),
             ("scale", self.scale.as_str().into()),
@@ -923,24 +237,22 @@ impl BenchSummary {
             ("wall_ms_jobsN", Json::Fixed(self.wall_ms_jobs_n, 3)),
             ("speedup", Json::Fixed(self.speedup(), 3)),
             ("objectives_bit_identical_across_jobs", Json::Bool(true)),
-            ("rows", section(&self.rows)),
-            ("sparse_rows", section(&self.sparse_rows)),
-            ("online_rows", section(&self.online_rows)),
-            (
-                "replication_online_rows",
-                section(&self.replication_online_rows),
-            ),
-            ("serving_rows", section(&self.serving_rows)),
-            ("elasticity_rows", section(&self.elasticity_rows)),
-            ("replan_latency_rows", section(&self.replan_latency_rows)),
-            (
-                "partial_replication_rows",
-                section(&self.partial_replication_rows),
-            ),
-        ])
-        .write_pretty()
-        .expect("bench summaries hold only finite numbers")
+        ];
+        let sections = self.tables.iter();
+        doc.extend(sections.map(|(key, rows)| (*key, Json::Arr(rows.clone()))));
+        Json::obj(doc)
+            .write_pretty()
+            .expect("bench summaries hold only finite numbers")
     }
+}
+
+/// `num / den`, or 0 when the denominator is not positive: a degenerate
+/// cell reports no ratio rather than an infinite one.
+pub(crate) fn ratio(num: f64, den: f64) -> f64 {
+    if den <= 0.0 {
+        return 0.0;
+    }
+    num / den
 }
 
 /// The solver roster the Table II benchmark times, sized by scale.
@@ -991,7 +303,7 @@ fn sweep_once(
     instances: &[(String, Objective)],
     kinds: &[SolverKind],
     seed: u64,
-) -> (Vec<BenchRow>, f64) {
+) -> (Vec<Json>, f64) {
     let grid: Vec<(usize, usize)> = (0..instances.len())
         .flat_map(|m| (0..kinds.len()).map(move |s| (m, s)))
         .collect();
@@ -1004,14 +316,87 @@ fn sweep_once(
         // sequentially inside so `--jobs` is the only width that matters.
         let placement = solve_with(objective, N_UNITS, kind, seed, Parallelism::single());
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        BenchRow {
-            model: name.clone(),
-            solver: kind.label(),
-            wall_ms,
-            cross_mass: objective.cross_mass(&placement),
-        }
+        Json::obj(vec![
+            // Table II model name.
+            ("model", name.as_str().into()),
+            // Stable solver label (`SolverKind::label`).
+            ("solver", kind.label().as_str().into()),
+            // Wall milliseconds of the solve (the uncontended `--jobs 1`
+            // pass is the one reported).
+            ("wall_ms", Json::Fixed(wall_ms, 3)),
+            // Achieved objective: expected cross-unit transition mass (lower
+            // is better; bit-identical across thread counts — verified).
+            ("cross_mass", objective.cross_mass(&placement).into()),
+        ])
     });
     (rows, t0.elapsed().as_secs_f64() * 1e3)
+}
+
+/// [`solver_table`] with the walls of its two passes:
+/// `(rows, wall_ms_jobs1, wall_ms_jobsN)`.
+fn solver_sweep(scale: Scale, jobs: usize, seed: u64) -> Result<(Vec<Json>, f64, f64), String> {
+    let kinds = roster(scale);
+    let models = table2();
+    let sequential = SweepPool::new(1);
+    let parallel = SweepPool::new(jobs);
+    // Instance construction (token sampling + trace estimation) is also
+    // fanned at the requested width; it feeds both timed passes equally,
+    // so it stays outside the timings.
+    let instances: Vec<(String, Objective)> = parallel.install(|| {
+        par_map(models, |m| {
+            // Fold every identity-bearing field into the stream so no two
+            // zoo rows ever measure the same instance.
+            let stream = seed ^ (m.n_layers as u64) ^ ((m.d_model as u64) << 16) ^ m.base_params;
+            let obj = instance(m.n_experts, m.n_layers, scale, stream);
+            (m.name, obj)
+        })
+    });
+
+    let (rows1, wall1) = sequential.install(|| sweep_once(&instances, &kinds, seed));
+    let (rows_n, wall_n) = parallel.install(|| sweep_once(&instances, &kinds, seed));
+
+    for (a, b) in rows1.iter().zip(rows_n.iter()) {
+        // Token equality of a shortest-round-trip float is bit equality.
+        if a.get("cross_mass") != b.get("cross_mass") {
+            return Err(format!(
+                "objective diverged across thread counts: {}/{} jobs=1 {} vs jobs={jobs} {}",
+                text(a, "model"),
+                text(a, "solver"),
+                text(a, "cross_mass"),
+                text(b, "cross_mass")
+            ));
+        }
+    }
+    Ok((rows1, wall1, wall_n))
+}
+
+/// The Table II sweep — the model zoo × the solver portfolio on fixed-seed
+/// profiled instances, recording wall milliseconds and the achieved
+/// objective (cross mass) per `SolverKind`. The whole sweep runs twice —
+/// once at `--jobs 1` and once at the requested width — and every
+/// objective is verified bit-identical across the two runs before the
+/// parallel speedup is reported.
+pub fn solver_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    solver_sweep(scale, jobs, seed).map(|(rows, _, _)| rows)
+}
+
+/// The Table II sweep's rows as plain text.
+pub fn render_solver_table(rows: &[Json]) -> String {
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                text(r, "model"),
+                text(r, "solver"),
+                format!("{:.1}", num(r, "wall_ms")),
+                format!("{:.4}", num(r, "cross_mass")),
+            ]
+        })
+        .collect();
+    format!(
+        "table2 sweep: solver portfolio on the Table II zoo (jobs=1 pass)\n\n{}",
+        render_table(&["model", "solver", "wall ms", "cross mass"], &body)
+    )
 }
 
 /// Measure one `table_sparse` cell: profile a large-expert instance,
@@ -1019,7 +404,7 @@ fn sweep_once(
 /// one exact `swap_delta` pass over every swap candidate on each, run the
 /// same bounded polish on each, verify the results are identical, and
 /// report the two wall times.
-fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<SparseBenchRow, String> {
+fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, String> {
     let e = cfg.n_experts;
     let k = cfg.gate.k();
     let layers = scale.pick(2, 3);
@@ -1071,23 +456,41 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<SparseBench
     }
     debug_assert_eq!(obj_dense.nnz(), obj_sparse.nnz());
 
-    Ok(SparseBenchRow {
-        preset: cfg.name.clone(),
-        n_experts: e,
-        k,
-        layers,
-        nnz: obj_sparse.nnz(),
-        density: obj_sparse.density(),
-        wall_ms_dense: wall_dense,
-        wall_ms_sparse: wall_sparse,
-        cross_mass: cost_sparse,
-    })
+    Ok(Json::obj(vec![
+        // Large-zoo preset name.
+        ("preset", cfg.name.as_str().into()),
+        // Experts per layer.
+        ("experts", e.into()),
+        // Gating fan-out the instance was sampled with.
+        ("k", k.into()),
+        // Layers of the profiled instance (scaled down from the preset).
+        ("layers", layers.into()),
+        // Structural nonzeros across the instance's gap matrices
+        // (backend-independent, deterministic).
+        ("nnz", obj_sparse.nnz().into()),
+        // `nnz` over the dense cell count.
+        ("density", Json::Fixed(obj_sparse.density(), 6)),
+        // Wall milliseconds of one exact `swap_delta` evaluation of every
+        // `(layer, e1 < e2)` candidate on the dense backend.
+        ("wall_ms_dense", Json::Fixed(wall_dense, 3)),
+        // Wall milliseconds of the same pass on the CSR backend.
+        ("wall_ms_sparse", Json::Fixed(wall_sparse, 3)),
+        // Dense wall over sparse wall: the sparse backend's algorithmic
+        // speedup on this cell.
+        ("speedup", Json::Fixed(ratio(wall_dense, wall_sparse), 3)),
+        // Final cross mass (bit-identical across backends — verified).
+        ("cross_mass", cost_sparse.into()),
+    ]))
 }
 
-/// The `table_sparse` sweep over the large-expert zoo. Cells run
-/// sequentially — they are timed, and contention would corrupt the
+/// The `table_sparse` sweep: the large-expert zoo (`E = 256/512`, top-1
+/// and top-2) solved once per objective backend (dense `E x E` vs CSR),
+/// verifying the two produce identical placements and bit-identical cross
+/// mass, and recording nnz/density plus the dense-vs-sparse wall time of
+/// one exact `swap_delta` pass over every swap candidate per cell. Cells
+/// run sequentially — they are timed, and contention would corrupt the
 /// dense-vs-sparse comparison. Errors if any cell's backends diverge.
-pub fn sparse_table(scale: Scale, seed: u64) -> Result<Vec<SparseBenchRow>, String> {
+pub fn sparse_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     large_zoo()
         .iter()
         .map(|cfg| {
@@ -1095,6 +498,37 @@ pub fn sparse_table(scale: Scale, seed: u64) -> Result<Vec<SparseBenchRow>, Stri
             sparse_cell(cfg, scale, stream)
         })
         .collect()
+}
+
+/// The `table_sparse` rows as plain text.
+pub fn render_sparse_table(rows: &[Json]) -> String {
+    let headers = [
+        "preset",
+        "nnz",
+        "density",
+        "dense ms",
+        "sparse ms",
+        "speedup",
+        "cross mass",
+    ];
+    let body: Vec<Vec<String>> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                text(r, "preset"),
+                text(r, "nnz"),
+                format!("{:.4}", num(r, "density")),
+                format!("{:.1}", num(r, "wall_ms_dense")),
+                format!("{:.1}", num(r, "wall_ms_sparse")),
+                format!("{:.1}x", num(r, "speedup")),
+                format!("{:.4}", num(r, "cross_mass")),
+            ]
+        })
+        .collect();
+    format!(
+        "table_sparse: one exact swap_delta pass per objective backend\n\n{}",
+        render_table(&headers, &body)
+    )
 }
 
 /// Sample one serving window's routing trace from a drift schedule.
@@ -1125,7 +559,7 @@ fn online_scenario(
     window_tokens: usize,
     jobs: usize,
     seed: u64,
-) -> Result<OnlineBenchRow, String> {
+) -> Result<Json, String> {
     let e = ONLINE_EXPERTS;
     let bytes_per_expert = moe_gpt_m(e).expert_params() * 2;
     let budget_bytes = ONLINE_BUDGET_MOVES * bytes_per_expert;
@@ -1242,26 +676,66 @@ fn online_scenario(
         ));
     }
 
-    Ok(OnlineBenchRow {
-        scenario: drift.name().to_string(),
-        n_experts: e,
-        layers,
-        windows,
-        replan_every: ONLINE_REPLAN_EVERY,
-        budget_bytes,
-        migrated_bytes,
-        replans,
-        static_cross,
-        oracle_cross,
-        budgeted_cross,
-        cross_mass: cm_dense,
-    })
+    let (stat, oracle, budgeted) = (
+        static_cross as f64,
+        oracle_cross as f64,
+        budgeted_cross as f64,
+    );
+    // Cross counts are realized cross-unit layer transitions summed over
+    // every serving window — integers, so any drift across thread counts
+    // or backends is unambiguous.
+    Ok(Json::obj(vec![
+        // Drift preset name (`piecewise-2phase`, `smooth`, ...).
+        ("scenario", drift.name().into()),
+        // Experts per layer.
+        ("experts", e.into()),
+        // MoE layers.
+        ("layers", layers.into()),
+        // Serving windows.
+        ("windows", windows.into()),
+        // Windows between re-plans.
+        ("replan_every", ONLINE_REPLAN_EVERY.into()),
+        // Byte budget of one budgeted re-plan.
+        ("budget_bytes", budget_bytes.into()),
+        // Bytes the budgeted policy actually migrated, whole run.
+        ("migrated_bytes", migrated_bytes.into()),
+        // Budgeted re-plans that moved at least one expert.
+        ("replans", replans.into()),
+        // Cross-unit transitions under the never-re-placed incumbent.
+        ("static_cross", static_cross.into()),
+        // Cross-unit transitions under from-scratch oracle re-solves.
+        ("oracle_cross", oracle_cross.into()),
+        // Cross-unit transitions under budgeted incremental re-placement.
+        ("budgeted_cross", budgeted_cross.into()),
+        // Fraction of the oracle's cross-traffic reduction the budgeted
+        // policy recovers.
+        (
+            "recovery",
+            Json::Fixed(online_recovery(stat, oracle, budgeted), 4),
+        ),
+        // Final cross mass of the budgeted placement on the live estimate
+        // (bit-identical across backends — verified).
+        ("cross_mass", cm_dense.into()),
+    ]))
 }
 
-/// The `table_online` sweep over the drift presets: static incumbent vs
-/// oracle re-solve vs byte-budgeted incremental re-placement. Errors
-/// (instead of panicking) if any invariance check fails.
-pub fn online_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<OnlineBenchRow>, String> {
+/// Fraction of the oracle's cross-traffic reduction the budgeted policy
+/// recovers: `(static - budgeted) / (static - oracle)`. 1.0 when the
+/// scenario gives the oracle nothing to improve.
+pub(crate) fn online_recovery(static_cross: f64, oracle_cross: f64, budgeted_cross: f64) -> f64 {
+    if static_cross <= oracle_cross {
+        return 1.0;
+    }
+    (static_cross - budgeted_cross) / (static_cross - oracle_cross)
+}
+
+/// The `table_online` sweep: the non-stationary drift presets served
+/// under three re-placement policies (static incumbent, oracle re-solve,
+/// byte-budgeted incremental), recording realized cross-unit transition
+/// counts, migrated bytes, and the recovery fraction — verified
+/// bit-identical across thread counts and gap backends. Errors (instead of
+/// panicking) if any invariance check fails.
+pub fn online_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let layers = scale.pick(5, 7);
     let windows = scale.pick(12, 16);
     let window_tokens = scale.pick(1500, 4000);
@@ -1299,7 +773,7 @@ fn replication_scenario(
     replan_every: usize,
     window_tokens: usize,
     seed: u64,
-) -> Result<ReplicationOnlineRow, String> {
+) -> Result<Json, String> {
     let bytes_per_expert = moe_gpt_m(e).expert_params() * 2;
     let budget_bytes = REPLICATION_BUDGET_MOVES * bytes_per_expert;
     let joint_budget = ReplicationBudget {
@@ -1432,42 +906,84 @@ fn replication_scenario(
         ));
     }
 
-    Ok(ReplicationOnlineRow {
-        scenario,
-        n_experts: e,
-        layers,
-        units,
-        windows,
-        replan_every,
-        budget_bytes,
-        replica_slots: REPLICATION_SLOTS,
-        owner_migrated_bytes: owner_migrated,
-        joint_migrated_bytes: joint_migrated,
-        owner_replans,
-        joint_replans,
-        replicas_added,
-        replicas_dropped,
-        extra_copies: joint_plan.extra_copies_per_gpu() as u64,
-        static_cross,
-        owner_cross,
-        joint_cross,
-        cross_mass: cm_dense,
-    })
+    // Fraction of the static incumbent's cross traffic a policy
+    // eliminated: `(static - cross) / static` (0 when the static run had
+    // none).
+    let recovery = |cross: u64| {
+        let eliminated = static_cross as f64 - cross as f64;
+        Json::Fixed(ratio(eliminated, static_cross as f64), 4)
+    };
+    // Cross counts are realized cross-unit layer transitions on the window
+    // traces — the joint policy's counts honor replica availability
+    // (`ReplicationPlan::trace_locality`).
+    Ok(Json::obj(vec![
+        // Drift preset plus the instance size (`piecewise-2phase/E16`, ...).
+        ("scenario", scenario.as_str().into()),
+        // Experts per layer.
+        ("experts", e.into()),
+        // MoE layers.
+        ("layers", layers.into()),
+        // GPUs the instance is placed across.
+        ("units", units.into()),
+        // Serving windows.
+        ("windows", windows.into()),
+        // Windows between re-plans.
+        ("replan_every", replan_every.into()),
+        // Migration byte budget of one re-plan (identical for both
+        // adaptive policies).
+        ("budget_bytes", budget_bytes.into()),
+        // Per-GPU replica memory budget of the joint policy, in expert
+        // payloads.
+        ("replica_slots", REPLICATION_SLOTS.into()),
+        // Bytes the owner-moves-only policy migrated, whole run.
+        ("owner_migrated_bytes", owner_migrated.into()),
+        // Bytes the joint policy migrated (owner moves + replica fan-out).
+        ("joint_migrated_bytes", joint_migrated.into()),
+        // Owner-policy re-plans that moved at least one expert.
+        ("owner_replans", owner_replans.into()),
+        // Joint-policy re-plans that changed anything.
+        ("joint_replans", joint_replans.into()),
+        // Replica copies the joint policy created, whole run.
+        ("replicas_added", replicas_added.into()),
+        // Replica copies the joint policy retired, whole run.
+        ("replicas_dropped", replicas_dropped.into()),
+        // Worst-case extra replica copies any GPU holds at the end of the
+        // joint run (must stay within `replica_slots`).
+        ("extra_copies", joint_plan.extra_copies_per_gpu().into()),
+        // Cross-unit transitions under the never-re-placed incumbent.
+        ("static_cross", static_cross.into()),
+        // Cross-unit transitions under owner-moves-only re-placement.
+        ("owner_cross", owner_cross.into()),
+        // Cross-unit transitions under the joint policy.
+        ("joint_cross", joint_cross.into()),
+        // Locality recovery of the owner-moves-only policy.
+        ("owner_recovery", recovery(owner_cross)),
+        // Locality recovery of the joint policy.
+        ("joint_recovery", recovery(joint_cross)),
+        // Final replication-aware cross mass of the joint plan on the live
+        // estimate (bit-identical across backends — verified).
+        ("cross_mass", cm_dense.into()),
+    ]))
 }
 
 /// The `table_replication_online` sweep: the 3 drift presets at `E = 16`,
 /// then one `large_zoo()` sparse instance (`E = 256`, top-1) where the
-/// CSR objective backend carries the re-solves. Errors (instead of
-/// panicking) if any invariance or budget check fails.
+/// CSR objective backend carries the re-solves, under static /
+/// owner-moves-only / joint replication-aware re-placement. At equal
+/// migration bytes the joint policy may additionally spend a per-GPU
+/// replica memory budget; the sweep records cross counts, replica churn,
+/// and budget compliance — verified invariant across gap backends. Errors
+/// (instead of panicking) if any invariance or budget check fails.
 pub fn replication_online_table(
     scale: Scale,
+    _jobs: usize,
     seed: u64,
-) -> Result<Vec<ReplicationOnlineRow>, String> {
+) -> Result<Vec<Json>, String> {
     let layers = scale.pick(5, 7);
     let windows = scale.pick(10, 14);
     let window_tokens = scale.pick(1500, 4000);
     let spec = AffinityModelSpec::new(layers, ONLINE_EXPERTS).with_seed(seed ^ 0x05_17_19);
-    let mut rows: Vec<ReplicationOnlineRow> = DriftSchedule::presets(&spec, windows)
+    let mut rows: Vec<Json> = DriftSchedule::presets(&spec, windows)
         .iter()
         .enumerate()
         .map(|(i, drift)| {
@@ -1536,15 +1052,20 @@ fn serving_engine(
 }
 
 /// The `table_serving` sweep: Poisson, diurnal, and flash-crowd arrival
-/// processes served through the request-level front-end under static /
-/// budgeted-online / replication-aware placements. The arrival rate is
+/// processes served end-to-end through the request-level front-end
+/// (`Scenario::with_serving`) under static / budgeted-online /
+/// replication-aware placements, recording p50/p95/p99 request latency,
+/// goodput, re-plan counts, and migrated bytes per cell. All three
+/// policies see the *same* arrival sample and routing draws, so the tails
+/// differ only through placement quality and migration stalls; every
+/// figure is a virtual-time fact. The arrival rate is
 /// calibrated against a probed step time
 /// (`InferenceEngine::probe_step_time`) so the cell runs at
 /// `SERVING_UTILIZATION` (96%) of full-batch capacity regardless of model
 /// shape. Errors (instead of panicking) if the budgeted-online report is
 /// not bit-identical at `jobs` solver threads or on the CSR gap backend,
 /// or if any report fails its sanity bars.
-pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<ServingBenchRow>, String> {
+pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let layers = scale.pick(4, 5);
     let n_requests = scale.pick(1400, 1800);
     let mode = ParallelismMode::ContextCoherentAffinity;
@@ -1666,29 +1187,54 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Serving
             ));
         }
 
-        rows.push(ServingBenchRow {
-            arrival: name,
-            requests: n_requests,
-            decode_steps: SERVING_DECODE_STEPS,
-            windows: SERVING_WINDOWS,
-            max_batch: SERVING_MAX_BATCH,
-            offered_load: stat.offered_load,
-            static_p50: stat.p50(),
-            static_p95: stat.p95(),
-            static_p99: stat.p99(),
-            static_goodput: stat.goodput(),
-            online_p50: online.p50(),
-            online_p95: online.p95(),
-            online_p99: online.p99(),
-            online_goodput: online.goodput(),
-            online_replans: online.migrations.replans,
-            online_migrated_bytes: online.migrations.bytes.total(),
-            repl_p50: repl.p50(),
-            repl_p95: repl.p95(),
-            repl_p99: repl.p99(),
-            repl_goodput: repl.goodput(),
-            repl_replicas_added: repl.migrations.replicas_added,
-        });
+        rows.push(Json::obj(vec![
+            // Arrival-process label (`poisson`, `diurnal`, `flash-crowd`).
+            ("arrival", name.as_str().into()),
+            // Requests served per cell.
+            ("requests", n_requests.into()),
+            // Decode steps (generated tokens) per request.
+            ("decode_steps", SERVING_DECODE_STEPS.into()),
+            // Serving windows of the drift schedule.
+            ("windows", SERVING_WINDOWS.into()),
+            // Batch-size cap of the continuous-batching policy.
+            ("max_batch", SERVING_MAX_BATCH.into()),
+            // Requests per unit virtual time the arrival process offered.
+            ("offered_load", stat.offered_load.into()),
+            // p50 request latency under the static incumbent.
+            ("static_p50", stat.p50().into()),
+            // p95 request latency under the static incumbent.
+            ("static_p95", stat.p95().into()),
+            // p99 request latency under the static incumbent.
+            ("static_p99", stat.p99().into()),
+            // Completed requests per unit virtual time, static incumbent.
+            ("static_goodput", stat.goodput().into()),
+            // p50 request latency under budgeted-online re-placement.
+            ("online_p50", online.p50().into()),
+            // p95 request latency under budgeted-online re-placement.
+            ("online_p95", online.p95().into()),
+            // p99 request latency under budgeted-online re-placement.
+            ("online_p99", online.p99().into()),
+            // Completed requests per unit virtual time, budgeted-online.
+            ("online_goodput", online.goodput().into()),
+            // Re-plans the budgeted-online policy executed.
+            ("online_replans", online.migrations.replans.into()),
+            // Bytes the budgeted-online policy migrated, whole run.
+            (
+                "online_migrated_bytes",
+                online.migrations.bytes.total().into(),
+            ),
+            // p50 request latency under replication-aware re-placement.
+            ("repl_p50", repl.p50().into()),
+            // p95 request latency under replication-aware re-placement.
+            ("repl_p95", repl.p95().into()),
+            // p99 request latency under replication-aware re-placement.
+            ("repl_p99", repl.p99().into()),
+            // Completed requests per unit virtual time, replication-aware.
+            ("repl_goodput", repl.goodput().into()),
+            // Replica copies the replication-aware policy created, whole
+            // run.
+            ("repl_replicas_added", repl.migrations.replicas_added.into()),
+        ]));
     }
     Ok(rows)
 }
@@ -1697,18 +1243,16 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Serving
 /// through a mid-run GPU loss (and, in the second cell, a later rejoin)
 /// by two fleets that differ only in replication — none (lost experts
 /// must be emergency-restored over the wire) vs full (failover is a
-/// free ownership flip). The arrival rate is calibrated so the
+/// free ownership flip) — recording disrupted requests, degraded steps,
+/// emergency migration bytes, and tail-recovery time per cell, all
+/// deterministic virtual-time facts. The arrival rate is calibrated so the
 /// *surviving* fleet stays below saturation (`ELASTICITY_UTILIZATION`),
 /// which is what makes "time until the rolling p99 returns to its
 /// pre-fault level" well-defined. Errors (instead of panicking) if the
 /// faulted run is not bit-identical at `jobs` solver threads and at 8,
 /// or on the CSR gap backend, or if the replicated fleet fails its
 /// acceptance bars (free failover, strictly faster recovery).
-pub fn elasticity_table(
-    scale: Scale,
-    jobs: usize,
-    seed: u64,
-) -> Result<Vec<ElasticityRow>, String> {
+pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let layers = scale.pick(4, 5);
     let n_requests = scale.pick(ELASTICITY_REQUESTS.0, ELASTICITY_REQUESTS.1);
     let mode = ParallelismMode::ContextCoherentAffinity;
@@ -1826,31 +1370,70 @@ pub fn elasticity_table(
             ));
         }
 
+        // Recovery times are `-1` when the fleet's rolling tail never
+        // returned to its pre-fault p99 within the run.
         let recovery = |r: &ServingReport| r.recovery_time().unwrap_or(-1.0);
-        let row = ElasticityRow {
-            fault: name.clone(),
-            requests: n_requests,
-            fault_time: fault.first_down_time().unwrap_or(0.0),
-            plain_p99: plain.p99(),
-            plain_disrupted: plain.disruption.requests_disrupted,
-            plain_steps_degraded: plain.disruption.steps_degraded,
-            plain_emergency_bytes: plain.disruption.emergency_bytes,
-            plain_recovery: recovery(&plain),
-            repl_p99: repl.p99(),
-            repl_disrupted: repl.disruption.requests_disrupted,
-            repl_steps_degraded: repl.disruption.steps_degraded,
-            repl_emergency_bytes: repl.disruption.emergency_bytes,
-            repl_recovery: recovery(&repl),
-            repl_extra_copies: full_replication.extra_copies_per_gpu() as u64,
-        };
-        if !row.replication_recovers_faster() {
+        let (plain_recovery, repl_recovery) = (recovery(&plain), recovery(&repl));
+        // The acceptance bar: the replicated fleet must recover at all, and
+        // beat a no-replica fleet that either recovered later or never did.
+        if !(repl_recovery >= 0.0 && (plain_recovery < 0.0 || repl_recovery < plain_recovery)) {
             return Err(format!(
-                "{name}: replicated fleet recovered in {} vs no-replicas {} — replication must \
-                 buy strictly faster recovery",
-                row.repl_recovery, row.plain_recovery
+                "{name}: replicated fleet recovered in {repl_recovery} vs no-replicas \
+                 {plain_recovery} — replication must buy strictly faster recovery"
             ));
         }
-        rows.push(row);
+        rows.push(Json::obj(vec![
+            // Fault-schedule label (`gpu-loss`, `gpu-loss+rejoin`).
+            ("fault", name.as_str().into()),
+            // Requests served per cell.
+            ("requests", n_requests.into()),
+            // Virtual time of the GPU loss.
+            ("fault_time", fault.first_down_time().unwrap_or(0.0).into()),
+            // p99 request latency of the no-replica fleet, whole run.
+            ("plain_p99", plain.p99().into()),
+            // In-flight requests the loss re-queued, no-replica fleet.
+            (
+                "plain_disrupted",
+                plain.disruption.requests_disrupted.into(),
+            ),
+            // Decode steps served under emergency-migration contention,
+            // no-replica fleet.
+            (
+                "plain_steps_degraded",
+                plain.disruption.steps_degraded.into(),
+            ),
+            // Bytes the emergency re-placements copied, no-replica fleet.
+            (
+                "plain_emergency_bytes",
+                plain.disruption.emergency_bytes.into(),
+            ),
+            // Virtual time from the loss until the rolling p99 recovered,
+            // or `-1` if it never did.
+            ("plain_recovery", plain_recovery.into()),
+            // p99 request latency of the fully replicated fleet, whole run.
+            ("repl_p99", repl.p99().into()),
+            // In-flight requests the loss re-queued, replicated fleet.
+            ("repl_disrupted", repl.disruption.requests_disrupted.into()),
+            // Decode steps served under emergency-migration contention,
+            // replicated fleet.
+            ("repl_steps_degraded", repl.disruption.steps_degraded.into()),
+            // Bytes the emergency re-placements copied, replicated fleet
+            // (zero without a rejoin: every lost expert has a live replica).
+            (
+                "repl_emergency_bytes",
+                repl.disruption.emergency_bytes.into(),
+            ),
+            // Virtual time from the loss until the rolling p99 recovered,
+            // or `-1` if it never did.
+            ("repl_recovery", repl_recovery.into()),
+            // Worst-case extra replica copies any GPU holds in the
+            // replicated fleet's starting plan — counted from the
+            // materialized subsets, not a world-size fan-out assumption.
+            (
+                "repl_extra_copies",
+                full_replication.extra_copies_per_gpu().into(),
+            ),
+        ]));
     }
     Ok(rows)
 }
@@ -1871,11 +1454,7 @@ pub fn elasticity_table(
 /// bit-identical cross mass. Any divergence is an `Err`:
 /// it would mean incremental maintenance broke the determinism contract
 /// and the JSON must not be published.
-fn replan_latency_cell(
-    cfg: &ModelConfig,
-    scale: Scale,
-    seed: u64,
-) -> Result<ReplanLatencyRow, String> {
+fn replan_latency_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, String> {
     let e = cfg.n_experts;
     let k = cfg.gate.k();
     let layers = REPLAN_LATENCY_LAYERS;
@@ -1969,30 +1548,64 @@ fn replan_latency_cell(
         ));
     }
 
-    Ok(ReplanLatencyRow {
-        preset: cfg.name.clone(),
-        n_experts: e,
-        k,
-        layers,
-        windows,
-        replans,
-        max_moves: REPLAN_LATENCY_MOVES,
-        considered,
-        evaluated_rebuild,
-        evaluated_incremental,
-        reused,
-        wall_ms_rebuild: wall_rebuild,
-        wall_ms_incremental: wall_incremental,
-        cross_mass_rebuild: cm_rebuild,
-        cross_mass_incremental: cm_incremental,
-    })
+    Ok(Json::obj(vec![
+        // Large-zoo preset name.
+        ("preset", cfg.name.as_str().into()),
+        // Experts per layer.
+        ("experts", e.into()),
+        // Gating fan-out the instance was sampled with.
+        ("k", k.into()),
+        // Layers of the drifting instance.
+        ("layers", layers.into()),
+        // Serving windows (window 0 profiles; every later window re-plans).
+        ("windows", windows.into()),
+        // Re-plans that actually moved at least one expert.
+        ("replans", replans.into()),
+        // Expert-move budget of each re-plan.
+        ("max_moves", REPLAN_LATENCY_MOVES.into()),
+        // Swap candidates the scan loops looked at, summed over every
+        // re-plan — identical on both paths (verified; the meter charges
+        // every candidate alike).
+        ("considered", considered.into()),
+        // Candidates the rebuild path decided by an exact `swap_delta`
+        // call (both paths run the same table-driven solver: equals
+        // `evaluated_incremental`, verified).
+        ("evaluated_rebuild", evaluated_rebuild.into()),
+        // Candidates the incremental path decided by an exact `swap_delta`
+        // call.
+        ("evaluated_incremental", evaluated_incremental.into()),
+        // Candidates the incremental path's attraction table decided alone
+        // (`considered - evaluated_incremental`).
+        ("reused", reused.into()),
+        // Candidates considered per exact gain evaluation paid — how much
+        // of the scan the attraction table answers, which the acceptance
+        // bar gates at `E = 512`.
+        (
+            "scan_reduction",
+            Json::Fixed(ratio(considered as f64, evaluated_incremental as f64), 3),
+        ),
+        // Wall milliseconds of the rebuild path (objective rebuild +
+        // solve), summed over every re-plan.
+        ("wall_ms_rebuild", Json::Fixed(wall_rebuild, 3)),
+        // Wall milliseconds of the incremental path (delta apply + cached
+        // solve), summed over every re-plan.
+        ("wall_ms_incremental", Json::Fixed(wall_incremental, 3)),
+        // Final cross mass of the rebuild path's placement on its
+        // objective (bit-identical to the incremental path's — verified).
+        ("cross_mass_rebuild", cm_rebuild.into()),
+        // Final cross mass of the incremental path's placement on its
+        // delta-maintained objective.
+        ("cross_mass_incremental", cm_incremental.into()),
+    ]))
 }
 
 /// The `table_replan_latency` sweep over the large-expert zoo
-/// (`E = 256/512`, top-1 and top-2). Cells run sequentially — both paths
-/// are timed, and contention would corrupt the rebuild-vs-incremental
-/// comparison. Errors if any cell's paths diverge.
-pub fn replan_latency_table(scale: Scale, seed: u64) -> Result<Vec<ReplanLatencyRow>, String> {
+/// (`E = 256/512`, top-1 and top-2): what a re-plan costs with and without
+/// incremental objective maintenance, one `replan_latency_cell` per
+/// preset. Cells run sequentially — both paths are timed, and contention
+/// would corrupt the rebuild-vs-incremental comparison. Errors if any
+/// cell's paths diverge.
+pub fn replan_latency_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     large_zoo()
         .iter()
         .map(|cfg| {
@@ -2033,7 +1646,7 @@ fn partial_replication_cell(
     gate: GateKind,
     scale: Scale,
     seed: u64,
-) -> Result<PartialReplicationRow, String> {
+) -> Result<Json, String> {
     let k = gate.k();
     let scenario = format!("E{e}/top{k}");
     let (units, cluster, layers, windows, window_tokens) = if e <= 16 {
@@ -2219,52 +1832,91 @@ fn partial_replication_cell(
         ));
     }
 
-    Ok(PartialReplicationRow {
-        scenario,
-        n_experts: e,
-        k,
-        layers,
-        units,
-        windows,
-        replica_slots: PARTIAL_REPLICA_SLOTS,
-        budget_bytes,
-        partial_replans,
-        replicas_added,
-        partial_migrated_bytes: partial_migrated,
-        full_migrated_bytes: full_migrated,
-        partial_extra_copies: incumbent.extra_copies_per_gpu() as u64,
-        full_extra_copies,
-        partial_cross_mass: partial_cm,
-        full_cross_mass: full_cm,
-        realized_cross,
-        cc_replicas_added: baseline.migrations.replicas_added,
-        cc_local_fraction: baseline.dispatch().gpu_local_fraction(),
-    })
+    Ok(Json::obj(vec![
+        // Cell label (`E16/top1`, `E256/top2`, ...).
+        ("scenario", scenario.as_str().into()),
+        // Experts per layer.
+        ("experts", e.into()),
+        // Gating fan-out the window traces are sampled with.
+        ("k", k.into()),
+        // MoE layers of the placement instance.
+        ("layers", layers.into()),
+        // GPUs the instance is placed across.
+        ("units", units.into()),
+        // Serving windows.
+        ("windows", windows.into()),
+        // Extra replica payloads each GPU may hold (both policies).
+        ("replica_slots", PARTIAL_REPLICA_SLOTS.into()),
+        // Migration byte budget of one re-plan (both policies).
+        ("budget_bytes", budget_bytes.into()),
+        // Re-plans where the partial policy changed the plan.
+        ("partial_replans", partial_replans.into()),
+        // Replica copies the partial policy created, summed over re-plans
+        // (each ships only to its chosen subset).
+        ("replicas_added", replicas_added.into()),
+        // Bytes the partial-policy re-plans actually migrated.
+        ("partial_migrated_bytes", partial_migrated.into()),
+        // Bytes the everywhere-policy solves would have migrated from the
+        // same incumbents.
+        ("full_migrated_bytes", full_migrated.into()),
+        // Final worst-case extra copies per GPU under the partial policy.
+        (
+            "partial_extra_copies",
+            incumbent.extra_copies_per_gpu().into(),
+        ),
+        // Worst-case extra copies per GPU of the last everywhere solve.
+        ("full_extra_copies", full_extra_copies.into()),
+        // Replicated cross mass of the partial solves, summed over
+        // re-plans (bit-identical across gap backends — verified).
+        ("partial_cross_mass", partial_cm.into()),
+        // Replicated cross mass of the everywhere solves from the same
+        // incumbents, summed over re-plans.
+        ("full_cross_mass", full_cm.into()),
+        // Realized cross-unit transitions of the partial trajectory on the
+        // window traces (set-semantics replica locality).
+        ("realized_cross", realized_cross.into()),
+        // Replica copies the context-coherent engine run created under
+        // the one-per-node policy (top-2 rows must not fall back to zero).
+        (
+            "cc_replicas_added",
+            baseline.migrations.replicas_added.into(),
+        ),
+        // GPU-local dispatch fraction of that engine run.
+        (
+            "cc_local_fraction",
+            Json::Fixed(baseline.dispatch().gpu_local_fraction(), 6),
+        ),
+    ]))
 }
 
-/// The `table_partial_replication` sweep: `E ∈ {16, 256} × top-1/top-2`.
-/// Errors (instead of panicking) if any cell fails its invariance or
-/// budget checks, or if no context-coherent top-2 cell buys a replica —
-/// the regression this sweep exists to catch is top-2 models silently
-/// falling back to owner-moves-only re-planning.
+/// The `table_partial_replication` sweep: partial vs full replica fan-out
+/// at `E ∈ {16, 256} × top-1/top-2`, one `partial_replication_cell` per
+/// grid point. Errors (instead of panicking) if any cell fails its
+/// invariance or budget checks, or if no context-coherent top-2 cell buys
+/// a replica — the regression this sweep exists to catch is top-2 models
+/// silently falling back to owner-moves-only re-planning.
 pub fn partial_replication_table(
     scale: Scale,
+    _jobs: usize,
     seed: u64,
-) -> Result<Vec<PartialReplicationRow>, String> {
+) -> Result<Vec<Json>, String> {
     let grid = [
         (16usize, GateKind::Top1),
         (16, GateKind::Top2),
         (256, GateKind::Top1),
         (256, GateKind::Top2),
     ];
-    let rows: Vec<PartialReplicationRow> = grid
+    let rows: Vec<Json> = grid
         .iter()
         .map(|&(e, gate)| {
             let stream = seed ^ ((e as u64) << 24) ^ gate.k() as u64;
             partial_replication_cell(e, gate, scale, split_seed(stream, 0x9a47))
         })
         .collect::<Result<_, _>>()?;
-    if !rows.iter().any(|r| r.k == 2 && r.cc_replicas_added > 0) {
+    if !rows
+        .iter()
+        .any(|r| num(r, "k") == 2.0 && num(r, "cc_replicas_added") > 0.0)
+    {
         return Err(
             "no context-coherent top-2 cell created a replica — top-2 dispatch fell back \
              to owner moves"
@@ -2274,68 +1926,24 @@ pub fn partial_replication_table(
     Ok(rows)
 }
 
-/// Run the benchmark: the Table II sweep at `--jobs 1` and at `--jobs
-/// N` (verified bit-identical in quality, timed in both), the
-/// `table_sparse` dense-vs-sparse sweep (verified identical across
-/// backends), and the `table_online` drift sweep (verified invariant
-/// across thread counts and backends). Errors (instead of panicking) if
-/// any verification fails — that would mean the determinism contract is
-/// broken and the JSON must not be published.
+/// Run the benchmark: every [`TABLES`] sweep, in order. Errors (instead
+/// of panicking) if any in-sweep verification fails — that would mean the
+/// determinism contract is broken and the JSON must not be published.
 pub fn run(scale: Scale, jobs: usize, seed: u64) -> Result<BenchSummary, String> {
-    let kinds = roster(scale);
-    let models = table2();
-    let sequential = SweepPool::new(1);
-    let parallel = SweepPool::new(jobs);
-    // Instance construction (token sampling + trace estimation) is also
-    // fanned at the requested width; it feeds both timed passes equally,
-    // so it stays outside the timings.
-    let instances: Vec<(String, Objective)> = parallel.install(|| {
-        par_map(models, |m| {
-            // Fold every identity-bearing field into the stream so no two
-            // zoo rows ever measure the same instance.
-            let stream = seed ^ (m.n_layers as u64) ^ ((m.d_model as u64) << 16) ^ m.base_params;
-            let obj = instance(m.n_experts, m.n_layers, scale, stream);
-            (m.name, obj)
-        })
-    });
-
-    let (rows1, wall1) = sequential.install(|| sweep_once(&instances, &kinds, seed));
-    let (rows_n, wall_n) = parallel.install(|| sweep_once(&instances, &kinds, seed));
-
-    for (a, b) in rows1.iter().zip(rows_n.iter()) {
-        if a.cross_mass.to_bits() != b.cross_mass.to_bits() {
-            return Err(format!(
-                "objective diverged across thread counts: {}/{} jobs=1 {} vs jobs={jobs} {}",
-                a.model, a.solver, a.cross_mass, b.cross_mass
-            ));
-        }
+    // The first table is the Table II sweep, whose two timed passes also
+    // yield the document header's whole-sweep walls.
+    let (rows, wall_ms_jobs1, wall_ms_jobs_n) = solver_sweep(scale, jobs, seed)?;
+    let mut tables = vec![(TABLES[0].key, rows)];
+    for table in &TABLES[1..] {
+        tables.push((table.key, (table.sweep)(scale, jobs, seed)?));
     }
-
-    let sparse_rows = sparse_table(scale, seed)?;
-    let online_rows = online_table(scale, jobs, seed)?;
-    let replication_online_rows = replication_online_table(scale, seed)?;
-    let serving_rows = serving_table(scale, jobs, seed)?;
-    let elasticity_rows = elasticity_table(scale, jobs, seed)?;
-    let replan_latency_rows = replan_latency_table(scale, seed)?;
-    let partial_replication_rows = partial_replication_table(scale, seed)?;
-
     Ok(BenchSummary {
         seed,
-        scale: match scale {
-            Scale::Quick => "quick".to_string(),
-            Scale::Full => "full".to_string(),
-        },
+        scale: scale.pick("quick", "full").to_string(),
         jobs,
-        wall_ms_jobs1: wall1,
-        wall_ms_jobs_n: wall_n,
-        rows: rows1,
-        sparse_rows,
-        online_rows,
-        replication_online_rows,
-        serving_rows,
-        elasticity_rows,
-        replan_latency_rows,
-        partial_replication_rows,
+        wall_ms_jobs1,
+        wall_ms_jobs_n,
+        tables,
     })
 }
 
@@ -2346,349 +1954,369 @@ pub(crate) mod fixture {
     use super::*;
 
     pub(crate) fn summary(cross: f64, wall: f64, sparse_wall_dense: f64) -> BenchSummary {
+        let rows: Vec<Vec<(&str, Json)>> = vec![
+            vec![
+                ("model", "MoE-GPT-M/8e-24L".into()),
+                ("solver", "greedy".into()),
+                ("wall_ms", Json::Fixed(wall / 10.0, 3)),
+                ("cross_mass", cross.into()),
+            ],
+            vec![
+                ("preset", "MoE-GPT-XXL/512e-24L-top1".into()),
+                ("experts", 512u64.into()),
+                ("k", 1u64.into()),
+                ("layers", 2u64.into()),
+                ("nnz", 3000u64.into()),
+                ("density", Json::Fixed(0.011, 6)),
+                ("wall_ms_dense", Json::Fixed(sparse_wall_dense, 3)),
+                ("wall_ms_sparse", Json::Fixed(10.0, 3)),
+                ("speedup", Json::Fixed(sparse_wall_dense / 10.0, 3)),
+                ("cross_mass", (cross / 2.0).into()),
+            ],
+            vec![
+                ("scenario", "piecewise-2phase".into()),
+                ("experts", 16u64.into()),
+                ("layers", 5u64.into()),
+                ("windows", 6u64.into()),
+                ("replan_every", 1u64.into()),
+                ("budget_bytes", (1u64 << 28).into()),
+                ("migrated_bytes", (3u64 << 27).into()),
+                ("replans", 3u64.into()),
+                ("static_cross", 5000u64.into()),
+                ("oracle_cross", 3000u64.into()),
+                ("budgeted_cross", 3200u64.into()),
+                ("recovery", Json::Fixed(0.9, 4)),
+                ("cross_mass", (cross / 3.0).into()),
+            ],
+            vec![
+                ("scenario", "piecewise-2phase/E16".into()),
+                ("experts", 16u64.into()),
+                ("layers", 5u64.into()),
+                ("units", 4u64.into()),
+                ("windows", 10u64.into()),
+                ("replan_every", 1u64.into()),
+                ("budget_bytes", (1u64 << 26).into()),
+                ("replica_slots", 8u64.into()),
+                ("owner_migrated_bytes", (3u64 << 25).into()),
+                ("joint_migrated_bytes", (1u64 << 26).into()),
+                ("owner_replans", 2u64.into()),
+                ("joint_replans", 2u64.into()),
+                ("replicas_added", 5u64.into()),
+                ("replicas_dropped", 1u64.into()),
+                ("extra_copies", 4u64.into()),
+                ("static_cross", 5000u64.into()),
+                ("owner_cross", 3600u64.into()),
+                ("joint_cross", 3100u64.into()),
+                ("owner_recovery", Json::Fixed(0.28, 4)),
+                ("joint_recovery", Json::Fixed(0.38, 4)),
+                ("cross_mass", (cross / 4.0).into()),
+            ],
+            vec![
+                ("arrival", "poisson".into()),
+                ("requests", 48u64.into()),
+                ("decode_steps", 2u64.into()),
+                ("windows", 6u64.into()),
+                ("max_batch", 8u64.into()),
+                ("offered_load", 0.125.into()),
+                ("static_p50", 20.0.into()),
+                ("static_p95", 44.0.into()),
+                ("static_p99", 52.0.into()),
+                ("static_goodput", 0.115.into()),
+                ("online_p50", 18.0.into()),
+                ("online_p95", 34.0.into()),
+                ("online_p99", 40.0.into()),
+                ("online_goodput", 0.12.into()),
+                ("online_replans", 2u64.into()),
+                ("online_migrated_bytes", (9u64 << 20).into()),
+                ("repl_p50", 17.5.into()),
+                ("repl_p95", 33.0.into()),
+                ("repl_p99", 39.0.into()),
+                ("repl_goodput", 0.121.into()),
+                ("repl_replicas_added", 3u64.into()),
+            ],
+            vec![
+                ("fault", "gpu-loss".into()),
+                ("requests", 500u64.into()),
+                ("fault_time", 12.5.into()),
+                ("plain_p99", 60.0.into()),
+                ("plain_disrupted", 9u64.into()),
+                ("plain_steps_degraded", 40u64.into()),
+                ("plain_emergency_bytes", (7u64 << 20).into()),
+                ("plain_recovery", 8.25.into()),
+                ("repl_p99", 48.0.into()),
+                ("repl_disrupted", 9u64.into()),
+                ("repl_steps_degraded", 12u64.into()),
+                ("repl_emergency_bytes", 0u64.into()),
+                ("repl_recovery", 1.5.into()),
+                ("repl_extra_copies", 6u64.into()),
+            ],
+            vec![
+                ("preset", "MoE-GPT-XXL/512e-24L-top1".into()),
+                ("experts", 512u64.into()),
+                ("k", 1u64.into()),
+                ("layers", 2u64.into()),
+                ("windows", 4u64.into()),
+                ("replans", 3u64.into()),
+                ("max_moves", 40u64.into()),
+                ("considered", 8_000_000u64.into()),
+                ("evaluated_rebuild", 1_000u64.into()),
+                ("evaluated_incremental", 1_000u64.into()),
+                ("reused", 7_999_000u64.into()),
+                ("scan_reduction", Json::Fixed(8000.0, 3)),
+                ("wall_ms_rebuild", Json::Fixed(900.0, 3)),
+                ("wall_ms_incremental", Json::Fixed(120.0, 3)),
+                ("cross_mass_rebuild", (cross / 5.0).into()),
+                ("cross_mass_incremental", (cross / 5.0).into()),
+            ],
+            vec![
+                ("scenario", "partial-repl/256e-top2".into()),
+                ("experts", 256u64.into()),
+                ("k", 2u64.into()),
+                ("layers", 2u64.into()),
+                ("units", 8u64.into()),
+                ("windows", 3u64.into()),
+                ("replica_slots", 4u64.into()),
+                ("budget_bytes", (12u64 << 20).into()),
+                ("partial_replans", 2u64.into()),
+                ("replicas_added", 5u64.into()),
+                ("partial_migrated_bytes", (6u64 << 20).into()),
+                ("full_migrated_bytes", (9u64 << 20).into()),
+                ("partial_extra_copies", 3u64.into()),
+                ("full_extra_copies", 4u64.into()),
+                ("partial_cross_mass", (cross / 6.0).into()),
+                ("full_cross_mass", (cross / 5.0).into()),
+                ("realized_cross", 1234u64.into()),
+                ("cc_replicas_added", 2u64.into()),
+                ("cc_local_fraction", Json::Fixed(0.875, 6)),
+            ],
+        ];
+        let sections = TABLES.iter().zip(rows);
         BenchSummary {
             seed: 1,
             scale: "quick".into(),
             jobs: 4,
             wall_ms_jobs1: wall,
             wall_ms_jobs_n: wall / 2.0,
-            rows: vec![BenchRow {
-                model: "MoE-GPT-M/8e-24L".into(),
-                solver: "greedy".into(),
-                wall_ms: wall / 10.0,
-                cross_mass: cross,
-            }],
-            sparse_rows: vec![SparseBenchRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                nnz: 3000,
-                density: 0.011,
-                wall_ms_dense: sparse_wall_dense,
-                wall_ms_sparse: 10.0,
-                cross_mass: cross / 2.0,
-            }],
-            online_rows: vec![OnlineBenchRow {
-                scenario: "piecewise-2phase".into(),
-                n_experts: 16,
-                layers: 5,
-                windows: 6,
-                replan_every: 1,
-                budget_bytes: 1 << 28,
-                migrated_bytes: 3 << 27,
-                replans: 3,
-                static_cross: 5000,
-                oracle_cross: 3000,
-                budgeted_cross: 3200,
-                cross_mass: cross / 3.0,
-            }],
-            replication_online_rows: vec![ReplicationOnlineRow {
-                scenario: "piecewise-2phase/E16".into(),
-                n_experts: 16,
-                layers: 5,
-                units: 4,
-                windows: 10,
-                replan_every: 1,
-                budget_bytes: 1 << 26,
-                replica_slots: 8,
-                owner_migrated_bytes: 3 << 25,
-                joint_migrated_bytes: 1 << 26,
-                owner_replans: 2,
-                joint_replans: 2,
-                replicas_added: 5,
-                replicas_dropped: 1,
-                extra_copies: 4,
-                static_cross: 5000,
-                owner_cross: 3600,
-                joint_cross: 3100,
-                cross_mass: cross / 4.0,
-            }],
-            serving_rows: vec![ServingBenchRow {
-                arrival: "poisson".into(),
-                requests: 48,
-                decode_steps: 2,
-                windows: 6,
-                max_batch: 8,
-                offered_load: 0.125,
-                static_p50: 20.0,
-                static_p95: 44.0,
-                static_p99: 52.0,
-                static_goodput: 0.115,
-                online_p50: 18.0,
-                online_p95: 34.0,
-                online_p99: 40.0,
-                online_goodput: 0.12,
-                online_replans: 2,
-                online_migrated_bytes: 9 << 20,
-                repl_p50: 17.5,
-                repl_p95: 33.0,
-                repl_p99: 39.0,
-                repl_goodput: 0.121,
-                repl_replicas_added: 3,
-            }],
-            elasticity_rows: vec![ElasticityRow {
-                fault: "gpu-loss".into(),
-                requests: 500,
-                fault_time: 12.5,
-                plain_p99: 60.0,
-                plain_disrupted: 9,
-                plain_steps_degraded: 40,
-                plain_emergency_bytes: 7 << 20,
-                plain_recovery: 8.25,
-                repl_p99: 48.0,
-                repl_disrupted: 9,
-                repl_steps_degraded: 12,
-                repl_emergency_bytes: 0,
-                repl_recovery: 1.5,
-                repl_extra_copies: 6,
-            }],
-            replan_latency_rows: vec![ReplanLatencyRow {
-                preset: "MoE-GPT-XXL/512e-24L-top1".into(),
-                n_experts: 512,
-                k: 1,
-                layers: 2,
-                windows: 4,
-                replans: 3,
-                max_moves: 40,
-                considered: 8_000_000,
-                evaluated_rebuild: 1_000,
-                evaluated_incremental: 1_000,
-                reused: 7_999_000,
-                wall_ms_rebuild: 900.0,
-                wall_ms_incremental: 120.0,
-                cross_mass_rebuild: cross / 5.0,
-                cross_mass_incremental: cross / 5.0,
-            }],
-            partial_replication_rows: vec![PartialReplicationRow {
-                scenario: "partial-repl/256e-top2".into(),
-                n_experts: 256,
-                k: 2,
-                layers: 2,
-                units: 8,
-                windows: 3,
-                replica_slots: 4,
-                budget_bytes: 12 << 20,
-                partial_replans: 2,
-                replicas_added: 5,
-                partial_migrated_bytes: 6 << 20,
-                full_migrated_bytes: 9 << 20,
-                partial_extra_copies: 3,
-                full_extra_copies: 4,
-                partial_cross_mass: cross / 6.0,
-                full_cross_mass: cross / 5.0,
-                realized_cross: 1234,
-                cc_replicas_added: 2,
-                cc_local_fraction: 0.875,
-            }],
+            tables: sections
+                .map(|(table, row)| (table.key, vec![Json::obj(row)]))
+                .collect(),
+        }
+    }
+
+    impl BenchSummary {
+        fn row(&self, key: &str) -> &Json {
+            let section = self.tables.iter().find(|(k, _)| *k == key);
+            &section.unwrap_or_else(|| panic!("no {key} section")).1[0]
+        }
+
+        /// Overwrite one field of section `key`'s fixture row.
+        pub(crate) fn set(&mut self, key: &str, field: &str, value: impl Into<Json>) {
+            let (_, rows) = self.tables.iter_mut().find(|(k, _)| *k == key).unwrap();
+            let Json::Obj(fields) = &mut rows[0] else {
+                panic!("{key}: the fixture row is an object")
+            };
+            let found = fields.iter_mut().find(|(k, _)| k == field);
+            found.unwrap_or_else(|| panic!("{key}: no {field}")).1 = value.into();
+        }
+
+        /// A numeric field of section `key`'s fixture row.
+        pub(crate) fn num(&self, key: &str, field: &str) -> f64 {
+            num(self.row(key), field)
+        }
+
+        /// An exact integer field of section `key`'s fixture row.
+        pub(crate) fn int(&self, key: &str, field: &str) -> u64 {
+            crate::table::int(self.row(key), field)
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
     use super::*;
+    use crate::table::int;
+
+    /// One quick run shared by every test that reads sweep output.
+    fn quick() -> &'static BenchSummary {
+        static RUN: OnceLock<BenchSummary> = OnceLock::new();
+        RUN.get_or_init(|| run(Scale::Quick, 2, 7).expect("determinism must hold"))
+    }
+
+    fn rows(key: &str) -> &'static [Json] {
+        let section = quick().tables.iter().find(|(k, _)| *k == key);
+        &section.unwrap_or_else(|| panic!("no {key} section")).1
+    }
+
+    fn keys(row: &Json) -> Vec<&str> {
+        let Json::Obj(fields) = row else {
+            panic!("a row is an object")
+        };
+        fields.iter().map(|(k, _)| k.as_str()).collect()
+    }
 
     #[test]
     fn summary_covers_the_full_grid_and_quality_is_sane() {
-        let summary = run(Scale::Quick, 2, 7).expect("determinism must hold");
         let n_models = table2().len();
         let n_solvers = roster(Scale::Quick).len();
-        assert_eq!(summary.rows.len(), n_models * n_solvers);
+        assert_eq!(rows("rows").len(), n_models * n_solvers);
         // Within each model, every optimizing solver beats round-robin.
-        for chunk in summary.rows.chunks(n_solvers) {
+        for chunk in rows("rows").chunks(n_solvers) {
             let rr = chunk
                 .iter()
-                .find(|r| r.solver == "round-robin")
+                .find(|r| text(r, "solver") == "round-robin")
                 .expect("round-robin is in the roster");
-            for row in chunk.iter().filter(|r| r.solver != "round-robin") {
+            for row in chunk.iter().filter(|r| text(r, "solver") != "round-robin") {
                 assert!(
-                    row.cross_mass <= rr.cross_mass + 1e-9,
+                    num(row, "cross_mass") <= num(rr, "cross_mass") + 1e-9,
                     "{}/{} ({}) worse than round-robin ({})",
-                    row.model,
-                    row.solver,
-                    row.cross_mass,
-                    rr.cross_mass
+                    text(row, "model"),
+                    text(row, "solver"),
+                    text(row, "cross_mass"),
+                    text(rr, "cross_mass")
                 );
             }
         }
         // The sparse table covers the whole large zoo, each instance
         // genuinely sparse at these token budgets.
-        assert_eq!(summary.sparse_rows.len(), large_zoo().len());
-        for row in &summary.sparse_rows {
-            assert!(row.nnz > 0);
+        assert_eq!(rows("sparse_rows").len(), large_zoo().len());
+        for row in rows("sparse_rows") {
+            assert!(int(row, "nnz") > 0);
             assert!(
-                row.density < exflow_placement::SPARSE_DENSITY_THRESHOLD,
+                num(row, "density") < exflow_placement::SPARSE_DENSITY_THRESHOLD,
                 "{} density {} not sparse",
-                row.preset,
-                row.density
+                text(row, "preset"),
+                text(row, "density")
             );
-            assert!(row.cross_mass.is_finite());
+            assert!(num(row, "cross_mass").is_finite());
         }
     }
 
     #[test]
-    fn online_table_recovers_oracle_reduction_within_budget() {
-        let rows = online_table(Scale::Quick, 2, 7).expect("invariance must hold");
-        assert_eq!(rows.len(), 3, "one row per drift preset");
-        for row in &rows {
-            assert!(row.replans > 0, "{}: no re-plans fired", row.scenario);
-            assert!(
-                row.migrated_bytes <= row.budget_bytes * row.replans as u64,
-                "{}: migrated {} over {} re-plans of budget {}",
-                row.scenario,
-                row.migrated_bytes,
-                row.replans,
-                row.budget_bytes
+    fn every_table_sweeps_uniform_rows_that_clear_its_own_bars() {
+        let sections: Vec<&str> = quick().tables.iter().map(|(key, _)| *key).collect();
+        let declared: Vec<&str> = TABLES.iter().map(|t| t.key).collect();
+        assert_eq!(sections, declared, "run() sweeps TABLES, in order");
+        for table in TABLES {
+            let rows = rows(table.key);
+            assert!(!rows.is_empty(), "{}: the quick sweep is empty", table.key);
+            let columns = keys(&rows[0]);
+            for row in rows {
+                assert_eq!(keys(row), columns, "{}: ragged rows", table.key);
+            }
+            let walls = table.wall.iter().map(|&(field, _)| field);
+            for field in table.id.iter().chain(table.exact).copied().chain(walls) {
+                assert!(
+                    columns.contains(&field),
+                    "{}: the entry names {field:?}, the sweep emits no such column",
+                    table.key
+                );
+            }
+            assert_eq!(
+                table.violations(rows),
+                Vec::<String>::new(),
+                "{}",
+                table.key
             );
+            assert!((table.render)(rows).lines().count() > rows.len());
+        }
+    }
+
+    /// What the retired per-table tests asserted that no bar states.
+    #[test]
+    fn sweeps_hold_what_no_bar_states() {
+        let online = rows("online_rows");
+        assert_eq!(online.len(), 3, "one row per drift preset");
+        for row in online {
+            let scenario = text(row, "scenario");
+            assert!(int(row, "replans") > 0, "{scenario}: no re-plans fired");
             // Drift must genuinely hurt the static incumbent, and both
             // adaptive policies must beat it.
-            assert!(
-                row.oracle_cross < row.static_cross,
-                "{}: oracle {} vs static {}",
-                row.scenario,
-                row.oracle_cross,
-                row.static_cross
-            );
-            assert!(row.budgeted_cross < row.static_cross);
-            // The acceptance bar: budgeted incremental re-placement
-            // recovers >= 80% of the oracle's cross-traffic reduction.
-            assert!(
-                row.recovery() >= 0.8,
-                "{}: recovery {:.3} below the 0.8 bar",
-                row.scenario,
-                row.recovery()
-            );
-            assert!(row.cross_mass.is_finite());
+            let stat = int(row, "static_cross");
+            assert!(int(row, "oracle_cross") < stat, "{scenario}: oracle");
+            assert!(int(row, "budgeted_cross") < stat, "{scenario}: budgeted");
+            assert!(num(row, "cross_mass").is_finite());
         }
-    }
 
-    #[test]
-    fn replication_online_table_joint_dominates_within_budgets() {
-        let rows = replication_online_table(Scale::Quick, 7).expect("invariance must hold");
-        assert_eq!(rows.len(), 4, "3 presets at E=16 plus one large instance");
-        assert_eq!(rows[3].n_experts, large_zoo()[0].n_experts);
-        let mut dominated = false;
-        for row in &rows {
-            assert!(
-                row.joint_replans > 0,
-                "{}: no joint re-plans fired",
-                row.scenario
-            );
-            // Budget compliance on both axes, both policies.
-            assert!(row.extra_copies <= row.replica_slots, "{}", row.scenario);
-            assert!(
-                row.owner_migrated_bytes <= row.budget_bytes * row.owner_replans as u64,
-                "{}",
-                row.scenario
-            );
-            assert!(
-                row.joint_migrated_bytes <= row.budget_bytes * row.joint_replans as u64,
-                "{}",
-                row.scenario
-            );
-            // Both adaptive policies beat the static incumbent, and the
-            // joint policy never loses to owner-moves-only.
-            assert!(row.owner_cross < row.static_cross, "{}", row.scenario);
-            assert!(row.joint_cross < row.static_cross, "{}", row.scenario);
-            assert!(
-                row.joint_cross <= row.owner_cross,
-                "{}: joint {} worse than owner-only {}",
-                row.scenario,
-                row.joint_cross,
-                row.owner_cross
-            );
-            if row.joint_cross < row.owner_cross {
-                dominated = true;
-            }
-            assert!(row.cross_mass.is_finite());
-        }
-        assert!(
-            dominated,
-            "joint policy must strictly beat owner-moves-only somewhere"
+        let replication = rows("replication_online_rows");
+        assert_eq!(replication.len(), 4, "3 presets at E=16 plus one large");
+        assert_eq!(
+            int(&replication[3], "experts"),
+            large_zoo()[0].n_experts as u64
         );
-    }
+        for row in replication {
+            let scenario = text(row, "scenario");
+            assert!(
+                int(row, "joint_replans") > 0,
+                "{scenario}: no joint re-plans"
+            );
+            let stat = int(row, "static_cross");
+            assert!(int(row, "owner_cross") < stat, "{scenario}");
+            assert!(int(row, "joint_cross") < stat, "{scenario}");
+            assert!(num(row, "cross_mass").is_finite());
+        }
 
-    #[test]
-    fn serving_table_online_policies_protect_the_tail() {
-        let rows = serving_table(Scale::Quick, 2, 20_240_522).expect("invariance must hold");
-        assert_eq!(rows.len(), 3, "one row per arrival process");
-        for row in &rows {
-            assert!(row.online_replans > 0, "{}: no re-plans", row.arrival);
-            assert!(row.online_migrated_bytes > 0, "{}", row.arrival);
-            for (p50, p95, p99) in [
-                (row.static_p50, row.static_p95, row.static_p99),
-                (row.online_p50, row.online_p95, row.online_p99),
-                (row.repl_p50, row.repl_p95, row.repl_p99),
-            ] {
+        let serving = rows("serving_rows");
+        assert_eq!(serving.len(), 3, "one row per arrival process");
+        for row in serving {
+            let arrival = text(row, "arrival");
+            assert!(int(row, "online_replans") > 0, "{arrival}: no re-plans");
+            assert!(int(row, "online_migrated_bytes") > 0, "{arrival}");
+            for policy in ["static", "online", "repl"] {
+                let [p50, p95, p99] =
+                    ["p50", "p95", "p99"].map(|q| num(row, &format!("{policy}_{q}")));
                 assert!(
                     p50 <= p95 && p95 <= p99 && p50 > 0.0,
-                    "{}: non-monotone percentiles {p50}/{p95}/{p99}",
-                    row.arrival
+                    "{arrival}: non-monotone percentiles {p50}/{p95}/{p99}"
                 );
             }
-            // The acceptance bar the perf-gate enforces: at equal budget,
-            // adaptive re-placement never worsens the latency tail over
-            // the static incumbent — the migration stalls it pays are won
-            // back by faster post-drift steps.
-            assert!(
-                row.online_p99 <= row.static_p99,
-                "{}: online p99 {} worse than static {}",
-                row.arrival,
-                row.online_p99,
-                row.static_p99
-            );
-            assert!(
-                row.repl_p99 <= row.static_p99,
-                "{}: replicated p99 {} worse than static {}",
-                row.arrival,
-                row.repl_p99,
-                row.static_p99
-            );
         }
-    }
 
-    #[test]
-    fn replan_latency_table_incremental_path_is_exact_and_cheaper() {
-        let rows = replan_latency_table(Scale::Quick, 7).expect("lockstep paths must agree");
-        assert_eq!(rows.len(), large_zoo().len(), "one row per large preset");
-        let mut saw_512 = false;
-        for row in &rows {
-            assert!(row.replans > 0, "{}: no re-plan moved anything", row.preset);
+        let elasticity = rows("elasticity_rows");
+        assert_eq!(elasticity.len(), 2, "one row per fault schedule");
+        // The loss-only cell's failover is completely free; the rejoin
+        // cell still ships weights back to the returning GPU.
+        assert_eq!(
+            int(&elasticity[0], "repl_emergency_bytes"),
+            0,
+            "loss-only failover not free"
+        );
+
+        let replan = rows("replan_latency_rows");
+        assert_eq!(replan.len(), large_zoo().len(), "one row per large preset");
+        for row in replan {
+            let preset = text(row, "preset");
+            assert!(
+                int(row, "replans") > 0,
+                "{preset}: no re-plan moved anything"
+            );
             // Both paths run the same table-driven solver, and the split
             // always partitions the considered count.
+            let evaluated = int(row, "evaluated_incremental");
+            assert_eq!(int(row, "evaluated_rebuild"), evaluated, "{preset}");
             assert_eq!(
-                row.evaluated_rebuild, row.evaluated_incremental,
-                "{}",
-                row.preset
+                evaluated + int(row, "reused"),
+                int(row, "considered"),
+                "{preset}"
             );
-            assert_eq!(
-                row.evaluated_incremental + row.reused,
-                row.considered,
-                "{}",
-                row.preset
-            );
-            assert!(
-                row.cross_mass_rebuild.to_bits() == row.cross_mass_incremental.to_bits(),
-                "{}: paths diverged",
-                row.preset
-            );
-            // The acceptance bar the perf-gate enforces at E = 512.
-            if row.n_experts == 512 {
-                saw_512 = true;
-                assert!(
-                    row.scan_reduction() >= crate::gate::MIN_REPLAN_SCAN_REDUCTION_512,
-                    "{}: scan reduction {:.0}x below the bar",
-                    row.preset,
-                    row.scan_reduction()
-                );
-            }
         }
-        assert!(saw_512, "the quick sweep must cover E = 512");
+        let covers_512 = replan.iter().any(|row| int(row, "experts") == 512);
+        assert!(covers_512, "the quick sweep must cover E = 512");
+
+        assert_eq!(rows("partial_replication_rows").len(), 4, "E x top-k grid");
     }
 
     #[test]
-    fn json_parses_and_carries_every_declared_field() {
+    fn degenerate_ratios_and_recoveries_are_defined() {
+        assert_eq!(ratio(8_000_000.0, 1_000.0), 8000.0);
+        assert_eq!(ratio(8_000_000.0, 0.0), 0.0, "no evaluations, no ratio");
+        assert_eq!(online_recovery(5000.0, 3000.0, 3200.0), 0.9);
+        assert_eq!(online_recovery(3000.0, 3000.0, 3100.0), 1.0);
+    }
+
+    #[test]
+    fn json_emits_the_sections_in_table_order_with_pinned_formats() {
         let summary = fixture::summary(0.25, 100.0, 100.0);
         let json = summary.to_json();
         let doc = Json::parse(&json).expect("to_json emits valid JSON");
@@ -2696,33 +2324,18 @@ mod tests {
         assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(1));
         assert_eq!(doc.get("wall_ms_jobsN").and_then(Json::as_f64), Some(50.0));
 
-        /// Every emitted row is exactly what its declaration serializes
-        /// to: same keys, same order, same tokens.
-        fn check<R: JsonRow>(doc: &Json, key: &str, rows: &[R]) {
-            let emitted = doc.get(key).and_then(Json::as_arr);
-            let emitted = emitted.unwrap_or_else(|| panic!("no {key} section"));
-            assert_eq!(emitted.len(), rows.len(), "{key}");
-            for (obj, row) in emitted.iter().zip(rows) {
-                let declared = Json::obj(row.fields()).write().unwrap();
-                assert_eq!(obj, &Json::parse(&declared).unwrap(), "{key}");
-            }
+        // The array sections are exactly the TABLES keys, in that order,
+        // and every emitted row is its literal: same keys, same order,
+        // same tokens.
+        let Json::Obj(top) = &doc else { panic!() };
+        let mut sections = top.iter().filter(|(_, v)| v.as_arr().is_some());
+        for (table, (key, rows)) in TABLES.iter().zip(&summary.tables) {
+            let (emitted_key, emitted) = sections.next().expect("a section per table");
+            assert_eq!((emitted_key.as_str(), *key), (table.key, table.key));
+            let literal = Json::Arr(rows.clone()).write().unwrap();
+            assert_eq!(emitted, &Json::parse(&literal).unwrap(), "{key}");
         }
-        check(&doc, "rows", &summary.rows);
-        check(&doc, "sparse_rows", &summary.sparse_rows);
-        check(&doc, "online_rows", &summary.online_rows);
-        check(
-            &doc,
-            "replication_online_rows",
-            &summary.replication_online_rows,
-        );
-        check(&doc, "serving_rows", &summary.serving_rows);
-        check(&doc, "elasticity_rows", &summary.elasticity_rows);
-        check(&doc, "replan_latency_rows", &summary.replan_latency_rows);
-        check(
-            &doc,
-            "partial_replication_rows",
-            &summary.partial_replication_rows,
-        );
+        assert!(sections.next().is_none(), "an emitted section has no table");
 
         // Derived ratios and wall times are display-rounded; deterministic
         // facts print with shortest round-trip formatting.
@@ -2743,31 +2356,5 @@ mod tests {
         ] {
             assert!(json.contains(pinned), "{pinned} not in:\n{json}");
         }
-    }
-
-    #[test]
-    fn every_gated_field_is_declared_by_its_row_type() {
-        // The SECTIONS table and the row types' `fields()` name the same
-        // keys: a typo on either side would silently gate nothing.
-        let doc = Json::parse(&fixture::summary(0.25, 100.0, 100.0).to_json()).unwrap();
-        for section in crate::gate::SECTIONS {
-            let rows = doc.get(section.key).and_then(Json::as_arr).unwrap();
-            assert!(!rows.is_empty(), "{} has no fixture row", section.key);
-            let walls = section.warn_wall.iter().map(|&(field, _)| field);
-            for field in section.id.iter().chain(section.exact).copied().chain(walls) {
-                assert!(
-                    rows[0].get(field).is_some(),
-                    "{}: no field {field:?} in the emitted row",
-                    section.key
-                );
-            }
-        }
-        let Json::Obj(top) = &doc else { panic!() };
-        let sections = top.iter().filter(|(_, v)| v.as_arr().is_some()).count();
-        assert_eq!(
-            sections,
-            crate::gate::SECTIONS.len(),
-            "an emitted section is ungated"
-        );
     }
 }
