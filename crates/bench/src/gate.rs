@@ -1,25 +1,27 @@
 //! The CI perf-gate: compare a fresh bench summary against the committed
 //! baseline (`BENCH_BASELINE.json`).
 //!
-//! Objectives (`cross_mass`, `nnz`, ...) are deterministic facts — they
-//! are printed with shortest round-trip formatting, so *token* inequality
-//! in the JSON is *bit* inequality of the value, and any mismatch is a
-//! hard failure (the baseline must be regenerated deliberately, never
-//! drift silently). Wall-clock numbers are machine-dependent measurements:
+//! Everything a sweep emits is a deterministic fact unless its [`TABLES`]
+//! entry says it is wall-clock. Facts are printed with shortest round-trip
+//! formatting (or a fixed number of decimals), so *token* inequality in
+//! the JSON is *bit* inequality of the value, and any mismatch is a hard
+//! failure (the baseline must be regenerated deliberately, never drift
+//! silently). Wall-clock numbers are machine-dependent measurements:
 //! regressions beyond [`WALL_REGRESSION_WARN`] only produce warnings for
 //! the job summary, because CI runners are noisy.
 //!
 //! Both documents are parsed with the workspace's one JSON layer
-//! (`exflow_core::json`), and everything the gate checks is listed in one
-//! place: each [`TABLES`] entry names the fields that identify a row, the
-//! fields compared bit for bit, the wall-clock fields that only warn, and
-//! the `bars` function — one of those below — the fresh rows must clear on
-//! their own.
+//! (`exflow_core::json`). Per [`TABLES`] entry the rule is: the `id`
+//! fields identify a row, the `wall` fields warn, the `unjudged` ratios of
+//! wall fields are skipped, **every other field of a baseline row is
+//! bit-compared**, a fresh row whose field list is not its baseline row's
+//! is a drift, and the fresh rows must clear the entry's `bars` — one of
+//! the functions below — on their own.
 
 use exflow_core::json::Json;
 
 use crate::summary::{online_recovery, SCHEMA};
-use crate::table::TABLES;
+use crate::table::{Table, TABLES};
 
 /// Fractional wall-clock regression beyond which a warning is emitted
 /// (fresh > 1.25x baseline).
@@ -96,11 +98,58 @@ fn text(row: &Json, key: &str) -> String {
     }
 }
 
-/// A numeric field, or NaN when the row lacks it — NaN satisfies no
-/// comparison, so a bar over an absent field never reports a bogus
-/// violation (coverage of the gated fields is the bit-compare's job).
-fn num(row: &Json, key: &str) -> f64 {
+/// A wall-clock field, or NaN when absent — NaN satisfies no comparison,
+/// so a missing measurement never warns.
+fn wall(row: &Json, key: &str) -> f64 {
     row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
+
+/// A row's `(key, value)` pairs; a row that is not an object has none.
+fn fields(row: &Json) -> &[(String, Json)] {
+    match row {
+        Json::Obj(fields) => fields,
+        _ => &[],
+    }
+}
+
+/// The row's `id` fields, joined with `/`.
+fn id_of(table: &Table, row: &Json) -> String {
+    let parts: Vec<String> = table.id.iter().map(|key| text(row, key)).collect();
+    parts.join("/")
+}
+
+/// What a table's `bars` function reads rows and reports through.
+pub struct Bars<'a> {
+    table: &'a Table,
+    drifts: &'a mut Vec<String>,
+}
+
+impl<'a> Bars<'a> {
+    /// Bars of `table`, reporting into `drifts`.
+    pub fn new(table: &'a Table, drifts: &'a mut Vec<String>) -> Self {
+        Bars { table, drifts }
+    }
+
+    /// A numeric field. A row that lacks it is a drift of its own — a bar
+    /// that cannot read its input must not pass silently — and reads as
+    /// NaN, which satisfies no comparison, so the bar itself reports no
+    /// second, bogus violation.
+    pub fn num(&mut self, row: &Json, key: &str) -> f64 {
+        let value = row.get(key).and_then(Json::as_f64);
+        value.unwrap_or_else(|| {
+            let (name, id) = (self.table.name, id_of(self.table, row));
+            let drift = format!("{name} row {id} lacks field {key}");
+            if !self.drifts.contains(&drift) {
+                self.drifts.push(drift);
+            }
+            f64::NAN
+        })
+    }
+
+    /// Report a violated bar.
+    pub fn fail(&mut self, drift: String) {
+        self.drifts.push(drift);
+    }
 }
 
 fn warn_wall(warnings: &mut Vec<String>, what: &str, base: f64, fresh: f64) {
@@ -157,50 +206,60 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
     for table in TABLES {
         let base_rows = rows_of(&base_doc, table.key, "baseline", &mut report.drifts);
         let fresh_rows = rows_of(&fresh_doc, table.key, "fresh", &mut report.drifts);
-        let id_of = |row: &Json| {
-            let parts: Vec<String> = table.id.iter().map(|key| text(row, key)).collect();
-            parts.join("/")
-        };
         for b in base_rows {
-            let id = id_of(b);
-            let Some(f) = fresh_rows.iter().find(|f| id_of(f) == id) else {
+            let id = id_of(table, b);
+            let Some(f) = fresh_rows.iter().find(|f| id_of(table, f) == id) else {
                 let drift = format!("{} row {id} missing from fresh run", table.name);
                 report.drifts.push(drift);
                 continue;
             };
-            for &fact in table.exact {
-                if b.get(fact) != f.get(fact) {
+            let keys = |row| -> Vec<&str> { fields(row).iter().map(|(k, _)| &**k).collect() };
+            let (base_keys, fresh_keys) = (keys(b), keys(f));
+            if base_keys != fresh_keys {
+                let lacks = base_keys.iter().filter(|k| !fresh_keys.contains(k));
+                let adds = fresh_keys.iter().filter(|k| !base_keys.contains(k));
+                report.drifts.push(format!(
+                    "{} row {id}: the fresh fields are not the baseline's, in order (lacks {:?}, \
+                     adds {:?}) — regenerate the committed JSON",
+                    table.name,
+                    lacks.collect::<Vec<_>>(),
+                    adds.collect::<Vec<_>>()
+                ));
+            }
+            for (key, base) in fields(b) {
+                // A field the fresh row lacks is named by the drift above.
+                let Some(fresh) = f.get(key) else { continue };
+                if let Some((_, suffix)) = table.wall.iter().find(|(field, _)| field == key) {
+                    let what = format!("{id}{suffix}");
+                    warn_wall(&mut report.warnings, &what, wall(b, key), wall(f, key));
+                } else if base != fresh && !table.unjudged.contains(&&**key) {
                     report.drifts.push(format!(
                         "{} drift on {}/{id}: baseline {} vs fresh {}",
-                        table.drift_name.unwrap_or(fact),
+                        table.drift_name.unwrap_or(key),
                         table.name,
-                        text(b, fact),
-                        text(f, fact)
+                        text(b, key),
+                        text(f, key)
                     ));
                 }
             }
-            for &(field, suffix) in table.wall {
-                let what = format!("{id}{suffix}");
-                warn_wall(&mut report.warnings, &what, num(b, field), num(f, field));
-            }
         }
         for f in fresh_rows {
-            let id = id_of(f);
-            if !base_rows.iter().any(|b| id_of(b) == id) {
+            let id = id_of(table, f);
+            if !base_rows.iter().any(|b| id_of(table, b) == id) {
                 report.drifts.push(format!(
                     "{} row {id} not in baseline (regenerate the committed JSON)",
                     table.name
                 ));
             }
         }
-        (table.bars)(fresh_rows, &mut report.drifts);
+        (table.bars)(fresh_rows, &mut Bars::new(table, &mut report.drifts));
     }
 
     for (field, what) in [
         ("wall_ms_jobs1", "whole sweep (jobs=1)"),
         ("wall_ms_jobsN", "whole sweep (jobs=N)"),
     ] {
-        let (base, fresh) = (num(&base_doc, field), num(&fresh_doc, field));
+        let (base, fresh) = (wall(&base_doc, field), wall(&fresh_doc, field));
         warn_wall(&mut report.warnings, what, base, fresh);
     }
     report
@@ -209,11 +268,14 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
 /// The sparse backend must hold its >= 2x win on the E=512 top-1 cell.
 /// This is algorithmic (not thread-parallel) speedup, so it holds on
 /// 1-core runners too.
-pub(crate) fn sparse_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn sparse_bars(rows: &[Json], bars: &mut Bars) {
     for f in rows {
-        let speedup = num(f, "speedup");
-        if num(f, "experts") == 512.0 && num(f, "k") == 1.0 && speedup < MIN_SPARSE_SPEEDUP_512 {
-            drifts.push(format!(
+        let speedup = bars.num(f, "speedup");
+        if bars.num(f, "experts") == 512.0
+            && bars.num(f, "k") == 1.0
+            && speedup < MIN_SPARSE_SPEEDUP_512
+        {
+            bars.fail(format!(
                 "sparse backend speedup on {} is {speedup:.2}x, below the \
                  {MIN_SPARSE_SPEEDUP_512:.1}x acceptance bar",
                 text(f, "preset")
@@ -225,9 +287,12 @@ pub(crate) fn sparse_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// `" moved M bytes across R re-plans, over the B-byte per-re-plan
 /// budget"` when the policy whose fields start with `prefix` migrated more
 /// than its budget allows.
-fn over_byte_budget(f: &Json, prefix: &str) -> Option<String> {
-    let migrated = num(f, &format!("{prefix}migrated_bytes"));
-    let (budget, replans) = (num(f, "budget_bytes"), num(f, &format!("{prefix}replans")));
+fn over_byte_budget(bars: &mut Bars, f: &Json, prefix: &str) -> Option<String> {
+    let migrated = bars.num(f, &format!("{prefix}migrated_bytes"));
+    let (budget, replans) = (
+        bars.num(f, "budget_bytes"),
+        bars.num(f, &format!("{prefix}replans")),
+    );
     (migrated > budget * replans).then(|| {
         format!(
             " moved {migrated} bytes across {replans} re-plans, over the {budget}-byte \
@@ -239,25 +304,25 @@ fn over_byte_budget(f: &Json, prefix: &str) -> Option<String> {
 /// Budgeted incremental re-placement must recover >= 80% of the oracle's
 /// cross-traffic reduction, and must never migrate more than its byte
 /// budget per re-plan.
-pub(crate) fn online_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn online_bars(rows: &[Json], bars: &mut Bars) {
     for f in rows {
         let scenario = text(f, "scenario");
         // Recompute recovery from the exact integer cross counts rather
         // than trusting the 4-decimal-rounded `recovery` field (0.79997
         // would serialize as "0.8000" and sneak past the bar).
         let recovery = online_recovery(
-            num(f, "static_cross"),
-            num(f, "oracle_cross"),
-            num(f, "budgeted_cross"),
+            bars.num(f, "static_cross"),
+            bars.num(f, "oracle_cross"),
+            bars.num(f, "budgeted_cross"),
         );
         if recovery < MIN_ONLINE_RECOVERY {
-            drifts.push(format!(
+            bars.fail(format!(
                 "online recovery on {scenario} is {recovery:.4}, below the \
                  {MIN_ONLINE_RECOVERY:.1} acceptance bar"
             ));
         }
-        if let Some(over) = over_byte_budget(f, "") {
-            drifts.push(format!("online migration on {scenario}{over}"));
+        if let Some(over) = over_byte_budget(bars, f, "") {
+            bars.fail(format!("online migration on {scenario}{over}"));
         }
     }
 }
@@ -267,27 +332,27 @@ pub(crate) fn online_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// owner-moves-only in realized cross traffic, and strictly beat it on at
 /// least one scenario — that is the memory-for-migration-bytes trade-off
 /// the subsystem exists to buy.
-pub(crate) fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn replication_bars(rows: &[Json], bars: &mut Bars) {
     let mut joint_dominates_somewhere = rows.is_empty();
     for f in rows {
         let scenario = text(f, "scenario");
-        let (extra, slots) = (num(f, "extra_copies"), num(f, "replica_slots"));
+        let (extra, slots) = (bars.num(f, "extra_copies"), bars.num(f, "replica_slots"));
         if extra > slots {
-            drifts.push(format!(
+            bars.fail(format!(
                 "replication memory on {scenario}: {extra} extra copies over the \
                  {slots}-slot per-GPU budget"
             ));
         }
         for policy in ["owner", "joint"] {
-            if let Some(over) = over_byte_budget(f, &format!("{policy}_")) {
-                drifts.push(format!(
+            if let Some(over) = over_byte_budget(bars, f, &format!("{policy}_")) {
+                bars.fail(format!(
                     "replication migration ({policy}) on {scenario}{over}"
                 ));
             }
         }
-        let (owner, joint) = (num(f, "owner_cross"), num(f, "joint_cross"));
+        let (owner, joint) = (bars.num(f, "owner_cross"), bars.num(f, "joint_cross"));
         if joint > owner {
-            drifts.push(format!(
+            bars.fail(format!(
                 "replication on {scenario}: joint policy crossed {joint} vs owner-moves-only \
                  {owner} at equal migration bytes"
             ));
@@ -295,7 +360,7 @@ pub(crate) fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
         joint_dominates_somewhere |= joint < owner;
     }
     if !joint_dominates_somewhere {
-        drifts.push(
+        bars.fail(
             "replication: the joint policy beats owner-moves-only on no scenario \
              (the replica memory budget bought nothing)"
                 .to_string(),
@@ -307,23 +372,23 @@ pub(crate) fn replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// their re-placements with real migration stalls in serving time — must
 /// never worsen the p99 latency tail over the static incumbent, and no
 /// policy may report more goodput than the load it was offered.
-pub(crate) fn serving_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn serving_bars(rows: &[Json], bars: &mut Bars) {
     for f in rows {
         let arrival = text(f, "arrival");
-        let (static_p99, offered) = (num(f, "static_p99"), num(f, "offered_load"));
+        let (static_p99, offered) = (bars.num(f, "static_p99"), bars.num(f, "offered_load"));
         for policy in ["online", "repl"] {
-            let p99 = num(f, &format!("{policy}_p99"));
+            let p99 = bars.num(f, &format!("{policy}_p99"));
             if p99 > static_p99 {
-                drifts.push(format!(
+                bars.fail(format!(
                     "serving tail on {arrival}: {policy} p99 {p99} worse than the \
                      static incumbent's {static_p99} at equal budget"
                 ));
             }
         }
         for policy in ["static", "online", "repl"] {
-            let goodput = num(f, &format!("{policy}_goodput"));
+            let goodput = bars.num(f, &format!("{policy}_goodput"));
             if goodput > offered {
-                drifts.push(format!(
+                bars.fail(format!(
                     "serving goodput on {arrival}: {policy} reports {goodput} over \
                      the offered load {offered}"
                 ));
@@ -337,23 +402,23 @@ pub(crate) fn serving_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// fleet (which may never recover at all, encoded as -1), and replica
 /// failover must save emergency wire traffic over restoring from a
 /// checkpoint shard.
-pub(crate) fn elasticity_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn elasticity_bars(rows: &[Json], bars: &mut Bars) {
     for f in rows {
         let fault = text(f, "fault");
-        let (plain_rec, repl_rec) = (num(f, "plain_recovery"), num(f, "repl_recovery"));
+        let (plain_rec, repl_rec) = (bars.num(f, "plain_recovery"), bars.num(f, "repl_recovery"));
         let faster = repl_rec >= 0.0 && (plain_rec < 0.0 || repl_rec < plain_rec);
         if !faster {
-            drifts.push(format!(
+            bars.fail(format!(
                 "elasticity on {fault}: replicated fleet recovery {repl_rec} vs \
                  unreplicated {plain_rec} — replication must buy strictly faster recovery"
             ));
         }
         let (plain_bytes, repl_bytes) = (
-            num(f, "plain_emergency_bytes"),
-            num(f, "repl_emergency_bytes"),
+            bars.num(f, "plain_emergency_bytes"),
+            bars.num(f, "repl_emergency_bytes"),
         );
         if repl_bytes >= plain_bytes {
-            drifts.push(format!(
+            bars.fail(format!(
                 "elasticity on {fault}: replication shipped {repl_bytes} emergency bytes vs \
                  {plain_bytes} without — failover must save wire traffic"
             ));
@@ -362,26 +427,31 @@ pub(crate) fn elasticity_bars(rows: &[Json], drifts: &mut Vec<String>) {
 }
 
 /// The delta-maintained objective must land bit-identical to the cold
-/// rebuild (token equality of the shortest-round-trip cross masses *is*
-/// bit equality), and at E = 512 the re-plan must consider at least
+/// rebuild (the shortest-round-trip cross masses parse back to the bits
+/// the sweep held), and at E = 512 the re-plan must consider at least
 /// [`MIN_REPLAN_SCAN_REDUCTION_512`] candidates per exact gain evaluation.
 /// The bar is checked on the exact integer counters rather than the
 /// 3-decimal-rounded `scan_reduction` field (and a re-plan that needed no
 /// exact evaluation at all passes it).
-pub(crate) fn replan_latency_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn replan_latency_bars(rows: &[Json], bars: &mut Bars) {
     for f in rows {
         let preset = text(f, "preset");
-        if f.get("cross_mass_rebuild") != f.get("cross_mass_incremental") {
-            drifts.push(format!(
+        let rebuild = bars.num(f, "cross_mass_rebuild");
+        if rebuild.to_bits() != bars.num(f, "cross_mass_incremental").to_bits() {
+            bars.fail(format!(
                 "replan-latency on {preset}: incremental cross mass {} diverged from the \
                  rebuild's {} — incremental maintenance must be bit-identical",
                 text(f, "cross_mass_incremental"),
                 text(f, "cross_mass_rebuild")
             ));
         }
-        let (considered, evaluated) = (num(f, "considered"), num(f, "evaluated_incremental"));
-        if num(f, "experts") == 512.0 && considered < MIN_REPLAN_SCAN_REDUCTION_512 * evaluated {
-            drifts.push(format!(
+        let (considered, evaluated) = (
+            bars.num(f, "considered"),
+            bars.num(f, "evaluated_incremental"),
+        );
+        if bars.num(f, "experts") == 512.0 && considered < MIN_REPLAN_SCAN_REDUCTION_512 * evaluated
+        {
+            bars.fail(format!(
                 "replan-latency on {preset} considered {considered} candidates for {evaluated} \
                  exact evaluations, below the {MIN_REPLAN_SCAN_REDUCTION_512:.0}x acceptance bar"
             ));
@@ -396,34 +466,37 @@ pub(crate) fn replan_latency_bars(rows: &[Json], drifts: &mut Vec<String>) {
 /// least one top-2 CC engine row must actually place replicas (the
 /// regression the sweep exists to catch is top-2 models silently falling
 /// back to owner-only serving).
-pub(crate) fn partial_replication_bars(rows: &[Json], drifts: &mut Vec<String>) {
+pub(crate) fn partial_replication_bars(rows: &[Json], bars: &mut Bars) {
     let mut top2_uses_replicas = rows.is_empty();
     for f in rows {
         let scenario = text(f, "scenario");
-        let (partial, full) = (num(f, "partial_cross_mass"), num(f, "full_cross_mass"));
+        let (partial, full) = (
+            bars.num(f, "partial_cross_mass"),
+            bars.num(f, "full_cross_mass"),
+        );
         if partial > full {
-            drifts.push(format!(
+            bars.fail(format!(
                 "partial replication on {scenario}: subset policy crossed {partial} vs full \
                  fan-out's {full} at equal memory"
             ));
         }
-        let slots = num(f, "replica_slots");
+        let slots = bars.num(f, "replica_slots");
         for policy in ["partial", "full"] {
-            let extra = num(f, &format!("{policy}_extra_copies"));
+            let extra = bars.num(f, &format!("{policy}_extra_copies"));
             if extra > slots {
-                drifts.push(format!(
+                bars.fail(format!(
                     "partial replication on {scenario}: {policy} policy holds {extra} \
                      extra copies over the {slots}-slot per-GPU budget"
                 ));
             }
         }
-        if let Some(over) = over_byte_budget(f, "partial_") {
-            drifts.push(format!("partial replication on {scenario}{over}"));
+        if let Some(over) = over_byte_budget(bars, f, "partial_") {
+            bars.fail(format!("partial replication on {scenario}{over}"));
         }
-        top2_uses_replicas |= num(f, "k") == 2.0 && num(f, "cc_replicas_added") > 0.0;
+        top2_uses_replicas |= bars.num(f, "k") == 2.0 && bars.num(f, "cc_replicas_added") > 0.0;
     }
     if !top2_uses_replicas {
-        drifts.push(
+        bars.fail(
             "partial replication: no top-2 CC row placed a replica \
              (top-2 dispatch fell back to owner-only serving)"
                 .to_string(),
@@ -1037,5 +1110,70 @@ mod tests {
             "{:?}",
             report.drifts
         );
+    }
+
+    #[test]
+    fn a_bar_that_cannot_read_its_field_is_a_drift_not_a_pass() {
+        // 99 extra copies over an 8-slot budget fails the memory bar...
+        let mut doc = summary(0.25, 100.0, 100.0);
+        doc.set("replication_online_rows", "extra_copies", 99u64);
+        let json = doc.to_json();
+        assert!(!compare(&json, &json).ok());
+        // ...and must keep failing when both documents lose the budget
+        // the bar compares against.
+        doc.strip("replication_online_rows", "replica_slots");
+        let json = doc.to_json();
+        let report = compare(&json, &json);
+        let lacks = "replication row piecewise-2phase/E16 lacks field replica_slots";
+        assert_eq!(report.drifts, [lacks]);
+    }
+
+    #[test]
+    fn a_missing_selector_field_cannot_hide_a_slow_sparse_cell() {
+        // A 1.5x cell that no longer says it is the E = 512 cell.
+        let mut doc = summary(0.25, 100.0, 15.0);
+        doc.strip("sparse_rows", "experts");
+        let json = doc.to_json();
+        let report = compare(&json, &json);
+        let lacks = "sparse row MoE-GPT-XXL/512e-24L-top1 lacks field experts";
+        assert_eq!(report.drifts, [lacks]);
+    }
+
+    #[test]
+    fn a_fresh_row_that_drops_or_adds_a_column_is_a_drift() {
+        let base = summary(0.25, 100.0, 100.0);
+        let mut dropped = base.clone();
+        dropped.strip("online_rows", "windows");
+        let report = compare(&base.to_json(), &dropped.to_json());
+        assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
+        assert!(report.drifts[0].contains("online row piecewise-2phase"));
+        assert!(report.drifts[0].contains("lacks [\"windows\"], adds []"));
+        // The same pair the other way round: the fresh row adds a column.
+        let report = compare(&dropped.to_json(), &base.to_json());
+        assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
+        assert!(report.drifts[0].contains("lacks [], adds [\"windows\"]"));
+    }
+
+    #[test]
+    fn every_field_not_declared_wall_clock_is_compared() {
+        // `windows` and the rounded `recovery` are in no bar and were in
+        // no per-column list: only the compare-everything rule sees them.
+        let base = summary(0.25, 100.0, 100.0);
+        for (field, value) in [
+            ("windows", Json::U64(7)),
+            ("recovery", Json::Fixed(0.91, 4)),
+        ] {
+            let mut fresh = base.clone();
+            fresh.set("online_rows", field, value);
+            let report = compare(&base.to_json(), &fresh.to_json());
+            let drift = format!("{field} drift on online/piecewise-2phase");
+            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
+            assert!(report.drifts[0].contains(&drift), "{:?}", report.drifts);
+        }
+        // A ratio of wall-clock fields is wall-clock too: 10x -> 5x on the
+        // sparse cell clears the 2x bar and is not a drift.
+        let fresh = summary(0.25, 100.0, 50.0).to_json();
+        let report = compare(&base.to_json(), &fresh);
+        assert!(report.ok() && report.warnings.is_empty(), "{report:?}");
     }
 }

@@ -1064,7 +1064,8 @@ fn serving_engine(
 /// `SERVING_UTILIZATION` (96%) of full-batch capacity regardless of model
 /// shape. Errors (instead of panicking) if the budgeted-online report is
 /// not bit-identical at `jobs` solver threads or on the CSR gap backend,
-/// or if any report fails its sanity bars.
+/// or if a policy dropped a request, saw another arrival sample, or
+/// never re-planned.
 pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let layers = scale.pick(4, 5);
     let n_requests = scale.pick(1400, 1800);
@@ -1168,13 +1169,6 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, 
                     r.n_requests()
                 ));
             }
-            if r.goodput() > r.offered_load {
-                return Err(format!(
-                    "{name}/{policy}: goodput {} exceeds offered load {}",
-                    r.goodput(),
-                    r.offered_load
-                ));
-            }
             if r.offered_load.to_bits() != stat.offered_load.to_bits() {
                 return Err(format!(
                     "{name}/{policy}: policies saw different arrival samples"
@@ -1250,8 +1244,8 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, 
 /// which is what makes "time until the rolling p99 returns to its
 /// pre-fault level" well-defined. Errors (instead of panicking) if the
 /// faulted run is not bit-identical at `jobs` solver threads and at 8,
-/// or on the CSR gap backend, or if the replicated fleet fails its
-/// acceptance bars (free failover, strictly faster recovery).
+/// or on the CSR gap backend, or if a loss without a rejoin costs the
+/// replicated fleet any emergency bytes.
 pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let layers = scale.pick(4, 5);
     let n_requests = scale.pick(ELASTICITY_REQUESTS.0, ELASTICITY_REQUESTS.1);
@@ -1362,26 +1356,10 @@ pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json
                 repl.disruption.emergency_bytes
             ));
         }
-        if repl.disruption.emergency_bytes >= plain.disruption.emergency_bytes {
-            return Err(format!(
-                "{name}: replication shipped {} emergency bytes vs {} without — failover \
-                 must save wire traffic",
-                repl.disruption.emergency_bytes, plain.disruption.emergency_bytes
-            ));
-        }
 
         // Recovery times are `-1` when the fleet's rolling tail never
         // returned to its pre-fault p99 within the run.
         let recovery = |r: &ServingReport| r.recovery_time().unwrap_or(-1.0);
-        let (plain_recovery, repl_recovery) = (recovery(&plain), recovery(&repl));
-        // The acceptance bar: the replicated fleet must recover at all, and
-        // beat a no-replica fleet that either recovered later or never did.
-        if !(repl_recovery >= 0.0 && (plain_recovery < 0.0 || repl_recovery < plain_recovery)) {
-            return Err(format!(
-                "{name}: replicated fleet recovered in {repl_recovery} vs no-replicas \
-                 {plain_recovery} — replication must buy strictly faster recovery"
-            ));
-        }
         rows.push(Json::obj(vec![
             // Fault-schedule label (`gpu-loss`, `gpu-loss+rejoin`).
             ("fault", name.as_str().into()),
@@ -1409,7 +1387,7 @@ pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json
             ),
             // Virtual time from the loss until the rolling p99 recovered,
             // or `-1` if it never did.
-            ("plain_recovery", plain_recovery.into()),
+            ("plain_recovery", recovery(&plain).into()),
             // p99 request latency of the fully replicated fleet, whole run.
             ("repl_p99", repl.p99().into()),
             // In-flight requests the loss re-queued, replicated fleet.
@@ -1425,7 +1403,7 @@ pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json
             ),
             // Virtual time from the loss until the rolling p99 recovered,
             // or `-1` if it never did.
-            ("repl_recovery", repl_recovery.into()),
+            ("repl_recovery", recovery(&repl).into()),
             // Worst-case extra replica copies any GPU holds in the
             // replicated fleet's starting plan — counted from the
             // materialized subsets, not a world-size fan-out assumption.
@@ -1892,9 +1870,10 @@ fn partial_replication_cell(
 /// The `table_partial_replication` sweep: partial vs full replica fan-out
 /// at `E ∈ {16, 256} × top-1/top-2`, one `partial_replication_cell` per
 /// grid point. Errors (instead of panicking) if any cell fails its
-/// invariance or budget checks, or if no context-coherent top-2 cell buys
-/// a replica — the regression this sweep exists to catch is top-2 models
-/// silently falling back to owner-moves-only re-planning.
+/// invariance or budget checks. The table's bar — some context-coherent
+/// top-2 cell buys a replica — is the regression the sweep exists to
+/// catch: top-2 models silently falling back to owner-moves-only
+/// re-planning.
 pub fn partial_replication_table(
     scale: Scale,
     _jobs: usize,
@@ -1906,24 +1885,12 @@ pub fn partial_replication_table(
         (256, GateKind::Top1),
         (256, GateKind::Top2),
     ];
-    let rows: Vec<Json> = grid
-        .iter()
+    grid.iter()
         .map(|&(e, gate)| {
             let stream = seed ^ ((e as u64) << 24) ^ gate.k() as u64;
             partial_replication_cell(e, gate, scale, split_seed(stream, 0x9a47))
         })
-        .collect::<Result<_, _>>()?;
-    if !rows
-        .iter()
-        .any(|r| num(r, "k") == 2.0 && num(r, "cc_replicas_added") > 0.0)
-    {
-        return Err(
-            "no context-coherent top-2 cell created a replica — top-2 dispatch fell back \
-             to owner moves"
-                .to_string(),
-        );
-    }
-    Ok(rows)
+        .collect()
 }
 
 /// Run the benchmark: every [`TABLES`] sweep, in order. Errors (instead
@@ -2128,6 +2095,15 @@ pub(crate) mod fixture {
         pub(crate) fn int(&self, key: &str, field: &str) -> u64 {
             crate::table::int(self.row(key), field)
         }
+
+        /// Section `key`'s fixture row without `field`.
+        pub(crate) fn strip(&mut self, key: &str, field: &str) {
+            let (_, rows) = self.tables.iter_mut().find(|(k, _)| *k == key).unwrap();
+            let Json::Obj(fields) = &mut rows[0] else {
+                panic!("{key}: the fixture row is an object")
+            };
+            fields.retain(|(k, _)| k != field);
+        }
     }
 }
 
@@ -2206,7 +2182,7 @@ mod tests {
                 assert_eq!(keys(row), columns, "{}: ragged rows", table.key);
             }
             let walls = table.wall.iter().map(|&(field, _)| field);
-            for field in table.id.iter().chain(table.exact).copied().chain(walls) {
+            for field in table.id.iter().chain(table.unjudged).copied().chain(walls) {
                 assert!(
                     columns.contains(&field),
                     "{}: the entry names {field:?}, the sweep emits no such column",

@@ -14,7 +14,7 @@ use exflow_core::json::Json;
 use crate::experiments::{
     elasticity, online, partial_replication, replan_latency, replication_online, serving,
 };
-use crate::gate;
+use crate::gate::{self, Bars};
 use crate::{summary, Scale};
 
 /// One array section of the summary document.
@@ -31,8 +31,10 @@ pub struct Table {
     /// Wall-clock fields: machine-dependent, so a regression only warns.
     /// Each comes with the suffix naming it in the warning.
     pub wall: &'static [(&'static str, &'static str)],
-    /// Deterministic fields, bit-compared against the baseline row.
-    pub exact: &'static [&'static str],
+    /// Ratios of wall-clock fields: never compared. Every field a row
+    /// holds that is in none of `id`, `wall` and `unjudged` is a
+    /// deterministic fact, bit-compared against the baseline row.
+    pub unjudged: &'static [&'static str],
     /// Name drift messages use instead of the field name (Table II's one
     /// judged field is simply "the objective").
     pub drift_name: Option<&'static str>,
@@ -41,7 +43,7 @@ pub struct Table {
     pub sweep: fn(Scale, usize, u64) -> Result<Vec<Json>, String>,
     /// Acceptance bars a run's rows must clear on their own, whatever the
     /// baseline says. Each bar is stated here and nowhere else.
-    pub bars: fn(&[Json], &mut Vec<String>),
+    pub bars: fn(&[Json], &mut Bars),
     /// The rows as the plain-text table `repro` and `bench_summary` print.
     pub render: fn(&[Json]) -> String,
 }
@@ -50,7 +52,7 @@ impl Table {
     /// The drifts `rows` earn from this table's own bars (none = cleared).
     pub fn violations(&self, rows: &[Json]) -> Vec<String> {
         let mut drifts = Vec::new();
-        (self.bars)(rows, &mut drifts);
+        (self.bars)(rows, &mut Bars::new(self, &mut drifts));
         drifts
     }
 }
@@ -63,7 +65,7 @@ pub const TABLES: &[Table] = &[
         artifact: None,
         id: &["model", "solver"],
         wall: &[("wall_ms", "")],
-        exact: &["cross_mass"],
+        unjudged: &[],
         drift_name: Some("objective"),
         sweep: summary::solver_table,
         bars: |_, _| {},
@@ -78,7 +80,7 @@ pub const TABLES: &[Table] = &[
             ("wall_ms_dense", " (dense)"),
             ("wall_ms_sparse", " (sparse)"),
         ],
-        exact: &["cross_mass", "nnz"],
+        unjudged: &["speedup"],
         drift_name: None,
         sweep: summary::sparse_table,
         bars: gate::sparse_bars,
@@ -90,13 +92,7 @@ pub const TABLES: &[Table] = &[
         artifact: Some("table_online"),
         id: &["scenario"],
         wall: &[],
-        exact: &[
-            "static_cross",
-            "oracle_cross",
-            "budgeted_cross",
-            "migrated_bytes",
-            "cross_mass",
-        ],
+        unjudged: &[],
         drift_name: None,
         sweep: summary::online_table,
         bars: gate::online_bars,
@@ -108,17 +104,7 @@ pub const TABLES: &[Table] = &[
         artifact: Some("table_replication_online"),
         id: &["scenario"],
         wall: &[],
-        exact: &[
-            "static_cross",
-            "owner_cross",
-            "joint_cross",
-            "owner_migrated_bytes",
-            "joint_migrated_bytes",
-            "replicas_added",
-            "replicas_dropped",
-            "extra_copies",
-            "cross_mass",
-        ],
+        unjudged: &[],
         drift_name: None,
         sweep: summary::replication_online_table,
         bars: gate::replication_bars,
@@ -130,24 +116,7 @@ pub const TABLES: &[Table] = &[
         artifact: Some("table_serving"),
         id: &["arrival"],
         wall: &[],
-        exact: &[
-            "offered_load",
-            "static_p50",
-            "static_p95",
-            "static_p99",
-            "static_goodput",
-            "online_p50",
-            "online_p95",
-            "online_p99",
-            "online_goodput",
-            "online_replans",
-            "online_migrated_bytes",
-            "repl_p50",
-            "repl_p95",
-            "repl_p99",
-            "repl_goodput",
-            "repl_replicas_added",
-        ],
+        unjudged: &[],
         drift_name: None,
         sweep: summary::serving_table,
         bars: gate::serving_bars,
@@ -159,20 +128,7 @@ pub const TABLES: &[Table] = &[
         artifact: Some("table_elasticity"),
         id: &["fault"],
         wall: &[],
-        exact: &[
-            "fault_time",
-            "plain_p99",
-            "plain_disrupted",
-            "plain_steps_degraded",
-            "plain_emergency_bytes",
-            "plain_recovery",
-            "repl_p99",
-            "repl_disrupted",
-            "repl_steps_degraded",
-            "repl_emergency_bytes",
-            "repl_recovery",
-            "repl_extra_copies",
-        ],
+        unjudged: &[],
         drift_name: None,
         sweep: summary::elasticity_table,
         bars: gate::elasticity_bars,
@@ -187,15 +143,7 @@ pub const TABLES: &[Table] = &[
             ("wall_ms_rebuild", " (re-plan, rebuild)"),
             ("wall_ms_incremental", " (re-plan, incremental)"),
         ],
-        exact: &[
-            "replans",
-            "considered",
-            "evaluated_rebuild",
-            "evaluated_incremental",
-            "reused",
-            "cross_mass_rebuild",
-            "cross_mass_incremental",
-        ],
+        unjudged: &[],
         drift_name: None,
         sweep: summary::replan_latency_table,
         bars: gate::replan_latency_bars,
@@ -207,19 +155,7 @@ pub const TABLES: &[Table] = &[
         artifact: Some("table_partial_replication"),
         id: &["scenario"],
         wall: &[],
-        exact: &[
-            "partial_replans",
-            "replicas_added",
-            "partial_migrated_bytes",
-            "full_migrated_bytes",
-            "partial_extra_copies",
-            "full_extra_copies",
-            "partial_cross_mass",
-            "full_cross_mass",
-            "realized_cross",
-            "cc_replicas_added",
-            "cc_local_fraction",
-        ],
+        unjudged: &[],
         drift_name: None,
         sweep: summary::partial_replication_table,
         bars: gate::partial_replication_bars,
@@ -236,7 +172,7 @@ fn field<'a>(row: &'a Json, key: &str) -> &'a Json {
 /// integers as their exact token. The three accessors here are for
 /// renderers, which read rows their own sweep just built — so an absent
 /// field is a bug and panics (the gate, which reads documents from disk,
-/// reads leniently instead).
+/// goes through [`Bars`] instead).
 pub fn text(row: &Json, key: &str) -> String {
     match field(row, key) {
         Json::Str(s) => s.clone(),
