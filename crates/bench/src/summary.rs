@@ -297,6 +297,130 @@ fn profile(trace: &RoutingTrace) -> AffinitySnapshot {
     estimate.snapshot()
 }
 
+/// Sample one serving window's routing trace from a drift schedule, at
+/// gating fan-out `k` (top-2 cells route every token through two experts
+/// per layer).
+fn window_trace(
+    drift: &DriftSchedule,
+    window: usize,
+    tokens: usize,
+    k: usize,
+    seed: u64,
+) -> RoutingTrace {
+    let model = drift.model_at(window);
+    let batch = TokenBatch::sample(
+        model,
+        &CorpusSpec::pile_proxy(model.n_domains()),
+        tokens,
+        k,
+        split_seed(seed, window as u64),
+    );
+    RoutingTrace::from_batch(&batch, model.n_experts())
+}
+
+/// The placement the window-by-window sweeps start from: greedy plus a
+/// bounded polish — deterministic, and cheap enough for `E = 512`.
+fn greedy_incumbent(objective: &Objective, units: usize) -> Placement {
+    let mut placement = solve_greedy(objective, units);
+    improve(objective, &mut placement, 10);
+    placement
+}
+
+/// The per-window half of the byte-budget bars, which no row can express:
+/// `Err` if `who`'s re-plan at `window` migrated more than its budget.
+fn within_byte_budget(
+    who: &str,
+    window: usize,
+    plan: &MigrationPlan,
+    budget_bytes: u64,
+) -> Result<(), String> {
+    if plan.total_bytes() > budget_bytes {
+        return Err(format!(
+            "{who} re-plan at window {window} migrated {} bytes over the {budget_bytes} budget",
+            plan.total_bytes()
+        ));
+    }
+    Ok(())
+}
+
+/// The per-window half of the replica-memory bars: `Err` if `who`'s
+/// re-plan at `window` leaves some GPU more than `slots` extra copies.
+fn within_slot_budget(
+    who: &str,
+    window: usize,
+    plan: &ReplicationPlan,
+    slots: u64,
+) -> Result<(), String> {
+    if plan.extra_copies_per_gpu() as u64 > slots {
+        return Err(format!(
+            "{who} re-plan at window {window} holds {} extra copies over the {slots}-slot \
+             memory budget",
+            plan.extra_copies_per_gpu()
+        ));
+    }
+    Ok(())
+}
+
+/// The backend half of the bit-identity contract, checked wherever a sweep
+/// solves: run `solve` on the dense and then on the CSR objective of one
+/// snapshot, and return the dense result — or `Err(diverged(dense, csr))`
+/// unless the two are equal. Floats go through as `to_bits()`.
+fn on_both_backends<T: PartialEq>(
+    snapshot: &AffinitySnapshot,
+    mut solve: impl FnMut(&Objective) -> T,
+    diverged: impl FnOnce(&T, &T) -> String,
+) -> Result<T, String> {
+    let dense = solve(&Objective::from_snapshot_with(snapshot, GapBackend::Dense));
+    let sparse = solve(&Objective::from_snapshot_with(snapshot, GapBackend::Sparse));
+    if dense != sparse {
+        return Err(diverged(&dense, &sparse));
+    }
+    Ok(dense)
+}
+
+/// [`on_both_backends`] for a float score, compared bit for bit; the
+/// error names both values.
+fn score_on_both_backends(
+    snapshot: &AffinitySnapshot,
+    what: &str,
+    score: impl Fn(&Objective) -> f64,
+) -> Result<f64, String> {
+    let bits = on_both_backends(
+        snapshot,
+        |objective| score(objective).to_bits(),
+        |&dense, &sparse| {
+            format!(
+                "{what} diverged across gap backends: dense {} vs sparse {}",
+                f64::from_bits(dense),
+                f64::from_bits(sparse)
+            )
+        },
+    )?;
+    Ok(f64::from_bits(bits))
+}
+
+/// The engine-level bit-identity contract: `run(threads, backend)` must be
+/// the same report at one solver thread on the dense backend (returned),
+/// at every width in `widths`, and at one thread on the CSR backend.
+fn at_widths<T: PartialEq>(
+    what: &str,
+    widths: &[usize],
+    run: impl Fn(usize, GapBackend) -> T,
+) -> Result<T, String> {
+    let reference = run(1, GapBackend::Dense);
+    for &threads in widths {
+        if run(threads, GapBackend::Dense) != reference {
+            return Err(format!(
+                "{what} diverged across solver widths (1 vs {threads})"
+            ));
+        }
+    }
+    if run(1, GapBackend::Sparse) != reference {
+        return Err(format!("{what} diverged across gap backends"));
+    }
+    Ok(reference)
+}
+
 /// One full sweep over models × solvers at the installed pool width.
 /// Each grid point is timed individually; `(rows, total_wall_ms)`.
 fn sweep_once(
@@ -420,8 +544,9 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
     );
     let snapshot = profile(&RoutingTrace::from_batch(&batch, e));
 
-    let run = |backend: GapBackend| {
-        let objective = Objective::from_snapshot_with(&snapshot, backend);
+    // Wall milliseconds of the timed pass, dense backend first.
+    let mut walls = Vec::with_capacity(2);
+    let run = |objective: &Objective| {
         let mut placement = Placement::round_robin(layers, e, N_UNITS_LARGE);
         let t = Instant::now();
         // The exact gain of every swap candidate once: `swap_delta` is
@@ -437,24 +562,19 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
                 }
             }
         }
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let cost = improve(&objective, &mut placement, scale.pick(1, 2));
-        (objective, placement, (cost, scan), wall_ms)
+        walls.push(t.elapsed().as_secs_f64() * 1e3);
+        let cost = improve(objective, &mut placement, scale.pick(1, 2));
+        let shape = (objective.nnz(), objective.density().to_bits());
+        (cost.to_bits(), scan.to_bits(), placement, shape)
     };
-    let (obj_dense, place_dense, (cost_dense, scan_dense), wall_dense) = run(GapBackend::Dense);
-    let (obj_sparse, place_sparse, (cost_sparse, scan_sparse), wall_sparse) =
-        run(GapBackend::Sparse);
-
-    if place_dense != place_sparse
-        || cost_dense.to_bits() != cost_sparse.to_bits()
-        || scan_dense.to_bits() != scan_sparse.to_bits()
-    {
-        return Err(format!(
+    let (cost, _, _, (nnz, density)) = on_both_backends(&snapshot, run, |dense, sparse| {
+        format!(
             "backend divergence on {}: dense {} vs sparse {}",
-            cfg.name, cost_dense, cost_sparse
-        ));
-    }
-    debug_assert_eq!(obj_dense.nnz(), obj_sparse.nnz());
+            cfg.name,
+            f64::from_bits(dense.0),
+            f64::from_bits(sparse.0)
+        )
+    })?;
 
     Ok(Json::obj(vec![
         // Large-zoo preset name.
@@ -467,19 +587,19 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
         ("layers", layers.into()),
         // Structural nonzeros across the instance's gap matrices
         // (backend-independent, deterministic).
-        ("nnz", obj_sparse.nnz().into()),
+        ("nnz", nnz.into()),
         // `nnz` over the dense cell count.
-        ("density", Json::Fixed(obj_sparse.density(), 6)),
+        ("density", Json::Fixed(f64::from_bits(density), 6)),
         // Wall milliseconds of one exact `swap_delta` evaluation of every
         // `(layer, e1 < e2)` candidate on the dense backend.
-        ("wall_ms_dense", Json::Fixed(wall_dense, 3)),
+        ("wall_ms_dense", Json::Fixed(walls[0], 3)),
         // Wall milliseconds of the same pass on the CSR backend.
-        ("wall_ms_sparse", Json::Fixed(wall_sparse, 3)),
+        ("wall_ms_sparse", Json::Fixed(walls[1], 3)),
         // Dense wall over sparse wall: the sparse backend's algorithmic
         // speedup on this cell.
-        ("speedup", Json::Fixed(ratio(wall_dense, wall_sparse), 3)),
+        ("speedup", Json::Fixed(ratio(walls[0], walls[1]), 3)),
         // Final cross mass (bit-identical across backends — verified).
-        ("cross_mass", cost_sparse.into()),
+        ("cross_mass", f64::from_bits(cost).into()),
     ]))
 }
 
@@ -531,24 +651,6 @@ pub fn render_sparse_table(rows: &[Json]) -> String {
     )
 }
 
-/// Sample one serving window's routing trace from a drift schedule.
-fn online_window_trace(
-    drift: &DriftSchedule,
-    window: usize,
-    tokens: usize,
-    seed: u64,
-) -> RoutingTrace {
-    let model = drift.model_at(window);
-    let batch = TokenBatch::sample(
-        model,
-        &CorpusSpec::pile_proxy(model.n_domains()),
-        tokens,
-        1,
-        split_seed(seed, window as u64),
-    );
-    RoutingTrace::from_batch(&batch, model.n_experts())
-}
-
 /// Serve one drift scenario under the three policies. Every solve is
 /// verified invariant: the oracle re-solve across thread counts
 /// (1 vs `jobs`), the budgeted re-solve and the final cross mass across
@@ -568,7 +670,7 @@ fn online_scenario(
     // Profile window 0's routing and solve the shared initial placement —
     // exactly what all three policies start from.
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
-    streaming.observe(&online_window_trace(drift, 0, window_tokens, seed ^ 0x0ff1));
+    streaming.observe(&window_trace(drift, 0, window_tokens, 1, seed ^ 0x0ff1));
     let initial = solve_local_search_with(
         &Objective::from_snapshot(&streaming.snapshot()),
         ONLINE_UNITS,
@@ -585,7 +687,7 @@ fn online_scenario(
     let mut replans = 0usize;
 
     for window in 0..windows {
-        let trace = online_window_trace(drift, window, window_tokens, seed);
+        let trace = window_trace(drift, window, window_tokens, 1, seed);
         for (placement, acc) in [
             (&static_placement, &mut static_cross),
             (&oracle_placement, &mut oracle_cross),
@@ -601,36 +703,31 @@ fn online_scenario(
             // Oracle: from-scratch re-solve on the live estimate,
             // thread-count invariance verified.
             let live = Objective::from_snapshot(&snapshot);
-            let sequential = solve_local_search_with(
-                &live,
-                ONLINE_UNITS,
-                ONLINE_ORACLE_RESTARTS,
-                split_seed(seed, 0x0c0de ^ window as u64),
-                Parallelism::single(),
-            );
-            let parallel = solve_local_search_with(
-                &live,
-                ONLINE_UNITS,
-                ONLINE_ORACLE_RESTARTS,
-                split_seed(seed, 0x0c0de ^ window as u64),
-                Parallelism::new(jobs),
-            );
-            if sequential != parallel {
+            let oracle = |parallelism: Parallelism| {
+                solve_local_search_with(
+                    &live,
+                    ONLINE_UNITS,
+                    ONLINE_ORACLE_RESTARTS,
+                    split_seed(seed, 0x0c0de ^ window as u64),
+                    parallelism,
+                )
+            };
+            oracle_placement = oracle(Parallelism::single());
+            if oracle_placement != oracle(Parallelism::new(jobs)) {
                 return Err(format!(
                     "{}: oracle re-solve diverged across thread counts at window {window}",
                     drift.name()
                 ));
             }
-            oracle_placement = sequential;
 
             // Budgeted incremental: walk toward the same oracle-quality
             // solution under the byte budget (the budget caps migration
             // traffic, not solver compute). Gap-backend invariance is
             // verified on the walk.
             let max_moves = budget_bytes / bytes_per_expert;
-            let toward = |backend: GapBackend| {
+            let toward = |objective: &Objective| {
                 solve_budgeted_toward_metered(
-                    &Objective::from_snapshot_with(&snapshot, backend),
+                    objective,
                     &budgeted_placement,
                     &oracle_placement,
                     max_moves,
@@ -638,43 +735,29 @@ fn online_scenario(
                     None,
                 )
             };
-            let dense = toward(GapBackend::Dense);
-            if dense != toward(GapBackend::Sparse) {
-                return Err(format!(
+            let next = on_both_backends(&snapshot, toward, |_, _| {
+                format!(
                     "{}: budgeted re-solve diverged across gap backends at window {window}",
                     drift.name()
-                ));
-            }
-            let plan = MigrationPlan::between(&budgeted_placement, &dense, bytes_per_expert);
-            if plan.total_bytes() > budget_bytes {
-                return Err(format!(
-                    "{}: re-plan at window {window} migrated {} bytes over the {} budget",
-                    drift.name(),
-                    plan.total_bytes(),
-                    budget_bytes
-                ));
-            }
+                )
+            })?;
+            let plan = MigrationPlan::between(&budgeted_placement, &next, bytes_per_expert);
+            within_byte_budget(&format!("{}:", drift.name()), window, &plan, budget_bytes)?;
             if !plan.is_empty() {
                 migrated_bytes += plan.total_bytes();
                 replans += 1;
             }
-            budgeted_placement = dense;
+            budgeted_placement = next;
         }
     }
 
     // The reported objective: the budgeted placement scored on the final
     // live estimate, bit-compared across backends.
-    let snapshot = streaming.snapshot();
-    let cm_dense =
-        Objective::from_snapshot_with(&snapshot, GapBackend::Dense).cross_mass(&budgeted_placement);
-    let cm_sparse = Objective::from_snapshot_with(&snapshot, GapBackend::Sparse)
-        .cross_mass(&budgeted_placement);
-    if cm_dense.to_bits() != cm_sparse.to_bits() {
-        return Err(format!(
-            "{}: final cross mass diverged across gap backends: dense {cm_dense} vs sparse {cm_sparse}",
-            drift.name()
-        ));
-    }
+    let cross_mass = score_on_both_backends(
+        &streaming.snapshot(),
+        &format!("{}: final cross mass", drift.name()),
+        |objective| objective.cross_mass(&budgeted_placement),
+    )?;
 
     let (stat, oracle, budgeted) = (
         static_cross as f64,
@@ -715,7 +798,7 @@ fn online_scenario(
         ),
         // Final cross mass of the budgeted placement on the live estimate
         // (bit-identical across backends — verified).
-        ("cross_mass", cm_dense.into()),
+        ("cross_mass", cross_mass.into()),
     ]))
 }
 
@@ -762,9 +845,6 @@ pub fn online_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, S
 /// re-solve and the final cross mass are verified invariant across gap
 /// backends, and both policies are verified budget-compliant. Cross
 /// counts are measured on the realized window traces.
-// One scenario axis per knob the bench sweeps; a config struct would
-// obscure which cells vary which knob.
-#[allow(clippy::too_many_arguments)]
 fn replication_scenario(
     drift: &DriftSchedule,
     e: usize,
@@ -786,13 +866,8 @@ fn replication_scenario(
     // Profile window 0 and solve the shared initial placement (greedy +
     // bounded polish: deterministic and cheap enough for E = 256).
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
-    streaming.observe(&online_window_trace(drift, 0, window_tokens, seed ^ 0x0ff1));
-    let initial = {
-        let objective = Objective::from_snapshot(&streaming.snapshot());
-        let mut p = solve_greedy(&objective, units);
-        improve(&objective, &mut p, 10);
-        p
-    };
+    streaming.observe(&window_trace(drift, 0, window_tokens, 1, seed ^ 0x0ff1));
+    let initial = greedy_incumbent(&Objective::from_snapshot(&streaming.snapshot()), units);
     let static_placement = initial.clone();
     let mut owner_placement = initial.clone();
     let mut joint_plan = ReplicationPlan::bare(initial);
@@ -803,7 +878,7 @@ fn replication_scenario(
     let (mut replicas_added, mut replicas_dropped) = (0u64, 0u64);
 
     for window in 0..windows {
-        let trace = online_window_trace(drift, window, window_tokens, seed);
+        let trace = window_trace(drift, window, window_tokens, 1, seed);
         for (placement, acc) in [
             (&static_placement, &mut static_cross),
             (&owner_placement, &mut owner_cross),
@@ -816,35 +891,12 @@ fn replication_scenario(
         streaming.observe(&trace);
 
         if (window + 1).is_multiple_of(replan_every) && window + 1 < windows {
-            let snapshot = streaming.snapshot();
-            let dense = Objective::from_snapshot_with(&snapshot, GapBackend::Dense);
-            let sparse = Objective::from_snapshot_with(&snapshot, GapBackend::Sparse);
-
             // Owner-moves-only: the whole migration budget buys
             // relocations.
             let owner = |objective: &Objective| {
                 let moves = REPLICATION_BUDGET_MOVES;
                 solve_budgeted_metered(objective, &owner_placement, moves, u64::MAX, None).0
             };
-            let owner_next = owner(&dense);
-            if owner_next != owner(&sparse) {
-                return Err(format!(
-                    "{scenario}: owner re-solve diverged across gap backends at window {window}"
-                ));
-            }
-            let plan = MigrationPlan::between(&owner_placement, &owner_next, bytes_per_expert);
-            if plan.total_bytes() > budget_bytes {
-                return Err(format!(
-                    "{scenario}: owner re-plan at window {window} migrated {} bytes over the {budget_bytes} budget",
-                    plan.total_bytes()
-                ));
-            }
-            if !plan.is_empty() {
-                owner_migrated += plan.total_bytes();
-                owner_replans += 1;
-            }
-            owner_placement = owner_next;
-
             // Joint: replica adds/drops race owner moves under the same
             // migration budget plus the replica memory budget.
             let joint = |objective: &Objective| {
@@ -859,26 +911,34 @@ fn replication_scenario(
                 )
                 .0
             };
-            let joint_next = joint(&dense);
-            if joint_next != joint(&sparse) {
-                return Err(format!(
-                    "{scenario}: joint re-solve diverged across gap backends at window {window}"
-                ));
+            let (owner_next, joint_next) = on_both_backends(
+                &streaming.snapshot(),
+                |objective| (owner(objective), joint(objective)),
+                |dense, sparse| {
+                    let policy = if dense.0 != sparse.0 {
+                        "owner"
+                    } else {
+                        "joint"
+                    };
+                    format!(
+                        "{scenario}: {policy} re-solve diverged across gap backends at window {window}"
+                    )
+                },
+            )?;
+
+            let plan = MigrationPlan::between(&owner_placement, &owner_next, bytes_per_expert);
+            within_byte_budget(&format!("{scenario}: owner"), window, &plan, budget_bytes)?;
+            if !plan.is_empty() {
+                owner_migrated += plan.total_bytes();
+                owner_replans += 1;
             }
+            owner_placement = owner_next;
+
             let plan =
                 MigrationPlan::between_replicated(&joint_plan, &joint_next, bytes_per_expert);
-            if plan.total_bytes() > budget_bytes {
-                return Err(format!(
-                    "{scenario}: joint re-plan at window {window} migrated {} bytes over the {budget_bytes} budget",
-                    plan.total_bytes()
-                ));
-            }
-            if joint_next.extra_copies_per_gpu() as u64 > REPLICATION_SLOTS {
-                return Err(format!(
-                    "{scenario}: joint re-plan at window {window} holds {} extra copies over the {REPLICATION_SLOTS}-slot memory budget",
-                    joint_next.extra_copies_per_gpu()
-                ));
-            }
+            let who = format!("{scenario}: joint");
+            within_byte_budget(&who, window, &plan, budget_bytes)?;
+            within_slot_budget(&who, window, &joint_next, REPLICATION_SLOTS)?;
             if !plan.is_empty() {
                 joint_migrated += plan.total_bytes();
                 joint_replans += 1;
@@ -891,20 +951,11 @@ fn replication_scenario(
 
     // The reported objective: the joint plan scored on the final live
     // estimate, bit-compared across backends.
-    let snapshot = streaming.snapshot();
-    let cm_dense = replicated_cross_mass(
-        &Objective::from_snapshot_with(&snapshot, GapBackend::Dense),
-        &joint_plan,
-    );
-    let cm_sparse = replicated_cross_mass(
-        &Objective::from_snapshot_with(&snapshot, GapBackend::Sparse),
-        &joint_plan,
-    );
-    if cm_dense.to_bits() != cm_sparse.to_bits() {
-        return Err(format!(
-            "{scenario}: final replicated cross mass diverged across gap backends: dense {cm_dense} vs sparse {cm_sparse}"
-        ));
-    }
+    let cross_mass = score_on_both_backends(
+        &streaming.snapshot(),
+        &format!("{scenario}: final replicated cross mass"),
+        |objective| replicated_cross_mass(objective, &joint_plan),
+    )?;
 
     // Fraction of the static incumbent's cross traffic a policy
     // eliminated: `(static - cross) / static` (0 when the static run had
@@ -962,7 +1013,7 @@ fn replication_scenario(
         ("joint_recovery", recovery(joint_cross)),
         // Final replication-aware cross mass of the joint plan on the live
         // estimate (bit-identical across backends — verified).
-        ("cross_mass", cm_dense.into()),
+        ("cross_mass", cross_mass.into()),
     ]))
 }
 
@@ -1019,6 +1070,14 @@ pub fn replication_online_table(
     Ok(rows)
 }
 
+/// The model every serving cell runs: `SERVING_EXPERTS` narrow experts.
+fn serving_model(layers: usize) -> ModelConfig {
+    let mut model = moe_gpt_m(SERVING_EXPERTS);
+    model.n_layers = layers;
+    model.d_ff = SERVING_D_FF;
+    model
+}
+
 /// Build one serving engine. All policies share the model, cluster, and
 /// master seed, so the profiled incumbent placement — and, downstream,
 /// the arrival sample and per-request routing draws of the serving run —
@@ -1030,16 +1089,13 @@ fn serving_engine(
     backend: GapBackend,
     seed: u64,
 ) -> InferenceEngine {
-    let mut model = moe_gpt_m(SERVING_EXPERTS);
-    model.n_layers = layers;
-    model.d_ff = SERVING_D_FF;
     let cost = CostModel::new(
         LinkCost::from_latency_bandwidth(0.3e-6, 1.5e12),
         LinkCost::from_latency_bandwidth(1.0e-6, 300.0e9),
         LinkCost::from_latency_bandwidth(3.5e-6, SERVING_INTER_NODE_BW),
     )
     .with_alltoall_efficiency([1.0, 0.5, 0.16]);
-    InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
+    InferenceEngine::builder(serving_model(layers), ClusterSpec::new(2, 2).unwrap())
         .link_cost(cost)
         .requests_per_gpu(SERVING_MAX_BATCH / 4)
         .prompt_len(4)
@@ -1051,6 +1107,37 @@ fn serving_engine(
         .build()
 }
 
+/// One serving cell's arrival calibration, against a probed full-batch
+/// step time (`InferenceEngine::probe_step_time`): `(rate, horizon,
+/// config)`, where `rate` fills `utilization` of the cell's token-serving
+/// capacity whatever the model shape, `horizon` is how long that rate
+/// takes to deliver every request, and `config(arrival)` is the cell's
+/// serving front-end under one arrival process.
+fn calibrate_serving(
+    eng: &InferenceEngine,
+    mode: ParallelismMode,
+    utilization: f64,
+    n_requests: usize,
+) -> Result<(f64, f64, impl Fn(ArrivalProcess) -> ServingConfig), String> {
+    let step = eng.probe_step_time(mode, SERVING_MAX_BATCH);
+    if step <= 0.0 {
+        return Err(format!("probed step time {step} must be positive"));
+    }
+    let rate = utilization * SERVING_MAX_BATCH as f64 / (SERVING_DECODE_STEPS as f64 * step);
+    let horizon = n_requests as f64 / rate;
+    let config = move |arrival| ServingConfig {
+        arrival,
+        n_requests,
+        decode_steps: SERVING_DECODE_STEPS,
+        batch: BatchPolicy::SizeOrWait {
+            max_size: SERVING_MAX_BATCH,
+            max_wait: 2.0 * step,
+        },
+        window_duration: horizon / SERVING_WINDOWS as f64,
+    };
+    Ok((rate, horizon, config))
+}
+
 /// The `table_serving` sweep: Poisson, diurnal, and flash-crowd arrival
 /// processes served end-to-end through the request-level front-end
 /// (`Scenario::with_serving`) under static / budgeted-online /
@@ -1058,11 +1145,8 @@ fn serving_engine(
 /// goodput, re-plan counts, and migrated bytes per cell. All three
 /// policies see the *same* arrival sample and routing draws, so the tails
 /// differ only through placement quality and migration stalls; every
-/// figure is a virtual-time fact. The arrival rate is
-/// calibrated against a probed step time
-/// (`InferenceEngine::probe_step_time`) so the cell runs at
-/// `SERVING_UTILIZATION` (96%) of full-batch capacity regardless of model
-/// shape. Errors (instead of panicking) if the budgeted-online report is
+/// figure is a virtual-time fact. The cell runs at `SERVING_UTILIZATION`
+/// (96%) of full-batch capacity. Errors (instead of panicking) if the budgeted-online report is
 /// not bit-identical at `jobs` solver threads or on the CSR gap backend,
 /// or if a policy dropped a request, saw another arrival sample, or
 /// never re-planned.
@@ -1071,12 +1155,7 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, 
     let n_requests = scale.pick(1400, 1800);
     let mode = ParallelismMode::ContextCoherentAffinity;
 
-    let bytes_per_expert = {
-        let mut model = moe_gpt_m(SERVING_EXPERTS);
-        model.n_layers = layers;
-        model.d_ff = SERVING_D_FF;
-        model.expert_params() * 2
-    };
+    let bytes_per_expert = serving_model(layers).expert_params() * 2;
     let static_oc = OnlineConfig {
         drift_threshold: f64::INFINITY,
         decay: SERVING_DECAY,
@@ -1096,26 +1175,11 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, 
     };
 
     let static_eng = serving_engine(layers, static_oc, 1, GapBackend::Dense, seed);
-    let online_eng = serving_engine(layers, online_oc, 1, GapBackend::Dense, seed);
     let repl_eng = serving_engine(layers, repl_oc, 1, GapBackend::Dense, seed);
-    // Invariance witnesses: the same budgeted-online policy at the
-    // requested solver width and on the CSR objective backend.
-    let wide_eng = serving_engine(layers, online_oc, jobs.max(2), GapBackend::Dense, seed);
-    let sparse_eng = serving_engine(layers, online_oc, 1, GapBackend::Sparse, seed);
 
     let drift = DriftSchedule::piecewise(&static_eng.config().routing_spec, 2, SERVING_WINDOWS);
-
-    // Calibrate absolute arrival rates against the probed full-batch step
-    // time: `rate` fills SERVING_UTILIZATION of the cell's token-serving
-    // capacity, and the horizon is how long that rate takes to deliver
-    // every request.
-    let step = static_eng.probe_step_time(mode, SERVING_MAX_BATCH);
-    if step <= 0.0 {
-        return Err(format!("probed step time {step} must be positive"));
-    }
-    let rate =
-        SERVING_UTILIZATION * SERVING_MAX_BATCH as f64 / (SERVING_DECODE_STEPS as f64 * step);
-    let horizon = n_requests as f64 / rate;
+    let (rate, horizon, config) =
+        calibrate_serving(&static_eng, mode, SERVING_UTILIZATION, n_requests)?;
     // The flash crowd compresses the same mean load: a quiet base rate
     // with a 4x spike over 10% of the horizon.
     let arrivals = [
@@ -1126,37 +1190,20 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, 
 
     let mut rows = Vec::with_capacity(arrivals.len());
     for arrival in arrivals {
-        let cfg = ServingConfig {
-            arrival,
-            n_requests,
-            decode_steps: SERVING_DECODE_STEPS,
-            batch: BatchPolicy::SizeOrWait {
-                max_size: SERVING_MAX_BATCH,
-                max_wait: 2.0 * step,
-            },
-            window_duration: horizon / SERVING_WINDOWS as f64,
-        };
-        let name = cfg.arrival.name().to_string();
+        let name = arrival.name().to_string();
         let scenario = Scenario::offline(mode)
             .with_drift(drift.clone())
-            .with_serving(cfg.clone());
+            .with_serving(config(arrival));
         let stat: ServingReport = static_eng.run_scenario(&scenario).expect_serving();
-        let online = online_eng.run_scenario(&scenario).expect_serving();
+        // The budgeted-online policy, held to the bit-identity contract at
+        // the requested solver width and on the CSR objective backend.
+        let what = format!("{name}: serving report");
+        let online = at_widths(&what, &[jobs.max(2)], |threads, backend| {
+            serving_engine(layers, online_oc, threads, backend, seed)
+                .run_scenario(&scenario)
+                .expect_serving()
+        })?;
         let repl = repl_eng.run_scenario(&scenario).expect_serving();
-
-        let wide = wide_eng.run_scenario(&scenario).expect_serving();
-        if wide != online {
-            return Err(format!(
-                "{name}: serving report diverged across solver widths (1 vs {})",
-                jobs.max(2)
-            ));
-        }
-        let sparse = sparse_eng.run_scenario(&scenario).expect_serving();
-        if sparse != online {
-            return Err(format!(
-                "{name}: serving report diverged across gap backends"
-            ));
-        }
 
         for (policy, r) in [
             ("static", &stat),
@@ -1262,23 +1309,9 @@ pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json
 
     let eng = serving_engine(layers, oc, 1, GapBackend::Dense, seed);
     let world = eng.config().cluster.world_size();
-    let step = eng.probe_step_time(mode, SERVING_MAX_BATCH);
-    if step <= 0.0 {
-        return Err(format!("probed step time {step} must be positive"));
-    }
-    let rate =
-        ELASTICITY_UTILIZATION * SERVING_MAX_BATCH as f64 / (SERVING_DECODE_STEPS as f64 * step);
-    let horizon = n_requests as f64 / rate;
-    let cfg = ServingConfig {
-        arrival: ArrivalProcess::poisson(rate),
-        n_requests,
-        decode_steps: SERVING_DECODE_STEPS,
-        batch: BatchPolicy::SizeOrWait {
-            max_size: SERVING_MAX_BATCH,
-            max_wait: 2.0 * step,
-        },
-        window_duration: horizon / SERVING_WINDOWS as f64,
-    };
+    let (rate, horizon, config) =
+        calibrate_serving(&eng, mode, ELASTICITY_UTILIZATION, n_requests)?;
+    let cfg = config(ArrivalProcess::poisson(rate));
     // The replicated fleet starts from the same profiled placement with
     // every expert replicated everywhere, so any lost expert has a live
     // copy. `everywhere` materializes the actual non-owner subsets, so
@@ -1308,30 +1341,16 @@ pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json
         let repl_scenario = plain_scenario
             .clone()
             .with_replication(full_replication.clone());
-        let plain = eng.run_scenario(&plain_scenario).expect_serving();
-        let repl = eng.run_scenario(&repl_scenario).expect_serving();
-
         // Bit-identity of the faulted run across solver widths and the
         // CSR objective backend, on the fleet that actually exercises
         // emergency re-placement.
-        for threads in [jobs.max(2), 8] {
-            let wide = serving_engine(layers, oc, threads, GapBackend::Dense, seed)
+        let what = format!("{name}: faulted serving report");
+        let plain = at_widths(&what, &[jobs.max(2), 8], |threads, backend| {
+            serving_engine(layers, oc, threads, backend, seed)
                 .run_scenario(&plain_scenario)
-                .expect_serving();
-            if wide != plain {
-                return Err(format!(
-                    "{name}: faulted serving report diverged across solver widths (1 vs {threads})"
-                ));
-            }
-        }
-        let sparse = serving_engine(layers, oc, 1, GapBackend::Sparse, seed)
-            .run_scenario(&plain_scenario)
-            .expect_serving();
-        if sparse != plain {
-            return Err(format!(
-                "{name}: faulted serving report diverged across gap backends"
-            ));
-        }
+                .expect_serving()
+        })?;
+        let repl = eng.run_scenario(&repl_scenario).expect_serving();
 
         for (fleet, r) in [("no-replicas", &plain), ("replicated", &repl)] {
             if r.n_requests() != n_requests {
@@ -1444,19 +1463,10 @@ fn replan_latency_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Jso
     // Window 0 profiles the instance; both paths start from the same
     // snapshot-built objective and the same greedy-plus-polish incumbent.
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
-    streaming.observe(&online_window_trace(
-        &drift,
-        0,
-        window_tokens,
-        seed ^ 0x0ff1,
-    ));
+    streaming.observe(&window_trace(&drift, 0, window_tokens, 1, seed ^ 0x0ff1));
     let mut live = Objective::from_snapshot(&streaming.snapshot());
     let mut cache = SwapGainCache::for_objective(&live);
-    let mut placement = {
-        let mut p = solve_greedy(&live, N_UNITS_LARGE);
-        improve(&live, &mut p, 10);
-        p
-    };
+    let mut placement = greedy_incumbent(&live, N_UNITS_LARGE);
 
     let mut replans = 0usize;
     let (mut considered, mut evaluated_rebuild) = (0u64, 0u64);
@@ -1464,7 +1474,7 @@ fn replan_latency_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Jso
     let (mut wall_rebuild, mut wall_incremental) = (0.0f64, 0.0f64);
 
     for window in 1..windows {
-        let trace = online_window_trace(&drift, window, window_tokens, seed);
+        let trace = window_trace(&drift, window, window_tokens, 1, seed);
         let delta = streaming.observe_delta(&trace);
 
         // Rebuild path: pay the full objective reconstruction, then the
@@ -1593,26 +1603,6 @@ pub fn replan_latency_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec
         .collect()
 }
 
-/// Sample one window trace with an explicit gating fan-out `k` (the
-/// top-2 cells route every token through two experts per layer).
-fn partial_window_trace(
-    drift: &DriftSchedule,
-    window: usize,
-    tokens: usize,
-    k: usize,
-    seed: u64,
-) -> RoutingTrace {
-    let model = drift.model_at(window);
-    let batch = TokenBatch::sample(
-        model,
-        &CorpusSpec::pile_proxy(model.n_domains()),
-        tokens,
-        k,
-        split_seed(seed, window as u64),
-    );
-    RoutingTrace::from_batch(&batch, model.n_experts())
-}
-
 /// Measure one `table_partial_replication` cell. Every re-plan races the
 /// one-per-node and everywhere fan-out policies from the *same* shared
 /// incumbent at equal budgets; the partial winner becomes the next
@@ -1656,19 +1646,8 @@ fn partial_replication_cell(
     let drift = DriftSchedule::piecewise(&spec, 2, windows);
 
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
-    streaming.observe(&partial_window_trace(
-        &drift,
-        0,
-        window_tokens,
-        k,
-        seed ^ 0x0ff1,
-    ));
-    let initial = {
-        let objective = Objective::from_snapshot(&streaming.snapshot());
-        let mut p = solve_greedy(&objective, units);
-        improve(&objective, &mut p, 10);
-        p
-    };
+    streaming.observe(&window_trace(&drift, 0, window_tokens, k, seed ^ 0x0ff1));
+    let initial = greedy_incumbent(&Objective::from_snapshot(&streaming.snapshot()), units);
     let mut incumbent = ReplicationPlan::bare(initial);
 
     let mut realized_cross = 0u64;
@@ -1679,20 +1658,17 @@ fn partial_replication_cell(
     let mut full_extra_copies = 0u64;
 
     for window in 0..windows {
-        let trace = partial_window_trace(&drift, window, window_tokens, k, seed);
+        let trace = window_trace(&drift, window, window_tokens, k, seed);
         let loc = incumbent.trace_locality(&trace);
         realized_cross += loc.transitions - loc.local;
         streaming.observe(&trace);
 
         if window + 1 < windows {
             let snapshot = streaming.snapshot();
-            let dense = Objective::from_snapshot_with(&snapshot, GapBackend::Dense);
-            let sparse = Objective::from_snapshot_with(&snapshot, GapBackend::Sparse);
-
             let solve_both = |policy: &ReplicaPolicy| -> Result<(ReplicationPlan, f64), String> {
                 let solve = |objective: &Objective| {
                     let bpe = bytes_per_expert;
-                    solve_budgeted_replicated_metered(
+                    let (next, _) = solve_budgeted_replicated_metered(
                         objective,
                         &incumbent,
                         bpe,
@@ -1700,22 +1676,19 @@ fn partial_replication_cell(
                         policy,
                         u64::MAX,
                         None,
-                    )
-                    .0
+                    );
+                    let cm = replicated_cross_mass(objective, &next);
+                    (next, cm.to_bits())
                 };
-                let next = solve(&dense);
-                if next != solve(&sparse) {
-                    return Err(format!(
-                        "{scenario}: {policy:?} solve diverged across gap backends at window {window}"
-                    ));
-                }
-                let cm = replicated_cross_mass(&dense, &next);
-                if cm.to_bits() != replicated_cross_mass(&sparse, &next).to_bits() {
-                    return Err(format!(
-                        "{scenario}: replicated cross mass diverged across gap backends at window {window}"
-                    ));
-                }
-                Ok((next, cm))
+                let (next, cm) = on_both_backends(&snapshot, solve, |dense, sparse| {
+                    let what = if dense.0 != sparse.0 {
+                        format!("{policy:?} solve")
+                    } else {
+                        "replicated cross mass".to_string()
+                    };
+                    format!("{scenario}: {what} diverged across gap backends at window {window}")
+                })?;
+                Ok((next, f64::from_bits(cm)))
             };
 
             let (partial_next, cm_p) = solve_both(&partial_policy)?;
@@ -1729,25 +1702,14 @@ fn partial_replication_cell(
             partial_cm += cm_p;
             full_cm += cm_f;
 
-            for (next, migrated, extra_cap) in [
-                (&partial_next, &mut partial_migrated, PARTIAL_REPLICA_SLOTS),
-                (&full_next, &mut full_migrated, PARTIAL_REPLICA_SLOTS),
+            let who = format!("{scenario}:");
+            for (next, migrated) in [
+                (&partial_next, &mut partial_migrated),
+                (&full_next, &mut full_migrated),
             ] {
                 let diff = MigrationPlan::between_replicated(&incumbent, next, bytes_per_expert);
-                if diff.total_bytes() > budget_bytes {
-                    return Err(format!(
-                        "{scenario}: re-plan at window {window} migrated {} bytes over the \
-                         {budget_bytes} budget",
-                        diff.total_bytes()
-                    ));
-                }
-                if next.extra_copies_per_gpu() as u64 > extra_cap {
-                    return Err(format!(
-                        "{scenario}: re-plan at window {window} holds {} extra copies over \
-                         the {extra_cap}-slot memory budget",
-                        next.extra_copies_per_gpu()
-                    ));
-                }
+                within_byte_budget(&who, window, &diff, budget_bytes)?;
+                within_slot_budget(&who, window, next, PARTIAL_REPLICA_SLOTS)?;
                 *migrated += diff.total_bytes();
             }
             let diff =
@@ -1796,19 +1758,11 @@ fn partial_replication_cell(
         )
         .expect_online()
     };
-    let baseline = cc_run(1, GapBackend::Auto);
-    for threads in [2usize, 8] {
-        if cc_run(threads, GapBackend::Auto) != baseline {
-            return Err(format!(
-                "{scenario}: context-coherent run diverged across solver widths (1 vs {threads})"
-            ));
-        }
-    }
-    if cc_run(1, GapBackend::Dense) != cc_run(1, GapBackend::Sparse) {
-        return Err(format!(
-            "{scenario}: context-coherent run diverged across gap backends"
-        ));
-    }
+    let baseline = at_widths(
+        &format!("{scenario}: context-coherent run"),
+        &[2, 8],
+        cc_run,
+    )?;
 
     Ok(Json::obj(vec![
         // Cell label (`E16/top1`, `E256/top2`, ...).
