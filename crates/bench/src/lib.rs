@@ -8,7 +8,9 @@
 //!   rows (workload generation, parameter sweep, baselines, measurement).
 //! * The `repro` binary prints the rows the paper reports
 //!   (`cargo run --release -p exflow-bench --bin repro -- <artifact>`).
-//! * The criterion benches (`cargo bench`) time the underlying code paths.
+//! * The `bench_summary` binary sweeps the gated tables of [`table::TABLES`]
+//!   into the `BENCH_*.json` document and runs the CI perf-gate over it.
+//!   Speed is measured by the standalone `benchmark/` package, not here.
 //!
 //! Every experiment takes a [`Scale`]: `Quick` keeps CI and `cargo test`
 //! fast on reduced sweeps, `Full` runs the paper-sized sweeps.

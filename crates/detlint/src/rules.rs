@@ -89,8 +89,7 @@ impl RuleId {
                  nondeterministic; use BTreeMap/BTreeSet or a sorted collect"
             }
             RuleId::D002 => {
-                "no wall-clock reads (Instant::now / SystemTime::now) outside \
-                 crates/bench and shims/criterion"
+                "no wall-clock reads (Instant::now / SystemTime::now) outside crates/bench"
             }
             RuleId::D003 => "no unseeded/ambient RNG (thread_rng, from_entropy)",
             RuleId::D004 => {
@@ -357,7 +356,7 @@ fn check_d001(ctx: &FileContext, line: &ScanLine, i: usize, in_test: bool, out: 
 }
 
 fn check_d002(ctx: &FileContext, line: &ScanLine, i: usize, out: &mut Vec<Finding>) {
-    if ctx.under("crates/bench/") || ctx.under("shims/criterion/") {
+    if ctx.under("crates/bench/") {
         return;
     }
     for token in ["Instant::now", "SystemTime::now"] {
@@ -635,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn d002_exempts_bench_and_criterion() {
+    fn d002_exempts_bench_only() {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(
             rules_of(&scan_and_check("crates/core/src/x.rs", src)),
@@ -644,9 +643,10 @@ mod tests {
         assert!(scan_and_check("crates/bench/src/x.rs", src)
             .findings
             .is_empty());
-        assert!(scan_and_check("shims/criterion/src/lib.rs", src)
-            .findings
-            .is_empty());
+        assert_eq!(
+            rules_of(&scan_and_check("shims/rayon/src/lib.rs", src)),
+            vec![RuleId::D002]
+        );
     }
 
     #[test]
