@@ -2,26 +2,10 @@
 //! repo's perf trajectory (`BENCH_BASELINE.json`, with the per-PR history
 //! under `crates/bench/history/`), and the CI perf-gate.
 //!
-//! Sweeps the Table II model zoo × the solver roster (timing the whole
-//! sweep at `--jobs 1` and at `--jobs N`, verified bit-identical across
-//! widths), the `table_sparse` large-expert sweep (dense vs CSR objective
-//! backend, verified identical across backends), the `table_online`
-//! drift sweep (static vs oracle vs budgeted re-placement, verified
-//! invariant across thread counts and backends), and the
-//! `table_replication_online` sweep (static vs owner-moves-only vs the
-//! joint replica + owner-move policy under the joint budget, verified
-//! invariant across backends), and the `table_serving` request-level
-//! sweep (static vs budgeted-online vs replication-aware placements under
-//! Poisson/diurnal/flash-crowd arrivals, verified invariant across thread
-//! counts and backends), and the `table_elasticity` fault sweep (an
-//! unreplicated vs a fully replicated fleet through a mid-run GPU loss,
-//! verified invariant across thread counts and backends), and the
-//! `table_replan_latency` sweep (cold-rebuild vs delta-maintained
-//! re-planning at `E = 256/512`, verified to land bit-identical
-//! placements and cross masses), and the `table_partial_replication`
-//! sweep (subset vs full replica fan-out from the same incumbent at
-//! `E = 16/256` × top-1/top-2, verified invariant across backends and
-//! thread counts), and writes the machine-readable summary
+//! Runs every sweep of `exflow_bench::table::TABLES` (each table's
+//! paragraph is the doc comment of its sweep function in
+//! `exflow_bench::summary`), prints each table to stderr through the same
+//! `render` that `repro` uses, and writes the machine-readable summary
 //! JSON (schema `exflow-bench-summary/v8`, documented in the README).
 //!
 //! ```text
@@ -30,16 +14,11 @@
 //! ```
 //!
 //! With `--check BASELINE`, the fresh summary is compared against the
-//! committed baseline by `exflow_bench::gate::compare`. The baseline must
-//! carry the current schema tag — an older one is rejected with a
-//! "regenerate the baseline" failure, never partially compared. What is
-//! gated is listed in one place, the `gate::SECTIONS` table: per section,
-//! the deterministic fields that are bit-compared against the baseline
-//! (any mismatch, missing row, or extra row is a hard failure), the
-//! acceptance bars the fresh rows must clear on their own, and the
-//! wall-time fields whose regressions beyond 25% are only reported as
-//! warnings in the markdown printed to stdout (CI appends it to the job
-//! summary). Regenerate the baseline deliberately with
+//! committed baseline by `exflow_bench::gate::compare` (its module doc
+//! states the rules: everything a row holds is bit-compared unless its
+//! `TABLES` entry says it is wall-clock, and each table's acceptance bars
+//! must hold). The markdown verdict goes to stdout (CI appends it to the
+//! job summary). Regenerate the baseline deliberately with
 //! `--quick --jobs 4 --seed 20240522 --out BENCH_BASELINE.json`.
 //!
 //! Exit codes: 0 on success, 1 if a verification/gate check fails or the

@@ -1,5 +1,7 @@
-//! One module per paper artifact. Each exposes typed rows plus a
-//! `print(scale)` entry the `repro` binary calls.
+//! One module per artifact. A paper artifact exposes typed rows plus a
+//! `print(scale)` entry the `repro` binary calls; a gated summary table
+//! (`table_*`) exposes only its `render(rows)` — its sweep lives in
+//! `crate::summary`, its registry entry in `crate::table::TABLES`.
 
 pub mod ablations;
 pub mod common;

@@ -35,7 +35,7 @@
 //! ```
 
 use crate::json::Json;
-use crate::report::ServingReport;
+use crate::report::{nearest_rank, ServingReport};
 
 /// Schema tag every emitted line carries; bump on any field change.
 pub const EVENT_SCHEMA: &str = "exflow-events/v1";
@@ -77,15 +77,6 @@ pub struct WindowEvent {
     pub gpus_down: Vec<usize>,
     /// GPUs rejoined inside the window, in event order.
     pub gpus_up: Vec<usize>,
-}
-
-fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * n as f64).ceil() as usize;
-    sorted[rank.clamp(1, n) - 1]
 }
 
 /// Bucket a [`ServingReport`] into per-window [`WindowEvent`]s. The

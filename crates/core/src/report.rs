@@ -417,7 +417,7 @@ pub const RECOVERY_WINDOW: usize = 32;
 
 /// Nearest-rank percentile over an ascending-sorted slice; 0.0 when
 /// empty, so degenerate (0-/1-request) runs stay defined.
-fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0, 100]");
     let n = sorted.len();
     if n == 0 {
