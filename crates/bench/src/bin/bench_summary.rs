@@ -109,7 +109,7 @@ fn main() {
         summary.speedup()
     );
     for (table, (_, rows)) in TABLES.iter().zip(&summary.tables) {
-        eprintln!("\n{}", (table.render)(rows));
+        eprintln!("\n[{}]\n{}", table.key, (table.render)(rows));
     }
 
     let json = summary.to_json();

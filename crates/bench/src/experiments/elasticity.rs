@@ -12,13 +12,8 @@
 
 use exflow_core::json::Json;
 
-use crate::fmt::render_table;
+use crate::fmt::{render_table, us};
 use crate::table::{num, text};
-
-/// Virtual seconds rendered as microseconds.
-fn us(v: f64) -> String {
-    format!("{:.1}", v * 1e6)
-}
 
 /// The rows as the printed table: one line per (fault, fleet).
 pub fn render(rows: &[Json]) -> String {

@@ -16,7 +16,7 @@
 
 use exflow_core::json::Json;
 
-use crate::fmt::{render_table, speedup};
+use crate::fmt::{render_table, speedup, us};
 use crate::summary::ratio;
 use crate::table::{num, text};
 
@@ -25,8 +25,6 @@ pub fn render(rows: &[Json]) -> String {
     let headers = [
         "arrival", "policy", "p50 us", "p95 us", "p99 us", "x static", "goodput", "replans",
     ];
-    // Virtual seconds rendered as microseconds.
-    let us = |r: &Json, key: &str| format!("{:.1}", num(r, key) * 1e6);
     let mut body: Vec<Vec<String>> = Vec::new();
     for r in rows {
         for policy in ["static", "online", "repl"] {
@@ -34,9 +32,9 @@ pub fn render(rows: &[Json]) -> String {
             body.push(vec![
                 text(r, "arrival"),
                 policy.to_string(),
-                us(r, &format!("{policy}_p50")),
-                us(r, &format!("{policy}_p95")),
-                us(r, &format!("{policy}_p99")),
+                us(num(r, &format!("{policy}_p50"))),
+                us(num(r, &format!("{policy}_p95"))),
+                us(p99),
                 // Static p99 over this policy's p99: > 1 exactly when the
                 // adaptive policy improves the tail over never re-placing.
                 speedup(ratio(num(r, "static_p99"), p99)),

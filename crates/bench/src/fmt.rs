@@ -42,6 +42,11 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
+/// Format virtual seconds as microseconds with 1 decimal place.
+pub fn us(v: f64) -> String {
+    format!("{:.1}", v * 1e6)
+}
+
 /// Format a ratio as `N.NNx`.
 pub fn speedup(v: f64) -> String {
     format!("{v:.2}x")
@@ -72,6 +77,7 @@ mod tests {
         assert_eq!(f3(1.23456), "1.235");
         assert_eq!(pct(0.1234), "12.3%");
         assert_eq!(speedup(2.2), "2.20x");
+        assert_eq!(us(0.0000123456), "12.3");
     }
 
     #[test]

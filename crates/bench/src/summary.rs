@@ -38,9 +38,8 @@ use exflow_placement::{
 };
 use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
-use crate::fmt::render_table;
 use crate::sweep::{par_map, SweepPool};
-use crate::table::{num, text, TABLES};
+use crate::table::{text, TABLES};
 use crate::Scale;
 
 /// GPUs each Table II instance is solved for (divides every Table II
@@ -277,23 +276,18 @@ pub fn roster(scale: Scale) -> Vec<SolverKind> {
 /// model-specific seed stream instead.
 fn instance(n_experts: usize, n_layers: usize, scale: Scale, seed: u64) -> Objective {
     let layers = (n_layers / scale.pick(6, 3)).max(2);
-    let spec = AffinityModelSpec::new(layers, n_experts).with_seed(seed);
-    let routing = spec.build();
-    let batch = TokenBatch::sample(
-        &routing,
-        &CorpusSpec::pile_proxy(spec.n_domains),
-        scale.pick(1500, 6000),
-        1,
-        seed,
-    );
-    Objective::from_snapshot(&profile(&RoutingTrace::from_batch(&batch, n_experts)))
+    Objective::from_snapshot(&profile(layers, n_experts, scale.pick(1500, 6000), 1, seed))
 }
 
-/// One profiling trace through the streaming estimator: the CSR snapshot
-/// objectives are built from.
-fn profile(trace: &RoutingTrace) -> AffinitySnapshot {
-    let mut estimate = StreamingAffinity::new(trace.n_layers(), trace.n_experts(), 1.0);
-    estimate.observe(trace);
+/// Sample `tokens` top-`k` tokens from the fixed-seed routing model of an
+/// `(layers, e)` instance and run the one profiling trace through the
+/// streaming estimator: the CSR snapshot objectives are built from.
+fn profile(layers: usize, e: usize, tokens: usize, k: usize, seed: u64) -> AffinitySnapshot {
+    let spec = AffinityModelSpec::new(layers, e).with_seed(seed);
+    let corpus = CorpusSpec::pile_proxy(spec.n_domains);
+    let batch = TokenBatch::sample(&spec.build(), &corpus, tokens, k, seed);
+    let mut estimate = StreamingAffinity::new(layers, e, 1.0);
+    estimate.observe(&RoutingTrace::from_batch(&batch, e));
     estimate.snapshot()
 }
 
@@ -361,10 +355,21 @@ fn within_slot_budget(
     Ok(())
 }
 
+/// An `f64` that equals only its own bit pattern: what "identical" means
+/// for a float everywhere in this crate.
+#[derive(Debug, Clone, Copy)]
+struct Bits(f64);
+
+impl PartialEq for Bits {
+    fn eq(&self, other: &Bits) -> bool {
+        self.0.to_bits() == other.0.to_bits()
+    }
+}
+
 /// The backend half of the bit-identity contract, checked wherever a sweep
 /// solves: run `solve` on the dense and then on the CSR objective of one
 /// snapshot, and return the dense result — or `Err(diverged(dense, csr))`
-/// unless the two are equal. Floats go through as `to_bits()`.
+/// unless the two are equal. Floats go through as [`Bits`].
 fn on_both_backends<T: PartialEq>(
     snapshot: &AffinitySnapshot,
     mut solve: impl FnMut(&Objective) -> T,
@@ -385,18 +390,17 @@ fn score_on_both_backends(
     what: &str,
     score: impl Fn(&Objective) -> f64,
 ) -> Result<f64, String> {
-    let bits = on_both_backends(
+    let Bits(score) = on_both_backends(
         snapshot,
-        |objective| score(objective).to_bits(),
-        |&dense, &sparse| {
+        |objective| Bits(score(objective)),
+        |dense, sparse| {
             format!(
                 "{what} diverged across gap backends: dense {} vs sparse {}",
-                f64::from_bits(dense),
-                f64::from_bits(sparse)
+                dense.0, sparse.0
             )
         },
     )?;
-    Ok(f64::from_bits(bits))
+    Ok(score)
 }
 
 /// The engine-level bit-identity contract: `run(threads, backend)` must be
@@ -504,25 +508,6 @@ pub fn solver_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, S
     solver_sweep(scale, jobs, seed).map(|(rows, _, _)| rows)
 }
 
-/// The Table II sweep's rows as plain text.
-pub fn render_solver_table(rows: &[Json]) -> String {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                text(r, "model"),
-                text(r, "solver"),
-                format!("{:.1}", num(r, "wall_ms")),
-                format!("{:.4}", num(r, "cross_mass")),
-            ]
-        })
-        .collect();
-    format!(
-        "table2 sweep: solver portfolio on the Table II zoo (jobs=1 pass)\n\n{}",
-        render_table(&["model", "solver", "wall ms", "cross mass"], &body)
-    )
-}
-
 /// Measure one `table_sparse` cell: profile a large-expert instance,
 /// build the objective once per backend from the same CSR estimates, time
 /// one exact `swap_delta` pass over every swap candidate on each, run the
@@ -532,18 +517,17 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
     let e = cfg.n_experts;
     let k = cfg.gate.k();
     let layers = scale.pick(2, 3);
-    let tokens = scale.pick(3000, 10_000);
-    let spec = AffinityModelSpec::new(layers, e).with_seed(seed);
-    let routing = spec.build();
-    let batch = TokenBatch::sample(
-        &routing,
-        &CorpusSpec::pile_proxy(spec.n_domains),
-        tokens,
-        k,
-        seed,
-    );
-    let snapshot = profile(&RoutingTrace::from_batch(&batch, e));
+    let snapshot = profile(layers, e, scale.pick(3000, 10_000), k, seed);
 
+    /// What one backend's pass must reproduce bit for bit on the other.
+    #[derive(PartialEq)]
+    struct Pass {
+        cost: Bits,
+        scan: Bits,
+        placement: Placement,
+        nnz: usize,
+        density: Bits,
+    }
     // Wall milliseconds of the timed pass, dense backend first.
     let mut walls = Vec::with_capacity(2);
     let run = |objective: &Objective| {
@@ -563,16 +547,18 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
             }
         }
         walls.push(t.elapsed().as_secs_f64() * 1e3);
-        let cost = improve(objective, &mut placement, scale.pick(1, 2));
-        let shape = (objective.nnz(), objective.density().to_bits());
-        (cost.to_bits(), scan.to_bits(), placement, shape)
+        Pass {
+            cost: Bits(improve(objective, &mut placement, scale.pick(1, 2))),
+            scan: Bits(scan),
+            placement,
+            nnz: objective.nnz(),
+            density: Bits(objective.density()),
+        }
     };
-    let (cost, _, _, (nnz, density)) = on_both_backends(&snapshot, run, |dense, sparse| {
+    let pass = on_both_backends(&snapshot, run, |dense, sparse| {
         format!(
             "backend divergence on {}: dense {} vs sparse {}",
-            cfg.name,
-            f64::from_bits(dense.0),
-            f64::from_bits(sparse.0)
+            cfg.name, dense.cost.0, sparse.cost.0
         )
     })?;
 
@@ -587,9 +573,9 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
         ("layers", layers.into()),
         // Structural nonzeros across the instance's gap matrices
         // (backend-independent, deterministic).
-        ("nnz", nnz.into()),
+        ("nnz", pass.nnz.into()),
         // `nnz` over the dense cell count.
-        ("density", Json::Fixed(f64::from_bits(density), 6)),
+        ("density", Json::Fixed(pass.density.0, 6)),
         // Wall milliseconds of one exact `swap_delta` evaluation of every
         // `(layer, e1 < e2)` candidate on the dense backend.
         ("wall_ms_dense", Json::Fixed(walls[0], 3)),
@@ -599,7 +585,7 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
         // speedup on this cell.
         ("speedup", Json::Fixed(ratio(walls[0], walls[1]), 3)),
         // Final cross mass (bit-identical across backends — verified).
-        ("cross_mass", f64::from_bits(cost).into()),
+        ("cross_mass", pass.cost.0.into()),
     ]))
 }
 
@@ -618,37 +604,6 @@ pub fn sparse_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec<Json>, 
             sparse_cell(cfg, scale, stream)
         })
         .collect()
-}
-
-/// The `table_sparse` rows as plain text.
-pub fn render_sparse_table(rows: &[Json]) -> String {
-    let headers = [
-        "preset",
-        "nnz",
-        "density",
-        "dense ms",
-        "sparse ms",
-        "speedup",
-        "cross mass",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                text(r, "preset"),
-                text(r, "nnz"),
-                format!("{:.4}", num(r, "density")),
-                format!("{:.1}", num(r, "wall_ms_dense")),
-                format!("{:.1}", num(r, "wall_ms_sparse")),
-                format!("{:.1}x", num(r, "speedup")),
-                format!("{:.4}", num(r, "cross_mass")),
-            ]
-        })
-        .collect();
-    format!(
-        "table_sparse: one exact swap_delta pass per objective backend\n\n{}",
-        render_table(&headers, &body)
-    )
 }
 
 /// Serve one drift scenario under the three policies. Every solve is
@@ -1677,10 +1632,10 @@ fn partial_replication_cell(
                         u64::MAX,
                         None,
                     );
-                    let cm = replicated_cross_mass(objective, &next);
-                    (next, cm.to_bits())
+                    let cm = Bits(replicated_cross_mass(objective, &next));
+                    (next, cm)
                 };
-                let (next, cm) = on_both_backends(&snapshot, solve, |dense, sparse| {
+                let (next, Bits(cm)) = on_both_backends(&snapshot, solve, |dense, sparse| {
                     let what = if dense.0 != sparse.0 {
                         format!("{policy:?} solve")
                     } else {
@@ -1688,7 +1643,7 @@ fn partial_replication_cell(
                     };
                     format!("{scenario}: {what} diverged across gap backends at window {window}")
                 })?;
-                Ok((next, f64::from_bits(cm)))
+                Ok((next, cm))
             };
 
             let (partial_next, cm_p) = solve_both(&partial_policy)?;
@@ -2042,7 +1997,7 @@ pub(crate) mod fixture {
 
         /// A numeric field of section `key`'s fixture row.
         pub(crate) fn num(&self, key: &str, field: &str) -> f64 {
-            num(self.row(key), field)
+            crate::table::num(self.row(key), field)
         }
 
         /// An exact integer field of section `key`'s fixture row.
@@ -2066,7 +2021,7 @@ mod tests {
     use std::sync::OnceLock;
 
     use super::*;
-    use crate::table::int;
+    use crate::table::{int, num};
 
     /// One quick run shared by every test that reads sweep output.
     fn quick() -> &'static BenchSummary {

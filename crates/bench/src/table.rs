@@ -14,6 +14,7 @@ use exflow_core::json::Json;
 use crate::experiments::{
     elasticity, online, partial_replication, replan_latency, replication_online, serving,
 };
+use crate::fmt::render_table;
 use crate::gate::{self, Bars};
 use crate::{summary, Scale};
 
@@ -69,7 +70,7 @@ pub const TABLES: &[Table] = &[
         drift_name: Some("objective"),
         sweep: summary::solver_table,
         bars: |_, _| {},
-        render: summary::render_solver_table,
+        render: render_columns,
     },
     Table {
         key: "sparse_rows",
@@ -84,7 +85,7 @@ pub const TABLES: &[Table] = &[
         drift_name: None,
         sweep: summary::sparse_table,
         bars: gate::sparse_bars,
-        render: summary::render_sparse_table,
+        render: render_columns,
     },
     Table {
         key: "online_rows",
@@ -191,4 +192,16 @@ pub fn num(row: &Json, key: &str) -> f64 {
 pub fn int(row: &Json, key: &str) -> u64 {
     let value = field(row, key).as_u64();
     value.unwrap_or_else(|| panic!("field {key:?} is not an unsigned integer"))
+}
+
+/// Every column of the rows, headed by its key: how a table without a
+/// `repro` artifact of its own prints.
+pub fn render_columns(rows: &[Json]) -> String {
+    let Some(Json::Obj(first)) = rows.first() else {
+        return String::new();
+    };
+    let headers: Vec<&str> = first.iter().map(|(key, _)| key.as_str()).collect();
+    let cells = |row| headers.iter().map(|key| text(row, key)).collect();
+    let body: Vec<Vec<String>> = rows.iter().map(cells).collect();
+    render_table(&headers, &body)
 }
