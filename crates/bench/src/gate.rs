@@ -21,7 +21,7 @@
 use exflow_core::json::Json;
 
 use crate::summary::{online_recovery, SCHEMA};
-use crate::table::{Table, TABLES};
+use crate::table::{shown, Table, TABLES};
 
 /// Fractional wall-clock regression beyond which a warning is emitted
 /// (fresh > 1.25x baseline).
@@ -91,11 +91,7 @@ impl GateReport {
 /// A field's value as message text: strings unquoted, numbers as their
 /// exact token, nothing for an absent field.
 fn text(row: &Json, key: &str) -> String {
-    match row.get(key) {
-        Some(Json::Str(s)) => s.clone(),
-        Some(v) => v.write().unwrap_or_default(),
-        None => String::new(),
-    }
+    row.get(key).map(shown).unwrap_or_default()
 }
 
 /// A wall-clock field, or NaN when absent — NaN satisfies no comparison,
@@ -132,8 +128,8 @@ impl<'a> Bars<'a> {
 
     /// A numeric field. A row that lacks it is a drift of its own — a bar
     /// that cannot read its input must not pass silently — and reads as
-    /// NaN, which satisfies no comparison, so the bar itself reports no
-    /// second, bogus violation.
+    /// NaN, which satisfies no ordering comparison, so a threshold bar over
+    /// it does not add a violation quoting a number nobody measured.
     pub fn num(&mut self, row: &Json, key: &str) -> f64 {
         let value = row.get(key).and_then(Json::as_f64);
         value.unwrap_or_else(|| {

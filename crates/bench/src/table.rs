@@ -169,16 +169,21 @@ fn field<'a>(row: &'a Json, key: &str) -> &'a Json {
         .unwrap_or_else(|| panic!("no field {key:?} in the row its sweep built"))
 }
 
-/// A field of a freshly swept row as a table cell: strings unquoted,
-/// integers as their exact token. The three accessors here are for
-/// renderers, which read rows their own sweep just built — so an absent
-/// field is a bug and panics (the gate, which reads documents from disk,
-/// goes through [`Bars`] instead).
-pub fn text(row: &Json, key: &str) -> String {
-    match field(row, key) {
+/// A value as table-cell or message text: strings unquoted, numbers as
+/// their exact token.
+pub(crate) fn shown(value: &Json) -> String {
+    match value {
         Json::Str(s) => s.clone(),
-        other => other.write().expect("rows hold only finite numbers"),
+        other => other.write().unwrap_or_default(),
     }
+}
+
+/// A field of a freshly swept row as a table cell. The three accessors
+/// here are for renderers, which read rows their own sweep just built — so
+/// an absent field is a bug and panics (the gate, which reads documents
+/// from disk, goes through [`Bars`] instead).
+pub fn text(row: &Json, key: &str) -> String {
+    shown(field(row, key))
 }
 
 /// A numeric field, unrounded: a `Json::Fixed` column still holds the
