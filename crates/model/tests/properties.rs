@@ -1,6 +1,6 @@
 //! Property-based tests for the model substrate.
 
-use exflow_model::routing::AffinityModelSpec;
+use exflow_model::routing::{AffinityModelSpec, RoutingModel};
 use exflow_model::tensor::{gelu_inplace, Matrix};
 use exflow_model::training::TrainingSimulator;
 use exflow_model::{CorpusSpec, Expert, TokenBatch};
@@ -167,6 +167,137 @@ proptest! {
                 // tokens in any order, on any rank.
                 prop_assert_eq!(batched.get(r, c).to_bits(), v.to_bits(), "batched row {}", r);
             }
+        }
+    }
+}
+
+/// `RoutingModel`'s sampler in its two-pass form — sum the admissible
+/// entries of the row, then walk them subtracting — rebuilt from the
+/// public transition matrices: the oracle for the cached row totals.
+struct TwoPass<'m> {
+    model: &'m RoutingModel,
+    mask: Option<Vec<bool>>,
+}
+
+impl TwoPass<'_> {
+    fn admissible(&self, i: usize, exclude: Option<usize>) -> bool {
+        Some(i) != exclude && self.mask.as_ref().is_none_or(|m| m[i])
+    }
+
+    fn next(
+        &self,
+        rng: &mut StdRng,
+        domain: usize,
+        gap: usize,
+        from: usize,
+        exclude: Option<usize>,
+    ) -> usize {
+        let e = self.model.n_experts();
+        let row = &self.model.transition(domain, gap)[from * e..(from + 1) * e];
+        let mut total = 0.0f64;
+        for (i, &p) in row.iter().enumerate() {
+            if self.admissible(i, exclude) {
+                total += p;
+            }
+        }
+        let mut target = rng.gen::<f64>() * total;
+        let mut fallback = from;
+        for (i, &p) in row.iter().enumerate() {
+            if !self.admissible(i, exclude) {
+                continue;
+            }
+            fallback = i;
+            if target < p {
+                return i;
+            }
+            target -= p;
+        }
+        fallback
+    }
+
+    fn path(&self, rng: &mut StdRng, domain: usize) -> Vec<u16> {
+        let e = self.model.n_experts();
+        let mut cur = match &self.mask {
+            None => rng.gen_range(0..e),
+            Some(mask) => {
+                let actives: Vec<usize> = (0..e).filter(|&i| mask[i]).collect();
+                actives[rng.gen_range(0..actives.len())]
+            }
+        };
+        let mut path = vec![cur as u16];
+        for gap in 0..self.model.n_layers().saturating_sub(1) {
+            cur = self.next(rng, domain, gap, cur, None);
+            path.push(cur as u16);
+        }
+        path
+    }
+
+    fn route(&self, rng: &mut StdRng, domain: usize, k: usize) -> Vec<Vec<u16>> {
+        let e = self.model.n_experts();
+        let primary = self.path(rng, domain);
+        (0..primary.len())
+            .map(|layer| {
+                let p = primary[layer] as usize;
+                let mut experts = vec![p as u16];
+                if k == 2 && e > 1 {
+                    let second = if layer == 0 {
+                        let s = rng.gen_range(0..e - 1);
+                        s + usize::from(s >= p)
+                    } else {
+                        let from = primary[layer - 1] as usize;
+                        self.next(rng, domain, layer - 1, from, Some(p))
+                    };
+                    experts.push(second as u16);
+                }
+                experts
+            })
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every draw of `sample_path` / `sample_route` is the two-pass
+    /// sampler's, and leaves the generator where it leaves it — for fresh
+    /// and interpolated models, with and without an active-expert mask.
+    #[test]
+    fn sampling_matches_the_two_pass_form_draw_for_draw(
+        (e, l) in (1usize..24, 1usize..6),
+        (kappa, alpha) in (0.0f64..1.0, 0.0f64..1.0),
+        (n_domains, share) in (1usize..4, 0.0f64..1.0),
+        mask in proptest::collection::vec(0u8..3, 24),
+        interpolated in 0u8..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let spec = AffinityModelSpec::new(l, e)
+            .with_affinity(kappa)
+            .with_domains(n_domains, share)
+            .with_seed(seed);
+        let mut model = spec.build();
+        if interpolated == 1 {
+            model = model.interpolate(&spec.with_seed(seed ^ 0x5eed).build(), alpha);
+        }
+        // A third of the cases run unmasked; otherwise two thirds of the
+        // experts are active (and at least one).
+        let actives: Vec<usize> = (0..e).filter(|&i| mask[i] > 0).collect();
+        let mask = (mask[23] > 0 && !actives.is_empty()).then(|| {
+            model.set_active_experts(Some(actives.clone()));
+            (0..e).map(|i| actives.contains(&i)).collect()
+        });
+        let oracle = TwoPass { model: &model, mask };
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for round in 0..6 {
+            let domain = (seed as usize + round) % n_domains;
+            prop_assert_eq!(model.sample_path(&mut a, domain), oracle.path(&mut b, domain));
+            for k in 1..=2usize.min(e) {
+                prop_assert_eq!(
+                    model.sample_route(&mut a, domain, k),
+                    oracle.route(&mut b, domain, k),
+                    "k = {}", k
+                );
+            }
+            prop_assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "generators diverged");
         }
     }
 }
