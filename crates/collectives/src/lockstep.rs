@@ -1,5 +1,13 @@
 //! The whole-fleet communicator: every rank's clock in one place, each
 //! collective one function call on the calling thread.
+//!
+//! A collective moves whatever its caller holds the bytes in: a buffer is
+//! any `AsRef<[u8]>`, handed over by value and handed back in the
+//! receiver's slot. The engine passes `&[u8]` lanes borrowed from its wire
+//! arena and reads its deliveries out of the same memory; the property
+//! tests pass owned `Vec<u8>`s, as the threaded [`crate::CommWorld`] takes
+//! them. Only `.len()` reaches the clocks and the ledger, so the two are
+//! the same collective (`borrowed_lanes_are_the_same_collective`).
 
 use exflow_topology::collective_cost::BytesByClass;
 use exflow_topology::{ClusterSpec, CostModel, Rank};
@@ -79,7 +87,7 @@ impl Lockstep {
     /// receiver waits for the latest stamp among the `w - 1` lanes
     /// addressed to it (`max` is exact, so the order it is folded in is
     /// free).
-    pub fn all_to_all_v(&mut self, bufs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<Vec<u8>>> {
+    pub fn all_to_all_v<B: AsRef<[u8]>>(&mut self, mut bufs: Vec<Vec<B>>) -> Vec<Vec<B>> {
         let w = self.clocks.len();
         assert!(
             bufs.len() == w && bufs.iter().all(|row| row.len() == w),
@@ -90,7 +98,7 @@ impl Lockstep {
             let mut sent = BytesByClass::default();
             for off in 0..w {
                 let dst = (src + off) % w;
-                let bytes = row[dst].len() as u64;
+                let bytes = row[dst].as_ref().len() as u64;
                 if bytes > 0 {
                     let class = self.cluster.link_class(Rank(src), Rank(dst));
                     let t = self.cost.alltoall_transfer_time(class, bytes);
@@ -110,13 +118,15 @@ impl Lockstep {
             clock.wait_until(arrival);
         }
 
-        let mut out: Vec<Vec<Vec<u8>>> = (0..w).map(|_| Vec::with_capacity(w)).collect();
-        for row in bufs {
-            for (dst, lane) in row.into_iter().enumerate() {
-                out[dst].push(lane);
+        // Transposed where it stands: `bufs[src][dst]` trades places with
+        // `bufs[dst][src]`.
+        for dst in 1..w {
+            let (above, below) = bufs.split_at_mut(dst);
+            for (src, row) in above.iter_mut().enumerate() {
+                std::mem::swap(&mut row[dst], &mut below[0][src]);
             }
         }
-        out
+        bufs
     }
 
     /// AllGatherV over a ring: rank `r` contributes `bufs[r]`; returns the
@@ -129,7 +139,7 @@ impl Lockstep {
     /// waits for its left neighbour's stamp of the same step. A step reads
     /// only clocks the previous step left behind, so all of a step's sends
     /// run before all of its receives.
-    pub fn all_gather_v(&mut self, bufs: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
+    pub fn all_gather_v<B: AsRef<[u8]>>(&mut self, bufs: Vec<B>) -> Vec<B> {
         let w = self.clocks.len();
         assert_eq!(bufs.len(), w, "all_gather_v needs one buffer per rank");
         let mut sent = vec![BytesByClass::default(); w];
@@ -137,7 +147,7 @@ impl Lockstep {
         for step in 0..w - 1 {
             for (r, clock) in self.clocks.iter_mut().enumerate() {
                 let class = self.cluster.link_class(Rank(r), Rank((r + 1) % w));
-                let bytes = bufs[(r + w - step) % w].len() as u64;
+                let bytes = bufs[(r + w - step) % w].as_ref().len() as u64;
                 clock.advance(self.cost.transfer_time(class, bytes));
                 sent[r].add(class, bytes);
                 stamps[r] = clock.now();
@@ -180,6 +190,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "one buffer per rank")]
     fn alltoall_rejects_a_ragged_matrix() {
-        fleet(1, 2).all_to_all_v(vec![vec![Vec::new(); 2], vec![Vec::new()]]);
+        fleet(1, 2).all_to_all_v(vec![vec![Vec::<u8>::new(); 2], vec![Vec::new()]]);
     }
 }

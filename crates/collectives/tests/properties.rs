@@ -212,6 +212,13 @@ fn run_threaded(world: &CommWorld, job: &[Op]) -> Vec<Vec<Seen>> {
 
 /// `job` on the lockstep kernel: `seen[step][rank]`.
 fn run_lockstep(fleet: &mut Lockstep, w: usize, job: &[Op]) -> Vec<Vec<Seen>> {
+    run_lockstep_as(fleet, w, job, false)
+}
+
+/// `job` on the lockstep kernel, its payloads handed over owned or — the
+/// way the engine hands over lanes of its wire arena — as `&[u8]`
+/// borrowed from buffers the caller keeps.
+fn run_lockstep_as(fleet: &mut Lockstep, w: usize, job: &[Op], borrowed: bool) -> Vec<Vec<Seen>> {
     job.iter()
         .enumerate()
         .map(|(step, op)| {
@@ -224,18 +231,36 @@ fn run_lockstep(fleet: &mut Lockstep, w: usize, job: &[Op]) -> Vec<Vec<Seen>> {
                     fleet.barrier();
                     vec![Vec::new(); w]
                 }
-                Op::AllToAll(lanes) => fleet.all_to_all_v(
-                    (0..w)
+                Op::AllToAll(lanes) => {
+                    let owned: Vec<Vec<Vec<u8>>> = (0..w)
                         .map(|src| {
                             (0..w)
                                 .map(|dst| payload(step, src, dst, lanes[src * MAX_W + dst]))
                                 .collect()
                         })
-                        .collect(),
-                ),
+                        .collect();
+                    if borrowed {
+                        let slices: Vec<Vec<&[u8]>> = owned
+                            .iter()
+                            .map(|row| row.iter().map(Vec::as_slice).collect())
+                            .collect();
+                        let out = fleet.all_to_all_v(slices);
+                        out.iter()
+                            .map(|row| row.iter().map(|b| b.to_vec()).collect())
+                            .collect()
+                    } else {
+                        fleet.all_to_all_v(owned)
+                    }
+                }
                 Op::AllGather(contribs) => {
-                    let all = fleet
-                        .all_gather_v((0..w).map(|r| payload(step, r, r, contribs[r])).collect());
+                    let owned: Vec<Vec<u8>> =
+                        (0..w).map(|r| payload(step, r, r, contribs[r])).collect();
+                    let all = if borrowed {
+                        let out = fleet.all_gather_v(owned.iter().map(Vec::as_slice).collect());
+                        out.iter().map(|b| b.to_vec()).collect()
+                    } else {
+                        fleet.all_gather_v(owned)
+                    };
                     vec![all; w]
                 }
             };
@@ -280,6 +305,25 @@ proptest! {
         }
         for op in OpKind::ALL {
             prop_assert_eq!(fleet.totals(op), world.stats().totals(op), "{}", op);
+        }
+    }
+
+    /// What the engine relies on since its lanes are slices of one arena:
+    /// a collective over borrowed `&[u8]` is the collective over the same
+    /// bytes owned — clocks to the bit after every step, deliveries,
+    /// ledger.
+    #[test]
+    fn borrowed_lanes_are_the_same_collective((nodes, gpn) in arb_shape(), job in arb_job()) {
+        let cluster = ClusterSpec::new(nodes, gpn).unwrap();
+        let w = nodes * gpn;
+        let mut owned = Lockstep::new(cluster, CostModel::wilkes3());
+        let mut borrowed = Lockstep::new(cluster, CostModel::wilkes3());
+        prop_assert_eq!(
+            run_lockstep_as(&mut borrowed, w, &job, true),
+            run_lockstep_as(&mut owned, w, &job, false)
+        );
+        for op in OpKind::ALL {
+            prop_assert_eq!(borrowed.totals(op), owned.totals(op), "{}", op);
         }
     }
 
