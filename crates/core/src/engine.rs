@@ -2,7 +2,6 @@
 //! dispatch, expert compute, and context coherence over the simulated
 //! cluster.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
@@ -19,7 +18,7 @@ use exflow_placement::{GapBackend, Objective, Parallelism, Placement, Replicatio
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
 use crate::adaptive::AdaptiveState;
-use crate::frame::{decode, encode, frame_size, Token};
+use crate::frame::{frame_size, Head, Table, Wire};
 use crate::modes::ParallelismMode;
 use crate::report::{fnv1a, DispatchStats, InferenceReport, OnlineReport, OpBreakdown, FNV_OFFSET};
 
@@ -548,10 +547,9 @@ impl InferenceEngine {
             live_ranks,
             batches,
             ctx_offset,
-            frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
         };
         let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
-        let (rank_results, output_digest) = pass.run(&mut fleet);
+        let (rank_results, output_digest) = pass.run(&mut fleet, &mut self.plane());
 
         let total_time = (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max);
         let mut breakdown = OpBreakdown::default();
@@ -610,6 +608,43 @@ impl InferenceEngine {
     }
 }
 
+/// What a pass keeps its tokens in: a [`Table`] per rank, the wire arena
+/// every hop goes through, and the scratch of the stages that would
+/// otherwise allocate per rank per layer. Nothing in it outlives an
+/// iteration as *state* — every table is refilled by `home_tokens`, every
+/// lane rewritten by the next scatter — so one plane serves any number of
+/// passes of one engine and only its allocations (and the arena's zeroed
+/// padding) carry over.
+pub(crate) struct Plane {
+    /// `tables[rank]`: the tokens resident on each rank.
+    tables: Vec<Table>,
+    wire: Wire,
+    /// `timed`: every rank's clock on entry to the collective.
+    entered: Vec<f64>,
+    /// `run_experts`: the rank's rows as `(expert, row)`, and the FFN's
+    /// hidden activations.
+    order: Vec<(u32, u32)>,
+    hidden: Vec<f32>,
+    /// `Table::merge_top2`: token id → row of its primary.
+    primary_row: Vec<u32>,
+}
+
+impl InferenceEngine {
+    /// A fresh plane for this engine's fleet and model.
+    pub(crate) fn plane(&self) -> Plane {
+        let (w, model) = (self.cfg.cluster.world_size(), &self.cfg.model);
+        let frame = frame_size(model.token_bytes(), model.sim_dim);
+        Plane {
+            tables: (0..w).map(|_| Table::new(model.sim_dim)).collect(),
+            wire: Wire::new(w, frame, model.sim_dim),
+            entered: Vec::with_capacity(w),
+            order: Vec::new(),
+            hidden: Vec::new(),
+            primary_row: Vec::new(),
+        }
+    }
+}
+
 /// One pass over the fleet: what every rank agrees on, all of it borrowed
 /// from the caller. [`Pass::run`] is the superstep loop; its per-layer
 /// stages are the methods below, in call order.
@@ -624,8 +659,6 @@ struct Pass<'e> {
     live_ranks: &'e [usize],
     batches: &'e [TokenBatch],
     ctx_offset: usize,
-    /// Wire size of one token frame.
-    frame: usize,
 }
 
 /// One rank's share of a pass.
@@ -636,16 +669,18 @@ struct RankResult {
 }
 
 /// Run the collective `op` and charge each rank's clock movement across
-/// it to the breakdown field `slot` picks.
+/// it to the breakdown field `slot` picks. `entered` is scratch.
 fn timed<T>(
     fleet: &mut Lockstep,
     acc: &mut [RankResult],
+    entered: &mut Vec<f64>,
     slot: fn(&mut OpBreakdown) -> &mut f64,
     op: impl FnOnce(&mut Lockstep) -> T,
 ) -> T {
-    let entered: Vec<f64> = (0..acc.len()).map(|r| fleet.now(r)).collect();
+    entered.clear();
+    entered.extend((0..acc.len()).map(|r| fleet.now(r)));
     let out = op(fleet);
-    for (r, (a, t0)) in acc.iter_mut().zip(entered).enumerate() {
+    for (r, (a, t0)) in acc.iter_mut().zip(entered.iter()).enumerate() {
         *slot(&mut a.breakdown) += fleet.now(r) - t0;
     }
     out
@@ -653,15 +688,15 @@ fn timed<T>(
 
 impl Pass<'_> {
     /// The bulk-synchronous body: every stage runs for rank 0, 1, .. in
-    /// turn over that rank's own state (`resident[rank]`, `acc[rank]`),
-    /// and the collectives between stages are single calls on `fleet`.
-    /// Per MoE layer: attention and gating where the token sits, `route`
-    /// and `exchange` (the dispatch Alltoall), `run_experts`, then
-    /// `combine` — which for context-coherent top-1 is a no-op (tokens
-    /// stay where their experts are: *one* Alltoall per layer) and for
-    /// vanilla and context-coherent top-2 is a second `exchange`. Returns
-    /// the per-rank ledgers and [`InferenceReport::output_digest`].
-    fn run(&self, fleet: &mut Lockstep) -> (Vec<RankResult>, u64) {
+    /// turn over that rank's own state (`plane.tables[rank]`,
+    /// `acc[rank]`), and the collectives between stages are single calls
+    /// on `fleet`. Per MoE layer: attention and gating where the token
+    /// sits, `route` and `exchange` (the dispatch Alltoall), `run_experts`,
+    /// then `combine` — which for context-coherent top-1 is a no-op
+    /// (tokens stay where their experts are: *one* Alltoall per layer) and
+    /// for vanilla and context-coherent top-2 is a second `exchange`.
+    /// Returns the per-rank ledgers and [`InferenceReport::output_digest`].
+    fn run(&self, fleet: &mut Lockstep, plane: &mut Plane) -> (Vec<RankResult>, u64) {
         let cfg = self.cfg;
         let w = cfg.cluster.world_size();
         let mut acc: Vec<RankResult> = (0..w).map(|_| RankResult::default()).collect();
@@ -672,47 +707,64 @@ impl Pass<'_> {
 
         for (iter, batch) in self.batches.iter().enumerate() {
             let ctx_len = cfg.prompt_len + self.ctx_offset + iter;
-            let mut resident: Vec<Vec<Token>> =
-                (0..w).map(|me| self.home_tokens(me, iter, batch)).collect();
+            for (me, table) in plane.tables.iter_mut().enumerate() {
+                table.clear();
+                self.home_tokens(me, iter, batch, table);
+            }
 
             for layer in 0..cfg.model.n_layers {
                 // Attention: in-place on whatever GPU the token occupies
                 // (context-coherent) or on the home GPU (vanilla — tokens
                 // are home here because the previous layer combined).
-                for (me, (tokens, a)) in resident.iter().zip(&mut acc).enumerate() {
-                    let t_att = cfg
-                        .compute
-                        .attention_time(&cfg.model, tokens.len(), ctx_len);
+                for (me, (table, a)) in plane.tables.iter().zip(&mut acc).enumerate() {
+                    let t_att = cfg.compute.attention_time(&cfg.model, table.len(), ctx_len);
                     fleet.advance(me, t_att);
                     a.breakdown.attention += t_att;
 
-                    let t_gate = cfg.compute.gating_time(&cfg.model, tokens.len());
+                    let t_gate = cfg.compute.gating_time(&cfg.model, table.len());
                     fleet.advance(me, t_gate);
                     a.breakdown.gating += t_gate;
                 }
 
-                let outgoing: Vec<Vec<Vec<Token>>> = resident
-                    .into_iter()
-                    .zip(&mut acc)
-                    .enumerate()
-                    .map(|(me, (tokens, a))| self.route(me, batch, layer, tokens, &mut a.dispatch))
-                    .collect();
-                let mut received = self.exchange(fleet, &outgoing, &mut acc);
-                for (me, (tokens, a)) in received.iter_mut().zip(&mut acc).enumerate() {
-                    self.run_experts(fleet, me, batch, layer, tokens, &mut a.breakdown);
+                for (me, (table, a)) in plane.tables.iter().zip(&mut acc).enumerate() {
+                    self.route(me, batch, layer, table, &mut plane.wire, &mut a.dispatch);
                 }
-                resident = self.combine(fleet, batch, layer, received, &mut acc);
+                self.exchange(fleet, plane, &mut acc, false);
+                for (me, a) in acc.iter_mut().enumerate() {
+                    self.run_experts(fleet, me, batch, layer, plane, &mut a.breakdown);
+                }
+                self.combine(fleet, batch, layer, plane, &mut acc);
             }
-            digest = fold_outputs(digest, iter, &resident);
+            digest = fold_outputs(digest, iter, &plane.tables);
 
             // Context coherence upkeep: broadcast this iteration's newly
-            // generated tokens so every GPU's context stays complete.
+            // generated tokens so every GPU's context stays complete. Each
+            // rank's contribution is its own lane of the arena.
             if self.mode.context_coherent() {
-                timed(fleet, &mut acc, |b| &mut b.imbalance, Lockstep::barrier);
-                let contribs = resident.iter().map(|ts| encode(ts, self.frame)).collect();
+                let Plane {
+                    tables,
+                    wire,
+                    entered,
+                    ..
+                } = &mut *plane;
                 timed(
                     fleet,
                     &mut acc,
+                    entered,
+                    |b| &mut b.imbalance,
+                    Lockstep::barrier,
+                );
+                for (me, table) in tables.iter().enumerate() {
+                    for row in 0..table.len() {
+                        wire.emit(me, me, row, table.head(row).slot);
+                    }
+                }
+                wire.scatter(tables);
+                let contribs: Vec<&[u8]> = (0..w).map(|r| wire.lane(r, r)).collect();
+                timed(
+                    fleet,
+                    &mut acc,
+                    entered,
                     |b| &mut b.allgather,
                     |fleet| fleet.all_gather_v(contribs),
                 );
@@ -750,6 +802,7 @@ impl Pass<'_> {
     fn gather_prompt_contexts(&self, fleet: &mut Lockstep, acc: &mut [RankResult]) {
         let cfg = self.cfg;
         let n_live = self.live_ranks.len();
+        let frame = frame_size(cfg.model.token_bytes(), cfg.model.sim_dim);
         // Tokens are resident round-robin by id over the *live* ranks, so
         // the live rank at position `j` holds `ceil`-or-`floor` of
         // `n / n_live` of them and dead ranks contribute nothing.
@@ -760,7 +813,7 @@ impl Pass<'_> {
                     Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
                     None => 0,
                 };
-                (mine * cfg.prompt_len * self.frame) as u64
+                (mine * cfg.prompt_len * frame) as u64
             })
             .collect();
         let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
@@ -771,51 +824,49 @@ impl Pass<'_> {
         }
     }
 
-    /// Rank `me`'s requests each contribute one in-flight token; tokens
-    /// spread round-robin over the live ranks, whatever the batch size
-    /// (dead ranks home nothing): the live rank at position `j` homes ids
-    /// `j`, `j + n_live`, ..
-    fn home_tokens(&self, me: usize, iter: usize, batch: &TokenBatch) -> Vec<Token> {
+    /// Rank `me`'s requests each contribute one in-flight token, appended
+    /// to `table`; tokens spread round-robin over the live ranks, whatever
+    /// the batch size (dead ranks home nothing): the live rank at position
+    /// `j` homes ids `j`, `j + n_live`, ..
+    fn home_tokens(&self, me: usize, iter: usize, batch: &TokenBatch, table: &mut Table) {
         let cfg = self.cfg;
         let Ok(first) = self.live_ranks.binary_search(&me) else {
-            return Vec::new();
+            return;
         };
-        (first..batch.len())
-            .step_by(self.live_ranks.len())
-            .map(|id| {
-                let mut rng = StdRng::seed_from_u64(
-                    cfg.seed ^ (iter as u64) << 40 ^ (id as u64) << 4 ^ 0x70_6b,
-                );
-                Token {
-                    id: id as u32,
-                    home: me as u32,
-                    domain: batch.domains[id] as u32,
-                    slot: 0,
-                    emb: (0..cfg.model.sim_dim)
-                        .map(|_| rng.gen_range(-1.0..1.0f32))
-                        .collect(),
-                }
-            })
-            .collect()
+        for id in (first..batch.len()).step_by(self.live_ranks.len()) {
+            let mut rng =
+                StdRng::seed_from_u64(cfg.seed ^ (iter as u64) << 40 ^ (id as u64) << 4 ^ 0x70_6b);
+            let head = Head {
+                id: id as u32,
+                home: me as u32,
+                domain: batch.domains[id] as u32,
+                slot: 0,
+            };
+            table.push(
+                head,
+                (0..cfg.model.sim_dim).map(|_| rng.gen_range(-1.0..1.0f32)),
+            );
+        }
     }
 
-    /// Dispatch routing: one copy of every resident token per gated
-    /// expert, bucketed by the GPU that will serve it.
+    /// Dispatch routing: one copy of every row of `me`'s table per gated
+    /// expert, emitted to the GPU that will serve it.
     fn route(
         &self,
         me: usize,
         batch: &TokenBatch,
         layer: usize,
-        resident: Vec<Token>,
+        table: &Table,
+        wire: &mut Wire,
         dispatch: &mut DispatchStats,
-    ) -> Vec<Vec<Token>> {
+    ) {
         let cluster = &self.cfg.cluster;
         let my_node = cluster.node_of(Rank(me));
         let k = self.cfg.model.gate.k();
-        let mut outgoing: Vec<Vec<Token>> = (0..cluster.world_size()).map(|_| Vec::new()).collect();
-        for mut tok in resident {
-            for slot in 0..k {
-                let expert = batch.routes[tok.id as usize][layer][slot] as usize;
+        for row in 0..table.len() {
+            let route = &batch.routes[table.head(row).id as usize][layer];
+            for (slot, &expert) in route[..k].iter().enumerate() {
+                let expert = expert as usize;
                 let owner = self.plan.base.unit_of(layer, expert);
                 let units = self.replica_units(layer, expert);
                 // Meeting-point rule: in context-coherent top-2 the
@@ -849,77 +900,86 @@ impl Pass<'_> {
                 } else if cluster.node_of(Rank(dst)) == my_node {
                     dispatch.same_node += 1;
                 }
-                // The last slot takes the token itself; only top-2's
-                // first slot needs a copy.
-                if slot + 1 == k {
-                    tok.slot = slot as u32;
-                    outgoing[dst].push(tok);
-                    break;
-                }
-                let mut copy = tok.clone();
-                copy.slot = slot as u32;
-                outgoing[dst].push(copy);
+                wire.emit(me, dst, row, slot as u32);
             }
         }
-        outgoing
     }
 
-    /// The Alltoall every token movement goes through:
-    /// `outgoing[src][dst]` travels from rank `src` to rank `dst`; returns
-    /// what arrived at each rank, in source-rank order. The Alltoall is a
-    /// synchronization point: straggler wait at entry is attributed to
-    /// `imbalance`, the collective's own cost to `alltoall`.
+    /// The Alltoall every token movement goes through: the copies emitted
+    /// since the last hop are scattered into the arena, the lanes travel,
+    /// and every rank's table becomes what arrived for it, in source-rank
+    /// order — behind the primaries it held back, if `hold_primaries`.
+    /// The Alltoall is a synchronization point: straggler wait at entry is
+    /// attributed to `imbalance`, the collective's own cost to `alltoall`.
     fn exchange(
         &self,
         fleet: &mut Lockstep,
-        outgoing: &[Vec<Vec<Token>>],
+        plane: &mut Plane,
         acc: &mut [RankResult],
-    ) -> Vec<Vec<Token>> {
-        let bufs = outgoing
-            .iter()
-            .map(|lanes| lanes.iter().map(|ts| encode(ts, self.frame)).collect())
-            .collect();
-        timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-        let received = timed(
+        hold_primaries: bool,
+    ) {
+        let Plane {
+            tables,
+            wire,
+            entered,
+            ..
+        } = plane;
+        wire.scatter(tables);
+        for table in tables.iter_mut() {
+            if hold_primaries {
+                table.retain_primaries();
+            } else {
+                table.clear();
+            }
+        }
+        timed(fleet, acc, entered, |b| &mut b.imbalance, Lockstep::barrier);
+        let delivered = timed(
             fleet,
             acc,
+            entered,
             |b| &mut b.alltoall,
-            |fleet| fleet.all_to_all_v(bufs),
+            |fleet| fleet.all_to_all_v(wire.lanes()),
         );
-        received
-            .iter()
-            .map(|lanes| lanes.iter().flat_map(|b| decode(b, self.frame)).collect())
-            .collect()
+        for (table, lanes) in tables.iter_mut().zip(&delivered) {
+            for lane in lanes {
+                table.extend_from_lane(lane, wire.frame());
+            }
+        }
     }
 
-    /// Expert FFN on rank `me`: the real reduced-dim kernel on every
-    /// token's embedding in place, the clock advanced by the true-dim
-    /// cost. Ascending `(expert, position)` order streams each expert's
-    /// weights once per group (what `expert_time`'s `experts_touched`
-    /// models); the outputs do not depend on the order.
+    /// Expert FFN on rank `me`: the real reduced-dim kernel on every row
+    /// of its table in place, the clock advanced by the true-dim cost.
+    /// Ascending `(expert, row)` order streams each expert's weights once
+    /// per group (what `expert_time`'s `experts_touched` models); the
+    /// outputs do not depend on the order.
     fn run_experts(
         &self,
         fleet: &mut Lockstep,
         me: usize,
         batch: &TokenBatch,
         layer: usize,
-        received: &mut [Token],
+        plane: &mut Plane,
         breakdown: &mut OpBreakdown,
     ) {
         let cfg = self.cfg;
-        let mut order: Vec<(usize, usize)> = received
-            .iter()
-            .enumerate()
-            .map(|(pos, tok)| {
-                let expert = batch.routes[tok.id as usize][layer][tok.slot as usize];
-                (expert as usize, pos)
-            })
-            .collect();
+        let Plane {
+            tables,
+            order,
+            hidden,
+            ..
+        } = plane;
+        let table = &mut tables[me];
+        order.clear();
+        order.extend((0..table.len()).map(|row| {
+            let head = table.head(row);
+            let expert = batch.routes[head.id as usize][layer][head.slot as usize];
+            (u32::from(expert), row as u32)
+        }));
         order.sort_unstable();
-        let mut hidden = vec![0.0f32; self.experts[0].hidden()];
+        hidden.resize(self.experts[0].hidden(), 0.0);
         let mut touched = 0;
         for group in order.chunk_by(|a, b| a.0 == b.0) {
-            let expert_id = group[0].0;
+            let expert_id = group[0].0 as usize;
             // The table holds every expert, so routing and placement
             // disagreeing would otherwise go unnoticed.
             assert!(
@@ -927,14 +987,12 @@ impl Pass<'_> {
                 "token routed to an expert this rank does not hold"
             );
             let expert = &self.experts[layer * cfg.model.n_experts + expert_id];
-            for &(_, pos) in group {
-                expert.forward_row(&mut received[pos].emb, &mut hidden);
+            for &(_, row) in group {
+                expert.forward_row(table.row_mut(row as usize), hidden);
             }
             touched += 1;
         }
-        let t_ffn = cfg
-            .compute
-            .expert_time(&cfg.model, received.len(), touched, 1);
+        let t_ffn = cfg.compute.expert_time(&cfg.model, table.len(), touched, 1);
         fleet.advance(me, t_ffn);
         breakdown.expert_ffn += t_ffn;
     }
@@ -946,92 +1004,57 @@ impl Pass<'_> {
         fleet: &mut Lockstep,
         batch: &TokenBatch,
         layer: usize,
-        received: Vec<Vec<Token>>,
+        plane: &mut Plane,
         acc: &mut [RankResult],
-    ) -> Vec<Vec<Token>> {
-        let w = received.len();
+    ) {
         let k = self.cfg.model.gate.k();
         let coherent = self.mode.context_coherent();
         if coherent && k == 1 {
             // Tokens stay where their experts are.
-            return received;
+            return;
         }
         // Context-coherent top-2: the primary copy's GPU is the meeting
         // point. Primaries are held back there; secondary outputs travel
         // to it in a second (sparse) Alltoall. Vanilla: every copy returns
         // to its home GPU so the next layer's attention can see its
         // context.
-        let mut held: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
-        let outgoing: Vec<Vec<Vec<Token>>> = received
-            .into_iter()
-            .zip(&mut held)
-            .map(|(tokens, held)| {
-                let mut lanes: Vec<Vec<Token>> = (0..w).map(|_| Vec::new()).collect();
-                for tok in tokens {
-                    if !coherent {
-                        lanes[tok.home as usize].push(tok);
-                    } else if tok.slot == 0 {
-                        held.push(tok);
-                    } else {
-                        let primary = batch.routes[tok.id as usize][layer][0] as usize;
-                        lanes[self.plan.base.unit_of(layer, primary)].push(tok);
-                    }
-                }
-                lanes
-            })
-            .collect();
-        let arrived = self.exchange(fleet, &outgoing, acc);
-        if k == 1 {
-            return arrived;
+        for (me, table) in plane.tables.iter().enumerate() {
+            for row in 0..table.len() {
+                let head = table.head(row);
+                let dst = if !coherent {
+                    head.home as usize
+                } else if head.slot == 0 {
+                    continue;
+                } else {
+                    let primary = batch.routes[head.id as usize][layer][0] as usize;
+                    self.plan.base.unit_of(layer, primary)
+                };
+                plane.wire.emit(me, dst, row, head.slot);
+            }
         }
-        // Top-2 copies are merged where they meet.
-        arrived
-            .into_iter()
-            .zip(held)
-            .map(|(arrived, held)| {
-                if coherent {
-                    return merge_topk(held, arrived);
-                }
-                let (primaries, secondaries) = arrived.into_iter().partition(|t| t.slot == 0);
-                merge_topk(primaries, secondaries)
-            })
-            .collect()
+        self.exchange(fleet, plane, acc, coherent);
+        if k > 1 {
+            // Top-2 copies are merged where they meet.
+            for table in &mut plane.tables {
+                table.merge_top2(&mut plane.primary_row);
+            }
+        }
     }
 }
 
 /// Fold one iteration's finished tokens, in ascending id order wherever
 /// each came to rest, into the running [`InferenceReport::output_digest`].
-fn fold_outputs(digest: u64, iter: usize, resident: &[Vec<Token>]) -> u64 {
-    let mut tokens: Vec<&Token> = resident.iter().flatten().collect();
-    tokens.sort_unstable_by_key(|t| t.id);
-    tokens.iter().fold(digest, |h, t| {
+fn fold_outputs(digest: u64, iter: usize, tables: &[Table]) -> u64 {
+    let mut rows: Vec<(u32, &[f32])> = tables
+        .iter()
+        .flat_map(|t| (0..t.len()).map(move |row| (t.head(row).id, t.row(row))))
+        .collect();
+    rows.sort_unstable_by_key(|&(id, _)| id);
+    rows.iter().fold(digest, |h, (id, emb)| {
         let h = fnv1a(h, &(iter as u64).to_le_bytes());
-        let h = fnv1a(h, &t.id.to_le_bytes());
-        t.emb.iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+        let h = fnv1a(h, &id.to_le_bytes());
+        emb.iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
     })
-}
-
-/// Gate mixing weights for top-2 (primary, secondary). The paper's models
-/// use per-token softmax gate scores; a fixed representative split keeps
-/// the simulation deterministic without changing any communication.
-const TOP2_WEIGHTS: (f32, f32) = (0.7, 0.3);
-
-/// Merge top-2 copies: each primary output is blended with its token's
-/// secondary output (when present on this rank after the return Alltoall).
-fn merge_topk(primaries: Vec<Token>, secondaries: Vec<Token>) -> Vec<Token> {
-    let mut sec: BTreeMap<u32, Vec<f32>> = secondaries.into_iter().map(|t| (t.id, t.emb)).collect();
-    primaries
-        .into_iter()
-        .map(|mut t| {
-            if let Some(s) = sec.remove(&t.id) {
-                for (a, b) in t.emb.iter_mut().zip(s.iter()) {
-                    *a = TOP2_WEIGHTS.0 * *a + TOP2_WEIGHTS.1 * b;
-                }
-            }
-            t.slot = 0;
-            t
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1261,17 +1284,18 @@ mod tests {
             live_ranks: engine.all_ranks(),
             batches: &batches,
             ctx_offset: 0,
-            frame: frame_size(cfg.model.token_bytes(), cfg.model.sim_dim),
         };
         // A dispatch that ignored the placement: rank 0 is handed the
         // whole batch, wherever each token's expert lives.
         let batch = &batches[0];
-        let mut everything: Vec<Token> = (0..cfg.cluster.world_size())
-            .flat_map(|home| pass.home_tokens(home, 0, batch))
-            .collect();
+        let mut plane = engine.plane();
+        for home in 0..cfg.cluster.world_size() {
+            pass.home_tokens(home, 0, batch, &mut plane.tables[0]);
+        }
+        assert_eq!(plane.tables[0].len(), batch.len());
         let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
         let breakdown = &mut OpBreakdown::default();
-        pass.run_experts(&mut fleet, 0, batch, 0, &mut everything, breakdown);
+        pass.run_experts(&mut fleet, 0, batch, 0, &mut plane, breakdown);
     }
 
     #[test]
