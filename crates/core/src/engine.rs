@@ -504,7 +504,7 @@ impl InferenceEngine {
         plan: &ReplicationPlan,
         batches: &[TokenBatch],
     ) -> InferenceReport {
-        self.run_pass(mode, plan, batches, 0, &self.all_ranks)
+        self.run_pass(mode, plan, batches, 0, &self.all_ranks, &mut self.plane())
     }
 
     /// Execute one pass over explicit batches, on the calling thread.
@@ -521,6 +521,10 @@ impl InferenceEngine {
     /// fleet. With every rank live ([`InferenceEngine::all_ranks`]) token
     /// homing and context-setup accounting reduce to exactly the unmasked
     /// arithmetic: `live_ranks[id % live_ranks.len()]` is then `id % w`.
+    ///
+    /// `plane` is the caller's: whoever loops over passes keeps one
+    /// ([`InferenceEngine::plane`]) so the arena is zero-filled once per
+    /// run, not once per pass.
     pub(crate) fn run_pass(
         &self,
         mode: ParallelismMode,
@@ -528,6 +532,7 @@ impl InferenceEngine {
         batches: &[TokenBatch],
         ctx_offset: usize,
         live_ranks: &[usize],
+        plane: &mut Plane,
     ) -> InferenceReport {
         let cfg = &self.cfg;
         let w = cfg.cluster.world_size();
@@ -549,7 +554,7 @@ impl InferenceEngine {
             ctx_offset,
         };
         let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
-        let (rank_results, output_digest) = pass.run(&mut fleet, &mut self.plane());
+        let (rank_results, output_digest) = pass.run(&mut fleet, plane);
 
         let total_time = (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max);
         let mut breakdown = OpBreakdown::default();
@@ -583,6 +588,7 @@ impl InferenceEngine {
         let start = ReplicationPlan::bare(self.placement_for(mode).clone());
         let mut adaptive = AdaptiveState::new(self, mode, drift, start);
         let mut windows = Vec::with_capacity(drift.n_windows());
+        let mut plane = self.plane();
         for window in 0..drift.n_windows() {
             let batches = self.serving_batches(drift.model_at(window), window);
             windows.push(self.run_pass(
@@ -591,6 +597,7 @@ impl InferenceEngine {
                 &batches,
                 window * cfg.n_iterations,
                 &self.all_ranks,
+                &mut plane,
             ));
             adaptive.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
             // Windows run back to back on the new plan: the migration is

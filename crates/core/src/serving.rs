@@ -78,7 +78,7 @@ use exflow_placement::online::{plan_gpu_loss, plan_gpu_rejoin, MigrationPlan};
 use exflow_placement::ReplicationPlan;
 
 use crate::adaptive::AdaptiveState;
-use crate::engine::InferenceEngine;
+use crate::engine::{InferenceEngine, Plane};
 use crate::modes::ParallelismMode;
 use crate::report::{fnv1a, FaultMarker, ServingReport};
 
@@ -344,6 +344,8 @@ struct ServingState<'a> {
     /// Streaming estimate, live plan and re-plan ledgers, seeded exactly
     /// as the windowed online loop seeds them.
     adaptive: AdaptiveState<'a>,
+    /// What every step's pass keeps its tokens in: one arena for the run.
+    plane: Plane,
     cur_window: usize,
     /// Realized paths of steps finished since the last window close.
     pending_paths: Vec<Vec<u16>>,
@@ -396,6 +398,7 @@ impl<'a> ServingState<'a> {
             requests: Vec::with_capacity(n),
             events: EventQueue::new(),
             adaptive,
+            plane: engine.plane(),
             cur_window: 0,
             pending_paths: Vec::new(),
             live_ranks: Arc::clone(engine.all_ranks()),
@@ -665,6 +668,7 @@ impl<'a> ServingState<'a> {
             &[batch],
             ctx_offset,
             &self.live_ranks,
+            &mut self.plane,
         );
         // A background copy — drift re-plan or emergency restore —
         // shares links with the step; the surcharge does not stack.
