@@ -137,6 +137,10 @@ pub struct RoutingModel {
     /// `transitions[domain][gap]` is a flattened `E x E` row-stochastic
     /// matrix for the transition from layer `gap` to `gap + 1`.
     transitions: Vec<Vec<Vec<f64>>>,
+    /// `row_totals[domain][gap][from]`: row `from` of the matrix summed
+    /// left to right — the normalizer [`RoutingModel::sample_next`] would
+    /// otherwise recompute for every unrestricted draw.
+    row_totals: Vec<Vec<Vec<f64>>>,
     /// Optional restriction to a subset of active experts (used by the
     /// training simulator to model early-training expert collapse).
     active: Option<Vec<bool>>,
@@ -193,9 +197,30 @@ impl RoutingModel {
             })
             .collect();
 
+        Self::from_transitions(spec, transitions)
+    }
+
+    /// The model over `transitions`, unrestricted, with every row's total
+    /// accumulated in the order a sampling walk would add it up.
+    fn from_transitions(spec: AffinityModelSpec, transitions: Vec<Vec<Vec<f64>>>) -> Self {
+        let e = spec.n_experts;
+        let row_totals = transitions
+            .iter()
+            .map(|gaps| {
+                gaps.iter()
+                    .map(|matrix| {
+                        matrix
+                            .chunks_exact(e)
+                            .map(|row| row.iter().fold(0.0f64, |total, &p| total + p))
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
         RoutingModel {
             spec,
             transitions,
+            row_totals,
             active: None,
         }
     }
@@ -269,11 +294,7 @@ impl RoutingModel {
                     .collect()
             })
             .collect();
-        RoutingModel {
-            spec: self.spec.clone(),
-            transitions,
-            active: None,
-        }
+        Self::from_transitions(self.spec.clone(), transitions)
     }
 
     /// Domain-mixture transition matrix for `gap`, weighted by `weights`
@@ -300,8 +321,9 @@ impl RoutingModel {
         match &self.active {
             None => rng.gen_range(0..e),
             Some(mask) => {
-                let actives: Vec<usize> = (0..e).filter(|&i| mask[i]).collect();
-                actives[rng.gen_range(0..actives.len())]
+                let actives = || (0..e).filter(|&i| mask[i]);
+                let pick = rng.gen_range(0..actives().count());
+                actives().nth(pick).expect("pick < count")
             }
         }
     }
@@ -318,18 +340,24 @@ impl RoutingModel {
     ) -> usize {
         let e = self.spec.n_experts;
         let row = &self.transitions[domain][gap][from * e..(from + 1) * e];
-        let mut total = 0.0f64;
-        for (i, &p) in row.iter().enumerate() {
-            if Some(i) == exclude {
-                continue;
-            }
-            if let Some(mask) = &self.active {
-                if !mask[i] {
+        let total = if exclude.is_none() && self.active.is_none() {
+            // Every entry is admissible: the sum below is the cached one.
+            self.row_totals[domain][gap][from]
+        } else {
+            let mut total = 0.0f64;
+            for (i, &p) in row.iter().enumerate() {
+                if Some(i) == exclude {
                     continue;
                 }
+                if let Some(mask) = &self.active {
+                    if !mask[i] {
+                        continue;
+                    }
+                }
+                total += p;
             }
-            total += p;
-        }
+            total
+        };
         debug_assert!(total > 0.0, "renormalized row must have mass");
         let mut target = rng.gen::<f64>() * total;
         let mut fallback = from;
@@ -608,6 +636,29 @@ mod tests {
             for col in 0..8 {
                 let s: f64 = (0..8).map(|r| t[r * 8 + col]).sum();
                 assert!((s - 1.0).abs() < 1e-9, "col {col} sums to {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn cached_row_totals_are_the_walks_own_sums_to_the_bit() {
+        // The draw is `gen::<f64>() * total`: a total one ulp off is a
+        // different sample stream once in a long while, which no sampled
+        // comparison would notice.
+        let a = model(24, 4, 0.85);
+        let b = AffinityModelSpec::new(4, 24).with_seed(9).build();
+        for m in [a.interpolate(&b, 0.3), a] {
+            for (matrices, totals) in m.transitions.iter().zip(&m.row_totals) {
+                for (matrix, totals) in matrices.iter().zip(totals) {
+                    assert_eq!(totals.len(), 24);
+                    for (row, cached) in matrix.chunks_exact(24).zip(totals) {
+                        let mut total = 0.0f64;
+                        for &p in row {
+                            total += p;
+                        }
+                        assert_eq!(cached.to_bits(), total.to_bits());
+                    }
+                }
             }
         }
     }
