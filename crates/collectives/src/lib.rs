@@ -3,7 +3,7 @@
 //! A simulated multi-GPU communication layer: the substrate that stands in
 //! for NCCL in this reproduction of ExFlow (IPDPS 2024).
 //!
-//! Messages are real byte buffers; *time* is virtual: each rank carries a
+//! Messages are real bytes; *time* is virtual: each rank carries a
 //! [`VirtualClock`] advanced by the α–β cost model from `exflow-topology`,
 //! which makes every reported latency a deterministic function of
 //! (bytes, link class) — independent of host load, exactly what the paper's
@@ -20,7 +20,9 @@
 //! single call on the calling thread: `all_to_all_v(bufs[src][dst])`
 //! returns `out[dst][src]`, `all_gather_v(bufs[rank])` returns the
 //! contributions in rank order, `barrier()` lifts every clock to the
-//! fleet's max. The caller is a bulk-synchronous loop — run a stage for
+//! fleet's max. A buffer is any `AsRef<[u8]>` — the engine passes `&[u8]`
+//! lanes of its wire arena, the property tests owned `Vec<u8>`s — and
+//! comes back as the same value in the receiver's slot. The caller is a bulk-synchronous loop — run a stage for
 //! rank 0, 1, .. and charge it with `advance(rank, dt)`, then one
 //! collective, then the next stage — so a pass costs no thread, channel or
 //! wake-up, whatever W is. The clock rule of each collective is stated on

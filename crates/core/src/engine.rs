@@ -626,8 +626,6 @@ pub(crate) struct Plane {
     /// `tables[rank]`: the tokens resident on each rank.
     tables: Vec<Table>,
     wire: Wire,
-    /// `timed`: every rank's clock on entry to the collective.
-    entered: Vec<f64>,
     /// `run_experts`: the rank's rows as `(expert, row)`, and the FFN's
     /// hidden activations.
     order: Vec<(u32, u32)>,
@@ -644,7 +642,6 @@ impl InferenceEngine {
         Plane {
             tables: (0..w).map(|_| Table::new(model.sim_dim)).collect(),
             wire: Wire::new(w, frame, model.sim_dim),
-            entered: Vec::with_capacity(w),
             order: Vec::new(),
             hidden: Vec::new(),
             primary_row: Vec::new(),
@@ -673,22 +670,24 @@ struct Pass<'e> {
 struct RankResult {
     breakdown: OpBreakdown,
     dispatch: DispatchStats,
+    /// The rank's clock on entry to the collective being [`timed`].
+    entered: f64,
 }
 
 /// Run the collective `op` and charge each rank's clock movement across
-/// it to the breakdown field `slot` picks. `entered` is scratch.
+/// it to the breakdown field `slot` picks.
 fn timed<T>(
     fleet: &mut Lockstep,
     acc: &mut [RankResult],
-    entered: &mut Vec<f64>,
     slot: fn(&mut OpBreakdown) -> &mut f64,
     op: impl FnOnce(&mut Lockstep) -> T,
 ) -> T {
-    entered.clear();
-    entered.extend((0..acc.len()).map(|r| fleet.now(r)));
+    for (r, a) in acc.iter_mut().enumerate() {
+        a.entered = fleet.now(r);
+    }
     let out = op(fleet);
-    for (r, (a, t0)) in acc.iter_mut().zip(entered.iter()).enumerate() {
-        *slot(&mut a.breakdown) += fleet.now(r) - t0;
+    for (r, a) in acc.iter_mut().enumerate() {
+        *slot(&mut a.breakdown) += fleet.now(r) - a.entered;
     }
     out
 }
@@ -748,19 +747,8 @@ impl Pass<'_> {
             // generated tokens so every GPU's context stays complete. Each
             // rank's contribution is its own lane of the arena.
             if self.mode.context_coherent() {
-                let Plane {
-                    tables,
-                    wire,
-                    entered,
-                    ..
-                } = &mut *plane;
-                timed(
-                    fleet,
-                    &mut acc,
-                    entered,
-                    |b| &mut b.imbalance,
-                    Lockstep::barrier,
-                );
+                timed(fleet, &mut acc, |b| &mut b.imbalance, Lockstep::barrier);
+                let Plane { tables, wire, .. } = &mut *plane;
                 for (me, table) in tables.iter().enumerate() {
                     for row in 0..table.len() {
                         wire.emit(me, me, row, table.head(row).slot);
@@ -771,7 +759,6 @@ impl Pass<'_> {
                 timed(
                     fleet,
                     &mut acc,
-                    entered,
                     |b| &mut b.allgather,
                     |fleet| fleet.all_gather_v(contribs),
                 );
@@ -925,12 +912,7 @@ impl Pass<'_> {
         acc: &mut [RankResult],
         hold_primaries: bool,
     ) {
-        let Plane {
-            tables,
-            wire,
-            entered,
-            ..
-        } = plane;
+        let Plane { tables, wire, .. } = plane;
         wire.scatter(tables);
         for table in tables.iter_mut() {
             if hold_primaries {
@@ -939,11 +921,10 @@ impl Pass<'_> {
                 table.clear();
             }
         }
-        timed(fleet, acc, entered, |b| &mut b.imbalance, Lockstep::barrier);
+        timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
         let delivered = timed(
             fleet,
             acc,
-            entered,
             |b| &mut b.alltoall,
             |fleet| fleet.all_to_all_v(wire.lanes()),
         );

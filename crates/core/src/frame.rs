@@ -6,29 +6,29 @@
 //! volume. Inside the frame sit the token's [`Head`], its embedding length
 //! and its reduced-dimension (`sim_dim`) f32 embedding; the remainder is
 //! zero padding standing in for the activation elements we do not
-//! simulate. [`write`] and [`read`] are the only code that knows the
+//! simulate. [`write()`] and [`read`] are the only code that knows the
 //! layout: [`encode`] / [`decode`] are loops over them, and so are the
 //! two halves of a hop below.
 //!
-//! **At rest** a rank's tokens are one [`Table`]: a `Head` per row and one
+//! **At rest** a rank's tokens are one `Table`: a `Head` per row and one
 //! flat `dim`-strided `Vec<f32>` of embeddings, so nothing in a pass
 //! allocates per token.
 //!
 //! **A hop** is a counting-sort scatter into real bytes. The router emits
-//! one `(src, dst, row, slot)` per copy ([`Wire::emit`]);
-//! [`Wire::scatter`] counts the copies per `(src, dst)` lane, gives every
+//! one `(src, dst, row, slot)` per copy (`Wire::emit`);
+//! `Wire::scatter` counts the copies per `(src, dst)` lane, gives every
 //! lane its contiguous range of one arena and writes each copy into its
 //! frame, in emission order. The arena is zeroed when it is created, grows
-//! only with zeros and is written only through [`write`], which touches
+//! only with zeros and is written only through [`write()`], which touches
 //! the head and the embedding and nothing else — every frame of one arena
 //! carries the same `dim`, so the padding stays zero for the arena's life
 //! and each lane is, byte for byte, what [`encode`] returns for the same
 //! tokens in the same order (`every_lane_is_what_encode_returns`). The
-//! collective is handed the lanes as `&[u8]`; [`Table::extend_from_lane`]
+//! collective is handed the lanes as `&[u8]`; `Table::extend_from_lane`
 //! reads a delivery straight into the destination table.
 
 /// A token as one owned value: what the [`encode`] / [`decode`] codec
-/// speaks. The engine keeps tokens in [`Table`]s instead.
+/// speaks. The engine keeps tokens in `Table`s instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Token {
     /// Global token id within the current iteration.
@@ -283,7 +283,7 @@ pub(crate) struct Wire {
     frame: usize,
     dim: usize,
     /// Zeroed on creation, grown only with zeros, written only by
-    /// [`write`] with `dim` floats per frame.
+    /// [`write()`] with `dim` floats per frame.
     bytes: Vec<u8>,
     /// The copies emitted since the last scatter, in emission order.
     outbound: Vec<Outbound>,

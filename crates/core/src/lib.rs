@@ -19,7 +19,8 @@
 //!   traffic never leaves the GPU (or at worst the node).
 //!
 //! The engine steps every rank of the fleet in lockstep on the calling
-//! thread (`exflow_collectives::Lockstep`), moves real token frames,
+//! thread (`exflow_collectives::Lockstep`), moves real token frames
+//! (flat per-rank tables scattered into one wire arena, see [`frame`]),
 //! executes real (reduced-dimension) expert FFN matmuls, and reports
 //! deterministic virtual-time breakdowns per operator — the quantities
 //! behind the paper's Figs. 6–10.
