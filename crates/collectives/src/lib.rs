@@ -22,11 +22,11 @@
 //! contributions in rank order, `barrier()` lifts every clock to the
 //! fleet's max. A buffer is any `AsRef<[u8]>` — the engine passes `&[u8]`
 //! lanes of its wire arena, the property tests owned `Vec<u8>`s — and
-//! comes back as the same value in the receiver's slot. The caller is a bulk-synchronous loop — run a stage for
-//! rank 0, 1, .. and charge it with `advance(rank, dt)`, then one
-//! collective, then the next stage — so a pass costs no thread, channel or
-//! wake-up, whatever W is. The clock rule of each collective is stated on
-//! the method that implements it.
+//! comes back as the same value in the receiver's slot. The caller is a
+//! bulk-synchronous loop — run a stage for rank 0, 1, .. and charge it
+//! with `advance(rank, dt)`, then one collective, then the next stage — so
+//! a pass costs no thread, channel or wake-up, whatever W is. The clock
+//! rule of each collective is stated on the method that implements it.
 //!
 //! # [`CommWorld::run`]: the threaded reference, and the probe surface
 //!

@@ -708,7 +708,7 @@ impl Pass<'_> {
         let mut acc: Vec<RankResult> = (0..w).map(|_| RankResult::default()).collect();
         let mut digest = FNV_OFFSET;
         if self.mode.context_coherent() {
-            self.gather_prompt_contexts(fleet, &mut acc);
+            self.gather_prompt_contexts(fleet, &mut acc, plane.wire.frame());
         }
 
         for (iter, batch) in self.batches.iter().enumerate() {
@@ -750,8 +750,8 @@ impl Pass<'_> {
                 timed(fleet, &mut acc, |b| &mut b.imbalance, Lockstep::barrier);
                 let Plane { tables, wire, .. } = &mut *plane;
                 for (me, table) in tables.iter().enumerate() {
-                    for row in 0..table.len() {
-                        wire.emit(me, me, row, table.head(row).slot);
+                    for (row, head) in table.heads().iter().enumerate() {
+                        wire.emit(me, me, row, head.slot);
                     }
                 }
                 wire.scatter(tables);
@@ -792,11 +792,10 @@ impl Pass<'_> {
     /// token on every GPU) would dominate the simulation's memory traffic
     /// without affecting any per-layer behaviour, so it is charged
     /// analytically: every rank advances by the ring AllGather time the
-    /// cost model predicts.
-    fn gather_prompt_contexts(&self, fleet: &mut Lockstep, acc: &mut [RankResult]) {
+    /// cost model predicts for `frame`-byte tokens.
+    fn gather_prompt_contexts(&self, fleet: &mut Lockstep, acc: &mut [RankResult], frame: usize) {
         let cfg = self.cfg;
         let n_live = self.live_ranks.len();
-        let frame = frame_size(cfg.model.token_bytes(), cfg.model.sim_dim);
         // Tokens are resident round-robin by id over the *live* ranks, so
         // the live rank at position `j` holds `ceil`-or-`floor` of
         // `n / n_live` of them and dead ranks contribute nothing.
@@ -857,8 +856,8 @@ impl Pass<'_> {
         let cluster = &self.cfg.cluster;
         let my_node = cluster.node_of(Rank(me));
         let k = self.cfg.model.gate.k();
-        for row in 0..table.len() {
-            let route = &batch.routes[table.head(row).id as usize][layer];
+        for (row, head) in table.heads().iter().enumerate() {
+            let route = &batch.routes[head.id as usize][layer];
             for (slot, &expert) in route[..k].iter().enumerate() {
                 let expert = expert as usize;
                 let owner = self.plan.base.unit_of(layer, expert);
@@ -958,8 +957,7 @@ impl Pass<'_> {
         } = plane;
         let table = &mut tables[me];
         order.clear();
-        order.extend((0..table.len()).map(|row| {
-            let head = table.head(row);
+        order.extend(table.heads().iter().enumerate().map(|(row, head)| {
             let expert = batch.routes[head.id as usize][layer][head.slot as usize];
             (u32::from(expert), row as u32)
         }));
@@ -1007,8 +1005,7 @@ impl Pass<'_> {
         // to its home GPU so the next layer's attention can see its
         // context.
         for (me, table) in plane.tables.iter().enumerate() {
-            for row in 0..table.len() {
-                let head = table.head(row);
+            for (row, head) in table.heads().iter().enumerate() {
                 let dst = if !coherent {
                     head.home as usize
                 } else if head.slot == 0 {
@@ -1035,7 +1032,12 @@ impl Pass<'_> {
 fn fold_outputs(digest: u64, iter: usize, tables: &[Table]) -> u64 {
     let mut rows: Vec<(u32, &[f32])> = tables
         .iter()
-        .flat_map(|t| (0..t.len()).map(move |row| (t.head(row).id, t.row(row))))
+        .flat_map(|t| {
+            t.heads()
+                .iter()
+                .enumerate()
+                .map(move |(row, h)| (h.id, t.row(row)))
+        })
         .collect();
     rows.sort_unstable_by_key(|&(id, _)| id);
     rows.iter().fold(digest, |h, (id, emb)| {

@@ -58,6 +58,19 @@ pub struct Head {
     pub slot: u32,
 }
 
+impl Token {
+    /// The token a frame (or a table row) holds: `head` and its embedding.
+    fn new(head: Head, emb: Vec<f32>) -> Self {
+        Token {
+            id: head.id,
+            home: head.home,
+            domain: head.domain,
+            slot: head.slot,
+            emb,
+        }
+    }
+}
+
 /// Frame header size: id + home + domain + slot + embedding length.
 const HEADER: usize = 4 + 4 + 4 + 4 + 4;
 
@@ -135,13 +148,7 @@ pub fn decode(buf: &[u8], frame: usize) -> Vec<Token> {
     frames(buf, frame)
         .map(|bytes| {
             let (head, emb) = read(bytes);
-            Token {
-                id: head.id,
-                home: head.home,
-                domain: head.domain,
-                slot: head.slot,
-                emb: emb.collect(),
-            }
+            Token::new(head, emb.collect())
         })
         .collect()
 }
@@ -176,9 +183,9 @@ impl Table {
         self.emb.clear();
     }
 
-    /// The head of `row`.
-    pub(crate) fn head(&self, row: usize) -> Head {
-        self.heads[row]
+    /// The head of every row.
+    pub(crate) fn heads(&self) -> &[Head] {
+        &self.heads
     }
 
     /// The embedding of `row`.
@@ -354,7 +361,7 @@ impl Wire {
             let table = &tables[copy.src as usize];
             let head = Head {
                 slot: copy.slot,
-                ..table.head(copy.row as usize)
+                ..table.heads[copy.row as usize]
             };
             write(
                 &mut self.bytes[*at * frame..][..frame],
@@ -472,17 +479,8 @@ mod tests {
 
     /// The rows of a table as owned tokens.
     fn tokens_of(table: &Table) -> Vec<Token> {
-        (0..table.len())
-            .map(|row| {
-                let head = table.head(row);
-                Token {
-                    id: head.id,
-                    home: head.home,
-                    domain: head.domain,
-                    slot: head.slot,
-                    emb: table.row(row).to_vec(),
-                }
-            })
+        (table.heads().iter().enumerate())
+            .map(|(row, &head)| Token::new(head, table.row(row).to_vec()))
             .collect()
     }
 
