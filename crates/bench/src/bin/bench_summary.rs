@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! cargo run --release -p exflow-bench --bin bench_summary -- \
-//!     --quick --jobs 4 --out BENCH.fresh.json --check BENCH_BASELINE.json
+//!     --jobs 4 --out BENCH.fresh.json --check BENCH_BASELINE.json
 //! ```
 //!
 //! With `--check BASELINE`, the fresh summary is compared against the
@@ -19,18 +19,16 @@
 //! `TABLES` entry says it is wall-clock, and each table's acceptance bars
 //! must hold). The markdown verdict goes to stdout (CI appends it to the
 //! job summary). Regenerate the baseline deliberately with
-//! `--quick --jobs 4 --seed 20240522 --out BENCH_BASELINE.json`.
+//! `--jobs 4 --seed 20240522 --out BENCH_BASELINE.json`.
 //!
 //! Exit codes: 0 on success, 1 if a verification/gate check fails or the
 //! output cannot be written, 2 on usage errors (consistent with `repro`).
 
 use exflow_bench::cli::parse_jobs;
 use exflow_bench::table::TABLES;
-use exflow_bench::Scale;
 use exflow_bench::{gate, summary};
 
 struct Args {
-    scale: Scale,
     jobs: usize,
     seed: u64,
     out: Option<String>,
@@ -38,14 +36,11 @@ struct Args {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage: bench_summary [--quick|--full] [--jobs N] [--seed S] [--out PATH] [--check BASELINE]"
-    );
+    eprintln!("usage: bench_summary [--jobs N] [--seed S] [--out PATH] [--check BASELINE]");
 }
 
 fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
-        scale: Scale::Quick,
         jobs: 4,
         seed: summary::BASELINE_SEED,
         out: None,
@@ -55,8 +50,6 @@ fn parse_args() -> Result<Option<Args>, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "-h" | "--help" => return Ok(None),
-            "--quick" => args.scale = Scale::Quick,
-            "--full" => args.scale = Scale::Full,
             "--jobs" => {
                 let value = it.next().ok_or("missing value for --jobs")?;
                 args.jobs = parse_jobs(&value).map_err(|e| e.to_string())?;
@@ -93,7 +86,7 @@ fn main() {
         }
     };
 
-    let summary = match summary::run(args.scale, args.jobs, args.seed) {
+    let summary = match summary::run(args.jobs, args.seed) {
         Ok(s) => s,
         Err(msg) => {
             eprintln!("error: {msg}");

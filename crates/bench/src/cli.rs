@@ -34,7 +34,7 @@ impl Runner {
         match self {
             Runner::Paper(print) => print(scale),
             Runner::Table(table) => {
-                let rows = (table.sweep)(scale, jobs, BASELINE_SEED)
+                let rows = (table.sweep)(jobs, BASELINE_SEED)
                     .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
                 let violations = table.violations(&rows);
                 assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);

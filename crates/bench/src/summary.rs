@@ -40,7 +40,6 @@ use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
 use crate::sweep::{par_map, SweepPool};
 use crate::table::{text, TABLES};
-use crate::Scale;
 
 /// GPUs each Table II instance is solved for (divides every Table II
 /// expert count).
@@ -147,7 +146,7 @@ const ELASTICITY_UTILIZATION: f64 = 0.6;
 /// Requests per `table_elasticity` cell — enough completions on both
 /// sides of the fault for the pre-fault p99 and the rolling recovery
 /// window (`exflow_core::RECOVERY_WINDOW`) to be meaningful.
-const ELASTICITY_REQUESTS: (usize, usize) = (500, 800);
+const ELASTICITY_REQUESTS: usize = 500;
 
 /// When the GPU loss strikes, as a fraction of the arrival horizon.
 const ELASTICITY_FAULT_AT: f64 = 0.4;
@@ -173,12 +172,12 @@ const PARTIAL_REPLICA_SLOTS: u64 = 4;
 /// — the cost the incremental path's cache collapses to `O(dirty)`.
 const REPLAN_LATENCY_MOVES: u64 = 40;
 
-/// Tokens per `table_replan_latency` window (quick scale). Deliberately
+/// Tokens per `table_replan_latency` window. Deliberately
 /// lean: the sweep studies solver latency on *sparse* instances, where a
 /// swap's dirty set (the swapped experts plus their structural
 /// neighbors) is a small fraction of the `E(E-1)` candidate space — the
 /// regime the cache's `O(dirty)` rescan contract targets.
-const REPLAN_LATENCY_TOKENS: (usize, usize) = (800, 2400);
+const REPLAN_LATENCY_TOKENS: usize = 800;
 
 /// Layers of every `table_replan_latency` instance. Two layers (one gap)
 /// keep the `E = 512` cells affordable while still exercising both the
@@ -200,8 +199,6 @@ pub const BASELINE_SEED: u64 = 20_240_522;
 pub struct BenchSummary {
     /// Master seed driving every instance and solver.
     pub seed: u64,
-    /// Sweep scale label (`quick` / `full`).
-    pub scale: String,
     /// Parallel width of the timed parallel pass.
     pub jobs: usize,
     /// Wall time of the whole Table II sweep at `--jobs 1`, in
@@ -230,7 +227,6 @@ impl BenchSummary {
         let mut doc = vec![
             ("schema", SCHEMA.into()),
             ("seed", self.seed.into()),
-            ("scale", self.scale.as_str().into()),
             ("jobs", self.jobs.into()),
             ("wall_ms_jobs1", Json::Fixed(self.wall_ms_jobs1, 3)),
             ("wall_ms_jobsN", Json::Fixed(self.wall_ms_jobs_n, 3)),
@@ -254,29 +250,27 @@ pub(crate) fn ratio(num: f64, den: f64) -> f64 {
     num / den
 }
 
-/// The solver roster the Table II benchmark times, sized by scale.
-pub fn roster(scale: Scale) -> Vec<SolverKind> {
+/// The solver roster the Table II benchmark times.
+pub fn roster() -> Vec<SolverKind> {
     vec![
         SolverKind::RoundRobin,
         SolverKind::Greedy,
-        SolverKind::LocalSearch {
-            restarts: scale.pick(2, 4),
-        },
-        SolverKind::Annealing(AnnealParams::default().with_starts(scale.pick(1, 2))),
-        SolverKind::portfolio(scale.pick(50, 200)),
+        SolverKind::LocalSearch { restarts: 2 },
+        SolverKind::Annealing(AnnealParams::default().with_starts(1)),
+        SolverKind::portfolio(50),
     ]
 }
 
 /// Build the fixed-seed profiled instance for one Table II model. The
-/// instance keeps the model's layer count (scaled down proportionally so
-/// the sweep stays time-boxed), so the 24L/32L/40L variants of the zoo
+/// instance keeps a sixth of the model's layer count (so the sweep stays
+/// time-boxed), so the 24L/32L/40L variants of the zoo
 /// stay distinct instances. Placement only sees routing structure — model
 /// width never enters the objective — so models that share an
 /// (experts, layers) shape (M/16e vs XL/16e) are distinguished by a
 /// model-specific seed stream instead.
-fn instance(n_experts: usize, n_layers: usize, scale: Scale, seed: u64) -> Objective {
-    let layers = (n_layers / scale.pick(6, 3)).max(2);
-    Objective::from_snapshot(&profile(layers, n_experts, scale.pick(1500, 6000), 1, seed))
+fn instance(n_experts: usize, n_layers: usize, seed: u64) -> Objective {
+    let layers = (n_layers / 6).max(2);
+    Objective::from_snapshot(&profile(layers, n_experts, 1500, 1, seed))
 }
 
 /// Sample `tokens` top-`k` tokens from the fixed-seed routing model of an
@@ -462,8 +456,8 @@ fn sweep_once(
 
 /// [`solver_table`] with the walls of its two passes:
 /// `(rows, wall_ms_jobs1, wall_ms_jobsN)`.
-fn solver_sweep(scale: Scale, jobs: usize, seed: u64) -> Result<(Vec<Json>, f64, f64), String> {
-    let kinds = roster(scale);
+fn solver_sweep(jobs: usize, seed: u64) -> Result<(Vec<Json>, f64, f64), String> {
+    let kinds = roster();
     let models = table2();
     let sequential = SweepPool::new(1);
     let parallel = SweepPool::new(jobs);
@@ -475,7 +469,7 @@ fn solver_sweep(scale: Scale, jobs: usize, seed: u64) -> Result<(Vec<Json>, f64,
             // Fold every identity-bearing field into the stream so no two
             // zoo rows ever measure the same instance.
             let stream = seed ^ (m.n_layers as u64) ^ ((m.d_model as u64) << 16) ^ m.base_params;
-            let obj = instance(m.n_experts, m.n_layers, scale, stream);
+            let obj = instance(m.n_experts, m.n_layers, stream);
             (m.name, obj)
         })
     });
@@ -504,8 +498,8 @@ fn solver_sweep(scale: Scale, jobs: usize, seed: u64) -> Result<(Vec<Json>, f64,
 /// once at `--jobs 1` and once at the requested width — and every
 /// objective is verified bit-identical across the two runs before the
 /// parallel speedup is reported.
-pub fn solver_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    solver_sweep(scale, jobs, seed).map(|(rows, _, _)| rows)
+pub fn solver_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    solver_sweep(jobs, seed).map(|(rows, _, _)| rows)
 }
 
 /// Measure one `table_sparse` cell: profile a large-expert instance,
@@ -513,11 +507,11 @@ pub fn solver_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, S
 /// one exact `swap_delta` pass over every swap candidate on each, run the
 /// same bounded polish on each, verify the results are identical, and
 /// report the two wall times.
-fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, String> {
+fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
     let e = cfg.n_experts;
     let k = cfg.gate.k();
-    let layers = scale.pick(2, 3);
-    let snapshot = profile(layers, e, scale.pick(3000, 10_000), k, seed);
+    let layers = 2;
+    let snapshot = profile(layers, e, 3000, k, seed);
 
     /// What one backend's pass must reproduce bit for bit on the other.
     #[derive(PartialEq)]
@@ -548,7 +542,7 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
         }
         walls.push(t.elapsed().as_secs_f64() * 1e3);
         Pass {
-            cost: Bits(improve(objective, &mut placement, scale.pick(1, 2))),
+            cost: Bits(improve(objective, &mut placement, 1)),
             scan: Bits(scan),
             placement,
             nnz: objective.nnz(),
@@ -596,12 +590,12 @@ fn sparse_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, Strin
 /// one exact `swap_delta` pass over every swap candidate per cell. Cells
 /// run sequentially — they are timed, and contention would corrupt the
 /// dense-vs-sparse comparison. Errors if any cell's backends diverge.
-pub fn sparse_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+pub fn sparse_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     large_zoo()
         .iter()
         .map(|cfg| {
             let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64;
-            sparse_cell(cfg, scale, stream)
+            sparse_cell(cfg, stream)
         })
         .collect()
 }
@@ -773,10 +767,10 @@ pub(crate) fn online_recovery(static_cross: f64, oracle_cross: f64, budgeted_cro
 /// counts, migrated bytes, and the recovery fraction — verified
 /// bit-identical across thread counts and gap backends. Errors (instead of
 /// panicking) if any invariance check fails.
-pub fn online_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    let layers = scale.pick(5, 7);
-    let windows = scale.pick(12, 16);
-    let window_tokens = scale.pick(1500, 4000);
+pub fn online_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let layers = 5;
+    let windows = 12;
+    let window_tokens = 1500;
     let spec = AffinityModelSpec::new(layers, ONLINE_EXPERTS).with_seed(seed ^ 0x07_11_13);
     DriftSchedule::presets(&spec, windows)
         .iter()
@@ -980,14 +974,10 @@ fn replication_scenario(
 /// replica memory budget; the sweep records cross counts, replica churn,
 /// and budget compliance — verified invariant across gap backends. Errors
 /// (instead of panicking) if any invariance or budget check fails.
-pub fn replication_online_table(
-    scale: Scale,
-    _jobs: usize,
-    seed: u64,
-) -> Result<Vec<Json>, String> {
-    let layers = scale.pick(5, 7);
-    let windows = scale.pick(10, 14);
-    let window_tokens = scale.pick(1500, 4000);
+pub fn replication_online_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let layers = 5;
+    let windows = 10;
+    let window_tokens = 1500;
     let spec = AffinityModelSpec::new(layers, ONLINE_EXPERTS).with_seed(seed ^ 0x05_17_19);
     let mut rows: Vec<Json> = DriftSchedule::presets(&spec, windows)
         .iter()
@@ -1009,7 +999,7 @@ pub fn replication_online_table(
     // windows (each re-solve walks a 256-expert swap neighborhood).
     let large = &large_zoo()[0];
     let large_layers = 2;
-    let large_windows = scale.pick(4, 6);
+    let large_windows = 4;
     let large_spec =
         AffinityModelSpec::new(large_layers, large.n_experts).with_seed(seed ^ 0x23_29_31);
     let large_drift = DriftSchedule::piecewise(&large_spec, 2, large_windows);
@@ -1019,7 +1009,7 @@ pub fn replication_online_table(
         N_UNITS_LARGE,
         large_layers,
         1,
-        scale.pick(2000, 6000),
+        2000,
         split_seed(seed, 0x5e71 ^ 0xbeef),
     )?);
     Ok(rows)
@@ -1105,9 +1095,9 @@ fn calibrate_serving(
 /// not bit-identical at `jobs` solver threads or on the CSR gap backend,
 /// or if a policy dropped a request, saw another arrival sample, or
 /// never re-planned.
-pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    let layers = scale.pick(4, 5);
-    let n_requests = scale.pick(1400, 1800);
+pub fn serving_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let layers = 4;
+    let n_requests = 1400;
     let mode = ParallelismMode::ContextCoherentAffinity;
 
     let bytes_per_expert = serving_model(layers).expert_params() * 2;
@@ -1248,9 +1238,9 @@ pub fn serving_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, 
 /// faulted run is not bit-identical at `jobs` solver threads and at 8,
 /// or on the CSR gap backend, or if a loss without a rejoin costs the
 /// replicated fleet any emergency bytes.
-pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    let layers = scale.pick(4, 5);
-    let n_requests = scale.pick(ELASTICITY_REQUESTS.0, ELASTICITY_REQUESTS.1);
+pub fn elasticity_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let layers = 4;
+    let n_requests = ELASTICITY_REQUESTS;
     let mode = ParallelismMode::ContextCoherentAffinity;
     // A static (never drift-replanning) policy on both fleets: the only
     // re-placements in these cells are the emergency ones the fault
@@ -1406,12 +1396,12 @@ pub fn elasticity_table(scale: Scale, jobs: usize, seed: u64) -> Result<Vec<Json
 /// bit-identical cross mass. Any divergence is an `Err`:
 /// it would mean incremental maintenance broke the determinism contract
 /// and the JSON must not be published.
-fn replan_latency_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Json, String> {
+fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
     let e = cfg.n_experts;
     let k = cfg.gate.k();
     let layers = REPLAN_LATENCY_LAYERS;
-    let windows = scale.pick(3, 5);
-    let window_tokens = scale.pick(REPLAN_LATENCY_TOKENS.0, REPLAN_LATENCY_TOKENS.1);
+    let windows = 3;
+    let window_tokens = REPLAN_LATENCY_TOKENS;
     let spec = AffinityModelSpec::new(layers, e).with_seed(seed);
     let drift = DriftSchedule::piecewise(&spec, 2, windows);
 
@@ -1548,12 +1538,12 @@ fn replan_latency_cell(cfg: &ModelConfig, scale: Scale, seed: u64) -> Result<Jso
 /// preset. Cells run sequentially — both paths are timed, and contention
 /// would corrupt the rebuild-vs-incremental comparison. Errors if any
 /// cell's paths diverge.
-pub fn replan_latency_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+pub fn replan_latency_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     large_zoo()
         .iter()
         .map(|cfg| {
             let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64 ^ 0x9e37;
-            replan_latency_cell(cfg, scale, stream)
+            replan_latency_cell(cfg, stream)
         })
         .collect()
 }
@@ -1564,30 +1554,13 @@ pub fn replan_latency_table(scale: Scale, _jobs: usize, seed: u64) -> Result<Vec
 /// incumbent. The engine leg runs the context-coherent online loop under
 /// the subset policy and verifies bit-identity at 1/2/8 solver threads
 /// and across gap backends.
-fn partial_replication_cell(
-    e: usize,
-    gate: GateKind,
-    scale: Scale,
-    seed: u64,
-) -> Result<Json, String> {
+fn partial_replication_cell(e: usize, gate: GateKind, seed: u64) -> Result<Json, String> {
     let k = gate.k();
     let scenario = format!("E{e}/top{k}");
     let (units, cluster, layers, windows, window_tokens) = if e <= 16 {
-        (
-            ONLINE_UNITS,
-            ClusterSpec::new(2, 2).unwrap(),
-            scale.pick(4, 5),
-            scale.pick(6, 10),
-            scale.pick(1500, 4000),
-        )
+        (ONLINE_UNITS, ClusterSpec::new(2, 2).unwrap(), 4, 6, 1500)
     } else {
-        (
-            N_UNITS_LARGE,
-            ClusterSpec::new(2, 4).unwrap(),
-            2,
-            scale.pick(3, 5),
-            scale.pick(2000, 6000),
-        )
+        (N_UNITS_LARGE, ClusterSpec::new(2, 4).unwrap(), 2, 3, 2000)
     };
     let bytes_per_expert = moe_gpt_m(e).expert_params() * 2;
     let budget_bytes = PARTIAL_BUDGET_MOVES * bytes_per_expert;
@@ -1690,7 +1663,7 @@ fn partial_replication_cell(
             .requests_per_gpu(8)
             .n_iterations(2)
             .prompt_len(4)
-            .profile_tokens(scale.pick(400, 800))
+            .profile_tokens(400)
             .parallelism(Parallelism::new(threads))
             .gap_backend(backend)
             .online(OnlineConfig {
@@ -1783,11 +1756,7 @@ fn partial_replication_cell(
 /// top-2 cell buys a replica — is the regression the sweep exists to
 /// catch: top-2 models silently falling back to owner-moves-only
 /// re-planning.
-pub fn partial_replication_table(
-    scale: Scale,
-    _jobs: usize,
-    seed: u64,
-) -> Result<Vec<Json>, String> {
+pub fn partial_replication_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let grid = [
         (16usize, GateKind::Top1),
         (16, GateKind::Top2),
@@ -1797,7 +1766,7 @@ pub fn partial_replication_table(
     grid.iter()
         .map(|&(e, gate)| {
             let stream = seed ^ ((e as u64) << 24) ^ gate.k() as u64;
-            partial_replication_cell(e, gate, scale, split_seed(stream, 0x9a47))
+            partial_replication_cell(e, gate, split_seed(stream, 0x9a47))
         })
         .collect()
 }
@@ -1805,19 +1774,18 @@ pub fn partial_replication_table(
 /// Run the benchmark: every [`TABLES`] sweep, in order. Errors (instead
 /// of panicking) if any in-sweep verification fails — that would mean the
 /// determinism contract is broken and the JSON must not be published.
-pub fn run(scale: Scale, jobs: usize, seed: u64) -> Result<BenchSummary, String> {
+pub fn run(jobs: usize, seed: u64) -> Result<BenchSummary, String> {
     // The first table is the Table II sweep, whose two timed passes also
     // yield the document header's whole-sweep walls.
     let (table2, rest) = TABLES.split_first().expect("TABLES is not empty");
     assert_eq!(table2.key, "rows", "the Table II sweep leads TABLES");
-    let (rows, wall_ms_jobs1, wall_ms_jobs_n) = solver_sweep(scale, jobs, seed)?;
+    let (rows, wall_ms_jobs1, wall_ms_jobs_n) = solver_sweep(jobs, seed)?;
     let mut tables = vec![(table2.key, rows)];
     for table in rest {
-        tables.push((table.key, (table.sweep)(scale, jobs, seed)?));
+        tables.push((table.key, (table.sweep)(jobs, seed)?));
     }
     Ok(BenchSummary {
         seed,
-        scale: scale.pick("quick", "full").to_string(),
         jobs,
         wall_ms_jobs1,
         wall_ms_jobs_n,
@@ -1971,7 +1939,6 @@ pub(crate) mod fixture {
         let sections = TABLES.iter().zip(rows);
         BenchSummary {
             seed: 1,
-            scale: "quick".into(),
             jobs: 4,
             wall_ms_jobs1: wall,
             wall_ms_jobs_n: wall / 2.0,
@@ -2028,7 +1995,7 @@ mod tests {
     /// One quick run shared by every test that reads sweep output.
     fn quick() -> &'static BenchSummary {
         static RUN: OnceLock<BenchSummary> = OnceLock::new();
-        RUN.get_or_init(|| run(Scale::Quick, 2, 7).expect("determinism must hold"))
+        RUN.get_or_init(|| run(2, 7).expect("determinism must hold"))
     }
 
     fn rows(key: &str) -> &'static [Json] {
@@ -2046,7 +2013,7 @@ mod tests {
     #[test]
     fn summary_covers_the_full_grid_and_quality_is_sane() {
         let n_models = table2().len();
-        let n_solvers = roster(Scale::Quick).len();
+        let n_solvers = roster().len();
         assert_eq!(rows("rows").len(), n_models * n_solvers);
         // Within each model, every optimizing solver beats round-robin.
         for chunk in rows("rows").chunks(n_solvers) {

@@ -16,7 +16,7 @@ use crate::experiments::{
 };
 use crate::fmt::render_table;
 use crate::gate::{self, Bars};
-use crate::{summary, Scale};
+use crate::summary;
 
 /// One array section of the summary document.
 pub struct Table {
@@ -39,9 +39,9 @@ pub struct Table {
     /// Name drift messages use instead of the field name (Table II's one
     /// judged field is simply "the objective").
     pub drift_name: Option<&'static str>,
-    /// The sweep: `(scale, jobs, seed)` to rows, or the invariance check
-    /// that failed. Rows are invariant in `jobs` (verified in-sweep).
-    pub sweep: fn(Scale, usize, u64) -> Result<Vec<Json>, String>,
+    /// The sweep: `(jobs, seed)` to rows, or the invariance check that
+    /// failed. Rows are invariant in `jobs` (verified in-sweep).
+    pub sweep: fn(usize, u64) -> Result<Vec<Json>, String>,
     /// Acceptance bars a run's rows must clear on their own, whatever the
     /// baseline says. Each bar is stated here and nowhere else.
     pub bars: fn(&[Json], &mut Bars),
