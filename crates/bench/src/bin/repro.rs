@@ -3,9 +3,10 @@
 //! ```text
 //! cargo run --release -p exflow-bench --bin repro -- all
 //! cargo run --release -p exflow-bench --bin repro -- fig10
-//! cargo run --release -p exflow-bench --bin repro -- --quick --jobs 8 table1 fig7
+//! cargo run --release -p exflow-bench --bin repro -- --jobs 8 table1 fig7
 //! ```
 //!
+//! Every artifact has one size (the paper's artifacts the paper's).
 //! `--jobs N` fans experiment sweep points across N worker threads;
 //! artifacts are byte-identical for every N (only wall time changes).
 //!
@@ -16,21 +17,17 @@ use exflow_bench::cli::{self, Command};
 use exflow_bench::sweep::SweepPool;
 
 fn print_usage() {
-    eprintln!("usage: repro [--quick|--full] [--jobs N] <artifact>... | all");
+    eprintln!("usage: repro [--jobs N] <artifact>... | all");
     eprintln!("artifacts: {}", cli::artifact_names().join(", "));
 }
 
 fn main() {
-    let (scale, jobs, targets) = match cli::parse(std::env::args().skip(1)) {
+    let (jobs, targets) = match cli::parse(std::env::args().skip(1)) {
         Ok(Command::Help) => {
             print_usage();
             return;
         }
-        Ok(Command::Run {
-            scale,
-            jobs,
-            targets,
-        }) => (scale, jobs, targets),
+        Ok(Command::Run { jobs, targets }) => (jobs, targets),
         Err(err) => {
             eprintln!("error: {err}");
             print_usage();
@@ -44,7 +41,7 @@ fn main() {
         let run = cli::runner(&target).expect("parse validates against the dispatch table");
         // Catch panics so one failing artifact doesn't abort the rest and
         // the documented exit code (1, not the panic's 101) is honored.
-        if std::panic::catch_unwind(|| pool.install(|| run.run(scale, jobs))).is_err() {
+        if std::panic::catch_unwind(|| pool.install(|| run.run(jobs))).is_err() {
             eprintln!("error: artifact {target} failed to regenerate");
             ok = false;
         }

@@ -5,41 +5,42 @@
 //!
 //! [`artifacts`] is the single source of truth for artifact names: `parse`
 //! validates against it and `runner` dispatches from it, so the two cannot
-//! drift apart. The `table_*` names in it come from [`TABLES`].
+//! drift apart. Every artifact whose output is rows comes from [`TABLES`];
+//! the three that are not rows are plain printers.
 
-use crate::experiments::{
-    ablations, events, fig10, fig11, fig12, fig13, fig2, fig6, fig7, fig8, fig9, table1, table2,
-    table3,
-};
+use crate::experiments::common::PAPER;
+use crate::experiments::{events, fig2, table2};
 use crate::summary::BASELINE_SEED;
 use crate::sweep::MAX_JOBS;
-use crate::table::{Table, TABLES};
-use crate::Scale;
+use crate::table::TABLES;
 
 /// What regenerates an artifact.
 #[derive(Clone, Copy)]
 pub enum Runner {
-    /// A paper artifact: its module's `print(scale)`.
-    Paper(fn(Scale)),
-    /// A gated summary table, swept at the baseline seed so the printed
-    /// numbers are exactly the gated ones.
-    Table(&'static Table),
+    /// An artifact that is not rows: its module's `print()`.
+    Print(fn()),
+    /// Every [`TABLES`] entry that names this artifact, in order, swept at
+    /// the paper's workload and the baseline seed so the printed numbers
+    /// are exactly the gated ones.
+    Rows(&'static str),
 }
 
 impl Runner {
     /// Regenerate and print the artifact. Panics if it cannot be
     /// regenerated: a sweep's invariance check failed, or its rows miss
     /// one of the table's own acceptance bars.
-    pub fn run(self, scale: Scale, jobs: usize) {
-        match self {
-            Runner::Paper(print) => print(scale),
-            Runner::Table(table) => {
-                let rows = (table.sweep)(jobs, BASELINE_SEED)
-                    .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
-                let violations = table.violations(&rows);
-                assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);
-                print!("{}", (table.render)(&rows));
-            }
+    pub fn run(self, jobs: usize) {
+        let artifact = match self {
+            Runner::Print(print) => return print(),
+            Runner::Rows(artifact) => artifact,
+        };
+        for table in TABLES.iter().filter(|t| t.artifact == Some(artifact)) {
+            let rows = table
+                .rows(&PAPER, jobs, BASELINE_SEED)
+                .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
+            let violations = table.violations(&rows);
+            assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);
+            print!("{}", (table.render)(&rows));
         }
     }
 }
@@ -47,41 +48,40 @@ impl Runner {
 /// A named artifact entry: `(name, runner)`.
 pub type Artifact = (&'static str, Runner);
 
-/// The paper's tables and figures, in `all` order.
-const PAPER: &[Artifact] = &[
-    ("table1", Runner::Paper(table1::print)),
-    ("table2", Runner::Paper(table2::print)),
-    ("table3", Runner::Paper(table3::print)),
-    ("fig2", Runner::Paper(fig2::print)),
-    ("fig6", Runner::Paper(fig6::print)),
-    ("fig7", Runner::Paper(fig7::print)),
-    ("fig8", Runner::Paper(fig8::print)),
-    ("fig9", Runner::Paper(fig9::print)),
-    ("fig10", Runner::Paper(fig10::print)),
-    ("fig11", Runner::Paper(fig11::print)),
-    ("fig12", Runner::Paper(fig12::print)),
-    ("fig13", Runner::Paper(fig13::print)),
-    ("fig14", Runner::Paper(fig2::print_gaps)),
-    ("ablations", Runner::Paper(ablations::print)),
+/// The artifacts that are not rows, each with the row artifact it precedes
+/// in `all` order (`None`: after every table).
+const PRINTERS: [(Artifact, Option<&str>); 3] = [
+    (("table2", Runner::Print(table2::print)), Some("table3")),
+    (("fig2", Runner::Print(fig2::print)), Some("fig6")),
+    (("render-events", Runner::Print(events::print)), None),
 ];
 
 /// Accepted aliases: the paper's Figs. 15/16 are gap-sweep variants of the
 /// same experiment as Fig. 14.
-const ALIASES: &[Artifact] = &[
-    ("fig15", Runner::Paper(fig2::print_gaps)),
-    ("fig16", Runner::Paper(fig2::print_gaps)),
+const ALIASES: [Artifact; 2] = [
+    ("fig15", Runner::Rows("fig14")),
+    ("fig16", Runner::Rows("fig14")),
 ];
 
 /// Every artifact the `repro` binary can regenerate, with its runner, in
-/// `all` order: the paper's, then each [`TABLES`] entry that names one,
-/// then the event stream.
+/// `all` order: the artifacts [`TABLES`] names, in its order (the paper's,
+/// then the beyond-paper tables), with the printers slotted in.
 pub fn artifacts() -> Vec<Artifact> {
-    let tables = TABLES
-        .iter()
-        .filter_map(|table| Some((table.artifact?, Runner::Table(table))));
-    let events = ("render-events", Runner::Paper(events::print));
-    let paper = PAPER.iter().copied();
-    paper.chain(tables).chain([events]).collect()
+    fn printers(before: Option<&'static str>) -> impl Iterator<Item = Artifact> {
+        let placed = PRINTERS
+            .iter()
+            .filter(move |(_, follows)| *follows == before);
+        placed.map(|&(artifact, _)| artifact)
+    }
+    let mut out: Vec<Artifact> = Vec::new();
+    for artifact in TABLES.iter().filter_map(|table| table.artifact) {
+        if out.iter().all(|&(name, _)| name != artifact) {
+            out.extend(printers(Some(artifact)));
+            out.push((artifact, Runner::Rows(artifact)));
+        }
+    }
+    out.extend(printers(None));
+    out
 }
 
 /// All artifact names (without aliases), for usage text.
@@ -91,7 +91,7 @@ pub fn artifact_names() -> Vec<&'static str> {
 
 /// Look up the runner for a validated artifact name or alias.
 pub fn runner(name: &str) -> Option<Runner> {
-    let mut known = artifacts().into_iter().chain(ALIASES.iter().copied());
+    let mut known = artifacts().into_iter().chain(ALIASES);
     known.find(|&(n, _)| n == name).map(|(_, runner)| runner)
 }
 
@@ -100,10 +100,8 @@ pub fn runner(name: &str) -> Option<Runner> {
 pub enum Command {
     /// Print usage and exit successfully (`-h`/`--help`).
     Help,
-    /// Run the given artifacts at the given scale.
+    /// Run the given artifacts.
     Run {
-        /// Sweep size for every experiment.
-        scale: Scale,
         /// Worker threads for experiment sweeps (`--jobs N`, default 1).
         jobs: usize,
         /// Validated artifact names, in execution order.
@@ -157,14 +155,11 @@ where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    let mut scale = Scale::Full;
     let mut jobs = 1usize;
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_ref() {
-            "--quick" => scale = Scale::Quick,
-            "--full" => scale = Scale::Full,
             "-h" | "--help" => return Ok(Command::Help),
             "--jobs" => {
                 let value = it
@@ -183,11 +178,7 @@ where
     if targets.is_empty() {
         return Err(UsageError::NoTargets);
     }
-    Ok(Command::Run {
-        scale,
-        jobs,
-        targets,
-    })
+    Ok(Command::Run { jobs, targets })
 }
 
 #[cfg(test)]
@@ -195,12 +186,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_targets_and_scale() {
-        let cmd = parse(["--quick", "table2", "fig6"]).unwrap();
+    fn parses_targets_and_defaults_to_one_job() {
+        let cmd = parse(["table2", "fig6"]).unwrap();
         assert_eq!(
             cmd,
             Command::Run {
-                scale: Scale::Quick,
                 jobs: 1,
                 targets: vec!["table2".to_string(), "fig6".to_string()],
             }
@@ -208,13 +198,15 @@ mod tests {
     }
 
     #[test]
-    fn defaults_to_full_scale_and_one_job() {
-        match parse(["table1"]).unwrap() {
-            Command::Run { scale, jobs, .. } => {
-                assert_eq!(scale, Scale::Full);
-                assert_eq!(jobs, 1);
-            }
-            other => panic!("unexpected {other:?}"),
+    fn the_retired_size_flags_are_usage_errors() {
+        // Every artifact has one size; a stale flag must not be read as
+        // an artifact, nor silently ignored.
+        for size in ["quick", "full"] {
+            let flag = format!("--{size}");
+            assert_eq!(
+                parse([flag.as_str(), "table1"]),
+                Err(UsageError::UnknownArtifact(flag))
+            );
         }
     }
 
@@ -272,7 +264,7 @@ mod tests {
         );
         // Even when mixed with valid targets or flags.
         assert_eq!(
-            parse(["--quick", "table1", "tabel2"]),
+            parse(["--jobs", "2", "table1", "tabel2"]),
             Err(UsageError::UnknownArtifact("tabel2".to_string()))
         );
     }
@@ -280,7 +272,7 @@ mod tests {
     #[test]
     fn no_targets_is_a_usage_error() {
         assert_eq!(parse::<_, &str>([]), Err(UsageError::NoTargets));
-        assert_eq!(parse(["--quick"]), Err(UsageError::NoTargets));
+        assert_eq!(parse(["--jobs", "2"]), Err(UsageError::NoTargets));
     }
 
     #[test]
@@ -297,7 +289,7 @@ mod tests {
     fn every_parseable_artifact_has_a_runner() {
         // The dispatch table is shared, so anything parse accepts must
         // resolve to a runner — including every alias.
-        let aliases = ALIASES.iter().map(|&(name, _)| name);
+        let aliases = ALIASES.map(|(name, _)| name);
         for name in artifact_names().into_iter().chain(aliases) {
             assert!(parse([name]).is_ok(), "{name} should parse");
             assert!(runner(name).is_some(), "{name} should dispatch");
@@ -306,8 +298,9 @@ mod tests {
 
     #[test]
     fn artifact_names_and_their_order_are_pinned() {
-        // The usage text and the `all` order: the paper's artifacts, the
-        // six gated tables in `TABLES` order, the event stream.
+        // The usage text and the `all` order: the paper's artifacts (row
+        // artifacts in `TABLES` order, `table2` and `fig2` slotted in), the
+        // six beyond-paper tables, the event stream.
         assert_eq!(
             artifact_names().join(" "),
             "table1 table2 table3 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 \

@@ -1,50 +1,47 @@
 //! Ablations beyond the paper's figures, covering the design choices
 //! DESIGN.md calls out: solver quality, staged-vs-flat placement, and how
 //! the end-to-end gain degrades as the model's intrinsic affinity weakens.
+//! Five tables, A–E, each an entry of `crate::table::TABLES` under the one
+//! `ablations` artifact.
 
 use exflow_affinity::{AffinityMatrix, RoutingTrace};
+use exflow_core::json::Json;
 use exflow_core::{InferenceEngine, ParallelismMode};
 use exflow_model::presets::moe_gpt_m;
 use exflow_model::routing::AffinityModelSpec;
-use exflow_model::{CorpusSpec, TokenBatch};
+use exflow_model::{CorpusSpec, GateKind, TokenBatch};
 use exflow_placement::annealing::AnnealParams;
+use exflow_placement::objective::measure_trace_locality;
+use exflow_placement::replication::ReplicationPlan;
 use exflow_placement::staged::solve_staged;
-use exflow_placement::{solve, Objective, SolverKind};
+use exflow_placement::{solve, Objective, Placement, SolverKind};
 use exflow_topology::ClusterSpec;
 
-use crate::experiments::common::{cluster_for, run_offline, with_layers};
-use crate::fmt::{f3, render_table, speedup};
+use crate::experiments::common::{cluster_for, run_offline, Workload};
+use crate::fmt::{f3, speedup};
+use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::Scale;
+use crate::table::{find, int, num, render_section, text};
 
-/// Solver-quality ablation: cross-mass achieved by each solver on the same
-/// profiled instance (lower is better).
-#[derive(Debug, Clone)]
-pub struct SolverRow {
-    /// Solver name.
-    pub solver: String,
-    /// Expected cross-unit transitions per token.
-    pub cross_mass: f64,
+/// A fixed-seed routing trace of `tokens` tokens on a fresh
+/// `(l, e)` affinity model.
+fn sample_trace(spec: &AffinityModelSpec, tokens: usize, seed: u64) -> RoutingTrace {
+    let corpus = CorpusSpec::pile_proxy(spec.n_domains);
+    let batch = TokenBatch::sample(&spec.build(), &corpus, tokens, 1, seed);
+    RoutingTrace::from_batch(&batch, spec.n_experts)
 }
 
-fn profiled_objective(e: usize, l: usize, tokens: usize, seed: u64) -> Objective {
-    let spec = AffinityModelSpec::new(l, e).with_seed(seed);
-    let routing = spec.build();
-    let batch = TokenBatch::sample(
-        &routing,
-        &CorpusSpec::pile_proxy(spec.n_domains),
-        tokens,
-        1,
-        seed,
-    );
-    let trace = RoutingTrace::from_batch(&batch, e);
+fn profiled_objective(e: usize, seed: u64) -> Objective {
+    let spec = AffinityModelSpec::new(12, e).with_seed(seed);
+    let trace = sample_trace(&spec, 6000, seed);
     Objective::from_affinities(&AffinityMatrix::consecutive(&trace))
 }
 
-/// Compare every solver on one instance (MoE-16, 8 layers, 4 GPUs).
+/// Ablation A — solver quality: cross mass achieved by each solver on the
+/// same profiled instance (MoE-16, 12 layers, 4 GPUs; lower is better).
 /// Solvers fan across the installed sweep pool.
-pub fn run_solvers(scale: Scale) -> Vec<SolverRow> {
-    let objective = profiled_objective(16, scale.pick(6, 12), scale.pick(2000, 6000), 5);
+pub fn solver_sweep() -> Vec<Json> {
+    let objective = profiled_objective(16, 5);
     let kinds: Vec<(&str, SolverKind)> = vec![
         ("round-robin", SolverKind::RoundRobin),
         ("greedy-chain", SolverKind::Greedy),
@@ -52,32 +49,53 @@ pub fn run_solvers(scale: Scale) -> Vec<SolverRow> {
         ("annealing", SolverKind::Annealing(AnnealParams::default())),
         ("portfolio", SolverKind::portfolio(100)),
     ];
-    par_map(kinds, |(name, kind)| SolverRow {
-        solver: name.to_string(),
-        cross_mass: objective.cross_mass(&solve(&objective, 4, kind, 99)),
+    par_map(kinds, |(name, kind)| {
+        Json::obj(vec![
+            // Solver name.
+            ("solver", name.into()),
+            // Expected cross-unit transitions per token.
+            (
+                "cross_mass",
+                objective.cross_mass(&solve(&objective, 4, kind, 99)).into(),
+            ),
+        ])
     })
 }
 
-/// Staged-vs-flat ablation: inter-node crossing mass of the staged
-/// two-level solve versus a flat GPU-level solve that ignores the node
-/// hierarchy.
-#[derive(Debug, Clone)]
-pub struct StagedRow {
-    /// Strategy name.
-    pub strategy: String,
-    /// Expected fraction of transitions crossing nodes.
-    pub internode_cross: f64,
-    /// Expected fraction of transitions crossing GPUs.
-    pub gpu_cross: f64,
+/// Every optimizing solver beats round-robin.
+pub(crate) fn solver_bars(rows: &[Json], bars: &mut Bars) {
+    let Some(rr) = find(rows, "solver", "round-robin") else {
+        return;
+    };
+    let baseline = bars.num(rr, "cross_mass");
+    for r in rows.iter().filter(|&r| !std::ptr::eq(r, rr)) {
+        let cross = bars.num(r, "cross_mass");
+        let what = format!("{cross} not better than round-robin {baseline}");
+        bars.fail_if(r, cross >= baseline, what);
+    }
 }
 
-/// Compare staged vs. flat placement on 2 nodes x 4 GPUs (MoE-32).
-pub fn run_staged_vs_flat(scale: Scale) -> Vec<StagedRow> {
-    let objective = profiled_objective(32, scale.pick(6, 12), scale.pick(2000, 6000), 6);
+/// Ablation A as printed.
+pub fn render_solvers(rows: &[Json]) -> String {
+    render_section(
+        "Ablation A: placement solver quality (lower cross-mass is better)",
+        &[
+            ("solver", &|r| text(r, "solver")),
+            ("cross-mass", &|r| f3(num(r, "cross_mass"))),
+        ],
+        rows,
+    )
+}
+
+/// Ablation B — staged vs. flat placement on 2 nodes x 4 GPUs (MoE-32):
+/// inter-node crossing mass of the staged two-level solve versus a flat
+/// GPU-level solve that ignores the node hierarchy.
+pub fn staged_sweep() -> Vec<Json> {
+    let objective = profiled_objective(32, 6);
     let cluster = ClusterSpec::new(2, 4).unwrap();
     let gpn = cluster.gpus_per_node();
 
-    let measure = |placement: &exflow_placement::Placement| -> (f64, f64) {
+    let measure = |placement: &Placement| -> (f64, f64) {
         // Expected crossing fractions from the objective's matrices.
         let e = objective.n_experts();
         let gaps = objective.n_gaps();
@@ -101,16 +119,14 @@ pub fn run_staged_vs_flat(scale: Scale) -> Vec<StagedRow> {
         (node_cross / gaps as f64, gpu_cross / gaps as f64)
     };
 
-    let staged = solve_staged(&objective, &cluster, scale.pick(0, 2), 3);
+    let staged = solve_staged(&objective, &cluster, 2, 3);
     let flat = solve(
         &objective,
         cluster.world_size(),
-        SolverKind::LocalSearch {
-            restarts: scale.pick(0, 2),
-        },
+        SolverKind::LocalSearch { restarts: 2 },
         3,
     );
-    let rr = exflow_placement::Placement::round_robin(
+    let rr = Placement::round_robin(
         objective.n_layers(),
         objective.n_experts(),
         cluster.world_size(),
@@ -124,319 +140,289 @@ pub fn run_staged_vs_flat(scale: Scale) -> Vec<StagedRow> {
     .into_iter()
     .map(|(name, p)| {
         let (internode_cross, gpu_cross) = measure(p);
-        StagedRow {
-            strategy: name.to_string(),
-            internode_cross,
-            gpu_cross,
-        }
+        Json::obj(vec![
+            // Strategy name.
+            ("strategy", name.into()),
+            // Expected fraction of transitions crossing nodes.
+            ("internode_cross", internode_cross.into()),
+            // Expected fraction of transitions crossing GPUs.
+            ("gpu_cross", gpu_cross.into()),
+        ])
     })
     .collect()
 }
 
-/// Affinity-strength sweep: end-to-end ExFlow speedup versus the model's
-/// intrinsic affinity concentration κ (extension beyond the paper).
-#[derive(Debug, Clone)]
-pub struct AffinitySweepRow {
-    /// Routing concentration κ.
-    pub kappa: f64,
-    /// Full-ExFlow throughput relative to DeepSpeed.
-    pub speedup: f64,
+/// Staged's whole point: fewer inter-node crossings than round-robin, and
+/// at least as good there as the flat solve.
+pub(crate) fn staged_bars(rows: &[Json], bars: &mut Bars) {
+    let row = |strategy| find(rows, "strategy", strategy);
+    let (Some(staged), Some(rr), Some(flat)) = (row("staged"), row("round-robin"), row("flat"))
+    else {
+        return;
+    };
+    let [cross, rr, flat] = [staged, rr, flat].map(|r| bars.num(r, "internode_cross"));
+    let what = format!("inter-node cross {cross} vs round-robin {rr}, flat {flat}");
+    bars.fail_if(staged, cross >= rr || cross > flat + 0.02, what);
 }
 
-/// Sweep κ on MoE-16 / 8 GPUs. Grid points are independent fixed-seed
+/// Ablation B as printed.
+pub fn render_staged(rows: &[Json]) -> String {
+    render_section(
+        "Ablation B: staged vs flat placement (2 nodes x 4 GPUs)",
+        &[
+            ("strategy", &|r| text(r, "strategy")),
+            ("inter-node-cross", &|r| f3(num(r, "internode_cross"))),
+            ("gpu-cross", &|r| f3(num(r, "gpu_cross"))),
+        ],
+        rows,
+    )
+}
+
+/// Ablation C — affinity-strength sweep on MoE-16 / 8 GPUs: end-to-end
+/// ExFlow speedup versus the model's intrinsic affinity concentration κ
+/// (extension beyond the paper). Grid points are independent fixed-seed
 /// engine runs, fanned across the installed sweep pool.
-pub fn run_affinity_sweep(scale: Scale) -> Vec<AffinitySweepRow> {
-    let kappas: Vec<f64> = scale.pick(vec![0.0, 0.5, 0.9], vec![0.0, 0.25, 0.5, 0.75, 0.9]);
-    par_map(kappas, |kappa| {
-        let model = with_layers(moe_gpt_m(16), scale.pick(6, 24));
+pub fn kappa_sweep() -> Vec<Json> {
+    par_map(vec![0.0, 0.25, 0.5, 0.75, 0.9], |kappa| {
+        let model = moe_gpt_m(16);
         let spec = AffinityModelSpec::new(model.n_layers, model.n_experts).with_affinity(kappa);
         let engine = InferenceEngine::builder(model, cluster_for(8))
             .routing_spec(spec)
-            .requests_per_gpu(scale.pick(4, 8))
+            .requests_per_gpu(8)
             .prompt_len(8)
             .n_iterations(2)
-            .profile_tokens(scale.pick(1500, 4000))
+            .profile_tokens(4000)
             .placement_restarts(0)
             .seed(20_240_404)
             .build();
         let ds = run_offline(&engine, ParallelismMode::Vanilla).throughput();
         let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity).throughput();
-        AffinitySweepRow {
-            kappa,
-            speedup: aff / ds,
-        }
+        Json::obj(vec![
+            // Routing concentration κ.
+            ("kappa", kappa.into()),
+            // Full-ExFlow throughput relative to DeepSpeed.
+            ("speedup", (aff / ds).into()),
+        ])
     })
 }
 
-/// Replication-baseline ablation (the paper's §VI comparison against
-/// Lina-style expert popularity): locality as a function of the replica
-/// memory budget, versus ExFlow's zero-replica placement.
-#[derive(Debug, Clone)]
-pub struct ReplicationRow {
-    /// Strategy label.
-    pub strategy: String,
-    /// Extra expert copies stored per GPU (memory cost).
-    pub extra_copies: usize,
-    /// Fraction of layer transitions served locally.
-    pub local_fraction: f64,
+/// The gain grows with the affinity there is to exploit: the strongest κ
+/// beats the weakest.
+pub(crate) fn kappa_bars(rows: &[Json], bars: &mut Bars) {
+    let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
+        return;
+    };
+    let (weak, strong) = (bars.num(first, "speedup"), bars.num(last, "speedup"));
+    let what = format!("speedup {strong} should exceed kappa 0's {weak}");
+    bars.fail_if(last, strong <= weak, what);
 }
 
-/// Sweep replication budgets on MoE-16 / 4 GPUs and compare with ExFlow.
-pub fn run_replication(scale: Scale) -> Vec<ReplicationRow> {
-    use exflow_affinity::RoutingTrace as Trace;
-    use exflow_model::{CorpusSpec, TokenBatch};
-    use exflow_placement::objective::measure_trace_locality;
-    use exflow_placement::replication::ReplicationPlan;
+/// Ablation C as printed.
+pub fn render_kappa(rows: &[Json]) -> String {
+    render_section(
+        "Ablation C: end-to-end speedup vs affinity strength kappa",
+        &[
+            ("kappa", &|r| f3(num(r, "kappa"))),
+            ("exflow-speedup", &|r| speedup(num(r, "speedup"))),
+        ],
+        rows,
+    )
+}
 
-    let e = 16;
-    let l = scale.pick(6, 12);
+/// Ablation D — the paper's §VI comparison against Lina-style expert
+/// popularity on MoE-16 / 4 GPUs: locality as a function of the replica
+/// memory budget, versus ExFlow's zero-replica placement.
+pub fn replication_sweep() -> Vec<Json> {
+    let (e, l) = (16, 12);
     let spec = AffinityModelSpec::new(l, e);
-    let routing = spec.build();
-    let corpus = CorpusSpec::pile_proxy(spec.n_domains);
-    let profile = Trace::from_batch(
-        &TokenBatch::sample(&routing, &corpus, scale.pick(2000, 6000), 1, 41),
-        e,
-    );
-    let eval = Trace::from_batch(
-        &TokenBatch::sample(&routing, &corpus, scale.pick(2000, 6000), 1, 42),
-        e,
-    );
+    let profile = sample_trace(&spec, 6000, 41);
+    let eval = sample_trace(&spec, 6000, 42);
     let objective = Objective::from_affinities(&AffinityMatrix::consecutive(&profile));
-    let base = exflow_placement::Placement::round_robin(l, e, 4);
+    let base = Placement::round_robin(l, e, 4);
 
-    let mut rows = Vec::new();
-    for budget in [0usize, 2, 4, 8] {
-        let plan = ReplicationPlan::most_popular(&objective, base.clone(), budget);
-        rows.push(ReplicationRow {
-            strategy: format!("replicate-top{budget}"),
-            extra_copies: plan.extra_copies_per_gpu(),
-            local_fraction: plan.trace_local_fraction(&eval),
-        });
-    }
-    let exflow = solve(
-        &objective,
-        4,
-        SolverKind::LocalSearch {
-            restarts: scale.pick(0, 2),
-        },
-        7,
-    );
-    rows.push(ReplicationRow {
-        strategy: "exflow-placement".into(),
-        extra_copies: 0,
-        local_fraction: measure_trace_locality(&eval, &exflow).fraction(),
-    });
+    let row = |strategy: &str, extra_copies: usize, local_fraction: f64| {
+        Json::obj(vec![
+            // Strategy label.
+            ("strategy", strategy.into()),
+            // Extra expert copies stored per GPU (memory cost).
+            ("extra_copies", extra_copies.into()),
+            // Fraction of layer transitions served locally.
+            ("local_fraction", local_fraction.into()),
+        ])
+    };
+    let mut rows: Vec<Json> = [0usize, 2, 4, 8]
+        .into_iter()
+        .map(|budget| {
+            let plan = ReplicationPlan::most_popular(&objective, base.clone(), budget);
+            row(
+                &format!("replicate-top{budget}"),
+                plan.extra_copies_per_gpu(),
+                plan.trace_local_fraction(&eval),
+            )
+        })
+        .collect();
+    let exflow = solve(&objective, 4, SolverKind::LocalSearch { restarts: 2 }, 7);
+    let locality = measure_trace_locality(&eval, &exflow).fraction();
+    rows.push(row("exflow-placement", 0, locality));
     rows
 }
 
-/// Top-1 vs top-2 gating: measured cross-GPU Alltoall traffic per mode
-/// (Table I's two volume columns, measured instead of analytic).
-#[derive(Debug, Clone)]
-pub struct GatingRow {
-    /// Gating kind label.
-    pub gate: String,
-    /// Execution mode label.
-    pub mode: String,
-    /// Cross-GPU Alltoall bytes for the run.
-    pub cross_gpu_bytes: u64,
-    /// Throughput relative to the same gate's DeepSpeed baseline.
-    pub relative_throughput: f64,
+/// ExFlow needs no replicas to beat the zero-budget baseline, and the
+/// replication baseline's locality is monotone in its budget.
+pub(crate) fn replication_bars(rows: &[Json], bars: &mut Bars) {
+    let row = |strategy| find(rows, "strategy", strategy);
+    if let (Some(exflow), Some(rep0)) = (row("exflow-placement"), row("replicate-top0")) {
+        let [copies, ours] = bars.nums(exflow, ["extra_copies", "local_fraction"]);
+        let theirs = bars.num(rep0, "local_fraction");
+        let what = format!("{copies} copies, locality {ours} vs unreplicated {theirs}");
+        bars.fail_if(exflow, copies != 0.0 || ours <= theirs, what);
+    }
+    let replicated = |r: &&Json| crate::gate::text(r, "strategy").starts_with("replicate");
+    let budgets: Vec<&Json> = rows.iter().filter(replicated).collect();
+    for pair in budgets.windows(2) {
+        let less = bars.num(pair[0], "local_fraction");
+        let more = bars.num(pair[1], "local_fraction");
+        let what = format!("locality fell {less} -> {more}");
+        bars.fail_if(pair[1], more + 1e-9 < less, what);
+    }
 }
 
-/// Measure top-1 vs top-2 on MoE-8 / 8 GPUs (one sweep task per gate).
-pub fn run_gating(scale: Scale) -> Vec<GatingRow> {
-    use exflow_model::GateKind;
+/// Ablation D as printed.
+pub fn render_replication(rows: &[Json]) -> String {
+    render_section(
+        "Ablation D: replication (Lina-style) vs ExFlow placement",
+        &[
+            ("strategy", &|r| text(r, "strategy")),
+            ("extra-copies/GPU", &|r| text(r, "extra_copies")),
+            ("local-fraction", &|r| f3(num(r, "local_fraction"))),
+        ],
+        rows,
+    )
+}
+
+/// Ablation E — top-1 vs top-2 gating on MoE-16 / 8 GPUs: measured
+/// cross-GPU Alltoall traffic per mode (Table I's two volume columns,
+/// measured instead of analytic). One sweep task per gate.
+pub fn gating_sweep(w: &Workload) -> Vec<Json> {
     let per_gate = par_map(vec![GateKind::Top1, GateKind::Top2], |gate| {
-        let mut rows = Vec::new();
-        // Top-2 context coherence needs depth to amortize its AllGather and
-        // secondary-return costs, so this sweep keeps at least 12 layers.
-        let model = with_layers(moe_gpt_m(16), scale.pick(12, 24)).with_gate(gate);
+        let model = w.cut(moe_gpt_m(16)).with_gate(gate);
         let engine = InferenceEngine::builder(model, cluster_for(8))
-            .requests_per_gpu(scale.pick(16, 48))
+            .requests_per_gpu(w.requests_per_gpu)
             .prompt_len(8)
-            .n_iterations(scale.pick(2, 4))
-            .profile_tokens(scale.pick(1500, 3000))
+            .n_iterations(4)
+            .profile_tokens(w.profile_tokens)
             .placement_restarts(0)
             .seed(20_240_405)
             .build();
         let baseline = run_offline(&engine, ParallelismMode::Vanilla);
-        for mode in ParallelismMode::ALL {
+        let rows = ParallelismMode::ALL.map(|mode| {
             let r = run_offline(&engine, mode);
-            rows.push(GatingRow {
-                gate: format!("top-{}", gate.k()),
-                mode: mode.label().to_string(),
-                cross_gpu_bytes: r.alltoall_bytes.cross_gpu(),
-                relative_throughput: r.throughput() / baseline.throughput(),
-            });
-        }
-        rows
+            Json::obj(vec![
+                // Gating kind label.
+                ("gate", format!("top-{}", gate.k()).as_str().into()),
+                // Execution mode label.
+                ("mode", mode.label().into()),
+                // Cross-GPU Alltoall bytes for the run.
+                ("cross_gpu_bytes", r.alltoall_bytes.cross_gpu().into()),
+                // Throughput relative to the same gate's DeepSpeed
+                // baseline.
+                (
+                    "relative_throughput",
+                    (r.throughput() / baseline.throughput()).into(),
+                ),
+            ])
+        });
+        rows.to_vec()
     });
     per_gate.into_iter().flatten().collect()
 }
 
-/// Print all ablations.
-pub fn print(scale: Scale) {
-    println!("Ablation A: placement solver quality (lower cross-mass is better)\n");
-    let rows: Vec<Vec<String>> = run_solvers(scale)
-        .iter()
-        .map(|r| vec![r.solver.clone(), f3(r.cross_mass)])
-        .collect();
-    println!("{}", render_table(&["solver", "cross-mass"], &rows));
+/// Top-2 roughly doubles vanilla's cross-GPU traffic. Under top-2,
+/// affinity placement must recover the coherence overhead that plain
+/// context coherence pays (the ordering, not a knife-edge threshold: the
+/// absolute speedup over vanilla depends on depth and on the profiling
+/// stream), and still cut cross-GPU traffic well below vanilla even though
+/// top-2 doubles the dispatched tokens.
+pub(crate) fn gating_bars(rows: &[Json], bars: &mut Bars) {
+    let cell = |gate: &str, mode: ParallelismMode| {
+        let is = |r: &Json, field, label| r.get(field).and_then(Json::as_str) == Some(label);
+        let found = |r: &&Json| is(r, "gate", gate) && is(r, "mode", mode.label());
+        rows.iter().find(found)
+    };
+    let (Some(v1), Some(v2), Some(coh2), Some(ex2)) = (
+        cell("top-1", ParallelismMode::Vanilla),
+        cell("top-2", ParallelismMode::Vanilla),
+        cell("top-2", ParallelismMode::ContextCoherent),
+        cell("top-2", ParallelismMode::ContextCoherentAffinity),
+    ) else {
+        return;
+    };
+    let [b1, b2, bytes] = [v1, v2, ex2].map(|r| bars.num(r, "cross_gpu_bytes"));
+    let what = format!("{b2} bytes vs top-1's {b1}: not doubled");
+    bars.fail_if(v2, b2 <= 1.8 * b1, what);
+    let [aff, coh] = [ex2, coh2].map(|r| bars.num(r, "relative_throughput"));
+    let what = format!("{aff} should beat plain coherence {coh}");
+    bars.fail_if(ex2, aff <= coh, what);
+    let what = format!("{bytes} bytes vs vanilla top-2's {b2}");
+    bars.fail_if(ex2, bytes >= 0.8 * b2, what);
+}
 
-    println!("Ablation B: staged vs flat placement (2 nodes x 4 GPUs)\n");
-    let rows: Vec<Vec<String>> = run_staged_vs_flat(scale)
-        .iter()
-        .map(|r| vec![r.strategy.clone(), f3(r.internode_cross), f3(r.gpu_cross)])
-        .collect();
-    println!(
-        "{}",
-        render_table(&["strategy", "inter-node-cross", "gpu-cross"], &rows)
-    );
-
-    println!("Ablation C: end-to-end speedup vs affinity strength kappa\n");
-    let rows: Vec<Vec<String>> = run_affinity_sweep(scale)
-        .iter()
-        .map(|r| vec![f3(r.kappa), speedup(r.speedup)])
-        .collect();
-    println!("{}", render_table(&["kappa", "exflow-speedup"], &rows));
-
-    println!("Ablation D: replication (Lina-style) vs ExFlow placement\n");
-    let rows: Vec<Vec<String>> = run_replication(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.strategy.clone(),
-                r.extra_copies.to_string(),
-                f3(r.local_fraction),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["strategy", "extra-copies/GPU", "local-fraction"], &rows)
-    );
-
-    println!("Ablation E: top-1 vs top-2 gating traffic and throughput\n");
-    let rows: Vec<Vec<String>> = run_gating(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.gate.clone(),
-                r.mode.clone(),
-                format!("{}K", r.cross_gpu_bytes / 1024),
-                speedup(r.relative_throughput),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["gate", "mode", "xGPU-bytes", "rel-throughput"], &rows)
-    );
+/// Ablation E as printed.
+pub fn render_gating(rows: &[Json]) -> String {
+    render_section(
+        "Ablation E: top-1 vs top-2 gating traffic and throughput",
+        &[
+            ("gate", &|r| text(r, "gate")),
+            ("mode", &|r| text(r, "mode")),
+            ("xGPU-bytes", &|r| {
+                format!("{}K", int(r, "cross_gpu_bytes") / 1024)
+            }),
+            ("rel-throughput", &|r| {
+                speedup(num(r, "relative_throughput"))
+            }),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn optimizing_solvers_beat_round_robin() {
-        let rows = run_solvers(Scale::Quick);
-        let rr = rows.iter().find(|r| r.solver == "round-robin").unwrap();
-        for r in rows.iter().filter(|r| r.solver != "round-robin") {
-            assert!(
-                r.cross_mass < rr.cross_mass,
-                "{} ({}) not better than round-robin ({})",
-                r.solver,
-                r.cross_mass,
-                rr.cross_mass
-            );
-        }
+        let edit = [(0, "cross_mass", 0.0.into())];
+        assert_trips("ablation_solvers", &edit, "not better than round-robin");
     }
 
     #[test]
     fn staged_minimizes_internode_crossing() {
-        let rows = run_staged_vs_flat(Scale::Quick);
-        let get = |name: &str| rows.iter().find(|r| r.strategy == name).unwrap();
-        let staged = get("staged");
-        let rr = get("round-robin");
-        assert!(
-            staged.internode_cross < rr.internode_cross,
-            "staged {} vs rr {}",
-            staged.internode_cross,
-            rr.internode_cross
-        );
-        // Staged's whole point: at least as good inter-node as flat.
-        let flat = get("flat");
-        assert!(staged.internode_cross <= flat.internode_cross + 0.02);
+        let edit = [(2, "internode_cross", 0.9.into())];
+        assert_trips("ablation_staged", &edit, "vs round-robin");
     }
 
     #[test]
     fn exflow_needs_no_replicas_to_beat_small_budgets() {
-        let rows = run_replication(Scale::Quick);
-        let exflow = rows
-            .iter()
-            .find(|r| r.strategy == "exflow-placement")
-            .unwrap();
-        let rep0 = rows
-            .iter()
-            .find(|r| r.strategy == "replicate-top0")
-            .unwrap();
-        assert_eq!(exflow.extra_copies, 0);
-        assert!(exflow.local_fraction > rep0.local_fraction);
-        // Locality is monotone in the replica budget.
-        let budgets: Vec<&ReplicationRow> = rows
-            .iter()
-            .filter(|r| r.strategy.starts_with("replicate"))
-            .collect();
-        for pair in budgets.windows(2) {
-            assert!(pair[1].local_fraction + 1e-9 >= pair[0].local_fraction);
-        }
+        let edit = [(4, "extra_copies", 1u64.into())];
+        assert_trips("ablation_replication", &edit, "vs unreplicated");
+        let edit = [(3, "local_fraction", 0.0.into())];
+        assert_trips("ablation_replication", &edit, "locality fell");
     }
 
     #[test]
     fn top2_roughly_doubles_traffic_without_doubling_exflow() {
-        let rows = run_gating(Scale::Quick);
-        let get = |gate: &str, mode: &str| {
-            rows.iter()
-                .find(|r| r.gate == gate && r.mode == mode)
-                .unwrap()
-        };
-        let v1 = get("top-1", "Deepspeed (vanilla)").cross_gpu_bytes as f64;
-        let v2 = get("top-2", "Deepspeed (vanilla)").cross_gpu_bytes as f64;
-        assert!(v2 > 1.8 * v1, "vanilla top-2 {v2} vs top-1 {v1}");
-        // Affinity placement must recover the coherence overhead that plain
-        // context-coherence pays under top-2 (at Quick depth the absolute
-        // speedup over vanilla is ~1.0 and depends on the profiling stream,
-        // so assert the ordering rather than a knife-edge threshold) ...
-        let ex2 = get("top-2", "ExFlow w. affinity");
-        let coh2 = get("top-2", "ExFlow w/o affinity");
-        assert!(
-            ex2.relative_throughput > coh2.relative_throughput,
-            "affinity {} should beat plain coherence {}",
-            ex2.relative_throughput,
-            coh2.relative_throughput
-        );
-        // ... and still cut cross-GPU traffic well below vanilla even though
-        // top-2 doubles the dispatched tokens.
-        assert!(
-            (ex2.cross_gpu_bytes as f64) < 0.8 * v2,
-            "affinity bytes {} vs vanilla top-2 {v2}",
-            ex2.cross_gpu_bytes
-        );
+        // Rows: top-1 x (vanilla, coherent, affinity), then top-2's three.
+        let edit = [(3, "cross_gpu_bytes", 1u64.into())];
+        assert_trips("ablation_gating", &edit, "not doubled");
+        let edit = [(5, "relative_throughput", 0.0.into())];
+        assert_trips("ablation_gating", &edit, "should beat plain coherence");
+        let edit = [(5, "cross_gpu_bytes", u64::MAX.into())];
+        assert_trips("ablation_gating", &edit, "bytes vs vanilla top-2's");
     }
 
     #[test]
     fn speedup_grows_with_affinity_strength() {
-        let rows = run_affinity_sweep(Scale::Quick);
-        let first = rows.first().unwrap();
-        let last = rows.last().unwrap();
-        assert!(
-            last.speedup > first.speedup,
-            "kappa {} speedup {} should exceed kappa {} speedup {}",
-            last.kappa,
-            last.speedup,
-            first.kappa,
-            first.speedup
-        );
+        let edit = [(4, "speedup", 0.0.into())];
+        assert_trips("ablation_kappa", &edit, "should exceed kappa 0's");
     }
 }

@@ -20,18 +20,17 @@ use exflow_placement::Parallelism;
 use exflow_topology::ClusterSpec;
 
 use crate::summary::BASELINE_SEED;
-use crate::Scale;
 
 const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
 const MAX_BATCH: usize = 16;
 const DECODE_STEPS: usize = 4;
 const WINDOWS: usize = 8;
+const N_REQUESTS: usize = 96;
 /// World size of the engine below (`ClusterSpec::new(2, 2)`).
 const WORLD: usize = 4;
 
 /// Run one faulted serving scenario and return its window events.
-pub fn run(scale: Scale) -> Vec<WindowEvent> {
-    let n_requests = scale.pick(96, 256);
+pub fn run() -> Vec<WindowEvent> {
     let mut model = moe_gpt_m(8);
     model.n_layers = 4;
     let online = OnlineConfig {
@@ -52,10 +51,10 @@ pub fn run(scale: Scale) -> Vec<WindowEvent> {
     let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, WINDOWS);
     let step = eng.probe_step_time(MODE, MAX_BATCH);
     let rate = 0.9 * MAX_BATCH as f64 / (DECODE_STEPS as f64 * step);
-    let horizon = n_requests as f64 / rate;
+    let horizon = N_REQUESTS as f64 / rate;
     let cfg = ServingConfig {
         arrival: ArrivalProcess::poisson(rate),
-        n_requests,
+        n_requests: N_REQUESTS,
         decode_steps: DECODE_STEPS,
         batch: BatchPolicy::SizeOrWait {
             max_size: MAX_BATCH,
@@ -77,11 +76,11 @@ pub fn run(scale: Scale) -> Vec<WindowEvent> {
 
 /// Print the JSONL stream (round-tripping every line first) and its
 /// rendered table.
-pub fn print(scale: Scale) {
+pub fn print() {
     println!("render-events: {EVENT_SCHEMA} stream of a faulted serving run");
     println!("(loss at 30% of the horizon, rejoin at 65%; one JSONL line per window,");
     println!(" each parsed back and bit-compared before printing)\n");
-    let events = run(scale);
+    let events = run();
     let jsonl = to_jsonl(&events);
     for (i, line) in jsonl.lines().enumerate() {
         let back = WindowEvent::from_json(line)
@@ -98,7 +97,7 @@ mod tests {
 
     #[test]
     fn faulted_stream_round_trips_and_marks_the_fleet_transitions() {
-        let events = run(Scale::Quick);
+        let events = run();
         assert!(events.len() >= WINDOWS, "windows missing from the stream");
         let downs: Vec<usize> = events.iter().flat_map(|e| e.gpus_down.clone()).collect();
         let ups: Vec<usize> = events.iter().flat_map(|e| e.gpus_up.clone()).collect();

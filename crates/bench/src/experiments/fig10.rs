@@ -3,136 +3,108 @@
 //! (DeepSpeed, ExFlow without affinity, full ExFlow). Normalized to the
 //! DeepSpeed baseline per configuration, as the paper plots.
 
+use exflow_core::json::Json;
 use exflow_core::ParallelismMode;
 use exflow_model::presets::{moe_gpt_m, moe_gpt_m_32e_32l, moe_gpt_m_32e_40l, moe_gpt_xl_16e};
-use exflow_model::ModelConfig;
 
-use crate::experiments::common::{engine_for, run_offline, with_layers};
-use crate::fmt::{render_table, speedup};
-use crate::Scale;
+use crate::experiments::common::{engine_for, run_offline, Workload};
+use crate::fmt::speedup;
+use crate::gate::Bars;
+use crate::sweep::par_map;
+use crate::table::{num, render_section, text};
 
-/// One (model, GPU count) group of normalized throughputs.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Model name.
-    pub model: String,
-    /// Expert-parallel GPU count.
-    pub gpus: usize,
-    /// DeepSpeed throughput, normalized to itself (= 1.0).
-    pub deepspeed: f64,
-    /// ExFlow without affinity, relative.
-    pub exflow_no_affinity: f64,
-    /// Full ExFlow, relative.
-    pub exflow_affinity: f64,
+/// Regenerate the throughput sweep: one row per (model, GPU count) group,
+/// the cells fanned across the installed sweep pool.
+pub fn sweep(w: &Workload) -> Vec<Json> {
+    let scenarios: [(_, &[usize]); 7] = [
+        (moe_gpt_m(8), &[4, 8]),
+        (moe_gpt_m(16), &[4, 8, 16]),
+        (moe_gpt_m(32), &[8, 16, 32]),
+        (moe_gpt_m(64), &[8, 16, 32, 64]),
+        (moe_gpt_m_32e_32l(), &[8, 16, 32]),
+        (moe_gpt_m_32e_40l(), &[8, 16, 32]),
+        (moe_gpt_xl_16e(), &[4, 8, 16]),
+    ];
+    par_map(w.cells(&scenarios), |(model, gpus)| {
+        let name = model.name.clone();
+        let engine = engine_for(model, gpus, w);
+        let ds = run_offline(&engine, ParallelismMode::Vanilla).throughput();
+        let cc = run_offline(&engine, ParallelismMode::ContextCoherent).throughput();
+        let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity).throughput();
+        Json::obj(vec![
+            // Model name.
+            ("model", name.as_str().into()),
+            // Expert-parallel GPU count.
+            ("gpus", gpus.into()),
+            // ExFlow without affinity, relative to DeepSpeed (= 1.0).
+            ("exflow_no_affinity", (cc / ds).into()),
+            // Full ExFlow, relative to DeepSpeed.
+            ("exflow_affinity", (aff / ds).into()),
+        ])
+    })
 }
 
-fn scenarios(scale: Scale) -> Vec<(ModelConfig, Vec<usize>)> {
-    let l = |m: ModelConfig, full: usize| with_layers(m, scale.pick(6, full));
-    match scale {
-        Scale::Quick => vec![
-            (l(moe_gpt_m(8), 24), vec![4, 8]),
-            (l(moe_gpt_m(16), 24), vec![8]),
-        ],
-        Scale::Full => vec![
-            (l(moe_gpt_m(8), 24), vec![4, 8]),
-            (l(moe_gpt_m(16), 24), vec![4, 8, 16]),
-            (l(moe_gpt_m(32), 24), vec![8, 16, 32]),
-            (l(moe_gpt_m(64), 24), vec![8, 16, 32, 64]),
-            (l(moe_gpt_m_32e_32l(), 32), vec![8, 16, 32]),
-            (l(moe_gpt_m_32e_40l(), 40), vec![8, 16, 32]),
-            (l(moe_gpt_xl_16e(), 24), vec![4, 8, 16]),
-        ],
+/// Full ExFlow beats DeepSpeed everywhere, affinity adds on top of context
+/// coherence, and — paper: gains are small on 1 node (NVLink Alltoall is
+/// cheap) and large once inter-node links dominate — a model gains more on
+/// 8 GPUs than on 4.
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for r in rows {
+        let [cc, aff] = bars.nums(r, ["exflow_no_affinity", "exflow_affinity"]);
+        bars.fail_if(r, aff <= 1.0, format!("full ExFlow at {aff}x of DeepSpeed"));
+        let what = format!("affinity {aff} below no-affinity {cc}");
+        bars.fail_if(r, aff < cc - 0.02, what);
     }
-}
-
-/// Regenerate the throughput sweep.
-pub fn run(scale: Scale) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (model, gpu_counts) in scenarios(scale) {
-        for gpus in gpu_counts {
-            let engine = engine_for(model.clone(), gpus, scale);
-            let ds = run_offline(&engine, ParallelismMode::Vanilla).throughput();
-            let cc = run_offline(&engine, ParallelismMode::ContextCoherent).throughput();
-            let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity).throughput();
-            rows.push(Row {
-                model: model.name.clone(),
-                gpus,
-                deepspeed: 1.0,
-                exflow_no_affinity: cc / ds,
-                exflow_affinity: aff / ds,
-            });
+    for pair in rows.windows(2) {
+        let [single, multi] = pair else { continue };
+        let same_model = single.get("model") == multi.get("model");
+        if same_model && bars.num(single, "gpus") == 4.0 && bars.num(multi, "gpus") == 8.0 {
+            let one = bars.num(single, "exflow_affinity");
+            let two = bars.num(multi, "exflow_affinity");
+            let what = format!("multi-node gain {two} should exceed single-node {one}");
+            bars.fail_if(multi, two <= one, what);
         }
     }
-    rows
 }
 
-/// Print the series.
-pub fn print(scale: Scale) {
-    println!("Fig 10: end-to-end inference throughput (DeepSpeed = 1.0)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.model.clone(),
-                r.gpus.to_string(),
-                speedup(r.deepspeed),
-                speedup(r.exflow_no_affinity),
-                speedup(r.exflow_affinity),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["model", "gpus", "deepspeed", "exflow-no-aff", "exflow-aff"],
-            &rows
-        )
-    );
+/// The series as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    render_section(
+        "Fig 10: end-to-end inference throughput (DeepSpeed = 1.0)",
+        &[
+            ("model", &|r| text(r, "model")),
+            ("gpus", &|r| text(r, "gpus")),
+            ("deepspeed", &|_| speedup(1.0)),
+            ("exflow-no-aff", &|r| speedup(num(r, "exflow_no_affinity"))),
+            ("exflow-aff", &|r| speedup(num(r, "exflow_affinity"))),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn exflow_beats_deepspeed_everywhere() {
-        for r in run(Scale::Quick) {
-            assert!(
-                r.exflow_affinity > 1.0,
-                "{} on {} GPUs: full ExFlow at {}",
-                r.model,
-                r.gpus,
-                r.exflow_affinity
-            );
-        }
+        let edit = [
+            (0, "exflow_no_affinity", 0.99.into()),
+            (0, "exflow_affinity", 1.0.into()),
+        ];
+        assert_trips("fig10", &edit, "of DeepSpeed");
     }
 
     #[test]
     fn affinity_adds_on_top_of_context_coherence() {
-        for r in run(Scale::Quick) {
-            assert!(
-                r.exflow_affinity >= r.exflow_no_affinity - 0.02,
-                "{} on {} GPUs: affinity {} below no-affinity {}",
-                r.model,
-                r.gpus,
-                r.exflow_affinity,
-                r.exflow_no_affinity
-            );
-        }
+        let edit = [(0, "exflow_no_affinity", 9.0.into())];
+        assert_trips("fig10", &edit, "below no-affinity");
     }
 
     #[test]
     fn multi_node_gains_exceed_intra_node_gains() {
-        // Paper: gains are small on 1 node (NVLink Alltoall is cheap) and
-        // large once inter-node links dominate.
-        let rows = run(Scale::Quick);
-        let single = rows.iter().find(|r| r.gpus == 4).unwrap();
-        let multi = rows.iter().find(|r| r.gpus == 8).unwrap();
-        assert!(
-            multi.exflow_affinity > single.exflow_affinity,
-            "multi-node {} should gain more than single-node {}",
-            multi.exflow_affinity,
-            single.exflow_affinity
-        );
+        // Rows 0 and 1 are MoE-8 on 4 and on 8 GPUs.
+        let edit = [(0, "exflow_affinity", 9.0.into())];
+        assert_trips("fig10", &edit, "should exceed single-node");
     }
 }

@@ -4,46 +4,38 @@
 //! measured end to end.
 
 use exflow_affinity::AffinityMatrix;
+use exflow_core::json::Json;
 use exflow_core::{InferenceEngine, ParallelismMode};
 use exflow_model::presets::moe_gpt_m;
 use exflow_placement::staged::solve_staged;
 use exflow_placement::Objective;
 
-use crate::experiments::common::{run_offline, with_layers};
-use crate::fmt::{render_table, speedup};
-use crate::Scale;
+use crate::experiments::common::{cluster_for, run_offline, Workload};
+use crate::fmt::speedup;
+use crate::gate::Bars;
+use crate::sweep::par_map;
+use crate::table::{num, render_section, series, text};
 
-/// One (expert count, sample size) point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Experts per layer.
-    pub n_experts: usize,
-    /// Profiling tokens used to solve the placement.
-    pub tokens: usize,
-    /// Alltoall time speedup relative to the affinity-free placement.
-    pub alltoall_speedup: f64,
-}
+/// Profiling-token budgets swept per model; the engine profiles the
+/// largest so the trace can be truncated to the others.
+const SIZES: [usize; 6] = [50, 1000, 2000, 3000, 4000, 5000];
 
-/// Regenerate the sampling sweep on 8 GPUs (2 nodes).
-pub fn run(scale: Scale) -> Vec<Row> {
-    let expert_counts: Vec<usize> = scale.pick(vec![8, 32], vec![8, 16, 32, 64]);
-    let sizes: Vec<usize> = scale.pick(vec![50, 500, 1500], vec![50, 1000, 2000, 3000, 4000, 5000]);
-    let mut rows = Vec::new();
-    for e in expert_counts {
-        let model = with_layers(moe_gpt_m(e), scale.pick(6, 24));
-        // Build with the largest profile so the trace can be truncated.
-        let engine = InferenceEngine::builder(model, super::common::cluster_for(8))
-            .requests_per_gpu(scale.pick(4, 8))
+/// Regenerate the sampling sweep on 8 GPUs (2 nodes), one series per
+/// expert count, fanned across the installed sweep pool.
+pub fn sweep(w: &Workload) -> Vec<Json> {
+    let series = par_map(vec![8usize, 16, 32, 64], |e| {
+        let engine = InferenceEngine::builder(w.cut(moe_gpt_m(e)), cluster_for(8))
+            .requests_per_gpu(8)
             .prompt_len(8)
             .n_iterations(2)
-            .profile_tokens(*sizes.last().unwrap())
+            .profile_tokens(SIZES[SIZES.len() - 1])
             .placement_restarts(0)
             .seed(20_240_403)
             .build();
         let baseline = run_offline(&engine, ParallelismMode::ContextCoherent);
         let base_a2a = baseline.breakdown.alltoall;
 
-        for &n in &sizes {
+        let rows = SIZES.iter().map(|&n| {
             let trace = engine.profile_trace().truncated(n);
             let objective = Objective::from_affinities(&AffinityMatrix::consecutive(&trace));
             let staged = solve_staged(
@@ -54,70 +46,70 @@ pub fn run(scale: Scale) -> Vec<Row> {
             );
             let report = engine
                 .run_with_placement(ParallelismMode::ContextCoherentAffinity, &staged.gpu_level);
-            rows.push(Row {
-                n_experts: e,
-                tokens: n,
-                alltoall_speedup: base_a2a / report.breakdown.alltoall,
-            });
-        }
-    }
-    rows
+            Json::obj(vec![
+                // Experts per layer.
+                ("experts", e.into()),
+                // Profiling tokens used to solve the placement.
+                ("tokens", n.into()),
+                // Alltoall time speedup relative to the affinity-free
+                // placement.
+                (
+                    "alltoall_speedup",
+                    (base_a2a / report.breakdown.alltoall).into(),
+                ),
+            ])
+        });
+        rows.collect::<Vec<Json>>()
+    });
+    series.into_iter().flatten().collect()
 }
 
-/// Print the series.
-pub fn print(scale: Scale) {
-    println!("Fig 13: Alltoall speedup vs profiling-token budget (8 GPUs)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.n_experts.to_string(),
-                r.tokens.to_string(),
-                speedup(r.alltoall_speedup),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["experts", "profile-tokens", "alltoall-speedup"], &rows)
-    );
+/// Per model, the speedup curve saturates: the largest sample is at least
+/// about as good as the smallest (the tolerance is relative because a
+/// 50-token profile is noise-dominated and can get lucky), and the best
+/// sample's speedup is real.
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for series in series(rows, &["experts"]) {
+        let (first, last) = (&series[0], &series[series.len() - 1]);
+        let small = bars.num(first, "alltoall_speedup");
+        let large = bars.num(last, "alltoall_speedup");
+        let what = format!("speedup degraded from {small} to {large}");
+        bars.fail_if(last, large < 0.85 * small, what);
+        let best = series.iter().map(|r| bars.num(r, "alltoall_speedup"));
+        let best = best.fold(f64::MIN, f64::max);
+        let what = format!("best alltoall speedup {best} is negligible");
+        bars.fail_if(first, best <= 1.05, what);
+    }
+}
+
+/// The series as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    render_section(
+        "Fig 13: Alltoall speedup vs profiling-token budget (8 GPUs)",
+        &[
+            ("experts", &|r| text(r, "experts")),
+            ("profile-tokens", &|r| text(r, "tokens")),
+            ("alltoall-speedup", &|r| speedup(num(r, "alltoall_speedup"))),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::SIZES;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn more_tokens_never_hurt_much() {
-        // The speedup curve saturates: the largest sample is at least about
-        // as good as the smallest. The tolerance is relative because the
-        // smallest Quick-scale profile (50 tokens) is noise-dominated and
-        // can get lucky.
-        let rows = run(Scale::Quick);
-        for e in [8usize, 32] {
-            let series: Vec<&Row> = rows.iter().filter(|r| r.n_experts == e).collect();
-            let first = series.first().unwrap().alltoall_speedup;
-            let last = series.last().unwrap().alltoall_speedup;
-            assert!(
-                last >= 0.85 * first,
-                "{e} experts: speedup degraded from {first} to {last}"
-            );
-        }
+        let edit = [(SIZES.len() - 1, "alltoall_speedup", 0.5.into())];
+        assert_trips("fig13", &edit, "speedup degraded");
     }
 
     #[test]
     fn saturated_speedup_is_real() {
-        let rows = run(Scale::Quick);
-        for e in [8usize, 32] {
-            let best = rows
-                .iter()
-                .filter(|r| r.n_experts == e)
-                .map(|r| r.alltoall_speedup)
-                .fold(f64::MIN, f64::max);
-            assert!(
-                best > 1.05,
-                "{e} experts: best alltoall speedup {best} is negligible"
-            );
-        }
+        let flat = |row| (row, "alltoall_speedup", 1.0.into());
+        let edit: Vec<_> = (0..SIZES.len()).map(flat).collect();
+        assert_trips("fig13", &edit, "is negligible");
     }
 }

@@ -3,131 +3,99 @@
 //! expert-parallel sizes. Bars: baseline Alltoall, context-coherent
 //! Alltoall, context-coherent AllGather (all scaled to the baseline).
 
+use exflow_core::json::Json;
 use exflow_core::ParallelismMode;
 use exflow_model::presets::{moe_gpt_m, moe_gpt_m_32e_32l, moe_gpt_m_32e_40l};
-use exflow_model::ModelConfig;
 
-use crate::experiments::common::{engine_for, run_offline, with_layers};
-use crate::fmt::{f3, render_table};
-use crate::Scale;
+use crate::experiments::common::{engine_for, run_offline, Workload};
+use crate::fmt::f3;
+use crate::gate::Bars;
+use crate::sweep::par_map;
+use crate::table::{num, render_section, text};
 
-/// One (model, GPU count) bar group.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Model name.
-    pub model: String,
-    /// Expert-parallel GPU count.
-    pub gpus: usize,
-    /// Baseline (vanilla) Alltoall time, scaled to itself (= 1.0).
-    pub baseline_alltoall: f64,
-    /// Context-coherent Alltoall time relative to the baseline.
-    pub cc_alltoall: f64,
-    /// Context-coherent AllGather time relative to the baseline Alltoall.
-    pub cc_allgather: f64,
+/// Regenerate the figure's series: one row per (model, GPU count) bar
+/// group, the cells fanned across the installed sweep pool.
+pub fn sweep(w: &Workload) -> Vec<Json> {
+    let scenarios: [(_, &[usize]); 6] = [
+        (moe_gpt_m(8), &[8]),
+        (moe_gpt_m(16), &[8, 16]),
+        (moe_gpt_m(32), &[16, 32]),
+        (moe_gpt_m(64), &[32, 64]),
+        (moe_gpt_m_32e_32l(), &[16, 32]),
+        (moe_gpt_m_32e_40l(), &[16, 32]),
+    ];
+    par_map(w.cells(&scenarios), |(model, gpus)| {
+        let name = model.name.clone();
+        let engine = engine_for(model, gpus, w);
+        let vanilla = run_offline(&engine, ParallelismMode::Vanilla);
+        let cc = run_offline(&engine, ParallelismMode::ContextCoherent);
+        let base = vanilla.breakdown.alltoall;
+        Json::obj(vec![
+            // Model name.
+            ("model", name.as_str().into()),
+            // Expert-parallel GPU count.
+            ("gpus", gpus.into()),
+            // Context-coherent Alltoall time relative to the baseline
+            // (vanilla) Alltoall, which is 1.0 by construction.
+            ("cc_alltoall", (cc.breakdown.alltoall / base).into()),
+            // Context-coherent AllGather time relative to the baseline
+            // Alltoall.
+            ("cc_allgather", (cc.breakdown.allgather / base).into()),
+        ])
+    })
 }
 
-fn scenario_models(scale: Scale) -> Vec<(ModelConfig, Vec<usize>)> {
-    let l = |m: ModelConfig, full_layers: usize| -> ModelConfig {
-        with_layers(m, scale.pick(6, full_layers))
-    };
-    match scale {
-        Scale::Quick => vec![
-            (l(moe_gpt_m(8), 24), vec![8]),
-            (l(moe_gpt_m(16), 24), vec![8, 16]),
-        ],
-        Scale::Full => vec![
-            (l(moe_gpt_m(8), 24), vec![8]),
-            (l(moe_gpt_m(16), 24), vec![8, 16]),
-            (l(moe_gpt_m(32), 24), vec![16, 32]),
-            (l(moe_gpt_m(64), 24), vec![32, 64]),
-            (l(moe_gpt_m_32e_32l(), 32), vec![16, 32]),
-            (l(moe_gpt_m_32e_40l(), 40), vec![16, 32]),
-        ],
+/// The paper reports a > 50 % Alltoall reduction; every scenario must show
+/// at least a meaningful cut, and the AllGather that context coherence
+/// adds must not eat it.
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for r in rows {
+        let [a2a, gather] = bars.nums(r, ["cc_alltoall", "cc_allgather"]);
+        let total = a2a + gather;
+        bars.fail_if(
+            r,
+            a2a >= 0.7,
+            format!("cc alltoall {a2a} not reduced enough"),
+        );
+        bars.fail_if(
+            r,
+            total >= 1.0,
+            format!("cc total {total} exceeds the baseline"),
+        );
     }
 }
 
-/// Regenerate the figure's series.
-pub fn run(scale: Scale) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for (model, gpu_counts) in scenario_models(scale) {
-        for gpus in gpu_counts {
-            let engine = engine_for(model.clone(), gpus, scale);
-            let vanilla = run_offline(&engine, ParallelismMode::Vanilla);
-            let cc = run_offline(&engine, ParallelismMode::ContextCoherent);
-            let base = vanilla.breakdown.alltoall;
-            rows.push(Row {
-                model: model.name.clone(),
-                gpus,
-                baseline_alltoall: 1.0,
-                cc_alltoall: cc.breakdown.alltoall / base,
-                cc_allgather: cc.breakdown.allgather / base,
-            });
-        }
-    }
-    rows
-}
-
-/// Print the series.
-pub fn print(scale: Scale) {
-    println!("Fig 6: scaled communication latency (baseline Alltoall = 1.0)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.model.clone(),
-                r.gpus.to_string(),
-                f3(r.baseline_alltoall),
-                f3(r.cc_alltoall),
-                f3(r.cc_allgather),
-                f3(r.cc_alltoall + r.cc_allgather),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "model",
-                "gpus",
-                "baseline-a2a",
-                "cc-a2a",
-                "cc-allgather",
-                "cc-total"
-            ],
-            &rows
-        )
-    );
+/// The series as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    render_section(
+        "Fig 6: scaled communication latency (baseline Alltoall = 1.0)",
+        &[
+            ("model", &|r| text(r, "model")),
+            ("gpus", &|r| text(r, "gpus")),
+            ("baseline-a2a", &|_| f3(1.0)),
+            ("cc-a2a", &|r| f3(num(r, "cc_alltoall"))),
+            ("cc-allgather", &|r| f3(num(r, "cc_allgather"))),
+            ("cc-total", &|r| {
+                f3(num(r, "cc_alltoall") + num(r, "cc_allgather"))
+            }),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn context_coherence_halves_alltoall() {
-        // The paper reports >50% Alltoall reduction; we require at least
-        // a meaningful cut on every scenario.
-        for r in run(Scale::Quick) {
-            assert!(
-                r.cc_alltoall < 0.7,
-                "{} on {} GPUs: cc alltoall {} not reduced enough",
-                r.model,
-                r.gpus,
-                r.cc_alltoall
-            );
-        }
+        let edit = [(0, "cc_alltoall", 0.7.into())];
+        assert_trips("fig6", &edit, "not reduced enough");
     }
 
     #[test]
     fn total_cc_communication_still_wins() {
-        for r in run(Scale::Quick) {
-            assert!(
-                r.cc_alltoall + r.cc_allgather < 1.0,
-                "{} on {} GPUs: cc total {} exceeds baseline",
-                r.model,
-                r.gpus,
-                r.cc_alltoall + r.cc_allgather
-            );
-        }
+        let edit = [(0, "cc_allgather", 0.9.into())];
+        assert_trips("fig6", &edit, "exceeds the baseline");
     }
 }

@@ -2,128 +2,120 @@
 //! GPU, as the expert-parallel group grows (MoE-64). Bars: DeepSpeed
 //! placement vs. affinity placement; line: reduction in cross-GPU traffic.
 
+use exflow_core::json::Json;
 use exflow_core::ParallelismMode;
 use exflow_model::presets::moe_gpt_m;
 
-use crate::experiments::common::{engine_for, run_offline, with_layers};
-use crate::fmt::{pct, render_table};
+use crate::experiments::common::{engine_for, reduction, run_offline, Workload};
+use crate::fmt::pct;
+use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::Scale;
-
-/// One GPU-count point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Expert-parallel GPU count.
-    pub gpus: usize,
-    /// Tokens staying GPU-local under the DeepSpeed placement.
-    pub deepspeed_local: f64,
-    /// Tokens staying GPU-local under the affinity placement.
-    pub affinity_local: f64,
-    /// Relative reduction in cross-GPU token traffic.
-    pub comm_reduction: f64,
-}
+use crate::table::{num, render_section, text};
 
 /// Regenerate the sweep over expert-parallel sizes. GPU-count points are
 /// independent fixed-seed runs, so they fan across the installed sweep
 /// pool (`repro --jobs N`); output order and values are N-invariant.
-pub fn run(scale: Scale) -> Vec<Row> {
-    let gpu_counts: Vec<usize> = scale.pick(vec![1, 4, 8], vec![1, 4, 8, 16, 32, 64]);
-    let model = with_layers(moe_gpt_m(64), scale.pick(6, 24));
-    par_map(gpu_counts, |gpus| {
-        let engine = engine_for(model.clone(), gpus, scale);
+pub fn sweep(w: &Workload) -> Vec<Json> {
+    let model = w.cut(moe_gpt_m(64));
+    par_map(w.gpus(&[1, 4, 8, 16, 32, 64]), |gpus| {
+        let engine = engine_for(model.clone(), gpus, w);
         let base = run_offline(&engine, ParallelismMode::ContextCoherent);
         let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
-        let base_cross = 1.0 - base.dispatch.gpu_local_fraction();
-        let aff_cross = 1.0 - aff.dispatch.gpu_local_fraction();
-        Row {
-            gpus,
-            deepspeed_local: base.dispatch.gpu_local_fraction(),
-            affinity_local: aff.dispatch.gpu_local_fraction(),
-            comm_reduction: if base_cross == 0.0 {
-                0.0
-            } else {
-                1.0 - aff_cross / base_cross
-            },
-        }
+        let base_local = base.dispatch.gpu_local_fraction();
+        let aff_local = aff.dispatch.gpu_local_fraction();
+        Json::obj(vec![
+            // Expert-parallel GPU count.
+            ("gpus", gpus.into()),
+            // Tokens staying GPU-local under the DeepSpeed placement.
+            ("deepspeed_local", base_local.into()),
+            // Tokens staying GPU-local under the affinity placement.
+            ("affinity_local", aff_local.into()),
+            // Relative reduction in cross-GPU token traffic.
+            ("comm_reduction", reduction(base_local, aff_local).into()),
+        ])
     })
 }
 
-/// Print the series.
-pub fn print(scale: Scale) {
-    println!("Fig 7: tokens staying on the same GPU (MoE-64)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.gpus.to_string(),
-                pct(r.deepspeed_local),
-                pct(r.affinity_local),
-                pct(r.comm_reduction),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
+/// Affinity placement never keeps fewer tokens local than DeepSpeed's; one
+/// GPU keeps everything local; on more, the affinity-free locality is the
+/// uniform `1 / G` and affinity cuts the cross-GPU traffic by over 10 %.
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for r in rows {
+        let [gpus, ds, aff, cut] = bars.nums(
+            r,
+            [
                 "gpus",
-                "deepspeed-local",
-                "affinity-local",
-                "xGPU-comm-reduction"
+                "deepspeed_local",
+                "affinity_local",
+                "comm_reduction",
             ],
-            &rows
-        )
-    );
+        );
+        bars.fail_if(
+            r,
+            aff < ds - 1e-9,
+            format!("affinity {aff} below deepspeed {ds}"),
+        );
+        if gpus == 1.0 {
+            let all = (ds - 1.0).abs() < 1e-9;
+            bars.fail_if(r, !all, format!("one GPU keeps {ds} local, not everything"));
+            continue;
+        }
+        let uniform = (ds - 1.0 / gpus).abs() < 0.1;
+        bars.fail_if(
+            r,
+            !uniform,
+            format!("locality {ds} far from the uniform 1/G"),
+        );
+        bars.fail_if(
+            r,
+            cut <= 0.1,
+            format!("cross-GPU reduction {cut} too small"),
+        );
+    }
+}
+
+/// The series as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    render_section(
+        "Fig 7: tokens staying on the same GPU (MoE-64)",
+        &[
+            ("gpus", &|r| text(r, "gpus")),
+            ("deepspeed-local", &|r| pct(num(r, "deepspeed_local"))),
+            ("affinity-local", &|r| pct(num(r, "affinity_local"))),
+            ("xGPU-comm-reduction", &|r| pct(num(r, "comm_reduction"))),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn affinity_always_at_least_matches_deepspeed() {
-        for r in run(Scale::Quick) {
-            assert!(
-                r.affinity_local >= r.deepspeed_local - 1e-9,
-                "{} GPUs: affinity {} below deepspeed {}",
-                r.gpus,
-                r.affinity_local,
-                r.deepspeed_local
-            );
-        }
+        let edit = [(1, "affinity_local", 0.1.into())];
+        assert_trips("fig7", &edit, "below deepspeed");
     }
 
     #[test]
     fn single_gpu_keeps_everything_local() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows[0].gpus, 1);
-        assert!((rows[0].deepspeed_local - 1.0).abs() < 1e-9);
+        let edit = [(0, "deepspeed_local", 0.9.into())];
+        assert_trips("fig7", &edit, "not everything");
     }
 
     #[test]
     fn deepspeed_locality_tracks_inverse_gpu_count() {
-        // Affinity-free locality is ~1/G (uniform routing).
-        for r in run(Scale::Quick).iter().skip(1) {
-            let expected = 1.0 / r.gpus as f64;
-            assert!(
-                (r.deepspeed_local - expected).abs() < 0.1,
-                "{} GPUs: locality {} far from uniform {}",
-                r.gpus,
-                r.deepspeed_local,
-                expected
-            );
-        }
+        let edit = [
+            (1, "deepspeed_local", 0.5.into()),
+            (1, "affinity_local", 0.6.into()),
+        ];
+        assert_trips("fig7", &edit, "far from the uniform 1/G");
     }
 
     #[test]
     fn affinity_reduces_cross_gpu_traffic_multi_gpu() {
-        for r in run(Scale::Quick).iter().skip(1) {
-            assert!(
-                r.comm_reduction > 0.1,
-                "{} GPUs: reduction {} too small",
-                r.gpus,
-                r.comm_reduction
-            );
-        }
+        let edit = [(1, "comm_reduction", 0.1.into())];
+        assert_trips("fig7", &edit, "reduction 0.1 too small");
     }
 }

@@ -2,106 +2,103 @@
 //! *node*, as the node count grows (MoE-64, 4 GPUs per node). The staged
 //! placement prioritizes exactly this metric in stage 1.
 
+use exflow_core::json::Json;
 use exflow_core::ParallelismMode;
 use exflow_model::presets::moe_gpt_m;
 
-use crate::experiments::common::{engine_for, run_offline, with_layers};
-use crate::fmt::{pct, render_table};
-use crate::Scale;
+use crate::experiments::common::{engine_for, reduction, run_offline, Workload};
+use crate::fmt::pct;
+use crate::gate::Bars;
+use crate::sweep::par_map;
+use crate::table::{num, render_section, text};
 
-/// One node-count point.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Number of 4-GPU nodes.
-    pub nodes: usize,
-    /// Tokens staying node-local under the DeepSpeed placement.
-    pub deepspeed_local: f64,
-    /// Tokens staying node-local under the staged affinity placement.
-    pub affinity_local: f64,
-    /// Relative reduction in inter-node token traffic.
-    pub internode_reduction: f64,
+/// Regenerate the node sweep, one fixed-seed cell per node count, fanned
+/// across the installed sweep pool.
+pub fn sweep(w: &Workload) -> Vec<Json> {
+    let model = w.cut(moe_gpt_m(64));
+    par_map(w.gpus(&[4, 8, 16, 32, 64]), |gpus| {
+        let engine = engine_for(model.clone(), gpus, w);
+        let base = run_offline(&engine, ParallelismMode::ContextCoherent);
+        let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
+        let base_local = base.dispatch.node_local_fraction();
+        let aff_local = aff.dispatch.node_local_fraction();
+        Json::obj(vec![
+            // Number of 4-GPU nodes.
+            ("nodes", (gpus / 4).into()),
+            // Tokens staying node-local under the DeepSpeed placement.
+            ("deepspeed_local", base_local.into()),
+            // Tokens staying node-local under the staged affinity
+            // placement.
+            ("affinity_local", aff_local.into()),
+            // Relative reduction in inter-node token traffic.
+            (
+                "internode_reduction",
+                reduction(base_local, aff_local).into(),
+            ),
+        ])
+    })
 }
 
-/// Regenerate the node sweep.
-pub fn run(scale: Scale) -> Vec<Row> {
-    let node_counts: Vec<usize> = scale.pick(vec![1, 2], vec![1, 2, 4, 8, 16]);
-    let model = with_layers(moe_gpt_m(64), scale.pick(6, 24));
-    node_counts
-        .into_iter()
-        .map(|nodes| {
-            let gpus = nodes * 4;
-            let engine = engine_for(model.clone(), gpus, scale);
-            let base = run_offline(&engine, ParallelismMode::ContextCoherent);
-            let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
-            let base_cross = 1.0 - base.dispatch.node_local_fraction();
-            let aff_cross = 1.0 - aff.dispatch.node_local_fraction();
-            Row {
-                nodes,
-                deepspeed_local: base.dispatch.node_local_fraction(),
-                affinity_local: aff.dispatch.node_local_fraction(),
-                internode_reduction: if base_cross == 0.0 {
-                    0.0
-                } else {
-                    1.0 - aff_cross / base_cross
-                },
-            }
-        })
-        .collect()
-}
-
-/// Print the series.
-pub fn print(scale: Scale) {
-    println!("Fig 8: tokens staying on the same node (MoE-64, 4 GPUs/node)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.nodes.to_string(),
-                pct(r.deepspeed_local),
-                pct(r.affinity_local),
-                pct(r.internode_reduction),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
+/// One node is fully node-local under both placements. Paper: "tokens are
+/// on average 2x more likely to stay within the same node" — every
+/// multi-node run must show a clear improvement.
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for r in rows {
+        let [nodes, ds, aff, cut] = bars.nums(
+            r,
+            [
                 "nodes",
-                "deepspeed-node-local",
-                "affinity-node-local",
-                "inter-node-reduction"
+                "deepspeed_local",
+                "affinity_local",
+                "internode_reduction",
             ],
-            &rows
-        )
-    );
+        );
+        if nodes == 1.0 {
+            let all = (ds - 1.0).abs() < 1e-9 && (aff - 1.0).abs() < 1e-9;
+            bars.fail_if(
+                r,
+                !all,
+                format!("one node keeps {ds} / {aff} local, not all"),
+            );
+            continue;
+        }
+        let what = format!("affinity {aff} vs deepspeed {ds} (reduction {cut}): no clear gain");
+        bars.fail_if(r, aff <= ds * 1.3 || cut <= 0.1, what);
+    }
+}
+
+/// The series as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    render_section(
+        "Fig 8: tokens staying on the same node (MoE-64, 4 GPUs/node)",
+        &[
+            ("nodes", &|r| text(r, "nodes")),
+            ("deepspeed-node-local", &|r| pct(num(r, "deepspeed_local"))),
+            ("affinity-node-local", &|r| pct(num(r, "affinity_local"))),
+            ("inter-node-reduction", &|r| {
+                pct(num(r, "internode_reduction"))
+            }),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn single_node_is_fully_node_local() {
-        let rows = run(Scale::Quick);
-        assert_eq!(rows[0].nodes, 1);
-        assert!((rows[0].deepspeed_local - 1.0).abs() < 1e-9);
-        assert!((rows[0].affinity_local - 1.0).abs() < 1e-9);
+        let edit = [(0, "affinity_local", 0.9.into())];
+        assert_trips("fig8", &edit, "not all");
     }
 
     #[test]
     fn staged_affinity_keeps_tokens_on_node() {
-        // Paper: "tokens are on average 2x more likely to stay within the
-        // same node". Require a clear improvement on multi-node runs.
-        for r in run(Scale::Quick).iter().skip(1) {
-            assert!(
-                r.affinity_local > r.deepspeed_local * 1.3,
-                "{} nodes: affinity {} vs deepspeed {}",
-                r.nodes,
-                r.affinity_local,
-                r.deepspeed_local
-            );
-            assert!(r.internode_reduction > 0.1);
-        }
+        let edit = [
+            (1, "deepspeed_local", 0.5.into()),
+            (1, "affinity_local", 0.6.into()),
+        ];
+        assert_trips("fig8", &edit, "no clear gain");
     }
 }

@@ -2,118 +2,106 @@
 //! expert FFN) in vanilla expert parallelism as node count grows: the
 //! motivation chart showing inference becoming Alltoall-bound.
 
+use exflow_core::json::Json;
 use exflow_core::ParallelismMode;
 use exflow_model::presets::moe_gpt_m;
 
-use crate::experiments::common::{engine_for, run_offline, with_layers};
-use crate::fmt::{pct, render_table};
-use crate::Scale;
+use crate::experiments::common::{engine_for, run_offline, Workload};
+use crate::fmt::pct;
+use crate::gate::Bars;
+use crate::sweep::par_map;
+use crate::table::{num, render_section, text};
 
-/// One node-count breakdown.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// Number of 4-GPU nodes.
-    pub nodes: usize,
-    /// Share of gating time.
-    pub gating: f64,
-    /// Share of Alltoall time (the paper's annotation).
-    pub alltoall: f64,
-    /// Share of attention time.
-    pub attention: f64,
-    /// Share of expert FFN time.
-    pub expert_ffn: f64,
+/// The operator columns.
+const OPS: [&str; 4] = ["gating", "alltoall", "attention", "expert_ffn"];
+
+/// Regenerate the sweep (vanilla mode, MoE-32), one cell per node count,
+/// fanned across the installed sweep pool.
+pub fn sweep(w: &Workload) -> Vec<Json> {
+    let model = w.cut(moe_gpt_m(32));
+    par_map(w.gpus(&[4, 8, 16, 32]), |gpus| {
+        let engine = engine_for(model.clone(), gpus, w);
+        let b = run_offline(&engine, ParallelismMode::Vanilla).breakdown;
+        let total = b.gating + b.alltoall + b.attention + b.expert_ffn;
+        Json::obj(vec![
+            // Number of 4-GPU nodes.
+            ("nodes", (gpus / 4).into()),
+            // Share of gating time.
+            ("gating", (b.gating / total).into()),
+            // Share of Alltoall time (the paper's annotation).
+            ("alltoall", (b.alltoall / total).into()),
+            // Share of attention time.
+            ("attention", (b.attention / total).into()),
+            // Share of expert FFN time.
+            ("expert_ffn", (b.expert_ffn / total).into()),
+        ])
+    })
 }
 
-/// Regenerate the sweep (vanilla mode, MoE-32).
-pub fn run(scale: Scale) -> Vec<Row> {
-    let node_counts: Vec<usize> = scale.pick(vec![1, 2], vec![1, 2, 4, 8]);
-    let model = with_layers(moe_gpt_m(32), scale.pick(6, 24));
-    node_counts
-        .into_iter()
-        .map(|nodes| {
-            let engine = engine_for(model.clone(), nodes * 4, scale);
-            let report = run_offline(&engine, ParallelismMode::Vanilla);
-            let b = report.breakdown;
-            let total = b.gating + b.alltoall + b.attention + b.expert_ffn;
-            Row {
-                nodes,
-                gating: b.gating / total,
-                alltoall: b.alltoall / total,
-                attention: b.attention / total,
-                expert_ffn: b.expert_ffn / total,
-            }
-        })
-        .collect()
+/// The four shares sum to one and gating is negligible; one node is
+/// compute-dominated, and the Alltoall share grows with every node added
+/// (paper: 15 % at 1 node surging to 63 % at 2 nodes, 76 % at 8).
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for r in rows {
+        let [gating, alltoall, attention, ffn] = bars.nums(r, OPS);
+        let sum = gating + alltoall + attention + ffn;
+        bars.fail_if(r, (sum - 1.0).abs() >= 1e-9, format!("shares sum to {sum}"));
+        let what = format!("gating share {gating} is not negligible");
+        bars.fail_if(r, gating >= 0.05, what);
+        let dominated = bars.num(r, "nodes") == 1.0 && alltoall >= 0.5;
+        let what = format!("alltoall share {alltoall} dominates one node");
+        bars.fail_if(r, dominated, what);
+    }
+    for pair in rows.windows(2) {
+        let (fewer, more) = (
+            bars.num(&pair[0], "alltoall"),
+            bars.num(&pair[1], "alltoall"),
+        );
+        let what = format!("alltoall share {more} did not grow from {fewer}");
+        bars.fail_if(&pair[1], more <= fewer, what);
+    }
 }
 
-/// Print the series.
-pub fn print(scale: Scale) {
-    println!("Fig 9: operator share of step time (vanilla expert parallelism, MoE-32)\n");
-    let rows: Vec<Vec<String>> = run(scale)
-        .iter()
-        .map(|r| {
-            vec![
-                r.nodes.to_string(),
-                pct(r.gating),
-                pct(r.alltoall),
-                pct(r.attention),
-                pct(r.expert_ffn),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["nodes", "gating", "alltoall", "attention", "expert-ffn"],
-            &rows
-        )
-    );
+/// The series as the printed table.
+pub fn render(rows: &[Json]) -> String {
+    render_section(
+        "Fig 9: operator share of step time (vanilla expert parallelism, MoE-32)",
+        &[
+            ("nodes", &|r| text(r, "nodes")),
+            ("gating", &|r| pct(num(r, "gating"))),
+            ("alltoall", &|r| pct(num(r, "alltoall"))),
+            ("attention", &|r| pct(num(r, "attention"))),
+            ("expert-ffn", &|r| pct(num(r, "expert_ffn"))),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
 
     #[test]
     fn shares_sum_to_one() {
-        for r in run(Scale::Quick) {
-            let s = r.gating + r.alltoall + r.attention + r.expert_ffn;
-            assert!(
-                (s - 1.0).abs() < 1e-9,
-                "{} nodes: shares sum {}",
-                r.nodes,
-                s
-            );
-        }
+        let edit = [(0, "attention", 0.5.into())];
+        assert_trips("fig9", &edit, "shares sum to");
     }
 
     #[test]
     fn alltoall_share_grows_with_nodes() {
-        // Paper: 15% at 1 node surging to 63% at 2 nodes, 76% at 8.
-        let rows = run(Scale::Quick);
-        assert!(rows.len() >= 2);
-        assert!(
-            rows[1].alltoall > rows[0].alltoall,
-            "alltoall share should grow: {} -> {}",
-            rows[0].alltoall,
-            rows[1].alltoall
-        );
+        let edit = [(1, "alltoall", 0.01.into())];
+        assert_trips("fig9", &edit, "did not grow");
     }
 
     #[test]
     fn single_node_is_compute_dominated() {
-        let rows = run(Scale::Quick);
-        assert!(
-            rows[0].alltoall < 0.5,
-            "1 node: alltoall share {} should not dominate",
-            rows[0].alltoall
-        );
+        let edit = [(0, "alltoall", 0.6.into())];
+        assert_trips("fig9", &edit, "dominates one node");
     }
 
     #[test]
     fn gating_is_negligible() {
-        for r in run(Scale::Quick) {
-            assert!(r.gating < 0.05);
-        }
+        let edit = [(0, "gating", 0.05.into())];
+        assert_trips("fig9", &edit, "not negligible");
     }
 }

@@ -1,7 +1,11 @@
-//! One module per artifact. A paper artifact exposes typed rows plus a
-//! `print(scale)` entry the `repro` binary calls; a gated summary table
-//! (`table_*`) exposes only its `render(rows)` — its sweep lives in
-//! `crate::summary`, its registry entry in `crate::table::TABLES`.
+//! One module per artifact. An artifact whose output is rows is an entry
+//! of the one registry, `crate::table::TABLES`, and its module holds the
+//! entry's functions: a paper artifact its `sweep` (at a
+//! [`common::Workload`]), `bars` and `render`; a beyond-paper `table_*`
+//! only its `render` (its sweep lives in `crate::summary`, its bars in
+//! `crate::gate`). The three artifacts that are not rows — `table2`'s
+//! static list, `fig2`'s heatmaps, `render-events`' JSONL — expose a plain
+//! `print()`.
 
 pub mod ablations;
 pub mod common;

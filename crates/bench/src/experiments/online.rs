@@ -12,41 +12,29 @@
 
 use exflow_core::json::Json;
 
-use crate::fmt::{pct, render_table};
-use crate::table::{int, num, text};
+use crate::fmt::pct;
+use crate::table::{int, num, render_section, text};
 
 /// The rows as the printed table.
 pub fn render(rows: &[Json]) -> String {
-    let headers = [
-        "scenario",
-        "windows",
-        "static",
-        "oracle",
-        "budgeted",
-        "recovery",
-        "migrated",
-        "budget/replan",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                text(r, "scenario"),
-                text(r, "windows"),
-                text(r, "static_cross"),
-                text(r, "oracle_cross"),
-                text(r, "budgeted_cross"),
-                pct(num(r, "recovery")),
-                format!("{} MiB", int(r, "migrated_bytes") >> 20),
-                format!("{} MiB", int(r, "budget_bytes") >> 20),
-            ]
-        })
-        .collect();
-    format!(
+    render_section(
         "table_online: re-placement policies under routing drift\n\
          (cross = realized cross-GPU layer transitions, lower is better;\n \
-         recovery = share of the oracle's reduction the budgeted policy keeps)\n\n\
-         {}\n",
-        render_table(&headers, &body)
+         recovery = share of the oracle's reduction the budgeted policy keeps)",
+        &[
+            ("scenario", &|r| text(r, "scenario")),
+            ("windows", &|r| text(r, "windows")),
+            ("static", &|r| text(r, "static_cross")),
+            ("oracle", &|r| text(r, "oracle_cross")),
+            ("budgeted", &|r| text(r, "budgeted_cross")),
+            ("recovery", &|r| pct(num(r, "recovery"))),
+            ("migrated", &|r| {
+                format!("{} MiB", int(r, "migrated_bytes") >> 20)
+            }),
+            ("budget/replan", &|r| {
+                format!("{} MiB", int(r, "budget_bytes") >> 20)
+            }),
+        ],
+        rows,
     )
 }

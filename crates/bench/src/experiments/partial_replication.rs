@@ -15,63 +15,53 @@
 
 use exflow_core::json::Json;
 
-use crate::fmt::render_table;
-use crate::table::{num, text};
+use crate::table::{num, render_section, text};
 
 /// The rows as the printed table.
 pub fn render(rows: &[Json]) -> String {
-    let headers = [
-        "scenario",
-        "k",
-        "windows",
-        "replans",
-        "repl added",
-        "partial cross",
-        "full cross",
-        "partial MiB",
-        "full MiB",
-        "copies p/f",
-        "cc repl",
-        "cc local",
-    ];
     let mib = |r: &Json, key: &str| format!("{:.1}", num(r, key) / (1 << 20) as f64);
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                text(r, "scenario"),
-                text(r, "k"),
-                text(r, "windows"),
-                text(r, "partial_replans"),
-                text(r, "replicas_added"),
-                format!("{:.4}", num(r, "partial_cross_mass")),
-                format!("{:.4}", num(r, "full_cross_mass")),
-                mib(r, "partial_migrated_bytes"),
-                mib(r, "full_migrated_bytes"),
-                format!(
-                    "{}/{}",
+    let table = render_section(
+        "table_partial_replication: subset vs full replica fan-out at equal memory\n\
+         (both policies race from the same incumbent at the same slot and byte\n \
+         budgets; `partial`/`full cross` sum the solver objective over every\n \
+         re-plan, `cc repl` counts replicas the top-2 CC serving engine placed\n \
+         under replica-aware meeting-point dispatch)",
+        &[
+            ("scenario", &|r| text(r, "scenario")),
+            ("k", &|r| text(r, "k")),
+            ("windows", &|r| text(r, "windows")),
+            ("replans", &|r| text(r, "partial_replans")),
+            ("repl added", &|r| text(r, "replicas_added")),
+            ("partial cross", &|r| {
+                format!("{:.4}", num(r, "partial_cross_mass"))
+            }),
+            ("full cross", &|r| {
+                format!("{:.4}", num(r, "full_cross_mass"))
+            }),
+            ("partial MiB", &|r| mib(r, "partial_migrated_bytes")),
+            ("full MiB", &|r| mib(r, "full_migrated_bytes")),
+            ("copies p/f", &|r| {
+                let (partial, full) = (
                     text(r, "partial_extra_copies"),
-                    text(r, "full_extra_copies")
-                ),
-                text(r, "cc_replicas_added"),
-                format!("{:.3}", num(r, "cc_local_fraction")),
-            ]
-        })
-        .collect();
+                    text(r, "full_extra_copies"),
+                );
+                format!("{partial}/{full}")
+            }),
+            ("cc repl", &|r| text(r, "cc_replicas_added")),
+            ("cc local", &|r| {
+                format!("{:.3}", num(r, "cc_local_fraction"))
+            }),
+        ],
+        rows,
+    );
     let losses = rows
         .iter()
         .filter(|r| num(r, "partial_cross_mass") > num(r, "full_cross_mass"))
         .count();
     format!(
-        "table_partial_replication: subset vs full replica fan-out at equal memory\n\
-         (both policies race from the same incumbent at the same slot and byte\n \
-         budgets; `partial`/`full cross` sum the solver objective over every\n \
-         re-plan, `cc repl` counts replicas the top-2 CC serving engine placed\n \
-         under replica-aware meeting-point dispatch)\n\n\
-         {}\n\n\
+        "{table}\n\
          ({losses} of {} rows where the subset policy loses to the full fan-out; \
          the perf-gate requires 0)\n",
-        render_table(&headers, &body),
         rows.len()
     )
 }

@@ -14,49 +14,36 @@
 
 use exflow_core::json::Json;
 
-use crate::fmt::render_table;
-use crate::table::{num, text};
+use crate::table::{num, render_section, text};
 
 /// The rows as the printed table.
 pub fn render(rows: &[Json]) -> String {
-    let headers = [
-        "preset",
-        "windows",
-        "replans",
-        "considered",
-        "eval rebuild",
-        "eval incr",
-        "reused",
-        "reduction",
-        "rebuild ms",
-        "incr ms",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                text(r, "preset"),
-                text(r, "windows"),
-                text(r, "replans"),
-                text(r, "considered"),
-                text(r, "evaluated_rebuild"),
-                text(r, "evaluated_incremental"),
-                text(r, "reused"),
-                format!("{:.2}x", num(r, "scan_reduction")),
-                format!("{:.1}", num(r, "wall_ms_rebuild")),
-                format!("{:.1}", num(r, "wall_ms_incremental")),
-            ]
-        })
-        .collect();
-    let mut out = format!(
+    let mut out = render_section(
         "table_replan_latency: rebuild vs incremental re-plan cost at scale\n\
          (both paths take the same budgeted moves from the same incumbent and\n \
          must produce bit-identical placements; `evaluated` = candidates that\n \
          needed an exact gain evaluation, `reused` = candidates the attraction\n \
          table decided alone, so the reduction column (considered / evaluated)\n \
-         is an exact operation-count contrast, not a timing)\n\n\
-         {}\n",
-        render_table(&headers, &body)
+         is an exact operation-count contrast, not a timing)",
+        &[
+            ("preset", &|r| text(r, "preset")),
+            ("windows", &|r| text(r, "windows")),
+            ("replans", &|r| text(r, "replans")),
+            ("considered", &|r| text(r, "considered")),
+            ("eval rebuild", &|r| text(r, "evaluated_rebuild")),
+            ("eval incr", &|r| text(r, "evaluated_incremental")),
+            ("reused", &|r| text(r, "reused")),
+            ("reduction", &|r| {
+                format!("{:.2}x", num(r, "scan_reduction"))
+            }),
+            ("rebuild ms", &|r| {
+                format!("{:.1}", num(r, "wall_ms_rebuild"))
+            }),
+            ("incr ms", &|r| {
+                format!("{:.1}", num(r, "wall_ms_incremental"))
+            }),
+        ],
+        rows,
     );
     if let Some(r) = rows.first() {
         out.push_str(&format!(

@@ -11,51 +11,32 @@
 
 use exflow_core::json::Json;
 
-use crate::fmt::{pct, render_table};
-use crate::table::{num, text};
+use crate::fmt::pct;
+use crate::table::{num, render_section, text};
 
 /// The rows as the printed table.
 pub fn render(rows: &[Json]) -> String {
-    let headers = [
-        "scenario",
-        "windows",
-        "static",
-        "owner",
-        "joint",
-        "owner rec",
-        "joint rec",
-        "slots",
-        "extra",
-        "replicas +/-",
-    ];
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                text(r, "scenario"),
-                text(r, "windows"),
-                text(r, "static_cross"),
-                text(r, "owner_cross"),
-                text(r, "joint_cross"),
-                pct(num(r, "owner_recovery")),
-                pct(num(r, "joint_recovery")),
-                text(r, "replica_slots"),
-                text(r, "extra_copies"),
-                format!(
-                    "+{}/-{}",
-                    text(r, "replicas_added"),
-                    text(r, "replicas_dropped")
-                ),
-            ]
-        })
-        .collect();
-    format!(
+    render_section(
         "table_replication_online: joint replica + owner-move re-placement under drift\n\
          (cross = realized cross-GPU layer transitions, lower is better; recovery =\n \
          share of the static incumbent's cross traffic a policy eliminated; owner\n \
          and joint spend identical migration bytes — joint also holds <= `slots`\n \
-         replica payloads per GPU)\n\n\
-         {}\n",
-        render_table(&headers, &body)
+         replica payloads per GPU)",
+        &[
+            ("scenario", &|r| text(r, "scenario")),
+            ("windows", &|r| text(r, "windows")),
+            ("static", &|r| text(r, "static_cross")),
+            ("owner", &|r| text(r, "owner_cross")),
+            ("joint", &|r| text(r, "joint_cross")),
+            ("owner rec", &|r| pct(num(r, "owner_recovery"))),
+            ("joint rec", &|r| pct(num(r, "joint_recovery"))),
+            ("slots", &|r| text(r, "replica_slots")),
+            ("extra", &|r| text(r, "extra_copies")),
+            ("replicas +/-", &|r| {
+                let (added, dropped) = (text(r, "replicas_added"), text(r, "replicas_dropped"));
+                format!("+{added}/-{dropped}")
+            }),
+        ],
+        rows,
     )
 }

@@ -10,48 +10,29 @@
 //! discounted by the locality FasterMoE reports, ~30%).
 
 use exflow_core::commvolume::{System, VolumeParams};
+use exflow_core::json::Json;
 use exflow_core::ParallelismMode;
 use exflow_model::presets::moe_gpt_m;
 
-use crate::experiments::common::{engine_for, run_offline, with_layers};
-use crate::fmt::{f3, render_table};
-use crate::Scale;
+use crate::experiments::common::{engine_for, run_offline, Workload};
+use crate::fmt::f3;
+use crate::gate::Bars;
+use crate::table::{find, num, render_section, text};
 
-/// One Table I row.
-#[derive(Debug, Clone)]
-pub struct Row {
-    /// System name.
-    pub system: System,
-    /// Routing fraction the system achieves (`p`, `p_topo`, or `p*`).
-    pub routing_fraction: f64,
-    /// Forward volume (token-units) under top-1 gating.
-    pub volume_top1: f64,
-    /// Forward volume under top-2 gating.
-    pub volume_top2: f64,
+fn yes_no(flag: bool) -> Json {
+    if flag { "yes" } else { "no" }.into()
 }
 
-/// Measured inputs plus the evaluated rows.
-#[derive(Debug, Clone)]
-pub struct Table1 {
-    /// Scenario dimensions.
-    pub params: VolumeParams,
-    /// Measured cross-GPU fraction with affinity-free placement.
-    pub p: f64,
-    /// Measured cross-GPU fraction with affinity placement.
-    pub p_star: f64,
-    /// The four rows.
-    pub rows: Vec<Row>,
-}
-
-/// Regenerate Table I. The measurement scenario is MoE-GPT-M/16e on 8 GPUs
-/// (2 nodes), the configuration where the paper reports its headline 2.2x.
-pub fn run(scale: Scale) -> Table1 {
+/// Regenerate Table I, one row per system. The measurement scenario is
+/// MoE-GPT-M/16e on 8 GPUs (2 nodes), the configuration where the paper
+/// reports its headline 2.2x.
+pub fn sweep(w: &Workload) -> Vec<Json> {
     // Table I's ExFlow advantage amortizes the AllGather term over the
-    // layer count, so the measurement keeps the model's true 24 layers at
-    // both scales (Quick trims the workload, not the model).
-    let model = with_layers(moe_gpt_m(16), 24);
+    // layer count, so the measurement keeps the model's true 24 layers
+    // under every workload (a smaller one trims the batch, not the model).
+    let model = moe_gpt_m(16);
     let gpus = 8;
-    let engine = engine_for(model.clone(), gpus, scale);
+    let engine = engine_for(model.clone(), gpus, w);
 
     let cc = run_offline(&engine, ParallelismMode::ContextCoherent);
     let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
@@ -67,109 +48,126 @@ pub fn run(scale: Scale) -> Table1 {
         n: engine.config().requests_per_gpu,
         l: model.n_layers,
     };
-    let rows = System::ALL
+    System::ALL
         .iter()
         .map(|&system| {
+            let topo_aware = matches!(system, System::FasterMoe | System::TaMoe);
             let frac = match system {
                 System::FasterMoe | System::TaMoe => p_topo,
                 System::DeepspeedMoe => p,
                 System::ExFlow => p_star,
             };
-            Row {
-                system,
-                routing_fraction: frac,
-                volume_top1: system.volume(params, frac, 1),
-                volume_top2: system.volume(params, frac, 2),
-            }
+            Json::obj(vec![
+                // System name.
+                ("system", system.label().into()),
+                // Scenario dimensions: GPUs, requests per GPU, MoE layers.
+                ("gpus", params.g.into()),
+                ("requests_per_gpu", params.n.into()),
+                ("layers", params.l.into()),
+                // Whether the system's gating is topology-aware.
+                ("topo_aware", yes_no(topo_aware)),
+                // Whether it stores extra expert copies.
+                ("extra_memory", yes_no(system.extra_memory())),
+                // Routing fraction the system achieves: the measured
+                // cross-GPU fraction `p` (DeepSpeed), the modeled `p_topo`,
+                // or the measured `p*` under affinity placement (ExFlow).
+                ("routing_fraction", frac.into()),
+                // Forward volume (token-units) under top-1 gating.
+                ("volume_top1", system.volume(params, frac, 1).into()),
+                // Forward volume under top-2 gating.
+                ("volume_top2", system.volume(params, frac, 2).into()),
+                // Whether the method applies at inference time.
+                ("inference_ok", yes_no(system.applicable_in_inference())),
+            ])
         })
-        .collect();
-
-    Table1 {
-        params,
-        p,
-        p_star,
-        rows,
-    }
+        .collect()
 }
 
-/// Print the table in the paper's layout.
-pub fn print(scale: Scale) {
-    let t = run(scale);
-    println!(
-        "Table I: forward communication volume (token-units), G={} N={} L={}",
-        t.params.g, t.params.n, t.params.l
+/// ExFlow moves the smallest forward volume, affinity placement lowers the
+/// measured routing fraction (`p* < p`, with `p` a fraction), and top-2
+/// gating costs every system more than top-1.
+pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    for r in rows {
+        let [top1, top2] = bars.nums(r, ["volume_top1", "volume_top2"]);
+        let what = format!("top-2 volume {top2} not above top-1 {top1}");
+        bars.fail_if(r, top2 <= top1, what);
+    }
+    let row = |system: System| find(rows, "system", system.label());
+    let (Some(exflow), Some(deepspeed), Some(faster)) = (
+        row(System::ExFlow),
+        row(System::DeepspeedMoe),
+        row(System::FasterMoe),
+    ) else {
+        return;
+    };
+    let [volume, p_star] = bars.nums(exflow, ["volume_top1", "routing_fraction"]);
+    for other in [deepspeed, faster] {
+        let theirs = bars.num(other, "volume_top1");
+        let what = format!("volume {theirs} not above ExFlow's {volume}");
+        bars.fail_if(other, volume >= theirs, what);
+    }
+    let p = bars.num(deepspeed, "routing_fraction");
+    let what = format!("affinity p* {p_star} should be below p {p}");
+    bars.fail_if(exflow, p_star >= p || p <= 0.0 || p > 1.0, what);
+}
+
+/// The table in the paper's layout.
+pub fn render(rows: &[Json]) -> String {
+    let fraction = |system: System| {
+        let row = find(rows, "system", system.label());
+        row.map_or(f64::NAN, |r| num(r, "routing_fraction"))
+    };
+    let Some(first) = rows.first() else {
+        return String::new();
+    };
+    let title = format!(
+        "Table I: forward communication volume (token-units), G={} N={} L={}\n\
+         measured p = {:.3}, p* = {:.3}",
+        text(first, "gpus"),
+        text(first, "requests_per_gpu"),
+        text(first, "layers"),
+        fraction(System::DeepspeedMoe),
+        fraction(System::ExFlow)
     );
-    println!("measured p = {:.3}, p* = {:.3}\n", t.p, t.p_star);
-    let rows: Vec<Vec<String>> = t
-        .rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.system.label().to_string(),
-                if matches!(r.system, System::FasterMoe | System::TaMoe) {
-                    "yes".into()
-                } else {
-                    "no".into()
-                },
-                if r.system.extra_memory() { "yes" } else { "no" }.into(),
-                f3(r.routing_fraction),
-                format!("{:.0}", r.volume_top1),
-                format!("{:.0}", r.volume_top2),
-                if r.system.applicable_in_inference() {
-                    "yes"
-                } else {
-                    "no"
-                }
-                .into(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "system",
-                "topo-aware",
-                "extra-mem",
-                "routing-frac",
-                "comm@top1",
-                "comm@top2",
-                "inference-ok",
-            ],
-            &rows
-        )
-    );
+    render_section(
+        &title,
+        &[
+            ("system", &|r| text(r, "system")),
+            ("topo-aware", &|r| text(r, "topo_aware")),
+            ("extra-mem", &|r| text(r, "extra_memory")),
+            ("routing-frac", &|r| f3(num(r, "routing_fraction"))),
+            ("comm@top1", &|r| format!("{:.0}", num(r, "volume_top1"))),
+            ("comm@top2", &|r| format!("{:.0}", num(r, "volume_top2"))),
+            ("inference-ok", &|r| text(r, "inference_ok")),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::table::fixture::assert_trips;
+
+    // Row order is `System::ALL`: FasterMoE, TA-MoE, Deepspeed-MoE, ExFlow.
 
     #[test]
     fn exflow_achieves_smallest_volume() {
-        let t = run(Scale::Quick);
-        let by_system = |s: System| t.rows.iter().find(|r| r.system == s).unwrap().volume_top1;
-        assert!(by_system(System::ExFlow) < by_system(System::DeepspeedMoe));
-        assert!(by_system(System::ExFlow) < by_system(System::FasterMoe));
+        let edit = [
+            (3, "volume_top1", 1e9.into()),
+            (3, "volume_top2", 2e9.into()),
+        ];
+        assert_trips("table1", &edit, "not above ExFlow's");
     }
 
     #[test]
     fn affinity_reduces_routing_fraction() {
-        let t = run(Scale::Quick);
-        assert!(
-            t.p_star < t.p,
-            "affinity p* {} should be below p {}",
-            t.p_star,
-            t.p
-        );
-        assert!(t.p > 0.0 && t.p <= 1.0);
+        let edit = [(3, "routing_fraction", 1.0.into())];
+        assert_trips("table1", &edit, "should be below p");
     }
 
     #[test]
     fn top2_volumes_exceed_top1() {
-        let t = run(Scale::Quick);
-        for r in &t.rows {
-            assert!(r.volume_top2 > r.volume_top1);
-        }
+        let edit = [(0, "volume_top2", 0.0.into())];
+        assert_trips("table1", &edit, "not above top-1");
     }
 }

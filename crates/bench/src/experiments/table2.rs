@@ -1,20 +1,14 @@
-//! Table II — the model zoo used across the evaluation.
+//! Table II — the model zoo used across the evaluation. A static list,
+//! not a sweep, so `table2` is a plain printer.
 
 use exflow_model::presets::table2;
-use exflow_model::ModelConfig;
 
 use crate::fmt::render_table;
-use crate::Scale;
-
-/// The seven Table II configurations.
-pub fn run(_scale: Scale) -> Vec<ModelConfig> {
-    table2()
-}
 
 /// Print the model list with derived parameter counts.
-pub fn print(scale: Scale) {
+pub fn print() {
     println!("Table II: GPT MoE model zoo\n");
-    let rows: Vec<Vec<String>> = run(scale)
+    let rows: Vec<Vec<String>> = table2()
         .iter()
         .map(|m| {
             vec![
@@ -49,7 +43,7 @@ mod tests {
 
     #[test]
     fn matches_paper_rows() {
-        let models = run(Scale::Quick);
+        let models = table2();
         assert_eq!(models.len(), 7);
         // 350M base appears for the four expert-count variants.
         assert_eq!(

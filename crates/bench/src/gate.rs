@@ -90,7 +90,7 @@ impl GateReport {
 
 /// A field's value as message text: strings unquoted, numbers as their
 /// exact token, nothing for an absent field.
-fn text(row: &Json, key: &str) -> String {
+pub(crate) fn text(row: &Json, key: &str) -> String {
     row.get(key).map(shown).unwrap_or_default()
 }
 
@@ -145,6 +145,21 @@ impl<'a> Bars<'a> {
     /// Report a violated bar.
     pub fn fail(&mut self, drift: String) {
         self.drifts.push(drift);
+    }
+
+    /// Several numeric fields of one row, each read like [`Bars::num`].
+    pub fn nums<const N: usize>(&mut self, row: &Json, keys: [&str; N]) -> [f64; N] {
+        keys.map(|key| self.num(row, key))
+    }
+
+    /// A bar over `row`: if `violated`, report `<table> <row id>: <what>`.
+    /// State the violation as an ordering comparison, so an absent field
+    /// (NaN, already a drift of its own) adds no second one.
+    pub fn fail_if(&mut self, row: &Json, violated: bool, what: String) {
+        if violated {
+            let (name, id) = (self.table.name, id_of(self.table, row));
+            self.drifts.push(format!("{name} {id}: {what}"));
+        }
     }
 }
 
@@ -581,19 +596,27 @@ mod tests {
 
     #[test]
     fn missing_and_extra_rows_fail() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut fresh = base.clone();
-        fresh.set("rows", "solver", "renamed");
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("missing")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
+        // A beyond-paper table and a paper entry alike.
+        for (key, field, name) in [("rows", "solver", "table2"), ("fig10", "model", "fig10")] {
+            let base = summary(0.25, 100.0, 100.0);
+            let mut fresh = base.clone();
+            fresh.set(key, field, "renamed");
+            let report = compare(&base.to_json(), &fresh.to_json());
+            let has =
+                |a: &str, b: &str| report.drifts.iter().any(|d| d.contains(a) && d.contains(b));
+            assert!(
+                has(&format!("{name} row"), "missing"),
+                "{:?}",
+                report.drifts
+            );
+            assert!(has(&format!("{name} row"), "not in baseline"));
+        }
     }
 
     #[test]
     fn v1_baseline_is_rejected() {
         let fresh = summary(0.25, 100.0, 100.0).to_json();
-        let old = fresh.replace("exflow-bench-summary/v8", "exflow-bench-summary/v1");
+        let old = fresh.replace(SCHEMA, "exflow-bench-summary/v1");
         let report = compare(&old, &fresh);
         assert!(!report.ok());
         assert!(report.drifts[0].contains("schema"));
@@ -619,7 +642,7 @@ mod tests {
         let fresh = base.replace(SCHEMA, "exflow-bench-summary/v1");
         let report = compare(&base, &fresh);
         assert!(!report.ok());
-        assert!(report.drifts[0].contains("must be exflow-bench-summary/v8"));
+        assert!(report.drifts[0].contains(&format!("must be {SCHEMA}")));
     }
 
     #[test]
@@ -628,15 +651,18 @@ mod tests {
         let report = compare(&json[..json.len() / 2], &json);
         assert!(report.drifts[0].contains("baseline document does not parse"));
         // A document that lost a whole section is a drift, not a skip.
-        let report = compare(&json.replace("\"serving_rows\"", "\"other_rows\""), &json);
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("section serving_rows missing from the baseline")),
-            "{:?}",
-            report.drifts
-        );
+        for key in ["serving_rows", "fig7"] {
+            let report = compare(
+                &json.replace(&format!("\"{key}\""), "\"other_rows\""),
+                &json,
+            );
+            let missing = format!("section {key} missing from the baseline");
+            assert!(
+                report.drifts.iter().any(|d| d.contains(&missing)),
+                "{:?}",
+                report.drifts
+            );
+        }
     }
 
     #[test]
@@ -1122,6 +1148,20 @@ mod tests {
         let report = compare(&json, &json);
         let lacks = "replication row piecewise-2phase/E16 lacks field replica_slots";
         assert_eq!(report.drifts, [lacks]);
+
+        // The same for a paper entry: full ExFlow below plain coherence
+        // fails fig10's bar, with or without the column it is held against.
+        let mut doc = summary(0.25, 100.0, 100.0);
+        doc.set("fig10", "exflow_affinity", 1.25);
+        let json = doc.to_json();
+        let report = compare(&json, &json);
+        let below = "fig10 MoE-GPT-M/8e-24L/8: affinity 1.25 below no-affinity 1.375";
+        assert_eq!(report.drifts, [below]);
+        doc.strip("fig10", "exflow_no_affinity");
+        let json = doc.to_json();
+        let report = compare(&json, &json);
+        let lacks = "fig10 row MoE-GPT-M/8e-24L/8 lacks field exflow_no_affinity";
+        assert_eq!(report.drifts, [lacks]);
     }
 
     #[test]
@@ -1137,17 +1177,24 @@ mod tests {
 
     #[test]
     fn a_fresh_row_that_drops_or_adds_a_column_is_a_drift() {
-        let base = summary(0.25, 100.0, 100.0);
-        let mut dropped = base.clone();
-        dropped.strip("online_rows", "windows");
-        let report = compare(&base.to_json(), &dropped.to_json());
-        assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
-        assert!(report.drifts[0].contains("online row piecewise-2phase"));
-        assert!(report.drifts[0].contains("lacks [\"windows\"], adds []"));
-        // The same pair the other way round: the fresh row adds a column.
-        let report = compare(&dropped.to_json(), &base.to_json());
-        assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
-        assert!(report.drifts[0].contains("lacks [], adds [\"windows\"]"));
+        // A column no bar reads, of a beyond-paper table and of a paper
+        // entry.
+        for (key, field, row) in [
+            ("online_rows", "windows", "online row piecewise-2phase"),
+            ("table1", "layers", "table1 row ExFlow"),
+        ] {
+            let base = summary(0.25, 100.0, 100.0);
+            let mut dropped = base.clone();
+            dropped.strip(key, field);
+            let report = compare(&base.to_json(), &dropped.to_json());
+            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
+            assert!(report.drifts[0].contains(row));
+            assert!(report.drifts[0].contains(&format!("lacks [\"{field}\"], adds []")));
+            // The same pair the other way round: the fresh row adds a column.
+            let report = compare(&dropped.to_json(), &base.to_json());
+            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
+            assert!(report.drifts[0].contains(&format!("lacks [], adds [\"{field}\"]")));
+        }
     }
 
     #[test]
@@ -1166,6 +1213,13 @@ mod tests {
             assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
             assert!(report.drifts[0].contains(&drift), "{:?}", report.drifts);
         }
+        // A paper row is gated the same way, and the drift names the
+        // table, the row and the field.
+        let mut fresh = base.clone();
+        fresh.set("fig7", "affinity_local", 0.56);
+        let report = compare(&base.to_json(), &fresh.to_json());
+        let drift = "affinity_local drift on fig7/4: baseline 0.55 vs fresh 0.56";
+        assert_eq!(report.drifts, [drift]);
         // A ratio of wall-clock fields is wall-clock too: 10x -> 5x on the
         // sparse cell clears the 2x bar and is not a drift.
         let fresh = summary(0.25, 100.0, 50.0).to_json();

@@ -4,16 +4,20 @@
 //! section of "Exploiting Inter-Layer Expert Affinity for Accelerating
 //! Mixture-of-Experts Model Inference" (IPDPS 2024).
 //!
-//! * Each `experiments::*` module regenerates one paper artifact as typed
-//!   rows (workload generation, parameter sweep, baselines, measurement).
-//! * The `repro` binary prints the rows the paper reports
-//!   (`cargo run --release -p exflow-bench --bin repro -- <artifact>`).
-//! * The `bench_summary` binary sweeps the gated tables of [`table::TABLES`]
-//!   into the `BENCH_*.json` document and runs the CI perf-gate over it.
-//!   Speed is measured by the standalone `benchmark/` package, not here.
-//!
-//! Every experiment takes a [`Scale`]: `Quick` keeps CI and `cargo test`
-//! fast on reduced sweeps, `Full` runs the paper-sized sweeps.
+//! * One registry, [`table::TABLES`]: every artifact whose output is rows —
+//!   the paper's tables and figures and the beyond-paper `table_*` sweeps
+//!   — is an entry naming its sweep, its acceptance bars and its render.
+//!   Each `experiments::*` module holds one artifact's three functions.
+//! * One runner: the `repro` binary prints an artifact's entries
+//!   (`cargo run --release -p exflow-bench --bin repro -- <artifact>`), and
+//!   the `bench_summary` binary sweeps them all into the `BENCH_*.json`
+//!   document and runs the CI perf-gate over it, so the paper's numbers
+//!   are bit-compared on every PR. Speed is measured by the standalone
+//!   `benchmark/` package, not here.
+//! * One size per artifact: the paper's artifacts run the paper's
+//!   workload ([`experiments::common::PAPER`]), the beyond-paper tables
+//!   the size their sweep states. The only other workload is the
+//!   `#[cfg(test)]` fixture the debug-profile tests sweep.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,22 +29,3 @@ pub mod gate;
 pub mod summary;
 pub mod sweep;
 pub mod table;
-
-/// How big an experiment sweep to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// Reduced sweep for tests and smoke runs.
-    Quick,
-    /// Paper-sized sweep (use release builds).
-    Full,
-}
-
-impl Scale {
-    /// Pick `quick` or `full` depending on the scale.
-    pub fn pick<T>(self, quick: T, full: T) -> T {
-        match self {
-            Scale::Quick => quick,
-            Scale::Full => full,
-        }
-    }
-}

@@ -38,6 +38,7 @@ use exflow_placement::{
 };
 use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
+use crate::experiments::common::PAPER;
 use crate::sweep::{par_map, SweepPool};
 use crate::table::{text, TABLES};
 
@@ -1775,14 +1776,19 @@ pub fn partial_replication_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, S
 /// of panicking) if any in-sweep verification fails — that would mean the
 /// determinism contract is broken and the JSON must not be published.
 pub fn run(jobs: usize, seed: u64) -> Result<BenchSummary, String> {
-    // The first table is the Table II sweep, whose two timed passes also
-    // yield the document header's whole-sweep walls.
-    let (table2, rest) = TABLES.split_first().expect("TABLES is not empty");
-    assert_eq!(table2.key, "rows", "the Table II sweep leads TABLES");
-    let (rows, wall_ms_jobs1, wall_ms_jobs_n) = solver_sweep(jobs, seed)?;
-    let mut tables = vec![(table2.key, rows)];
-    for table in rest {
-        tables.push((table.key, (table.sweep)(jobs, seed)?));
+    let (mut wall_ms_jobs1, mut wall_ms_jobs_n) = (0.0, 0.0);
+    let mut tables = Vec::with_capacity(TABLES.len());
+    for table in TABLES {
+        // The Table II sweep's two timed passes also yield the document
+        // header's whole-sweep walls.
+        let rows = if table.key == "rows" {
+            let (rows, wall1, wall_n) = solver_sweep(jobs, seed)?;
+            (wall_ms_jobs1, wall_ms_jobs_n) = (wall1, wall_n);
+            rows
+        } else {
+            table.rows(&PAPER, jobs, seed)?
+        };
+        tables.push((table.key, rows));
     }
     Ok(BenchSummary {
         seed,
@@ -1798,6 +1804,132 @@ pub fn run(jobs: usize, seed: u64) -> Result<BenchSummary, String> {
 #[cfg(test)]
 pub(crate) mod fixture {
     use super::*;
+
+    /// The paper entries' sections: the fewest rows that exercise each
+    /// entry's bars, all cleared.
+    fn paper_sections() -> Vec<Vec<Vec<(&'static str, Json)>>> {
+        vec![
+            vec![vec![
+                ("system", "ExFlow".into()),
+                ("gpus", 8u64.into()),
+                ("requests_per_gpu", 48u64.into()),
+                ("layers", 24u64.into()),
+                ("topo_aware", "no".into()),
+                ("extra_memory", "yes".into()),
+                ("routing_fraction", 0.565.into()),
+                ("volume_top1", 8282.5.into()),
+                ("volume_top2", 13492.5.into()),
+                ("inference_ok", "yes".into()),
+            ]],
+            vec![vec![
+                ("corpus", "pile-proxy".into()),
+                ("intra_gpu", 1.0.into()),
+                ("intra_node", 1.0.into()),
+            ]],
+            vec![vec![
+                ("model", "MoE-GPT-M/8e-24L".into()),
+                ("gpus", 8u64.into()),
+                ("cc_alltoall", 0.5.into()),
+                ("cc_allgather", 0.125.into()),
+            ]],
+            vec![vec![
+                ("gpus", 4u64.into()),
+                ("deepspeed_local", 0.25.into()),
+                ("affinity_local", 0.55.into()),
+                ("comm_reduction", 0.4.into()),
+            ]],
+            vec![vec![
+                ("nodes", 2u64.into()),
+                ("deepspeed_local", 0.5.into()),
+                ("affinity_local", 0.7.into()),
+                ("internode_reduction", 0.4.into()),
+            ]],
+            vec![vec![
+                ("nodes", 1u64.into()),
+                ("gating", 0.0.into()),
+                ("alltoall", 0.125.into()),
+                ("attention", 0.125.into()),
+                ("expert_ffn", 0.75.into()),
+            ]],
+            vec![vec![
+                ("model", "MoE-GPT-M/8e-24L".into()),
+                ("gpus", 8u64.into()),
+                ("exflow_no_affinity", 1.375.into()),
+                ("exflow_affinity", 1.5.into()),
+            ]],
+            vec![
+                vec![
+                    ("experts", 8u64.into()),
+                    ("iteration", 0u64.into()),
+                    ("max_share", 0.5.into()),
+                    ("active_experts", 2u64.into()),
+                ],
+                vec![
+                    ("experts", 8u64.into()),
+                    ("iteration", 2000u64.into()),
+                    ("max_share", 0.125.into()),
+                    ("active_experts", 8u64.into()),
+                ],
+            ],
+            vec![
+                vec![
+                    ("phase", "a".into()),
+                    ("experts", 8u64.into()),
+                    ("iteration", 0u64.into()),
+                    ("affinity", 0.75.into()),
+                    ("scaled", 1.0.into()),
+                ],
+                vec![
+                    ("phase", "a".into()),
+                    ("experts", 8u64.into()),
+                    ("iteration", 2000u64.into()),
+                    ("affinity", 0.375.into()),
+                    ("scaled", 0.5.into()),
+                ],
+            ],
+            vec![
+                vec![
+                    ("experts", 8u64.into()),
+                    ("tokens", 50u64.into()),
+                    ("alltoall_speedup", 1.125.into()),
+                ],
+                vec![
+                    ("experts", 8u64.into()),
+                    ("tokens", 5000u64.into()),
+                    ("alltoall_speedup", 1.25.into()),
+                ],
+            ],
+            vec![vec![
+                ("from_layer", 0u64.into()),
+                ("to_layer", 1u64.into()),
+                ("top1_mass", 0.375.into()),
+            ]],
+            vec![
+                vec![("solver", "round-robin".into()), ("cross_mass", 8.5.into())],
+                vec![("solver", "portfolio".into()), ("cross_mass", 4.75.into())],
+            ],
+            vec![vec![
+                ("strategy", "staged".into()),
+                ("internode_cross", 0.25.into()),
+                ("gpu_cross", 0.5.into()),
+            ]],
+            vec![
+                vec![("kappa", 0.0.into()), ("speedup", 1.375.into())],
+                vec![("kappa", 0.9.into()), ("speedup", 1.5.into())],
+            ],
+            vec![vec![
+                ("strategy", "exflow-placement".into()),
+                ("extra_copies", 0u64.into()),
+                ("local_fraction", 0.55.into()),
+            ]],
+            vec![vec![
+                ("gate", "top-1".into()),
+                ("mode", "Deepspeed (vanilla)".into()),
+                ("cross_gpu_bytes", (1u64 << 27).into()),
+                ("relative_throughput", 1.0.into()),
+            ]],
+        ]
+    }
 
     pub(crate) fn summary(cross: f64, wall: f64, sparse_wall_dense: f64) -> BenchSummary {
         let rows: Vec<Vec<(&str, Json)>> = vec![
@@ -1936,15 +2068,23 @@ pub(crate) mod fixture {
                 ("cc_local_fraction", Json::Fixed(0.875, 6)),
             ],
         ];
-        let sections = TABLES.iter().zip(rows);
+        // TABLES order: the paper's entries, then the beyond-paper tables'
+        // one row each.
+        let sections = paper_sections()
+            .into_iter()
+            .chain(rows.into_iter().map(|row| vec![row]));
+        let tables: Vec<_> = TABLES
+            .iter()
+            .zip(sections)
+            .map(|(table, rows)| (table.key, rows.into_iter().map(Json::obj).collect()))
+            .collect();
+        assert_eq!(tables.len(), TABLES.len(), "a section per TABLES entry");
         BenchSummary {
             seed: 1,
             jobs: 4,
             wall_ms_jobs1: wall,
             wall_ms_jobs_n: wall / 2.0,
-            tables: sections
-                .map(|(table, row)| (table.key, vec![Json::obj(row)]))
-                .collect(),
+            tables,
         }
     }
 
@@ -1987,21 +2127,9 @@ pub(crate) mod fixture {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::OnceLock;
-
     use super::*;
+    use crate::table::fixture::rows;
     use crate::table::{int, num};
-
-    /// One quick run shared by every test that reads sweep output.
-    fn quick() -> &'static BenchSummary {
-        static RUN: OnceLock<BenchSummary> = OnceLock::new();
-        RUN.get_or_init(|| run(2, 7).expect("determinism must hold"))
-    }
-
-    fn rows(key: &str) -> &'static [Json] {
-        let section = quick().tables.iter().find(|(k, _)| *k == key);
-        &section.unwrap_or_else(|| panic!("no {key} section")).1
-    }
 
     fn keys(row: &Json) -> Vec<&str> {
         let Json::Obj(fields) = row else {
@@ -2049,12 +2177,12 @@ mod tests {
 
     #[test]
     fn every_table_sweeps_uniform_rows_that_clear_its_own_bars() {
-        let sections: Vec<&str> = quick().tables.iter().map(|(key, _)| *key).collect();
-        let declared: Vec<&str> = TABLES.iter().map(|t| t.key).collect();
-        assert_eq!(sections, declared, "run() sweeps TABLES, in order");
-        for table in TABLES {
+        // In reverse: the tests below read the tables in document order,
+        // so the two test threads sweep different tables at the same time
+        // instead of one waiting on the other's `OnceLock`.
+        for table in TABLES.iter().rev() {
             let rows = rows(table.key);
-            assert!(!rows.is_empty(), "{}: the quick sweep is empty", table.key);
+            assert!(!rows.is_empty(), "{}: the sweep is empty", table.key);
             let columns = keys(&rows[0]);
             for row in rows {
                 assert_eq!(keys(row), columns, "{}: ragged rows", table.key);
@@ -2073,7 +2201,8 @@ mod tests {
                 "{}",
                 table.key
             );
-            assert!((table.render)(rows).lines().count() > rows.len());
+            // A heading (or a header and its rule) above the content.
+            assert!((table.render)(rows).lines().count() > 2, "{}", table.key);
         }
     }
 
@@ -2156,7 +2285,7 @@ mod tests {
             );
         }
         let covers_512 = replan.iter().any(|row| int(row, "experts") == 512);
-        assert!(covers_512, "the quick sweep must cover E = 512");
+        assert!(covers_512, "the sweep must cover E = 512");
 
         assert_eq!(rows("partial_replication_rows").len(), 4, "E x top-k grid");
     }
