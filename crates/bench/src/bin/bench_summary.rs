@@ -6,7 +6,7 @@
 //! paragraph is the doc comment of its sweep function in
 //! `exflow_bench::summary`), prints each table to stderr through the same
 //! `render` that `repro` uses, and writes the machine-readable summary
-//! JSON (schema `exflow-bench-summary/v8`, documented in the README).
+//! JSON (schema `exflow-bench-summary/v9`, documented in the README).
 //!
 //! ```text
 //! cargo run --release -p exflow-bench --bin bench_summary -- \

@@ -638,7 +638,7 @@ mod tests {
         let fresh = summary(0.25, 100.0, 100.0).to_json();
         for tag in [
             "exflow-bench-summary/v2",
-            "exflow-bench-summary/v9",
+            "exflow-bench-summary/v8",
             "other",
         ] {
             let report = compare(&fresh.replace(SCHEMA, tag), &fresh);
