@@ -487,6 +487,17 @@ mod tests {
     }
 
     #[test]
+    fn the_readme_schema_lists_every_section_in_table_order() {
+        let mut rest = include_str!("../../../README.md");
+        for table in TABLES {
+            let section = format!("  \"{}\": [", table.key);
+            let at = rest.find(&section);
+            let at = at.unwrap_or_else(|| panic!("README lacks {section} after the one before"));
+            rest = &rest[at + section.len()..];
+        }
+    }
+
+    #[test]
     fn paper_entries_sweep_the_same_rows_at_any_width_and_clear_their_bars() {
         for table in TABLES.iter().filter(|t| is_paper(t)) {
             let rows = fixture::rows(table.key);
