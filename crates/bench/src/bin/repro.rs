@@ -14,7 +14,6 @@
 //! 2 on usage errors (no targets, unknown artifact name, bad `--jobs`).
 
 use exflow_bench::cli::{self, Command};
-use exflow_bench::sweep::SweepPool;
 
 fn print_usage() {
     eprintln!("usage: repro [--jobs N] <artifact>... | all");
@@ -34,14 +33,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let pool = SweepPool::new(jobs);
     let mut ok = true;
     for target in targets {
         println!("==============================================================");
         let run = cli::runner(&target).expect("parse validates against the dispatch table");
         // Catch panics so one failing artifact doesn't abort the rest and
         // the documented exit code (1, not the panic's 101) is honored.
-        if std::panic::catch_unwind(|| pool.install(|| run.run(jobs))).is_err() {
+        if std::panic::catch_unwind(|| run.run(jobs)).is_err() {
             eprintln!("error: artifact {target} failed to regenerate");
             ok = false;
         }

@@ -114,7 +114,7 @@ pub fn engine_for(model: ModelConfig, gpus: usize, w: &Workload) -> InferenceEng
 }
 
 /// What tier-1's debug-profile tests sweep instead: the paper-sized
-/// `fig10` alone takes minutes unoptimised, this takes under a second.
+/// `fig10` alone takes minutes unoptimised, this takes about a second.
 #[cfg(test)]
 pub const FIXTURE: Workload = Workload {
     max_gpus: 8,

@@ -102,20 +102,20 @@ pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
 
 /// Both phases as the printed tables.
 pub fn render(rows: &[Json]) -> String {
-    let phases = PHASES.iter().map(|(phase, title, _)| {
-        let of_phase = |r: &&Json| text(r, "phase") == *phase;
-        let rows: Vec<Json> = rows.iter().filter(of_phase).cloned().collect();
-        render_section(
-            &format!("{title}: scaled expert affinity during training"),
-            &[
-                ("experts", &|r| text(r, "experts")),
-                ("iteration", &|r| text(r, "iteration")),
-                ("affinity", &|r| f3(num(r, "affinity"))),
-                ("scaled", &|r| f3(num(r, "scaled"))),
-            ],
-            &rows,
-        )
-    });
+    let phases = series(rows, &["phase"])
+        .zip(PHASES)
+        .map(|(rows, (_, title, _))| {
+            render_section(
+                &format!("{title}: scaled expert affinity during training"),
+                &[
+                    ("experts", &|r| text(r, "experts")),
+                    ("iteration", &|r| text(r, "iteration")),
+                    ("affinity", &|r| f3(num(r, "affinity"))),
+                    ("scaled", &|r| f3(num(r, "scaled"))),
+                ],
+                rows,
+            )
+        });
     phases.collect()
 }
 

@@ -399,7 +399,8 @@ pub(crate) fn serving_bars(rows: &[Json], bars: &mut Bars) {
                      incumbent's {static_p99} by more than its {surcharge} of migration time"
                 ));
             }
-            if arrival != "poisson" && p99 >= static_p99 {
+            let non_stationary = matches!(arrival.as_str(), "diurnal" | "flash-crowd");
+            if non_stationary && p99 >= static_p99 {
                 bars.fail(format!(
                     "serving tail on {arrival}: {policy} p99 {p99} does not beat the static \
                      incumbent's {static_p99} under non-stationary arrivals"

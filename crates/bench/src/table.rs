@@ -428,7 +428,7 @@ pub(crate) mod fixture {
     }
 
     /// Overwrite `field` of `row`, which must hold it.
-    pub(crate) fn set(row: &mut Json, field: &str, value: Json) {
+    fn set(row: &mut Json, field: &str, value: Json) {
         let Json::Obj(fields) = row else {
             panic!("a row is an object")
         };
