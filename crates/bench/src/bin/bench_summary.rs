@@ -94,13 +94,6 @@ fn main() {
         }
     };
 
-    eprintln!(
-        "sweep: jobs=1 {:.0} ms, jobs={} {:.0} ms, speedup {:.2}x, objectives bit-identical",
-        summary.wall_ms_jobs1,
-        summary.jobs,
-        summary.wall_ms_jobs_n,
-        summary.speedup()
-    );
     for (table, (_, rows)) in TABLES.iter().zip(&summary.tables) {
         eprintln!("\n[{}]\n{}", table.key, (table.render)(rows));
     }

@@ -7,10 +7,11 @@
 //! live objective with a held
 //! [`SwapGainCache`](exflow_placement::SwapGainCache) buffer. The two
 //! paths must land on bit-identical placements and cross masses for
-//! identical solver work, so the table records *cost*: swap candidates
-//! considered, how many of them needed an exact gain evaluation
-//! (`evaluated`) against how many the attraction table decided alone
-//! (`reused`), and the wall time of each path.
+//! identical solver work, so the table records *cost* as operation
+//! counts: swap candidates considered, how many of them needed an exact
+//! gain evaluation (`evaluated`) against how many the attraction table
+//! decided alone (`reused`). What a re-plan costs on the host clock is
+//! `benchmark/`'s `replan-e512` workload.
 
 use exflow_core::json::Json;
 
@@ -35,12 +36,6 @@ pub fn render(rows: &[Json]) -> String {
             ("reused", &|r| text(r, "reused")),
             ("reduction", &|r| {
                 format!("{:.2}x", num(r, "scan_reduction"))
-            }),
-            ("rebuild ms", &|r| {
-                format!("{:.1}", num(r, "wall_ms_rebuild"))
-            }),
-            ("incr ms", &|r| {
-                format!("{:.1}", num(r, "wall_ms_incremental"))
             }),
         ],
         rows,

@@ -1,38 +1,29 @@
-//! The CI perf-gate: compare a fresh bench summary against the committed
+//! The CI gate: compare a fresh bench summary against the committed
 //! baseline (`BENCH_BASELINE.json`).
 //!
-//! Everything a sweep emits is a deterministic fact unless its [`TABLES`]
-//! entry says it is wall-clock. Facts are printed with shortest round-trip
-//! formatting (or a fixed number of decimals), so *token* inequality in
-//! the JSON is *bit* inequality of the value, and any mismatch is a hard
-//! failure (the baseline must be regenerated deliberately, never drift
-//! silently). Wall-clock numbers are machine-dependent measurements:
-//! regressions beyond [`WALL_REGRESSION_WARN`] only produce warnings for
-//! the job summary, because CI runners are noisy.
+//! Everything a sweep emits is a deterministic fact, printed with shortest
+//! round-trip formatting (or a fixed number of decimals), so *token*
+//! inequality in the JSON is *bit* inequality of the value, and any
+//! mismatch is a hard failure (the baseline must be regenerated
+//! deliberately, never drift silently). No field is a measurement: host
+//! time is `benchmark/`'s business.
 //!
 //! Both documents are parsed with the workspace's one JSON layer
 //! (`exflow_core::json`). Per [`TABLES`] entry the rule is: the `id`
-//! fields identify a row, the `wall` fields warn, the `unjudged` ratios of
-//! wall fields are skipped, **every other field of a baseline row is
-//! bit-compared**, a fresh row whose field list is not its baseline row's
-//! is a drift, and the fresh rows must clear the entry's `bars` — one of
-//! the functions below — on their own.
+//! fields find the row, **everything else is bit-compared** (a fresh row
+//! whose field list is not its baseline row's is a drift), and the fresh
+//! rows must clear the entry's `bars` — one of the functions below — on
+//! their own.
 
 use exflow_core::json::Json;
 
 use crate::summary::{online_recovery, SCHEMA};
 use crate::table::{shown, Table, TABLES};
 
-/// Fractional wall-clock regression beyond which a warning is emitted
-/// (fresh > 1.25x baseline).
-pub const WALL_REGRESSION_WARN: f64 = 1.25;
-
-/// Wall measurements shorter than this (milliseconds) are never compared:
-/// at micro scale the noise floor dwarfs any real regression.
-pub const WALL_FLOOR_MS: f64 = 5.0;
-
-/// The sparse backend must beat dense by at least this factor on the
-/// `E = 512`, top-1 cell (the acceptance bar of the sparse backend).
+/// On the `E = 512`, top-1 cell the CSR backend must store (and a
+/// `swap_delta` pass walk) at most one in this many of the dense backend's
+/// cells: `density <= 1 / MIN_SPARSE_SPEEDUP_512` (the acceptance bar of
+/// the sparse backend; 0.006443 today, one in 155).
 pub const MIN_SPARSE_SPEEDUP_512: f64 = 2.0;
 
 /// Budgeted incremental re-placement must recover at least this fraction
@@ -44,45 +35,32 @@ pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 /// table must decide all but one in this many considered swap candidates
 /// without an exact gain evaluation (`considered / evaluated`; the
 /// acceptance bar of the incremental re-plan engine). Like the sparse
-/// bar, this is an operation-count — not wall-clock — contrast, so it
-/// holds on 1-core runners too. The quick sweep measures 26 703x and
-/// 40 166x; the bar leaves a tenfold margin below that.
+/// bar, this is an operation count, so it holds on any runner. The sweep
+/// measures 26 703x and 40 166x; the bar leaves a tenfold margin below that.
 pub const MIN_REPLAN_SCAN_REDUCTION_512: f64 = 2500.0;
 
 /// Outcome of a baseline comparison.
 #[derive(Debug, Clone, Default)]
 pub struct GateReport {
-    /// Hard failures: objective drift, schema/coverage mismatches, a
-    /// fresh run below an acceptance bar.
+    /// Failures: a drifted fact, schema/coverage mismatches, a fresh run
+    /// below an acceptance bar.
     pub drifts: Vec<String>,
-    /// Soft findings: wall-clock regressions beyond the noise allowance.
-    pub warnings: Vec<String>,
 }
 
 impl GateReport {
-    /// Whether the gate passes (warnings allowed, drifts not).
+    /// Whether the gate passes.
     pub fn ok(&self) -> bool {
         self.drifts.is_empty()
     }
 
     /// Render as markdown for the CI job summary.
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
         if self.ok() {
-            out.push_str("### perf-gate: PASS\n\n");
-        } else {
-            out.push_str("### perf-gate: FAIL (objective drift)\n\n");
-            for d in &self.drifts {
-                out.push_str(&format!("- :x: {d}\n"));
-            }
+            return "### perf-gate: PASS\n".to_string();
         }
-        if self.warnings.is_empty() {
-            out.push_str("No wall-time regressions beyond the noise allowance.\n");
-        } else {
-            out.push_str("#### Wall-time regressions (warning only)\n\n");
-            for w in &self.warnings {
-                out.push_str(&format!("- :warning: {w}\n"));
-            }
+        let mut out = "### perf-gate: FAIL (objective drift)\n\n".to_string();
+        for d in &self.drifts {
+            out.push_str(&format!("- :x: {d}\n"));
         }
         out
     }
@@ -92,12 +70,6 @@ impl GateReport {
 /// exact token, nothing for an absent field.
 pub(crate) fn text(row: &Json, key: &str) -> String {
     row.get(key).map(shown).unwrap_or_default()
-}
-
-/// A wall-clock field, or NaN when absent — NaN satisfies no comparison,
-/// so a missing measurement never warns.
-fn wall(row: &Json, key: &str) -> f64 {
-    row.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN)
 }
 
 /// A row's `(key, value)` pairs; a row that is not an object has none.
@@ -160,15 +132,6 @@ impl<'a> Bars<'a> {
             let (name, id) = (self.table.name, id_of(self.table, row));
             self.drifts.push(format!("{name} {id}: {what}"));
         }
-    }
-}
-
-fn warn_wall(warnings: &mut Vec<String>, what: &str, base: f64, fresh: f64) {
-    if base >= WALL_FLOOR_MS && fresh > WALL_REGRESSION_WARN * base {
-        warnings.push(format!(
-            "{what}: wall {fresh:.1} ms vs baseline {base:.1} ms ({:.0}% regression)",
-            (fresh / base - 1.0) * 100.0
-        ));
     }
 }
 
@@ -240,10 +203,7 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
             for (key, base) in fields(b) {
                 // A field the fresh row lacks is named by the drift above.
                 let Some(fresh) = f.get(key) else { continue };
-                if let Some((_, suffix)) = table.wall.iter().find(|(field, _)| field == key) {
-                    let what = format!("{id}{suffix}");
-                    warn_wall(&mut report.warnings, &what, wall(b, key), wall(f, key));
-                } else if base != fresh && !table.unjudged.contains(&&**key) {
+                if base != fresh {
                     report.drifts.push(format!(
                         "{} drift on {}/{id}: baseline {} vs fresh {}",
                         table.drift_name.unwrap_or(key),
@@ -265,30 +225,22 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
         }
         (table.bars)(fresh_rows, &mut Bars::new(table, &mut report.drifts));
     }
-
-    for (field, what) in [
-        ("wall_ms_jobs1", "whole sweep (jobs=1)"),
-        ("wall_ms_jobsN", "whole sweep (jobs=N)"),
-    ] {
-        let (base, fresh) = (wall(&base_doc, field), wall(&fresh_doc, field));
-        warn_wall(&mut report.warnings, what, base, fresh);
-    }
     report
 }
 
-/// The sparse backend must hold its >= 2x win on the E=512 top-1 cell.
-/// This is algorithmic (not thread-parallel) speedup, so it holds on
-/// 1-core runners too.
+/// The sparse backend's win on the E=512 top-1 cell, as the count it is:
+/// the CSR backend stores at most `1 / MIN_SPARSE_SPEEDUP_512` of the
+/// dense backend's cells.
 pub(crate) fn sparse_bars(rows: &[Json], bars: &mut Bars) {
     for f in rows {
-        let speedup = bars.num(f, "speedup");
+        let density = bars.num(f, "density");
         if bars.num(f, "experts") == 512.0
             && bars.num(f, "k") == 1.0
-            && speedup < MIN_SPARSE_SPEEDUP_512
+            && density * MIN_SPARSE_SPEEDUP_512 > 1.0
         {
             bars.fail(format!(
-                "sparse backend speedup on {} is {speedup:.2}x, below the \
-                 {MIN_SPARSE_SPEEDUP_512:.1}x acceptance bar",
+                "sparse backend on {} stores {density} of the dense cells, above the \
+                 1/{MIN_SPARSE_SPEEDUP_512:.0} acceptance bar",
                 text(f, "preset")
             ));
         }
@@ -534,17 +486,16 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let json = summary(0.25, 100.0, 100.0).to_json();
+        let json = summary(0.25).to_json();
         let report = compare(&json, &json);
         assert!(report.ok(), "{:?}", report.drifts);
-        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
         assert!(report.to_markdown().contains("PASS"));
     }
 
     #[test]
     fn objective_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25000000001, 100.0, 100.0).to_json();
+        let base = summary(0.25).to_json();
+        let fresh = summary(0.25000000001).to_json();
         let report = compare(&base, &fresh);
         assert!(!report.ok());
         assert!(report.drifts[0].contains("objective drift"));
@@ -555,35 +506,14 @@ mod tests {
     fn one_ulp_of_drift_is_detected() {
         let x = 0.1f64;
         let bumped = f64::from_bits(x.to_bits() + 1);
-        let base = summary(x, 100.0, 100.0).to_json();
-        let fresh = summary(bumped, 100.0, 100.0).to_json();
+        let base = summary(x).to_json();
+        let fresh = summary(bumped).to_json();
         assert!(!compare(&base, &fresh).ok(), "1-ulp drift must fail");
     }
 
     #[test]
-    fn wall_regression_only_warns() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25, 200.0, 100.0).to_json();
-        let report = compare(&base, &fresh);
-        assert!(report.ok());
-        assert!(
-            report.warnings.iter().any(|w| w.contains("whole sweep")),
-            "{:?}",
-            report.warnings
-        );
-    }
-
-    #[test]
-    fn wall_improvements_are_silent() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25, 50.0, 100.0).to_json();
-        let report = compare(&base, &fresh);
-        assert!(report.ok() && report.warnings.is_empty());
-    }
-
-    #[test]
     fn nnz_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let nnz = fresh.int("sparse_rows", "nnz");
         fresh.set("sparse_rows", "nnz", nnz + 1);
@@ -594,10 +524,11 @@ mod tests {
 
     #[test]
     fn slow_sparse_backend_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        // Dense wall 15 ms vs sparse 10 ms: only 1.5x on the 512 cell.
-        let fresh = summary(0.25, 100.0, 15.0).to_json();
-        let report = compare(&base, &fresh);
+        let base = summary(0.25);
+        // The CSR backend stores 0.6 of the dense cells on the 512 cell.
+        let mut fresh = base.clone();
+        fresh.set("sparse_rows", "density", Json::Fixed(0.6, 6));
+        let report = compare(&base.to_json(), &fresh.to_json());
         assert!(!report.ok());
         assert!(
             report.drifts.iter().any(|d| d.contains("acceptance bar")),
@@ -610,7 +541,7 @@ mod tests {
     fn missing_and_extra_rows_fail() {
         // A beyond-paper table and a paper entry alike.
         for (key, field, name) in [("rows", "solver", "table2"), ("fig10", "model", "fig10")] {
-            let base = summary(0.25, 100.0, 100.0);
+            let base = summary(0.25);
             let mut fresh = base.clone();
             fresh.set(key, field, "renamed");
             let report = compare(&base.to_json(), &fresh.to_json());
@@ -627,7 +558,7 @@ mod tests {
 
     #[test]
     fn v1_baseline_is_rejected() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
+        let fresh = summary(0.25).to_json();
         let old = fresh.replace(SCHEMA, "exflow-bench-summary/v1");
         let report = compare(&old, &fresh);
         assert!(!report.ok());
@@ -636,7 +567,7 @@ mod tests {
 
     #[test]
     fn any_other_baseline_schema_is_rejected_with_a_regenerate_drift() {
-        let fresh = summary(0.25, 100.0, 100.0).to_json();
+        let fresh = summary(0.25).to_json();
         for tag in [
             "exflow-bench-summary/v2",
             "exflow-bench-summary/v8",
@@ -650,7 +581,7 @@ mod tests {
 
     #[test]
     fn stale_fresh_document_is_rejected() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
+        let base = summary(0.25).to_json();
         let fresh = base.replace(SCHEMA, "exflow-bench-summary/v1");
         let report = compare(&base, &fresh);
         assert!(!report.ok());
@@ -659,7 +590,7 @@ mod tests {
 
     #[test]
     fn unparseable_and_truncated_documents_fail() {
-        let json = summary(0.25, 100.0, 100.0).to_json();
+        let json = summary(0.25).to_json();
         let report = compare(&json[..json.len() / 2], &json);
         assert!(report.drifts[0].contains("baseline document does not parse"));
         // A document that lost a whole section is a drift, not a skip.
@@ -678,16 +609,8 @@ mod tests {
     }
 
     #[test]
-    fn wall_warnings_are_labeled_in_the_markdown() {
-        let base = summary(0.25, 100.0, 100.0).to_json();
-        let fresh = summary(0.25, 200.0, 100.0).to_json();
-        let md = compare(&base, &fresh).to_markdown();
-        assert!(md.contains("Wall-time regressions"));
-    }
-
-    #[test]
     fn replication_cross_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let joint = fresh.int("replication_online_rows", "joint_cross");
         fresh.set("replication_online_rows", "joint_cross", joint - 1);
@@ -705,7 +628,7 @@ mod tests {
 
     #[test]
     fn replication_memory_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let slots = fresh.int("replication_online_rows", "replica_slots");
         fresh.set("replication_online_rows", "extra_copies", slots + 1);
@@ -722,7 +645,7 @@ mod tests {
 
     #[test]
     fn replication_migration_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let key = "replication_online_rows";
         let allowed = fresh.int(key, "budget_bytes") * fresh.int(key, "joint_replans");
@@ -740,7 +663,7 @@ mod tests {
 
     #[test]
     fn joint_policy_losing_to_owner_moves_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let owner = fresh.int("replication_online_rows", "owner_cross");
         fresh.set("replication_online_rows", "joint_cross", owner + 100);
@@ -757,7 +680,7 @@ mod tests {
 
     #[test]
     fn joint_policy_tying_everywhere_fails_the_domination_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let owner = fresh.int("replication_online_rows", "owner_cross");
         fresh.set("replication_online_rows", "joint_cross", owner);
@@ -774,7 +697,7 @@ mod tests {
 
     #[test]
     fn serving_latency_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let p99 = fresh.num("serving_rows", "online_p99");
         fresh.set("serving_rows", "online_p99", p99 + 1e-9);
@@ -792,7 +715,7 @@ mod tests {
 
     #[test]
     fn serving_tail_regression_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         // Online p99 worse than static: the whole point of paying
         // migration stalls is lost, and the gate must say so even though
@@ -817,7 +740,7 @@ mod tests {
         // The 5-layer / 1 800-request Poisson cell the stricter bar
         // (p99 <= static p99, everywhere) failed on: online ends 1.6 us
         // above the static tail after 357 us of migration.
-        let mut fresh = summary(0.25, 100.0, 100.0);
+        let mut fresh = summary(0.25);
         fresh.set("serving_rows", "static_p99", 1534.8e-6);
         fresh.set("serving_rows", "online_p99", 1536.4e-6);
         fresh.set("serving_rows", "online_migration_time", 357e-6);
@@ -838,7 +761,7 @@ mod tests {
 
     #[test]
     fn serving_goodput_over_offered_load_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let offered = fresh.num("serving_rows", "offered_load");
         fresh.set("serving_rows", "repl_goodput", offered * 2.0);
@@ -855,7 +778,7 @@ mod tests {
 
     #[test]
     fn serving_missing_arrival_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         fresh.set("serving_rows", "arrival", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
@@ -866,7 +789,7 @@ mod tests {
 
     #[test]
     fn elasticity_recovery_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let recovery = fresh.num("elasticity_rows", "repl_recovery");
         fresh.set("elasticity_rows", "repl_recovery", recovery + 1e-9);
@@ -884,7 +807,7 @@ mod tests {
 
     #[test]
     fn slow_replicated_recovery_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         for repl_recovery in [-1.0, 9.0] {
             // Never recovering, or recovering slower than the
             // unreplicated fleet's 8.25, both fail.
@@ -904,7 +827,7 @@ mod tests {
 
     #[test]
     fn failover_saving_no_wire_traffic_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let plain = fresh.int("elasticity_rows", "plain_emergency_bytes");
         fresh.set("elasticity_rows", "repl_emergency_bytes", plain);
@@ -921,7 +844,7 @@ mod tests {
 
     #[test]
     fn elasticity_missing_fault_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         fresh.set("elasticity_rows", "fault", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
@@ -932,7 +855,7 @@ mod tests {
 
     #[test]
     fn partial_cross_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let partial = fresh.num("partial_replication_rows", "partial_cross_mass");
         fresh.set(
@@ -954,7 +877,7 @@ mod tests {
 
     #[test]
     fn partial_losing_to_full_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let full = fresh.num("partial_replication_rows", "full_cross_mass");
         fresh.set("partial_replication_rows", "partial_cross_mass", full + 0.1);
@@ -968,7 +891,7 @@ mod tests {
 
     #[test]
     fn top2_falling_back_to_owner_only_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         fresh.set("partial_replication_rows", "cc_replicas_added", 0u64);
         let report = compare(&base.to_json(), &fresh.to_json());
@@ -984,7 +907,7 @@ mod tests {
 
     #[test]
     fn partial_memory_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let slots = fresh.int("partial_replication_rows", "replica_slots");
         fresh.set(
@@ -1005,7 +928,7 @@ mod tests {
 
     #[test]
     fn partial_migration_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let key = "partial_replication_rows";
         let allowed = fresh.int(key, "budget_bytes") * fresh.int(key, "partial_replans");
@@ -1023,7 +946,7 @@ mod tests {
 
     #[test]
     fn repl_extra_copies_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let copies = fresh.int("elasticity_rows", "repl_extra_copies");
         fresh.set("elasticity_rows", "repl_extra_copies", copies + 1);
@@ -1040,7 +963,7 @@ mod tests {
 
     #[test]
     fn replan_counter_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let evaluated = fresh.int("replan_latency_rows", "evaluated_incremental");
         fresh.set(
@@ -1062,7 +985,7 @@ mod tests {
 
     #[test]
     fn incremental_cross_mass_divergence_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let cm = fresh.num("replan_latency_rows", "cross_mass_incremental");
         fresh.set("replan_latency_rows", "cross_mass_incremental", cm + 1e-12);
@@ -1079,7 +1002,7 @@ mod tests {
 
     #[test]
     fn low_replan_scan_reduction_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         // 8M considered, 8k of them evaluated exactly: only 1000x on the
         // 512 cell.
@@ -1095,7 +1018,7 @@ mod tests {
 
     #[test]
     fn replan_missing_preset_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         fresh.set("replan_latency_rows", "preset", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
@@ -1113,7 +1036,7 @@ mod tests {
 
     #[test]
     fn online_cross_drift_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let budgeted = fresh.int("online_rows", "budgeted_cross");
         fresh.set("online_rows", "budgeted_cross", budgeted + 1);
@@ -1131,7 +1054,7 @@ mod tests {
 
     #[test]
     fn online_missing_scenario_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         fresh.set("online_rows", "scenario", "renamed");
         let report = compare(&base.to_json(), &fresh.to_json());
@@ -1142,7 +1065,7 @@ mod tests {
 
     #[test]
     fn low_online_recovery_fails_the_bar() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         // static 5000, oracle 3000: budgeted 4000 recovers only 50%.
         fresh.set("online_rows", "budgeted_cross", 4000u64);
@@ -1156,7 +1079,7 @@ mod tests {
 
     #[test]
     fn online_budget_violation_fails() {
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         let mut fresh = base.clone();
         let allowed =
             fresh.int("online_rows", "budget_bytes") * fresh.int("online_rows", "replans");
@@ -1175,7 +1098,7 @@ mod tests {
     #[test]
     fn a_bar_that_cannot_read_its_field_is_a_drift_not_a_pass() {
         // 99 extra copies over an 8-slot budget fails the memory bar...
-        let mut doc = summary(0.25, 100.0, 100.0);
+        let mut doc = summary(0.25);
         doc.set("replication_online_rows", "extra_copies", 99u64);
         let json = doc.to_json();
         assert!(!compare(&json, &json).ok());
@@ -1189,7 +1112,7 @@ mod tests {
 
         // The same for a paper entry: full ExFlow below plain coherence
         // fails fig10's bar, with or without the column it is held against.
-        let mut doc = summary(0.25, 100.0, 100.0);
+        let mut doc = summary(0.25);
         doc.set("fig10", "exflow_affinity", 1.25);
         let json = doc.to_json();
         let report = compare(&json, &json);
@@ -1204,8 +1127,9 @@ mod tests {
 
     #[test]
     fn a_missing_selector_field_cannot_hide_a_slow_sparse_cell() {
-        // A 1.5x cell that no longer says it is the E = 512 cell.
-        let mut doc = summary(0.25, 100.0, 15.0);
+        // A dense-ish cell that no longer says it is the E = 512 cell.
+        let mut doc = summary(0.25);
+        doc.set("sparse_rows", "density", Json::Fixed(0.6, 6));
         doc.strip("sparse_rows", "experts");
         let json = doc.to_json();
         let report = compare(&json, &json);
@@ -1221,7 +1145,7 @@ mod tests {
             ("online_rows", "windows", "online row piecewise-2phase"),
             ("table1", "layers", "table1 row ExFlow"),
         ] {
-            let base = summary(0.25, 100.0, 100.0);
+            let base = summary(0.25);
             let mut dropped = base.clone();
             dropped.strip(key, field);
             let report = compare(&base.to_json(), &dropped.to_json());
@@ -1236,10 +1160,10 @@ mod tests {
     }
 
     #[test]
-    fn every_field_not_declared_wall_clock_is_compared() {
+    fn every_field_that_is_not_an_id_is_compared() {
         // `windows` and the rounded `recovery` are in no bar and were in
         // no per-column list: only the compare-everything rule sees them.
-        let base = summary(0.25, 100.0, 100.0);
+        let base = summary(0.25);
         for (field, value) in [
             ("windows", Json::U64(7)),
             ("recovery", Json::Fixed(0.91, 4)),
@@ -1258,10 +1182,5 @@ mod tests {
         let report = compare(&base.to_json(), &fresh.to_json());
         let drift = "affinity_local drift on fig7/4: baseline 0.55 vs fresh 0.56";
         assert_eq!(report.drifts, [drift]);
-        // A ratio of wall-clock fields is wall-clock too: 10x -> 5x on the
-        // sparse cell clears the 2x bar and is not a drift.
-        let fresh = summary(0.25, 100.0, 50.0).to_json();
-        let report = compare(&base.to_json(), &fresh);
-        assert!(report.ok() && report.warnings.is_empty(), "{report:?}");
     }
 }

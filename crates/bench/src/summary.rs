@@ -6,12 +6,9 @@
 //! ends the sweep — one commented line per key — is the only place the
 //! table's columns are declared.
 //!
-//! Quality numbers in `BENCH_*.json` are deterministic facts (the CI
-//! perf-gate compares them bit for bit against the committed baseline);
-//! timing numbers are machine-dependent measurements. The schema
-//! ([`SCHEMA`]) keeps them apart.
-
-use std::time::Instant;
+//! Every number in `BENCH_*.json` is a deterministic fact (the CI gate
+//! compares them bit for bit against the committed baseline). Nothing
+//! here reads a clock: host time is measured by `benchmark/`.
 
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_core::json::Json;
@@ -40,7 +37,7 @@ use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
 use crate::experiments::common::PAPER;
 use crate::sweep::{par_map, SweepPool};
-use crate::table::{text, TABLES};
+use crate::table::TABLES;
 
 /// GPUs each Table II instance is solved for (divides every Table II
 /// expert count).
@@ -200,40 +197,17 @@ pub const BASELINE_SEED: u64 = 20_240_522;
 pub struct BenchSummary {
     /// Master seed driving every instance and solver.
     pub seed: u64,
-    /// Parallel width of the timed parallel pass.
-    pub jobs: usize,
-    /// Wall time of the whole Table II sweep at `--jobs 1`, in
-    /// milliseconds.
-    pub wall_ms_jobs1: f64,
-    /// Wall time of the whole Table II sweep at `--jobs N`, in
-    /// milliseconds.
-    pub wall_ms_jobs_n: f64,
     /// `(section key, rows)` per [`TABLES`] entry, in that order.
     pub tables: Vec<(&'static str, Vec<Json>)>,
 }
 
 impl BenchSummary {
-    /// Parallel speedup of the Table II sweep (jobs=1 wall over jobs=N
-    /// wall).
-    pub fn speedup(&self) -> f64 {
-        ratio(self.wall_ms_jobs1, self.wall_ms_jobs_n)
-    }
-
-    /// Serialize as the [`SCHEMA`] document (see README). Objectives and
-    /// serving latencies print with shortest round-trip float formatting,
-    /// so string equality in the JSON is bit equality of the f64 — what
-    /// the CI perf-gate compares; wall times and derived ratios are
-    /// display-rounded.
+    /// Serialize as the [`SCHEMA`] document (see README). Floats print
+    /// with shortest round-trip formatting or a fixed number of decimals,
+    /// so string equality in the JSON is bit equality of the value — what
+    /// the CI gate compares.
     pub fn to_json(&self) -> String {
-        let mut doc = vec![
-            ("schema", SCHEMA.into()),
-            ("seed", self.seed.into()),
-            ("jobs", self.jobs.into()),
-            ("wall_ms_jobs1", Json::Fixed(self.wall_ms_jobs1, 3)),
-            ("wall_ms_jobsN", Json::Fixed(self.wall_ms_jobs_n, 3)),
-            ("speedup", Json::Fixed(self.speedup(), 3)),
-            ("objectives_bit_identical_across_jobs", Json::Bool(true)),
-        ];
+        let mut doc = vec![("schema", SCHEMA.into()), ("seed", self.seed.into())];
         let sections = self.tables.iter();
         doc.extend(sections.map(|(key, rows)| (*key, Json::Arr(rows.clone()))));
         Json::obj(doc)
@@ -420,94 +394,44 @@ fn at_widths<T: PartialEq>(
     Ok(reference)
 }
 
-/// One full sweep over models × solvers at the installed pool width.
-/// Each grid point is timed individually; `(rows, total_wall_ms)`.
-fn sweep_once(
-    instances: &[(String, Objective)],
-    kinds: &[SolverKind],
-    seed: u64,
-) -> (Vec<Json>, f64) {
-    let grid: Vec<(usize, usize)> = (0..instances.len())
-        .flat_map(|m| (0..kinds.len()).map(move |s| (m, s)))
-        .collect();
-    let t0 = Instant::now();
-    let rows = par_map(grid, |(m, s)| {
-        let (name, objective) = &instances[m];
-        let kind = &kinds[s];
-        let t = Instant::now();
-        // Grid points are the parallel grain; each solve runs
-        // sequentially inside so `--jobs` is the only width that matters.
-        let placement = solve_with(objective, N_UNITS, kind, seed, Parallelism::single());
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        Json::obj(vec![
-            // Table II model name.
-            ("model", name.as_str().into()),
-            // Stable solver label (`SolverKind::label`).
-            ("solver", kind.label().as_str().into()),
-            // Wall milliseconds of the solve (the uncontended `--jobs 1`
-            // pass is the one reported).
-            ("wall_ms", Json::Fixed(wall_ms, 3)),
-            // Achieved objective: expected cross-unit transition mass (lower
-            // is better; bit-identical across thread counts — verified).
-            ("cross_mass", objective.cross_mass(&placement).into()),
-        ])
-    });
-    (rows, t0.elapsed().as_secs_f64() * 1e3)
-}
-
-/// [`solver_table`] with the walls of its two passes:
-/// `(rows, wall_ms_jobs1, wall_ms_jobsN)`.
-fn solver_sweep(jobs: usize, seed: u64) -> Result<(Vec<Json>, f64, f64), String> {
+/// The Table II sweep — the model zoo × the solver portfolio on fixed-seed
+/// profiled instances, recording the achieved objective (cross mass) per
+/// `SolverKind`. Instances and grid points fan across `jobs` workers; each
+/// solve runs sequentially inside its grid point.
+pub fn solver_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let kinds = roster();
-    let models = table2();
-    let sequential = SweepPool::new(1);
-    let parallel = SweepPool::new(jobs);
-    // Instance construction (token sampling + trace estimation) is also
-    // fanned at the requested width; it feeds both timed passes equally,
-    // so it stays outside the timings.
-    let instances: Vec<(String, Objective)> = parallel.install(|| {
-        par_map(models, |m| {
+    let rows = SweepPool::new(jobs).install(|| {
+        let instances: Vec<(String, Objective)> = par_map(table2(), |m| {
             // Fold every identity-bearing field into the stream so no two
             // zoo rows ever measure the same instance.
             let stream = seed ^ (m.n_layers as u64) ^ ((m.d_model as u64) << 16) ^ m.base_params;
-            let obj = instance(m.n_experts, m.n_layers, stream);
-            (m.name, obj)
+            (m.name, instance(m.n_experts, m.n_layers, stream))
+        });
+        let grid: Vec<(usize, usize)> = (0..instances.len())
+            .flat_map(|m| (0..kinds.len()).map(move |s| (m, s)))
+            .collect();
+        par_map(grid, |(m, s)| {
+            let (name, objective) = &instances[m];
+            let kind = &kinds[s];
+            let placement = solve_with(objective, N_UNITS, kind, seed, Parallelism::single());
+            Json::obj(vec![
+                // Table II model name.
+                ("model", name.as_str().into()),
+                // Stable solver label (`SolverKind::label`).
+                ("solver", kind.label().as_str().into()),
+                // Achieved objective: expected cross-unit transition mass
+                // (lower is better; the same bits at any `jobs`).
+                ("cross_mass", objective.cross_mass(&placement).into()),
+            ])
         })
     });
-
-    let (rows1, wall1) = sequential.install(|| sweep_once(&instances, &kinds, seed));
-    let (rows_n, wall_n) = parallel.install(|| sweep_once(&instances, &kinds, seed));
-
-    for (a, b) in rows1.iter().zip(rows_n.iter()) {
-        // Token equality of a shortest-round-trip float is bit equality.
-        if a.get("cross_mass") != b.get("cross_mass") {
-            return Err(format!(
-                "objective diverged across thread counts: {}/{} jobs=1 {} vs jobs={jobs} {}",
-                text(a, "model"),
-                text(a, "solver"),
-                text(a, "cross_mass"),
-                text(b, "cross_mass")
-            ));
-        }
-    }
-    Ok((rows1, wall1, wall_n))
-}
-
-/// The Table II sweep — the model zoo × the solver portfolio on fixed-seed
-/// profiled instances, recording wall milliseconds and the achieved
-/// objective (cross mass) per `SolverKind`. The whole sweep runs twice —
-/// once at `--jobs 1` and once at the requested width — and every
-/// objective is verified bit-identical across the two runs before the
-/// parallel speedup is reported.
-pub fn solver_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    solver_sweep(jobs, seed).map(|(rows, _, _)| rows)
+    Ok(rows)
 }
 
 /// Measure one `table_sparse` cell: profile a large-expert instance,
-/// build the objective once per backend from the same CSR estimates, time
+/// build the objective once per backend from the same CSR estimates, sum
 /// one exact `swap_delta` pass over every swap candidate on each, run the
-/// same bounded polish on each, verify the results are identical, and
-/// report the two wall times.
+/// same bounded polish on each, and verify the results are identical.
 fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
     let e = cfg.n_experts;
     let k = cfg.gate.k();
@@ -523,16 +447,12 @@ fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
         nnz: usize,
         density: Bits,
     }
-    // Wall milliseconds of the timed pass, dense backend first.
-    let mut walls = Vec::with_capacity(2);
     let run = |objective: &Objective| {
         let mut placement = Placement::round_robin(layers, e, N_UNITS_LARGE);
-        let t = Instant::now();
         // The exact gain of every swap candidate once: `swap_delta` is
         // where the backends differ (`O(E)` flat vs `O(nnz)` indexed per
         // call), and what annealing and the walks' exact decisions pay.
-        // The polish below prices candidates from the attraction table
-        // and costs the same on either backend, so it is not timed.
+        // The polish below prices candidates from the attraction table.
         let mut scan = 0.0f64;
         for layer in 0..layers {
             for e1 in 0..e {
@@ -541,7 +461,6 @@ fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
                 }
             }
         }
-        walls.push(t.elapsed().as_secs_f64() * 1e3);
         Pass {
             cost: Bits(improve(objective, &mut placement, 1)),
             scan: Bits(scan),
@@ -571,14 +490,6 @@ fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
         ("nnz", pass.nnz.into()),
         // `nnz` over the dense cell count.
         ("density", Json::Fixed(pass.density.0, 6)),
-        // Wall milliseconds of one exact `swap_delta` evaluation of every
-        // `(layer, e1 < e2)` candidate on the dense backend.
-        ("wall_ms_dense", Json::Fixed(walls[0], 3)),
-        // Wall milliseconds of the same pass on the CSR backend.
-        ("wall_ms_sparse", Json::Fixed(walls[1], 3)),
-        // Dense wall over sparse wall: the sparse backend's algorithmic
-        // speedup on this cell.
-        ("speedup", Json::Fixed(ratio(walls[0], walls[1]), 3)),
         // Final cross mass (bit-identical across backends — verified).
         ("cross_mass", pass.cost.0.into()),
     ]))
@@ -586,19 +497,19 @@ fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
 
 /// The `table_sparse` sweep: the large-expert zoo (`E = 256/512`, top-1
 /// and top-2) solved once per objective backend (dense `E x E` vs CSR),
-/// verifying the two produce identical placements and bit-identical cross
-/// mass, and recording nnz/density plus the dense-vs-sparse wall time of
-/// one exact `swap_delta` pass over every swap candidate per cell. Cells
-/// run sequentially — they are timed, and contention would corrupt the
-/// dense-vs-sparse comparison. Errors if any cell's backends diverge.
-pub fn sparse_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    large_zoo()
-        .iter()
-        .map(|cfg| {
+/// verifying the two produce identical placements, bit-identical cross
+/// mass and the same sum over one exact `swap_delta` pass of every swap
+/// candidate, and recording nnz/density per cell — the share of the dense
+/// cells the CSR backend stores and walks. Errors if any cell's backends
+/// diverge.
+pub fn sparse_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let cells = SweepPool::new(jobs).install(|| {
+        par_map(large_zoo(), |cfg| {
             let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64;
-            sparse_cell(cfg, stream)
+            sparse_cell(&cfg, stream)
         })
-        .collect()
+    });
+    cells.into_iter().collect()
 }
 
 /// Serve one drift scenario under the three policies. Every solve is
@@ -1432,7 +1343,6 @@ fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
     let mut replans = 0usize;
     let (mut considered, mut evaluated_rebuild) = (0u64, 0u64);
     let (mut evaluated_incremental, mut reused) = (0u64, 0u64);
-    let (mut wall_rebuild, mut wall_incremental) = (0.0f64, 0.0f64);
 
     for window in 1..windows {
         let trace = window_trace(&drift, window, window_tokens, 1, seed);
@@ -1440,15 +1350,12 @@ fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
 
         // Rebuild path: pay the full objective reconstruction, then the
         // solve on a local table.
-        let t = Instant::now();
         let rebuilt = Objective::from_snapshot(&streaming.snapshot());
         let (next_rebuild, cost_rebuild) =
             solve_budgeted_metered(&rebuilt, &placement, REPLAN_LATENCY_MOVES, u64::MAX, None);
-        wall_rebuild += t.elapsed().as_secs_f64() * 1e3;
 
         // Incremental path: splice the window delta into the persistent
         // objective, then the solve in the held buffer.
-        let t = Instant::now();
         live.apply_snapshot_delta(&delta);
         let (next_incremental, cost_incremental) = solve_budgeted_metered(
             &live,
@@ -1457,7 +1364,6 @@ fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
             u64::MAX,
             Some(&mut cache),
         );
-        wall_incremental += t.elapsed().as_secs_f64() * 1e3;
 
         if live != rebuilt {
             return Err(format!(
@@ -1533,12 +1439,6 @@ fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
             "scan_reduction",
             Json::Fixed(ratio(considered as f64, evaluated_incremental as f64), 3),
         ),
-        // Wall milliseconds of the rebuild path (objective rebuild +
-        // solve), summed over every re-plan.
-        ("wall_ms_rebuild", Json::Fixed(wall_rebuild, 3)),
-        // Wall milliseconds of the incremental path (delta apply + cached
-        // solve), summed over every re-plan.
-        ("wall_ms_incremental", Json::Fixed(wall_incremental, 3)),
         // Final cross mass of the rebuild path's placement on its
         // objective (bit-identical to the incremental path's — verified).
         ("cross_mass_rebuild", cm_rebuild.into()),
@@ -1549,19 +1449,17 @@ fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
 }
 
 /// The `table_replan_latency` sweep over the large-expert zoo
-/// (`E = 256/512`, top-1 and top-2): what a re-plan costs with and without
-/// incremental objective maintenance, one `replan_latency_cell` per
-/// preset. Cells run sequentially — both paths are timed, and contention
-/// would corrupt the rebuild-vs-incremental comparison. Errors if any
-/// cell's paths diverge.
-pub fn replan_latency_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    large_zoo()
-        .iter()
-        .map(|cfg| {
+/// (`E = 256/512`, top-1 and top-2): what a re-plan costs in solver work
+/// with and without incremental objective maintenance, one
+/// `replan_latency_cell` per preset. Errors if any cell's paths diverge.
+pub fn replan_latency_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let cells = SweepPool::new(jobs).install(|| {
+        par_map(large_zoo(), |cfg| {
             let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64 ^ 0x9e37;
-            replan_latency_cell(cfg, stream)
+            replan_latency_cell(&cfg, stream)
         })
-        .collect()
+    });
+    cells.into_iter().collect()
 }
 
 /// Measure one `table_partial_replication` cell. Every re-plan races the
@@ -1791,27 +1689,11 @@ pub fn partial_replication_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, S
 /// of panicking) if any in-sweep verification fails — that would mean the
 /// determinism contract is broken and the JSON must not be published.
 pub fn run(jobs: usize, seed: u64) -> Result<BenchSummary, String> {
-    let (mut wall_ms_jobs1, mut wall_ms_jobs_n) = (0.0, 0.0);
     let mut tables = Vec::with_capacity(TABLES.len());
     for table in TABLES {
-        // The Table II sweep's two timed passes also yield the document
-        // header's whole-sweep walls.
-        let rows = if table.key == "rows" {
-            let (rows, wall1, wall_n) = solver_sweep(jobs, seed)?;
-            (wall_ms_jobs1, wall_ms_jobs_n) = (wall1, wall_n);
-            rows
-        } else {
-            table.rows(&PAPER, jobs, seed)?
-        };
-        tables.push((table.key, rows));
+        tables.push((table.key, table.rows(&PAPER, jobs, seed)?));
     }
-    Ok(BenchSummary {
-        seed,
-        jobs,
-        wall_ms_jobs1,
-        wall_ms_jobs_n,
-        tables,
-    })
+    Ok(BenchSummary { seed, tables })
 }
 
 /// The hand-built summary the `to_json` and perf-gate tests share: one
@@ -1946,12 +1828,11 @@ pub(crate) mod fixture {
         ]
     }
 
-    pub(crate) fn summary(cross: f64, wall: f64, sparse_wall_dense: f64) -> BenchSummary {
+    pub(crate) fn summary(cross: f64) -> BenchSummary {
         let rows: Vec<Vec<(&str, Json)>> = vec![
             vec![
                 ("model", "MoE-GPT-M/8e-24L".into()),
                 ("solver", "greedy".into()),
-                ("wall_ms", Json::Fixed(wall / 10.0, 3)),
                 ("cross_mass", cross.into()),
             ],
             vec![
@@ -1961,9 +1842,6 @@ pub(crate) mod fixture {
                 ("layers", 2u64.into()),
                 ("nnz", 3000u64.into()),
                 ("density", Json::Fixed(0.011, 6)),
-                ("wall_ms_dense", Json::Fixed(sparse_wall_dense, 3)),
-                ("wall_ms_sparse", Json::Fixed(10.0, 3)),
-                ("speedup", Json::Fixed(sparse_wall_dense / 10.0, 3)),
                 ("cross_mass", (cross / 2.0).into()),
             ],
             vec![
@@ -2058,8 +1936,6 @@ pub(crate) mod fixture {
                 ("evaluated_incremental", 1_000u64.into()),
                 ("reused", 7_999_000u64.into()),
                 ("scan_reduction", Json::Fixed(8000.0, 3)),
-                ("wall_ms_rebuild", Json::Fixed(900.0, 3)),
-                ("wall_ms_incremental", Json::Fixed(120.0, 3)),
                 ("cross_mass_rebuild", (cross / 5.0).into()),
                 ("cross_mass_incremental", (cross / 5.0).into()),
             ],
@@ -2096,13 +1972,7 @@ pub(crate) mod fixture {
             .map(|(table, rows)| (table.key, rows.into_iter().map(Json::obj).collect()))
             .collect();
         assert_eq!(tables.len(), TABLES.len(), "a section per TABLES entry");
-        BenchSummary {
-            seed: 1,
-            jobs: 4,
-            wall_ms_jobs1: wall,
-            wall_ms_jobs_n: wall / 2.0,
-            tables,
-        }
+        BenchSummary { seed: 1, tables }
     }
 
     impl BenchSummary {
@@ -2151,7 +2021,7 @@ pub(crate) mod fixture {
 mod tests {
     use super::*;
     use crate::table::fixture::rows;
-    use crate::table::{int, num};
+    use crate::table::{int, num, text};
 
     fn keys(row: &Json) -> Vec<&str> {
         let Json::Obj(fields) = row else {
@@ -2209,8 +2079,7 @@ mod tests {
             for row in rows {
                 assert_eq!(keys(row), columns, "{}: ragged rows", table.key);
             }
-            let walls = table.wall.iter().map(|&(field, _)| field);
-            for field in table.id.iter().chain(table.unjudged).copied().chain(walls) {
+            for field in table.id {
                 assert!(
                     columns.contains(&field),
                     "{}: the entry names {field:?}, the sweep emits no such column",
@@ -2337,12 +2206,11 @@ mod tests {
 
     #[test]
     fn json_emits_the_sections_in_table_order_with_pinned_formats() {
-        let summary = fixture::summary(0.25, 100.0, 100.0);
+        let summary = fixture::summary(0.25);
         let json = summary.to_json();
         let doc = Json::parse(&json).expect("to_json emits valid JSON");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(1));
-        assert_eq!(doc.get("wall_ms_jobsN").and_then(Json::as_f64), Some(50.0));
 
         // The array sections are exactly the TABLES keys, in that order,
         // and every emitted row is its literal: same keys, same order,
@@ -2357,12 +2225,9 @@ mod tests {
         }
         assert!(sections.next().is_none(), "an emitted section has no table");
 
-        // Derived ratios and wall times are display-rounded; deterministic
-        // facts print with shortest round-trip formatting.
+        // Derived ratios are display-rounded; every other fact prints with
+        // shortest round-trip formatting.
         for pinned in [
-            "\"speedup\": 2.000,",
-            "\"wall_ms\": 10.000,",
-            "\"speedup\": 10.000,",
             "\"density\": 0.011000,",
             "\"recovery\": 0.9000,",
             "\"owner_recovery\": 0.2800,",

@@ -47,14 +47,9 @@ pub struct Table {
     /// that share an artifact are adjacent and print in order.
     pub artifact: Option<&'static str>,
     /// Fields that together identify a row (joined with `/` in messages).
+    /// Every other field a row holds is a deterministic fact, bit-compared
+    /// against the baseline row.
     pub id: &'static [&'static str],
-    /// Wall-clock fields: machine-dependent, so a regression only warns.
-    /// Each comes with the suffix naming it in the warning.
-    pub wall: &'static [(&'static str, &'static str)],
-    /// Ratios of wall-clock fields: never compared. Every field a row
-    /// holds that is in none of `id`, `wall` and `unjudged` is a
-    /// deterministic fact, bit-compared against the baseline row.
-    pub unjudged: &'static [&'static str],
     /// Name drift messages use instead of the field name (Table II's one
     /// judged field is simply "the objective").
     pub drift_name: Option<&'static str>,
@@ -85,8 +80,7 @@ impl Table {
     }
 }
 
-/// A paper artifact's entry, keyed and named by its `repro` artifact: no
-/// wall-clock fields, every column gated.
+/// A paper artifact's entry, keyed and named by its `repro` artifact.
 const fn paper(
     name: &'static str,
     id: &'static [&'static str],
@@ -99,8 +93,6 @@ const fn paper(
         name,
         artifact: Some(name),
         id,
-        wall: &[],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Paper(sweep),
         bars,
@@ -224,8 +216,6 @@ pub const TABLES: &[Table] = &[
         name: "table2",
         artifact: None,
         id: &["model", "solver"],
-        wall: &[("wall_ms", "")],
-        unjudged: &[],
         drift_name: Some("objective"),
         sweep: Sweep::Seeded(summary::solver_table),
         bars: |_, _| {},
@@ -236,11 +226,6 @@ pub const TABLES: &[Table] = &[
         name: "sparse",
         artifact: None,
         id: &["preset"],
-        wall: &[
-            ("wall_ms_dense", " (dense)"),
-            ("wall_ms_sparse", " (sparse)"),
-        ],
-        unjudged: &["speedup"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::sparse_table),
         bars: gate::sparse_bars,
@@ -251,8 +236,6 @@ pub const TABLES: &[Table] = &[
         name: "online",
         artifact: Some("table_online"),
         id: &["scenario"],
-        wall: &[],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Seeded(summary::online_table),
         bars: gate::online_bars,
@@ -263,8 +246,6 @@ pub const TABLES: &[Table] = &[
         name: "replication",
         artifact: Some("table_replication_online"),
         id: &["scenario"],
-        wall: &[],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Seeded(summary::replication_online_table),
         bars: gate::replication_bars,
@@ -275,8 +256,6 @@ pub const TABLES: &[Table] = &[
         name: "serving",
         artifact: Some("table_serving"),
         id: &["arrival"],
-        wall: &[],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Seeded(summary::serving_table),
         bars: gate::serving_bars,
@@ -287,8 +266,6 @@ pub const TABLES: &[Table] = &[
         name: "elasticity",
         artifact: Some("table_elasticity"),
         id: &["fault"],
-        wall: &[],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Seeded(summary::elasticity_table),
         bars: gate::elasticity_bars,
@@ -299,11 +276,6 @@ pub const TABLES: &[Table] = &[
         name: "replan-latency",
         artifact: Some("table_replan_latency"),
         id: &["preset"],
-        wall: &[
-            ("wall_ms_rebuild", " (re-plan, rebuild)"),
-            ("wall_ms_incremental", " (re-plan, incremental)"),
-        ],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Seeded(summary::replan_latency_table),
         bars: gate::replan_latency_bars,
@@ -314,8 +286,6 @@ pub const TABLES: &[Table] = &[
         name: "partial-replication",
         artifact: Some("table_partial_replication"),
         id: &["scenario"],
-        wall: &[],
-        unjudged: &[],
         drift_name: None,
         sweep: Sweep::Seeded(summary::partial_replication_table),
         bars: gate::partial_replication_bars,
@@ -499,7 +469,9 @@ mod tests {
 
     #[test]
     fn paper_entries_sweep_the_same_rows_at_any_width_and_clear_their_bars() {
-        for table in TABLES.iter().filter(|t| is_paper(t)) {
+        // And the Table II sweep, whose grid fans across the pool like a
+        // paper entry's: no field is a measurement, so whole rows compare.
+        for table in TABLES.iter().filter(|t| is_paper(t) || t.key == "rows") {
             let rows = fixture::rows(table.key);
             assert!(
                 !rows.is_empty(),
