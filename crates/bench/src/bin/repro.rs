@@ -4,29 +4,47 @@
 //! cargo run --release -p exflow-bench --bin repro -- all
 //! cargo run --release -p exflow-bench --bin repro -- fig10
 //! cargo run --release -p exflow-bench --bin repro -- --jobs 8 table1 fig7
+//! cargo run --release -p exflow-bench --bin repro -- \
+//!     --jobs 4 --out BENCH.fresh.json --check BENCH_BASELINE.json all
 //! ```
 //!
 //! Every artifact has one size (the paper's artifacts the paper's).
 //! `--jobs N` fans experiment sweep points across N worker threads;
-//! artifacts are byte-identical for every N (only wall time changes).
+//! artifacts, and the document, are byte-identical for every N.
 //!
-//! Exit codes: 0 on success, 1 if any artifact fails to regenerate,
-//! 2 on usage errors (no targets, unknown artifact name, bad `--jobs`).
+//! `all` sweeps every `exflow_bench::table::TABLES` entry, so with it —
+//! and only with it — `--out PATH` writes the rows as the summary document
+//! (schema `exflow-bench-summary/v9`, documented in the README) and
+//! `--check BASELINE` compares that document against the committed one by
+//! `exflow_bench::gate::compare`, printing the verdict as markdown after
+//! the artifacts. Regenerate the baseline deliberately with
+//! `--out BENCH_BASELINE.json all`.
+//!
+//! Exit codes: 0 on success; 1 if any artifact fails to regenerate, the
+//! gate finds a drift, or a document cannot be written or read; 2 on usage
+//! errors (no targets, unknown artifact name, bad `--jobs`, `--out` /
+//! `--check` without `all`).
 
 use exflow_bench::cli::{self, Command};
+use exflow_bench::summary::{self, BASELINE_SEED};
 
 fn print_usage() {
-    eprintln!("usage: repro [--jobs N] <artifact>... | all");
+    eprintln!("usage: repro [--jobs N] [--out PATH] [--check BASELINE] <artifact>... | all");
     eprintln!("artifacts: {}", cli::artifact_names().join(", "));
 }
 
 fn main() {
-    let (jobs, targets) = match cli::parse(std::env::args().skip(1)) {
+    let (jobs, targets, out, check) = match cli::parse(std::env::args().skip(1)) {
         Ok(Command::Help) => {
             print_usage();
             return;
         }
-        Ok(Command::Run { jobs, targets }) => (jobs, targets),
+        Ok(Command::Run {
+            jobs,
+            targets,
+            out,
+            check,
+        }) => (jobs, targets, out, check),
         Err(err) => {
             eprintln!("error: {err}");
             print_usage();
@@ -34,13 +52,26 @@ fn main() {
         }
     };
     let mut ok = true;
+    let mut sections = Vec::new();
     for target in targets {
         println!("==============================================================");
         let run = cli::runner(&target).expect("parse validates against the dispatch table");
         // Catch panics so one failing artifact doesn't abort the rest and
         // the documented exit code (1, not the panic's 101) is honored.
-        if std::panic::catch_unwind(|| run.run(jobs)).is_err() {
-            eprintln!("error: artifact {target} failed to regenerate");
+        match std::panic::catch_unwind(|| run.run(jobs)) {
+            Ok(swept) => sections.extend(swept),
+            Err(_) => {
+                eprintln!("error: artifact {target} failed to regenerate");
+                ok = false;
+            }
+        }
+    }
+    // `parse` lets the document flags through only with `all`: every
+    // entry was swept, in `TABLES` order.
+    if ok && (out.is_some() || check.is_some()) {
+        let json = summary::document(BASELINE_SEED, sections);
+        if let Err(err) = cli::deliver(&json, out.as_deref(), check.as_deref()) {
+            eprintln!("error: {err}");
             ok = false;
         }
     }

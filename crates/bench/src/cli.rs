@@ -1,7 +1,9 @@
 //! Argument parsing and artifact dispatch for the `repro` binary, factored
 //! out so the exit-code contract is unit-testable: usage errors (no targets,
-//! unknown artifact) are detected *before* any experiment runs and exit with
-//! status 2; failures while running exit with status 1.
+//! unknown artifact, `--out` / `--check` without `all`) are detected
+//! *before* any experiment runs and exit with status 2; failures while
+//! running — an artifact, a bar, the gate, an unreadable baseline — exit
+//! with status 1.
 //!
 //! [`artifacts`] is the single source of truth for artifact names: `parse`
 //! validates against it and `runner` dispatches from it, so the two cannot
@@ -10,7 +12,8 @@
 
 use crate::experiments::common::PAPER;
 use crate::experiments::{events, fig2, table2};
-use crate::summary::BASELINE_SEED;
+use crate::gate;
+use crate::summary::{Section, BASELINE_SEED};
 use crate::sweep::MAX_JOBS;
 use crate::table::TABLES;
 
@@ -26,23 +29,55 @@ pub enum Runner {
 }
 
 impl Runner {
-    /// Regenerate and print the artifact. Panics if it cannot be
-    /// regenerated: a sweep's invariance check failed, or its rows miss
-    /// one of the table's own acceptance bars.
-    pub fn run(self, jobs: usize) {
+    /// Regenerate and print the artifact, and hand back the sections it
+    /// swept (none for a printer). Panics if it cannot be regenerated: a
+    /// sweep's invariance check failed, or its rows miss one of the
+    /// table's own acceptance bars.
+    pub fn run(self, jobs: usize) -> Vec<Section> {
         let artifact = match self {
-            Runner::Print(print) => return print(),
+            Runner::Print(print) => {
+                print();
+                return Vec::new();
+            }
             Runner::Rows(artifact) => artifact,
         };
-        for table in TABLES.iter().filter(|t| t.artifact == Some(artifact)) {
-            let rows = table
-                .rows(&PAPER, jobs, BASELINE_SEED)
-                .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
-            let violations = table.violations(&rows);
-            assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);
-            print!("{}", (table.render)(&rows));
+        let swept = TABLES
+            .iter()
+            .filter(|t| t.artifact == artifact)
+            .map(|table| {
+                let rows = table
+                    .rows(&PAPER, jobs, BASELINE_SEED)
+                    .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
+                let violations = table.violations(&rows);
+                assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);
+                print!("{}", (table.render)(&rows));
+                (table.key, rows)
+            });
+        swept.collect()
+    }
+}
+
+/// What `--out` and `--check` do with the complete document `repro all`
+/// built: write it to `out`, then gate it against the baseline at `check`,
+/// printing the verdict as markdown (CI appends it to the job summary).
+/// `Err` is why the run must exit 1: the file could not be written or
+/// read, or the gate found a drift.
+pub fn deliver(json: &str, out: Option<&str>, check: Option<&str>) -> Result<(), String> {
+    if let Some(path) = out {
+        std::fs::write(path, json).map_err(|err| format!("cannot write {path}: {err}"))?;
+        eprintln!("wrote {path}");
+    }
+    if let Some(path) = check {
+        let baseline = std::fs::read_to_string(path)
+            .map_err(|err| format!("cannot read baseline {path}: {err}"))?;
+        let report = gate::compare(&baseline, json);
+        print!("{}", report.to_markdown());
+        if !report.ok() {
+            let drifts = report.drifts.len();
+            return Err(format!("{drifts} drift(s) against {path}"));
         }
     }
+    Ok(())
 }
 
 /// A named artifact entry: `(name, runner)`.
@@ -74,7 +109,7 @@ pub fn artifacts() -> Vec<Artifact> {
         placed.map(|&(artifact, _)| artifact)
     }
     let mut out: Vec<Artifact> = Vec::new();
-    for artifact in TABLES.iter().filter_map(|table| table.artifact) {
+    for artifact in TABLES.iter().map(|table| table.artifact) {
         if out.iter().all(|&(name, _)| name != artifact) {
             out.extend(printers(Some(artifact)));
             out.push((artifact, Runner::Rows(artifact)));
@@ -106,6 +141,11 @@ pub enum Command {
         jobs: usize,
         /// Validated artifact names, in execution order.
         targets: Vec<String>,
+        /// Where to write the complete document (`--out PATH`).
+        out: Option<String>,
+        /// The baseline to gate the complete document against
+        /// (`--check BASELINE`).
+        check: Option<String>,
     },
 }
 
@@ -118,6 +158,11 @@ pub enum UsageError {
     UnknownArtifact(String),
     /// `--jobs` got a missing, non-numeric, zero, or absurd value.
     InvalidJobs(String),
+    /// The named flag (`--out` / `--check`) got no path.
+    MissingPath(&'static str),
+    /// The named flag (`--out` / `--check`) belongs to the complete
+    /// document, and the targets are not exactly `all`.
+    NeedsAll(&'static str),
 }
 
 impl std::fmt::Display for UsageError {
@@ -128,6 +173,11 @@ impl std::fmt::Display for UsageError {
             UsageError::InvalidJobs(value) => {
                 write!(f, "invalid --jobs value: {value} (expected 1..={MAX_JOBS})")
             }
+            UsageError::MissingPath(flag) => write!(f, "missing path for {flag}"),
+            UsageError::NeedsAll(flag) => write!(
+                f,
+                "{flag} writes or gates the complete document: the one target must be `all`"
+            ),
         }
     }
 }
@@ -147,9 +197,9 @@ pub fn parse_jobs(value: &str) -> Result<usize, UsageError> {
     }
 }
 
-/// Parse CLI arguments (without the program name). Unknown artifacts and
-/// bad `--jobs` values are rejected here, up front, so a typo cannot burn
-/// minutes of sweep time before failing.
+/// Parse CLI arguments (without the program name). Unknown artifacts, bad
+/// `--jobs` values and document flags without `all` are rejected here, up
+/// front, so a typo cannot burn minutes of sweep time before failing.
 pub fn parse<I, S>(args: I) -> Result<Command, UsageError>
 where
     I: IntoIterator<Item = S>,
@@ -157,10 +207,17 @@ where
 {
     let mut jobs = 1usize;
     let mut targets: Vec<String> = Vec::new();
+    let (mut out, mut check) = (None, None);
     let mut it = args.into_iter();
+    let path = |flag, value: Option<S>| match value {
+        Some(path) => Ok(Some(path.as_ref().to_string())),
+        None => Err(UsageError::MissingPath(flag)),
+    };
     while let Some(arg) = it.next() {
         match arg.as_ref() {
             "-h" | "--help" => return Ok(Command::Help),
+            "--out" => out = path("--out", it.next())?,
+            "--check" => check = path("--check", it.next())?,
             "--jobs" => {
                 let value = it
                     .next()
@@ -178,7 +235,17 @@ where
     if targets.is_empty() {
         return Err(UsageError::NoTargets);
     }
-    Ok(Command::Run { jobs, targets })
+    for (flag, given) in [("--out", &out), ("--check", &check)] {
+        if given.is_some() && targets != artifact_names() {
+            return Err(UsageError::NeedsAll(flag));
+        }
+    }
+    Ok(Command::Run {
+        jobs,
+        targets,
+        out,
+        check,
+    })
 }
 
 #[cfg(test)]
@@ -193,6 +260,8 @@ mod tests {
             Command::Run {
                 jobs: 1,
                 targets: vec!["table2".to_string(), "fig6".to_string()],
+                out: None,
+                check: None,
             }
         );
     }
@@ -222,6 +291,62 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn the_document_flags_parse_with_all_and_only_with_all() {
+        let parsed = parse(["--jobs=4", "--out", "f.json", "--check", "b.json", "all"]);
+        match parsed.unwrap() {
+            Command::Run {
+                jobs, out, check, ..
+            } => {
+                assert_eq!(jobs, 4);
+                assert_eq!(out.as_deref(), Some("f.json"));
+                assert_eq!(check.as_deref(), Some("b.json"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        // A partial document is never written or gated: anything but `all`
+        // alone is a usage error (the binary exits 2 before any sweep).
+        for (flag, targets) in [
+            ("--out", vec!["fig7"]),
+            ("--check", vec!["table_serving", "fig10"]),
+            ("--out", vec!["all", "fig7"]),
+        ] {
+            let args = [flag, "x.json"].into_iter().chain(targets);
+            assert_eq!(parse(args), Err(UsageError::NeedsAll(flag)), "{flag}");
+        }
+        assert_eq!(parse(["--check", "x.json"]), Err(UsageError::NoTargets));
+        assert_eq!(
+            parse(["all", "--out"]),
+            Err(UsageError::MissingPath("--out"))
+        );
+    }
+
+    #[test]
+    fn an_unwritable_out_or_unreadable_baseline_is_a_failure_not_a_usage_error() {
+        // What the binary turns into exit 1, on a document that would
+        // otherwise pass against itself.
+        let json = crate::summary::fixture::summary(0.25).to_json();
+        let dir = std::env::temp_dir().join(format!("exflow-repro-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let written = dir.join("fresh.json");
+        let written = written.to_str().unwrap();
+        assert_eq!(deliver(&json, Some(written), Some(written)), Ok(()));
+        assert_eq!(std::fs::read_to_string(written).unwrap(), json);
+
+        let missing = dir.join("no-such-dir").join("x.json");
+        let missing = missing.to_str().unwrap();
+        let err = deliver(&json, Some(missing), None).unwrap_err();
+        assert!(err.starts_with("cannot write"), "{err}");
+        let err = deliver(&json, None, Some(missing)).unwrap_err();
+        assert!(err.starts_with("cannot read baseline"), "{err}");
+        // A drift is the third way to exit 1.
+        let drifted = crate::summary::fixture::summary(0.5).to_json();
+        std::fs::write(written, drifted).unwrap();
+        let err = deliver(&json, None, Some(written)).unwrap_err();
+        assert!(err.contains("drift(s) against"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -300,11 +425,11 @@ mod tests {
     fn artifact_names_and_their_order_are_pinned() {
         // The usage text and the `all` order: the paper's artifacts (row
         // artifacts in `TABLES` order, `table2` and `fig2` slotted in), the
-        // six beyond-paper tables, the event stream.
+        // eight beyond-paper tables, the event stream.
         assert_eq!(
             artifact_names().join(" "),
             "table1 table2 table3 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 \
-             ablations table_online table_replication_online table_serving table_elasticity \
+             ablations table_solvers table_sparse table_online table_replication_online table_serving table_elasticity \
              table_replan_latency table_partial_replication render-events"
         );
     }

@@ -1,5 +1,5 @@
-//! The CI gate: compare a fresh bench summary against the committed
-//! baseline (`BENCH_BASELINE.json`).
+//! The CI gate (`repro --check`): compare the fresh summary document
+//! against the committed baseline (`BENCH_BASELINE.json`).
 //!
 //! Everything a sweep emits is a deterministic fact, printed with shortest
 //! round-trip formatting (or a fixed number of decimals), so *token*
@@ -56,9 +56,9 @@ impl GateReport {
     /// Render as markdown for the CI job summary.
     pub fn to_markdown(&self) -> String {
         if self.ok() {
-            return "### perf-gate: PASS\n".to_string();
+            return "### repro --check: PASS\n".to_string();
         }
-        let mut out = "### perf-gate: FAIL (objective drift)\n\n".to_string();
+        let mut out = "### repro --check: FAIL\n\n".to_string();
         for d in &self.drifts {
             out.push_str(&format!("- :x: {d}\n"));
         }
@@ -171,7 +171,7 @@ pub fn compare(baseline: &str, fresh: &str) -> GateReport {
     if text(&base_doc, "schema") != SCHEMA {
         report.drifts.push(format!(
             "schema mismatch: the baseline is {:?}, not {SCHEMA} — regenerate the committed \
-             baseline with bench_summary",
+             baseline with repro --out",
             text(&base_doc, "schema")
         ));
         return report;
@@ -481,8 +481,7 @@ pub(crate) fn partial_replication_bars(rows: &[Json], bars: &mut Bars) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::summary::fixture::summary;
-    use crate::summary::BenchSummary;
+    use crate::summary::fixture::{summary, Summary};
 
     #[test]
     fn identical_documents_pass() {
@@ -736,7 +735,7 @@ mod tests {
     #[test]
     fn the_serving_tail_may_carry_its_migration_time_and_no_more() {
         let table = crate::table::fixture::table("serving_rows");
-        let violations = |doc: &BenchSummary| table.violations(doc.section("serving_rows"));
+        let violations = |doc: &Summary| table.violations(doc.section("serving_rows"));
         // The 5-layer / 1 800-request Poisson cell the stricter bar
         // (p99 <= static p99, everywhere) failed on: online ends 1.6 us
         // above the static tail after 357 us of migration.

@@ -8,12 +8,14 @@
 //!   the paper's tables and figures and the beyond-paper `table_*` sweeps
 //!   — is an entry naming its sweep, its acceptance bars and its render.
 //!   Each `experiments::*` module holds one artifact's three functions.
-//! * One runner: the `repro` binary prints an artifact's entries
-//!   (`cargo run --release -p exflow-bench --bin repro -- <artifact>`), and
-//!   the `bench_summary` binary sweeps them all into the `BENCH_*.json`
-//!   document and runs the CI perf-gate over it, so the paper's numbers
-//!   are bit-compared on every PR. Speed is measured by the standalone
-//!   `benchmark/` package, not here.
+//! * One runner: the `repro` binary sweeps an artifact's entries, holds
+//!   them to their bars and prints them
+//!   (`cargo run --release -p exflow-bench --bin repro -- <artifact>`);
+//!   `repro --out PATH --check BASELINE all` also writes every entry's
+//!   rows as the `BENCH_*.json` document and gates it against the
+//!   committed baseline, so the paper's numbers are bit-compared on every
+//!   PR. Nothing in this crate reads a clock: speed is measured by the
+//!   standalone `benchmark/` package.
 //! * One size per artifact: the paper's artifacts run the paper's
 //!   workload ([`experiments::common::PAPER`]), the beyond-paper tables
 //!   the size their sweep states. The only other workload is the

@@ -1,7 +1,7 @@
-//! Machine-readable solver benchmark: the `BENCH_*.json` emitter that
-//! drives the repo's performance trajectory.
+//! The beyond-paper sweeps and the `BENCH_*.json` document `repro all`
+//! builds from every [`TABLES`](crate::table::TABLES) entry's rows.
 //!
-//! One sweep per entry of [`TABLES`]; each table's paragraph is the doc
+//! One sweep per beyond-paper entry; each table's paragraph is the doc
 //! comment of its sweep function below, and the `Json::obj` literal that
 //! ends the sweep — one commented line per key — is the only place the
 //! table's columns are declared.
@@ -35,9 +35,7 @@ use exflow_placement::{
 };
 use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
-use crate::experiments::common::PAPER;
 use crate::sweep::{par_map, SweepPool};
-use crate::table::TABLES;
 
 /// GPUs each Table II instance is solved for (divides every Table II
 /// expert count).
@@ -186,34 +184,30 @@ const REPLAN_LATENCY_LAYERS: usize = 2;
 /// perf-gate rejects a baseline carrying any other tag.
 pub const SCHEMA: &str = "exflow-bench-summary/v9";
 
-/// Master seed of the committed baseline (`BENCH_BASELINE.json`):
-/// `bench_summary`'s default, and the seed `repro` regenerates the
-/// `table_*` artifacts at, so the printed numbers are exactly the gated
-/// ones.
+/// Master seed of the committed baseline (`BENCH_BASELINE.json`): the
+/// seed `repro` regenerates the `table_*` artifacts at, so the printed
+/// numbers are exactly the gated ones.
 pub const BASELINE_SEED: u64 = 20_240_522;
 
-/// The full benchmark result.
-#[derive(Debug, Clone)]
-pub struct BenchSummary {
-    /// Master seed driving every instance and solver.
-    pub seed: u64,
-    /// `(section key, rows)` per [`TABLES`] entry, in that order.
-    pub tables: Vec<(&'static str, Vec<Json>)>,
-}
+/// One array section of the document: a [`TABLES`](crate::table::TABLES)
+/// entry's key and the rows its sweep built.
+pub type Section = (&'static str, Vec<Json>);
 
-impl BenchSummary {
-    /// Serialize as the [`SCHEMA`] document (see README). Floats print
-    /// with shortest round-trip formatting or a fixed number of decimals,
-    /// so string equality in the JSON is bit equality of the value — what
-    /// the CI gate compares.
-    pub fn to_json(&self) -> String {
-        let mut doc = vec![("schema", SCHEMA.into()), ("seed", self.seed.into())];
-        let sections = self.tables.iter();
-        doc.extend(sections.map(|(key, rows)| (*key, Json::Arr(rows.clone()))));
-        Json::obj(doc)
-            .write_pretty()
-            .expect("bench summaries hold only finite numbers")
-    }
+/// The [`SCHEMA`] document (see README) of `sections`, which `repro all`
+/// hands over in `TABLES` order. Floats print with shortest round-trip
+/// formatting or a fixed number of decimals, so string equality in the
+/// JSON is bit equality of the value — what the CI gate compares — and
+/// the same rows are the same bytes.
+pub fn document(seed: u64, sections: Vec<Section>) -> String {
+    let mut doc = vec![("schema", SCHEMA.into()), ("seed", seed.into())];
+    doc.extend(
+        sections
+            .into_iter()
+            .map(|(key, rows)| (key, Json::Arr(rows))),
+    );
+    Json::obj(doc)
+        .write_pretty()
+        .expect("bench summaries hold only finite numbers")
 }
 
 /// `num / den`, or 0 when the denominator is not positive: a degenerate
@@ -1685,22 +1679,19 @@ pub fn partial_replication_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, S
         .collect()
 }
 
-/// Run the benchmark: every [`TABLES`] sweep, in order. Errors (instead
-/// of panicking) if any in-sweep verification fails — that would mean the
-/// determinism contract is broken and the JSON must not be published.
-pub fn run(jobs: usize, seed: u64) -> Result<BenchSummary, String> {
-    let mut tables = Vec::with_capacity(TABLES.len());
-    for table in TABLES {
-        tables.push((table.key, table.rows(&PAPER, jobs, seed)?));
-    }
-    Ok(BenchSummary { seed, tables })
-}
-
-/// The hand-built summary the `to_json` and perf-gate tests share: one
-/// row per section, every acceptance bar cleared.
+/// The hand-built summary the document and gate tests share: one row per
+/// section, every acceptance bar cleared.
 #[cfg(test)]
 pub(crate) mod fixture {
     use super::*;
+    use crate::table::TABLES;
+
+    /// The sections of a document, editable before it is written.
+    #[derive(Debug, Clone)]
+    pub(crate) struct Summary {
+        /// `(section key, rows)` per `TABLES` entry, in that order.
+        pub(crate) tables: Vec<Section>,
+    }
 
     /// The paper entries' sections: the fewest rows that exercise each
     /// entry's bars, all cleared.
@@ -1828,7 +1819,7 @@ pub(crate) mod fixture {
         ]
     }
 
-    pub(crate) fn summary(cross: f64) -> BenchSummary {
+    pub(crate) fn summary(cross: f64) -> Summary {
         let rows: Vec<Vec<(&str, Json)>> = vec![
             vec![
                 ("model", "MoE-GPT-M/8e-24L".into()),
@@ -1972,10 +1963,15 @@ pub(crate) mod fixture {
             .map(|(table, rows)| (table.key, rows.into_iter().map(Json::obj).collect()))
             .collect();
         assert_eq!(tables.len(), TABLES.len(), "a section per TABLES entry");
-        BenchSummary { seed: 1, tables }
+        Summary { tables }
     }
 
-    impl BenchSummary {
+    impl Summary {
+        /// The document of these sections, at seed 1.
+        pub(crate) fn to_json(&self) -> String {
+            document(1, self.tables.clone())
+        }
+
         /// Section `key`'s fixture rows.
         pub(crate) fn section(&self, key: &str) -> &[Json] {
             let section = self.tables.iter().find(|(k, _)| *k == key);
@@ -2021,7 +2017,7 @@ pub(crate) mod fixture {
 mod tests {
     use super::*;
     use crate::table::fixture::rows;
-    use crate::table::{int, num, text};
+    use crate::table::{int, num, text, TABLES};
 
     fn keys(row: &Json) -> Vec<&str> {
         let Json::Obj(fields) = row else {
@@ -2081,7 +2077,7 @@ mod tests {
             }
             for field in table.id {
                 assert!(
-                    columns.contains(&field),
+                    columns.contains(field),
                     "{}: the entry names {field:?}, the sweep emits no such column",
                     table.key
                 );
@@ -2202,6 +2198,29 @@ mod tests {
         assert_eq!(ratio(8_000_000.0, 0.0), 0.0, "no evaluations, no ratio");
         assert_eq!(online_recovery(5000.0, 3000.0, 3200.0), 0.9);
         assert_eq!(online_recovery(3000.0, 3000.0, 3100.0), 1.0);
+    }
+
+    #[test]
+    fn the_document_is_a_function_of_its_rows_and_holds_no_measurement() {
+        let sections = || -> Vec<Section> {
+            let swept = TABLES.iter().map(|t| (t.key, rows(t.key).to_vec()));
+            swept.collect()
+        };
+        let json = document(BASELINE_SEED, sections());
+        assert_eq!(json, document(BASELINE_SEED, sections()), "same rows");
+        let doc = Json::parse(&json).expect("the document is valid JSON");
+        assert_eq!(
+            keys(&doc).len(),
+            2 + TABLES.len(),
+            "schema, seed, an array a table"
+        );
+        for (key, swept) in sections() {
+            let parsed = doc.get(key).and_then(Json::as_arr).expect(key);
+            let literal = Json::Arr(swept).write().unwrap();
+            assert_eq!(Json::Arr(parsed.to_vec()), Json::parse(&literal).unwrap());
+        }
+        // No key (nor anything else) names a host-clock measurement.
+        assert!(!json.contains("wall"), "a wall field is back");
     }
 
     #[test]

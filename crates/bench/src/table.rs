@@ -1,10 +1,11 @@
 //! What a table is, decided once: [`TABLES`] lists every artifact whose
 //! output is rows — the paper's tables and figures, then the beyond-paper
 //! `table_*` sweeps — and everything that handles rows iterates it.
-//! `summary::run` sweeps the entries, `BenchSummary::to_json` emits them as
-//! the array sections of the summary document, `gate::compare` gates them
-//! against the committed baseline, `repro` prints the ones that name an
-//! artifact, and `bench_summary` prints them all.
+//! `repro` sweeps the entries of the artifacts it is asked for, holds each
+//! to its bars and prints it; `repro all` keeps every entry's rows,
+//! `summary::document` emits them as the array sections of the summary
+//! document, and `gate::compare` gates them against the committed
+//! baseline.
 //!
 //! A row is an insertion-ordered `Json` object built once, in the literal
 //! that ends its sweep; that literal (one commented line per key) is the
@@ -43,9 +44,9 @@ pub struct Table {
     /// Name in gate messages: rows are `<name> row <id>`, drifted fields
     /// `<field> drift on <name>/<id>`.
     pub name: &'static str,
-    /// The `repro` artifact that prints this table, if it has one. Entries
-    /// that share an artifact are adjacent and print in order.
-    pub artifact: Option<&'static str>,
+    /// The `repro` artifact that prints this table. Entries that share an
+    /// artifact are adjacent and print in order.
+    pub artifact: &'static str,
     /// Fields that together identify a row (joined with `/` in messages).
     /// Every other field a row holds is a deterministic fact, bit-compared
     /// against the baseline row.
@@ -58,7 +59,7 @@ pub struct Table {
     /// Acceptance bars a run's rows must clear on their own, whatever the
     /// baseline says. Each bar is stated here and nowhere else.
     pub bars: fn(&[Json], &mut Bars),
-    /// The rows as the plain text `repro` and `bench_summary` print.
+    /// The rows as the plain text `repro` prints.
     pub render: fn(&[Json]) -> String,
 }
 
@@ -91,7 +92,7 @@ const fn paper(
     Table {
         key: name,
         name,
-        artifact: Some(name),
+        artifact: name,
         id,
         drift_name: None,
         sweep: Sweep::Paper(sweep),
@@ -109,7 +110,7 @@ const fn ablation(
     render: fn(&[Json]) -> String,
 ) -> Table {
     Table {
-        artifact: Some("ablations"),
+        artifact: "ablations",
         ..paper(name, id, sweep, bars, render)
     }
 }
@@ -214,7 +215,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "rows",
         name: "table2",
-        artifact: None,
+        artifact: "table_solvers",
         id: &["model", "solver"],
         drift_name: Some("objective"),
         sweep: Sweep::Seeded(summary::solver_table),
@@ -224,7 +225,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "sparse_rows",
         name: "sparse",
-        artifact: None,
+        artifact: "table_sparse",
         id: &["preset"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::sparse_table),
@@ -234,7 +235,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "online_rows",
         name: "online",
-        artifact: Some("table_online"),
+        artifact: "table_online",
         id: &["scenario"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::online_table),
@@ -244,7 +245,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "replication_online_rows",
         name: "replication",
-        artifact: Some("table_replication_online"),
+        artifact: "table_replication_online",
         id: &["scenario"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::replication_online_table),
@@ -254,7 +255,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "serving_rows",
         name: "serving",
-        artifact: Some("table_serving"),
+        artifact: "table_serving",
         id: &["arrival"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::serving_table),
@@ -264,7 +265,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "elasticity_rows",
         name: "elasticity",
-        artifact: Some("table_elasticity"),
+        artifact: "table_elasticity",
         id: &["fault"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::elasticity_table),
@@ -274,7 +275,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "replan_latency_rows",
         name: "replan-latency",
-        artifact: Some("table_replan_latency"),
+        artifact: "table_replan_latency",
         id: &["preset"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::replan_latency_table),
@@ -284,7 +285,7 @@ pub const TABLES: &[Table] = &[
     Table {
         key: "partial_replication_rows",
         name: "partial-replication",
-        artifact: Some("table_partial_replication"),
+        artifact: "table_partial_replication",
         id: &["scenario"],
         drift_name: None,
         sweep: Sweep::Seeded(summary::partial_replication_table),
@@ -329,7 +330,7 @@ pub fn int(row: &Json, key: &str) -> u64 {
 }
 
 /// Every column of the rows, headed by its key: how a table without a
-/// `repro` artifact of its own prints.
+/// render of its own prints.
 pub fn render_columns(rows: &[Json]) -> String {
     let Some(Json::Obj(first)) = rows.first() else {
         return String::new();
@@ -441,13 +442,11 @@ mod tests {
             }
             // An artifact renders its entries as one run of TABLES, so a
             // rendered section belongs to exactly one place in `repro all`.
-            let Some(artifact) = table.artifact else {
-                continue;
-            };
-            let first = TABLES.iter().position(|t| t.artifact == Some(artifact));
+            let artifact = table.artifact;
+            let first = TABLES.iter().position(|t| t.artifact == artifact);
             let run = &TABLES[first.unwrap()..=i];
             assert!(
-                run.iter().all(|t| t.artifact == Some(artifact)),
+                run.iter().all(|t| t.artifact == artifact),
                 "{artifact}: its entries are not adjacent"
             );
         }
