@@ -14,7 +14,7 @@
 //!
 //! `all` sweeps every `exflow_bench::table::TABLES` entry, so with it —
 //! and only with it — `--out PATH` writes the rows as the summary document
-//! (schema `exflow-bench-summary/v9`, documented in the README) and
+//! (schema `exflow-bench-summary/v10`, documented in the README) and
 //! `--check BASELINE` compares that document against the committed one by
 //! `exflow_bench::gate::compare`, printing the verdict as markdown after
 //! the artifacts. Regenerate the baseline deliberately with

@@ -569,7 +569,7 @@ mod tests {
         let fresh = summary(0.25).to_json();
         for tag in [
             "exflow-bench-summary/v2",
-            "exflow-bench-summary/v8",
+            "exflow-bench-summary/v9",
             "other",
         ] {
             let report = compare(&fresh.replace(SCHEMA, tag), &fresh);

@@ -182,7 +182,7 @@ const REPLAN_LATENCY_LAYERS: usize = 2;
 
 /// Schema tag of the summary document; bump on any field change. The
 /// perf-gate rejects a baseline carrying any other tag.
-pub const SCHEMA: &str = "exflow-bench-summary/v9";
+pub const SCHEMA: &str = "exflow-bench-summary/v10";
 
 /// Master seed of the committed baseline (`BENCH_BASELINE.json`): the
 /// seed `repro` regenerates the `table_*` artifacts at, so the printed
