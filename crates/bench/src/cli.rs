@@ -190,7 +190,7 @@ fn is_artifact(name: &str) -> bool {
 /// real tools treat as "auto") is rejected here on purpose — this
 /// workspace keeps widths explicit so runs are reproducible by
 /// construction — as are absurd widths that would spawn a thread storm.
-pub fn parse_jobs(value: &str) -> Result<usize, UsageError> {
+fn parse_jobs(value: &str) -> Result<usize, UsageError> {
     match value.parse::<usize>() {
         Ok(n) if (1..=MAX_JOBS).contains(&n) => Ok(n),
         _ => Err(UsageError::InvalidJobs(value.to_string())),

@@ -35,7 +35,7 @@ use exflow_placement::{
 };
 use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
-use crate::sweep::{par_map, SweepPool};
+use crate::sweep::par_map;
 
 /// GPUs each Table II instance is solved for (divides every Table II
 /// expert count).
@@ -181,7 +181,7 @@ const REPLAN_LATENCY_TOKENS: usize = 800;
 const REPLAN_LATENCY_LAYERS: usize = 2;
 
 /// Schema tag of the summary document; bump on any field change. The
-/// perf-gate rejects a baseline carrying any other tag.
+/// gate rejects a baseline carrying any other tag.
 pub const SCHEMA: &str = "exflow-bench-summary/v10";
 
 /// Master seed of the committed baseline (`BENCH_BASELINE.json`): the
@@ -390,36 +390,33 @@ fn at_widths<T: PartialEq>(
 
 /// The Table II sweep — the model zoo × the solver portfolio on fixed-seed
 /// profiled instances, recording the achieved objective (cross mass) per
-/// `SolverKind`. Instances and grid points fan across `jobs` workers; each
+/// `SolverKind`. Instances and grid points fan across the sweep pool; each
 /// solve runs sequentially inside its grid point.
-pub fn solver_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+pub fn solver_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let kinds = roster();
-    let rows = SweepPool::new(jobs).install(|| {
-        let instances: Vec<(String, Objective)> = par_map(table2(), |m| {
-            // Fold every identity-bearing field into the stream so no two
-            // zoo rows ever measure the same instance.
-            let stream = seed ^ (m.n_layers as u64) ^ ((m.d_model as u64) << 16) ^ m.base_params;
-            (m.name, instance(m.n_experts, m.n_layers, stream))
-        });
-        let grid: Vec<(usize, usize)> = (0..instances.len())
-            .flat_map(|m| (0..kinds.len()).map(move |s| (m, s)))
-            .collect();
-        par_map(grid, |(m, s)| {
-            let (name, objective) = &instances[m];
-            let kind = &kinds[s];
-            let placement = solve_with(objective, N_UNITS, kind, seed, Parallelism::single());
-            Json::obj(vec![
-                // Table II model name.
-                ("model", name.as_str().into()),
-                // Stable solver label (`SolverKind::label`).
-                ("solver", kind.label().as_str().into()),
-                // Achieved objective: expected cross-unit transition mass
-                // (lower is better; the same bits at any `jobs`).
-                ("cross_mass", objective.cross_mass(&placement).into()),
-            ])
-        })
+    let instances: Vec<(String, Objective)> = par_map(table2(), |m| {
+        // Fold every identity-bearing field into the stream so no two
+        // zoo rows ever measure the same instance.
+        let stream = seed ^ (m.n_layers as u64) ^ ((m.d_model as u64) << 16) ^ m.base_params;
+        (m.name, instance(m.n_experts, m.n_layers, stream))
     });
-    Ok(rows)
+    let grid: Vec<(usize, usize)> = (0..instances.len())
+        .flat_map(|m| (0..kinds.len()).map(move |s| (m, s)))
+        .collect();
+    Ok(par_map(grid, |(m, s)| {
+        let (name, objective) = &instances[m];
+        let kind = &kinds[s];
+        let placement = solve_with(objective, N_UNITS, kind, seed, Parallelism::single());
+        Json::obj(vec![
+            // Table II model name.
+            ("model", name.as_str().into()),
+            // Stable solver label (`SolverKind::label`).
+            ("solver", kind.label().as_str().into()),
+            // Achieved objective: expected cross-unit transition mass
+            // (lower is better; the same bits at any `jobs`).
+            ("cross_mass", objective.cross_mass(&placement).into()),
+        ])
+    }))
 }
 
 /// Measure one `table_sparse` cell: profile a large-expert instance,
@@ -496,12 +493,10 @@ fn sparse_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
 /// candidate, and recording nnz/density per cell — the share of the dense
 /// cells the CSR backend stores and walks. Errors if any cell's backends
 /// diverge.
-pub fn sparse_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    let cells = SweepPool::new(jobs).install(|| {
-        par_map(large_zoo(), |cfg| {
-            let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64;
-            sparse_cell(&cfg, stream)
-        })
+pub fn sparse_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let cells = par_map(large_zoo(), |cfg| {
+        let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64;
+        sparse_cell(&cfg, stream)
     });
     cells.into_iter().collect()
 }
@@ -1446,12 +1441,10 @@ fn replan_latency_cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
 /// (`E = 256/512`, top-1 and top-2): what a re-plan costs in solver work
 /// with and without incremental objective maintenance, one
 /// `replan_latency_cell` per preset. Errors if any cell's paths diverge.
-pub fn replan_latency_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-    let cells = SweepPool::new(jobs).install(|| {
-        par_map(large_zoo(), |cfg| {
-            let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64 ^ 0x9e37;
-            replan_latency_cell(&cfg, stream)
-        })
+pub fn replan_latency_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
+    let cells = par_map(large_zoo(), |cfg| {
+        let stream = seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64 ^ 0x9e37;
+        replan_latency_cell(&cfg, stream)
     });
     cells.into_iter().collect()
 }

@@ -33,7 +33,9 @@ pub enum Sweep {
     /// are the artifact's own.
     Paper(fn(&Workload) -> Vec<Json>),
     /// A beyond-paper table at its one gated size: `(jobs, seed)` to rows,
-    /// or the in-sweep invariance check that failed.
+    /// or the in-sweep invariance check that failed. `jobs` is the solver
+    /// width the sweep verifies thread-count invariance at; cells it hands
+    /// to `par_map` fan across the installed pool like a paper entry's.
     Seeded(fn(usize, u64) -> Result<Vec<Json>, String>),
 }
 
@@ -64,13 +66,13 @@ pub struct Table {
 }
 
 impl Table {
-    /// Sweep the entry: a paper artifact at `w` across `jobs` workers, a
-    /// beyond-paper table at `(jobs, seed)`.
+    /// Sweep the entry with its cells fanned across `jobs` workers: a
+    /// paper artifact at `w`, a beyond-paper table at `(jobs, seed)`.
     pub fn rows(&self, w: &Workload, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-        match self.sweep {
-            Sweep::Paper(sweep) => Ok(SweepPool::new(jobs).install(|| sweep(w))),
+        SweepPool::new(jobs).install(|| match self.sweep {
+            Sweep::Paper(sweep) => Ok(sweep(w)),
             Sweep::Seeded(sweep) => sweep(jobs, seed),
-        }
+        })
     }
 
     /// The drifts `rows` earn from this table's own bars (none = cleared).

@@ -1,4 +1,4 @@
-// D002 should-fire: wall-clock reads outside the timing crates.
+// D002 should-fire: wall-clock reads.
 use std::time::{Instant, SystemTime};
 
 pub fn window_deadline() -> Instant {

@@ -9,4 +9,4 @@ impl VirtualClock {
     }
 }
 
-pub const DOC: &str = "profiling uses Instant::now() but only in crates/bench";
+pub const DOC: &str = "host time is read with Instant::now() only in benchmark/";

@@ -14,7 +14,7 @@
 //! | rule | contract |
 //! |------|----------|
 //! | D001 | no `HashMap`/`HashSet` in deterministic (non-test) paths |
-//! | D002 | no wall-clock reads outside `crates/bench` |
+//! | D002 | no wall-clock reads |
 //! | D003 | no unseeded/ambient RNG anywhere |
 //! | D004 | no unordered parallel float reduction |
 //! | D005 | every `unsafe` carries a `// SAFETY:` comment |

@@ -3,8 +3,8 @@
 //!
 //! Every rule is lexical and module-scoped: the engine sees the
 //! [`ScannedFile`] channels plus two pieces of context — the file's path
-//! relative to the workspace root (rules exempt e.g. `crates/bench`, the
-//! one crate whose job is wall-clock timing) and whether a line sits
+//! relative to the workspace root (D004 exempts `shims/rayon`, which
+//! implements the ordered idiom it demands) and whether a line sits
 //! inside a `#[cfg(test)]` region (test-only assertions may use unordered
 //! collections for membership checks without touching any shipped result).
 //!
@@ -25,7 +25,7 @@ pub enum RuleId {
     D000,
     /// Unordered `HashMap`/`HashSet` in a deterministic (non-test) path.
     D001,
-    /// Wall-clock read outside the benchmarking crates.
+    /// Wall-clock read.
     D002,
     /// Unseeded / ambient RNG.
     D003,
@@ -88,9 +88,7 @@ impl RuleId {
                 "no HashMap/HashSet in deterministic paths — iteration order is \
                  nondeterministic; use BTreeMap/BTreeSet or a sorted collect"
             }
-            RuleId::D002 => {
-                "no wall-clock reads (Instant::now / SystemTime::now) outside crates/bench"
-            }
+            RuleId::D002 => "no wall-clock reads (Instant::now / SystemTime::now)",
             RuleId::D003 => "no unseeded/ambient RNG (thread_rng, from_entropy)",
             RuleId::D004 => {
                 "no unordered parallel float reduction (par_iter + sum/fold/...); \
@@ -356,9 +354,6 @@ fn check_d001(ctx: &FileContext, line: &ScanLine, i: usize, in_test: bool, out: 
 }
 
 fn check_d002(ctx: &FileContext, line: &ScanLine, i: usize, out: &mut Vec<Finding>) {
-    if ctx.under("crates/bench/") {
-        return;
-    }
     for token in ["Instant::now", "SystemTime::now"] {
         if find_token(&line.code, token).is_some() {
             out.push(ctx.finding(
@@ -366,8 +361,8 @@ fn check_d002(ctx: &FileContext, line: &ScanLine, i: usize, out: &mut Vec<Findin
                 i,
                 line,
                 format!(
-                    "wall-clock read `{token}` outside the timing crates: simulated \
-                     results must depend only on the virtual clock"
+                    "wall-clock read `{token}`: everything the workspace computes \
+                     depends only on the virtual clock (host time is `benchmark/`'s)"
                 ),
             ));
             return;
@@ -634,19 +629,19 @@ mod tests {
     }
 
     #[test]
-    fn d002_exempts_bench_only() {
+    fn d002_fires_in_every_crate_bench_included() {
         let src = "let t = std::time::Instant::now();\n";
-        assert_eq!(
-            rules_of(&scan_and_check("crates/core/src/x.rs", src)),
-            vec![RuleId::D002]
-        );
-        assert!(scan_and_check("crates/bench/src/x.rs", src)
-            .findings
-            .is_empty());
-        assert_eq!(
-            rules_of(&scan_and_check("shims/rayon/src/lib.rs", src)),
-            vec![RuleId::D002]
-        );
+        for path in [
+            "crates/core/src/x.rs",
+            "crates/bench/src/x.rs",
+            "shims/rayon/src/lib.rs",
+        ] {
+            assert_eq!(
+                rules_of(&scan_and_check(path, src)),
+                vec![RuleId::D002],
+                "{path}"
+            );
+        }
     }
 
     #[test]
