@@ -34,22 +34,19 @@ fn print_usage() {
 }
 
 fn main() {
-    let (jobs, targets, out, check) = match cli::parse(std::env::args().skip(1)) {
-        Ok(Command::Help) => {
-            print_usage();
-            return;
-        }
-        Ok(Command::Run {
-            jobs,
-            targets,
-            out,
-            check,
-        }) => (jobs, targets, out, check),
-        Err(err) => {
-            eprintln!("error: {err}");
-            print_usage();
-            std::process::exit(2);
-        }
+    let command = cli::parse(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        print_usage();
+        std::process::exit(2)
+    });
+    let Command::Run {
+        jobs,
+        targets,
+        out,
+        check,
+    } = command
+    else {
+        return print_usage();
     };
     let mut ok = true;
     let mut sections = Vec::new();
