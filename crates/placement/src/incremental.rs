@@ -159,6 +159,10 @@ impl CostMeter {
 /// A swap candidate: `(layer, e1, e2)`.
 type Swap = (usize, usize, usize);
 
+/// The scan budget ran out before a stretch of the polish ended.
+#[derive(Debug, PartialEq)]
+struct Spent;
+
 /// The unit-attraction table every metered walk prices its candidates
 /// from, as a reusable buffer.
 ///
@@ -317,6 +321,10 @@ impl SwapGainCache {
     /// and the largest `band` of the layer.
     fn partner_floor(&self, units: &[usize], layer: usize) -> (Vec<f64>, f64) {
         let (g, (rows, band)) = (self.n_units, self.layer(layer));
+        #[cfg(test)]
+        if self.probe.unpruned {
+            return (vec![f64::NEG_INFINITY; g * g], 0.0);
+        }
         let mut floor = vec![f64::INFINITY; g * g];
         for (r2, &u2) in rows.chunks_exact(g).zip(units) {
             for (u1, a) in r2.iter().enumerate() {
@@ -351,6 +359,33 @@ impl SwapGainCache {
             }
         }
         least - (band[e1] + bmax)
+    }
+
+    /// One stretch of the polish's row `(layer, e1)`: the first `e2` in
+    /// `from..E` whose swap improves, every candidate up to it charged to
+    /// `meter`; `Err` when its budget ran out first.
+    fn first_improving(
+        &self,
+        objective: &Objective,
+        placement: &Placement,
+        (layer, e1, from): Swap,
+        meter: &mut CostMeter,
+    ) -> Result<Option<usize>, Spent> {
+        let units = placement.layer(layer);
+        for (e2, approx, tol) in self.candidates(units, (layer, e1, from)) {
+            if !meter.try_consider() {
+                return Err(Spent);
+            }
+            // Only inside the rounding band can the exact delta fall on the
+            // other side of the threshold.
+            if approx < IMPROVES - tol
+                || (approx < IMPROVES + tol
+                    && meter.exact_delta(objective, placement, (layer, e1, e2)) < IMPROVES)
+            {
+                return Ok(Some(e2));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -397,24 +432,13 @@ pub fn improve_metered(
                 // swap: applying it needs the placement and table back.
                 let mut from = e1 + 1;
                 while from < e {
-                    let mut accepted = None;
-                    let units = placement.layer(layer);
-                    for (e2, approx, tol) in table.candidates(units, (layer, e1, from)) {
-                        if !meter.try_consider() {
-                            break 'passes;
-                        }
-                        // Only inside the rounding band can the exact delta
-                        // fall on the other side of the threshold.
-                        if approx < IMPROVES - tol
-                            || (approx < IMPROVES + tol
-                                && meter.exact_delta(objective, placement, (layer, e1, e2))
-                                    < IMPROVES)
+                    let e2 =
+                        match table.first_improving(objective, placement, (layer, e1, from), meter)
                         {
-                            accepted = Some(e2);
-                            break;
-                        }
-                    }
-                    let Some(e2) = accepted else { break };
+                            Ok(Some(e2)) => e2,
+                            Ok(None) => break,
+                            Err(Spent) => break 'passes,
+                        };
                     placement.swap(layer, e1, e2);
                     table.refresh(objective, placement, (layer, e1, e2));
                     improved = true;

@@ -7,15 +7,19 @@
 //! three walks here, so a whole solver — `solve_budgeted_metered`,
 //! `solve_budgeted_replicated_metered` — runs on either implementation
 //! from the same public entry point. Both log every accepted swap in the
-//! buffer's [`Probe`].
+//! buffer's [`Probe`]. One built by [`SwapGainCache::unpruned`] runs the
+//! table walks with every row bound at minus infinity — each candidate
+//! visited — which is what the row bounds must not change the cost of.
 
 use super::*;
 
 /// Test-only state of a [`SwapGainCache`]: which implementation the walks
-/// run, and every swap they accepted, in order.
+/// run, whether the table walks skip rows, and every swap they accepted,
+/// in order.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Probe {
     pub reference: bool,
+    pub unpruned: bool,
     pub swaps: Vec<Swap>,
 }
 
@@ -26,6 +30,37 @@ impl SwapGainCache {
         table.probe.reference = true;
         table
     }
+
+    /// A buffer whose table walks visit every candidate they consider.
+    pub(super) fn unpruned(objective: &Objective) -> Self {
+        let mut table = Self::for_objective(objective);
+        table.probe.unpruned = true;
+        table
+    }
+}
+
+/// The candidate loop [`SwapGainCache::first_improving`] replaced: every
+/// candidate of the stretch visited.
+fn first_improving(
+    table: &SwapGainCache,
+    objective: &Objective,
+    placement: &Placement,
+    (layer, e1, from): Swap,
+    meter: &mut CostMeter,
+) -> Result<Option<usize>, Spent> {
+    let units = placement.layer(layer);
+    for (e2, approx, tol) in table.candidates(units, (layer, e1, from)) {
+        if !meter.try_consider() {
+            return Err(Spent);
+        }
+        if approx < IMPROVES - tol
+            || (approx < IMPROVES + tol
+                && meter.exact_delta(objective, placement, (layer, e1, e2)) < IMPROVES)
+        {
+            return Ok(Some(e2));
+        }
+    }
+    Ok(None)
 }
 
 /// Reference for [`improve_metered`].
@@ -244,11 +279,11 @@ mod properties {
         (objectives, start)
     }
 
-    /// Shapes `(layers, experts, units)` drawn by index. The last two have
-    /// rows long enough for the descent's row bound to skip some and keep
-    /// others, and units crowded enough for the toward-target partner lists
-    /// to hold several experts.
-    const SHAPES: [(usize, usize, usize); 8] = [
+    /// Shapes `(layers, experts, units)` drawn by index. The last three have
+    /// rows long enough for a row bound to skip some and keep others, and
+    /// units crowded enough for the toward-target partner lists to hold
+    /// several experts.
+    const SHAPES: [(usize, usize, usize); 9] = [
         (1, 8, 4),
         (2, 6, 3),
         (2, 12, 4),
@@ -257,24 +292,33 @@ mod properties {
         (2, 16, 8),
         (2, 24, 4),
         (3, 32, 8),
+        (2, 64, 8),
     ];
 
-    /// Run `walk` once on a table-driven buffer and once on the reference
-    /// one; assert both accept the same swaps and report the same
-    /// considered / truncated, and return the table-driven result and cost.
+    /// Run `walk` on a table-driven buffer, on one that visits every
+    /// candidate and on the reference one; assert all three accept the same
+    /// swaps, the two table walks at the same cost — exact calls included —
+    /// and the reference at the same considered / truncated, and return the
+    /// table-driven result and cost.
     fn same_walk<R: PartialEq + std::fmt::Debug>(
         objective: &Objective,
         scan_budget: u64,
         walk: impl Fn(&mut CostMeter, &mut SwapGainCache) -> R,
     ) -> (R, ReplanCost) {
-        let mut table = SwapGainCache::for_objective(objective);
-        let mut reference = SwapGainCache::reference(objective);
-        let (mut m_table, mut m_ref) = (CostMeter::new(scan_budget), CostMeter::new(scan_budget));
-        let got = walk(&mut m_table, &mut table);
-        let want = walk(&mut m_ref, &mut reference);
-        assert_eq!(table.probe.swaps, reference.probe.swaps, "swap sequence");
+        let run = |mut table: SwapGainCache| {
+            let mut meter = CostMeter::new(scan_budget);
+            (
+                walk(&mut meter, &mut table),
+                table.probe.swaps,
+                meter.cost(),
+            )
+        };
+        let (got, swaps, c_table) = run(SwapGainCache::for_objective(objective));
+        let visited = run(SwapGainCache::unpruned(objective));
+        let (want, swaps_ref, c_ref) = run(SwapGainCache::reference(objective));
+        assert_eq!((&got, &swaps, c_table), (&visited.0, &visited.1, visited.2));
+        assert_eq!(swaps, swaps_ref, "swap sequence");
         assert_eq!(got, want, "result");
-        let (c_table, c_ref) = (m_table.cost(), m_ref.cost());
         assert_eq!(c_table.considered, c_ref.considered);
         assert_eq!(c_table.truncated, c_ref.truncated);
         assert_eq!(c_ref.evaluated, c_ref.considered, "reference evaluates all");
@@ -305,48 +349,218 @@ mod properties {
         }
     }
 
+    fn table_bits(table: &SwapGainCache) -> Vec<u64> {
+        table.attraction.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The draws of one case, in the order the properties name them.
+    type Draws = (usize, u64, u64, u64, u64, u64);
+
+    fn walks_case((shape, counts, density_pct, max_moves, budget_draw, seed): Draws) {
+        let (layers, e, units) = SHAPES[shape];
+        let (objectives, start) = instance(layers, e, units, counts == 1, density_pct, seed);
+        let scan = scan_budget(budget_draw, layers, e);
+        let target = random_placement(layers, e, units, &mut StdRng::seed_from_u64(seed ^ 1));
+        let mut results = Vec::new();
+        for obj in &objectives {
+            let polished = same_walk(obj, scan, |meter, table| {
+                let mut p = start.clone();
+                let cost = improve_metered(obj, &mut p, 50, meter, Some(table));
+                (p, cost.to_bits())
+            });
+            let descent = same_walk(obj, scan, |meter, table| {
+                budgeted_walk(obj, &start, None, max_moves, meter, Some(table))
+            });
+            let toward = same_walk(obj, scan, |meter, table| {
+                budgeted_walk(obj, &start, Some(&target), max_moves, meter, Some(table))
+            });
+            let solved = same_walk(obj, scan, |meter, table| {
+                solve_budgeted_with_meter(obj, &start, max_moves, meter, Some(table))
+            });
+            results.push((polished, descent, toward, solved));
+        }
+        // Exact deltas are bit-identical across backends, so the whole
+        // outcome is too — exact-call counts included.
+        assert_eq!(&results[0], &results[1]);
+    }
+
+    /// The two best-of-scan layer scans against the loops they replaced:
+    /// every pair `e1 < e2` offered row by row, and every off-target
+    /// expert's row filtered down to its partners. `upper` starts at each
+    /// `approx - tol` the scan holds (the negative ones for the pairs, whose
+    /// walk never starts above `IMPROVES`; infinity too for the trades) —
+    /// where a row bound loose by the width of one band, or compared with
+    /// `<`, skips a row that held a candidate — under an unlimited budget
+    /// and a finite one.
+    fn layer_scans_case((shape, counts, density_pct, seed): (usize, u64, u64, u64)) {
+        let (layers, e, n_units) = SHAPES[shape];
+        let (objectives, start) = instance(layers, e, n_units, counts == 1, density_pct, seed);
+        let target = random_placement(layers, e, n_units, &mut StdRng::seed_from_u64(seed ^ 1));
+        let obj = &objectives[seed as usize % 2];
+        let mut table = SwapGainCache::for_objective(obj);
+        table.load(obj, &start);
+        let fresh = |upper: f64, budget: u64| {
+            let kept = Vec::new();
+            (Shortlist { kept, upper }, CostMeter::new(budget))
+        };
+        for layer in 0..layers {
+            let (units, wanted) = (start.layer(layer), target.layer(layer));
+            let pairs = |e1: usize| table.candidates(units, (layer, e1, e1 + 1));
+            let mut uppers = vec![IMPROVES];
+            for e1 in 0..e {
+                let lower = pairs(e1).map(|(_, approx, tol)| approx - tol);
+                uppers.extend(lower.filter(|&x| x < 0.0));
+            }
+            for (k, &upper) in uppers.iter().enumerate() {
+                let budget = [u64::MAX, (k * 37 % (e * e / 2 + 2)) as u64][k % 2];
+                let (mut pruned, mut m_pruned) = fresh(upper, budget);
+                let (mut full, mut m_full) = fresh(upper, budget);
+                let got = pruned.offer_pairs(&table, units, layer, &mut m_pruned);
+                let want = (0..e).all(|e1| full.offer_row(pairs(e1), (layer, e1), &mut m_full));
+                assert_eq!(
+                    (got, &pruned, m_pruned.cost()),
+                    (want, &full, m_full.cost())
+                );
+            }
+            let trades = |e1: usize| {
+                let partner = move |e2: usize| units[e2] == wanted[e1] && wanted[e2] != units[e2];
+                let row = table.candidates(units, (layer, e1, 0));
+                row.filter(move |&(e2, _, _)| partner(e2))
+            };
+            let off_target = || (0..e).filter(|&e1| wanted[e1] != units[e1]);
+            let mut uppers = vec![f64::INFINITY];
+            for e1 in off_target() {
+                uppers.extend(trades(e1).map(|(_, approx, tol)| approx - tol));
+            }
+            for (k, &upper) in uppers.iter().enumerate() {
+                let budget = [u64::MAX, (k * 37 % (e * n_units + 2)) as u64][k % 2];
+                let (mut listed, mut m_listed) = fresh(upper, budget);
+                let (mut full, mut m_full) = fresh(upper, budget);
+                let got = listed.offer_trades(&table, units, wanted, layer, &mut m_listed);
+                let want =
+                    off_target().all(|e1| full.offer_row(trades(e1), (layer, e1), &mut m_full));
+                assert_eq!(
+                    (got, &listed, m_listed.cost()),
+                    (want, &full, m_full.cost())
+                );
+            }
+        }
+    }
+
+    /// Twelve rows of the polish's scan of `layer` from the stretch
+    /// `(layer, first, from)` on, on a copy of `table` and `start`: the swaps
+    /// it accepts, what it charges, and the placement and table it leaves.
+    /// `pruned` runs the stretches of [`improve_metered`], otherwise the
+    /// candidate loop they replaced.
+    fn polish_layer(
+        obj: &Objective,
+        (table, start): (&SwapGainCache, &Placement),
+        (layer, first, from): Swap,
+        budget: u64,
+        pruned: bool,
+    ) -> (Vec<Swap>, ReplanCost, Placement, Vec<u64>) {
+        let (mut table, mut placement) = (table.clone(), start.clone());
+        let mut meter = CostMeter::new(budget);
+        let e = obj.n_experts();
+        'scan: for e1 in first..e.min(first + 12) {
+            let mut from = if e1 == first { from } else { e1 + 1 };
+            while from < e {
+                let stretch = (layer, e1, from);
+                let found = match pruned {
+                    true => table.first_improving(obj, &placement, stretch, &mut meter),
+                    false => first_improving(&table, obj, &placement, stretch, &mut meter),
+                };
+                let e2 = match found {
+                    Ok(Some(e2)) => e2,
+                    Ok(None) => break,
+                    Err(Spent) => break 'scan,
+                };
+                placement.swap(layer, e1, e2);
+                table.refresh(obj, &placement, (layer, e1, e2));
+                from = e2 + 1;
+            }
+        }
+        let bits = table_bits(&table);
+        (table.probe.swaps, meter.cost(), placement, bits)
+    }
+
+    /// The polish's layer scan against the candidate loop it replaced, from
+    /// a stretch `(layer, e1, from)` with `from` anywhere in the row, on a
+    /// random start and on a polished one (where nearly every row is one a
+    /// bound can skip). The table cell `A[e1][u1]` is moved so that the
+    /// best `approx` of the row — over the stretch, and over the whole row,
+    /// which is the row bound — lands from one band under `IMPROVES` to
+    /// two over it, the pair's own band and the row's widest both: where a bound loose by one band, or taken from the
+    /// narrowest band, skips a stretch whose candidate needed an exact
+    /// call. (The walks never hold such a table; the two loops read the
+    /// same one.) Every shift runs under an unlimited budget and under a
+    /// finite one that ends inside the scan, skipped stretches included.
+    fn polish_scans_case((shape, counts, density_pct, polished, row_draw, seed): Draws) {
+        let (layers, e, n_units) = SHAPES[shape];
+        let (objectives, mut start) = instance(layers, e, n_units, counts == 1, density_pct, seed);
+        let obj = &objectives[seed as usize % 2];
+        if polished == 1 {
+            improve_metered(obj, &mut start, 50, &mut CostMeter::unlimited(), None);
+        }
+        let mut loaded = SwapGainCache::for_objective(obj);
+        loaded.load(obj, &start);
+        let (e1, g) = (row_draw as usize % (e - 1), n_units);
+        for layer in 0..layers {
+            let units = start.layer(layer);
+            let bmax = loaded
+                .layer(layer)
+                .1
+                .iter()
+                .fold(0.0, |m: f64, &b| m.max(b));
+            let widest = loaded.layer(layer).1[e1] + bmax;
+            for from in [e1 + 1, e1 + 1 + (row_draw / 64) as usize % (e - e1 - 1)] {
+                let mut shifts = vec![0.0];
+                for stretch in [0, from] {
+                    let row = loaded.candidates(units, (layer, e1, stretch));
+                    let best = row
+                        .filter(|&(e2, _, _)| units[e2] != units[e1])
+                        .min_by(|a, b| a.1.total_cmp(&b.1));
+                    let Some((_, approx, tol)) = best else {
+                        continue;
+                    };
+                    for k in [-1.0, 0.5, 0.9, 1.1, 2.0] {
+                        shifts.extend([tol, widest].map(|band| IMPROVES + k * band - approx));
+                    }
+                }
+                for (k, shift) in shifts.into_iter().enumerate() {
+                    let mut table = loaded.clone();
+                    table.attraction[((layer * e + e1) * g) + units[e1]] += shift;
+                    let scan = |budget, pruned| {
+                        polish_layer(obj, (&table, &start), (layer, e1, from), budget, pruned)
+                    };
+                    let whole = scan(u64::MAX, false);
+                    assert_eq!(scan(u64::MAX, true), whole, "shift {shift}");
+                    let total = whole.1.considered;
+                    let budget = (seed + 37 * k as u64) % (total + 1);
+                    assert_eq!(scan(budget, true), scan(budget, false), "budget {budget}");
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn table_walks_accept_the_reference_swap_sequence(
-            shape in 0usize..8,
+            shape in 0usize..9,
             counts in 0u64..2,
             density_pct in 15u64..100,
             max_moves in 0u64..12,
             budget_draw in 0u64..100_000,
             seed in 0u64..10_000,
         ) {
-            let (layers, e, units) = SHAPES[shape];
-            let (objectives, start) = instance(layers, e, units, counts == 1, density_pct, seed);
-            let scan = scan_budget(budget_draw, layers, e);
-            let target = random_placement(layers, e, units, &mut StdRng::seed_from_u64(seed ^ 1));
-            let mut results = Vec::new();
-            for obj in &objectives {
-                let polished = same_walk(obj, scan, |meter, table| {
-                    let mut p = start.clone();
-                    let cost = improve_metered(obj, &mut p, 50, meter, Some(table));
-                    (p, cost.to_bits())
-                });
-                let descent = same_walk(obj, scan, |meter, table| {
-                    budgeted_walk(obj, &start, None, max_moves, meter, Some(table))
-                });
-                let toward = same_walk(obj, scan, |meter, table| {
-                    budgeted_walk(obj, &start, Some(&target), max_moves, meter, Some(table))
-                });
-                let solved = same_walk(obj, scan, |meter, table| {
-                    solve_budgeted_with_meter(obj, &start, max_moves, meter, Some(table))
-                });
-                results.push((polished, descent, toward, solved));
-            }
-            // Exact deltas are bit-identical across backends, so the whole
-            // outcome is too — exact-call counts included.
-            prop_assert_eq!(&results[0], &results[1]);
+            walks_case((shape, counts, density_pct, max_moves, budget_draw, seed));
         }
 
         #[test]
         fn replicated_solve_matches_the_reference_under_each_policy(
-            shape in 2usize..8,
+            shape in 2usize..9,
             counts in 0u64..2,
             density_pct in 15u64..100,
             mem_slots in 0u64..4,
@@ -389,61 +603,31 @@ mod properties {
             }
         }
 
-        /// The two layer scans against the loops they replaced: every pair
-        /// `e1 < e2` offered row by row, and every off-target expert's row
-        /// filtered down to its partners. `upper` starts at each negative
-        /// `approx - tol` the layer holds — where a row bound loose by the
-        /// width of one band, or compared with `<`, skips a row that held
-        /// a candidate — under an unlimited budget and a finite one.
         #[test]
         fn layer_scans_keep_and_charge_what_the_full_scans_do(
-            shape in 0usize..8,
+            shape in 0usize..9,
             counts in 0u64..2,
             density_pct in 15u64..100,
             seed in 0u64..10_000,
         ) {
-            let (layers, e, n_units) = SHAPES[shape];
-            let (objectives, start) = instance(layers, e, n_units, counts == 1, density_pct, seed);
-            let target = random_placement(layers, e, n_units, &mut StdRng::seed_from_u64(seed ^ 1));
-            let obj = &objectives[seed as usize % 2];
-            let mut table = SwapGainCache::for_objective(obj);
-            table.load(obj, &start);
-            let fresh = |upper: f64, budget: u64| {
-                (Shortlist { kept: Vec::new(), upper }, CostMeter::new(budget))
-            };
-            for layer in 0..layers {
-                let (units, wanted) = (start.layer(layer), target.layer(layer));
-                let pairs = |e1: usize| table.candidates(units, (layer, e1, e1 + 1));
-                let mut uppers = vec![IMPROVES];
-                for e1 in 0..e {
-                    uppers.extend(pairs(e1).map(|(_, approx, tol)| approx - tol).filter(|&x| x < 0.0));
-                }
-                for (k, &upper) in uppers.iter().enumerate() {
-                    let budget = [u64::MAX, (k * 37 % (e * e / 2 + 2)) as u64][k % 2];
-                    let (mut pruned, mut m_pruned) = fresh(upper, budget);
-                    let (mut full, mut m_full) = fresh(upper, budget);
-                    let got = pruned.offer_pairs(&table, units, layer, &mut m_pruned);
-                    let want = (0..e).all(|e1| full.offer_row(pairs(e1), (layer, e1), &mut m_full));
-                    prop_assert_eq!((got, &pruned, m_pruned.cost()), (want, &full, m_full.cost()));
-                }
-                for budget in [u64::MAX, seed % (e * n_units) as u64] {
-                    let (mut listed, mut m_listed) = fresh(f64::INFINITY, budget);
-                    let (mut full, mut m_full) = fresh(f64::INFINITY, budget);
-                    let got = listed.offer_trades(&table, units, wanted, layer, &mut m_listed);
-                    let want = (0..e).filter(|&e1| wanted[e1] != units[e1]).all(|e1| {
-                        let row = table.candidates(units, (layer, e1, 0)).filter(|&(e2, _, _)| {
-                            units[e2] == wanted[e1] && wanted[e2] != units[e2]
-                        });
-                        full.offer_row(row, (layer, e1), &mut m_full)
-                    });
-                    prop_assert_eq!((got, &listed, m_listed.cost()), (want, &full, m_full.cost()));
-                }
-            }
+            layer_scans_case((shape, counts, density_pct, seed));
+        }
+
+        #[test]
+        fn polish_scans_accept_and_charge_what_the_candidate_loop_does(
+            shape in 1usize..9,
+            counts in 0u64..2,
+            density_pct in 15u64..100,
+            polished in 0u64..2,
+            row_draw in 0u64..100_000,
+            seed in 0u64..10_000,
+        ) {
+            polish_scans_case((shape, counts, density_pct, polished, row_draw, seed));
         }
 
         #[test]
         fn table_delta_is_within_the_rounding_bound_and_refresh_is_exact(
-            shape in 0usize..8,
+            shape in 0usize..9,
             counts in 0u64..2,
             density_pct in 15u64..100,
             seed in 0u64..10_000,
@@ -476,10 +660,7 @@ mod properties {
                     table.refresh(obj, &placement, swap);
                     let mut fresh = SwapGainCache::for_objective(obj);
                     fresh.load(obj, &placement);
-                    let bits = |t: &SwapGainCache| -> Vec<u64> {
-                        t.attraction.iter().map(|x| x.to_bits()).collect()
-                    };
-                    prop_assert_eq!(bits(&table), bits(&fresh));
+                    prop_assert_eq!(table_bits(&table), table_bits(&fresh));
                 }
             }
         }
