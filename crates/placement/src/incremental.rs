@@ -163,6 +163,9 @@ type Swap = (usize, usize, usize);
 #[derive(Debug, PartialEq)]
 struct Spent;
 
+/// `(floor, bmax)` of [`SwapGainCache::partner_floor`].
+type PartnerFloor = (Vec<f64>, f64);
+
 /// The unit-attraction table every metered walk prices its candidates
 /// from, as a reusable buffer.
 ///
@@ -314,64 +317,105 @@ impl SwapGainCache {
             .map(move |&e2| priced(first, (units[e2], &rows[e2 * g..][..g], band[e2]), e2))
     }
 
-    /// What any partner can add to a pair of `layer`, for
+    /// What a partner among `experts` can add to a pair of `layer`, for
     /// [`Self::row_floor`]: `floor[u1 * G + u2]`, the least
-    /// `A[e2][u2] - A[e2][u1]` over the experts `e2` that `units` puts on
-    /// `u2` — the partner's half of `approx`, computed as in [`priced`] —
-    /// and the largest `band` of the layer.
-    fn partner_floor(&self, units: &[usize], layer: usize) -> (Vec<f64>, f64) {
-        let (g, (rows, band)) = (self.n_units, self.layer(layer));
+    /// `A[e2][u2] - A[e2][u1]` over those `e2` that `units` puts on `u2` —
+    /// the partner's half of `approx`, computed as in [`priced`] — and the
+    /// largest `band` among them.
+    fn partner_floor(
+        &self,
+        units: &[usize],
+        layer: usize,
+        experts: impl Iterator<Item = usize>,
+    ) -> PartnerFloor {
+        let g = self.n_units;
         #[cfg(test)]
         if self.probe.unpruned {
             return (vec![f64::NEG_INFINITY; g * g], 0.0);
         }
-        let mut floor = vec![f64::INFINITY; g * g];
-        for (r2, &u2) in rows.chunks_exact(g).zip(units) {
-            for (u1, a) in r2.iter().enumerate() {
-                floor[u1 * g + u2] = floor[u1 * g + u2].min(r2[u2] - a);
-            }
-        }
-        (floor, band.iter().fold(0.0, |m, &b| m.max(b)))
+        let mut bound = (vec![f64::INFINITY; g * g], 0.0);
+        experts.for_each(|e2| self.lower_floor(&mut bound, units, (layer, e2)));
+        bound
     }
 
-    /// A value no greater than `approx - tol` of any pair of `(layer, e1)`
-    /// with an expert on another unit, exactly as [`priced`] computes them
-    /// — no epsilon. With `a = A[e1][u1] - A[e1][u2]` the pair's `approx` is
-    /// `fl(a + x)` for a partner half `x >= floor[u1][u2]` and its `tol` is
-    /// `fl(band[e1] + b)` for a `b <= bmax`; a rounded sum is non-decreasing
-    /// in either operand and a rounded difference non-decreasing in its
-    /// first, non-increasing in its second, so replacing `x` by the floor,
-    /// `b` by `bmax` and the unit by the one that minimises can only lower
-    /// the result. (The floor ranges over every expert of the unit, `e1 <
-    /// e2` or not: merely conservative.)
+    /// Take `e2`, on the unit `units` names for it, into `bound`. A floor
+    /// is only ever lowered: after a swap at `layer` — which re-derives no
+    /// row of `layer` ([`Self::refresh`]) — taking the two experts in on
+    /// their new units keeps it a lower bound for the layer's pairs. What
+    /// they left behind on their old units makes it looser until it is next
+    /// rebuilt, never wrong, and no `O(E * G)` rebuild is paid per swap.
+    fn lower_floor(
+        &self,
+        (floor, bmax): &mut PartnerFloor,
+        units: &[usize],
+        (layer, e2): (usize, usize),
+    ) {
+        let (g, (rows, band)) = (self.n_units, self.layer(layer));
+        let (u2, r2) = (units[e2], &rows[e2 * g..][..g]);
+        for (u1, a) in r2.iter().enumerate() {
+            floor[u1 * g + u2] = floor[u1 * g + u2].min(r2[u2] - a);
+        }
+        *bmax = bmax.max(band[e2]);
+    }
+
+    /// `(least, widest)`: no pair of `(layer, e1)` with an expert `bound`
+    /// took in on one of the units `toward` (other than `e1`'s own) has an
+    /// `approx` under `least` or a `tol` over `widest`, exactly as
+    /// [`priced`] computes them — no epsilon. With
+    /// `a = A[e1][u1] - A[e1][u2]` the pair's `approx` is `fl(a + x)` for a
+    /// partner half `x >= floor[u1][u2]` and its `tol` is `fl(band[e1] + b)`
+    /// for a `b <= bmax`; a rounded sum is non-decreasing in either operand
+    /// and a rounded difference non-decreasing in its first, non-increasing
+    /// in its second. So replacing `x` by the floor, `b` by `bmax` and the
+    /// unit by the one that minimises can only lower `approx` and raise
+    /// `tol`, and for every such pair, in floating point as written,
+    ///
+    /// * `approx - tol >= least - widest` — a best-of-scan row with
+    ///   `least - widest > upper` offers nothing;
+    /// * `least >= IMPROVES + widest` implies `approx >= IMPROVES + tol`,
+    ///   and that `approx >= IMPROVES - tol`: neither arm of the polish's
+    ///   accept test can fire and no exact call is made.
+    ///
+    /// (The floor ranges over every expert taken in, `e1 < e2` or not:
+    /// merely conservative.)
     fn row_floor(
         &self,
         units: &[usize],
         (layer, e1): (usize, usize),
-        (floor, bmax): &(Vec<f64>, f64),
-    ) -> f64 {
+        toward: impl Iterator<Item = usize>,
+        (floor, bmax): &PartnerFloor,
+    ) -> (f64, f64) {
         let (g, (rows, band)) = (self.n_units, self.layer(layer));
         let (u1, r1) = (units[e1], &rows[e1 * g..][..g]);
-        let mut least = f64::INFINITY;
-        for (u2, (a2, f)) in r1.iter().zip(&floor[u1 * g..][..g]).enumerate() {
-            if u2 != u1 {
-                least = least.min((r1[u1] - a2) + f);
-            }
-        }
-        least - (band[e1] + bmax)
+        let least = toward
+            .filter(|&u2| u2 != u1)
+            .map(|u2| (r1[u1] - r1[u2]) + floor[u1 * g + u2])
+            .fold(f64::INFINITY, f64::min);
+        (least, band[e1] + bmax)
     }
 
     /// One stretch of the polish's row `(layer, e1)`: the first `e2` in
     /// `from..E` whose swap improves, every candidate up to it charged to
-    /// `meter`; `Err` when its budget ran out first.
+    /// `meter`; `Err` when its budget ran out first. A stretch that
+    /// `bound` — a floor over the layer's experts where `placement` has
+    /// them — shows to hold no such `e2` is charged as if scanned and not
+    /// visited.
     fn first_improving(
         &self,
         objective: &Objective,
         placement: &Placement,
         (layer, e1, from): Swap,
+        bound: &PartnerFloor,
         meter: &mut CostMeter,
     ) -> Result<Option<usize>, Spent> {
         let units = placement.layer(layer);
+        let (least, widest) = self.row_floor(units, (layer, e1), 0..self.n_units, bound);
+        if least >= IMPROVES + widest {
+            return match meter.try_consider_many((units.len() - from) as u64) {
+                true => Ok(None),
+                false => Err(Spent),
+            };
+        }
         for (e2, approx, tol) in self.candidates(units, (layer, e1, from)) {
             if !meter.try_consider() {
                 return Err(Spent);
@@ -427,20 +471,24 @@ pub fn improve_metered(
     'passes: for _ in 0..max_passes {
         let mut improved = false;
         for layer in 0..l {
+            let mut bound = table.partner_floor(placement.layer(layer), layer, 0..e);
             for e1 in 0..e {
                 // A row is scanned in stretches, each ending at an accepted
                 // swap: applying it needs the placement and table back.
                 let mut from = e1 + 1;
                 while from < e {
+                    let stretch = (layer, e1, from);
                     let e2 =
-                        match table.first_improving(objective, placement, (layer, e1, from), meter)
-                        {
+                        match table.first_improving(objective, placement, stretch, &bound, meter) {
                             Ok(Some(e2)) => e2,
                             Ok(None) => break,
                             Err(Spent) => break 'passes,
                         };
                     placement.swap(layer, e1, e2);
                     table.refresh(objective, placement, (layer, e1, e2));
+                    for moved in [e1, e2] {
+                        table.lower_floor(&mut bound, placement.layer(layer), (layer, moved));
+                    }
                     improved = true;
                     from = e2 + 1;
                 }
@@ -497,9 +545,10 @@ impl Shortlist {
         // exact zero: never kept below a negative `upper`.
         assert!(self.upper < 0.0);
         let e = units.len();
-        let bound = table.partner_floor(units, layer);
+        let bound = table.partner_floor(units, layer, 0..e);
         (0..e).all(|e1| {
-            if table.row_floor(units, (layer, e1), &bound) <= self.upper {
+            let (least, widest) = table.row_floor(units, (layer, e1), 0..table.n_units, &bound);
+            if least - widest <= self.upper {
                 let row = table.candidates(units, (layer, e1, e1 + 1));
                 self.offer_row(row, (layer, e1), meter)
             } else {
@@ -512,7 +561,9 @@ impl Shortlist {
     /// names for it — the toward-target walk's candidates: an expert off
     /// its wanted unit pairs with the experts that sit there and do not
     /// belong, listed per unit in ascending order before the rows are
-    /// walked.
+    /// walked. A row whose floor — over the listed experts, toward the one
+    /// unit it wants — is above `upper` would offer nothing: its partners
+    /// are charged as if scanned and not visited.
     fn offer_trades(
         &mut self,
         table: &SwapGainCache,
@@ -527,11 +578,18 @@ impl Shortlist {
                 misplaced[u2].push(e2);
             }
         }
+        let bound = table.partner_floor(units, layer, misplaced.iter().flatten().copied());
         (0..units.len())
             .filter(|&e1| wanted[e1] != units[e1])
             .all(|e1| {
-                let row = table.partners(units, (layer, e1), &misplaced[wanted[e1]]);
-                self.offer_row(row, (layer, e1), meter)
+                let (w1, list) = (wanted[e1], &misplaced[wanted[e1]]);
+                let (least, widest) = table.row_floor(units, (layer, e1), w1..=w1, &bound);
+                if least - widest <= self.upper {
+                    let row = table.partners(units, (layer, e1), list);
+                    self.offer_row(row, (layer, e1), meter)
+                } else {
+                    meter.try_consider_many(list.len() as u64)
+                }
             })
     }
 }

@@ -462,12 +462,13 @@ mod properties {
         let (mut table, mut placement) = (table.clone(), start.clone());
         let mut meter = CostMeter::new(budget);
         let e = obj.n_experts();
+        let mut bound = table.partner_floor(placement.layer(layer), layer, 0..e);
         'scan: for e1 in first..e.min(first + 12) {
             let mut from = if e1 == first { from } else { e1 + 1 };
             while from < e {
                 let stretch = (layer, e1, from);
                 let found = match pruned {
-                    true => table.first_improving(obj, &placement, stretch, &mut meter),
+                    true => table.first_improving(obj, &placement, stretch, &bound, &mut meter),
                     false => first_improving(&table, obj, &placement, stretch, &mut meter),
                 };
                 let e2 = match found {
@@ -477,6 +478,9 @@ mod properties {
                 };
                 placement.swap(layer, e1, e2);
                 table.refresh(obj, &placement, (layer, e1, e2));
+                for moved in [e1, e2] {
+                    table.lower_floor(&mut bound, placement.layer(layer), (layer, moved));
+                }
                 from = e2 + 1;
             }
         }
