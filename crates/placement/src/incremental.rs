@@ -619,7 +619,9 @@ fn budgeted_walk(
     let l = objective.n_layers();
     let threshold = target.map_or(IMPROVES, |_| f64::INFINITY);
     let mut placement = incumbent.clone();
-    let mut best = (objective.cross_mass(&placement), placement.clone());
+    // The toward-target walk may pass through worse placements and returns
+    // the cheapest visited; the descent returns its last and sums no cost.
+    let mut best = target.map(|_| (objective.cross_mass(&placement), placement.clone()));
     let mut exhausted = false;
     let mut scan = Shortlist {
         kept: Vec::new(),
@@ -657,14 +659,14 @@ fn budgeted_walk(
         }
         placement = next;
         table.refresh(objective, &placement, swap);
-        // The toward-target walk may pass through worse placements and
-        // returns the cheapest visited; the descent returns its last.
-        let cost = objective.cross_mass(&placement);
-        if target.is_none() || cost < best.0 {
-            best = (cost, placement.clone());
+        if let Some(best) = &mut best {
+            let cost = objective.cross_mass(&placement);
+            if cost < best.0 {
+                *best = (cost, placement.clone());
+            }
         }
     }
-    best.1
+    best.map_or(placement, |(_, cheapest)| cheapest)
 }
 
 /// Budgeted incremental re-placement toward an explicit unconstrained
