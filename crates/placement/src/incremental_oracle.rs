@@ -14,13 +14,15 @@
 use super::*;
 
 /// Test-only state of a [`SwapGainCache`]: which implementation the walks
-/// run, whether the table walks skip rows, and every swap they accepted,
-/// in order.
+/// run, whether the table walks skip rows, every swap they accepted, in
+/// order, and how many candidates the table priced — *visited*, which the
+/// row bounds keep under what the meter is charged for.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Probe {
     pub reference: bool,
     pub unpruned: bool,
     pub swaps: Vec<Swap>,
+    pub visited: std::cell::Cell<u64>,
 }
 
 impl SwapGainCache {
