@@ -671,4 +671,47 @@ mod properties {
             }
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The walk and layer-scan properties at soak length, for the
+        /// release profile: CI's bit-identity step passes `--include-ignored`.
+        #[test]
+        #[ignore = "soak"]
+        fn soak_table_walks(
+            shape in 0usize..9,
+            counts in 0u64..2,
+            density_pct in 15u64..100,
+            max_moves in 0u64..12,
+            budget_draw in 0u64..100_000,
+            seed in 0u64..10_000,
+        ) {
+            walks_case((shape, counts, density_pct, max_moves, budget_draw, seed));
+        }
+
+        #[test]
+        #[ignore = "soak"]
+        fn soak_layer_scans(
+            shape in 0usize..9,
+            counts in 0u64..2,
+            density_pct in 15u64..100,
+            seed in 0u64..10_000,
+        ) {
+            layer_scans_case((shape, counts, density_pct, seed));
+        }
+
+        #[test]
+        #[ignore = "soak"]
+        fn soak_polish_scans(
+            shape in 1usize..9,
+            counts in 0u64..2,
+            density_pct in 15u64..100,
+            polished in 0u64..2,
+            row_draw in 0u64..100_000,
+            seed in 0u64..10_000,
+        ) {
+            polish_scans_case((shape, counts, density_pct, polished, row_draw, seed));
+        }
+    }
 }
