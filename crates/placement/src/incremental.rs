@@ -29,13 +29,30 @@
 //! neighbours.
 //!
 //! Every candidate is still *considered* — charged to the meter — but no
-//! longer *visited*. The descent bounds each `(layer, e1)` row from below
+//! longer *visited*. All three walks bound a `(layer, e1)` row from below
 //! in `O(G)` (the private `SwapGainCache::row_floor`, exact in floating
-//! point) and charges a row that cannot hold a candidate under the scan's
-//! running minimum in one addition; at `E = 512` that is all but a few
-//! rows of a scan. The toward-target walk lists, per unit, the experts an
-//! off-target expert may trade with, once per `(scan, layer)`, instead of
-//! filtering all `E` for every row.
+//! point) from one floor per `(scan, layer)` — the least any partner on
+//! each unit can add — and charge a row that cannot change their answer in
+//! one addition:
+//!
+//! * the **descent** skips a row that cannot hold a candidate under the
+//!   scan's running minimum; at `E = 512` that is all but a few rows of a
+//!   scan;
+//! * the **toward-target walk** lists, per unit, the experts an off-target
+//!   expert may trade with, once per `(scan, layer)`, instead of filtering
+//!   all `E` for every row, takes the floor over the listed experts only,
+//!   and skips the list of a row whose one wanted unit cannot beat the
+//!   running minimum;
+//! * the **polish** skips a stretch of a row in which neither arm of the
+//!   accept test can fire. It alone swaps while its floor is in use. A swap
+//!   at `layer` re-derives rows of the layers next to it, never of `layer`,
+//!   so the partner halves the floor was taken over keep their values and
+//!   only the two moved experts are missing from their new units: they are
+//!   taken in there in `O(G)`. What they leave on their old units is a
+//!   half no pair has any more — the floor may go stale *downwards*, which
+//!   skips less than a rebuild would, but never *upwards*, which would skip
+//!   a row that holds an improving swap. The next `(pass, layer)` rebuilds
+//!   it; nothing is rebuilt per swap.
 //!
 //! Everything here preserves the crate's bit-determinism contract:
 //!
@@ -51,8 +68,9 @@
 //! * a skipped row is charged as if scanned: `try_consider_many(n)` is by
 //!   definition `n` calls of `try_consider`, a budget that runs out inside
 //!   the row stops the walk where it always did, and since the row would
-//!   have offered nothing the shortlist — hence the exact calls and the
-//!   pick — is what the full scan leaves;
+//!   have offered nothing the shortlist (or, in the polish, the accepted
+//!   swap) — hence the exact calls and the pick — is what the full scan
+//!   leaves;
 //! * nothing here consults the clock. Wall time is reported by the bench
 //!   harness, never branched on.
 
@@ -586,7 +604,8 @@ impl Shortlist {
             .filter(|&e1| wanted[e1] != units[e1])
             .all(|e1| {
                 let (w1, list) = (wanted[e1], &misplaced[wanted[e1]]);
-                let (least, widest) = table.row_floor(units, (layer, e1), w1..=w1, &bound);
+                let toward = std::iter::once(w1);
+                let (least, widest) = table.row_floor(units, (layer, e1), toward, &bound);
                 if least - widest <= self.upper {
                     let row = table.partners(units, (layer, e1), list);
                     self.offer_row(row, (layer, e1), meter)
