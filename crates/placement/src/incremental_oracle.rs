@@ -315,10 +315,14 @@ mod properties {
                 meter.cost(),
             )
         };
-        let (got, swaps, c_table) = run(SwapGainCache::for_objective(objective));
-        let visited = run(SwapGainCache::unpruned(objective));
+        let pruned = run(SwapGainCache::for_objective(objective));
+        assert_eq!(
+            pruned,
+            run(SwapGainCache::unpruned(objective)),
+            "row bounds"
+        );
+        let (got, swaps, c_table) = pruned;
         let (want, swaps_ref, c_ref) = run(SwapGainCache::reference(objective));
-        assert_eq!((&got, &swaps, c_table), (&visited.0, &visited.1, visited.2));
         assert_eq!(swaps, swaps_ref, "swap sequence");
         assert_eq!(got, want, "result");
         assert_eq!(c_table.considered, c_ref.considered);
@@ -355,8 +359,24 @@ mod properties {
         table.attraction.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The draws of one case, in the order the properties name them.
+    /// The draws of one case, in the order its property names them.
     type Draws = (usize, u64, u64, u64, u64, u64);
+
+    fn walk_draws() -> impl Strategy<Value = Draws> {
+        let (shape, counts, density_pct) = (0usize..9, 0u64..2, 15u64..100);
+        let (max_moves, budget_draw, seed) = (0u64..12, 0u64..100_000, 0u64..10_000);
+        (shape, counts, density_pct, max_moves, budget_draw, seed)
+    }
+
+    fn layer_scan_draws() -> impl Strategy<Value = (usize, u64, u64, u64)> {
+        (0usize..9, 0u64..2, 15u64..100, 0u64..10_000)
+    }
+
+    fn polish_scan_draws() -> impl Strategy<Value = Draws> {
+        let (shape, counts, density_pct) = (1usize..9, 0u64..2, 15u64..100);
+        let (polished, row_draw, seed) = (0u64..2, 0u64..100_000, 0u64..10_000);
+        (shape, counts, density_pct, polished, row_draw, seed)
+    }
 
     fn walks_case((shape, counts, density_pct, max_moves, budget_draw, seed): Draws) {
         let (layers, e, units) = SHAPES[shape];
@@ -496,10 +516,10 @@ mod properties {
     /// bound can skip). The table cell `A[e1][u1]` is moved so that the
     /// best `approx` of the row — over the stretch, and over the whole row,
     /// which is the row bound — lands from one band under `IMPROVES` to
-    /// two over it, the pair's own band and the row's widest both: where a bound loose by one band, or taken from the
-    /// narrowest band, skips a stretch whose candidate needed an exact
-    /// call. (The walks never hold such a table; the two loops read the
-    /// same one.) Every shift runs under an unlimited budget and under a
+    /// two over it, the pair's own band and the row's widest both: where a
+    /// bound loose by one band, or taken from the narrowest band, skips a
+    /// stretch whose candidate needed an exact call. (The walks never hold
+    /// such a table; the two loops read the same one.) Every shift runs under an unlimited budget and under a
     /// finite one that ends inside the scan, skipped stretches included.
     fn polish_scans_case((shape, counts, density_pct, polished, row_draw, seed): Draws) {
         let (layers, e, n_units) = SHAPES[shape];
@@ -513,12 +533,8 @@ mod properties {
         let (e1, g) = (row_draw as usize % (e - 1), n_units);
         for layer in 0..layers {
             let units = start.layer(layer);
-            let bmax = loaded
-                .layer(layer)
-                .1
-                .iter()
-                .fold(0.0, |m: f64, &b| m.max(b));
-            let widest = loaded.layer(layer).1[e1] + bmax;
+            let floor = loaded.partner_floor(units, layer, 0..e);
+            let (_, widest) = loaded.row_floor(units, (layer, e1), 0..g, &floor);
             for from in [e1 + 1, e1 + 1 + (row_draw / 64) as usize % (e - e1 - 1)] {
                 let mut shifts = vec![0.0];
                 for stretch in [0, from] {
@@ -553,15 +569,8 @@ mod properties {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
-        fn table_walks_accept_the_reference_swap_sequence(
-            shape in 0usize..9,
-            counts in 0u64..2,
-            density_pct in 15u64..100,
-            max_moves in 0u64..12,
-            budget_draw in 0u64..100_000,
-            seed in 0u64..10_000,
-        ) {
-            walks_case((shape, counts, density_pct, max_moves, budget_draw, seed));
+        fn table_walks_accept_the_reference_swap_sequence(draws in walk_draws()) {
+            walks_case(draws);
         }
 
         #[test]
@@ -610,25 +619,15 @@ mod properties {
         }
 
         #[test]
-        fn layer_scans_keep_and_charge_what_the_full_scans_do(
-            shape in 0usize..9,
-            counts in 0u64..2,
-            density_pct in 15u64..100,
-            seed in 0u64..10_000,
-        ) {
-            layer_scans_case((shape, counts, density_pct, seed));
+        fn layer_scans_keep_and_charge_what_the_full_scans_do(draws in layer_scan_draws()) {
+            layer_scans_case(draws);
         }
 
         #[test]
         fn polish_scans_accept_and_charge_what_the_candidate_loop_does(
-            shape in 1usize..9,
-            counts in 0u64..2,
-            density_pct in 15u64..100,
-            polished in 0u64..2,
-            row_draw in 0u64..100_000,
-            seed in 0u64..10_000,
+            draws in polish_scan_draws(),
         ) {
-            polish_scans_case((shape, counts, density_pct, polished, row_draw, seed));
+            polish_scans_case(draws);
         }
 
         #[test]
@@ -679,39 +678,20 @@ mod properties {
         /// release profile: CI's bit-identity step passes `--include-ignored`.
         #[test]
         #[ignore = "soak"]
-        fn soak_table_walks(
-            shape in 0usize..9,
-            counts in 0u64..2,
-            density_pct in 15u64..100,
-            max_moves in 0u64..12,
-            budget_draw in 0u64..100_000,
-            seed in 0u64..10_000,
-        ) {
-            walks_case((shape, counts, density_pct, max_moves, budget_draw, seed));
+        fn soak_table_walks(draws in walk_draws()) {
+            walks_case(draws);
         }
 
         #[test]
         #[ignore = "soak"]
-        fn soak_layer_scans(
-            shape in 0usize..9,
-            counts in 0u64..2,
-            density_pct in 15u64..100,
-            seed in 0u64..10_000,
-        ) {
-            layer_scans_case((shape, counts, density_pct, seed));
+        fn soak_layer_scans(draws in layer_scan_draws()) {
+            layer_scans_case(draws);
         }
 
         #[test]
         #[ignore = "soak"]
-        fn soak_polish_scans(
-            shape in 1usize..9,
-            counts in 0u64..2,
-            density_pct in 15u64..100,
-            polished in 0u64..2,
-            row_draw in 0u64..100_000,
-            seed in 0u64..10_000,
-        ) {
-            polish_scans_case((shape, counts, density_pct, polished, row_draw, seed));
+        fn soak_polish_scans(draws in polish_scan_draws()) {
+            polish_scans_case(draws);
         }
     }
 }
