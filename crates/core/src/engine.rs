@@ -1732,6 +1732,31 @@ mod tests {
     }
 
     #[test]
+    fn offline_runs_after_other_runs_equal_runs_on_a_fresh_engine() {
+        // Every offline scenario of an engine runs window 0: whichever
+        // ran before on the same engine, a mode's report — its output
+        // digest included — is the one a freshly built engine gives.
+        for build in [tiny_engine, top2_engine] {
+            let engine = build(2, 2);
+            for mode in ParallelismMode::ALL {
+                assert_eq!(
+                    offline(&engine, mode),
+                    offline(&build(2, 2), mode),
+                    "{mode}"
+                );
+            }
+            let mode = ParallelismMode::ContextCoherentAffinity;
+            let base = engine.placement_for(mode).clone();
+            let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
+            assert_eq!(
+                replicated(&engine, mode, &plan),
+                replicated(&build(2, 2), mode, &plan),
+                "replicated after plain runs"
+            );
+        }
+    }
+
+    #[test]
     fn output_digest_sees_the_seed_the_iterations_and_the_weights() {
         // A digest that ignored its inputs would pass the test above.
         let mode = ParallelismMode::ContextCoherentAffinity;

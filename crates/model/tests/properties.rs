@@ -301,3 +301,95 @@ proptest! {
         }
     }
 }
+
+/// `TokenBatch::sample` as a nested constructor: per token, a domain and
+/// then that token's `sample_route`, pushed onto a `Vec` each.
+fn nested_batch(
+    model: &RoutingModel,
+    corpus: &CorpusSpec,
+    n_tokens: usize,
+    k: usize,
+    seed: u64,
+) -> (Vec<Vec<Vec<u16>>>, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut routes = Vec::with_capacity(n_tokens);
+    let mut domains = Vec::with_capacity(n_tokens);
+    for _ in 0..n_tokens {
+        let d = corpus.sample_domain(&mut rng);
+        routes.push(model.sample_route(&mut rng, d, k));
+        domains.push(d);
+    }
+    (routes, domains)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A sampled batch is the nested constructor's, token for token: every
+    /// `(token, layer)` route, every domain, the top-1 paths and every
+    /// round-robin shard — for fresh and interpolated models, with and
+    /// without an active-expert mask, top-1 and top-2.
+    #[test]
+    fn batches_match_the_nested_constructor_token_for_token(
+        (e, l) in (2usize..24, 1usize..6),
+        (kappa, alpha) in (0.0f64..1.0, 0.0f64..1.0),
+        (n_domains, share) in (1usize..4, 0.0f64..1.0),
+        mask in proptest::collection::vec(0u8..3, 24),
+        interpolated in 0u8..2,
+        n_tokens in 0usize..60,
+        seed in 0u64..1_000_000,
+    ) {
+        let spec = AffinityModelSpec::new(l, e)
+            .with_affinity(kappa)
+            .with_domains(n_domains, share)
+            .with_seed(seed);
+        let mut model = spec.build();
+        if interpolated == 1 {
+            model = model.interpolate(&spec.with_seed(seed ^ 0x5eed).build(), alpha);
+        }
+        // A third of the cases run unmasked; otherwise two thirds of the
+        // experts are active, and at least two, so a top-2 second pick
+        // always has somewhere to go.
+        let actives: Vec<usize> = (0..e).filter(|&i| mask[i] > 0).collect();
+        if mask[23] > 0 && actives.len() >= 2 {
+            model.set_active_experts(Some(actives));
+        }
+        let corpus = CorpusSpec::c4_proxy(n_domains);
+        for k in 1..=2 {
+            let batch = TokenBatch::sample(&model, &corpus, n_tokens, k, seed);
+            let (routes, domains) = nested_batch(&model, &corpus, n_tokens, k, seed);
+            prop_assert_eq!(batch.len(), n_tokens);
+            for (t, route) in routes.iter().enumerate() {
+                prop_assert_eq!(batch.domains[t], domains[t], "k {} token {}", k, t);
+                for (layer, slots) in route.iter().enumerate() {
+                    prop_assert_eq!(
+                        batch.routes[t][layer].as_slice(), slots.as_slice(),
+                        "k {} token {} layer {}", k, t, layer
+                    );
+                }
+            }
+            let top1: Vec<Vec<u16>> = routes
+                .iter()
+                .map(|route| route.iter().map(|slots| slots[0]).collect())
+                .collect();
+            prop_assert_eq!(batch.top1_paths(), top1, "k {}", k);
+            for n in 1..5 {
+                let shards = batch.shard(n);
+                prop_assert_eq!(shards.len(), n);
+                for (s, shard) in shards.iter().enumerate() {
+                    let mine: Vec<usize> = (s..n_tokens).step_by(n).collect();
+                    prop_assert_eq!(shard.len(), mine.len(), "k {} shard {} of {}", k, s, n);
+                    for (j, &t) in mine.iter().enumerate() {
+                        prop_assert_eq!(shard.domains[j], domains[t]);
+                        for (layer, slots) in routes[t].iter().enumerate() {
+                            prop_assert_eq!(
+                                shard.routes[j][layer].as_slice(), slots.as_slice(),
+                                "k {} shard {} of {} token {} layer {}", k, s, n, t, layer
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
