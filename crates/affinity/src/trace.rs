@@ -161,7 +161,7 @@ mod tests {
         assert_eq!(t.n_layers(), 5);
         for tok in 0..20 {
             for l in 0..5 {
-                assert_eq!(t.expert_at(tok, l), b.routes[tok][l][0] as usize);
+                assert_eq!(t.expert_at(tok, l), b.route(tok, l)[0] as usize);
             }
         }
     }

@@ -327,6 +327,9 @@ pub struct InferenceEngine {
     /// Every expert's weights, `layer * n_experts + expert`; built by the
     /// first pass (see [`InferenceEngine::experts`]).
     experts: OnceLock<Vec<Expert>>,
+    /// Window 0's serving batches, which every offline pass runs; sampled
+    /// by the first (see [`InferenceEngine::offline_batches`]).
+    offline_batches: OnceLock<Vec<TokenBatch>>,
 }
 
 impl InferenceEngine {
@@ -392,6 +395,7 @@ impl InferenceEngine {
             affinity_node: staged.node_level,
             all_ranks: (0..world).collect(),
             experts: OnceLock::new(),
+            offline_batches: OnceLock::new(),
         }
     }
 
@@ -446,7 +450,7 @@ impl InferenceEngine {
         placement: &Placement,
     ) -> InferenceReport {
         let plan = ReplicationPlan::bare(placement.clone());
-        self.run_once(mode, &plan, &self.serving_batches(&self.routing, 0))
+        self.run_once(mode, &plan, self.offline_batches())
     }
 
     /// Every provisioned GPU, ascending: the `live_ranks` of a healthy
@@ -473,6 +477,18 @@ impl InferenceEngine {
                 })
                 .collect()
         })
+    }
+
+    /// The batches every offline pass runs — [`Scenario::offline`],
+    /// [`InferenceEngine::run_with_placement`], a replication scenario:
+    /// window 0 of the engine's own routing model. Like the expert table
+    /// they are a pure function of the config, so the first such pass
+    /// samples them and every later one reads them.
+    ///
+    /// [`Scenario::offline`]: crate::Scenario::offline
+    pub(crate) fn offline_batches(&self) -> &[TokenBatch] {
+        self.offline_batches
+            .get_or_init(|| self.serving_batches(&self.routing, 0))
     }
 
     /// Serving batches for one window: fresh routes per generation
@@ -832,7 +848,7 @@ impl Pass<'_> {
             let head = Head {
                 id: id as u32,
                 home: me as u32,
-                domain: batch.domains[id] as u32,
+                domain: batch.domain(id) as u32,
                 slot: 0,
             };
             table.push(
@@ -857,8 +873,8 @@ impl Pass<'_> {
         let my_node = cluster.node_of(Rank(me));
         let k = self.cfg.model.gate.k();
         for (row, head) in table.heads().iter().enumerate() {
-            let route = &batch.routes[head.id as usize][layer];
-            for (slot, &expert) in route[..k].iter().enumerate() {
+            let route = batch.route(head.id as usize, layer);
+            for (slot, &expert) in route.iter().enumerate() {
                 let expert = expert as usize;
                 let owner = self.plan.base.unit_of(layer, expert);
                 let units = self.replica_units(layer, expert);
@@ -958,7 +974,7 @@ impl Pass<'_> {
         let table = &mut tables[me];
         order.clear();
         order.extend(table.heads().iter().enumerate().map(|(row, head)| {
-            let expert = batch.routes[head.id as usize][layer][head.slot as usize];
+            let expert = batch.route(head.id as usize, layer)[head.slot as usize];
             (u32::from(expert), row as u32)
         }));
         order.sort_unstable();
@@ -1011,7 +1027,7 @@ impl Pass<'_> {
                 } else if head.slot == 0 {
                     continue;
                 } else {
-                    let primary = batch.routes[head.id as usize][layer][0] as usize;
+                    let primary = batch.route(head.id as usize, layer)[0] as usize;
                     self.plan.base.unit_of(layer, primary)
                 };
                 plane.wire.emit(me, dst, row, head.slot);
@@ -1738,6 +1754,10 @@ mod tests {
         // digest included — is the one a freshly built engine gives.
         for build in [tiny_engine, top2_engine] {
             let engine = build(2, 2);
+            assert!(
+                engine.offline_batches.get().is_none(),
+                "build() samples no window"
+            );
             for mode in ParallelismMode::ALL {
                 assert_eq!(
                     offline(&engine, mode),
@@ -1745,6 +1765,15 @@ mod tests {
                     "{mode}"
                 );
             }
+            let window = engine
+                .offline_batches
+                .get()
+                .expect("sampled by the first pass")
+                .as_slice();
+            assert!(
+                std::ptr::eq(window, engine.offline_batches()),
+                "sampled once"
+            );
             let mode = ParallelismMode::ContextCoherentAffinity;
             let base = engine.placement_for(mode).clone();
             let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
@@ -1753,6 +1782,7 @@ mod tests {
                 replicated(&build(2, 2), mode, &plan),
                 "replicated after plain runs"
             );
+            assert!(std::ptr::eq(window, engine.offline_batches()));
         }
     }
 
@@ -1776,7 +1806,7 @@ mod tests {
 
         // Swap the weights of one expert a token certainly visits: the
         // first token's layer-0 expert.
-        let visited = engine.serving_batches(engine.routing(), 0)[0].routes[0][0][0] as usize;
+        let visited = engine.serving_batches(engine.routing(), 0)[0].route(0, 0)[0] as usize;
         let sim_dim = engine.config().model.sim_dim;
         let mut table = engine.experts().to_vec();
         table[visited] = Expert::random(sim_dim, 4 * sim_dim, &mut StdRng::seed_from_u64(0));

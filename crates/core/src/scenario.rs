@@ -256,8 +256,7 @@ impl InferenceEngine {
             return ScenarioReport::Online(self.run_online_impl(mode, drift));
         }
         if let Some(plan) = &scenario.replication {
-            let batches = self.serving_batches(self.routing(), 0);
-            return ScenarioReport::Offline(self.run_once(mode, plan, &batches));
+            return ScenarioReport::Offline(self.run_once(mode, plan, self.offline_batches()));
         }
         ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))
     }

@@ -194,10 +194,9 @@ impl ServingConfig {
 /// One request's lifecycle state inside the event loop.
 struct Request {
     arrival: f64,
-    domain: usize,
-    /// `routes[step][layer]` = gated experts of the token this request
-    /// generates at `step`.
-    routes: Vec<Vec<Vec<u16>>>,
+    /// One token per decode step: token `step` is the one this request
+    /// generates at `step`, with its route and the request's domain.
+    steps: TokenBatch,
     steps_done: usize,
 }
 
@@ -346,6 +345,8 @@ struct ServingState<'a> {
     adaptive: AdaptiveState<'a>,
     /// What every step's pass keeps its tokens in: one arena for the run.
     plane: Plane,
+    /// The current step's batch, refilled in place by `try_start_step`.
+    step_batch: TokenBatch,
     cur_window: usize,
     /// Realized paths of steps finished since the last window close.
     pending_paths: Vec<Vec<u16>>,
@@ -399,6 +400,7 @@ impl<'a> ServingState<'a> {
             events: EventQueue::new(),
             adaptive,
             plane: engine.plane(),
+            step_batch: TokenBatch::empty(cfg.model.n_layers, cfg.model.gate.k()),
             cur_window: 0,
             pending_paths: Vec::new(),
             live_ranks: Arc::clone(engine.all_ranks()),
@@ -422,7 +424,8 @@ impl<'a> ServingState<'a> {
         // then each request's domain and full decode route from the
         // routing model of the window it arrives in (its own seed stream,
         // disjoint from profiling and from the windowed mode's).
-        let k = cfg.model.gate.k();
+        let (n_layers, k) = (cfg.model.n_layers, cfg.model.gate.k());
+        let mut route = Vec::with_capacity(n_layers * k);
         let arrivals = serving.arrival.sample(n, cfg.seed ^ 0xac71_0e55);
         for (i, &t) in arrivals.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(
@@ -430,13 +433,15 @@ impl<'a> ServingState<'a> {
             );
             let model = drift.model_at(state.window_of(t));
             let domain = cfg.corpus.sample_domain(&mut rng);
-            let routes = (0..serving.decode_steps)
-                .map(|_| model.sample_route(&mut rng, domain, k))
-                .collect();
+            let mut steps = TokenBatch::empty(n_layers, k);
+            for _ in 0..serving.decode_steps {
+                route.clear();
+                model.sample_route_into(&mut rng, domain, k, &mut route);
+                steps.push(&route, domain);
+            }
             state.requests.push(Request {
                 arrival: t,
-                domain,
-                routes,
+                steps,
                 steps_done: 0,
             });
             state.events.push(t, EventKind::Arrival(i));
@@ -476,10 +481,10 @@ impl<'a> ServingState<'a> {
         let (report, pending) = (&mut self.report, &mut self.pending_paths);
         self.in_flight.retain(|&i| {
             let req = &mut requests[i];
+            let (steps, step) = (&req.steps, req.steps_done);
             pending.push(
-                req.routes[req.steps_done]
-                    .iter()
-                    .map(|slots| slots[0])
+                (0..steps.n_layers())
+                    .map(|layer| steps.route(step, layer)[0])
                     .collect(),
             );
             req.steps_done += 1;
@@ -649,12 +654,16 @@ impl<'a> ServingState<'a> {
 
         // Each in-flight request contributes the token of its current
         // step.
-        let pool = || self.in_flight.iter().map(|&i| &self.requests[i]);
-        let batch = TokenBatch {
-            routes: pool().map(|r| r.routes[r.steps_done].clone()).collect(),
-            domains: pool().map(|r| r.domain).collect(),
-        };
-        let ctx_offset = pool().map(|r| r.steps_done).max().unwrap_or(0);
+        self.step_batch.clear();
+        let mut ctx_offset = 0;
+        for &i in &self.in_flight {
+            let Request {
+                steps, steps_done, ..
+            } = &self.requests[i];
+            self.step_batch
+                .push(steps.token(*steps_done), steps.domain(*steps_done));
+            ctx_offset = ctx_offset.max(*steps_done);
+        }
         if matches!(self.copying, Some((done, _)) if clock >= done) {
             self.copying = None;
         }
@@ -665,7 +674,7 @@ impl<'a> ServingState<'a> {
         let step = self.engine.run_pass(
             self.report.mode,
             active,
-            &[batch],
+            std::slice::from_ref(&self.step_batch),
             ctx_offset,
             &self.live_ranks,
             &mut self.plane,

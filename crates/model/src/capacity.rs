@@ -126,7 +126,7 @@ mod tests {
         let spec = AffinityModelSpec::new(2, 8);
         let model = spec.build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(spec.n_domains), 2000, 1, 3);
-        let experts: Vec<u16> = batch.routes.iter().map(|r| r[0][0]).collect();
+        let experts: Vec<u16> = (0..batch.len()).map(|t| batch.route(t, 0)[0]).collect();
         let tight = apply_capacity(&experts, 8, CapacityPolicy::Fixed { factor: 1.0 });
         let loose = apply_capacity(&experts, 8, CapacityPolicy::Fixed { factor: 1.5 });
         assert!(loose.dropped() <= tight.dropped());
@@ -140,7 +140,7 @@ mod tests {
         let spec = AffinityModelSpec::new(2, 16);
         let model = spec.build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(spec.n_domains), 4000, 1, 9);
-        let experts: Vec<u16> = batch.routes.iter().map(|r| r[0][0]).collect();
+        let experts: Vec<u16> = (0..batch.len()).map(|t| batch.route(t, 0)[0]).collect();
         let out = apply_capacity(&experts, 16, CapacityPolicy::Fixed { factor: 1.25 });
         assert!(
             out.drop_rate() < 0.01,

@@ -95,16 +95,32 @@ impl CorpusSpec {
 
 /// A batch of routed tokens: the unit of work the engine and the affinity
 /// profiler both consume.
+///
+/// Routes are stored flat, token-major: token, then layer, then the `k`
+/// expert slots of that layer with the primary first, so a token's whole
+/// route is one `n_layers * k` slice and one `(token, layer)` lookup is
+/// one index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TokenBatch {
-    /// `routes[token][layer]` lists the expert(s) the token visits at that
-    /// layer; entry 0 is the primary expert.
-    pub routes: Vec<Vec<Vec<u16>>>,
-    /// Domain label of each token.
-    pub domains: Vec<usize>,
+    routes: Vec<u16>,
+    domains: Vec<usize>,
+    n_layers: usize,
+    k: usize,
 }
 
 impl TokenBatch {
+    /// An empty batch of routes with `n_layers` layers and `k` experts per
+    /// layer, to [`TokenBatch::push`] tokens onto.
+    pub fn empty(n_layers: usize, k: usize) -> Self {
+        assert!(k >= 1, "a route visits at least one expert per layer");
+        TokenBatch {
+            routes: Vec::new(),
+            domains: Vec::new(),
+            n_layers,
+            k,
+        }
+    }
+
     /// Sample `n_tokens` from `corpus`, routing each through `model` with
     /// `k` experts per layer. Deterministic in `seed`.
     pub fn sample(
@@ -120,36 +136,77 @@ impl TokenBatch {
             "corpus domain count must match routing model"
         );
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut routes = Vec::with_capacity(n_tokens);
-        let mut domains = Vec::with_capacity(n_tokens);
+        let mut batch = TokenBatch::empty(model.n_layers(), k);
+        batch.routes.reserve_exact(n_tokens * batch.stride());
+        batch.domains.reserve_exact(n_tokens);
         for _ in 0..n_tokens {
             let d = corpus.sample_domain(&mut rng);
-            routes.push(model.sample_route(&mut rng, d, k));
-            domains.push(d);
+            model.sample_route_into(&mut rng, d, k, &mut batch.routes);
+            batch.domains.push(d);
         }
-        TokenBatch { routes, domains }
+        batch
+    }
+
+    /// Append one token: its whole route (`n_layers * k` experts, in the
+    /// batch's order) and its domain.
+    pub fn push(&mut self, route: &[u16], domain: usize) {
+        assert_eq!(
+            route.len(),
+            self.stride(),
+            "a route is n_layers * k experts"
+        );
+        self.routes.extend_from_slice(route);
+        self.domains.push(domain);
+    }
+
+    /// Drop every token, keeping the shape and the allocations.
+    pub fn clear(&mut self) {
+        self.routes.clear();
+        self.domains.clear();
+    }
+
+    /// Experts per token: `n_layers * k`.
+    fn stride(&self) -> usize {
+        self.n_layers * self.k
     }
 
     /// Number of tokens.
     pub fn len(&self) -> usize {
-        self.routes.len()
+        self.domains.len()
     }
 
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
+        self.domains.is_empty()
     }
 
     /// Number of layers in each route.
     pub fn n_layers(&self) -> usize {
-        self.routes.first().map_or(0, |r| r.len())
+        self.n_layers
+    }
+
+    /// The `k` experts token `token` visits at `layer`, the primary first.
+    pub fn route(&self, token: usize, layer: usize) -> &[u16] {
+        debug_assert!(layer < self.n_layers, "layer out of range");
+        let at = (token * self.n_layers + layer) * self.k;
+        &self.routes[at..at + self.k]
+    }
+
+    /// Token `t`'s whole route: `n_layers * k` experts, layer by layer.
+    pub fn token(&self, t: usize) -> &[u16] {
+        let stride = self.stride();
+        &self.routes[t * stride..(t + 1) * stride]
+    }
+
+    /// Domain label of token `t`.
+    pub fn domain(&self, t: usize) -> usize {
+        self.domains[t]
     }
 
     /// Primary (top-1) expert path of each token.
     pub fn top1_paths(&self) -> Vec<Vec<u16>> {
-        self.routes
-            .iter()
-            .map(|route| route.iter().map(|experts| experts[0]).collect())
+        (0..self.len())
+            .map(|t| self.token(t).iter().step_by(self.k).copied().collect())
             .collect()
     }
 
@@ -157,15 +214,9 @@ impl TokenBatch {
     /// across the data-parallel group before inference).
     pub fn shard(&self, n: usize) -> Vec<TokenBatch> {
         assert!(n >= 1);
-        let mut shards: Vec<TokenBatch> = (0..n)
-            .map(|_| TokenBatch {
-                routes: Vec::new(),
-                domains: Vec::new(),
-            })
-            .collect();
-        for (i, (route, &domain)) in self.routes.iter().zip(self.domains.iter()).enumerate() {
-            shards[i % n].routes.push(route.clone());
-            shards[i % n].domains.push(domain);
+        let mut shards = vec![TokenBatch::empty(self.n_layers, self.k); n];
+        for t in 0..self.len() {
+            shards[t % n].push(self.token(t), self.domain(t));
         }
         shards
     }
@@ -205,13 +256,32 @@ mod tests {
         let b = TokenBatch::sample(&m, &CorpusSpec::pile_proxy(4), 100, 1, 42);
         assert_eq!(b.len(), 100);
         assert_eq!(b.n_layers(), 6);
-        assert_eq!(b.domains.len(), 100);
-        for route in &b.routes {
-            assert_eq!(route.len(), 6);
-            for experts in route {
-                assert_eq!(experts.len(), 1);
+        for t in 0..100 {
+            assert_eq!(b.token(t).len(), 6);
+            for l in 0..6 {
+                assert_eq!(b.route(t, l).len(), 1);
             }
         }
+    }
+
+    #[test]
+    fn pushed_tokens_read_back_and_clear_keeps_the_shape() {
+        let m = model();
+        let sampled = TokenBatch::sample(&m, &CorpusSpec::pile_proxy(4), 5, 2, 9);
+        let mut b = TokenBatch::empty(6, 2);
+        for t in (0..5).rev() {
+            b.push(sampled.token(t), sampled.domain(t));
+        }
+        assert_eq!(b.len(), 5);
+        for t in 0..5 {
+            assert_eq!(b.domain(t), sampled.domain(4 - t));
+            for l in 0..6 {
+                assert_eq!(b.route(t, l), sampled.route(4 - t, l));
+            }
+        }
+        b.clear();
+        assert!(b.is_empty());
+        assert_eq!(b, TokenBatch::empty(6, 2));
     }
 
     #[test]
@@ -232,7 +302,7 @@ mod tests {
         let paths = b.top1_paths();
         for (t, path) in paths.iter().enumerate() {
             for (l, &e) in path.iter().enumerate() {
-                assert_eq!(e, b.routes[t][l][0]);
+                assert_eq!(e, b.route(t, l)[0]);
             }
         }
     }

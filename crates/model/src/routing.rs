@@ -381,14 +381,8 @@ impl RoutingModel {
 
     /// Sample a full top-1 routing path (one expert per layer).
     pub fn sample_path<R: Rng>(&self, rng: &mut R, domain: usize) -> Vec<u16> {
-        assert!(domain < self.spec.n_domains, "domain out of range");
         let mut path = Vec::with_capacity(self.spec.n_layers);
-        let mut cur = self.sample_first(rng);
-        path.push(cur as u16);
-        for gap in 0..self.spec.n_layers.saturating_sub(1) {
-            cur = self.sample_next(rng, domain, gap, cur, None);
-            path.push(cur as u16);
-        }
+        self.sample_route_into(rng, domain, 1, &mut path);
         path
     }
 
@@ -396,35 +390,55 @@ impl RoutingModel {
     /// first being the primary (the one whose output dominates and whose
     /// chain continues the Markov walk).
     pub fn sample_route<R: Rng>(&self, rng: &mut R, domain: usize, k: usize) -> Vec<Vec<u16>> {
-        assert!(k >= 1 && k <= self.spec.n_experts);
-        let primary = self.sample_path(rng, domain);
-        primary
-            .iter()
-            .enumerate()
-            .map(|(layer, &p)| {
-                let mut experts = vec![p];
-                if k == 2 && self.spec.n_experts > 1 {
-                    let gap = layer.saturating_sub(1);
-                    let from = if layer == 0 {
-                        p as usize
-                    } else {
-                        primary[layer - 1] as usize
-                    };
-                    let second = if layer == 0 {
-                        // No previous layer: second expert uniform among others.
-                        let mut s = rng.gen_range(0..self.spec.n_experts - 1);
-                        if s >= p as usize {
-                            s += 1;
-                        }
-                        s
-                    } else {
-                        self.sample_next(rng, domain, gap, from, Some(p as usize))
-                    };
-                    experts.push(second as u16);
-                }
-                experts
-            })
-            .collect()
+        let mut route = Vec::with_capacity(self.spec.n_layers * k);
+        self.sample_route_into(rng, domain, k, &mut route);
+        route.chunks_exact(k).map(<[u16]>::to_vec).collect()
+    }
+
+    /// Append one top-k route to `out`, flat: layer by layer, `k` distinct
+    /// experts each, the primary first. The draws are the primary walk
+    /// over every layer, then the second picks layer by layer.
+    ///
+    /// # Panics
+    ///
+    /// Unless `k` is 1 or 2 (the two [`crate::GateKind`]s) and at most the
+    /// expert count, or if `domain` is out of range — before any draw.
+    pub fn sample_route_into<R: Rng>(
+        &self,
+        rng: &mut R,
+        domain: usize,
+        k: usize,
+        out: &mut Vec<u16>,
+    ) {
+        assert!(
+            (k == 1 || k == 2) && k <= self.spec.n_experts,
+            "top-k routes have k = 1 or 2 experts per layer, at most the {} there are; got k = {k}",
+            self.spec.n_experts
+        );
+        assert!(domain < self.spec.n_domains, "domain out of range");
+        let start = out.len();
+        out.resize(start + self.spec.n_layers * k, 0);
+        let route = &mut out[start..];
+        let mut cur = self.sample_first(rng);
+        route[0] = cur as u16;
+        for gap in 0..self.spec.n_layers - 1 {
+            cur = self.sample_next(rng, domain, gap, cur, None);
+            route[(gap + 1) * k] = cur as u16;
+        }
+        if k == 2 {
+            for layer in 0..self.spec.n_layers {
+                let p = usize::from(route[2 * layer]);
+                let second = if layer == 0 {
+                    // No previous layer: second expert uniform among others.
+                    let s = rng.gen_range(0..self.spec.n_experts - 1);
+                    s + usize::from(s >= p)
+                } else {
+                    let from = usize::from(route[2 * (layer - 1)]);
+                    self.sample_next(rng, domain, layer - 1, from, Some(p))
+                };
+                route[2 * layer + 1] = second as u16;
+            }
+        }
     }
 }
 
@@ -575,6 +589,15 @@ mod tests {
                 assert_ne!(layer[0], layer[1]);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "k = 1 or 2 experts per layer")]
+    fn top3_routes_are_rejected_before_any_draw() {
+        // Only the two gates exist; a third slot was never drawn, so a
+        // k = 3 route used to come back with one expert per layer.
+        let m = model(8, 6, 0.8);
+        let _ = m.sample_route(&mut StdRng::seed_from_u64(3), 0, 3);
     }
 
     #[test]

@@ -360,10 +360,10 @@ proptest! {
             let (routes, domains) = nested_batch(&model, &corpus, n_tokens, k, seed);
             prop_assert_eq!(batch.len(), n_tokens);
             for (t, route) in routes.iter().enumerate() {
-                prop_assert_eq!(batch.domains[t], domains[t], "k {} token {}", k, t);
+                prop_assert_eq!(batch.domain(t), domains[t], "k {} token {}", k, t);
                 for (layer, slots) in route.iter().enumerate() {
                     prop_assert_eq!(
-                        batch.routes[t][layer].as_slice(), slots.as_slice(),
+                        batch.route(t, layer), slots.as_slice(),
                         "k {} token {} layer {}", k, t, layer
                     );
                 }
@@ -380,10 +380,10 @@ proptest! {
                     let mine: Vec<usize> = (s..n_tokens).step_by(n).collect();
                     prop_assert_eq!(shard.len(), mine.len(), "k {} shard {} of {}", k, s, n);
                     for (j, &t) in mine.iter().enumerate() {
-                        prop_assert_eq!(shard.domains[j], domains[t]);
+                        prop_assert_eq!(shard.domain(j), domains[t]);
                         for (layer, slots) in routes[t].iter().enumerate() {
                             prop_assert_eq!(
-                                shard.routes[j][layer].as_slice(), slots.as_slice(),
+                                shard.route(j, layer), slots.as_slice(),
                                 "k {} shard {} of {} token {} layer {}", k, s, n, t, layer
                             );
                         }
