@@ -15,6 +15,12 @@
 # than the parent's own inter-quartile distance, FAIL otherwise. Which
 # way is better comes from the metric's entry in BENCHMARK.json.
 #
+# Every run's whole result line is kept, so after the verdict the same
+# runs give each side's median of every other end-to-end metric of
+# BENCHMARK.json (with how many pairs read the same value on both sides)
+# and each side's failed / attempted operation totals: the metrics a
+# change must not move, from the one invocation.
+#
 # Exit: 0 the pairs ran (PASS or FAIL), 1 a run printed "correct": false
 # or no value for the metric, 2 usage error.
 set -euo pipefail
@@ -32,50 +38,62 @@ if [ -z "$better" ]; then
   exit 2
 fi
 
-# One run: the value of $metric from the result line (the last of stdout).
-measure() {
+runs=$(mktemp) pairs=$(mktemp)
+trap 'rm -f "$runs" "$pairs"' EXIT
+
+# One run of binary $2 at seed $3: its result line (the last of stdout),
+# kept in $runs as "<side> <line>".
+run() {
   local line
-  line=$("$1" --workload "$workload" --seed "$2" --seconds "$seconds" --trace 0 | tail -n 1) || true
+  line=$("$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 | tail -n 1) || true
   case "$line" in
     *'"correct": true'*) ;;
     *)
-      echo "bench-pairs: $1 --seed $2 did not report \"correct\": true" >&2
+      echo "bench-pairs: $2 --seed $3 did not report \"correct\": true" >&2
       exit 1
       ;;
   esac
-  sed -n 's/.*"'"$metric"'": {"value": \([^,}]*\).*/\1/p' <<<"$line" | grep . || {
-    echo "bench-pairs: $1 --seed $2 printed no $metric" >&2
-    exit 1
-  }
+  echo "$1 $line" >>"$runs"
 }
 
-pairs=$(mktemp)
-trap 'rm -f "$pairs"' EXIT
+# The value of metric $2 in each of side $1's runs so far, in run order;
+# "-" for a run that printed none.
+values() {
+  awk -v side="$1" '$1 == side' "$runs" \
+    | sed -n 's/.*"'"$2"'": {"value": \([^,}]*\).*/\1/p; t; s/.*/-/p'
+}
+
+# Quartiles, by linear interpolation, of the numbers on stdin ("-" skipped).
+quartiles() {
+  { grep -v '^-$' || true; } | sort -g | awk '
+    { v[NR] = $1 }
+    function q(p,  h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
+    END { if (NR) printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75); else print "- - -" }'
+}
+
 n=0
 for seed in "$@"; do
   n=$((n + 1))
   if [ $((n % 2)) -eq 1 ]; then
-    p=$(measure "$parent" "$seed")
-    c=$(measure "$change" "$seed")
+    run parent "$parent" "$seed"
+    run change "$change" "$seed"
     first=parent
   else
-    c=$(measure "$change" "$seed")
-    p=$(measure "$parent" "$seed")
+    run change "$change" "$seed"
+    run parent "$parent" "$seed"
     first=change
+  fi
+  p=$(values parent "$metric" | tail -n 1) c=$(values change "$metric" | tail -n 1)
+  if [ "$p" = - ] || [ "$c" = - ]; then
+    echo "bench-pairs: a run at --seed $seed printed no $metric" >&2
+    exit 1
   fi
   echo "$p $c" >>"$pairs"
   echo "pair $n seed $seed ($first first): parent $p  change $c"
 done
 
-# Quartiles by linear interpolation over the sorted values of one column.
-quartiles() {
-  cut -d' ' -f"$1" "$pairs" | sort -g | awk '
-    { v[NR] = $1 }
-    function q(p,  h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
-    END { printf "%.6g %.6g %.6g\n", q(0.25), q(0.5), q(0.75) }'
-}
-read -r p1 p2 p3 < <(quartiles 1)
-read -r c1 c2 c3 < <(quartiles 2)
+read -r p1 p2 p3 < <(cut -d' ' -f1 "$pairs" | quartiles)
+read -r c1 c2 c3 < <(cut -d' ' -f2 "$pairs" | quartiles)
 echo "$workload $metric (better: $better), $n pairs at --seconds $seconds"
 echo "parent  median $p2  quartiles $p1 .. $p3"
 echo "change  median $c2  quartiles $c1 .. $c3"
@@ -87,3 +105,17 @@ awk -v better="$better" -v pm="$p2" -v cm="$c2" -v iqr="$(awk "BEGIN { print $p3
       wins, losses, NR, gap, cm / pm, iqr
     print (wins * 10 >= NR * 9 && gap > iqr ? "PASS" : "FAIL")
   }' "$pairs"
+
+echo "the same runs, every other end-to-end metric: parent median -> change median (pairs whose two runs read the same value)"
+sed -n '/"end_to_end"/,/\]/s/.*"name": "\([^"]*\)".*/\1/p' "$spec" | while read -r m; do
+  [ "$m" = "$metric" ] && continue
+  pm=$(values parent "$m" | quartiles | cut -d' ' -f2)
+  cm=$(values change "$m" | quartiles | cut -d' ' -f2)
+  same=$(paste -d' ' <(values parent "$m") <(values change "$m") | awk '$1 == $2 && $1 != "-"' | wc -l)
+  printf '  %-20s %12s -> %-12s (%d / %d)\n' "$m" "$pm" "$cm" "$same" "$n"
+done
+for side in parent change; do
+  awk -v side="$side" '$1 == side' "$runs" \
+    | sed -n 's/.*"attempted": \([0-9]*\), "failed": \([0-9]*\).*/\1 \2/p' \
+    | awk -v side="$side" '{ a += $1; f += $2 } END { printf "  %s: %d failed of %d operations attempted\n", side, f, a }'
+done
