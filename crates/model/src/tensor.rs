@@ -140,6 +140,20 @@ pub fn gelu_inplace(xs: &mut [f32]) {
     }
 }
 
+/// [`tanh`]'s numerator coefficients, highest power of `x²` first.
+const NUM: [f32; 7] = [
+    -2.760_768_4e-16,
+    2.000_188e-13,
+    -8.604_672e-11,
+    5.122_297_3e-8,
+    1.485_722_35e-5,
+    6.372_619_5e-4,
+    4.893_524_6e-3,
+];
+
+/// [`tanh`]'s denominator coefficients, highest power of `x²` first.
+const DEN: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.893_525e-3];
+
 /// `tanh` without libm: clamp, then an odd degree-13 over an even
 /// degree-6 polynomial (the Eigen / XLA `fast_tanh` coefficients), within
 /// 3e-7 of `f32::tanh` and never beyond ±1. No branch or table, so loops
@@ -147,16 +161,6 @@ pub fn gelu_inplace(xs: &mut [f32]) {
 /// the same on every platform, which no libm's `tanhf` promises.
 #[inline]
 fn tanh(x: f32) -> f32 {
-    const NUM: [f32; 7] = [
-        -2.760_768_4e-16,
-        2.000_188e-13,
-        -8.604_672e-11,
-        5.122_297_3e-8,
-        1.485_722_35e-5,
-        6.372_619_5e-4,
-        4.893_524_6e-3,
-    ];
-    const DEN: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.893_525e-3];
     let x = x.clamp(-7.905_311, 7.905_311);
     let x2 = x * x;
     let horner = |coeffs: &[f32]| coeffs[1..].iter().fold(coeffs[0], |acc, &c| acc * x2 + c);
@@ -167,7 +171,7 @@ fn tanh(x: f32) -> f32 {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn matmul_identity() {
@@ -255,5 +259,154 @@ mod tests {
                 assert!((c.get(i, j) - acc).abs() < 1e-4);
             }
         }
+    }
+
+    /// GELU's full form, one element: the oracle for `gelu_inplace`.
+    fn gelu_full(v: f32) -> f32 {
+        0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)))
+    }
+
+    /// GELU's short form: below 2^-12 the cubic term is under half an ulp
+    /// of `v`, and every Horner step of `tanh` but the last under half an
+    /// ulp of its constant, so `x · NUM[6] / DEN[3]` is all that is left.
+    fn gelu_short(v: f32) -> f32 {
+        0.5 * v * (1.0 + SQRT_2_OVER_PI * v * NUM[6] / DEN[3])
+    }
+
+    /// The bits of 2^-12: every non-negative `f32` below it is one of
+    /// `0..BELOW_2_POW_MINUS_12`.
+    const BELOW_2_POW_MINUS_12: u32 = 0x3980_0000;
+
+    /// `gelu_short` equals the full form and production `gelu_inplace` on
+    /// a one-element slice, for `bits` and its negation.
+    fn assert_short_form_exact(bits: u32) {
+        for b in [bits, bits | 0x8000_0000] {
+            let v = f32::from_bits(b);
+            let short = gelu_short(v).to_bits();
+            assert_eq!(short, gelu_full(v).to_bits(), "full form at {b:#010x}");
+            assert_eq!(short, gelu(v).to_bits(), "gelu_inplace at {b:#010x}");
+        }
+    }
+
+    #[test]
+    fn the_short_form_is_exact_below_2_pow_minus_12() {
+        assert_eq!(f32::from_bits(BELOW_2_POW_MINUS_12), 1.0 / 4096.0);
+        // ±0, the subnormals' ends, and each binade's first value, its
+        // predecessor and its successor up to 2^-12's predecessor.
+        let mut edges = vec![0, 1, 0x007f_ffff];
+        for exponent in 1..BELOW_2_POW_MINUS_12 >> 23 {
+            let first = exponent << 23;
+            edges.extend([first - 1, first, first + 1]);
+        }
+        edges.push(BELOW_2_POW_MINUS_12 - 1);
+        for bits in edges {
+            assert_short_form_exact(bits);
+        }
+        // A prime stride walks every binade through varied mantissas.
+        for bits in (0..BELOW_2_POW_MINUS_12).step_by(1_999) {
+            assert_short_form_exact(bits);
+        }
+    }
+
+    #[test]
+    fn the_short_form_is_not_exact_from_2_pow_minus_12_up() {
+        // The first value above 2^-12 where the two forms part: a
+        // threshold of 2^-11 would send it down the short form.
+        let v = f32::from_bits(0x39d2_8483);
+        assert!(v > 1.0 / 4096.0 && v < 1.0 / 2048.0);
+        assert_ne!(gelu_short(v).to_bits(), gelu_full(v).to_bits());
+        assert_ne!(gelu_short(v).to_bits(), gelu(v).to_bits());
+    }
+
+    /// Every `f32` below 2^-12, both signs (≈ 1.9 G values), through the
+    /// short form, the full form and `gelu_inplace` on whole slices; then
+    /// every positive value from 2^-12 up to the first where the forms
+    /// part. Minutes of CPU in release, split over the available cores:
+    /// `cargo test --release -p exflow-model -- --include-ignored`.
+    #[test]
+    #[ignore = "soak: every f32 below 2^-12, run on the release profile"]
+    fn the_short_form_is_exact_on_every_f32_below_2_pow_minus_12() {
+        const CHUNK: u32 = 4_096;
+        assert_eq!(BELOW_2_POW_MINUS_12 % CHUNK, 0);
+        // Thread `t` of `n` takes chunks `t, t + n, ...`: the subnormal
+        // end is the slow one, so every thread gets its share of it.
+        let check = |t: u32, n: u32| {
+            let mut xs = Vec::with_capacity(CHUNK as usize);
+            for start in (t * CHUNK..BELOW_2_POW_MINUS_12).step_by((n * CHUNK) as usize) {
+                for sign in [0, 0x8000_0000] {
+                    xs.clear();
+                    xs.extend((start..start + CHUNK).map(|b| f32::from_bits(b | sign)));
+                    let inputs = xs.clone();
+                    gelu_inplace(&mut xs);
+                    for (&v, got) in inputs.iter().zip(&xs) {
+                        let short = gelu_short(v).to_bits();
+                        let b = v.to_bits();
+                        assert_eq!(short, gelu_full(v).to_bits(), "full form at {b:#010x}");
+                        assert_eq!(short, got.to_bits(), "gelu_inplace at {b:#010x}");
+                    }
+                }
+            }
+        };
+        let n = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+        std::thread::scope(|s| {
+            for t in 0..n {
+                s.spawn(move || check(t, n));
+            }
+        });
+        let first_apart = (BELOW_2_POW_MINUS_12..)
+            .map(f32::from_bits)
+            .find(|&v| gelu_short(v).to_bits() != gelu_full(v).to_bits());
+        assert_eq!(first_apart.map(f32::to_bits), Some(0x39d2_8483));
+    }
+
+    #[test]
+    fn slices_on_either_side_of_2_pow_minus_12_match_the_full_form() {
+        let threshold = 1.0f32 / 4096.0;
+        let specials = [
+            threshold,
+            f32::from_bits(threshold.to_bits() - 1),
+            -threshold,
+            0.0,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut rng = StdRng::seed_from_u64(26);
+        let (mut all_below, mut some_not) = (0, 0);
+        for _ in 0..2_000 {
+            // A per-slice ceiling, so whole slices land below 2^-12 too.
+            let top: f64 = rng.gen_range(-39.0..2.0);
+            let with_specials = rng.gen_range(0..3) == 0;
+            let xs: Vec<f32> = (0..rng.gen_range(1..130))
+                .map(|_| {
+                    if with_specials && rng.gen_range(0..8) == 0 {
+                        specials[rng.gen_range(0..specials.len())]
+                    } else {
+                        let sign = if rng.gen_range(0..2) == 0 { 1.0 } else { -1.0 };
+                        sign * 2f64.powf(rng.gen_range(-40.0..top)) as f32
+                    }
+                })
+                .collect();
+            if xs.iter().all(|v| v.abs() < threshold) {
+                all_below += 1;
+            } else {
+                some_not += 1;
+            }
+            let mut got = xs.clone();
+            gelu_inplace(&mut got);
+            for (i, (&v, g)) in xs.iter().zip(&got).enumerate() {
+                let want = gelu_full(v);
+                assert!(
+                    g.to_bits() == want.to_bits() || (g.is_nan() && want.is_nan()),
+                    "element {i} of {}: gelu({v:e}) = {g:e}, full form {want:e}",
+                    xs.len()
+                );
+            }
+        }
+        assert!(
+            all_below >= 500 && some_not >= 500,
+            "{all_below} / {some_not}"
+        );
     }
 }
