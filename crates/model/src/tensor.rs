@@ -132,15 +132,35 @@ const TILE: usize = 16;
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 
+/// Below this magnitude GELU has an exact short form: 2^-12.
+const SHORT_BELOW: f32 = 1.0 / 4096.0;
+
 /// GELU (tanh approximation) over a slice, in place.
+///
+/// A slice whose every |value| is below 2^-12 takes the short form
+/// `0.5·v·(1 + √(2/π)·v·NUM[6]/DEN[3])`: there the cubic term is under
+/// half an ulp of `v`, and each Horner step of `tanh` but the last under
+/// half an ulp of its constant, so the short form is the full one bit for
+/// bit (proven on every such `f32`; 2^-11 would not be). It skips the
+/// rational polynomial and the subnormal products the full form makes of
+/// tiny inputs. The choice is per slice, not per element: a per-element
+/// select vectorises into the full form on every lane and saves nothing.
+/// The check stops at the first element at or above 2^-12 (or NaN).
 pub fn gelu_inplace(xs: &mut [f32]) {
+    if xs.iter().all(|v| v.abs() < SHORT_BELOW) {
+        for x in xs {
+            let v = *x;
+            *x = 0.5 * v * (1.0 + SQRT_2_OVER_PI * v * NUM[6] / DEN[3]);
+        }
+        return;
+    }
     for x in xs {
         let v = *x;
         *x = 0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)));
     }
 }
 
-/// [`tanh`]'s numerator coefficients, highest power of `x²` first.
+/// `tanh`'s numerator coefficients, highest power of `x²` first.
 const NUM: [f32; 7] = [
     -2.760_768_4e-16,
     2.000_188e-13,
@@ -151,14 +171,16 @@ const NUM: [f32; 7] = [
     4.893_524_6e-3,
 ];
 
-/// [`tanh`]'s denominator coefficients, highest power of `x²` first.
+/// `tanh`'s denominator coefficients, highest power of `x²` first.
 const DEN: [f32; 4] = [1.198_258_4e-6, 1.185_347_1e-4, 2.268_434_7e-3, 4.893_525e-3];
 
 /// `tanh` without libm: clamp, then an odd degree-13 over an even
 /// degree-6 polynomial (the Eigen / XLA `fast_tanh` coefficients), within
 /// 3e-7 of `f32::tanh` and never beyond ±1. No branch or table, so loops
 /// over it vectorise; and `+ × ÷` on `f32` are IEEE-exact, so the bits are
-/// the same on every platform, which no libm's `tanhf` promises.
+/// the same on every platform, which no libm's `tanhf` promises. For
+/// |x| below √(2/π)·2^-12 every Horner step but the last rounds away and
+/// it is `x · NUM[6] / DEN[3]`: the short form of [`gelu_inplace`].
 #[inline]
 fn tanh(x: f32) -> f32 {
     let x = x.clamp(-7.905_311, 7.905_311);
