@@ -22,6 +22,8 @@
 //! derived seeds, so a [`DriftSchedule`] is a pure deterministic function
 //! of its inputs.
 
+use std::sync::Arc;
+
 use crate::routing::{AffinityModelSpec, RoutingModel};
 
 /// How the routing process evolves across windows.
@@ -39,7 +41,8 @@ pub enum DriftKind {
 ///
 /// Window `w`'s tokens should be sampled from [`DriftSchedule::model_at`]
 /// with a per-window seed; the schedule itself holds fully materialized
-/// models so repeated window access is cheap and allocation-free.
+/// models so repeated window access is cheap and allocation-free. The
+/// windows of one piecewise phase share one model.
 ///
 /// ```
 /// use exflow_model::drift::DriftSchedule;
@@ -62,7 +65,7 @@ pub enum DriftKind {
 pub struct DriftSchedule {
     name: String,
     kind: DriftKind,
-    windows: Vec<RoutingModel>,
+    windows: Vec<Arc<RoutingModel>>,
 }
 
 /// Seed-stream tags for phase/endpoint derivation (SplitMix-style mixing
@@ -80,15 +83,17 @@ impl DriftSchedule {
     pub fn piecewise(spec: &AffinityModelSpec, n_phases: usize, n_windows: usize) -> Self {
         assert!(n_phases >= 1, "need at least one phase");
         assert!(n_windows >= n_phases, "need at least one window per phase");
-        let models: Vec<RoutingModel> = (0..n_phases)
+        let models: Vec<Arc<RoutingModel>> = (0..n_phases)
             .map(|p| {
-                spec.clone()
-                    .with_seed(phase_seed(spec.seed, p as u64))
-                    .build()
+                Arc::new(
+                    spec.clone()
+                        .with_seed(phase_seed(spec.seed, p as u64))
+                        .build(),
+                )
             })
             .collect();
         let windows = (0..n_windows)
-            .map(|w| models[w * n_phases / n_windows].clone())
+            .map(|w| Arc::clone(&models[w * n_phases / n_windows]))
             .collect();
         DriftSchedule {
             name: format!("piecewise-{n_phases}phase"),
@@ -109,7 +114,7 @@ impl DriftSchedule {
             .with_seed(phase_seed(spec.seed, 0x005a_007f))
             .build();
         let windows = (0..n_windows)
-            .map(|w| start.interpolate(&target, w as f64 / (n_windows - 1) as f64))
+            .map(|w| Arc::new(start.interpolate(&target, w as f64 / (n_windows - 1) as f64)))
             .collect();
         DriftSchedule {
             name: "smooth".to_string(),
@@ -247,6 +252,18 @@ mod tests {
                 a.model_at(w).transition(1, 2),
                 b.model_at(w).transition(1, 2)
             );
+        }
+    }
+
+    #[test]
+    fn windows_of_one_phase_share_one_model() {
+        let d = DriftSchedule::piecewise(&spec(), 3, 8);
+        let phase = |w: usize| w * 3 / 8;
+        for a in 0..8 {
+            for b in 0..8 {
+                let shared = Arc::ptr_eq(&d.windows[a], &d.windows[b]);
+                assert_eq!(shared, phase(a) == phase(b), "windows {a} and {b}");
+            }
         }
     }
 
