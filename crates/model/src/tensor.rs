@@ -152,11 +152,11 @@ pub fn gelu_inplace(xs: &mut [f32]) {
             let v = *x;
             *x = 0.5 * v * (1.0 + SQRT_2_OVER_PI * v * NUM[6] / DEN[3]);
         }
-        return;
-    }
-    for x in xs {
-        let v = *x;
-        *x = 0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)));
+    } else {
+        for x in xs {
+            let v = *x;
+            *x = 0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)));
+        }
     }
 }
 
@@ -288,9 +288,7 @@ mod tests {
         0.5 * v * (1.0 + tanh(SQRT_2_OVER_PI * (v + 0.044_715 * v * v * v)))
     }
 
-    /// GELU's short form: below 2^-12 the cubic term is under half an ulp
-    /// of `v`, and every Horner step of `tanh` but the last under half an
-    /// ulp of its constant, so `x · NUM[6] / DEN[3]` is all that is left.
+    /// GELU's short form, one element (see `gelu_inplace`).
     fn gelu_short(v: f32) -> f32 {
         0.5 * v * (1.0 + SQRT_2_OVER_PI * v * NUM[6] / DEN[3])
     }
