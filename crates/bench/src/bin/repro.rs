@@ -4,8 +4,7 @@
 //! cargo run --release -p exflow-bench --bin repro -- all
 //! cargo run --release -p exflow-bench --bin repro -- fig10
 //! cargo run --release -p exflow-bench --bin repro -- --jobs 8 table1 fig7
-//! cargo run --release -p exflow-bench --bin repro -- \
-//!     --jobs 4 --out BENCH.fresh.json --check BENCH_BASELINE.json all
+//! cargo run --release -p exflow-bench --bin repro -- --jobs 4 --out BENCH.fresh.json all
 //! ```
 //!
 //! Every artifact has one size (the paper's artifacts the paper's).
@@ -14,22 +13,20 @@
 //!
 //! `all` sweeps every `exflow_bench::table::TABLES` entry, so with it —
 //! and only with it — `--out PATH` writes the rows as the summary document
-//! (schema `exflow-bench-summary/v10`, documented in the README) and
-//! `--check BASELINE` compares that document against the committed one by
-//! `exflow_bench::gate::compare`, printing the verdict as markdown after
-//! the artifacts. Regenerate the baseline deliberately with
-//! `--out BENCH_BASELINE.json all`.
+//! (schema `exflow-bench-summary/v10`, documented in the README). CI
+//! byte-compares that document with the committed `BENCH_BASELINE.json`;
+//! regenerate the baseline deliberately with `--out BENCH_BASELINE.json all`.
 //!
-//! Exit codes: 0 on success; 1 if any artifact fails to regenerate, the
-//! gate finds a drift, or a document cannot be written or read; 2 on usage
-//! errors (no targets, unknown artifact name, bad `--jobs`, `--out` /
-//! `--check` without `all`).
+//! Exit codes: 0 on success; 1 if any artifact fails to regenerate (its
+//! sweep's in-run verification or its bars included) or the document cannot
+//! be written; 2 on usage errors (no targets, unknown artifact name, bad
+//! `--jobs`, `--out` without `all`).
 
 use exflow_bench::cli::{self, Command};
 use exflow_bench::summary::{self, BASELINE_SEED};
 
 fn print_usage() {
-    eprintln!("usage: repro [--jobs N] [--out PATH] [--check BASELINE] <artifact>... | all");
+    eprintln!("usage: repro [--jobs N] [--out PATH] <artifact>... | all");
     eprintln!("artifacts: {}", cli::artifact_names().join(", "));
 }
 
@@ -39,13 +36,7 @@ fn main() {
         print_usage();
         std::process::exit(2)
     });
-    let Command::Run {
-        jobs,
-        targets,
-        out,
-        check,
-    } = command
-    else {
+    let Command::Run { jobs, targets, out } = command else {
         return print_usage();
     };
     let mut ok = true;
@@ -63,11 +54,11 @@ fn main() {
             }
         }
     }
-    // `parse` lets the document flags through only with `all`: every
-    // entry was swept, in `TABLES` order.
-    if ok && (out.is_some() || check.is_some()) {
+    // `parse` lets `--out` through only with `all`: every entry was swept,
+    // in `TABLES` order.
+    if let Some(path) = out.filter(|_| ok) {
         let json = summary::document(BASELINE_SEED, sections);
-        if let Err(err) = cli::deliver(&json, out.as_deref(), check.as_deref()) {
+        if let Err(err) = cli::deliver(&json, &path) {
             eprintln!("error: {err}");
             ok = false;
         }

@@ -1,9 +1,8 @@
 //! Argument parsing and artifact dispatch for the `repro` binary, factored
 //! out so the exit-code contract is unit-testable: usage errors (no targets,
-//! unknown artifact, `--out` / `--check` without `all`) are detected
-//! *before* any experiment runs and exit with status 2; failures while
-//! running — an artifact, a bar, the gate, an unreadable baseline — exit
-//! with status 1.
+//! unknown artifact, `--out` without `all`) are detected *before* any
+//! experiment runs and exit with status 2; failures while running — an
+//! artifact, a bar, an unwritable document — exit with status 1.
 //!
 //! [`artifacts`] is the single source of truth for artifact names: `parse`
 //! validates against it and `runner` dispatches from it, so the two cannot
@@ -12,7 +11,6 @@
 
 use crate::experiments::common::PAPER;
 use crate::experiments::{events, fig2, table2};
-use crate::gate;
 use crate::summary::{Section, BASELINE_SEED};
 use crate::sweep::MAX_JOBS;
 use crate::table::TABLES;
@@ -57,26 +55,11 @@ impl Runner {
     }
 }
 
-/// What `--out` and `--check` do with the complete document `repro all`
-/// built: write it to `out`, then gate it against the baseline at `check`,
-/// printing the verdict as markdown (CI appends it to the job summary).
-/// `Err` is why the run must exit 1: the file could not be written or
-/// read, or the gate found a drift.
-pub fn deliver(json: &str, out: Option<&str>, check: Option<&str>) -> Result<(), String> {
-    if let Some(path) = out {
-        std::fs::write(path, json).map_err(|err| format!("cannot write {path}: {err}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = check {
-        let baseline = std::fs::read_to_string(path)
-            .map_err(|err| format!("cannot read baseline {path}: {err}"))?;
-        let report = gate::compare(&baseline, json);
-        print!("{}", report.to_markdown());
-        if !report.ok() {
-            let drifts = report.drifts.len();
-            return Err(format!("{drifts} drift(s) against {path}"));
-        }
-    }
+/// What `--out` does with the complete document `repro all` built: write
+/// it to `path`. `Err` is why the run must exit 1.
+pub fn deliver(json: &str, path: &str) -> Result<(), String> {
+    std::fs::write(path, json).map_err(|err| format!("cannot write {path}: {err}"))?;
+    eprintln!("wrote {path}");
     Ok(())
 }
 
@@ -143,9 +126,6 @@ pub enum Command {
         targets: Vec<String>,
         /// Where to write the complete document (`--out PATH`).
         out: Option<String>,
-        /// The baseline to gate the complete document against
-        /// (`--check BASELINE`).
-        check: Option<String>,
     },
 }
 
@@ -158,11 +138,11 @@ pub enum UsageError {
     UnknownArtifact(String),
     /// `--jobs` got a missing, non-numeric, zero, or absurd value.
     InvalidJobs(String),
-    /// The named flag (`--out` / `--check`) got no path.
-    MissingPath(&'static str),
-    /// The named flag (`--out` / `--check`) belongs to the complete
-    /// document, and the targets are not exactly `all`.
-    NeedsAll(&'static str),
+    /// `--out` got no path.
+    MissingPath,
+    /// `--out` writes the complete document, and the targets are not
+    /// exactly `all`.
+    NeedsAll,
 }
 
 impl std::fmt::Display for UsageError {
@@ -173,10 +153,10 @@ impl std::fmt::Display for UsageError {
             UsageError::InvalidJobs(value) => {
                 write!(f, "invalid --jobs value: {value} (expected 1..={MAX_JOBS})")
             }
-            UsageError::MissingPath(flag) => write!(f, "missing path for {flag}"),
-            UsageError::NeedsAll(flag) => write!(
+            UsageError::MissingPath => write!(f, "missing path for --out"),
+            UsageError::NeedsAll => write!(
                 f,
-                "{flag} writes or gates the complete document: the one target must be `all`"
+                "--out writes the complete document: the one target must be `all`"
             ),
         }
     }
@@ -198,8 +178,8 @@ fn parse_jobs(value: &str) -> Result<usize, UsageError> {
 }
 
 /// Parse CLI arguments (without the program name). Unknown artifacts, bad
-/// `--jobs` values and document flags without `all` are rejected here, up
-/// front, so a typo cannot burn minutes of sweep time before failing.
+/// `--jobs` values and `--out` without `all` are rejected here, up front,
+/// so a typo cannot burn minutes of sweep time before failing.
 pub fn parse<I, S>(args: I) -> Result<Command, UsageError>
 where
     I: IntoIterator<Item = S>,
@@ -207,17 +187,15 @@ where
 {
     let mut jobs = 1usize;
     let mut targets: Vec<String> = Vec::new();
-    let (mut out, mut check) = (None, None);
+    let mut out = None;
     let mut it = args.into_iter();
-    let path = |flag, value: Option<S>| match value {
-        Some(path) => Ok(Some(path.as_ref().to_string())),
-        None => Err(UsageError::MissingPath(flag)),
-    };
     while let Some(arg) = it.next() {
         match arg.as_ref() {
             "-h" | "--help" => return Ok(Command::Help),
-            "--out" => out = path("--out", it.next())?,
-            "--check" => check = path("--check", it.next())?,
+            "--out" => {
+                let path = it.next().ok_or(UsageError::MissingPath)?;
+                out = Some(path.as_ref().to_string());
+            }
             "--jobs" => {
                 let value = it
                     .next()
@@ -235,17 +213,10 @@ where
     if targets.is_empty() {
         return Err(UsageError::NoTargets);
     }
-    for (flag, given) in [("--out", &out), ("--check", &check)] {
-        if given.is_some() && targets != artifact_names() {
-            return Err(UsageError::NeedsAll(flag));
-        }
+    if out.is_some() && targets != artifact_names() {
+        return Err(UsageError::NeedsAll);
     }
-    Ok(Command::Run {
-        jobs,
-        targets,
-        out,
-        check,
-    })
+    Ok(Command::Run { jobs, targets, out })
 }
 
 #[cfg(test)]
@@ -261,7 +232,6 @@ mod tests {
                 jobs: 1,
                 targets: vec!["table2".to_string(), "fig6".to_string()],
                 out: None,
-                check: None,
             }
         );
     }
@@ -295,57 +265,46 @@ mod tests {
 
     #[test]
     fn the_document_flags_parse_with_all_and_only_with_all() {
-        let parsed = parse(["--jobs=4", "--out", "f.json", "--check", "b.json", "all"]);
-        match parsed.unwrap() {
-            Command::Run {
-                jobs, out, check, ..
-            } => {
+        match parse(["--jobs=4", "--out", "f.json", "all"]).unwrap() {
+            Command::Run { jobs, out, .. } => {
                 assert_eq!(jobs, 4);
                 assert_eq!(out.as_deref(), Some("f.json"));
-                assert_eq!(check.as_deref(), Some("b.json"));
             }
             other => panic!("unexpected {other:?}"),
         }
-        // A partial document is never written or gated: anything but `all`
-        // alone is a usage error (the binary exits 2 before any sweep).
-        for (flag, targets) in [
-            ("--out", vec!["fig7"]),
-            ("--check", vec!["table_serving", "fig10"]),
-            ("--out", vec!["all", "fig7"]),
+        // A partial document is never written: anything but `all` alone is
+        // a usage error (the binary exits 2 before any sweep).
+        for targets in [
+            vec!["fig7"],
+            vec!["table_serving", "fig10"],
+            vec!["all", "fig7"],
         ] {
-            let args = [flag, "x.json"].into_iter().chain(targets);
-            assert_eq!(parse(args), Err(UsageError::NeedsAll(flag)), "{flag}");
+            let args = ["--out", "x.json"].into_iter().chain(targets);
+            assert_eq!(parse(args), Err(UsageError::NeedsAll));
         }
-        assert_eq!(parse(["--check", "x.json"]), Err(UsageError::NoTargets));
+        assert_eq!(parse(["--out", "x.json"]), Err(UsageError::NoTargets));
+        assert_eq!(parse(["all", "--out"]), Err(UsageError::MissingPath));
+        // The retired baseline flag is not read as an artifact.
         assert_eq!(
-            parse(["all", "--out"]),
-            Err(UsageError::MissingPath("--out"))
+            parse(["--check", "b.json", "all"]),
+            Err(UsageError::UnknownArtifact("--check".to_string()))
         );
     }
 
     #[test]
-    fn an_unwritable_out_or_unreadable_baseline_is_a_failure_not_a_usage_error() {
-        // What the binary turns into exit 1, on a document that would
-        // otherwise pass against itself.
-        let json = crate::summary::fixture::summary(0.25).to_json();
+    fn an_unwritable_out_is_a_failure_not_a_usage_error() {
+        // What the binary turns into exit 1.
+        let json = crate::summary::document(1, Vec::new());
         let dir = std::env::temp_dir().join(format!("exflow-repro-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let written = dir.join("fresh.json");
         let written = written.to_str().unwrap();
-        assert_eq!(deliver(&json, Some(written), Some(written)), Ok(()));
+        assert_eq!(deliver(&json, written), Ok(()));
         assert_eq!(std::fs::read_to_string(written).unwrap(), json);
 
         let missing = dir.join("no-such-dir").join("x.json");
-        let missing = missing.to_str().unwrap();
-        let err = deliver(&json, Some(missing), None).unwrap_err();
+        let err = deliver(&json, missing.to_str().unwrap()).unwrap_err();
         assert!(err.starts_with("cannot write"), "{err}");
-        let err = deliver(&json, None, Some(missing)).unwrap_err();
-        assert!(err.starts_with("cannot read baseline"), "{err}");
-        // A drift is the third way to exit 1.
-        let drifted = crate::summary::fixture::summary(0.5).to_json();
-        std::fs::write(written, drifted).unwrap();
-        let err = deliver(&json, None, Some(written)).unwrap_err();
-        assert!(err.contains("drift(s) against"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -277,7 +277,7 @@ pub(crate) fn replication_bars(rows: &[Json], bars: &mut Bars) {
         let what = format!("{copies} copies, locality {ours} vs unreplicated {theirs}");
         bars.fail_if(exflow, copies != 0.0 || ours <= theirs, what);
     }
-    let replicated = |r: &&Json| crate::gate::text(r, "strategy").starts_with("replicate");
+    let replicated = |r: &&Json| text(r, "strategy").starts_with("replicate");
     let budgets: Vec<&Json> = rows.iter().filter(replicated).collect();
     for pair in budgets.windows(2) {
         let less = bars.num(pair[0], "local_fraction");

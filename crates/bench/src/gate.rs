@@ -1,24 +1,19 @@
-//! The CI gate (`repro --check`): compare the fresh summary document
-//! against the committed baseline (`BENCH_BASELINE.json`).
+//! The beyond-paper tables' acceptance bars, and [`Bars`]: what every
+//! [`TABLES`](crate::table::TABLES) entry's bars read its rows through and
+//! report violations to.
 //!
-//! Everything a sweep emits is a deterministic fact, printed with shortest
-//! round-trip formatting (or a fixed number of decimals), so *token*
-//! inequality in the JSON is *bit* inequality of the value, and any
-//! mismatch is a hard failure (the baseline must be regenerated
-//! deliberately, never drift silently). No field is a measurement: host
-//! time is `benchmark/`'s business.
-//!
-//! Both documents are parsed with the workspace's one JSON layer
-//! (`exflow_core::json`). Per [`TABLES`] entry the rule is: the `id`
-//! fields find the row, **everything else is bit-compared** (a fresh row
-//! whose field list is not its baseline row's is a drift), and the fresh
-//! rows must clear the entry's `bars` — one of the functions below — on
-//! their own.
+//! `repro` holds each table's rows to its bars as it sweeps them. Past
+//! that, the gate is byte equality: CI writes the document with
+//! `repro --out BENCH.fresh.json all` and `git diff --no-index
+//! --word-diff`s it against the committed `BENCH_BASELINE.json`. Every
+//! number prints with shortest round-trip formatting (or fixed decimals)
+//! and every row is one line, so a changed bit is a changed token on the
+//! line of its row, `id` fields included.
 
 use exflow_core::json::Json;
 
-use crate::summary::{online_recovery, SCHEMA};
-use crate::table::{shown, Table, TABLES};
+use crate::summary::online_recovery;
+use crate::table::{num, text, Table};
 
 /// On the `E = 512`, top-1 cell the CSR backend must store (and a
 /// `swap_delta` pass walk) at most one in this many of the dense backend's
@@ -39,47 +34,6 @@ pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 /// measures 26 703x and 40 166x; the bar leaves a tenfold margin below that.
 pub const MIN_REPLAN_SCAN_REDUCTION_512: f64 = 2500.0;
 
-/// Outcome of a baseline comparison.
-#[derive(Debug, Clone, Default)]
-pub struct GateReport {
-    /// Failures: a drifted fact, schema/coverage mismatches, a fresh run
-    /// below an acceptance bar.
-    pub drifts: Vec<String>,
-}
-
-impl GateReport {
-    /// Whether the gate passes.
-    pub fn ok(&self) -> bool {
-        self.drifts.is_empty()
-    }
-
-    /// Render as markdown for the CI job summary.
-    pub fn to_markdown(&self) -> String {
-        if self.ok() {
-            return "### repro --check: PASS\n".to_string();
-        }
-        let mut out = "### repro --check: FAIL\n\n".to_string();
-        for d in &self.drifts {
-            out.push_str(&format!("- :x: {d}\n"));
-        }
-        out
-    }
-}
-
-/// A field's value as message text: strings unquoted, numbers as their
-/// exact token, nothing for an absent field.
-pub(crate) fn text(row: &Json, key: &str) -> String {
-    row.get(key).map(shown).unwrap_or_default()
-}
-
-/// A row's `(key, value)` pairs; a row that is not an object has none.
-fn fields(row: &Json) -> &[(String, Json)] {
-    match row {
-        Json::Obj(fields) => fields,
-        _ => &[],
-    }
-}
-
 /// The row's `id` fields, joined with `/`.
 fn id_of(table: &Table, row: &Json) -> String {
     let parts: Vec<String> = table.id.iter().map(|key| text(row, key)).collect();
@@ -89,34 +43,25 @@ fn id_of(table: &Table, row: &Json) -> String {
 /// What a table's `bars` function reads rows and reports through.
 pub struct Bars<'a> {
     table: &'a Table,
-    drifts: &'a mut Vec<String>,
+    violations: &'a mut Vec<String>,
 }
 
 impl<'a> Bars<'a> {
-    /// Bars of `table`, reporting into `drifts`.
-    pub fn new(table: &'a Table, drifts: &'a mut Vec<String>) -> Self {
-        Bars { table, drifts }
+    /// Bars of `table`, reporting into `violations`.
+    pub fn new(table: &'a Table, violations: &'a mut Vec<String>) -> Self {
+        Bars { table, violations }
     }
 
-    /// A numeric field. A row that lacks it is a drift of its own — a bar
-    /// that cannot read its input must not pass silently — and reads as
-    /// NaN, which satisfies no ordering comparison, so a threshold bar over
-    /// it does not add a violation quoting a number nobody measured.
+    /// A numeric field. Bars read only the rows their own sweep just
+    /// built, so a row that lacks it is a bug and panics, like
+    /// [`table::num`](crate::table::num).
     pub fn num(&mut self, row: &Json, key: &str) -> f64 {
-        let value = row.get(key).and_then(Json::as_f64);
-        value.unwrap_or_else(|| {
-            let (name, id) = (self.table.name, id_of(self.table, row));
-            let drift = format!("{name} row {id} lacks field {key}");
-            if !self.drifts.contains(&drift) {
-                self.drifts.push(drift);
-            }
-            f64::NAN
-        })
+        num(row, key)
     }
 
     /// Report a violated bar.
-    pub fn fail(&mut self, drift: String) {
-        self.drifts.push(drift);
+    pub fn fail(&mut self, violation: String) {
+        self.violations.push(violation);
     }
 
     /// Several numeric fields of one row, each read like [`Bars::num`].
@@ -125,107 +70,12 @@ impl<'a> Bars<'a> {
     }
 
     /// A bar over `row`: if `violated`, report `<table> <row id>: <what>`.
-    /// State the violation as an ordering comparison, so an absent field
-    /// (NaN, already a drift of its own) adds no second one.
     pub fn fail_if(&mut self, row: &Json, violated: bool, what: String) {
         if violated {
             let (name, id) = (self.table.name, id_of(self.table, row));
-            self.drifts.push(format!("{name} {id}: {what}"));
+            self.violations.push(format!("{name} {id}: {what}"));
         }
     }
-}
-
-/// The rows of one array section; a document without the section is a
-/// drift (both documents carry the same schema, so neither may lack it).
-fn rows_of<'a>(doc: &'a Json, key: &str, which: &str, drifts: &mut Vec<String>) -> &'a [Json] {
-    let rows = doc.get(key).and_then(Json::as_arr);
-    if rows.is_none() {
-        drifts.push(format!("section {key} missing from the {which} document"));
-    }
-    rows.unwrap_or_default()
-}
-
-/// Compare a fresh summary JSON against the committed baseline JSON. Both
-/// must carry the current schema tag ([`SCHEMA`]): an older (or newer)
-/// baseline is not partially compared, it is rejected with a "regenerate
-/// the baseline" drift.
-pub fn compare(baseline: &str, fresh: &str) -> GateReport {
-    let mut report = GateReport::default();
-    let mut parse = |which: &str, text: &str| {
-        let doc = Json::parse(text);
-        if let Err(err) = &doc {
-            let drift = format!("the {which} document does not parse: {err}");
-            report.drifts.push(drift);
-        }
-        doc.ok()
-    };
-    let (base_doc, fresh_doc) = (parse("baseline", baseline), parse("fresh", fresh));
-    let (Some(base_doc), Some(fresh_doc)) = (base_doc, fresh_doc) else {
-        return report;
-    };
-    if text(&fresh_doc, "schema") != SCHEMA {
-        let drift = format!("schema mismatch: the fresh document must be {SCHEMA}");
-        report.drifts.push(drift);
-        return report;
-    }
-    if text(&base_doc, "schema") != SCHEMA {
-        report.drifts.push(format!(
-            "schema mismatch: the baseline is {:?}, not {SCHEMA} — regenerate the committed \
-             baseline with repro --out",
-            text(&base_doc, "schema")
-        ));
-        return report;
-    }
-
-    for table in TABLES {
-        let base_rows = rows_of(&base_doc, table.key, "baseline", &mut report.drifts);
-        let fresh_rows = rows_of(&fresh_doc, table.key, "fresh", &mut report.drifts);
-        for b in base_rows {
-            let id = id_of(table, b);
-            let Some(f) = fresh_rows.iter().find(|f| id_of(table, f) == id) else {
-                let drift = format!("{} row {id} missing from fresh run", table.name);
-                report.drifts.push(drift);
-                continue;
-            };
-            let keys = |row| -> Vec<&str> { fields(row).iter().map(|(k, _)| &**k).collect() };
-            let (base_keys, fresh_keys) = (keys(b), keys(f));
-            if base_keys != fresh_keys {
-                let lacks = base_keys.iter().filter(|k| !fresh_keys.contains(k));
-                let adds = fresh_keys.iter().filter(|k| !base_keys.contains(k));
-                report.drifts.push(format!(
-                    "{} row {id}: the fresh fields are not the baseline's, in order (lacks {:?}, \
-                     adds {:?}) — regenerate the committed JSON",
-                    table.name,
-                    lacks.collect::<Vec<_>>(),
-                    adds.collect::<Vec<_>>()
-                ));
-            }
-            for (key, base) in fields(b) {
-                // A field the fresh row lacks is named by the drift above.
-                let Some(fresh) = f.get(key) else { continue };
-                if base != fresh {
-                    report.drifts.push(format!(
-                        "{} drift on {}/{id}: baseline {} vs fresh {}",
-                        table.drift_name.unwrap_or(key),
-                        table.name,
-                        text(b, key),
-                        text(f, key)
-                    ));
-                }
-            }
-        }
-        for f in fresh_rows {
-            let id = id_of(table, f);
-            if !base_rows.iter().any(|b| id_of(table, b) == id) {
-                report.drifts.push(format!(
-                    "{} row {id} not in baseline (regenerate the committed JSON)",
-                    table.name
-                ));
-            }
-        }
-        (table.bars)(fresh_rows, &mut Bars::new(table, &mut report.drifts));
-    }
-    report
 }
 
 /// The sparse backend's win on the E=512 top-1 cell, as the count it is:
@@ -480,706 +330,391 @@ pub(crate) fn partial_replication_bars(rows: &[Json], bars: &mut Bars) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::summary::fixture::{summary, Summary};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    #[test]
-    fn identical_documents_pass() {
-        let json = summary(0.25).to_json();
-        let report = compare(&json, &json);
-        assert!(report.ok(), "{:?}", report.drifts);
-        assert!(report.to_markdown().contains("PASS"));
+    use super::*;
+    use crate::summary::{document, BASELINE_SEED, SCHEMA};
+    use crate::table::fixture::{assert_trips, rows, set, table};
+    use crate::table::int;
+
+    fn panics(f: impl FnOnce()) -> bool {
+        catch_unwind(AssertUnwindSafe(f)).is_err()
+    }
+
+    /// Section `key`'s fixture rows with `field` dropped from row `row`.
+    fn without(key: &str, row: usize, field: &str) -> Vec<Json> {
+        let mut rows = rows(key).to_vec();
+        let Json::Obj(fields) = &mut rows[row] else {
+            panic!("a row is an object")
+        };
+        fields.retain(|(k, _)| k != field);
+        rows
+    }
+
+    /// The line of section `key`'s document that `edit` of its fixture
+    /// rows changes — what a word diff against the committed document
+    /// shows. Panics unless exactly one line changed.
+    fn changed_line(key: &str, edit: impl FnOnce(&mut Vec<Json>)) -> String {
+        let mut edited = rows(key).to_vec();
+        edit(&mut edited);
+        let section = |rows| document(BASELINE_SEED, vec![(table(key).key, rows)]);
+        let (before, after) = (section(rows(key).to_vec()), section(edited));
+        assert_eq!(before.lines().count(), after.lines().count(), "{key}");
+        let changed: Vec<(&str, &str)> = (before.lines().zip(after.lines()))
+            .filter(|(b, a)| b != a)
+            .collect();
+        assert_eq!(changed.len(), 1, "{key}: {changed:?}");
+        changed[0].1.to_string()
+    }
+
+    /// Writing `value` over `field` of section `key`'s row `row` changes
+    /// that row's line alone, which still names the row by its `id` fields
+    /// and shows `value`'s token.
+    fn assert_diff_shows(key: &str, row: usize, field: &str, value: Json) {
+        let mut edited = rows(key)[row].clone();
+        set(&mut edited, field, value);
+        let line = changed_line(key, |rows| rows[row] = edited.clone());
+        for shown in table(key).id.iter().chain([&field]) {
+            let token = edited.get(shown).and_then(|v| v.write().ok()).unwrap();
+            let pair = format!("\"{shown}\": {token}");
+            assert!(line.contains(&pair), "{pair} not in {line}");
+        }
     }
 
     #[test]
     fn objective_drift_fails() {
-        let base = summary(0.25).to_json();
-        let fresh = summary(0.25000000001).to_json();
-        let report = compare(&base, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("objective drift"));
-        assert!(report.to_markdown().contains("FAIL"));
+        let cross = num(&rows("rows")[0], "cross_mass");
+        assert_diff_shows("rows", 0, "cross_mass", (cross + 1e-11).into());
     }
 
     #[test]
     fn one_ulp_of_drift_is_detected() {
-        let x = 0.1f64;
-        let bumped = f64::from_bits(x.to_bits() + 1);
-        let base = summary(x).to_json();
-        let fresh = summary(bumped).to_json();
-        assert!(!compare(&base, &fresh).ok(), "1-ulp drift must fail");
+        let cross = num(&rows("rows")[0], "cross_mass");
+        let bumped = f64::from_bits(cross.to_bits() + 1);
+        assert_diff_shows("rows", 0, "cross_mass", bumped.into());
     }
 
     #[test]
     fn nnz_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let nnz = fresh.int("sparse_rows", "nnz");
-        fresh.set("sparse_rows", "nnz", nnz + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("nnz drift"));
+        let nnz = int(&rows("sparse_rows")[0], "nnz");
+        assert_diff_shows("sparse_rows", 0, "nnz", (nnz + 1).into());
     }
 
     #[test]
     fn slow_sparse_backend_fails_the_bar() {
-        let base = summary(0.25);
-        // The CSR backend stores 0.6 of the dense cells on the 512 cell.
-        let mut fresh = base.clone();
-        fresh.set("sparse_rows", "density", Json::Fixed(0.6, 6));
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("acceptance bar")),
-            "{:?}",
-            report.drifts
-        );
+        // Row 2 is the E = 512, top-1 cell.
+        let edit = [(2, "density", Json::Fixed(0.6, 6))];
+        assert_trips("sparse_rows", &edit, "acceptance bar");
+    }
+
+    #[test]
+    fn a_missing_selector_field_cannot_hide_a_slow_sparse_cell() {
+        // A dense-ish cell that no longer says it is the E = 512 cell.
+        let mut rows = without("sparse_rows", 2, "experts");
+        set(&mut rows[2], "density", Json::Fixed(0.6, 6));
+        assert!(panics(|| drop(table("sparse_rows").violations(&rows))));
+    }
+
+    #[test]
+    fn a_bar_that_cannot_read_its_field_panics() {
+        // A budget a bar compares against, of a beyond-paper table and of a
+        // paper entry.
+        for (key, field) in [
+            ("replication_online_rows", "replica_slots"),
+            ("fig10", "exflow_no_affinity"),
+        ] {
+            let rows = without(key, 0, field);
+            assert!(panics(|| drop(table(key).violations(&rows))), "{key}");
+        }
+        // A misspelt field is an absent one.
+        let (table, row) = (table("online_rows"), &rows("online_rows")[0]);
+        let mut violations = Vec::new();
+        assert!(panics(|| {
+            Bars::new(table, &mut violations).num(row, "budgeted_crosss");
+        }));
     }
 
     #[test]
     fn missing_and_extra_rows_fail() {
         // A beyond-paper table and a paper entry alike.
-        for (key, field, name) in [("rows", "solver", "table2"), ("fig10", "model", "fig10")] {
-            let base = summary(0.25);
-            let mut fresh = base.clone();
-            fresh.set(key, field, "renamed");
-            let report = compare(&base.to_json(), &fresh.to_json());
-            let has =
-                |a: &str, b: &str| report.drifts.iter().any(|d| d.contains(a) && d.contains(b));
-            assert!(
-                has(&format!("{name} row"), "missing"),
-                "{:?}",
-                report.drifts
-            );
-            assert!(has(&format!("{name} row"), "not in baseline"));
-        }
+        assert_diff_shows("rows", 0, "solver", "renamed".into());
+        assert_diff_shows("fig10", 0, "model", "renamed".into());
     }
 
     #[test]
     fn v1_baseline_is_rejected() {
-        let fresh = summary(0.25).to_json();
-        let old = fresh.replace(SCHEMA, "exflow-bench-summary/v1");
-        let report = compare(&old, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains("schema"));
+        // The schema tag is a line of its own: a baseline of any other
+        // schema differs from every fresh document there.
+        let fresh = document(BASELINE_SEED, Vec::new());
+        let schema = format!("  \"schema\": \"{SCHEMA}\",");
+        assert_eq!(fresh.lines().nth(1), Some(schema.as_str()));
     }
 
     #[test]
-    fn any_other_baseline_schema_is_rejected_with_a_regenerate_drift() {
-        let fresh = summary(0.25).to_json();
-        for tag in [
-            "exflow-bench-summary/v2",
-            "exflow-bench-summary/v9",
-            "other",
+    fn a_fresh_row_that_drops_or_adds_a_column_is_a_drift() {
+        // A column no bar reads, of a beyond-paper table and of a paper
+        // entry: its row's line changes, and still names the row. A
+        // baseline row that lacks it is the same diff the other way round.
+        for (key, field, id) in [
+            ("online_rows", "windows", "piecewise-2phase"),
+            ("table1", "layers", "FasterMoE"),
         ] {
-            let report = compare(&fresh.replace(SCHEMA, tag), &fresh);
-            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
-            assert!(report.drifts[0].contains("regenerate") && report.drifts[0].contains(tag));
+            let line = changed_line(key, |rows| *rows = without(key, 0, field));
+            assert!(line.contains(id) && !line.contains(field), "{line}");
         }
     }
 
     #[test]
-    fn stale_fresh_document_is_rejected() {
-        let base = summary(0.25).to_json();
-        let fresh = base.replace(SCHEMA, "exflow-bench-summary/v1");
-        let report = compare(&base, &fresh);
-        assert!(!report.ok());
-        assert!(report.drifts[0].contains(&format!("must be {SCHEMA}")));
+    fn every_field_that_is_not_an_id_is_compared() {
+        // `windows` and the rounded `recovery` are in no bar: only the
+        // document's bytes see them. So does every other field.
+        let Json::Obj(fields) = &rows("online_rows")[0] else {
+            panic!("a row is an object")
+        };
+        for (field, value) in fields {
+            let changed = match value {
+                Json::Str(s) => format!("{s}-x").as_str().into(),
+                Json::Fixed(x, decimals) => Json::Fixed(x + 0.5, *decimals),
+                other => (other.as_f64().unwrap() + 1.0).into(),
+            };
+            assert_diff_shows("online_rows", 0, field, changed);
+        }
+        // A paper row is gated the same way.
+        let local = num(&rows("fig7")[0], "affinity_local");
+        assert_diff_shows("fig7", 0, "affinity_local", (local + 0.01).into());
     }
 
     #[test]
-    fn unparseable_and_truncated_documents_fail() {
-        let json = summary(0.25).to_json();
-        let report = compare(&json[..json.len() / 2], &json);
-        assert!(report.drifts[0].contains("baseline document does not parse"));
-        // A document that lost a whole section is a drift, not a skip.
-        for key in ["serving_rows", "fig7"] {
-            let report = compare(
-                &json.replace(&format!("\"{key}\""), "\"other_rows\""),
-                &json,
-            );
-            let missing = format!("section {key} missing from the baseline");
-            assert!(
-                report.drifts.iter().any(|d| d.contains(&missing)),
-                "{:?}",
-                report.drifts
-            );
-        }
+    fn online_cross_drift_fails() {
+        let budgeted = int(&rows("online_rows")[0], "budgeted_cross");
+        assert_diff_shows("online_rows", 0, "budgeted_cross", (budgeted + 1).into());
+    }
+
+    #[test]
+    fn online_missing_scenario_fails() {
+        assert_diff_shows("online_rows", 0, "scenario", "renamed".into());
+    }
+
+    #[test]
+    fn low_online_recovery_fails_the_bar() {
+        // Budgeted as bad as static: it recovers nothing.
+        let stat = int(&rows("online_rows")[0], "static_cross");
+        let edit = [(0, "budgeted_cross", stat.into())];
+        assert_trips("online_rows", &edit, "acceptance bar");
+    }
+
+    #[test]
+    fn online_budget_violation_fails() {
+        let row = &rows("online_rows")[0];
+        let allowed = int(row, "budget_bytes") * int(row, "replans");
+        let edit = [(0, "migrated_bytes", (allowed + 1).into())];
+        assert_trips("online_rows", &edit, "per-re-plan budget");
     }
 
     #[test]
     fn replication_cross_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let joint = fresh.int("replication_online_rows", "joint_cross");
-        fresh.set("replication_online_rows", "joint_cross", joint - 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("joint_cross drift")),
-            "{:?}",
-            report.drifts
-        );
+        let key = "replication_online_rows";
+        let joint = int(&rows(key)[0], "joint_cross");
+        assert_diff_shows(key, 0, "joint_cross", (joint - 1).into());
     }
 
     #[test]
     fn replication_memory_violation_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let slots = fresh.int("replication_online_rows", "replica_slots");
-        fresh.set("replication_online_rows", "extra_copies", slots + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("slot per-GPU budget") || d.contains("-slot per-GPU budget")),
-            "{:?}",
-            report.drifts
-        );
+        let key = "replication_online_rows";
+        let slots = int(&rows(key)[0], "replica_slots");
+        let edit = [(0, "extra_copies", (slots + 1).into())];
+        assert_trips(key, &edit, "-slot per-GPU budget");
     }
 
     #[test]
     fn replication_migration_violation_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
         let key = "replication_online_rows";
-        let allowed = fresh.int(key, "budget_bytes") * fresh.int(key, "joint_replans");
-        fresh.set(key, "joint_migrated_bytes", allowed + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("replication migration (joint)")),
-            "{:?}",
-            report.drifts
-        );
+        let row = &rows(key)[0];
+        let allowed = int(row, "budget_bytes") * int(row, "joint_replans");
+        let edit = [(0, "joint_migrated_bytes", (allowed + 1).into())];
+        assert_trips(key, &edit, "replication migration (joint)");
     }
 
     #[test]
     fn joint_policy_losing_to_owner_moves_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let owner = fresh.int("replication_online_rows", "owner_cross");
-        fresh.set("replication_online_rows", "joint_cross", owner + 100);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("at equal migration bytes")),
-            "{:?}",
-            report.drifts
-        );
+        let key = "replication_online_rows";
+        let owner = int(&rows(key)[0], "owner_cross");
+        let edit = [(0, "joint_cross", (owner + 100).into())];
+        assert_trips(key, &edit, "at equal migration bytes");
     }
 
     #[test]
     fn joint_policy_tying_everywhere_fails_the_domination_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let owner = fresh.int("replication_online_rows", "owner_cross");
-        fresh.set("replication_online_rows", "joint_cross", owner);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("the replica memory budget bought nothing")),
-            "{:?}",
-            report.drifts
-        );
+        let key = "replication_online_rows";
+        let owner = |row: &Json| int(row, "owner_cross").into();
+        let edit: Vec<_> = (rows(key).iter().enumerate())
+            .map(|(i, row)| (i, "joint_cross", owner(row)))
+            .collect();
+        assert_trips(key, &edit, "the replica memory budget bought nothing");
     }
 
     #[test]
     fn serving_latency_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let p99 = fresh.num("serving_rows", "online_p99");
-        fresh.set("serving_rows", "online_p99", p99 + 1e-9);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("online_p99 drift on serving/poisson")),
-            "{:?}",
-            report.drifts
-        );
+        let p99 = num(&rows("serving_rows")[0], "online_p99");
+        assert_diff_shows("serving_rows", 0, "online_p99", (p99 + 1e-9).into());
+    }
+
+    #[test]
+    fn serving_missing_arrival_fails() {
+        assert_diff_shows("serving_rows", 0, "arrival", "renamed".into());
     }
 
     #[test]
     fn serving_tail_regression_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        // Online p99 worse than static: the whole point of paying
-        // migration stalls is lost, and the gate must say so even though
-        // the baseline (bit-compare) would also catch the change.
-        let static_p99 = fresh.num("serving_rows", "static_p99");
-        fresh.set("serving_rows", "online_p99", static_p99 + 1.0);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("serving tail on poisson")),
-            "{:?}",
-            report.drifts
-        );
+        // Online p99 worse than static by more than its migration time:
+        // the whole point of paying migration stalls is lost.
+        let row = &rows("serving_rows")[0];
+        let worse = num(row, "static_p99") + num(row, "online_migration_time") + 1.0;
+        let edit = [(0, "online_p99", worse.into())];
+        assert_trips("serving_rows", &edit, "serving tail on poisson");
     }
 
     #[test]
     fn the_serving_tail_may_carry_its_migration_time_and_no_more() {
-        let table = crate::table::fixture::table("serving_rows");
-        let violations = |doc: &Summary| table.violations(doc.section("serving_rows"));
+        let table = table("serving_rows");
+        let mut row = rows("serving_rows")[0].clone();
         // The 5-layer / 1 800-request Poisson cell the stricter bar
         // (p99 <= static p99, everywhere) failed on: online ends 1.6 us
         // above the static tail after 357 us of migration.
-        let mut fresh = summary(0.25);
-        fresh.set("serving_rows", "static_p99", 1534.8e-6);
-        fresh.set("serving_rows", "online_p99", 1536.4e-6);
-        fresh.set("serving_rows", "online_migration_time", 357e-6);
-        fresh.set("serving_rows", "repl_p99", 1534.8e-6);
-        assert_eq!(violations(&fresh), Vec::<String>::new());
+        for (field, value) in [
+            ("static_p99", 1534.8e-6),
+            ("online_p99", 1536.4e-6),
+            ("online_migration_time", 357e-6),
+            ("repl_p99", 1534.8e-6),
+        ] {
+            set(&mut row, field, value.into());
+        }
+        let violations = |row: &Json| table.violations(std::slice::from_ref(row));
+        assert_eq!(violations(&row), Vec::<String>::new());
         // An excess above the migration time is a violation...
-        fresh.set("serving_rows", "online_migration_time", 1e-6);
-        let found = violations(&fresh);
+        set(&mut row, "online_migration_time", 1e-6.into());
+        let found = violations(&row);
         assert_eq!(found.len(), 1, "{found:?}");
         assert!(found[0].contains("by more than its 0.000001 of migration time"));
         // ...and under non-stationary arrivals so is any tie or loss.
-        fresh.set("serving_rows", "online_migration_time", 357e-6);
-        fresh.set("serving_rows", "arrival", "diurnal");
-        let found = violations(&fresh);
+        set(&mut row, "online_migration_time", 357e-6.into());
+        set(&mut row, "arrival", "diurnal".into());
+        let found = violations(&row);
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found.iter().all(|v| v.contains("non-stationary arrivals")));
     }
 
     #[test]
     fn serving_goodput_over_offered_load_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let offered = fresh.num("serving_rows", "offered_load");
-        fresh.set("serving_rows", "repl_goodput", offered * 2.0);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("serving goodput on poisson")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn serving_missing_arrival_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        fresh.set("serving_rows", "arrival", "renamed");
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("serving row")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
+        let offered = num(&rows("serving_rows")[0], "offered_load");
+        let edit = [(0, "repl_goodput", (offered * 2.0).into())];
+        assert_trips("serving_rows", &edit, "serving goodput on poisson");
     }
 
     #[test]
     fn elasticity_recovery_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let recovery = fresh.num("elasticity_rows", "repl_recovery");
-        fresh.set("elasticity_rows", "repl_recovery", recovery + 1e-9);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("repl_recovery drift on elasticity/gpu-loss")),
-            "{:?}",
-            report.drifts
-        );
+        let recovery = num(&rows("elasticity_rows")[0], "repl_recovery");
+        let edit = (recovery + 1e-9).into();
+        assert_diff_shows("elasticity_rows", 0, "repl_recovery", edit);
+    }
+
+    #[test]
+    fn elasticity_missing_fault_fails() {
+        assert_diff_shows("elasticity_rows", 0, "fault", "renamed".into());
+    }
+
+    #[test]
+    fn repl_extra_copies_drift_fails() {
+        let copies = int(&rows("elasticity_rows")[0], "repl_extra_copies");
+        let edit = (copies + 1).into();
+        assert_diff_shows("elasticity_rows", 0, "repl_extra_copies", edit);
     }
 
     #[test]
     fn slow_replicated_recovery_fails_the_bar() {
-        let base = summary(0.25);
-        for repl_recovery in [-1.0, 9.0] {
-            // Never recovering, or recovering slower than the
-            // unreplicated fleet's 8.25, both fail.
-            let mut fresh = base.clone();
-            fresh.set("elasticity_rows", "repl_recovery", repl_recovery);
-            let report = compare(&base.to_json(), &fresh.to_json());
-            assert!(
-                report
-                    .drifts
-                    .iter()
-                    .any(|d| d.contains("strictly faster recovery")),
-                "repl_recovery {repl_recovery}: {:?}",
-                report.drifts
-            );
+        // Never recovering, or recovering no faster than the unreplicated
+        // fleet, both fail.
+        let plain = num(&rows("elasticity_rows")[0], "plain_recovery");
+        for repl_recovery in [-1.0, plain] {
+            let edit = [(0, "repl_recovery", repl_recovery.into())];
+            assert_trips("elasticity_rows", &edit, "strictly faster recovery");
         }
     }
 
     #[test]
     fn failover_saving_no_wire_traffic_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let plain = fresh.int("elasticity_rows", "plain_emergency_bytes");
-        fresh.set("elasticity_rows", "repl_emergency_bytes", plain);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("failover must save wire traffic")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn elasticity_missing_fault_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        fresh.set("elasticity_rows", "fault", "renamed");
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("elasticity row")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
-    }
-
-    #[test]
-    fn partial_cross_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let partial = fresh.num("partial_replication_rows", "partial_cross_mass");
-        fresh.set(
-            "partial_replication_rows",
-            "partial_cross_mass",
-            partial + 1e-12,
-        );
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("partial_cross_mass drift on partial-replication")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn partial_losing_to_full_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let full = fresh.num("partial_replication_rows", "full_cross_mass");
-        fresh.set("partial_replication_rows", "partial_cross_mass", full + 0.1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("at equal memory")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn top2_falling_back_to_owner_only_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        fresh.set("partial_replication_rows", "cc_replicas_added", 0u64);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("fell back to owner-only serving")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn partial_memory_violation_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let slots = fresh.int("partial_replication_rows", "replica_slots");
-        fresh.set(
-            "partial_replication_rows",
-            "partial_extra_copies",
-            slots + 1,
-        );
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("partial policy holds")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn partial_migration_violation_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let key = "partial_replication_rows";
-        let allowed = fresh.int(key, "budget_bytes") * fresh.int(key, "partial_replans");
-        fresh.set(key, "partial_migrated_bytes", allowed + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("per-re-plan budget") && d.contains("partial replication")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn repl_extra_copies_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let copies = fresh.int("elasticity_rows", "repl_extra_copies");
-        fresh.set("elasticity_rows", "repl_extra_copies", copies + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("repl_extra_copies drift")),
-            "{:?}",
-            report.drifts
-        );
+        let plain = int(&rows("elasticity_rows")[0], "plain_emergency_bytes");
+        let edit = [(0, "repl_emergency_bytes", plain.into())];
+        assert_trips("elasticity_rows", &edit, "failover must save wire traffic");
     }
 
     #[test]
     fn replan_counter_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let evaluated = fresh.int("replan_latency_rows", "evaluated_incremental");
-        fresh.set(
-            "replan_latency_rows",
-            "evaluated_incremental",
-            evaluated + 1,
-        );
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("evaluated_incremental drift on replan-latency")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn incremental_cross_mass_divergence_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let cm = fresh.num("replan_latency_rows", "cross_mass_incremental");
-        fresh.set("replan_latency_rows", "cross_mass_incremental", cm + 1e-12);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("diverged from the rebuild")),
-            "{:?}",
-            report.drifts
-        );
-    }
-
-    #[test]
-    fn low_replan_scan_reduction_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        // 8M considered, 8k of them evaluated exactly: only 1000x on the
-        // 512 cell.
-        fresh.set("replan_latency_rows", "evaluated_incremental", 8_000u64);
-        fresh.set("replan_latency_rows", "reused", 7_992_000u64);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("below the")),
-            "{:?}",
-            report.drifts
-        );
+        let key = "replan_latency_rows";
+        let evaluated = int(&rows(key)[0], "evaluated_incremental");
+        assert_diff_shows(key, 0, "evaluated_incremental", (evaluated + 1).into());
     }
 
     #[test]
     fn replan_missing_preset_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        fresh.set("replan_latency_rows", "preset", "renamed");
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("replan-latency row") && d.contains("missing")),
-            "{:?}",
-            report.drifts
-        );
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
+        assert_diff_shows("replan_latency_rows", 0, "preset", "renamed".into());
     }
 
     #[test]
-    fn online_cross_drift_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let budgeted = fresh.int("online_rows", "budgeted_cross");
-        fresh.set("online_rows", "budgeted_cross", budgeted + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("budgeted_cross drift")),
-            "{:?}",
-            report.drifts
-        );
+    fn incremental_cross_mass_divergence_fails_the_bar() {
+        let key = "replan_latency_rows";
+        let cross = num(&rows(key)[0], "cross_mass_incremental");
+        let edit = [(0, "cross_mass_incremental", (cross + 1e-12).into())];
+        assert_trips(key, &edit, "diverged from the rebuild");
     }
 
     #[test]
-    fn online_missing_scenario_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        fresh.set("online_rows", "scenario", "renamed");
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(!report.ok());
-        assert!(report.drifts.iter().any(|d| d.contains("missing")));
-        assert!(report.drifts.iter().any(|d| d.contains("not in baseline")));
+    fn low_replan_scan_reduction_fails_the_bar() {
+        // Row 2 is the E = 512, top-1 cell: one exact evaluation in 1 000
+        // considered candidates.
+        let key = "replan_latency_rows";
+        let considered = int(&rows(key)[2], "considered");
+        let edit = [(2, "evaluated_incremental", (considered / 1000).into())];
+        assert_trips(key, &edit, "below the");
     }
 
     #[test]
-    fn low_online_recovery_fails_the_bar() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        // static 5000, oracle 3000: budgeted 4000 recovers only 50%.
-        fresh.set("online_rows", "budgeted_cross", 4000u64);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report.drifts.iter().any(|d| d.contains("acceptance bar")),
-            "{:?}",
-            report.drifts
-        );
+    fn partial_cross_drift_fails() {
+        let key = "partial_replication_rows";
+        let partial = num(&rows(key)[0], "partial_cross_mass");
+        assert_diff_shows(key, 0, "partial_cross_mass", (partial + 1e-12).into());
     }
 
     #[test]
-    fn online_budget_violation_fails() {
-        let base = summary(0.25);
-        let mut fresh = base.clone();
-        let allowed =
-            fresh.int("online_rows", "budget_bytes") * fresh.int("online_rows", "replans");
-        fresh.set("online_rows", "migrated_bytes", allowed + 1);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        assert!(
-            report
-                .drifts
-                .iter()
-                .any(|d| d.contains("per-re-plan budget")),
-            "{:?}",
-            report.drifts
-        );
+    fn partial_losing_to_full_fails_the_bar() {
+        let key = "partial_replication_rows";
+        let full = num(&rows(key)[0], "full_cross_mass");
+        let edit = [(0, "partial_cross_mass", (full + 0.1).into())];
+        assert_trips(key, &edit, "at equal memory");
     }
 
     #[test]
-    fn a_bar_that_cannot_read_its_field_is_a_drift_not_a_pass() {
-        // 99 extra copies over an 8-slot budget fails the memory bar...
-        let mut doc = summary(0.25);
-        doc.set("replication_online_rows", "extra_copies", 99u64);
-        let json = doc.to_json();
-        assert!(!compare(&json, &json).ok());
-        // ...and must keep failing when both documents lose the budget
-        // the bar compares against.
-        doc.strip("replication_online_rows", "replica_slots");
-        let json = doc.to_json();
-        let report = compare(&json, &json);
-        let lacks = "replication row piecewise-2phase/E16 lacks field replica_slots";
-        assert_eq!(report.drifts, [lacks]);
-
-        // The same for a paper entry: full ExFlow below plain coherence
-        // fails fig10's bar, with or without the column it is held against.
-        let mut doc = summary(0.25);
-        doc.set("fig10", "exflow_affinity", 1.25);
-        let json = doc.to_json();
-        let report = compare(&json, &json);
-        let below = "fig10 MoE-GPT-M/8e-24L/8: affinity 1.25 below no-affinity 1.375";
-        assert_eq!(report.drifts, [below]);
-        doc.strip("fig10", "exflow_no_affinity");
-        let json = doc.to_json();
-        let report = compare(&json, &json);
-        let lacks = "fig10 row MoE-GPT-M/8e-24L/8 lacks field exflow_no_affinity";
-        assert_eq!(report.drifts, [lacks]);
+    fn top2_falling_back_to_owner_only_fails_the_bar() {
+        // Rows 1 and 3 are the top-2 cells.
+        let edit = [1, 3].map(|row| (row, "cc_replicas_added", 0u64.into()));
+        let needle = "fell back to owner-only serving";
+        assert_trips("partial_replication_rows", &edit, needle);
     }
 
     #[test]
-    fn a_missing_selector_field_cannot_hide_a_slow_sparse_cell() {
-        // A dense-ish cell that no longer says it is the E = 512 cell.
-        let mut doc = summary(0.25);
-        doc.set("sparse_rows", "density", Json::Fixed(0.6, 6));
-        doc.strip("sparse_rows", "experts");
-        let json = doc.to_json();
-        let report = compare(&json, &json);
-        let lacks = "sparse row MoE-GPT-XXL/512e-24L-top1 lacks field experts";
-        assert_eq!(report.drifts, [lacks]);
+    fn partial_memory_violation_fails() {
+        let key = "partial_replication_rows";
+        let slots = int(&rows(key)[0], "replica_slots");
+        let edit = [(0, "partial_extra_copies", (slots + 1).into())];
+        assert_trips(key, &edit, "partial policy holds");
     }
 
     #[test]
-    fn a_fresh_row_that_drops_or_adds_a_column_is_a_drift() {
-        // A column no bar reads, of a beyond-paper table and of a paper
-        // entry.
-        for (key, field, row) in [
-            ("online_rows", "windows", "online row piecewise-2phase"),
-            ("table1", "layers", "table1 row ExFlow"),
-        ] {
-            let base = summary(0.25);
-            let mut dropped = base.clone();
-            dropped.strip(key, field);
-            let report = compare(&base.to_json(), &dropped.to_json());
-            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
-            assert!(report.drifts[0].contains(row));
-            assert!(report.drifts[0].contains(&format!("lacks [\"{field}\"], adds []")));
-            // The same pair the other way round: the fresh row adds a column.
-            let report = compare(&dropped.to_json(), &base.to_json());
-            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
-            assert!(report.drifts[0].contains(&format!("lacks [], adds [\"{field}\"]")));
-        }
-    }
-
-    #[test]
-    fn every_field_that_is_not_an_id_is_compared() {
-        // `windows` and the rounded `recovery` are in no bar and were in
-        // no per-column list: only the compare-everything rule sees them.
-        let base = summary(0.25);
-        for (field, value) in [
-            ("windows", Json::U64(7)),
-            ("recovery", Json::Fixed(0.91, 4)),
-        ] {
-            let mut fresh = base.clone();
-            fresh.set("online_rows", field, value);
-            let report = compare(&base.to_json(), &fresh.to_json());
-            let drift = format!("{field} drift on online/piecewise-2phase");
-            assert_eq!(report.drifts.len(), 1, "{:?}", report.drifts);
-            assert!(report.drifts[0].contains(&drift), "{:?}", report.drifts);
-        }
-        // A paper row is gated the same way, and the drift names the
-        // table, the row and the field.
-        let mut fresh = base.clone();
-        fresh.set("fig7", "affinity_local", 0.56);
-        let report = compare(&base.to_json(), &fresh.to_json());
-        let drift = "affinity_local drift on fig7/4: baseline 0.55 vs fresh 0.56";
-        assert_eq!(report.drifts, [drift]);
+    fn partial_migration_violation_fails() {
+        let key = "partial_replication_rows";
+        let row = &rows(key)[0];
+        let allowed = int(row, "budget_bytes") * int(row, "partial_replans");
+        let edit = [(0, "partial_migrated_bytes", (allowed + 1).into())];
+        assert_trips(key, &edit, "per-re-plan budget");
     }
 }

@@ -11,10 +11,10 @@
 //! * One runner: the `repro` binary sweeps an artifact's entries, holds
 //!   them to their bars and prints them
 //!   (`cargo run --release -p exflow-bench --bin repro -- <artifact>`);
-//!   `repro --out PATH --check BASELINE all` also writes every entry's
-//!   rows as the `BENCH_*.json` document and gates it against the
-//!   committed baseline, so the paper's numbers are bit-compared on every
-//!   PR. Nothing in this crate reads a clock: speed is measured by the
+//!   `repro --out PATH all` also writes every entry's rows as the
+//!   `BENCH_*.json` document, which CI byte-compares with the committed
+//!   baseline, so the paper's numbers are bit-compared on every change.
+//!   Nothing in this crate reads a clock: speed is measured by the
 //!   standalone `benchmark/` package.
 //! * One size per artifact: the paper's artifacts run the paper's
 //!   workload ([`experiments::common::PAPER`]), the beyond-paper tables

@@ -6,9 +6,9 @@
 //! ends the sweep — one commented line per key — is the only place the
 //! table's columns are declared.
 //!
-//! Every number in `BENCH_*.json` is a deterministic fact (the CI gate
-//! compares them bit for bit against the committed baseline). Nothing
-//! here reads a clock: host time is measured by `benchmark/`.
+//! Every number in `BENCH_*.json` is a deterministic fact (CI
+//! byte-compares the document with the committed baseline). Nothing here
+//! reads a clock: host time is measured by `benchmark/`.
 
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_core::json::Json;
@@ -180,8 +180,8 @@ const REPLAN_LATENCY_TOKENS: usize = 800;
 /// successor (CSR-row) and predecessor (CSC-column) invalidation paths.
 const REPLAN_LATENCY_LAYERS: usize = 2;
 
-/// Schema tag of the summary document; bump on any field change. The
-/// gate rejects a baseline carrying any other tag.
+/// Schema tag of the summary document; bump it on any field change and
+/// regenerate the baseline, which CI byte-compares, tag line included.
 pub const SCHEMA: &str = "exflow-bench-summary/v10";
 
 /// Master seed of the committed baseline (`BENCH_BASELINE.json`): the
@@ -195,9 +195,9 @@ pub type Section = (&'static str, Vec<Json>);
 
 /// The [`SCHEMA`] document (see README) of `sections`, which `repro all`
 /// hands over in `TABLES` order. Floats print with shortest round-trip
-/// formatting or a fixed number of decimals, so string equality in the
-/// JSON is bit equality of the value — what the CI gate compares — and
-/// the same rows are the same bytes.
+/// formatting or a fixed number of decimals, and each row is one line, so
+/// byte equality of two documents — what CI checks — is bit equality of
+/// every value, and a word diff shows a changed value on its row's line.
 pub fn document(seed: u64, sections: Vec<Section>) -> String {
     let mut doc = vec![("schema", SCHEMA.into()), ("seed", seed.into())];
     doc.extend(
@@ -1672,340 +1672,6 @@ pub fn partial_replication_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, S
         .collect()
 }
 
-/// The hand-built summary the document and gate tests share: one row per
-/// section, every acceptance bar cleared.
-#[cfg(test)]
-pub(crate) mod fixture {
-    use super::*;
-    use crate::table::TABLES;
-
-    /// The sections of a document, editable before it is written.
-    #[derive(Debug, Clone)]
-    pub(crate) struct Summary {
-        /// `(section key, rows)` per `TABLES` entry, in that order.
-        pub(crate) tables: Vec<Section>,
-    }
-
-    /// The paper entries' sections: the fewest rows that exercise each
-    /// entry's bars, all cleared.
-    fn paper_sections() -> Vec<Vec<Vec<(&'static str, Json)>>> {
-        vec![
-            vec![vec![
-                ("system", "ExFlow".into()),
-                ("gpus", 8u64.into()),
-                ("requests_per_gpu", 48u64.into()),
-                ("layers", 24u64.into()),
-                ("topo_aware", "no".into()),
-                ("extra_memory", "yes".into()),
-                ("routing_fraction", 0.565.into()),
-                ("volume_top1", 8282.5.into()),
-                ("volume_top2", 13492.5.into()),
-                ("inference_ok", "yes".into()),
-            ]],
-            vec![vec![
-                ("corpus", "pile-proxy".into()),
-                ("intra_gpu", 1.0.into()),
-                ("intra_node", 1.0.into()),
-            ]],
-            vec![vec![
-                ("model", "MoE-GPT-M/8e-24L".into()),
-                ("gpus", 8u64.into()),
-                ("cc_alltoall", 0.5.into()),
-                ("cc_allgather", 0.125.into()),
-            ]],
-            vec![vec![
-                ("gpus", 4u64.into()),
-                ("deepspeed_local", 0.25.into()),
-                ("affinity_local", 0.55.into()),
-                ("comm_reduction", 0.4.into()),
-            ]],
-            vec![vec![
-                ("nodes", 2u64.into()),
-                ("deepspeed_local", 0.5.into()),
-                ("affinity_local", 0.7.into()),
-                ("internode_reduction", 0.4.into()),
-            ]],
-            vec![vec![
-                ("nodes", 1u64.into()),
-                ("gating", 0.0.into()),
-                ("alltoall", 0.125.into()),
-                ("attention", 0.125.into()),
-                ("expert_ffn", 0.75.into()),
-            ]],
-            vec![vec![
-                ("model", "MoE-GPT-M/8e-24L".into()),
-                ("gpus", 8u64.into()),
-                ("exflow_no_affinity", 1.375.into()),
-                ("exflow_affinity", 1.5.into()),
-            ]],
-            vec![
-                vec![
-                    ("experts", 8u64.into()),
-                    ("iteration", 0u64.into()),
-                    ("max_share", 0.5.into()),
-                    ("active_experts", 2u64.into()),
-                ],
-                vec![
-                    ("experts", 8u64.into()),
-                    ("iteration", 2000u64.into()),
-                    ("max_share", 0.125.into()),
-                    ("active_experts", 8u64.into()),
-                ],
-            ],
-            vec![
-                vec![
-                    ("phase", "a".into()),
-                    ("experts", 8u64.into()),
-                    ("iteration", 0u64.into()),
-                    ("affinity", 0.75.into()),
-                    ("scaled", 1.0.into()),
-                ],
-                vec![
-                    ("phase", "a".into()),
-                    ("experts", 8u64.into()),
-                    ("iteration", 2000u64.into()),
-                    ("affinity", 0.375.into()),
-                    ("scaled", 0.5.into()),
-                ],
-            ],
-            vec![
-                vec![
-                    ("experts", 8u64.into()),
-                    ("tokens", 50u64.into()),
-                    ("alltoall_speedup", 1.125.into()),
-                ],
-                vec![
-                    ("experts", 8u64.into()),
-                    ("tokens", 5000u64.into()),
-                    ("alltoall_speedup", 1.25.into()),
-                ],
-            ],
-            vec![vec![
-                ("from_layer", 0u64.into()),
-                ("to_layer", 1u64.into()),
-                ("top1_mass", 0.375.into()),
-            ]],
-            vec![
-                vec![("solver", "round-robin".into()), ("cross_mass", 8.5.into())],
-                vec![("solver", "portfolio".into()), ("cross_mass", 4.75.into())],
-            ],
-            vec![vec![
-                ("strategy", "staged".into()),
-                ("internode_cross", 0.25.into()),
-                ("gpu_cross", 0.5.into()),
-            ]],
-            vec![
-                vec![("kappa", 0.0.into()), ("speedup", 1.375.into())],
-                vec![("kappa", 0.9.into()), ("speedup", 1.5.into())],
-            ],
-            vec![vec![
-                ("strategy", "exflow-placement".into()),
-                ("extra_copies", 0u64.into()),
-                ("local_fraction", 0.55.into()),
-            ]],
-            vec![vec![
-                ("gate", "top-1".into()),
-                ("mode", "Deepspeed (vanilla)".into()),
-                ("cross_gpu_bytes", (1u64 << 27).into()),
-                ("relative_throughput", 1.0.into()),
-            ]],
-        ]
-    }
-
-    pub(crate) fn summary(cross: f64) -> Summary {
-        let rows: Vec<Vec<(&str, Json)>> = vec![
-            vec![
-                ("model", "MoE-GPT-M/8e-24L".into()),
-                ("solver", "greedy".into()),
-                ("cross_mass", cross.into()),
-            ],
-            vec![
-                ("preset", "MoE-GPT-XXL/512e-24L-top1".into()),
-                ("experts", 512u64.into()),
-                ("k", 1u64.into()),
-                ("layers", 2u64.into()),
-                ("nnz", 3000u64.into()),
-                ("density", Json::Fixed(0.011, 6)),
-                ("cross_mass", (cross / 2.0).into()),
-            ],
-            vec![
-                ("scenario", "piecewise-2phase".into()),
-                ("experts", 16u64.into()),
-                ("layers", 5u64.into()),
-                ("windows", 6u64.into()),
-                ("replan_every", 1u64.into()),
-                ("budget_bytes", (1u64 << 28).into()),
-                ("migrated_bytes", (3u64 << 27).into()),
-                ("replans", 3u64.into()),
-                ("static_cross", 5000u64.into()),
-                ("oracle_cross", 3000u64.into()),
-                ("budgeted_cross", 3200u64.into()),
-                ("recovery", Json::Fixed(0.9, 4)),
-                ("cross_mass", (cross / 3.0).into()),
-            ],
-            vec![
-                ("scenario", "piecewise-2phase/E16".into()),
-                ("experts", 16u64.into()),
-                ("layers", 5u64.into()),
-                ("units", 4u64.into()),
-                ("windows", 10u64.into()),
-                ("replan_every", 1u64.into()),
-                ("budget_bytes", (1u64 << 26).into()),
-                ("replica_slots", 8u64.into()),
-                ("owner_migrated_bytes", (3u64 << 25).into()),
-                ("joint_migrated_bytes", (1u64 << 26).into()),
-                ("owner_replans", 2u64.into()),
-                ("joint_replans", 2u64.into()),
-                ("replicas_added", 5u64.into()),
-                ("replicas_dropped", 1u64.into()),
-                ("extra_copies", 4u64.into()),
-                ("static_cross", 5000u64.into()),
-                ("owner_cross", 3600u64.into()),
-                ("joint_cross", 3100u64.into()),
-                ("owner_recovery", Json::Fixed(0.28, 4)),
-                ("joint_recovery", Json::Fixed(0.38, 4)),
-                ("cross_mass", (cross / 4.0).into()),
-            ],
-            vec![
-                ("arrival", "poisson".into()),
-                ("requests", 48u64.into()),
-                ("decode_steps", 2u64.into()),
-                ("windows", 6u64.into()),
-                ("max_batch", 8u64.into()),
-                ("offered_load", 0.125.into()),
-                ("static_p50", 20.0.into()),
-                ("static_p95", 44.0.into()),
-                ("static_p99", 52.0.into()),
-                ("static_goodput", 0.115.into()),
-                ("online_p50", 18.0.into()),
-                ("online_p95", 34.0.into()),
-                ("online_p99", 40.0.into()),
-                ("online_goodput", 0.12.into()),
-                ("online_replans", 2u64.into()),
-                ("online_migrated_bytes", (9u64 << 20).into()),
-                ("online_migration_time", 0.5.into()),
-                ("repl_p50", 17.5.into()),
-                ("repl_p95", 33.0.into()),
-                ("repl_p99", 39.0.into()),
-                ("repl_goodput", 0.121.into()),
-                ("repl_replicas_added", 3u64.into()),
-                ("repl_migration_time", 0.25.into()),
-            ],
-            vec![
-                ("fault", "gpu-loss".into()),
-                ("requests", 500u64.into()),
-                ("fault_time", 12.5.into()),
-                ("plain_p99", 60.0.into()),
-                ("plain_disrupted", 9u64.into()),
-                ("plain_steps_degraded", 40u64.into()),
-                ("plain_emergency_bytes", (7u64 << 20).into()),
-                ("plain_recovery", 8.25.into()),
-                ("repl_p99", 48.0.into()),
-                ("repl_disrupted", 9u64.into()),
-                ("repl_steps_degraded", 12u64.into()),
-                ("repl_emergency_bytes", 0u64.into()),
-                ("repl_recovery", 1.5.into()),
-                ("repl_extra_copies", 6u64.into()),
-            ],
-            vec![
-                ("preset", "MoE-GPT-XXL/512e-24L-top1".into()),
-                ("experts", 512u64.into()),
-                ("k", 1u64.into()),
-                ("layers", 2u64.into()),
-                ("windows", 4u64.into()),
-                ("replans", 3u64.into()),
-                ("max_moves", 40u64.into()),
-                ("considered", 8_000_000u64.into()),
-                ("evaluated_rebuild", 1_000u64.into()),
-                ("evaluated_incremental", 1_000u64.into()),
-                ("reused", 7_999_000u64.into()),
-                ("scan_reduction", Json::Fixed(8000.0, 3)),
-                ("cross_mass_rebuild", (cross / 5.0).into()),
-                ("cross_mass_incremental", (cross / 5.0).into()),
-            ],
-            vec![
-                ("scenario", "partial-repl/256e-top2".into()),
-                ("experts", 256u64.into()),
-                ("k", 2u64.into()),
-                ("layers", 2u64.into()),
-                ("units", 8u64.into()),
-                ("windows", 3u64.into()),
-                ("replica_slots", 4u64.into()),
-                ("budget_bytes", (12u64 << 20).into()),
-                ("partial_replans", 2u64.into()),
-                ("replicas_added", 5u64.into()),
-                ("partial_migrated_bytes", (6u64 << 20).into()),
-                ("full_migrated_bytes", (9u64 << 20).into()),
-                ("partial_extra_copies", 3u64.into()),
-                ("full_extra_copies", 4u64.into()),
-                ("partial_cross_mass", (cross / 6.0).into()),
-                ("full_cross_mass", (cross / 5.0).into()),
-                ("realized_cross", 1234u64.into()),
-                ("cc_replicas_added", 2u64.into()),
-                ("cc_local_fraction", Json::Fixed(0.875, 6)),
-            ],
-        ];
-        // TABLES order: the paper's entries, then the beyond-paper tables'
-        // one row each.
-        let sections = paper_sections()
-            .into_iter()
-            .chain(rows.into_iter().map(|row| vec![row]));
-        let tables: Vec<_> = TABLES
-            .iter()
-            .zip(sections)
-            .map(|(table, rows)| (table.key, rows.into_iter().map(Json::obj).collect()))
-            .collect();
-        assert_eq!(tables.len(), TABLES.len(), "a section per TABLES entry");
-        Summary { tables }
-    }
-
-    impl Summary {
-        /// The document of these sections, at seed 1.
-        pub(crate) fn to_json(&self) -> String {
-            document(1, self.tables.clone())
-        }
-
-        /// Section `key`'s fixture rows.
-        pub(crate) fn section(&self, key: &str) -> &[Json] {
-            let section = self.tables.iter().find(|(k, _)| *k == key);
-            &section.unwrap_or_else(|| panic!("no {key} section")).1
-        }
-
-        fn row(&self, key: &str) -> &Json {
-            &self.section(key)[0]
-        }
-
-        fn fields_mut(&mut self, key: &str) -> &mut Vec<(String, Json)> {
-            let (_, rows) = self.tables.iter_mut().find(|(k, _)| *k == key).unwrap();
-            match &mut rows[0] {
-                Json::Obj(fields) => fields,
-                _ => panic!("{key}: the fixture row is an object"),
-            }
-        }
-
-        /// Overwrite one field of section `key`'s fixture row.
-        pub(crate) fn set(&mut self, key: &str, field: &str, value: impl Into<Json>) {
-            let found = self.fields_mut(key).iter_mut().find(|(k, _)| k == field);
-            found.unwrap_or_else(|| panic!("{key}: no {field}")).1 = value.into();
-        }
-
-        /// A numeric field of section `key`'s fixture row.
-        pub(crate) fn num(&self, key: &str, field: &str) -> f64 {
-            crate::table::num(self.row(key), field)
-        }
-
-        /// An exact integer field of section `key`'s fixture row.
-        pub(crate) fn int(&self, key: &str, field: &str) -> u64 {
-            crate::table::int(self.row(key), field)
-        }
-
-        /// Section `key`'s fixture row without `field`.
-        pub(crate) fn strip(&mut self, key: &str, field: &str) {
-            self.fields_mut(key).retain(|(k, _)| k != field);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2201,57 +1867,53 @@ mod tests {
         };
         let json = document(BASELINE_SEED, sections());
         assert_eq!(json, document(BASELINE_SEED, sections()), "same rows");
-        let doc = Json::parse(&json).expect("the document is valid JSON");
-        assert_eq!(
-            keys(&doc).len(),
-            2 + TABLES.len(),
-            "schema, seed, an array a table"
-        );
-        for (key, swept) in sections() {
-            let parsed = doc.get(key).and_then(Json::as_arr).expect(key);
-            let literal = Json::Arr(swept).write().unwrap();
-            assert_eq!(Json::Arr(parsed.to_vec()), Json::parse(&literal).unwrap());
+        Json::parse(&json).expect("the document is valid JSON");
+
+        // The layout the diff gate reads: the header, then the sections in
+        // TABLES order, every row exactly one line holding its fields in
+        // order with their exact tokens — derived ratios with their fixed
+        // decimals, every other fact with shortest round-trip formatting.
+        let mut fixed = [
+            ("density", 6, false),
+            ("recovery", 4, false),
+            ("owner_recovery", 4, false),
+            ("joint_recovery", 4, false),
+            ("scan_reduction", 3, false),
+            ("cc_local_fraction", 6, false),
+        ];
+        let mut lines = json.lines();
+        let schema = format!("  \"schema\": \"{SCHEMA}\",");
+        let seed = format!("  \"seed\": {BASELINE_SEED},");
+        let header: Vec<_> = lines.by_ref().take(3).collect();
+        assert_eq!(header, ["{", &schema, &seed]);
+        for (i, (key, swept)) in sections().into_iter().enumerate() {
+            assert_eq!(lines.next(), Some(format!("  \"{key}\": [").as_str()));
+            for (j, row) in swept.iter().enumerate() {
+                let Json::Obj(fields) = row else {
+                    panic!("{key} row {j}")
+                };
+                let mut tokens = Vec::new();
+                for (field, value) in fields {
+                    let token = value.write().unwrap();
+                    for (name, decimals, seen) in &mut fixed {
+                        if name == field {
+                            let (_, fraction) = token.split_once('.').expect(&token);
+                            assert_eq!(fraction.len(), *decimals, "{key}.{field} = {token}");
+                            *seen = true;
+                        }
+                    }
+                    tokens.push(format!("\"{field}\": {token}"));
+                }
+                let comma = if j + 1 < swept.len() { "," } else { "" };
+                let line = format!("    {{{}}}{comma}", tokens.join(", "));
+                assert_eq!(lines.next(), Some(line.as_str()), "{key} row {j}");
+            }
+            let close = if i + 1 < TABLES.len() { "  ]," } else { "  ]" };
+            assert_eq!(lines.next(), Some(close), "{key}");
         }
+        assert_eq!(lines.collect::<Vec<_>>(), ["}"]);
+        assert!(fixed.iter().all(|&(_, _, seen)| seen), "{fixed:?}");
         // No key (nor anything else) names a host-clock measurement.
         assert!(!json.contains("wall"), "a wall field is back");
-    }
-
-    #[test]
-    fn json_emits_the_sections_in_table_order_with_pinned_formats() {
-        let summary = fixture::summary(0.25);
-        let json = summary.to_json();
-        let doc = Json::parse(&json).expect("to_json emits valid JSON");
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(1));
-
-        // The array sections are exactly the TABLES keys, in that order,
-        // and every emitted row is its literal: same keys, same order,
-        // same tokens.
-        let Json::Obj(top) = &doc else { panic!() };
-        let mut sections = top.iter().filter(|(_, v)| v.as_arr().is_some());
-        for (table, (key, rows)) in TABLES.iter().zip(&summary.tables) {
-            let (emitted_key, emitted) = sections.next().expect("a section per table");
-            assert_eq!((emitted_key.as_str(), *key), (table.key, table.key));
-            let literal = Json::Arr(rows.clone()).write().unwrap();
-            assert_eq!(emitted, &Json::parse(&literal).unwrap(), "{key}");
-        }
-        assert!(sections.next().is_none(), "an emitted section has no table");
-
-        // Derived ratios are display-rounded; every other fact prints with
-        // shortest round-trip formatting.
-        for pinned in [
-            "\"density\": 0.011000,",
-            "\"recovery\": 0.9000,",
-            "\"owner_recovery\": 0.2800,",
-            "\"joint_recovery\": 0.3800,",
-            "\"scan_reduction\": 8000.000,",
-            "\"cc_local_fraction\": 0.875000}",
-            "\"cross_mass\": 0.25}",
-            "\"static_p99\": 52,",
-            "\"online_goodput\": 0.12,",
-            "\"repl_recovery\": 1.5,",
-        ] {
-            assert!(json.contains(pinned), "{pinned} not in:\n{json}");
-        }
     }
 }

@@ -2,10 +2,9 @@
 //! output is rows — the paper's tables and figures, then the beyond-paper
 //! `table_*` sweeps — and everything that handles rows iterates it.
 //! `repro` sweeps the entries of the artifacts it is asked for, holds each
-//! to its bars and prints it; `repro all` keeps every entry's rows,
-//! `summary::document` emits them as the array sections of the summary
-//! document, and `gate::compare` gates them against the committed
-//! baseline.
+//! to its bars and prints it; `repro --out PATH all` keeps every entry's
+//! rows and `summary::document` writes them as the array sections of the
+//! summary document, which CI byte-compares with the committed baseline.
 //!
 //! A row is an insertion-ordered `Json` object built once, in the literal
 //! that ends its sweep; that literal (one commented line per key) is the
@@ -43,23 +42,18 @@ pub enum Sweep {
 pub struct Table {
     /// JSON key of the section (`"online_rows"`).
     pub key: &'static str,
-    /// Name in gate messages: rows are `<name> row <id>`, drifted fields
-    /// `<field> drift on <name>/<id>`.
+    /// Name in bar violations: `<name> <id>: <what>`.
     pub name: &'static str,
     /// The `repro` artifact that prints this table. Entries that share an
     /// artifact are adjacent and print in order.
     pub artifact: &'static str,
-    /// Fields that together identify a row (joined with `/` in messages).
-    /// Every other field a row holds is a deterministic fact, bit-compared
-    /// against the baseline row.
+    /// Fields that together identify a row (joined with `/` in
+    /// violations). Every other field a row holds is a deterministic fact.
     pub id: &'static [&'static str],
-    /// Name drift messages use instead of the field name (Table II's one
-    /// judged field is simply "the objective").
-    pub drift_name: Option<&'static str>,
     /// The sweep that produces the rows.
     pub sweep: Sweep,
-    /// Acceptance bars a run's rows must clear on their own, whatever the
-    /// baseline says. Each bar is stated here and nowhere else.
+    /// Acceptance bars a run's rows must clear on their own. Each bar is
+    /// stated here and nowhere else.
     pub bars: fn(&[Json], &mut Bars),
     /// The rows as the plain text `repro` prints.
     pub render: fn(&[Json]) -> String,
@@ -75,11 +69,12 @@ impl Table {
         })
     }
 
-    /// The drifts `rows` earn from this table's own bars (none = cleared).
+    /// The violations `rows` earn from this table's own bars (none =
+    /// cleared).
     pub fn violations(&self, rows: &[Json]) -> Vec<String> {
-        let mut drifts = Vec::new();
-        (self.bars)(rows, &mut Bars::new(self, &mut drifts));
-        drifts
+        let mut violations = Vec::new();
+        (self.bars)(rows, &mut Bars::new(self, &mut violations));
+        violations
     }
 }
 
@@ -96,7 +91,6 @@ const fn paper(
         name,
         artifact: name,
         id,
-        drift_name: None,
         sweep: Sweep::Paper(sweep),
         bars,
         render,
@@ -219,7 +213,6 @@ pub const TABLES: &[Table] = &[
         name: "table2",
         artifact: "table_solvers",
         id: &["model", "solver"],
-        drift_name: Some("objective"),
         sweep: Sweep::Seeded(summary::solver_table),
         bars: |_, _| {},
         render: render_columns,
@@ -229,7 +222,6 @@ pub const TABLES: &[Table] = &[
         name: "sparse",
         artifact: "table_sparse",
         id: &["preset"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::sparse_table),
         bars: gate::sparse_bars,
         render: render_columns,
@@ -239,7 +231,6 @@ pub const TABLES: &[Table] = &[
         name: "online",
         artifact: "table_online",
         id: &["scenario"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::online_table),
         bars: gate::online_bars,
         render: online::render,
@@ -249,7 +240,6 @@ pub const TABLES: &[Table] = &[
         name: "replication",
         artifact: "table_replication_online",
         id: &["scenario"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::replication_online_table),
         bars: gate::replication_bars,
         render: replication_online::render,
@@ -259,7 +249,6 @@ pub const TABLES: &[Table] = &[
         name: "serving",
         artifact: "table_serving",
         id: &["arrival"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::serving_table),
         bars: gate::serving_bars,
         render: serving::render,
@@ -269,7 +258,6 @@ pub const TABLES: &[Table] = &[
         name: "elasticity",
         artifact: "table_elasticity",
         id: &["fault"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::elasticity_table),
         bars: gate::elasticity_bars,
         render: elasticity::render,
@@ -279,7 +267,6 @@ pub const TABLES: &[Table] = &[
         name: "replan-latency",
         artifact: "table_replan_latency",
         id: &["preset"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::replan_latency_table),
         bars: gate::replan_latency_bars,
         render: replan_latency::render,
@@ -289,7 +276,6 @@ pub const TABLES: &[Table] = &[
         name: "partial-replication",
         artifact: "table_partial_replication",
         id: &["scenario"],
-        drift_name: None,
         sweep: Sweep::Seeded(summary::partial_replication_table),
         bars: gate::partial_replication_bars,
         render: partial_replication::render,
@@ -301,21 +287,15 @@ fn field<'a>(row: &'a Json, key: &str) -> &'a Json {
         .unwrap_or_else(|| panic!("no field {key:?} in the row its sweep built"))
 }
 
-/// A value as table-cell or message text: strings unquoted, numbers as
-/// their exact token.
-pub(crate) fn shown(value: &Json) -> String {
-    match value {
+/// A field of a freshly swept row as table-cell or message text: strings
+/// unquoted, numbers as their exact token. The three accessors here are
+/// for renders and bars, which read rows their own sweep just built — so
+/// an absent field is a bug and panics.
+pub fn text(row: &Json, key: &str) -> String {
+    match field(row, key) {
         Json::Str(s) => s.clone(),
         other => other.write().unwrap_or_default(),
     }
-}
-
-/// A field of a freshly swept row as a table cell. The three accessors
-/// here are for renderers, which read rows their own sweep just built — so
-/// an absent field is a bug and panics (the gate, which reads documents
-/// from disk, goes through [`Bars`] instead).
-pub fn text(row: &Json, key: &str) -> String {
-    shown(field(row, key))
 }
 
 /// A numeric field, unrounded: a `Json::Fixed` column still holds the
@@ -401,7 +381,7 @@ pub(crate) mod fixture {
     }
 
     /// Overwrite `field` of `row`, which must hold it.
-    fn set(row: &mut Json, field: &str, value: Json) {
+    pub(crate) fn set(row: &mut Json, field: &str, value: Json) {
         let Json::Obj(fields) = row else {
             panic!("a row is an object")
         };

@@ -104,10 +104,13 @@ impl ArrivalProcess {
             period > 0.0 && period.is_finite(),
             "period must be positive"
         );
+        let peak_rate = mean_rate * (1.0 + swing);
+        // An infinite envelope would make `sample` step by zero forever.
+        assert!(peak_rate.is_finite(), "peak rate must be finite");
         ArrivalProcess {
             kind: ArrivalKind::Diurnal,
             base_rate: mean_rate,
-            peak_rate: mean_rate * (1.0 + swing),
+            peak_rate,
             period,
             spike_start: 0.0,
             spike_end: 0.0,
@@ -130,10 +133,12 @@ impl ArrivalProcess {
             spike_start >= 0.0 && spike_len > 0.0,
             "spike window must be forward"
         );
+        let peak_rate = base_rate * spike_mult;
+        assert!(peak_rate.is_finite(), "peak rate must be finite");
         ArrivalProcess {
             kind: ArrivalKind::FlashCrowd,
             base_rate,
-            peak_rate: base_rate * spike_mult,
+            peak_rate,
             period: 0.0,
             spike_start,
             spike_end: spike_start + spike_len,
@@ -251,6 +256,18 @@ mod tests {
         let a = p.sample(400, 3);
         let in_spike = a.iter().filter(|t| (10.0..15.0).contains(*t)).count();
         assert!(in_spike > 40, "only {in_spike} arrivals in the spike");
+    }
+
+    #[test]
+    #[should_panic(expected = "peak rate must be finite")]
+    fn diurnal_peak_rate_overflow_rejected() {
+        let _ = ArrivalProcess::diurnal(f64::MAX, 0.5, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "peak rate must be finite")]
+    fn flash_crowd_peak_rate_overflow_rejected() {
+        let _ = ArrivalProcess::flash_crowd(1e300, 1e10, 0.0, 1.0);
     }
 
     #[test]

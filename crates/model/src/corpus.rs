@@ -64,6 +64,7 @@ impl CorpusSpec {
     /// Narrow-domain proxy (reviews): almost all mass on one domain — the
     /// most out-of-distribution of the four.
     pub fn yelp_proxy(n_domains: usize) -> Self {
+        assert!(n_domains > 0, "corpus needs at least one domain");
         let mut w = vec![0.1; n_domains];
         w[n_domains / 2] = 3.0;
         CorpusSpec::new("yelp-proxy", w)
@@ -323,6 +324,12 @@ mod tests {
     fn mismatched_domain_count_rejected() {
         let m = model(); // 4 domains
         let _ = TokenBatch::sample(&m, &CorpusSpec::pile_proxy(3), 10, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "corpus needs at least one domain")]
+    fn yelp_proxy_without_domains_rejected() {
+        let _ = CorpusSpec::yelp_proxy(0);
     }
 
     #[test]
