@@ -1859,20 +1859,37 @@ mod tests {
         assert_eq!(online_recovery(3000.0, 3000.0, 3100.0), 1.0);
     }
 
+    fn swept_sections() -> Vec<Section> {
+        let swept = TABLES.iter().map(|t| (t.key, rows(t.key).to_vec()));
+        swept.collect()
+    }
+
     #[test]
     fn the_document_is_a_function_of_its_rows_and_holds_no_measurement() {
-        let sections = || -> Vec<Section> {
-            let swept = TABLES.iter().map(|t| (t.key, rows(t.key).to_vec()));
-            swept.collect()
-        };
-        let json = document(BASELINE_SEED, sections());
-        assert_eq!(json, document(BASELINE_SEED, sections()), "same rows");
-        Json::parse(&json).expect("the document is valid JSON");
+        let json = document(BASELINE_SEED, swept_sections());
+        assert_eq!(json, document(BASELINE_SEED, swept_sections()), "same rows");
+        let doc = Json::parse(&json).expect("the document is valid JSON");
+        assert_eq!(
+            keys(&doc).len(),
+            2 + TABLES.len(),
+            "schema, seed, an array a table"
+        );
+        for (key, swept) in swept_sections() {
+            let parsed = doc.get(key).and_then(Json::as_arr).expect(key);
+            let literal = Json::Arr(swept).write().unwrap();
+            assert_eq!(Json::Arr(parsed.to_vec()), Json::parse(&literal).unwrap());
+        }
+        // No key (nor anything else) names a host-clock measurement.
+        assert!(!json.contains("wall"), "a wall field is back");
+    }
 
-        // The layout the diff gate reads: the header, then the sections in
-        // TABLES order, every row exactly one line holding its fields in
-        // order with their exact tokens — derived ratios with their fixed
-        // decimals, every other fact with shortest round-trip formatting.
+    /// The layout the diff gate reads: the header, then the sections in
+    /// TABLES order, every row exactly one line holding its fields in
+    /// order with their exact tokens — derived ratios with their fixed
+    /// decimals, every other fact with shortest round-trip formatting.
+    #[test]
+    fn json_emits_the_sections_in_table_order_with_pinned_formats() {
+        let json = document(BASELINE_SEED, swept_sections());
         let mut fixed = [
             ("density", 6, false),
             ("recovery", 4, false),
@@ -1886,7 +1903,7 @@ mod tests {
         let seed = format!("  \"seed\": {BASELINE_SEED},");
         let header: Vec<_> = lines.by_ref().take(3).collect();
         assert_eq!(header, ["{", &schema, &seed]);
-        for (i, (key, swept)) in sections().into_iter().enumerate() {
+        for (i, (key, swept)) in swept_sections().into_iter().enumerate() {
             assert_eq!(lines.next(), Some(format!("  \"{key}\": [").as_str()));
             for (j, row) in swept.iter().enumerate() {
                 let Json::Obj(fields) = row else {
@@ -1913,7 +1930,5 @@ mod tests {
         }
         assert_eq!(lines.collect::<Vec<_>>(), ["}"]);
         assert!(fixed.iter().all(|&(_, _, seen)| seen), "{fixed:?}");
-        // No key (nor anything else) names a host-clock measurement.
-        assert!(!json.contains("wall"), "a wall field is back");
     }
 }
