@@ -366,6 +366,13 @@ fn score_on_both_backends(
     Ok(score)
 }
 
+/// The solver width a sweep's thread-count check compares with width 1:
+/// `jobs`, but never 1, so the check holds two different widths even at
+/// `repro`'s default `--jobs 1`.
+fn checked_width(jobs: usize) -> usize {
+    jobs.max(2)
+}
+
 /// The engine-level bit-identity contract: `run(threads, backend)` must be
 /// the same report at one solver thread on the dense backend (returned),
 /// at every width in `widths`, and at one thread on the CSR backend.
@@ -503,8 +510,9 @@ pub fn sparse_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
 
 /// Serve one drift scenario under the three policies. Every solve is
 /// verified invariant: the oracle re-solve across thread counts
-/// (1 vs `jobs`), the budgeted re-solve and the final cross mass across
-/// gap backends. Cross counts are measured on the realized window traces.
+/// (1 vs [`checked_width`]), the budgeted re-solve and the final cross
+/// mass across gap backends. Cross counts are measured on the realized
+/// window traces.
 fn online_scenario(
     drift: &DriftSchedule,
     layers: usize,
@@ -563,7 +571,7 @@ fn online_scenario(
                 )
             };
             oracle_placement = oracle(Parallelism::single());
-            if oracle_placement != oracle(Parallelism::new(jobs)) {
+            if oracle_placement != oracle(Parallelism::new(checked_width(jobs))) {
                 return Err(format!(
                     "{}: oracle re-solve diverged across thread counts at window {window}",
                     drift.name()
@@ -993,9 +1001,9 @@ fn calibrate_serving(
 /// differ only through placement quality and migration stalls; every
 /// figure is a virtual-time fact. The cell runs at `SERVING_UTILIZATION`
 /// (96%) of full-batch capacity. Errors (instead of panicking) if the
-/// budgeted-online report is not bit-identical at `jobs` solver threads or
-/// on the CSR gap backend, or if a policy dropped a request, saw another
-/// arrival sample, or never re-planned.
+/// budgeted-online report is not bit-identical at `jobs` (at least 2)
+/// solver threads or on the CSR gap backend, or if a policy dropped a
+/// request, saw another arrival sample, or never re-planned.
 pub fn serving_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     serving_cells(4, 1400, jobs, seed)?.collect()
 }
@@ -1053,7 +1061,7 @@ fn serving_cells(
         // The budgeted-online policy, held to the bit-identity contract at
         // the requested solver width and on the CSR objective backend.
         let what = format!("{name}: serving report");
-        let online = at_widths(&what, &[jobs.max(2)], |threads, backend| {
+        let online = at_widths(&what, &[checked_width(jobs)], |threads, backend| {
             serving_engine(layers, online_oc, threads, backend, seed)
                 .run_scenario(&scenario)
                 .expect_serving()
@@ -1151,9 +1159,9 @@ fn serving_cells(
 /// *surviving* fleet stays below saturation (`ELASTICITY_UTILIZATION`),
 /// which is what makes "time until the rolling p99 returns to its
 /// pre-fault level" well-defined. Errors (instead of panicking) if the
-/// faulted run is not bit-identical at `jobs` solver threads and at 8,
-/// or on the CSR gap backend, or if a loss without a rejoin costs the
-/// replicated fleet any emergency bytes.
+/// faulted run is not bit-identical at `jobs` (at least 2) solver
+/// threads and at 8, or on the CSR gap backend, or if a loss without a
+/// rejoin costs the replicated fleet any emergency bytes.
 pub fn elasticity_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
     let layers = 4;
     let n_requests = ELASTICITY_REQUESTS;
@@ -1206,7 +1214,7 @@ pub fn elasticity_table(jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
         // CSR objective backend, on the fleet that actually exercises
         // emergency re-placement.
         let what = format!("{name}: faulted serving report");
-        let plain = at_widths(&what, &[jobs.max(2), 8], |threads, backend| {
+        let plain = at_widths(&what, &[checked_width(jobs), 8], |threads, backend| {
             serving_engine(layers, oc, threads, backend, seed)
                 .run_scenario(&plain_scenario)
                 .expect_serving()
@@ -1683,6 +1691,12 @@ mod tests {
             panic!("a row is an object")
         };
         fields.iter().map(|(k, _)| k.as_str()).collect()
+    }
+
+    #[test]
+    fn thread_checks_compare_two_widths_at_jobs_1() {
+        assert_eq!(checked_width(1), 2);
+        assert_eq!(checked_width(4), 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use exflow_topology::collective_cost::BytesByClass;
 use parking_lot::Mutex;
 
 /// The kind of operation a [`CommRecord`] describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// AlltoallV — token dispatch or combine.
     Alltoall,

@@ -181,7 +181,7 @@ mod tests {
 
     #[test]
     fn labels_unique() {
-        let set: std::collections::HashSet<_> = System::ALL.iter().map(|s| s.label()).collect();
+        let set: std::collections::BTreeSet<_> = System::ALL.iter().map(|s| s.label()).collect();
         assert_eq!(set.len(), 4);
     }
 }

@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let set: std::collections::HashSet<_> =
+        let set: std::collections::BTreeSet<_> =
             ParallelismMode::ALL.iter().map(|m| m.label()).collect();
         assert_eq!(set.len(), 3);
     }

@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn names_are_unique() {
-        let names: std::collections::HashSet<_> = table2().into_iter().map(|c| c.name).collect();
+        let names: std::collections::BTreeSet<_> = table2().into_iter().map(|c| c.name).collect();
         assert_eq!(names.len(), 7);
     }
 
@@ -128,7 +128,7 @@ mod tests {
     fn large_zoo_covers_both_scales_and_gates() {
         let zoo = large_zoo();
         assert_eq!(zoo.len(), 4);
-        let names: std::collections::HashSet<_> = zoo.iter().map(|c| c.name.clone()).collect();
+        let names: std::collections::BTreeSet<_> = zoo.iter().map(|c| c.name.clone()).collect();
         assert_eq!(names.len(), 4);
         assert!(zoo.iter().any(|c| c.n_experts == 256 && c.gate.k() == 1));
         assert!(zoo.iter().any(|c| c.n_experts == 512 && c.gate.k() == 2));

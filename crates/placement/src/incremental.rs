@@ -787,9 +787,10 @@ fn sanitize_subsets(replicas: &mut [LayerReplicas], base: &Placement) {
 /// in full ship nothing and rank first), greedily accept under the
 /// per-GPU slot cap and the migration byte budget, then spend the
 /// leftover bytes on owner moves.
-// Mirrors the solver-stage plumbing; a params struct would just rename
-// the same eight inputs at every call site.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors the solver-stage plumbing; a params struct would just rename the same eight inputs at every call site"
+)]
 fn replica_first_candidate(
     objective: &Objective,
     incumbent: &ReplicationPlan,

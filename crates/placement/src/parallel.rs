@@ -109,7 +109,7 @@ mod tests {
 
     #[test]
     fn split_seed_streams_are_distinct() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for stream in 0..1000u64 {
             assert!(
                 seen.insert(split_seed(42, stream)),

@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn labels_are_stable_and_distinct() {
         let labels: Vec<String> = all_kinds().iter().map(SolverKind::label).collect();
-        let unique: std::collections::HashSet<&String> = labels.iter().collect();
+        let unique: std::collections::BTreeSet<&String> = labels.iter().collect();
         assert_eq!(unique.len(), labels.len(), "{labels:?}");
         assert_eq!(SolverKind::Greedy.label(), "greedy");
         assert_eq!(

@@ -8,7 +8,7 @@ use crate::link::LinkClass;
 /// Ranks are assigned node-major: ranks `0..gpus_per_node` live on node 0,
 /// the next `gpus_per_node` on node 1, and so on — the same convention
 /// MPI + one-process-per-GPU launchers use on the paper's Wilkes3 cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rank(pub usize);
 
 impl Rank {
@@ -240,7 +240,7 @@ mod tests {
             }
         }
         // Distinct salts rotate through every local slot of the far node.
-        let slots: std::collections::HashSet<usize> =
+        let slots: std::collections::BTreeSet<usize> =
             (0..4).map(|s| c.one_per_node(Rank(0), s)[0].0).collect();
         assert_eq!(slots.len(), 4);
     }

@@ -6,7 +6,8 @@
 # first-party crates live under crates/, and the lockfile must never
 # acquire a registry or git source. cargo-deny itself would be a registry
 # dependency, so this script re-implements the two checks that policy
-# needs from the manifests and lockfile directly.
+# needs from the manifests and lockfile directly. It also checks the two
+# shim surfaces determinism rules D003 and D004 rely on (case 4).
 #
 # Exit 0 when the policy holds, 1 with one FAIL line per violation.
 set -euo pipefail
@@ -65,18 +66,23 @@ done < <(awk '/^\[workspace\.dependencies\]/ { s = 1; next }
               /^\[/ { s = 0 }
               s && /=/ { print }' Cargo.toml)
 
-# 4. exflow-detlint must stay dependency-free (std only): the linter has
-#    to build before any shim and lint the workspace from outside it, so
-#    its [dependencies] and [dev-dependencies] tables must be empty.
-while IFS= read -r dep; do
-  echo "FAIL: exflow-detlint must be dependency-free, found: $dep" >&2
+# 4. Determinism rules D003 and D004 hold by absence, which clippy cannot
+#    check: the rand shim has no entropy source (so an ambient RNG call
+#    cannot compile) and the rayon shim has no reduction adaptor (so an
+#    unordered parallel float reduction cannot be written).
+if bad=$(grep -rnwE 'thread_rng|from_entropy|OsRng' shims/rand/src); then
+  echo "FAIL: shims/rand defines an entropy source (D003):" >&2
+  echo "$bad" >&2
   violations=$((violations + 1))
-done < <(awk '/^\[(dependencies|dev-dependencies)\]/ { s = 1; next }
-              /^\[/ { s = 0 }
-              s && /=/ { print }' crates/detlint/Cargo.toml)
+fi
+if bad=$(grep -rnwE 'fn (sum|product|fold|reduce)' shims/rayon/src); then
+  echo "FAIL: shims/rayon defines a parallel reduction (D004):" >&2
+  echo "$bad" >&2
+  violations=$((violations + 1))
+fi
 
 if [ "$violations" -ne 0 ]; then
   echo "deps-audit: $violations violation(s)" >&2
   exit 1
 fi
-echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; exflow-detlint is dependency-free)"
+echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon)"

@@ -279,8 +279,10 @@ macro_rules! proptest {
         fn $name:ident($($arg:pat in $strategy:expr),+ $(,)?) $body:block
     )*) => {$(
         $(#[$meta])*
-        // The expansion calls the user's closure immediately by design.
-        #[allow(clippy::redundant_closure_call)]
+        #[allow(
+            clippy::redundant_closure_call,
+            reason = "the expansion calls the user's closure immediately by design"
+        )]
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $config;
             let strategy = ($($strategy,)+);

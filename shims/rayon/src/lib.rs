@@ -1,18 +1,14 @@
 //! Offline shim for the `rayon` crate.
 //!
-//! Two layers, both implementing the subset of rayon's API this workspace
-//! uses (see `shims/README.md`):
-//!
-//! * [`prelude`] — the original sequential slice adaptors (`par_iter`,
-//!   `par_chunks_mut`, ...) that return the corresponding standard
-//!   iterators. Kept sequential: their call sites are memory-bound loops
-//!   where determinism matters more than speedup.
-//! * [`iter`] + the pool types — a genuinely parallel, *deterministic*
-//!   executor. `into_par_iter().map(f).collect()` fans tasks over worker
-//!   threads that pull indices from a shared atomic counter (work
-//!   stealing), then reassembles results in input order, so the output is
-//!   bit-identical to the sequential run for any pure `f` and any thread
-//!   count.
+//! Implements the subset of rayon's API this workspace uses (see
+//! `shims/README.md`): [`iter`] + the pool types, a genuinely parallel,
+//! *deterministic* executor. `into_par_iter().map(f).collect()` fans tasks
+//! over worker threads that pull indices from a shared atomic counter
+//! (work stealing), then reassembles results in input order, so the output
+//! is bit-identical to the sequential run for any pure `f` and any thread
+//! count. There is deliberately no reduction adaptor (`sum`, `fold`, ...):
+//! a parallel float reduction's result depends on how the work is split
+//! (determinism rule D004); collect, then fold sequentially.
 //!
 //! Unlike real rayon there is no global pool and the default width is 1:
 //! parallelism is strictly opt-in through [`ThreadPool::install`] (or the
@@ -244,11 +240,6 @@ pub mod iter {
             }
             best
         }
-
-        /// Sum the elements.
-        fn sum<S: std::iter::Sum<Self::Item>>(self) -> S {
-            self.drive().into_iter().sum()
-        }
     }
 
     impl<I> IntoParallelIterator for std::ops::Range<I>
@@ -322,71 +313,10 @@ pub mod iter {
     }
 }
 
-/// The rayon prelude: slice extension traits plus the parallel-iterator
-/// traits.
-pub mod prelude {
-    pub use crate::iter::{IntoParallelIterator, ParallelIterator};
-
-    /// `par_iter`-style access for shared slices.
-    pub trait ParallelSlice<T> {
-        /// Sequential stand-in for `rayon`'s `par_iter`.
-        fn par_iter(&self) -> std::slice::Iter<'_, T>;
-        /// Sequential stand-in for `rayon`'s `par_chunks`.
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T>;
-    }
-
-    /// `par_iter_mut`-style access for mutable slices.
-    pub trait ParallelSliceMut<T> {
-        /// Sequential stand-in for `rayon`'s `par_iter_mut`.
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T>;
-        /// Sequential stand-in for `rayon`'s `par_chunks_mut`.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
-    }
-
-    impl<T> ParallelSlice<T> for [T] {
-        fn par_iter(&self) -> std::slice::Iter<'_, T> {
-            self.iter()
-        }
-
-        fn par_chunks(&self, chunk_size: usize) -> std::slice::Chunks<'_, T> {
-            self.chunks(chunk_size)
-        }
-    }
-
-    impl<T> ParallelSliceMut<T> for [T] {
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-            self.iter_mut()
-        }
-
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-            self.chunks_mut(chunk_size)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::iter::{IntoParallelIterator, ParallelIterator};
-    use super::prelude::{ParallelSlice, ParallelSliceMut};
     use super::*;
-
-    #[test]
-    fn par_chunks_mut_matches_chunks_mut() {
-        let mut v = vec![0u32; 10];
-        v.par_chunks_mut(3).enumerate().for_each(|(i, chunk)| {
-            for x in chunk {
-                *x = i as u32;
-            }
-        });
-        assert_eq!(v, [0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
-    }
-
-    #[test]
-    fn par_iter_sums() {
-        let v = [1.5f32; 4];
-        let s: f32 = v.par_iter().map(|x| x * x).sum();
-        assert!((s - 9.0).abs() < 1e-6);
-    }
 
     #[test]
     fn pool_rejects_zero_threads() {
