@@ -1,6 +1,6 @@
-//! Ablations beyond the paper's figures, covering the design choices
-//! DESIGN.md calls out: solver quality, staged-vs-flat placement, and how
-//! the end-to-end gain degrades as the model's intrinsic affinity weakens.
+//! Ablations beyond the paper's figures: solver quality, staged-vs-flat
+//! placement, and how the end-to-end gain degrades as the model's
+//! intrinsic affinity weakens.
 //! Five tables, A–E, each an entry of `crate::table::TABLES` under the one
 //! `ablations` artifact.
 

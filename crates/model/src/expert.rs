@@ -39,10 +39,39 @@ impl Expert {
     /// `hidden` is caller-owned scratch of [`Expert::hidden`] floats,
     /// overwritten before it is read. This is the only kernel: the engine
     /// calls it per token, [`Expert::forward`] per row.
+    ///
+    /// One body, two instantiations: on an x86-64 CPU that reports AVX2 it
+    /// runs the body compiled for 256-bit vectors, elsewhere the portable
+    /// build. Both make every output element of the same IEEE `+ × ÷`
+    /// sequence in the same order (no FMA is enabled, and Rust never fuses
+    /// `a * b + c`), so the two agree to the bit.
     pub fn forward_row(&self, row: &mut [f32], hidden: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reported AVX2, the one feature
+            // `forward_row_avx2` is compiled for.
+            #[expect(unsafe_code, reason = "the call of the AVX2 kernel")]
+            unsafe {
+                self.forward_row_avx2(row, hidden)
+            };
+            return;
+        }
+        self.forward_row_body(row, hidden);
+    }
+
+    /// [`Expert::forward_row`]'s body, inlined into each instantiation.
+    #[inline(always)]
+    fn forward_row_body(&self, row: &mut [f32], hidden: &mut [f32]) {
         self.w1.vecmat(row, hidden);
         gelu_inplace(hidden);
         self.w2.vecmat(hidden, row);
+    }
+
+    /// The body compiled with AVX2 enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn forward_row_avx2(&self, row: &mut [f32], hidden: &mut [f32]) {
+        self.forward_row_body(row, hidden);
     }
 
     /// Apply the FFN to a batch of tokens (rows of `x`).

@@ -7,14 +7,14 @@
 //! parameters, 8–64 experts per layer) served by DeepSpeed-Megatron on A100
 //! clusters, and profiles token routing on the Pile corpus. Neither trained
 //! checkpoints nor corpora are available here, so this crate builds the
-//! closest synthetic equivalents (documented in `DESIGN.md` §2):
+//! closest synthetic equivalents:
 //!
 //! * [`config`] / [`presets`] — the paper's Table II model zoo, plus a
 //!   FLOP/byte cost model per operator ([`cost`]);
 //! * [`tensor`] / [`expert`] — small but *real* dense linear algebra
-//!   (one sequential mat-vec + GELU kernel, a naive matmul as its
-//!   reference) so the engine genuinely computes expert FFNs on token
-//!   vectors;
+//!   (one mat-vec + GELU kernel body with two instantiations, portable
+//!   and AVX2, chosen at run time; a naive matmul as its reference) so
+//!   the engine genuinely computes expert FFNs on token vectors;
 //! * [`routing`] — the core substitution: a layer-to-layer Markov routing
 //!   process over experts whose transition structure is a mixture of
 //!   permutation matrices (doubly stochastic, hence GShard-load-balanced)
@@ -35,7 +35,8 @@
 //!   dynamics of Figs. 11–12 (early expert collapse, rebalancing, steady
 //!   affinity growth).
 
-#![forbid(unsafe_code)]
+// `unsafe_code` is denied workspace-wide; the one `#[expect]` of it in
+// this crate is the call of the AVX2 kernel (`Expert::forward_row`).
 #![warn(missing_docs)]
 
 pub mod arrival;

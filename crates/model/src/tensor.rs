@@ -1,10 +1,11 @@
 //! Minimal dense linear algebra: just enough real math for expert FFNs.
 //!
 //! The engine runs *genuine* products on token activations (at the
-//! reduced `sim_dim`) through one sequential kernel — [`Matrix::vecmat`]
-//! and [`gelu_inplace`], with [`Matrix::matmul`] as the reference it is
-//! tested against — while FLOP/byte *accounting* uses the true model
-//! dimensions from [`crate::config::ModelConfig`].
+//! reduced `sim_dim`) through one kernel body — [`Matrix::vecmat`] and
+//! [`gelu_inplace`], with [`Matrix::matmul`] as the reference it is
+//! tested against — which [`crate::Expert::forward_row`] instantiates
+//! twice, portable and AVX2, while FLOP/byte *accounting* uses the true
+//! model dimensions from [`crate::config::ModelConfig`].
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
@@ -105,7 +106,10 @@ impl Matrix {
     /// ascending `k`, the remainder columns one by one. Per element that is
     /// `matmul`'s sequence of `acc += a * b`, and its zero skip cannot show
     /// for finite weights (an accumulator that starts at `+0.0` never
-    /// becomes `-0.0`), so the two agree to the bit.
+    /// becomes `-0.0`), so the two agree to the bit. Always inlined, so
+    /// each instantiation of [`crate::Expert::forward_row`] vectorises it
+    /// at its own width.
+    #[inline(always)]
     pub fn vecmat(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "vecmat input length mismatch");
         assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
@@ -146,6 +150,8 @@ const SHORT_BELOW: f32 = 1.0 / 4096.0;
 /// tiny inputs. The choice is per slice, not per element: a per-element
 /// select vectorises into the full form on every lane and saves nothing.
 /// The check stops at the first element at or above 2^-12 (or NaN).
+/// Always inlined, like [`Matrix::vecmat`].
+#[inline(always)]
 pub fn gelu_inplace(xs: &mut [f32]) {
     if xs.iter().all(|v| v.abs() < SHORT_BELOW) {
         for x in xs {

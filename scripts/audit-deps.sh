@@ -7,7 +7,8 @@
 # acquire a registry or git source. cargo-deny itself would be a registry
 # dependency, so this script re-implements the two checks that policy
 # needs from the manifests and lockfile directly. It also checks the two
-# shim surfaces determinism rules D003 and D004 rely on (case 4).
+# shim surfaces determinism rules D003 and D004 rely on (case 4), and that
+# the workspace's one `unsafe` block stays the only one (case 5).
 #
 # Exit 0 when the policy holds, 1 with one FAIL line per violation.
 set -euo pipefail
@@ -81,8 +82,25 @@ if bad=$(grep -rnwE 'fn (sum|product|fold|reduce)' shims/rayon/src); then
   violations=$((violations + 1))
 fi
 
+# 5. One `unsafe` in the workspace: the model crate's call of the AVX2
+#    expert kernel. Every other first-party library forbids unsafe code,
+#    and the model crate holds that one use alone (comment lines aside;
+#    `-w` keeps `unsafe_code` from matching).
+for lib in src/lib.rs crates/*/src/lib.rs; do
+  if [ "$lib" != crates/model/src/lib.rs ] && ! grep -qxF '#![forbid(unsafe_code)]' "$lib"; then
+    echo "FAIL: $lib lacks #![forbid(unsafe_code)]" >&2
+    violations=$((violations + 1))
+  fi
+done
+uses=$(grep -rnw unsafe crates/model/src | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ "$(grep -c . <<<"$uses")" -gt 1 ]; then
+  echo "FAIL: crates/model/src holds more than one unsafe block:" >&2
+  echo "$uses" >&2
+  violations=$((violations + 1))
+fi
+
 if [ "$violations" -ne 0 ]; then
   echo "deps-audit: $violations violation(s)" >&2
   exit 1
 fi
-echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon)"
+echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, in exflow-model)"
