@@ -642,9 +642,10 @@ pub(crate) struct Plane {
     /// `tables[rank]`: the tokens resident on each rank.
     tables: Vec<Table>,
     wire: Wire,
-    /// `run_experts`: the rank's rows as `(expert, row)`, and the FFN's
-    /// hidden activations.
+    /// `run_experts`: the rank's rows as `(expert, row)`, one expert
+    /// group's embeddings, and the FFN's hidden activations.
     order: Vec<(u32, u32)>,
+    block: Vec<f32>,
     hidden: Vec<f32>,
     /// `Table::merge_top2`: token id → row of its primary.
     primary_row: Vec<u32>,
@@ -659,6 +660,7 @@ impl InferenceEngine {
             tables: (0..w).map(|_| Table::new(model.sim_dim)).collect(),
             wire: Wire::new(w, frame, model.sim_dim),
             order: Vec::new(),
+            block: Vec::new(),
             hidden: Vec::new(),
             primary_row: Vec::new(),
         }
@@ -951,10 +953,11 @@ impl Pass<'_> {
     }
 
     /// Expert FFN on rank `me`: the real reduced-dim kernel on every row
-    /// of its table in place, the clock advanced by the true-dim cost.
-    /// Ascending `(expert, row)` order streams each expert's weights once
-    /// per group (what `expert_time`'s `experts_touched` models); the
-    /// outputs do not depend on the order.
+    /// of its table, the clock advanced by the true-dim cost. Ascending
+    /// `(expert, row)` order makes each expert's rows one group (what
+    /// `expert_time`'s `experts_touched` models), copied into one block
+    /// for one kernel call and back; the outputs do not depend on the
+    /// order or the grouping.
     fn run_experts(
         &self,
         fleet: &mut Lockstep,
@@ -968,6 +971,7 @@ impl Pass<'_> {
         let Plane {
             tables,
             order,
+            block,
             hidden,
             ..
         } = plane;
@@ -978,7 +982,6 @@ impl Pass<'_> {
             (u32::from(expert), row as u32)
         }));
         order.sort_unstable();
-        hidden.resize(self.experts[0].hidden(), 0.0);
         let mut touched = 0;
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let expert_id = group[0].0 as usize;
@@ -989,8 +992,13 @@ impl Pass<'_> {
                 "token routed to an expert this rank does not hold"
             );
             let expert = &self.experts[layer * cfg.model.n_experts + expert_id];
+            block.clear();
             for &(_, row) in group {
-                expert.forward_row(table.row_mut(row as usize), hidden);
+                block.extend_from_slice(table.row(row as usize));
+            }
+            expert.forward_rows(block, hidden);
+            for (&(_, row), out) in group.iter().zip(block.chunks_exact(cfg.model.sim_dim)) {
+                table.row_mut(row as usize).copy_from_slice(out);
             }
             touched += 1;
         }

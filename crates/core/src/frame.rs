@@ -193,7 +193,7 @@ impl Table {
         &self.emb[row * self.dim..][..self.dim]
     }
 
-    /// The embedding of `row`, for the expert kernel to transform in place.
+    /// The embedding of `row`, for the expert kernel's output.
     pub(crate) fn row_mut(&mut self, row: usize) -> &mut [f32] {
         &mut self.emb[row * self.dim..][..self.dim]
     }

@@ -12,9 +12,10 @@
 //! * [`config`] / [`presets`] — the paper's Table II model zoo, plus a
 //!   FLOP/byte cost model per operator ([`cost`]);
 //! * [`tensor`] / [`expert`] — small but *real* dense linear algebra
-//!   (one mat-vec + GELU kernel body with two instantiations, portable
-//!   and AVX2, chosen at run time; a naive matmul as its reference) so
-//!   the engine genuinely computes expert FFNs on token vectors;
+//!   (one mat-vec + GELU kernel body over blocks of rows, with three
+//!   builds, portable, AVX2 and AVX-512, chosen at run time; a naive
+//!   matmul as its reference) so the engine genuinely computes expert
+//!   FFNs on token vectors;
 //! * [`routing`] — the core substitution: a layer-to-layer Markov routing
 //!   process over experts whose transition structure is a mixture of
 //!   permutation matrices (doubly stochastic, hence GShard-load-balanced)
@@ -36,7 +37,8 @@
 //!   affinity growth).
 
 // `unsafe_code` is denied workspace-wide; the one `#[expect]` of it in
-// this crate is the call of the AVX2 kernel (`Expert::forward_row`).
+// this crate is the call of the AVX2 and AVX-512 kernels
+// (`Expert::forward_rows`).
 #![warn(missing_docs)]
 
 pub mod arrival;

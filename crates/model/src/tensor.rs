@@ -1,11 +1,11 @@
 //! Minimal dense linear algebra: just enough real math for expert FFNs.
 //!
 //! The engine runs *genuine* products on token activations (at the
-//! reduced `sim_dim`) through one kernel body — [`Matrix::vecmat`] and
-//! [`gelu_inplace`], with [`Matrix::matmul`] as the reference it is
-//! tested against — which [`crate::Expert::forward_row`] instantiates
-//! twice, portable and AVX2, while FLOP/byte *accounting* uses the true
-//! model dimensions from [`crate::config::ModelConfig`].
+//! reduced `sim_dim`) through one kernel body — [`Matrix::vecmat_rows`]
+//! and [`gelu_inplace`], with [`Matrix::matmul`] as the reference it is
+//! tested against — which [`crate::Expert::forward_rows`] builds three
+//! times, portable, AVX2 and AVX-512, while FLOP/byte *accounting* uses
+//! the true model dimensions from [`crate::config::ModelConfig`].
 
 use rand::distributions::{Distribution, Uniform};
 use rand::Rng;
@@ -79,8 +79,9 @@ impl Matrix {
         &self.data
     }
 
-    /// Matrix product `self * other`: the naive reference [`Matrix::vecmat`]
-    /// is tested against, bit for bit. No engine path calls it.
+    /// Matrix product `self * other`: the naive reference
+    /// [`Matrix::vecmat_rows`] is tested against, bit for bit. No engine
+    /// path calls it.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
@@ -101,37 +102,70 @@ impl Matrix {
         Matrix::from_vec(self.rows, other.cols, out)
     }
 
-    /// Row-vector product `out = x * self`, the expert kernel's mat-vec:
-    /// `TILE` output columns at a time accumulate in registers over
-    /// ascending `k`, the remainder columns one by one. Per element that is
-    /// `matmul`'s sequence of `acc += a * b`, and its zero skip cannot show
-    /// for finite weights (an accumulator that starts at `+0.0` never
-    /// becomes `-0.0`), so the two agree to the bit. Always inlined, so
-    /// each instantiation of [`crate::Expert::forward_row`] vectorises it
-    /// at its own width.
+    /// Row-vector products `out[r] = x[r] * self` for `R` rows at once,
+    /// the expert kernel's mat-vec: `x` holds `R` rows of
+    /// [`Matrix::rows`] floats and `out` `R` rows of [`Matrix::cols`].
+    /// The output columns go in panels of `P` sixteen-column tiles, then
+    /// single tiles, then one by one. A panel's `R × P` tiles accumulate
+    /// in registers over one pass of ascending `k`, so each weight is
+    /// loaded once per `R` rows. Per element that is `matmul`'s sequence
+    /// of `acc += a * b`, whatever `R`, `P` and the column's place in the
+    /// panels; `matmul`'s zero skip cannot show for finite weights (an
+    /// accumulator that starts at `+0.0` never becomes `-0.0`), so the two
+    /// agree to the bit. Always inlined, so each build of
+    /// [`crate::Expert::forward_rows`] vectorises it at its own width.
     #[inline(always)]
-    pub fn vecmat(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.rows, "vecmat input length mismatch");
-        assert_eq!(out.len(), self.cols, "vecmat output length mismatch");
-        let mut tiles = out.chunks_exact_mut(TILE);
-        for (t, tile) in tiles.by_ref().enumerate() {
-            let mut acc = [0.0f32; TILE];
-            for (&a, b_row) in x.iter().zip(self.data.chunks_exact(self.cols)) {
-                for (o, &b) in acc.iter_mut().zip(&b_row[t * TILE..][..TILE]) {
-                    *o += a * b;
+    pub fn vecmat_rows<const R: usize, const P: usize>(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), R * self.rows, "vecmat_rows input length mismatch");
+        assert_eq!(
+            out.len(),
+            R * self.cols,
+            "vecmat_rows output length mismatch"
+        );
+        let panelled = self.cols - self.cols % (P * TILE);
+        let tiled = self.cols - self.cols % TILE;
+        for c0 in (0..panelled).step_by(P * TILE) {
+            self.panel::<R, P>(x, out, c0);
+        }
+        for c0 in (panelled..tiled).step_by(TILE) {
+            self.panel::<R, 1>(x, out, c0);
+        }
+        for c in tiled..self.cols {
+            let outs = out[c..].iter_mut().step_by(self.cols);
+            for (x_row, o) in x.chunks_exact(self.rows).zip(outs) {
+                let column = self.data[c..].iter().step_by(self.cols);
+                *o = x_row
+                    .iter()
+                    .zip(column)
+                    .fold(0.0, |acc, (&a, &b)| acc + a * b);
+            }
+        }
+    }
+
+    /// The `P` tiles from column `c0` of [`Matrix::vecmat_rows`]' `R`
+    /// output rows.
+    #[inline(always)]
+    fn panel<const R: usize, const P: usize>(&self, x: &[f32], out: &mut [f32], c0: usize) {
+        let xs: [&[f32]; R] = std::array::from_fn(|r| &x[r * self.rows..][..self.rows]);
+        let mut acc = [[[0.0f32; TILE]; P]; R];
+        for (k, w_row) in (0..self.rows).zip(self.data.chunks_exact(self.cols)) {
+            let w = &w_row[c0..][..P * TILE];
+            for (acc, x) in acc.iter_mut().zip(&xs) {
+                let a = x[k];
+                for (tile, w) in acc.iter_mut().zip(w.chunks_exact(TILE)) {
+                    for (o, &b) in tile.iter_mut().zip(w) {
+                        *o += a * b;
+                    }
                 }
             }
-            tile.copy_from_slice(&acc);
         }
-        let tiled = self.cols - self.cols % TILE;
-        for (c, o) in tiles.into_remainder().iter_mut().enumerate() {
-            let column = self.data[tiled + c..].iter().step_by(self.cols);
-            *o = x.iter().zip(column).fold(0.0, |acc, (&a, &b)| acc + a * b);
+        for (r, acc) in acc.iter().enumerate() {
+            out[r * self.cols + c0..][..P * TILE].copy_from_slice(acc.as_flattened());
         }
     }
 }
 
-/// Output columns [`Matrix::vecmat`] holds in registers at once.
+/// Output columns one accumulator tile of [`Matrix::vecmat_rows`] holds.
 const TILE: usize = 16;
 
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -149,11 +183,12 @@ const SHORT_BELOW: f32 = 1.0 / 4096.0;
 /// rational polynomial and the subnormal products the full form makes of
 /// tiny inputs. The choice is per slice, not per element: a per-element
 /// select vectorises into the full form on every lane and saves nothing.
-/// The check stops at the first element at or above 2^-12 (or NaN).
-/// Always inlined, like [`Matrix::vecmat`].
+/// The check reads the whole slice without an early exit, so it
+/// vectorises; an element at or above 2^-12 (or NaN) fails it. Always
+/// inlined, like [`Matrix::vecmat_rows`].
 #[inline(always)]
 pub fn gelu_inplace(xs: &mut [f32]) {
-    if xs.iter().all(|v| v.abs() < SHORT_BELOW) {
+    if xs.iter().fold(true, |ok, v| ok & (v.abs() < SHORT_BELOW)) {
         for x in xs {
             let v = *x;
             *x = 0.5 * v * (1.0 + SQRT_2_OVER_PI * v * NUM[6] / DEN[3]);

@@ -128,10 +128,11 @@ proptest! {
     // the kernel's 16-column tile, and `dim` below it.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `forward_row` runs the instantiation the host supports (on an AVX2
-    /// host the AVX2 one); the reference is `matmul` + `gelu_inplace`
-    /// compiled into this test, portable. So this is also where the two
-    /// instantiations meet.
+    /// `forward_rows` runs the widest build the host supports, on one row
+    /// and (through `forward`) on the whole batch; the reference is
+    /// `matmul` + `gelu_inplace` compiled into this test, portable. The
+    /// model crate's `every_build_matches_the_matmul_reference_to_the_bit`
+    /// holds each build the host runs to the same reference.
     #[test]
     fn expert_kernel_matches_the_matmul_reference_to_the_bit(
         dim in 1usize..40,
@@ -173,10 +174,10 @@ proptest! {
         let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         // The scratch starts as NaN and then carries the previous row's
         // hidden activations: neither may reach a result.
-        let mut scratch = vec![f32::NAN; hidden];
+        let mut scratch = vec![f32::NAN; 4 * hidden];
         for r in 0..n_rows {
             let mut row = x.row(r).to_vec();
-            expert.forward_row(&mut row, &mut scratch);
+            expert.forward_rows(&mut row, &mut scratch);
             for (c, &v) in row.iter().enumerate() {
                 let want = reference.get(r, c);
                 prop_assert!(same(v, want), "row {} col {}: {:e}, reference {:e}", r, c, v, want);

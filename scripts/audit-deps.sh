@@ -82,10 +82,10 @@ if bad=$(grep -rnwE 'fn (sum|product|fold|reduce)' shims/rayon/src); then
   violations=$((violations + 1))
 fi
 
-# 5. One `unsafe` in the workspace: the model crate's call of the AVX2
-#    expert kernel. Every other first-party library forbids unsafe code,
-#    and the model crate holds that one use alone (comment lines aside;
-#    `-w` keeps `unsafe_code` from matching).
+# 5. One `unsafe` in the workspace: the model crate's call of the AVX2 and
+#    AVX-512 builds of the expert kernel. Every other first-party library
+#    forbids unsafe code, and the model crate holds that one use alone
+#    (comment lines aside; `-w` keeps `unsafe_code` from matching).
 for lib in src/lib.rs crates/*/src/lib.rs; do
   if [ "$lib" != crates/model/src/lib.rs ] && ! grep -qxF '#![forbid(unsafe_code)]' "$lib"; then
     echo "FAIL: $lib lacks #![forbid(unsafe_code)]" >&2
@@ -103,4 +103,4 @@ if [ "$violations" -ne 0 ]; then
   echo "deps-audit: $violations violation(s)" >&2
   exit 1
 fi
-echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, in exflow-model)"
+echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, the call of the AVX2 and AVX-512 expert kernels in exflow-model)"
