@@ -882,6 +882,25 @@ mod tests {
     }
 
     #[test]
+    fn greedy_is_size_or_wait_with_no_wait() {
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        for online in [static_cfg(), adaptive()] {
+            let eng = engine(online);
+            let (schedule, mut cfg) = scenario(&eng, mode);
+            for max_size in [1, 4, 8] {
+                cfg.batch = BatchPolicy::Greedy { max_size };
+                let greedy = serve(&eng, mode, &schedule, &cfg);
+                cfg.batch = BatchPolicy::SizeOrWait {
+                    max_size,
+                    max_wait: 0.0,
+                };
+                let no_wait = serve(&eng, mode, &schedule, &cfg);
+                assert_eq!(greedy, no_wait, "max_size {max_size}, {online:?}");
+            }
+        }
+    }
+
+    #[test]
     fn probe_step_time_grows_with_batch_size() {
         let eng = engine(static_cfg());
         let mode = ParallelismMode::ContextCoherentAffinity;
