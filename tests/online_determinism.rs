@@ -37,8 +37,7 @@ fn adaptive() -> OnlineConfig {
 }
 
 /// Replication-aware variant: a joint budget tight enough that replica
-/// adds, drops, and owner moves all compete, plus rollover and
-/// drift-scaled budgets so every new budgeting path is exercised.
+/// adds, drops, and owner moves all compete.
 fn replicated() -> OnlineConfig {
     let bytes_per_expert = {
         let mut model = moe_gpt_m(8);
@@ -51,8 +50,6 @@ fn replicated() -> OnlineConfig {
         migration_budget_bytes: 12 * bytes_per_expert,
         decay: 0.3,
         replica_memory_bytes: 4 * bytes_per_expert,
-        budget_rollover: true,
-        scale_budget_by_drift: true,
         ..OnlineConfig::default()
     }
 }

@@ -170,8 +170,7 @@ impl Fnv {
 }
 
 /// The replication-aware config of `tests/online_determinism.rs`: a joint
-/// budget tight enough that replica adds, drops and owner moves compete,
-/// with rollover and drift-scaled budgets on.
+/// budget tight enough that replica adds, drops and owner moves compete.
 fn replicated_online(n_layers: usize) -> OnlineConfig {
     let mut model = moe_gpt_m(8);
     model.n_layers = n_layers;
@@ -182,8 +181,6 @@ fn replicated_online(n_layers: usize) -> OnlineConfig {
         migration_budget_bytes: 12 * bytes_per_expert,
         decay: 0.3,
         replica_memory_bytes: 4 * bytes_per_expert,
-        budget_rollover: true,
-        scale_budget_by_drift: true,
         ..OnlineConfig::default()
     }
 }
@@ -209,13 +206,13 @@ fn online_report_fingerprint_is_pinned() {
     let mut h = Fnv::new();
     h.online(&report);
     assert_eq!(
-        h.0, 0x9347_ab67_4155_dbd4,
+        h.0, 0xb227_163e_b356_6064,
         "OnlineReport fingerprint moved: {:#018x}",
         h.0
     );
     let work = Fnv::solver_work(&report.replans);
     assert_eq!(
-        work, 0x494b_1044_4fe4_f3be,
+        work, 0xec37_4018_0ba1_d6f5,
         "online_solver_work fingerprint moved: {work:#018x}"
     );
     let outputs = Fnv::outputs(&report.windows);
@@ -291,13 +288,13 @@ fn serving_report_fingerprint_is_pinned() {
     let mut h = Fnv::new();
     h.serving(&report);
     assert_eq!(
-        h.0, 0x4d8e_97fd_4b57_ee25,
+        h.0, 0x1dea_6a88_d89b_8451,
         "ServingReport fingerprint moved: {:#018x}",
         h.0
     );
     let work = Fnv::solver_work(&report.replans);
     assert_eq!(
-        work, 0xf31e_04c0_b7d0_7a68,
+        work, 0x5603_50cd_887c_4de3,
         "serving_solver_work fingerprint moved: {work:#018x}"
     );
     assert_eq!(
