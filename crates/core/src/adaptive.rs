@@ -40,8 +40,6 @@ pub(crate) struct AdaptiveState<'e> {
     /// `Arc` because the serving loop keeps the plan a re-plan replaced
     /// alive as its stale plan until the weight copy lands.
     pub(crate) live: Arc<ReplicationPlan>,
-    /// Migration budget earlier re-plans left unspent (`budget_rollover`).
-    carry: u64,
     /// Drift signal at each closed window.
     pub(crate) drift: Vec<f64>,
     pub(crate) replans: Vec<ReplanEvent>,
@@ -83,7 +81,6 @@ impl<'e> AdaptiveState<'e> {
             cache: SwapGainCache::for_objective(&objective),
             objective,
             live: Arc::new(live),
-            carry: 0,
             drift: Vec::new(),
             replans: Vec::new(),
             migrations: MigrationStats::default(),
@@ -125,17 +122,17 @@ impl<'e> AdaptiveState<'e> {
         replaced
     }
 
-    /// One budgeted re-plan: size the byte budget from the drift
-    /// magnitude and rollover carry, solve replica-aware or owner-moves
-    /// only under it (metered by `OnlineConfig::replan_time_budget`,
-    /// its attraction table built in the held buffer), commit the winner into
-    /// `self.live`, and price the migration. `None` when the plan is
-    /// empty (no event, no time charged); the carry updates either way.
+    /// One budgeted re-plan: solve replica-aware or owner-moves only
+    /// under `OnlineConfig::migration_budget_bytes` (metered by
+    /// `OnlineConfig::replan_time_budget`, its attraction table built in
+    /// the held buffer), commit the winner into `self.live`, and price the
+    /// migration. `None` when the plan is empty (no event, no time
+    /// charged).
     fn replan(&mut self, window: usize, drift_now: f64) -> Option<(f64, Arc<ReplicationPlan>)> {
         let cfg = self.cfg;
         let oc = cfg.online;
         let bytes_per_expert = self.bytes_per_expert();
-        let budget_now = oc.budget_for(drift_now, self.carry);
+        let budget = oc.migration_budget_bytes;
         let (plan, cost, next) = if oc.replica_memory_bytes > 0 {
             let (next, cost) = solve_budgeted_replicated_metered(
                 &self.objective,
@@ -143,7 +140,7 @@ impl<'e> AdaptiveState<'e> {
                 bytes_per_expert,
                 &ReplicationBudget {
                     replica_memory_bytes: oc.replica_memory_bytes,
-                    migration_budget_bytes: budget_now,
+                    migration_budget_bytes: budget,
                 },
                 &ReplicaPolicy::OnePerNode(cfg.cluster),
                 oc.replan_time_budget,
@@ -155,7 +152,7 @@ impl<'e> AdaptiveState<'e> {
             let (next, cost) = solve_budgeted_metered(
                 &self.objective,
                 &self.live.base,
-                budget_now / bytes_per_expert,
+                budget / bytes_per_expert,
                 oc.replan_time_budget,
                 Some(&mut self.cache),
             );
@@ -167,10 +164,7 @@ impl<'e> AdaptiveState<'e> {
             (plan, cost, next)
         };
         let replaced = std::mem::replace(&mut self.live, Arc::new(next));
-        debug_assert!(plan.total_bytes() <= budget_now);
-        if oc.budget_rollover {
-            self.carry = budget_now.saturating_sub(plan.total_bytes());
-        }
+        debug_assert!(plan.total_bytes() <= budget);
         if plan.is_empty() {
             return None;
         }
@@ -182,7 +176,7 @@ impl<'e> AdaptiveState<'e> {
             replicas_added: plan.n_replica_adds() as u64,
             replicas_dropped: plan.n_replica_drops() as u64,
             bytes_moved: plan.total_bytes(),
-            budget_bytes: budget_now,
+            budget_bytes: budget,
             migration_time: priced.time,
             bytes_by_class: priced.bytes,
             solver_cost: cost,

@@ -50,13 +50,6 @@ pub struct OnlineConfig {
     /// races a full fan-out candidate, so this never finishes behind
     /// copy-everywhere at equal budgets.
     pub replica_memory_bytes: u64,
-    /// Roll migration budget a re-plan left unspent over to later
-    /// re-plans (opt-in; the ROADMAP's "smarter budget allocation").
-    pub budget_rollover: bool,
-    /// Scale each re-plan's migration budget by the measured drift
-    /// magnitude — small drift, small budget; the full budget unlocks at
-    /// `2 x drift_threshold` (opt-in).
-    pub scale_budget_by_drift: bool,
     /// Solver-time budget of one re-plan, in swap candidates *considered*
     /// (the deterministic operation count [`exflow_placement::CostMeter`]
     /// charges — not wall clock, so truncated runs stay bit-identical on
@@ -76,8 +69,6 @@ impl Default for OnlineConfig {
             migration_budget_bytes: u64::MAX,
             decay: 0.5,
             replica_memory_bytes: 0,
-            budget_rollover: false,
-            scale_budget_by_drift: false,
             replan_time_budget: u64::MAX,
         }
     }
@@ -91,52 +82,6 @@ impl OnlineConfig {
             self.decay > 0.0 && self.decay <= 1.0,
             "decay must be in (0, 1]"
         );
-    }
-
-    /// The migration byte budget of one re-plan firing at drift
-    /// `drift_now`, given `carry` bytes rolled over from earlier re-plans.
-    /// Pure arithmetic on the config toggles, so re-plan sizing is
-    /// deterministic and unit-testable.
-    ///
-    /// With `scale_budget_by_drift` the budget grows linearly in the
-    /// measured drift and the full budget unlocks at twice the firing
-    /// threshold; `budget_rollover` then tops the result up with whatever
-    /// earlier re-plans left unspent:
-    ///
-    /// ```
-    /// use exflow_core::OnlineConfig;
-    ///
-    /// let oc = OnlineConfig {
-    ///     drift_threshold: 0.05,
-    ///     migration_budget_bytes: 1000,
-    ///     scale_budget_by_drift: true,
-    ///     budget_rollover: true,
-    ///     ..OnlineConfig::default()
-    /// };
-    /// // Firing exactly at the threshold unlocks half the budget.
-    /// assert_eq!(oc.budget_for(0.05, 0), 500);
-    /// // At 2x the threshold the budget is fully unlocked, and 100
-    /// // rolled-over bytes ride on top.
-    /// assert_eq!(oc.budget_for(0.10, 100), 1100);
-    /// // Without the scaling toggle the budget is flat.
-    /// let flat = OnlineConfig { scale_budget_by_drift: false, ..oc };
-    /// assert_eq!(flat.budget_for(0.05, 0), 1000);
-    /// ```
-    pub fn budget_for(&self, drift_now: f64, carry: u64) -> u64 {
-        let base = if self.scale_budget_by_drift {
-            // Linear in drift, capped at the configured budget; the full
-            // budget unlocks at twice the firing threshold. `as`-casts
-            // saturate, so `u64::MAX` budgets survive the round-trip.
-            let scale = (drift_now / (2.0 * self.drift_threshold)).min(1.0);
-            (self.migration_budget_bytes as f64 * scale) as u64
-        } else {
-            self.migration_budget_bytes
-        };
-        if self.budget_rollover {
-            base.saturating_add(carry)
-        } else {
-            base
-        }
     }
 }
 
@@ -217,12 +162,6 @@ impl EngineBuilder {
     /// Override the link cost model.
     pub fn link_cost(mut self, link_cost: CostModel) -> Self {
         self.cfg.link_cost = link_cost;
-        self
-    }
-
-    /// Override the compute cost model.
-    pub fn compute(mut self, compute: ComputeCostModel) -> Self {
-        self.cfg.compute = compute;
         self
     }
 
@@ -322,7 +261,6 @@ pub struct InferenceEngine {
     profile_snapshot: AffinitySnapshot,
     round_robin: Placement,
     affinity_gpu: Placement,
-    affinity_node: Placement,
     all_ranks: Arc<[usize]>,
     /// Every expert's weights, `layer * n_experts + expert`; built by the
     /// first pass (see [`InferenceEngine::experts`]).
@@ -338,8 +276,8 @@ impl InferenceEngine {
         EngineBuilder::new(model, cluster)
     }
 
-    /// Build from a complete config.
-    pub fn from_config(cfg: EngineConfig) -> Self {
+    /// Build from a complete config ([`EngineBuilder::build`]).
+    fn from_config(cfg: EngineConfig) -> Self {
         cfg.online.validate();
         let world = cfg.cluster.world_size();
         assert!(
@@ -392,7 +330,6 @@ impl InferenceEngine {
             profile_snapshot,
             round_robin,
             affinity_gpu: staged.gpu_level,
-            affinity_node: staged.node_level,
             all_ranks: (0..world).collect(),
             experts: OnceLock::new(),
             offline_batches: OnceLock::new(),
@@ -423,11 +360,6 @@ impl InferenceEngine {
     /// The routing model used for both profiling and serving.
     pub fn routing(&self) -> &RoutingModel {
         &self.routing
-    }
-
-    /// The node-level (stage-1) placement of the affinity solve.
-    pub fn node_placement(&self) -> &Placement {
-        &self.affinity_node
     }
 
     /// The placement a mode runs with.
@@ -1589,33 +1521,6 @@ mod tests {
             with_budget.dispatch().gpu_local_fraction(),
             owner_only.dispatch().gpu_local_fraction()
         );
-    }
-
-    #[test]
-    fn budget_rollover_and_drift_scaling_are_deterministic_and_compliant() {
-        let bytes_per_expert = online_engine(1).config().model.expert_params() * 2;
-        let base_budget = 6 * bytes_per_expert;
-        let run = || {
-            let mut cfg = online_engine(1).config().clone();
-            cfg.online.migration_budget_bytes = base_budget;
-            cfg.online.budget_rollover = true;
-            cfg.online.scale_budget_by_drift = true;
-            let engine = InferenceEngine::from_config(cfg);
-            let drift = online_drift(&engine, 6);
-            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "rollover + drift scaling must stay deterministic");
-        assert!(a.migrations.replans > 0);
-        // Budget accrues only at re-plan opportunities: after n re-plans
-        // (including silent ones) at most (n+1) x base is available, so no
-        // event's effective budget can exceed window x base; and spend
-        // always respects the effective budget.
-        for replan in &a.replans {
-            assert!(replan.bytes_moved <= replan.budget_bytes);
-            assert!(replan.budget_bytes <= (replan.window as u64 + 1) * base_budget);
-        }
     }
 
     #[test]

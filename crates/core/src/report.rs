@@ -208,8 +208,9 @@ pub struct ReplanEvent {
     pub replicas_dropped: u64,
     /// Bytes of expert weights migrated (owner moves + replica fan-out).
     pub bytes_moved: u64,
-    /// The migration byte budget this re-plan ran under (after drift
-    /// scaling and rollover, if enabled) — `bytes_moved` never exceeds it.
+    /// The migration byte budget this re-plan ran under
+    /// (`OnlineConfig::migration_budget_bytes`) — `bytes_moved` never
+    /// exceeds it.
     pub budget_bytes: u64,
     /// Virtual time the migration exchange took.
     pub migration_time: f64,

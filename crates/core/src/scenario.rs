@@ -93,11 +93,9 @@ impl Scenario {
     /// `MigrationPlan` is executed over the simulated collectives before
     /// the next window starts.
     ///
-    /// The re-plan's migration byte budget starts from
-    /// `OnlineConfig::migration_budget_bytes`, optionally scaled by the
-    /// drift magnitude and topped up with rolled-over budget from earlier
-    /// re-plans (see the `scale_budget_by_drift` / `budget_rollover`
-    /// toggles). With `OnlineConfig::replica_memory_bytes > 0` the
+    /// Every re-plan migrates at most
+    /// `OnlineConfig::migration_budget_bytes`. With
+    /// `OnlineConfig::replica_memory_bytes > 0` the
     /// re-plan is **replication-aware**: it may also add or drop expert
     /// replicas onto one-GPU-per-node subsets (`solve_budgeted_replicated_metered`
     /// races subset selection against full fan-out and owner-move descent
@@ -294,7 +292,10 @@ mod tests {
             arrival: ArrivalProcess::poisson(0.8 * 8.0 / (2.0 * step)),
             n_requests: 24,
             decode_steps: 2,
-            batch: BatchPolicy::Greedy { max_size: 8 },
+            batch: BatchPolicy::SizeOrWait {
+                max_size: 8,
+                max_wait: 0.0,
+            },
             window_duration: 50.0 * step,
         }
     }

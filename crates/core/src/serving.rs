@@ -103,8 +103,9 @@ pub const MIGRATION_CONTENTION: f64 = 0.25;
 /// assert!(p.ready(1, 2.0)); // the oldest request hit the wait cap
 /// assert!(!p.ready(3, 1.0)); // otherwise keep accumulating
 ///
-/// // Greedy never holds a request back.
-/// assert!(BatchPolicy::Greedy { max_size: 4 }.ready(1, 0.0));
+/// // With no wait, a batch opens as soon as any request is queued.
+/// let greedy = BatchPolicy::SizeOrWait { max_size: 4, max_wait: 0.0 };
+/// assert!(greedy.ready(1, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchPolicy {
@@ -114,23 +115,17 @@ pub enum BatchPolicy {
         /// Most requests one decode batch holds.
         max_size: usize,
         /// Longest the oldest queued request waits before a partial
-        /// batch opens anyway.
+        /// batch opens anyway; `0.0` opens one as soon as any request is
+        /// queued (lowest queueing delay, worst batch occupancy).
         max_wait: f64,
-    },
-    /// Open as soon as any request is queued (max_wait = 0): lowest
-    /// queueing delay, worst batch occupancy.
-    Greedy {
-        /// Most requests one decode batch holds.
-        max_size: usize,
     },
 }
 
 impl BatchPolicy {
     /// The batch-size cap.
     pub fn max_size(&self) -> usize {
-        match *self {
-            BatchPolicy::SizeOrWait { max_size, .. } | BatchPolicy::Greedy { max_size } => max_size,
-        }
+        let BatchPolicy::SizeOrWait { max_size, .. } = *self;
+        max_size
     }
 
     /// Should an idle server open a batch, given `queued` waiting
@@ -139,22 +134,17 @@ impl BatchPolicy {
         if queued == 0 {
             return false;
         }
-        match *self {
-            BatchPolicy::SizeOrWait { max_size, max_wait } => {
-                queued >= max_size || oldest_wait >= max_wait
-            }
-            BatchPolicy::Greedy { .. } => true,
-        }
+        let BatchPolicy::SizeOrWait { max_size, max_wait } = *self;
+        queued >= max_size || oldest_wait >= max_wait
     }
 
     fn validate(&self) {
-        assert!(self.max_size() >= 1, "batch size cap must be >= 1");
-        if let BatchPolicy::SizeOrWait { max_wait, .. } = *self {
-            assert!(
-                max_wait >= 0.0 && max_wait.is_finite(),
-                "max_wait must be finite and >= 0"
-            );
-        }
+        let BatchPolicy::SizeOrWait { max_size, max_wait } = *self;
+        assert!(max_size >= 1, "batch size cap must be >= 1");
+        assert!(
+            max_wait >= 0.0 && max_wait.is_finite(),
+            "max_wait must be finite and >= 0"
+        );
     }
 }
 
@@ -459,10 +449,9 @@ impl<'a> ServingState<'a> {
     /// Request `i` (re-)enters the queue at `clock`: its wait deadline
     /// re-runs the batch-opening check even if nothing else happens.
     fn arm_deadline(&mut self, clock: f64, i: usize) {
-        if let BatchPolicy::SizeOrWait { max_wait, .. } = self.serving.batch {
-            self.events
-                .push(clock + max_wait, EventKind::WaitDeadline(i));
-        }
+        let BatchPolicy::SizeOrWait { max_wait, .. } = self.serving.batch;
+        self.events
+            .push(clock + max_wait, EventKind::WaitDeadline(i));
     }
 
     fn on_arrival(&mut self, clock: f64, i: usize) {
@@ -872,32 +861,16 @@ mod tests {
         let eng = engine(static_cfg());
         let (schedule, mut cfg) = scenario(&eng, mode);
         let waited = serve(&eng, mode, &schedule, &cfg);
-        cfg.batch = BatchPolicy::Greedy { max_size: 8 };
+        cfg.batch = BatchPolicy::SizeOrWait {
+            max_size: 8,
+            max_wait: 0.0,
+        };
         let greedy = serve(&eng, mode, &schedule, &cfg);
         assert_eq!(greedy.n_requests(), cfg.n_requests);
-        // Greedy opens batches earlier, so it can only run more (or
+        // No wait opens batches earlier, so it can only run more (or
         // equally many) steps at lower (or equal) mean occupancy.
         assert!(greedy.steps >= waited.steps);
         assert!(greedy.mean_batch_occupancy() <= waited.mean_batch_occupancy());
-    }
-
-    #[test]
-    fn greedy_is_size_or_wait_with_no_wait() {
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        for online in [static_cfg(), adaptive()] {
-            let eng = engine(online);
-            let (schedule, mut cfg) = scenario(&eng, mode);
-            for max_size in [1, 4, 8] {
-                cfg.batch = BatchPolicy::Greedy { max_size };
-                let greedy = serve(&eng, mode, &schedule, &cfg);
-                cfg.batch = BatchPolicy::SizeOrWait {
-                    max_size,
-                    max_wait: 0.0,
-                };
-                let no_wait = serve(&eng, mode, &schedule, &cfg);
-                assert_eq!(greedy, no_wait, "max_size {max_size}, {online:?}");
-            }
-        }
     }
 
     #[test]
@@ -1002,7 +975,10 @@ mod tests {
             arrival: ArrivalProcess::poisson(1.0),
             n_requests: 0,
             decode_steps: 1,
-            batch: BatchPolicy::Greedy { max_size: 4 },
+            batch: BatchPolicy::SizeOrWait {
+                max_size: 4,
+                max_wait: 0.0,
+            },
             window_duration: 1.0,
         };
         let faults = FaultSchedule::loss_and_rejoin(4, 3, 0.5, 2.5);
@@ -1039,7 +1015,10 @@ mod tests {
             arrival: ArrivalProcess::poisson(1.0),
             n_requests: 1,
             decode_steps: 1,
-            batch: BatchPolicy::Greedy { max_size: 1 },
+            batch: BatchPolicy::SizeOrWait {
+                max_size: 1,
+                max_wait: 0.0,
+            },
             window_duration: 0.0,
         };
         let _ = serve(&eng, ParallelismMode::Vanilla, &schedule, &cfg);
