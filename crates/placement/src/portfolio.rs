@@ -15,7 +15,7 @@
 //! wall-clock cutoff would make the answer depend on machine load, so
 //! `budget_ms` instead *sizes the default roster deterministically*
 //! (restart and start counts grow with the budget) and every member runs
-//! to completion. An explicitly provided roster is raced as given.
+//! to completion.
 
 use crate::objective::Objective;
 use crate::parallel::{argmin_by_cost, split_seed, Parallelism};
@@ -36,8 +36,8 @@ pub fn default_roster(budget_ms: u64) -> Vec<SolverKind> {
     ]
 }
 
-/// Race `kinds` (or, when empty, the [`default_roster`] for `budget_ms`)
-/// and return the best placement found. Member `i` runs sequentially on
+/// Race the [`default_roster`] for `budget_ms` and return the best
+/// placement found. Member `i` runs sequentially on
 /// stream `split_seed(seed, i)`; the members themselves are the parallel
 /// grain, fanned across `par.threads` workers.
 ///
@@ -57,16 +57,11 @@ pub fn default_roster(budget_ms: u64) -> Vec<SolverKind> {
 pub fn solve_portfolio(
     objective: &Objective,
     n_units: usize,
-    kinds: &[SolverKind],
     budget_ms: u64,
     seed: u64,
     par: Parallelism,
 ) -> Placement {
-    let members: Vec<SolverKind> = if kinds.is_empty() {
-        default_roster(budget_ms)
-    } else {
-        kinds.to_vec()
-    };
+    let members = default_roster(budget_ms);
     let results = par.map_indexed(members.len(), |i| {
         let placement = solve_with(
             objective,
@@ -101,7 +96,7 @@ mod tests {
     fn portfolio_at_least_matches_every_member() {
         let obj = objective();
         let kinds = default_roster(100);
-        let best = solve_portfolio(&obj, 4, &kinds, 100, 3, Parallelism::single());
+        let best = solve_portfolio(&obj, 4, 100, 3, Parallelism::single());
         let best_cost = obj.cross_mass(&best);
         for (i, kind) in kinds.iter().enumerate() {
             let member = solve_with(
@@ -130,9 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_roster_falls_back_to_budget_default() {
+    fn default_roster_scales_with_the_budget() {
         let obj = objective();
-        let p = solve_portfolio(&obj, 4, &[], 0, 5, Parallelism::new(2));
+        let p = solve_portfolio(&obj, 4, 0, 5, Parallelism::new(2));
         assert_eq!(p.n_units(), 4);
         // Budget scaling is monotone and clamped.
         assert_eq!(default_roster(0).len(), 3);
@@ -144,24 +139,5 @@ mod tests {
         };
         assert!(restarts_of(&small) < restarts_of(&large));
         assert_eq!(restarts_of(&large), 32);
-    }
-
-    #[test]
-    fn explicit_roster_is_respected() {
-        let obj = objective();
-        // A roster of only RoundRobin must return round-robin, proving
-        // explicit members are raced as given (no hidden default roster).
-        let p = solve_portfolio(
-            &obj,
-            4,
-            &[SolverKind::RoundRobin],
-            1000,
-            0,
-            Parallelism::new(2),
-        );
-        assert_eq!(
-            p,
-            Placement::round_robin(obj.n_layers(), obj.n_experts(), 4)
-        );
     }
 }

@@ -1,7 +1,6 @@
 //! Unified solver front-end.
 
 use crate::annealing::{solve_annealing_with, AnnealParams};
-use crate::exact::solve_exact;
 use crate::greedy::solve_greedy;
 use crate::local_search::solve_local_search_with;
 use crate::objective::Objective;
@@ -25,18 +24,12 @@ pub enum SolverKind {
     /// Simulated annealing with the given schedule (multi-start per
     /// `AnnealParams::n_starts`).
     Annealing(AnnealParams),
-    /// Exact DP over balanced partitions (small instances only; falls back
-    /// to `LocalSearch` when the state space exceeds the internal limit).
-    Exact,
-    /// Race member solvers on worker threads and keep the best placement.
-    /// With an empty `kinds` roster, a default roster sized by
-    /// `budget_ms` is raced instead (see [`crate::portfolio`]). Results
+    /// Race the roster [`crate::portfolio::default_roster`] sizes by
+    /// `budget_ms` on worker threads and keep the best placement. Results
     /// are bit-identical at any thread count.
     Portfolio {
-        /// Member solvers to race (empty = budget-sized default roster).
-        kinds: Vec<SolverKind>,
-        /// Deterministic effort budget for the default roster, in
-        /// milliseconds of intended solve time. Never enforced by wall
+        /// Deterministic effort budget for the roster, in milliseconds of
+        /// intended solve time. Never enforced by wall
         /// clock — that would break reproducibility — only used to size
         /// member effort.
         budget_ms: u64,
@@ -44,17 +37,9 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// A sensible default for evaluation runs.
-    pub fn default_heuristic() -> Self {
-        SolverKind::LocalSearch { restarts: 2 }
-    }
-
-    /// A budget-sized default portfolio.
+    /// A budget-sized portfolio.
     pub fn portfolio(budget_ms: u64) -> Self {
-        SolverKind::Portfolio {
-            kinds: Vec::new(),
-            budget_ms,
-        }
+        SolverKind::Portfolio { budget_ms }
     }
 
     /// Short stable label (used by bench summaries and JSON artifacts).
@@ -64,18 +49,7 @@ impl SolverKind {
             SolverKind::Greedy => "greedy".to_string(),
             SolverKind::LocalSearch { restarts } => format!("local-search-r{restarts}"),
             SolverKind::Annealing(p) => format!("annealing-s{}", p.n_starts),
-            SolverKind::Exact => "exact".to_string(),
-            SolverKind::Portfolio { kinds, budget_ms } => {
-                if kinds.is_empty() {
-                    format!("portfolio-b{budget_ms}")
-                } else {
-                    // Member labels, not just the count: two different
-                    // rosters must never collide on the BENCH_*.json row
-                    // key that PRs are compared by.
-                    let members: Vec<String> = kinds.iter().map(SolverKind::label).collect();
-                    format!("portfolio[{}]", members.join("+"))
-                }
-            }
+            SolverKind::Portfolio { budget_ms } => format!("portfolio-b{budget_ms}"),
         }
     }
 }
@@ -108,12 +82,8 @@ pub fn solve_with(
         SolverKind::Annealing(params) => {
             solve_annealing_with(objective, n_units, *params, seed, par)
         }
-        SolverKind::Exact => match solve_exact(objective, n_units, 1000) {
-            Ok((p, _)) => p,
-            Err(_) => solve_local_search_with(objective, n_units, 4, seed, par),
-        },
-        SolverKind::Portfolio { kinds, budget_ms } => {
-            solve_portfolio(objective, n_units, kinds, *budget_ms, seed, par)
+        SolverKind::Portfolio { budget_ms } => {
+            solve_portfolio(objective, n_units, *budget_ms, seed, par)
         }
     }
 }
@@ -121,6 +91,7 @@ pub fn solve_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exact::solve_exact;
 
     fn objective() -> Objective {
         let e = 8;
@@ -140,7 +111,6 @@ mod tests {
             SolverKind::Greedy,
             SolverKind::LocalSearch { restarts: 1 },
             SolverKind::Annealing(AnnealParams::default()),
-            SolverKind::Exact,
             SolverKind::portfolio(50),
         ]
     }
@@ -155,6 +125,13 @@ mod tests {
                 for unit in 0..4 {
                     assert_eq!(p.experts_on(layer, unit).len(), 2, "{kind:?}");
                 }
+            }
+        }
+        // 8 experts on 2 units: 8!/(4!)^2 = 70 states, within the DP limit.
+        let (p, _) = solve_exact(&obj, 2, 1000).expect("70 states fit the DP");
+        for layer in 0..5 {
+            for unit in 0..2 {
+                assert_eq!(p.experts_on(layer, unit).len(), 4);
             }
         }
     }
@@ -179,19 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_falls_back_gracefully_on_large_instances() {
-        // 16 experts / 4 units is beyond the exact limit; must not panic.
-        let e = 16;
-        let mut m = vec![0.0f64; e * e];
-        for i in 0..e {
-            m[i * e + (i + 1) % e] = 1.0;
-        }
-        let obj = Objective::from_raw(vec![m; 2], e);
-        let p = solve(&obj, 4, SolverKind::Exact, 0);
-        assert_eq!(p.n_units(), 4);
-    }
-
-    #[test]
     fn labels_are_stable_and_distinct() {
         let labels: Vec<String> = all_kinds().iter().map(SolverKind::label).collect();
         let unique: std::collections::BTreeSet<&String> = labels.iter().collect();
@@ -201,17 +165,6 @@ mod tests {
             SolverKind::LocalSearch { restarts: 2 }.label(),
             "local-search-r2"
         );
-        // Explicit rosters of equal length but different members must get
-        // different labels.
-        let a = SolverKind::Portfolio {
-            kinds: vec![SolverKind::Greedy, SolverKind::Exact],
-            budget_ms: 0,
-        };
-        let b = SolverKind::Portfolio {
-            kinds: vec![SolverKind::Greedy, SolverKind::LocalSearch { restarts: 1 }],
-            budget_ms: 0,
-        };
-        assert_eq!(a.label(), "portfolio[greedy+exact]");
-        assert_ne!(a.label(), b.label());
+        assert_eq!(SolverKind::portfolio(50).label(), "portfolio-b50");
     }
 }

@@ -29,14 +29,6 @@ fn stochastic_solvers() -> Vec<SolverKind> {
         SolverKind::LocalSearch { restarts: 6 },
         SolverKind::Annealing(AnnealParams::default().with_starts(3)),
         SolverKind::portfolio(100),
-        SolverKind::Portfolio {
-            kinds: vec![
-                SolverKind::Greedy,
-                SolverKind::LocalSearch { restarts: 3 },
-                SolverKind::Annealing(AnnealParams::default()),
-            ],
-            budget_ms: 0,
-        },
     ]
 }
 

@@ -6,6 +6,7 @@ use exflow::affinity::{AffinityMatrix, RoutingTrace};
 use exflow::model::routing::AffinityModelSpec;
 use exflow::model::{CorpusSpec, TokenBatch};
 use exflow::placement::annealing::AnnealParams;
+use exflow::placement::exact::solve_exact;
 use exflow::placement::{solve, Objective, SolverKind};
 
 /// An 8-expert, 6-layer instance small enough for the exact DP
@@ -20,14 +21,19 @@ fn fixed_instance() -> Objective {
     Objective::from_affinities(&AffinityMatrix::consecutive(&trace))
 }
 
-fn all_solvers() -> [SolverKind; 5] {
+fn all_solvers() -> [SolverKind; 4] {
     [
         SolverKind::Greedy,
         SolverKind::LocalSearch { restarts: 2 },
         SolverKind::Annealing(AnnealParams::default()),
-        SolverKind::Exact,
         SolverKind::portfolio(50),
     ]
+}
+
+/// The DP optimum of [`fixed_instance`] on 2 units.
+fn optimum(obj: &Objective) -> f64 {
+    let (p, _) = solve_exact(obj, 2, 1000).expect("70 states fit the DP");
+    obj.cross_mass(&p)
 }
 
 #[test]
@@ -41,12 +47,17 @@ fn every_solver_at_least_matches_round_robin() {
             "{kind:?} cost {cost} worse than round-robin {rr}"
         );
     }
+    let opt = optimum(&obj);
+    assert!(
+        opt <= rr + 1e-9,
+        "optimum {opt} worse than round-robin {rr}"
+    );
 }
 
 #[test]
 fn exact_lower_bounds_the_heuristics() {
     let obj = fixed_instance();
-    let opt = obj.cross_mass(&solve(&obj, 2, SolverKind::Exact, 11));
+    let opt = optimum(&obj);
     for kind in all_solvers() {
         let cost = obj.cross_mass(&solve(&obj, 2, kind.clone(), 11));
         assert!(

@@ -8,6 +8,7 @@ use exflow::affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow::model::routing::AffinityModelSpec;
 use exflow::model::{CorpusSpec, TokenBatch};
 use exflow::placement::annealing::AnnealParams;
+use exflow::placement::exact::solve_exact;
 use exflow::placement::{
     solve_with, GapBackend, Objective, Parallelism, SolverKind, SPARSE_DENSITY_THRESHOLD,
 };
@@ -30,9 +31,8 @@ fn estimates() -> AffinitySnapshot {
 }
 
 /// Every solver family, parameterized lean — the gate is about backend
-/// equivalence, not solver effort. `Exact` is included even though E=256
-/// is far beyond the DP limit: its local-search fallback must be
-/// backend-invariant too.
+/// equivalence, not solver effort. The exact DP is far past its limit at
+/// E=256; `exact_is_backend_invariant_within_the_dp_limit` covers it.
 fn all_kinds() -> Vec<SolverKind> {
     vec![
         SolverKind::RoundRobin,
@@ -45,15 +45,7 @@ fn all_kinds() -> Vec<SolverKind> {
             cooling: 0.5,
             n_starts: 1,
         }),
-        SolverKind::Exact,
-        SolverKind::Portfolio {
-            kinds: vec![
-                SolverKind::RoundRobin,
-                SolverKind::Greedy,
-                SolverKind::LocalSearch { restarts: 0 },
-            ],
-            budget_ms: 0,
-        },
+        SolverKind::portfolio(0),
     ]
 }
 
@@ -107,4 +99,24 @@ fn auto_backend_matches_both_forced_backends_at_e256() {
         auto.cross_mass(&pa).to_bits(),
         dense.cross_mass(&pd).to_bits()
     );
+}
+
+#[test]
+fn exact_is_backend_invariant_within_the_dp_limit() {
+    // 8 experts on 2 units: 8!/(4!)^2 = 70 labeled states.
+    let model = AffinityModelSpec::new(4, 8)
+        .with_affinity(0.9)
+        .with_seed(33)
+        .build();
+    let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 2000, 1, 33);
+    let mut estimate = StreamingAffinity::new(4, 8, 1.0);
+    estimate.observe(&RoutingTrace::from_batch(&batch, 8));
+    let mats = estimate.snapshot();
+    let dense = Objective::from_snapshot_with(&mats, GapBackend::Dense);
+    let sparse = Objective::from_snapshot_with(&mats, GapBackend::Sparse);
+    assert!(sparse.gap_is_sparse(0));
+    let (pd, cd) = solve_exact(&dense, 2, 1000).expect("70 states fit the DP");
+    let (ps, cs) = solve_exact(&sparse, 2, 1000).expect("70 states fit the DP");
+    assert_eq!(pd, ps);
+    assert_eq!(cd.to_bits(), cs.to_bits());
 }
