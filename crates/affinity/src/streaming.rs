@@ -519,12 +519,6 @@ impl SnapshotDelta {
         self.window
     }
 
-    /// Whether no conditional row changed anywhere (weights may still
-    /// have moved).
-    pub fn no_rows_changed(&self) -> bool {
-        self.gaps.iter().all(|g| g.rows.is_empty())
-    }
-
     /// The changed row indices of one gap, strictly ascending.
     pub fn touched_rows(&self, gap: usize) -> &[usize] {
         &self.gaps[gap].rows

@@ -33,15 +33,6 @@ impl ComputeCostModel {
         }
     }
 
-    /// Build with explicit rates.
-    pub fn new(peak_flops: f64, hbm_bytes_per_s: f64) -> Self {
-        assert!(peak_flops > 0.0 && hbm_bytes_per_s > 0.0);
-        ComputeCostModel {
-            peak_flops,
-            hbm_bytes_per_s,
-        }
-    }
-
     fn time(&self, flops: f64, bytes: f64) -> f64 {
         (flops / self.peak_flops).max(bytes / self.hbm_bytes_per_s)
     }
@@ -168,11 +159,5 @@ mod tests {
         assert_eq!(m.gating_time(&cfg, 0), 0.0);
         assert_eq!(m.attention_time(&cfg, 0, 128), 0.0);
         assert_eq!(m.expert_time(&cfg, 0, 0, 1), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_rates_rejected() {
-        let _ = ComputeCostModel::new(0.0, 1.0);
     }
 }

@@ -179,20 +179,6 @@ impl FaultSchedule {
         FaultSchedule::build("node-loss".to_string(), n_units, events)
     }
 
-    /// Planned elastic scale-down: the `k` highest-indexed GPUs leave the
-    /// fleet at `time` and do not return.
-    pub fn scale_down(n_units: usize, k: usize, time: f64) -> Self {
-        assert!(k >= 1 && k < n_units, "must keep at least one GPU");
-        let events = (0..k)
-            .map(|i| FaultEvent {
-                time,
-                gpu: n_units - k + i,
-                kind: FaultKind::Down,
-            })
-            .collect();
-        FaultSchedule::build(format!("scale-down-{k}"), n_units, events)
-    }
-
     /// An elastic scale cycle: the `k` highest-indexed GPUs leave at
     /// `down` and rejoin at `up` (scale-down followed by scale-up).
     pub fn scale_cycle(n_units: usize, k: usize, down: f64, up: f64) -> Self {

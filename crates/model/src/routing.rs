@@ -74,13 +74,6 @@ impl AffinityModelSpec {
         self
     }
 
-    /// Override the number of preferred successors per expert.
-    pub fn with_permutations(mut self, n: usize) -> Self {
-        assert!(n >= 1);
-        self.n_permutations = n;
-        self
-    }
-
     /// Override the number of domains.
     pub fn with_domains(mut self, n_domains: usize, domain_share: f64) -> Self {
         assert!(n_domains >= 1);
