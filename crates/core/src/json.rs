@@ -1,16 +1,16 @@
 //! The workspace's one JSON layer: a small value type, a writer, and a
-//! strict parser. The workspace builds offline (no serde), and three
+//! strict parser. The workspace builds offline (no serde), and two
 //! documents need JSON — the `exflow-events/v1` JSONL stream
-//! ([`crate::events`]), the bench summary, and the CI perf-gate that
-//! compares two summaries — so all three go through this module.
+//! ([`crate::events`]) and the bench summary `repro` writes — so both go
+//! through this module.
 //!
-//! Numbers keep the exactness the gate depends on: `f64` prints with
-//! Rust's shortest round-trip `Display` (so *string* equality of two
-//! printed floats is *bit* equality of the values, and the text re-parses
-//! to the same bits), and `u64` prints exactly (so `u64::MAX` budgets
-//! survive, which an `f64`-only number model would round). Objects are
-//! insertion-ordered `Vec`s, not hash maps, so emitted field order is
-//! deterministic.
+//! Numbers keep the exactness a byte comparison of two documents depends
+//! on: `f64` prints with Rust's shortest round-trip `Display` (so *string*
+//! equality of two printed floats is *bit* equality of the values, and the
+//! text re-parses to the same bits), and `u64` prints exactly (so
+//! `u64::MAX` budgets survive, which an `f64`-only number model would
+//! round). Objects are insertion-ordered `Vec`s, not hash maps, so emitted
+//! field order is deterministic.
 //!
 //! ```
 //! use exflow_core::json::Json;
@@ -47,8 +47,8 @@ pub enum Json {
     /// Any other number; must be finite to be written.
     F64(f64),
     /// Writer-side only: an `f64` printed with a fixed number of decimals
-    /// (display-rounded measurements such as wall milliseconds). Parses
-    /// back as [`Json::F64`].
+    /// (display-rounded ratios and densities). Parses back as
+    /// [`Json::F64`].
     Fixed(f64, usize),
     /// A string.
     Str(String),

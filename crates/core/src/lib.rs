@@ -51,8 +51,8 @@
 //! [`ServingReport`]'s `DisruptionStats`. Every serving run can be
 //! flattened into a versioned JSONL event stream ([`events`]) — one
 //! record per serving window — for dashboards and the `repro
-//! render-events` renderer. That stream, the bench summary, and the CI
-//! perf-gate all read and write JSON through one module ([`json`]).
+//! render-events` renderer. That stream and the bench summary both read
+//! and write JSON through one module ([`json`]).
 //!
 //! ```
 //! use exflow_core::{InferenceEngine, ParallelismMode, Scenario};

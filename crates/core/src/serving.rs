@@ -104,8 +104,8 @@ pub const MIGRATION_CONTENTION: f64 = 0.25;
 /// assert!(!p.ready(3, 1.0)); // otherwise keep accumulating
 ///
 /// // With no wait, a batch opens as soon as any request is queued.
-/// let greedy = BatchPolicy::SizeOrWait { max_size: 4, max_wait: 0.0 };
-/// assert!(greedy.ready(1, 0.0));
+/// let no_wait = BatchPolicy::SizeOrWait { max_size: 4, max_wait: 0.0 };
+/// assert!(no_wait.ready(1, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchPolicy {

@@ -9,7 +9,8 @@
 //! * it is the reason GShard-trained models are load-balanced — the
 //!   property the affinity placement's balance constraint assumes;
 //! * a deployment that *does* cap capacity changes the traffic the
-//!   Alltoall carries, which the ablation benches quantify.
+//!   Alltoall carries; `examples/deployment_workflow.rs` reports that
+//!   overflow as a drop rate.
 
 /// Capacity policy for one MoE layer.
 #[derive(Debug, Clone, Copy, PartialEq)]

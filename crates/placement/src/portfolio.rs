@@ -37,9 +37,9 @@ pub fn default_roster(budget_ms: u64) -> Vec<SolverKind> {
 }
 
 /// Race the [`default_roster`] for `budget_ms` and return the best
-/// placement found. Member `i` runs sequentially on
-/// stream `split_seed(seed, i)`; the members themselves are the parallel
-/// grain, fanned across `par.threads` workers.
+/// placement found. Member `i` runs sequentially on stream
+/// `split_seed(seed, i)`; the members themselves are the parallel grain,
+/// fanned across `par.threads` workers.
 ///
 /// ```
 /// use exflow_placement::{solve, Objective, Placement, SolverKind};

@@ -29,9 +29,8 @@ pub enum SolverKind {
     /// are bit-identical at any thread count.
     Portfolio {
         /// Deterministic effort budget for the roster, in milliseconds of
-        /// intended solve time. Never enforced by wall
-        /// clock — that would break reproducibility — only used to size
-        /// member effort.
+        /// intended solve time. Never enforced by wall clock — that would
+        /// break reproducibility — only used to size member effort.
         budget_ms: u64,
     },
 }
