@@ -4,7 +4,6 @@
 
 use crate::matrix::AffinityMatrix;
 use crate::metrics;
-use crate::streaming::StreamingAffinity;
 use crate::trace::RoutingTrace;
 
 /// One point of the sample-efficiency curve.
@@ -45,48 +44,6 @@ pub fn stability_curve(trace: &RoutingTrace, sizes: &[usize], k: usize) -> Vec<S
                 n_tokens: n,
                 estimation_error: err / gaps as f64,
                 transfer: transfer / gaps as f64,
-            }
-        })
-        .collect()
-}
-
-/// One point of the estimated-support growth curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupportPoint {
-    /// Number of tokens used for estimation.
-    pub n_tokens: usize,
-    /// Stored cells across all consecutive-layer estimates (uniform fills
-    /// of unobserved rows included).
-    pub nnz: usize,
-    /// `nnz` over the dense cell count (`gaps x E^2`).
-    pub density: f64,
-}
-
-/// How the estimated affinity support grows with the profiling-token
-/// budget. Together with [`stability_curve`] this answers the sparse
-/// backend's sizing question: the placement objective stores `O(nnz)` per
-/// gap, and `nnz` is bounded by the token budget plus the uniform fill of
-/// still-unobserved rows — so density collapses as `E` grows faster than
-/// the budget.
-pub fn support_curve(trace: &RoutingTrace, sizes: &[usize]) -> Vec<SupportPoint> {
-    let e = trace.n_experts();
-    sizes
-        .iter()
-        .map(|&n| {
-            let n = n.min(trace.n_tokens()).max(1);
-            let mut estimate = StreamingAffinity::new(trace.n_layers(), e, 1.0);
-            estimate.observe(&trace.truncated(n));
-            let snapshot = estimate.snapshot();
-            let nnz: usize = (0..snapshot.n_gaps()).map(|g| snapshot.gap_nnz(g)).sum();
-            let cells = snapshot.n_gaps() * e * e;
-            SupportPoint {
-                n_tokens: n,
-                nnz,
-                density: if cells == 0 {
-                    0.0
-                } else {
-                    nnz as f64 / cells as f64
-                },
             }
         })
         .collect()
@@ -138,23 +95,6 @@ mod tests {
         let curve = stability_curve(&t, &[0, 10_000], 2);
         assert_eq!(curve[0].n_tokens, 1);
         assert_eq!(curve[1].n_tokens, 100);
-    }
-
-    #[test]
-    fn support_is_bounded_by_tokens_plus_uniform_fill() {
-        let e = 32;
-        let t = big_trace(e, 3000);
-        let curve = support_curve(&t, &[100, 3000]);
-        for point in &curve {
-            // Per gap: at most one cell per token plus a uniform row per
-            // unobserved source expert.
-            let gaps = 5;
-            assert!(point.nnz <= gaps * (point.n_tokens + e * e));
-            assert!(point.density > 0.0 && point.density <= 1.0 + 1e-12);
-        }
-        // With a rich budget every row is observed, so the support is
-        // exactly the set of distinct transitions: well under dense.
-        assert!(curve[1].density < 1.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for affinity estimation.
 
-use exflow_affinity::io::{parse_matrix_csv, parse_trace_csv, write_matrix_csv, write_trace_csv};
+use exflow_affinity::io::{parse_trace_csv, write_trace_csv};
 use exflow_affinity::{metrics, AffinityMatrix, RoutingTrace, StreamingAffinity};
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{CorpusSpec, TokenBatch};
@@ -147,10 +147,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The two CSV parsers read files an operator hands the deployment
-    // stage: whatever they are given they must answer `Ok` or `Err`, never
-    // panic (a panic in these bodies fails the test) and never allocate
-    // from a header field.
+    // The trace CSV parser reads files an operator hands the deployment
+    // stage: whatever it is given it must answer `Ok` or `Err`, never panic
+    // (a panic in these bodies fails the test) and never allocate from a
+    // header field.
 
     #[test]
     fn csv_parsers_never_panic_on_arbitrary_bytes(
@@ -158,7 +158,6 @@ proptest! {
     ) {
         let text = String::from_utf8_lossy(&bytes);
         let _ = parse_trace_csv(&text);
-        let _ = parse_matrix_csv(&text);
     }
 
     #[test]
@@ -172,10 +171,8 @@ proptest! {
         ];
         let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
         let _ = parse_trace_csv(&text);
-        let _ = parse_matrix_csv(&text);
         // ...and as the body under a header that parses.
         let _ = parse_trace_csv(&format!("# experts=4\n{text}"));
-        let _ = parse_matrix_csv(&format!("# from=0 to=1 experts=2\n{text}"));
     }
 
     #[test]
@@ -191,10 +188,6 @@ proptest! {
             prop_assert!(experts >= 2, "ids 0 and 1 need two experts");
             prop_assert_eq!((t.n_experts(), t.n_tokens(), t.n_layers()), (experts, rows, 2));
         }
-        let matrix = format!("# from=0 to=1 experts={experts}\n{}", "0.25,0.75\n".repeat(rows));
-        if let Ok(m) = parse_matrix_csv(&matrix) {
-            prop_assert_eq!((m.n_experts(), experts, rows), (2, 2, 2));
-        }
     }
 
     #[test]
@@ -203,40 +196,21 @@ proptest! {
         at in 0usize..100_000,
         byte in 0u8..=255,
     ) {
-        let matrix = AffinityMatrix::from_trace(&trace, 0, 1);
         let e = trace.n_experts();
-        let trace_text = write_trace_csv(&trace);
-        prop_assert_eq!(parse_trace_csv(&trace_text), Ok(trace.clone()));
-        let matrix_text = write_matrix_csv(&matrix);
-        let reparsed = parse_matrix_csv(&matrix_text).unwrap();
-        prop_assert_eq!((reparsed.from_layer(), reparsed.to_layer()), (0, 1));
-        for i in 0..e {
-            for p in 0..e {
-                // The text keeps nine decimals.
-                prop_assert!((reparsed.prob(i, p) - matrix.prob(i, p)).abs() < 1e-8);
-            }
-        }
-        // Every prefix (both files are ASCII, so every cut is a char
+        let text = write_trace_csv(&trace);
+        prop_assert_eq!(parse_trace_csv(&text), Ok(trace.clone()));
+        // Every prefix (the file is ASCII, so every cut is a char
         // boundary): a truncated file is rejected or parses to what its
         // header states.
-        for cut in 0..trace_text.len() {
-            if let Ok(t) = parse_trace_csv(&trace_text[..cut]) {
+        for cut in 0..text.len() {
+            if let Ok(t) = parse_trace_csv(&text[..cut]) {
                 prop_assert_eq!(t.n_experts(), e);
             }
         }
-        for cut in 0..matrix_text.len() {
-            if let Ok(m) = parse_matrix_csv(&matrix_text[..cut]) {
-                prop_assert_eq!(m.n_experts(), e);
-            }
-        }
-        // ...and a single-byte mutation anywhere in either.
-        for text in [trace_text, matrix_text] {
-            let mut bytes = text.into_bytes();
-            let at = at % bytes.len();
-            bytes[at] = byte;
-            let text = String::from_utf8_lossy(&bytes);
-            let _ = parse_trace_csv(&text);
-            let _ = parse_matrix_csv(&text);
-        }
+        // ...and a single-byte mutation anywhere.
+        let mut bytes = text.into_bytes();
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        let _ = parse_trace_csv(&String::from_utf8_lossy(&bytes));
     }
 }

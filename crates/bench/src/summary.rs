@@ -219,7 +219,8 @@ pub(crate) fn ratio(num: f64, den: f64) -> f64 {
     num / den
 }
 
-/// The solver roster the Table II benchmark times.
+/// The solver roster of the Table II sweep, which records each solver's
+/// cross mass.
 pub fn roster() -> Vec<SolverKind> {
     vec![
         SolverKind::RoundRobin,

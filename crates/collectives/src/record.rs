@@ -109,11 +109,6 @@ impl CommStats {
     pub fn totals(&self, op: OpKind) -> OpTotals {
         self.inner.lock().totals(op)
     }
-
-    /// Drop all accumulated records.
-    pub fn reset(&self) {
-        *self.inner.lock() = Ledger::default();
-    }
 }
 
 #[cfg(test)]
@@ -144,14 +139,6 @@ mod tests {
         let ag = stats.totals(OpKind::AllGather);
         assert_eq!(ag.records, 1);
         // Barrier untouched.
-        assert_eq!(stats.totals(OpKind::Barrier).records, 0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let stats = CommStats::new();
-        stats.record(rec(OpKind::Barrier, 0, 0));
-        stats.reset();
         assert_eq!(stats.totals(OpKind::Barrier).records, 0);
     }
 

@@ -137,8 +137,8 @@ impl CommWorld {
         &self.cost
     }
 
-    /// Communication statistics, accumulated across all jobs until
-    /// [`CommStats::reset`]. A job's records appear when it completes.
+    /// Communication statistics, accumulated across every job this world
+    /// has run. A job's records appear when it completes.
     pub fn stats(&self) -> &CommStats {
         &self.stats
     }

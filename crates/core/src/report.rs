@@ -39,16 +39,6 @@ impl OpBreakdown {
             + self.imbalance
     }
 
-    /// Communication share of the total (Alltoall + AllGather).
-    pub fn comm_fraction(&self) -> f64 {
-        let t = self.total();
-        if t == 0.0 {
-            0.0
-        } else {
-            (self.alltoall + self.allgather) / t
-        }
-    }
-
     /// Alltoall share of the total (the paper's Fig. 9 annotation).
     pub fn alltoall_fraction(&self) -> f64 {
         let t = self.total();
@@ -163,11 +153,6 @@ impl InferenceReport {
         } else {
             self.tokens_processed as f64 / self.total_time
         }
-    }
-
-    /// Total communication time per the breakdown.
-    pub fn comm_time(&self) -> f64 {
-        self.breakdown.alltoall + self.breakdown.allgather
     }
 }
 
@@ -552,14 +537,12 @@ mod tests {
     fn totals_and_fractions() {
         let b = breakdown();
         assert_eq!(b.total(), 10.0);
-        assert!((b.comm_fraction() - 0.4).abs() < 1e-12);
         assert!((b.alltoall_fraction() - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn zero_breakdown_has_zero_fractions() {
         let b = OpBreakdown::default();
-        assert_eq!(b.comm_fraction(), 0.0);
         assert_eq!(b.alltoall_fraction(), 0.0);
     }
 
@@ -602,7 +585,6 @@ mod tests {
             output_digest: FNV_OFFSET,
         };
         assert_eq!(r.throughput(), 50.0);
-        assert_eq!(r.comm_time(), 4.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!     .n_iterations(2)
 //!     .build();
 //! let report = engine.run_scenario(&Scenario::offline(ParallelismMode::ContextCoherentAffinity));
-//! assert!(report.offline().unwrap().throughput() > 0.0);
+//! assert!(report.expect_offline().throughput() > 0.0);
 //! ```
 
 use exflow_model::{DriftSchedule, FaultSchedule};
@@ -151,30 +151,6 @@ pub enum ScenarioReport {
 }
 
 impl ScenarioReport {
-    /// The offline report, if this scenario ran offline.
-    pub fn offline(&self) -> Option<&InferenceReport> {
-        match self {
-            ScenarioReport::Offline(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The windowed online report, if this scenario ran the online loop.
-    pub fn online(&self) -> Option<&OnlineReport> {
-        match self {
-            ScenarioReport::Online(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The serving report, if this scenario ran the serving front-end.
-    pub fn serving(&self) -> Option<&ServingReport> {
-        match self {
-            ScenarioReport::Serving(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// The offline report, panicking if the scenario dispatched
     /// elsewhere (the common accessor in offline benchmarks).
     pub fn expect_offline(self) -> InferenceReport {
@@ -320,5 +296,40 @@ mod tests {
         let _ = eng.run_scenario(
             &Scenario::offline(ParallelismMode::ContextCoherentAffinity).with_faults(faults),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "explicit replication plans are a serving/offline layer")]
+    fn replication_under_the_windowed_loop_is_rejected() {
+        let eng = engine();
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 1, 1);
+        let plan = ReplicationPlan::bare(eng.placement_for(mode).clone());
+        let _ = eng.run_scenario(
+            &Scenario::offline(mode)
+                .with_drift(drift)
+                .with_replication(plan),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario did not run offline")]
+    fn expect_offline_rejects_another_path() {
+        let _ = ScenarioReport::Serving(ServingReport::default()).expect_offline();
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario did not run the windowed online loop")]
+    fn expect_online_rejects_another_path() {
+        let _ = ScenarioReport::Serving(ServingReport::default()).expect_online();
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario did not run the serving front-end")]
+    fn expect_serving_rejects_another_path() {
+        let eng = engine();
+        let _ = eng
+            .run_scenario(&Scenario::offline(ParallelismMode::Vanilla))
+            .expect_serving();
     }
 }

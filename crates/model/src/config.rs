@@ -78,13 +78,6 @@ impl ModelConfig {
         self
     }
 
-    /// Override the reduced simulation dimension.
-    pub fn with_sim_dim(mut self, sim_dim: usize) -> Self {
-        assert!(sim_dim >= 1);
-        self.sim_dim = sim_dim;
-        self
-    }
-
     /// Bytes of one token activation crossing the wire (f16 activations on
     /// the paper's testbed: 2 bytes per element).
     #[inline]
@@ -100,21 +93,6 @@ impl ModelConfig {
     /// Total parameters including all experts across all layers.
     pub fn total_params(&self) -> u64 {
         self.base_params + self.n_layers as u64 * self.n_experts as u64 * self.expert_params()
-    }
-
-    /// Experts per GPU when the model is expert-parallel across `gpus`
-    /// GPUs. Panics if the expert count does not divide evenly (the paper's
-    /// placement ILP requires load-balanced capacity, formula 9).
-    pub fn experts_per_gpu(&self, gpus: usize) -> usize {
-        assert!(gpus >= 1);
-        assert_eq!(
-            self.n_experts % gpus,
-            0,
-            "experts ({}) must divide evenly across {} GPUs",
-            self.n_experts,
-            gpus
-        );
-        self.n_experts / gpus
     }
 }
 
@@ -149,25 +127,8 @@ mod tests {
     }
 
     #[test]
-    fn experts_per_gpu_even_division() {
-        let c = ModelConfig::new("t", 0, 2, 32, 8);
-        assert_eq!(c.experts_per_gpu(8), 4);
-        assert_eq!(c.experts_per_gpu(32), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "divide evenly")]
-    fn experts_per_gpu_uneven_rejected() {
-        let c = ModelConfig::new("t", 0, 2, 32, 8);
-        let _ = c.experts_per_gpu(3);
-    }
-
-    #[test]
     fn builder_overrides() {
-        let c = ModelConfig::new("t", 0, 2, 4, 8)
-            .with_gate(GateKind::Top2)
-            .with_sim_dim(4);
+        let c = ModelConfig::new("t", 0, 2, 4, 8).with_gate(GateKind::Top2);
         assert_eq!(c.gate, GateKind::Top2);
-        assert_eq!(c.sim_dim, 4);
     }
 }

@@ -210,17 +210,6 @@ impl TokenBatch {
             .map(|t| self.token(t).iter().step_by(self.k).copied().collect())
             .collect()
     }
-
-    /// Split the batch round-robin across `n` shards (how requests spread
-    /// across the data-parallel group before inference).
-    pub fn shard(&self, n: usize) -> Vec<TokenBatch> {
-        assert!(n >= 1);
-        let mut shards = vec![TokenBatch::empty(self.n_layers, self.k); n];
-        for t in 0..self.len() {
-            shards[t % n].push(self.token(t), self.domain(t));
-        }
-        shards
-    }
 }
 
 #[cfg(test)]
@@ -306,17 +295,6 @@ mod tests {
                 assert_eq!(e, b.route(t, l)[0]);
             }
         }
-    }
-
-    #[test]
-    fn shard_partitions_every_token() {
-        let m = model();
-        let b = TokenBatch::sample(&m, &CorpusSpec::pile_proxy(4), 103, 1, 3);
-        let shards = b.shard(4);
-        assert_eq!(shards.iter().map(|s| s.len()).sum::<usize>(), 103);
-        // Round-robin: shard sizes differ by at most 1.
-        let sizes: Vec<_> = shards.iter().map(|s| s.len()).collect();
-        assert_eq!(sizes, vec![26, 26, 26, 25]);
     }
 
     #[test]

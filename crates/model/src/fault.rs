@@ -161,44 +161,6 @@ impl FaultSchedule {
         )
     }
 
-    /// A whole node (its `gpus_per_node` consecutive GPUs) fails at
-    /// `time`.
-    pub fn node_loss(n_units: usize, gpus_per_node: usize, node: usize, time: f64) -> Self {
-        assert!(gpus_per_node >= 1, "node needs at least one GPU");
-        assert!(
-            n_units.is_multiple_of(gpus_per_node),
-            "GPUs must divide into nodes"
-        );
-        let events = (0..gpus_per_node)
-            .map(|g| FaultEvent {
-                time,
-                gpu: node * gpus_per_node + g,
-                kind: FaultKind::Down,
-            })
-            .collect();
-        FaultSchedule::build("node-loss".to_string(), n_units, events)
-    }
-
-    /// An elastic scale cycle: the `k` highest-indexed GPUs leave at
-    /// `down` and rejoin at `up` (scale-down followed by scale-up).
-    pub fn scale_cycle(n_units: usize, k: usize, down: f64, up: f64) -> Self {
-        assert!(k >= 1 && k < n_units, "must keep at least one GPU");
-        assert!(up > down, "scale-up must come after the scale-down");
-        let mut events: Vec<FaultEvent> = (0..k)
-            .map(|i| FaultEvent {
-                time: down,
-                gpu: n_units - k + i,
-                kind: FaultKind::Down,
-            })
-            .collect();
-        events.extend((0..k).map(|i| FaultEvent {
-            time: up,
-            gpu: n_units - k + i,
-            kind: FaultKind::Up,
-        }));
-        FaultSchedule::build(format!("scale-cycle-{k}"), n_units, events)
-    }
-
     /// Seeded churn: `n_faults` loss-and-rejoin episodes spread evenly
     /// over `(0, horizon)`. Episode `i` drops a seeded choice of live GPU
     /// at `horizon * (i + 1) / (n_faults + 1)` and revives it after a
@@ -232,7 +194,7 @@ impl FaultSchedule {
         FaultSchedule::build(format!("churn-{n_faults}x"), n_units, events)
     }
 
-    /// Stable scenario name (`gpu-loss`, `scale-cycle-2`, ...), used as
+    /// Stable scenario name (`gpu-loss`, `churn-3x`, ...), used as
     /// the key in benchmark artifacts.
     pub fn name(&self) -> &str {
         &self.name
@@ -294,25 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn node_loss_drops_every_gpu_on_the_node() {
-        let f = FaultSchedule::node_loss(8, 2, 1, 5.0);
-        assert_eq!(f.n_events(), 2);
-        assert_eq!(
-            f.live_at(5.0),
-            vec![true, true, false, false, true, true, true, true]
-        );
-        assert_eq!(f.live_at(4.9), vec![true; 8]);
-    }
-
-    #[test]
-    fn scale_cycle_restores_the_fleet() {
-        let f = FaultSchedule::scale_cycle(4, 2, 1.0, 2.0);
-        assert_eq!(f.name(), "scale-cycle-2");
-        assert_eq!(f.live_at(1.5), vec![true, true, false, false]);
-        assert_eq!(f.live_at(2.0), vec![true; 4]);
-    }
-
-    #[test]
     fn random_churn_is_seeded_and_valid() {
         let a = FaultSchedule::random_churn(4, 3, 100.0, 7);
         let b = FaultSchedule::random_churn(4, 3, 100.0, 7);
@@ -363,7 +306,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "last live GPU")]
     fn dropping_the_whole_fleet_rejected() {
-        let _ = FaultSchedule::node_loss(2, 2, 0, 1.0);
+        let down = |gpu| FaultEvent {
+            time: 1.0,
+            gpu,
+            kind: FaultKind::Down,
+        };
+        let _ = FaultSchedule::build("bad".to_string(), 2, vec![down(0), down(1)]);
     }
 
     #[test]

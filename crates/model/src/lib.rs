@@ -29,8 +29,8 @@
 //! * [`arrival`] — seeded request arrival processes (Poisson, diurnal,
 //!   flash-crowd) feeding the request-level serving front-end's
 //!   discrete-event loop;
-//! * [`fault`] — deterministic fleet fault/elasticity schedules (GPU and
-//!   node loss, rejoin, scale-down/up) driving the serving engine's
+//! * [`fault`] — deterministic fleet fault/elasticity schedules (GPU
+//!   loss, rejoin, seeded churn) driving the serving engine's
 //!   failover and emergency re-placement paths;
 //! * [`training`] — a gating-evolution simulator reproducing the training
 //!   dynamics of Figs. 11–12 (early expert collapse, rebalancing, steady

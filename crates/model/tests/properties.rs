@@ -64,20 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn batch_sharding_conserves_tokens(
-        n in 1usize..200,
-        shards in 1usize..8,
-    ) {
-        let m = AffinityModelSpec::new(4, 8).build();
-        let b = TokenBatch::sample(&m, &CorpusSpec::pile_proxy(4), n, 1, 0);
-        let parts = b.shard(shards);
-        prop_assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), n);
-        let max = parts.iter().map(|p| p.len()).max().unwrap();
-        let min = parts.iter().map(|p| p.len()).min().unwrap();
-        prop_assert!(max - min <= 1, "round-robin must balance within 1");
-    }
-
-    #[test]
     fn training_active_count_monotone_and_bounded(
         e in 1usize..64,
         it_a in 0u64..3000,
@@ -344,9 +330,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// A sampled batch is the nested constructor's, token for token: every
-    /// `(token, layer)` route, every domain, the top-1 paths and every
-    /// round-robin shard — for fresh and interpolated models, with and
-    /// without an active-expert mask, top-1 and top-2.
+    /// `(token, layer)` route, every domain and the top-1 paths — for
+    /// fresh and interpolated models, with and without an active-expert
+    /// mask, top-1 and top-2.
     #[test]
     fn batches_match_the_nested_constructor_token_for_token(
         (e, l) in (2usize..24, 1usize..6),
@@ -391,23 +377,6 @@ proptest! {
                 .map(|route| route.iter().map(|slots| slots[0]).collect())
                 .collect();
             prop_assert_eq!(batch.top1_paths(), top1, "k {}", k);
-            for n in 1..5 {
-                let shards = batch.shard(n);
-                prop_assert_eq!(shards.len(), n);
-                for (s, shard) in shards.iter().enumerate() {
-                    let mine: Vec<usize> = (s..n_tokens).step_by(n).collect();
-                    prop_assert_eq!(shard.len(), mine.len(), "k {} shard {} of {}", k, s, n);
-                    for (j, &t) in mine.iter().enumerate() {
-                        prop_assert_eq!(shard.domain(j), domains[t]);
-                        for (layer, slots) in routes[t].iter().enumerate() {
-                            prop_assert_eq!(
-                                shard.route(j, layer), slots.as_slice(),
-                                "k {} shard {} of {} token {} layer {}", k, s, n, t, layer
-                            );
-                        }
-                    }
-                }
-            }
         }
     }
 }

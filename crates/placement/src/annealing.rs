@@ -51,18 +51,7 @@ impl AnnealParams {
 }
 
 /// Solve by simulated annealing (multi-start per `params.n_starts`),
-/// finished with a hill-climbing polish. Deterministic in `seed`.
-/// Sequential convenience wrapper around [`solve_annealing_with`].
-pub fn solve_annealing(
-    objective: &Objective,
-    n_units: usize,
-    params: AnnealParams,
-    seed: u64,
-) -> Placement {
-    solve_annealing_with(objective, n_units, params, seed, Parallelism::single())
-}
-
-/// Multi-start simulated annealing with explicit parallelism. Start 0
+/// finished with a hill-climbing polish. Deterministic in `seed`. Start 0
 /// reproduces the classic greedy-seeded single run on the master seed's
 /// stream; starts `1..n_starts` anneal from random placements on
 /// [`split_seed`]-derived streams. The lowest final cross mass (earliest
@@ -173,15 +162,15 @@ mod tests {
     #[test]
     fn annealing_is_deterministic_per_seed() {
         let obj = hard_objective(8, 4, 1);
-        let a = solve_annealing(&obj, 4, AnnealParams::default(), 42);
-        let b = solve_annealing(&obj, 4, AnnealParams::default(), 42);
+        let a = solve_annealing_with(&obj, 4, AnnealParams::default(), 42, Parallelism::single());
+        let b = solve_annealing_with(&obj, 4, AnnealParams::default(), 42, Parallelism::single());
         assert_eq!(a, b);
     }
 
     #[test]
     fn annealing_output_is_balanced() {
         let obj = hard_objective(12, 3, 2);
-        let p = solve_annealing(&obj, 3, AnnealParams::default(), 0);
+        let p = solve_annealing_with(&obj, 3, AnnealParams::default(), 0, Parallelism::single());
         for layer in 0..4 {
             for unit in 0..3 {
                 assert_eq!(p.experts_on(layer, unit).len(), 4);
@@ -193,7 +182,8 @@ mod tests {
     fn annealing_not_worse_than_round_robin() {
         let obj = hard_objective(8, 5, 3);
         let rr = Placement::round_robin(6, 8, 4);
-        let annealed = solve_annealing(&obj, 4, AnnealParams::default(), 7);
+        let annealed =
+            solve_annealing_with(&obj, 4, AnnealParams::default(), 7, Parallelism::single());
         assert!(obj.cross_mass(&annealed) <= obj.cross_mass(&rr) + 1e-12);
     }
 
@@ -211,8 +201,9 @@ mod tests {
     #[test]
     fn more_starts_never_hurt() {
         let obj = hard_objective(10, 5, 9);
-        let one = solve_annealing(&obj, 2, AnnealParams::default(), 3);
-        let four = solve_annealing(&obj, 2, AnnealParams::default().with_starts(4), 3);
+        let one = solve_annealing_with(&obj, 2, AnnealParams::default(), 3, Parallelism::single());
+        let starts = AnnealParams::default().with_starts(4);
+        let four = solve_annealing_with(&obj, 2, starts, 3, Parallelism::single());
         assert!(obj.cross_mass(&four) <= obj.cross_mass(&one) + 1e-12);
     }
 
@@ -224,14 +215,14 @@ mod tests {
             n_starts: 0,
             ..AnnealParams::default()
         };
-        let _ = solve_annealing(&obj, 2, params, 0);
+        let _ = solve_annealing_with(&obj, 2, params, 0, Parallelism::single());
     }
 
     #[test]
     #[should_panic]
     fn bad_schedule_rejected() {
         let obj = hard_objective(4, 2, 4);
-        let _ = solve_annealing(
+        let _ = solve_annealing_with(
             &obj,
             2,
             AnnealParams {
@@ -240,6 +231,7 @@ mod tests {
                 ..AnnealParams::default()
             },
             0,
+            Parallelism::single(),
         );
     }
 }

@@ -186,7 +186,8 @@ pub fn solve_exact(
 mod tests {
     use super::*;
     use crate::greedy::solve_greedy;
-    use crate::local_search::solve_local_search;
+    use crate::local_search::solve_local_search_with;
+    use crate::parallel::Parallelism;
 
     fn shift_objective(e: usize, gaps: usize) -> Objective {
         let mut m = vec![0.0f64; e * e];
@@ -270,7 +271,8 @@ mod tests {
             let obj = random_objective(6, 4, seed);
             let (_, opt) = solve_exact(&obj, 2, 1000).unwrap();
             let greedy_cost = obj.cross_mass(&solve_greedy(&obj, 2));
-            let ls_cost = obj.cross_mass(&solve_local_search(&obj, 2, 4, seed));
+            let ls = solve_local_search_with(&obj, 2, 4, seed, Parallelism::single());
+            let ls_cost = obj.cross_mass(&ls);
             assert!(
                 greedy_cost <= opt * 1.5 + 1e-9,
                 "seed {seed}: greedy {greedy_cost} vs opt {opt}"
@@ -287,7 +289,8 @@ mod tests {
         for seed in 0..5 {
             let obj = random_objective(4, 3, seed + 100);
             let (_, opt) = solve_exact(&obj, 2, 1000).unwrap();
-            let ls = obj.cross_mass(&solve_local_search(&obj, 2, 2, seed));
+            let placement = solve_local_search_with(&obj, 2, 2, seed, Parallelism::single());
+            let ls = obj.cross_mass(&placement);
             assert!(opt <= ls + 1e-9, "seed {seed}: opt {opt} > heuristic {ls}");
         }
     }

@@ -71,8 +71,9 @@
 //!   have offered nothing the shortlist (or, in the polish, the accepted
 //!   swap) — hence the exact calls and the pick — is what the full scan
 //!   leaves;
-//! * nothing here consults the clock. Wall time is reported by the bench
-//!   harness, never branched on.
+//! * nothing here consults the clock. Re-plan wall time is measured
+//!   outside the library (the `replan-e512` workload of `benchmark/`),
+//!   never branched on.
 
 use crate::greedy::solve_greedy;
 use crate::objective::Objective;

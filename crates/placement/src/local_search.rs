@@ -51,17 +51,7 @@ pub fn random_placement<R: Rng>(
 
 /// Multi-start local search: the greedy chain plus `restarts` random
 /// starts, each polished by swap passes; returns the best placement found.
-/// Sequential convenience wrapper around [`solve_local_search_with`].
-pub fn solve_local_search(
-    objective: &Objective,
-    n_units: usize,
-    restarts: usize,
-    seed: u64,
-) -> Placement {
-    solve_local_search_with(objective, n_units, restarts, seed, Parallelism::single())
-}
-
-/// Multi-start local search with explicit parallelism. Every start —
+/// Every start —
 /// task 0 is the greedy chain, tasks `1..=restarts` are random restarts —
 /// draws from its own [`split_seed`]-derived RNG stream and is polished
 /// independently, so the result is bit-identical for every thread count;
@@ -149,7 +139,7 @@ mod tests {
     fn solve_beats_round_robin_under_noise() {
         let obj = noisy_shift_objective(16, 6, 0.75);
         let rr = Placement::round_robin(7, 16, 4);
-        let solved = solve_local_search(&obj, 4, 2, 0);
+        let solved = solve_local_search_with(&obj, 4, 2, 0, Parallelism::single());
         assert!(obj.cross_mass(&solved) < obj.cross_mass(&rr));
     }
 
@@ -170,8 +160,8 @@ mod tests {
     #[test]
     fn restarts_never_hurt() {
         let obj = noisy_shift_objective(8, 4, 0.6);
-        let zero = solve_local_search(&obj, 4, 0, 1);
-        let many = solve_local_search(&obj, 4, 4, 1);
+        let zero = solve_local_search_with(&obj, 4, 0, 1, Parallelism::single());
+        let many = solve_local_search_with(&obj, 4, 4, 1, Parallelism::single());
         assert!(obj.cross_mass(&many) <= obj.cross_mass(&zero) + 1e-12);
     }
 }

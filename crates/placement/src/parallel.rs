@@ -38,13 +38,6 @@ impl Parallelism {
         Parallelism { threads: 1 }
     }
 
-    /// One worker per available hardware thread.
-    pub fn available() -> Self {
-        Parallelism {
-            threads: rayon::max_num_threads(),
-        }
-    }
-
     /// A pool of this width (the shim never fails for threads >= 1).
     fn pool(self) -> ThreadPool {
         ThreadPool::new(self.threads).expect("threads >= 1 by construction")

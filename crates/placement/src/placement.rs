@@ -116,27 +116,6 @@ impl Placement {
     pub fn swap(&mut self, layer: usize, e1: usize, e2: usize) {
         self.assign[layer].swap(e1, e2);
     }
-
-    /// Map each unit through `f` (used by the staged solver to refine a
-    /// node-level placement into a GPU-level one).
-    pub fn relabel<F: Fn(usize, usize, usize) -> usize>(
-        &self,
-        n_new_units: usize,
-        f: F,
-    ) -> Placement {
-        let assign = self
-            .assign
-            .iter()
-            .enumerate()
-            .map(|(layer, row)| {
-                row.iter()
-                    .enumerate()
-                    .map(|(expert, &unit)| f(layer, expert, unit))
-                    .collect()
-            })
-            .collect();
-        Placement::new(assign, n_new_units)
-    }
 }
 
 #[cfg(test)]
@@ -166,21 +145,6 @@ mod tests {
         assert_eq!(p.unit_of(0, 3), 0);
         // Re-validating through the constructor must not panic.
         let _ = Placement::new((0..2).map(|l| p.layer(l).to_vec()).collect(), 2);
-    }
-
-    #[test]
-    fn relabel_expands_units() {
-        // Node-level (2 nodes) -> GPU-level (4 GPUs, 2 per node): send each
-        // expert to its node's first or second GPU by parity of its index
-        // within the node set.
-        let node_level = Placement::round_robin(2, 8, 2);
-        let gpu_level = node_level.relabel(4, |layer, expert, node| {
-            let within: Vec<usize> = node_level.experts_on(layer, node);
-            let pos = within.iter().position(|&e| e == expert).unwrap();
-            node * 2 + pos % 2
-        });
-        assert_eq!(gpu_level.n_units(), 4);
-        assert_eq!(gpu_level.capacity(), 2);
     }
 
     #[test]

@@ -446,6 +446,8 @@ pub fn replicated_cross_mass(objective: &Objective, plan: &ReplicationPlan) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::local_search::solve_local_search_with;
+    use crate::parallel::Parallelism;
     use exflow_affinity::AffinityMatrix;
     use exflow_model::routing::AffinityModelSpec;
     use exflow_model::{CorpusSpec, TokenBatch};
@@ -630,7 +632,7 @@ mod tests {
         // affinity placement.
         let (obj, trace) = instance(16, 6);
         let base = Placement::round_robin(6, 16, 4);
-        let exflow = crate::local_search::solve_local_search(&obj, 4, 1, 0);
+        let exflow = solve_local_search_with(&obj, 4, 1, 0, Parallelism::single());
         let exflow_local = crate::objective::measure_trace_locality(&trace, &exflow).fraction();
         let rep0 =
             ReplicationPlan::most_popular(&obj, base.clone(), 0).trace_local_fraction(&trace);

@@ -1,4 +1,4 @@
-//! Cluster shape: nodes, GPUs per node, and rank <-> device mapping.
+//! Cluster shape: nodes, GPUs per node, and the node-major rank layout.
 
 use crate::error::TopologyError;
 use crate::link::LinkClass;
@@ -23,15 +23,6 @@ impl std::fmt::Display for Rank {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "rank{}", self.0)
     }
-}
-
-/// Physical coordinates of a simulated GPU: which node, which local slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DeviceId {
-    /// Node index within the cluster.
-    pub node: usize,
-    /// GPU index within the node.
-    pub gpu: usize,
 }
 
 /// The shape of a cluster: `n_nodes` nodes, each with `gpus_per_node` GPUs.
@@ -92,23 +83,6 @@ impl ClusterSpec {
         self.n_nodes * self.gpus_per_node
     }
 
-    /// Map a flat rank to its `(node, gpu)` coordinates.
-    #[inline]
-    pub fn device_of(&self, rank: Rank) -> DeviceId {
-        debug_assert!(rank.0 < self.world_size());
-        DeviceId {
-            node: rank.0 / self.gpus_per_node,
-            gpu: rank.0 % self.gpus_per_node,
-        }
-    }
-
-    /// Map `(node, gpu)` coordinates to a flat rank.
-    #[inline]
-    pub fn rank_of(&self, device: DeviceId) -> Rank {
-        debug_assert!(device.node < self.n_nodes && device.gpu < self.gpus_per_node);
-        Rank(device.node * self.gpus_per_node + device.gpu)
-    }
-
     /// Node index of a flat rank.
     #[inline]
     pub fn node_of(&self, rank: Rank) -> usize {
@@ -142,12 +116,6 @@ impl ClusterSpec {
     /// Iterate over all ranks.
     pub fn ranks(&self) -> impl Iterator<Item = Rank> {
         (0..self.world_size()).map(Rank)
-    }
-
-    /// Iterate over the ranks that live on `node`.
-    pub fn ranks_on_node(&self, node: usize) -> impl Iterator<Item = Rank> {
-        let g = self.gpus_per_node;
-        (0..g).map(move |i| Rank(node * g + i))
     }
 
     /// One rank on every node *other than* `owner`'s, chosen by rotating
@@ -190,19 +158,14 @@ mod tests {
     fn world_size_and_mapping_round_trip() {
         let c = ClusterSpec::new(3, 4).unwrap();
         assert_eq!(c.world_size(), 12);
-        for r in c.ranks() {
-            let d = c.device_of(r);
-            assert_eq!(c.rank_of(d), r);
-        }
+        assert_eq!(c.ranks().count(), 12);
     }
 
     #[test]
     fn node_major_rank_layout() {
         let c = ClusterSpec::new(2, 4).unwrap();
-        assert_eq!(c.device_of(Rank(0)), DeviceId { node: 0, gpu: 0 });
-        assert_eq!(c.device_of(Rank(3)), DeviceId { node: 0, gpu: 3 });
-        assert_eq!(c.device_of(Rank(4)), DeviceId { node: 1, gpu: 0 });
-        assert_eq!(c.device_of(Rank(7)), DeviceId { node: 1, gpu: 3 });
+        let nodes: Vec<usize> = c.ranks().map(|r| c.node_of(r)).collect();
+        assert_eq!(nodes, [0, 0, 0, 0, 1, 1, 1, 1]);
     }
 
     #[test]
@@ -213,13 +176,6 @@ mod tests {
         assert_eq!(c.link_class(Rank(1), Rank(2)), LinkClass::InterNode);
         // Symmetry.
         assert_eq!(c.link_class(Rank(2), Rank(1)), LinkClass::InterNode);
-    }
-
-    #[test]
-    fn ranks_on_node_enumerates_local_gpus() {
-        let c = ClusterSpec::new(3, 2).unwrap();
-        let on1: Vec<_> = c.ranks_on_node(1).collect();
-        assert_eq!(on1, vec![Rank(2), Rank(3)]);
     }
 
     #[test]

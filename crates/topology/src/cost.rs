@@ -117,11 +117,6 @@ impl CostModel {
         let c = self.link(class);
         c.alpha + bytes as f64 * c.beta / self.alltoall_efficiency[class.index()]
     }
-
-    /// Ratio of inter-node to intra-node bandwidth (>1 means NVLink faster).
-    pub fn intra_over_inter_bandwidth(&self) -> f64 {
-        self.link(LinkClass::InterNode).beta / self.link(LinkClass::IntraNode).beta
-    }
 }
 
 impl Default for CostModel {
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn bandwidth_ratio_reflects_nvlink_advantage() {
         let m = CostModel::wilkes3();
-        assert!(m.intra_over_inter_bandwidth() > 1.0);
+        assert!(m.link(LinkClass::IntraNode).beta < m.link(LinkClass::InterNode).beta);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod cost;
 pub mod error;
 pub mod link;
 
-pub use cluster::{ClusterSpec, DeviceId, Rank};
+pub use cluster::{ClusterSpec, Rank};
 pub use collective_cost::CollectiveCostModel;
 pub use cost::{CostModel, LinkCost};
 pub use error::TopologyError;

@@ -39,18 +39,6 @@ impl LinkClass {
             LinkClass::InterNode => "inter-node",
         }
     }
-
-    /// Whether traffic over this link class leaves the GPU.
-    #[inline]
-    pub fn crosses_gpu(self) -> bool {
-        self != LinkClass::Local
-    }
-
-    /// Whether traffic over this link class leaves the node.
-    #[inline]
-    pub fn crosses_node(self) -> bool {
-        self == LinkClass::InterNode
-    }
 }
 
 impl std::fmt::Display for LinkClass {
@@ -74,14 +62,6 @@ mod tests {
         for (i, lc) in LinkClass::ALL.iter().enumerate() {
             assert_eq!(lc.index(), i);
         }
-    }
-
-    #[test]
-    fn crossing_predicates() {
-        assert!(!LinkClass::Local.crosses_gpu());
-        assert!(LinkClass::IntraNode.crosses_gpu());
-        assert!(!LinkClass::IntraNode.crosses_node());
-        assert!(LinkClass::InterNode.crosses_node());
     }
 
     #[test]

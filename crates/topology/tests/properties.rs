@@ -9,15 +9,6 @@ fn arb_cluster() -> impl Strategy<Value = ClusterSpec> {
 
 proptest! {
     #[test]
-    fn rank_device_round_trip(cluster in arb_cluster(), r in 0usize..64) {
-        prop_assume!(r < cluster.world_size());
-        let d = cluster.device_of(Rank(r));
-        prop_assert_eq!(cluster.rank_of(d), Rank(r));
-        prop_assert!(d.node < cluster.n_nodes());
-        prop_assert!(d.gpu < cluster.gpus_per_node());
-    }
-
-    #[test]
     fn link_class_is_symmetric(cluster in arb_cluster(), a in 0usize..64, b in 0usize..64) {
         let a = a % cluster.world_size();
         let b = b % cluster.world_size();

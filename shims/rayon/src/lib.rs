@@ -31,13 +31,6 @@ pub fn current_num_threads() -> usize {
     INSTALLED_THREADS.with(|t| t.get())
 }
 
-/// The machine's available hardware parallelism (fallback 1).
-pub fn max_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// Error building a [`ThreadPool`] (zero threads requested).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadPoolBuildError {
