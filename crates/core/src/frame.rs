@@ -390,8 +390,8 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exflow_collectives::Lockstep;
-    use exflow_topology::{ClusterSpec, CostModel};
+    use exflow_collectives::{Lockstep, OpKind};
+    use exflow_topology::{ClusterSpec, CostModel, Rank};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -484,8 +484,124 @@ mod tests {
             .collect()
     }
 
+    /// A table's rows: each head, and its embedding's bits.
+    fn rows_of(table: &Table) -> Vec<(Head, Vec<u32>)> {
+        (table.heads().iter().enumerate())
+            .map(|(row, &head)| (head, table.row(row).iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    /// One hop as the engine's `exchange` runs it: the copies emitted
+    /// since the last hop travel, and every table becomes what arrived
+    /// for it — behind its primaries, if `hold_primaries`.
+    fn hop(wire: &mut Wire, tables: &mut [Table], fleet: &mut Lockstep, hold_primaries: bool) {
+        wire.scatter(tables);
+        for table in tables.iter_mut() {
+            if hold_primaries {
+                table.retain_primaries();
+            } else {
+                table.clear();
+            }
+        }
+        let delivered = fleet.all_to_all_v(wire.lanes());
+        for (table, lanes) in tables.iter_mut().zip(&delivered) {
+            for lane in lanes {
+                table.extend_from_lane(lane, wire.frame());
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The hop oracle. Over several hops on one wire — lanes growing,
+        /// shrinking and emptying between them, a quarter of the ranks
+        /// dead, deliveries that clear the table and deliveries that hold
+        /// its primaries — every table after a hop is, bit for bit, the
+        /// naive reference: the primaries it held, then for `src`
+        /// ascending the copies emitted to it, in emission order, each
+        /// with its copy's slot and its source row's floats. Each hop
+        /// grows the Alltoall ledger by `copies × frame_size` per lane, on
+        /// that lane's link class.
+        #[test]
+        fn every_hop_delivers_the_naive_tables(
+            (nodes, gpn) in (1usize..=3, 1usize..=3),
+            (dim, width) in (0usize..10, 0u64..160),
+            k in 1u32..=2,
+            hops in proptest::collection::vec(
+                (prop_oneof![Just(0usize), 0usize..=120], 0u8..4, 0u8..2),
+                2..6,
+            ),
+            dead in proptest::collection::vec(0u8..4, 9),
+            seed in 0u64..1_000_000,
+        ) {
+            let cluster = ClusterSpec::new(nodes, gpn).unwrap();
+            let w = cluster.world_size();
+            let frame = frame_size(width, dim);
+            let mut rng = StdRng::seed_from_u64(seed);
+            // A quarter of the ranks are dead: they hold nothing and are
+            // sent nothing, but have lanes all the same.
+            let mut live: Vec<usize> = (0..w).filter(|&r| dead[r] > 0).collect();
+            if live.is_empty() {
+                live.push(0);
+            }
+            let mut tables: Vec<Table> = (0..w).map(|_| Table::new(dim)).collect();
+            let mut wire = Wire::new(w, frame, dim);
+            let mut fleet = Lockstep::new(cluster, CostModel::wilkes3());
+            let mut next_id = 0u32;
+            for (fresh, keep, hold) in hops {
+                let hold = hold == 1;
+                // Most hops start from what the last one delivered; the
+                // rest (and any that grew too large) from nothing.
+                if keep == 0 || tables.iter().map(Table::len).sum::<usize>() > 1000 {
+                    tables.iter_mut().for_each(Table::clear);
+                }
+                for _ in 0..fresh {
+                    let head = Head {
+                        id: next_id,
+                        home: rng.gen_range(0..w as u32),
+                        domain: rng.gen_range(0..8),
+                        slot: rng.gen_range(0..k),
+                    };
+                    next_id += 1;
+                    let emb: Vec<f32> = (0..dim).map(|_| rng.gen_range(-4.0..4.0f32)).collect();
+                    tables[live[rng.gen_range(0..live.len())]].push(head, emb.into_iter());
+                }
+                // The naive reference: what each table holds back, then
+                // `emitted[dst][src]` in source-rank order.
+                let mut expected: Vec<Vec<(Head, Vec<u32>)>> = tables
+                    .iter()
+                    .map(|t| rows_of(t).into_iter().filter(|r| hold && r.0.slot == 0).collect())
+                    .collect();
+                let mut emitted = vec![vec![Vec::new(); w]; w];
+                let mut sent = fleet.totals(OpKind::Alltoall).sent;
+                for (src, table) in tables.iter().enumerate() {
+                    for (row, (head, bits)) in rows_of(table).into_iter().enumerate() {
+                        for slot in 0..k {
+                            if rng.gen_range(0..4) == 0 {
+                                continue;
+                            }
+                            let dst = live[rng.gen_range(0..live.len())];
+                            wire.emit(src, dst, row, slot);
+                            emitted[dst][src].push((Head { slot, ..head }, bits.clone()));
+                            let class = cluster.link_class(Rank(src), Rank(dst));
+                            sent.add(class, frame as u64);
+                        }
+                    }
+                }
+                for (want, from) in expected.iter_mut().zip(emitted) {
+                    want.extend(from.into_iter().flatten());
+                }
+                hop(&mut wire, &mut tables, &mut fleet, hold);
+                for (dst, table) in tables.iter().enumerate() {
+                    prop_assert_eq!(
+                        &rows_of(table), &expected[dst],
+                        "rank {} after a hop of {} fresh rows", dst, fresh
+                    );
+                }
+                prop_assert_eq!(fleet.totals(OpKind::Alltoall).sent, sent);
+            }
+        }
 
         /// The real-byte-buffer property. Over several hops on one arena —
         /// lanes growing, shrinking and emptying between them — every lane
