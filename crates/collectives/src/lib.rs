@@ -3,11 +3,10 @@
 //! A simulated multi-GPU communication layer: the substrate that stands in
 //! for NCCL in this reproduction of ExFlow (IPDPS 2024).
 //!
-//! Messages are real bytes; *time* is virtual: each rank carries a
-//! [`VirtualClock`] advanced by the α–β cost model from `exflow-topology`,
-//! which makes every reported latency a deterministic function of
-//! (bytes, link class) — independent of host load, exactly what the paper's
-//! figures need.
+//! *Time* is virtual: each rank carries a [`VirtualClock`] advanced by the
+//! α–β cost model from `exflow-topology`, which makes every reported
+//! latency a deterministic function of (bytes, link class) — independent
+//! of host load, exactly what the paper's figures need.
 //!
 //! The same three collectives — AlltoallV (token dispatch / combine),
 //! AllGatherV over a ring (context coherence) and a clock barrier — exist
@@ -17,23 +16,24 @@
 //! # [`Lockstep`]: what the engine runs on
 //!
 //! One value holds all W clocks and one ledger, and a collective is a
-//! single call on the calling thread: `all_to_all_v(bufs[src][dst])`
-//! returns `out[dst][src]`, `all_gather_v(bufs[rank])` returns the
-//! contributions in rank order, `barrier()` lifts every clock to the
-//! fleet's max. A buffer is any `AsRef<[u8]>` — the engine passes `&[u8]`
-//! lanes of its wire arena, the property tests owned `Vec<u8>`s — and
-//! comes back as the same value in the receiver's slot. The caller is a
-//! bulk-synchronous loop — run a stage for rank 0, 1, .. and charge it
-//! with `advance(rank, dt)`, then one collective, then the next stage — so
-//! a pass costs no thread, channel or wake-up, whatever W is. The clock
+//! single call on the calling thread that takes byte counts and returns
+//! nothing: `all_to_all_v(bytes[src * w + dst])`,
+//! `all_gather_v(bytes[rank])`, and `barrier()`, which lifts every clock
+//! to the fleet's max. Only a lane's length reaches the clocks and the
+//! ledger, so the caller moves its payloads itself (the engine appends
+//! token rows to the destination tables). The caller is a bulk-synchronous
+//! loop — run a stage for rank 0, 1, .. and charge it with
+//! `advance(rank, dt)`, then one collective, then the next stage — so a
+//! pass costs no thread, channel or wake-up, whatever W is. The clock
 //! rule of each collective is stated on the method that implements it.
 //!
 //! # [`CommWorld::run`]: the threaded reference, and the probe surface
 //!
-//! Every rank is a real OS thread (scoped, so the job may borrow from the
-//! caller) owning a [`RankComm`]: a mailbox fed through crossbeam channels,
-//! early-arrival queues, its clock and a lock-free per-job ledger that
-//! `run` folds into the world's [`CommStats`] in rank order. A collective
+//! Here messages are real bytes. Every rank is a real OS thread (scoped,
+//! so the job may borrow from the caller) owning a [`RankComm`]: a
+//! mailbox fed through crossbeam channels, early-arrival queues, its
+//! clock and a lock-free per-job ledger that `run` folds into the world's
+//! [`CommStats`] in rank order. A collective
 //! completes once all W threads have called it, so the concurrency (and
 //! any ordering bug) is genuine. This is the message-passing formulation
 //! the clock rules were written down in — a send serializes on the sender
@@ -60,18 +60,18 @@
 //! use exflow_topology::{ClusterSpec, CostModel};
 //!
 //! let cluster = ClusterSpec::new(1, 4).unwrap();
-//! // Every rank contributes its rank id; AllGather returns all of them.
+//! // Rank r contributes r + 1 bytes; AllGather hands every rank all of them.
 //! let world = CommWorld::new(cluster, CostModel::wilkes3());
 //! let per_rank = world.run(|comm| {
-//!     let gathered = comm.all_gather_v(vec![comm.rank().0 as u8]);
-//!     (gathered, comm.now())
+//!     let gathered = comm.all_gather_v(vec![7; comm.rank().0 + 1]);
+//!     assert_eq!(gathered.len(), 4);
+//!     comm.now()
 //! });
-//! // The same collective as one call, with the same clocks.
+//! // The same collective as one call on the byte counts, with the same clocks.
 //! let mut fleet = Lockstep::new(cluster, CostModel::wilkes3());
-//! let gathered = fleet.all_gather_v((0..4).map(|r| vec![r as u8]).collect());
-//! for (rank, (seen, now)) in per_rank.iter().enumerate() {
-//!     assert_eq!(seen, &gathered);
-//!     assert_eq!(*now, fleet.now(rank));
+//! fleet.all_gather_v(&[1, 2, 3, 4]);
+//! for (rank, now) in per_rank.iter().enumerate() {
+//!     assert_eq!(now.to_bits(), fleet.now(rank).to_bits());
 //! }
 //! ```
 

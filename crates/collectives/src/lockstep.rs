@@ -1,13 +1,14 @@
 //! The whole-fleet communicator: every rank's clock in one place, each
 //! collective one function call on the calling thread.
 //!
-//! A collective moves whatever its caller holds the bytes in: a buffer is
-//! any `AsRef<[u8]>`, handed over by value and handed back in the
-//! receiver's slot. The engine passes `&[u8]` lanes borrowed from its wire
-//! arena and reads its deliveries out of the same memory; the property
-//! tests pass owned `Vec<u8>`s, as the threaded [`crate::CommWorld`] takes
-//! them. Only `.len()` reaches the clocks and the ledger, so the two are
-//! the same collective (`borrowed_lanes_are_the_same_collective`).
+//! A collective here takes byte counts, not bytes: only how many bytes
+//! each lane carries reaches the clocks and the ledger, so that is all a
+//! caller hands over, and nothing is handed back. The caller moves its
+//! payloads itself (the engine appends token rows to the destination
+//! tables). The threaded [`crate::CommWorld`] moves real buffers under the
+//! same clock rules; `tests/properties.rs` feeds this type the lengths of
+//! the payloads that world moves and holds the two to the same clocks and
+//! ledger, bit for bit.
 
 use exflow_topology::collective_cost::BytesByClass;
 use exflow_topology::{ClusterSpec, CostModel, Rank};
@@ -19,9 +20,9 @@ use crate::record::{CommRecord, Ledger, OpKind, OpTotals};
 ///
 /// Where a [`RankComm`](crate::RankComm) is one rank's endpoint and a
 /// collective completes once W threads have each called it, a `Lockstep`
-/// call *is* the collective: it takes every rank's buffers, applies the
-/// send / receive clock rules of [`crate::world`] to all W clocks, and
-/// returns every rank's deliveries. The caller runs each rank's compute
+/// call *is* the collective: it takes every lane's byte count and applies
+/// the send / receive clock rules of [`crate::world`] to all W clocks and
+/// to the ledger. The caller runs each rank's compute
 /// between calls (`for rank in 0..w`) and charges it with
 /// [`Lockstep::advance`]. Clocks start at zero; totals accumulate for the
 /// value's life.
@@ -75,8 +76,7 @@ impl Lockstep {
         }
     }
 
-    /// AlltoallV: `bufs[src][dst]` travels from `src` to `dst`; returns
-    /// `out[dst][src]`.
+    /// AlltoallV: `bytes[src * w + dst]` bytes travel from `src` to `dst`.
     ///
     /// Clock rule: each sender walks its lanes in ring order from itself
     /// (`dst = (src + off) % w`). A non-empty lane advances the sender by
@@ -87,23 +87,23 @@ impl Lockstep {
     /// receiver waits for the latest stamp among the `w - 1` lanes
     /// addressed to it (`max` is exact, so the order it is folded in is
     /// free).
-    pub fn all_to_all_v<B: AsRef<[u8]>>(&mut self, mut bufs: Vec<Vec<B>>) -> Vec<Vec<B>> {
+    pub fn all_to_all_v(&mut self, bytes: &[u64]) {
         let w = self.clocks.len();
-        assert!(
-            bufs.len() == w && bufs.iter().all(|row| row.len() == w),
-            "all_to_all_v needs exactly one buffer per rank"
+        assert_eq!(
+            bytes.len(),
+            w * w,
+            "all_to_all_v needs exactly one byte count per lane"
         );
         let mut latest_arrival = vec![0.0f64; w];
-        for (src, row) in bufs.iter().enumerate() {
+        for (src, row) in bytes.chunks_exact(w).enumerate() {
             let mut sent = BytesByClass::default();
             for off in 0..w {
                 let dst = (src + off) % w;
-                let bytes = row[dst].as_ref().len() as u64;
-                if bytes > 0 {
+                if row[dst] > 0 {
                     let class = self.cluster.link_class(Rank(src), Rank(dst));
-                    let t = self.cost.alltoall_transfer_time(class, bytes);
+                    let t = self.cost.alltoall_transfer_time(class, row[dst]);
                     self.clocks[src].advance(t);
-                    sent.add(class, bytes);
+                    sent.add(class, row[dst]);
                 }
                 if dst != src {
                     latest_arrival[dst] = latest_arrival[dst].max(self.clocks[src].now());
@@ -117,21 +117,10 @@ impl Lockstep {
         for (clock, &arrival) in self.clocks.iter_mut().zip(&latest_arrival) {
             clock.wait_until(arrival);
         }
-
-        // Transposed where it stands: `bufs[src][dst]` trades places with
-        // `bufs[dst][src]`.
-        for dst in 1..w {
-            let (above, below) = bufs.split_at_mut(dst);
-            for (src, row) in above.iter_mut().enumerate() {
-                std::mem::swap(&mut row[dst], &mut below[0][src]);
-            }
-        }
-        bufs
     }
 
-    /// AllGatherV over a ring: rank `r` contributes `bufs[r]`; returns the
-    /// contributions in rank order — once, since every rank ends up with
-    /// the same list.
+    /// AllGatherV over a ring: rank `r` contributes `bytes[r]` bytes, and
+    /// every rank ends up with every contribution.
     ///
     /// Clock rule: the standard `w - 1`-step ring. At step `s` rank `r`
     /// forwards block `(r - s) mod w` to `r + 1` — advancing by the α–β
@@ -139,17 +128,17 @@ impl Lockstep {
     /// waits for its left neighbour's stamp of the same step. A step reads
     /// only clocks the previous step left behind, so all of a step's sends
     /// run before all of its receives.
-    pub fn all_gather_v<B: AsRef<[u8]>>(&mut self, bufs: Vec<B>) -> Vec<B> {
+    pub fn all_gather_v(&mut self, bytes: &[u64]) {
         let w = self.clocks.len();
-        assert_eq!(bufs.len(), w, "all_gather_v needs one buffer per rank");
+        assert_eq!(bytes.len(), w, "all_gather_v needs one byte count per rank");
         let mut sent = vec![BytesByClass::default(); w];
         let mut stamps = vec![0.0f64; w];
         for step in 0..w - 1 {
             for (r, clock) in self.clocks.iter_mut().enumerate() {
                 let class = self.cluster.link_class(Rank(r), Rank((r + 1) % w));
-                let bytes = bufs[(r + w - step) % w].as_ref().len() as u64;
-                clock.advance(self.cost.transfer_time(class, bytes));
-                sent[r].add(class, bytes);
+                let block = bytes[(r + w - step) % w];
+                clock.advance(self.cost.transfer_time(class, block));
+                sent[r].add(class, block);
                 stamps[r] = clock.now();
             }
             for (r, clock) in self.clocks.iter_mut().enumerate() {
@@ -162,7 +151,6 @@ impl Lockstep {
                 sent,
             });
         }
-        bufs
     }
 }
 
@@ -180,16 +168,16 @@ mod tests {
         // 2: rank 2 receives nothing from it, yet waits until that send is
         // done.
         let mut f = fleet(1, 3);
-        let mut bufs = vec![vec![Vec::new(); 3]; 3];
-        bufs[0][1] = vec![0u8; 1 << 20];
-        f.all_to_all_v(bufs);
+        let mut bytes = vec![0; 9];
+        bytes[1] = 1 << 20;
+        f.all_to_all_v(&bytes);
         assert!(f.now(0) > 0.0);
         assert_eq!(f.now(2), f.now(0));
     }
 
     #[test]
-    #[should_panic(expected = "one buffer per rank")]
+    #[should_panic(expected = "one byte count per lane")]
     fn alltoall_rejects_a_ragged_matrix() {
-        fleet(1, 2).all_to_all_v(vec![vec![Vec::<u8>::new(); 2], vec![Vec::new()]]);
+        fleet(1, 2).all_to_all_v(&[0; 3]);
     }
 }

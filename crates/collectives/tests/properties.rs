@@ -170,105 +170,56 @@ fn arb_job() -> impl Strategy<Value = Vec<Op>> {
     vec(op, 1..12)
 }
 
-/// What `src` sends `dst` in step `step`: recognisable bytes, so a
-/// misrouted or swapped payload cannot compare equal.
-fn payload(step: usize, src: usize, dst: usize, len: usize) -> Vec<u8> {
-    vec![(step * 61 + src * 17 + dst * 5) as u8; len]
-}
-
-/// One rank's view after one op: its clock, and what it was delivered.
-type Seen = (u64, Vec<Vec<u8>>);
-
-/// `job` on the threaded reference world: `seen[rank][step]`.
-fn run_threaded(world: &CommWorld, job: &[Op]) -> Vec<Vec<Seen>> {
+/// `job` on the threaded reference world, every payload as long as the
+/// op says: each rank's clock bits after the last op.
+fn run_threaded(world: &CommWorld, job: &[Op]) -> Vec<u64> {
     world.run(|comm| {
         let (me, w) = (comm.rank().0, comm.world_size());
-        job.iter()
-            .enumerate()
-            .map(|(step, op)| {
-                let delivered = match op {
-                    Op::Advance(skews) => {
-                        comm.advance(skews[me]);
-                        Vec::new()
-                    }
-                    Op::Barrier => {
-                        comm.barrier();
-                        Vec::new()
-                    }
-                    Op::AllToAll(lanes) => comm.all_to_all_v(
+        for op in job {
+            match op {
+                Op::Advance(skews) => comm.advance(skews[me]),
+                Op::Barrier => comm.barrier(),
+                Op::AllToAll(lanes) => {
+                    comm.all_to_all_v(
                         (0..w)
-                            .map(|dst| payload(step, me, dst, lanes[me * MAX_W + dst]))
+                            .map(|dst| vec![0u8; lanes[me * MAX_W + dst]])
                             .collect(),
-                    ),
-                    Op::AllGather(contribs) => {
-                        comm.all_gather_v(payload(step, me, me, contribs[me]))
-                    }
-                };
-                (comm.now().to_bits(), delivered)
-            })
-            .collect()
+                    );
+                }
+                Op::AllGather(contribs) => {
+                    comm.all_gather_v(vec![0u8; contribs[me]]);
+                }
+            }
+        }
+        comm.now().to_bits()
     })
 }
 
-/// `job` on the lockstep kernel: `seen[step][rank]`.
-fn run_lockstep(fleet: &mut Lockstep, w: usize, job: &[Op]) -> Vec<Vec<Seen>> {
-    run_lockstep_as(fleet, w, job, false)
+/// One op of a job on the lockstep kernel, which is handed the lengths of
+/// the payloads [`run_threaded`] moves.
+fn lockstep_op(fleet: &mut Lockstep, w: usize, op: &Op) {
+    match op {
+        Op::Advance(skews) => (0..w).for_each(|r| fleet.advance(r, skews[r])),
+        Op::Barrier => fleet.barrier(),
+        Op::AllToAll(lanes) => {
+            let bytes: Vec<u64> = (0..w * w)
+                .map(|lane| lanes[lane / w * MAX_W + lane % w] as u64)
+                .collect();
+            fleet.all_to_all_v(&bytes);
+        }
+        Op::AllGather(contribs) => {
+            let bytes: Vec<u64> = contribs[..w].iter().map(|&n| n as u64).collect();
+            fleet.all_gather_v(&bytes);
+        }
+    }
 }
 
-/// `job` on the lockstep kernel, its payloads handed over owned or — the
-/// way the engine hands over lanes of its wire arena — as `&[u8]`
-/// borrowed from buffers the caller keeps.
-fn run_lockstep_as(fleet: &mut Lockstep, w: usize, job: &[Op], borrowed: bool) -> Vec<Vec<Seen>> {
+/// `job` on the lockstep kernel: `clocks[step][rank]`, as bits.
+fn run_lockstep(fleet: &mut Lockstep, w: usize, job: &[Op]) -> Vec<Vec<u64>> {
     job.iter()
-        .enumerate()
-        .map(|(step, op)| {
-            let delivered: Vec<Vec<Vec<u8>>> = match op {
-                Op::Advance(skews) => {
-                    (0..w).for_each(|r| fleet.advance(r, skews[r]));
-                    vec![Vec::new(); w]
-                }
-                Op::Barrier => {
-                    fleet.barrier();
-                    vec![Vec::new(); w]
-                }
-                Op::AllToAll(lanes) => {
-                    let owned: Vec<Vec<Vec<u8>>> = (0..w)
-                        .map(|src| {
-                            (0..w)
-                                .map(|dst| payload(step, src, dst, lanes[src * MAX_W + dst]))
-                                .collect()
-                        })
-                        .collect();
-                    if borrowed {
-                        let slices: Vec<Vec<&[u8]>> = owned
-                            .iter()
-                            .map(|row| row.iter().map(Vec::as_slice).collect())
-                            .collect();
-                        let out = fleet.all_to_all_v(slices);
-                        out.iter()
-                            .map(|row| row.iter().map(|b| b.to_vec()).collect())
-                            .collect()
-                    } else {
-                        fleet.all_to_all_v(owned)
-                    }
-                }
-                Op::AllGather(contribs) => {
-                    let owned: Vec<Vec<u8>> =
-                        (0..w).map(|r| payload(step, r, r, contribs[r])).collect();
-                    let all = if borrowed {
-                        let out = fleet.all_gather_v(owned.iter().map(Vec::as_slice).collect());
-                        out.iter().map(|b| b.to_vec()).collect()
-                    } else {
-                        fleet.all_gather_v(owned)
-                    };
-                    vec![all; w]
-                }
-            };
-            delivered
-                .into_iter()
-                .enumerate()
-                .map(|(r, d)| (fleet.now(r).to_bits(), d))
-                .collect()
+        .map(|op| {
+            lockstep_op(fleet, w, op);
+            (0..w).map(|r| fleet.now(r).to_bits()).collect()
         })
         .collect()
 }
@@ -288,42 +239,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The kernel against the message-passing world it replaces under the
-    /// engine: same clocks to the bit after every operation, same
-    /// deliveries, same accounting.
+    /// engine, fed the byte counts of the payloads that world moves: the
+    /// same clocks to the bit and the same totals of all three ops after
+    /// every op (each prefix of the job runs in a fresh world, whose
+    /// ledger is read when its job ends).
     #[test]
     fn lockstep_matches_the_threaded_world_bit_for_bit((nodes, gpn) in arb_shape(), job in arb_job()) {
         let cluster = ClusterSpec::new(nodes, gpn).unwrap();
         let w = nodes * gpn;
-        let world = CommWorld::new(cluster, CostModel::wilkes3());
-        let threaded = run_threaded(&world, &job);
         let mut fleet = Lockstep::new(cluster, CostModel::wilkes3());
-        let lockstep = run_lockstep(&mut fleet, w, &job);
-        for (step, seen) in lockstep.iter().enumerate() {
-            for (rank, seen) in seen.iter().enumerate() {
-                prop_assert_eq!(seen, &threaded[rank][step], "rank {} after step {}", rank, step);
+        for (step, op) in job.iter().enumerate() {
+            lockstep_op(&mut fleet, w, op);
+            let world = CommWorld::new(cluster, CostModel::wilkes3());
+            let clocks = run_threaded(&world, &job[..=step]);
+            for (rank, &bits) in clocks.iter().enumerate() {
+                prop_assert_eq!(fleet.now(rank).to_bits(), bits, "rank {} after step {}", rank, step);
             }
-        }
-        for op in OpKind::ALL {
-            prop_assert_eq!(fleet.totals(op), world.stats().totals(op), "{}", op);
-        }
-    }
-
-    /// What the engine relies on since its lanes are slices of one arena:
-    /// a collective over borrowed `&[u8]` is the collective over the same
-    /// bytes owned — clocks to the bit after every step, deliveries,
-    /// ledger.
-    #[test]
-    fn borrowed_lanes_are_the_same_collective((nodes, gpn) in arb_shape(), job in arb_job()) {
-        let cluster = ClusterSpec::new(nodes, gpn).unwrap();
-        let w = nodes * gpn;
-        let mut owned = Lockstep::new(cluster, CostModel::wilkes3());
-        let mut borrowed = Lockstep::new(cluster, CostModel::wilkes3());
-        prop_assert_eq!(
-            run_lockstep_as(&mut borrowed, w, &job, true),
-            run_lockstep_as(&mut owned, w, &job, false)
-        );
-        for op in OpKind::ALL {
-            prop_assert_eq!(borrowed.totals(op), owned.totals(op), "{}", op);
+            for op in OpKind::ALL {
+                prop_assert_eq!(
+                    fleet.totals(op), world.stats().totals(op),
+                    "{} after step {}", op, step
+                );
+            }
         }
     }
 
@@ -340,7 +277,7 @@ proptest! {
         for (step, (slow, fast)) in slow.iter().zip(&fast).enumerate() {
             for (rank, (slow, fast)) in slow.iter().zip(fast).enumerate() {
                 prop_assert!(
-                    f64::from_bits(fast.0) <= f64::from_bits(slow.0),
+                    f64::from_bits(*fast) <= f64::from_bits(*slow),
                     "rank {} after step {}", rank, step
                 );
             }

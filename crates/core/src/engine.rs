@@ -471,8 +471,8 @@ impl InferenceEngine {
     /// arithmetic: `live_ranks[id % live_ranks.len()]` is then `id % w`.
     ///
     /// `plane` is the caller's: whoever loops over passes keeps one
-    /// ([`InferenceEngine::plane`]) so the arena is zero-filled once per
-    /// run, not once per pass.
+    /// ([`InferenceEngine::plane`]) so its tables and the wire allocate
+    /// once per run, not once per pass.
     pub(crate) fn run_pass(
         &self,
         mode: ParallelismMode,
@@ -563,13 +563,12 @@ impl InferenceEngine {
     }
 }
 
-/// What a pass keeps its tokens in: a [`Table`] per rank, the wire arena
+/// What a pass keeps its tokens in: a [`Table`] per rank, the [`Wire`]
 /// every hop goes through, and the scratch of the stages that would
 /// otherwise allocate per rank per layer. Nothing in it outlives an
 /// iteration as *state* — every table is refilled by `home_tokens`, every
 /// lane rewritten by the next scatter — so one plane serves any number of
-/// passes of one engine and only its allocations (and the arena's zeroed
-/// padding) carry over.
+/// passes of one engine and only its allocations carry over.
 pub(crate) struct Plane {
     /// `tables[rank]`: the tokens resident on each rank.
     tables: Vec<Table>,
@@ -695,22 +694,18 @@ impl Pass<'_> {
 
             // Context coherence upkeep: broadcast this iteration's newly
             // generated tokens so every GPU's context stays complete. Each
-            // rank's contribution is its own lane of the arena.
+            // rank contributes a frame per token it holds.
             if self.mode.context_coherent() {
                 timed(fleet, &mut acc, |b| &mut b.imbalance, Lockstep::barrier);
-                let Plane { tables, wire, .. } = &mut *plane;
-                for (me, table) in tables.iter().enumerate() {
-                    for (row, head) in table.heads().iter().enumerate() {
-                        wire.emit(me, me, row, head.slot);
-                    }
-                }
-                wire.scatter(tables);
-                let contribs: Vec<&[u8]> = (0..w).map(|r| wire.lane(r, r)).collect();
+                let frame = plane.wire.frame();
+                let contribs: Vec<u64> = (plane.tables.iter())
+                    .map(|t| (t.len() * frame) as u64)
+                    .collect();
                 timed(
                     fleet,
                     &mut acc,
                     |b| &mut b.allgather,
-                    |fleet| fleet.all_gather_v(contribs),
+                    |fleet| fleet.all_gather_v(&contribs),
                 );
             }
 
@@ -849,9 +844,10 @@ impl Pass<'_> {
     }
 
     /// The Alltoall every token movement goes through: the copies emitted
-    /// since the last hop are scattered into the arena, the lanes travel,
-    /// and every rank's table becomes what arrived for it, in source-rank
-    /// order — behind the primaries it held back, if `hold_primaries`.
+    /// since the last hop are staged as lanes, the collective is charged
+    /// their bytes, and every rank's table becomes what arrived for it, in
+    /// source-rank order — behind the primaries it held back, if
+    /// `hold_primaries`.
     /// The Alltoall is a synchronization point: straggler wait at entry is
     /// attributed to `imbalance`, the collective's own cost to `alltoall`.
     fn exchange(
@@ -863,25 +859,14 @@ impl Pass<'_> {
     ) {
         let Plane { tables, wire, .. } = plane;
         wire.scatter(tables);
-        for table in tables.iter_mut() {
-            if hold_primaries {
-                table.retain_primaries();
-            } else {
-                table.clear();
-            }
-        }
         timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-        let delivered = timed(
+        timed(
             fleet,
             acc,
             |b| &mut b.alltoall,
-            |fleet| fleet.all_to_all_v(wire.lanes()),
+            |fleet| fleet.all_to_all_v(wire.lane_bytes()),
         );
-        for (table, lanes) in tables.iter_mut().zip(&delivered) {
-            for lane in lanes {
-                table.extend_from_lane(lane, wire.frame());
-            }
-        }
+        wire.deliver(tables, hold_primaries);
     }
 
     /// Expert FFN on rank `me`: the real reduced-dim kernel on every row

@@ -19,11 +19,11 @@
 //!   traffic never leaves the GPU (or at worst the node).
 //!
 //! The engine steps every rank of the fleet in lockstep on the calling
-//! thread (`exflow_collectives::Lockstep`), moves real token frames
-//! (flat per-rank tables scattered into one wire arena, see [`frame`]),
-//! executes real (reduced-dimension) expert FFN matmuls, and reports
-//! deterministic virtual-time breakdowns per operator — the quantities
-//! behind the paper's Figs. 6–10.
+//! thread (`exflow_collectives::Lockstep`), moves real token rows between
+//! flat per-rank tables while charging each copy its full frame of bytes
+//! (see [`frame`]), executes real (reduced-dimension) expert FFN matmuls,
+//! and reports deterministic virtual-time breakdowns per operator — the
+//! quantities behind the paper's Figs. 6–10.
 //!
 //! Beyond the paper's offline setting, the engine also serves
 //! **non-stationary** traffic: a scenario built with [`Scenario::with_drift`]

@@ -1,21 +1,11 @@
 //! Property-based tests for the engine layer.
 
 use exflow_core::commvolume::{uniform_crossing_fraction, System, VolumeParams};
-use exflow_core::frame::{decode, encode, frame_size, Token};
+use exflow_core::frame::frame_size;
 use exflow_core::json::Json;
 use exflow_core::WindowEvent;
 use proptest::prelude::*;
 use proptest::strategy::boxed;
-
-fn arb_token(dim: usize) -> impl Strategy<Value = Token> {
-    (0u32..10_000, 0u32..64, 0u32..8, 0u32..2).prop_map(move |(id, home, domain, slot)| Token {
-        id,
-        home,
-        domain,
-        slot,
-        emb: (0..dim).map(|i| (id as f32) * 0.01 + i as f32).collect(),
-    })
-}
 
 /// Finite floats over the whole bit space, salted with the values a
 /// text round trip is most likely to lose.
@@ -184,17 +174,6 @@ proptest! {
         let at = at % bytes.len();
         bytes[at] = byte;
         parsers_survive(&String::from_utf8_lossy(&bytes));
-    }
-
-    #[test]
-    fn frames_round_trip(
-        tokens in proptest::collection::vec(arb_token(8), 0..20),
-        width in 0u64..4096,
-    ) {
-        let frame = frame_size(width, 8);
-        let buf = encode(&tokens, frame);
-        prop_assert_eq!(buf.len(), tokens.len() * frame);
-        prop_assert_eq!(decode(&buf, frame), tokens);
     }
 
     #[test]
