@@ -36,11 +36,6 @@ impl SweepPool {
         }
     }
 
-    /// This pool's width.
-    pub fn jobs(&self) -> usize {
-        self.pool.current_num_threads()
-    }
-
     /// Run `op` with this pool's width installed: every [`par_map`] (and
     /// every parallel iterator) reached from `op` on this thread fans out
     /// across `jobs` workers.

@@ -11,9 +11,8 @@
 //! (determinism rule D004); collect, then fold sequentially.
 //!
 //! Unlike real rayon there is no global pool and the default width is 1:
-//! parallelism is strictly opt-in through [`ThreadPool::install`] (or the
-//! explicit [`ThreadPool::run_indexed`]), which keeps test timings and
-//! benchmark baselines reproducible. Panics from workers propagate to the
+//! parallelism is strictly opt-in through [`ThreadPool::install`], which
+//! keeps test timings and benchmark baselines reproducible. Panics from workers propagate to the
 //! caller exactly like `std::thread::scope` joins.
 
 use std::cell::Cell;
@@ -91,11 +90,6 @@ impl ThreadPool {
         ThreadPoolBuilder::new().num_threads(n).build()
     }
 
-    /// This pool's width.
-    pub fn current_num_threads(&self) -> usize {
-        self.num_threads
-    }
-
     /// Run `op` with this pool installed: parallel iterators created inside
     /// `op` (on this thread) use this pool's width. The previous width is
     /// restored on exit, even on panic.
@@ -109,16 +103,6 @@ impl ThreadPool {
         let prev = INSTALLED_THREADS.with(|t| t.replace(self.num_threads));
         let _restore = Restore(prev);
         op()
-    }
-
-    /// Deterministic indexed fan-out: compute `f(0..n)` on up to
-    /// `self.num_threads` workers and return the results in index order.
-    pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        run_indexed(n, self.num_threads, &f)
     }
 }
 
@@ -343,7 +327,8 @@ mod tests {
         let expected: Vec<usize> = (0..97).map(|i| i * i).collect();
         for threads in [1, 2, 3, 8] {
             let pool = ThreadPool::new(threads).unwrap();
-            let got = pool.run_indexed(97, |i| i * i);
+            let got: Vec<usize> =
+                pool.install(|| (0usize..97).into_par_iter().map(|i| i * i).collect());
             assert_eq!(got, expected, "width {threads}");
         }
     }
@@ -351,7 +336,7 @@ mod tests {
     #[test]
     fn run_indexed_empty_input() {
         let pool = ThreadPool::new(4).unwrap();
-        let got: Vec<usize> = pool.run_indexed(0, |i| i);
+        let got: Vec<usize> = pool.install(|| (0usize..0).into_par_iter().map(|i| i).collect());
         assert!(got.is_empty());
     }
 
@@ -362,9 +347,14 @@ mod tests {
         // barrier of 2 proves real concurrency without flakiness.
         let gate = std::sync::Barrier::new(2);
         let pool = ThreadPool::new(4).unwrap();
-        let got = pool.run_indexed(2, |i| {
-            gate.wait();
-            i
+        let got: Vec<usize> = pool.install(|| {
+            (0usize..2)
+                .into_par_iter()
+                .map(|i| {
+                    gate.wait();
+                    i
+                })
+                .collect()
         });
         assert_eq!(got, vec![0, 1]);
     }
@@ -373,11 +363,16 @@ mod tests {
     fn worker_panics_propagate() {
         let pool = ThreadPool::new(4).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run_indexed(16, |i| {
-                if i == 7 {
-                    panic!("task 7 failed");
-                }
-                i
+            pool.install(|| {
+                (0usize..16)
+                    .into_par_iter()
+                    .map(|i| {
+                        if i == 7 {
+                            panic!("task 7 failed");
+                        }
+                        i
+                    })
+                    .collect::<Vec<usize>>()
             })
         }));
         assert!(result.is_err(), "panic in a worker must reach the caller");
