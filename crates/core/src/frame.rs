@@ -157,7 +157,7 @@ impl Table {
 const TOP2_WEIGHTS: (f32, f32) = (0.7, 0.3);
 
 /// One copy of a token bound for a lane: row `row` of `src`'s table goes
-/// to `dst` with `slot` in its header.
+/// to `dst` with `slot` in its head.
 #[derive(Debug, Clone, Copy)]
 struct Outbound {
     src: u32,
