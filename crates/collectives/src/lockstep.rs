@@ -22,10 +22,9 @@ use crate::record::{CommRecord, Ledger, OpKind, OpTotals};
 /// collective completes once W threads have each called it, a `Lockstep`
 /// call *is* the collective: it takes every lane's byte count and applies
 /// the send / receive clock rules of [`crate::world`] to all W clocks and
-/// to the ledger. The caller runs each rank's compute
-/// between calls (`for rank in 0..w`) and charges it with
-/// [`Lockstep::advance`]. Clocks start at zero; totals accumulate for the
-/// value's life.
+/// to the ledger. The caller runs each rank's compute between calls
+/// (`for rank in 0..w`) and charges it with [`Lockstep::advance`]. Clocks
+/// start at zero; totals accumulate for the value's life.
 pub struct Lockstep {
     cluster: ClusterSpec,
     cost: CostModel,

@@ -625,20 +625,19 @@ struct RankResult {
 
 /// Run the collective `op` and charge each rank's clock movement across
 /// it to the breakdown field `slot` picks.
-fn timed<T>(
+fn timed(
     fleet: &mut Lockstep,
     acc: &mut [RankResult],
     slot: fn(&mut OpBreakdown) -> &mut f64,
-    op: impl FnOnce(&mut Lockstep) -> T,
-) -> T {
+    op: impl FnOnce(&mut Lockstep),
+) {
     for (r, a) in acc.iter_mut().enumerate() {
         a.entered = fleet.now(r);
     }
-    let out = op(fleet);
+    op(fleet);
     for (r, a) in acc.iter_mut().enumerate() {
         *slot(&mut a.breakdown) += fleet.now(r) - a.entered;
     }
-    out
 }
 
 impl Pass<'_> {
