@@ -18,7 +18,7 @@
 //! of one staging table and copies each row into the next place of its
 //! lane, in emission order, with the copy's slot in its head. The
 //! Alltoall is charged `copies × frame_size` per lane
-//! (`Wire::lane_bytes`), and `Wire::deliver` appends to every table the
+//! (`Wire::lane_bytes`, `every_lane_is_what_encode_returns`), and `Wire::deliver` appends to every table the
 //! lanes addressed to it in source-rank order — behind the primaries it
 //! held back, when asked to (`every_hop_delivers_the_naive_tables`).
 
@@ -410,6 +410,56 @@ mod tests {
                     );
                 }
                 prop_assert_eq!(fleet.totals(OpKind::Alltoall).sent, sent);
+            }
+        }
+
+        /// Each lane the Alltoall is charged is the length a frame
+        /// encoding of its copies has: after every scatter, entry
+        /// `src * w + dst` of `lane_bytes` is the copies emitted from
+        /// `src` to `dst` since the last scatter, times `frame_size` —
+        /// zero for an empty lane, nothing carried over from the hop
+        /// before — and a frame holds at least the head and the floats of
+        /// the row it stands for.
+        #[test]
+        fn every_lane_is_what_encode_returns(
+            w in 1usize..=8,
+            (dim, width) in (0usize..10, 0u64..160),
+            k in 1u32..=2,
+            hops in proptest::collection::vec(prop_oneof![Just(0usize), 0usize..=120], 2..6),
+            seed in 0u64..1_000_000,
+        ) {
+            let frame = frame_size(width, dim);
+            prop_assert!(frame >= HEADER + 4 * dim);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tables: Vec<Table> = (0..w).map(|_| Table::new(dim)).collect();
+            let mut wire = Wire::new(w, frame, dim);
+            for fresh in hops {
+                for id in 0..fresh as u32 {
+                    let head = Head { id, home: 0, domain: 0, slot: 0 };
+                    let emb: Vec<f32> = (0..dim).map(|_| rng.gen_range(-4.0..4.0f32)).collect();
+                    tables[rng.gen_range(0..w)].push(head, emb.into_iter());
+                }
+                let mut copies = vec![0u64; w * w];
+                for (src, table) in tables.iter().enumerate() {
+                    for row in 0..table.len() {
+                        for slot in 0..k {
+                            // Some rows send nothing, so lanes also empty.
+                            if rng.gen_range(0..3) == 0 {
+                                continue;
+                            }
+                            let dst = rng.gen_range(0..w);
+                            wire.emit(src, dst, row, slot);
+                            copies[src * w + dst] += 1;
+                        }
+                    }
+                }
+                wire.scatter(&tables);
+                let want: Vec<u64> = copies.iter().map(|&c| c * frame as u64).collect();
+                prop_assert_eq!(wire.lane_bytes(), &want[..], "a hop of {} fresh rows", fresh);
+                wire.deliver(&mut tables, false);
+                // Keep the tables small: the next hop starts from what
+                // this one delivered, its primaries only.
+                tables.iter_mut().for_each(Table::retain_primaries);
             }
         }
 

@@ -3,7 +3,10 @@
 use exflow_core::commvolume::{uniform_crossing_fraction, System, VolumeParams};
 use exflow_core::frame::frame_size;
 use exflow_core::json::Json;
-use exflow_core::WindowEvent;
+use exflow_core::{InferenceEngine, ParallelismMode, ReplicationPlan, Scenario, WindowEvent};
+use exflow_model::presets::moe_gpt_m;
+use exflow_model::GateKind;
+use exflow_topology::ClusterSpec;
 use proptest::prelude::*;
 use proptest::strategy::boxed;
 
@@ -236,5 +239,45 @@ proptest! {
         let p = uniform_crossing_fraction(g);
         prop_assert!((p - (1.0 - 1.0 / g as f64)).abs() < 1e-12);
         prop_assert!((0.0..1.0).contains(&p));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A token's row crosses the wire as a frame and comes home: whichever
+    /// mode, placement or replica set decides the lanes it takes, every
+    /// token's output is the same bits (`output_digest` folds each
+    /// token's embedding bits in id order), so no hop drops, reorders or
+    /// alters a row.
+    #[test]
+    fn frames_round_trip(
+        (nodes, gpn) in (1usize..=2, prop_oneof![Just(1usize), Just(2), Just(4)]),
+        layers in 2usize..=5,
+        top2 in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let mut model = moe_gpt_m(8);
+        model.n_layers = layers;
+        if top2 == 1 {
+            model = model.with_gate(GateKind::Top2);
+        }
+        let engine = InferenceEngine::builder(model, ClusterSpec::new(nodes, gpn).unwrap())
+            .requests_per_gpu(4)
+            .prompt_len(4)
+            .n_iterations(2)
+            .profile_tokens(500)
+            .placement_restarts(0)
+            .seed(seed)
+            .build();
+        let digest = |scenario: Scenario| engine.run_scenario(&scenario).expect_offline().output_digest;
+        let vanilla = digest(Scenario::offline(ParallelismMode::Vanilla));
+        for mode in ParallelismMode::ALL {
+            prop_assert_eq!(digest(Scenario::offline(mode)), vanilla, "{}", mode);
+            let base = engine.placement_for(mode).clone();
+            let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
+            let replicated = digest(Scenario::offline(mode).with_replication(plan));
+            prop_assert_eq!(replicated, vanilla, "{} replicated", mode);
+        }
     }
 }
