@@ -198,3 +198,196 @@ impl MigrationStats {
         self.time += event.migration_time;
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use exflow_model::presets::moe_gpt_m;
+    use exflow_model::{GateKind, RoutingModel, TokenBatch};
+    use exflow_placement::Parallelism;
+    use exflow_topology::ClusterSpec;
+
+    use crate::engine::OnlineConfig;
+
+    /// Window `window`'s traffic: one batch per generation iteration of
+    /// the engine's fleet, seeded by the window's global iteration index.
+    fn window_batches(
+        cfg: &EngineConfig,
+        routing: &RoutingModel,
+        window: usize,
+    ) -> Vec<TokenBatch> {
+        let w = cfg.cluster.world_size();
+        (0..cfg.n_iterations)
+            .map(|iter| {
+                let global_iter = (window * cfg.n_iterations + iter) as u64;
+                TokenBatch::sample(
+                    routing,
+                    &cfg.corpus,
+                    w * cfg.requests_per_gpu,
+                    cfg.model.gate.k(),
+                    cfg.seed
+                        .wrapping_mul(0x9e37_79b9)
+                        .wrapping_add(global_iter + 1),
+                )
+            })
+            .collect()
+    }
+
+    /// Drive `AdaptiveState` over every window of `drift` with nothing but
+    /// sampled traffic: `each` sees the plan live during the window and
+    /// the window's batches, then their top-1 paths are ingested and the
+    /// window closed. No engine pass runs.
+    pub(crate) fn drive<'e>(
+        engine: &'e InferenceEngine,
+        mode: ParallelismMode,
+        drift: &DriftSchedule,
+        mut each: impl FnMut(&ReplicationPlan, &[TokenBatch]),
+    ) -> AdaptiveState<'e> {
+        let start = ReplicationPlan::bare(engine.placement_for(mode).clone());
+        let mut state = AdaptiveState::new(engine, mode, drift, start);
+        for window in 0..drift.n_windows() {
+            let batches = window_batches(engine.config(), drift.model_at(window), window);
+            each(&state.live, &batches);
+            state.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
+            state.close_window(window);
+        }
+        state
+    }
+
+    /// The adaptive engine the re-plan contracts run on.
+    pub(crate) fn adaptive_engine(
+        gate: GateKind,
+        threads: usize,
+        online: OnlineConfig,
+    ) -> InferenceEngine {
+        let mut model = moe_gpt_m(8).with_gate(gate);
+        model.n_layers = 5;
+        InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
+            .requests_per_gpu(if gate.k() == 1 { 32 } else { 16 })
+            .n_iterations(2)
+            .prompt_len(8)
+            .profile_tokens(800)
+            .parallelism(Parallelism::new(threads))
+            .online(online)
+            .seed(11)
+            .build()
+    }
+
+    /// The re-plan knobs of the adaptive engine: every window checked, a
+    /// 0.08 drift threshold, an unlimited byte budget.
+    pub(crate) fn adaptive_online() -> OnlineConfig {
+        OnlineConfig {
+            replan_every: 1,
+            drift_threshold: 0.08,
+            migration_budget_bytes: u64::MAX,
+            decay: 0.3,
+            ..OnlineConfig::default()
+        }
+    }
+
+    /// One expert's fp16 payload in the adaptive engine's model.
+    pub(crate) fn bytes_per_expert() -> u64 {
+        let mut model = moe_gpt_m(8);
+        model.n_layers = 5;
+        model.expert_params() * 2
+    }
+
+    /// Every engine config the re-plan contracts drive, with its mode and
+    /// drift windows.
+    fn configs() -> Vec<(&'static str, InferenceEngine, ParallelismMode, usize)> {
+        let bpe = bytes_per_expert();
+        let cca = ParallelismMode::ContextCoherentAffinity;
+        let top1 = |online| adaptive_engine(GateKind::Top1, 1, online);
+        let base = adaptive_online();
+        vec![
+            ("adaptive", top1(base), cca, 6),
+            (
+                "8 threads",
+                adaptive_engine(GateKind::Top1, 8, base),
+                cca,
+                4,
+            ),
+            (
+                "no affinity",
+                top1(base),
+                ParallelismMode::ContextCoherent,
+                4,
+            ),
+            (
+                "4-move budget",
+                top1(OnlineConfig {
+                    migration_budget_bytes: 4 * bpe,
+                    ..base
+                }),
+                cca,
+                6,
+            ),
+            (
+                "6 replica slots",
+                top1(OnlineConfig {
+                    migration_budget_bytes: 24 * bpe,
+                    replica_memory_bytes: 6 * bpe,
+                    ..base
+                }),
+                cca,
+                6,
+            ),
+            (
+                "400-candidate scan",
+                top1(OnlineConfig {
+                    replan_time_budget: 400,
+                    ..base
+                }),
+                cca,
+                6,
+            ),
+            (
+                "top-2 replicas",
+                adaptive_engine(
+                    GateKind::Top2,
+                    1,
+                    OnlineConfig {
+                        replica_memory_bytes: 1 << 30,
+                        ..base
+                    },
+                ),
+                cca,
+                4,
+            ),
+        ]
+    }
+
+    #[test]
+    fn direct_drive_trajectories_are_reproducible() {
+        for (what, engine, mode, windows) in configs() {
+            let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, windows);
+            let a = drive(&engine, mode, &drift, |_, _| {});
+            let b = drive(&engine, mode, &drift, |_, _| {});
+            assert_eq!(a.drift.len(), windows, "{what}");
+            let bits = |s: &AdaptiveState| s.drift.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{what}: drift");
+            assert_eq!(a.replans, b.replans, "{what}: replans");
+            assert_eq!(a.migrations, b.migrations, "{what}: migrations");
+            assert_eq!(a.live, b.live, "{what}: live plan");
+            assert_eq!(a.replans.is_empty(), !mode.uses_affinity(), "{what}");
+
+            // The windowed loop ingests the same sampled paths whatever its
+            // passes do, so its ledgers are the direct drive's bit for bit.
+            let online = engine
+                .run_scenario(&crate::Scenario::offline(mode).with_drift(drift.clone()))
+                .expect_online();
+            let online_bits: Vec<u64> = online.drift.iter().map(|d| d.to_bits()).collect();
+            assert_eq!(online_bits, bits(&a), "{what}: windowed drift");
+            assert_eq!(online.replans, a.replans, "{what}: windowed replans");
+            assert_eq!(
+                online.migrations, a.migrations,
+                "{what}: windowed migrations"
+            );
+            assert_eq!(
+                online.final_extra_copies,
+                a.live.extra_copies_per_gpu() as u64,
+                "{what}: windowed replicas"
+            );
+        }
+    }
+}
