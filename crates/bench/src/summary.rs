@@ -1461,9 +1461,9 @@ pub fn replan_latency_table(_jobs: usize, seed: u64) -> Result<Vec<Json>, String
 /// Measure one `table_partial_replication` cell. Every re-plan races the
 /// one-per-node and everywhere fan-out policies from the *same* shared
 /// incumbent at equal budgets; the partial winner becomes the next
-/// incumbent. The engine leg runs the context-coherent online loop under
-/// the subset policy and verifies bit-identity at 1/2/8 solver threads
-/// and across gap backends.
+/// incumbent. The engine leg serves drifting requests through the
+/// context-coherent serving loop under the subset policy and verifies
+/// bit-identity at 1/2/8 solver threads and across gap backends.
 fn partial_replication_cell(e: usize, gate: GateKind, seed: u64) -> Result<Json, String> {
     let k = gate.k();
     let scenario = format!("E{e}/top{k}");
@@ -1561,17 +1561,17 @@ fn partial_replication_cell(e: usize, gate: GateKind, seed: u64) -> Result<Json,
         }
     }
 
-    // The engine leg: the context-coherent online loop dispatching with
-    // the meeting-point rule under the one-per-node policy, verified
-    // bit-identical at 1/2/8 solver threads and across gap backends.
+    // The engine leg: the context-coherent serving loop (256 requests,
+    // Poisson arrivals at the serving cells' load, batch cap and decode
+    // steps) dispatching with the meeting-point rule under the
+    // one-per-node policy, verified bit-identical at 1/2/8 solver threads
+    // and across gap backends.
     let cc_engine = |threads: usize, backend: GapBackend| {
         let mut model = moe_gpt_m(e).with_gate(gate);
         model.n_layers = if e <= 16 { 4 } else { 2 };
         model.d_ff = SERVING_D_FF;
         let engine_bpe = model.expert_params() * 2;
         InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
-            .requests_per_gpu(8)
-            .n_iterations(2)
             .prompt_len(4)
             .profile_tokens(400)
             .parallelism(Parallelism::new(threads))
@@ -1587,20 +1587,16 @@ fn partial_replication_cell(e: usize, gate: GateKind, seed: u64) -> Result<Json,
             .seed(seed ^ 0x77_aa_01)
             .build()
     };
-    let cc_windows = if e <= 16 { 4 } else { 3 };
-    let cc_run = |threads: usize, backend: GapBackend| {
-        let eng = cc_engine(threads, backend);
-        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, cc_windows);
-        eng.run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity).with_drift(drift),
-        )
-        .expect_online()
-    };
-    let baseline = at_widths(
-        &format!("{scenario}: context-coherent run"),
-        &[2, 8],
-        cc_run,
-    )?;
+    let mode = ParallelismMode::ContextCoherentAffinity;
+    let probe = cc_engine(1, GapBackend::Dense);
+    let (rate, _, config) = calibrate_serving(&probe, mode, SERVING_UTILIZATION, 256)?;
+    let drift = DriftSchedule::piecewise(&probe.config().routing_spec, 2, SERVING_WINDOWS);
+    let cc_scenario = Scenario::offline(mode)
+        .with_drift(drift)
+        .with_serving(config(ArrivalProcess::poisson(rate)));
+    let cc_run = |threads, backend| cc_engine(threads, backend).run_scenario(&cc_scenario);
+    let baseline =
+        at_widths(&format!("{scenario}: CC serving run"), &[2, 8], cc_run)?.expect_serving();
 
     Ok(Json::obj(vec![
         // Cell label (`E16/top1`, `E256/top2`, ...).
@@ -1645,16 +1641,16 @@ fn partial_replication_cell(e: usize, gate: GateKind, seed: u64) -> Result<Json,
         // Realized cross-unit transitions of the partial trajectory on the
         // window traces (set-semantics replica locality).
         ("realized_cross", realized_cross.into()),
-        // Replica copies the context-coherent engine run created under
+        // Replica copies the context-coherent serving run created under
         // the one-per-node policy (top-2 rows must not fall back to zero).
         (
             "cc_replicas_added",
             baseline.migrations.replicas_added.into(),
         ),
-        // GPU-local dispatch fraction of that engine run.
+        // GPU-local dispatch fraction of that serving run.
         (
             "cc_local_fraction",
-            Json::Fixed(baseline.dispatch().gpu_local_fraction(), 6),
+            Json::Fixed(baseline.dispatch.gpu_local_fraction(), 6),
         ),
     ]))
 }

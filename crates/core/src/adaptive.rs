@@ -1,9 +1,8 @@
-//! The adaptive control loop the windowed online run and the
-//! request-level serving run share: ingest realized expert paths, close a
-//! serving window (drift signal, cadence + threshold check, budgeted
-//! re-plan, re-anchor), and keep the ledgers both reports expose. Each
-//! surface decides only *when* a window ends and what a landed re-plan
-//! means for its own clock.
+//! The adaptive control loop of the request-level serving run: ingest
+//! realized expert paths, close a serving window (drift signal, cadence +
+//! threshold check, budgeted re-plan, re-anchor), and keep the ledgers the
+//! serving report exposes. The serving loop decides *when* a window ends
+//! and what a landed re-plan means for its clock.
 
 use std::sync::Arc;
 
@@ -254,7 +253,41 @@ pub(crate) mod tests {
         state
     }
 
-    /// The adaptive engine the re-plan contracts run on.
+    /// What a driven run leaves behind: the ledgers and the final plan.
+    #[derive(Debug, PartialEq)]
+    pub(crate) struct Trajectory {
+        pub(crate) drift: Vec<f64>,
+        pub(crate) replans: Vec<ReplanEvent>,
+        pub(crate) migrations: MigrationStats,
+        pub(crate) live: ReplicationPlan,
+    }
+
+    impl Trajectory {
+        /// Worst-case extra replica copies any GPU holds at the end.
+        pub(crate) fn extra_copies(&self) -> usize {
+            self.live.extra_copies_per_gpu()
+        }
+    }
+
+    /// Drive `engine` in `mode` over a two-phase piecewise drift of
+    /// `windows` windows.
+    pub(crate) fn trajectory(
+        engine: &InferenceEngine,
+        mode: ParallelismMode,
+        windows: usize,
+    ) -> Trajectory {
+        let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, windows);
+        let s = drive(engine, mode, &drift, |_, _| {});
+        Trajectory {
+            drift: s.drift,
+            replans: s.replans,
+            migrations: s.migrations,
+            live: Arc::unwrap_or_clone(s.live),
+        }
+    }
+
+    /// The adaptive engine the re-plan contracts run on: five layers of
+    /// eight experts on 2 x 2 GPUs.
     pub(crate) fn adaptive_engine(
         gate: GateKind,
         threads: usize,
@@ -360,34 +393,13 @@ pub(crate) mod tests {
     #[test]
     fn direct_drive_trajectories_are_reproducible() {
         for (what, engine, mode, windows) in configs() {
-            let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, windows);
-            let a = drive(&engine, mode, &drift, |_, _| {});
-            let b = drive(&engine, mode, &drift, |_, _| {});
+            let a = trajectory(&engine, mode, windows);
+            let b = trajectory(&engine, mode, windows);
             assert_eq!(a.drift.len(), windows, "{what}");
-            let bits = |s: &AdaptiveState| s.drift.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "{what}: drift");
-            assert_eq!(a.replans, b.replans, "{what}: replans");
-            assert_eq!(a.migrations, b.migrations, "{what}: migrations");
-            assert_eq!(a.live, b.live, "{what}: live plan");
+            let bits = |t: &Trajectory| t.drift.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{what}: drift bits");
+            assert_eq!(a, b, "{what}");
             assert_eq!(a.replans.is_empty(), !mode.uses_affinity(), "{what}");
-
-            // The windowed loop ingests the same sampled paths whatever its
-            // passes do, so its ledgers are the direct drive's bit for bit.
-            let online = engine
-                .run_scenario(&crate::Scenario::offline(mode).with_drift(drift.clone()))
-                .expect_online();
-            let online_bits: Vec<u64> = online.drift.iter().map(|d| d.to_bits()).collect();
-            assert_eq!(online_bits, bits(&a), "{what}: windowed drift");
-            assert_eq!(online.replans, a.replans, "{what}: windowed replans");
-            assert_eq!(
-                online.migrations, a.migrations,
-                "{what}: windowed migrations"
-            );
-            assert_eq!(
-                online.final_extra_copies,
-                a.live.extra_copies_per_gpu() as u64,
-                "{what}: windowed replicas"
-            );
         }
     }
 }

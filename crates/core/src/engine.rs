@@ -10,19 +10,17 @@ use rand::{Rng, SeedableRng};
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_collectives::{Lockstep, OpKind};
 use exflow_model::routing::AffinityModelSpec;
-use exflow_model::{
-    ComputeCostModel, CorpusSpec, DriftSchedule, Expert, ModelConfig, RoutingModel, TokenBatch,
-};
+use exflow_model::{ComputeCostModel, CorpusSpec, Expert, ModelConfig, RoutingModel, TokenBatch};
 use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
-use crate::adaptive::AdaptiveState;
 use crate::frame::{frame_size, Head, Table, Wire};
 use crate::modes::ParallelismMode;
-use crate::report::{fnv1a, DispatchStats, InferenceReport, OnlineReport, OpBreakdown, FNV_OFFSET};
+use crate::report::{fnv1a, DispatchStats, InferenceReport, OpBreakdown, FNV_OFFSET};
 
-/// Knobs of the online serving mode ([`crate::Scenario::with_drift`]):
+/// Knobs of re-placement under drift in the serving loop
+/// ([`crate::Scenario::with_serving`] with [`crate::Scenario::with_drift`]):
 /// when to check for routing drift, how much drift justifies a re-plan,
 /// how many bytes of expert weights one re-plan may migrate, and how much
 /// per-GPU memory (if any) re-plans may spend on expert replicas.
@@ -120,8 +118,8 @@ pub struct EngineConfig {
     /// purely a speed/memory knob; `Auto` picks CSR per gap once density
     /// drops below the sparse threshold (the large-expert regime).
     pub gap_backend: GapBackend,
-    /// Online re-planning knobs (consulted only by drift and serving
-    /// scenarios): re-plan cadence, drift threshold, migration byte
+    /// Online re-planning knobs (consulted only by serving scenarios):
+    /// re-plan cadence, drift threshold, migration byte
     /// budget, and estimator decay.
     pub online: OnlineConfig,
     /// Master seed.
@@ -265,8 +263,7 @@ pub struct InferenceEngine {
     /// Every expert's weights, `layer * n_experts + expert`; built by the
     /// first pass (see [`InferenceEngine::experts`]).
     experts: OnceLock<Vec<Expert>>,
-    /// Window 0's serving batches, which every offline pass runs; sampled
-    /// by the first (see [`InferenceEngine::offline_batches`]).
+    /// The batches every offline pass runs; sampled by the first (see [`InferenceEngine::offline_batches`]).
     offline_batches: OnceLock<Vec<TokenBatch>>,
 }
 
@@ -413,36 +410,31 @@ impl InferenceEngine {
 
     /// The batches every offline pass runs — [`Scenario::offline`],
     /// [`InferenceEngine::run_with_placement`], a replication scenario:
-    /// window 0 of the engine's own routing model. Like the expert table
-    /// they are a pure function of the config, so the first such pass
-    /// samples them and every later one reads them.
+    /// fresh routes per generation iteration from the engine's own routing
+    /// model, on seed streams disjoint from the profiling seed. Like the
+    /// expert table they are a pure function of the config, so the first
+    /// such pass samples them and every later one reads them.
     ///
     /// [`Scenario::offline`]: crate::Scenario::offline
     pub(crate) fn offline_batches(&self) -> &[TokenBatch] {
-        self.offline_batches
-            .get_or_init(|| self.serving_batches(&self.routing, 0))
-    }
-
-    /// Serving batches for one window: fresh routes per generation
-    /// iteration, from seed streams disjoint from the profiling seed (and
-    /// from every other window's streams).
-    pub(crate) fn serving_batches(&self, routing: &RoutingModel, window: usize) -> Vec<TokenBatch> {
-        let cfg = &self.cfg;
-        let w = cfg.cluster.world_size();
-        (0..cfg.n_iterations)
-            .map(|iter| {
-                let global_iter = (window * cfg.n_iterations + iter) as u64;
-                TokenBatch::sample(
-                    routing,
-                    &cfg.corpus,
-                    w * cfg.requests_per_gpu,
-                    cfg.model.gate.k(),
-                    cfg.seed
-                        .wrapping_mul(0x9e37_79b9)
-                        .wrapping_add(global_iter + 1),
-                )
-            })
-            .collect()
+        self.offline_batches.get_or_init(|| {
+            let cfg = &self.cfg;
+            let w = cfg.cluster.world_size();
+            (0..cfg.n_iterations)
+                .map(|iter| {
+                    let global_iter = iter as u64;
+                    TokenBatch::sample(
+                        &self.routing,
+                        &cfg.corpus,
+                        w * cfg.requests_per_gpu,
+                        cfg.model.gate.k(),
+                        cfg.seed
+                            .wrapping_mul(0x9e37_79b9)
+                            .wrapping_add(global_iter + 1),
+                    )
+                })
+                .collect()
+        })
     }
 
     /// One pass on a healthy fleet.
@@ -456,9 +448,9 @@ impl InferenceEngine {
     }
 
     /// Execute one pass over explicit batches, on the calling thread.
-    /// `ctx_offset` shifts the per-iteration context length (tokens
-    /// generated in earlier windows of an online run are part of every
-    /// later context). Batches may be any size: tokens spread round-robin
+    /// `ctx_offset` shifts the per-iteration context length (tokens a
+    /// serving step's requests generated in earlier steps are part of
+    /// their context). Batches may be any size: tokens spread round-robin
     /// over the ranks, so the request-level serving loop
     /// (`crate::serving`) can feed it continuous-batching pools of
     /// whatever occupancy the queue yields.
@@ -522,43 +514,6 @@ impl InferenceEngine {
             alltoall_bytes: fleet.totals(OpKind::Alltoall).sent,
             allgather_bytes: fleet.totals(OpKind::AllGather).sent,
             output_digest,
-        }
-    }
-
-    /// One windowed online run (the `run_scenario` drift path); see
-    /// [`crate::Scenario::with_drift`] for the full contract.
-    pub(crate) fn run_online_impl(
-        &self,
-        mode: ParallelismMode,
-        drift: &DriftSchedule,
-    ) -> OnlineReport {
-        let cfg = &self.cfg;
-        let start = ReplicationPlan::bare(self.placement_for(mode).clone());
-        let mut adaptive = AdaptiveState::new(self, mode, drift, start);
-        let mut windows = Vec::with_capacity(drift.n_windows());
-        let mut plane = self.plane();
-        for window in 0..drift.n_windows() {
-            let batches = self.serving_batches(drift.model_at(window), window);
-            windows.push(self.run_pass(
-                mode,
-                &adaptive.live,
-                &batches,
-                window * cfg.n_iterations,
-                &self.all_ranks,
-                &mut plane,
-            ));
-            adaptive.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
-            // Windows run back to back on the new plan: the migration is
-            // charged to the ledger, not to any window's clock.
-            adaptive.close_window(window);
-        }
-        OnlineReport {
-            mode,
-            windows,
-            drift: adaptive.drift,
-            replans: adaptive.replans,
-            migrations: adaptive.migrations,
-            final_extra_copies: adaptive.live.extra_copies_per_gpu() as u64,
         }
     }
 }
@@ -990,23 +945,19 @@ fn fold_outputs(digest: u64, iter: usize, tables: &[Table]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adaptive::tests::{
+        adaptive_engine, adaptive_online, bytes_per_expert, drive, trajectory,
+    };
+    use crate::report::ServingReport;
     use crate::scenario::Scenario;
+    use crate::serving::{BatchPolicy, ServingConfig};
     use exflow_model::presets::moe_gpt_m;
+    use exflow_model::{ArrivalProcess, DriftSchedule, GateKind};
 
     fn offline(engine: &InferenceEngine, mode: ParallelismMode) -> InferenceReport {
         engine
             .run_scenario(&Scenario::offline(mode))
             .expect_offline()
-    }
-
-    fn online(
-        engine: &InferenceEngine,
-        mode: ParallelismMode,
-        drift: &DriftSchedule,
-    ) -> OnlineReport {
-        engine
-            .run_scenario(&Scenario::offline(mode).with_drift(drift.clone()))
-            .expect_online()
     }
 
     fn replicated(
@@ -1205,14 +1156,14 @@ mod tests {
         let cfg = engine.config();
         let mode = ParallelismMode::ContextCoherentAffinity;
         let plan = ReplicationPlan::bare(engine.placement_for(mode).clone());
-        let batches = engine.serving_batches(engine.routing(), 0);
+        let batches = engine.offline_batches();
         let pass = Pass {
             cfg,
             experts: engine.experts(),
             mode,
             plan: &plan,
             live_ranks: engine.all_ranks(),
-            batches: &batches,
+            batches,
             ctx_offset: 0,
         };
         // A dispatch that ignored the placement: rank 0 is handed the
@@ -1272,43 +1223,63 @@ mod tests {
         );
     }
 
-    fn online_engine(threads: usize) -> InferenceEngine {
-        let mut model = moe_gpt_m(8);
-        model.n_layers = 5;
-        InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
-            .requests_per_gpu(32)
-            .n_iterations(2)
-            .prompt_len(8)
-            .profile_tokens(800)
-            .parallelism(Parallelism::new(threads))
-            .online(OnlineConfig {
-                replan_every: 1,
-                drift_threshold: 0.08,
-                migration_budget_bytes: u64::MAX,
-                decay: 0.3,
-                ..OnlineConfig::default()
-            })
-            .seed(11)
-            .build()
+    /// The adaptive top-1 engine under `online`, on one solver thread.
+    fn online_engine(online: OnlineConfig) -> InferenceEngine {
+        adaptive_engine(GateKind::Top1, 1, online)
     }
 
-    fn online_drift(engine: &InferenceEngine, windows: usize) -> DriftSchedule {
-        DriftSchedule::piecewise(&engine.config().routing_spec, 2, windows)
+    /// Serve 160 requests of six-window two-phase piecewise drift at 80 %
+    /// of full-batch capacity (Poisson arrivals, 4 decode steps) in the
+    /// full ExFlow mode, on five layers of eight narrow experts (small
+    /// payloads, so re-plan copies land well inside a window).
+    fn serve_drift(gate: GateKind, online: OnlineConfig) -> ServingReport {
+        const DECODE_STEPS: usize = 4;
+        const N_REQUESTS: usize = 160;
+        const WINDOWS: usize = 6;
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let mut model = moe_gpt_m(8).with_gate(gate);
+        model.n_layers = 5;
+        model.d_ff = 128;
+        let engine = InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
+            .requests_per_gpu(8)
+            .prompt_len(8)
+            .profile_tokens(800)
+            .online(online)
+            .seed(11)
+            .build();
+        let batch = engine.config().cluster.world_size() * engine.config().requests_per_gpu;
+        let step = engine.probe_step_time(mode, batch);
+        let rate = 0.8 * batch as f64 / (DECODE_STEPS as f64 * step);
+        let serving = ServingConfig {
+            arrival: ArrivalProcess::poisson(rate),
+            n_requests: N_REQUESTS,
+            decode_steps: DECODE_STEPS,
+            batch: BatchPolicy::SizeOrWait {
+                max_size: batch,
+                max_wait: 2.0 * step,
+            },
+            window_duration: N_REQUESTS as f64 / rate / WINDOWS as f64,
+        };
+        let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, WINDOWS);
+        engine
+            .run_scenario(
+                &Scenario::offline(mode)
+                    .with_drift(drift)
+                    .with_serving(serving),
+            )
+            .expect_serving()
     }
 
     #[test]
     fn online_adaptation_beats_static_placement_under_drift() {
-        let engine = online_engine(1);
-        let drift = online_drift(&engine, 6);
-        let adaptive = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
+        let adaptive = serve_drift(GateKind::Top1, adaptive_online());
         // Static baseline: infinite threshold never re-plans.
-        let mut static_cfg = engine.config().clone();
-        static_cfg.online.drift_threshold = f64::INFINITY;
-        let static_engine = InferenceEngine::from_config(static_cfg);
-        let fixed = online(
-            &static_engine,
-            ParallelismMode::ContextCoherentAffinity,
-            &drift,
+        let fixed = serve_drift(
+            GateKind::Top1,
+            OnlineConfig {
+                drift_threshold: f64::INFINITY,
+                ..adaptive_online()
+            },
         );
         assert!(
             adaptive.migrations.replans > 0,
@@ -1316,18 +1287,17 @@ mod tests {
         );
         assert_eq!(fixed.migrations.replans, 0);
         assert!(
-            adaptive.dispatch().gpu_local_fraction() > fixed.dispatch().gpu_local_fraction(),
+            adaptive.dispatch.gpu_local_fraction() > fixed.dispatch.gpu_local_fraction(),
             "adaptive {} vs static {}",
-            adaptive.dispatch().gpu_local_fraction(),
-            fixed.dispatch().gpu_local_fraction()
+            adaptive.dispatch.gpu_local_fraction(),
+            fixed.dispatch.gpu_local_fraction()
         );
     }
 
     #[test]
     fn online_drift_signal_spikes_at_the_phase_boundary() {
-        let engine = online_engine(1);
-        let drift = online_drift(&engine, 6);
-        let report = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
+        let engine = online_engine(adaptive_online());
+        let report = trajectory(&engine, ParallelismMode::ContextCoherentAffinity, 6);
         assert_eq!(report.drift.len(), 6);
         // The phase flips after window 2 (6 windows, 2 phases): the
         // signal at window 3 dwarfs the in-phase sampling noise before it.
@@ -1344,19 +1314,18 @@ mod tests {
             report.migrations.bytes.total(),
             report.replans.iter().map(|r| r.bytes_moved).sum::<u64>()
         );
-        assert!(report.total_time() > 0.0 && report.throughput() > 0.0);
+        let time: f64 = report.replans.iter().map(|r| r.migration_time).sum();
+        assert_eq!(time.to_bits(), report.migrations.time.to_bits());
     }
 
     #[test]
     fn online_budget_caps_bytes_per_replan() {
-        let engine = online_engine(1);
-        let bytes_per_expert = engine.config().model.expert_params() * 2;
-        let budget = 4 * bytes_per_expert;
-        let mut cfg = engine.config().clone();
-        cfg.online.migration_budget_bytes = budget;
-        let capped = InferenceEngine::from_config(cfg);
-        let drift = online_drift(&capped, 6);
-        let report = online(&capped, ParallelismMode::ContextCoherentAffinity, &drift);
+        let budget = 4 * bytes_per_expert();
+        let capped = online_engine(OnlineConfig {
+            migration_budget_bytes: budget,
+            ..adaptive_online()
+        });
+        let report = trajectory(&capped, ParallelismMode::ContextCoherentAffinity, 6);
         assert!(report.migrations.replans > 0);
         for replan in &report.replans {
             assert!(
@@ -1371,13 +1340,12 @@ mod tests {
 
     #[test]
     fn online_runs_are_thread_count_invariant() {
-        let seq = online_engine(1);
-        let drift = online_drift(&seq, 4);
-        let a = online(&seq, ParallelismMode::ContextCoherentAffinity, &drift);
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let a = trajectory(&online_engine(adaptive_online()), mode, 4);
+        assert!(a.migrations.replans > 0);
         for threads in [2, 8] {
-            let par = online_engine(threads);
-            let b = online(&par, ParallelismMode::ContextCoherentAffinity, &drift);
-            assert_eq!(a, b, "{threads} threads diverged");
+            let par = adaptive_engine(GateKind::Top1, threads, adaptive_online());
+            assert_eq!(trajectory(&par, mode, 4), a, "{threads} threads diverged");
         }
     }
 
@@ -1412,20 +1380,20 @@ mod tests {
 
     #[test]
     fn replication_aware_online_run_churns_replicas_within_budget() {
-        let bytes_per_expert = online_engine(1).config().model.expert_params() * 2;
+        let bpe = bytes_per_expert();
         let slots = 6u64;
-        let mut cfg = online_engine(1).config().clone();
-        cfg.online.replica_memory_bytes = slots * bytes_per_expert;
-        cfg.online.migration_budget_bytes = 24 * bytes_per_expert;
-        let engine = InferenceEngine::from_config(cfg);
-        let drift = online_drift(&engine, 6);
-        let report = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
+        let engine = online_engine(OnlineConfig {
+            replica_memory_bytes: slots * bpe,
+            migration_budget_bytes: 24 * bpe,
+            ..adaptive_online()
+        });
+        let report = trajectory(&engine, ParallelismMode::ContextCoherentAffinity, 6);
         assert!(report.migrations.replans > 0, "drift must trigger re-plans");
         assert!(
             report.migrations.replicas_added > 0,
             "the joint budget must buy at least one replica under drift"
         );
-        assert!(report.final_extra_copies <= slots);
+        assert!(report.extra_copies() as u64 <= slots);
         for replan in &report.replans {
             assert!(
                 replan.bytes_moved <= replan.budget_bytes,
@@ -1444,53 +1412,49 @@ mod tests {
 
     #[test]
     fn replication_beats_owner_moves_only_at_equal_migration_budget() {
-        let bytes_per_expert = online_engine(1).config().model.expert_params() * 2;
-        let budget = 8 * bytes_per_expert;
-        let run = |replica_memory: u64| {
-            let mut cfg = online_engine(1).config().clone();
-            cfg.online.migration_budget_bytes = budget;
-            cfg.online.replica_memory_bytes = replica_memory;
-            let engine = InferenceEngine::from_config(cfg);
-            let drift = online_drift(&engine, 6);
-            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
+        // Locality of each window's top-1 paths under the plan live during
+        // that window (a replicated hop is local if any holder sits where
+        // the token is).
+        let budget = 8 * bytes_per_expert();
+        let local_fraction = |replica_memory: u64| {
+            let engine = online_engine(OnlineConfig {
+                migration_budget_bytes: budget,
+                replica_memory_bytes: replica_memory,
+                ..adaptive_online()
+            });
+            let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, 6);
+            let (mut local, mut hops) = (0u64, 0u64);
+            let mode = ParallelismMode::ContextCoherentAffinity;
+            let end = drive(&engine, mode, &drift, |live, batches| {
+                for batch in batches {
+                    let trace = RoutingTrace::from_batch(batch, engine.config().model.n_experts);
+                    let loc = live.trace_locality(&trace);
+                    (local, hops) = (local + loc.local, hops + loc.transitions);
+                }
+            });
+            (local as f64 / hops as f64, end.live.extra_copies_per_gpu())
         };
-        let owner_only = run(0);
-        let joint = run(8 * bytes_per_expert);
-        assert_eq!(owner_only.final_extra_copies, 0);
+        let (owner_only, owner_copies) = local_fraction(0);
+        let (joint, _) = local_fraction(8 * bytes_per_expert());
+        assert_eq!(owner_copies, 0);
         assert!(
-            joint.dispatch().gpu_local_fraction() > owner_only.dispatch().gpu_local_fraction(),
-            "joint {} vs owner-only {}",
-            joint.dispatch().gpu_local_fraction(),
-            owner_only.dispatch().gpu_local_fraction()
+            joint > owner_only,
+            "joint {joint} vs owner-only {owner_only}"
         );
     }
 
     #[test]
     fn cc_top2_replication_serves_secondaries_from_replicas() {
-        // Context-coherent top-2 no longer falls back to owner moves:
+        // Context-coherent top-2 does not fall back to owner moves:
         // primaries stay pinned to the owner (the route-derivable
         // secondary-merge meeting point) while secondaries serve from
         // replica holders, so a replica budget buys real locality.
-        use exflow_model::GateKind;
         let run = |replica_memory: u64| {
-            let mut model = moe_gpt_m(8).with_gate(GateKind::Top2);
-            model.n_layers = 5;
-            let engine = InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
-                .requests_per_gpu(16)
-                .n_iterations(2)
-                .prompt_len(8)
-                .profile_tokens(800)
-                .online(OnlineConfig {
-                    replan_every: 1,
-                    drift_threshold: 0.08,
-                    decay: 0.3,
-                    replica_memory_bytes: replica_memory,
-                    ..OnlineConfig::default()
-                })
-                .seed(11)
-                .build();
-            let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, 4);
-            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
+            let online = OnlineConfig {
+                replica_memory_bytes: replica_memory,
+                ..adaptive_online()
+            };
+            serve_drift(GateKind::Top2, online)
         };
         let owner_only = run(0);
         let with_budget = run(1 << 30);
@@ -1499,19 +1463,17 @@ mod tests {
             "a generous replica budget must buy at least one replica"
         );
         assert!(
-            with_budget.dispatch().gpu_local_fraction()
-                > owner_only.dispatch().gpu_local_fraction(),
+            with_budget.dispatch.gpu_local_fraction() > owner_only.dispatch.gpu_local_fraction(),
             "replicas {} vs owner-only {}",
-            with_budget.dispatch().gpu_local_fraction(),
-            owner_only.dispatch().gpu_local_fraction()
+            with_budget.dispatch.gpu_local_fraction(),
+            owner_only.dispatch.gpu_local_fraction()
         );
     }
 
     #[test]
     fn replan_events_report_consistent_solver_costs() {
-        let engine = online_engine(1);
-        let drift = online_drift(&engine, 6);
-        let report = online(&engine, ParallelismMode::ContextCoherentAffinity, &drift);
+        let engine = online_engine(adaptive_online());
+        let report = trajectory(&engine, ParallelismMode::ContextCoherentAffinity, 6);
         assert!(report.migrations.replans > 0);
         for replan in &report.replans {
             let c = replan.solver_cost;
@@ -1527,11 +1489,11 @@ mod tests {
     #[test]
     fn replan_time_budget_truncates_deterministically() {
         let run = |scan_budget: u64| {
-            let mut cfg = online_engine(1).config().clone();
-            cfg.online.replan_time_budget = scan_budget;
-            let engine = InferenceEngine::from_config(cfg);
-            let drift = online_drift(&engine, 6);
-            online(&engine, ParallelismMode::ContextCoherentAffinity, &drift)
+            let engine = online_engine(OnlineConfig {
+                replan_time_budget: scan_budget,
+                ..adaptive_online()
+            });
+            trajectory(&engine, ParallelismMode::ContextCoherentAffinity, 6)
         };
         let tight = run(400);
         let again = run(400);
@@ -1551,9 +1513,8 @@ mod tests {
 
     #[test]
     fn online_without_affinity_mode_never_migrates() {
-        let engine = online_engine(1);
-        let drift = online_drift(&engine, 4);
-        let report = online(&engine, ParallelismMode::ContextCoherent, &drift);
+        let engine = online_engine(adaptive_online());
+        let report = trajectory(&engine, ParallelismMode::ContextCoherent, 4);
         assert_eq!(report.migrations.replans, 0);
         assert!(report.replans.is_empty());
         assert_eq!(report.migrations.bytes.total(), 0);
@@ -1703,7 +1664,7 @@ mod tests {
 
         // Swap the weights of one expert a token certainly visits: the
         // first token's layer-0 expert.
-        let visited = engine.serving_batches(engine.routing(), 0)[0].route(0, 0)[0] as usize;
+        let visited = engine.offline_batches()[0].route(0, 0)[0] as usize;
         let sim_dim = engine.config().model.sim_dim;
         let mut table = engine.experts().to_vec();
         table[visited] = Expert::random(sim_dim, 4 * sim_dim, &mut StdRng::seed_from_u64(0));

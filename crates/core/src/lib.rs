@@ -25,22 +25,20 @@
 //! and reports deterministic virtual-time breakdowns per operator — the
 //! quantities behind the paper's Figs. 6–10.
 //!
-//! Beyond the paper's offline setting, the engine also serves
-//! **non-stationary** traffic: a scenario built with [`Scenario::with_drift`]
-//! maintains a decayed streaming affinity estimate of the live routing,
-//! detects drift against the estimate the current placement was solved
-//! for, and executes budgeted incremental re-placements (expert-weight
-//! migrations priced on the cluster's links) between serving windows —
-//! configured by [`OnlineConfig`] via `EngineConfig::online`.
-//!
-//! On top of that sits the **request-level serving front-end**
-//! ([`serving`]): [`Scenario::with_serving`] drives a deterministic
-//! discrete-event loop over a seeded arrival process
+//! Beyond the paper's offline setting sits the **request-level serving
+//! front-end** ([`serving`]): [`Scenario::with_serving`] drives a
+//! deterministic discrete-event loop over a seeded arrival process
 //! (`exflow_model::arrival`), queues requests, assembles decode batches
 //! under a pluggable [`BatchPolicy`] with continuous batching, and reports
 //! p50/p95/p99 request latency, goodput, queue-depth and batch-occupancy
-//! trajectories in a [`ServingReport`] — with the online mode's
-//! drift-triggered re-placement interleaved into serving time.
+//! trajectories in a [`ServingReport`]. Layered with
+//! [`Scenario::with_drift`], the loop serves **non-stationary** traffic:
+//! it maintains a decayed streaming affinity estimate of the live routing,
+//! detects drift against the estimate the current placement was solved
+//! for, and executes budgeted incremental re-placements (expert-weight
+//! migrations priced on the cluster's links, overlapped with serving) at
+//! window boundaries — configured by [`OnlineConfig`] via
+//! `EngineConfig::online`.
 //!
 //! All of these paths share one front door: [`Scenario`] names a run's
 //! mode plus its optional drift, serving, fault, and replication layers,
@@ -96,8 +94,8 @@ pub use exflow_placement::{
 };
 pub use modes::ParallelismMode;
 pub use report::{
-    DisruptionStats, FaultMarker, InferenceReport, MigrationStats, OnlineReport, OpBreakdown,
-    ReplanEvent, ServingReport, RECOVERY_WINDOW,
+    DisruptionStats, FaultMarker, InferenceReport, MigrationStats, OpBreakdown, ReplanEvent,
+    ServingReport, RECOVERY_WINDOW,
 };
 pub use scenario::{Scenario, ScenarioReport};
 pub use serving::{BatchPolicy, ServingConfig, MIGRATION_CONTENTION};

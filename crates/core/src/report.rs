@@ -156,7 +156,7 @@ impl InferenceReport {
     }
 }
 
-/// Aggregate expert-weight migration accounting for an online run.
+/// Aggregate expert-weight migration accounting for a serving run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MigrationStats {
     /// Re-plan events that moved at least one expert (or churned a
@@ -171,9 +171,8 @@ pub struct MigrationStats {
     pub replicas_dropped: u64,
     /// Migrated bytes, bucketed by link class.
     pub bytes: BytesByClass,
-    /// Virtual time the weight copies occupy the links: the windowed
-    /// online mode stalls for it, the request-level serving loop overlaps
-    /// it with decode steps (contention-priced).
+    /// Virtual time the weight copies occupy the links; the serving loop
+    /// overlaps it with decode steps (contention-priced).
     pub time: f64,
 }
 
@@ -243,71 +242,10 @@ pub struct DisruptionStats {
     pub faults: Vec<FaultMarker>,
 }
 
-/// Result of one windowed online run (`Scenario::with_drift`): the
-/// per-window inference reports plus the drift trajectory and every
-/// migration the incremental re-placement engine executed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineReport {
-    /// Mode that produced this report.
-    pub mode: ParallelismMode,
-    /// One report per serving window, in window order.
-    pub windows: Vec<InferenceReport>,
-    /// Drift signal after each window (same length as `windows`).
-    pub drift: Vec<f64>,
-    /// Re-plans that moved experts, in firing order.
-    pub replans: Vec<ReplanEvent>,
-    /// Aggregate migration accounting.
-    pub migrations: MigrationStats,
-    /// Worst-case extra replica copies any GPU holds at the end of the
-    /// run (the `ReplicationPlan::extra_copies_per_gpu` convention; 0
-    /// when replication is disabled).
-    pub final_extra_copies: u64,
-}
-
-impl OnlineReport {
-    /// Total virtual time: serving windows plus migration stalls.
-    pub fn total_time(&self) -> f64 {
-        self.windows.iter().map(|w| w.total_time).sum::<f64>() + self.migrations.time
-    }
-
-    /// Tokens generated across all windows.
-    pub fn tokens_processed(&self) -> u64 {
-        self.windows.iter().map(|w| w.tokens_processed).sum()
-    }
-
-    /// End-to-end throughput including migration stalls.
-    pub fn throughput(&self) -> f64 {
-        let t = self.total_time();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.tokens_processed() as f64 / t
-        }
-    }
-
-    /// Dispatch locality counters merged over all windows.
-    pub fn dispatch(&self) -> DispatchStats {
-        let mut d = DispatchStats::default();
-        for w in &self.windows {
-            d.merge(&w.dispatch);
-        }
-        d
-    }
-
-    /// Alltoall bytes sent, merged over all windows.
-    pub fn alltoall_bytes(&self) -> BytesByClass {
-        let mut b = BytesByClass::default();
-        for w in &self.windows {
-            b.merge(&w.alltoall_bytes);
-        }
-        b
-    }
-}
-
 /// Result of one request-level serving run
 /// (`Scenario::with_serving`): per-request tail latency, queueing
-/// and batching trajectories, plus the same drift/re-plan accounting the
-/// windowed online mode reports.
+/// and batching trajectories, plus the drift trajectory and every re-plan
+/// and migration the adaptive re-placement executed.
 ///
 /// Latency percentiles are nearest-rank over the sorted per-request
 /// latencies, so `p50() <= p95() <= p99()` holds by construction:

@@ -9,16 +9,15 @@
 //! * A bare scenario runs the offline generation benchmark.
 //! * `with_replication` alone runs the offline benchmark with the plan's
 //!   base placement and replica sets.
-//! * `with_drift` alone runs the windowed online loop (drift detection +
-//!   budgeted re-placement between windows).
 //! * `with_serving` runs the request-level discrete-event loop; a drift
 //!   schedule is optional (stationary traffic otherwise), a fault
 //!   schedule is optional (no fleet churn otherwise), and a replication
 //!   plan seeds the placement the loop starts from — the replicas
 //!   emergency failover draws on.
-//! * `with_faults` requires `with_serving`: fleet churn is an event-loop
-//!   phenomenon, so there is nothing for a windowed or offline run to do
-//!   with it.
+//! * `with_drift` and `with_faults` require `with_serving`: drift
+//!   detection, re-placement and fleet churn all happen between serving
+//!   windows of the event loop, so there is nothing for an offline run
+//!   to do with them.
 //!
 //! ```
 //! use exflow_core::{InferenceEngine, ParallelismMode, Scenario};
@@ -38,11 +37,12 @@ use exflow_placement::ReplicationPlan;
 
 use crate::engine::InferenceEngine;
 use crate::modes::ParallelismMode;
-use crate::report::{InferenceReport, OnlineReport, ServingReport};
+use crate::report::{InferenceReport, ServingReport};
 use crate::serving::ServingConfig;
 
 /// One run's full specification: mode plus the optional layers that turn
-/// an offline benchmark into an online, serving, or faulted run. Built
+/// an offline benchmark into a serving run, with or without drift and
+/// faults. Built
 /// with [`Scenario::offline`] and the `with_*` methods; executed by
 /// [`InferenceEngine::run_scenario`].
 #[derive(Debug, Clone)]
@@ -50,7 +50,8 @@ pub struct Scenario {
     /// Execution mode every layer runs under.
     pub mode: ParallelismMode,
     /// Non-stationary traffic: serving windows drawn from this schedule,
-    /// with drift detection and budgeted re-placement between them.
+    /// with drift detection and budgeted re-placement between them;
+    /// requires `serving`.
     pub drift: Option<DriftSchedule>,
     /// Request-level serving front-end (arrivals, queueing, continuous
     /// batching).
@@ -76,38 +77,25 @@ impl Scenario {
         }
     }
 
-    /// Serve non-stationary traffic drawn from `drift`: one window per
-    /// entry of the schedule, maintaining a streaming affinity estimate
-    /// of the live traffic and incrementally re-placing experts when the
-    /// estimate drifts from the one the current placement was solved
-    /// against. (Under [`Scenario::with_serving`] the same re-plan logic
-    /// runs inside the request-level event loop instead.)
+    /// Serve non-stationary traffic drawn from `drift` (requires
+    /// [`Scenario::with_serving`]): the serving loop's windows draw
+    /// requests from the schedule's windows, maintain a streaming affinity
+    /// estimate of the live routing, and incrementally re-place experts
+    /// when the estimate drifts from the one the current placement was
+    /// solved against.
     ///
-    /// Per window: serve `EngineConfig::n_iterations` generation
-    /// iterations from the window's routing model, fold the realized
-    /// routing paths into the decayed `StreamingAffinity` estimate, and
-    /// compute the drift signal. Every `OnlineConfig::replan_every`
-    /// windows, if the drift exceeds `OnlineConfig::drift_threshold` (and
-    /// `mode` uses affinity placement at all), a budgeted incremental
-    /// re-placement runs from the incumbent and the resulting
-    /// `MigrationPlan` is executed over the simulated collectives before
-    /// the next window starts.
-    ///
-    /// Every re-plan migrates at most
+    /// At every `OnlineConfig::replan_every`-th window boundary, if the
+    /// drift exceeds `OnlineConfig::drift_threshold` (and `mode` uses
+    /// affinity placement at all), a budgeted incremental re-placement
+    /// runs from the incumbent, migrating at most
     /// `OnlineConfig::migration_budget_bytes`. With
-    /// `OnlineConfig::replica_memory_bytes > 0` the
-    /// re-plan is **replication-aware**: it may also add or drop expert
-    /// replicas onto one-GPU-per-node subsets (`solve_budgeted_replicated_metered`
-    /// races subset selection against full fan-out and owner-move descent
-    /// under the joint budget), replica
-    /// fan-out traffic to the selected subset is priced into the same
-    /// migration budget, and dispatch serves replicated experts from the
-    /// token's own GPU — or a same-node holder — whenever the subset
-    /// covers one. Context-coherent top-2 joins in: primaries always run
-    /// on the owner (the route-derivable secondary-merge meeting point),
-    /// secondaries serve from replicas. The whole run is a pure function
-    /// of (config, drift schedule): bit-identical at any parallelism
-    /// width, and cadence-invariant whenever no re-plan fires.
+    /// `OnlineConfig::replica_memory_bytes > 0` the re-plan is
+    /// **replication-aware**: it may also add or drop expert replicas on
+    /// one-GPU-per-node subsets, priced into the same budget, and dispatch
+    /// serves replicated experts from the token's own GPU — or a same-node
+    /// holder — whenever the subset covers one. Context-coherent top-2
+    /// joins in: primaries always run on the owner (the route-derivable
+    /// secondary-merge meeting point), secondaries serve from replicas.
     pub fn with_drift(mut self, drift: DriftSchedule) -> Self {
         self.drift = Some(drift);
         self
@@ -144,8 +132,6 @@ impl Scenario {
 pub enum ScenarioReport {
     /// An offline generation benchmark (with or without replication).
     Offline(InferenceReport),
-    /// A windowed online run.
-    Online(OnlineReport),
     /// A request-level serving run.
     Serving(ServingReport),
 }
@@ -157,15 +143,6 @@ impl ScenarioReport {
         match self {
             ScenarioReport::Offline(r) => r,
             other => panic!("scenario did not run offline: {other:?}"),
-        }
-    }
-
-    /// The windowed online report, panicking if the scenario dispatched
-    /// elsewhere.
-    pub fn expect_online(self) -> OnlineReport {
-        match self {
-            ScenarioReport::Online(r) => r,
-            other => panic!("scenario did not run the windowed online loop: {other:?}"),
         }
     }
 
@@ -187,8 +164,7 @@ impl InferenceEngine {
     /// # Panics
     ///
     /// If the scenario composes layers that have no execution path:
-    /// faults without serving, or a replication plan under the windowed
-    /// (non-serving) drift loop.
+    /// drift or faults without serving.
     pub fn run_scenario(&self, scenario: &Scenario) -> ScenarioReport {
         let mode = scenario.mode;
         if let Some(serving) = &scenario.serving {
@@ -218,17 +194,13 @@ impl InferenceEngine {
             ));
         }
         assert!(
+            scenario.drift.is_none(),
+            "drift schedules require the serving front-end (add with_serving)"
+        );
+        assert!(
             scenario.faults.is_none(),
             "fault schedules require the serving front-end (add with_serving)"
         );
-        if let Some(drift) = &scenario.drift {
-            assert!(
-                scenario.replication.is_none(),
-                "explicit replication plans are a serving/offline layer; the windowed \
-                 online loop manages its own (set `OnlineConfig::replica_memory_bytes`)"
-            );
-            return ScenarioReport::Online(self.run_online_impl(mode, drift));
-        }
         if let Some(plan) = &scenario.replication {
             return ScenarioReport::Offline(self.run_once(mode, plan, self.offline_batches()));
         }
@@ -299,16 +271,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "explicit replication plans are a serving/offline layer")]
-    fn replication_under_the_windowed_loop_is_rejected() {
+    #[should_panic(expected = "drift schedules require the serving front-end")]
+    fn drift_without_serving_is_rejected() {
         let eng = engine();
-        let mode = ParallelismMode::ContextCoherentAffinity;
-        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 1, 1);
-        let plan = ReplicationPlan::bare(eng.placement_for(mode).clone());
+        let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, 4);
         let _ = eng.run_scenario(
-            &Scenario::offline(mode)
-                .with_drift(drift)
-                .with_replication(plan),
+            &Scenario::offline(ParallelismMode::ContextCoherentAffinity).with_drift(drift),
         );
     }
 
@@ -316,12 +284,6 @@ mod tests {
     #[should_panic(expected = "scenario did not run offline")]
     fn expect_offline_rejects_another_path() {
         let _ = ScenarioReport::Serving(ServingReport::default()).expect_offline();
-    }
-
-    #[test]
-    #[should_panic(expected = "scenario did not run the windowed online loop")]
-    fn expect_online_rejects_another_path() {
-        let _ = ScenarioReport::Serving(ServingReport::default()).expect_online();
     }
 
     #[test]

@@ -3,11 +3,9 @@
 //! batching, feeding assembled decode batches through the engine's
 //! dispatch/collectives path.
 //!
-//! Where a [`crate::Scenario::with_drift`] run consumes pre-aggregated
-//! windows of traffic, a [`crate::Scenario::with_serving`] run consumes
-//! *requests*: each arrives at a timestamp drawn from a seeded
-//! [`ArrivalProcess`], waits in a
-//! FIFO queue until the [`BatchPolicy`] opens a batch, then generates
+//! A [`crate::Scenario::with_serving`] run consumes *requests*: each
+//! arrives at a timestamp drawn from a seeded [`ArrivalProcess`], waits
+//! in a FIFO queue until the [`BatchPolicy`] opens a batch, then generates
 //! `decode_steps` tokens — one engine pass per step — under continuous
 //! batching (finished requests leave the in-flight pool at step
 //! boundaries, queued ones top it up). Virtual serving time advances by
@@ -29,13 +27,12 @@
 //! | `Fleet` up | `on_fleet_up` | live ranks, the live plan, `queue_copy` |
 //! | after each | `try_start_step` | pool top-up, one engine pass, step counters, the next `StepDone` |
 //!
-//! **Drift** composes exactly like the windowed mode: virtual time is
-//! divided into serving windows of `window_duration`; when a finished
-//! step's clock has crossed a boundary, the realized expert paths fold
-//! into the decayed streaming estimate and each ended window goes
-//! through the same window-close the online loop uses
-//! (`crate::adaptive`: drift signal, cadence and threshold check,
-//! budgeted re-plan, re-anchor). The migration itself overlaps with
+//! **Drift** ([`crate::Scenario::with_drift`]): virtual time is divided
+//! into serving windows of `window_duration`; when a finished step's
+//! clock has crossed a boundary, the realized expert paths fold into the
+//! decayed streaming estimate and each ended window is closed by
+//! `crate::adaptive` (drift signal, cadence and threshold check, budgeted
+//! re-plan, re-anchor). The migration itself overlaps with
 //! serving (`queue_copy`): expert weights stream over the interconnect
 //! in the background while decode steps keep running on the *old*
 //! placement, and the new placement activates only once the copy lands.
@@ -163,8 +160,8 @@ pub struct ServingConfig {
     /// Batch-assembly policy.
     pub batch: BatchPolicy,
     /// Length of one serving window in virtual seconds: drift checks and
-    /// re-plans happen when the clock crosses window boundaries, mirroring
-    /// the windowed online mode's cadence.
+    /// re-plans happen when the clock crosses window boundaries, every
+    /// `OnlineConfig::replan_every` windows.
     pub window_duration: f64,
 }
 
@@ -285,8 +282,8 @@ impl InferenceEngine {
 
     /// One request-level serving run (the `run_scenario` serving path):
     /// serve `serving.n_requests` requests arriving per `serving.arrival`
-    /// under continuous batching, interleaving the online mode's
-    /// drift-triggered budgeted re-placement with serving time, under a
+    /// under continuous batching, interleaving drift-triggered budgeted
+    /// re-placement with serving time, under a
     /// fault schedule and from an optional starting replication plan (the
     /// replicas emergency failover draws on). See the
     /// [module docs](crate::serving) for the event-loop semantics; the
@@ -330,8 +327,8 @@ struct ServingState<'a> {
     serving: &'a ServingConfig,
     requests: Vec<Request>,
     events: EventQueue,
-    /// Streaming estimate, live plan and re-plan ledgers, seeded exactly
-    /// as the windowed online loop seeds them.
+    /// Streaming estimate, live plan and re-plan ledgers, seeded from the
+    /// engine's profiled estimate.
     adaptive: AdaptiveState<'a>,
     /// What every step's pass keeps its tokens in: one arena for the run.
     plane: Plane,
@@ -413,7 +410,7 @@ impl<'a> ServingState<'a> {
         // Seeded traffic: arrival timestamps from the arrival process,
         // then each request's domain and full decode route from the
         // routing model of the window it arrives in (its own seed stream,
-        // disjoint from profiling and from the windowed mode's).
+        // disjoint from profiling and from the offline batches').
         let (n_layers, k) = (cfg.model.n_layers, cfg.model.gate.k());
         let mut route = Vec::with_capacity(n_layers * k);
         let arrivals = serving.arrival.sample(n, cfg.seed ^ 0xac71_0e55);
@@ -487,8 +484,7 @@ impl<'a> ServingState<'a> {
         });
 
         // Fold the accumulated paths into the estimate once, then
-        // evaluate each ended window's drift/re-plan exactly as the
-        // windowed loop would.
+        // evaluate each ended window's drift/re-plan.
         let wnow = self.window_of(clock);
         if wnow > self.cur_window && !self.pending_paths.is_empty() {
             self.adaptive

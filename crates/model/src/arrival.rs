@@ -1,9 +1,8 @@
 //! Request arrival processes for the serving front-end.
 //!
-//! The windowed online mode (`exflow-core`'s `Scenario::with_drift`)
-//! consumes pre-aggregated windows of traffic; a production deployment
-//! instead sees *requests* arriving over time. This module provides the three arrival patterns the
-//! serving simulator exercises — homogeneous Poisson traffic, a diurnal
+//! A production deployment sees *requests* arriving over time. This
+//! module provides the three arrival patterns the serving simulator
+//! (`exflow-core`'s `Scenario::with_serving`) exercises — homogeneous Poisson traffic, a diurnal
 //! (sinusoidally-modulated) load curve, and a flash crowd (a step spike on
 //! top of a base rate) — as seeded, deterministic generators of arrival
 //! timestamps.

@@ -6,8 +6,8 @@
 //! PR that says which simulated behaviour changed and why.
 
 use exflow::core::{
-    BatchPolicy, InferenceEngine, InferenceReport, MigrationStats, OnlineConfig, OnlineReport,
-    ParallelismMode, ReplanEvent, ReplicationPlan, Scenario, ServingConfig, ServingReport,
+    BatchPolicy, InferenceEngine, InferenceReport, MigrationStats, OnlineConfig, ParallelismMode,
+    ReplanEvent, ReplicationPlan, Scenario, ServingConfig, ServingReport,
 };
 use exflow::model::arrival::ArrivalProcess;
 use exflow::model::drift::DriftSchedule;
@@ -99,34 +99,11 @@ impl Fnv {
         h.0
     }
 
-    /// What the runs computed for their tokens, not what they cost: no
-    /// field of the main fingerprints depends on an embedding, so
-    /// `output_digest` is pinned apart and a change to the expert math
-    /// moves these pins alone. The expert math is `+ × ÷` on `f32` and
-    /// calls no libm, so the values hold on every platform.
-    fn outputs(windows: &[InferenceReport]) -> u64 {
-        let mut h = Fnv::new();
-        for w in windows {
-            h.u(w.output_digest);
-        }
-        h.0
-    }
-
     fn floats(&mut self, xs: &[f64]) {
         self.u(xs.len() as u64);
         for &x in xs {
             self.f(x);
         }
-    }
-
-    fn online(&mut self, r: &OnlineReport) {
-        self.u(r.windows.len() as u64);
-        for w in &r.windows {
-            self.inference(w);
-        }
-        self.floats(&r.drift);
-        self.replans(&r.replans, &r.migrations);
-        self.u(r.final_extra_copies);
     }
 
     fn serving(&mut self, r: &ServingReport) {
@@ -169,7 +146,7 @@ impl Fnv {
     }
 }
 
-/// The replication-aware config of `tests/online_determinism.rs`: a joint
+/// The replication-aware config of `tests/serving_determinism.rs`: a joint
 /// budget tight enough that replica adds, drops and owner moves compete.
 fn replicated_online(n_layers: usize) -> OnlineConfig {
     let mut model = moe_gpt_m(8);
@@ -183,43 +160,6 @@ fn replicated_online(n_layers: usize) -> OnlineConfig {
         replica_memory_bytes: 4 * bytes_per_expert,
         ..OnlineConfig::default()
     }
-}
-
-#[test]
-fn online_report_fingerprint_is_pinned() {
-    let mut model = moe_gpt_m(8);
-    model.n_layers = 5;
-    let engine = InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
-        .requests_per_gpu(32)
-        .n_iterations(2)
-        .prompt_len(8)
-        .profile_tokens(800)
-        .online(replicated_online(5))
-        .seed(11)
-        .build();
-    let drift = DriftSchedule::piecewise(&engine.config().routing_spec, 2, 6);
-    let report = engine
-        .run_scenario(&Scenario::offline(MODE).with_drift(drift))
-        .expect_online();
-    assert!(report.migrations.replans > 0, "no re-plan fired");
-    assert!(report.migrations.replicas_added > 0, "no replica bought");
-    let mut h = Fnv::new();
-    h.online(&report);
-    assert_eq!(
-        h.0, 0xb227_163e_b356_6064,
-        "OnlineReport fingerprint moved: {:#018x}",
-        h.0
-    );
-    let work = Fnv::solver_work(&report.replans);
-    assert_eq!(
-        work, 0xec37_4018_0ba1_d6f5,
-        "online_solver_work fingerprint moved: {work:#018x}"
-    );
-    let outputs = Fnv::outputs(&report.windows);
-    assert_eq!(
-        outputs, 0x7bb5_3ff1_f1aa_dce0,
-        "online output_digest moved: {outputs:#018x}"
-    );
 }
 
 #[test]

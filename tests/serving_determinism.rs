@@ -1,10 +1,12 @@
 //! Workspace-level serving-determinism gate: a request-level serving run
 //! with fixed seeds is a pure function of its [`Scenario`] — bit
 //! identical across parallelism widths and gap backends, with or without
-//! fleet faults — and its report obeys the structural serving invariants
-//! (ordered latency quantiles, goodput bounded by offered load) across
-//! randomized seeds, utilizations, and arrival processes. Edge cases
-//! (zero-arrival windows, faults striking an empty queue) stay
+//! fleet faults and replication-aware re-planning, under piecewise or
+//! smooth drift, and identical across re-plan cadences whenever no
+//! migration fires — and its report obeys the structural serving
+//! invariants (ordered latency quantiles, goodput bounded by offered
+//! load) across randomized seeds, utilizations, and arrival processes.
+//! Edge cases (zero-arrival windows, faults striking an empty queue) stay
 //! well-formed.
 
 use exflow::core::{
@@ -15,6 +17,7 @@ use exflow::model::arrival::ArrivalProcess;
 use exflow::model::drift::DriftSchedule;
 use exflow::model::fault::FaultSchedule;
 use exflow::model::presets::moe_gpt_m;
+use exflow::model::DriftKind;
 use exflow::placement::{GapBackend, Parallelism};
 use exflow::topology::ClusterSpec;
 use proptest::prelude::*;
@@ -27,8 +30,6 @@ const WINDOWS: usize = 6;
 const WORLD: usize = 4;
 
 fn engine(threads: usize, backend: GapBackend, seed: u64) -> InferenceEngine {
-    let mut model = moe_gpt_m(8);
-    model.n_layers = 4;
     let online = OnlineConfig {
         replan_every: 2,
         drift_threshold: 0.08,
@@ -36,6 +37,17 @@ fn engine(threads: usize, backend: GapBackend, seed: u64) -> InferenceEngine {
         decay: 0.3,
         ..OnlineConfig::default()
     };
+    engine_with(online, threads, backend, seed)
+}
+
+fn engine_with(
+    online: OnlineConfig,
+    threads: usize,
+    backend: GapBackend,
+    seed: u64,
+) -> InferenceEngine {
+    let mut model = moe_gpt_m(8);
+    model.n_layers = 4;
     InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
         .requests_per_gpu(MAX_BATCH / 4)
         .prompt_len(4)
@@ -45,6 +57,24 @@ fn engine(threads: usize, backend: GapBackend, seed: u64) -> InferenceEngine {
         .online(online)
         .seed(seed)
         .build()
+}
+
+/// Replication-aware re-planning: a joint budget tight enough that
+/// replica adds, drops, and owner moves all compete.
+fn replicated() -> OnlineConfig {
+    let bytes_per_expert = {
+        let mut model = moe_gpt_m(8);
+        model.n_layers = 4;
+        model.expert_params() * 2
+    };
+    OnlineConfig {
+        replan_every: 1,
+        drift_threshold: 0.08,
+        migration_budget_bytes: 12 * bytes_per_expert,
+        decay: 0.3,
+        replica_memory_bytes: 4 * bytes_per_expert,
+        ..OnlineConfig::default()
+    }
 }
 
 /// Drift schedule plus a serving config whose offered load sits near the
@@ -150,6 +180,77 @@ fn serving_runs_are_gap_backend_invariant() {
     let b = serve(&sparse, &drift, &cfg);
     assert!(a.migrations.replans > 0, "no re-plan fired");
     assert_bit_identical(&a, &b, "gap backends");
+}
+
+#[test]
+fn cadence_is_unobservable_when_no_migration_fires() {
+    // An infinite drift threshold means no re-plan can ever fire; the
+    // cadence knob must then be completely unobservable in the output.
+    let quiet = |replan_every: usize| OnlineConfig {
+        replan_every,
+        drift_threshold: f64::INFINITY,
+        decay: 0.3,
+        ..OnlineConfig::default()
+    };
+    let reference_engine = engine_with(quiet(1), 1, GapBackend::Auto, 11);
+    let (drift, cfg) = scenario(&reference_engine, 96, 0.9, 0);
+    let reference = serve(&reference_engine, &drift, &cfg);
+    assert!(reference.replans.is_empty());
+    assert!(
+        reference.drift.iter().any(|&d| d > 0.08),
+        "the drift must be big enough to have fired a re-plan"
+    );
+    for cadence in [2, 3, 5] {
+        let eng = engine_with(quiet(cadence), 1, GapBackend::Auto, 11);
+        let report = serve(&eng, &drift, &cfg);
+        assert_bit_identical(&report, &reference, &format!("cadence {cadence}"));
+    }
+}
+
+#[test]
+fn replication_aware_runs_are_bit_identical_at_1_2_and_8_threads() {
+    let seq = engine_with(replicated(), 1, GapBackend::Auto, 11);
+    let (drift, cfg) = scenario(&seq, 96, 0.9, 0);
+    let baseline = serve(&seq, &drift, &cfg);
+    // The scenario must exercise the replication pipeline for the
+    // invariance to mean anything: replicas actually churn.
+    assert!(baseline.migrations.replans > 0);
+    assert!(
+        baseline.migrations.replicas_added > 0,
+        "the joint budget must buy at least one replica"
+    );
+    for threads in [2, 8] {
+        let par = engine_with(replicated(), threads, GapBackend::Auto, 11);
+        let report = serve(&par, &drift, &cfg);
+        assert_bit_identical(
+            &report,
+            &baseline,
+            &format!("replicated, {threads} threads"),
+        );
+    }
+}
+
+#[test]
+fn replication_aware_runs_are_gap_backend_invariant() {
+    let dense = engine_with(replicated(), 1, GapBackend::Dense, 11);
+    let (drift, cfg) = scenario(&dense, 96, 0.9, 0);
+    let a = serve(&dense, &drift, &cfg);
+    let sparse = engine_with(replicated(), 1, GapBackend::Sparse, 11);
+    let b = serve(&sparse, &drift, &cfg);
+    assert!(a.migrations.replicas_added > 0, "no replica bought");
+    assert_bit_identical(&a, &b, "replicated, gap backends");
+}
+
+#[test]
+fn smooth_drift_schedules_are_deterministic_too() {
+    let seq = engine(1, GapBackend::Auto, 11);
+    let (_, cfg) = scenario(&seq, 96, 0.9, 0);
+    let drift = DriftSchedule::smooth(&seq.config().routing_spec, WINDOWS);
+    assert_eq!(drift.kind(), DriftKind::Smooth);
+    let baseline = serve(&seq, &drift, &cfg);
+    assert_bit_identical(&serve(&seq, &drift, &cfg), &baseline, "smooth, rerun");
+    let par = engine(8, GapBackend::Auto, 11);
+    assert_bit_identical(&serve(&par, &drift, &cfg), &baseline, "smooth, 8 threads");
 }
 
 #[test]
