@@ -262,13 +262,6 @@ pub(crate) mod tests {
         pub(crate) live: ReplicationPlan,
     }
 
-    impl Trajectory {
-        /// Worst-case extra replica copies any GPU holds at the end.
-        pub(crate) fn extra_copies(&self) -> usize {
-            self.live.extra_copies_per_gpu()
-        }
-    }
-
     /// Drive `engine` in `mode` over a two-phase piecewise drift of
     /// `windows` windows.
     pub(crate) fn trajectory(

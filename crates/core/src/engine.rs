@@ -119,8 +119,8 @@ pub struct EngineConfig {
     /// drops below the sparse threshold (the large-expert regime).
     pub gap_backend: GapBackend,
     /// Online re-planning knobs (consulted only by serving scenarios):
-    /// re-plan cadence, drift threshold, migration byte
-    /// budget, and estimator decay.
+    /// re-plan cadence, drift threshold, migration byte budget, and
+    /// estimator decay.
     pub online: OnlineConfig,
     /// Master seed.
     pub seed: u64,
@@ -263,7 +263,8 @@ pub struct InferenceEngine {
     /// Every expert's weights, `layer * n_experts + expert`; built by the
     /// first pass (see [`InferenceEngine::experts`]).
     experts: OnceLock<Vec<Expert>>,
-    /// The batches every offline pass runs; sampled by the first (see [`InferenceEngine::offline_batches`]).
+    /// The batches every offline pass runs; sampled by the first (see
+    /// [`InferenceEngine::offline_batches`]).
     offline_batches: OnceLock<Vec<TokenBatch>>,
 }
 
@@ -1393,7 +1394,7 @@ mod tests {
             report.migrations.replicas_added > 0,
             "the joint budget must buy at least one replica under drift"
         );
-        assert!(report.extra_copies() as u64 <= slots);
+        assert!(report.live.extra_copies_per_gpu() as u64 <= slots);
         for replan in &report.replans {
             assert!(
                 replan.bytes_moved <= replan.budget_bytes,

@@ -42,9 +42,8 @@ use crate::serving::ServingConfig;
 
 /// One run's full specification: mode plus the optional layers that turn
 /// an offline benchmark into a serving run, with or without drift and
-/// faults. Built
-/// with [`Scenario::offline`] and the `with_*` methods; executed by
-/// [`InferenceEngine::run_scenario`].
+/// faults. Built with [`Scenario::offline`] and the `with_*` methods;
+/// executed by [`InferenceEngine::run_scenario`].
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Execution mode every layer runs under.
