@@ -1,91 +1,90 @@
-//! Workspace-level online-determinism gate: an online serving run with
-//! fixed seeds is a pure function of (config, drift schedule) — bit
-//! identical across parallelism widths and gap backends (with or without
-//! replication-aware re-planning), and identical across re-plan cadences
-//! whenever the cadence never actually fires a migration.
+//! Workspace-level online-determinism gate: a drifting serving run that
+//! re-plans at every window boundary it can (cadence 1, unbounded
+//! migration budget) is a pure function of (config, drift schedule) —
+//! bit identical across parallelism widths and gap backends. The wider
+//! serving contracts (faults, replication-aware re-planning, cadence,
+//! smooth drift) live in `serving_determinism.rs`.
 
-use exflow::core::{InferenceEngine, OnlineConfig, ParallelismMode, Scenario};
+use exflow::core::{
+    BatchPolicy, InferenceEngine, OnlineConfig, ParallelismMode, Scenario, ServingConfig,
+    ServingReport,
+};
+use exflow::model::arrival::ArrivalProcess;
 use exflow::model::drift::DriftSchedule;
 use exflow::model::presets::moe_gpt_m;
-use exflow::model::DriftKind;
 use exflow::placement::{GapBackend, Parallelism};
 use exflow::topology::ClusterSpec;
 
-fn engine(threads: usize, online: OnlineConfig, backend: GapBackend) -> InferenceEngine {
+const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
+const MAX_BATCH: usize = 16;
+const DECODE_STEPS: usize = 4;
+const WINDOWS: usize = 6;
+
+fn engine(threads: usize, backend: GapBackend) -> InferenceEngine {
     let mut model = moe_gpt_m(8);
     model.n_layers = 5;
     InferenceEngine::builder(model, ClusterSpec::new(2, 2).unwrap())
-        .requests_per_gpu(32)
-        .n_iterations(2)
-        .prompt_len(8)
+        .requests_per_gpu(MAX_BATCH / 4)
+        .prompt_len(4)
         .profile_tokens(800)
         .parallelism(Parallelism::new(threads))
         .gap_backend(backend)
-        .online(online)
+        .online(OnlineConfig {
+            replan_every: 1,
+            drift_threshold: 0.08,
+            migration_budget_bytes: u64::MAX,
+            decay: 0.3,
+            ..OnlineConfig::default()
+        })
         .seed(11)
         .build()
 }
 
-fn adaptive() -> OnlineConfig {
-    OnlineConfig {
-        replan_every: 1,
-        drift_threshold: 0.08,
-        migration_budget_bytes: u64::MAX,
-        decay: 0.3,
-        ..OnlineConfig::default()
-    }
-}
-
-/// Replication-aware variant: a joint budget tight enough that replica
-/// adds, drops, and owner moves all compete.
-fn replicated() -> OnlineConfig {
-    let bytes_per_expert = {
-        let mut model = moe_gpt_m(8);
-        model.n_layers = 5;
-        model.expert_params() * 2
+/// Piecewise drift over a Poisson stream offered at 90% of the engine's
+/// full-batch capacity, split into `WINDOWS` serving windows.
+fn serve(eng: &InferenceEngine, drift: &DriftSchedule) -> ServingReport {
+    let step = eng.probe_step_time(MODE, MAX_BATCH);
+    let rate = 0.9 * MAX_BATCH as f64 / (DECODE_STEPS as f64 * step);
+    let n_requests = 96;
+    let cfg = ServingConfig {
+        arrival: ArrivalProcess::poisson(rate),
+        n_requests,
+        decode_steps: DECODE_STEPS,
+        batch: BatchPolicy::SizeOrWait {
+            max_size: MAX_BATCH,
+            max_wait: 2.0 * step,
+        },
+        window_duration: n_requests as f64 / rate / WINDOWS as f64,
     };
-    OnlineConfig {
-        replan_every: 1,
-        drift_threshold: 0.08,
-        migration_budget_bytes: 12 * bytes_per_expert,
-        decay: 0.3,
-        replica_memory_bytes: 4 * bytes_per_expert,
-        ..OnlineConfig::default()
-    }
+    eng.run_scenario(
+        &Scenario::offline(MODE)
+            .with_drift(drift.clone())
+            .with_serving(cfg),
+    )
+    .expect_serving()
 }
 
-fn drift(engine: &InferenceEngine) -> DriftSchedule {
-    DriftSchedule::piecewise(&engine.config().routing_spec, 2, 6)
+fn drift(eng: &InferenceEngine) -> DriftSchedule {
+    DriftSchedule::piecewise(&eng.config().routing_spec, 2, WINDOWS)
 }
 
 #[test]
 fn online_runs_are_bit_identical_at_1_2_and_8_threads() {
-    let seq = engine(1, adaptive(), GapBackend::Auto);
+    let seq = engine(1, GapBackend::Auto);
     let schedule = drift(&seq);
-    let baseline = seq
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
+    let baseline = serve(&seq, &schedule);
     // The scenario must exercise the full pipeline: drift detected,
     // migrations executed.
     assert!(baseline.migrations.replans > 0);
     for threads in [2, 8] {
-        let par = engine(threads, adaptive(), GapBackend::Auto);
-        let report = par
-            .run_scenario(
-                &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                    .with_drift(schedule.clone()),
-            )
-            .expect_online();
+        let report = serve(&engine(threads, GapBackend::Auto), &schedule);
         assert_eq!(report, baseline, "{threads} threads diverged");
         // PartialEq covers them, but make the bit-level contract on the
         // float surfaces explicit.
-        assert_eq!(
-            report.total_time().to_bits(),
-            baseline.total_time().to_bits()
-        );
+        assert_eq!(report.makespan.to_bits(), baseline.makespan.to_bits());
+        for (a, b) in report.latencies.iter().zip(&baseline.latencies) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
         for (a, b) in report.drift.iter().zip(&baseline.drift) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -94,130 +93,10 @@ fn online_runs_are_bit_identical_at_1_2_and_8_threads() {
 
 #[test]
 fn online_runs_are_gap_backend_invariant() {
-    let dense = engine(1, adaptive(), GapBackend::Dense);
+    let dense = engine(1, GapBackend::Dense);
     let schedule = drift(&dense);
-    let a = dense
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    let sparse = engine(1, adaptive(), GapBackend::Sparse);
-    let b = sparse
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
+    let a = serve(&dense, &schedule);
+    let b = serve(&engine(1, GapBackend::Sparse), &schedule);
     assert!(a.migrations.replans > 0);
     assert_eq!(a, b, "gap backends diverged");
-}
-
-#[test]
-fn cadence_is_unobservable_when_no_migration_fires() {
-    // An infinite drift threshold means no re-plan can ever fire; the
-    // cadence knob must then be completely unobservable in the output.
-    let quiet = |replan_every: usize| OnlineConfig {
-        replan_every,
-        drift_threshold: f64::INFINITY,
-        migration_budget_bytes: u64::MAX,
-        decay: 0.3,
-        ..OnlineConfig::default()
-    };
-    let reference_engine = engine(1, quiet(1), GapBackend::Auto);
-    let schedule = drift(&reference_engine);
-    let reference = reference_engine
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    assert_eq!(reference.migrations.replans, 0);
-    assert!(reference.replans.is_empty());
-    for cadence in [2, 3, 5] {
-        let report = engine(1, quiet(cadence), GapBackend::Auto)
-            .run_scenario(
-                &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                    .with_drift(schedule.clone()),
-            )
-            .expect_online();
-        assert_eq!(report, reference, "cadence {cadence} leaked into the run");
-    }
-}
-
-#[test]
-fn replication_aware_runs_are_bit_identical_at_1_2_and_8_threads() {
-    let seq = engine(1, replicated(), GapBackend::Auto);
-    let schedule = drift(&seq);
-    let baseline = seq
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    // The scenario must exercise the replication pipeline for the
-    // invariance to mean anything: replicas actually churn.
-    assert!(baseline.migrations.replans > 0);
-    assert!(
-        baseline.migrations.replicas_added > 0,
-        "the joint budget must buy at least one replica"
-    );
-    for threads in [2, 8] {
-        let par = engine(threads, replicated(), GapBackend::Auto);
-        let report = par
-            .run_scenario(
-                &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                    .with_drift(schedule.clone()),
-            )
-            .expect_online();
-        assert_eq!(report, baseline, "{threads} threads diverged");
-        assert_eq!(
-            report.total_time().to_bits(),
-            baseline.total_time().to_bits()
-        );
-        for (a, b) in report.drift.iter().zip(&baseline.drift) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-}
-
-#[test]
-fn replication_aware_runs_are_gap_backend_invariant() {
-    let dense = engine(1, replicated(), GapBackend::Dense);
-    let schedule = drift(&dense);
-    let a = dense
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    let sparse = engine(1, replicated(), GapBackend::Sparse);
-    let b = sparse
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    assert!(a.migrations.replans > 0);
-    assert_eq!(a, b, "gap backends diverged on a replication-aware run");
-}
-
-#[test]
-fn smooth_drift_schedules_are_deterministic_too() {
-    let e = engine(1, adaptive(), GapBackend::Auto);
-    let schedule = DriftSchedule::smooth(&e.config().routing_spec, 6);
-    assert_eq!(schedule.kind(), DriftKind::Smooth);
-    let a = e
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    let b = e
-        .run_scenario(
-            &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                .with_drift(schedule.clone()),
-        )
-        .expect_online();
-    assert_eq!(a, b);
 }
