@@ -7,9 +7,9 @@
 //! cargo run --release -p exflow-bench --bin repro -- --jobs 4 --out BENCH.fresh.json all
 //! ```
 //!
-//! Every artifact has one size (the paper's artifacts the paper's).
-//! `--jobs N` fans experiment sweep points across N worker threads;
-//! artifacts, and the document, are byte-identical for every N.
+//! Every artifact sweeps one workload, `experiments::common::PAPER`.
+//! `--jobs N` fans sweep points across N worker threads and no sweep reads
+//! it, so artifacts, and the document, are byte-identical for every N.
 //!
 //! `all` sweeps every `exflow_bench::table::TABLES` entry, so with it —
 //! and only with it — `--out PATH` writes the rows as the summary document
@@ -23,7 +23,8 @@
 //! `--jobs`, `--out` without `all`).
 
 use exflow_bench::cli::{self, Command};
-use exflow_bench::summary::{self, BASELINE_SEED};
+use exflow_bench::experiments::common::PAPER;
+use exflow_bench::table;
 
 fn print_usage() {
     eprintln!("usage: repro [--jobs N] [--out PATH] <artifact>... | all");
@@ -57,7 +58,7 @@ fn main() {
     // `parse` lets `--out` through only with `all`: every entry was swept,
     // in `TABLES` order.
     if let Some(path) = out.filter(|_| ok) {
-        let json = summary::document(BASELINE_SEED, sections);
+        let json = table::document(PAPER.seed, sections);
         if let Err(err) = cli::deliver(&json, &path) {
             eprintln!("error: {err}");
             ok = false;

@@ -11,9 +11,8 @@
 
 use crate::experiments::common::PAPER;
 use crate::experiments::{events, fig2, table2};
-use crate::summary::{Section, BASELINE_SEED};
 use crate::sweep::MAX_JOBS;
-use crate::table::TABLES;
+use crate::table::{Section, TABLES};
 
 /// What regenerates an artifact.
 #[derive(Clone, Copy)]
@@ -21,8 +20,8 @@ pub enum Runner {
     /// An artifact that is not rows: its module's `print()`.
     Print(fn()),
     /// Every [`TABLES`] entry that names this artifact, in order, swept at
-    /// the paper's workload and the baseline seed so the printed numbers
-    /// are exactly the gated ones.
+    /// the paper's workload so the printed numbers are exactly the gated
+    /// ones.
     Rows(&'static str),
 }
 
@@ -44,7 +43,7 @@ impl Runner {
             .filter(|t| t.artifact == artifact)
             .map(|table| {
                 let rows = table
-                    .rows(&PAPER, jobs, BASELINE_SEED)
+                    .rows(&PAPER, jobs)
                     .unwrap_or_else(|err| panic!("{} sweep: {err}", table.name));
                 let violations = table.violations(&rows);
                 assert!(violations.is_empty(), "{} bars: {violations:?}", table.name);
@@ -294,7 +293,7 @@ mod tests {
     #[test]
     fn an_unwritable_out_is_a_failure_not_a_usage_error() {
         // What the binary turns into exit 1.
-        let json = crate::summary::document(1, Vec::new());
+        let json = crate::table::document(1, Vec::new());
         let dir = std::env::temp_dir().join(format!("exflow-repro-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let written = dir.join("fresh.json");

@@ -19,9 +19,8 @@ use exflow_topology::ClusterSpec;
 
 use crate::experiments::common::{cluster_for, run_offline, Workload};
 use crate::fmt::{f3, speedup};
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{find, int, num, render_section, text};
+use crate::table::{find, int, num, nums, render_section, text, Bars};
 
 /// A fixed-seed routing trace of `tokens` tokens on a fresh
 /// `(l, e)` affinity model.
@@ -40,7 +39,7 @@ fn profiled_objective(e: usize, seed: u64) -> Objective {
 /// Ablation A — solver quality: cross mass achieved by each solver on the
 /// same profiled instance (MoE-16, 12 layers, 4 GPUs; lower is better).
 /// Solvers fan across the installed sweep pool.
-pub fn solver_sweep() -> Vec<Json> {
+pub fn solver_sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let objective = profiled_objective(16, 5);
     let kinds: Vec<(&str, SolverKind)> = vec![
         ("round-robin", SolverKind::RoundRobin),
@@ -49,7 +48,7 @@ pub fn solver_sweep() -> Vec<Json> {
         ("annealing", SolverKind::Annealing(AnnealParams::default())),
         ("portfolio", SolverKind::portfolio(100)),
     ];
-    par_map(kinds, |(name, kind)| {
+    Ok(par_map(kinds, |(name, kind)| {
         Json::obj(vec![
             // Solver name.
             ("solver", name.into()),
@@ -59,7 +58,7 @@ pub fn solver_sweep() -> Vec<Json> {
                 objective.cross_mass(&solve(&objective, 4, kind, 99)).into(),
             ),
         ])
-    })
+    }))
 }
 
 /// Every optimizing solver beats round-robin.
@@ -67,9 +66,9 @@ pub(crate) fn solver_bars(rows: &[Json], bars: &mut Bars) {
     let Some(rr) = find(rows, "solver", "round-robin") else {
         return;
     };
-    let baseline = bars.num(rr, "cross_mass");
+    let baseline = num(rr, "cross_mass");
     for r in rows.iter().filter(|&r| !std::ptr::eq(r, rr)) {
-        let cross = bars.num(r, "cross_mass");
+        let cross = num(r, "cross_mass");
         let what = format!("{cross} not better than round-robin {baseline}");
         bars.fail_if(r, cross >= baseline, what);
     }
@@ -90,7 +89,7 @@ pub fn render_solvers(rows: &[Json]) -> String {
 /// Ablation B — staged vs. flat placement on 2 nodes x 4 GPUs (MoE-32):
 /// inter-node crossing mass of the staged two-level solve versus a flat
 /// GPU-level solve that ignores the node hierarchy.
-pub fn staged_sweep() -> Vec<Json> {
+pub fn staged_sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let objective = profiled_objective(32, 6);
     let cluster = ClusterSpec::new(2, 4).unwrap();
     let gpn = cluster.gpus_per_node();
@@ -132,7 +131,7 @@ pub fn staged_sweep() -> Vec<Json> {
         cluster.world_size(),
     );
 
-    [
+    Ok([
         ("round-robin", &rr),
         ("flat", &flat),
         ("staged", &staged.gpu_level),
@@ -149,7 +148,7 @@ pub fn staged_sweep() -> Vec<Json> {
             ("gpu_cross", gpu_cross.into()),
         ])
     })
-    .collect()
+    .collect())
 }
 
 /// Staged's whole point: fewer inter-node crossings than round-robin, and
@@ -160,7 +159,7 @@ pub(crate) fn staged_bars(rows: &[Json], bars: &mut Bars) {
     else {
         return;
     };
-    let [cross, rr, flat] = [staged, rr, flat].map(|r| bars.num(r, "internode_cross"));
+    let [cross, rr, flat] = [staged, rr, flat].map(|r| num(r, "internode_cross"));
     let what = format!("inter-node cross {cross} vs round-robin {rr}, flat {flat}");
     bars.fail_if(staged, cross >= rr || cross > flat + 0.02, what);
 }
@@ -182,8 +181,8 @@ pub fn render_staged(rows: &[Json]) -> String {
 /// ExFlow speedup versus the model's intrinsic affinity concentration κ
 /// (extension beyond the paper). Grid points are independent fixed-seed
 /// engine runs, fanned across the installed sweep pool.
-pub fn kappa_sweep() -> Vec<Json> {
-    par_map(vec![0.0, 0.25, 0.5, 0.75, 0.9], |kappa| {
+pub fn kappa_sweep(_: &Workload) -> Result<Vec<Json>, String> {
+    Ok(par_map(vec![0.0, 0.25, 0.5, 0.75, 0.9], |kappa| {
         let model = moe_gpt_m(16);
         let spec = AffinityModelSpec::new(model.n_layers, model.n_experts).with_affinity(kappa);
         let engine = InferenceEngine::builder(model, cluster_for(8))
@@ -203,7 +202,7 @@ pub fn kappa_sweep() -> Vec<Json> {
             // Full-ExFlow throughput relative to DeepSpeed.
             ("speedup", (aff / ds).into()),
         ])
-    })
+    }))
 }
 
 /// The gain grows with the affinity there is to exploit: the strongest κ
@@ -212,7 +211,7 @@ pub(crate) fn kappa_bars(rows: &[Json], bars: &mut Bars) {
     let (Some(first), Some(last)) = (rows.first(), rows.last()) else {
         return;
     };
-    let (weak, strong) = (bars.num(first, "speedup"), bars.num(last, "speedup"));
+    let (weak, strong) = (num(first, "speedup"), num(last, "speedup"));
     let what = format!("speedup {strong} should exceed kappa 0's {weak}");
     bars.fail_if(last, strong <= weak, what);
 }
@@ -232,7 +231,7 @@ pub fn render_kappa(rows: &[Json]) -> String {
 /// Ablation D — the paper's §VI comparison against Lina-style expert
 /// popularity on MoE-16 / 4 GPUs: locality as a function of the replica
 /// memory budget, versus ExFlow's zero-replica placement.
-pub fn replication_sweep() -> Vec<Json> {
+pub fn replication_sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let (e, l) = (16, 12);
     let spec = AffinityModelSpec::new(l, e);
     let profile = sample_trace(&spec, 6000, 41);
@@ -264,7 +263,7 @@ pub fn replication_sweep() -> Vec<Json> {
     let exflow = solve(&objective, 4, SolverKind::LocalSearch { restarts: 2 }, 7);
     let locality = measure_trace_locality(&eval, &exflow).fraction();
     rows.push(row("exflow-placement", 0, locality));
-    rows
+    Ok(rows)
 }
 
 /// ExFlow needs no replicas to beat the zero-budget baseline, and the
@@ -272,16 +271,16 @@ pub fn replication_sweep() -> Vec<Json> {
 pub(crate) fn replication_bars(rows: &[Json], bars: &mut Bars) {
     let row = |strategy| find(rows, "strategy", strategy);
     if let (Some(exflow), Some(rep0)) = (row("exflow-placement"), row("replicate-top0")) {
-        let [copies, ours] = bars.nums(exflow, ["extra_copies", "local_fraction"]);
-        let theirs = bars.num(rep0, "local_fraction");
+        let [copies, ours] = nums(exflow, ["extra_copies", "local_fraction"]);
+        let theirs = num(rep0, "local_fraction");
         let what = format!("{copies} copies, locality {ours} vs unreplicated {theirs}");
         bars.fail_if(exflow, copies != 0.0 || ours <= theirs, what);
     }
     let replicated = |r: &&Json| text(r, "strategy").starts_with("replicate");
     let budgets: Vec<&Json> = rows.iter().filter(replicated).collect();
     for pair in budgets.windows(2) {
-        let less = bars.num(pair[0], "local_fraction");
-        let more = bars.num(pair[1], "local_fraction");
+        let less = num(pair[0], "local_fraction");
+        let more = num(pair[1], "local_fraction");
         let what = format!("locality fell {less} -> {more}");
         bars.fail_if(pair[1], more + 1e-9 < less, what);
     }
@@ -303,7 +302,7 @@ pub fn render_replication(rows: &[Json]) -> String {
 /// Ablation E — top-1 vs top-2 gating on MoE-16 / 8 GPUs: measured
 /// cross-GPU Alltoall traffic per mode (Table I's two volume columns,
 /// measured instead of analytic). One sweep task per gate.
-pub fn gating_sweep(w: &Workload) -> Vec<Json> {
+pub fn gating_sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let per_gate = par_map(vec![GateKind::Top1, GateKind::Top2], |gate| {
         let model = w.cut(moe_gpt_m(16)).with_gate(gate);
         let engine = InferenceEngine::builder(model, cluster_for(8))
@@ -334,7 +333,7 @@ pub fn gating_sweep(w: &Workload) -> Vec<Json> {
         });
         rows.to_vec()
     });
-    per_gate.into_iter().flatten().collect()
+    Ok(per_gate.into_iter().flatten().collect())
 }
 
 /// Top-2 roughly doubles vanilla's cross-GPU traffic. Under top-2,
@@ -357,10 +356,10 @@ pub(crate) fn gating_bars(rows: &[Json], bars: &mut Bars) {
     ) else {
         return;
     };
-    let [b1, b2, bytes] = [v1, v2, ex2].map(|r| bars.num(r, "cross_gpu_bytes"));
+    let [b1, b2, bytes] = [v1, v2, ex2].map(|r| num(r, "cross_gpu_bytes"));
     let what = format!("{b2} bytes vs top-1's {b1}: not doubled");
     bars.fail_if(v2, b2 <= 1.8 * b1, what);
-    let [aff, coh] = [ex2, coh2].map(|r| bars.num(r, "relative_throughput"));
+    let [aff, coh] = [ex2, coh2].map(|r| num(r, "relative_throughput"));
     let what = format!("{aff} should beat plain coherence {coh}");
     bars.fail_if(ex2, aff <= coh, what);
     let what = format!("{bytes} bytes vs vanilla top-2's {b2}");

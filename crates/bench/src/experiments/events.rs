@@ -19,7 +19,7 @@ use exflow_model::{ArrivalProcess, DriftSchedule, FaultSchedule};
 use exflow_placement::Parallelism;
 use exflow_topology::ClusterSpec;
 
-use crate::summary::BASELINE_SEED;
+use crate::experiments::common::PAPER;
 
 const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
 const MAX_BATCH: usize = 16;
@@ -46,7 +46,7 @@ pub fn run() -> Vec<WindowEvent> {
         .profile_tokens(400)
         .parallelism(Parallelism::new(1))
         .online(online)
-        .seed(BASELINE_SEED)
+        .seed(PAPER.seed)
         .build();
     let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, WINDOWS);
     let step = eng.probe_step_time(MODE, MAX_BATCH);

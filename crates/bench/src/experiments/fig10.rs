@@ -9,13 +9,12 @@ use exflow_model::presets::{moe_gpt_m, moe_gpt_m_32e_32l, moe_gpt_m_32e_40l, moe
 
 use crate::experiments::common::{engine_for, run_offline, Workload};
 use crate::fmt::speedup;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, text};
+use crate::table::{num, nums, render_section, text, Bars};
 
 /// Regenerate the throughput sweep: one row per (model, GPU count) group,
 /// the cells fanned across the installed sweep pool.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let scenarios: [(_, &[usize]); 7] = [
         (moe_gpt_m(8), &[4, 8]),
         (moe_gpt_m(16), &[4, 8, 16]),
@@ -25,7 +24,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
         (moe_gpt_m_32e_40l(), &[8, 16, 32]),
         (moe_gpt_xl_16e(), &[4, 8, 16]),
     ];
-    par_map(w.cells(&scenarios), |(model, gpus)| {
+    Ok(par_map(w.cells(&scenarios), |(model, gpus)| {
         let name = model.name.clone();
         let engine = engine_for(model, gpus, w);
         let ds = run_offline(&engine, ParallelismMode::Vanilla).throughput();
@@ -41,7 +40,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
             // Full ExFlow, relative to DeepSpeed.
             ("exflow_affinity", (aff / ds).into()),
         ])
-    })
+    }))
 }
 
 /// Full ExFlow beats DeepSpeed everywhere, affinity adds on top of context
@@ -50,7 +49,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 /// 8 GPUs than on 4.
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for r in rows {
-        let [cc, aff] = bars.nums(r, ["exflow_no_affinity", "exflow_affinity"]);
+        let [cc, aff] = nums(r, ["exflow_no_affinity", "exflow_affinity"]);
         bars.fail_if(r, aff <= 1.0, format!("full ExFlow at {aff}x of DeepSpeed"));
         let what = format!("affinity {aff} below no-affinity {cc}");
         bars.fail_if(r, aff < cc - 0.02, what);
@@ -58,9 +57,9 @@ pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for pair in rows.windows(2) {
         let [single, multi] = pair else { continue };
         let same_model = single.get("model") == multi.get("model");
-        if same_model && bars.num(single, "gpus") == 4.0 && bars.num(multi, "gpus") == 8.0 {
-            let one = bars.num(single, "exflow_affinity");
-            let two = bars.num(multi, "exflow_affinity");
+        if same_model && num(single, "gpus") == 4.0 && num(multi, "gpus") == 8.0 {
+            let one = num(single, "exflow_affinity");
+            let two = num(multi, "exflow_affinity");
             let what = format!("multi-node gain {two} should exceed single-node {one}");
             bars.fail_if(multi, two <= one, what);
         }

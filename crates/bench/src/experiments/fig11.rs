@@ -6,12 +6,12 @@ use exflow_core::json::Json;
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::TrainingSimulator;
 
+use crate::experiments::common::Workload;
 use crate::fmt::pct;
-use crate::gate::Bars;
-use crate::table::{num, render_section, series, text};
+use crate::table::{num, nums, render_section, series, text, Bars};
 
 /// Regenerate the early-training sweep for the 8/16/32/64-expert models.
-pub fn sweep() -> Vec<Json> {
+pub fn sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let iters = [0u64, 100, 200, 300, 400, 500, 750, 1000, 1500, 2000];
     let mut rows = Vec::new();
     for e in [8usize, 16, 32, 64] {
@@ -34,7 +34,7 @@ pub fn sweep() -> Vec<Json> {
             ]));
         }
     }
-    rows
+    Ok(rows)
 }
 
 /// Each model's series starts dominated by a few experts (iteration 0),
@@ -43,16 +43,16 @@ pub fn sweep() -> Vec<Json> {
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for series in series(rows, &["experts"]) {
         let (first, last) = (&series[0], &series[series.len() - 1]);
-        let [e, initial] = bars.nums(first, ["experts", "max_share"]);
+        let [e, initial] = nums(first, ["experts", "max_share"]);
         let what = format!("initial share {initial} is not skewed");
         bars.fail_if(first, initial <= 2.0 / e, what);
-        let [balanced, active] = bars.nums(last, ["max_share", "active_experts"]);
+        let [balanced, active] = nums(last, ["max_share", "active_experts"]);
         let unbalanced = (balanced - 1.0 / e).abs() >= 1e-9 || active != e;
         let what = format!("final share {balanced} over {active} experts is not balanced");
         bars.fail_if(last, unbalanced, what);
         for pair in series.windows(2) {
-            let before = bars.num(&pair[0], "active_experts");
-            let after = bars.num(&pair[1], "active_experts");
+            let before = num(&pair[0], "active_experts");
+            let after = num(&pair[1], "active_experts");
             let what = format!("active experts fell {before} -> {after}");
             bars.fail_if(&pair[1], after < before, what);
         }

@@ -9,10 +9,10 @@ use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{CorpusSpec, TokenBatch, TrainingSimulator};
 use exflow_placement::{solve, Objective, SolverKind};
 
+use crate::experiments::common::Workload;
 use crate::fmt::f3;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, series, text};
+use crate::table::{num, render_section, series, text, Bars};
 
 /// The two phases: `(label, title, checkpoint iterations)`.
 const PHASES: [(&str, &str, &[u64]); 2] = [
@@ -43,7 +43,7 @@ fn measure(sim: &TrainingSimulator, iteration: u64, n_units: usize) -> f64 {
 
 /// Regenerate both phases, one series per (phase, expert count), the
 /// series fanned across the installed sweep pool.
-pub fn sweep() -> Vec<Json> {
+pub fn sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let series = PHASES.iter().flat_map(|&(phase, _, iters)| {
         let expert_counts = [8usize, 16, 32, 64].into_iter();
         expert_counts.map(move |e| (phase, iters, e))
@@ -70,7 +70,7 @@ pub fn sweep() -> Vec<Json> {
         });
         rows.collect::<Vec<Json>>()
     });
-    rows.into_iter().flatten().collect()
+    Ok(rows.into_iter().flatten().collect())
 }
 
 /// Every series peaks at a scaled 1.0. Fig. 12a: iteration-0 checkpoints
@@ -80,17 +80,17 @@ pub fn sweep() -> Vec<Json> {
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for series in series(rows, &["phase", "experts"]) {
         let (first, last) = (&series[0], &series[series.len() - 1]);
-        let peak = series.iter().map(|r| bars.num(r, "scaled"));
+        let peak = series.iter().map(|r| num(r, "scaled"));
         let peak = peak.fold(f64::MIN, f64::max);
         let what = format!("scaled series peaks at {peak}, not 1");
         bars.fail_if(first, (peak - 1.0).abs() >= 1e-9, what);
-        let start = bars.num(first, "affinity");
+        let start = num(first, "affinity");
         if first.get("phase").and_then(Json::as_str) == Some("a") {
-            let mid = bars.num(&series[series.len() / 2], "affinity");
+            let mid = num(&series[series.len() / 2], "affinity");
             let what = format!("iteration-0 affinity {start} should exceed mid-training {mid}");
             bars.fail_if(first, start <= mid, what);
         } else {
-            let end = bars.num(last, "affinity");
+            let end = num(last, "affinity");
             bars.fail_if(
                 last,
                 end <= start,

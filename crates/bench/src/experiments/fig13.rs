@@ -12,9 +12,8 @@ use exflow_placement::Objective;
 
 use crate::experiments::common::{cluster_for, run_offline, Workload};
 use crate::fmt::speedup;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, series, text};
+use crate::table::{num, render_section, series, text, Bars};
 
 /// Profiling-token budgets swept per model; the engine profiles the
 /// largest so the trace can be truncated to the others.
@@ -22,7 +21,7 @@ const SIZES: [usize; 6] = [50, 1000, 2000, 3000, 4000, 5000];
 
 /// Regenerate the sampling sweep on 8 GPUs (2 nodes), one series per
 /// expert count, fanned across the installed sweep pool.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let series = par_map(vec![8usize, 16, 32, 64], |e| {
         let engine = InferenceEngine::builder(w.cut(moe_gpt_m(e)), cluster_for(8))
             .requests_per_gpu(8)
@@ -61,7 +60,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
         });
         rows.collect::<Vec<Json>>()
     });
-    series.into_iter().flatten().collect()
+    Ok(series.into_iter().flatten().collect())
 }
 
 /// Per model, the speedup curve saturates: the largest sample is at least
@@ -71,11 +70,11 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for series in series(rows, &["experts"]) {
         let (first, last) = (&series[0], &series[series.len() - 1]);
-        let small = bars.num(first, "alltoall_speedup");
-        let large = bars.num(last, "alltoall_speedup");
+        let small = num(first, "alltoall_speedup");
+        let large = num(last, "alltoall_speedup");
         let what = format!("speedup degraded from {small} to {large}");
         bars.fail_if(last, large < 0.85 * small, what);
-        let best = series.iter().map(|r| bars.num(r, "alltoall_speedup"));
+        let best = series.iter().map(|r| num(r, "alltoall_speedup"));
         let best = best.fold(f64::MIN, f64::max);
         let what = format!("best alltoall speedup {best} is negligible");
         bars.fail_if(first, best <= 1.05, what);

@@ -11,8 +11,8 @@ use exflow_model::presets::heatmap_model;
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{CorpusSpec, TokenBatch};
 
-use crate::gate::Bars;
-use crate::table::{int, num, series};
+use crate::experiments::common::Workload;
+use crate::table::{int, num, series, Bars};
 
 /// One heatmap: the conditional matrix plus summary stats.
 #[derive(Debug, Clone)]
@@ -72,12 +72,12 @@ pub fn print() {
 
 /// Appendix Figs. 14–16: affinity from layers {0,3,7,10} to all later
 /// layers, summarized by top-1 mass per gap — one row per layer pair.
-pub fn gap_sweep() -> Vec<Json> {
+pub fn gap_sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let trace = profile_trace();
     let pairs = [0usize, 3, 7, 10]
         .into_iter()
         .flat_map(|from| (from + 1..trace.n_layers()).map(move |to| (from, to)));
-    pairs
+    Ok(pairs
         .map(|(from, to)| {
             let m = AffinityMatrix::from_trace(&trace, from, to);
             Json::obj(vec![
@@ -89,7 +89,7 @@ pub fn gap_sweep() -> Vec<Json> {
                 ("top1_mass", metrics::mean_top1_mass(&m).into()),
             ])
         })
-        .collect()
+        .collect())
 }
 
 /// Consecutive layers are the most predictive; far layers decay toward
@@ -97,7 +97,7 @@ pub fn gap_sweep() -> Vec<Json> {
 pub(crate) fn gap_bars(rows: &[Json], bars: &mut Bars) {
     for series in series(rows, &["from_layer"]).filter(|s| s.len() >= 3) {
         let (near, far) = (&series[0], &series[series.len() - 1]);
-        let (first, last) = (bars.num(near, "top1_mass"), bars.num(far, "top1_mass"));
+        let (first, last) = (num(near, "top1_mass"), num(far, "top1_mass"));
         let what = format!("gap-1 mass {first} should exceed max-gap mass {last}");
         bars.fail_if(far, first <= last, what);
     }

@@ -9,13 +9,12 @@ use exflow_model::presets::{moe_gpt_m, moe_gpt_m_32e_32l, moe_gpt_m_32e_40l};
 
 use crate::experiments::common::{engine_for, run_offline, Workload};
 use crate::fmt::f3;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, text};
+use crate::table::{num, nums, render_section, text, Bars};
 
 /// Regenerate the figure's series: one row per (model, GPU count) bar
 /// group, the cells fanned across the installed sweep pool.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let scenarios: [(_, &[usize]); 6] = [
         (moe_gpt_m(8), &[8]),
         (moe_gpt_m(16), &[8, 16]),
@@ -24,7 +23,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
         (moe_gpt_m_32e_32l(), &[16, 32]),
         (moe_gpt_m_32e_40l(), &[16, 32]),
     ];
-    par_map(w.cells(&scenarios), |(model, gpus)| {
+    Ok(par_map(w.cells(&scenarios), |(model, gpus)| {
         let name = model.name.clone();
         let engine = engine_for(model, gpus, w);
         let vanilla = run_offline(&engine, ParallelismMode::Vanilla);
@@ -42,7 +41,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
             // Alltoall.
             ("cc_allgather", (cc.breakdown.allgather / base).into()),
         ])
-    })
+    }))
 }
 
 /// The paper reports a > 50 % Alltoall reduction; every scenario must show
@@ -50,7 +49,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 /// adds must not eat it.
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for r in rows {
-        let [a2a, gather] = bars.nums(r, ["cc_alltoall", "cc_allgather"]);
+        let [a2a, gather] = nums(r, ["cc_alltoall", "cc_allgather"]);
         let total = a2a + gather;
         bars.fail_if(
             r,

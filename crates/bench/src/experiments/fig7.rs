@@ -8,16 +8,15 @@ use exflow_model::presets::moe_gpt_m;
 
 use crate::experiments::common::{engine_for, reduction, run_offline, Workload};
 use crate::fmt::pct;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, text};
+use crate::table::{num, nums, render_section, text, Bars};
 
 /// Regenerate the sweep over expert-parallel sizes. GPU-count points are
 /// independent fixed-seed runs, so they fan across the installed sweep
 /// pool (`repro --jobs N`); output order and values are N-invariant.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let model = w.cut(moe_gpt_m(64));
-    par_map(w.gpus(&[1, 4, 8, 16, 32, 64]), |gpus| {
+    Ok(par_map(w.gpus(&[1, 4, 8, 16, 32, 64]), |gpus| {
         let engine = engine_for(model.clone(), gpus, w);
         let base = run_offline(&engine, ParallelismMode::ContextCoherent);
         let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
@@ -33,7 +32,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
             // Relative reduction in cross-GPU token traffic.
             ("comm_reduction", reduction(base_local, aff_local).into()),
         ])
-    })
+    }))
 }
 
 /// Affinity placement never keeps fewer tokens local than DeepSpeed's; one
@@ -41,7 +40,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 /// uniform `1 / G` and affinity cuts the cross-GPU traffic by over 10 %.
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for r in rows {
-        let [gpus, ds, aff, cut] = bars.nums(
+        let [gpus, ds, aff, cut] = nums(
             r,
             [
                 "gpus",

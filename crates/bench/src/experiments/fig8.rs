@@ -8,15 +8,14 @@ use exflow_model::presets::moe_gpt_m;
 
 use crate::experiments::common::{engine_for, reduction, run_offline, Workload};
 use crate::fmt::pct;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, text};
+use crate::table::{num, nums, render_section, text, Bars};
 
 /// Regenerate the node sweep, one fixed-seed cell per node count, fanned
 /// across the installed sweep pool.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let model = w.cut(moe_gpt_m(64));
-    par_map(w.gpus(&[4, 8, 16, 32, 64]), |gpus| {
+    Ok(par_map(w.gpus(&[4, 8, 16, 32, 64]), |gpus| {
         let engine = engine_for(model.clone(), gpus, w);
         let base = run_offline(&engine, ParallelismMode::ContextCoherent);
         let aff = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
@@ -36,7 +35,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
                 reduction(base_local, aff_local).into(),
             ),
         ])
-    })
+    }))
 }
 
 /// One node is fully node-local under both placements. Paper: "tokens are
@@ -44,7 +43,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 /// multi-node run must show a clear improvement.
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for r in rows {
-        let [nodes, ds, aff, cut] = bars.nums(
+        let [nodes, ds, aff, cut] = nums(
             r,
             [
                 "nodes",

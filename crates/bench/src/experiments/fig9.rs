@@ -8,18 +8,17 @@ use exflow_model::presets::moe_gpt_m;
 
 use crate::experiments::common::{engine_for, run_offline, Workload};
 use crate::fmt::pct;
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, render_section, text};
+use crate::table::{num, nums, render_section, text, Bars};
 
 /// The operator columns.
 const OPS: [&str; 4] = ["gating", "alltoall", "attention", "expert_ffn"];
 
 /// Regenerate the sweep (vanilla mode, MoE-32), one cell per node count,
 /// fanned across the installed sweep pool.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let model = w.cut(moe_gpt_m(32));
-    par_map(w.gpus(&[4, 8, 16, 32]), |gpus| {
+    Ok(par_map(w.gpus(&[4, 8, 16, 32]), |gpus| {
         let engine = engine_for(model.clone(), gpus, w);
         let b = run_offline(&engine, ParallelismMode::Vanilla).breakdown;
         let total = b.gating + b.alltoall + b.attention + b.expert_ffn;
@@ -35,7 +34,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
             // Share of expert FFN time.
             ("expert_ffn", (b.expert_ffn / total).into()),
         ])
-    })
+    }))
 }
 
 /// The four shares sum to one and gating is negligible; one node is
@@ -43,20 +42,17 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 /// (paper: 15 % at 1 node surging to 63 % at 2 nodes, 76 % at 8).
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for r in rows {
-        let [gating, alltoall, attention, ffn] = bars.nums(r, OPS);
+        let [gating, alltoall, attention, ffn] = nums(r, OPS);
         let sum = gating + alltoall + attention + ffn;
         bars.fail_if(r, (sum - 1.0).abs() >= 1e-9, format!("shares sum to {sum}"));
         let what = format!("gating share {gating} is not negligible");
         bars.fail_if(r, gating >= 0.05, what);
-        let dominated = bars.num(r, "nodes") == 1.0 && alltoall >= 0.5;
+        let dominated = num(r, "nodes") == 1.0 && alltoall >= 0.5;
         let what = format!("alltoall share {alltoall} dominates one node");
         bars.fail_if(r, dominated, what);
     }
     for pair in rows.windows(2) {
-        let (fewer, more) = (
-            bars.num(&pair[0], "alltoall"),
-            bars.num(&pair[1], "alltoall"),
-        );
+        let (fewer, more) = (num(&pair[0], "alltoall"), num(&pair[1], "alltoall"));
         let what = format!("alltoall share {more} did not grow from {fewer}");
         bars.fail_if(&pair[1], more <= fewer, what);
     }

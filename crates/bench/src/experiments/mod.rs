@@ -1,10 +1,11 @@
 //! One module per artifact. An artifact whose output is rows is an entry
 //! of the one registry, `crate::table::TABLES`, and its module holds the
-//! entry's functions: a paper artifact its `sweep` (at a
-//! [`common::Workload`]), `bars` and `render`; a beyond-paper `table_*`
-//! only its `render` (its sweep lives in `crate::summary`, its bars in
-//! `crate::gate`). The three artifacts that are not rows — `table2`'s
-//! static list, `fig2`'s heatmaps, `render-events`' JSONL — expose a plain
+//! entry's functions: its `sweep` (at a [`common::Workload`]), `bars` and
+//! `render`, paper artifact and beyond-paper `table_*` alike. The five
+//! ablation tables share `ablations`, `table_solvers` lives beside the
+//! model zoo in `table2`, and what two or more modules use lives in
+//! [`common`]. The three artifacts that are not rows — `table2`'s static
+//! list, `fig2`'s heatmaps, `render-events`' JSONL — expose a plain
 //! `print()`.
 
 pub mod ablations;
@@ -25,6 +26,7 @@ pub mod partial_replication;
 pub mod replan_latency;
 pub mod replication_online;
 pub mod serving;
+pub mod sparse;
 pub mod table1;
 pub mod table2;
 pub mod table3;

@@ -16,8 +16,7 @@ use exflow_model::presets::moe_gpt_m;
 
 use crate::experiments::common::{engine_for, run_offline, Workload};
 use crate::fmt::f3;
-use crate::gate::Bars;
-use crate::table::{find, num, render_section, text};
+use crate::table::{find, num, nums, render_section, text, Bars};
 
 fn yes_no(flag: bool) -> Json {
     if flag { "yes" } else { "no" }.into()
@@ -26,7 +25,7 @@ fn yes_no(flag: bool) -> Json {
 /// Regenerate Table I, one row per system. The measurement scenario is
 /// MoE-GPT-M/16e on 8 GPUs (2 nodes), the configuration where the paper
 /// reports its headline 2.2x.
-pub fn sweep(w: &Workload) -> Vec<Json> {
+pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     // Table I's ExFlow advantage amortizes the AllGather term over the
     // layer count, so the measurement keeps the model's true 24 layers
     // under every workload (a smaller one trims the batch, not the model).
@@ -48,7 +47,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
         n: engine.config().requests_per_gpu,
         l: model.n_layers,
     };
-    System::ALL
+    Ok(System::ALL
         .iter()
         .map(|&system| {
             let topo_aware = matches!(system, System::FasterMoe | System::TaMoe);
@@ -80,7 +79,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
                 ("inference_ok", yes_no(system.applicable_in_inference())),
             ])
         })
-        .collect()
+        .collect())
 }
 
 /// ExFlow moves the smallest forward volume, affinity placement lowers the
@@ -88,7 +87,7 @@ pub fn sweep(w: &Workload) -> Vec<Json> {
 /// gating costs every system more than top-1.
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for r in rows {
-        let [top1, top2] = bars.nums(r, ["volume_top1", "volume_top2"]);
+        let [top1, top2] = nums(r, ["volume_top1", "volume_top2"]);
         let what = format!("top-2 volume {top2} not above top-1 {top1}");
         bars.fail_if(r, top2 <= top1, what);
     }
@@ -100,13 +99,13 @@ pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     ) else {
         return;
     };
-    let [volume, p_star] = bars.nums(exflow, ["volume_top1", "routing_fraction"]);
+    let [volume, p_star] = nums(exflow, ["volume_top1", "routing_fraction"]);
     for other in [deepspeed, faster] {
-        let theirs = bars.num(other, "volume_top1");
+        let theirs = num(other, "volume_top1");
         let what = format!("volume {theirs} not above ExFlow's {volume}");
         bars.fail_if(other, volume >= theirs, what);
     }
-    let p = bars.num(deepspeed, "routing_fraction");
+    let p = num(deepspeed, "routing_fraction");
     let what = format!("affinity p* {p_star} should be below p {p}");
     bars.fail_if(exflow, p_star >= p || p <= 0.0 || p > 1.0, what);
 }

@@ -9,11 +9,10 @@ use exflow_model::presets::moe_gpt_m;
 use exflow_model::CorpusSpec;
 use exflow_topology::ClusterSpec;
 
-use crate::experiments::common::run_offline;
+use crate::experiments::common::{run_offline, Workload};
 use crate::fmt::{f3, render_table};
-use crate::gate::Bars;
 use crate::sweep::par_map;
-use crate::table::{num, text};
+use crate::table::{num, nums, text, Bars};
 
 fn engine_with_corpus(corpus: CorpusSpec) -> InferenceEngine {
     let mut model = moe_gpt_m(32);
@@ -31,14 +30,14 @@ fn engine_with_corpus(corpus: CorpusSpec) -> InferenceEngine {
 
 /// Regenerate Table III on a GPT-350M MoE-32 proxy over 2 nodes x 4 GPUs:
 /// one row per serving corpus, fanned across the installed sweep pool.
-pub fn sweep() -> Vec<Json> {
+pub fn sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let n_domains = 4;
     let pile_engine = engine_with_corpus(CorpusSpec::pile_proxy(n_domains));
     let pile_placement = pile_engine
         .placement_for(ParallelismMode::ContextCoherentAffinity)
         .clone();
 
-    par_map(CorpusSpec::table3(n_domains), |corpus| {
+    Ok(par_map(CorpusSpec::table3(n_domains), |corpus| {
         let name = corpus.name.clone();
         // Engine serving this corpus, but *placed* from the Pile.
         let engine = engine_with_corpus(corpus);
@@ -62,14 +61,14 @@ pub fn sweep() -> Vec<Json> {
                 (moved.node_local_fraction() / own.node_local_fraction()).into(),
             ),
         ])
-    })
+    }))
 }
 
 /// The Pile itself is the identity comparison; the out-of-distribution
 /// corpora retain nearly all the locality (paper: 0.989–1.005).
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
     for (i, r) in rows.iter().enumerate() {
-        let [gpu, node] = bars.nums(r, ["intra_gpu", "intra_node"]);
+        let [gpu, node] = nums(r, ["intra_gpu", "intra_node"]);
         let what = format!("self-transfer {gpu} is not the identity");
         bars.fail_if(r, i == 0 && (gpu - 1.0).abs() >= 1e-9, what);
         let what = format!("transfer too low: intra-GPU {gpu}, intra-node {node}");

@@ -1,341 +1,16 @@
-//! The beyond-paper tables' acceptance bars, and [`Bars`]: what every
-//! [`TABLES`](crate::table::TABLES) entry's bars read its rows through and
-//! report violations to.
-//!
-//! `repro` holds each table's rows to its bars as it sweeps them. Past
-//! that, the gate is byte equality: CI writes the document with
-//! `repro --out BENCH.fresh.json all` and `git diff --no-index
-//! --word-diff`s it against the committed `BENCH_BASELINE.json`. Every
-//! number prints with shortest round-trip formatting (or fixed decimals)
-//! and every row is one line, so a changed bit is a changed token on the
-//! line of its row, `id` fields included.
+//! The tests of every table's acceptance bars and of the byte gate: a
+//! drifted field must change its row's line of the document, and a row
+//! that misses a bar must report it. `lib.rs` mounts this file as `gate`,
+//! so the tests keep the ids the suite has always reported them by.
 
-use exflow_core::json::Json;
-
-use crate::summary::online_recovery;
-use crate::table::{num, text, Table};
-
-/// On the `E = 512`, top-1 cell the CSR backend must store (and a
-/// `swap_delta` pass walk) at most one in this many of the dense backend's
-/// cells: `density <= 1 / MIN_SPARSE_SPEEDUP_512` (the acceptance bar of
-/// the sparse backend; 0.006443 today, one in 155).
-pub const MIN_SPARSE_SPEEDUP_512: f64 = 2.0;
-
-/// Budgeted incremental re-placement must recover at least this fraction
-/// of the oracle re-solve's cross-traffic reduction on every
-/// `table_online` scenario (the acceptance bar of the online subsystem).
-pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
-
-/// On every `E = 512` `table_replan_latency` cell the re-plan's attraction
-/// table must decide all but one in this many considered swap candidates
-/// without an exact gain evaluation (`considered / evaluated`; the
-/// acceptance bar of the incremental re-plan engine). Like the sparse
-/// bar, this is an operation count, so it holds on any runner. The sweep
-/// measures 26 703x and 40 166x; the bar leaves a tenfold margin below that.
-pub const MIN_REPLAN_SCAN_REDUCTION_512: f64 = 2500.0;
-
-/// The row's `id` fields, joined with `/`.
-fn id_of(table: &Table, row: &Json) -> String {
-    let parts: Vec<String> = table.id.iter().map(|key| text(row, key)).collect();
-    parts.join("/")
-}
-
-/// What a table's `bars` function reads rows and reports through.
-pub struct Bars<'a> {
-    table: &'a Table,
-    violations: &'a mut Vec<String>,
-}
-
-impl<'a> Bars<'a> {
-    /// Bars of `table`, reporting into `violations`.
-    pub fn new(table: &'a Table, violations: &'a mut Vec<String>) -> Self {
-        Bars { table, violations }
-    }
-
-    /// A numeric field. Bars read only the rows their own sweep just
-    /// built, so a row that lacks it is a bug and panics, like
-    /// [`table::num`](crate::table::num).
-    pub fn num(&mut self, row: &Json, key: &str) -> f64 {
-        num(row, key)
-    }
-
-    /// Report a violated bar.
-    pub fn fail(&mut self, violation: String) {
-        self.violations.push(violation);
-    }
-
-    /// Several numeric fields of one row, each read like [`Bars::num`].
-    pub fn nums<const N: usize>(&mut self, row: &Json, keys: [&str; N]) -> [f64; N] {
-        keys.map(|key| self.num(row, key))
-    }
-
-    /// A bar over `row`: if `violated`, report `<table> <row id>: <what>`.
-    pub fn fail_if(&mut self, row: &Json, violated: bool, what: String) {
-        if violated {
-            let (name, id) = (self.table.name, id_of(self.table, row));
-            self.violations.push(format!("{name} {id}: {what}"));
-        }
-    }
-}
-
-/// The sparse backend's win on the E=512 top-1 cell, as the count it is:
-/// the CSR backend stores at most `1 / MIN_SPARSE_SPEEDUP_512` of the
-/// dense backend's cells.
-pub(crate) fn sparse_bars(rows: &[Json], bars: &mut Bars) {
-    for f in rows {
-        let density = bars.num(f, "density");
-        if bars.num(f, "experts") == 512.0
-            && bars.num(f, "k") == 1.0
-            && density * MIN_SPARSE_SPEEDUP_512 > 1.0
-        {
-            bars.fail(format!(
-                "sparse backend on {} stores {density} of the dense cells, above the \
-                 1/{MIN_SPARSE_SPEEDUP_512:.0} acceptance bar",
-                text(f, "preset")
-            ));
-        }
-    }
-}
-
-/// `" moved M bytes across R re-plans, over the B-byte per-re-plan
-/// budget"` when the policy whose fields start with `prefix` migrated more
-/// than its budget allows.
-fn over_byte_budget(bars: &mut Bars, f: &Json, prefix: &str) -> Option<String> {
-    let migrated = bars.num(f, &format!("{prefix}migrated_bytes"));
-    let (budget, replans) = (
-        bars.num(f, "budget_bytes"),
-        bars.num(f, &format!("{prefix}replans")),
-    );
-    (migrated > budget * replans).then(|| {
-        format!(
-            " moved {migrated} bytes across {replans} re-plans, over the {budget}-byte \
-             per-re-plan budget"
-        )
-    })
-}
-
-/// Budgeted incremental re-placement must recover >= 80% of the oracle's
-/// cross-traffic reduction, and must never migrate more than its byte
-/// budget per re-plan.
-pub(crate) fn online_bars(rows: &[Json], bars: &mut Bars) {
-    for f in rows {
-        let scenario = text(f, "scenario");
-        // Recompute recovery from the exact integer cross counts rather
-        // than trusting the 4-decimal-rounded `recovery` field (0.79997
-        // would serialize as "0.8000" and sneak past the bar).
-        let recovery = online_recovery(
-            bars.num(f, "static_cross"),
-            bars.num(f, "oracle_cross"),
-            bars.num(f, "budgeted_cross"),
-        );
-        if recovery < MIN_ONLINE_RECOVERY {
-            bars.fail(format!(
-                "online recovery on {scenario} is {recovery:.4}, below the \
-                 {MIN_ONLINE_RECOVERY:.1} acceptance bar"
-            ));
-        }
-        if let Some(over) = over_byte_budget(bars, f, "") {
-            bars.fail(format!("online migration on {scenario}{over}"));
-        }
-    }
-}
-
-/// The joint policy must respect both budget axes on every scenario
-/// (replica memory in slots, migration bytes per re-plan), never lose to
-/// owner-moves-only in realized cross traffic, and strictly beat it on at
-/// least one scenario — that is the memory-for-migration-bytes trade-off
-/// the subsystem exists to buy.
-pub(crate) fn replication_bars(rows: &[Json], bars: &mut Bars) {
-    let mut joint_dominates_somewhere = rows.is_empty();
-    for f in rows {
-        let scenario = text(f, "scenario");
-        let (extra, slots) = (bars.num(f, "extra_copies"), bars.num(f, "replica_slots"));
-        if extra > slots {
-            bars.fail(format!(
-                "replication memory on {scenario}: {extra} extra copies over the \
-                 {slots}-slot per-GPU budget"
-            ));
-        }
-        for policy in ["owner", "joint"] {
-            if let Some(over) = over_byte_budget(bars, f, &format!("{policy}_")) {
-                bars.fail(format!(
-                    "replication migration ({policy}) on {scenario}{over}"
-                ));
-            }
-        }
-        let (owner, joint) = (bars.num(f, "owner_cross"), bars.num(f, "joint_cross"));
-        if joint > owner {
-            bars.fail(format!(
-                "replication on {scenario}: joint policy crossed {joint} vs owner-moves-only \
-                 {owner} at equal migration bytes"
-            ));
-        }
-        joint_dominates_somewhere |= joint < owner;
-    }
-    if !joint_dominates_somewhere {
-        bars.fail(
-            "replication: the joint policy beats owner-moves-only on no scenario \
-             (the replica memory budget bought nothing)"
-                .to_string(),
-        );
-    }
-}
-
-/// What `ServingReport::migrations` documents, as a bar: weight copies
-/// overlap with serving but contend for links and defer the new plan's
-/// benefit, so under every arrival process an adaptive policy's p99 may
-/// exceed the static incumbent's by no more than the migration time it
-/// reports — and where the arrival process is non-stationary (`diurnal`,
-/// `flash-crowd`) it must beat the static tail outright. No policy may
-/// report more goodput than the load it was offered.
-pub(crate) fn serving_bars(rows: &[Json], bars: &mut Bars) {
-    for f in rows {
-        let arrival = text(f, "arrival");
-        let (static_p99, offered) = (bars.num(f, "static_p99"), bars.num(f, "offered_load"));
-        for policy in ["online", "repl"] {
-            let p99 = bars.num(f, &format!("{policy}_p99"));
-            let surcharge = bars.num(f, &format!("{policy}_migration_time"));
-            if p99 > static_p99 + surcharge {
-                bars.fail(format!(
-                    "serving tail on {arrival}: {policy} p99 {p99} exceeds the static \
-                     incumbent's {static_p99} by more than its {surcharge} of migration time"
-                ));
-            }
-            let non_stationary = matches!(arrival.as_str(), "diurnal" | "flash-crowd");
-            if non_stationary && p99 >= static_p99 {
-                bars.fail(format!(
-                    "serving tail on {arrival}: {policy} p99 {p99} does not beat the static \
-                     incumbent's {static_p99} under non-stationary arrivals"
-                ));
-            }
-        }
-        for policy in ["static", "online", "repl"] {
-            let goodput = bars.num(f, &format!("{policy}_goodput"));
-            if goodput > offered {
-                bars.fail(format!(
-                    "serving goodput on {arrival}: {policy} reports {goodput} over \
-                     the offered load {offered}"
-                ));
-            }
-        }
-    }
-}
-
-/// Under every fault schedule the replicated fleet must recover its
-/// latency tail (recovery >= 0) strictly faster than the unreplicated
-/// fleet (which may never recover at all, encoded as -1), and replica
-/// failover must save emergency wire traffic over restoring from a
-/// checkpoint shard.
-pub(crate) fn elasticity_bars(rows: &[Json], bars: &mut Bars) {
-    for f in rows {
-        let fault = text(f, "fault");
-        let (plain_rec, repl_rec) = (bars.num(f, "plain_recovery"), bars.num(f, "repl_recovery"));
-        let faster = repl_rec >= 0.0 && (plain_rec < 0.0 || repl_rec < plain_rec);
-        if !faster {
-            bars.fail(format!(
-                "elasticity on {fault}: replicated fleet recovery {repl_rec} vs \
-                 unreplicated {plain_rec} — replication must buy strictly faster recovery"
-            ));
-        }
-        let (plain_bytes, repl_bytes) = (
-            bars.num(f, "plain_emergency_bytes"),
-            bars.num(f, "repl_emergency_bytes"),
-        );
-        if repl_bytes >= plain_bytes {
-            bars.fail(format!(
-                "elasticity on {fault}: replication shipped {repl_bytes} emergency bytes vs \
-                 {plain_bytes} without — failover must save wire traffic"
-            ));
-        }
-    }
-}
-
-/// The delta-maintained objective must land bit-identical to the cold
-/// rebuild (the shortest-round-trip cross masses parse back to the bits
-/// the sweep held), and at E = 512 the re-plan must consider at least
-/// [`MIN_REPLAN_SCAN_REDUCTION_512`] candidates per exact gain evaluation.
-/// The bar is checked on the exact integer counters rather than the
-/// 3-decimal-rounded `scan_reduction` field (and a re-plan that needed no
-/// exact evaluation at all passes it).
-pub(crate) fn replan_latency_bars(rows: &[Json], bars: &mut Bars) {
-    for f in rows {
-        let preset = text(f, "preset");
-        let rebuild = bars.num(f, "cross_mass_rebuild");
-        if rebuild.to_bits() != bars.num(f, "cross_mass_incremental").to_bits() {
-            bars.fail(format!(
-                "replan-latency on {preset}: incremental cross mass {} diverged from the \
-                 rebuild's {} — incremental maintenance must be bit-identical",
-                text(f, "cross_mass_incremental"),
-                text(f, "cross_mass_rebuild")
-            ));
-        }
-        let (considered, evaluated) = (
-            bars.num(f, "considered"),
-            bars.num(f, "evaluated_incremental"),
-        );
-        if bars.num(f, "experts") == 512.0 && considered < MIN_REPLAN_SCAN_REDUCTION_512 * evaluated
-        {
-            bars.fail(format!(
-                "replan-latency on {preset} considered {considered} candidates for {evaluated} \
-                 exact evaluations, below the {MIN_REPLAN_SCAN_REDUCTION_512:.0}x acceptance bar"
-            ));
-        }
-    }
-}
-
-/// On every cell the subset policy — which races the full fan-out from
-/// the same incumbent at the same memory and migration budgets — must
-/// never lose to full replication in solver cross mass, both policies
-/// must respect the per-GPU slot and per-re-plan byte budgets, and at
-/// least one top-2 CC engine row must actually place replicas (the
-/// regression the sweep exists to catch is top-2 models silently falling
-/// back to owner-only serving).
-pub(crate) fn partial_replication_bars(rows: &[Json], bars: &mut Bars) {
-    let mut top2_uses_replicas = rows.is_empty();
-    for f in rows {
-        let scenario = text(f, "scenario");
-        let (partial, full) = (
-            bars.num(f, "partial_cross_mass"),
-            bars.num(f, "full_cross_mass"),
-        );
-        if partial > full {
-            bars.fail(format!(
-                "partial replication on {scenario}: subset policy crossed {partial} vs full \
-                 fan-out's {full} at equal memory"
-            ));
-        }
-        let slots = bars.num(f, "replica_slots");
-        for policy in ["partial", "full"] {
-            let extra = bars.num(f, &format!("{policy}_extra_copies"));
-            if extra > slots {
-                bars.fail(format!(
-                    "partial replication on {scenario}: {policy} policy holds {extra} \
-                     extra copies over the {slots}-slot per-GPU budget"
-                ));
-            }
-        }
-        if let Some(over) = over_byte_budget(bars, f, "partial_") {
-            bars.fail(format!("partial replication on {scenario}{over}"));
-        }
-        top2_uses_replicas |= bars.num(f, "k") == 2.0 && bars.num(f, "cc_replicas_added") > 0.0;
-    }
-    if !top2_uses_replicas {
-        bars.fail(
-            "partial replication: no top-2 CC row placed a replica \
-             (top-2 dispatch fell back to owner-only serving)"
-                .to_string(),
-        );
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    use super::*;
-    use crate::summary::{document, BASELINE_SEED, SCHEMA};
+    use exflow_core::json::Json;
+
+    use crate::experiments::common::PAPER;
     use crate::table::fixture::{assert_trips, rows, set, table};
-    use crate::table::int;
+    use crate::table::{document, int, num, SCHEMA};
 
     fn panics(f: impl FnOnce()) -> bool {
         catch_unwind(AssertUnwindSafe(f)).is_err()
@@ -357,7 +32,7 @@ mod tests {
     fn changed_line(key: &str, edit: impl FnOnce(&mut Vec<Json>)) -> String {
         let mut edited = rows(key).to_vec();
         edit(&mut edited);
-        let section = |rows| document(BASELINE_SEED, vec![(table(key).key, rows)]);
+        let section = |rows| document(PAPER.seed, vec![(table(key).key, rows)]);
         let (before, after) = (section(rows(key).to_vec()), section(edited));
         assert_eq!(before.lines().count(), after.lines().count(), "{key}");
         let changed: Vec<(&str, &str)> = (before.lines().zip(after.lines()))
@@ -427,10 +102,9 @@ mod tests {
             assert!(panics(|| drop(table(key).violations(&rows))), "{key}");
         }
         // A misspelt field is an absent one.
-        let (table, row) = (table("online_rows"), &rows("online_rows")[0]);
-        let mut violations = Vec::new();
+        let row = &rows("online_rows")[0];
         assert!(panics(|| {
-            Bars::new(table, &mut violations).num(row, "budgeted_crosss");
+            num(row, "budgeted_crosss");
         }));
     }
 
@@ -445,7 +119,7 @@ mod tests {
     fn v1_baseline_is_rejected() {
         // The schema tag is a line of its own: a baseline of any other
         // schema differs from every fresh document there.
-        let fresh = document(BASELINE_SEED, Vec::new());
+        let fresh = document(PAPER.seed, Vec::new());
         let schema = format!("  \"schema\": \"{SCHEMA}\",");
         assert_eq!(fresh.lines().nth(1), Some(schema.as_str()));
     }

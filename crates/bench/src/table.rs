@@ -3,40 +3,36 @@
 //! `table_*` sweeps — and everything that handles rows iterates it.
 //! `repro` sweeps the entries of the artifacts it is asked for, holds each
 //! to its bars and prints it; `repro --out PATH all` keeps every entry's
-//! rows and `summary::document` writes them as the array sections of the
-//! summary document, which CI byte-compares with the committed baseline.
+//! rows and [`document`] writes them as the array sections of the summary
+//! document, which CI byte-compares with the committed baseline.
 //!
-//! A row is an insertion-ordered `Json` object built once, in the literal
-//! that ends its sweep; that literal (one commented line per key) is the
-//! only declaration of the table's columns. A new table is one entry here
-//! plus its three functions.
+//! Every entry has one shape: its artifact's `experiments/` module holds
+//! its [`Sweep`] (whose doc comment is the table's paragraph), bars and
+//! render. A row is an insertion-ordered `Json` object built once, in the
+//! literal that ends its sweep; that literal (one commented line per key)
+//! is the only declaration of the table's columns. A new table is one
+//! entry here plus its three functions.
 
 use exflow_core::json::Json;
 
 use crate::experiments::common::Workload;
 use crate::experiments::{
     ablations, elasticity, fig10, fig11, fig12, fig13, fig2, fig6, fig7, fig8, fig9, online,
-    partial_replication, replan_latency, replication_online, serving, table1, table3,
+    partial_replication, replan_latency, replication_online, serving, sparse, table1, table2,
+    table3,
 };
 use crate::fmt::render_table;
-use crate::gate::{self, Bars};
-use crate::summary;
 use crate::sweep::SweepPool;
 
-/// How an entry's rows are produced. Rows are invariant in the `--jobs`
-/// width either way.
-#[derive(Clone, Copy)]
-pub enum Sweep {
-    /// A paper artifact: rows at a [`Workload`] (non-test code has one,
-    /// `PAPER`), cells fanned across the installed sweep pool. Its seeds
-    /// are the artifact's own.
-    Paper(fn(&Workload) -> Vec<Json>),
-    /// A beyond-paper table at its one gated size: `(jobs, seed)` to rows,
-    /// or the in-sweep invariance check that failed. `jobs` is the solver
-    /// width the sweep verifies thread-count invariance at; cells it hands
-    /// to `par_map` fan across the installed pool like a paper entry's.
-    Seeded(fn(usize, u64) -> Result<Vec<Json>, String>),
-}
+/// Schema tag of the summary document; bump it on any field change and
+/// regenerate the baseline, which CI byte-compares, tag line included.
+pub const SCHEMA: &str = "exflow-bench-summary/v10";
+
+/// How an entry's rows are produced: the rows at a [`Workload`] (non-test
+/// code has one, `PAPER`; a sweep of fixed size reads none of it), or the
+/// in-sweep check that failed. Cells a sweep hands to `par_map` fan across
+/// the installed sweep pool, and the rows are the same at any pool width.
+pub type Sweep = fn(&Workload) -> Result<Vec<Json>, String>;
 
 /// One array section of the summary document.
 pub struct Table {
@@ -60,13 +56,9 @@ pub struct Table {
 }
 
 impl Table {
-    /// Sweep the entry with its cells fanned across `jobs` workers: a
-    /// paper artifact at `w`, a beyond-paper table at `(jobs, seed)`.
-    pub fn rows(&self, w: &Workload, jobs: usize, seed: u64) -> Result<Vec<Json>, String> {
-        SweepPool::new(jobs).install(|| match self.sweep {
-            Sweep::Paper(sweep) => Ok(sweep(w)),
-            Sweep::Seeded(sweep) => sweep(jobs, seed),
-        })
+    /// Sweep the entry at `w` with its cells fanned across `jobs` workers.
+    pub fn rows(&self, w: &Workload, jobs: usize) -> Result<Vec<Json>, String> {
+        SweepPool::new(jobs).install(|| (self.sweep)(w))
     }
 
     /// The violations `rows` earn from this table's own bars (none =
@@ -78,11 +70,60 @@ impl Table {
     }
 }
 
+/// What a table's `bars` function reports violations to. Bars read rows
+/// through [`num`], [`nums`], [`int`] and [`text`].
+pub struct Bars<'a> {
+    table: &'a Table,
+    violations: &'a mut Vec<String>,
+}
+
+impl<'a> Bars<'a> {
+    /// Bars of `table`, reporting into `violations`.
+    pub fn new(table: &'a Table, violations: &'a mut Vec<String>) -> Self {
+        Bars { table, violations }
+    }
+
+    /// Report a violated bar.
+    pub fn fail(&mut self, violation: String) {
+        self.violations.push(violation);
+    }
+
+    /// A bar over `row`: if `violated`, report `<table> <row id>: <what>`,
+    /// the row's `id` fields joined with `/`.
+    pub fn fail_if(&mut self, row: &Json, violated: bool, what: String) {
+        if violated {
+            let id: Vec<String> = self.table.id.iter().map(|key| text(row, key)).collect();
+            let (name, id) = (self.table.name, id.join("/"));
+            self.violations.push(format!("{name} {id}: {what}"));
+        }
+    }
+}
+
+/// One array section of the document: a [`TABLES`] entry's key and the
+/// rows its sweep built.
+pub type Section = (&'static str, Vec<Json>);
+
+/// The [`SCHEMA`] document (see README) of `sections`, which `repro all`
+/// hands over in `TABLES` order, headed by the master `seed` they were
+/// swept at. Floats print with shortest round-trip formatting or a fixed
+/// number of decimals, and each row is one line, so byte equality of two
+/// documents — what CI checks — is bit equality of every value, and a
+/// word diff shows a changed value on its row's line.
+pub fn document(seed: u64, sections: Vec<Section>) -> String {
+    let mut doc = vec![("schema", SCHEMA.into()), ("seed", seed.into())];
+    for (key, rows) in sections {
+        doc.push((key, Json::Arr(rows)));
+    }
+    Json::obj(doc)
+        .write_pretty()
+        .expect("bench summaries hold only finite numbers")
+}
+
 /// A paper artifact's entry, keyed and named by its `repro` artifact.
 const fn paper(
     name: &'static str,
     id: &'static [&'static str],
-    sweep: fn(&Workload) -> Vec<Json>,
+    sweep: Sweep,
     bars: fn(&[Json], &mut Bars),
     render: fn(&[Json]) -> String,
 ) -> Table {
@@ -91,7 +132,7 @@ const fn paper(
         name,
         artifact: name,
         id,
-        sweep: Sweep::Paper(sweep),
+        sweep,
         bars,
         render,
     }
@@ -101,7 +142,7 @@ const fn paper(
 const fn ablation(
     name: &'static str,
     id: &'static [&'static str],
-    sweep: fn(&Workload) -> Vec<Json>,
+    sweep: Sweep,
     bars: fn(&[Json], &mut Bars),
     render: fn(&[Json]) -> String,
 ) -> Table {
@@ -124,7 +165,7 @@ pub const TABLES: &[Table] = &[
     paper(
         "table3",
         &["corpus"],
-        |_| table3::sweep(),
+        table3::sweep,
         table3::bars,
         table3::render,
     ),
@@ -148,14 +189,14 @@ pub const TABLES: &[Table] = &[
     paper(
         "fig11",
         &["experts", "iteration"],
-        |_| fig11::sweep(),
+        fig11::sweep,
         fig11::bars,
         fig11::render,
     ),
     paper(
         "fig12",
         &["phase", "experts", "iteration"],
-        |_| fig12::sweep(),
+        fig12::sweep,
         fig12::bars,
         fig12::render,
     ),
@@ -169,35 +210,35 @@ pub const TABLES: &[Table] = &[
     paper(
         "fig14",
         &["from_layer", "to_layer"],
-        |_| fig2::gap_sweep(),
+        fig2::gap_sweep,
         fig2::gap_bars,
         fig2::render_gaps,
     ),
     ablation(
         "ablation_solvers",
         &["solver"],
-        |_| ablations::solver_sweep(),
+        ablations::solver_sweep,
         ablations::solver_bars,
         ablations::render_solvers,
     ),
     ablation(
         "ablation_staged",
         &["strategy"],
-        |_| ablations::staged_sweep(),
+        ablations::staged_sweep,
         ablations::staged_bars,
         ablations::render_staged,
     ),
     ablation(
         "ablation_kappa",
         &["kappa"],
-        |_| ablations::kappa_sweep(),
+        ablations::kappa_sweep,
         ablations::kappa_bars,
         ablations::render_kappa,
     ),
     ablation(
         "ablation_replication",
         &["strategy"],
-        |_| ablations::replication_sweep(),
+        ablations::replication_sweep,
         ablations::replication_bars,
         ablations::render_replication,
     ),
@@ -213,7 +254,7 @@ pub const TABLES: &[Table] = &[
         name: "table2",
         artifact: "table_solvers",
         id: &["model", "solver"],
-        sweep: Sweep::Seeded(summary::solver_table),
+        sweep: table2::sweep,
         bars: |_, _| {},
         render: render_columns,
     },
@@ -222,8 +263,8 @@ pub const TABLES: &[Table] = &[
         name: "sparse",
         artifact: "table_sparse",
         id: &["preset"],
-        sweep: Sweep::Seeded(summary::sparse_table),
-        bars: gate::sparse_bars,
+        sweep: sparse::sweep,
+        bars: sparse::bars,
         render: render_columns,
     },
     Table {
@@ -231,8 +272,8 @@ pub const TABLES: &[Table] = &[
         name: "online",
         artifact: "table_online",
         id: &["scenario"],
-        sweep: Sweep::Seeded(summary::online_table),
-        bars: gate::online_bars,
+        sweep: online::sweep,
+        bars: online::bars,
         render: online::render,
     },
     Table {
@@ -240,8 +281,8 @@ pub const TABLES: &[Table] = &[
         name: "replication",
         artifact: "table_replication_online",
         id: &["scenario"],
-        sweep: Sweep::Seeded(summary::replication_online_table),
-        bars: gate::replication_bars,
+        sweep: replication_online::sweep,
+        bars: replication_online::bars,
         render: replication_online::render,
     },
     Table {
@@ -249,8 +290,8 @@ pub const TABLES: &[Table] = &[
         name: "serving",
         artifact: "table_serving",
         id: &["arrival"],
-        sweep: Sweep::Seeded(summary::serving_table),
-        bars: gate::serving_bars,
+        sweep: serving::sweep,
+        bars: serving::bars,
         render: serving::render,
     },
     Table {
@@ -258,8 +299,8 @@ pub const TABLES: &[Table] = &[
         name: "elasticity",
         artifact: "table_elasticity",
         id: &["fault"],
-        sweep: Sweep::Seeded(summary::elasticity_table),
-        bars: gate::elasticity_bars,
+        sweep: elasticity::sweep,
+        bars: elasticity::bars,
         render: elasticity::render,
     },
     Table {
@@ -267,8 +308,8 @@ pub const TABLES: &[Table] = &[
         name: "replan-latency",
         artifact: "table_replan_latency",
         id: &["preset"],
-        sweep: Sweep::Seeded(summary::replan_latency_table),
-        bars: gate::replan_latency_bars,
+        sweep: replan_latency::sweep,
+        bars: replan_latency::bars,
         render: replan_latency::render,
     },
     Table {
@@ -276,8 +317,8 @@ pub const TABLES: &[Table] = &[
         name: "partial-replication",
         artifact: "table_partial_replication",
         id: &["scenario"],
-        sweep: Sweep::Seeded(summary::partial_replication_table),
-        bars: gate::partial_replication_bars,
+        sweep: partial_replication::sweep,
+        bars: partial_replication::bars,
         render: partial_replication::render,
     },
 ];
@@ -303,6 +344,11 @@ pub fn text(row: &Json, key: &str) -> String {
 pub fn num(row: &Json, key: &str) -> f64 {
     let value = field(row, key).as_f64();
     value.unwrap_or_else(|| panic!("field {key:?} is not a number"))
+}
+
+/// Several numeric fields of one row, each read like [`num`].
+pub fn nums<const N: usize>(row: &Json, keys: [&str; N]) -> [f64; N] {
+    keys.map(|key| num(row, key))
 }
 
 /// An exact unsigned integer field (byte counts are shifted, not divided).
@@ -347,18 +393,14 @@ pub(crate) fn series<'a>(rows: &'a [Json], fields: &'a [&str]) -> impl Iterator<
     rows.chunk_by(move |a, b| fields.iter().all(|field| a.get(field) == b.get(field)))
 }
 
-/// Every entry's rows at the test size — paper artifacts on the `FIXTURE`
-/// workload, beyond-paper tables at their one size — swept once per test
-/// binary, and the helper the per-artifact bar tests share.
+/// Every entry's rows at the test size — the `FIXTURE` workload — swept
+/// once per test binary, and the helpers the per-artifact bar tests share.
 #[cfg(test)]
 pub(crate) mod fixture {
     use std::sync::OnceLock;
 
     use super::*;
     use crate::experiments::common::FIXTURE;
-
-    /// The seed the beyond-paper sweeps run at under test.
-    const SEED: u64 = 7;
 
     pub(crate) fn table(key: &str) -> &'static Table {
         let found = TABLES.iter().find(|table| table.key == key);
@@ -367,7 +409,7 @@ pub(crate) mod fixture {
 
     /// Sweep `table` on the fixture at `jobs` workers.
     pub(crate) fn sweep(table: &Table, jobs: usize) -> Vec<Json> {
-        let rows = table.rows(&FIXTURE, jobs, SEED);
+        let rows = table.rows(&FIXTURE, jobs);
         rows.unwrap_or_else(|err| panic!("{}: {err}", table.key))
     }
 
@@ -412,7 +454,7 @@ mod tests {
     use super::*;
 
     fn is_paper(table: &Table) -> bool {
-        matches!(table.sweep, Sweep::Paper(_))
+        !table.artifact.starts_with("table_")
     }
 
     #[test]
@@ -432,7 +474,8 @@ mod tests {
                 "{artifact}: its entries are not adjacent"
             );
         }
-        // The paper's artifacts lead, in one block.
+        // Every `table_*` artifact comes after every other: the paper's
+        // artifacts lead, in one block.
         let paper = TABLES.iter().take_while(|t| is_paper(t)).count();
         assert!(paper > 0 && !TABLES[paper..].iter().any(is_paper));
     }
