@@ -14,11 +14,14 @@
 //!   layers (Fig. 2) and arbitrary layer gaps (appendix Figs. 14–16) —
 //!   the figure view, and the reference the CSR estimate is proven
 //!   bit-equal to;
-//! * computes the summary [`metrics`] the evaluation plots: scaled
-//!   affinity, top-k conditional mass, row entropy, and the
-//!   placement-transfer scores of Table III;
+//! * computes summary [`metrics`] of a matrix: the top-1 conditional mass
+//!   and the scaled affinity score Fig. 2 plots, and — for the
+//!   `affinity_study` example, their one caller — row entropy, the top-k
+//!   transfer score and the mean absolute difference of two matrices;
 //! * supports [`sampling`] studies — how many tokens are needed before the
-//!   estimate stabilizes (Fig. 13);
+//!   estimate stabilizes, which the `affinity_study` example prints (the
+//!   Fig. 13 and Table III artifacts instead measure dispatch locality and
+//!   Alltoall time end to end, on engines run with the placements);
 //! * maintains a [`StreamingAffinity`] estimate — the one trace → CSR
 //!   estimator, offline (a single profiling window) and online alike:
 //!   exponentially decayed pair-count ingestion that never materializes

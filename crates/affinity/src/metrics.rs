@@ -53,8 +53,9 @@ pub fn normalized_entropy(m: &AffinityMatrix) -> f64 {
 
 /// How much of corpus-B's conditional mass is captured by the top-`k`
 /// successor sets chosen from corpus-A's matrix, relative to B's own
-/// optimal top-`k` sets (Table III's row-normalized transfer score —
-/// `1.0` means the affinity structure transfers perfectly).
+/// optimal top-`k` sets (a row-normalized transfer score — `1.0` means the
+/// affinity structure transfers perfectly). [`crate::sampling`] scores a
+/// truncated estimate against the full one with it.
 pub fn transfer_score(a: &AffinityMatrix, b: &AffinityMatrix, k: usize) -> f64 {
     assert_eq!(a.n_experts(), b.n_experts(), "matrices must match in size");
     let e = a.n_experts();
@@ -74,8 +75,8 @@ pub fn transfer_score(a: &AffinityMatrix, b: &AffinityMatrix, k: usize) -> f64 {
     }
 }
 
-/// Mean absolute difference between two conditional matrices (estimation
-/// error for the sampling study, Fig. 13).
+/// Mean absolute difference between two conditional matrices (the
+/// estimation error of [`crate::sampling`]'s stability curve).
 pub fn mean_abs_diff(a: &AffinityMatrix, b: &AffinityMatrix) -> f64 {
     assert_eq!(a.n_experts(), b.n_experts());
     let e = a.n_experts();

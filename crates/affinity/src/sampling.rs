@@ -1,6 +1,8 @@
-//! Sample-efficiency of affinity estimation (the paper's Fig. 13 / §V-G):
-//! how many traced tokens are needed before the estimated conditional
-//! probabilities — and hence the placement derived from them — stabilize.
+//! Sample-efficiency of affinity estimation: how many traced tokens are
+//! needed before the estimated conditional probabilities stabilize. The
+//! `affinity_study` example prints the curve; the paper's Fig. 13 (§V-G)
+//! is reproduced end to end instead, by the Alltoall time of placements
+//! solved from truncated traces.
 
 use crate::matrix::AffinityMatrix;
 use crate::metrics;
