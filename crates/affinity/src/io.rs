@@ -60,8 +60,8 @@ impl std::error::Error for IoError {}
 pub fn write_trace_csv(trace: &RoutingTrace) -> String {
     let mut out = String::with_capacity(trace.n_tokens() * trace.n_layers() * 3);
     out.push_str(&format!("# experts={}\n", trace.n_experts()));
-    for path in trace.paths() {
-        let cells: Vec<String> = path.iter().map(|e| e.to_string()).collect();
+    for t in 0..trace.n_tokens() {
+        let cells: Vec<String> = trace.path(t).iter().map(|e| e.to_string()).collect();
         out.push_str(&cells.join(","));
         out.push('\n');
     }

@@ -8,9 +8,11 @@
 //! mode keeps folding: each serving window's routing decisions are added
 //! after multiplying all accumulated mass by a decay factor, making the
 //! estimate an exponentially weighted average over recent windows.
-//! Ingestion is pair-count based (at most `n_tokens` distinct `(expert,
-//! successor)` pairs per window per gap) and never materializes an
-//! `E x E` table.
+//! Ingestion costs sorting and merging, not a map operation per token:
+//! [`RoutingTrace::pair_counts`] sorts each gap's packed `(expert,
+//! successor)` keys and counts the runs (at most `n_tokens` distinct pairs
+//! per window per gap), and those ascending counts are merged into the
+//! gap's ascending store of joint mass. No `E x E` table is ever built.
 //!
 //! Three consumers hang off the estimator:
 //!
@@ -30,9 +32,11 @@
 //!
 //! [`AffinityMatrix::from_trace`]: crate::AffinityMatrix::from_trace
 
-use std::collections::BTreeMap;
-
 use crate::trace::RoutingTrace;
+
+/// One gap's joint mass: `((from, to), mass)` cells, ascending in
+/// `(from, to)`.
+type PairStore = Vec<((u16, u16), f64)>;
 
 /// Exponentially decayed conditional-probability estimate over a stream of
 /// routing-trace windows.
@@ -61,9 +65,12 @@ pub struct StreamingAffinity {
     n_experts: usize,
     decay: f64,
     windows_seen: u64,
-    /// Per gap: joint mass of each observed `(from, to)` pair. BTreeMap
-    /// keeps iteration in row-major ascending order, which keeps every
-    /// downstream accumulation bit-deterministic.
+    /// Per gap: joint mass of each observed `(from, to)` pair, one cell
+    /// per pair, strictly ascending in `(from, to)` — row-major, so a
+    /// row's cells are one contiguous run, found by binary search, and
+    /// every downstream accumulation walks them in one fixed order. A
+    /// window's sorted pair counts are merged in: an existing cell gains
+    /// the count, a new one is written as `0.0 + count`.
     ///
     /// Decay is applied *lazily*, row by row: a row's values are only
     /// brought up to date (stepwise, one multiplication per elapsed
@@ -75,7 +82,7 @@ pub struct StreamingAffinity {
     /// crucially, bit-stable across windows that do not touch the row.
     /// That stability is what makes consecutive snapshots differ only in
     /// touched rows, the contract [`Self::observe_delta`] exports.
-    gaps: Vec<BTreeMap<(u16, u16), f64>>,
+    gaps: Vec<PairStore>,
     /// Per gap: decayed mass of each source expert (row totals), decayed
     /// *eagerly* every window — this feeds the marginal weights (which
     /// change every window anyway) and the uniform-row test.
@@ -107,7 +114,7 @@ impl StreamingAffinity {
             n_experts,
             decay,
             windows_seen: 0,
-            gaps: vec![BTreeMap::new(); n_gaps],
+            gaps: vec![Vec::new(); n_gaps],
             row_mass: vec![vec![0.0; n_experts]; n_gaps],
             row_total: vec![vec![0.0; n_experts]; n_gaps],
             row_stamp: vec![vec![0; n_experts]; n_gaps],
@@ -150,9 +157,9 @@ impl StreamingAffinity {
             return;
         }
         let pending = now - stamp;
-        let lo = (row as u16, 0u16);
-        let hi = (row as u16, u16::MAX);
-        for (_, v) in self.gaps[gap].range_mut(lo..=hi) {
+        let store = &mut self.gaps[gap];
+        let cells = row_range(store, row);
+        for (_, v) in &mut store[cells] {
             for _ in 0..pending {
                 *v *= self.decay;
             }
@@ -191,21 +198,23 @@ impl StreamingAffinity {
             }
             // Touched rows: materialize the lazy state first (stepwise
             // decay to `now`), then fold the counts in, in ingestion
-            // order, mirrored onto the eager and lazy totals alike.
-            // `pair_counts` is ascending in `(from, to)`, so a new row is
-            // exactly a change of the last one and `touched` stays sorted.
+            // order, mirrored onto the eager and lazy totals alike, and
+            // merge them into the store. `pair_counts` is ascending in
+            // `(from, to)`, so a new row is exactly a change of the last
+            // one and `touched` stays sorted.
+            let counts = window.pair_counts(gap, gap + 1);
             let mut touched: Vec<usize> = Vec::new();
-            for ((i, p), c) in window.pair_counts(gap, gap + 1) {
+            for &((i, _), c) in &counts {
                 let row = i as usize;
                 if touched.last() != Some(&row) {
                     debug_assert!(touched.last().is_none_or(|&last| last < row));
                     touched.push(row);
+                    self.materialize_row(gap, row, now);
                 }
-                self.materialize_row(gap, row, now);
-                *self.gaps[gap].entry((i, p)).or_insert(0.0) += c as f64;
                 self.row_total[gap][row] += c as f64;
                 self.row_mass[gap][row] += c as f64;
             }
+            merge_counts(&mut self.gaps[gap], &counts);
             if emit {
                 // A flipped row that also received counts is an ordinary
                 // touched row (its mass is positive again); only the
@@ -230,9 +239,8 @@ impl StreamingAffinity {
                         }
                     } else {
                         let denom = self.row_total[gap][row];
-                        let lo = (row as u16, 0u16);
-                        let hi = (row as u16, u16::MAX);
-                        for (&(_, p), &v) in self.gaps[gap].range(lo..=hi) {
+                        let store = &self.gaps[gap];
+                        for &((_, p), v) in &store[row_range(store, row)] {
                             cols.push(p as usize);
                             probs.push(v / denom);
                         }
@@ -321,25 +329,28 @@ impl StreamingAffinity {
             row_ptr.push(0usize);
             let mut cols = Vec::new();
             let mut probs = Vec::new();
-            let mut iter = self.gaps[gap].iter().peekable();
+            let store = &self.gaps[gap];
+            let mut lo = 0;
             for (i, &live_mass) in mass.iter().enumerate() {
+                // This row's cells: the run after the previous row's.
+                let hi = lo + store[lo..].partition_point(|&((r, _), _)| r as usize == i);
                 if live_mass <= 0.0 {
                     // Unobserved (or fully decayed-away) source expert:
-                    // maximum-entropy estimate, stored explicitly.
+                    // maximum-entropy estimate, stored explicitly (any
+                    // zero-mass residue of the row is skipped).
                     for p in 0..e {
                         cols.push(p);
                         probs.push(1.0 / e as f64);
                     }
-                    // Skip any zero-mass residue of this row.
-                    while iter.next_if(|((r, _), _)| *r as usize == i).is_some() {}
                 } else {
                     let denom = self.row_total[gap][i];
-                    while let Some(((_, p), &v)) = iter.next_if(|((r, _), _)| *r as usize == i) {
-                        cols.push(*p as usize);
+                    for &((_, p), v) in &store[lo..hi] {
+                        cols.push(p as usize);
                         probs.push(v / denom);
                     }
                 }
                 row_ptr.push(cols.len());
+                lo = hi;
             }
             let total: f64 = mass.iter().sum();
             weights.push(if total <= 0.0 {
@@ -538,6 +549,31 @@ impl SnapshotDelta {
     pub fn gap_weights(&self, gap: usize) -> &[f64] {
         &self.weights[gap]
     }
+}
+
+/// The cells of `row` in an ascending store: one contiguous run.
+fn row_range(store: &[((u16, u16), f64)], row: usize) -> std::ops::Range<usize> {
+    let lo = store.partition_point(|&((r, _), _)| (r as usize) < row);
+    let hi = lo + store[lo..].partition_point(|&((r, _), _)| r as usize == row);
+    lo..hi
+}
+
+/// Merge one window's ascending pair counts into an ascending store: a
+/// cell already present gains its count, a new cell is written as
+/// `0.0 + count` — the float operations an `or_insert(0.0) += count` map
+/// fold performs. One pass over both, like the snapshot that follows.
+fn merge_counts(store: &mut PairStore, counts: &[((u16, u16), u64)]) {
+    let mut cells = std::mem::take(store).into_iter().peekable();
+    let mut merged = Vec::with_capacity(cells.len() + counts.len());
+    for &(key, c) in counts {
+        while let Some(cell) = cells.next_if(|&(k, _)| k < key) {
+            merged.push(cell);
+        }
+        let v = cells.next_if(|&(k, _)| k == key).map_or(0.0, |(_, v)| v);
+        merged.push((key, v + c as f64));
+    }
+    merged.extend(cells);
+    *store = merged;
 }
 
 /// Walk two column-sorted sparse rows in lockstep, calling

@@ -11,7 +11,8 @@ use exflow_model::TokenBatch;
 /// follows its primary chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTrace {
-    paths: Vec<Vec<u16>>,
+    /// Token-major: token `t`'s path is `paths[t * n_layers..][..n_layers]`.
+    paths: Vec<u16>,
     n_experts: usize,
     n_layers: usize,
 }
@@ -22,14 +23,26 @@ impl RoutingTrace {
     pub fn new(paths: Vec<Vec<u16>>, n_experts: usize) -> Self {
         assert!(!paths.is_empty(), "a trace needs at least one token");
         let n_layers = paths[0].len();
+        assert!(
+            paths.iter().all(|p| p.len() == n_layers),
+            "all paths must have equal length"
+        );
+        RoutingTrace::from_flat(paths.concat(), n_layers, n_experts)
+    }
+
+    /// Build from token-major paths laid end to end: `n_layers` expert ids
+    /// per token. Every id must be `< n_experts`.
+    pub fn from_flat(paths: Vec<u16>, n_layers: usize, n_experts: usize) -> Self {
         assert!(n_layers >= 1, "paths must cover at least one layer");
-        for p in &paths {
-            assert_eq!(p.len(), n_layers, "all paths must have equal length");
-            assert!(
-                p.iter().all(|&e| (e as usize) < n_experts),
-                "expert id out of range"
-            );
-        }
+        assert!(!paths.is_empty(), "a trace needs at least one token");
+        assert!(
+            paths.len().is_multiple_of(n_layers),
+            "all paths must have equal length"
+        );
+        assert!(
+            paths.iter().all(|&e| (e as usize) < n_experts),
+            "expert id out of range"
+        );
         RoutingTrace {
             paths,
             n_experts,
@@ -39,12 +52,12 @@ impl RoutingTrace {
 
     /// Build from a sampled [`TokenBatch`], keeping the primary expert.
     pub fn from_batch(batch: &TokenBatch, n_experts: usize) -> Self {
-        RoutingTrace::new(batch.top1_paths(), n_experts)
+        RoutingTrace::from_flat(batch.primaries().collect(), batch.n_layers(), n_experts)
     }
 
     /// Number of tokens.
     pub fn n_tokens(&self) -> usize {
-        self.paths.len()
+        self.paths.len() / self.n_layers
     }
 
     /// Number of MoE layers.
@@ -57,15 +70,16 @@ impl RoutingTrace {
         self.n_experts
     }
 
-    /// All paths.
-    pub fn paths(&self) -> &[Vec<u16>] {
-        &self.paths
+    /// Token `token`'s path: one expert per layer.
+    pub fn path(&self, token: usize) -> &[u16] {
+        &self.paths[token * self.n_layers..][..self.n_layers]
     }
 
     /// Expert chosen by `token` at `layer`.
     #[inline]
     pub fn expert_at(&self, token: usize, layer: usize) -> usize {
-        self.paths[token][layer] as usize
+        debug_assert!(layer < self.n_layers, "layer out of range");
+        self.paths[token * self.n_layers + layer] as usize
     }
 
     /// Per-expert token counts at one layer (load-balance measurement,
@@ -73,7 +87,7 @@ impl RoutingTrace {
     pub fn layer_histogram(&self, layer: usize) -> Vec<u64> {
         assert!(layer < self.n_layers);
         let mut h = vec![0u64; self.n_experts];
-        for p in &self.paths {
+        for p in self.paths.chunks_exact(self.n_layers) {
             h[p[layer] as usize] += 1;
         }
         h
@@ -82,26 +96,33 @@ impl RoutingTrace {
     /// Joint `(from_expert, to_expert)` observation counts between two
     /// layers, sorted row-major (ascending source, then successor). This
     /// is the sparse raw material [`crate::StreamingAffinity`] folds in:
-    /// at most `n_tokens` distinct pairs exist per gap, so large-`E`
-    /// ingestion never touches an `E x E` table.
+    /// each token's pair is packed into one `u32` key, the keys are sorted
+    /// and equal runs counted, so at most `n_tokens` distinct pairs come
+    /// out and large-`E` ingestion never touches an `E x E` table.
     pub fn pair_counts(&self, from_layer: usize, to_layer: usize) -> Vec<((u16, u16), u64)> {
         assert!(
             from_layer < to_layer && to_layer < self.n_layers,
             "need from_layer < to_layer < n_layers"
         );
-        let mut counts: std::collections::BTreeMap<(u16, u16), u64> =
-            std::collections::BTreeMap::new();
-        for p in &self.paths {
-            *counts.entry((p[from_layer], p[to_layer])).or_insert(0) += 1;
-        }
-        counts.into_iter().collect()
+        let mut keys: Vec<u32> = self
+            .paths
+            .chunks_exact(self.n_layers)
+            .map(|p| u32::from(p[from_layer]) << 16 | u32::from(p[to_layer]))
+            .collect();
+        keys.sort_unstable();
+        keys.chunk_by(|a, b| a == b)
+            .map(|run| {
+                let key = run[0];
+                (((key >> 16) as u16, key as u16), run.len() as u64)
+            })
+            .collect()
     }
 
     /// A trace containing only the first `n` tokens (sampling studies).
     pub fn truncated(&self, n: usize) -> RoutingTrace {
-        assert!(n >= 1 && n <= self.paths.len());
+        assert!(n >= 1 && n <= self.n_tokens());
         RoutingTrace {
-            paths: self.paths[..n].to_vec(),
+            paths: self.paths[..n * self.n_layers].to_vec(),
             n_experts: self.n_experts,
             n_layers: self.n_layers,
         }

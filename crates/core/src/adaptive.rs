@@ -91,11 +91,12 @@ impl<'e> AdaptiveState<'e> {
         (self.cfg.model.expert_params() * 2).max(1)
     }
 
-    /// Fold realized top-1 expert paths into the estimate. Online
-    /// profiling is free: the engine already knows every serving token's
-    /// path.
-    pub(crate) fn ingest(&mut self, paths: Vec<Vec<u16>>) {
-        let trace = RoutingTrace::new(paths, self.cfg.model.n_experts);
+    /// Fold realized top-1 expert paths into the estimate: token-major,
+    /// `n_layers` experts per token, laid end to end. Online profiling is
+    /// free: the engine already knows every serving token's path.
+    pub(crate) fn ingest(&mut self, paths: Vec<u16>) {
+        let model = &self.cfg.model;
+        let trace = RoutingTrace::from_flat(paths, model.n_layers, model.n_experts);
         let delta = self.streaming.observe_delta(&trace);
         self.objective.apply_snapshot_delta(&delta);
     }
@@ -247,7 +248,7 @@ pub(crate) mod tests {
         for window in 0..drift.n_windows() {
             let batches = window_batches(engine.config(), drift.model_at(window), window);
             each(&state.live, &batches);
-            state.ingest(batches.iter().flat_map(TokenBatch::top1_paths).collect());
+            state.ingest(batches.iter().flat_map(TokenBatch::primaries).collect());
             state.close_window(window);
         }
         state

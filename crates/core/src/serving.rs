@@ -335,8 +335,9 @@ struct ServingState<'a> {
     /// The current step's batch, refilled in place by `try_start_step`.
     step_batch: TokenBatch,
     cur_window: usize,
-    /// Realized paths of steps finished since the last window close.
-    pending_paths: Vec<Vec<u16>>,
+    /// Realized paths of steps finished since the last window close,
+    /// token-major and laid end to end (`n_layers` experts per step).
+    pending_paths: Vec<u16>,
     /// Live GPUs, ascending; replaced only on fleet events.
     live_ranks: Arc<[usize]>,
     /// `live_ranks` as of the current step's start (mirrors the pass's
@@ -468,11 +469,7 @@ impl<'a> ServingState<'a> {
         self.in_flight.retain(|&i| {
             let req = &mut requests[i];
             let (steps, step) = (&req.steps, req.steps_done);
-            pending.push(
-                (0..steps.n_layers())
-                    .map(|layer| steps.route(step, layer)[0])
-                    .collect(),
-            );
+            pending.extend((0..steps.n_layers()).map(|layer| steps.route(step, layer)[0]));
             req.steps_done += 1;
             if req.steps_done < decode_steps {
                 return true;

@@ -204,11 +204,10 @@ impl TokenBatch {
         self.domains[t]
     }
 
-    /// Primary (top-1) expert path of each token.
-    pub fn top1_paths(&self) -> Vec<Vec<u16>> {
-        (0..self.len())
-            .map(|t| self.token(t).iter().step_by(self.k).copied().collect())
-            .collect()
+    /// Every token's primary (top-1) expert at every layer, token-major:
+    /// token 0's `n_layers` primaries, then token 1's, and so on.
+    pub fn primaries(&self) -> impl Iterator<Item = u16> + '_ {
+        self.routes.iter().step_by(self.k).copied()
     }
 }
 
@@ -289,10 +288,11 @@ mod tests {
     fn top1_paths_extract_primary() {
         let m = model();
         let b = TokenBatch::sample(&m, &CorpusSpec::pile_proxy(4), 10, 2, 3);
-        let paths = b.top1_paths();
-        for (t, path) in paths.iter().enumerate() {
-            for (l, &e) in path.iter().enumerate() {
-                assert_eq!(e, b.route(t, l)[0]);
+        let primaries: Vec<u16> = b.primaries().collect();
+        assert_eq!(primaries.len(), 10 * 6);
+        for t in 0..10 {
+            for l in 0..6 {
+                assert_eq!(primaries[t * 6 + l], b.route(t, l)[0]);
             }
         }
     }

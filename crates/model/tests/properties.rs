@@ -372,11 +372,11 @@ proptest! {
                     );
                 }
             }
-            let top1: Vec<Vec<u16>> = routes
+            let top1: Vec<u16> = routes
                 .iter()
-                .map(|route| route.iter().map(|slots| slots[0]).collect())
+                .flat_map(|route| route.iter().map(|slots| slots[0]))
                 .collect();
-            prop_assert_eq!(batch.top1_paths(), top1, "k {}", k);
+            prop_assert_eq!(batch.primaries().collect::<Vec<_>>(), top1, "k {}", k);
         }
     }
 }
