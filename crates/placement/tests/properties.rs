@@ -420,6 +420,94 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn relabelling_gpus_leaves_every_measure_unchanged(
+        (e, u) in prop_oneof![
+            Just((8usize, 2usize)),
+            Just((8, 4)),
+            Just((12, 3)),
+            Just((12, 4)),
+            Just((16, 4)),
+            Just((16, 8)),
+        ],
+        gaps in 1usize..4,
+        density_pct in 10usize..=100,
+        budget in 0usize..4,
+        seed in 0u64..1_000,
+    ) {
+        // A unit is a label: one permutation of the labels, applied at
+        // every layer, keeps each unit's expert set, so no measure of a
+        // placement may move — the objective's not by a bit, on either
+        // gap backend.
+        use exflow_affinity::RoutingTrace;
+        use exflow_model::routing::AffinityModelSpec;
+        use exflow_model::{CorpusSpec, TokenBatch};
+
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7e1a);
+        let p = exflow_placement::local_search::random_placement(gaps + 1, e, u, &mut rng);
+        let mut perm: Vec<usize> = (0..u).collect();
+        for k in (1..u).rev() {
+            perm.swap(k, rng.gen_range(0..=k));
+        }
+        let q = Placement::new(
+            (0..=gaps)
+                .map(|l| p.layer(l).iter().map(|&g| perm[g]).collect())
+                .collect(),
+            u,
+        );
+
+        let model = AffinityModelSpec::new(gaps + 1, e).with_seed(seed).build();
+        let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 200, 1, seed);
+        let trace = RoutingTrace::from_batch(&batch, e);
+        prop_assert_eq!(measure_trace_locality(&trace, &p), measure_trace_locality(&trace, &q));
+
+        let raw = random_gaps_with_density(e, gaps, density_pct, seed);
+        for backend in [GapBackend::Dense, GapBackend::Sparse] {
+            let obj = Objective::from_raw_with(raw.clone(), e, backend);
+            prop_assert_eq!(obj.cross_mass(&p).to_bits(), obj.cross_mass(&q).to_bits());
+            for layer in 0..=gaps {
+                for e1 in 0..e {
+                    for e2 in e1 + 1..e {
+                        prop_assert_eq!(
+                            obj.swap_delta(&p, layer, e1, e2).to_bits(),
+                            obj.swap_delta(&q, layer, e1, e2).to_bits(),
+                            "swap_delta at layer {} of ({}, {}) on {:?}", layer, e1, e2, backend
+                        );
+                    }
+                }
+            }
+            // The replica subsets map through the same permutation and
+            // re-sort into exactly the plan the relabelled base gets.
+            let plan = ReplicationPlan::most_popular(&obj, p.clone(), budget);
+            let mapped = ReplicationPlan {
+                base: q.clone(),
+                replicas: plan
+                    .replicas
+                    .iter()
+                    .map(|layer| {
+                        layer
+                            .iter()
+                            .map(|(x, units)| {
+                                let mut units: Vec<usize> = units.iter().map(|&g| perm[g]).collect();
+                                units.sort_unstable();
+                                (*x, units)
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            };
+            prop_assert_eq!(&mapped, &ReplicationPlan::most_popular(&obj, q.clone(), budget));
+            prop_assert_eq!(
+                exflow_placement::replicated_cross_mass(&obj, &plan).to_bits(),
+                exflow_placement::replicated_cross_mass(&obj, &mapped).to_bits()
+            );
+        }
+    }
+}
+
 /// A random fleet state for the pure fleet planners: a random balanced
 /// placement, random non-owner replica subsets, and then `n_dead` GPUs
 /// already lost (each evacuated through [`plan_gpu_loss`] itself).
