@@ -14,14 +14,9 @@
 //!   layers (Fig. 2) and arbitrary layer gaps (appendix Figs. 14–16) —
 //!   the figure view, and the reference the CSR estimate is proven
 //!   bit-equal to;
-//! * computes summary [`metrics`] of a matrix: the top-1 conditional mass
-//!   and the scaled affinity score Fig. 2 plots, and — for the
-//!   `affinity_study` example, their one caller — row entropy, the top-k
-//!   transfer score and the mean absolute difference of two matrices;
-//! * supports [`sampling`] studies — how many tokens are needed before the
-//!   estimate stabilizes, which the `affinity_study` example prints (the
-//!   Fig. 13 and Table III artifacts instead measure dispatch locality and
-//!   Alltoall time end to end, on engines run with the placements);
+//! * computes the Fig. 2 summary [`metrics`] of a matrix: the mean top-1
+//!   and top-`k` conditional mass, and the affinity score that scales the
+//!   top-`k` mass against a structureless matrix;
 //! * maintains a [`StreamingAffinity`] estimate — the one trace → CSR
 //!   estimator, offline (a single profiling window) and online alike:
 //!   exponentially decayed pair-count ingestion that never materializes
@@ -33,10 +28,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod io;
 pub mod matrix;
 pub mod metrics;
-pub mod sampling;
 pub mod streaming;
 pub mod trace;
 

@@ -70,11 +70,6 @@ impl RoutingTrace {
         self.n_experts
     }
 
-    /// Token `token`'s path: one expert per layer.
-    pub fn path(&self, token: usize) -> &[u16] {
-        &self.paths[token * self.n_layers..][..self.n_layers]
-    }
-
     /// Expert chosen by `token` at `layer`.
     #[inline]
     pub fn expert_at(&self, token: usize, layer: usize) -> usize {

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use exflow_affinity::io::{parse_trace_csv, write_trace_csv};
 use exflow_affinity::{
     metrics, AffinityMatrix, AffinitySnapshot, RoutingTrace, SnapshotDelta, StreamingAffinity,
 };
@@ -11,11 +10,7 @@ use exflow_model::{CorpusSpec, TokenBatch};
 use proptest::prelude::*;
 
 fn arb_trace() -> impl Strategy<Value = RoutingTrace> {
-    arb_trace_of(10..200)
-}
-
-fn arb_trace_of(tokens: std::ops::Range<usize>) -> impl Strategy<Value = RoutingTrace> {
-    (2usize..16, 2usize..8, 1u64..500, tokens).prop_map(|(e, l, seed, n)| {
+    (2usize..16, 2usize..8, 1u64..500, 10usize..200).prop_map(|(e, l, seed, n)| {
         let model = AffinityModelSpec::new(l, e).with_seed(seed).build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), n, 1, seed);
         RoutingTrace::from_batch(&batch, e)
@@ -396,19 +391,6 @@ proptest! {
     }
 
     #[test]
-    fn normalized_entropy_in_unit_interval(trace in arb_trace()) {
-        let m = AffinityMatrix::from_trace(&trace, 0, 1);
-        let h = metrics::normalized_entropy(&m);
-        prop_assert!((-1e-9..=1.0 + 1e-9).contains(&h));
-    }
-
-    #[test]
-    fn self_transfer_is_perfect(trace in arb_trace(), k in 1usize..4) {
-        let m = AffinityMatrix::from_trace(&trace, 0, 1);
-        prop_assert!((metrics::transfer_score(&m, &m, k) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn stronger_affinity_scores_higher(seed in 0u64..200) {
         let make = |kappa: f64| {
             let model = AffinityModelSpec::new(2, 16)
@@ -422,76 +404,5 @@ proptest! {
         let weak = metrics::affinity_score(&make(0.2), 4);
         let strong = metrics::affinity_score(&make(0.9), 4);
         prop_assert!(strong > weak, "strong {} <= weak {}", strong, weak);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    // The trace CSV parser reads files an operator hands the deployment
-    // stage: whatever it is given it must answer `Ok` or `Err`, never panic
-    // (a panic in these bodies fails the test) and never allocate from a
-    // header field.
-
-    #[test]
-    fn csv_parsers_never_panic_on_arbitrary_bytes(
-        bytes in proptest::collection::vec(0u8..=255, 0..200),
-    ) {
-        let text = String::from_utf8_lossy(&bytes);
-        let _ = parse_trace_csv(&text);
-    }
-
-    #[test]
-    fn csv_parsers_never_panic_on_format_shaped_noise(
-        picks in proptest::collection::vec(0usize..28, 0..40),
-    ) {
-        const ALPHABET: [&str; 28] = [
-            "#", " ", "experts=", "from=", "to=", "0", "1", "2", "7", ",", "\n", "\r\n", "-",
-            "+", ".", "e", "0.5", "nan", "inf", "-1", "1e308", "q", "é", "65535", "65536",
-            "18446744073709551615", "18446744073709551616", "\t",
-        ];
-        let text: String = picks.iter().map(|&i| ALPHABET[i]).collect();
-        let _ = parse_trace_csv(&text);
-        // ...and as the body under a header that parses.
-        let _ = parse_trace_csv(&format!("# experts=4\n{text}"));
-    }
-
-    #[test]
-    fn csv_parsers_survive_hostile_expert_counts(claimed in 0usize..8, rows in 0usize..4) {
-        // Header fields far beyond anything the rows below could back: the
-        // answer must come from the rows, not from an allocation (or a
-        // product) sized by the header.
-        const SIZES: [usize; 8] =
-            [0, 1, 2, 3, 1 << 32, 3_037_000_500, 1 << 40, usize::MAX];
-        let experts = SIZES[claimed];
-        let trace = format!("# experts={experts}\n{}", "0,1\n".repeat(rows));
-        if let Ok(t) = parse_trace_csv(&trace) {
-            prop_assert!(experts >= 2, "ids 0 and 1 need two experts");
-            prop_assert_eq!((t.n_experts(), t.n_tokens(), t.n_layers()), (experts, rows, 2));
-        }
-    }
-
-    #[test]
-    fn csv_parsers_never_panic_on_damaged_files(
-        trace in arb_trace_of(4..40),
-        at in 0usize..100_000,
-        byte in 0u8..=255,
-    ) {
-        let e = trace.n_experts();
-        let text = write_trace_csv(&trace);
-        prop_assert_eq!(parse_trace_csv(&text), Ok(trace.clone()));
-        // Every prefix (the file is ASCII, so every cut is a char
-        // boundary): a truncated file is rejected or parses to what its
-        // header states.
-        for cut in 0..text.len() {
-            if let Ok(t) = parse_trace_csv(&text[..cut]) {
-                prop_assert_eq!(t.n_experts(), e);
-            }
-        }
-        // ...and a single-byte mutation anywhere.
-        let mut bytes = text.into_bytes();
-        let at = at % bytes.len();
-        bytes[at] = byte;
-        let _ = parse_trace_csv(&String::from_utf8_lossy(&bytes));
     }
 }

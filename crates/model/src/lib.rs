@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
-pub mod capacity;
 pub mod config;
 pub mod corpus;
 pub mod cost;

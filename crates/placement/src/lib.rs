@@ -62,7 +62,6 @@ pub mod exact;
 pub mod greedy;
 pub mod hungarian;
 pub mod incremental;
-pub mod io;
 pub mod local_search;
 pub mod objective;
 pub mod online;

@@ -26,15 +26,14 @@ fn main() {
     let trace = RoutingTrace::from_batch(&batch, model.n_experts);
 
     // Consecutive-layer conditional probabilities.
-    println!("layer-pair affinity (top-1 conditional mass, normalized score, entropy):");
+    println!("layer-pair affinity (top-1 conditional mass, normalized score):");
     for m in AffinityMatrix::consecutive(&trace) {
         println!(
-            "  L{:<2} -> L{:<2}   top1 {:.3}   score(k=3) {:.3}   entropy {:.3}",
+            "  L{:<2} -> L{:<2}   top1 {:.3}   score(k=3) {:.3}",
             m.from_layer(),
             m.to_layer(),
             metrics::mean_top1_mass(&m),
             metrics::affinity_score(&m, 3),
-            metrics::normalized_entropy(&m),
         );
     }
 
@@ -48,17 +47,5 @@ fn main() {
     for i in 0..model.n_experts.min(8) {
         let (succ, p) = m.most_affine(i);
         println!("  expert {i:>2} -> expert {succ:>2}  (P = {p:.3})");
-    }
-
-    // Sample efficiency: how fast the estimate stabilizes (Fig. 13's
-    // statistical underpinning).
-    println!("\nestimation stability vs sample size:");
-    for pt in
-        exflow::affinity::sampling::stability_curve(&trace, &[50, 500, 1000, 2000, 4000, 8000], 4)
-    {
-        println!(
-            "  {:>5} tokens   est. error {:.4}   transfer {:.3}",
-            pt.n_tokens, pt.estimation_error, pt.transfer
-        );
     }
 }
