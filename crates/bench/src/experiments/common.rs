@@ -427,10 +427,11 @@ pub(crate) fn calibrate_serving(
 
 /// `" moved M bytes across R re-plans, over the B-byte per-re-plan
 /// budget"` when the policy whose fields start with `prefix` migrated more
-/// than its budget allows: the whole-run half of the byte-budget bars.
-pub(crate) fn over_byte_budget(f: &Json, prefix: &str) -> Option<String> {
+/// than the per-re-plan budget in field `budget` allows: the whole-run
+/// half of the byte-budget bars.
+pub(crate) fn over_byte_budget(f: &Json, prefix: &str, budget: &str) -> Option<String> {
     let migrated = num(f, &format!("{prefix}migrated_bytes"));
-    let (budget, replans) = (num(f, "budget_bytes"), num(f, &format!("{prefix}replans")));
+    let (budget, replans) = (num(f, budget), num(f, &format!("{prefix}replans")));
     (migrated > budget * replans).then(|| {
         format!(
             " moved {migrated} bytes across {replans} re-plans, over the {budget}-byte \

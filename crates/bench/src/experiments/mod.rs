@@ -24,7 +24,6 @@ pub mod fig9;
 pub mod online;
 pub mod partial_replication;
 pub mod replan_latency;
-pub mod replication_online;
 pub mod serving;
 pub mod sparse;
 pub mod table1;

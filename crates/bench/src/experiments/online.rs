@@ -1,14 +1,20 @@
-//! `table_online` — the online serving mode under routing drift: static
-//! incumbent placement vs from-scratch oracle re-solves vs byte-budgeted
-//! incremental re-placement, on the drift presets of
-//! `exflow_model::drift`.
+//! `table_online` — the online serving mode under routing drift: five
+//! re-placement policies race on the same windows of each drift preset of
+//! `exflow_model::drift`. The static incumbent never moves; the oracle
+//! re-solves from scratch; the budgeted policy walks toward the oracle
+//! under a byte budget; owner-moves-only and the joint replica +
+//! owner-move policy re-plan under one tighter byte budget, and joint may
+//! also hold a few replica payloads per GPU.
 //!
 //! This artifact goes beyond the paper (whose placements are computed
-//! once, offline) and quantifies the claim that makes ExFlow the natural
-//! candidate for online adaptation: because placements need no
+//! once, offline) and quantifies two claims. Because placements need no
 //! retraining, re-optimizing them against a streaming affinity estimate
 //! recovers most of a full re-solve's cross-traffic reduction while
-//! migrating a bounded number of expert weights.
+//! migrating a bounded number of expert weights. And the trade the
+//! paper's Table I frames offline — ExFlow's zero replicas against
+//! replication's extra memory — holds online: when migration traffic is
+//! scarce, a bounded replica memory buys locality that owner moves alone
+//! do not.
 
 use exflow_affinity::StreamingAffinity;
 use exflow_core::json::Json;
@@ -19,12 +25,15 @@ use exflow_placement::local_search::solve_local_search_with;
 use exflow_placement::objective::measure_trace_locality;
 use exflow_placement::online::MigrationPlan;
 use exflow_placement::{
-    solve_budgeted_toward_metered, split_seed, CostMeter, Objective, Parallelism,
+    solve_budgeted_metered, solve_budgeted_replicated_metered, solve_budgeted_toward_metered,
+    split_seed, CostMeter, Objective, Parallelism, ReplicaPolicy, ReplicationBudget,
+    ReplicationPlan,
 };
 
 use crate::experiments::common::{
-    on_both_backends, over_byte_budget, score_on_both_backends, window_trace, within_byte_budget,
-    Workload, CHECKED_WIDTHS, ONLINE_DECAY, ONLINE_EXPERTS, ONLINE_REPLAN_EVERY, ONLINE_UNITS,
+    on_both_backends, over_byte_budget, ratio, score_on_both_backends, window_trace,
+    within_byte_budget, within_slot_budget, Workload, CHECKED_WIDTHS, ONLINE_DECAY, ONLINE_EXPERTS,
+    ONLINE_REPLAN_EVERY, ONLINE_UNITS,
 };
 use crate::fmt::pct;
 use crate::table::{int, num, nums, render_section, text, Bars};
@@ -35,6 +44,16 @@ use crate::table::{int, num, nums, render_section, text, Bars};
 /// is well under half of that.
 const ONLINE_BUDGET_MOVES: u64 = 40;
 
+/// Expert moves one owner-moves-only or joint re-plan may migrate: both
+/// get exactly this many payloads of migration traffic, so they race at
+/// equal bytes. Deliberately tighter than [`ONLINE_BUDGET_MOVES`]: the
+/// joint policy's edge is what it buys when migration traffic is scarce.
+const TIGHT_BUDGET_MOVES: u64 = 16;
+
+/// Extra replica payloads each GPU may hold under the joint policy (the
+/// `replica_memory_bytes` axis of its budget, in expert payloads).
+const REPLICA_SLOTS: u64 = 8;
+
 /// Local-search restarts of the oracle re-solve.
 const ONLINE_ORACLE_RESTARTS: usize = 2;
 
@@ -43,11 +62,13 @@ const ONLINE_ORACLE_RESTARTS: usize = 2;
 /// `table_online` scenario (the acceptance bar of the online subsystem).
 pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 
-/// Serve one drift scenario under the three policies. Every solve is
+/// Serve one drift scenario under the five policies, all from the same
+/// initial placement and on the same window traces. Every solve is
 /// verified invariant: the oracle re-solve across thread counts (1 vs
-/// each of the [`CHECKED_WIDTHS`]), the budgeted re-solve and the final
-/// cross mass across gap backends. Cross counts are measured on the
-/// realized window traces.
+/// each of the [`CHECKED_WIDTHS`]), the budgeted, owner-moves-only and
+/// joint re-solves and the final cross mass across gap backends. Every
+/// re-plan is held to its byte budget, and the joint one to its replica
+/// slots. Cross counts are measured on the realized window traces.
 fn scenario(
     drift: &DriftSchedule,
     layers: usize,
@@ -55,12 +76,18 @@ fn scenario(
     seed: u64,
 ) -> Result<Json, String> {
     let e = ONLINE_EXPERTS;
+    let name = drift.name();
     let bytes_per_expert = moe_gpt_m(e).expert_params() * 2;
     let budget_bytes = ONLINE_BUDGET_MOVES * bytes_per_expert;
+    let tight_budget_bytes = TIGHT_BUDGET_MOVES * bytes_per_expert;
+    let joint_budget = ReplicationBudget {
+        replica_memory_bytes: REPLICA_SLOTS * bytes_per_expert,
+        migration_budget_bytes: tight_budget_bytes,
+    };
     let windows = drift.n_windows();
 
     // Profile window 0's routing and solve the shared initial placement —
-    // exactly what all three policies start from.
+    // exactly what all five policies start from.
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
     streaming.observe(&window_trace(drift, 0, window_tokens, 1, seed ^ 0x0ff1));
     let initial = solve_local_search_with(
@@ -72,11 +99,15 @@ fn scenario(
     );
     let static_placement = initial.clone();
     let mut oracle_placement = initial.clone();
-    let mut budgeted_placement = initial;
+    let mut budgeted_placement = initial.clone();
+    let mut owner_placement = initial.clone();
+    let mut joint_plan = ReplicationPlan::bare(initial);
 
     let (mut static_cross, mut oracle_cross, mut budgeted_cross) = (0u64, 0u64, 0u64);
-    let mut migrated_bytes = 0u64;
-    let mut replans = 0usize;
+    let (mut owner_cross, mut joint_cross) = (0u64, 0u64);
+    // Bytes migrated and re-plans that moved anything, per adaptive policy.
+    let [mut budgeted_tally, mut owner_tally, mut joint_tally] = [(0u64, 0usize); 3];
+    let (mut replicas_added, mut replicas_dropped) = (0u64, 0u64);
 
     for window in 0..windows {
         let trace = window_trace(drift, window, window_tokens, 1, seed);
@@ -84,10 +115,14 @@ fn scenario(
             (&static_placement, &mut static_cross),
             (&oracle_placement, &mut oracle_cross),
             (&budgeted_placement, &mut budgeted_cross),
+            (&owner_placement, &mut owner_cross),
         ] {
             let loc = measure_trace_locality(&trace, placement);
             *acc += loc.transitions - loc.local;
         }
+        // The joint policy's count honors replica availability.
+        let loc = joint_plan.trace_locality(&trace);
+        joint_cross += loc.transitions - loc.local;
         streaming.observe(&trace);
 
         if (window + 1).is_multiple_of(ONLINE_REPLAN_EVERY) && window + 1 < windows {
@@ -108,41 +143,85 @@ fn scenario(
             for threads in CHECKED_WIDTHS {
                 if oracle_placement != oracle(Parallelism::new(threads)) {
                     return Err(format!(
-                        "{}: oracle re-solve diverged across thread counts (1 vs {threads}) \
-                         at window {window}",
-                        drift.name()
+                        "{name}: oracle re-solve diverged across thread counts (1 vs {threads}) \
+                         at window {window}"
                     ));
                 }
             }
 
-            // Budgeted incremental: walk toward the same oracle-quality
-            // solution under the byte budget (the budget caps migration
-            // traffic, not solver compute). Gap-backend invariance is
-            // verified on the walk.
-            let max_moves = budget_bytes / bytes_per_expert;
-            let toward = |objective: &Objective| {
-                solve_budgeted_toward_metered(
+            // Budgeted: walk toward the same oracle-quality solution under
+            // the byte budget (the budget caps migration traffic, not
+            // solver compute). Owner-moves-only: the whole tight budget
+            // buys relocations. Joint: replica adds and drops race owner
+            // moves under the same tight budget plus the replica memory.
+            // Gap-backend invariance is verified on all three.
+            let solve = |objective: &Objective| {
+                let next = solve_budgeted_toward_metered(
                     objective,
                     &budgeted_placement,
                     &oracle_placement,
-                    max_moves,
+                    ONLINE_BUDGET_MOVES,
                     &mut CostMeter::unlimited(),
                     None,
-                )
+                );
+                let (owner_next, _) = solve_budgeted_metered(
+                    objective,
+                    &owner_placement,
+                    TIGHT_BUDGET_MOVES,
+                    u64::MAX,
+                    None,
+                );
+                let (joint_next, _) = solve_budgeted_replicated_metered(
+                    objective,
+                    &joint_plan,
+                    bytes_per_expert,
+                    &joint_budget,
+                    &ReplicaPolicy::Everywhere,
+                    u64::MAX,
+                    None,
+                );
+                (next, owner_next, joint_next)
             };
-            let next = on_both_backends(&snapshot, toward, |_, _| {
-                format!(
-                    "{}: budgeted re-solve diverged across gap backends at window {window}",
-                    drift.name()
-                )
-            })?;
+            let (next, owner_next, joint_next) =
+                on_both_backends(&snapshot, solve, |dense, sparse| {
+                    let policy = match (dense.0 != sparse.0, dense.1 != sparse.1) {
+                        (true, _) => "budgeted",
+                        (false, true) => "owner",
+                        (false, false) => "joint",
+                    };
+                    format!(
+                        "{name}: {policy} re-solve diverged across gap backends at window {window}"
+                    )
+                })?;
+
             let plan = MigrationPlan::between(&budgeted_placement, &next, bytes_per_expert);
-            within_byte_budget(&format!("{}:", drift.name()), window, &plan, budget_bytes)?;
-            if !plan.is_empty() {
-                migrated_bytes += plan.total_bytes();
-                replans += 1;
-            }
+            charge(
+                &mut budgeted_tally,
+                &format!("{name}:"),
+                window,
+                &plan,
+                budget_bytes,
+            )?;
             budgeted_placement = next;
+
+            let plan = MigrationPlan::between(&owner_placement, &owner_next, bytes_per_expert);
+            charge(
+                &mut owner_tally,
+                &format!("{name}: owner"),
+                window,
+                &plan,
+                tight_budget_bytes,
+            )?;
+            owner_placement = owner_next;
+
+            let plan =
+                MigrationPlan::between_replicated(&joint_plan, &joint_next, bytes_per_expert);
+            let who = format!("{name}: joint");
+            charge(&mut joint_tally, &who, window, &plan, tight_budget_bytes)?;
+            within_slot_budget(&who, window, &joint_next, REPLICA_SLOTS)?;
+            replicas_added += plan.n_replica_adds() as u64;
+            replicas_dropped += plan.n_replica_drops() as u64;
+            joint_plan = joint_next;
         }
     }
 
@@ -150,11 +229,11 @@ fn scenario(
     // live estimate, bit-compared across backends.
     let cross_mass = score_on_both_backends(
         &streaming.snapshot(),
-        &format!("{}: final cross mass", drift.name()),
+        &format!("{name}: final cross mass"),
         |objective| objective.cross_mass(&budgeted_placement),
     )?;
 
-    let (stat, oracle, budgeted) = (
+    let recovered = recovery(
         static_cross as f64,
         oracle_cross as f64,
         budgeted_cross as f64,
@@ -164,7 +243,7 @@ fn scenario(
     // or backends is unambiguous.
     Ok(Json::obj(vec![
         // Drift preset name (`piecewise-2phase`, `smooth`, ...).
-        ("scenario", drift.name().into()),
+        ("scenario", name.into()),
         // Experts per layer.
         ("experts", e.into()),
         // MoE layers.
@@ -176,9 +255,9 @@ fn scenario(
         // Byte budget of one budgeted re-plan.
         ("budget_bytes", budget_bytes.into()),
         // Bytes the budgeted policy actually migrated, whole run.
-        ("migrated_bytes", migrated_bytes.into()),
+        ("migrated_bytes", budgeted_tally.0.into()),
         // Budgeted re-plans that moved at least one expert.
-        ("replans", replans.into()),
+        ("replans", budgeted_tally.1.into()),
         // Cross-unit transitions under the never-re-placed incumbent.
         ("static_cross", static_cross.into()),
         // Cross-unit transitions under from-scratch oracle re-solves.
@@ -187,11 +266,54 @@ fn scenario(
         ("budgeted_cross", budgeted_cross.into()),
         // Fraction of the oracle's cross-traffic reduction the budgeted
         // policy recovers.
-        ("recovery", Json::Fixed(recovery(stat, oracle, budgeted), 4)),
+        ("recovery", Json::Fixed(recovered, 4)),
         // Final cross mass of the budgeted placement on the live estimate
         // (bit-identical across backends — verified).
         ("cross_mass", cross_mass.into()),
+        // Byte budget of one owner-moves-only or joint re-plan (the same
+        // for both, so they race at equal migration bytes).
+        ("tight_budget_bytes", tight_budget_bytes.into()),
+        // Per-GPU replica memory budget of the joint policy, in expert
+        // payloads.
+        ("replica_slots", REPLICA_SLOTS.into()),
+        // Bytes the owner-moves-only policy migrated, whole run.
+        ("owner_migrated_bytes", owner_tally.0.into()),
+        // Bytes the joint policy migrated (owner moves + replica fan-out).
+        ("joint_migrated_bytes", joint_tally.0.into()),
+        // Owner-moves-only re-plans that moved at least one expert.
+        ("owner_replans", owner_tally.1.into()),
+        // Joint re-plans that changed anything.
+        ("joint_replans", joint_tally.1.into()),
+        // Replica copies the joint policy created, whole run.
+        ("replicas_added", replicas_added.into()),
+        // Replica copies the joint policy retired, whole run.
+        ("replicas_dropped", replicas_dropped.into()),
+        // Worst-case extra replica copies any GPU holds at the end of the
+        // joint run (must stay within `replica_slots`).
+        ("extra_copies", joint_plan.extra_copies_per_gpu().into()),
+        // Cross-unit transitions under owner-moves-only re-placement.
+        ("owner_cross", owner_cross.into()),
+        // Cross-unit transitions under the joint policy.
+        ("joint_cross", joint_cross.into()),
     ]))
+}
+
+/// Hold one re-plan's `plan` to its per-re-plan `budget` (`Err` naming
+/// `who` if it is over), then add it to a policy's `(bytes migrated,
+/// re-plans that moved anything)` tally.
+fn charge(
+    tally: &mut (u64, usize),
+    who: &str,
+    window: usize,
+    plan: &MigrationPlan,
+    budget: u64,
+) -> Result<(), String> {
+    within_byte_budget(who, window, plan, budget)?;
+    if !plan.is_empty() {
+        tally.0 += plan.total_bytes();
+        tally.1 += 1;
+    }
+    Ok(())
 }
 
 /// Fraction of the oracle's cross-traffic reduction the budgeted policy
@@ -205,11 +327,14 @@ pub(crate) fn recovery(static_cross: f64, oracle_cross: f64, budgeted_cross: f64
 }
 
 /// The `table_online` sweep: the non-stationary drift presets served
-/// under three re-placement policies (static incumbent, oracle re-solve,
-/// byte-budgeted incremental), recording realized cross-unit transition
-/// counts, migrated bytes, and the recovery fraction — verified
-/// bit-identical across thread counts and gap backends. Errors (instead of
-/// panicking) if any invariance check fails.
+/// under five re-placement policies racing on the same windows (static
+/// incumbent, oracle re-solve, byte-budgeted incremental, and at a
+/// tighter byte budget owner-moves-only and joint replica + owner-move
+/// re-placement), recording realized cross-unit transition counts,
+/// migrated bytes, replica churn and the recovery fraction — verified
+/// bit-identical across thread counts and gap backends, and within every
+/// byte and slot budget. Errors (instead of panicking) if any invariance
+/// or budget check fails.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let layers = 5;
     let windows = 12;
@@ -226,9 +351,13 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
 }
 
 /// Budgeted incremental re-placement must recover >= 80% of the oracle's
-/// cross-traffic reduction, and must never migrate more than its byte
-/// budget per re-plan.
+/// cross-traffic reduction. Every adaptive policy must stay within its
+/// byte budget per re-plan, and the joint policy within its replica
+/// slots. At equal migration bytes the joint policy must never cross more
+/// than owner-moves-only, and must cross less on at least one scenario —
+/// that is the memory-for-migration-bytes trade it exists to buy.
 pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
+    let mut joint_dominates_somewhere = rows.is_empty();
     for f in rows {
         let scenario = text(f, "scenario");
         // Recompute recovery from the exact integer cross counts rather
@@ -242,18 +371,55 @@ pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
                  {MIN_ONLINE_RECOVERY:.1} acceptance bar"
             ));
         }
-        if let Some(over) = over_byte_budget(f, "") {
+        if let Some(over) = over_byte_budget(f, "", "budget_bytes") {
             bars.fail(format!("online migration on {scenario}{over}"));
         }
+        for policy in ["owner", "joint"] {
+            if let Some(over) = over_byte_budget(f, &format!("{policy}_"), "tight_budget_bytes") {
+                bars.fail(format!(
+                    "replication migration ({policy}) on {scenario}{over}"
+                ));
+            }
+        }
+        let [extra, slots] = nums(f, ["extra_copies", "replica_slots"]);
+        if extra > slots {
+            bars.fail(format!(
+                "replication memory on {scenario}: {extra} extra copies over the \
+                 {slots}-slot per-GPU budget"
+            ));
+        }
+        let [owner, joint] = nums(f, ["owner_cross", "joint_cross"]);
+        if joint > owner {
+            bars.fail(format!(
+                "replication on {scenario}: joint policy crossed {joint} vs owner-moves-only \
+                 {owner} at equal migration bytes"
+            ));
+        }
+        joint_dominates_somewhere |= joint < owner;
+    }
+    if !joint_dominates_somewhere {
+        bars.fail(
+            "replication: the joint policy beats owner-moves-only on no scenario \
+             (the replica memory budget bought nothing)"
+                .to_string(),
+        );
     }
 }
 
 /// The rows as the printed table.
 pub fn render(rows: &[Json]) -> String {
+    // Share of the static incumbent's cross traffic a policy removed.
+    let cut = |r: &Json, policy: &str| {
+        let [stat, cross] = nums(r, ["static_cross", &format!("{policy}_cross")]);
+        pct(ratio(stat - cross, stat))
+    };
+    let mib = |r: &Json, field: &str| format!("{} MiB", int(r, field) >> 20);
     render_section(
         "table_online: re-placement policies under routing drift\n\
          (cross = realized cross-GPU layer transitions, lower is better;\n \
-         recovery = share of the oracle's reduction the budgeted policy keeps)",
+         recovery = share of the oracle's reduction the budgeted policy keeps;\n \
+         owner and joint spend the same tighter budget, and joint also holds\n \
+         <= `slots` extra replica payloads per GPU; cut = share of static's cross removed)",
         &[
             ("scenario", &|r| text(r, "scenario")),
             ("windows", &|r| text(r, "windows")),
@@ -261,11 +427,19 @@ pub fn render(rows: &[Json]) -> String {
             ("oracle", &|r| text(r, "oracle_cross")),
             ("budgeted", &|r| text(r, "budgeted_cross")),
             ("recovery", &|r| pct(num(r, "recovery"))),
-            ("migrated", &|r| {
-                format!("{} MiB", int(r, "migrated_bytes") >> 20)
+            ("migrated", &|r| mib(r, "migrated_bytes")),
+            ("budget/replan", &|r| mib(r, "budget_bytes")),
+            ("owner", &|r| text(r, "owner_cross")),
+            ("joint", &|r| text(r, "joint_cross")),
+            ("owner cut", &|r| cut(r, "owner")),
+            ("joint cut", &|r| cut(r, "joint")),
+            ("tight/replan", &|r| mib(r, "tight_budget_bytes")),
+            ("extra/slots", &|r| {
+                format!("{}/{}", text(r, "extra_copies"), text(r, "replica_slots"))
             }),
-            ("budget/replan", &|r| {
-                format!("{} MiB", int(r, "budget_bytes") >> 20)
+            ("replicas +/-", &|r| {
+                let (added, dropped) = (text(r, "replicas_added"), text(r, "replicas_dropped"));
+                format!("+{added}/-{dropped}")
             }),
         ],
         rows,

@@ -290,7 +290,7 @@ pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
                 ));
             }
         }
-        if let Some(over) = over_byte_budget(f, "partial_") {
+        if let Some(over) = over_byte_budget(f, "partial_", "budget_bytes") {
             bars.fail(format!("partial replication on {scenario}{over}"));
         }
         top2_uses_replicas |= num(f, "k") == 2.0 && num(f, "cc_replicas_added") > 0.0;

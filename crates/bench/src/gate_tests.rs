@@ -95,7 +95,7 @@ mod tests {
         // A budget a bar compares against, of a beyond-paper table and of a
         // paper entry.
         for (key, field) in [
-            ("replication_online_rows", "replica_slots"),
+            ("online_rows", "replica_slots"),
             ("fig10", "exflow_no_affinity"),
         ] {
             let rows = without(key, 0, field);
@@ -187,14 +187,14 @@ mod tests {
 
     #[test]
     fn replication_cross_drift_fails() {
-        let key = "replication_online_rows";
+        let key = "online_rows";
         let joint = int(&rows(key)[0], "joint_cross");
         assert_diff_shows(key, 0, "joint_cross", (joint - 1).into());
     }
 
     #[test]
     fn replication_memory_violation_fails() {
-        let key = "replication_online_rows";
+        let key = "online_rows";
         let slots = int(&rows(key)[0], "replica_slots");
         let edit = [(0, "extra_copies", (slots + 1).into())];
         assert_trips(key, &edit, "-slot per-GPU budget");
@@ -202,16 +202,16 @@ mod tests {
 
     #[test]
     fn replication_migration_violation_fails() {
-        let key = "replication_online_rows";
+        let key = "online_rows";
         let row = &rows(key)[0];
-        let allowed = int(row, "budget_bytes") * int(row, "joint_replans");
+        let allowed = int(row, "tight_budget_bytes") * int(row, "joint_replans");
         let edit = [(0, "joint_migrated_bytes", (allowed + 1).into())];
         assert_trips(key, &edit, "replication migration (joint)");
     }
 
     #[test]
     fn joint_policy_losing_to_owner_moves_fails() {
-        let key = "replication_online_rows";
+        let key = "online_rows";
         let owner = int(&rows(key)[0], "owner_cross");
         let edit = [(0, "joint_cross", (owner + 100).into())];
         assert_trips(key, &edit, "at equal migration bytes");
@@ -219,7 +219,7 @@ mod tests {
 
     #[test]
     fn joint_policy_tying_everywhere_fails_the_domination_bar() {
-        let key = "replication_online_rows";
+        let key = "online_rows";
         let owner = |row: &Json| int(row, "owner_cross").into();
         let edit: Vec<_> = (rows(key).iter().enumerate())
             .map(|(i, row)| (i, "joint_cross", owner(row)))

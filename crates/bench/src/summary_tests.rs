@@ -100,24 +100,14 @@ mod tests {
             assert!(int(row, "oracle_cross") < stat, "{scenario}: oracle");
             assert!(int(row, "budgeted_cross") < stat, "{scenario}: budgeted");
             assert!(num(row, "cross_mass").is_finite());
-        }
-
-        let replication = rows("replication_online_rows");
-        assert_eq!(replication.len(), 4, "3 presets at E=16 plus one large");
-        assert_eq!(
-            int(&replication[3], "experts"),
-            large_zoo()[0].n_experts as u64
-        );
-        for row in replication {
-            let scenario = text(row, "scenario");
+            // The owner-moves-only and joint policies race on the same
+            // windows, and both must beat the static incumbent too.
             assert!(
                 int(row, "joint_replans") > 0,
                 "{scenario}: no joint re-plans"
             );
-            let stat = int(row, "static_cross");
-            assert!(int(row, "owner_cross") < stat, "{scenario}");
-            assert!(int(row, "joint_cross") < stat, "{scenario}");
-            assert!(num(row, "cross_mass").is_finite());
+            assert!(int(row, "owner_cross") < stat, "{scenario}: owner");
+            assert!(int(row, "joint_cross") < stat, "{scenario}: joint");
         }
 
         let serving = rows("serving_rows");
@@ -227,8 +217,6 @@ mod tests {
         let mut fixed = [
             ("density", 6, false),
             ("recovery", 4, false),
-            ("owner_recovery", 4, false),
-            ("joint_recovery", 4, false),
             ("scan_reduction", 3, false),
             ("cc_local_fraction", 6, false),
         ];

@@ -18,15 +18,14 @@ use exflow_core::json::Json;
 use crate::experiments::common::Workload;
 use crate::experiments::{
     ablations, elasticity, fig10, fig11, fig12, fig13, fig2, fig6, fig7, fig8, fig9, online,
-    partial_replication, replan_latency, replication_online, serving, sparse, table1, table2,
-    table3,
+    partial_replication, replan_latency, serving, sparse, table1, table2, table3,
 };
 use crate::fmt::render_table;
 use crate::sweep::SweepPool;
 
 /// Schema tag of the summary document; bump it on any field change and
 /// regenerate the baseline, which CI byte-compares, tag line included.
-pub const SCHEMA: &str = "exflow-bench-summary/v10";
+pub const SCHEMA: &str = "exflow-bench-summary/v11";
 
 /// How an entry's rows are produced: the rows at a [`Workload`] (non-test
 /// code has one, `PAPER`; a sweep of fixed size reads none of it), or the
@@ -275,15 +274,6 @@ pub const TABLES: &[Table] = &[
         sweep: online::sweep,
         bars: online::bars,
         render: online::render,
-    },
-    Table {
-        key: "replication_online_rows",
-        name: "replication",
-        artifact: "table_replication_online",
-        id: &["scenario"],
-        sweep: replication_online::sweep,
-        bars: replication_online::bars,
-        render: replication_online::render,
     },
     Table {
         key: "serving_rows",
