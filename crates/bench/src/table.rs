@@ -515,6 +515,6 @@ mod tests {
         let digest = rows.fold(0xcbf2_9ce4_8422_2325, |h, row| {
             fnv1a(h, row.write().unwrap().as_bytes())
         });
-        assert_eq!(digest, 0x4461_86e1_8584_44ca, "{digest:#018x}");
+        assert_eq!(digest, 0x85a8_14f7_607b_ab78, "{digest:#018x}");
     }
 }
