@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Count the repository's Rust lines: non-test lines per library crate, and
-# all Rust lines in the tree.
+# Count the repository's Rust lines: non-test lines per library crate and
+# in each of the ten largest files, and all Rust lines in the tree.
 #
 # A non-test line is a line of a tracked `.rs` file under crates/*/src or
 # src that is not part of a column-0 `#[cfg(test)]` item. Such an item is
@@ -99,6 +99,13 @@ git ls-files -- ':(glob)crates/*/src/**/*.rs' ':(glob)src/**/*.rs' |
       }
       close("sort")
       printf "  %-12s %6d\n", "total", total
+      print "Largest non-test files:"
+      for (f in count) {
+        if (!(f in loaded)) {
+          printf "  %6d  %s\n", count[f], f | "sort -k1,1nr -k2 | head -n 10"
+        }
+      }
+      close("sort -k1,1nr -k2 | head -n 10")
     }
   '
 
