@@ -75,6 +75,11 @@ fn phase_seed(seed: u64, phase: u64) -> u64 {
     seed ^ (phase + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
+/// The endpoint a smooth schedule over `spec` drifts towards.
+fn smooth_target(spec: &AffinityModelSpec) -> AffinityModelSpec {
+    spec.clone().with_seed(phase_seed(spec.seed, 0x005a_007f))
+}
+
 impl DriftSchedule {
     /// A piecewise schedule: `n_phases` stationary phases spread evenly
     /// over `n_windows` windows. Phase `p` rebuilds the spec with a
@@ -109,10 +114,7 @@ impl DriftSchedule {
     pub fn smooth(spec: &AffinityModelSpec, n_windows: usize) -> Self {
         assert!(n_windows >= 2, "smooth drift needs at least two windows");
         let start = spec.build();
-        let target = spec
-            .clone()
-            .with_seed(phase_seed(spec.seed, 0x005a_007f))
-            .build();
+        let target = smooth_target(spec).build();
         let windows = (0..n_windows)
             .map(|w| Arc::new(start.interpolate(&target, w as f64 / (n_windows - 1) as f64)))
             .collect();
@@ -215,6 +217,25 @@ mod tests {
             let now = dist(w);
             assert!(now > last, "window {w}: distance {now} <= {last}");
             last = now;
+        }
+    }
+
+    #[test]
+    fn every_smooth_window_matches_the_dense_blend_to_the_bit() {
+        use crate::routing::oracle::{assert_same_bits, Dense};
+        let zero_floor = AffinityModelSpec::new(3, 40)
+            .with_affinity(1.0)
+            .with_domains(2, 0.0);
+        for spec in [spec(), zero_floor, AffinityModelSpec::new(2, 96)] {
+            let n_windows = 5;
+            let d = DriftSchedule::smooth(&spec, n_windows);
+            let start = Dense::new(&spec);
+            let target = Dense::new(&smooth_target(&spec));
+            let weights = vec![1.0; spec.n_domains];
+            for w in 0..n_windows {
+                let alpha = w as f64 / (n_windows - 1) as f64;
+                assert_same_bits(d.model_at(w), &start.interpolate(&target, alpha), &weights);
+            }
         }
     }
 

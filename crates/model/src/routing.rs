@@ -308,6 +308,13 @@ impl RoutingModel {
         out
     }
 
+    /// Row `from`'s total for `domain` and `gap`: what an unrestricted
+    /// draw scales its uniform by.
+    #[cfg(test)]
+    fn row_total(&self, domain: usize, gap: usize, from: usize) -> f64 {
+        self.row_totals[domain][gap][from]
+    }
+
     /// Sample the layer-0 expert for a token of `domain`.
     fn sample_first<R: Rng>(&self, rng: &mut R) -> usize {
         let e = self.spec.n_experts;
@@ -434,6 +441,10 @@ impl RoutingModel {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "routing_oracle.rs"]
+pub(crate) mod oracle;
 
 #[cfg(test)]
 mod tests {
