@@ -21,6 +21,31 @@
 //! structure (weight `domain_share`) with domain-specific structure, which
 //! is what makes affinity estimated on one corpus transfer to others
 //! (Table III).
+//!
+//! **Storage.** Every cell a row's permutations miss holds the same value,
+//! the *floor* `(1 - κ) / E` (exactly: the cell expression evaluated with
+//! no permutation hit). So a [`RoutingModel`] keeps one floor, and per
+//! (domain, gap) each row's *spikes* — the at most `2 m` columns its `m`
+//! core and `m` domain permutations hit, ascending, each with the value
+//! the cell expression gives it — plus each row's total, its cells folded
+//! left to right run by run. That is `O(L · D · E · m)` memory where a
+//! dense table took `O(L · D · E²)`. A blend of two models
+//! ([`RoutingModel::interpolate`]) blends the floors and the union of the
+//! two spike lists, so it stays in this form. [`RoutingModel::transition`]
+//! and [`RoutingModel::mixture_transition`] build the dense matrices on
+//! demand; every cell has the bits the dense construction gave it.
+//!
+//! **Sampling.** A draw's target is `uniform * total`, and the sampler is
+//! defined as the sequential scan that subtracts cell after cell from it.
+//! An unrestricted draw, or a top-2 second pick, instead walks the row's
+//! few segments to the cell whose computed prefix sums bracket the
+//! target, and takes it only when a rounding margin proves the scan stops
+//! there (the proof is on the private `search`); otherwise, and for a
+//! model restricted to active experts, it runs the scan run by run. Every
+//! draw is the scan's, so routes, traces and everything downstream keep
+//! their bits.
+
+use std::ops::{ControlFlow, Range};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -90,6 +115,13 @@ impl AffinityModelSpec {
     }
 
     /// Build the concrete routing model.
+    ///
+    /// # Panics
+    ///
+    /// If the spec has more than 65 536 experts (routes and traces carry
+    /// expert ids as `u16`), or κ or `domain_share` outside `[0, 1]` — the
+    /// fields are public, so the checks of [`AffinityModelSpec::new`] and
+    /// the `with_*` setters are not the only way in.
     pub fn build(&self) -> RoutingModel {
         RoutingModel::new(self.clone())
     }
@@ -121,99 +153,288 @@ fn random_permutation<R: Rng>(n: usize, rng: &mut R) -> Vec<usize> {
     p
 }
 
+/// The most experts a model takes: routes and traces carry expert ids as
+/// `u16`.
+const MAX_EXPERTS: usize = 1 << 16;
+
+/// A cell that is not the floor: its column and probability.
+#[derive(Debug, Clone, Copy)]
+struct Spike {
+    col: u32,
+    p: f64,
+}
+
+/// One transition matrix (a domain, a gap) as its rows' spikes; every
+/// other cell is the model's floor.
+#[derive(Debug, Clone)]
+struct Table {
+    /// Row `from`'s spikes are `spikes[starts[from]..starts[from + 1]]`,
+    /// ascending by column.
+    starts: Vec<usize>,
+    spikes: Vec<Spike>,
+    /// `totals[from]`: row `from`'s cells summed left to right — the
+    /// normalizer of an unrestricted draw.
+    totals: Vec<f64>,
+}
+
+impl Table {
+    /// A table with no rows yet.
+    fn new() -> Self {
+        Table {
+            starts: vec![0],
+            spikes: Vec::new(),
+            totals: Vec::new(),
+        }
+    }
+
+    /// Close the row whose spikes were pushed since the last one closed.
+    fn end_row(&mut self, floor: f64, e: usize) {
+        let row = &self.spikes[self.starts[self.starts.len() - 1]..];
+        self.totals.push(row_sum(floor, e, row, |_| true));
+        self.starts.push(self.spikes.len());
+    }
+
+    fn row(&self, from: usize) -> &[Spike] {
+        &self.spikes[self.starts[from]..self.starts[from + 1]]
+    }
+}
+
+/// Visit a row's `e` cells in column order as runs of one value — the
+/// floor over the columns before each spike (perhaps none), then the
+/// spike — until `visit` breaks.
+fn walk<B>(
+    floor: f64,
+    e: usize,
+    row: &[Spike],
+    mut visit: impl FnMut(Range<usize>, f64) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let mut col = 0;
+    for s in row {
+        let c = s.col as usize;
+        visit(col..c, floor)?;
+        visit(c..c + 1, s.p)?;
+        col = c + 1;
+    }
+    visit(col..e, floor)
+}
+
+/// A row's admissible cells summed left to right.
+fn row_sum(floor: f64, e: usize, row: &[Spike], admissible: impl Fn(usize) -> bool) -> f64 {
+    let mut total = 0.0f64;
+    let _ = walk::<()>(floor, e, row, |cols, p| {
+        for i in cols {
+            if admissible(i) {
+                total += p;
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    total
+}
+
+/// The sequential scan: walk the row's admissible cells in column order,
+/// subtracting each from `target` until `target` falls below one; past
+/// the end, the last admissible cell (`fallback` if there is none).
+fn scan(
+    floor: f64,
+    e: usize,
+    row: &[Spike],
+    mut target: f64,
+    admissible: impl Fn(usize) -> bool,
+    mut fallback: usize,
+) -> usize {
+    let stop = walk(floor, e, row, |cols, p| {
+        for i in cols {
+            if admissible(i) {
+                fallback = i;
+                if target < p {
+                    return ControlFlow::Break(i);
+                }
+                target -= p;
+            }
+        }
+        ControlFlow::Continue(())
+    });
+    match stop {
+        ControlFlow::Break(i) => i,
+        ControlFlow::Continue(()) => fallback, // numerical edge: the last admissible expert
+    }
+}
+
+/// The cell [`scan`] stops at, found without the scan: the segment (a
+/// run of floor cells, or a spike) whose computed prefix sums bracket
+/// `target`, then the cell within it. `None` unless a rounding margin
+/// proves the scan stops there. The row is `floor` but at `spikes` (at
+/// most `n_spikes`, ascending); a cell the scan skips is a zero spike here,
+/// since subtracting 0 leaves the scan's value as skipping it does and a
+/// value never falls below 0. `last` is the last cell the scan may
+/// return, `total` the scan's normalizer (its admissible cells folded left
+/// to right) and `target` a draw in `[0, total]`.
+///
+/// Why the margin is sufficient. Let `u = EPSILON / 2`, `p_i >= 0` the
+/// cells (κ, `domain_share` and every blend weight lie in `[0, 1]`),
+/// `S_k` the real sum of `p_0 .. p_(k-1)` and `t_i` the scan's value of
+/// `target` on reaching cell `i`. While the scan continues,
+/// `t_(i+1) = fl(t_i - p_i)` with `0 <= t_i - p_i <= t_i <= target`, so
+/// each step is off by at most `u * target` and
+/// `|t_i - (target - S_i)| <= i * u * target <= E * u * total`. The scan
+/// therefore passes every cell before `k` if `target >= S_k + E u total`,
+/// and stops at `k` if also `target + E u total < S_(k+1)`; at `k = 0`
+/// the first condition holds outright, and at `k = last` the second is
+/// not needed (past `last` the scan falls back to it). The skipped cell
+/// is never `last`, and it never passes: both conditions at once need
+/// `hi_k - lo_k > 2 * margin`, and where the first is waived, at `k = 0`,
+/// the second reads `target < -margin`. The computed `lo_k` and `hi_k`
+/// are recursive sums of the same real terms — spikes, and runs of `n`
+/// floor cells formed as `n * floor` — with at most `2 m + 2` additions
+/// over `m` spikes, so by the `gamma_j = j u / (1 - j u)` bound each lies
+/// within `gamma_(2m + 3)` of `S_k` and `S_(k+1)`, and both of those are
+/// below `2 * total` (`total` is itself within `gamma_(E - 1)` of the real
+/// row sum, and `E <= 65 536`). To first order the two conditions need a
+/// margin of `(E + 8 m + 16) * u * total`; the one used,
+/// `(E + 4 m + 16) * EPSILON * total`, is more than that, which also covers
+/// the second-order terms and the rounding of the margin and of
+/// `lo_k + margin`, `hi_k - margin`. A draw this fails to settle goes to
+/// the scan itself, so every draw is the scan's.
+fn search(
+    floor: f64,
+    e: usize,
+    spikes: impl IntoIterator<Item = (usize, f64)>,
+    n_spikes: usize,
+    last: usize,
+    total: f64,
+    target: f64,
+) -> Option<usize> {
+    // Cell of the floor run over columns `start..end` that begins at `lo`.
+    let in_run = |start: usize, end: usize, lo: f64| {
+        let j = (((target - lo) / floor) as usize).min(end - start - 1);
+        let lo_k = lo + j as f64 * floor;
+        (start + j, lo_k, lo_k + floor)
+    };
+    let mut lo = 0.0f64;
+    let mut col = 0;
+    let mut last_spike = None;
+    let mut found = None;
+    for (c, p) in spikes {
+        if c > col {
+            let hi = lo + (c - col) as f64 * floor;
+            if target < hi {
+                found = Some(in_run(col, c, lo));
+                break;
+            }
+            lo = hi;
+        }
+        let hi = lo + p;
+        last_spike = Some((c, lo, hi));
+        if target < hi {
+            found = last_spike;
+            break;
+        }
+        lo = hi;
+        col = c + 1;
+    }
+    let (k, lo_k, hi_k) = match found {
+        Some(cell) => cell,
+        None if col < e => in_run(col, e, lo),
+        // The last cell is a spike and `target` lies past it.
+        None => last_spike?,
+    };
+    let margin = (e + 4 * n_spikes + 16) as f64 * f64::EPSILON * total;
+    let above = k == 0 || target >= lo_k + margin;
+    let below = k == last || target < hi_k - margin;
+    (above && below).then_some(k)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Draws [`search`] left to the scan, on this thread.
+    static FALLBACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The concrete Markov routing process. See the module docs for the
 /// construction; all matrices are row-stochastic and (in the unrestricted
 /// case) doubly stochastic.
 #[derive(Debug, Clone)]
 pub struct RoutingModel {
     spec: AffinityModelSpec,
-    /// `transitions[domain][gap]` is a flattened `E x E` row-stochastic
-    /// matrix for the transition from layer `gap` to `gap + 1`.
-    transitions: Vec<Vec<Vec<f64>>>,
-    /// `row_totals[domain][gap][from]`: row `from` of the matrix summed
-    /// left to right — the normalizer [`RoutingModel::sample_next`] would
-    /// otherwise recompute for every unrestricted draw.
-    row_totals: Vec<Vec<Vec<f64>>>,
+    /// The value of every cell no row lists as a spike.
+    floor: f64,
+    /// `tables[domain][gap]`: the transition from layer `gap` to `gap + 1`.
+    tables: Vec<Vec<Table>>,
     /// Optional restriction to a subset of active experts (used by the
     /// training simulator to model early-training expert collapse).
     active: Option<Vec<bool>>,
 }
 
 impl RoutingModel {
+    /// See [`AffinityModelSpec::build`].
     fn new(spec: AffinityModelSpec) -> Self {
         let e = spec.n_experts;
+        assert!(
+            e <= MAX_EXPERTS,
+            "expert ids are u16, so a routing model has at most {MAX_EXPERTS} experts; got {e}"
+        );
+        let (mu, kappa) = (spec.domain_share, spec.affinity);
+        assert!(
+            (0.0..=1.0).contains(&kappa) && (0.0..=1.0).contains(&mu),
+            "κ and domain_share must be in [0,1]"
+        );
         let gaps = spec.n_layers.saturating_sub(1);
         let uniform = 1.0 / e as f64;
-
-        // Shared core structure: per gap, an average of m permutations.
-        let core: Vec<Vec<f64>> = (0..gaps)
-            .map(|gap| {
-                let mut s = vec![0.0f64; e * e];
-                for i in 0..spec.n_permutations {
-                    let mut rng =
-                        StdRng::seed_from_u64(sub_seed(spec.seed, &[1, gap as u64, i as u64]));
-                    let p = random_permutation(e, &mut rng);
-                    for (row, &col) in p.iter().enumerate() {
-                        s[row * e + col] += 1.0 / spec.n_permutations as f64;
-                    }
-                }
-                s
-            })
+        let weight = 1.0 / spec.n_permutations as f64;
+        // The value of a cell that `core` core permutations and `dom`
+        // domain permutations map to: their weights added up one at a
+        // time, blended, and leaked towards uniform.
+        let cell = |core: usize, dom: usize| {
+            let hits = |n: usize| (0..n).fold(0.0f64, |s, _| s + weight);
+            let s = mu * hits(core) + (1.0 - mu) * hits(dom);
+            kappa * s + (1.0 - kappa) * uniform
+        };
+        let floor = cell(0, 0);
+        let permutations = |tag: &[u64]| -> Vec<Vec<usize>> {
+            (0..spec.n_permutations as u64)
+                .map(|i| {
+                    let parts: Vec<u64> = tag.iter().copied().chain([i]).collect();
+                    let mut rng = StdRng::seed_from_u64(sub_seed(spec.seed, &parts));
+                    random_permutation(e, &mut rng)
+                })
+                .collect()
+        };
+        // Shared core structure: per gap, m permutations.
+        let core: Vec<_> = (0..gaps)
+            .map(|gap| permutations(&[1, gap as u64]))
             .collect();
-
-        let transitions = (0..spec.n_domains)
+        let mut cols = Vec::new();
+        let tables = (0..spec.n_domains)
             .map(|d| {
                 (0..gaps)
                     .map(|gap| {
                         // Domain-specific structure.
-                        let mut dom = vec![0.0f64; e * e];
-                        for i in 0..spec.n_permutations {
-                            let mut rng = StdRng::seed_from_u64(sub_seed(
-                                spec.seed,
-                                &[2, gap as u64, d as u64, i as u64],
-                            ));
-                            let p = random_permutation(e, &mut rng);
-                            for (row, &col) in p.iter().enumerate() {
-                                dom[row * e + col] += 1.0 / spec.n_permutations as f64;
-                            }
+                        let dom = permutations(&[2, gap as u64, d as u64]);
+                        let hits = |perms: &[Vec<usize>], from: usize, col: usize| {
+                            perms.iter().filter(|p| p[from] == col).count()
+                        };
+                        let mut table = Table::new();
+                        for from in 0..e {
+                            cols.clear();
+                            cols.extend(core[gap].iter().chain(&dom).map(|p| p[from]));
+                            cols.sort_unstable();
+                            cols.dedup();
+                            table.spikes.extend(cols.iter().map(|&col| Spike {
+                                col: col as u32,
+                                p: cell(hits(&core[gap], from, col), hits(&dom, from, col)),
+                            }));
+                            table.end_row(floor, e);
                         }
-                        let mu = spec.domain_share;
-                        let kappa = spec.affinity;
-                        (0..e * e)
-                            .map(|idx| {
-                                let s = mu * core[gap][idx] + (1.0 - mu) * dom[idx];
-                                kappa * s + (1.0 - kappa) * uniform
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect();
-
-        Self::from_transitions(spec, transitions)
-    }
-
-    /// The model over `transitions`, unrestricted, with every row's total
-    /// accumulated in the order a sampling walk would add it up.
-    fn from_transitions(spec: AffinityModelSpec, transitions: Vec<Vec<Vec<f64>>>) -> Self {
-        let e = spec.n_experts;
-        let row_totals = transitions
-            .iter()
-            .map(|gaps| {
-                gaps.iter()
-                    .map(|matrix| {
-                        matrix
-                            .chunks_exact(e)
-                            .map(|row| row.iter().fold(0.0f64, |total, &p| total + p))
-                            .collect()
+                        table
                     })
                     .collect()
             })
             .collect();
         RoutingModel {
             spec,
-            transitions,
-            row_totals,
+            floor,
+            tables,
             active: None,
         }
     }
@@ -252,10 +473,20 @@ impl RoutingModel {
         });
     }
 
-    /// Exact transition matrix (flattened row-major `E x E`) for `domain`
-    /// between layers `gap` and `gap + 1`, ignoring any active restriction.
-    pub fn transition(&self, domain: usize, gap: usize) -> &[f64] {
-        &self.transitions[domain][gap]
+    /// Exact transition matrix (flattened row-major `E x E`, built on
+    /// demand) for `domain` between layers `gap` and `gap + 1`, ignoring
+    /// any active restriction.
+    pub fn transition(&self, domain: usize, gap: usize) -> Vec<f64> {
+        let e = self.spec.n_experts;
+        let table = &self.tables[domain][gap];
+        let mut out = Vec::with_capacity(e * e);
+        for from in 0..e {
+            let _ = walk::<()>(self.floor, e, table.row(from), |cols, p| {
+                out.extend(cols.map(|_| p));
+                ControlFlow::Continue(())
+            });
+        }
+        out
     }
 
     /// Convex interpolation towards `other`: every domain/gap transition
@@ -265,29 +496,64 @@ impl RoutingModel {
     /// stochastic, so load balance survives interpolation — this is the
     /// primitive behind the smooth routing-drift presets in
     /// [`crate::drift`]. Any active-expert restriction is dropped (drift
-    /// models serve fully-trained checkpoints).
+    /// models serve fully-trained checkpoints). The blend's spikes are the
+    /// union of the two models' spikes, row by row.
     pub fn interpolate(&self, other: &RoutingModel, alpha: f64) -> RoutingModel {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0,1]");
         assert_eq!(self.spec.n_layers, other.spec.n_layers, "layer mismatch");
         assert_eq!(self.spec.n_experts, other.spec.n_experts, "expert mismatch");
         assert_eq!(self.spec.n_domains, other.spec.n_domains, "domain mismatch");
-        let transitions = self
-            .transitions
+        let e = self.spec.n_experts;
+        let blend = |a: f64, b: f64| (1.0 - alpha) * a + alpha * b;
+        let floor = blend(self.floor, other.floor);
+        let tables = self
+            .tables
             .iter()
-            .zip(&other.transitions)
+            .zip(&other.tables)
             .map(|(da, db)| {
                 da.iter()
                     .zip(db)
-                    .map(|(ga, gb)| {
-                        ga.iter()
-                            .zip(gb)
-                            .map(|(&a, &b)| (1.0 - alpha) * a + alpha * b)
-                            .collect()
+                    .map(|(ta, tb)| {
+                        let mut table = Table::new();
+                        for from in 0..e {
+                            let mut a = ta.row(from).iter().peekable();
+                            let mut b = tb.row(from).iter().peekable();
+                            loop {
+                                let (col, pa, pb) = match (a.peek().copied(), b.peek().copied()) {
+                                    (None, None) => break,
+                                    (Some(x), Some(y)) if x.col == y.col => {
+                                        a.next();
+                                        b.next();
+                                        (x.col, x.p, y.p)
+                                    }
+                                    (Some(x), y) if y.is_none_or(|y| x.col < y.col) => {
+                                        a.next();
+                                        (x.col, x.p, other.floor)
+                                    }
+                                    (_, y) => {
+                                        let y = y.expect("one side has a spike left");
+                                        b.next();
+                                        (y.col, self.floor, y.p)
+                                    }
+                                };
+                                table.spikes.push(Spike {
+                                    col,
+                                    p: blend(pa, pb),
+                                });
+                            }
+                            table.end_row(floor, e);
+                        }
+                        table
                     })
                     .collect()
             })
             .collect();
-        Self::from_transitions(self.spec.clone(), transitions)
+        RoutingModel {
+            spec: self.spec.clone(),
+            floor,
+            tables,
+            active: None,
+        }
     }
 
     /// Domain-mixture transition matrix for `gap`, weighted by `weights`
@@ -299,9 +565,8 @@ impl RoutingModel {
         let e = self.spec.n_experts;
         let mut out = vec![0.0f64; e * e];
         for (d, &w) in weights.iter().enumerate() {
-            let t = &self.transitions[d][gap];
             let w = w / total;
-            for (o, &v) in out.iter_mut().zip(t.iter()) {
+            for (o, v) in out.iter_mut().zip(self.transition(d, gap)) {
                 *o += w * v;
             }
         }
@@ -312,7 +577,25 @@ impl RoutingModel {
     /// draw scales its uniform by.
     #[cfg(test)]
     fn row_total(&self, domain: usize, gap: usize, from: usize) -> f64 {
-        self.row_totals[domain][gap][from]
+        self.tables[domain][gap].totals[from]
+    }
+
+    /// The expert a draw from row `from`, every cell admissible but
+    /// `exclude`, lands on at an explicit `target` in `[0, total]`, where
+    /// `total` sums the admissible cells.
+    #[cfg(test)]
+    fn next_at(
+        &self,
+        domain: usize,
+        gap: usize,
+        from: usize,
+        target: f64,
+        exclude: Option<usize>,
+    ) -> usize {
+        let table = &self.tables[domain][gap];
+        let row = table.row(from);
+        let total = row_sum(self.floor, self.spec.n_experts, row, |i| Some(i) != exclude);
+        self.pick(row, total, target, exclude, from)
     }
 
     /// Sample the layer-0 expert for a token of `domain`.
@@ -328,6 +611,53 @@ impl RoutingModel {
         }
     }
 
+    /// Where a draw at `target` from `row` lands when every cell but
+    /// `exclude` is admissible: the certified search — the excluded cell
+    /// taken as a zero spike, which the scan passes just as it skips it,
+    /// and the last admissible cell as the last — or the scan when the
+    /// search cannot settle it.
+    fn pick(
+        &self,
+        row: &[Spike],
+        total: f64,
+        target: f64,
+        exclude: Option<usize>,
+        from: usize,
+    ) -> usize {
+        let e = self.spec.n_experts;
+        let cell = |s: &Spike| (s.col as usize, s.p);
+        let found = match exclude {
+            None => search(
+                self.floor,
+                e,
+                row.iter().map(cell),
+                row.len(),
+                e - 1,
+                total,
+                target,
+            ),
+            Some(x) => {
+                let (before, rest) = row.split_at(row.partition_point(|s| (s.col as usize) < x));
+                let after = match rest.split_first() {
+                    Some((s, tail)) if s.col as usize == x => tail,
+                    _ => rest,
+                };
+                let spikes = before
+                    .iter()
+                    .map(cell)
+                    .chain([(x, 0.0)])
+                    .chain(after.iter().map(cell));
+                let last = if x == e - 1 { e - 2 } else { e - 1 };
+                search(self.floor, e, spikes, row.len() + 1, last, total, target)
+            }
+        };
+        found.unwrap_or_else(|| {
+            #[cfg(test)]
+            FALLBACKS.with(|n| n.set(n.get() + 1));
+            scan(self.floor, e, row, target, |i| Some(i) != exclude, from)
+        })
+    }
+
     /// Sample the next expert given the current one, restricted to the
     /// active set (if any) and excluding `exclude` (for top-2's second pick).
     fn sample_next<R: Rng>(
@@ -339,44 +669,27 @@ impl RoutingModel {
         exclude: Option<usize>,
     ) -> usize {
         let e = self.spec.n_experts;
-        let row = &self.transitions[domain][gap][from * e..(from + 1) * e];
-        let total = if exclude.is_none() && self.active.is_none() {
-            // Every entry is admissible: the sum below is the cached one.
-            self.row_totals[domain][gap][from]
-        } else {
-            let mut total = 0.0f64;
-            for (i, &p) in row.iter().enumerate() {
-                if Some(i) == exclude {
-                    continue;
-                }
-                if let Some(mask) = &self.active {
-                    if !mask[i] {
-                        continue;
-                    }
-                }
-                total += p;
-            }
-            total
+        let table = &self.tables[domain][gap];
+        let row = table.row(from);
+        let Some(mask) = &self.active else {
+            let total = match exclude {
+                // Every entry is admissible: the total is the cached one.
+                None => table.totals[from],
+                Some(x) => row_sum(self.floor, e, row, |i| i != x),
+            };
+            return self.pick(row, total, rng.gen::<f64>() * total, exclude, from);
         };
+        let admissible = |i: usize| Some(i) != exclude && mask[i];
+        let total = row_sum(self.floor, e, row, admissible);
         debug_assert!(total > 0.0, "renormalized row must have mass");
-        let mut target = rng.gen::<f64>() * total;
-        let mut fallback = from;
-        for (i, &p) in row.iter().enumerate() {
-            if Some(i) == exclude {
-                continue;
-            }
-            if let Some(mask) = &self.active {
-                if !mask[i] {
-                    continue;
-                }
-            }
-            fallback = i;
-            if target < p {
-                return i;
-            }
-            target -= p;
-        }
-        fallback // numerical edge: return the last admissible expert
+        scan(
+            self.floor,
+            e,
+            row,
+            rng.gen::<f64>() * total,
+            admissible,
+            from,
+        )
     }
 
     /// Sample a full top-1 routing path (one expert per layer).
@@ -483,8 +796,7 @@ mod tests {
     #[test]
     fn zero_affinity_is_uniform() {
         let m = model(8, 3, 0.0);
-        let t = m.transition(0, 0);
-        for &p in t {
+        for p in m.transition(0, 0) {
             assert!((p - 0.125).abs() < 1e-12);
         }
     }
@@ -675,19 +987,38 @@ mod tests {
         let a = model(24, 4, 0.85);
         let b = AffinityModelSpec::new(4, 24).with_seed(9).build();
         for m in [a.interpolate(&b, 0.3), a] {
-            for (matrices, totals) in m.transitions.iter().zip(&m.row_totals) {
-                for (matrix, totals) in matrices.iter().zip(totals) {
-                    assert_eq!(totals.len(), 24);
-                    for (row, cached) in matrix.chunks_exact(24).zip(totals) {
+            for d in 0..m.n_domains() {
+                for gap in 0..3 {
+                    let matrix = m.transition(d, gap);
+                    for (from, row) in matrix.chunks_exact(24).enumerate() {
                         let mut total = 0.0f64;
                         for &p in row {
                             total += p;
                         }
-                        assert_eq!(cached.to_bits(), total.to_bits());
+                        assert_eq!(m.row_total(d, gap, from).to_bits(), total.to_bits());
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 experts; got 70000")]
+    fn more_experts_than_u16_ids_hold_are_rejected() {
+        // Routes and traces are u16: expert 65 536 would wrap to 0 and
+        // still pass every range check downstream.
+        let spec = AffinityModelSpec {
+            n_experts: 70_000,
+            ..AffinityModelSpec::new(2, 8)
+        };
+        let _ = spec.build();
+    }
+
+    #[test]
+    fn the_largest_expert_count_builds_and_routes() {
+        let m = AffinityModelSpec::new(1, 1 << 16).build();
+        let path = m.sample_path(&mut StdRng::seed_from_u64(4), 0);
+        assert_eq!(path.len(), 1);
     }
 
     #[test]
