@@ -164,39 +164,67 @@ struct Spike {
     p: f64,
 }
 
-/// One transition matrix (a domain, a gap) as its rows' spikes; every
-/// other cell is the model's floor.
+/// Every row of every transition matrix, `(domain, gap, from)`-major, as
+/// its spikes; every other cell is the model's floor.
 #[derive(Debug, Clone)]
-struct Table {
-    /// Row `from`'s spikes are `spikes[starts[from]..starts[from + 1]]`,
-    /// ascending by column.
+struct Rows {
+    /// Row `r`'s spikes are `spikes[starts[r]..starts[r + 1]]`, ascending
+    /// by column.
     starts: Vec<usize>,
     spikes: Vec<Spike>,
-    /// `totals[from]`: row `from`'s cells summed left to right — the
-    /// normalizer of an unrestricted draw.
+    /// `totals[r]`: row `r`'s cells summed left to right — the normalizer
+    /// of an unrestricted draw.
     totals: Vec<f64>,
 }
 
-impl Table {
-    /// A table with no rows yet.
-    fn new() -> Self {
-        Table {
-            starts: vec![0],
-            spikes: Vec::new(),
-            totals: Vec::new(),
+impl Rows {
+    /// No rows yet, and room for `rows` rows holding `spikes` spikes in all.
+    fn with_capacity(rows: usize, spikes: usize) -> Self {
+        let mut starts = Vec::with_capacity(rows + 1);
+        starts.push(0);
+        Rows {
+            starts,
+            spikes: Vec::with_capacity(spikes),
+            totals: Vec::with_capacity(rows),
         }
     }
 
-    /// Close the row whose spikes were pushed since the last one closed.
-    fn end_row(&mut self, floor: f64, e: usize) {
-        let row = &self.spikes[self.starts[self.starts.len() - 1]..];
-        self.totals.push(row_sum(floor, e, row, |_| true));
+    /// Append a row whose spikes sit at `row.cols` (sorted and
+    /// deduplicated here), cell `col` worth `value(col)`, with its total:
+    /// the row spelled out in `row.cells` and folded left to right.
+    fn push(&mut self, row: &mut RowScratch, value: impl Fn(usize) -> f64, floor: f64, e: usize) {
+        row.cols.sort_unstable();
+        row.cols.dedup();
+        row.cells.clear();
+        row.cells.resize(e, floor);
+        for &col in &row.cols {
+            let p = value(col);
+            row.cells[col] = p;
+            self.spikes.push(Spike { col: col as u32, p });
+        }
+        self.totals
+            .push(row.cells.iter().fold(0.0f64, |total, &p| total + p));
         self.starts.push(self.spikes.len());
     }
 
-    fn row(&self, from: usize) -> &[Spike] {
-        &self.spikes[self.starts[from]..self.starts[from + 1]]
+    fn get(&self, r: usize) -> &[Spike] {
+        &self.spikes[self.starts[r]..self.starts[r + 1]]
     }
+}
+
+/// What [`Rows::push`] reuses from row to row: the row's spike
+/// columns, filled in by the caller, and its cells.
+#[derive(Default)]
+struct RowScratch {
+    cols: Vec<usize>,
+    cells: Vec<f64>,
+}
+
+/// Cell `col` of a row: its spike's value, or `floor`.
+fn cell_at(row: &[Spike], col: usize, floor: f64) -> f64 {
+    row.iter()
+        .find(|s| s.col as usize == col)
+        .map_or(floor, |s| s.p)
 }
 
 /// Visit a row's `e` cells in column order as runs of one value — the
@@ -359,8 +387,9 @@ pub struct RoutingModel {
     spec: AffinityModelSpec,
     /// The value of every cell no row lists as a spike.
     floor: f64,
-    /// `tables[domain][gap]`: the transition from layer `gap` to `gap + 1`.
-    tables: Vec<Vec<Table>>,
+    /// Row `from` of the transition from layer `gap` to `gap + 1` for
+    /// `domain` is row [`RoutingModel::row_index`].
+    rows: Rows,
     /// Optional restriction to a subset of active experts (used by the
     /// training simulator to model early-training expert collapse).
     active: Option<Vec<bool>>,
@@ -382,12 +411,19 @@ impl RoutingModel {
         let gaps = spec.n_layers.saturating_sub(1);
         let uniform = 1.0 / e as f64;
         let weight = 1.0 / spec.n_permutations as f64;
+        // `sums[n]`: `n` permutations' weights added up one at a time.
+        let sums: Vec<f64> = (0..=spec.n_permutations)
+            .scan(0.0f64, |sum, _| {
+                let before = *sum;
+                *sum += weight;
+                Some(before)
+            })
+            .collect();
         // The value of a cell that `core` core permutations and `dom`
-        // domain permutations map to: their weights added up one at a
-        // time, blended, and leaked towards uniform.
+        // domain permutations map to: their weights summed, blended, and
+        // leaked towards uniform.
         let cell = |core: usize, dom: usize| {
-            let hits = |n: usize| (0..n).fold(0.0f64, |s, _| s + weight);
-            let s = mu * hits(core) + (1.0 - mu) * hits(dom);
+            let s = mu * sums[core] + (1.0 - mu) * sums[dom];
             kappa * s + (1.0 - kappa) * uniform
         };
         let floor = cell(0, 0);
@@ -404,39 +440,39 @@ impl RoutingModel {
         let core: Vec<_> = (0..gaps)
             .map(|gap| permutations(&[1, gap as u64]))
             .collect();
-        let mut cols = Vec::new();
-        let tables = (0..spec.n_domains)
-            .map(|d| {
-                (0..gaps)
-                    .map(|gap| {
-                        // Domain-specific structure.
-                        let dom = permutations(&[2, gap as u64, d as u64]);
-                        let hits = |perms: &[Vec<usize>], from: usize, col: usize| {
-                            perms.iter().filter(|p| p[from] == col).count()
-                        };
-                        let mut table = Table::new();
-                        for from in 0..e {
-                            cols.clear();
-                            cols.extend(core[gap].iter().chain(&dom).map(|p| p[from]));
-                            cols.sort_unstable();
-                            cols.dedup();
-                            table.spikes.extend(cols.iter().map(|&col| Spike {
-                                col: col as u32,
-                                p: cell(hits(&core[gap], from, col), hits(&dom, from, col)),
-                            }));
-                            table.end_row(floor, e);
-                        }
-                        table
-                    })
-                    .collect()
-            })
-            .collect();
+        let n_rows = spec.n_domains * gaps * e;
+        let mut rows = Rows::with_capacity(
+            n_rows,
+            n_rows * spec.n_permutations.saturating_mul(2).min(e),
+        );
+        let mut row = RowScratch::default();
+        for d in 0..spec.n_domains {
+            for (gap, core) in core.iter().enumerate() {
+                // Domain-specific structure.
+                let dom = permutations(&[2, gap as u64, d as u64]);
+                for from in 0..e {
+                    let hits = |perms: &[Vec<usize>], col: usize| {
+                        perms.iter().filter(|p| p[from] == col).count()
+                    };
+                    row.cols.clear();
+                    row.cols.extend(core.iter().chain(&dom).map(|p| p[from]));
+                    let value = |col| cell(hits(core, col), hits(&dom, col));
+                    rows.push(&mut row, value, floor, e);
+                }
+            }
+        }
         RoutingModel {
             spec,
             floor,
-            tables,
+            rows,
             active: None,
         }
+    }
+
+    /// Where row `from` of `domain`'s transition from layer `gap` sits in
+    /// [`RoutingModel::rows`].
+    fn row_index(&self, domain: usize, gap: usize, from: usize) -> usize {
+        (domain * self.spec.n_layers.saturating_sub(1) + gap) * self.spec.n_experts + from
     }
 
     /// The spec this model was built from.
@@ -477,11 +513,15 @@ impl RoutingModel {
     /// demand) for `domain` between layers `gap` and `gap + 1`, ignoring
     /// any active restriction.
     pub fn transition(&self, domain: usize, gap: usize) -> Vec<f64> {
+        assert!(
+            domain < self.spec.n_domains && gap + 1 < self.spec.n_layers,
+            "no transition for domain {domain}, gap {gap}"
+        );
         let e = self.spec.n_experts;
-        let table = &self.tables[domain][gap];
         let mut out = Vec::with_capacity(e * e);
         for from in 0..e {
-            let _ = walk::<()>(self.floor, e, table.row(from), |cols, p| {
+            let row = self.rows.get(self.row_index(domain, gap, from));
+            let _ = walk::<()>(self.floor, e, row, |cols, p| {
                 out.extend(cols.map(|_| p));
                 ControlFlow::Continue(())
             });
@@ -506,52 +546,21 @@ impl RoutingModel {
         let e = self.spec.n_experts;
         let blend = |a: f64, b: f64| (1.0 - alpha) * a + alpha * b;
         let floor = blend(self.floor, other.floor);
-        let tables = self
-            .tables
-            .iter()
-            .zip(&other.tables)
-            .map(|(da, db)| {
-                da.iter()
-                    .zip(db)
-                    .map(|(ta, tb)| {
-                        let mut table = Table::new();
-                        for from in 0..e {
-                            let mut a = ta.row(from).iter().peekable();
-                            let mut b = tb.row(from).iter().peekable();
-                            loop {
-                                let (col, pa, pb) = match (a.peek().copied(), b.peek().copied()) {
-                                    (None, None) => break,
-                                    (Some(x), Some(y)) if x.col == y.col => {
-                                        a.next();
-                                        b.next();
-                                        (x.col, x.p, y.p)
-                                    }
-                                    (Some(x), y) if y.is_none_or(|y| x.col < y.col) => {
-                                        a.next();
-                                        (x.col, x.p, other.floor)
-                                    }
-                                    (_, y) => {
-                                        let y = y.expect("one side has a spike left");
-                                        b.next();
-                                        (y.col, self.floor, y.p)
-                                    }
-                                };
-                                table.spikes.push(Spike {
-                                    col,
-                                    p: blend(pa, pb),
-                                });
-                            }
-                            table.end_row(floor, e);
-                        }
-                        table
-                    })
-                    .collect()
-            })
-            .collect();
+        let n_rows = self.rows.totals.len();
+        let room = self.rows.spikes.len() + other.rows.spikes.len();
+        let mut rows = Rows::with_capacity(n_rows, room);
+        let mut row = RowScratch::default();
+        for r in 0..n_rows {
+            let (ra, rb) = (self.rows.get(r), other.rows.get(r));
+            row.cols.clear();
+            row.cols.extend(ra.iter().chain(rb).map(|s| s.col as usize));
+            let value = |col| blend(cell_at(ra, col, self.floor), cell_at(rb, col, other.floor));
+            rows.push(&mut row, value, floor, e);
+        }
         RoutingModel {
             spec: self.spec.clone(),
             floor,
-            tables,
+            rows,
             active: None,
         }
     }
@@ -577,7 +586,7 @@ impl RoutingModel {
     /// draw scales its uniform by.
     #[cfg(test)]
     fn row_total(&self, domain: usize, gap: usize, from: usize) -> f64 {
-        self.tables[domain][gap].totals[from]
+        self.rows.totals[self.row_index(domain, gap, from)]
     }
 
     /// The expert a draw from row `from`, every cell admissible but
@@ -592,8 +601,7 @@ impl RoutingModel {
         target: f64,
         exclude: Option<usize>,
     ) -> usize {
-        let table = &self.tables[domain][gap];
-        let row = table.row(from);
+        let row = self.rows.get(self.row_index(domain, gap, from));
         let total = row_sum(self.floor, self.spec.n_experts, row, |i| Some(i) != exclude);
         self.pick(row, total, target, exclude, from)
     }
@@ -669,12 +677,12 @@ impl RoutingModel {
         exclude: Option<usize>,
     ) -> usize {
         let e = self.spec.n_experts;
-        let table = &self.tables[domain][gap];
-        let row = table.row(from);
+        let r = self.row_index(domain, gap, from);
+        let row = self.rows.get(r);
         let Some(mask) = &self.active else {
             let total = match exclude {
                 // Every entry is admissible: the total is the cached one.
-                None => table.totals[from],
+                None => self.rows.totals[r],
                 Some(x) => row_sum(self.floor, e, row, |i| i != x),
             };
             return self.pick(row, total, rng.gen::<f64>() * total, exclude, from);

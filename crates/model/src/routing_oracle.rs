@@ -351,7 +351,7 @@ fn attack(spec: &AffinityModelSpec, rows: impl Fn(usize) -> bool) {
                     // Top-2's second pick leaves out one cell: the first,
                     // the last, or a spike.
                     let e = spec.n_experts;
-                    let spike = model.tables[d][gap].row(from)[0].col as usize;
+                    let spike = model.rows.get(model.row_index(d, gap, from))[0].col as usize;
                     let excludes = [None, Some(0), Some(e - 1), Some(spike)];
                     for exclude in excludes.into_iter().filter(|x| e > 1 || x.is_none()) {
                         attack_row(&model, &dense, (d, gap, from), exclude);
