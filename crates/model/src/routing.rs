@@ -24,12 +24,12 @@
 //!
 //! **Storage.** Every cell a row's permutations miss holds the same value,
 //! the *floor* `(1 - κ) / E` (exactly: the cell expression evaluated with
-//! no permutation hit). So a [`RoutingModel`] keeps one floor, and per
-//! (domain, gap) each row's *spikes* — the at most `2 m` columns its `m`
-//! core and `m` domain permutations hit, ascending, each with the value
-//! the cell expression gives it — plus each row's total, its cells folded
-//! left to right run by run. That is `O(L · D · E · m)` memory where a
-//! dense table took `O(L · D · E²)`. A blend of two models
+//! no permutation hit). So a [`RoutingModel`] keeps one floor and, for
+//! every row of every (domain, gap) matrix, the row's *spikes* — the at
+//! most `2 m` columns its `m` core and `m` domain permutations hit,
+//! ascending, each with the value the cell expression gives it — plus the
+//! row's total, its cells folded left to right. That is `O(L · D · E · m)`
+//! memory where a dense table took `O(L · D · E²)`. A blend of two models
 //! ([`RoutingModel::interpolate`]) blends the floors and the union of the
 //! two spike lists, so it stays in this form. [`RoutingModel::transition`]
 //! and [`RoutingModel::mixture_transition`] build the dense matrices on
