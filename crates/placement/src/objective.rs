@@ -878,20 +878,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn snapshot_build_matches_dense_reference_build_bitwise() {
+    /// One window through the CSR estimator defines the same objective,
+    /// on both backends, as the dense estimate of the same trace.
+    fn assert_snapshot_build_matches_dense(trace: &RoutingTrace, units: usize) {
         use exflow_affinity::StreamingAffinity;
-        use exflow_model::routing::AffinityModelSpec;
-        use exflow_model::{CorpusSpec, TokenBatch};
-        let model = AffinityModelSpec::new(4, 16).with_affinity(0.9).build();
-        let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 2500, 1, 21);
-        let trace = RoutingTrace::from_batch(&batch, 16);
-        // One window through the CSR estimator == the dense estimate.
-        let mut streaming = StreamingAffinity::new(4, 16, 0.5);
-        streaming.observe(&trace);
+        let (l, e) = (trace.n_layers(), trace.n_experts());
+        let mut streaming = StreamingAffinity::new(l, e, 1.0);
+        streaming.observe(trace);
         let snapshot = streaming.snapshot();
-        let dense_mats = AffinityMatrix::consecutive(&trace);
-        let p = Placement::round_robin(4, 16, 4);
+        let dense_mats = AffinityMatrix::consecutive(trace);
+        let p = Placement::round_robin(l, e, units);
         for backend in [GapBackend::Dense, GapBackend::Sparse] {
             let online = Objective::from_snapshot_with(&snapshot, backend);
             let offline = Objective::from_affinities_with(&dense_mats, backend);
@@ -900,13 +896,13 @@ mod tests {
                 online.cross_mass(&p).to_bits(),
                 offline.cross_mass(&p).to_bits()
             );
-            for gap in 0..3 {
-                for i in 0..16 {
+            for gap in 0..l - 1 {
+                for i in 0..e {
                     assert_eq!(
                         online.row_weight(gap, i).to_bits(),
                         offline.row_weight(gap, i).to_bits()
                     );
-                    for j in 0..16 {
+                    for j in 0..e {
                         assert_eq!(
                             online.gap_prob(gap, i, j).to_bits(),
                             offline.gap_prob(gap, i, j).to_bits()
@@ -914,9 +910,9 @@ mod tests {
                     }
                 }
             }
-            for layer in 0..4 {
-                for e1 in 0..16 {
-                    for e2 in 0..16 {
+            for layer in 0..l {
+                for e1 in 0..e {
+                    for e2 in 0..e {
                         assert_eq!(
                             online.swap_delta(&p, layer, e1, e2).to_bits(),
                             offline.swap_delta(&p, layer, e1, e2).to_bits(),
@@ -926,6 +922,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn snapshot_build_matches_dense_reference_build_bitwise() {
+        use exflow_model::routing::AffinityModelSpec;
+        use exflow_model::{CorpusSpec, TokenBatch, TrainingSimulator};
+        let model = AffinityModelSpec::new(4, 16).with_affinity(0.9).build();
+        let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 2500, 1, 21);
+        let trace = RoutingTrace::from_batch(&batch, 16);
+        assert_snapshot_build_matches_dense(&trace, 4);
+        // A collapsed early-training checkpoint (Fig. 12a): most experts
+        // are never visited, so most rows take the uniform branch.
+        let sim = TrainingSimulator::new(AffinityModelSpec::new(8, 16));
+        let model = sim.model_at(0);
+        let corpus = CorpusSpec::pile_proxy(model.n_domains());
+        let batch = TokenBatch::sample(&model, &corpus, 4000, 1, 1000);
+        let collapsed = RoutingTrace::from_batch(&batch, 16);
+        let visited = collapsed
+            .layer_histogram(0)
+            .iter()
+            .filter(|&&c| c > 0)
+            .count();
+        assert!(visited < 16, "{visited} experts visited: not collapsed");
+        assert_snapshot_build_matches_dense(&collapsed, 4);
+        // A truncated profile (Fig. 13's smallest budget).
+        assert_snapshot_build_matches_dense(&trace.truncated(50), 4);
     }
 
     #[test]
