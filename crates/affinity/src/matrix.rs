@@ -40,7 +40,9 @@ impl AffinityMatrix {
         Self::from_counts(counts, e, from_layer, to_layer)
     }
 
-    /// Estimate affinity for every consecutive layer pair of a trace.
+    /// Estimate affinity for every consecutive layer pair of a trace: the
+    /// dense reference the streaming estimator's snapshot is tested
+    /// against.
     pub fn consecutive(trace: &RoutingTrace) -> Vec<AffinityMatrix> {
         (0..trace.n_layers().saturating_sub(1))
             .map(|j| AffinityMatrix::from_trace(trace, j, j + 1))
@@ -79,28 +81,6 @@ impl AffinityMatrix {
             to_layer,
             probs,
             counts,
-        }
-    }
-
-    /// Build directly from exact probabilities (e.g. a routing model's
-    /// transition matrix) — used for oracle comparisons in tests.
-    pub fn from_probs(
-        probs: Vec<f64>,
-        n_experts: usize,
-        from_layer: usize,
-        to_layer: usize,
-    ) -> Self {
-        assert_eq!(probs.len(), n_experts * n_experts);
-        for i in 0..n_experts {
-            let s: f64 = probs[i * n_experts..(i + 1) * n_experts].iter().sum();
-            assert!((s - 1.0).abs() < 1e-6, "row {i} must sum to 1, got {s}");
-        }
-        AffinityMatrix {
-            n_experts,
-            from_layer,
-            to_layer,
-            probs,
-            counts: vec![0; n_experts * n_experts],
         }
     }
 
@@ -296,18 +276,6 @@ mod tests {
         let lines: Vec<&str> = art.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines.iter().all(|l| l.chars().count() == 3));
-    }
-
-    #[test]
-    fn from_probs_validates_rows() {
-        let ok = AffinityMatrix::from_probs(vec![0.5, 0.5, 0.1, 0.9], 2, 0, 1);
-        assert_eq!(ok.prob(1, 1), 0.9);
-    }
-
-    #[test]
-    #[should_panic(expected = "must sum to 1")]
-    fn from_probs_rejects_bad_rows() {
-        let _ = AffinityMatrix::from_probs(vec![0.5, 0.4, 0.1, 0.9], 2, 0, 1);
     }
 
     #[test]

@@ -36,15 +36,15 @@ mod tests {
     use super::*;
 
     fn uniform(e: usize) -> AffinityMatrix {
-        AffinityMatrix::from_probs(vec![1.0 / e as f64; e * e], e, 0, 1)
+        AffinityMatrix::from_counts(vec![1; e * e], e, 0, 1)
     }
 
     fn identity(e: usize) -> AffinityMatrix {
-        let mut p = vec![0.0f64; e * e];
+        let mut counts = vec![0; e * e];
         for i in 0..e {
-            p[i * e + i] = 1.0;
+            counts[i * e + i] = 1;
         }
-        AffinityMatrix::from_probs(p, e, 0, 1)
+        AffinityMatrix::from_counts(counts, e, 0, 1)
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Five tables, A–E, each an entry of `crate::table::TABLES` under the one
 //! `ablations` artifact.
 
-use exflow_affinity::{AffinityMatrix, RoutingTrace};
+use exflow_affinity::RoutingTrace;
 use exflow_core::json::Json;
 use exflow_core::{InferenceEngine, ParallelismMode};
 use exflow_model::presets::moe_gpt_m;
@@ -17,7 +17,7 @@ use exflow_placement::staged::solve_staged;
 use exflow_placement::{solve, Objective, Placement, SolverKind};
 use exflow_topology::ClusterSpec;
 
-use crate::experiments::common::{cluster_for, run_offline, Workload};
+use crate::experiments::common::{cluster_for, run_offline, snapshot_of, Workload};
 use crate::fmt::{f3, speedup};
 use crate::sweep::par_map;
 use crate::table::{find, int, num, nums, render_section, text, Bars};
@@ -33,7 +33,7 @@ fn sample_trace(spec: &AffinityModelSpec, tokens: usize, seed: u64) -> RoutingTr
 fn profiled_objective(e: usize, seed: u64) -> Objective {
     let spec = AffinityModelSpec::new(12, e).with_seed(seed);
     let trace = sample_trace(&spec, 6000, seed);
-    Objective::from_affinities(&AffinityMatrix::consecutive(&trace))
+    Objective::from_snapshot(&snapshot_of(&trace))
 }
 
 /// Ablation A — solver quality: cross mass achieved by each solver on the
@@ -236,7 +236,7 @@ pub fn replication_sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let spec = AffinityModelSpec::new(l, e);
     let profile = sample_trace(&spec, 6000, 41);
     let eval = sample_trace(&spec, 6000, 42);
-    let objective = Objective::from_affinities(&AffinityMatrix::consecutive(&profile));
+    let objective = Objective::from_snapshot(&snapshot_of(&profile));
     let base = Placement::round_robin(l, e, 4);
 
     let row = |strategy: &str, extra_copies: usize, local_fraction: f64| {

@@ -218,8 +218,14 @@ pub(crate) fn profile(
     let spec = AffinityModelSpec::new(layers, e).with_seed(seed);
     let corpus = CorpusSpec::pile_proxy(spec.n_domains);
     let batch = TokenBatch::sample(&spec.build(), &corpus, tokens, k, seed);
-    let mut estimate = StreamingAffinity::new(layers, e, 1.0);
-    estimate.observe(&RoutingTrace::from_batch(&batch, e));
+    snapshot_of(&RoutingTrace::from_batch(&batch, e))
+}
+
+/// Run one trace through the streaming estimator (no decay) and freeze
+/// it: the snapshot every objective a sweep profiles is built from.
+pub(crate) fn snapshot_of(trace: &RoutingTrace) -> AffinitySnapshot {
+    let mut estimate = StreamingAffinity::new(trace.n_layers(), trace.n_experts(), 1.0);
+    estimate.observe(trace);
     estimate.snapshot()
 }
 

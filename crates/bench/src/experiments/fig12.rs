@@ -3,13 +3,13 @@
 //! and plot the achievable locality, normalized per model (the paper's
 //! "scaled expert affinity").
 
-use exflow_affinity::{AffinityMatrix, RoutingTrace};
+use exflow_affinity::RoutingTrace;
 use exflow_core::json::Json;
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{CorpusSpec, TokenBatch, TrainingSimulator};
 use exflow_placement::{solve, Objective, SolverKind};
 
-use crate::experiments::common::Workload;
+use crate::experiments::common::{snapshot_of, Workload};
 use crate::fmt::f3;
 use crate::sweep::par_map;
 use crate::table::{num, render_section, series, text, Bars};
@@ -36,7 +36,7 @@ fn measure(sim: &TrainingSimulator, iteration: u64, n_units: usize) -> f64 {
     let corpus = CorpusSpec::pile_proxy(model.n_domains());
     let batch = TokenBatch::sample(&model, &corpus, 4000, 1, 1000 + iteration);
     let trace = RoutingTrace::from_batch(&batch, model.n_experts());
-    let objective = Objective::from_affinities(&AffinityMatrix::consecutive(&trace));
+    let objective = Objective::from_snapshot(&snapshot_of(&trace));
     let placement = solve(&objective, n_units, SolverKind::Greedy, iteration);
     objective.local_fraction(&placement)
 }

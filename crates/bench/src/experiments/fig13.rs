@@ -3,14 +3,13 @@
 //! resulting Alltoall speedup (vs. the affinity-free placement) is
 //! measured end to end.
 
-use exflow_affinity::AffinityMatrix;
 use exflow_core::json::Json;
 use exflow_core::{InferenceEngine, ParallelismMode};
 use exflow_model::presets::moe_gpt_m;
 use exflow_placement::staged::solve_staged;
 use exflow_placement::Objective;
 
-use crate::experiments::common::{cluster_for, run_offline, Workload};
+use crate::experiments::common::{cluster_for, run_offline, snapshot_of, Workload};
 use crate::fmt::speedup;
 use crate::sweep::par_map;
 use crate::table::{num, render_section, series, text, Bars};
@@ -36,7 +35,7 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
 
         let rows = SIZES.iter().map(|&n| {
             let trace = engine.profile_trace().truncated(n);
-            let objective = Objective::from_affinities(&AffinityMatrix::consecutive(&trace));
+            let objective = Objective::from_snapshot(&snapshot_of(&trace));
             let staged = solve_staged(
                 &objective,
                 &engine.config().cluster,

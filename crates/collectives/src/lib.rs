@@ -79,13 +79,11 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod error;
 pub mod lockstep;
 pub mod record;
 pub mod world;
 
 pub use clock::VirtualClock;
-pub use error::CommError;
 pub use lockstep::Lockstep;
 pub use record::{CommRecord, CommStats, OpKind};
 pub use world::{CommWorld, RankComm};

@@ -132,11 +132,6 @@ impl CommWorld {
         &self.cluster
     }
 
-    /// The cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Communication statistics, accumulated across every job this world
     /// has run. A job's records appear when it completes.
     pub fn stats(&self) -> &CommStats {

@@ -133,8 +133,8 @@ impl<'e> AdaptiveState<'e> {
         let oc = cfg.online;
         let bytes_per_expert = self.bytes_per_expert();
         let budget = oc.migration_budget_bytes;
-        let (plan, cost, next) = if oc.replica_memory_bytes > 0 {
-            let (next, cost) = solve_budgeted_replicated_metered(
+        let (next, cost) = if oc.replica_memory_bytes > 0 {
+            solve_budgeted_replicated_metered(
                 &self.objective,
                 &self.live,
                 bytes_per_expert,
@@ -145,24 +145,19 @@ impl<'e> AdaptiveState<'e> {
                 &ReplicaPolicy::OnePerNode(cfg.cluster),
                 oc.replan_time_budget,
                 Some(&mut self.cache),
-            );
-            let plan = MigrationPlan::between_replicated(&self.live, &next, bytes_per_expert);
-            (plan, cost, next)
+            )
         } else {
-            let (next, cost) = solve_budgeted_metered(
+            // Owner moves only, over the copies the fleet already holds.
+            let (base, cost) = solve_budgeted_metered(
                 &self.objective,
                 &self.live.base,
                 budget / bytes_per_expert,
                 oc.replan_time_budget,
                 Some(&mut self.cache),
             );
-            let plan = MigrationPlan::between(&self.live.base, &next, bytes_per_expert);
-            let next = ReplicationPlan {
-                base: next,
-                replicas: self.live.replicas.clone(),
-            };
-            (plan, cost, next)
+            (self.live.reowned(base), cost)
         };
+        let plan = MigrationPlan::between_replicated(&self.live, &next, bytes_per_expert);
         let replaced = std::mem::replace(&mut self.live, Arc::new(next));
         debug_assert!(plan.total_bytes() <= budget);
         if plan.is_empty() {

@@ -86,13 +86,6 @@ impl System {
     }
 }
 
-/// The expected cross-GPU fraction under affinity-free uniform routing:
-/// a token's expert is on any of `G` GPUs with equal probability, so
-/// `p = 1 - 1/G`.
-pub fn uniform_crossing_fraction(g: usize) -> f64 {
-    1.0 - 1.0 / g as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,7 +128,9 @@ mod tests {
     fn exflow_wins_when_pstar_is_small() {
         // With L=24 layers the AllGather overhead (G per token) is dwarfed
         // by the saved Alltoall halves whenever p* < p.
-        let p = uniform_crossing_fraction(PARAMS.g);
+        // Affinity-free uniform routing: a token's expert is on any of
+        // `G` GPUs with equal probability.
+        let p = 1.0 - 1.0 / PARAMS.g as f64;
         let p_star = 0.5 * p; // affinity keeps half the tokens local
         let ds = System::DeepspeedMoe.volume(PARAMS, p, 1);
         let ex = System::ExFlow.volume(PARAMS, p_star, 1);
@@ -170,13 +165,6 @@ mod tests {
         assert!(!System::TaMoe.applicable_in_inference());
         assert!(System::DeepspeedMoe.applicable_in_inference());
         assert!(System::ExFlow.applicable_in_inference());
-    }
-
-    #[test]
-    fn uniform_crossing_fraction_limits() {
-        assert_eq!(uniform_crossing_fraction(1), 0.0);
-        assert!((uniform_crossing_fraction(4) - 0.75).abs() < 1e-12);
-        assert!(uniform_crossing_fraction(64) > 0.98);
     }
 
     #[test]

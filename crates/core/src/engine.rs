@@ -669,24 +669,6 @@ impl Pass<'_> {
         (acc, digest)
     }
 
-    /// The GPUs holding a replica of `(layer, expert)` besides its owner
-    /// (subsets are sorted by expert, so the lookup is a binary search).
-    fn replica_units(&self, layer: usize, expert: usize) -> &[usize] {
-        let layer_replicas = &self.plan.replicas[layer];
-        layer_replicas
-            .binary_search_by_key(&expert, |r| r.0)
-            .map_or(&[], |i| layer_replicas[i].1.as_slice())
-    }
-
-    /// Whether rank `me` serves `(layer, expert)`: it is live and is the
-    /// owner or one of the replica holders. Dead ranks hold nothing — an
-    /// evacuated placement never routes to them anyway.
-    fn holds(&self, me: usize, layer: usize, expert: usize) -> bool {
-        self.live_ranks.binary_search(&me).is_ok()
-            && (self.plan.base.unit_of(layer, expert) == me
-                || self.replica_units(layer, expert).contains(&me))
-    }
-
     /// Context coherence setup: one AllGather of all prompt contexts.
     /// This happens once before generation and its payload (every prompt
     /// token on every GPU) would dominate the simulation's memory traffic
@@ -761,7 +743,7 @@ impl Pass<'_> {
             for (slot, &expert) in route.iter().enumerate() {
                 let expert = expert as usize;
                 let owner = self.plan.base.unit_of(layer, expert);
-                let units = self.replica_units(layer, expert);
+                let units = self.plan.replica_units(layer, expert);
                 // Meeting-point rule: in context-coherent top-2 the
                 // *primary* always runs on the owner GPU, so every rank
                 // can derive the secondary-merge destination from the
@@ -858,9 +840,11 @@ impl Pass<'_> {
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let expert_id = group[0].0 as usize;
             // The table holds every expert, so routing and placement
-            // disagreeing would otherwise go unnoticed.
+            // disagreeing would otherwise go unnoticed. Dead ranks hold
+            // nothing — an evacuated placement never routes to them anyway.
             assert!(
-                self.holds(me, layer, expert_id),
+                self.live_ranks.binary_search(&me).is_ok()
+                    && self.plan.available_on(layer, expert_id, me),
                 "token routed to an expert this rank does not hold"
             );
             let expert = &self.experts[layer * cfg.model.n_experts + expert_id];

@@ -39,16 +39,6 @@ impl OpBreakdown {
             + self.imbalance
     }
 
-    /// Alltoall share of the total (the paper's Fig. 9 annotation).
-    pub fn alltoall_fraction(&self) -> f64 {
-        let t = self.total();
-        if t == 0.0 {
-            0.0
-        } else {
-            self.alltoall / t
-        }
-    }
-
     /// Element-wise sum.
     pub fn merge(&mut self, other: &OpBreakdown) {
         self.gating += other.gating;
@@ -475,13 +465,8 @@ mod tests {
     fn totals_and_fractions() {
         let b = breakdown();
         assert_eq!(b.total(), 10.0);
-        assert!((b.alltoall_fraction() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_breakdown_has_zero_fractions() {
-        let b = OpBreakdown::default();
-        assert_eq!(b.alltoall_fraction(), 0.0);
+        // The Alltoall share of Fig. 9's annotation.
+        assert!((b.alltoall / b.total() - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -838,6 +838,30 @@ mod tests {
     }
 
     #[test]
+    fn owner_moves_onto_held_copies_ship_nothing() {
+        // Every expert is replicated everywhere and no replica memory is
+        // budgeted: a re-plan moves owners only, each onto a unit that
+        // already holds its copy.
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let eng = engine(adaptive());
+        let (schedule, cfg) = scenario(&eng, mode);
+        let plan =
+            ReplicationPlan::everywhere(eng.placement_for(mode).clone(), vec![(0..8).collect(); 4]);
+        let scenario = Scenario::offline(mode)
+            .with_drift(schedule)
+            .with_serving(cfg)
+            .with_replication(plan);
+        let r = eng.run_scenario(&scenario).expect_serving();
+        // The second re-plan moves owners back onto units the first one
+        // left holding the copy.
+        assert!(r.migrations.replans >= 2, "drift must fire re-plans");
+        assert!(r.replans.iter().all(|ev| ev.experts_moved > 0));
+        for ev in &r.replans {
+            assert_eq!(ev.bytes_moved, 0, "window {}: {ev:?}", ev.window);
+        }
+    }
+
+    #[test]
     fn static_baseline_never_replans() {
         let mode = ParallelismMode::ContextCoherentAffinity;
         let eng = engine(static_cfg());

@@ -1,6 +1,6 @@
 //! Property-based tests for the engine layer.
 
-use exflow_core::commvolume::{uniform_crossing_fraction, System, VolumeParams};
+use exflow_core::commvolume::{System, VolumeParams};
 use exflow_core::frame::frame_size;
 use exflow_core::json::Json;
 use exflow_core::{InferenceEngine, ParallelismMode, ReplicationPlan, Scenario, WindowEvent};
@@ -232,13 +232,6 @@ proptest! {
         let ds = System::DeepspeedMoe.volume(params, p, 1);
         let ex = System::ExFlow.volume(params, p, 1);
         prop_assert!(ex < ds, "g={} l={} p={}: exflow {} vs ds {}", g, l, p, ex, ds);
-    }
-
-    #[test]
-    fn uniform_crossing_fraction_matches_formula(g in 1usize..512) {
-        let p = uniform_crossing_fraction(g);
-        prop_assert!((p - (1.0 - 1.0 / g as f64)).abs() < 1e-12);
-        prop_assert!((0.0..1.0).contains(&p));
     }
 }
 

@@ -223,9 +223,11 @@ mod tests {
     #[test]
     fn every_smooth_window_matches_the_dense_blend_to_the_bit() {
         use crate::routing::oracle::{assert_same_bits, Dense};
-        let zero_floor = AffinityModelSpec::new(3, 40)
-            .with_affinity(1.0)
-            .with_domains(2, 0.0);
+        let zero_floor = AffinityModelSpec {
+            n_domains: 2,
+            domain_share: 0.0,
+            ..AffinityModelSpec::new(3, 40).with_affinity(1.0)
+        };
         for spec in [spec(), zero_floor, AffinityModelSpec::new(2, 96)] {
             let n_windows = 5;
             let d = DriftSchedule::smooth(&spec, n_windows);

@@ -336,7 +336,7 @@ mod tests {
     fn forward_rejects_bad_dim() {
         let mut rng = StdRng::seed_from_u64(5);
         let e = Expert::random(4, 8, &mut rng);
-        let x = Matrix::zeros(1, 5);
+        let x = Matrix::from_vec(1, 5, vec![0.0; 5]);
         let _ = e.forward(&x);
     }
 }

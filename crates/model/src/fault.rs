@@ -50,7 +50,7 @@ pub struct FaultEvent {
 /// use exflow_model::fault::{FaultKind, FaultSchedule};
 ///
 /// let f = FaultSchedule::loss_and_rejoin(4, 2, 1.0, 3.0);
-/// assert_eq!(f.n_events(), 2);
+/// assert_eq!(f.events().len(), 2);
 /// assert_eq!(f.events()[0].kind, FaultKind::Down);
 /// assert_eq!(f.live_at(2.0), vec![true, true, false, true]);
 /// assert_eq!(f.live_at(3.0), vec![true, true, true, true]);
@@ -210,11 +210,6 @@ impl FaultSchedule {
         &self.events
     }
 
-    /// Number of events.
-    pub fn n_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// Whether the fleet ever changes.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -261,7 +256,7 @@ mod tests {
         let b = FaultSchedule::random_churn(4, 3, 100.0, 7);
         assert_eq!(a, b, "churn must be deterministic per seed");
         assert_ne!(a, FaultSchedule::random_churn(4, 3, 100.0, 8));
-        assert_eq!(a.n_events(), 6);
+        assert_eq!(a.events().len(), 6);
         // Every episode heals before the horizon's next episode begins.
         assert!(a.events().windows(2).all(|w| w[0].time <= w[1].time));
         assert_eq!(a.live_at(100.0), vec![true; 4]);

@@ -99,15 +99,6 @@ impl AffinityModelSpec {
         self
     }
 
-    /// Override the number of domains.
-    pub fn with_domains(mut self, n_domains: usize, domain_share: f64) -> Self {
-        assert!(n_domains >= 1);
-        assert!((0.0..=1.0).contains(&domain_share));
-        self.n_domains = n_domains;
-        self.domain_share = domain_share;
-        self
-    }
-
     /// Override the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -700,22 +691,6 @@ impl RoutingModel {
         )
     }
 
-    /// Sample a full top-1 routing path (one expert per layer).
-    pub fn sample_path<R: Rng>(&self, rng: &mut R, domain: usize) -> Vec<u16> {
-        let mut path = Vec::with_capacity(self.spec.n_layers);
-        self.sample_route_into(rng, domain, 1, &mut path);
-        path
-    }
-
-    /// Sample a top-k route: `route[layer]` holds `k` distinct experts, the
-    /// first being the primary (the one whose output dominates and whose
-    /// chain continues the Markov walk).
-    pub fn sample_route<R: Rng>(&self, rng: &mut R, domain: usize, k: usize) -> Vec<Vec<u16>> {
-        let mut route = Vec::with_capacity(self.spec.n_layers * k);
-        self.sample_route_into(rng, domain, k, &mut route);
-        route.chunks_exact(k).map(<[u16]>::to_vec).collect()
-    }
-
     /// Append one top-k route to `out`, flat: layer by layer, `k` distinct
     /// experts each, the primary first. The draws are the primary walk
     /// over every layer, then the second picks layer by layer.
@@ -838,11 +813,18 @@ mod tests {
         assert!(leaky.transition(0, 0).iter().all(|&v| v != 0.0));
     }
 
+    /// One top-1 path: the primary expert of every layer.
+    fn sample_path(m: &RoutingModel, rng: &mut StdRng, domain: usize) -> Vec<u16> {
+        let mut path = Vec::new();
+        m.sample_route_into(rng, domain, 1, &mut path);
+        path
+    }
+
     #[test]
     fn paths_have_one_expert_per_layer() {
         let m = model(8, 12, 0.8);
         let mut rng = StdRng::seed_from_u64(1);
-        let p = m.sample_path(&mut rng, 0);
+        let p = sample_path(&m, &mut rng, 0);
         assert_eq!(p.len(), 12);
         assert!(p.iter().all(|&e| (e as usize) < 8));
     }
@@ -850,8 +832,8 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let m = model(8, 12, 0.8);
-        let p1 = m.sample_path(&mut StdRng::seed_from_u64(9), 1);
-        let p2 = m.sample_path(&mut StdRng::seed_from_u64(9), 1);
+        let p1 = sample_path(&m, &mut StdRng::seed_from_u64(9), 1);
+        let p2 = sample_path(&m, &mut StdRng::seed_from_u64(9), 1);
         assert_eq!(p1, p2);
     }
 
@@ -865,7 +847,7 @@ mod tests {
         let n = 8000;
         for _ in 0..n {
             let d = rng.gen_range(0..m.n_domains());
-            for (layer, &e) in m.sample_path(&mut rng, d).iter().enumerate() {
+            for (layer, &e) in sample_path(&m, &mut rng, d).iter().enumerate() {
                 counts[layer][e as usize] += 1;
             }
         }
@@ -885,7 +867,7 @@ mod tests {
         let mut joint = [0usize; 16];
         let mut first = [0usize; 4];
         for _ in 0..n {
-            let p = m.sample_path(&mut rng, 0);
+            let p = sample_path(&m, &mut rng, 0);
             joint[p[0] as usize * 4 + p[1] as usize] += 1;
             first[p[0] as usize] += 1;
         }
@@ -907,9 +889,10 @@ mod tests {
         let m = model(8, 6, 0.8);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
-            let route = m.sample_route(&mut rng, 0, 2);
-            for layer in route {
-                assert_eq!(layer.len(), 2);
+            let mut route = Vec::new();
+            m.sample_route_into(&mut rng, 0, 2, &mut route);
+            assert_eq!(route.len(), 2 * 6);
+            for layer in route.chunks_exact(2) {
                 assert_ne!(layer[0], layer[1]);
             }
         }
@@ -921,7 +904,7 @@ mod tests {
         // Only the two gates exist; a third slot was never drawn, so a
         // k = 3 route used to come back with one expert per layer.
         let m = model(8, 6, 0.8);
-        let _ = m.sample_route(&mut StdRng::seed_from_u64(3), 0, 3);
+        m.sample_route_into(&mut StdRng::seed_from_u64(3), 0, 3, &mut Vec::new());
     }
 
     #[test]
@@ -930,24 +913,29 @@ mod tests {
         m.set_active_experts(Some(vec![1, 4]));
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let p = m.sample_path(&mut rng, 0);
+            let p = sample_path(&m, &mut rng, 0);
             assert!(p.iter().all(|&e| e == 1 || e == 4));
         }
         m.set_active_experts(None);
-        let p = m.sample_path(&mut rng, 0);
+        let p = sample_path(&m, &mut rng, 0);
         assert_eq!(p.len(), 6);
     }
 
     #[test]
     fn domains_share_core_structure() {
         // With domain_share=1.0 all domains have identical transitions.
-        let m = AffinityModelSpec::new(4, 8).with_domains(3, 1.0).build();
+        let spec = |domain_share| AffinityModelSpec {
+            n_domains: 3,
+            domain_share,
+            ..AffinityModelSpec::new(4, 8)
+        };
+        let m = spec(1.0).build();
         let t0 = m.transition(0, 0).to_vec();
         for d in 1..3 {
             assert_eq!(m.transition(d, 0), &t0[..]);
         }
         // With domain_share=0.0 they differ.
-        let m2 = AffinityModelSpec::new(4, 8).with_domains(3, 0.0).build();
+        let m2 = spec(0.0).build();
         assert_ne!(m2.transition(0, 0), m2.transition(1, 0));
     }
 
@@ -1025,7 +1013,7 @@ mod tests {
     #[test]
     fn the_largest_expert_count_builds_and_routes() {
         let m = AffinityModelSpec::new(1, 1 << 16).build();
-        let path = m.sample_path(&mut StdRng::seed_from_u64(4), 0);
+        let path = sample_path(&m, &mut StdRng::seed_from_u64(4), 0);
         assert_eq!(path.len(), 1);
     }
 
@@ -1040,7 +1028,7 @@ mod tests {
     fn single_layer_model_has_no_transitions() {
         let m = model(8, 1, 0.5);
         let mut rng = StdRng::seed_from_u64(2);
-        let p = m.sample_path(&mut rng, 0);
+        let p = sample_path(&m, &mut rng, 0);
         assert_eq!(p.len(), 1);
     }
 }

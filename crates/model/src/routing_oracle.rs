@@ -242,9 +242,10 @@ proptest! {
             .map(|i| {
                 let mut spec = AffinityModelSpec::new(l, e)
                     .with_affinity(kappas[i])
-                    .with_domains(n_domains, shares[i])
                     .with_seed(seeds[i]);
                 spec.n_permutations = perms[i];
+                spec.n_domains = n_domains;
+                spec.domain_share = shares[i];
                 spec
             })
             .collect();
@@ -377,9 +378,10 @@ proptest! {
     ) {
         let mut spec = AffinityModelSpec::new(2, e)
             .with_affinity(kappa)
-            .with_domains(2, share)
             .with_seed(seed);
         spec.n_permutations = n_permutations;
+        spec.n_domains = 2;
+        spec.domain_share = share;
         attack(&spec, |_| true);
     }
 }
@@ -394,9 +396,10 @@ fn search_matches_the_scan_at_row_boundaries_at_the_edges() {
     }
     // The benchmark's width: the first and last rows of one domain.
     for kappa in [0.85, 1.0] {
-        let spec = AffinityModelSpec::new(2, 512)
-            .with_affinity(kappa)
-            .with_domains(1, 0.85);
+        let spec = AffinityModelSpec {
+            n_domains: 1,
+            ..AffinityModelSpec::new(2, 512).with_affinity(kappa)
+        };
         attack(&spec, |from| from == 0 || from == 511);
     }
 }

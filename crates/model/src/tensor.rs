@@ -19,16 +19,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// A zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        Matrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
-    }
-
     /// Build from a flat row-major buffer.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer length mismatch");
@@ -238,7 +228,7 @@ mod tests {
 
     #[test]
     fn matmul_identity() {
-        let mut eye = Matrix::zeros(3, 3);
+        let mut eye = Matrix::from_vec(3, 3, vec![0.0; 9]);
         for i in 0..3 {
             eye.set(i, i, 1.0);
         }
@@ -258,8 +248,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
+        let a = Matrix::from_vec(2, 3, vec![0.0; 6]);
+        let b = a.clone();
         let _ = a.matmul(&b);
     }
 

@@ -175,7 +175,8 @@ mod tests {
         let active = s.active_set_at(0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..50 {
-            let p = m.sample_path(&mut rng, 0);
+            let mut p = Vec::new();
+            m.sample_route_into(&mut rng, 0, 1, &mut p);
             assert!(p.iter().all(|&e| active.contains(&(e as usize))));
         }
     }

@@ -58,7 +58,8 @@ proptest! {
     ) {
         let m = AffinityModelSpec::new(l, e).build();
         let mut rng = StdRng::seed_from_u64(seed);
-        let p = m.sample_path(&mut rng, seed as usize % m.n_domains());
+        let mut p = Vec::new();
+        m.sample_route_into(&mut rng, seed as usize % m.n_domains(), 1, &mut p);
         prop_assert_eq!(p.len(), l);
         prop_assert!(p.iter().all(|&x| (x as usize) < e));
     }
@@ -92,7 +93,7 @@ proptest! {
         let a = Matrix::random(6, 5, &mut rng);
         let b = Matrix::random(6, 5, &mut rng);
         let c = Matrix::random(5, 4, &mut rng);
-        let mut ab = Matrix::zeros(6, 5);
+        let mut ab = Matrix::from_vec(6, 5, vec![0.0; 30]);
         for r in 0..6 {
             for k in 0..5 {
                 ab.set(r, k, a.get(r, k) + b.get(r, k));
@@ -262,7 +263,7 @@ impl TwoPass<'_> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every draw of `sample_path` / `sample_route` is the two-pass
+    /// Every draw of `sample_route_into`, top-1 and top-2, is the two-pass
     /// sampler's, and leaves the generator where it leaves it — for fresh
     /// and interpolated models, with and without an active-expert mask.
     #[test]
@@ -274,10 +275,11 @@ proptest! {
         interpolated in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
-        let spec = AffinityModelSpec::new(l, e)
-            .with_affinity(kappa)
-            .with_domains(n_domains, share)
-            .with_seed(seed);
+        let spec = AffinityModelSpec {
+            n_domains,
+            domain_share: share,
+            ..AffinityModelSpec::new(l, e).with_affinity(kappa).with_seed(seed)
+        };
         let mut model = spec.build();
         if interpolated == 1 {
             model = model.interpolate(&spec.with_seed(seed ^ 0x5eed).build(), alpha);
@@ -293,10 +295,10 @@ proptest! {
         let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
         for round in 0..6 {
             let domain = (seed as usize + round) % n_domains;
-            prop_assert_eq!(model.sample_path(&mut a, domain), oracle.path(&mut b, domain));
+            prop_assert_eq!(route(&model, &mut a, domain, 1).concat(), oracle.path(&mut b, domain));
             for k in 1..=2usize.min(e) {
                 prop_assert_eq!(
-                    model.sample_route(&mut a, domain, k),
+                    route(&model, &mut a, domain, k),
                     oracle.route(&mut b, domain, k),
                     "k = {}", k
                 );
@@ -306,8 +308,15 @@ proptest! {
     }
 }
 
+/// One top-`k` route, layer by layer: `k` experts each, the primary first.
+fn route(model: &RoutingModel, rng: &mut StdRng, domain: usize, k: usize) -> Vec<Vec<u16>> {
+    let mut flat = Vec::new();
+    model.sample_route_into(rng, domain, k, &mut flat);
+    flat.chunks_exact(k).map(<[u16]>::to_vec).collect()
+}
+
 /// `TokenBatch::sample` as a nested constructor: per token, a domain and
-/// then that token's `sample_route`, pushed onto a `Vec` each.
+/// then that token's route, pushed onto a `Vec` each.
 fn nested_batch(
     model: &RoutingModel,
     corpus: &CorpusSpec,
@@ -320,7 +329,7 @@ fn nested_batch(
     let mut domains = Vec::with_capacity(n_tokens);
     for _ in 0..n_tokens {
         let d = corpus.sample_domain(&mut rng);
-        routes.push(model.sample_route(&mut rng, d, k));
+        routes.push(route(model, &mut rng, d, k));
         domains.push(d);
     }
     (routes, domains)
@@ -343,10 +352,11 @@ proptest! {
         n_tokens in 0usize..60,
         seed in 0u64..1_000_000,
     ) {
-        let spec = AffinityModelSpec::new(l, e)
-            .with_affinity(kappa)
-            .with_domains(n_domains, share)
-            .with_seed(seed);
+        let spec = AffinityModelSpec {
+            n_domains,
+            domain_share: share,
+            ..AffinityModelSpec::new(l, e).with_affinity(kappa).with_seed(seed)
+        };
         let mut model = spec.build();
         if interpolated == 1 {
             model = model.interpolate(&spec.with_seed(seed ^ 0x5eed).build(), alpha);

@@ -29,13 +29,6 @@ fn assert_finite(cost: &[f64], n_units: usize) {
     }
 }
 
-/// Solve min-cost assignment on an `n x n` cost matrix (row-major).
-/// Returns `assignment[row] = col`. O(n³), the classic potentials/augmenting
-/// path formulation: [`solve_capacitated`] with one slot per unit.
-pub fn solve_assignment(cost: &[f64], n: usize) -> Vec<usize> {
-    solve_capacitated(cost, n, n)
-}
-
 /// `assignment[row] = slot` from the 1-indexed `p[slot] = row` matching.
 fn slots_by_row(p: &[usize]) -> Vec<usize> {
     let mut assignment = vec![usize::MAX; p.len() - 1];
@@ -192,15 +185,6 @@ pub fn solve_capacitated(cost: &[f64], n_rows: usize, n_units: usize) -> Vec<usi
     slots_by_row(&p)
 }
 
-/// Total cost of an assignment under a cost matrix.
-pub fn assignment_cost(cost: &[f64], n: usize, assignment: &[usize]) -> f64 {
-    assignment
-        .iter()
-        .enumerate()
-        .map(|(r, &c)| cost[r * n + c])
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,6 +192,21 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Min-cost assignment on an `n x n` cost matrix (row-major):
+    /// [`solve_capacitated`] with one slot per unit.
+    fn solve_assignment(cost: &[f64], n: usize) -> Vec<usize> {
+        solve_capacitated(cost, n, n)
+    }
+
+    /// Total cost of an assignment under a cost matrix.
+    fn assignment_cost(cost: &[f64], n: usize, assignment: &[usize]) -> f64 {
+        assignment
+            .iter()
+            .enumerate()
+            .map(|(r, &c)| cost[r * n + c])
+            .sum()
+    }
 
     /// The oracle of [`solve_capacitated`]: the classic column loop over an
     /// `n x n` matrix, every column scanned on every step.

@@ -1379,7 +1379,7 @@ mod tests {
             None,
         )
         .0;
-        assert!(!next.has_replicas());
+        assert!(next.replicas.iter().all(Vec::is_empty));
         assert_eq!(
             next.base,
             solve_budgeted_metered(&obj, &incumbent.base, 8, u64::MAX, None).0

@@ -201,8 +201,9 @@ impl Objective {
 
     /// Build from consecutive-layer affinity matrices (length `L - 1`,
     /// ordered by layer), weighting each row by its observed marginal —
-    /// the dense reference view of [`Objective::from_snapshot`]. Storage
-    /// is selected per gap by [`GapBackend::Auto`].
+    /// the dense reference view of [`Objective::from_snapshot`], the one
+    /// build path from a trace, and the test oracle it must match to the
+    /// bit. Storage is selected per gap by [`GapBackend::Auto`].
     pub fn from_affinities(matrices: &[AffinityMatrix]) -> Self {
         Self::from_affinities_with(matrices, GapBackend::Auto)
     }

@@ -87,11 +87,6 @@ impl Placement {
         self.assign[0].len()
     }
 
-    /// Experts each unit holds per layer.
-    pub fn capacity(&self) -> usize {
-        self.n_experts() / self.n_units
-    }
-
     /// The unit holding `expert` at `layer`.
     #[inline]
     pub fn unit_of(&self, layer: usize, expert: usize) -> usize {
@@ -126,7 +121,7 @@ mod tests {
     fn round_robin_is_contiguous() {
         let p = Placement::round_robin(3, 8, 4);
         assert_eq!(p.layer(0), &[0, 0, 1, 1, 2, 2, 3, 3]);
-        assert_eq!(p.capacity(), 2);
+        assert_eq!(p.experts_on(0, 3).len(), 2);
         assert_eq!(p.unit_of(2, 5), 2);
     }
 

@@ -146,6 +146,24 @@ impl ReplicationPlan {
         ReplicationPlan { base, replicas }
     }
 
+    /// The same copies under the owners of `base`: an expert whose owner
+    /// moved onto one of its replica holders trades places with it — the
+    /// old owner keeps the weights as the copy — so the move ships
+    /// nothing and no expert gains or loses a copy. Every other subset
+    /// carries over unchanged.
+    pub fn reowned(&self, base: Placement) -> Self {
+        let mut replicas = self.replicas.clone();
+        for (layer, lr) in replicas.iter_mut().enumerate() {
+            for (expert, units) in lr.iter_mut() {
+                if let Ok(i) = units.binary_search(&base.unit_of(layer, *expert)) {
+                    units[i] = self.base.unit_of(layer, *expert);
+                    units.sort_unstable();
+                }
+            }
+        }
+        ReplicationPlan { base, replicas }
+    }
+
     /// Replicate, at every layer, the `budget` experts that receive the
     /// most tokens (the "expert popularity" heuristic), everywhere. The
     /// marginal comes from the objective's row weights.
@@ -166,7 +184,7 @@ impl ReplicationPlan {
     /// // memory is 2 expert payloads (one per layer).
     /// assert_eq!(plan.extra_copies_per_gpu(), 2);
     /// // ... and it is available on every GPU, not just its owner.
-    /// let expert = plan.replicated_experts(0).next().unwrap();
+    /// let expert = (0..4).find(|&x| plan.is_replicated(0, x)).unwrap();
     /// assert!(plan.available_on(0, expert, 0) && plan.available_on(0, expert, 1));
     ///
     /// // Replicating *everything* costs each GPU only the experts it does
@@ -231,6 +249,7 @@ impl ReplicationPlan {
 
     /// The sorted non-owner units holding a copy of `expert` at `layer`
     /// (empty if the expert is not replicated).
+    #[inline]
     pub fn replica_units(&self, layer: usize, expert: usize) -> &[usize] {
         match self.replicas[layer].binary_search_by_key(&expert, |r| r.0) {
             Ok(i) => &self.replicas[layer][i].1,
@@ -243,18 +262,9 @@ impl ReplicationPlan {
         !self.replica_units(layer, expert).is_empty()
     }
 
-    /// Whether any layer replicates anything.
-    pub fn has_replicas(&self) -> bool {
-        self.replicas.iter().any(|lr| !lr.is_empty())
-    }
-
-    /// The experts replicated at `layer`, ascending.
-    pub fn replicated_experts(&self, layer: usize) -> impl Iterator<Item = usize> + '_ {
-        self.replicas[layer].iter().map(|r| r.0)
-    }
-
     /// Whether `expert` at `layer` is available on `unit` (owned there or
     /// holding a replica there).
+    #[inline]
     pub fn available_on(&self, layer: usize, expert: usize, unit: usize) -> bool {
         self.base.unit_of(layer, expert) == unit
             || self.replica_units(layer, expert).contains(&unit)
@@ -460,13 +470,18 @@ mod tests {
         (obj, trace)
     }
 
+    /// The experts replicated at `layer`, ascending.
+    fn replicated(plan: &ReplicationPlan, layer: usize) -> Vec<usize> {
+        plan.replicas[layer].iter().map(|r| r.0).collect()
+    }
+
     #[test]
     fn zero_budget_changes_nothing() {
         let (obj, trace) = instance(8, 5);
         let base = Placement::round_robin(5, 8, 4);
         let plan = ReplicationPlan::most_popular(&obj, base.clone(), 0);
         assert_eq!(plan.extra_copies_per_gpu(), 0);
-        assert!(!plan.has_replicas());
+        assert!(plan.replicas.iter().all(Vec::is_empty));
         let plain = crate::objective::measure_trace_locality(&trace, &base).fraction();
         assert!((plan.trace_local_fraction(&trace) - plain).abs() < 0.15);
     }
@@ -597,16 +612,16 @@ mod tests {
         // Layer-0 popularity is the uniform marginal (all tied): lowest
         // indices win. Layer-1 popularity is NaN-tainted successor mass:
         // selection stays deterministic either way.
-        assert_eq!(plan.replicated_experts(0).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(plan.replicated_experts(1).count(), 2);
+        assert_eq!(replicated(&plan, 0), vec![0, 1]);
+        assert_eq!(replicated(&plan, 1).len(), 2);
         let again = ReplicationPlan::most_popular(&obj, base.clone(), 2);
         assert_eq!(plan, again, "NaN selection must be deterministic");
 
         // Explicit popularity: tie on 0.4 between experts 1 and 3.
         let pop = vec![vec![0.1, 0.4, 0.1, 0.4]; 2];
         let tied = ReplicationPlan::from_popularity(&pop, base, 1);
-        assert_eq!(tied.replicated_experts(0).collect::<Vec<_>>(), vec![1]);
-        assert_eq!(tied.replicated_experts(1).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(replicated(&tied, 0), vec![1]);
+        assert_eq!(replicated(&tied, 1), vec![1]);
     }
 
     #[test]
@@ -646,12 +661,34 @@ mod tests {
     }
 
     #[test]
+    fn an_owner_moved_onto_a_holder_trades_places_with_it() {
+        use crate::online::MigrationPlan;
+        // Expert `i` on unit `i`; experts 0 and 1 replicated everywhere.
+        let base = Placement::round_robin(1, 4, 4);
+        let plan = ReplicationPlan::everywhere(base.clone(), vec![vec![0, 1]]);
+        let mut moved = base;
+        moved.swap(0, 0, 1);
+        moved.swap(0, 2, 3);
+        let next = plan.reowned(moved);
+        // Each replicated owner landed on a copy; the old owner keeps it.
+        assert_eq!(next.replica_units(0, 0), &[0, 2, 3]);
+        assert_eq!(next.replica_units(0, 1), &[1, 2, 3]);
+        assert!(!next.is_replicated(0, 2) && !next.is_replicated(0, 3));
+        // Only the two unreplicated experts ship a payload.
+        let migration = MigrationPlan::between_replicated(&plan, &next, 10);
+        assert_eq!(
+            (migration.n_relocations(), migration.total_bytes()),
+            (4, 20)
+        );
+    }
+
+    #[test]
     fn replicated_experts_are_available_everywhere() {
         let (obj, _) = instance(8, 4);
         let base = Placement::round_robin(4, 8, 4);
         let plan = ReplicationPlan::most_popular(&obj, base, 3);
         for layer in 0..4 {
-            let experts: Vec<usize> = plan.replicated_experts(layer).collect();
+            let experts = replicated(&plan, layer);
             assert_eq!(experts.len(), 3);
             for expert in experts {
                 for unit in 0..4 {

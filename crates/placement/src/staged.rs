@@ -182,8 +182,8 @@ mod tests {
         let staged = solve_staged(&obj, &cluster, 1, 0);
         assert!(staged.is_consistent(&cluster));
         assert_eq!(staged.gpu_level.n_units(), 4);
-        assert_eq!(staged.gpu_level.capacity(), 4);
-        assert_eq!(staged.node_level.capacity(), 8);
+        assert_eq!(staged.gpu_level.experts_on(0, 3).len(), 4);
+        assert_eq!(staged.node_level.experts_on(0, 1).len(), 8);
     }
 
     #[test]

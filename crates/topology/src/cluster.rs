@@ -89,18 +89,6 @@ impl ClusterSpec {
         rank.0 / self.gpus_per_node
     }
 
-    /// Validate a rank against the cluster's world size.
-    pub fn check_rank(&self, rank: Rank) -> Result<(), TopologyError> {
-        if rank.0 >= self.world_size() {
-            Err(TopologyError::RankOutOfRange {
-                rank: rank.0,
-                world_size: self.world_size(),
-            })
-        } else {
-            Ok(())
-        }
-    }
-
     /// Classify the link between two ranks into the three-level hierarchy.
     #[inline]
     pub fn link_class(&self, a: Rank, b: Rank) -> LinkClass {
@@ -176,13 +164,6 @@ mod tests {
         assert_eq!(c.link_class(Rank(1), Rank(2)), LinkClass::InterNode);
         // Symmetry.
         assert_eq!(c.link_class(Rank(2), Rank(1)), LinkClass::InterNode);
-    }
-
-    #[test]
-    fn check_rank_bounds() {
-        let c = ClusterSpec::new(1, 4).unwrap();
-        assert!(c.check_rank(Rank(3)).is_ok());
-        assert!(c.check_rank(Rank(4)).is_err());
     }
 
     #[test]

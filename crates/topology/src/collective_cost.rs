@@ -67,11 +67,6 @@ impl CollectiveCostModel {
         &self.cluster
     }
 
-    /// The underlying per-link cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Estimated completion time of an AlltoallV where rank `i` sends
     /// `send_bytes[i][j]` bytes to rank `j`.
     ///

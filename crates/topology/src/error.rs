@@ -10,13 +10,6 @@ pub enum TopologyError {
         /// Which dimension was empty (`"nodes"` or `"gpus_per_node"`).
         what: &'static str,
     },
-    /// A rank was out of range for the cluster's world size.
-    RankOutOfRange {
-        /// The offending rank.
-        rank: usize,
-        /// The cluster world size.
-        world_size: usize,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -24,9 +17,6 @@ impl fmt::Display for TopologyError {
         match self {
             TopologyError::EmptyDimension { what } => {
                 write!(f, "cluster dimension `{what}` must be non-zero")
-            }
-            TopologyError::RankOutOfRange { rank, world_size } => {
-                write!(f, "rank {rank} out of range for world size {world_size}")
             }
         }
     }
@@ -42,15 +32,5 @@ mod tests {
     fn display_empty_dimension() {
         let e = TopologyError::EmptyDimension { what: "nodes" };
         assert!(e.to_string().contains("nodes"));
-    }
-
-    #[test]
-    fn display_rank_out_of_range() {
-        let e = TopologyError::RankOutOfRange {
-            rank: 9,
-            world_size: 8,
-        };
-        let s = e.to_string();
-        assert!(s.contains('9') && s.contains('8'));
     }
 }

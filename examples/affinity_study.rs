@@ -27,7 +27,8 @@ fn main() {
 
     // Consecutive-layer conditional probabilities.
     println!("layer-pair affinity (top-1 conditional mass, normalized score):");
-    for m in AffinityMatrix::consecutive(&trace) {
+    for layer in 1..trace.n_layers() {
+        let m = AffinityMatrix::from_trace(&trace, layer - 1, layer);
         println!(
             "  L{:<2} -> L{:<2}   top1 {:.3}   score(k=3) {:.3}",
             m.from_layer(),

@@ -43,7 +43,7 @@ fn main() {
             ds.throughput(),
             ex.throughput(),
             ex.throughput() / ds.throughput(),
-            ds.breakdown.alltoall_fraction() * 100.0
+            ds.breakdown.alltoall / ds.breakdown.total() * 100.0
         );
     }
 

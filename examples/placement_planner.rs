@@ -6,7 +6,7 @@
 //! cargo run --release --example placement_planner
 //! ```
 
-use exflow::affinity::{AffinityMatrix, RoutingTrace};
+use exflow::affinity::{RoutingTrace, StreamingAffinity};
 use exflow::model::presets::moe_gpt_m;
 use exflow::model::routing::AffinityModelSpec;
 use exflow::model::{CorpusSpec, TokenBatch};
@@ -36,7 +36,9 @@ fn main() {
         7,
     );
     let trace = RoutingTrace::from_batch(&batch, model.n_experts);
-    let objective = Objective::from_affinities(&AffinityMatrix::consecutive(&trace));
+    let mut estimate = StreamingAffinity::new(model.n_layers, model.n_experts, 1.0);
+    estimate.observe(&trace);
+    let objective = Objective::from_snapshot(&estimate.snapshot());
 
     // 2. Solve: stage 1 (nodes) then stage 2 (GPUs within nodes).
     let staged = solve_staged(&objective, &cluster, 2, 7);

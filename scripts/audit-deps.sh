@@ -7,8 +7,9 @@
 # acquire a registry or git source. cargo-deny itself would be a registry
 # dependency, so this script re-implements the two checks that policy
 # needs from the manifests and lockfile directly. It also checks the two
-# shim surfaces determinism rules D003 and D004 rely on (case 4), and that
-# the workspace's one `unsafe` block stays the only one (case 5).
+# shim surfaces determinism rules D003 and D004 rely on (case 4), that
+# the workspace's one `unsafe` block stays the only one (case 5), and that
+# no first-party crate lists a dependency it never uses (case 6).
 #
 # Exit 0 when the policy holds, 1 with one FAIL line per violation.
 set -euo pipefail
@@ -99,8 +100,28 @@ if [ "$(grep -c . <<<"$uses")" -gt 1 ]; then
   violations=$((violations + 1))
 fi
 
+# 6. Every [dependencies] entry of a first-party crate is named, dashes as
+#    underscores, somewhere in that crate's src/: an unused edge still
+#    builds and still sits in the lockfile, so nothing else notices it.
+#    One edge is exempt: exflow-model's rayon is recorded in
+#    benchmark/Cargo.lock, which the benchmark builds `--locked`, so it
+#    leaves with the next change to benchmark/.
+for manifest in crates/*/Cargo.toml; do
+  crate=${manifest%/Cargo.toml}
+  while IFS= read -r dep; do
+    name=${dep%%[ =]*}
+    [ "$crate:$name" = crates/model:rayon ] && continue
+    if ! grep -rqw "${name//-/_}" "$crate/src"; then
+      echo "FAIL: $manifest: dependency '$name' is named nowhere in $crate/src" >&2
+      violations=$((violations + 1))
+    fi
+  done < <(awk '/^\[dependencies\]/ { s = 1; next }
+                /^\[/ { s = 0 }
+                s && /=/ { print }' "$manifest")
+done
+
 if [ "$violations" -ne 0 ]; then
   echo "deps-audit: $violations violation(s)" >&2
   exit 1
 fi
-echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, the call of the AVX2 and AVX-512 expert kernels in exflow-model)"
+echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, the call of the AVX2 and AVX-512 expert kernels in exflow-model; every crate dependency used)"
