@@ -124,4 +124,4 @@ if [ "$violations" -ne 0 ]; then
   echo "deps-audit: $violations violation(s)" >&2
   exit 1
 fi
-echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, the call of the AVX2 and AVX-512 expert kernels in exflow-model; every crate dependency used)"
+echo "deps-audit: OK (no registry/git sources; shims/ and crates/ are the only path deps; no entropy source in shims/rand, no reduction in shims/rayon; one unsafe block, the call of the AVX2 and AVX-512 expert kernels in exflow-model; every crate dependency used but exflow-model's exempt rayon)"
