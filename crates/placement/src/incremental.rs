@@ -1387,6 +1387,45 @@ mod tests {
     }
 
     #[test]
+    fn joint_owner_moves_onto_held_copies_ship_nothing() {
+        // Every expert is replicated on every other unit and slots are to
+        // spare: each owner move the walk makes lands on a holder.
+        let (l, e, bpe) = (3, 8, 10);
+        let incumbent = Placement::round_robin(l, e, 2);
+        let incumbent = ReplicationPlan::everywhere(incumbent, vec![(0..e).collect(); l]);
+        let budget = ReplicationBudget {
+            replica_memory_bytes: (l * e) as u64 * bpe,
+            migration_budget_bytes: 8 * bpe,
+        };
+        let solve = |obj: &Objective, from: &ReplicationPlan| {
+            let policy = ReplicaPolicy::Everywhere;
+            solve_budgeted_replicated_metered(obj, from, bpe, &budget, &policy, u64::MAX, None).0
+        };
+        let next = solve(&objective_with(e, l - 1, 0.9, GapBackend::Auto), &incumbent);
+        let mut landed = 0;
+        for layer in 0..l {
+            for x in 0..e {
+                let (from, to) = (incumbent.base.unit_of(layer, x), next.base.unit_of(layer, x));
+                if from != to && incumbent.available_on(layer, x, to) {
+                    landed += 1;
+                    assert!(next.available_on(layer, x, from), "({layer}, {x}) lost its copy");
+                }
+            }
+        }
+        assert!(landed > 0, "the shifted objective must move owners");
+        // The reversed objective routes within the incumbent's blocks, so
+        // the second re-plan walks owners back onto their old units.
+        let cap = e / 2;
+        let back: Vec<f64> = (0..e * e)
+            .map(|c| f64::from(c / e / cap == c % e / cap) / cap as f64)
+            .collect();
+        let again = solve(&Objective::from_raw(vec![back; l - 1], e), &next);
+        let plan = MigrationPlan::between_replicated(&next, &again, bpe);
+        assert!(plan.n_relocations() > 0, "the reversed objective must move owners");
+        assert_eq!(plan.total_bytes(), 0, "{plan:?}");
+    }
+
+    #[test]
     fn joint_solve_is_deterministic_and_drops_stale_replicas() {
         let obj = objective_with(16, 4, 0.9, GapBackend::Auto);
         // Incumbent replicates two experts the drifted objective gives no

@@ -625,6 +625,11 @@ proptest! {
             prop_assert_eq!(degraded.base.unit_of(m.layer, m.expert), m.from);
             prop_assert_eq!(healed.base.unit_of(m.layer, m.expert), gpu);
         }
+        // The rejoin moves are exactly the diff of the two plans; their
+        // order is free, since pricing sums a send matrix.
+        let mut moves = plan.moves.clone();
+        moves.sort_by_key(|m| (m.layer, m.expert));
+        prop_assert_eq!(moves, MigrationPlan::between_replicated(&degraded, &healed, 8).moves);
         // Loss-then-rejoin plans only name ranks of the fleet.
         let _ = plan.send_matrix(u);
     }
