@@ -498,12 +498,9 @@ impl<'a> ServingState<'a> {
             // shipped bytes were still charged — a documented
             // overcharge).
             if self.live_ranks.len() < self.engine.all_ranks().len() {
-                for lr in &mut Arc::make_mut(&mut self.adaptive.live).replicas {
-                    for (_, units) in lr.iter_mut() {
-                        units.retain(|u| self.live_ranks.binary_search(u).is_ok());
-                    }
-                    lr.retain(|(_, units)| !units.is_empty());
-                }
+                let live = &self.live_ranks;
+                Arc::make_mut(&mut self.adaptive.live)
+                    .retain_holders(|u| live.binary_search(&u).is_ok());
             }
             self.queue_copy(clock, copy_time, stale);
         }

@@ -312,8 +312,8 @@ impl MigrationPlan {
 /// migration that reaches it from `current`. `live_ranks` lists the
 /// surviving GPUs ascending (`gpu` is not among them).
 ///
-/// The dead GPU's replica copies die with it, so it is stripped from
-/// every subset first. Then, per expert it owned: where a surviving
+/// The dead GPU's replica copies die with it: it never counts as a holder
+/// and leaves every subset. Per expert it owned: where a surviving
 /// replica holder exists, the least-loaded one is *promoted* to owner
 /// for free (a `free_move`; its subset membership retires); an expert
 /// whose only copies just died is re-homed on the least-loaded survivor
@@ -327,20 +327,10 @@ pub fn plan_gpu_loss(
 ) -> (ReplicationPlan, MigrationPlan) {
     assert!(!live_ranks.is_empty(), "at least one GPU must survive");
     let w = current.base.n_units();
-    let mut replicas: Vec<LayerReplicas> = current
-        .replicas
-        .iter()
-        .map(|lr| {
-            lr.iter()
-                .map(|(x, units)| (*x, units.iter().copied().filter(|&u| u != gpu).collect()))
-                .filter(|(_, units): &(usize, Vec<usize>)| !units.is_empty())
-                .collect()
-        })
-        .collect();
     let mut assign = Vec::with_capacity(current.base.n_layers());
     let mut moves = Vec::new();
     let mut free_moves = Vec::new();
-    for (layer, held) in replicas.iter_mut().enumerate() {
+    for layer in 0..current.base.n_layers() {
         let mut row = current.base.layer(layer).to_vec();
         let mut load = vec![0usize; w];
         for &u in &row {
@@ -351,20 +341,14 @@ pub fn plan_gpu_loss(
                 continue;
             }
             load[gpu] -= 1;
-            // Subsets are sorted by expert, so holder lookup is a binary
-            // search.
-            let to = match held.binary_search_by_key(&expert, |r| r.0) {
-                Ok(i) => {
-                    let units = &mut held[i].1;
-                    let to = units
-                        .iter()
-                        .copied()
-                        .min_by_key(|&r| (load[r], r))
-                        .expect("emptied subsets were dropped");
-                    units.retain(|&u| u != to);
-                    if units.is_empty() {
-                        held.remove(i);
-                    }
+            let holder = current
+                .replica_units(layer, expert)
+                .iter()
+                .copied()
+                .filter(|&r| r != gpu)
+                .min_by_key(|&r| (load[r], r));
+            let to = match holder {
+                Some(to) => {
                     free_moves.push(ExpertMove {
                         layer,
                         expert,
@@ -373,7 +357,7 @@ pub fn plan_gpu_loss(
                     });
                     to
                 }
-                Err(_) => {
+                None => {
                     let &to = live_ranks
                         .iter()
                         .min_by_key(|&&r| (load[r], r))
@@ -392,10 +376,13 @@ pub fn plan_gpu_loss(
         }
         assign.push(row);
     }
-    let next = ReplicationPlan {
+    // A promoted holder leaves its subset as the owner; the dead GPU's
+    // copies leave every subset.
+    let mut next = ReplicationPlan {
         base: Placement::new_degraded(assign, w),
-        replicas,
+        replicas: current.replicas.clone(),
     };
+    next.retain_holders(|u| u != gpu);
     let plan = MigrationPlan {
         bytes_per_expert,
         moves,

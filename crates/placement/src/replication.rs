@@ -164,6 +164,20 @@ impl ReplicationPlan {
         ReplicationPlan { base, replicas }
     }
 
+    /// Keep only the holders `keep` accepts: every other unit leaves the
+    /// subsets, so does each expert's owner, and an entry left empty is
+    /// dropped. The one edit that restores the [`LayerReplicas`] invariant
+    /// after units die or owners move.
+    pub fn retain_holders(&mut self, keep: impl Fn(usize) -> bool) {
+        for (layer, lr) in self.replicas.iter_mut().enumerate() {
+            for (expert, units) in lr.iter_mut() {
+                let owner = self.base.unit_of(layer, *expert);
+                units.retain(|&u| u != owner && keep(u));
+            }
+            lr.retain(|(_, units)| !units.is_empty());
+        }
+    }
+
     /// Replicate, at every layer, the `budget` experts that receive the
     /// most tokens (the "expert popularity" heuristic), everywhere. The
     /// marginal comes from the objective's row weights.
