@@ -395,9 +395,10 @@ pub fn plan_gpu_loss(
 
 /// Re-home a returned GPU: per layer, pull experts off the most-loaded
 /// survivors (lowest rank on ties, lowest expert index first) until
-/// `gpu` owns its fair share `E / W`. Replica subsets are untouched.
-/// Returns the healed fleet plan and the priced migration that reaches
-/// it from `current`.
+/// `gpu` owns its fair share `E / W`. Replica subsets carry over under
+/// [`ReplicationPlan::reowned`]. Returns the healed fleet plan and the
+/// [`MigrationPlan::between_replicated`] diff that reaches it from
+/// `current`.
 pub fn plan_gpu_rejoin(
     current: &ReplicationPlan,
     gpu: usize,
@@ -406,7 +407,6 @@ pub fn plan_gpu_rejoin(
     let w = current.base.n_units();
     let target = current.base.n_experts() / w;
     let mut assign = Vec::with_capacity(current.base.n_layers());
-    let mut moves = Vec::new();
     for layer in 0..current.base.n_layers() {
         let mut row = current.base.layer(layer).to_vec();
         let mut load = vec![0usize; w];
@@ -425,26 +425,11 @@ pub fn plan_gpu_rejoin(
             row[expert] = gpu;
             load[from] -= 1;
             load[gpu] += 1;
-            moves.push(ExpertMove {
-                layer,
-                expert,
-                from,
-                to: gpu,
-            });
         }
         assign.push(row);
     }
-    let next = ReplicationPlan {
-        base: Placement::new_degraded(assign, w),
-        replicas: current.replicas.clone(),
-    };
-    let plan = MigrationPlan {
-        bytes_per_expert,
-        moves,
-        free_moves: Vec::new(),
-        replica_adds: Vec::new(),
-        replica_drops: Vec::new(),
-    };
+    let next = current.reowned(Placement::new_degraded(assign, w));
+    let plan = MigrationPlan::between_replicated(current, &next, bytes_per_expert);
     (next, plan)
 }
 
