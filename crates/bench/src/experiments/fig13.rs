@@ -4,7 +4,7 @@
 //! measured end to end.
 
 use exflow_core::json::Json;
-use exflow_core::{InferenceEngine, ParallelismMode};
+use exflow_core::{InferenceEngine, ParallelismMode, ReplicationPlan, Scenario};
 use exflow_model::presets::moe_gpt_m;
 use exflow_placement::staged::solve_staged;
 use exflow_placement::Objective;
@@ -43,7 +43,11 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
                 engine.config().seed,
             );
             let report = engine
-                .run_with_placement(ParallelismMode::ContextCoherentAffinity, &staged.gpu_level);
+                .run_scenario(
+                    &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
+                        .with_replication(ReplicationPlan::bare(staged.gpu_level)),
+                )
+                .expect_offline();
             Json::obj(vec![
                 // Experts per layer.
                 ("experts", e.into()),

@@ -4,7 +4,7 @@
 //! on the serving corpus itself (row-normalized, 1.0 = perfect transfer).
 
 use exflow_core::json::Json;
-use exflow_core::{InferenceEngine, ParallelismMode};
+use exflow_core::{InferenceEngine, ParallelismMode, ReplicationPlan, Scenario};
 use exflow_model::presets::moe_gpt_m;
 use exflow_model::CorpusSpec;
 use exflow_topology::ClusterSpec;
@@ -41,8 +41,12 @@ pub fn sweep(_: &Workload) -> Result<Vec<Json>, String> {
         let name = corpus.name.clone();
         // Engine serving this corpus, but *placed* from the Pile.
         let engine = engine_with_corpus(corpus);
-        let transferred =
-            engine.run_with_placement(ParallelismMode::ContextCoherentAffinity, &pile_placement);
+        let transferred = engine
+            .run_scenario(
+                &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
+                    .with_replication(ReplicationPlan::bare(pile_placement.clone())),
+            )
+            .expect_offline();
         // Reference: the corpus profiled on itself.
         let self_profiled = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
         let (moved, own) = (transferred.dispatch, self_profiled.dispatch);

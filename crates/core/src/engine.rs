@@ -369,20 +369,6 @@ impl InferenceEngine {
         }
     }
 
-    /// Run with an explicit placement (used by the sampling study, which
-    /// derives placements from truncated profiling traces). This is the
-    /// explicit-placement escape hatch under [`crate::Scenario`]'s front door
-    /// (`crate::scenario::Scenario` covers the engine-chosen placements
-    /// only).
-    pub fn run_with_placement(
-        &self,
-        mode: ParallelismMode,
-        placement: &Placement,
-    ) -> InferenceReport {
-        let plan = ReplicationPlan::bare(placement.clone());
-        self.run_once(mode, &plan, self.offline_batches())
-    }
-
     /// Every provisioned GPU, ascending: the `live_ranks` of a healthy
     /// fleet.
     pub(crate) fn all_ranks(&self) -> &Arc<[usize]> {
@@ -409,8 +395,8 @@ impl InferenceEngine {
         })
     }
 
-    /// The batches every offline pass runs — [`Scenario::offline`],
-    /// [`InferenceEngine::run_with_placement`], a replication scenario:
+    /// The batches every offline pass runs — [`Scenario::offline`] with or
+    /// without a replication plan:
     /// fresh routes per generation iteration from the engine's own routing
     /// model, on seed streams disjoint from the profiling seed. Like the
     /// expert table they are a pure function of the config, so the first
@@ -1105,7 +1091,11 @@ mod tests {
     fn custom_placement_is_respected() {
         let engine = tiny_engine(1, 4);
         let rr = engine.placement_for(ParallelismMode::Vanilla).clone();
-        let via_custom = engine.run_with_placement(ParallelismMode::ContextCoherent, &rr);
+        let via_custom = replicated(
+            &engine,
+            ParallelismMode::ContextCoherent,
+            &ReplicationPlan::bare(rr),
+        );
         let via_default = offline(&engine, ParallelismMode::ContextCoherent);
         assert_eq!(via_custom.dispatch, via_default.dispatch);
     }
@@ -1341,7 +1331,11 @@ mod tests {
         let base = engine
             .placement_for(ParallelismMode::ContextCoherentAffinity)
             .clone();
-        let bare = engine.run_with_placement(ParallelismMode::ContextCoherentAffinity, &base);
+        let bare = replicated(
+            &engine,
+            ParallelismMode::ContextCoherentAffinity,
+            &ReplicationPlan::bare(base.clone()),
+        );
         let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
         let rep = replicated(&engine, ParallelismMode::ContextCoherentAffinity, &plan);
         assert!(

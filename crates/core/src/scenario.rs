@@ -200,10 +200,15 @@ impl InferenceEngine {
             scenario.faults.is_none(),
             "fault schedules require the serving front-end (add with_serving)"
         );
-        if let Some(plan) = &scenario.replication {
-            return ScenarioReport::Offline(self.run_once(mode, plan, self.offline_batches()));
-        }
-        ScenarioReport::Offline(self.run_with_placement(mode, self.placement_for(mode)))
+        let bare;
+        let plan = match &scenario.replication {
+            Some(plan) => plan,
+            None => {
+                bare = ReplicationPlan::bare(self.placement_for(mode).clone());
+                &bare
+            }
+        };
+        ScenarioReport::Offline(self.run_once(mode, plan, self.offline_batches()))
     }
 }
 
