@@ -77,7 +77,7 @@
 
 use crate::greedy::solve_greedy;
 use crate::objective::Objective;
-use crate::online::{net_moves, pack_to_gpu_slots, sort_by_score};
+use crate::online::net_moves;
 use crate::placement::Placement;
 use crate::replication::{
     replica_gains_by_unit, replicated_cross_mass, LayerReplicas, ReplicaPolicy, ReplicationBudget,
@@ -782,90 +782,61 @@ fn sanitize_subsets(replicas: &mut [LayerReplicas], base: &Placement) {
     }
 }
 
-/// One replica-first candidate under `policy`: rank every positive-gain
-/// `(layer, expert)` by absorbed incoming cross mass per byte shipped to
-/// its policy-chosen target subset (entries the incumbent already holds
-/// in full ship nothing and rank first), greedily accept under the
-/// per-GPU slot cap and the migration byte budget, then spend the
-/// leftover bytes on owner moves.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "mirrors the solver-stage plumbing; a params struct would just rename the same eight inputs at every call site"
-)]
-fn replica_first_candidate(
+/// One replica entry a joint re-plan candidate may keep: `(layer, expert,
+/// holder subset, bytes keeping it ships, rank score)`.
+type Entry = (usize, usize, Vec<usize>, u64, f64);
+
+/// Walk `entries` in order and keep each whose subset is not empty, has a
+/// free slot on every unit (fewer than `slots` copies packed there) and
+/// ships no more than `bytes_left`, which pays for it; a skipped entry
+/// blocks nothing after it. Returns per-layer entries sorted by expert
+/// (the [`LayerReplicas`] invariant).
+fn pack<'a>(
+    entries: impl Iterator<Item = (usize, usize, &'a [usize], u64)>,
+    shape: &Placement,
+    slots: u64,
+    bytes_left: &mut u64,
+) -> Vec<LayerReplicas> {
+    let mut load = vec![0u64; shape.n_units()];
+    let mut out: Vec<LayerReplicas> = vec![Vec::new(); shape.n_layers()];
+    for (layer, expert, units, ship) in entries {
+        if units.is_empty() || units.iter().any(|&u| load[u] >= slots) || ship > *bytes_left {
+            continue;
+        }
+        *bytes_left -= ship;
+        for &u in units {
+            load[u] += 1;
+        }
+        out[layer].push((expert, units.to_vec()));
+    }
+    for lr in &mut out {
+        lr.sort_unstable_by_key(|r| r.0);
+    }
+    out
+}
+
+/// One candidate of [`solve_budgeted_replicated_metered`], built from its
+/// replica `entries`: rank them best-first (score descending, then layer,
+/// then expert), pack them under the per-GPU slot cap and the migration
+/// byte budget, and spend the bytes left on owner moves.
+fn candidate(
     objective: &Objective,
     incumbent: &ReplicationPlan,
-    gains: &[Vec<Vec<f64>>],
-    policy: &ReplicaPolicy,
+    mut entries: Vec<Entry>,
     bpe: u64,
-    slots: u64,
     budget: &ReplicationBudget,
     meter: &mut CostMeter,
     cache: Option<&mut SwapGainCache>,
 ) -> ReplicationPlan {
-    let n_layers = incumbent.base.n_layers();
-    let n_units = incumbent.base.n_units();
-    let e = objective.n_experts();
-    // Dense side tables so the ranked triples stay cheap to sort.
-    let mut subset_of: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); e]; n_layers];
-    let mut ship_bytes: Vec<Vec<u64>> = vec![vec![0; e]; n_layers];
-    let mut ranked: Vec<(usize, usize, f64)> = Vec::new();
-    for l in 0..n_layers {
-        for x in 0..e {
-            let owner = incumbent.base.unit_of(l, x);
-            let units = policy.target_units(l, x, owner, n_units);
-            if units.is_empty() {
-                continue;
-            }
-            let gain: f64 = units.iter().map(|&u| gains[l][x][u]).sum();
-            if gain <= 0.0 {
-                continue;
-            }
-            let to_ship = units
-                .iter()
-                .filter(|&&u| !incumbent.available_on(l, x, u))
-                .count() as u64;
-            let ship = to_ship * bpe;
-            // Fully-held subsets are free to keep and rank ahead of
-            // anything that costs bytes.
-            let score = if ship == 0 {
-                f64::INFINITY
-            } else {
-                gain / ship as f64
-            };
-            subset_of[l][x] = units;
-            ship_bytes[l][x] = ship;
-            ranked.push((l, x, score));
-        }
-    }
-    sort_by_score(&mut ranked);
-    let mut migration_left = budget.migration_budget_bytes;
-    let mut load = vec![0u64; n_units];
-    let mut replicas: Vec<LayerReplicas> = vec![Vec::new(); n_layers];
-    for &(l, x, _) in &ranked {
-        let units = &subset_of[l][x];
-        if units.iter().any(|&u| load[u] >= slots) {
-            continue;
-        }
-        if ship_bytes[l][x] > migration_left {
-            continue;
-        }
-        migration_left -= ship_bytes[l][x];
-        for &u in units {
-            load[u] += 1;
-        }
-        replicas[l].push((x, units.clone()));
-    }
-    for lr in &mut replicas {
-        lr.sort_unstable_by_key(|r| r.0);
-    }
-    let base = solve_budgeted_with_meter(
-        objective,
-        &incumbent.base,
-        migration_left / bpe,
-        meter,
-        cache,
-    );
+    entries.sort_by(|a, b| b.4.total_cmp(&a.4).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+    let slots = budget.replica_memory_bytes / bpe;
+    let mut bytes_left = budget.migration_budget_bytes;
+    let ranked = entries
+        .iter()
+        .map(|(l, x, units, ship, _)| (*l, *x, &units[..], *ship));
+    let mut replicas = pack(ranked, &incumbent.base, slots, &mut bytes_left);
+    let base =
+        solve_budgeted_with_meter(objective, &incumbent.base, bytes_left / bpe, meter, cache);
     sanitize_subsets(&mut replicas, &base);
     ReplicationPlan { base, replicas }
 }
@@ -875,12 +846,15 @@ fn replica_first_candidate(
 /// migration bytes — on whichever mix of **replica adds/drops** and
 /// **owner moves** reduces the replication-aware objective
 /// ([`replicated_cross_mass`]) the most. Up to three deterministic
-/// candidates race:
+/// candidates race, each built the same way from its replica entries:
+/// rank them, pack them under the per-GPU slot cap and the migration byte
+/// budget, and spend the bytes left on the [`solve_budgeted_metered`]
+/// walk of the base placement.
 ///
-/// * **owner-moves-only** — the full migration budget goes to the
-///   [`solve_budgeted_metered`] walk on the base placement; the
-///   incumbent's replica entries are kept, re-packed into the per-GPU
-///   memory budget if it shrank;
+/// * **owner-moves-only** — the incumbent's entries, ranked by absorbed
+///   gain and shipping nothing: the full migration budget goes to owner
+///   moves, and entries are dropped only if the per-GPU memory budget
+///   shrank;
 /// * **replica-first under `policy`** — `(expert, target-subset)`
 ///   candidates (the subset is what `policy` selects for the expert's
 ///   owner) are ranked by absorbed incoming cross mass *per fan-out byte*
@@ -890,7 +864,7 @@ fn replica_first_candidate(
 ///   arXiv:1704.06928). Entries the incumbent already holds are free and
 ///   rank first; new ones are accepted best-density-first while every
 ///   subset unit has a free memory slot and the migration budget covers
-///   the fan-out; whatever bytes remain fund owner-move descent.
+///   the fan-out;
 /// * **replica-first everywhere** — the same construction under
 ///   [`ReplicaPolicy::Everywhere`], raced only when `policy` is not
 ///   already the full fan-out. This makes "partial replication never
@@ -920,77 +894,59 @@ pub fn solve_budgeted_replicated_metered(
 ) -> (ReplicationPlan, ReplanCost) {
     let mut meter = CostMeter::new(scan_budget);
     let bpe = bytes_per_expert.max(1);
-    // Per-GPU slot cap: how many extra expert copies any single GPU may hold.
-    let slots = budget.replica_memory_bytes / bpe;
-    let n_layers = incumbent.base.n_layers();
-    let n_units = incumbent.base.n_units();
+    let (n_layers, n_units) = (incumbent.base.n_layers(), incumbent.base.n_units());
     let gains = replica_gains_by_unit(objective, &incumbent.base);
-
-    // Candidate A: owner moves only, incumbent subsets carried over —
-    // re-packed under the per-GPU slot cap by descending absorbed gain
-    // (drops are free), then sanitized against the moved owners.
-    let owner_moves = budget.migration_budget_bytes / bpe;
-    let base_a = solve_budgeted_with_meter(
-        objective,
-        &incumbent.base,
-        owner_moves,
-        &mut meter,
-        cache.as_deref_mut(),
-    );
-    let mut held: Vec<(usize, usize, f64)> = Vec::new();
-    for (l, layer) in incumbent.replicas.iter().enumerate() {
-        for (x, units) in layer {
-            let gain: f64 = units.iter().map(|&u| gains[l][*x][u]).sum();
-            held.push((l, *x, gain));
-        }
-    }
-    sort_by_score(&mut held);
-    let ranked: Vec<(usize, usize, Vec<usize>)> = held
-        .iter()
-        .map(|&(l, x, _)| (l, x, incumbent.replica_units(l, x).to_vec()))
-        .collect();
-    let mut replicas_a = pack_to_gpu_slots(&ranked, n_layers, n_units, slots);
-    sanitize_subsets(&mut replicas_a, &base_a);
-    let cand_a = ReplicationPlan {
-        base: base_a,
-        replicas: replicas_a,
+    let gain = |l: usize, x: usize, units: &[usize]| -> f64 {
+        units.iter().map(|&u| gains[l][x][u]).sum()
     };
-
-    // Candidate B: replica-first under the caller's policy.
-    let cand_b = replica_first_candidate(
-        objective,
-        incumbent,
-        &gains,
-        policy,
-        bpe,
-        slots,
-        budget,
-        &mut meter,
-        cache.as_deref_mut(),
-    );
-
-    // Candidate C: replica-first with full fan-out — kept in the race so
-    // a subset policy degrades gracefully to the Lina-style baseline on
-    // instances where only universal copies absorb enough mass.
-    let cand_c = if matches!(policy, ReplicaPolicy::Everywhere) {
-        None
-    } else {
-        Some(replica_first_candidate(
+    // The policy's subset for every positive-gain expert; one the
+    // incumbent already holds in full ships nothing and ranks first.
+    let proposals = |policy: &ReplicaPolicy| -> Vec<Entry> {
+        let experts = (0..n_layers).flat_map(|l| (0..objective.n_experts()).map(move |x| (l, x)));
+        experts
+            .filter_map(|(l, x)| {
+                let units = policy.target_units(l, x, incumbent.base.unit_of(l, x), n_units);
+                let gain = gain(l, x, &units);
+                if gain <= 0.0 {
+                    return None;
+                }
+                let fresh = units.iter().filter(|&&u| !incumbent.available_on(l, x, u));
+                let ship = fresh.count() as u64 * bpe;
+                let score = if ship == 0 {
+                    f64::INFINITY
+                } else {
+                    gain / ship as f64
+                };
+                Some((l, x, units, ship, score))
+            })
+            .collect()
+    };
+    let held = incumbent.replicas.iter().enumerate().flat_map(|(l, lr)| {
+        lr.iter()
+            .map(move |(x, units)| (l, *x, units.clone(), 0, gain(l, *x, units)))
+    });
+    let mut build = |entries| {
+        candidate(
             objective,
             incumbent,
-            &gains,
-            &ReplicaPolicy::Everywhere,
+            entries,
             bpe,
-            slots,
             budget,
             &mut meter,
-            cache,
-        ))
+            cache.as_deref_mut(),
+        )
     };
+    let owner_moves = build(held.collect());
+    let replica_first = build(proposals(policy));
+    // Full fan-out stays in the race so a subset policy degrades
+    // gracefully to the Lina-style baseline on instances where only
+    // universal copies absorb enough mass.
+    let everywhere = (!matches!(policy, ReplicaPolicy::Everywhere))
+        .then(|| build(proposals(&ReplicaPolicy::Everywhere)));
 
-    let mut winner = cand_a;
+    let mut winner = owner_moves;
     let mut best = replicated_cross_mass(objective, &winner);
-    for cand in [Some(cand_b), cand_c].into_iter().flatten() {
+    for cand in [Some(replica_first), everywhere].into_iter().flatten() {
         let cost = replicated_cross_mass(objective, &cand);
         if cost < best {
             best = cost;
@@ -1405,10 +1361,16 @@ mod tests {
         let mut landed = 0;
         for layer in 0..l {
             for x in 0..e {
-                let (from, to) = (incumbent.base.unit_of(layer, x), next.base.unit_of(layer, x));
+                let (from, to) = (
+                    incumbent.base.unit_of(layer, x),
+                    next.base.unit_of(layer, x),
+                );
                 if from != to && incumbent.available_on(layer, x, to) {
                     landed += 1;
-                    assert!(next.available_on(layer, x, from), "({layer}, {x}) lost its copy");
+                    assert!(
+                        next.available_on(layer, x, from),
+                        "({layer}, {x}) lost its copy"
+                    );
                 }
             }
         }
@@ -1421,7 +1383,10 @@ mod tests {
             .collect();
         let again = solve(&Objective::from_raw(vec![back; l - 1], e), &next);
         let plan = MigrationPlan::between_replicated(&next, &again, bpe);
-        assert!(plan.n_relocations() > 0, "the reversed objective must move owners");
+        assert!(
+            plan.n_relocations() > 0,
+            "the reversed objective must move owners"
+        );
         assert_eq!(plan.total_bytes(), 0, "{plan:?}");
     }
 

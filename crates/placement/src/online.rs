@@ -13,7 +13,7 @@ use exflow_topology::collective_cost::{BytesByClass, CollectiveCostModel};
 use exflow_topology::{ClusterSpec, CostModel};
 
 use crate::placement::Placement;
-use crate::replication::{LayerReplicas, ReplicationPlan};
+use crate::replication::ReplicationPlan;
 
 /// Experts whose unit differs between two placements (the net migration
 /// size of jumping from `a` to `b`).
@@ -27,45 +27,6 @@ pub(crate) fn net_moves(a: &Placement, b: &Placement) -> u64 {
         }
     }
     n
-}
-
-/// Rank `(layer, expert, score)` replica candidates best-first under the
-/// total order every selection site shares: score descending
-/// (`f64::total_cmp`), then layer ascending, then expert ascending. The
-/// score is absorbed-cross-mass-per-fan-out-byte for new adds and the raw
-/// subset gain for budget trims; one comparator everywhere means the
-/// solver's racing candidates can never rank replicas inconsistently.
-pub(crate) fn sort_by_score(entries: &mut [(usize, usize, f64)]) {
-    entries.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-}
-
-/// Greedy per-GPU replica-slot packing: walk `ranked` best-first and keep
-/// each `(layer, expert, units)` entry whose whole subset still fits —
-/// every unit in `units` must have a free slot (fewer than `slots` copies
-/// already packed onto it). Skipped entries do not block later, smaller
-/// ones. Returns per-layer entries sorted by expert, upholding the
-/// [`LayerReplicas`] invariant.
-pub(crate) fn pack_to_gpu_slots(
-    ranked: &[(usize, usize, Vec<usize>)],
-    n_layers: usize,
-    n_units: usize,
-    slots: u64,
-) -> Vec<LayerReplicas> {
-    let mut load = vec![0u64; n_units];
-    let mut out: Vec<LayerReplicas> = vec![Vec::new(); n_layers];
-    for (layer, expert, units) in ranked {
-        if units.is_empty() || units.iter().any(|&u| load[u] >= slots) {
-            continue;
-        }
-        for &u in units {
-            load[u] += 1;
-        }
-        out[*layer].push((*expert, units.clone()));
-    }
-    for lr in &mut out {
-        lr.sort_unstable_by_key(|r| r.0);
-    }
-    out
 }
 
 /// One expert relocation: `expert` at `layer` moves from unit `from` to
