@@ -36,18 +36,11 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
         let rows = SIZES.iter().map(|&n| {
             let trace = engine.profile_trace().truncated(n);
             let objective = Objective::from_snapshot(&snapshot_of(&trace));
-            let staged = solve_staged(
-                &objective,
-                &engine.config().cluster,
-                0,
-                engine.config().seed,
-            );
-            let report = engine
-                .run_scenario(
-                    &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                        .with_replication(ReplicationPlan::bare(staged.gpu_level)),
-                )
-                .expect_offline();
+            let (cluster, seed) = (&engine.config().cluster, engine.config().seed);
+            let staged = solve_staged(&objective, cluster, 0, seed);
+            let placed = Scenario::offline(ParallelismMode::ContextCoherentAffinity)
+                .with_replication(ReplicationPlan::bare(staged.gpu_level));
+            let report = engine.run_scenario(&placed).expect_offline();
             Json::obj(vec![
                 // Experts per layer.
                 ("experts", e.into()),

@@ -33,22 +33,17 @@ fn engine_with_corpus(corpus: CorpusSpec) -> InferenceEngine {
 pub fn sweep(_: &Workload) -> Result<Vec<Json>, String> {
     let n_domains = 4;
     let pile_engine = engine_with_corpus(CorpusSpec::pile_proxy(n_domains));
-    let pile_placement = pile_engine
-        .placement_for(ParallelismMode::ContextCoherentAffinity)
-        .clone();
+    let mode = ParallelismMode::ContextCoherentAffinity;
+    let pile = ReplicationPlan::bare(pile_engine.placement_for(mode).clone());
+    let pile = Scenario::offline(mode).with_replication(pile);
 
     Ok(par_map(CorpusSpec::table3(n_domains), |corpus| {
         let name = corpus.name.clone();
         // Engine serving this corpus, but *placed* from the Pile.
         let engine = engine_with_corpus(corpus);
-        let transferred = engine
-            .run_scenario(
-                &Scenario::offline(ParallelismMode::ContextCoherentAffinity)
-                    .with_replication(ReplicationPlan::bare(pile_placement.clone())),
-            )
-            .expect_offline();
+        let transferred = engine.run_scenario(&pile).expect_offline();
         // Reference: the corpus profiled on itself.
-        let self_profiled = run_offline(&engine, ParallelismMode::ContextCoherentAffinity);
+        let self_profiled = run_offline(&engine, mode);
         let (moved, own) = (transferred.dispatch, self_profiled.dispatch);
         Json::obj(vec![
             // Serving corpus name.
