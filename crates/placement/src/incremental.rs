@@ -769,19 +769,6 @@ pub fn solve_budgeted_metered(
     (placement, meter.cost())
 }
 
-/// Remove the (possibly new) owner from every subset and drop entries
-/// whose subset emptied — owner moves executed after subset selection may
-/// land an owner on a unit that was picked as a replica target.
-fn sanitize_subsets(replicas: &mut [LayerReplicas], base: &Placement) {
-    for (layer, lr) in replicas.iter_mut().enumerate() {
-        for (expert, units) in lr.iter_mut() {
-            let owner = base.unit_of(layer, *expert);
-            units.retain(|&u| u != owner);
-        }
-        lr.retain(|(_, units)| !units.is_empty());
-    }
-}
-
 /// One replica entry a joint re-plan candidate may keep: `(layer, expert,
 /// holder subset, bytes keeping it ships, rank score)`.
 type Entry = (usize, usize, Vec<usize>, u64, f64);
@@ -818,7 +805,11 @@ fn pack<'a>(
 /// One candidate of [`solve_budgeted_replicated_metered`], built from its
 /// replica `entries`: rank them best-first (score descending, then layer,
 /// then expert), pack them under the per-GPU slot cap and the migration
-/// byte budget, and spend the bytes left on owner moves.
+/// byte budget, and spend the bytes left on owner moves. An owner that
+/// lands on one of its holders trades places with it
+/// ([`ReplicationPlan::reowned`]), which may load the old owner past its
+/// slots, so the entries are packed once more under the slots alone: a
+/// trade and a drop ship nothing.
 fn candidate(
     objective: &Objective,
     incumbent: &ReplicationPlan,
@@ -834,11 +825,22 @@ fn candidate(
     let ranked = entries
         .iter()
         .map(|(l, x, units, ship, _)| (*l, *x, &units[..], *ship));
-    let mut replicas = pack(ranked, &incumbent.base, slots, &mut bytes_left);
+    let replicas = pack(ranked, &incumbent.base, slots, &mut bytes_left);
     let base =
         solve_budgeted_with_meter(objective, &incumbent.base, bytes_left / bpe, meter, cache);
-    sanitize_subsets(&mut replicas, &base);
-    ReplicationPlan { base, replicas }
+    let packed = ReplicationPlan {
+        base: incumbent.base.clone(),
+        replicas,
+    };
+    let moved = packed.reowned(base);
+    let ranked = entries
+        .iter()
+        .map(|&(l, x, ..)| (l, x, moved.replica_units(l, x), 0));
+    let replicas = pack(ranked, &moved.base, slots, &mut 0);
+    ReplicationPlan {
+        base: moved.base,
+        replicas,
+    }
 }
 
 /// Replication-aware budgeted re-plan: starting from an incumbent
@@ -849,12 +851,16 @@ fn candidate(
 /// candidates race, each built the same way from its replica entries:
 /// rank them, pack them under the per-GPU slot cap and the migration byte
 /// budget, and spend the bytes left on the [`solve_budgeted_metered`]
-/// walk of the base placement.
+/// walk of the base placement. An owner the walk lands on one of its
+/// holders trades places with it ([`ReplicationPlan::reowned`]): the old
+/// owner keeps the weights as the copy, so moving the expert back later
+/// ships nothing.
 ///
 /// * **owner-moves-only** — the incumbent's entries, ranked by absorbed
 ///   gain and shipping nothing: the full migration budget goes to owner
-///   moves, and entries are dropped only if the per-GPU memory budget
-///   shrank;
+///   moves, and an entry is dropped only where a slot runs out (the
+///   per-GPU memory budget shrank, or a trade loaded an old owner past
+///   it);
 /// * **replica-first under `policy`** — `(expert, target-subset)`
 ///   candidates (the subset is what `policy` selects for the expert's
 ///   owner) are ranked by absorbed incoming cross mass *per fan-out byte*
