@@ -228,13 +228,13 @@ fn serving_report_fingerprint_is_pinned() {
     let mut h = Fnv::new();
     h.serving(&report);
     assert_eq!(
-        h.0, 0x1dea_6a88_d89b_8451,
+        h.0, 0x5a85_56ea_6f92_6f1b,
         "ServingReport fingerprint moved: {:#018x}",
         h.0
     );
     let work = Fnv::solver_work(&report.replans);
     assert_eq!(
-        work, 0x5603_50cd_887c_4de3,
+        work, 0x76ca_793a_cf5f_17dc,
         "serving_solver_work fingerprint moved: {work:#018x}"
     );
     assert_eq!(
