@@ -13,7 +13,7 @@
 //!
 //! `all` sweeps every `exflow_bench::table::TABLES` entry, so with it —
 //! and only with it — `--out PATH` writes the rows as the summary document
-//! (schema `exflow-bench-summary/v10`, documented in the README). CI
+//! (schema `exflow_bench::table::SCHEMA`, documented in the README). CI
 //! byte-compares that document with the committed `BENCH_BASELINE.json`;
 //! regenerate the baseline deliberately with `--out BENCH_BASELINE.json all`.
 //!
