@@ -25,8 +25,11 @@
 //! `O(nnz)`. `swap_delta` is called only where rounding could change the
 //! decision — within the table's rounding bound of the accept threshold
 //! (polish) or of the scan's running minimum (descent, toward-target) —
-//! and an accepted swap re-derives only the rows of its structural
-//! neighbours.
+//! and an accepted swap only marks the rows of its structural neighbours
+//! stale. Every read of the table falls inside the scan of the read row's
+//! own layer, so a layer's stale rows are rebuilt just before that scan,
+//! each once however many swaps marked it: at most once per row per pass
+//! of the polish, not once per neighbouring swap.
 //!
 //! Every candidate is still *considered* — charged to the meter — but no
 //! longer *visited*. All three walks bound a `(layer, e1)` row from below
@@ -45,14 +48,14 @@
 //!   running minimum;
 //! * the **polish** skips a stretch of a row in which neither arm of the
 //!   accept test can fire. It alone swaps while its floor is in use. A swap
-//!   at `layer` re-derives rows of the layers next to it, never of `layer`,
-//!   so the partner halves the floor was taken over keep their values and
-//!   only the two moved experts are missing from their new units: they are
-//!   taken in there in `O(G)`. What they leave on their old units is a
-//!   half no pair has any more — the floor may go stale *downwards*, which
-//!   skips less than a rebuild would, but never *upwards*, which would skip
-//!   a row that holds an improving swap. The next `(pass, layer)` rebuilds
-//!   it; nothing is rebuilt per swap.
+//!   at `layer` marks rows of the layers next to it stale, never of
+//!   `layer`, so the partner halves the floor was taken over keep their
+//!   values and only the two moved experts are missing from their new
+//!   units: they are taken in there in `O(G)`. What they leave on their
+//!   old units is a half no pair has any more — the floor may go stale
+//!   *downwards*, which skips less than a rebuild would, but never
+//!   *upwards*, which would skip a row that holds an improving swap. The
+//!   next `(pass, layer)` rebuilds it; nothing is rebuilt per swap.
 //!
 //! Everything here preserves the crate's bit-determinism contract:
 //!
@@ -60,8 +63,9 @@
 //!   decided on exact `swap_delta` values in the scan's
 //!   `(delta, layer, e1, e2)` order, so the walks return the placements a
 //!   rescan evaluating every candidate exactly would — bit for bit;
-//! * the table is history-independent (a refreshed row is recomputed from
-//!   scratch in index order), so a caller-held buffer saves an allocation
+//! * the table is history-independent (a settled row is recomputed from
+//!   scratch in index order, whatever swaps marked it), so deferring a
+//!   rebuild changes no bit, and a caller-held buffer saves an allocation
 //!   and changes nothing else;
 //! * the scan budget counts *considered* candidates in scan order, however
 //!   each was answered, so budgeted truncation points never move;
@@ -196,6 +200,11 @@ type PartnerFloor = (Vec<f64>, f64);
 /// `(A[e1][u1] - A[e1][u2]) + (A[e2][u2] - A[e2][u1])` up to the rounding
 /// bound stated on the private `SwapGainCache::load`.
 ///
+/// An accepted swap marks the rows that read its experts' units stale
+/// (the private `SwapGainCache::refresh`); a walk rebuilds a layer's stale
+/// rows (`SwapGainCache::settle`) before it reads that layer, and reads no
+/// other layer while it scans one.
+///
 /// Every walk loads the table for its own starting placement, so the
 /// buffer carries **no values** from one walk to the next: passing `None`
 /// to a solver builds the same table locally and does identical work.
@@ -207,6 +216,10 @@ pub struct SwapGainCache {
     attraction: Vec<f64>,
     /// Per-`(layer, expert)` half of a pair's rounding bound.
     band: Vec<f64>,
+    /// Per layer, the experts whose row a swap left stale, each once.
+    stale: Vec<Vec<usize>>,
+    /// `is_stale[layer * E + expert]`: the row is in `stale[layer]`.
+    is_stale: Vec<bool>,
     #[cfg(test)]
     probe: oracle::Probe,
 }
@@ -219,6 +232,8 @@ impl SwapGainCache {
             n_units: 0,
             attraction: Vec::new(),
             band: vec![0.0; objective.n_layers() * objective.n_experts()],
+            stale: Vec::new(),
+            is_stale: Vec::new(),
             #[cfg(test)]
             probe: oracle::Probe::default(),
         }
@@ -248,6 +263,10 @@ impl SwapGainCache {
         (self.n_experts, self.n_units) = (e, g);
         self.attraction.resize(rows * g, 0.0);
         self.band.resize(rows, 0.0);
+        self.stale.resize_with(objective.n_layers(), Vec::new);
+        self.stale.iter_mut().for_each(Vec::clear);
+        self.is_stale.clear();
+        self.is_stale.resize(rows, false);
         let scale = 2.0 * f64::EPSILON * (4 * e + 8) as f64;
         for row in 0..rows {
             self.fill_row(objective, placement, row / e, row % e);
@@ -275,29 +294,49 @@ impl SwapGainCache {
         }
     }
 
-    /// `a` and `b` swapped units at `layer` (`base` already has the swap):
-    /// re-derive the rows that read their units — their CSR successors one
-    /// layer up and CSC predecessors one layer down. Their own rows depend
-    /// only on the other layers.
-    fn refresh(&mut self, objective: &Objective, base: &Placement, (layer, a, b): Swap) {
+    /// `a` and `b` swapped units at `layer`: mark stale the rows that read
+    /// their units — their CSR successors one layer up and CSC predecessors
+    /// one layer down. Their own rows depend only on the other layers, so
+    /// no row of `layer` goes stale. [`Self::settle`] rebuilds the marked
+    /// rows when their layer is next read.
+    fn refresh(&mut self, objective: &Objective, (layer, a, b): Swap) {
         #[cfg(test)]
         self.probe.swaps.push((layer, a, b));
+        let e = self.n_experts;
+        let mut mark = |layer: usize, x: usize| {
+            if !std::mem::replace(&mut self.is_stale[layer * e + x], true) {
+                self.stale[layer].push(x);
+            }
+        };
         for x in [a, b] {
             if layer + 1 < objective.n_layers() {
-                objective.for_each_in_row(layer, x, |p, _| {
-                    self.fill_row(objective, base, layer + 1, p)
-                });
+                objective.for_each_in_row(layer, x, |p, _| mark(layer + 1, p));
             }
             if layer > 0 {
-                objective.for_each_in_col(layer - 1, x, |i, _| {
-                    self.fill_row(objective, base, layer - 1, i)
-                });
+                objective.for_each_in_col(layer - 1, x, |i, _| mark(layer - 1, i));
             }
         }
     }
 
-    /// The table rows and the bands of one layer's experts.
+    /// Rebuild the stale rows of `layer` for `base`, the placement it is
+    /// about to be read against. A row is a function of the placement alone
+    /// ([`Self::fill_row`]), so the settled layer is bit for bit what
+    /// [`Self::load`] would build, however many swaps marked it.
+    fn settle(&mut self, objective: &Objective, base: &Placement, layer: usize) {
+        while let Some(x) = self.stale[layer].pop() {
+            self.is_stale[layer * self.n_experts + x] = false;
+            self.fill_row(objective, base, layer, x);
+            #[cfg(test)]
+            {
+                self.probe.rebuilt += 1;
+            }
+        }
+    }
+
+    /// The table rows and the bands of one layer's experts; the layer must
+    /// be settled.
     fn layer(&self, layer: usize) -> (&[f64], &[f64]) {
+        debug_assert!(self.stale[layer].is_empty(), "layer {layer} read stale");
         let (e, g) = (self.n_experts, self.n_units);
         (
             &self.attraction[layer * e * g..][..e * g],
@@ -375,8 +414,8 @@ impl SwapGainCache {
     }
 
     /// Take `e2`, on the unit `units` names for it, into `bound`. A floor
-    /// is only ever lowered: after a swap at `layer` — which re-derives no
-    /// row of `layer` ([`Self::refresh`]) — taking the two experts in on
+    /// is only ever lowered: after a swap at `layer` — which leaves no row
+    /// of `layer` stale ([`Self::refresh`]) — taking the two experts in on
     /// their new units keeps it a lower bound for the layer's pairs. What
     /// they left behind on their old units makes it looser until it is next
     /// rebuilt, never wrong, and no `O(E * G)` rebuild is paid per swap.
@@ -493,6 +532,7 @@ pub fn improve_metered(
     'passes: for _ in 0..max_passes {
         let mut improved = false;
         for layer in 0..l {
+            table.settle(objective, placement, layer);
             let mut bound = table.partner_floor(placement.layer(layer), layer, 0..e);
             for e1 in 0..e {
                 // A row is scanned in stretches, each ending at an accepted
@@ -507,7 +547,7 @@ pub fn improve_metered(
                             Err(Spent) => break 'passes,
                         };
                     placement.swap(layer, e1, e2);
-                    table.refresh(objective, placement, (layer, e1, e2));
+                    table.refresh(objective, (layer, e1, e2));
                     for moved in [e1, e2] {
                         table.lower_floor(&mut bound, placement.layer(layer), (layer, moved));
                     }
@@ -652,6 +692,7 @@ fn budgeted_walk(
     };
     while !exhausted {
         for layer in 0..l {
+            table.settle(objective, &placement, layer);
             let units = placement.layer(layer);
             let in_budget = match target {
                 None => scan.offer_pairs(table, units, layer, meter),
@@ -681,7 +722,7 @@ fn budgeted_walk(
             break;
         }
         placement = next;
-        table.refresh(objective, &placement, swap);
+        table.refresh(objective, swap);
         if let Some(best) = &mut best {
             let cost = objective.cross_mass(&placement);
             if cost < best.0 {
@@ -1006,6 +1047,20 @@ mod tests {
                 assert_eq!(bulk.cost, single.cost, "n {n} room {room}");
             }
         }
+    }
+
+    /// A layer a swap left stale cannot be read before it is settled.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "read stale")]
+    fn reading_a_stale_layer_panics() {
+        let obj = sparse_objective(8, 2);
+        let mut placement = Placement::round_robin(3, 8, 2);
+        let mut table = SwapGainCache::for_objective(&obj);
+        table.load(&obj, &placement);
+        placement.swap(1, 0, 1);
+        table.refresh(&obj, (1, 0, 1));
+        table.layer(2);
     }
 
     #[test]

@@ -15,14 +15,16 @@ use super::*;
 
 /// Test-only state of a [`SwapGainCache`]: which implementation the walks
 /// run, whether the table walks skip rows, every swap they accepted, in
-/// order, and how many candidates the table priced — *visited*, which the
-/// row bounds keep under what the meter is charged for.
+/// order, how many candidates the table priced — *visited*, which the
+/// row bounds keep under what the meter is charged for — and how many
+/// stale rows [`SwapGainCache::settle`] rebuilt.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Probe {
     pub reference: bool,
     pub unpruned: bool,
     pub swaps: Vec<Swap>,
     pub visited: std::cell::Cell<u64>,
+    pub rebuilt: u64,
 }
 
 impl SwapGainCache {
@@ -499,12 +501,15 @@ mod properties {
                     Err(Spent) => break 'scan,
                 };
                 placement.swap(layer, e1, e2);
-                table.refresh(obj, &placement, (layer, e1, e2));
+                table.refresh(obj, (layer, e1, e2));
                 for moved in [e1, e2] {
                     table.lower_floor(&mut bound, placement.layer(layer), (layer, moved));
                 }
                 from = e2 + 1;
             }
+        }
+        for l in 0..obj.n_layers() {
+            table.settle(obj, &placement, l);
         }
         let bits = table_bits(&table);
         (table.probe.swaps, meter.cost(), placement, bits)
@@ -563,6 +568,53 @@ mod properties {
                 }
             }
         }
+    }
+
+    /// The polish at stage 1's shape (`E = 32`, `L = 24`, two nodes) from a
+    /// random start, as counts: it accepts the rescan oracle's swaps, and a
+    /// row is rebuilt at most once per pass — a machine-independent bar on
+    /// the work deferred rebuilding saves over a rebuild per swap.
+    #[test]
+    fn the_polish_rebuilds_a_stale_row_at_most_once_per_pass() {
+        let (layers, e, units) = (24, 32, 2);
+        let (objectives, _) = instance(layers, e, units, true, 60, 11);
+        let obj = &objectives[1];
+        let start = random_placement(layers, e, units, &mut StdRng::seed_from_u64(3));
+        let run = |mut table: SwapGainCache| {
+            let (mut p, mut meter) = (start.clone(), CostMeter::unlimited());
+            improve_metered(obj, &mut p, 50, &mut meter, Some(&mut table));
+            (p, meter.cost(), table.probe)
+        };
+        let (end, cost, probe) = run(SwapGainCache::for_objective(obj));
+        let (end_ref, _, probe_ref) = run(SwapGainCache::reference(obj));
+        assert_eq!(probe.swaps, probe_ref.swaps, "swap sequence");
+        assert_eq!(end, end_ref);
+        // A pass considers every pair of every layer once.
+        let per_pass = (layers * e * (e - 1) / 2) as u64;
+        assert_eq!(cost.considered % per_pass, 0);
+        let passes = cost.considered / per_pass;
+        // What a rebuild per swap of every neighbour row would cost.
+        let per_swap: u64 = (probe.swaps.iter())
+            .map(|&(layer, a, b)| {
+                let mut n = 0;
+                for x in [a, b] {
+                    if layer + 1 < layers {
+                        obj.for_each_in_row(layer, x, |_, _| n += 1);
+                    }
+                    if layer > 0 {
+                        obj.for_each_in_col(layer - 1, x, |_, _| n += 1);
+                    }
+                }
+                n
+            })
+            .sum();
+        let bar = passes * (layers * e) as u64;
+        println!(
+            "{} swaps in {passes} passes: {} rows rebuilt (bar {bar}; {per_swap} one per swap)",
+            probe.swaps.len(),
+            probe.rebuilt
+        );
+        assert!(probe.rebuilt <= bar, "{} rows rebuilt", probe.rebuilt);
     }
 
     proptest! {
@@ -658,11 +710,15 @@ mod properties {
                             }
                         }
                     }
-                    // Any swap, improving or not: the refreshed table must
-                    // equal a fresh build bit for bit.
+                    // Any swap, improving or not: the table, its stale rows
+                    // settled, must equal a fresh build bit for bit — and
+                    // the next round holds the band on it.
                     let swap = (rng.gen_range(0..layers), rng.gen_range(0..e), rng.gen_range(0..e));
                     placement.swap(swap.0, swap.1, swap.2);
-                    table.refresh(obj, &placement, swap);
+                    table.refresh(obj, swap);
+                    for layer in 0..layers {
+                        table.settle(obj, &placement, layer);
+                    }
                     let mut fresh = SwapGainCache::for_objective(obj);
                     fresh.load(obj, &placement);
                     prop_assert_eq!(table_bits(&table), table_bits(&fresh));
