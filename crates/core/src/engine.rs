@@ -4,20 +4,17 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_collectives::{Lockstep, OpKind};
 use exflow_model::routing::AffinityModelSpec;
-use exflow_model::{ComputeCostModel, CorpusSpec, Expert, ModelConfig, RoutingModel, TokenBatch};
+use exflow_model::{ComputeCostModel, CorpusSpec, ModelConfig, RoutingModel, TokenBatch};
 use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
-use crate::frame::{frame_size, Head, Table, Wire};
+use crate::frame::{fold, frame_size, Head, Table, Wire};
 use crate::modes::ParallelismMode;
-use crate::report::{fnv1a, DispatchStats, InferenceReport, OpBreakdown, FNV_OFFSET};
+use crate::report::{DispatchStats, InferenceReport, OpBreakdown, FNV_OFFSET};
 
 /// Knobs of re-placement under drift in the serving loop
 /// ([`crate::Scenario::with_serving`] with [`crate::Scenario::with_drift`]):
@@ -260,9 +257,6 @@ pub struct InferenceEngine {
     round_robin: Placement,
     affinity_gpu: Placement,
     all_ranks: Arc<[usize]>,
-    /// Every expert's weights, `layer * n_experts + expert`; built by the
-    /// first pass (see [`InferenceEngine::experts`]).
-    experts: OnceLock<Vec<Expert>>,
     /// The batches every offline pass runs; sampled by the first (see
     /// [`InferenceEngine::offline_batches`]).
     offline_batches: OnceLock<Vec<TokenBatch>>,
@@ -329,7 +323,6 @@ impl InferenceEngine {
             round_robin,
             affinity_gpu: staged.gpu_level,
             all_ranks: (0..world).collect(),
-            experts: OnceLock::new(),
             offline_batches: OnceLock::new(),
         }
     }
@@ -375,32 +368,12 @@ impl InferenceEngine {
         &self.all_ranks
     }
 
-    /// The expert table: weights are a pure function of `(seed, layer,
-    /// expert)` — whatever the placement, replica set or fleet state — so
-    /// one table serves every pass of this engine's life and is never
-    /// invalidated. Built by the first pass, not by `build()`.
-    fn experts(&self) -> &[Expert] {
-        self.experts.get_or_init(|| {
-            let cfg = &self.cfg;
-            let sim_dim = cfg.model.sim_dim;
-            (0..cfg.model.n_layers)
-                .flat_map(|layer| (0..cfg.model.n_experts).map(move |e| (layer, e)))
-                .map(|(layer, e)| {
-                    let mut rng = StdRng::seed_from_u64(
-                        cfg.seed ^ (layer as u64) << 32 ^ (e as u64) << 8 ^ 0xe4e4,
-                    );
-                    Expert::random(sim_dim, sim_dim * 4, &mut rng)
-                })
-                .collect()
-        })
-    }
-
     /// The batches every offline pass runs — [`Scenario::offline`] with or
     /// without a replication plan:
     /// fresh routes per generation iteration from the engine's own routing
-    /// model, on seed streams disjoint from the profiling seed. Like the
-    /// expert table they are a pure function of the config, so the first
-    /// such pass samples them and every later one reads them.
+    /// model, on seed streams disjoint from the profiling seed. They are a
+    /// pure function of the config, so the first such pass samples them
+    /// and every later one reads them.
     ///
     /// [`Scenario::offline`]: crate::Scenario::offline
     pub(crate) fn offline_batches(&self) -> &[TokenBatch] {
@@ -473,7 +446,6 @@ impl InferenceEngine {
 
         let pass = Pass {
             cfg,
-            experts: self.experts(),
             mode,
             plan,
             live_ranks,
@@ -515,11 +487,8 @@ pub(crate) struct Plane {
     /// `tables[rank]`: the tokens resident on each rank.
     tables: Vec<Table>,
     wire: Wire,
-    /// `run_experts`: the rank's rows as `(expert, row)`, one expert
-    /// group's embeddings, and the FFN's hidden activations.
+    /// `run_experts`: the rank's rows as `(expert, row)`.
     order: Vec<(u32, u32)>,
-    block: Vec<f32>,
-    hidden: Vec<f32>,
     /// `Table::merge_top2`: token id → row of its primary.
     primary_row: Vec<u32>,
 }
@@ -530,11 +499,9 @@ impl InferenceEngine {
         let (w, model) = (self.cfg.cluster.world_size(), &self.cfg.model);
         let frame = frame_size(model.token_bytes(), model.sim_dim);
         Plane {
-            tables: (0..w).map(|_| Table::new(model.sim_dim)).collect(),
-            wire: Wire::new(w, frame, model.sim_dim),
+            tables: vec![Table::default(); w],
+            wire: Wire::new(w, frame),
             order: Vec::new(),
-            block: Vec::new(),
-            hidden: Vec::new(),
             primary_row: Vec::new(),
         }
     }
@@ -545,8 +512,6 @@ impl InferenceEngine {
 /// stages are the methods below, in call order.
 struct Pass<'e> {
     cfg: &'e EngineConfig,
-    /// The engine's expert table ([`InferenceEngine::experts`]).
-    experts: &'e [Expert],
     mode: ParallelismMode,
     plan: &'e ReplicationPlan,
     /// Live GPUs, ascending. Dead ranks own nothing and carry nothing but
@@ -688,25 +653,21 @@ impl Pass<'_> {
     /// Rank `me`'s requests each contribute one in-flight token, appended
     /// to `table`; tokens spread round-robin over the live ranks, whatever
     /// the batch size (dead ranks home nothing): the live rank at position
-    /// `j` homes ids `j`, `j + n_live`, ..
+    /// `j` homes ids `j`, `j + n_live`, .. A token's word starts as the
+    /// fold of `(seed, iter, id)`, wherever it is homed.
     fn home_tokens(&self, me: usize, iter: usize, batch: &TokenBatch, table: &mut Table) {
-        let cfg = self.cfg;
         let Ok(first) = self.live_ranks.binary_search(&me) else {
             return;
         };
+        let origin = fold(fold(FNV_OFFSET, self.cfg.seed), iter as u64);
         for id in (first..batch.len()).step_by(self.live_ranks.len()) {
-            let mut rng =
-                StdRng::seed_from_u64(cfg.seed ^ (iter as u64) << 40 ^ (id as u64) << 4 ^ 0x70_6b);
-            let head = Head {
+            table.push(Head {
                 id: id as u32,
                 home: me as u32,
                 domain: batch.domain(id) as u32,
                 slot: 0,
-            };
-            table.push(
-                head,
-                (0..cfg.model.sim_dim).map(|_| rng.gen_range(-1.0..1.0f32)),
-            );
+                word: fold(origin, id as u64),
+            });
         }
     }
 
@@ -792,12 +753,11 @@ impl Pass<'_> {
         wire.deliver(tables, hold_primaries);
     }
 
-    /// Expert FFN on rank `me`: the real reduced-dim kernel on every row
-    /// of its table, the clock advanced by the true-dim cost. Ascending
-    /// `(expert, row)` order makes each expert's rows one group (what
-    /// `expert_time`'s `experts_touched` models), copied into one block
-    /// for one kernel call and back; the outputs do not depend on the
-    /// order or the grouping.
+    /// Expert FFN on rank `me`: every row of its table has `(layer,
+    /// expert)` folded into its word, and the clock advances by the
+    /// true-dim cost. Ascending `(expert, row)` order makes each expert's
+    /// rows one group (what `expert_time`'s `experts_touched` models);
+    /// the words do not depend on the order or the grouping.
     fn run_experts(
         &self,
         fleet: &mut Lockstep,
@@ -808,13 +768,7 @@ impl Pass<'_> {
         breakdown: &mut OpBreakdown,
     ) {
         let cfg = self.cfg;
-        let Plane {
-            tables,
-            order,
-            block,
-            hidden,
-            ..
-        } = plane;
+        let Plane { tables, order, .. } = plane;
         let table = &mut tables[me];
         order.clear();
         order.extend(table.heads().iter().enumerate().map(|(row, head)| {
@@ -833,14 +787,9 @@ impl Pass<'_> {
                     && self.plan.available_on(layer, expert_id, me),
                 "token routed to an expert this rank does not hold"
             );
-            let expert = &self.experts[layer * cfg.model.n_experts + expert_id];
-            block.clear();
             for &(_, row) in group {
-                block.extend_from_slice(table.row(row as usize));
-            }
-            expert.forward_rows(block, hidden);
-            for (&(_, row), out) in group.iter().zip(block.chunks_exact(cfg.model.sim_dim)) {
-                table.row_mut(row as usize).copy_from_slice(out);
+                let word = &mut table.heads_mut()[row as usize].word;
+                *word = fold(fold(*word, layer as u64), expert_id as u64);
             }
             touched += 1;
         }
@@ -893,23 +842,16 @@ impl Pass<'_> {
     }
 }
 
-/// Fold one iteration's finished tokens, in ascending id order wherever
-/// each came to rest, into the running [`InferenceReport::output_digest`].
+/// Fold one iteration's finished tokens, `(iter, id, word)` in ascending
+/// id order wherever each came to rest, into the running
+/// [`InferenceReport::output_digest`].
 fn fold_outputs(digest: u64, iter: usize, tables: &[Table]) -> u64 {
-    let mut rows: Vec<(u32, &[f32])> = tables
-        .iter()
-        .flat_map(|t| {
-            t.heads()
-                .iter()
-                .enumerate()
-                .map(move |(row, h)| (h.id, t.row(row)))
-        })
+    let mut rows: Vec<(u32, u64)> = (tables.iter())
+        .flat_map(|t| t.heads().iter().map(|h| (h.id, h.word)))
         .collect();
     rows.sort_unstable_by_key(|&(id, _)| id);
-    rows.iter().fold(digest, |h, (id, emb)| {
-        let h = fnv1a(h, &(iter as u64).to_le_bytes());
-        let h = fnv1a(h, &id.to_le_bytes());
-        emb.iter().fold(h, |h, v| fnv1a(h, &v.to_le_bytes()))
+    rows.iter().fold(digest, |h, &(id, word)| {
+        fold(fold(fold(h, iter as u64), u64::from(id)), word)
     })
 }
 
@@ -919,7 +861,7 @@ mod tests {
     use crate::adaptive::tests::{
         adaptive_engine, adaptive_online, bytes_per_expert, drive, trajectory,
     };
-    use crate::report::ServingReport;
+    use crate::report::{fnv1a, ServingReport};
     use crate::scenario::Scenario;
     use crate::serving::{BatchPolicy, ServingConfig};
     use exflow_model::presets::moe_gpt_m;
@@ -1101,30 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn expert_table_is_lazy_and_a_pure_function_of_seed_layer_expert() {
-        // No report field observes the weights, so pin the derivation
-        // here: any placement, replica set or fleet state sees these.
-        let engine = tiny_engine(1, 4);
-        assert!(
-            engine.experts.get().is_none(),
-            "build() must not pay for it"
-        );
-        let cfg = engine.config();
-        let (n_experts, sim_dim) = (cfg.model.n_experts, cfg.model.sim_dim);
-        let table = engine.experts();
-        assert_eq!(table.len(), cfg.model.n_layers * n_experts);
-        for (i, expert) in table.iter().enumerate() {
-            let (l, e) = ((i / n_experts) as u64, (i % n_experts) as u64);
-            let mut rng = StdRng::seed_from_u64(cfg.seed ^ l << 32 ^ e << 8 ^ 0xe4e4);
-            let expected = Expert::random(sim_dim, 4 * sim_dim, &mut rng);
-            // `{:?}` of an f32 round-trips, so equal text is equal weights.
-            assert_eq!(format!("{expert:?}"), format!("{expected:?}"), "({l}, {e})");
-        }
-        offline(&engine, ParallelismMode::Vanilla);
-        assert!(std::ptr::eq(table, engine.experts()), "built once");
-    }
-
-    #[test]
     #[should_panic(expected = "token routed to an expert this rank does not hold")]
     fn tokens_for_experts_held_elsewhere_are_rejected() {
         let engine = tiny_engine(1, 4);
@@ -1134,7 +1052,6 @@ mod tests {
         let batches = engine.offline_batches();
         let pass = Pass {
             cfg,
-            experts: engine.experts(),
             mode,
             plan: &plan,
             live_ranks: engine.all_ranks(),
@@ -1623,8 +1540,58 @@ mod tests {
         }
     }
 
+    /// The digest a correct run must report, spelled out from the
+    /// offline window alone: per iteration, every token in id order, its
+    /// word folded from `(seed, iter, id)`, then through each layer — the
+    /// one expert of a top-1 route, or under top-2 each slot's expert
+    /// folded into the token's word and the secondary's result folded
+    /// into the primary's.
+    fn reference_digest(engine: &InferenceEngine) -> u64 {
+        let fold = |h: u64, x: u64| fnv1a(h, &x.to_le_bytes());
+        let cfg = engine.config();
+        let mut digest = FNV_OFFSET;
+        for (iter, batch) in engine.offline_batches().iter().enumerate() {
+            for id in 0..batch.len() {
+                let mut word = fold(fold(fold(FNV_OFFSET, cfg.seed), iter as u64), id as u64);
+                for layer in 0..cfg.model.n_layers {
+                    let run = |expert: u16| fold(fold(word, layer as u64), u64::from(expert));
+                    word = match *batch.route(id, layer) {
+                        [expert] => run(expert),
+                        [primary, secondary] => fold(run(primary), run(secondary)),
+                        _ => unreachable!("top-1 or top-2"),
+                    };
+                }
+                digest = fold(fold(fold(digest, iter as u64), id as u64), word);
+            }
+        }
+        digest
+    }
+
     #[test]
-    fn output_digest_sees_the_seed_the_iterations_and_the_weights() {
+    fn the_digest_is_the_fold_of_every_tokens_route() {
+        // Exact, where `every_mode_computes_the_same_token_outputs` only
+        // compares modes: a row dropped, an expert run twice or the
+        // wrong one, or merge slots swapped move every mode alike, and
+        // the oracle sees it without a pinned constant.
+        for (nodes, gpn) in [(1, 4), (2, 2)] {
+            for engine in [tiny_engine(nodes, gpn), top2_engine(nodes, gpn)] {
+                let want = reference_digest(&engine);
+                let gate = engine.config().model.gate;
+                for mode in ParallelismMode::ALL {
+                    let base = engine.placement_for(mode).clone();
+                    let plan = ReplicationPlan::most_popular(engine.objective(), base, 3);
+                    assert!(plan.replicas.iter().any(|lr| !lr.is_empty()));
+                    let bare = offline(&engine, mode).output_digest;
+                    assert_eq!(bare, want, "{nodes}x{gpn} {gate:?} {mode}");
+                    let rep = replicated(&engine, mode, &plan).output_digest;
+                    assert_eq!(rep, want, "{nodes}x{gpn} {gate:?} {mode} replicated");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn output_digest_sees_the_seed_the_iterations_and_the_route() {
         // A digest that ignored its inputs would pass the test above.
         let mode = ParallelismMode::ContextCoherentAffinity;
         let engine = tiny_engine(2, 2);
@@ -1641,15 +1608,27 @@ mod tests {
         let longer = InferenceEngine::from_config(cfg);
         assert_ne!(offline(&longer, mode).output_digest, reference);
 
-        // Swap the weights of one expert a token certainly visits: the
-        // first token's layer-0 expert.
-        let visited = engine.offline_batches()[0].route(0, 0)[0] as usize;
-        let sim_dim = engine.config().model.sim_dim;
-        let mut table = engine.experts().to_vec();
-        table[visited] = Expert::random(sim_dim, 4 * sim_dim, &mut StdRng::seed_from_u64(0));
-        let mut patched = tiny_engine(2, 2);
-        patched.experts = OnceLock::from(table);
-        assert_ne!(offline(&patched, mode).output_digest, reference);
+        // The same window but for one token's layer-0 expert.
+        let plan = ReplicationPlan::bare(engine.placement_for(mode).clone());
+        let window = engine.offline_batches();
+        assert_eq!(
+            engine.run_once(mode, &plan, window).output_digest,
+            reference
+        );
+        let n_experts = engine.config().model.n_experts as u16;
+        let mut batches = window.to_vec();
+        batches[0].clear();
+        for t in 0..window[0].len() {
+            let mut route = window[0].token(t).to_vec();
+            if t == 0 {
+                route[0] = (route[0] + 1) % n_experts;
+            }
+            batches[0].push(&route, window[0].domain(t));
+        }
+        assert_ne!(
+            engine.run_once(mode, &plan, &batches).output_digest,
+            reference
+        );
     }
 
     #[test]

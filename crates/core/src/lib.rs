@@ -19,11 +19,11 @@
 //!   traffic never leaves the GPU (or at worst the node).
 //!
 //! The engine steps every rank of the fleet in lockstep on the calling
-//! thread (`exflow_collectives::Lockstep`), moves real token rows between
-//! flat per-rank tables while charging each copy its full frame of bytes
-//! (see [`frame`]), executes real (reduced-dimension) expert FFN matmuls,
-//! and reports deterministic virtual-time breakdowns per operator — the
-//! quantities behind the paper's Figs. 6–10.
+//! thread (`exflow_collectives::Lockstep`), moves token rows between flat
+//! per-rank tables while charging each copy its full frame of bytes (see
+//! [`frame`]), folds every expert a token visits into the token's
+//! provenance word, and reports deterministic virtual-time breakdowns per
+//! operator — the quantities behind the paper's Figs. 6–10.
 //!
 //! Beyond the paper's offline setting sits the **request-level serving
 //! front-end** ([`serving`]): [`Scenario::with_serving`] drives a

@@ -118,10 +118,13 @@ pub struct InferenceReport {
     /// AllGather bytes sent, by link class.
     pub allgather_bytes: BytesByClass,
     /// What the run *computed*: FNV-1a over `(iteration, token id,
-    /// embedding bits)` of every token at the end of each generation
-    /// iteration, in ascending `(iteration, id)` order — blind to where a
+    /// word)` of every token at the end of each generation iteration, in
+    /// ascending `(iteration, id)` order, where a token's word folds its
+    /// `(seed, iteration, id)`, every `(layer, expert)` that ran it and
+    /// every top-2 secondary merged into it, in order. Blind to where a
     /// token ends up, so every mode, placement and replica set that
-    /// delivers the paper's "same functionality" reports the same value.
+    /// delivers the paper's "same functionality" (each token through the
+    /// same experts, the same copies merged) reports the same value.
     pub output_digest: u64,
 }
 

@@ -240,9 +240,10 @@ proptest! {
 
     /// A token's row crosses the wire as a frame and comes home: whichever
     /// mode, placement or replica set decides the lanes it takes, every
-    /// token's output is the same bits (`output_digest` folds each
-    /// token's embedding bits in id order), so no hop drops, reorders or
-    /// alters a row.
+    /// token's output is the same (`output_digest` folds each token's
+    /// provenance word in id order: every expert it visited and every
+    /// copy merged into it), so no hop drops, duplicates or misroutes a
+    /// row.
     #[test]
     fn frames_round_trip(
         (nodes, gpn) in (1usize..=2, prop_oneof![Just(1usize), Just(2), Just(4)]),

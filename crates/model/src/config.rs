@@ -25,9 +25,10 @@ impl GateKind {
 /// Static shape of a GPT MoE model (one row of the paper's Table II).
 ///
 /// `d_model`/`d_ff` describe the *true* model dimensions and drive all byte
-/// and FLOP accounting; `sim_dim` is the reduced dimension at which the
-/// engine actually executes expert matmuls so that simulations stay fast
-/// while still exercising real parallel compute.
+/// and FLOP accounting; `sim_dim` is a reduced embedding width. It sets
+/// only the floor of a token's wire frame (`exflow_core::frame_size`) and
+/// the shape of the benchmark's expert-kernel probe: the engine runs no
+/// expert math.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable name, e.g. `"MoE-GPT-M/32e"`.
@@ -44,7 +45,8 @@ pub struct ModelConfig {
     pub d_ff: usize,
     /// Gating strategy.
     pub gate: GateKind,
-    /// Reduced dimension used for the engine's real matmuls.
+    /// Reduced embedding width: the wire frame's floor and the benchmark
+    /// probe's expert shape.
     pub sim_dim: usize,
 }
 

@@ -38,8 +38,8 @@ impl Expert {
     /// Apply the FFN to a block of tokens in place: each row of
     /// [`Expert::dim`] floats in `rows` becomes `W2 · gelu(W1 · row)`.
     /// `hidden` is caller-owned scratch, resized to what a block needs and
-    /// overwritten before it is read. This is the only kernel: the engine
-    /// calls it once per expert group, [`Expert::forward`] once per batch.
+    /// overwritten before it is read. This is the only kernel:
+    /// [`Expert::forward`] (the benchmark's probe) calls it once per batch.
     ///
     /// One body, three builds: on an x86-64 CPU that reports AVX-512F it
     /// runs the body compiled for 512-bit vectors, else on one that
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn forward_is_batch_consistent() {
         // Processing rows together or separately gives the same bits — the
-        // property that lets the engine batch tokens per expert — whether
+        // property that lets a caller batch tokens per expert — whether
         // a row lands in a block of `BLOCK` or among the leftover rows.
         let mut rng = StdRng::seed_from_u64(4);
         let e = Expert::random(16, 64, &mut rng);
@@ -269,7 +269,7 @@ mod tests {
         let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
         let mut rng = StdRng::seed_from_u64(31);
         let mut mixed_blocks = 0;
-        // (dim, hidden): the engine's 16 → 64, then columns below one
+        // (dim, hidden): the presets' 16 → 64, then columns below one
         // tile, a panel plus remainder, single tiles plus remainder, two
         // panels, and a panel plus single tiles.
         let shapes = [(16, 64), (5, 3), (20, 70), (17, 48), (3, 130), (33, 96)];

@@ -14,8 +14,8 @@
 //! * [`tensor`] / [`expert`] — small but *real* dense linear algebra
 //!   (one mat-vec + GELU kernel body over blocks of rows, with three
 //!   builds, portable, AVX2 and AVX-512, chosen at run time; a naive
-//!   matmul as its reference) so the engine genuinely computes expert
-//!   FFNs on token vectors;
+//!   matmul as its reference), which the benchmark's expert-kernel probe
+//!   times; the engine itself charges expert FFNs to the clock only;
 //! * [`routing`] — the core substitution: a layer-to-layer Markov routing
 //!   process over experts whose transition structure is a mixture of
 //!   permutation matrices (doubly stochastic, hence GShard-load-balanced)

@@ -1,7 +1,7 @@
 //! Minimal dense linear algebra: just enough real math for expert FFNs.
 //!
-//! The engine runs *genuine* products on token activations (at the
-//! reduced `sim_dim`) through one kernel body — [`Matrix::vecmat_rows`]
+//! The benchmark's expert-kernel probe runs *genuine* products on token
+//! activations (at the reduced `sim_dim`) through one kernel body — [`Matrix::vecmat_rows`]
 //! and [`gelu_inplace`], with [`Matrix::matmul`] as the reference it is
 //! tested against — which [`crate::Expert::forward_rows`] builds three
 //! times, portable, AVX2 and AVX-512, while FLOP/byte *accounting* uses
@@ -70,8 +70,8 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`: the naive reference
-    /// [`Matrix::vecmat_rows`] is tested against, bit for bit. No engine
-    /// path calls it.
+    /// [`Matrix::vecmat_rows`] is tested against, bit for bit. Only tests
+    /// call it.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,

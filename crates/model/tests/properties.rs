@@ -168,8 +168,8 @@ proptest! {
             for (c, &v) in row.iter().enumerate() {
                 let want = reference.get(r, c);
                 prop_assert!(same(v, want), "row {} col {}: {:e}, reference {:e}", r, c, v, want);
-                // Batch-position independence: what lets the engine visit
-                // tokens in any order, on any rank.
+                // Batch-position independence: a row's bits do not
+                // depend on the rows batched with it.
                 prop_assert!(same(batched.get(r, c), v), "batched row {}", r);
             }
         }
