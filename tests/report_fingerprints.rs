@@ -238,7 +238,7 @@ fn serving_report_fingerprint_is_pinned() {
         "serving_solver_work fingerprint moved: {work:#018x}"
     );
     assert_eq!(
-        report.output_digest, 0xaa59_28dd_3838_7722,
+        report.output_digest, 0x01d0_299c_2145_3840,
         "serving output_digest moved: {:#018x}",
         report.output_digest
     );
@@ -269,7 +269,7 @@ fn offline_top2_replicated_fingerprint_is_pinned() {
         h.0
     );
     assert_eq!(
-        report.output_digest, 0x1abb_b4b1_9821_c382,
+        report.output_digest, 0x2ff7_2813_b9e5_8219,
         "offline top-2 output_digest moved: {:#018x}",
         report.output_digest
     );
