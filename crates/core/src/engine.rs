@@ -866,6 +866,7 @@ mod tests {
     use crate::serving::{BatchPolicy, ServingConfig};
     use exflow_model::presets::moe_gpt_m;
     use exflow_model::{ArrivalProcess, DriftSchedule, GateKind};
+    use exflow_placement::ReplicaPolicy;
 
     fn offline(engine: &InferenceEngine, mode: ParallelismMode) -> InferenceReport {
         engine
@@ -1337,6 +1338,49 @@ mod tests {
             joint > owner_only,
             "joint {joint} vs owner-only {owner_only}"
         );
+    }
+
+    #[test]
+    fn trace_locality_counts_the_dispatches_that_stay_on_their_gpu() {
+        // Context-coherent top-1 leaves a token where its expert ran, so
+        // every same-GPU dispatch is either a layer-0 hop its home GPU
+        // serves or a later hop the replica walk calls local.
+        for (nodes, gpn) in [(1, 4), (2, 2), (2, 4)] {
+            let engine = tiny_engine(nodes, gpn);
+            let cluster = engine.config().cluster;
+            let (w, e) = (cluster.world_size(), engine.config().model.n_experts);
+            for mode in [
+                ParallelismMode::ContextCoherent,
+                ParallelismMode::ContextCoherentAffinity,
+            ] {
+                let base = engine.placement_for(mode).clone();
+                let popular = ReplicationPlan::most_popular(engine.objective(), base.clone(), 3);
+                let experts = popular
+                    .replicas
+                    .iter()
+                    .map(|lr| lr.iter().map(|r| r.0).collect())
+                    .collect();
+                let policy = ReplicaPolicy::OnePerNode(cluster);
+                let one_per_node = ReplicationPlan::with_policy(base.clone(), experts, &policy);
+                for plan in [ReplicationPlan::bare(base), popular, one_per_node] {
+                    let mut local = 0;
+                    for batch in engine.offline_batches() {
+                        let trace = RoutingTrace::from_batch(batch, e);
+                        local += (0..trace.n_tokens())
+                            .filter(|&t| plan.available_on(0, trace.expert_at(t, 0), t % w))
+                            .count() as u64;
+                        local += plan.trace_locality(&trace).local;
+                    }
+                    let report = replicated(&engine, mode, &plan);
+                    assert_eq!(
+                        local,
+                        report.dispatch.same_gpu,
+                        "{nodes}x{gpn} {mode}, {} replicated entries",
+                        plan.replicas.iter().map(Vec::len).sum::<usize>()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
