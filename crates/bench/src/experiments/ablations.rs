@@ -256,7 +256,7 @@ pub fn replication_sweep(_: &Workload) -> Result<Vec<Json>, String> {
             row(
                 &format!("replicate-top{budget}"),
                 plan.extra_copies_per_gpu(),
-                plan.trace_local_fraction(&eval),
+                plan.trace_locality(&eval, &cluster_for(4)).fraction(),
             )
         })
         .collect();

@@ -31,7 +31,7 @@ use exflow_placement::{
 };
 
 use crate::experiments::common::{
-    on_both_backends, over_byte_budget, ratio, score_on_both_backends, window_trace,
+    cluster_for, on_both_backends, over_byte_budget, ratio, score_on_both_backends, window_trace,
     within_byte_budget, within_slot_budget, Workload, CHECKED_WIDTHS, ONLINE_DECAY, ONLINE_EXPERTS,
     ONLINE_REPLAN_EVERY, ONLINE_UNITS,
 };
@@ -120,8 +120,8 @@ fn scenario(
             let loc = measure_trace_locality(&trace, placement);
             *acc += loc.transitions - loc.local;
         }
-        // The joint policy's count honors replica availability.
-        let loc = joint_plan.trace_locality(&trace);
+        // The joint policy's hops go where `ReplicationPlan::serve` sends them.
+        let loc = joint_plan.trace_locality(&trace, &cluster_for(ONLINE_UNITS));
         joint_cross += loc.transitions - loc.local;
         streaming.observe(&trace);
 

@@ -83,7 +83,7 @@ fn cell(e: usize, gate: GateKind, seed: u64) -> Result<Json, String> {
 
     for window in 0..windows {
         let trace = window_trace(&drift, window, window_tokens, k, seed);
-        let loc = incumbent.trace_locality(&trace);
+        let loc = incumbent.trace_locality(&trace, &cluster);
         realized_cross += loc.transitions - loc.local;
         streaming.observe(&trace);
 
@@ -224,7 +224,7 @@ fn cell(e: usize, gate: GateKind, seed: u64) -> Result<Json, String> {
         // incumbents, summed over re-plans.
         ("full_cross_mass", full_cm.into()),
         // Realized cross-unit transitions of the partial trajectory on the
-        // window traces (set-semantics replica locality).
+        // window traces, each hop served where `ReplicationPlan::serve` sends it.
         ("realized_cross", realized_cross.into()),
         // Replica copies the context-coherent serving run created under
         // the one-per-node policy (top-2 rows must not fall back to zero).

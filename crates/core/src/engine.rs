@@ -685,35 +685,20 @@ impl Pass<'_> {
         let cluster = &self.cfg.cluster;
         let my_node = cluster.node_of(Rank(me));
         let k = self.cfg.model.gate.k();
+        let is_live = |u: usize| self.live_ranks.binary_search(&u).is_ok();
         for (row, head) in table.heads().iter().enumerate() {
             let route = batch.route(head.id as usize, layer);
             for (slot, &expert) in route.iter().enumerate() {
                 let expert = expert as usize;
-                let owner = self.plan.base.unit_of(layer, expert);
-                let units = self.plan.replica_units(layer, expert);
                 // Meeting-point rule: in context-coherent top-2 the
                 // *primary* always runs on the owner GPU, so every rank
                 // can derive the secondary-merge destination from the
-                // route alone; all other dispatch serves from the nearest
-                // live holder — this GPU if it holds a copy, else a
-                // same-node replica when the owner is off-node, else the
-                // owner.
+                // route alone; all other dispatch goes where the plan
+                // serves it from this GPU.
                 let dst = if self.mode.context_coherent() && k > 1 && slot == 0 {
-                    owner
-                } else if me == owner || units.contains(&me) {
-                    me
-                } else if cluster.node_of(Rank(owner)) != my_node {
-                    units
-                        .iter()
-                        .copied()
-                        .filter(|&u| {
-                            cluster.node_of(Rank(u)) == my_node
-                                && self.live_ranks.binary_search(&u).is_ok()
-                        })
-                        .min()
-                        .unwrap_or(owner)
+                    self.plan.base.unit_of(layer, expert)
                 } else {
-                    owner
+                    self.plan.serve(cluster, me, layer, expert, is_live)
                 };
                 dispatch.total += 1;
                 if dst == me {
@@ -1310,8 +1295,8 @@ mod tests {
     #[test]
     fn replication_beats_owner_moves_only_at_equal_migration_budget() {
         // Locality of each window's top-1 paths under the plan live during
-        // that window (a replicated hop is local if any holder sits where
-        // the token is).
+        // that window: a hop is local when `ReplicationPlan::serve` keeps
+        // the token on the GPU it sits on.
         let budget = 8 * bytes_per_expert();
         let local_fraction = |replica_memory: u64| {
             let engine = online_engine(OnlineConfig {
@@ -1325,7 +1310,7 @@ mod tests {
             let end = drive(&engine, mode, &drift, |live, batches| {
                 for batch in batches {
                     let trace = RoutingTrace::from_batch(batch, engine.config().model.n_experts);
-                    let loc = live.trace_locality(&trace);
+                    let loc = live.trace_locality(&trace, &engine.config().cluster);
                     (local, hops) = (local + loc.local, hops + loc.transitions);
                 }
             });
@@ -1369,7 +1354,7 @@ mod tests {
                         local += (0..trace.n_tokens())
                             .filter(|&t| plan.available_on(0, trace.expert_at(t, 0), t % w))
                             .count() as u64;
-                        local += plan.trace_locality(&trace).local;
+                        local += plan.trace_locality(&trace, &cluster).local;
                     }
                     let report = replicated(&engine, mode, &plan);
                     assert_eq!(

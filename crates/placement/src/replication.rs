@@ -48,7 +48,7 @@ pub struct ReplicationBudget {
 }
 
 /// Which unit subset a replica fans out to — the placement-dependent shape
-/// behind [`ReplicationPlan::available_units`].
+/// behind [`ReplicationPlan::replica_units`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaPolicy {
     /// A copy on every non-owner GPU: the Lina-style full fan-out.
@@ -284,26 +284,36 @@ impl ReplicationPlan {
             || self.replica_units(layer, expert).contains(&unit)
     }
 
-    /// Every unit `expert` at `layer` is available on: the owner merged
-    /// into the replica subset, sorted ascending. Always contains the
-    /// owner, so dispatch and failover can treat "where can this expert be
-    /// served" as one question.
-    pub fn available_units(&self, layer: usize, expert: usize) -> Vec<usize> {
+    /// The unit that serves a hop into `expert` at `layer` for a token on
+    /// `from`: `from` itself if it owns or holds a copy; else, when the
+    /// owner sits on another node, the lowest live holder on `from`'s
+    /// node; else the owner. The one rule the engine's dispatch and
+    /// [`ReplicationPlan::trace_locality`] share. The result always holds
+    /// the expert and, for a token on a live unit, is live or the owner.
+    #[inline]
+    pub fn serve(
+        &self,
+        cluster: &ClusterSpec,
+        from: usize,
+        layer: usize,
+        expert: usize,
+        is_live: impl Fn(usize) -> bool,
+    ) -> usize {
         let owner = self.base.unit_of(layer, expert);
         let units = self.replica_units(layer, expert);
-        let mut all = Vec::with_capacity(units.len() + 1);
-        let mut placed = false;
-        for &u in units {
-            if !placed && owner < u {
-                all.push(owner);
-                placed = true;
-            }
-            all.push(u);
+        if from == owner || units.contains(&from) {
+            return from;
         }
-        if !placed {
-            all.push(owner);
+        let node = cluster.node_of(Rank(from));
+        if cluster.node_of(Rank(owner)) == node {
+            return owner;
         }
-        all
+        units
+            .iter()
+            .copied()
+            .filter(|&u| cluster.node_of(Rank(u)) == node && is_live(u))
+            .min()
+            .unwrap_or(owner)
     }
 
     /// Worst-case *extra* expert copies any one GPU stores, summed over
@@ -351,53 +361,34 @@ impl ReplicationPlan {
 
     /// Realized locality of this plan on a concrete trace, counting
     /// replicas as local: the replication-aware counterpart of
-    /// [`measure_trace_locality`](crate::objective::measure_trace_locality).
+    /// [`measure_trace_locality`](crate::objective::measure_trace_locality),
+    /// which a bare plan equals.
     ///
-    /// A token's position is tracked as the *set* of units it may sit on:
-    /// it starts on any unit serving its first expert, a transition is
-    /// local when some feasible unit also serves the next expert (the set
-    /// then narrows to that intersection), and otherwise the token moves —
-    /// a cross hop — to any unit serving the next expert. For everywhere
-    /// plans this reduces to the classic unpinned-prefix rule (fully
-    /// replicated prefixes are free, the first owned-only expert pins the
-    /// token); for partial subsets it charges exactly the hops no holder
-    /// of the previous expert could absorb.
-    pub fn trace_locality(&self, trace: &RoutingTrace) -> TraceLocality {
+    /// Token `t` starts on unit `t % n_units`, as the engine homes it with
+    /// every rank live, and each hop goes where
+    /// [`ReplicationPlan::serve`] sends it. A transition is local when the
+    /// token stays on the unit that served the previous layer — what the
+    /// engine's context-coherent top-1 dispatch counts as same-GPU.
+    pub fn trace_locality(&self, trace: &RoutingTrace, cluster: &ClusterSpec) -> TraceLocality {
         assert_eq!(trace.n_layers(), self.base.n_layers());
+        let n_units = self.base.n_units();
+        assert_eq!(
+            cluster.world_size(),
+            n_units,
+            "cluster does not match the plan"
+        );
         let mut local = 0u64;
         let mut transitions = 0u64;
         for t in 0..trace.n_tokens() {
-            let mut feasible = self.available_units(0, trace.expert_at(t, 0));
+            let mut at = self.serve(cluster, t % n_units, 0, trace.expert_at(t, 0), |_| true);
             for j in 1..trace.n_layers() {
-                let expert = trace.expert_at(t, j);
+                let next = self.serve(cluster, at, j, trace.expert_at(t, j), |_| true);
                 transitions += 1;
-                let owner = self.base.unit_of(j, expert);
-                let units = self.replica_units(j, expert);
-                let overlap: Vec<usize> = feasible
-                    .iter()
-                    .copied()
-                    .filter(|&u| u == owner || units.contains(&u))
-                    .collect();
-                if overlap.is_empty() {
-                    feasible = self.available_units(j, expert);
-                } else {
-                    local += 1;
-                    feasible = overlap;
-                }
+                local += u64::from(next == at);
+                at = next;
             }
         }
         TraceLocality { transitions, local }
-    }
-
-    /// Fraction of a trace's layer transitions that can be served without
-    /// leaving the current unit, counting replicas as local (see
-    /// [`ReplicationPlan::trace_locality`] for the exact semantics).
-    ///
-    /// A gapless single-layer trace has no transitions to lose, so the
-    /// fraction is 1.0 — agreeing with `Objective::local_fraction` on the
-    /// same L = 1 instance (the naive `0 / 0` ratio would report 0).
-    pub fn trace_local_fraction(&self, trace: &RoutingTrace) -> f64 {
-        self.trace_locality(trace).fraction()
     }
 }
 
@@ -440,11 +431,16 @@ pub fn replica_gains_by_unit(objective: &Objective, base: &Placement) -> Vec<Vec
 /// [`Objective::cross_mass`] minus the mass absorbed by replicas. A hop
 /// into an expert is absorbed exactly when the *source* unit holds a copy
 /// (owned or replica) of the destination expert — partial subsets absorb
-/// only the hops they cover. First-order model: a token that used a
-/// replica is assumed to continue from the destination expert's *owner*
-/// for the next gap, mirroring the owner-marginal view the objective
-/// itself takes. Lower is better; equals `cross_mass` exactly when no
-/// expert is replicated.
+/// only the hops they cover. Lower is better; equals `cross_mass` exactly
+/// when no expert is replicated.
+///
+/// This is the solver's first-order model, not [`ReplicationPlan::serve`]:
+/// a token that used a replica is assumed to continue from the destination
+/// expert's *owner* for the next gap, mirroring the owner-marginal view the
+/// objective itself takes, where `serve` keeps it on the holder; it has no
+/// same-node fallback to a holder when the owner is off-node; and it has no
+/// meeting-point exception pinning a context-coherent top-2 primary to its
+/// owner.
 pub fn replicated_cross_mass(objective: &Objective, plan: &ReplicationPlan) -> f64 {
     assert_eq!(plan.base.n_layers(), objective.n_layers());
     assert_eq!(plan.base.n_experts(), objective.n_experts());
@@ -484,6 +480,12 @@ mod tests {
         (obj, trace)
     }
 
+    /// [`ReplicationPlan::trace_locality`] with every unit on one node.
+    fn walk(plan: &ReplicationPlan, trace: &RoutingTrace) -> TraceLocality {
+        let cluster = ClusterSpec::single_node(plan.base.n_units()).unwrap();
+        plan.trace_locality(trace, &cluster)
+    }
+
     /// The experts replicated at `layer`, ascending.
     fn replicated(plan: &ReplicationPlan, layer: usize) -> Vec<usize> {
         plan.replicas[layer].iter().map(|r| r.0).collect()
@@ -496,8 +498,10 @@ mod tests {
         let plan = ReplicationPlan::most_popular(&obj, base.clone(), 0);
         assert_eq!(plan.extra_copies_per_gpu(), 0);
         assert!(plan.replicas.iter().all(Vec::is_empty));
-        let plain = crate::objective::measure_trace_locality(&trace, &base).fraction();
-        assert!((plan.trace_local_fraction(&trace) - plain).abs() < 0.15);
+        // A bare plan serves every hop from its owner: the walk is the
+        // placement's own locality.
+        let plain = crate::objective::measure_trace_locality(&trace, &base);
+        assert_eq!(walk(&plan, &trace), plain);
     }
 
     #[test]
@@ -505,7 +509,7 @@ mod tests {
         let (obj, trace) = instance(8, 5);
         let base = Placement::round_robin(5, 8, 4);
         let plan = ReplicationPlan::most_popular(&obj, base, 8);
-        assert!((plan.trace_local_fraction(&trace) - 1.0).abs() < 1e-12);
+        assert_eq!(walk(&plan, &trace).fraction(), 1.0);
         // Each GPU owns 2 of the 8 experts per layer, so full replication
         // costs it the other 6 per layer — owner copies are not "extra".
         assert_eq!(plan.extra_copies_per_gpu(), 30);
@@ -545,10 +549,11 @@ mod tests {
                     "the replica must sit on the other node"
                 );
                 // The owner is always available, plus exactly the subset.
-                let avail = plan.available_units(layer, expert);
-                assert!(avail.contains(&owner));
-                assert!(avail.windows(2).all(|w| w[0] < w[1]), "sorted + unique");
+                let avail: Vec<usize> = (0..4)
+                    .filter(|&u| plan.available_on(layer, expert, u))
+                    .collect();
                 assert_eq!(avail.len(), 2);
+                assert!(avail.contains(&owner) && avail.contains(&units[0]));
             }
         }
         // Full replication of everything costs each GPU up to 6 extra per
@@ -645,7 +650,7 @@ mod tests {
         let mut last = 0.0;
         for budget in [0usize, 2, 4, 8, 16] {
             let plan = ReplicationPlan::most_popular(&obj, base.clone(), budget);
-            let frac = plan.trace_local_fraction(&trace);
+            let frac = walk(&plan, &trace).fraction();
             assert!(
                 frac + 1e-9 >= last,
                 "budget {budget}: locality {frac} fell below {last}"
@@ -663,14 +668,17 @@ mod tests {
         let base = Placement::round_robin(6, 16, 4);
         let exflow = solve_local_search_with(&obj, 4, 1, 0, Parallelism::single());
         let exflow_local = crate::objective::measure_trace_locality(&trace, &exflow).fraction();
-        let rep0 =
-            ReplicationPlan::most_popular(&obj, base.clone(), 0).trace_local_fraction(&trace);
+        let rep0 = walk(
+            &ReplicationPlan::most_popular(&obj, base.clone(), 0),
+            &trace,
+        )
+        .fraction();
         assert!(
             exflow_local > rep0,
             "exflow {exflow_local} vs zero-budget replication {rep0}"
         );
         // Replication with large budget eventually wins (it spends memory).
-        let rep_full = ReplicationPlan::most_popular(&obj, base, 16).trace_local_fraction(&trace);
+        let rep_full = walk(&ReplicationPlan::most_popular(&obj, base, 16), &trace).fraction();
         assert!(rep_full >= exflow_local);
     }
 
@@ -714,49 +722,58 @@ mod tests {
 
     #[test]
     fn replicated_first_expert_does_not_charge_the_start() {
-        // Token path: expert 0 (layer 0, replicated everywhere) -> expert
-        // 3 (layer 1, owned by unit 1). The scheduler can start the token
-        // on unit 1, so the single transition is local. The old seeding
-        // (pin to expert 0's owner, unit 0) wrongly counted it cross-unit.
+        // Expert 0 (layer 0, replicated everywhere) -> expert 3 (layer 1,
+        // owned by unit 1). Token t starts on unit t % 2 and a replicated
+        // first expert serves it there: token 1 stays on unit 1, so its
+        // hop is local; token 0 starts on unit 0 and its hop is cross.
         let base = Placement::round_robin(2, 4, 2);
-        let plan = ReplicationPlan::everywhere(base.clone(), vec![vec![0], vec![]]);
-        let trace = RoutingTrace::new(vec![vec![0, 3]], 4);
-        assert_eq!(plan.trace_local_fraction(&trace), 1.0);
-        let loc = plan.trace_locality(&trace);
-        assert_eq!((loc.local, loc.transitions), (1, 1));
-        // Once pinned (layer 1's expert is not replicated), later hops are
-        // charged normally: 3 (unit 1) -> 0 (unit 0) is cross.
+        let plan = ReplicationPlan::everywhere(base, vec![vec![0], vec![]]);
+        let loc = walk(&plan, &RoutingTrace::new(vec![vec![0, 3]; 2], 4));
+        assert_eq!((loc.local, loc.transitions), (1, 2));
+        // Once on an owner (layer 1's expert is not replicated), later
+        // hops are charged normally: 3 (unit 1) -> 0 (unit 0) is cross
+        // for both tokens.
         let base3 = Placement::round_robin(3, 4, 2);
         let plan3 = ReplicationPlan::everywhere(base3, vec![vec![0], vec![], vec![]]);
-        let t3 = RoutingTrace::new(vec![vec![0, 3, 0]], 4);
-        let loc3 = plan3.trace_locality(&t3);
-        assert_eq!((loc3.local, loc3.transitions), (1, 2));
-        // A fully-replicated prefix stays unpinned across layers.
+        let loc3 = walk(&plan3, &RoutingTrace::new(vec![vec![0, 3, 0]; 2], 4));
+        assert_eq!((loc3.local, loc3.transitions), (1, 4));
+        // A fully replicated prefix keeps a token where it started, and
+        // the first owned-only expert charges it unless it is owned there:
+        // token 0 stays on unit 0, which owns expert 1 at layer 2; token 1
+        // stays on unit 1 and then moves to unit 0.
         let all = ReplicationPlan::everywhere(
             Placement::round_robin(3, 4, 2),
             vec![vec![0, 1, 2, 3], vec![0, 1, 2, 3], vec![]],
         );
-        let loc_all = all.trace_locality(&RoutingTrace::new(vec![vec![0, 3, 1]], 4));
-        assert_eq!((loc_all.local, loc_all.transitions), (2, 2));
+        let loc_all = walk(&all, &RoutingTrace::new(vec![vec![0, 3, 1]; 2], 4));
+        assert_eq!((loc_all.local, loc_all.transitions), (3, 4));
     }
 
     #[test]
-    fn partial_subset_locality_narrows_the_feasible_set() {
+    fn partial_subset_locality_follows_the_token() {
         // 4 experts on 4 units (expert i owned by unit i), 3 layers.
-        // Expert 2 at layer 1 is replicated onto unit 0 only. A token
-        // routed 0 -> 2 -> 0 can stay on unit 0 the whole way: the layer-1
-        // hop is absorbed by the replica and the layer-2 hop returns to
-        // the narrowed position {0}.
+        // Expert 2 at layer 1 is replicated onto unit 0 only. Token 0
+        // routed 0 -> 2 -> 0 stays on unit 0 the whole way: the replica
+        // absorbs the layer-1 hop and expert 0 is owned there.
         let base = Placement::round_robin(3, 4, 4);
         let mut plan = ReplicationPlan::bare(base);
         plan.replicas[1] = vec![(2, vec![0])];
-        let loc = plan.trace_locality(&RoutingTrace::new(vec![vec![0, 2, 0]], 4));
+        let loc = walk(&plan, &RoutingTrace::new(vec![vec![0, 2, 0]], 4));
         assert_eq!((loc.local, loc.transitions), (2, 2));
-        // A token starting on unit 1 gains nothing from that subset:
-        // 1 -> 2 is cross (no copy on unit 1), and the move lands it on a
-        // holder {0, 2}; 2 -> 3 is cross again.
-        let loc2 = plan.trace_locality(&RoutingTrace::new(vec![vec![1, 2, 3]], 4));
+        // A token starting on unit 0 but routed 1 -> 2 -> 3 gains nothing
+        // from that subset: it sits on unit 1 (no copy), so the hop goes
+        // to the owner, unit 2; 2 -> 3 is cross again.
+        let loc2 = walk(&plan, &RoutingTrace::new(vec![vec![1, 2, 3]], 4));
         assert_eq!((loc2.local, loc2.transitions), (0, 2));
+        // On 2 nodes x 2 GPUs, token 1 (on unit 1) is served expert 2 by
+        // the copy on its own node (unit 0) rather than by the off-node
+        // owner, and that unit owns its next expert: 3 of 4 hops local,
+        // against 2 of 4 when one node holds every unit.
+        let trace = RoutingTrace::new(vec![vec![0, 2, 0], vec![1, 2, 0]], 4);
+        let two_nodes = plan.trace_locality(&trace, &ClusterSpec::new(2, 2).unwrap());
+        assert_eq!((two_nodes.local, two_nodes.transitions), (3, 4));
+        let one_node = walk(&plan, &trace);
+        assert_eq!((one_node.local, one_node.transitions), (2, 4));
     }
 
     #[test]
@@ -803,7 +820,7 @@ mod tests {
         assert_eq!(expected, 1.0);
         for budget in [0usize, 2, 4] {
             let plan = ReplicationPlan::most_popular(&obj, base.clone(), budget);
-            let measured = plan.trace_local_fraction(&trace);
+            let measured = walk(&plan, &trace).fraction();
             assert_eq!(
                 measured, expected,
                 "budget {budget}: trace fraction {measured} vs objective {expected}"

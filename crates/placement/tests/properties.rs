@@ -302,9 +302,8 @@ proptest! {
                         plan.available_on(layer, expert, owner),
                         "owner must always serve its own expert"
                     );
-                    let avail = plan.available_units(layer, expert);
-                    prop_assert!(avail.contains(&owner));
-                    prop_assert!(avail.windows(2).all(|w| w[0] < w[1]));
+                    let avail = (0..u).filter(|&x| plan.available_on(layer, expert, x)).count();
+                    prop_assert_eq!(avail, 1 + plan.replica_units(layer, expert).len());
                 }
             }
         }
@@ -370,7 +369,7 @@ proptest! {
         seed in 0u64..60,
     ) {
         // The replica-aware pipeline end to end — base solve, budgeted
-        // replicated solve, set-semantics dispatch locality — must be a
+        // replicated solve, the `serve` walk's dispatch locality — must be a
         // pure function of its inputs: bit-identical at 1, 2, and 8
         // solver threads and across the dense and CSR gap backends.
         use exflow_affinity::RoutingTrace;
@@ -387,7 +386,8 @@ proptest! {
             replica_memory_bytes: slots * bpe,
             migration_budget_bytes: 8 * bpe,
         };
-        let policy = ReplicaPolicy::OnePerNode(ClusterSpec::new(2, 2).unwrap());
+        let cluster = ClusterSpec::new(2, 2).unwrap();
+        let policy = ReplicaPolicy::OnePerNode(cluster);
         let model = AffinityModelSpec::new(4, e).with_seed(seed).build();
         let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 200, 1, seed);
         let trace = RoutingTrace::from_batch(&batch, e);
@@ -402,7 +402,7 @@ proptest! {
                 &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
             );
                 let cross = exflow_placement::replicated_cross_mass(&obj, &plan).to_bits();
-                let frac = plan.trace_local_fraction(&trace).to_bits();
+                let frac = plan.trace_locality(&trace, &cluster).fraction().to_bits();
                 match &reference {
                     None => reference = Some((plan, cross, frac)),
                     Some((p0, c0, f0)) => {
@@ -544,6 +544,54 @@ fn random_fleet(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn serve_sends_every_hop_to_a_live_holder(
+        (e, u) in divisor_pairs(),
+        layers in 1usize..4,
+        dead in 0u32..16,
+        seed in 0u64..500,
+    ) {
+        // On a random plan whose holders may be dead (bit r of `dead`),
+        // under every cluster shape of its units: the unit `serve` picks
+        // holds the expert, is the token's own unit exactly when that
+        // unit holds it, and is live or the owner. Full fan-out and no
+        // replicas leave nothing for the cluster to decide.
+        let (plan, _) = random_fleet(e, u, layers, 0, seed);
+        let is_live = |r: usize| dead >> r & 1 == 0;
+        let clusters: Vec<ClusterSpec> = (1..=u)
+            .filter(|&g| u.is_multiple_of(g))
+            .map(|g| ClusterSpec::new(u / g, g).unwrap())
+            .collect();
+        let listed = plan
+            .replicas
+            .iter()
+            .map(|lr| lr.iter().map(|r| r.0).collect())
+            .collect();
+        let everywhere = ReplicationPlan::everywhere(plan.base.clone(), listed);
+        let bare = ReplicationPlan::bare(plan.base.clone());
+        for layer in 0..layers {
+            for expert in 0..e {
+                let owner = plan.base.unit_of(layer, expert);
+                // A token only ever sits on a live unit.
+                for from in (0..u).filter(|&r| is_live(r)) {
+                    let holds = plan.available_on(layer, expert, from);
+                    for cluster in &clusters {
+                        let to = plan.serve(cluster, from, layer, expert, is_live);
+                        prop_assert!(plan.available_on(layer, expert, to), "{} lacks the expert", to);
+                        prop_assert_eq!(to == from, holds, "from {} served on {}", from, to);
+                        prop_assert!(is_live(to) || to == owner, "dead holder {} served", to);
+                        for fixed in [&everywhere, &bare] {
+                            prop_assert_eq!(
+                                fixed.serve(cluster, from, layer, expert, is_live),
+                                fixed.serve(&clusters[0], from, layer, expert, is_live)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn gpu_loss_plans_evacuate_for_free_where_a_replica_survives(
