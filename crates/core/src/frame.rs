@@ -264,6 +264,13 @@ mod tests {
         wire.deliver(tables, hold_primaries);
     }
 
+    /// Fisher–Yates over `xs`, drawing from `rng`.
+    fn shuffle<T>(xs: &mut [T], rng: &mut StdRng) {
+        for i in (1..xs.len()).rev() {
+            xs.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -273,7 +280,9 @@ mod tests {
         /// its primaries — every table after a hop is, head for head and
         /// word for word, the naive reference: the primaries it held,
         /// then for `src` ascending the copies emitted to it, in emission
-        /// order, each with its copy's slot and its source row's word.
+        /// order, each with its copy's slot and its source row's word —
+        /// also when the copies are emitted in a shuffled order, not one
+        /// source rank after another as `route` and `combine` emit them.
         /// Each hop grows the Alltoall ledger by `copies × frame_size` per
         /// lane, on that lane's link class.
         #[test]
@@ -286,6 +295,7 @@ mod tests {
                 2..6,
             ),
             dead in proptest::collection::vec(0u8..4, 9),
+            shuffled in 0u8..2,
             seed in 0u64..1_000_000,
         ) {
             let cluster = ClusterSpec::new(nodes, gpn).unwrap();
@@ -326,21 +336,27 @@ mod tests {
                     .iter()
                     .map(|t| t.heads().iter().copied().filter(|h| hold && h.slot == 0).collect())
                     .collect();
-                let mut emitted = vec![vec![Vec::new(); w]; w];
-                let mut sent = fleet.totals(OpKind::Alltoall).sent;
+                let mut copies = Vec::new();
                 for (src, table) in tables.iter().enumerate() {
-                    for (row, &head) in table.heads().iter().enumerate() {
+                    for row in 0..table.len() {
                         for slot in 0..k {
                             if rng.gen_range(0..4) == 0 {
                                 continue;
                             }
-                            let dst = live[rng.gen_range(0..live.len())];
-                            wire.emit(src, dst, row, slot);
-                            emitted[dst][src].push(Head { slot, ..head });
-                            let class = cluster.link_class(Rank(src), Rank(dst));
-                            sent.add(class, frame as u64);
+                            copies.push((src, live[rng.gen_range(0..live.len())], row, slot));
                         }
                     }
+                }
+                if shuffled == 1 {
+                    shuffle(&mut copies, &mut rng);
+                }
+                let mut emitted = vec![vec![Vec::new(); w]; w];
+                let mut sent = fleet.totals(OpKind::Alltoall).sent;
+                for &(src, dst, row, slot) in &copies {
+                    wire.emit(src, dst, row, slot);
+                    emitted[dst][src].push(Head { slot, ..tables[src].heads()[row] });
+                    let class = cluster.link_class(Rank(src), Rank(dst));
+                    sent.add(class, frame as u64);
                 }
                 for (want, from) in expected.iter_mut().zip(emitted) {
                     want.extend(from.into_iter().flatten());
@@ -363,13 +379,15 @@ mod tests {
         /// zero for an empty lane, nothing carried over from the hop
         /// before — and a frame holds at least the header and the
         /// `sim_dim` floats of the embedding it stands for. Every copy
-        /// arrives with its source row's word.
+        /// arrives with its source row's word, in lane order, whether the
+        /// copies were emitted source rank by source rank or shuffled.
         #[test]
         fn every_lane_is_what_encode_returns(
             w in 1usize..=8,
             (dim, width) in (0usize..10, 0u64..160),
             k in 1u32..=2,
             hops in proptest::collection::vec(prop_oneof![Just(0usize), 0usize..=120], 2..6),
+            shuffled in 0u8..2,
             seed in 0u64..1_000_000,
         ) {
             let frame = frame_size(width, dim);
@@ -382,31 +400,39 @@ mod tests {
                     let head = Head { id, word: rng.gen(), ..Head::default() };
                     tables[rng.gen_range(0..w)].push(head);
                 }
-                let mut copies = vec![0u64; w * w];
-                let mut words = vec![Vec::new(); w];
+                let mut emitted = Vec::new();
                 for (src, table) in tables.iter().enumerate() {
-                    for (row, head) in table.heads().iter().enumerate() {
+                    for row in 0..table.len() {
                         for slot in 0..k {
                             // Some rows send nothing, so lanes also empty.
                             if rng.gen_range(0..3) == 0 {
                                 continue;
                             }
-                            let dst = rng.gen_range(0..w);
-                            wire.emit(src, dst, row, slot);
-                            copies[src * w + dst] += 1;
-                            words[dst].push(head.word);
+                            emitted.push((src, rng.gen_range(0..w), row, slot));
                         }
                     }
+                }
+                if shuffled == 1 {
+                    shuffle(&mut emitted, &mut rng);
+                }
+                let mut copies = vec![0u64; w * w];
+                // `words[dst][src]`: the words of the lane, in emission
+                // order.
+                let mut words = vec![vec![Vec::new(); w]; w];
+                for &(src, dst, row, slot) in &emitted {
+                    wire.emit(src, dst, row, slot);
+                    copies[src * w + dst] += 1;
+                    words[dst][src].push(tables[src].heads()[row].word);
                 }
                 wire.scatter(&tables);
                 let want: Vec<u64> = copies.iter().map(|&c| c * frame as u64).collect();
                 prop_assert_eq!(wire.lane_bytes(), &want[..], "a hop of {} fresh rows", fresh);
                 wire.deliver(&mut tables, false);
-                // Emission ran `src` ascending, so each table's words
-                // arrive in emission order.
+                // Each table's words arrive lane by lane, `src` ascending,
+                // each lane in emission order.
                 for (table, want) in tables.iter().zip(words) {
                     let got: Vec<u64> = table.heads().iter().map(|h| h.word).collect();
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(got, want.concat());
                 }
                 // Keep the tables small: the next hop starts from what
                 // this one delivered, its primaries only.
