@@ -20,8 +20,8 @@
 //! nothing: `all_to_all_v(bytes[src * w + dst])`,
 //! `all_gather_v(bytes[rank])`, and `barrier()`, which lifts every clock
 //! to the fleet's max. Only a lane's length reaches the clocks and the
-//! ledger, so the caller moves its payloads itself (the engine appends
-//! token rows to the destination tables). The caller is a bulk-synchronous
+//! ledger, so the caller moves its payloads itself (the engine writes
+//! token rows into the destination tables). The caller is a bulk-synchronous
 //! loop — run a stage for rank 0, 1, .. and charge it with
 //! `advance(rank, dt)`, then one collective, then the next stage — so a
 //! pass costs no thread, channel or wake-up, whatever W is. The clock

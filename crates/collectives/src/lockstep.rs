@@ -4,14 +4,14 @@
 //! A collective here takes byte counts, not bytes: only how many bytes
 //! each lane carries reaches the clocks and the ledger, so that is all a
 //! caller hands over, and nothing is handed back. The caller moves its
-//! payloads itself (the engine appends token rows to the destination
+//! payloads itself (the engine writes token rows into the destination
 //! tables). The threaded [`crate::CommWorld`] moves real buffers under the
 //! same clock rules; `tests/properties.rs` feeds this type the lengths of
 //! the payloads that world moves and holds the two to the same clocks and
 //! ledger, bit for bit.
 
 use exflow_topology::collective_cost::BytesByClass;
-use exflow_topology::{ClusterSpec, CostModel, Rank};
+use exflow_topology::{ClusterSpec, CostModel, LinkClass, Rank};
 
 use crate::clock::VirtualClock;
 use crate::record::{CommRecord, Ledger, OpKind, OpTotals};
@@ -24,24 +24,44 @@ use crate::record::{CommRecord, Ledger, OpKind, OpTotals};
 /// the send / receive clock rules of [`crate::world`] to all W clocks and
 /// to the ledger. The caller runs each rank's compute between calls
 /// (`for rank in 0..w`) and charges it with [`Lockstep::advance`]. Clocks
-/// start at zero; totals accumulate for the value's life.
+/// start at zero; totals accumulate until [`Lockstep::reset`]. A
+/// collective allocates nothing: its per-rank scratch lives here.
 pub struct Lockstep {
-    cluster: ClusterSpec,
     cost: CostModel,
+    /// `class[src * w + dst]`: the link a lane crosses.
+    class: Vec<LinkClass>,
     clocks: Vec<VirtualClock>,
     ledger: Ledger,
+    /// Scratch of `all_to_all_v` (each rank's latest arrival stamp) and
+    /// of `all_gather_v` (each rank's stamp at the current step).
+    stamps: Vec<f64>,
+    /// `all_gather_v` scratch: each rank's bytes sent so far.
+    sent: Vec<BytesByClass>,
 }
 
 impl Lockstep {
     /// A fleet over `cluster` with per-link costs from `cost`, every clock
     /// at zero.
     pub fn new(cluster: ClusterSpec, cost: CostModel) -> Self {
+        let w = cluster.world_size();
+        let class = (0..w * w)
+            .map(|lane| cluster.link_class(Rank(lane / w), Rank(lane % w)))
+            .collect();
         Lockstep {
-            cluster,
             cost,
-            clocks: vec![VirtualClock::new(); cluster.world_size()],
+            class,
+            clocks: vec![VirtualClock::new(); w],
             ledger: Ledger::default(),
+            stamps: vec![0.0; w],
+            sent: vec![BytesByClass::default(); w],
         }
+    }
+
+    /// Every clock back to zero and every total cleared: the fleet as
+    /// [`Lockstep::new`] built it, its allocations kept.
+    pub fn reset(&mut self) {
+        self.clocks.fill(VirtualClock::new());
+        self.ledger = Ledger::default();
     }
 
     /// Current virtual time at `rank`.
@@ -93,19 +113,20 @@ impl Lockstep {
             w * w,
             "all_to_all_v needs exactly one byte count per lane"
         );
-        let mut latest_arrival = vec![0.0f64; w];
-        for (src, row) in bytes.chunks_exact(w).enumerate() {
+        let latest_arrival = &mut self.stamps;
+        latest_arrival.fill(0.0);
+        let lanes = bytes.chunks_exact(w).zip(self.class.chunks_exact(w));
+        for (src, (row, class)) in lanes.enumerate() {
+            let clock = &mut self.clocks[src];
             let mut sent = BytesByClass::default();
-            for off in 0..w {
-                let dst = (src + off) % w;
+            // The ring from `src`: `src..w`, then `0..src`.
+            for dst in (src..w).chain(0..src) {
                 if row[dst] > 0 {
-                    let class = self.cluster.link_class(Rank(src), Rank(dst));
-                    let t = self.cost.alltoall_transfer_time(class, row[dst]);
-                    self.clocks[src].advance(t);
-                    sent.add(class, row[dst]);
+                    clock.advance(self.cost.alltoall_transfer_time(class[dst], row[dst]));
+                    sent.add(class[dst], row[dst]);
                 }
                 if dst != src {
-                    latest_arrival[dst] = latest_arrival[dst].max(self.clocks[src].now());
+                    latest_arrival[dst] = latest_arrival[dst].max(clock.now());
                 }
             }
             self.ledger.record(CommRecord {
@@ -113,7 +134,7 @@ impl Lockstep {
                 sent,
             });
         }
-        for (clock, &arrival) in self.clocks.iter_mut().zip(&latest_arrival) {
+        for (clock, &arrival) in self.clocks.iter_mut().zip(latest_arrival.iter()) {
             clock.wait_until(arrival);
         }
     }
@@ -130,21 +151,31 @@ impl Lockstep {
     pub fn all_gather_v(&mut self, bytes: &[u64]) {
         let w = self.clocks.len();
         assert_eq!(bytes.len(), w, "all_gather_v needs one byte count per rank");
-        let mut sent = vec![BytesByClass::default(); w];
-        let mut stamps = vec![0.0f64; w];
+        let (sent, stamps) = (&mut self.sent, &mut self.stamps);
+        sent.fill(BytesByClass::default());
         for step in 0..w - 1 {
-            for (r, clock) in self.clocks.iter_mut().enumerate() {
-                let class = self.cluster.link_class(Rank(r), Rank((r + 1) % w));
-                let block = bytes[(r + w - step) % w];
+            // Rank `r` forwards block `r - step`, which wraps to
+            // `r + w - step` below `step`.
+            let wrapped = bytes[w - step..].iter().chain(&bytes[..w - step]);
+            let ranks = self
+                .clocks
+                .iter_mut()
+                .zip(sent.iter_mut())
+                .zip(stamps.iter_mut());
+            for (r, (((clock, sent), stamp), &block)) in ranks.zip(wrapped).enumerate() {
+                let class = self.class[r * w + if r + 1 == w { 0 } else { r + 1 }];
                 clock.advance(self.cost.transfer_time(class, block));
-                sent[r].add(class, block);
-                stamps[r] = clock.now();
+                sent.add(class, block);
+                *stamp = clock.now();
             }
-            for (r, clock) in self.clocks.iter_mut().enumerate() {
-                clock.wait_until(stamps[(r + w - 1) % w]);
+            // Rank `r` waits for rank `r - 1`'s stamp; rank 0 for rank
+            // `w - 1`'s.
+            let left = stamps[w - 1..].iter().chain(&stamps[..w - 1]);
+            for (clock, &stamp) in self.clocks.iter_mut().zip(left) {
+                clock.wait_until(stamp);
             }
         }
-        for sent in sent {
+        for &sent in sent.iter() {
             self.ledger.record(CommRecord {
                 op: OpKind::AllGather,
                 sent,
@@ -172,6 +203,27 @@ mod tests {
         f.all_to_all_v(&bytes);
         assert!(f.now(0) > 0.0);
         assert_eq!(f.now(2), f.now(0));
+    }
+
+    #[test]
+    fn a_reset_fleet_runs_as_a_new_one() {
+        let ops = |f: &mut Lockstep| {
+            f.advance(1, 1e-3);
+            f.all_to_all_v(&(0..16).map(|lane| lane * 4096).collect::<Vec<_>>());
+            f.all_gather_v(&[1 << 20, 0, 7, 1 << 12]);
+            f.barrier();
+        };
+        let (mut used, mut fresh) = (fleet(2, 2), fleet(2, 2));
+        ops(&mut used);
+        used.reset();
+        ops(&mut used);
+        ops(&mut fresh);
+        for rank in 0..4 {
+            assert_eq!(used.now(rank).to_bits(), fresh.now(rank).to_bits());
+        }
+        for op in OpKind::ALL {
+            assert_eq!(used.totals(op), fresh.totals(op));
+        }
     }
 
     #[test]
