@@ -452,13 +452,13 @@ impl InferenceEngine {
             batches,
             ctx_offset,
         };
-        let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
-        let (rank_results, output_digest) = pass.run(&mut fleet, plane);
+        let output_digest = pass.run(plane);
 
+        let fleet = &plane.fleet;
         let total_time = (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max);
         let mut breakdown = OpBreakdown::default();
         let mut dispatch = DispatchStats::default();
-        for r in &rank_results {
+        for r in &plane.acc {
             breakdown.merge(&r.breakdown);
             dispatch.merge(&r.dispatch);
         }
@@ -477,20 +477,32 @@ impl InferenceEngine {
     }
 }
 
-/// What a pass keeps its tokens in: a [`Table`] per rank, the [`Wire`]
-/// every hop goes through, and the scratch of the stages that would
-/// otherwise allocate per rank per layer. Nothing in it outlives an
-/// iteration as *state* — every table is refilled by `home_tokens`, every
-/// lane rewritten by the next scatter — so one plane serves any number of
-/// passes of one engine and only its allocations carry over.
+/// What a pass runs on: a [`Table`] per rank and a second set the next
+/// hop writes into, the [`Wire`] every hop goes through, the fleet's
+/// clocks, and the scratch of the stages that would otherwise allocate
+/// per rank per layer. Nothing in it outlives a pass as *state* — the
+/// fleet and the ledgers are reset when a pass starts, every table is
+/// refilled by `home_tokens`, every lane rewritten by the next scatter —
+/// so one plane serves any number of passes of one engine and only its
+/// allocations carry over.
 pub(crate) struct Plane {
     /// `tables[rank]`: the tokens resident on each rank.
     tables: Vec<Table>,
+    /// What the next hop writes every rank's table into; swapped with
+    /// `tables` once it has.
+    next: Vec<Table>,
     wire: Wire,
+    fleet: Lockstep,
+    /// `acc[rank]`: each rank's share of the current pass.
+    acc: Vec<RankResult>,
     /// `run_experts`: the rank's rows as `(expert, row)`.
     order: Vec<(u32, u32)>,
     /// `Table::merge_top2`: token id → row of its primary.
     primary_row: Vec<u32>,
+    /// `fold_outputs`: token id → its word, once it came to rest.
+    by_id: Vec<Option<u64>>,
+    /// The AllGathers' byte count per rank.
+    contribs: Vec<u64>,
 }
 
 impl InferenceEngine {
@@ -500,9 +512,14 @@ impl InferenceEngine {
         let frame = frame_size(model.token_bytes(), model.sim_dim);
         Plane {
             tables: vec![Table::default(); w],
+            next: vec![Table::default(); w],
             wire: Wire::new(w, frame),
+            fleet: Lockstep::new(self.cfg.cluster, self.cfg.link_cost),
+            acc: Vec::with_capacity(w),
             order: Vec::new(),
             primary_row: Vec::new(),
+            by_id: Vec::new(),
+            contribs: Vec::with_capacity(w),
         }
     }
 }
@@ -550,20 +567,24 @@ fn timed(
 impl Pass<'_> {
     /// The bulk-synchronous body: every stage runs for rank 0, 1, .. in
     /// turn over that rank's own state (`plane.tables[rank]`,
-    /// `acc[rank]`), and the collectives between stages are single calls
-    /// on `fleet`. Per MoE layer: attention and gating where the token
-    /// sits, `route` and `exchange` (the dispatch Alltoall), `run_experts`,
-    /// then `combine` — which for context-coherent top-1 is a no-op
-    /// (tokens stay where their experts are: *one* Alltoall per layer) and
-    /// for vanilla and context-coherent top-2 is a second `exchange`.
-    /// Returns the per-rank ledgers and [`InferenceReport::output_digest`].
-    fn run(&self, fleet: &mut Lockstep, plane: &mut Plane) -> (Vec<RankResult>, u64) {
+    /// `plane.acc[rank]`), and the collectives between stages are single
+    /// calls on `plane.fleet`, reset here first. Per MoE layer: attention
+    /// and gating where the token sits, `route` and `exchange` (the
+    /// dispatch Alltoall), `run_experts`, then `combine` — which for
+    /// context-coherent top-1 is a no-op (tokens stay where their experts
+    /// are: *one* Alltoall per layer) and for vanilla and context-coherent
+    /// top-2 is a second `exchange`.
+    /// Leaves the per-rank ledgers in `plane.acc` and returns
+    /// [`InferenceReport::output_digest`].
+    fn run(&self, plane: &mut Plane) -> u64 {
         let cfg = self.cfg;
         let w = cfg.cluster.world_size();
-        let mut acc: Vec<RankResult> = (0..w).map(|_| RankResult::default()).collect();
+        plane.fleet.reset();
+        plane.acc.clear();
+        plane.acc.resize_with(w, RankResult::default);
         let mut digest = FNV_OFFSET;
         if self.mode.context_coherent() {
-            self.gather_prompt_contexts(fleet, &mut acc, plane.wire.frame());
+            self.gather_prompt_contexts(plane);
         }
 
         for (iter, batch) in self.batches.iter().enumerate() {
@@ -577,47 +598,54 @@ impl Pass<'_> {
                 // Attention: in-place on whatever GPU the token occupies
                 // (context-coherent) or on the home GPU (vanilla — tokens
                 // are home here because the previous layer combined).
-                for (me, (table, a)) in plane.tables.iter().zip(&mut acc).enumerate() {
+                for (me, (table, a)) in plane.tables.iter().zip(&mut plane.acc).enumerate() {
                     let t_att = cfg.compute.attention_time(&cfg.model, table.len(), ctx_len);
-                    fleet.advance(me, t_att);
+                    plane.fleet.advance(me, t_att);
                     a.breakdown.attention += t_att;
 
                     let t_gate = cfg.compute.gating_time(&cfg.model, table.len());
-                    fleet.advance(me, t_gate);
+                    plane.fleet.advance(me, t_gate);
                     a.breakdown.gating += t_gate;
                 }
 
-                for (me, (table, a)) in plane.tables.iter().zip(&mut acc).enumerate() {
+                for (me, (table, a)) in plane.tables.iter().zip(&mut plane.acc).enumerate() {
                     self.route(me, batch, layer, table, &mut plane.wire, &mut a.dispatch);
                 }
-                self.exchange(fleet, plane, &mut acc, false);
-                for (me, a) in acc.iter_mut().enumerate() {
-                    self.run_experts(fleet, me, batch, layer, plane, &mut a.breakdown);
+                self.exchange(plane, false);
+                for me in 0..w {
+                    self.run_experts(me, batch, layer, plane);
                 }
-                self.combine(fleet, batch, layer, plane, &mut acc);
+                self.combine(batch, layer, plane);
             }
-            digest = fold_outputs(digest, iter, &plane.tables);
+            digest = fold_outputs(digest, iter, &plane.tables, &mut plane.by_id);
 
             // Context coherence upkeep: broadcast this iteration's newly
             // generated tokens so every GPU's context stays complete. Each
             // rank contributes a frame per token it holds.
+            let Plane {
+                tables,
+                wire,
+                fleet,
+                acc,
+                contribs,
+                ..
+            } = plane;
             if self.mode.context_coherent() {
-                timed(fleet, &mut acc, |b| &mut b.imbalance, Lockstep::barrier);
-                let frame = plane.wire.frame();
-                let contribs: Vec<u64> = (plane.tables.iter())
-                    .map(|t| (t.len() * frame) as u64)
-                    .collect();
+                timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
+                let frame = wire.frame();
+                contribs.clear();
+                contribs.extend(tables.iter().map(|t| (t.len() * frame) as u64));
                 timed(
                     fleet,
-                    &mut acc,
+                    acc,
                     |b| &mut b.allgather,
-                    |fleet| fleet.all_gather_v(&contribs),
+                    |fleet| fleet.all_gather_v(contribs),
                 );
             }
 
             fleet.barrier();
         }
-        (acc, digest)
+        digest
     }
 
     /// Context coherence setup: one AllGather of all prompt contexts.
@@ -626,24 +654,30 @@ impl Pass<'_> {
     /// without affecting any per-layer behaviour, so it is charged
     /// analytically: every rank advances by the ring AllGather time the
     /// cost model predicts for `frame`-byte tokens.
-    fn gather_prompt_contexts(&self, fleet: &mut Lockstep, acc: &mut [RankResult], frame: usize) {
+    fn gather_prompt_contexts(&self, plane: &mut Plane) {
         let cfg = self.cfg;
+        let Plane {
+            wire,
+            fleet,
+            acc,
+            contribs,
+            ..
+        } = plane;
         let n_live = self.live_ranks.len();
         // Tokens are resident round-robin by id over the *live* ranks, so
         // the live rank at position `j` holds `ceil`-or-`floor` of
         // `n / n_live` of them and dead ranks contribute nothing.
         let n_tokens = self.batches.first().map_or(0, TokenBatch::len);
-        let contribs: Vec<u64> = (0..acc.len())
-            .map(|r| {
-                let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
-                    Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
-                    None => 0,
-                };
-                (mine * cfg.prompt_len * frame) as u64
-            })
-            .collect();
+        contribs.clear();
+        contribs.extend((0..acc.len()).map(|r| {
+            let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
+                Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
+                None => 0,
+            };
+            (mine * cfg.prompt_len * wire.frame()) as u64
+        }));
         let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
-        let t = analytic.allgatherv_time(&contribs);
+        let t = analytic.allgatherv_time(contribs);
         for (r, a) in acc.iter_mut().enumerate() {
             fleet.advance(r, t);
             a.breakdown.allgather += t;
@@ -712,22 +746,23 @@ impl Pass<'_> {
         }
     }
 
-    /// The Alltoall every token movement goes through: the copies emitted
-    /// since the last hop are staged as lanes, the collective is charged
-    /// their bytes, and every rank's table becomes what arrived for it, in
+    /// The Alltoall every token movement goes through: every rank's table
+    /// becomes what the copies emitted since the last hop carry to it, in
     /// source-rank order — behind the primaries it held back, if
-    /// `hold_primaries`.
+    /// `hold_primaries` — and the collective is charged their bytes.
     /// The Alltoall is a synchronization point: straggler wait at entry is
     /// attributed to `imbalance`, the collective's own cost to `alltoall`.
-    fn exchange(
-        &self,
-        fleet: &mut Lockstep,
-        plane: &mut Plane,
-        acc: &mut [RankResult],
-        hold_primaries: bool,
-    ) {
-        let Plane { tables, wire, .. } = plane;
-        wire.scatter(tables);
+    fn exchange(&self, plane: &mut Plane, hold_primaries: bool) {
+        let Plane {
+            tables,
+            next,
+            wire,
+            fleet,
+            acc,
+            ..
+        } = plane;
+        wire.scatter(tables, next, hold_primaries);
+        std::mem::swap(tables, next);
         timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
         timed(
             fleet,
@@ -735,7 +770,6 @@ impl Pass<'_> {
             |b| &mut b.alltoall,
             |fleet| fleet.all_to_all_v(wire.lane_bytes()),
         );
-        wire.deliver(tables, hold_primaries);
     }
 
     /// Expert FFN on rank `me`: every row of its table has `(layer,
@@ -743,17 +777,15 @@ impl Pass<'_> {
     /// true-dim cost. Ascending `(expert, row)` order makes each expert's
     /// rows one group (what `expert_time`'s `experts_touched` models);
     /// the words do not depend on the order or the grouping.
-    fn run_experts(
-        &self,
-        fleet: &mut Lockstep,
-        me: usize,
-        batch: &TokenBatch,
-        layer: usize,
-        plane: &mut Plane,
-        breakdown: &mut OpBreakdown,
-    ) {
+    fn run_experts(&self, me: usize, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let cfg = self.cfg;
-        let Plane { tables, order, .. } = plane;
+        let Plane {
+            tables,
+            fleet,
+            acc,
+            order,
+            ..
+        } = plane;
         let table = &mut tables[me];
         order.clear();
         order.extend(table.heads().iter().enumerate().map(|(row, head)| {
@@ -761,6 +793,7 @@ impl Pass<'_> {
             (u32::from(expert), row as u32)
         }));
         order.sort_unstable();
+        let live = self.live_ranks.binary_search(&me).is_ok();
         let mut touched = 0;
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let expert_id = group[0].0 as usize;
@@ -768,8 +801,7 @@ impl Pass<'_> {
             // disagreeing would otherwise go unnoticed. Dead ranks hold
             // nothing — an evacuated placement never routes to them anyway.
             assert!(
-                self.live_ranks.binary_search(&me).is_ok()
-                    && self.plan.available_on(layer, expert_id, me),
+                live && self.plan.available_on(layer, expert_id, me),
                 "token routed to an expert this rank does not hold"
             );
             for &(_, row) in group {
@@ -780,19 +812,12 @@ impl Pass<'_> {
         }
         let t_ffn = cfg.compute.expert_time(&cfg.model, table.len(), touched, 1);
         fleet.advance(me, t_ffn);
-        breakdown.expert_ffn += t_ffn;
+        acc[me].breakdown.expert_ffn += t_ffn;
     }
 
     /// Where expert outputs go before the next layer's attention, and
     /// the top-2 merge.
-    fn combine(
-        &self,
-        fleet: &mut Lockstep,
-        batch: &TokenBatch,
-        layer: usize,
-        plane: &mut Plane,
-        acc: &mut [RankResult],
-    ) {
+    fn combine(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let k = self.cfg.model.gate.k();
         let coherent = self.mode.context_coherent();
         if coherent && k == 1 {
@@ -817,7 +842,7 @@ impl Pass<'_> {
                 plane.wire.emit(me, dst, row, head.slot);
             }
         }
-        self.exchange(fleet, plane, acc, coherent);
+        self.exchange(plane, coherent);
         if k > 1 {
             // Top-2 copies are merged where they meet.
             for table in &mut plane.tables {
@@ -829,14 +854,23 @@ impl Pass<'_> {
 
 /// Fold one iteration's finished tokens, `(iter, id, word)` in ascending
 /// id order wherever each came to rest, into the running
-/// [`InferenceReport::output_digest`].
-fn fold_outputs(digest: u64, iter: usize, tables: &[Table]) -> u64 {
-    let mut rows: Vec<(u32, u64)> = (tables.iter())
-        .flat_map(|t| t.heads().iter().map(|h| (h.id, h.word)))
-        .collect();
-    rows.sort_unstable_by_key(|&(id, _)| id);
-    rows.iter().fold(digest, |h, &(id, word)| {
-        fold(fold(fold(h, iter as u64), u64::from(id)), word)
+/// [`InferenceReport::output_digest`]. Each word is placed by its token's
+/// id in `by_id` (scratch, left all `None`), which is then read in order.
+fn fold_outputs(digest: u64, iter: usize, tables: &[Table], by_id: &mut Vec<Option<u64>>) -> u64 {
+    for head in tables.iter().flat_map(Table::heads) {
+        let id = head.id as usize;
+        if by_id.len() <= id {
+            by_id.resize(id + 1, None);
+        }
+        debug_assert!(by_id[id].is_none(), "token {id} came to rest twice");
+        by_id[id] = Some(head.word);
+    }
+    let rested = by_id
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(id, word)| Some((id, word.take()?)));
+    rested.fold(digest, |h, (id, word)| {
+        fold(fold(fold(h, iter as u64), id as u64), word)
     })
 }
 
@@ -852,6 +886,9 @@ mod tests {
     use exflow_model::presets::moe_gpt_m;
     use exflow_model::{ArrivalProcess, DriftSchedule, GateKind};
     use exflow_placement::ReplicaPolicy;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn offline(engine: &InferenceEngine, mode: ParallelismMode) -> InferenceReport {
         engine
@@ -1052,9 +1089,10 @@ mod tests {
             pass.home_tokens(home, 0, batch, &mut plane.tables[0]);
         }
         assert_eq!(plane.tables[0].len(), batch.len());
-        let mut fleet = Lockstep::new(cfg.cluster, cfg.link_cost);
-        let breakdown = &mut OpBreakdown::default();
-        pass.run_experts(&mut fleet, 0, batch, 0, &mut plane, breakdown);
+        plane
+            .acc
+            .resize_with(cfg.cluster.world_size(), RankResult::default);
+        pass.run_experts(0, batch, 0, &mut plane);
     }
 
     #[test]
@@ -1667,5 +1705,84 @@ mod tests {
         let b = offline(&engine, ParallelismMode::ContextCoherentAffinity);
         assert_eq!(a.total_time, b.total_time);
         assert_eq!(a.dispatch, b.dispatch);
+    }
+
+    #[test]
+    fn a_pass_writes_each_head_once_per_hop() {
+        // Per token and layer: top-1 Vanilla dispatches a copy and
+        // combines it home, context-coherent top-1 only dispatches. Top-2
+        // dispatches two copies; Vanilla combines both home, context
+        // coherence sends the secondary to its primary, which is held.
+        // Four head writes either way.
+        for (nodes, gpn) in [(1, 4), (2, 2)] {
+            for engine in [tiny_engine(nodes, gpn), top2_engine(nodes, gpn)] {
+                let cfg = engine.config();
+                let batches = engine.offline_batches();
+                let tokens: usize = batches.iter().map(TokenBatch::len).sum();
+                for mode in ParallelismMode::ALL {
+                    let per_token = match (cfg.model.gate.k(), mode.context_coherent()) {
+                        (1, false) => 2,
+                        (1, true) => 1,
+                        _ => 4,
+                    };
+                    let plan = ReplicationPlan::bare(engine.placement_for(mode).clone());
+                    let mut plane = engine.plane();
+                    engine.run_pass(mode, &plan, batches, 0, engine.all_ranks(), &mut plane);
+                    assert_eq!(
+                        plane.wire.writes,
+                        (per_token * tokens * cfg.model.n_layers) as u64,
+                        "{nodes}x{gpn} {:?} {mode}",
+                        cfg.model.gate
+                    );
+                }
+            }
+        }
+    }
+
+    /// The fold [`fold_outputs`] replaced: every row collected, then
+    /// sorted by id.
+    fn fold_outputs_sorted(digest: u64, iter: usize, tables: &[Table]) -> u64 {
+        let mut rows: Vec<(u32, u64)> = (tables.iter())
+            .flat_map(|t| t.heads().iter().map(|h| (h.id, h.word)))
+            .collect();
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        rows.iter().fold(digest, |h, &(id, word)| {
+            fold(fold(fold(h, iter as u64), u64::from(id)), word)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The id-indexed fold against the sort it replaced, over
+        /// iterations that reuse one scratch: each iteration's ids lie in
+        /// random order across the tables and some are absent. The
+        /// scratch is left empty for the next iteration.
+        #[test]
+        fn the_id_indexed_fold_is_the_sorted_fold(
+            w in 1usize..=8,
+            iters in proptest::collection::vec((0u32..150, 0u32..4), 1..5),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut by_id = Vec::new();
+            let (mut got, mut want) = (FNV_OFFSET, FNV_OFFSET);
+            for (iter, (n, absent)) in iters.into_iter().enumerate() {
+                // Each id is absent with odds `absent` in 4.
+                let mut ids: Vec<u32> = (0..n).filter(|_| rng.gen_range(0..4u32) >= absent).collect();
+                for i in (1..ids.len()).rev() {
+                    ids.swap(i, rng.gen_range(0..=i));
+                }
+                let mut tables = vec![Table::default(); w];
+                for id in ids {
+                    let head = Head { id, word: rng.gen(), ..Head::default() };
+                    tables[rng.gen_range(0..w)].push(head);
+                }
+                got = fold_outputs(got, iter, &tables, &mut by_id);
+                want = fold_outputs_sorted(want, iter, &tables);
+                prop_assert_eq!(got, want, "iteration {}", iter);
+                prop_assert!(by_id.iter().all(Option::is_none));
+            }
+        }
     }
 }

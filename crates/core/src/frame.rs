@@ -14,16 +14,17 @@
 //! rows themselves move as heads: only a lane's byte count reaches the
 //! collective.
 //!
-//! **A hop** is a counting sort of rows. The router emits one
-//! `(src, dst, row, slot)` per copy (`Wire::emit`); `Wire::scatter` counts
-//! the copies per `(src, dst)` lane, gives every lane its contiguous range
-//! of one staging vector and copies each head into the next place of its
-//! lane, in emission order, with the copy's slot. The Alltoall is charged
-//! `copies × frame_size` per lane (`Wire::lane_bytes`,
-//! `every_lane_is_what_encode_returns`), and `Wire::deliver` appends to
-//! every table the lanes addressed to it in source-rank order — behind
-//! the primaries it held back, when asked to
-//! (`every_hop_delivers_the_naive_tables`).
+//! **A hop** is a counting sort of rows into a second set of tables. The
+//! router emits one `(src, dst, row, slot)` per copy (`Wire::emit`).
+//! `Wire::scatter` counts the copies per `(src, dst)` lane; that places
+//! every lane's cursor in `dst`'s next table, after the primaries the
+//! table holds back (when asked to) and the lanes of lower source ranks.
+//! Then each copy's head is written once, straight into the next place
+//! of its lane, in emission order, with the copy's slot
+//! (`every_hop_delivers_the_naive_tables`, which also bars the writes at
+//! one per copy and one per held primary). The plane then swaps its two
+//! sets of tables. The Alltoall is charged `copies × frame_size` per lane
+//! (`Wire::lane_bytes`, `every_lane_is_what_encode_returns`).
 
 use crate::report::fnv1a;
 
@@ -137,21 +138,21 @@ struct Outbound {
 }
 
 /// The wire of a `w`-rank fleet: the copies emitted for the next hop, and
-/// the heads of the hop last scattered, lane by lane.
+/// the bytes each lane of the hop last scattered carried.
 #[derive(Debug)]
 pub(crate) struct Wire {
     w: usize,
     frame: usize,
     /// The copies emitted since the last scatter, in emission order.
     outbound: Vec<Outbound>,
-    /// The last scatter's heads: lane `src * w + dst` is
-    /// `staged[starts[lane]..starts[lane + 1]]`.
-    staged: Vec<Head>,
-    starts: Vec<usize>,
     /// The last scatter's bytes per lane, `bytes[src * w + dst]`.
     bytes: Vec<u64>,
-    /// Scatter scratch: the next free place of each lane.
-    cursor: Vec<usize>,
+    /// Scatter scratch, per lane `src * w + dst`: its copy count, then the
+    /// next place of the lane in `dst`'s next table.
+    lanes: Vec<usize>,
+    /// Head writes of every scatter so far.
+    #[cfg(test)]
+    pub(crate) writes: u64,
 }
 
 impl Wire {
@@ -161,10 +162,10 @@ impl Wire {
             w,
             frame,
             outbound: Vec::new(),
-            staged: Vec::new(),
-            starts: vec![0; w * w + 1],
             bytes: vec![0; w * w],
-            cursor: Vec::with_capacity(w * w),
+            lanes: vec![0; w * w],
+            #[cfg(test)]
+            writes: 0,
         }
     }
 
@@ -184,30 +185,59 @@ impl Wire {
         });
     }
 
-    /// Lay the emitted copies out as lanes: one count pass sizes every
-    /// `(src, dst)` lane, then each copy is written into the next place of
-    /// its lane. `tables[src]` is what `src`'s rows index.
-    pub(crate) fn scatter(&mut self, tables: &[Table]) {
+    /// Carry the emitted copies from `tables` into `next`: every `next[dst]`
+    /// becomes the primaries `tables[dst]` holds back (if
+    /// `hold_primaries`), then the lanes addressed to `dst` in source-rank
+    /// order, each lane's copies in emission order. One count pass sizes
+    /// every `(src, dst)` lane and places its cursor in `next[dst]`; then
+    /// each head is written once, straight into its place, with its copy's
+    /// slot. `tables[src]` is what `src`'s rows index.
+    pub(crate) fn scatter(&mut self, tables: &[Table], next: &mut [Table], hold_primaries: bool) {
         let w = self.w;
-        assert_eq!(tables.len(), w, "one table per rank");
-        self.starts.fill(0);
+        assert!(tables.len() == w && next.len() == w, "one table per rank");
+        self.lanes.fill(0);
         for copy in &self.outbound {
-            self.starts[copy.src as usize * w + copy.dst as usize + 1] += 1;
+            self.lanes[copy.src as usize * w + copy.dst as usize] += 1;
         }
-        for lane in 0..w * w {
-            self.bytes[lane] = (self.starts[lane + 1] * self.frame) as u64;
-            self.starts[lane + 1] += self.starts[lane];
+        for (bytes, &copies) in self.bytes.iter_mut().zip(&self.lanes) {
+            *bytes = (copies * self.frame) as u64;
         }
-        self.staged.resize(self.starts[w * w], Head::default());
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.starts[..w * w]);
+        for (dst, (from, to)) in tables.iter().zip(next.iter_mut()).enumerate() {
+            let arriving: usize = (0..w).map(|src| self.lanes[src * w + dst]).sum();
+            let held = if hold_primaries { from.len() } else { 0 };
+            // Growth only: the places are all overwritten below.
+            if to.heads.len() < held + arriving {
+                to.heads.resize(held + arriving, Head::default());
+            }
+            let mut at = 0;
+            if hold_primaries {
+                for head in from.heads.iter().filter(|head| head.slot == 0) {
+                    to.heads[at] = *head;
+                    at += 1;
+                    #[cfg(test)]
+                    {
+                        self.writes += 1;
+                    }
+                }
+            }
+            for src in 0..w {
+                let lane = &mut self.lanes[src * w + dst];
+                (*lane, at) = (at, at + *lane);
+            }
+            to.heads.truncate(at);
+        }
         for copy in self.outbound.drain(..) {
-            let at = &mut self.cursor[copy.src as usize * w + copy.dst as usize];
-            self.staged[*at] = Head {
+            let (src, dst) = (copy.src as usize, copy.dst as usize);
+            let at = &mut self.lanes[src * w + dst];
+            next[dst].heads[*at] = Head {
                 slot: copy.slot,
-                ..tables[copy.src as usize].heads[copy.row as usize]
+                ..tables[src].heads[copy.row as usize]
             };
             *at += 1;
+            #[cfg(test)]
+            {
+                self.writes += 1;
+            }
         }
     }
 
@@ -215,25 +245,6 @@ impl Wire {
     /// `[src * w + dst]`: what `Lockstep::all_to_all_v` is charged.
     pub(crate) fn lane_bytes(&self) -> &[u64] {
         &self.bytes
-    }
-
-    /// Deliver the hop last scattered: every table is cleared — or keeps
-    /// only its primaries, if `hold_primaries` — then appends the lanes
-    /// addressed to it, in source-rank order.
-    pub(crate) fn deliver(&self, tables: &mut [Table], hold_primaries: bool) {
-        let w = self.w;
-        for (dst, table) in tables.iter_mut().enumerate() {
-            if hold_primaries {
-                table.retain_primaries();
-            } else {
-                table.clear();
-            }
-            for src in 0..w {
-                let lane = src * w + dst;
-                let (from, to) = (self.starts[lane], self.starts[lane + 1]);
-                table.heads.extend_from_slice(&self.staged[from..to]);
-            }
-        }
     }
 }
 
@@ -258,10 +269,16 @@ mod tests {
     /// One hop as the engine's `exchange` runs it: the copies emitted
     /// since the last hop travel, and every table becomes what arrived
     /// for it — behind its primaries, if `hold_primaries`.
-    fn hop(wire: &mut Wire, tables: &mut [Table], fleet: &mut Lockstep, hold_primaries: bool) {
-        wire.scatter(tables);
+    fn hop(
+        wire: &mut Wire,
+        tables: &mut Vec<Table>,
+        next: &mut Vec<Table>,
+        fleet: &mut Lockstep,
+        hold_primaries: bool,
+    ) {
+        wire.scatter(tables, next, hold_primaries);
+        std::mem::swap(tables, next);
         fleet.all_to_all_v(wire.lane_bytes());
-        wire.deliver(tables, hold_primaries);
     }
 
     /// Fisher–Yates over `xs`, drawing from `rng`.
@@ -284,7 +301,8 @@ mod tests {
         /// also when the copies are emitted in a shuffled order, not one
         /// source rank after another as `route` and `combine` emit them.
         /// Each hop grows the Alltoall ledger by `copies × frame_size` per
-        /// lane, on that lane's link class.
+        /// lane, on that lane's link class, and writes one head per
+        /// emitted copy plus one per held primary (`Wire::writes`).
         #[test]
         fn every_hop_delivers_the_naive_tables(
             (nodes, gpn) in (1usize..=3, 1usize..=3),
@@ -309,6 +327,7 @@ mod tests {
                 live.push(0);
             }
             let mut tables = vec![Table::default(); w];
+            let mut next = vec![Table::default(); w];
             let mut wire = Wire::new(w, frame);
             let mut fleet = Lockstep::new(cluster, CostModel::wilkes3());
             let mut next_id = 0u32;
@@ -361,7 +380,12 @@ mod tests {
                 for (want, from) in expected.iter_mut().zip(emitted) {
                     want.extend(from.into_iter().flatten());
                 }
-                hop(&mut wire, &mut tables, &mut fleet, hold);
+                let held: usize = tables
+                    .iter()
+                    .map(|t| t.heads().iter().filter(|h| hold && h.slot == 0).count())
+                    .sum();
+                let writes = wire.writes;
+                hop(&mut wire, &mut tables, &mut next, &mut fleet, hold);
                 for (dst, table) in tables.iter().enumerate() {
                     prop_assert_eq!(
                         table.heads(), &expected[dst][..],
@@ -369,6 +393,9 @@ mod tests {
                     );
                 }
                 prop_assert_eq!(fleet.totals(OpKind::Alltoall).sent, sent);
+                // Each head is written once: one write per emitted copy,
+                // one per held primary.
+                prop_assert_eq!(wire.writes - writes, (copies.len() + held) as u64);
             }
         }
 
@@ -394,6 +421,7 @@ mod tests {
             prop_assert!(frame >= HEADER + 4 * dim);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut tables = vec![Table::default(); w];
+            let mut next = vec![Table::default(); w];
             let mut wire = Wire::new(w, frame);
             for fresh in hops {
                 for id in 0..fresh as u32 {
@@ -424,10 +452,10 @@ mod tests {
                     copies[src * w + dst] += 1;
                     words[dst][src].push(tables[src].heads()[row].word);
                 }
-                wire.scatter(&tables);
+                wire.scatter(&tables, &mut next, false);
+                std::mem::swap(&mut tables, &mut next);
                 let want: Vec<u64> = copies.iter().map(|&c| c * frame as u64).collect();
                 prop_assert_eq!(wire.lane_bytes(), &want[..], "a hop of {} fresh rows", fresh);
-                wire.deliver(&mut tables, false);
                 // Each table's words arrive lane by lane, `src` ascending,
                 // each lane in emission order.
                 for (table, want) in tables.iter().zip(words) {
