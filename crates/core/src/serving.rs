@@ -178,12 +178,10 @@ impl ServingConfig {
     }
 }
 
-/// One request's lifecycle state inside the event loop.
+/// One request's lifecycle state inside the event loop. Its tokens live
+/// in [`ServingState::tokens`].
 struct Request {
     arrival: f64,
-    /// One token per decode step: token `step` is the one this request
-    /// generates at `step`, with its route and the request's domain.
-    steps: TokenBatch,
     steps_done: usize,
 }
 
@@ -326,6 +324,10 @@ struct ServingState<'a> {
     engine: &'a InferenceEngine,
     serving: &'a ServingConfig,
     requests: Vec<Request>,
+    /// Every request's decode tokens, one arena: token
+    /// `i * decode_steps + step` is the one request `i` generates at
+    /// `step`, with its route and the request's domain.
+    tokens: TokenBatch,
     events: EventQueue,
     /// Streaming estimate, live plan and re-plan ledgers, seeded from the
     /// engine's profiled estimate.
@@ -385,6 +387,7 @@ impl<'a> ServingState<'a> {
             engine,
             serving,
             requests: Vec::with_capacity(n),
+            tokens: TokenBatch::empty(cfg.model.n_layers, cfg.model.gate.k()),
             events: EventQueue::new(),
             adaptive,
             plane: engine.plane(),
@@ -421,15 +424,13 @@ impl<'a> ServingState<'a> {
             );
             let model = drift.model_at(state.window_of(t));
             let domain = cfg.corpus.sample_domain(&mut rng);
-            let mut steps = TokenBatch::empty(n_layers, k);
             for _ in 0..serving.decode_steps {
                 route.clear();
                 model.sample_route_into(&mut rng, domain, k, &mut route);
-                steps.push(&route, domain);
+                state.tokens.push(&route, domain);
             }
             state.requests.push(Request {
                 arrival: t,
-                steps,
                 steps_done: 0,
             });
             state.events.push(t, EventKind::Arrival(i));
@@ -464,12 +465,12 @@ impl<'a> ServingState<'a> {
     fn on_step_done(&mut self, clock: f64) {
         self.stepping = false;
         let decode_steps = self.serving.decode_steps;
-        let requests = &mut self.requests;
+        let (requests, tokens) = (&mut self.requests, &self.tokens);
         let (report, pending) = (&mut self.report, &mut self.pending_paths);
         self.in_flight.retain(|&i| {
             let req = &mut requests[i];
-            let (steps, step) = (&req.steps, req.steps_done);
-            pending.extend((0..steps.n_layers()).map(|layer| steps.route(step, layer)[0]));
+            let token = i * decode_steps + req.steps_done;
+            pending.extend((0..tokens.n_layers()).map(|layer| tokens.route(token, layer)[0]));
             req.steps_done += 1;
             if req.steps_done < decode_steps {
                 return true;
@@ -636,12 +637,11 @@ impl<'a> ServingState<'a> {
         self.step_batch.clear();
         let mut ctx_offset = 0;
         for &i in &self.in_flight {
-            let Request {
-                steps, steps_done, ..
-            } = &self.requests[i];
+            let steps_done = self.requests[i].steps_done;
+            let token = i * self.serving.decode_steps + steps_done;
             self.step_batch
-                .push(steps.token(*steps_done), steps.domain(*steps_done));
-            ctx_offset = ctx_offset.max(*steps_done);
+                .push(self.tokens.token(token), self.tokens.domain(token));
+            ctx_offset = ctx_offset.max(steps_done);
         }
         if matches!(self.copying, Some((done, _)) if clock >= done) {
             self.copying = None;
