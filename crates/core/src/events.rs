@@ -83,6 +83,8 @@ pub struct WindowEvent {
 /// stream spans every window any completion, queue sample, drift sample,
 /// or fault marker landed in; an empty report (or a zero
 /// `window_duration`, the defaulted-report convention) yields no events.
+/// One pass over each list drops every sample into its window; then each
+/// window's latencies are sorted for its quantiles.
 pub fn events_from_report(report: &ServingReport) -> Vec<WindowEvent> {
     let dur = report.window_duration;
     if dur <= 0.0 || !dur.is_finite() {
@@ -99,77 +101,74 @@ pub fn events_from_report(report: &ServingReport) -> Vec<WindowEvent> {
     for m in &report.disruption.faults {
         last = last.max(window_of(m.time));
     }
-    let n = if report.completions.is_empty()
+    if report.completions.is_empty()
         && report.queue_depth.is_empty()
         && report.disruption.faults.is_empty()
         && report.drift.is_empty()
     {
         return Vec::new();
-    } else {
-        last + 1
-    };
+    }
+    let n = last + 1;
 
-    (0..n)
-        .map(|w| {
-            let mut lats: Vec<f64> = report
-                .completions
-                .iter()
-                .filter(|&&(t, _)| window_of(t) == w)
-                .map(|&(_, l)| l)
-                .collect();
-            lats.sort_by(f64::total_cmp);
-            let queue_depth = report
-                .queue_depth
-                .iter()
-                .filter(|&&(t, _)| window_of(t) == w)
-                .map(|&(_, d)| d)
-                .max()
-                .unwrap_or(0);
-            let (mut replans, mut ra, mut rd) = (0u64, 0u64, 0u64);
-            let (mut bl, mut bi, mut bx) = (0u64, 0u64, 0u64);
-            for ev in report.replans.iter().filter(|ev| ev.window == w) {
-                replans += 1;
-                ra += ev.replicas_added;
-                rd += ev.replicas_dropped;
-                bl += ev.bytes_by_class.local;
-                bi += ev.bytes_by_class.intra_node;
-                bx += ev.bytes_by_class.inter_node;
-            }
-            let gpus_down = report
-                .disruption
-                .faults
-                .iter()
-                .filter(|m| !m.up && window_of(m.time) == w)
-                .map(|m| m.gpu)
-                .collect();
-            let gpus_up = report
-                .disruption
-                .faults
-                .iter()
-                .filter(|m| m.up && window_of(m.time) == w)
-                .map(|m| m.gpu)
-                .collect();
-            WindowEvent {
-                window: w,
-                t_start: w as f64 * dur,
-                t_end: (w + 1) as f64 * dur,
-                completed: lats.len() as u64,
-                p50: nearest_rank(&lats, 50.0),
-                p95: nearest_rank(&lats, 95.0),
-                p99: nearest_rank(&lats, 99.0),
-                queue_depth,
-                drift: report.drift.get(w).copied().unwrap_or(0.0),
-                replans,
-                bytes_local: bl,
-                bytes_intra: bi,
-                bytes_inter: bx,
-                replicas_added: ra,
-                replicas_dropped: rd,
-                gpus_down,
-                gpus_up,
-            }
+    let mut events: Vec<WindowEvent> = (0..n)
+        .map(|w| WindowEvent {
+            window: w,
+            t_start: w as f64 * dur,
+            t_end: (w + 1) as f64 * dur,
+            completed: 0,
+            p50: 0.0,
+            p95: 0.0,
+            p99: 0.0,
+            queue_depth: 0,
+            drift: report.drift.get(w).copied().unwrap_or(0.0),
+            replans: 0,
+            bytes_local: 0,
+            bytes_intra: 0,
+            bytes_inter: 0,
+            replicas_added: 0,
+            replicas_dropped: 0,
+            gpus_down: Vec::new(),
+            gpus_up: Vec::new(),
         })
-        .collect()
+        .collect();
+    let mut lats = vec![Vec::new(); n];
+    for &(t, latency) in &report.completions {
+        lats[window_of(t)].push(latency);
+    }
+    for &(t, depth) in &report.queue_depth {
+        let ev = &mut events[window_of(t)];
+        ev.queue_depth = ev.queue_depth.max(depth);
+    }
+    // A re-plan is filed under the window it closed, which may lie past
+    // the stream's last window; such a re-plan has no line.
+    for replan in &report.replans {
+        let Some(ev) = events.get_mut(replan.window) else {
+            continue;
+        };
+        ev.replans += 1;
+        ev.replicas_added += replan.replicas_added;
+        ev.replicas_dropped += replan.replicas_dropped;
+        ev.bytes_local += replan.bytes_by_class.local;
+        ev.bytes_intra += replan.bytes_by_class.intra_node;
+        ev.bytes_inter += replan.bytes_by_class.inter_node;
+    }
+    for m in &report.disruption.faults {
+        let ev = &mut events[window_of(m.time)];
+        if m.up {
+            &mut ev.gpus_up
+        } else {
+            &mut ev.gpus_down
+        }
+        .push(m.gpu);
+    }
+    for (ev, mut lats) in events.iter_mut().zip(lats) {
+        lats.sort_by(f64::total_cmp);
+        ev.completed = lats.len() as u64;
+        ev.p50 = nearest_rank(&lats, 50.0);
+        ev.p95 = nearest_rank(&lats, 95.0);
+        ev.p99 = nearest_rank(&lats, 99.0);
+    }
+    events
 }
 
 fn usize_list(xs: &[usize]) -> Json {
@@ -327,6 +326,98 @@ mod tests {
     use super::*;
     use crate::report::{DisruptionStats, FaultMarker, ReplanEvent};
     use exflow_topology::collective_cost::BytesByClass;
+    use proptest::prelude::*;
+
+    /// The bucketing [`events_from_report`] replaced: every list filtered
+    /// once per window.
+    fn events_by_filter(report: &ServingReport) -> Vec<WindowEvent> {
+        let dur = report.window_duration;
+        if dur <= 0.0 || !dur.is_finite() {
+            return Vec::new();
+        }
+        let window_of = |t: f64| (t / dur) as usize;
+        let mut last = report.drift.len().saturating_sub(1);
+        for &(t, _) in &report.completions {
+            last = last.max(window_of(t));
+        }
+        for &(t, _) in &report.queue_depth {
+            last = last.max(window_of(t));
+        }
+        for m in &report.disruption.faults {
+            last = last.max(window_of(m.time));
+        }
+        let n = if report.completions.is_empty()
+            && report.queue_depth.is_empty()
+            && report.disruption.faults.is_empty()
+            && report.drift.is_empty()
+        {
+            return Vec::new();
+        } else {
+            last + 1
+        };
+
+        (0..n)
+            .map(|w| {
+                let mut lats: Vec<f64> = report
+                    .completions
+                    .iter()
+                    .filter(|&&(t, _)| window_of(t) == w)
+                    .map(|&(_, l)| l)
+                    .collect();
+                lats.sort_by(f64::total_cmp);
+                let queue_depth = report
+                    .queue_depth
+                    .iter()
+                    .filter(|&&(t, _)| window_of(t) == w)
+                    .map(|&(_, d)| d)
+                    .max()
+                    .unwrap_or(0);
+                let (mut replans, mut ra, mut rd) = (0u64, 0u64, 0u64);
+                let (mut bl, mut bi, mut bx) = (0u64, 0u64, 0u64);
+                for ev in report.replans.iter().filter(|ev| ev.window == w) {
+                    replans += 1;
+                    ra += ev.replicas_added;
+                    rd += ev.replicas_dropped;
+                    bl += ev.bytes_by_class.local;
+                    bi += ev.bytes_by_class.intra_node;
+                    bx += ev.bytes_by_class.inter_node;
+                }
+                let gpus_down = report
+                    .disruption
+                    .faults
+                    .iter()
+                    .filter(|m| !m.up && window_of(m.time) == w)
+                    .map(|m| m.gpu)
+                    .collect();
+                let gpus_up = report
+                    .disruption
+                    .faults
+                    .iter()
+                    .filter(|m| m.up && window_of(m.time) == w)
+                    .map(|m| m.gpu)
+                    .collect();
+                WindowEvent {
+                    window: w,
+                    t_start: w as f64 * dur,
+                    t_end: (w + 1) as f64 * dur,
+                    completed: lats.len() as u64,
+                    p50: nearest_rank(&lats, 50.0),
+                    p95: nearest_rank(&lats, 95.0),
+                    p99: nearest_rank(&lats, 99.0),
+                    queue_depth,
+                    drift: report.drift.get(w).copied().unwrap_or(0.0),
+                    replans,
+                    bytes_local: bl,
+                    bytes_intra: bi,
+                    bytes_inter: bx,
+                    replicas_added: ra,
+                    replicas_dropped: rd,
+                    gpus_down,
+                    gpus_up,
+                }
+            })
+            .collect()
+    }
 
     fn sample_event() -> WindowEvent {
         WindowEvent {
@@ -463,6 +554,78 @@ mod tests {
             ..ServingReport::default()
         };
         assert!(events_from_report(&idle).is_empty());
+    }
+
+    /// A sample time in window `w` of `dur`: exactly on its start edge,
+    /// or `frac` of the way in.
+    fn at(w: usize, frac: f64, edge: bool, dur: f64) -> f64 {
+        (w as f64 + if edge { 0.0 } else { frac }) * dur
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass bucketing against the per-window filter it
+        /// replaced, on generated reports: windows with no sample, samples
+        /// exactly on a window edge, queue samples, fault markers both
+        /// ways, re-plans (some filed past the last window) and drift
+        /// logs shorter and longer than the samples' span. The events are
+        /// equal and so are their JSONL bytes.
+        #[test]
+        fn one_pass_events_are_the_filtered_events(
+            dur in prop_oneof![Just(1.0), Just(0.1), Just(0.25), Just(3.0), 0.01f64..10.0],
+            completions in proptest::collection::vec(
+                (0usize..12, 0.0f64..1.0, 0u8..3, 0.0f64..5.0),
+                0..40,
+            ),
+            queue in proptest::collection::vec((0usize..12, 0.0f64..1.0, 0u8..3, 0usize..30), 0..30),
+            faults in proptest::collection::vec((0usize..12, 0.0f64..1.0, 0usize..8, 0u8..2), 0..5),
+            replans in proptest::collection::vec((0usize..16, 0u64..4, 0u64..1000), 0..6),
+            drift in proptest::collection::vec(0.0f64..1.0, 0..14),
+        ) {
+            let report = ServingReport {
+                completions: (completions.into_iter())
+                    .map(|(w, frac, edge, latency)| (at(w, frac, edge == 0, dur), latency))
+                    .collect(),
+                queue_depth: (queue.into_iter())
+                    .map(|(w, frac, edge, depth)| (at(w, frac, edge == 0, dur), depth))
+                    .collect(),
+                drift,
+                replans: (replans.into_iter())
+                    .map(|(window, added, bytes)| ReplanEvent {
+                        window,
+                        drift: 0.5,
+                        experts_moved: 1,
+                        replicas_added: added,
+                        replicas_dropped: added / 2,
+                        bytes_moved: 3 * bytes,
+                        budget_bytes: u64::MAX,
+                        migration_time: 0.1,
+                        bytes_by_class: BytesByClass {
+                            local: bytes,
+                            intra_node: 2 * bytes,
+                            inter_node: 3 * bytes,
+                        },
+                        solver_cost: exflow_placement::ReplanCost::default(),
+                    })
+                    .collect(),
+                disruption: DisruptionStats {
+                    faults: (faults.into_iter())
+                        .map(|(w, frac, gpu, up)| FaultMarker {
+                            time: at(w, frac, false, dur),
+                            gpu,
+                            up: up == 1,
+                        })
+                        .collect(),
+                    ..DisruptionStats::default()
+                },
+                window_duration: dur,
+                ..ServingReport::default()
+            };
+            let (got, want) = (events_from_report(&report), events_by_filter(&report));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(to_jsonl(&got), to_jsonl(&want));
+        }
     }
 
     #[test]
