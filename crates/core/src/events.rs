@@ -579,7 +579,10 @@ mod tests {
                 0..40,
             ),
             queue in proptest::collection::vec((0usize..12, 0.0f64..1.0, 0u8..3, 0usize..30), 0..30),
-            faults in proptest::collection::vec((0usize..12, 0.0f64..1.0, 0usize..8, 0u8..2), 0..5),
+            faults in proptest::collection::vec(
+                (0usize..12, 0.0f64..1.0, 0u8..3, 0usize..8, 0u8..2),
+                0..5,
+            ),
             replans in proptest::collection::vec((0usize..16, 0u64..4, 0u64..1000), 0..6),
             drift in proptest::collection::vec(0.0f64..1.0, 0..14),
         ) {
@@ -611,8 +614,8 @@ mod tests {
                     .collect(),
                 disruption: DisruptionStats {
                     faults: (faults.into_iter())
-                        .map(|(w, frac, gpu, up)| FaultMarker {
-                            time: at(w, frac, false, dur),
+                        .map(|(w, frac, edge, gpu, up)| FaultMarker {
+                            time: at(w, frac, edge == 0, dur),
                             gpu,
                             up: up == 1,
                         })
