@@ -2,7 +2,8 @@
 //! realized expert paths, close a serving window (drift signal, cadence +
 //! threshold check, budgeted re-plan, re-anchor), and keep the ledgers the
 //! serving report exposes. The serving loop decides *when* a window ends
-//! and what a landed re-plan means for its clock.
+//! and what a landed re-plan means for its clock. The re-plan itself is
+//! [`replan`], public so the drift tables race the step serving runs.
 
 use std::sync::Arc;
 
@@ -10,11 +11,12 @@ use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_model::DriftSchedule;
 use exflow_placement::online::MigrationPlan;
 use exflow_placement::{
-    solve_budgeted_metered, solve_budgeted_replicated_metered, Objective, ReplicaPolicy,
-    ReplicationBudget, ReplicationPlan, SwapGainCache,
+    solve_budgeted_metered, solve_budgeted_replicated_metered, Objective, ReplanCost,
+    ReplicaPolicy, ReplicationBudget, ReplicationPlan, SwapGainCache,
 };
+use exflow_topology::ClusterSpec;
 
-use crate::engine::{EngineConfig, InferenceEngine};
+use crate::engine::{EngineConfig, InferenceEngine, OnlineConfig};
 use crate::modes::ParallelismMode;
 use crate::report::{MigrationStats, ReplanEvent};
 
@@ -88,7 +90,7 @@ impl<'e> AdaptiveState<'e> {
 
     /// Wire size of one expert's weights (fp16).
     pub(crate) fn bytes_per_expert(&self) -> u64 {
-        (self.cfg.model.expert_params() * 2).max(1)
+        self.cfg.model.expert_params() * 2
     }
 
     /// Fold realized top-1 expert paths into the estimate: token-major,
@@ -122,44 +124,22 @@ impl<'e> AdaptiveState<'e> {
         replaced
     }
 
-    /// One budgeted re-plan: solve replica-aware or owner-moves only
-    /// under `OnlineConfig::migration_budget_bytes` (metered by
-    /// `OnlineConfig::replan_time_budget`, its attraction table built in
-    /// the held buffer), commit the winner into `self.live`, and price the
-    /// migration. `None` when the plan is empty (no event, no time
-    /// charged).
+    /// One budgeted re-plan: run the re-plan step against the live
+    /// estimate (metered by `OnlineConfig::replan_time_budget`, its
+    /// attraction table built in the held buffer), commit the winner into
+    /// `self.live`, and price the migration. `None` when the plan is empty
+    /// (no event, no time charged).
     fn replan(&mut self, window: usize, drift_now: f64) -> Option<(f64, Arc<ReplicationPlan>)> {
         let cfg = self.cfg;
-        let oc = cfg.online;
-        let bytes_per_expert = self.bytes_per_expert();
-        let budget = oc.migration_budget_bytes;
-        let (next, cost) = if oc.replica_memory_bytes > 0 {
-            solve_budgeted_replicated_metered(
-                &self.objective,
-                &self.live,
-                bytes_per_expert,
-                &ReplicationBudget {
-                    replica_memory_bytes: oc.replica_memory_bytes,
-                    migration_budget_bytes: budget,
-                },
-                &ReplicaPolicy::OnePerNode(cfg.cluster),
-                oc.replan_time_budget,
-                Some(&mut self.cache),
-            )
-        } else {
-            // Owner moves only, over the copies the fleet already holds.
-            let (base, cost) = solve_budgeted_metered(
-                &self.objective,
-                &self.live.base,
-                budget / bytes_per_expert,
-                oc.replan_time_budget,
-                Some(&mut self.cache),
-            );
-            (self.live.reowned(base), cost)
-        };
-        let plan = MigrationPlan::between_replicated(&self.live, &next, bytes_per_expert);
+        let (next, plan, cost) = replan(
+            &self.objective,
+            &self.live,
+            &cfg.online,
+            cfg.cluster,
+            self.bytes_per_expert(),
+            Some(&mut self.cache),
+        );
         let replaced = std::mem::replace(&mut self.live, Arc::new(next));
-        debug_assert!(plan.total_bytes() <= budget);
         if plan.is_empty() {
             return None;
         }
@@ -171,7 +151,7 @@ impl<'e> AdaptiveState<'e> {
             replicas_added: plan.n_replica_adds() as u64,
             replicas_dropped: plan.n_replica_drops() as u64,
             bytes_moved: plan.total_bytes(),
-            budget_bytes: budget,
+            budget_bytes: cfg.online.migration_budget_bytes,
             migration_time: priced.time,
             bytes_by_class: priced.bytes,
             solver_cost: cost,
@@ -180,6 +160,54 @@ impl<'e> AdaptiveState<'e> {
         self.replans.push(event);
         Some((priced.time, replaced))
     }
+}
+
+/// The re-plan step serving runs on every due window, and the drift tables
+/// run as their adaptive policies: re-place `live` against `objective`
+/// under `oc`'s byte budget and return the next plan, the migration from
+/// `live` to it, and the solver work. Owner moves only when
+/// `oc.replica_memory_bytes` is 0 (over the copies the fleet already
+/// holds); otherwise the replicated solve, one copy per node of `cluster`.
+/// Solver work is capped by `oc.replan_time_budget` considered
+/// candidates; `cache` is the attraction table's buffer and changes no
+/// result. When to re-plan, and what a migration costs, is the caller's.
+/// A `bytes_per_expert` of 0 counts as 1, so no budget divides by zero.
+pub fn replan(
+    objective: &Objective,
+    live: &ReplicationPlan,
+    oc: &OnlineConfig,
+    cluster: ClusterSpec,
+    bytes_per_expert: u64,
+    cache: Option<&mut SwapGainCache>,
+) -> (ReplicationPlan, MigrationPlan, ReplanCost) {
+    let bpe = bytes_per_expert.max(1);
+    let budget = oc.migration_budget_bytes;
+    let (next, cost) = if oc.replica_memory_bytes > 0 {
+        solve_budgeted_replicated_metered(
+            objective,
+            live,
+            bpe,
+            &ReplicationBudget {
+                replica_memory_bytes: oc.replica_memory_bytes,
+                migration_budget_bytes: budget,
+            },
+            &ReplicaPolicy::OnePerNode(cluster),
+            oc.replan_time_budget,
+            cache,
+        )
+    } else {
+        let (base, cost) = solve_budgeted_metered(
+            objective,
+            &live.base,
+            budget / bpe,
+            oc.replan_time_budget,
+            cache,
+        );
+        (live.reowned(base), cost)
+    };
+    let plan = MigrationPlan::between_replicated(live, &next, bpe);
+    debug_assert!(plan.total_bytes() <= budget);
+    (next, plan, cost)
 }
 
 impl MigrationStats {
@@ -200,9 +228,6 @@ pub(crate) mod tests {
     use exflow_model::presets::moe_gpt_m;
     use exflow_model::{GateKind, RoutingModel, TokenBatch};
     use exflow_placement::Parallelism;
-    use exflow_topology::ClusterSpec;
-
-    use crate::engine::OnlineConfig;
 
     /// Window `window`'s traffic: one batch per generation iteration of
     /// the engine's fleet, seeded by the window's global iteration index.
@@ -377,6 +402,26 @@ pub(crate) mod tests {
                 4,
             ),
         ]
+    }
+
+    #[test]
+    fn a_zero_byte_step_keeps_the_live_plan() {
+        // Zero-byte experts and a zero budget: no division by zero, and
+        // nothing to move, whether or not replica memory is on.
+        let engine = adaptive_engine(GateKind::Top1, 1, adaptive_online());
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let live = ReplicationPlan::bare(engine.placement_for(mode).clone());
+        for replica_memory_bytes in [0, 1 << 20] {
+            let oc = OnlineConfig {
+                migration_budget_bytes: 0,
+                replica_memory_bytes,
+                ..adaptive_online()
+            };
+            let cluster = engine.config().cluster;
+            let (next, plan, _) = replan(engine.objective(), &live, &oc, cluster, 0, None);
+            assert_eq!(next, live, "replica memory {replica_memory_bytes}");
+            assert!(plan.is_empty(), "replica memory {replica_memory_bytes}");
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@ pub struct OnlineConfig {
     /// copy-everywhere at equal budgets.
     pub replica_memory_bytes: u64,
     /// Solver-time budget of one re-plan, in swap candidates *considered*
-    /// (the deterministic operation count [`exflow_placement::CostMeter`]
-    /// charges — not wall clock, so truncated runs stay bit-identical on
+    /// (the deterministic operation count
+    /// [`ReplanCost::considered`](exflow_placement::ReplanCost::considered)
+    /// reports — not wall clock, so truncated runs stay bit-identical on
     /// any machine or thread count). When the descent
     /// exhausts the budget it commits the best move found so far and
     /// stops; the truncation is reported per

@@ -87,6 +87,7 @@ pub mod report;
 pub mod scenario;
 pub mod serving;
 
+pub use adaptive::replan;
 pub use engine::{EngineBuilder, EngineConfig, InferenceEngine, OnlineConfig};
 pub use events::{events_from_report, render_events, to_jsonl, WindowEvent, EVENT_SCHEMA};
 pub use exflow_placement::{

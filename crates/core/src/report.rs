@@ -195,7 +195,7 @@ pub struct ReplanEvent {
     /// `MigrationStats::bytes`).
     pub bytes_by_class: BytesByClass,
     /// What the re-plan solve itself cost, in the deterministic
-    /// operation counts of [`exflow_placement::CostMeter`]: swap
+    /// operation counts of [`ReplanCost`]: swap
     /// candidates considered, how many needed an exact gain evaluation vs
     /// were decided by the attraction table alone, and whether
     /// `OnlineConfig::replan_time_budget` truncated the descent (see
