@@ -383,12 +383,12 @@ mod tests {
     fn artifact_names_and_their_order_are_pinned() {
         // The usage text and the `all` order: the paper's artifacts (row
         // artifacts in `TABLES` order, `table2` and `fig2` slotted in), the
-        // seven beyond-paper tables, the event stream.
+        // six beyond-paper tables, the event stream.
         assert_eq!(
             artifact_names().join(" "),
             "table1 table2 table3 fig2 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 \
              ablations table_solvers table_sparse table_online table_serving table_elasticity \
-             table_replan_latency table_partial_replication render-events"
+             table_replan_latency render-events"
         );
     }
 }

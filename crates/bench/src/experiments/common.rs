@@ -143,9 +143,6 @@ pub(crate) const N_UNITS_LARGE: usize = 8;
 /// Experts per layer of the `E = 16` drift scenarios.
 pub(crate) const ONLINE_EXPERTS: usize = 16;
 
-/// GPUs each `E = 16` drift scenario is placed across.
-pub(crate) const ONLINE_UNITS: usize = 4;
-
 /// Windows between re-plans in the `E = 16` drift scenarios.
 pub(crate) const ONLINE_REPLAN_EVERY: usize = 1;
 

@@ -22,7 +22,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod online;
-pub mod partial_replication;
 pub mod replan_latency;
 pub mod serving;
 pub mod sparse;

@@ -1,10 +1,13 @@
 //! `table_online` — the online serving mode under routing drift: five
 //! re-placement policies race on the same windows of each drift preset of
-//! `exflow_model::drift`. The static incumbent never moves; the oracle
-//! re-solves from scratch; the budgeted policy walks toward the oracle
-//! under a byte budget; owner-moves-only and the joint replica +
-//! owner-move policy re-plan under one tighter byte budget, and joint may
-//! also hold a few replica payloads per GPU.
+//! `exflow_model::drift`. The static incumbent never moves and the oracle
+//! re-solves from scratch: both are reference columns. The three adaptive
+//! policies are the re-plan step serving runs ([`exflow_core::replan`]),
+//! each under its own budget on a 2-node x 2-GPU cluster: the budgeted
+//! policy moves owners under a byte budget, and owner-moves-only and the
+//! joint replica + owner-move policy re-plan under one tighter byte
+//! budget, joint also holding a few replica payloads per GPU, one copy per
+//! node.
 //!
 //! This artifact goes beyond the paper (whose placements are computed
 //! once, offline) and quantifies two claims. Because placements need no
@@ -18,22 +21,18 @@
 
 use exflow_affinity::StreamingAffinity;
 use exflow_core::json::Json;
+use exflow_core::{replan, OnlineConfig};
 use exflow_model::presets::moe_gpt_m;
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::DriftSchedule;
 use exflow_placement::local_search::solve_local_search_with;
-use exflow_placement::objective::measure_trace_locality;
-use exflow_placement::online::MigrationPlan;
-use exflow_placement::{
-    solve_budgeted_metered, solve_budgeted_replicated_metered, solve_budgeted_toward_metered,
-    split_seed, CostMeter, Objective, Parallelism, ReplicaPolicy, ReplicationBudget,
-    ReplicationPlan,
-};
+use exflow_placement::{split_seed, Objective, Parallelism, ReplicationPlan};
+use exflow_topology::ClusterSpec;
 
 use crate::experiments::common::{
-    cluster_for, on_both_backends, over_byte_budget, ratio, score_on_both_backends, window_trace,
+    on_both_backends, over_byte_budget, ratio, score_on_both_backends, window_trace,
     within_byte_budget, within_slot_budget, Workload, CHECKED_WIDTHS, ONLINE_DECAY, ONLINE_EXPERTS,
-    ONLINE_REPLAN_EVERY, ONLINE_UNITS,
+    ONLINE_REPLAN_EVERY,
 };
 use crate::fmt::pct;
 use crate::table::{int, num, nums, render_section, text, Bars};
@@ -57,6 +56,9 @@ const REPLICA_SLOTS: u64 = 8;
 /// Local-search restarts of the oracle re-solve.
 const ONLINE_ORACLE_RESTARTS: usize = 2;
 
+/// The adaptive policies, in the order they re-plan.
+const POLICIES: [&str; 3] = ["budgeted", "owner", "joint"];
+
 /// Budgeted incremental re-placement must recover at least this fraction
 /// of the oracle re-solve's cross-traffic reduction on every
 /// `table_online` scenario (the acceptance bar of the online subsystem).
@@ -65,10 +67,11 @@ pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 /// Serve one drift scenario under the five policies, all from the same
 /// initial placement and on the same window traces. Every solve is
 /// verified invariant: the oracle re-solve across thread counts (1 vs
-/// each of the [`CHECKED_WIDTHS`]), the budgeted, owner-moves-only and
-/// joint re-solves and the final cross mass across gap backends. Every
-/// re-plan is held to its byte budget, and the joint one to its replica
-/// slots. Cross counts are measured on the realized window traces.
+/// each of the [`CHECKED_WIDTHS`]), the three served re-plans and the
+/// final cross mass across gap backends. Every re-plan is held to its
+/// byte budget, and the joint one to its replica slots. Cross counts are
+/// measured on the realized window traces, each hop going where
+/// `ReplicationPlan::serve` sends it.
 fn scenario(
     drift: &DriftSchedule,
     layers: usize,
@@ -77,52 +80,53 @@ fn scenario(
 ) -> Result<Json, String> {
     let e = ONLINE_EXPERTS;
     let name = drift.name();
+    // Two nodes of two GPUs, so a joint copy fans out one per node.
+    let cluster = ClusterSpec::new(2, 2).expect("2 nodes of 2 GPUs is a valid cluster");
+    let units = cluster.world_size();
     let bytes_per_expert = moe_gpt_m(e).expert_params() * 2;
-    let budget_bytes = ONLINE_BUDGET_MOVES * bytes_per_expert;
-    let tight_budget_bytes = TIGHT_BUDGET_MOVES * bytes_per_expert;
-    let joint_budget = ReplicationBudget {
-        replica_memory_bytes: REPLICA_SLOTS * bytes_per_expert,
-        migration_budget_bytes: tight_budget_bytes,
+    let served = |moves: u64, slots: u64| OnlineConfig {
+        migration_budget_bytes: moves * bytes_per_expert,
+        replica_memory_bytes: slots * bytes_per_expert,
+        ..OnlineConfig::default()
     };
+    // Budgeted, owner-moves-only and joint, in `POLICIES` order.
+    let configs = [
+        served(ONLINE_BUDGET_MOVES, 0),
+        served(TIGHT_BUDGET_MOVES, 0),
+        served(TIGHT_BUDGET_MOVES, REPLICA_SLOTS),
+    ];
     let windows = drift.n_windows();
 
     // Profile window 0's routing and solve the shared initial placement —
     // exactly what all five policies start from.
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
     streaming.observe(&window_trace(drift, 0, window_tokens, 1, seed ^ 0x0ff1));
-    let initial = solve_local_search_with(
+    let initial = ReplicationPlan::bare(solve_local_search_with(
         &Objective::from_snapshot(&streaming.snapshot()),
-        ONLINE_UNITS,
+        units,
         ONLINE_ORACLE_RESTARTS,
         seed,
         Parallelism::single(),
-    );
-    let static_placement = initial.clone();
-    let mut oracle_placement = initial.clone();
-    let mut budgeted_placement = initial.clone();
-    let mut owner_placement = initial.clone();
-    let mut joint_plan = ReplicationPlan::bare(initial);
+    ));
+    let mut oracle_plan = initial.clone();
+    let mut plans = [(); 3].map(|_| initial.clone());
 
-    let (mut static_cross, mut oracle_cross, mut budgeted_cross) = (0u64, 0u64, 0u64);
-    let (mut owner_cross, mut joint_cross) = (0u64, 0u64);
+    let (mut static_cross, mut oracle_cross, mut cross) = (0u64, 0u64, [0u64; 3]);
     // Bytes migrated and re-plans that moved anything, per adaptive policy.
-    let [mut budgeted_tally, mut owner_tally, mut joint_tally] = [(0u64, 0usize); 3];
+    let mut tally = [(0u64, 0usize); 3];
     let (mut replicas_added, mut replicas_dropped) = (0u64, 0u64);
 
     for window in 0..windows {
         let trace = window_trace(drift, window, window_tokens, 1, seed);
-        for (placement, acc) in [
-            (&static_placement, &mut static_cross),
-            (&oracle_placement, &mut oracle_cross),
-            (&budgeted_placement, &mut budgeted_cross),
-            (&owner_placement, &mut owner_cross),
-        ] {
-            let loc = measure_trace_locality(&trace, placement);
-            *acc += loc.transitions - loc.local;
+        let crossed = |plan: &ReplicationPlan| {
+            let loc = plan.trace_locality(&trace, &cluster);
+            loc.transitions - loc.local
+        };
+        static_cross += crossed(&initial);
+        oracle_cross += crossed(&oracle_plan);
+        for (acc, plan) in cross.iter_mut().zip(&plans) {
+            *acc += crossed(plan);
         }
-        // The joint policy's hops go where `ReplicationPlan::serve` sends them.
-        let loc = joint_plan.trace_locality(&trace, &cluster_for(ONLINE_UNITS));
-        joint_cross += loc.transitions - loc.local;
         streaming.observe(&trace);
 
         if (window + 1).is_multiple_of(ONLINE_REPLAN_EVERY) && window + 1 < windows {
@@ -133,13 +137,13 @@ fn scenario(
             let oracle = |parallelism: Parallelism| {
                 solve_local_search_with(
                     &live,
-                    ONLINE_UNITS,
+                    units,
                     ONLINE_ORACLE_RESTARTS,
                     split_seed(seed, 0x0c0de ^ window as u64),
                     parallelism,
                 )
             };
-            oracle_placement = oracle(Parallelism::single());
+            let oracle_placement = oracle(Parallelism::single());
             for threads in CHECKED_WIDTHS {
                 if oracle_placement != oracle(Parallelism::new(threads)) {
                     return Err(format!(
@@ -148,91 +152,59 @@ fn scenario(
                     ));
                 }
             }
+            oracle_plan = ReplicationPlan::bare(oracle_placement);
 
-            // Budgeted: walk toward the same oracle-quality solution under
-            // the byte budget (the budget caps migration traffic, not
-            // solver compute). Owner-moves-only: the whole tight budget
-            // buys relocations. Joint: replica adds and drops race owner
-            // moves under the same tight budget plus the replica memory.
-            // Gap-backend invariance is verified on all three.
-            let solve = |objective: &Objective| {
-                let next = solve_budgeted_toward_metered(
-                    objective,
-                    &budgeted_placement,
-                    &oracle_placement,
-                    ONLINE_BUDGET_MOVES,
-                    &mut CostMeter::unlimited(),
-                    None,
-                );
-                let (owner_next, _) = solve_budgeted_metered(
-                    objective,
-                    &owner_placement,
-                    TIGHT_BUDGET_MOVES,
-                    u64::MAX,
-                    None,
-                );
-                let (joint_next, _) = solve_budgeted_replicated_metered(
-                    objective,
-                    &joint_plan,
-                    bytes_per_expert,
-                    &joint_budget,
-                    &ReplicaPolicy::Everywhere,
-                    u64::MAX,
-                    None,
-                );
-                (next, owner_next, joint_next)
-            };
-            let (next, owner_next, joint_next) =
-                on_both_backends(&snapshot, solve, |dense, sparse| {
-                    let policy = match (dense.0 != sparse.0, dense.1 != sparse.1) {
-                        (true, _) => "budgeted",
-                        (false, true) => "owner",
-                        (false, false) => "joint",
-                    };
-                    format!(
-                        "{name}: {policy} re-solve diverged across gap backends at window {window}"
+            // The served re-plan step under each policy's budget (the
+            // budget caps migration traffic, not solver compute), with
+            // gap-backend invariance verified on all three.
+            let step = |objective: &Objective| {
+                std::array::from_fn::<_, 3, _>(|i| {
+                    replan(
+                        objective,
+                        &plans[i],
+                        &configs[i],
+                        cluster,
+                        bytes_per_expert,
+                        None,
                     )
-                })?;
+                })
+            };
+            let steps = on_both_backends(&snapshot, step, |dense, sparse| {
+                let i = (0..3).find(|&i| dense[i] != sparse[i]).unwrap_or(0);
+                format!(
+                    "{name}: {} re-plan diverged across gap backends at window {window}",
+                    POLICIES[i]
+                )
+            })?;
 
-            let plan = MigrationPlan::between(&budgeted_placement, &next, bytes_per_expert);
-            charge(
-                &mut budgeted_tally,
-                &format!("{name}:"),
-                window,
-                &plan,
-                budget_bytes,
-            )?;
-            budgeted_placement = next;
-
-            let plan = MigrationPlan::between(&owner_placement, &owner_next, bytes_per_expert);
-            charge(
-                &mut owner_tally,
-                &format!("{name}: owner"),
-                window,
-                &plan,
-                tight_budget_bytes,
-            )?;
-            owner_placement = owner_next;
-
-            let plan =
-                MigrationPlan::between_replicated(&joint_plan, &joint_next, bytes_per_expert);
-            let who = format!("{name}: joint");
-            charge(&mut joint_tally, &who, window, &plan, tight_budget_bytes)?;
-            within_slot_budget(&who, window, &joint_next, REPLICA_SLOTS)?;
-            replicas_added += plan.n_replica_adds() as u64;
-            replicas_dropped += plan.n_replica_drops() as u64;
-            joint_plan = joint_next;
+            for (i, (next, plan, _)) in steps.into_iter().enumerate() {
+                let who = format!("{name}: {}", POLICIES[i]);
+                let budget = configs[i].migration_budget_bytes;
+                within_byte_budget(&who, window, &plan, budget)?;
+                if !plan.is_empty() {
+                    tally[i].0 += plan.total_bytes();
+                    tally[i].1 += 1;
+                }
+                if configs[i].replica_memory_bytes > 0 {
+                    within_slot_budget(&who, window, &next, REPLICA_SLOTS)?;
+                    replicas_added += plan.n_replica_adds() as u64;
+                    replicas_dropped += plan.n_replica_drops() as u64;
+                }
+                plans[i] = next;
+            }
         }
     }
+    let [budgeted, _, joint] = &plans;
+    let [budgeted_tally, owner_tally, joint_tally] = tally;
+    let [budgeted_cross, owner_cross, joint_cross] = cross;
 
     // The reported objective: the budgeted placement scored on the final
     // live estimate, bit-compared across backends.
     let cross_mass = score_on_both_backends(
         &streaming.snapshot(),
         &format!("{name}: final cross mass"),
-        |objective| objective.cross_mass(&budgeted_placement),
+        |objective| objective.cross_mass(&budgeted.base),
     )?;
-
     let recovered = recovery(
         static_cross as f64,
         oracle_cross as f64,
@@ -253,7 +225,7 @@ fn scenario(
         // Windows between re-plans.
         ("replan_every", ONLINE_REPLAN_EVERY.into()),
         // Byte budget of one budgeted re-plan.
-        ("budget_bytes", budget_bytes.into()),
+        ("budget_bytes", configs[0].migration_budget_bytes.into()),
         // Bytes the budgeted policy actually migrated, whole run.
         ("migrated_bytes", budgeted_tally.0.into()),
         // Budgeted re-plans that moved at least one expert.
@@ -272,7 +244,10 @@ fn scenario(
         ("cross_mass", cross_mass.into()),
         // Byte budget of one owner-moves-only or joint re-plan (the same
         // for both, so they race at equal migration bytes).
-        ("tight_budget_bytes", tight_budget_bytes.into()),
+        (
+            "tight_budget_bytes",
+            configs[1].migration_budget_bytes.into(),
+        ),
         // Per-GPU replica memory budget of the joint policy, in expert
         // payloads.
         ("replica_slots", REPLICA_SLOTS.into()),
@@ -290,30 +265,12 @@ fn scenario(
         ("replicas_dropped", replicas_dropped.into()),
         // Worst-case extra replica copies any GPU holds at the end of the
         // joint run (must stay within `replica_slots`).
-        ("extra_copies", joint_plan.extra_copies_per_gpu().into()),
+        ("extra_copies", joint.extra_copies_per_gpu().into()),
         // Cross-unit transitions under owner-moves-only re-placement.
         ("owner_cross", owner_cross.into()),
         // Cross-unit transitions under the joint policy.
         ("joint_cross", joint_cross.into()),
     ]))
-}
-
-/// Hold one re-plan's `plan` to its per-re-plan `budget` (`Err` naming
-/// `who` if it is over), then add it to a policy's `(bytes migrated,
-/// re-plans that moved anything)` tally.
-fn charge(
-    tally: &mut (u64, usize),
-    who: &str,
-    window: usize,
-    plan: &MigrationPlan,
-    budget: u64,
-) -> Result<(), String> {
-    within_byte_budget(who, window, plan, budget)?;
-    if !plan.is_empty() {
-        tally.0 += plan.total_bytes();
-        tally.1 += 1;
-    }
-    Ok(())
 }
 
 /// Fraction of the oracle's cross-traffic reduction the budgeted policy
@@ -328,9 +285,9 @@ pub(crate) fn recovery(static_cross: f64, oracle_cross: f64, budgeted_cross: f64
 
 /// The `table_online` sweep: the non-stationary drift presets served
 /// under five re-placement policies racing on the same windows (static
-/// incumbent, oracle re-solve, byte-budgeted incremental, and at a
-/// tighter byte budget owner-moves-only and joint replica + owner-move
-/// re-placement), recording realized cross-unit transition counts,
+/// incumbent, oracle re-solve, and the served re-plan step as
+/// byte-budgeted owner moves and, at a tighter byte budget,
+/// owner-moves-only and joint replica + owner-move re-placement), recording realized cross-unit transition counts,
 /// migrated bytes, replica churn and the recovery fraction — verified
 /// bit-identical across thread counts and gap backends, and within every
 /// byte and slot budget. Errors (instead of panicking) if any invariance

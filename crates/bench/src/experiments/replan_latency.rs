@@ -1,11 +1,11 @@
 //! `table_replan_latency` — what a re-plan costs at scale, with and
 //! without incremental objective maintenance.
 //!
-//! Every drift window is re-planned twice from the same incumbent: once
-//! against a cold [`Objective`] rebuilt from
-//! the full streaming snapshot, and once against the delta-maintained
-//! live objective with a held
-//! [`SwapGainCache`] buffer. The two
+//! Every drift window is re-planned twice from the same incumbent by the
+//! re-plan step serving runs ([`exflow_core::replan`], owner moves only):
+//! once against a cold [`Objective`] rebuilt from the full streaming
+//! snapshot, and once against the delta-maintained live objective with a
+//! held [`SwapGainCache`] buffer. The two
 //! paths must land on bit-identical placements and cross masses for
 //! identical solver work, so the table records *cost* as operation
 //! counts: swap candidates considered, how many of them needed an exact
@@ -15,13 +15,14 @@
 
 use exflow_affinity::StreamingAffinity;
 use exflow_core::json::Json;
+use exflow_core::{replan, OnlineConfig};
 use exflow_model::presets::large_zoo;
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{DriftSchedule, ModelConfig};
-use exflow_placement::{solve_budgeted_metered, Objective, SwapGainCache};
+use exflow_placement::{Objective, ReplicationPlan, SwapGainCache};
 
 use crate::experiments::common::{
-    greedy_incumbent, ratio, window_trace, Workload, N_UNITS_LARGE, ONLINE_DECAY,
+    cluster_for, greedy_incumbent, ratio, window_trace, Workload, N_UNITS_LARGE, ONLINE_DECAY,
 };
 use crate::sweep::par_map;
 use crate::table::{num, nums, render_section, text, Bars};
@@ -57,10 +58,10 @@ pub const MIN_REPLAN_SCAN_REDUCTION_512: f64 = 2500.0;
 /// two lockstep paths sharing one incumbent —
 ///
 /// * **rebuild**: `Objective::from_snapshot` on the live estimate (paid
-///   every re-plan), then `solve_budgeted_metered` building its
-///   attraction table locally;
+///   every re-plan), then the re-plan step building its attraction table
+///   locally;
 /// * **incremental**: `Objective::apply_snapshot_delta` with the
-///   window's `SnapshotDelta`, then the same solver in a persistent
+///   window's `SnapshotDelta`, then the same step in a persistent
 ///   [`SwapGainCache`] buffer.
 ///
 /// Every re-plan verifies the two objectives are equal, both paths pick
@@ -83,7 +84,17 @@ fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
     streaming.observe(&window_trace(&drift, 0, window_tokens, 1, seed ^ 0x0ff1));
     let mut live = Objective::from_snapshot(&streaming.snapshot());
     let mut cache = SwapGainCache::for_objective(&live);
-    let mut placement = greedy_incumbent(&live, N_UNITS_LARGE);
+    let mut plan = ReplicationPlan::bare(greedy_incumbent(&live, N_UNITS_LARGE));
+    let cluster = cluster_for(N_UNITS_LARGE);
+    let bytes_per_expert = cfg.expert_params() * 2;
+    let oc = OnlineConfig {
+        migration_budget_bytes: REPLAN_LATENCY_MOVES * bytes_per_expert,
+        ..OnlineConfig::default()
+    };
+    let step =
+        |objective: &Objective, plan: &ReplicationPlan, cache: Option<&mut SwapGainCache>| {
+            replan(objective, plan, &oc, cluster, bytes_per_expert, cache)
+        };
 
     let mut replans = 0usize;
     let (mut considered, mut evaluated_rebuild) = (0u64, 0u64);
@@ -96,19 +107,12 @@ fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
         // Rebuild path: pay the full objective reconstruction, then the
         // solve on a local table.
         let rebuilt = Objective::from_snapshot(&streaming.snapshot());
-        let (next_rebuild, cost_rebuild) =
-            solve_budgeted_metered(&rebuilt, &placement, REPLAN_LATENCY_MOVES, u64::MAX, None);
+        let (next_rebuild, moved, cost_rebuild) = step(&rebuilt, &plan, None);
 
         // Incremental path: splice the window delta into the persistent
         // objective, then the solve in the held buffer.
         live.apply_snapshot_delta(&delta);
-        let (next_incremental, cost_incremental) = solve_budgeted_metered(
-            &live,
-            &placement,
-            REPLAN_LATENCY_MOVES,
-            u64::MAX,
-            Some(&mut cache),
-        );
+        let (next_incremental, _, cost_incremental) = step(&live, &plan, Some(&mut cache));
 
         if live != rebuilt {
             return Err(format!(
@@ -133,14 +137,14 @@ fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
         evaluated_rebuild += cost_rebuild.evaluated;
         evaluated_incremental += cost_incremental.evaluated;
         reused += cost_incremental.reused;
-        if next_rebuild != placement {
+        if !moved.is_empty() {
             replans += 1;
         }
-        placement = next_rebuild;
+        plan = next_rebuild;
     }
 
-    let cm_rebuild = Objective::from_snapshot(&streaming.snapshot()).cross_mass(&placement);
-    let cm_incremental = live.cross_mass(&placement);
+    let cm_rebuild = Objective::from_snapshot(&streaming.snapshot()).cross_mass(&plan.base);
+    let cm_incremental = live.cross_mass(&plan.base);
     if cm_rebuild.to_bits() != cm_incremental.to_bits() {
         return Err(format!(
             "{}: final cross mass diverged: rebuild {cm_rebuild} vs incremental {cm_incremental}",

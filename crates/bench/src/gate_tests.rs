@@ -351,44 +351,4 @@ mod tests {
         let edit = [(2, "evaluated_incremental", (considered / 1000).into())];
         assert_trips(key, &edit, "below the");
     }
-
-    #[test]
-    fn partial_cross_drift_fails() {
-        let key = "partial_replication_rows";
-        let partial = num(&rows(key)[0], "partial_cross_mass");
-        assert_diff_shows(key, 0, "partial_cross_mass", (partial + 1e-12).into());
-    }
-
-    #[test]
-    fn partial_losing_to_full_fails_the_bar() {
-        let key = "partial_replication_rows";
-        let full = num(&rows(key)[0], "full_cross_mass");
-        let edit = [(0, "partial_cross_mass", (full + 0.1).into())];
-        assert_trips(key, &edit, "at equal memory");
-    }
-
-    #[test]
-    fn top2_falling_back_to_owner_only_fails_the_bar() {
-        // Rows 1 and 3 are the top-2 cells.
-        let edit = [1, 3].map(|row| (row, "cc_replicas_added", 0u64.into()));
-        let needle = "fell back to owner-only serving";
-        assert_trips("partial_replication_rows", &edit, needle);
-    }
-
-    #[test]
-    fn partial_memory_violation_fails() {
-        let key = "partial_replication_rows";
-        let slots = int(&rows(key)[0], "replica_slots");
-        let edit = [(0, "partial_extra_copies", (slots + 1).into())];
-        assert_trips(key, &edit, "partial policy holds");
-    }
-
-    #[test]
-    fn partial_migration_violation_fails() {
-        let key = "partial_replication_rows";
-        let row = &rows(key)[0];
-        let allowed = int(row, "budget_bytes") * int(row, "partial_replans");
-        let edit = [(0, "partial_migrated_bytes", (allowed + 1).into())];
-        assert_trips(key, &edit, "per-re-plan budget");
-    }
 }

@@ -156,8 +156,6 @@ mod tests {
         }
         let covers_512 = replan.iter().any(|row| int(row, "experts") == 512);
         assert!(covers_512, "the sweep must cover E = 512");
-
-        assert_eq!(rows("partial_replication_rows").len(), 4, "E x top-k grid");
     }
 
     /// The cell that exposed the over-strict serving bar: at 5 layers and
@@ -218,7 +216,6 @@ mod tests {
             ("density", 6, false),
             ("recovery", 4, false),
             ("scan_reduction", 3, false),
-            ("cc_local_fraction", 6, false),
         ];
         let mut lines = json.lines();
         let schema = format!("  \"schema\": \"{SCHEMA}\",");

@@ -18,14 +18,14 @@ use exflow_core::json::Json;
 use crate::experiments::common::Workload;
 use crate::experiments::{
     ablations, elasticity, fig10, fig11, fig12, fig13, fig2, fig6, fig7, fig8, fig9, online,
-    partial_replication, replan_latency, serving, sparse, table1, table2, table3,
+    replan_latency, serving, sparse, table1, table2, table3,
 };
 use crate::fmt::render_table;
 use crate::sweep::SweepPool;
 
 /// Schema tag of the summary document; bump it on any field change and
 /// regenerate the baseline, which CI byte-compares, tag line included.
-pub const SCHEMA: &str = "exflow-bench-summary/v11";
+pub const SCHEMA: &str = "exflow-bench-summary/v12";
 
 /// How an entry's rows are produced: the rows at a [`Workload`] (non-test
 /// code has one, `PAPER`; a sweep of fixed size reads none of it), or the
@@ -302,15 +302,6 @@ pub const TABLES: &[Table] = &[
         bars: replan_latency::bars,
         render: replan_latency::render,
     },
-    Table {
-        key: "partial_replication_rows",
-        name: "partial-replication",
-        artifact: "table_partial_replication",
-        id: &["scenario"],
-        sweep: partial_replication::sweep,
-        bars: partial_replication::bars,
-        render: partial_replication::render,
-    },
 ];
 
 fn field<'a>(row: &'a Json, key: &str) -> &'a Json {
@@ -515,6 +506,6 @@ mod tests {
         let digest = rows.fold(0xcbf2_9ce4_8422_2325, |h, row| {
             fnv1a(h, row.write().unwrap().as_bytes())
         });
-        assert_eq!(digest, 0x835a_b09b_35e4_d0d4, "{digest:#018x}");
+        assert_eq!(digest, 0xae5f_68f7_1651_063e, "{digest:#018x}");
     }
 }

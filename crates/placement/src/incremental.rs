@@ -1,6 +1,7 @@
 //! Incremental re-placement for the online serving mode: the budgeted
 //! solvers that re-plan from an incumbent placement, the deterministic
-//! operation-count [`CostMeter`] every one of them charges, and the
+//! operation-count meter every one of them charges (its tally is the
+//! [`ReplanCost`] they return), and the
 //! unit-attraction table ([`SwapGainCache`]) that prices their swap
 //! candidates in `O(1)`.
 //!
@@ -120,14 +121,14 @@ pub struct ReplanCost {
 /// prefix and then stop (the descent is truncated, never corrupted).
 /// `u64::MAX` means unlimited.
 #[derive(Debug, Clone)]
-pub struct CostMeter {
+pub(crate) struct CostMeter {
     budget: u64,
     cost: ReplanCost,
 }
 
 impl CostMeter {
     /// A meter that truncates scans after `budget` considered candidates.
-    pub fn new(budget: u64) -> Self {
+    pub(crate) fn new(budget: u64) -> Self {
         CostMeter {
             budget,
             cost: ReplanCost::default(),
@@ -135,7 +136,7 @@ impl CostMeter {
     }
 
     /// A meter that never truncates.
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         CostMeter::new(u64::MAX)
     }
 
@@ -171,7 +172,7 @@ impl CostMeter {
     }
 
     /// The accumulated cost so far.
-    pub fn cost(&self) -> ReplanCost {
+    pub(crate) fn cost(&self) -> ReplanCost {
         ReplanCost {
             reused: self.cost.considered - self.cost.evaluated,
             ..self.cost
@@ -514,7 +515,7 @@ impl SwapGainCache {
 /// attraction table (built in `cache` when one is passed), and truncated
 /// when the scan budget runs out (applied swaps stay). Returns the final
 /// cross mass.
-pub fn improve_metered(
+pub(crate) fn improve_metered(
     objective: &Objective,
     placement: &mut Placement,
     max_passes: usize,
@@ -657,7 +658,7 @@ impl Shortlist {
     }
 }
 
-/// One strategy of [`solve_budgeted_toward_metered`]: apply the scan's
+/// One strategy of [`solve_budgeted_with_meter`]: apply the scan's
 /// best swap and rescan, while the result stays within `max_moves` net
 /// moves of the incumbent. Without a `target` (descent) every pair is a
 /// candidate and only improving swaps are taken; with one, an expert off
@@ -733,13 +734,15 @@ fn budgeted_walk(
     best.map_or(placement, |(_, cheapest)| cheapest)
 }
 
-/// Budgeted incremental re-placement toward an explicit unconstrained
-/// target. Two deterministic strategies race on the shared `meter`
-/// (descent scans first):
+/// [`solve_budgeted_metered`] threading an explicit meter — the
+/// composition the replication-aware entry point shares. It builds a
+/// deterministic from-scratch target (greedy chain + swap polish, no
+/// randomness), then races two strategies on `meter` (descent scans
+/// first):
 ///
 /// * **descent** — best-improvement swaps from the incumbent (cheap
 ///   polish; ideal when drift only perturbed the structure);
-/// * **toward-target** — walk the incumbent toward `target`
+/// * **toward-target** — walk the incumbent toward the target
 ///   best-gain-first, keeping the cheapest placement visited within
 ///   budget (escapes the stale basin after a regime change).
 ///
@@ -747,26 +750,6 @@ fn budgeted_walk(
 /// budget-independent paths that a larger budget merely extends, so the
 /// returned cost improves monotonically with `max_moves`, and
 /// `max_moves = 0` returns the incumbent unchanged.
-pub fn solve_budgeted_toward_metered(
-    objective: &Objective,
-    incumbent: &Placement,
-    target: &Placement,
-    max_moves: u64,
-    meter: &mut CostMeter,
-    mut cache: Option<&mut SwapGainCache>,
-) -> Placement {
-    let buffer = cache.as_deref_mut();
-    let descent = budgeted_walk(objective, incumbent, None, max_moves, meter, buffer);
-    let toward = budgeted_walk(objective, incumbent, Some(target), max_moves, meter, cache);
-    if objective.cross_mass(&toward) < objective.cross_mass(&descent) {
-        toward
-    } else {
-        descent
-    }
-}
-
-/// [`solve_budgeted_metered`] threading an explicit meter — the
-/// composition the replication-aware entry point shares.
 fn solve_budgeted_with_meter(
     objective: &Objective,
     incumbent: &Placement,
@@ -776,7 +759,14 @@ fn solve_budgeted_with_meter(
 ) -> Placement {
     let mut target = solve_greedy(objective, incumbent.n_units());
     improve_metered(objective, &mut target, 50, meter, cache.as_deref_mut());
-    solve_budgeted_toward_metered(objective, incumbent, &target, max_moves, meter, cache)
+    let buffer = cache.as_deref_mut();
+    let descent = budgeted_walk(objective, incumbent, None, max_moves, meter, buffer);
+    let toward = budgeted_walk(objective, incumbent, Some(&target), max_moves, meter, cache);
+    if objective.cross_mass(&toward) < objective.cross_mass(&descent) {
+        toward
+    } else {
+        descent
+    }
 }
 
 /// Budgeted incremental re-placement: starting from the incumbent, spend
@@ -784,13 +774,10 @@ fn solve_budgeted_with_meter(
 /// [`crate::online::MigrationPlan`] between incumbent and result would
 /// migrate) to reduce the objective as much as possible.
 ///
-/// `max_moves` caps *migration traffic*, not solver compute, so the
-/// target of the walk may be as good a solution as the caller can afford
-/// to compute. This entry point builds a deterministic from-scratch
-/// target (greedy chain + swap polish, no randomness) and delegates to
-/// [`solve_budgeted_toward_metered`]; callers that already hold a
-/// stronger solution — e.g. an oracle re-solve — should pass it there
-/// directly.
+/// `max_moves` caps *migration traffic*, not solver compute: the walk
+/// races a descent from the incumbent against a walk toward a
+/// from-scratch target (greedy chain + swap polish, no randomness) and
+/// keeps the cheaper.
 ///
 /// Solver compute is capped by `scan_budget`. The returned placement and
 /// [`ReplanCost`] are the same with or without a `cache` buffer; the cost
@@ -1309,42 +1296,42 @@ mod tests {
     #[test]
     fn partial_policy_never_loses_to_full_at_equal_budget() {
         // The partial solve races the everywhere candidate too, so at any
-        // equal joint budget its winner is at least as good — exactly the
-        // bench gate's bar, here as a unit invariant.
-        let obj = objective_with(16, 4, 0.9, GapBackend::Auto);
-        let incumbent = ReplicationPlan::bare(Placement::round_robin(5, 16, 4));
-        let partial = ReplicaPolicy::OnePerNode(exflow_topology::ClusterSpec::new(2, 2).unwrap());
-        for (mem_slots, move_slots) in [(2u64, 8u64), (4, 8), (6, 16)] {
-            let budget = ReplicationBudget {
-                replica_memory_bytes: mem_slots * 10,
-                migration_budget_bytes: move_slots * 10,
-            };
-            let full_plan = solve_budgeted_replicated_metered(
-                &obj,
-                &incumbent,
-                10,
-                &budget,
-                &ReplicaPolicy::Everywhere,
-                u64::MAX,
-                None,
-            )
-            .0;
-            let partial_plan = solve_budgeted_replicated_metered(
-                &obj,
-                &incumbent,
-                10,
-                &budget,
-                &partial,
-                u64::MAX,
-                None,
-            )
-            .0;
-            let full_cross = replicated_cross_mass(&obj, &full_plan);
-            let partial_cross = replicated_cross_mass(&obj, &partial_plan);
-            assert!(
-                partial_cross <= full_cross,
-                "({mem_slots},{move_slots}): partial {partial_cross} vs full {full_cross}"
-            );
+        // equal joint budget its winner is at least as good. Inputs:
+        // `(E, layers, cluster, [(replica slots, moves)])`, the last the
+        // large-expert shape.
+        let cluster = |nodes, gpus| exflow_topology::ClusterSpec::new(nodes, gpus).unwrap();
+        let inputs = [
+            (16, 5, cluster(2, 2), &[(2u64, 8u64), (4, 8), (6, 16)][..]),
+            (256, 2, cluster(2, 4), &[(4, 12)][..]),
+        ];
+        for (e, layers, cluster, budgets) in inputs {
+            let obj = objective_with(e, layers - 1, 0.9, GapBackend::Auto);
+            let units = cluster.world_size();
+            let incumbent = ReplicationPlan::bare(Placement::round_robin(layers, e, units));
+            for &(mem_slots, move_slots) in budgets {
+                let budget = ReplicationBudget {
+                    replica_memory_bytes: mem_slots * 10,
+                    migration_budget_bytes: move_slots * 10,
+                };
+                let cross = |policy: &ReplicaPolicy| {
+                    let (plan, _) = solve_budgeted_replicated_metered(
+                        &obj,
+                        &incumbent,
+                        10,
+                        &budget,
+                        policy,
+                        u64::MAX,
+                        None,
+                    );
+                    replicated_cross_mass(&obj, &plan)
+                };
+                let full_cross = cross(&ReplicaPolicy::Everywhere);
+                let partial_cross = cross(&ReplicaPolicy::OnePerNode(cluster));
+                assert!(
+                    partial_cross <= full_cross,
+                    "E{e} ({mem_slots},{move_slots}): partial {partial_cross} vs full {full_cross}"
+                );
+            }
         }
     }
 

@@ -27,8 +27,8 @@
 //! * [`staged`] — the paper's two-stage node→GPU pipeline;
 //! * [`incremental`] — byte-budgeted incremental re-placement from an
 //!   incumbent (the online serving mode): the metered solvers
-//!   ([`solve_budgeted_metered`], [`solve_budgeted_toward_metered`],
-//!   [`solve_budgeted_replicated_metered`]) and the unit-attraction
+//!   ([`solve_budgeted_metered`], [`solve_budgeted_replicated_metered`],
+//!   both reporting the [`ReplanCost`] they charged) and the unit-attraction
 //!   table ([`SwapGainCache`]) they price swap candidates from;
 //! * [`online`] — the [`MigrationPlan`] pricing the resulting expert moves
 //!   against `exflow-topology`'s α–β link costs, and the fleet planners
@@ -74,8 +74,7 @@ pub mod staged;
 
 pub use annealing::AnnealParams;
 pub use incremental::{
-    improve_metered, solve_budgeted_metered, solve_budgeted_replicated_metered,
-    solve_budgeted_toward_metered, CostMeter, ReplanCost, SwapGainCache,
+    solve_budgeted_metered, solve_budgeted_replicated_metered, ReplanCost, SwapGainCache,
 };
 pub use objective::{GapBackend, Objective, SPARSE_DENSITY_THRESHOLD};
 pub use online::{ExpertMove, MigrationPlan, PricedMigration, ReplicaAdd};

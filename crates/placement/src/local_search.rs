@@ -12,8 +12,8 @@ use crate::parallel::{argmin_by_cost, split_seed, Parallelism};
 use crate::placement::Placement;
 
 /// Improve `placement` in place by first-improvement swap passes until a
-/// local optimum or `max_passes`: the [`improve_metered`] walk with an
-/// unlimited meter and no cache. Returns the final cross mass.
+/// local optimum or `max_passes`: the re-plan solvers' metered polish,
+/// with an unlimited meter and no cache. Returns the final cross mass.
 pub fn improve(objective: &Objective, placement: &mut Placement, max_passes: usize) -> f64 {
     improve_metered(
         objective,
