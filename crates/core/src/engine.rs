@@ -886,7 +886,7 @@ mod tests {
     use crate::serving::{BatchPolicy, ServingConfig};
     use exflow_model::presets::moe_gpt_m;
     use exflow_model::{ArrivalProcess, DriftSchedule, GateKind};
-    use exflow_placement::ReplicaPolicy;
+    use exflow_placement::{LayerReplicas, ReplicaPolicy};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1736,6 +1736,243 @@ mod tests {
                         cfg.model.gate
                     );
                 }
+            }
+        }
+    }
+
+    /// The experts `me`'s rows run at `layer`, counted as `run_experts`
+    /// once grouped them: `(expert, row)` pairs sorted, one group per
+    /// expert.
+    fn touched_by_sorting(batch: &TokenBatch, layer: usize, table: &Table) -> usize {
+        let mut order: Vec<(u16, usize)> = (table.heads().iter().enumerate())
+            .map(|(row, head)| {
+                (
+                    batch.route(head.id as usize, layer)[head.slot as usize],
+                    row,
+                )
+            })
+            .collect();
+        order.sort_unstable();
+        order.chunk_by(|a, b| a.0 == b.0).count()
+    }
+
+    /// Each rank's `expert_ffn` over a pass, replayed stage by stage with
+    /// the pass's own methods and charged by [`touched_by_sorting`]:
+    /// before each rank's expert stage, in the pass's own order, so the
+    /// sums compare to the bit.
+    fn sorted_grouping_charges(
+        engine: &InferenceEngine,
+        mode: ParallelismMode,
+        plan: &ReplicationPlan,
+    ) -> Vec<f64> {
+        let cfg = engine.config();
+        let batches = engine.offline_batches();
+        let pass = Pass {
+            cfg,
+            mode,
+            plan,
+            live_ranks: engine.all_ranks(),
+            batches,
+            ctx_offset: 0,
+        };
+        let mut replay = engine.plane();
+        replay
+            .acc
+            .resize_with(cfg.cluster.world_size(), RankResult::default);
+        let mut charges = vec![0.0f64; replay.acc.len()];
+        for (iter, batch) in batches.iter().enumerate() {
+            for (me, table) in replay.tables.iter_mut().enumerate() {
+                table.clear();
+                pass.home_tokens(me, iter, batch, table);
+            }
+            for layer in 0..cfg.model.n_layers {
+                for (me, table) in replay.tables.iter().enumerate() {
+                    let dispatch = &mut DispatchStats::default();
+                    pass.route(me, batch, layer, table, &mut replay.wire, dispatch);
+                }
+                pass.exchange(&mut replay, false);
+                for (me, charge) in charges.iter_mut().enumerate() {
+                    let table = &replay.tables[me];
+                    let touched = touched_by_sorting(batch, layer, table);
+                    *charge += cfg.compute.expert_time(&cfg.model, table.len(), touched, 1);
+                    pass.run_experts(me, batch, layer, &mut replay);
+                }
+                pass.combine(batch, layer, &mut replay);
+            }
+        }
+        charges
+    }
+
+    #[test]
+    fn a_pass_charges_the_expert_ffn_of_the_sorted_grouping() {
+        for (nodes, gpn) in [(1, 4), (2, 2)] {
+            for engine in [tiny_engine(nodes, gpn), top2_engine(nodes, gpn)] {
+                let gate = engine.config().model.gate;
+                for mode in ParallelismMode::ALL {
+                    let base = engine.placement_for(mode).clone();
+                    let popular =
+                        ReplicationPlan::most_popular(engine.objective(), base.clone(), 3);
+                    for plan in [ReplicationPlan::bare(base), popular] {
+                        let mut plane = engine.plane();
+                        let batches = engine.offline_batches();
+                        engine.run_pass(mode, &plan, batches, 0, engine.all_ranks(), &mut plane);
+                        let got: Vec<u64> = (plane.acc.iter())
+                            .map(|a| a.breakdown.expert_ffn.to_bits())
+                            .collect();
+                        let want: Vec<u64> = (sorted_grouping_charges(&engine, mode, &plan).iter())
+                            .map(|c| c.to_bits())
+                            .collect();
+                        assert_eq!(got, want, "{nodes}x{gpn} {gate:?} {mode}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The dispatch rule as `route` applied it to every layer alike:
+    /// a context-coherent top-2 primary to its owner (the meeting
+    /// point), every other slot where `ReplicationPlan::serve` sends it,
+    /// counted by `node_of` divisions.
+    fn route_by_serve(
+        pass: &Pass,
+        me: usize,
+        batch: &TokenBatch,
+        layer: usize,
+        table: &Table,
+        wire: &mut Wire,
+        dispatch: &mut DispatchStats,
+    ) {
+        let cluster = &pass.cfg.cluster;
+        let my_node = cluster.node_of(Rank(me));
+        let k = pass.cfg.model.gate.k();
+        let is_live = |u: usize| pass.live_ranks.binary_search(&u).is_ok();
+        for (row, head) in table.heads().iter().enumerate() {
+            let route = batch.route(head.id as usize, layer);
+            for (slot, &expert) in route.iter().enumerate() {
+                let expert = expert as usize;
+                let dst = if pass.mode.context_coherent() && k > 1 && slot == 0 {
+                    pass.plan.base.unit_of(layer, expert)
+                } else {
+                    pass.plan.serve(cluster, me, layer, expert, is_live)
+                };
+                dispatch.total += 1;
+                if dst == me {
+                    dispatch.same_gpu += 1;
+                    dispatch.same_node += 1;
+                } else if cluster.node_of(Rank(dst)) == my_node {
+                    dispatch.same_node += 1;
+                }
+                wire.emit(me, dst, row, slot as u32);
+            }
+        }
+    }
+
+    /// `v` in an order `rng` draws.
+    fn shuffled<T>(mut v: Vec<T>, rng: &mut StdRng) -> Vec<T> {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..=i));
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `route` against [`route_by_serve`] for every rank, live or
+        /// dead, every layer and every expert in every slot: the copies it
+        /// emits (scattered, so destinations and order both count), the
+        /// lane bytes and the dispatch counters. Each plan mixes layers
+        /// with copies and layers without, its owners and holders drawn at
+        /// random; a quarter of the ranks are dead; every mode, top-1 and
+        /// top-2 (the context-coherent primary included).
+        #[test]
+        fn route_dispatches_where_serve_does(
+            (nodes, gpn) in prop_oneof![Just((1usize, 4usize)), Just((2, 2)), Just((2, 4)), Just((4, 2))],
+            (k, mode) in (1usize..=2, 0usize..3),
+            seed in 0u64..1_000_000,
+        ) {
+            let n_layers = 4;
+            let cluster = ClusterSpec::new(nodes, gpn).unwrap();
+            let w = cluster.world_size();
+            let n_experts = 2 * w;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let gate = if k == 1 { GateKind::Top1 } else { GateKind::Top2 };
+            let mut model = moe_gpt_m(n_experts).with_gate(gate);
+            model.n_layers = n_layers;
+            let cfg = InferenceEngine::builder(model, cluster).cfg;
+
+            let assign = (0..n_layers)
+                .map(|_| shuffled((0..n_experts).map(|e| e % w).collect(), &mut rng))
+                .collect();
+            let base = Placement::new(assign, w);
+            // Neither every layer nor none holds copies.
+            let with_copies = rng.gen_range(1..(1u32 << n_layers) - 1);
+            let replicas = (0..n_layers)
+                .map(|layer| {
+                    if with_copies >> layer & 1 == 0 {
+                        return Vec::new();
+                    }
+                    let mut entries: LayerReplicas = (0..n_experts)
+                        .filter_map(|expert| {
+                            let owner = base.unit_of(layer, expert);
+                            let units: Vec<usize> =
+                                (0..w).filter(|&u| u != owner && rng.gen_range(0..3) == 0).collect();
+                            (!units.is_empty()).then_some((expert, units))
+                        })
+                        .collect();
+                    if entries.is_empty() {
+                        let owner = base.unit_of(layer, 0);
+                        entries.push((0, vec![(owner + 1) % w]));
+                    }
+                    entries
+                })
+                .collect();
+            let plan = ReplicationPlan { base, replicas };
+            let mut live: Vec<usize> = (0..w).filter(|_| rng.gen_range(0..4) > 0).collect();
+            if live.is_empty() {
+                live.push(rng.gen_range(0..w));
+            }
+
+            // Token `t` runs slot `s` at `layer` on `perm[layer][(t + s) % E]`:
+            // every expert in every slot, the two slots distinct.
+            let perms: Vec<Vec<u16>> = (0..n_layers)
+                .map(|_| shuffled((0..n_experts as u16).collect(), &mut rng))
+                .collect();
+            let mut batch = TokenBatch::empty(n_layers, k);
+            for t in 0..n_experts {
+                let route: Vec<u16> = (0..n_layers)
+                    .flat_map(|layer| (0..k).map(move |s| (layer, s)))
+                    .map(|(layer, s)| perms[layer][(t + s) % n_experts])
+                    .collect();
+                batch.push(&route, 0);
+            }
+            let tables: Vec<Table> = (0..w)
+                .map(|_| {
+                    let mut table = Table::default();
+                    for id in 0..n_experts as u32 {
+                        table.push(Head { id, word: rng.gen(), ..Head::default() });
+                    }
+                    table
+                })
+                .collect();
+
+            let mode = ParallelismMode::ALL[mode];
+            let pass = Pass { cfg: &cfg, mode, plan: &plan, live_ranks: &live, batches: &[], ctx_offset: 0 };
+            let frame = frame_size(cfg.model.token_bytes(), cfg.model.sim_dim);
+            let (mut got_wire, mut want_wire) = (Wire::new(w, frame), Wire::new(w, frame));
+            for layer in 0..n_layers {
+                let (mut got, mut want) = (DispatchStats::default(), DispatchStats::default());
+                for (me, table) in tables.iter().enumerate() {
+                    pass.route(me, &batch, layer, table, &mut got_wire, &mut got);
+                    route_by_serve(&pass, me, &batch, layer, table, &mut want_wire, &mut want);
+                }
+                prop_assert_eq!(got, want, "layer {} of {:?}", layer, plan.replicas);
+                let mut got_next = vec![Table::default(); w];
+                let mut want_next = vec![Table::default(); w];
+                got_wire.scatter(&tables, &mut got_next, false);
+                want_wire.scatter(&tables, &mut want_next, false);
+                prop_assert_eq!(got_wire.lane_bytes(), want_wire.lane_bytes());
+                prop_assert_eq!(got_next, want_next, "layer {} of {:?}", layer, plan.replicas);
             }
         }
     }

@@ -500,4 +500,22 @@ mod tests {
             prop_assert_eq!(table.heads(), &expected[..]);
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `fold` is one FNV-1a step over all eight little-endian bytes of
+        /// `x`, whatever its width: `x` is shifted so every count of
+        /// leading zero bytes comes up, and the byte edges are fixed.
+        #[test]
+        fn fold_is_the_eight_byte_fnv1a_step(
+            word in 0u64..=u64::MAX,
+            x in 0u64..=u64::MAX,
+            shift in 0u32..64,
+        ) {
+            for x in [x >> shift, 0, 255, 256, 1 << 56, u64::MAX] {
+                prop_assert_eq!(fold(word, x), fnv1a(word, &x.to_le_bytes()), "x = {:#x}", x);
+            }
+        }
+    }
 }
