@@ -485,7 +485,8 @@ impl InferenceEngine {
 /// fleet and the ledgers are reset when a pass starts, every table is
 /// refilled by `home_tokens`, every lane rewritten by the next scatter —
 /// so one plane serves any number of passes of one engine and only its
-/// allocations carry over.
+/// allocations carry over, with the prompt AllGather's price, which is a
+/// function of the engine and of the keys it is kept with.
 pub(crate) struct Plane {
     /// `tables[rank]`: the tokens resident on each rank.
     tables: Vec<Table>,
@@ -496,14 +497,22 @@ pub(crate) struct Plane {
     fleet: Lockstep,
     /// `acc[rank]`: each rank's share of the current pass.
     acc: Vec<RankResult>,
-    /// `run_experts`: the rank's rows as `(expert, row)`.
-    order: Vec<(u32, u32)>,
+    /// `node_of[rank]`: the fleet's rank → node table, for `route`.
+    node_of: Vec<usize>,
+    /// `run_experts`: `seen[expert]` marks the experts `touched` lists,
+    /// the distinct experts of the rank's rows; both are left cleared.
+    seen: Vec<bool>,
+    touched: Vec<u16>,
     /// `Table::merge_top2`: token id → row of its primary.
     primary_row: Vec<u32>,
     /// `fold_outputs`: token id → its word, once it came to rest.
     by_id: Vec<Option<u64>>,
     /// The AllGathers' byte count per rank.
     contribs: Vec<u64>,
+    /// `gather_prompt_contexts`: the last charge, with the tokens per
+    /// iteration and the live ranks it was priced for, the only inputs
+    /// of a plane's engine that it depends on.
+    prompt_gather: Option<(usize, Vec<usize>, f64)>,
 }
 
 impl InferenceEngine {
@@ -517,10 +526,13 @@ impl InferenceEngine {
             wire: Wire::new(w, frame),
             fleet: Lockstep::new(self.cfg.cluster, self.cfg.link_cost),
             acc: Vec::with_capacity(w),
-            order: Vec::new(),
+            node_of: (0..w).map(|r| self.cfg.cluster.node_of(Rank(r))).collect(),
+            seen: vec![false; model.n_experts],
+            touched: Vec::new(),
             primary_row: Vec::new(),
             by_id: Vec::new(),
             contribs: Vec::with_capacity(w),
+            prompt_gather: None,
         }
     }
 }
@@ -610,7 +622,8 @@ impl Pass<'_> {
                 }
 
                 for (me, (table, a)) in plane.tables.iter().zip(&mut plane.acc).enumerate() {
-                    self.route(me, batch, layer, table, &mut plane.wire, &mut a.dispatch);
+                    let (node_of, wire) = (&plane.node_of, &mut plane.wire);
+                    self.route(me, batch, layer, table, node_of, wire, &mut a.dispatch);
                 }
                 self.exchange(plane, false);
                 for me in 0..w {
@@ -654,7 +667,9 @@ impl Pass<'_> {
     /// token on every GPU) would dominate the simulation's memory traffic
     /// without affecting any per-layer behaviour, so it is charged
     /// analytically: every rank advances by the ring AllGather time the
-    /// cost model predicts for `frame`-byte tokens.
+    /// cost model predicts for `frame`-byte tokens. The price depends on
+    /// the tokens per iteration and the live ranks alone, so the plane
+    /// keeps the last one and a pass on the same two reads it.
     fn gather_prompt_contexts(&self, plane: &mut Plane) {
         let cfg = self.cfg;
         let Plane {
@@ -662,23 +677,33 @@ impl Pass<'_> {
             fleet,
             acc,
             contribs,
+            prompt_gather,
             ..
         } = plane;
-        let n_live = self.live_ranks.len();
-        // Tokens are resident round-robin by id over the *live* ranks, so
-        // the live rank at position `j` holds `ceil`-or-`floor` of
-        // `n / n_live` of them and dead ranks contribute nothing.
         let n_tokens = self.batches.first().map_or(0, TokenBatch::len);
-        contribs.clear();
-        contribs.extend((0..acc.len()).map(|r| {
-            let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
-                Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
-                None => 0,
-            };
-            (mine * cfg.prompt_len * wire.frame()) as u64
-        }));
-        let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
-        let t = analytic.allgatherv_time(contribs);
+        let t = match prompt_gather {
+            Some((n, live, t)) if *n == n_tokens && live[..] == *self.live_ranks => *t,
+            _ => {
+                let n_live = self.live_ranks.len();
+                // Tokens are resident round-robin by id over the *live*
+                // ranks, so the live rank at position `j` holds
+                // `ceil`-or-`floor` of `n / n_live` of them and dead
+                // ranks contribute nothing.
+                contribs.clear();
+                contribs.extend((0..acc.len()).map(|r| {
+                    let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
+                        Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
+                        None => 0,
+                    };
+                    (mine * cfg.prompt_len * wire.frame()) as u64
+                }));
+                let analytic =
+                    exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
+                let t = analytic.allgatherv_time(contribs);
+                *prompt_gather = Some((n_tokens, self.live_ranks.to_vec(), t));
+                t
+            }
+        };
         for (r, a) in acc.iter_mut().enumerate() {
             fleet.advance(r, t);
             a.breakdown.allgather += t;
@@ -707,41 +732,44 @@ impl Pass<'_> {
     }
 
     /// Dispatch routing: one copy of every row of `me`'s table per gated
-    /// expert, emitted to the GPU that will serve it.
+    /// expert, emitted to the GPU that will serve it, and counted by
+    /// `node_of` (rank → node). At a layer without copies that is the
+    /// owner for every slot: what [`ReplicationPlan::serve`] returns for
+    /// an expert with no copies, from any rank
+    /// (`route_dispatches_where_serve_does`), so only a layer with copies
+    /// asks `serve`.
+    #[expect(clippy::too_many_arguments, reason = "one rank's view of the plane")]
     fn route(
         &self,
         me: usize,
         batch: &TokenBatch,
         layer: usize,
         table: &Table,
+        node_of: &[usize],
         wire: &mut Wire,
         dispatch: &mut DispatchStats,
     ) {
         let cluster = &self.cfg.cluster;
-        let my_node = cluster.node_of(Rank(me));
-        let k = self.cfg.model.gate.k();
+        let owners = self.plan.base.layer(layer);
+        let no_copies = self.plan.replicas[layer].is_empty();
+        // Meeting-point rule: in context-coherent top-2 the *primary*
+        // always runs on the owner GPU, so every rank can derive the
+        // secondary-merge destination from the route alone.
+        let meeting_point = self.mode.context_coherent() && self.cfg.model.gate.k() > 1;
         let is_live = |u: usize| self.live_ranks.binary_search(&u).is_ok();
+        let my_node = node_of[me];
         for (row, head) in table.heads().iter().enumerate() {
             let route = batch.route(head.id as usize, layer);
             for (slot, &expert) in route.iter().enumerate() {
-                let expert = expert as usize;
-                // Meeting-point rule: in context-coherent top-2 the
-                // *primary* always runs on the owner GPU, so every rank
-                // can derive the secondary-merge destination from the
-                // route alone; all other dispatch goes where the plan
-                // serves it from this GPU.
-                let dst = if self.mode.context_coherent() && k > 1 && slot == 0 {
-                    self.plan.base.unit_of(layer, expert)
+                let expert = usize::from(expert);
+                let dst = if no_copies || (meeting_point && slot == 0) {
+                    owners[expert]
                 } else {
                     self.plan.serve(cluster, me, layer, expert, is_live)
                 };
                 dispatch.total += 1;
-                if dst == me {
-                    dispatch.same_gpu += 1;
-                    dispatch.same_node += 1;
-                } else if cluster.node_of(Rank(dst)) == my_node {
-                    dispatch.same_node += 1;
-                }
+                dispatch.same_gpu += u64::from(dst == me);
+                dispatch.same_node += u64::from(node_of[dst] == my_node);
                 wire.emit(me, dst, row, slot as u32);
             }
         }
@@ -774,44 +802,47 @@ impl Pass<'_> {
     }
 
     /// Expert FFN on rank `me`: every row of its table has `(layer,
-    /// expert)` folded into its word, and the clock advances by the
-    /// true-dim cost. Ascending `(expert, row)` order makes each expert's
-    /// rows one group (what `expert_time`'s `experts_touched` models);
-    /// the words do not depend on the order or the grouping.
+    /// expert)` folded into its word, in table order, and the clock
+    /// advances by the true-dim cost of the rows and of the distinct
+    /// experts they ran (`expert_time`'s `experts_touched`). A word
+    /// depends on its own row alone, so neither the order nor a grouping
+    /// by expert would change one
+    /// (`a_pass_charges_the_expert_ffn_of_the_sorted_grouping`).
     fn run_experts(&self, me: usize, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let cfg = self.cfg;
         let Plane {
             tables,
             fleet,
             acc,
-            order,
+            seen,
+            touched,
             ..
         } = plane;
         let table = &mut tables[me];
-        order.clear();
-        order.extend(table.heads().iter().enumerate().map(|(row, head)| {
-            let expert = batch.route(head.id as usize, layer)[head.slot as usize];
-            (u32::from(expert), row as u32)
-        }));
-        order.sort_unstable();
         let live = self.live_ranks.binary_search(&me).is_ok();
-        let mut touched = 0;
-        for group in order.chunk_by(|a, b| a.0 == b.0) {
-            let expert_id = group[0].0 as usize;
-            // The table holds every expert, so routing and placement
-            // disagreeing would otherwise go unnoticed. Dead ranks hold
-            // nothing — an evacuated placement never routes to them anyway.
-            assert!(
-                live && self.plan.available_on(layer, expert_id, me),
-                "token routed to an expert this rank does not hold"
-            );
-            for &(_, row) in group {
-                let word = &mut table.heads_mut()[row as usize].word;
-                *word = fold(fold(*word, layer as u64), expert_id as u64);
+        for head in table.heads_mut() {
+            let expert = batch.route(head.id as usize, layer)[head.slot as usize];
+            let mark = &mut seen[usize::from(expert)];
+            if !*mark {
+                // The table holds every expert, so routing and placement
+                // disagreeing would otherwise go unnoticed. Dead ranks
+                // hold nothing — an evacuated placement never routes to
+                // them anyway.
+                assert!(
+                    live && self.plan.available_on(layer, usize::from(expert), me),
+                    "token routed to an expert this rank does not hold"
+                );
+                *mark = true;
+                touched.push(expert);
             }
-            touched += 1;
+            head.word = fold(fold(head.word, layer as u64), u64::from(expert));
         }
-        let t_ffn = cfg.compute.expert_time(&cfg.model, table.len(), touched, 1);
+        let t_ffn = cfg
+            .compute
+            .expert_time(&cfg.model, table.len(), touched.len(), 1);
+        for expert in touched.drain(..) {
+            seen[usize::from(expert)] = false;
+        }
         fleet.advance(me, t_ffn);
         acc[me].breakdown.expert_ffn += t_ffn;
     }
@@ -1788,7 +1819,8 @@ mod tests {
             for layer in 0..cfg.model.n_layers {
                 for (me, table) in replay.tables.iter().enumerate() {
                     let dispatch = &mut DispatchStats::default();
-                    pass.route(me, batch, layer, table, &mut replay.wire, dispatch);
+                    let (node_of, wire) = (&replay.node_of, &mut replay.wire);
+                    pass.route(me, batch, layer, table, node_of, wire, dispatch);
                 }
                 pass.exchange(&mut replay, false);
                 for (me, charge) in charges.iter_mut().enumerate() {
@@ -1958,12 +1990,13 @@ mod tests {
 
             let mode = ParallelismMode::ALL[mode];
             let pass = Pass { cfg: &cfg, mode, plan: &plan, live_ranks: &live, batches: &[], ctx_offset: 0 };
+            let node_of: Vec<usize> = (0..w).map(|r| cluster.node_of(Rank(r))).collect();
             let frame = frame_size(cfg.model.token_bytes(), cfg.model.sim_dim);
             let (mut got_wire, mut want_wire) = (Wire::new(w, frame), Wire::new(w, frame));
             for layer in 0..n_layers {
                 let (mut got, mut want) = (DispatchStats::default(), DispatchStats::default());
                 for (me, table) in tables.iter().enumerate() {
-                    pass.route(me, &batch, layer, table, &mut got_wire, &mut got);
+                    pass.route(me, &batch, layer, table, &node_of, &mut got_wire, &mut got);
                     route_by_serve(&pass, me, &batch, layer, table, &mut want_wire, &mut want);
                 }
                 prop_assert_eq!(got, want, "layer {} of {:?}", layer, plan.replicas);

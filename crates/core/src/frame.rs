@@ -26,7 +26,7 @@
 //! sets of tables. The Alltoall is charged `copies × frame_size` per lane
 //! (`Wire::lane_bytes`, `every_lane_is_what_encode_returns`).
 
-use crate::report::fnv1a;
+use crate::report::FNV_PRIME;
 
 /// One copy of a token.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,11 +44,35 @@ pub(crate) struct Head {
     pub(crate) word: u64,
 }
 
-/// `word` with `x` folded in: one [`fnv1a`] step over `x`'s
+/// `word` with `x` folded in: one [`fnv1a`] step over `x`'s eight
 /// little-endian bytes. Order-sensitive, so a provenance word records
 /// the sequence of what was folded, not just the set.
+///
+/// A zero byte only multiplies by the prime (`h ^ 0 = h`), and wrapping
+/// multiplication is associative, so the bytes above `x`'s highest
+/// nonzero one are one multiply by a power of the prime: a layer, an
+/// expert or an id costs one or two byte steps, not eight
+/// (`fold_is_the_eight_byte_fnv1a_step`).
+///
+/// [`fnv1a`]: crate::report::fnv1a
 pub(crate) fn fold(word: u64, x: u64) -> u64 {
-    fnv1a(word, &x.to_le_bytes())
+    /// `PRIME_POW[n]`: the FNV prime to the `n`th, wrapping.
+    const PRIME_POW: [u64; 9] = {
+        let mut pow = [1u64; 9];
+        let mut n = 1;
+        while n < pow.len() {
+            pow[n] = pow[n - 1].wrapping_mul(FNV_PRIME);
+            n += 1;
+        }
+        pow
+    };
+    let bytes = (u64::BITS - x.leading_zeros()).div_ceil(8) as usize;
+    let (mut h, mut x) = (word, x);
+    for _ in 0..bytes {
+        h = (h ^ (x & 0xff)).wrapping_mul(FNV_PRIME);
+        x >>= 8;
+    }
+    h.wrapping_mul(PRIME_POW[8 - bytes])
 }
 
 /// Wire size of a frame's header in the wire model: id + home + domain
@@ -251,6 +275,7 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::fnv1a;
     use exflow_collectives::{Lockstep, OpKind};
     use exflow_topology::{ClusterSpec, CostModel, Rank};
     use proptest::prelude::*;

@@ -131,11 +131,14 @@ pub struct InferenceReport {
 /// Initial state of [`fnv1a`].
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// The 64-bit FNV prime [`fnv1a`] multiplies by after each byte.
+pub(crate) const FNV_PRIME: u64 = 0x100_0000_01b3;
+
 /// One FNV-1a (64-bit) step: `state` folded over `bytes`.
 pub(crate) fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(state, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
 }
 
 impl InferenceReport {
