@@ -2056,4 +2056,370 @@ mod tests {
             }
         }
     }
+
+    /// Where a token sits, or where one of its top-k copies runs, and
+    /// its word.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Spot {
+        rank: usize,
+        word: u64,
+    }
+
+    /// The state of a pass walked over token positions: the wire pass's
+    /// plane (its fleet, ledgers and prompt-gather price), plus one spot
+    /// per token and one per top-k copy, and the per-rank and per-lane
+    /// counts the stages read off them.
+    struct Walk {
+        plane: Plane,
+        /// `tokens[id]`: where token `id` sits.
+        tokens: Vec<Spot>,
+        /// `copies[id * k + slot]`: where that copy of token `id` runs.
+        copies: Vec<Spot>,
+        /// `rows[rank]`: tokens, or copies, on each rank.
+        rows: Vec<usize>,
+        /// `touched[rank]`: distinct experts each rank runs.
+        touched: Vec<usize>,
+        /// `seen[rank * E + expert]`: whether `rank` runs `expert`.
+        seen: Vec<bool>,
+        /// `lanes[src * w + dst]`: the bytes of the hop being built.
+        lanes: Vec<u64>,
+    }
+
+    /// `rows[rank]`: how many of `spots` sit on each rank.
+    fn count_rows(rows: &mut [usize], spots: &[Spot]) {
+        rows.fill(0);
+        for spot in spots {
+            rows[spot.rank] += 1;
+        }
+    }
+
+    impl Pass<'_> {
+        /// [`Pass::run`] as a walk: the same stages in the same order,
+        /// each a count over where every token and copy is.
+        fn walk(&self, walk: &mut Walk) -> u64 {
+            let cfg = self.cfg;
+            let (w, k, e) = (
+                cfg.cluster.world_size(),
+                cfg.model.gate.k(),
+                cfg.model.n_experts,
+            );
+            walk.plane.fleet.reset();
+            walk.plane.acc.clear();
+            walk.plane.acc.resize_with(w, RankResult::default);
+            walk.rows = vec![0; w];
+            walk.touched = vec![0; w];
+            walk.seen = vec![false; w * e];
+            walk.lanes = vec![0; w * w];
+            let mut digest = FNV_OFFSET;
+            if self.mode.context_coherent() {
+                self.gather_prompt_contexts(&mut walk.plane);
+            }
+            for (iter, batch) in self.batches.iter().enumerate() {
+                let ctx_len = cfg.prompt_len + self.ctx_offset + iter;
+                let origin = fold(fold(FNV_OFFSET, cfg.seed), iter as u64);
+                let live = self.live_ranks;
+                walk.tokens.clear();
+                walk.tokens.extend((0..batch.len()).map(|id| Spot {
+                    rank: live[id % live.len()],
+                    word: fold(origin, id as u64),
+                }));
+                walk.copies.resize(batch.len() * k, Spot::default());
+                for layer in 0..cfg.model.n_layers {
+                    count_rows(&mut walk.rows, &walk.tokens);
+                    let plane = &mut walk.plane;
+                    for (me, (&rows, a)) in walk.rows.iter().zip(&mut plane.acc).enumerate() {
+                        let t_att = cfg.compute.attention_time(&cfg.model, rows, ctx_len);
+                        plane.fleet.advance(me, t_att);
+                        a.breakdown.attention += t_att;
+                        let t_gate = cfg.compute.gating_time(&cfg.model, rows);
+                        plane.fleet.advance(me, t_gate);
+                        a.breakdown.gating += t_gate;
+                    }
+                    self.walk_route(batch, layer, walk);
+                    walk_exchange(walk);
+                    self.walk_experts(batch, layer, walk);
+                    self.walk_combine(batch, layer, walk);
+                }
+                digest = (walk.tokens.iter().enumerate()).fold(digest, |h, (id, token)| {
+                    fold(fold(fold(h, iter as u64), id as u64), token.word)
+                });
+                let Plane {
+                    wire,
+                    fleet,
+                    acc,
+                    contribs,
+                    ..
+                } = &mut walk.plane;
+                if self.mode.context_coherent() {
+                    timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
+                    count_rows(&mut walk.rows, &walk.tokens);
+                    contribs.clear();
+                    contribs.extend(walk.rows.iter().map(|&n| (n * wire.frame()) as u64));
+                    timed(
+                        fleet,
+                        acc,
+                        |b| &mut b.allgather,
+                        |fleet| fleet.all_gather_v(contribs),
+                    );
+                }
+                fleet.barrier();
+            }
+            digest
+        }
+
+        /// Each token's copies go where `route` sends them: counted per
+        /// rank and per lane, each copy starting from its token's word.
+        fn walk_route(&self, batch: &TokenBatch, layer: usize, walk: &mut Walk) {
+            let cluster = &self.cfg.cluster;
+            let (w, k) = (cluster.world_size(), self.cfg.model.gate.k());
+            let owners = self.plan.base.layer(layer);
+            let no_copies = self.plan.replicas[layer].is_empty();
+            let meeting_point = self.mode.context_coherent() && k > 1;
+            let is_live = |u: usize| self.live_ranks.binary_search(&u).is_ok();
+            let frame = walk.plane.wire.frame() as u64;
+            let node_of = &walk.plane.node_of;
+            let copies = walk.copies.chunks_exact_mut(k);
+            for (id, (token, copies)) in walk.tokens.iter().zip(copies).enumerate() {
+                let me = token.rank;
+                let dispatch = &mut walk.plane.acc[me].dispatch;
+                let route = batch.route(id, layer);
+                for (slot, (copy, &expert)) in copies.iter_mut().zip(route).enumerate() {
+                    let expert = usize::from(expert);
+                    let dst = if no_copies || (meeting_point && slot == 0) {
+                        owners[expert]
+                    } else {
+                        self.plan.serve(cluster, me, layer, expert, is_live)
+                    };
+                    dispatch.total += 1;
+                    dispatch.same_gpu += u64::from(dst == me);
+                    dispatch.same_node += u64::from(node_of[dst] == node_of[me]);
+                    walk.lanes[me * w + dst] += frame;
+                    *copy = Spot {
+                        rank: dst,
+                        word: token.word,
+                    };
+                }
+            }
+        }
+
+        /// `(layer, expert)` folded into every copy's word, the holder
+        /// check once per distinct `(rank, expert)`, and each rank's clock
+        /// advanced by the cost of its copies and distinct experts.
+        fn walk_experts(&self, batch: &TokenBatch, layer: usize, walk: &mut Walk) {
+            let cfg = self.cfg;
+            let (k, e) = (cfg.model.gate.k(), cfg.model.n_experts);
+            walk.rows.fill(0);
+            walk.touched.fill(0);
+            walk.seen.fill(false);
+            for (id, copies) in walk.copies.chunks_exact_mut(k).enumerate() {
+                for (copy, &expert) in copies.iter_mut().zip(batch.route(id, layer)) {
+                    let r = copy.rank;
+                    walk.rows[r] += 1;
+                    let mark = &mut walk.seen[r * e + usize::from(expert)];
+                    if !*mark {
+                        let live = self.live_ranks.binary_search(&r).is_ok();
+                        assert!(
+                            live && self.plan.available_on(layer, usize::from(expert), r),
+                            "token routed to an expert this rank does not hold"
+                        );
+                        *mark = true;
+                        walk.touched[r] += 1;
+                    }
+                    copy.word = fold(fold(copy.word, layer as u64), u64::from(expert));
+                }
+            }
+            let plane = &mut walk.plane;
+            for (me, (&rows, &touched)) in walk.rows.iter().zip(&walk.touched).enumerate() {
+                let t_ffn = cfg.compute.expert_time(&cfg.model, rows, touched, 1);
+                plane.fleet.advance(me, t_ffn);
+                plane.acc[me].breakdown.expert_ffn += t_ffn;
+            }
+        }
+
+        /// Copies go home (vanilla) or a secondary to its primary
+        /// (context-coherent top-2), the two words merge, and the token
+        /// sits where its merged word is; context-coherent top-1 tokens
+        /// stay with their one copy.
+        fn walk_combine(&self, batch: &TokenBatch, layer: usize, walk: &mut Walk) {
+            let (w, k) = (self.cfg.cluster.world_size(), self.cfg.model.gate.k());
+            let coherent = self.mode.context_coherent();
+            let frame = walk.plane.wire.frame() as u64;
+            let copies = walk.copies.chunks_exact(k);
+            for (id, (token, copies)) in walk.tokens.iter_mut().zip(copies).enumerate() {
+                match *copies {
+                    [copy] if coherent => *token = copy,
+                    [copy] => {
+                        walk.lanes[copy.rank * w + token.rank] += frame;
+                        token.word = copy.word;
+                    }
+                    [primary, secondary] => {
+                        // Context-coherent top-2 merges where the primary
+                        // ran, its owner by the meeting-point rule, so the
+                        // secondary always meets it there.
+                        let dst = if coherent {
+                            debug_assert_eq!(
+                                primary.rank,
+                                self.plan
+                                    .base
+                                    .unit_of(layer, usize::from(batch.route(id, layer)[0])),
+                                "a secondary's destination is its primary's rank"
+                            );
+                            primary.rank
+                        } else {
+                            walk.lanes[primary.rank * w + token.rank] += frame;
+                            token.rank
+                        };
+                        walk.lanes[secondary.rank * w + dst] += frame;
+                        *token = Spot {
+                            rank: dst,
+                            word: fold(primary.word, secondary.word),
+                        };
+                    }
+                    _ => unreachable!("top-1 or top-2"),
+                }
+            }
+            if !(coherent && k == 1) {
+                walk_exchange(walk);
+            }
+        }
+    }
+
+    /// The Alltoall of the hop just built: a barrier, then the lanes'
+    /// bytes, which are then cleared.
+    fn walk_exchange(walk: &mut Walk) {
+        let Plane { fleet, acc, .. } = &mut walk.plane;
+        timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
+        timed(
+            fleet,
+            acc,
+            |b| &mut b.alltoall,
+            |fleet| fleet.all_to_all_v(&walk.lanes),
+        );
+        walk.lanes.fill(0);
+    }
+
+    /// [`InferenceEngine::run_pass`] with the walk for the body.
+    fn walk_pass(
+        engine: &InferenceEngine,
+        mode: ParallelismMode,
+        plan: &ReplicationPlan,
+        batches: &[TokenBatch],
+        ctx_offset: usize,
+        live_ranks: &[usize],
+    ) -> InferenceReport {
+        let cfg = engine.config();
+        let w = cfg.cluster.world_size();
+        let pass = Pass {
+            cfg,
+            mode,
+            plan,
+            live_ranks,
+            batches,
+            ctx_offset,
+        };
+        let mut walk = Walk {
+            plane: engine.plane(),
+            tokens: Vec::new(),
+            copies: Vec::new(),
+            rows: Vec::new(),
+            touched: Vec::new(),
+            seen: Vec::new(),
+            lanes: Vec::new(),
+        };
+        let output_digest = pass.walk(&mut walk);
+        let fleet = &walk.plane.fleet;
+        let mut breakdown = OpBreakdown::default();
+        let mut dispatch = DispatchStats::default();
+        for r in &walk.plane.acc {
+            breakdown.merge(&r.breakdown);
+            dispatch.merge(&r.dispatch);
+        }
+        InferenceReport {
+            mode,
+            total_time: (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max),
+            breakdown: breakdown.scaled(1.0 / w as f64),
+            tokens_processed: batches.iter().map(|b| b.len() as u64).sum(),
+            dispatch,
+            alltoall_bytes: fleet.totals(OpKind::Alltoall).sent,
+            allgather_bytes: fleet.totals(OpKind::AllGather).sent,
+            output_digest,
+        }
+    }
+
+    /// Every field of a report, its floats as bits.
+    fn report_bits(r: &InferenceReport) -> impl PartialEq + std::fmt::Debug {
+        let b = &r.breakdown;
+        let times = [
+            r.total_time,
+            b.gating,
+            b.attention,
+            b.expert_ffn,
+            b.alltoall,
+            b.allgather,
+            b.imbalance,
+        ];
+        (
+            r.mode,
+            times.map(f64::to_bits),
+            r.tokens_processed,
+            r.dispatch,
+            r.alltoall_bytes,
+            r.allgather_bytes,
+            r.output_digest,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The walk over token positions reports what the wire pass does,
+        /// every float to the bit, on random engines: top-1 and top-2,
+        /// every mode, four fleet shapes, bare and `most_popular(.., 3)`
+        /// plans, ranks lost with the plan evacuated as the serving loop
+        /// evacuates it, batches of any size and a context offset.
+        #[test]
+        fn the_walk_reports_what_the_wire_pass_does(
+            (nodes, gpn) in prop_oneof![Just((1usize, 4usize)), Just((2, 2)), Just((2, 4)), Just((4, 2))],
+            (k, mode) in (1usize..=2, 0usize..3),
+            (n_layers, n_tokens, n_iters) in (1usize..=4, 0usize..=24, 1usize..=3),
+            (popular, dead, ctx_offset) in (0u8..2, prop_oneof![Just(0u8), 0u8..=255], prop_oneof![Just(0usize), 1usize..40]),
+            seed in 0u64..1_000_000,
+        ) {
+            let gate = if k == 1 { GateKind::Top1 } else { GateKind::Top2 };
+            let mut model = moe_gpt_m(16).with_gate(gate);
+            model.n_layers = n_layers;
+            let engine = InferenceEngine::builder(model, ClusterSpec::new(nodes, gpn).unwrap())
+                .profile_tokens(400)
+                .seed(seed)
+                .build();
+            let cfg = engine.config();
+            let w = cfg.cluster.world_size();
+            let mode = ParallelismMode::ALL[mode];
+            let base = engine.placement_for(mode).clone();
+            let mut plan = if popular == 1 {
+                ReplicationPlan::most_popular(engine.objective(), base, 3)
+            } else {
+                ReplicationPlan::bare(base)
+            };
+            // Bit `r` of `dead` loses rank `r`, one GPU after another, as
+            // the serving loop does, while more than one is live.
+            let mut live: Vec<usize> = (0..w).collect();
+            for gpu in (0..w).filter(|&r| dead >> r & 1 == 1) {
+                if live.len() == 1 {
+                    break;
+                }
+                live.retain(|&r| r != gpu);
+                plan = exflow_placement::online::plan_gpu_loss(&plan, &live, gpu, 1).0;
+            }
+            let batches: Vec<TokenBatch> = (0..n_iters)
+                .map(|i| TokenBatch::sample(engine.routing(), &cfg.corpus, n_tokens, k, seed + i as u64))
+                .collect();
+            let wire = engine.run_pass(mode, &plan, &batches, ctx_offset, &live, &mut engine.plane());
+            let walked = walk_pass(&engine, mode, &plan, &batches, ctx_offset, &live);
+            prop_assert_eq!(
+                report_bits(&walked), report_bits(&wire),
+                "{}x{} {:?} {} live {:?}", nodes, gpn, gate, mode, live
+            );
+        }
+    }
 }
