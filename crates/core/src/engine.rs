@@ -12,7 +12,7 @@ use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
 use exflow_topology::{ClusterSpec, CostModel, Rank};
 
-use crate::frame::{fold, frame_size, Head, Table, Wire};
+use crate::frame::{fold, frame_size};
 use crate::modes::ParallelismMode;
 use crate::report::{DispatchStats, InferenceReport, OpBreakdown, FNV_OFFSET};
 
@@ -405,7 +405,8 @@ impl InferenceEngine {
         plan: &ReplicationPlan,
         batches: &[TokenBatch],
     ) -> InferenceReport {
-        self.run_pass(mode, plan, batches, 0, &self.all_ranks, &mut self.plane())
+        let mut plane = Plane::new(&self.cfg);
+        self.run_pass(mode, plan, batches, 0, &self.all_ranks, &mut plane)
     }
 
     /// Execute one pass over explicit batches, on the calling thread.
@@ -424,8 +425,8 @@ impl InferenceEngine {
     /// arithmetic: `live_ranks[id % live_ranks.len()]` is then `id % w`.
     ///
     /// `plane` is the caller's: whoever loops over passes keeps one
-    /// ([`InferenceEngine::plane`]) so its tables and the wire allocate
-    /// once per run, not once per pass.
+    /// ([`Plane::new`]) so its positions and counts allocate once per
+    /// run, not once per pass.
     pub(crate) fn run_pass(
         &self,
         mode: ParallelismMode,
@@ -478,35 +479,34 @@ impl InferenceEngine {
     }
 }
 
-/// What a pass runs on: a [`Table`] per rank and a second set the next
-/// hop writes into, the [`Wire`] every hop goes through, the fleet's
-/// clocks, and the scratch of the stages that would otherwise allocate
-/// per rank per layer. Nothing in it outlives a pass as *state* — the
-/// fleet and the ledgers are reset when a pass starts, every table is
-/// refilled by `home_tokens`, every lane rewritten by the next scatter —
-/// so one plane serves any number of passes of one engine and only its
+/// What a pass runs on: where every token of the iteration sits and
+/// where each of its top-k copies runs, the fleet's clocks, and the
+/// counts the stages read off those positions. Nothing in it outlives a
+/// pass as *state* — the fleet and the ledgers are reset when a pass
+/// starts, the positions are set by `home_tokens` and `route` — so one
+/// plane serves any number of passes of one engine and only its
 /// allocations carry over, with the prompt AllGather's price, which is a
 /// function of the engine and of the keys it is kept with.
 pub(crate) struct Plane {
-    /// `tables[rank]`: the tokens resident on each rank.
-    tables: Vec<Table>,
-    /// What the next hop writes every rank's table into; swapped with
-    /// `tables` once it has.
-    next: Vec<Table>,
-    wire: Wire,
+    /// `tokens[id]`: where token `id` of the iteration sits.
+    tokens: Vec<Spot>,
+    /// `copies[id * k + slot]`: where that top-k copy of token `id` runs.
+    copies: Vec<Spot>,
+    /// Bytes one copy occupies on the wire ([`frame_size`]).
+    frame: usize,
+    /// `lanes[src * w + dst]`: the bytes of the hop being built.
+    lanes: Vec<u64>,
     fleet: Lockstep,
     /// `acc[rank]`: each rank's share of the current pass.
     acc: Vec<RankResult>,
     /// `node_of[rank]`: the fleet's rank → node table, for `route`.
     node_of: Vec<usize>,
-    /// `run_experts`: `seen[expert]` marks the experts `touched` lists,
-    /// the distinct experts of the rank's rows; both are left cleared.
+    /// `rows[rank]`: the tokens, or the copies, on each rank.
+    rows: Vec<usize>,
+    /// `run_experts`: `touched[rank]` counts the distinct experts each
+    /// rank runs, which `seen[rank * E + expert]` marks.
+    touched: Vec<usize>,
     seen: Vec<bool>,
-    touched: Vec<u16>,
-    /// `Table::merge_top2`: token id → row of its primary.
-    primary_row: Vec<u32>,
-    /// `fold_outputs`: token id → its word, once it came to rest.
-    by_id: Vec<Option<u64>>,
     /// The AllGathers' byte count per rank.
     contribs: Vec<u64>,
     /// `gather_prompt_contexts`: the last charge, with the tokens per
@@ -515,25 +515,41 @@ pub(crate) struct Plane {
     prompt_gather: Option<(usize, Vec<usize>, f64)>,
 }
 
-impl InferenceEngine {
-    /// A fresh plane for this engine's fleet and model.
-    pub(crate) fn plane(&self) -> Plane {
-        let (w, model) = (self.cfg.cluster.world_size(), &self.cfg.model);
-        let frame = frame_size(model.token_bytes(), model.sim_dim);
+impl Plane {
+    /// A fresh plane for the fleet and model of `cfg`.
+    pub(crate) fn new(cfg: &EngineConfig) -> Self {
+        let (w, model) = (cfg.cluster.world_size(), &cfg.model);
         Plane {
-            tables: vec![Table::default(); w],
-            next: vec![Table::default(); w],
-            wire: Wire::new(w, frame),
-            fleet: Lockstep::new(self.cfg.cluster, self.cfg.link_cost),
+            tokens: Vec::new(),
+            copies: Vec::new(),
+            frame: frame_size(model.token_bytes(), model.sim_dim),
+            lanes: vec![0; w * w],
+            fleet: Lockstep::new(cfg.cluster, cfg.link_cost),
             acc: Vec::with_capacity(w),
-            node_of: (0..w).map(|r| self.cfg.cluster.node_of(Rank(r))).collect(),
-            seen: vec![false; model.n_experts],
-            touched: Vec::new(),
-            primary_row: Vec::new(),
-            by_id: Vec::new(),
+            node_of: (0..w).map(|r| cfg.cluster.node_of(Rank(r))).collect(),
+            rows: vec![0; w],
+            touched: vec![0; w],
+            seen: vec![false; w * model.n_experts],
             contribs: Vec::with_capacity(w),
             prompt_gather: None,
         }
+    }
+}
+
+/// Where a token sits, or where one of its top-k copies runs, and its
+/// provenance word: its origin, every `(layer, expert)` that ran it and
+/// every top-2 copy merged into it, folded in order with [`fold`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Spot {
+    rank: usize,
+    word: u64,
+}
+
+/// `rows[rank]`: how many of `spots` sit on each rank.
+fn count_rows(rows: &mut [usize], spots: &[Spot]) {
+    rows.fill(0);
+    for spot in spots {
+        rows[spot.rank] += 1;
     }
 }
 
@@ -577,16 +593,37 @@ fn timed(
     }
 }
 
+/// The Alltoall every token movement goes through, charged the bytes
+/// of the hop `route` or `combine` built in `plane.lanes`, which it
+/// then clears. It is a synchronization point: straggler wait at entry
+/// is attributed to `imbalance`, the collective's own cost to
+/// `alltoall`.
+fn exchange(plane: &mut Plane) {
+    let Plane {
+        lanes, fleet, acc, ..
+    } = plane;
+    timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
+    timed(
+        fleet,
+        acc,
+        |b| &mut b.alltoall,
+        |fleet| fleet.all_to_all_v(lanes),
+    );
+    lanes.fill(0);
+}
+
 impl Pass<'_> {
-    /// The bulk-synchronous body: every stage runs for rank 0, 1, .. in
-    /// turn over that rank's own state (`plane.tables[rank]`,
-    /// `plane.acc[rank]`), and the collectives between stages are single
-    /// calls on `plane.fleet`, reset here first. Per MoE layer: attention
-    /// and gating where the token sits, `route` and `exchange` (the
-    /// dispatch Alltoall), `run_experts`, then `combine` — which for
-    /// context-coherent top-1 is a no-op (tokens stay where their experts
-    /// are: *one* Alltoall per layer) and for vanilla and context-coherent
-    /// top-2 is a second `exchange`.
+    /// The bulk-synchronous body: each stage is one walk over where the
+    /// iteration's tokens and their copies are (`plane.tokens`,
+    /// `plane.copies`), counting what each rank and each `(src, dst)`
+    /// lane is charged, then charging rank 0, 1, .. in turn, dead or
+    /// empty; the collectives between stages are single calls on
+    /// `plane.fleet`, reset here first. Per MoE layer: attention and
+    /// gating where the token sits, `route` and `exchange` (the dispatch
+    /// Alltoall), `run_experts`, then `combine` — which for
+    /// context-coherent top-1 moves nothing (tokens stay where their
+    /// experts are: *one* Alltoall per layer) and for vanilla and
+    /// context-coherent top-2 is a second `exchange`.
     /// Leaves the per-rank ledgers in `plane.acc` and returns
     /// [`InferenceReport::output_digest`].
     fn run(&self, plane: &mut Plane) -> u64 {
@@ -602,53 +639,50 @@ impl Pass<'_> {
 
         for (iter, batch) in self.batches.iter().enumerate() {
             let ctx_len = cfg.prompt_len + self.ctx_offset + iter;
-            for (me, table) in plane.tables.iter_mut().enumerate() {
-                table.clear();
-                self.home_tokens(me, iter, batch, table);
-            }
+            self.home_tokens(iter, batch, plane);
 
             for layer in 0..cfg.model.n_layers {
                 // Attention: in-place on whatever GPU the token occupies
                 // (context-coherent) or on the home GPU (vanilla — tokens
                 // are home here because the previous layer combined).
-                for (me, (table, a)) in plane.tables.iter().zip(&mut plane.acc).enumerate() {
-                    let t_att = cfg.compute.attention_time(&cfg.model, table.len(), ctx_len);
+                count_rows(&mut plane.rows, &plane.tokens);
+                for (me, (&rows, a)) in plane.rows.iter().zip(&mut plane.acc).enumerate() {
+                    let t_att = cfg.compute.attention_time(&cfg.model, rows, ctx_len);
                     plane.fleet.advance(me, t_att);
                     a.breakdown.attention += t_att;
 
-                    let t_gate = cfg.compute.gating_time(&cfg.model, table.len());
+                    let t_gate = cfg.compute.gating_time(&cfg.model, rows);
                     plane.fleet.advance(me, t_gate);
                     a.breakdown.gating += t_gate;
                 }
 
-                for (me, (table, a)) in plane.tables.iter().zip(&mut plane.acc).enumerate() {
-                    let (node_of, wire) = (&plane.node_of, &mut plane.wire);
-                    self.route(me, batch, layer, table, node_of, wire, &mut a.dispatch);
-                }
-                self.exchange(plane, false);
-                for me in 0..w {
-                    self.run_experts(me, batch, layer, plane);
-                }
+                self.route(batch, layer, plane);
+                exchange(plane);
+                self.run_experts(batch, layer, plane);
                 self.combine(batch, layer, plane);
             }
-            digest = fold_outputs(digest, iter, &plane.tables, &mut plane.by_id);
+            // Every token's word, in id order, wherever it came to rest.
+            digest = (plane.tokens.iter().enumerate()).fold(digest, |h, (id, token)| {
+                fold(fold(fold(h, iter as u64), id as u64), token.word)
+            });
 
             // Context coherence upkeep: broadcast this iteration's newly
             // generated tokens so every GPU's context stays complete. Each
             // rank contributes a frame per token it holds.
             let Plane {
-                tables,
-                wire,
+                tokens,
+                frame,
                 fleet,
                 acc,
+                rows,
                 contribs,
                 ..
             } = plane;
             if self.mode.context_coherent() {
                 timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-                let frame = wire.frame();
+                count_rows(rows, tokens);
                 contribs.clear();
-                contribs.extend(tables.iter().map(|t| (t.len() * frame) as u64));
+                contribs.extend(rows.iter().map(|&n| (n * *frame) as u64));
                 timed(
                     fleet,
                     acc,
@@ -673,7 +707,7 @@ impl Pass<'_> {
     fn gather_prompt_contexts(&self, plane: &mut Plane) {
         let cfg = self.cfg;
         let Plane {
-            wire,
+            frame,
             fleet,
             acc,
             contribs,
@@ -695,7 +729,7 @@ impl Pass<'_> {
                         Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
                         None => 0,
                     };
-                    (mine * cfg.prompt_len * wire.frame()) as u64
+                    (mine * cfg.prompt_len * *frame) as u64
                 }));
                 let analytic =
                     exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
@@ -710,57 +744,54 @@ impl Pass<'_> {
         }
     }
 
-    /// Rank `me`'s requests each contribute one in-flight token, appended
-    /// to `table`; tokens spread round-robin over the live ranks, whatever
-    /// the batch size (dead ranks home nothing): the live rank at position
-    /// `j` homes ids `j`, `j + n_live`, .. A token's word starts as the
-    /// fold of `(seed, iter, id)`, wherever it is homed.
-    fn home_tokens(&self, me: usize, iter: usize, batch: &TokenBatch, table: &mut Table) {
-        let Ok(first) = self.live_ranks.binary_search(&me) else {
-            return;
-        };
+    /// Every request contributes one in-flight token, homed round-robin
+    /// by id over the live ranks, whatever the batch size (dead ranks
+    /// home nothing): token `id` sits on `live_ranks[id % n_live]`. A
+    /// token's word starts as the fold of `(seed, iter, id)`.
+    fn home_tokens(&self, iter: usize, batch: &TokenBatch, plane: &mut Plane) {
+        let live = self.live_ranks;
         let origin = fold(fold(FNV_OFFSET, self.cfg.seed), iter as u64);
-        for id in (first..batch.len()).step_by(self.live_ranks.len()) {
-            table.push(Head {
-                id: id as u32,
-                home: me as u32,
-                domain: batch.domain(id) as u32,
-                slot: 0,
-                word: fold(origin, id as u64),
-            });
-        }
+        plane.tokens.clear();
+        plane.tokens.extend((0..batch.len()).map(|id| Spot {
+            rank: live[id % live.len()],
+            word: fold(origin, id as u64),
+        }));
+        let k = self.cfg.model.gate.k();
+        plane.copies.resize(batch.len() * k, Spot::default());
     }
 
-    /// Dispatch routing: one copy of every row of `me`'s table per gated
-    /// expert, emitted to the GPU that will serve it, and counted by
-    /// `node_of` (rank → node). At a layer without copies that is the
-    /// owner for every slot: what [`ReplicationPlan::serve`] returns for
-    /// an expert with no copies, from any rank
-    /// (`route_dispatches_where_serve_does`), so only a layer with copies
-    /// asks `serve`.
-    #[expect(clippy::too_many_arguments, reason = "one rank's view of the plane")]
-    fn route(
-        &self,
-        me: usize,
-        batch: &TokenBatch,
-        layer: usize,
-        table: &Table,
-        node_of: &[usize],
-        wire: &mut Wire,
-        dispatch: &mut DispatchStats,
-    ) {
+    /// Dispatch routing: one copy of every token per gated expert, put
+    /// on the GPU that will serve it with the token's word, and counted
+    /// in the token's rank's `DispatchStats` (the node by `node_of`) and
+    /// in the bytes of its `(src, dst)` lane. At a layer without copies
+    /// that GPU is the owner for every slot: what
+    /// [`ReplicationPlan::serve`] returns for an expert with no copies,
+    /// from any rank (`route_dispatches_where_serve_does`), so only a
+    /// layer with copies asks `serve`.
+    fn route(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let cluster = &self.cfg.cluster;
+        let (w, k) = (cluster.world_size(), self.cfg.model.gate.k());
         let owners = self.plan.base.layer(layer);
         let no_copies = self.plan.replicas[layer].is_empty();
         // Meeting-point rule: in context-coherent top-2 the *primary*
         // always runs on the owner GPU, so every rank can derive the
         // secondary-merge destination from the route alone.
-        let meeting_point = self.mode.context_coherent() && self.cfg.model.gate.k() > 1;
+        let meeting_point = self.mode.context_coherent() && k > 1;
         let is_live = |u: usize| self.live_ranks.binary_search(&u).is_ok();
-        let my_node = node_of[me];
-        for (row, head) in table.heads().iter().enumerate() {
-            let route = batch.route(head.id as usize, layer);
-            for (slot, &expert) in route.iter().enumerate() {
+        let Plane {
+            tokens,
+            copies,
+            frame,
+            lanes,
+            acc,
+            node_of,
+            ..
+        } = plane;
+        for (id, (token, copies)) in tokens.iter().zip(copies.chunks_exact_mut(k)).enumerate() {
+            let me = token.rank;
+            let dispatch = &mut acc[me].dispatch;
+            let route = batch.route(id, layer);
+            for (slot, (copy, &expert)) in copies.iter_mut().zip(route).enumerate() {
                 let expert = usize::from(expert);
                 let dst = if no_copies || (meeting_point && slot == 0) {
                     owners[expert]
@@ -769,141 +800,118 @@ impl Pass<'_> {
                 };
                 dispatch.total += 1;
                 dispatch.same_gpu += u64::from(dst == me);
-                dispatch.same_node += u64::from(node_of[dst] == my_node);
-                wire.emit(me, dst, row, slot as u32);
+                dispatch.same_node += u64::from(node_of[dst] == node_of[me]);
+                lanes[me * w + dst] += *frame as u64;
+                *copy = Spot {
+                    rank: dst,
+                    word: token.word,
+                };
             }
         }
     }
 
-    /// The Alltoall every token movement goes through: every rank's table
-    /// becomes what the copies emitted since the last hop carry to it, in
-    /// source-rank order — behind the primaries it held back, if
-    /// `hold_primaries` — and the collective is charged their bytes.
-    /// The Alltoall is a synchronization point: straggler wait at entry is
-    /// attributed to `imbalance`, the collective's own cost to `alltoall`.
-    fn exchange(&self, plane: &mut Plane, hold_primaries: bool) {
-        let Plane {
-            tables,
-            next,
-            wire,
-            fleet,
-            acc,
-            ..
-        } = plane;
-        wire.scatter(tables, next, hold_primaries);
-        std::mem::swap(tables, next);
-        timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-        timed(
-            fleet,
-            acc,
-            |b| &mut b.alltoall,
-            |fleet| fleet.all_to_all_v(wire.lane_bytes()),
-        );
-    }
-
-    /// Expert FFN on rank `me`: every row of its table has `(layer,
-    /// expert)` folded into its word, in table order, and the clock
-    /// advances by the true-dim cost of the rows and of the distinct
-    /// experts they ran (`expert_time`'s `experts_touched`). A word
-    /// depends on its own row alone, so neither the order nor a grouping
-    /// by expert would change one
+    /// Expert FFN: every copy has `(layer, expert)` folded into its word,
+    /// and each rank's clock advances by the true-dim cost of the copies
+    /// it runs and of their distinct experts (`expert_time`'s
+    /// `experts_touched`). A word depends on its own copy alone, so
+    /// neither the order nor a grouping by expert would change one
     /// (`a_pass_charges_the_expert_ffn_of_the_sorted_grouping`).
-    fn run_experts(&self, me: usize, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
+    fn run_experts(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let cfg = self.cfg;
+        let (k, e) = (cfg.model.gate.k(), cfg.model.n_experts);
         let Plane {
-            tables,
+            copies,
             fleet,
             acc,
-            seen,
+            rows,
             touched,
+            seen,
             ..
         } = plane;
-        let table = &mut tables[me];
-        let live = self.live_ranks.binary_search(&me).is_ok();
-        for head in table.heads_mut() {
-            let expert = batch.route(head.id as usize, layer)[head.slot as usize];
-            let mark = &mut seen[usize::from(expert)];
-            if !*mark {
-                // The table holds every expert, so routing and placement
-                // disagreeing would otherwise go unnoticed. Dead ranks
-                // hold nothing — an evacuated placement never routes to
-                // them anyway.
-                assert!(
-                    live && self.plan.available_on(layer, usize::from(expert), me),
-                    "token routed to an expert this rank does not hold"
-                );
-                *mark = true;
-                touched.push(expert);
+        rows.fill(0);
+        touched.fill(0);
+        seen.fill(false);
+        for (id, copies) in copies.chunks_exact_mut(k).enumerate() {
+            for (copy, &expert) in copies.iter_mut().zip(batch.route(id, layer)) {
+                let (r, expert) = (copy.rank, usize::from(expert));
+                rows[r] += 1;
+                let mark = &mut seen[r * e + expert];
+                if !*mark {
+                    // Any rank could run any expert here, so routing and
+                    // placement disagreeing would otherwise go unnoticed.
+                    // Dead ranks hold nothing — an evacuated placement
+                    // never routes to them anyway.
+                    assert!(
+                        self.live_ranks.binary_search(&r).is_ok()
+                            && self.plan.available_on(layer, expert, r),
+                        "token routed to an expert this rank does not hold"
+                    );
+                    *mark = true;
+                    touched[r] += 1;
+                }
+                copy.word = fold(fold(copy.word, layer as u64), expert as u64);
             }
-            head.word = fold(fold(head.word, layer as u64), u64::from(expert));
         }
-        let t_ffn = cfg
-            .compute
-            .expert_time(&cfg.model, table.len(), touched.len(), 1);
-        for expert in touched.drain(..) {
-            seen[usize::from(expert)] = false;
+        for (me, (&rows, &touched)) in rows.iter().zip(touched.iter()).enumerate() {
+            let t_ffn = cfg.compute.expert_time(&cfg.model, rows, touched, 1);
+            fleet.advance(me, t_ffn);
+            acc[me].breakdown.expert_ffn += t_ffn;
         }
-        fleet.advance(me, t_ffn);
-        acc[me].breakdown.expert_ffn += t_ffn;
     }
 
     /// Where expert outputs go before the next layer's attention, and
     /// the top-2 merge.
     fn combine(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
-        let k = self.cfg.model.gate.k();
+        let (w, k) = (self.cfg.cluster.world_size(), self.cfg.model.gate.k());
         let coherent = self.mode.context_coherent();
-        if coherent && k == 1 {
-            // Tokens stay where their experts are.
-            return;
-        }
+        let Plane {
+            tokens,
+            copies,
+            frame,
+            lanes,
+            ..
+        } = plane;
+        let frame = *frame as u64;
+        // Vanilla: every copy returns to its home GPU, where the token
+        // sits, so the next layer's attention can see its context.
+        // Context-coherent top-1: the token stays where its expert ran.
         // Context-coherent top-2: the primary copy's GPU is the meeting
-        // point. Primaries are held back there; secondary outputs travel
-        // to it in a second (sparse) Alltoall. Vanilla: every copy returns
-        // to its home GPU so the next layer's attention can see its
-        // context.
-        for (me, table) in plane.tables.iter().enumerate() {
-            for (row, head) in table.heads().iter().enumerate() {
-                let dst = if !coherent {
-                    head.home as usize
-                } else if head.slot == 0 {
-                    continue;
-                } else {
-                    let primary = batch.route(head.id as usize, layer)[0] as usize;
-                    self.plan.base.unit_of(layer, primary)
-                };
-                plane.wire.emit(me, dst, row, head.slot);
+        // point; the secondary's output travels to it.
+        for (id, (token, copies)) in tokens.iter_mut().zip(copies.chunks_exact(k)).enumerate() {
+            match *copies {
+                [copy] if coherent => *token = copy,
+                [copy] => {
+                    lanes[copy.rank * w + token.rank] += frame;
+                    token.word = copy.word;
+                }
+                [primary, secondary] => {
+                    let dst = if coherent {
+                        // The secondary goes to its primary's owner, which
+                        // is where `route` ran the primary: so the two
+                        // always meet, and every merge finds both.
+                        debug_assert_eq!(
+                            primary.rank,
+                            (self.plan.base).unit_of(layer, usize::from(batch.route(id, layer)[0])),
+                            "a secondary's combine destination is its primary's rank"
+                        );
+                        primary.rank
+                    } else {
+                        lanes[primary.rank * w + token.rank] += frame;
+                        token.rank
+                    };
+                    lanes[secondary.rank * w + dst] += frame;
+                    *token = Spot {
+                        rank: dst,
+                        word: fold(primary.word, secondary.word),
+                    };
+                }
+                _ => unreachable!("top-1 or top-2"),
             }
         }
-        self.exchange(plane, coherent);
-        if k > 1 {
-            // Top-2 copies are merged where they meet.
-            for table in &mut plane.tables {
-                table.merge_top2(&mut plane.primary_row);
-            }
+        if !(coherent && k == 1) {
+            exchange(plane);
         }
     }
-}
-
-/// Fold one iteration's finished tokens, `(iter, id, word)` in ascending
-/// id order wherever each came to rest, into the running
-/// [`InferenceReport::output_digest`]. Each word is placed by its token's
-/// id in `by_id` (scratch, left all `None`), which is then read in order.
-fn fold_outputs(digest: u64, iter: usize, tables: &[Table], by_id: &mut Vec<Option<u64>>) -> u64 {
-    for head in tables.iter().flat_map(Table::heads) {
-        let id = head.id as usize;
-        if by_id.len() <= id {
-            by_id.resize(id + 1, None);
-        }
-        debug_assert!(by_id[id].is_none(), "token {id} came to rest twice");
-        by_id[id] = Some(head.word);
-    }
-    let rested = by_id
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(id, word)| Some((id, word.take()?)));
-    rested.fold(digest, |h, (id, word)| {
-        fold(fold(fold(h, iter as u64), id as u64), word)
-    })
 }
 
 #[cfg(test)]
@@ -1113,18 +1121,18 @@ mod tests {
             batches,
             ctx_offset: 0,
         };
-        // A dispatch that ignored the placement: rank 0 is handed the
-        // whole batch, wherever each token's expert lives.
+        // A dispatch that ignored the placement: every token, and its one
+        // copy, on rank 0, wherever its expert lives.
         let batch = &batches[0];
-        let mut plane = engine.plane();
-        for home in 0..cfg.cluster.world_size() {
-            pass.home_tokens(home, 0, batch, &mut plane.tables[0]);
-        }
-        assert_eq!(plane.tables[0].len(), batch.len());
+        let mut plane = Plane::new(cfg);
         plane
             .acc
             .resize_with(cfg.cluster.world_size(), RankResult::default);
-        pass.run_experts(0, batch, 0, &mut plane);
+        pass.home_tokens(0, batch, &mut plane);
+        plane.tokens.iter_mut().for_each(|token| token.rank = 0);
+        plane.copies.copy_from_slice(&plane.tokens);
+        assert_eq!(plane.copies.len(), batch.len());
+        pass.run_experts(batch, 0, &mut plane);
     }
 
     #[test]
@@ -1669,7 +1677,7 @@ mod tests {
     #[test]
     fn the_digest_is_the_fold_of_every_tokens_route() {
         // Exact, where `every_mode_computes_the_same_token_outputs` only
-        // compares modes: a row dropped, an expert run twice or the
+        // compares modes: a token dropped, an expert run twice or the
         // wrong one, or merge slots swapped move every mode alike, and
         // the oracle sees it without a pinned constant.
         for (nodes, gpn) in [(1, 4), (2, 2)] {
@@ -1740,29 +1748,30 @@ mod tests {
     }
 
     #[test]
-    fn a_pass_writes_each_head_once_per_hop() {
+    fn a_pass_sends_each_copy_once_per_hop() {
         // Per token and layer: top-1 Vanilla dispatches a copy and
         // combines it home, context-coherent top-1 only dispatches. Top-2
         // dispatches two copies; Vanilla combines both home, context
-        // coherence sends the secondary to its primary, which is held.
-        // Four head writes either way.
+        // coherence sends only the secondary, to where its primary ran.
+        // Every copy is one frame on one lane, a self-send included.
         for (nodes, gpn) in [(1, 4), (2, 2)] {
             for engine in [tiny_engine(nodes, gpn), top2_engine(nodes, gpn)] {
                 let cfg = engine.config();
                 let batches = engine.offline_batches();
                 let tokens: usize = batches.iter().map(TokenBatch::len).sum();
+                let frame = frame_size(cfg.model.token_bytes(), cfg.model.sim_dim);
                 for mode in ParallelismMode::ALL {
                     let per_token = match (cfg.model.gate.k(), mode.context_coherent()) {
                         (1, false) => 2,
                         (1, true) => 1,
-                        _ => 4,
+                        (_, false) => 4,
+                        (_, true) => 3,
                     };
                     let plan = ReplicationPlan::bare(engine.placement_for(mode).clone());
-                    let mut plane = engine.plane();
-                    engine.run_pass(mode, &plan, batches, 0, engine.all_ranks(), &mut plane);
+                    let report = engine.run_once(mode, &plan, batches);
                     assert_eq!(
-                        plane.wire.writes,
-                        (per_token * tokens * cfg.model.n_layers) as u64,
+                        report.alltoall_bytes.total(),
+                        (per_token * tokens * cfg.model.n_layers * frame) as u64,
                         "{nodes}x{gpn} {:?} {mode}",
                         cfg.model.gate
                     );
@@ -1771,26 +1780,28 @@ mod tests {
         }
     }
 
-    /// The experts `me`'s rows run at `layer`, counted as `run_experts`
-    /// once grouped them: `(expert, row)` pairs sorted, one group per
-    /// expert.
-    fn touched_by_sorting(batch: &TokenBatch, layer: usize, table: &Table) -> usize {
-        let mut order: Vec<(u16, usize)> = (table.heads().iter().enumerate())
-            .map(|(row, head)| {
-                (
-                    batch.route(head.id as usize, layer)[head.slot as usize],
-                    row,
-                )
-            })
+    /// The copies rank `me` runs at `layer` and the experts they touch,
+    /// counted as `run_experts` once grouped them: `(expert, copy)`
+    /// pairs sorted, one group per expert.
+    fn grouped_by_sorting(
+        batch: &TokenBatch,
+        layer: usize,
+        k: usize,
+        copies: &[Spot],
+        me: usize,
+    ) -> (usize, usize) {
+        let mut order: Vec<(u16, usize)> = (copies.iter().enumerate())
+            .filter(|(_, copy)| copy.rank == me)
+            .map(|(c, _)| (batch.route(c / k, layer)[c % k], c))
             .collect();
         order.sort_unstable();
-        order.chunk_by(|a, b| a.0 == b.0).count()
+        (order.len(), order.chunk_by(|a, b| a.0 == b.0).count())
     }
 
     /// Each rank's `expert_ffn` over a pass, replayed stage by stage with
-    /// the pass's own methods and charged by [`touched_by_sorting`]:
-    /// before each rank's expert stage, in the pass's own order, so the
-    /// sums compare to the bit.
+    /// the pass's own methods and charged by [`grouped_by_sorting`]:
+    /// before the expert stage, rank by rank, so the sums compare to the
+    /// bit.
     fn sorted_grouping_charges(
         engine: &InferenceEngine,
         mode: ParallelismMode,
@@ -1806,35 +1817,27 @@ mod tests {
             batches,
             ctx_offset: 0,
         };
-        let mut replay = engine.plane();
+        let mut replay = Plane::new(cfg);
         replay
             .acc
             .resize_with(cfg.cluster.world_size(), RankResult::default);
         let mut charges = vec![0.0f64; replay.acc.len()];
         for (iter, batch) in batches.iter().enumerate() {
-            for (me, table) in replay.tables.iter_mut().enumerate() {
-                table.clear();
-                pass.home_tokens(me, iter, batch, table);
-            }
+            pass.home_tokens(iter, batch, &mut replay);
             for layer in 0..cfg.model.n_layers {
-                for (me, table) in replay.tables.iter().enumerate() {
-                    let dispatch = &mut DispatchStats::default();
-                    let (node_of, wire) = (&replay.node_of, &mut replay.wire);
-                    pass.route(me, batch, layer, table, node_of, wire, dispatch);
-                }
-                pass.exchange(&mut replay, false);
+                pass.route(batch, layer, &mut replay);
+                exchange(&mut replay);
                 for (me, charge) in charges.iter_mut().enumerate() {
-                    let table = &replay.tables[me];
-                    let touched = touched_by_sorting(batch, layer, table);
-                    *charge += cfg.compute.expert_time(&cfg.model, table.len(), touched, 1);
-                    pass.run_experts(me, batch, layer, &mut replay);
+                    let (rows, touched) =
+                        grouped_by_sorting(batch, layer, cfg.model.gate.k(), &replay.copies, me);
+                    *charge += cfg.compute.expert_time(&cfg.model, rows, touched, 1);
                 }
+                pass.run_experts(batch, layer, &mut replay);
                 pass.combine(batch, layer, &mut replay);
             }
         }
         charges
     }
-
     #[test]
     fn a_pass_charges_the_expert_ffn_of_the_sorted_grouping() {
         for (nodes, gpn) in [(1, 4), (2, 2)] {
@@ -1845,7 +1848,7 @@ mod tests {
                     let popular =
                         ReplicationPlan::most_popular(engine.objective(), base.clone(), 3);
                     for plan in [ReplicationPlan::bare(base), popular] {
-                        let mut plane = engine.plane();
+                        let mut plane = Plane::new(engine.config());
                         let batches = engine.offline_batches();
                         engine.run_pass(mode, &plan, batches, 0, engine.all_ranks(), &mut plane);
                         let got: Vec<u64> = (plane.acc.iter())
@@ -1864,39 +1867,45 @@ mod tests {
     /// The dispatch rule as `route` applied it to every layer alike:
     /// a context-coherent top-2 primary to its owner (the meeting
     /// point), every other slot where `ReplicationPlan::serve` sends it,
-    /// counted by `node_of` divisions.
+    /// counted by `node_of` divisions. Returns every copy, each lane's
+    /// copies and each rank's counters.
     fn route_by_serve(
         pass: &Pass,
-        me: usize,
         batch: &TokenBatch,
         layer: usize,
-        table: &Table,
-        wire: &mut Wire,
-        dispatch: &mut DispatchStats,
-    ) {
+        tokens: &[Spot],
+    ) -> (Vec<Spot>, Vec<u64>, Vec<DispatchStats>) {
         let cluster = &pass.cfg.cluster;
-        let my_node = cluster.node_of(Rank(me));
-        let k = pass.cfg.model.gate.k();
+        let (w, k) = (cluster.world_size(), pass.cfg.model.gate.k());
         let is_live = |u: usize| pass.live_ranks.binary_search(&u).is_ok();
-        for (row, head) in table.heads().iter().enumerate() {
-            let route = batch.route(head.id as usize, layer);
-            for (slot, &expert) in route.iter().enumerate() {
+        let mut copies = Vec::new();
+        let mut lanes = vec![0u64; w * w];
+        let mut dispatch = vec![DispatchStats::default(); w];
+        for (id, token) in tokens.iter().enumerate() {
+            let me = token.rank;
+            for (slot, &expert) in batch.route(id, layer).iter().enumerate() {
                 let expert = expert as usize;
                 let dst = if pass.mode.context_coherent() && k > 1 && slot == 0 {
                     pass.plan.base.unit_of(layer, expert)
                 } else {
                     pass.plan.serve(cluster, me, layer, expert, is_live)
                 };
-                dispatch.total += 1;
+                let stats = &mut dispatch[me];
+                stats.total += 1;
                 if dst == me {
-                    dispatch.same_gpu += 1;
-                    dispatch.same_node += 1;
-                } else if cluster.node_of(Rank(dst)) == my_node {
-                    dispatch.same_node += 1;
+                    stats.same_gpu += 1;
+                    stats.same_node += 1;
+                } else if cluster.node_of(Rank(dst)) == cluster.node_of(Rank(me)) {
+                    stats.same_node += 1;
                 }
-                wire.emit(me, dst, row, slot as u32);
+                lanes[me * w + dst] += 1;
+                copies.push(Spot {
+                    rank: dst,
+                    word: token.word,
+                });
             }
         }
+        (copies, lanes, dispatch)
     }
 
     /// `v` in an order `rng` draws.
@@ -1911,12 +1920,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// `route` against [`route_by_serve`] for every rank, live or
-        /// dead, every layer and every expert in every slot: the copies it
-        /// emits (scattered, so destinations and order both count), the
-        /// lane bytes and the dispatch counters. Each plan mixes layers
-        /// with copies and layers without, its owners and holders drawn at
-        /// random; a quarter of the ranks are dead; every mode, top-1 and
-        /// top-2 (the context-coherent primary included).
+        /// dead, every layer and every expert in every slot: where each
+        /// copy runs and the word it starts from, the copies on every
+        /// lane (as bytes) and every rank's dispatch counters. Each plan
+        /// mixes layers with copies and layers without, its owners and
+        /// holders drawn at random; a quarter of the ranks are dead;
+        /// every mode, top-1 and top-2 (the context-coherent primary
+        /// included).
         #[test]
         fn route_dispatches_where_serve_does(
             (nodes, gpn) in prop_oneof![Just((1usize, 4usize)), Just((2, 2)), Just((2, 4)), Just((4, 2))],
@@ -1965,461 +1975,38 @@ mod tests {
                 live.push(rng.gen_range(0..w));
             }
 
-            // Token `t` runs slot `s` at `layer` on `perm[layer][(t + s) % E]`:
-            // every expert in every slot, the two slots distinct.
+            // Every rank holds `E` tokens; the `t`-th of them runs slot `s`
+            // at `layer` on `perm[layer][(t + s) % E]`: every expert in
+            // every slot from every rank, the two slots distinct.
             let perms: Vec<Vec<u16>> = (0..n_layers)
                 .map(|_| shuffled((0..n_experts as u16).collect(), &mut rng))
                 .collect();
             let mut batch = TokenBatch::empty(n_layers, k);
-            for t in 0..n_experts {
+            let mut plane = Plane::new(&cfg);
+            for id in 0..w * n_experts {
                 let route: Vec<u16> = (0..n_layers)
                     .flat_map(|layer| (0..k).map(move |s| (layer, s)))
-                    .map(|(layer, s)| perms[layer][(t + s) % n_experts])
+                    .map(|(layer, s)| perms[layer][(id % n_experts + s) % n_experts])
                     .collect();
                 batch.push(&route, 0);
+                plane.tokens.push(Spot { rank: id / n_experts, word: rng.gen() });
             }
-            let tables: Vec<Table> = (0..w)
-                .map(|_| {
-                    let mut table = Table::default();
-                    for id in 0..n_experts as u32 {
-                        table.push(Head { id, word: rng.gen(), ..Head::default() });
-                    }
-                    table
-                })
-                .collect();
+            plane.copies.resize(batch.len() * k, Spot::default());
 
             let mode = ParallelismMode::ALL[mode];
             let pass = Pass { cfg: &cfg, mode, plan: &plan, live_ranks: &live, batches: &[], ctx_offset: 0 };
-            let node_of: Vec<usize> = (0..w).map(|r| cluster.node_of(Rank(r))).collect();
-            let frame = frame_size(cfg.model.token_bytes(), cfg.model.sim_dim);
-            let (mut got_wire, mut want_wire) = (Wire::new(w, frame), Wire::new(w, frame));
             for layer in 0..n_layers {
-                let (mut got, mut want) = (DispatchStats::default(), DispatchStats::default());
-                for (me, table) in tables.iter().enumerate() {
-                    pass.route(me, &batch, layer, table, &node_of, &mut got_wire, &mut got);
-                    route_by_serve(&pass, me, &batch, layer, table, &mut want_wire, &mut want);
-                }
-                prop_assert_eq!(got, want, "layer {} of {:?}", layer, plan.replicas);
-                let mut got_next = vec![Table::default(); w];
-                let mut want_next = vec![Table::default(); w];
-                got_wire.scatter(&tables, &mut got_next, false);
-                want_wire.scatter(&tables, &mut want_next, false);
-                prop_assert_eq!(got_wire.lane_bytes(), want_wire.lane_bytes());
-                prop_assert_eq!(got_next, want_next, "layer {} of {:?}", layer, plan.replicas);
+                plane.acc.clear();
+                plane.acc.resize_with(w, RankResult::default);
+                plane.lanes.fill(0);
+                pass.route(&batch, layer, &mut plane);
+                let (copies, lanes, dispatch) = route_by_serve(&pass, &batch, layer, &plane.tokens);
+                let got: Vec<DispatchStats> = plane.acc.iter().map(|a| a.dispatch).collect();
+                prop_assert_eq!(got, dispatch, "layer {} of {:?}", layer, plan.replicas);
+                let bytes: Vec<u64> = lanes.iter().map(|&n| n * plane.frame as u64).collect();
+                prop_assert_eq!(&plane.lanes, &bytes, "layer {} of {:?}", layer, plan.replicas);
+                prop_assert_eq!(&plane.copies, &copies, "layer {} of {:?}", layer, plan.replicas);
             }
-        }
-    }
-
-    /// The fold [`fold_outputs`] replaced: every row collected, then
-    /// sorted by id.
-    fn fold_outputs_sorted(digest: u64, iter: usize, tables: &[Table]) -> u64 {
-        let mut rows: Vec<(u32, u64)> = (tables.iter())
-            .flat_map(|t| t.heads().iter().map(|h| (h.id, h.word)))
-            .collect();
-        rows.sort_unstable_by_key(|&(id, _)| id);
-        rows.iter().fold(digest, |h, &(id, word)| {
-            fold(fold(fold(h, iter as u64), u64::from(id)), word)
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The id-indexed fold against the sort it replaced, over
-        /// iterations that reuse one scratch: each iteration's ids lie in
-        /// random order across the tables and some are absent. The
-        /// scratch is left empty for the next iteration.
-        #[test]
-        fn the_id_indexed_fold_is_the_sorted_fold(
-            w in 1usize..=8,
-            iters in proptest::collection::vec((0u32..150, 0u32..4), 1..5),
-            seed in 0u64..1_000_000,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut by_id = Vec::new();
-            let (mut got, mut want) = (FNV_OFFSET, FNV_OFFSET);
-            for (iter, (n, absent)) in iters.into_iter().enumerate() {
-                // Each id is absent with odds `absent` in 4.
-                let mut ids: Vec<u32> = (0..n).filter(|_| rng.gen_range(0..4u32) >= absent).collect();
-                for i in (1..ids.len()).rev() {
-                    ids.swap(i, rng.gen_range(0..=i));
-                }
-                let mut tables = vec![Table::default(); w];
-                for id in ids {
-                    let head = Head { id, word: rng.gen(), ..Head::default() };
-                    tables[rng.gen_range(0..w)].push(head);
-                }
-                got = fold_outputs(got, iter, &tables, &mut by_id);
-                want = fold_outputs_sorted(want, iter, &tables);
-                prop_assert_eq!(got, want, "iteration {}", iter);
-                prop_assert!(by_id.iter().all(Option::is_none));
-            }
-        }
-    }
-
-    /// Where a token sits, or where one of its top-k copies runs, and
-    /// its word.
-    #[derive(Debug, Clone, Copy, Default)]
-    struct Spot {
-        rank: usize,
-        word: u64,
-    }
-
-    /// The state of a pass walked over token positions: the wire pass's
-    /// plane (its fleet, ledgers and prompt-gather price), plus one spot
-    /// per token and one per top-k copy, and the per-rank and per-lane
-    /// counts the stages read off them.
-    struct Walk {
-        plane: Plane,
-        /// `tokens[id]`: where token `id` sits.
-        tokens: Vec<Spot>,
-        /// `copies[id * k + slot]`: where that copy of token `id` runs.
-        copies: Vec<Spot>,
-        /// `rows[rank]`: tokens, or copies, on each rank.
-        rows: Vec<usize>,
-        /// `touched[rank]`: distinct experts each rank runs.
-        touched: Vec<usize>,
-        /// `seen[rank * E + expert]`: whether `rank` runs `expert`.
-        seen: Vec<bool>,
-        /// `lanes[src * w + dst]`: the bytes of the hop being built.
-        lanes: Vec<u64>,
-    }
-
-    /// `rows[rank]`: how many of `spots` sit on each rank.
-    fn count_rows(rows: &mut [usize], spots: &[Spot]) {
-        rows.fill(0);
-        for spot in spots {
-            rows[spot.rank] += 1;
-        }
-    }
-
-    impl Pass<'_> {
-        /// [`Pass::run`] as a walk: the same stages in the same order,
-        /// each a count over where every token and copy is.
-        fn walk(&self, walk: &mut Walk) -> u64 {
-            let cfg = self.cfg;
-            let (w, k, e) = (
-                cfg.cluster.world_size(),
-                cfg.model.gate.k(),
-                cfg.model.n_experts,
-            );
-            walk.plane.fleet.reset();
-            walk.plane.acc.clear();
-            walk.plane.acc.resize_with(w, RankResult::default);
-            walk.rows = vec![0; w];
-            walk.touched = vec![0; w];
-            walk.seen = vec![false; w * e];
-            walk.lanes = vec![0; w * w];
-            let mut digest = FNV_OFFSET;
-            if self.mode.context_coherent() {
-                self.gather_prompt_contexts(&mut walk.plane);
-            }
-            for (iter, batch) in self.batches.iter().enumerate() {
-                let ctx_len = cfg.prompt_len + self.ctx_offset + iter;
-                let origin = fold(fold(FNV_OFFSET, cfg.seed), iter as u64);
-                let live = self.live_ranks;
-                walk.tokens.clear();
-                walk.tokens.extend((0..batch.len()).map(|id| Spot {
-                    rank: live[id % live.len()],
-                    word: fold(origin, id as u64),
-                }));
-                walk.copies.resize(batch.len() * k, Spot::default());
-                for layer in 0..cfg.model.n_layers {
-                    count_rows(&mut walk.rows, &walk.tokens);
-                    let plane = &mut walk.plane;
-                    for (me, (&rows, a)) in walk.rows.iter().zip(&mut plane.acc).enumerate() {
-                        let t_att = cfg.compute.attention_time(&cfg.model, rows, ctx_len);
-                        plane.fleet.advance(me, t_att);
-                        a.breakdown.attention += t_att;
-                        let t_gate = cfg.compute.gating_time(&cfg.model, rows);
-                        plane.fleet.advance(me, t_gate);
-                        a.breakdown.gating += t_gate;
-                    }
-                    self.walk_route(batch, layer, walk);
-                    walk_exchange(walk);
-                    self.walk_experts(batch, layer, walk);
-                    self.walk_combine(batch, layer, walk);
-                }
-                digest = (walk.tokens.iter().enumerate()).fold(digest, |h, (id, token)| {
-                    fold(fold(fold(h, iter as u64), id as u64), token.word)
-                });
-                let Plane {
-                    wire,
-                    fleet,
-                    acc,
-                    contribs,
-                    ..
-                } = &mut walk.plane;
-                if self.mode.context_coherent() {
-                    timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-                    count_rows(&mut walk.rows, &walk.tokens);
-                    contribs.clear();
-                    contribs.extend(walk.rows.iter().map(|&n| (n * wire.frame()) as u64));
-                    timed(
-                        fleet,
-                        acc,
-                        |b| &mut b.allgather,
-                        |fleet| fleet.all_gather_v(contribs),
-                    );
-                }
-                fleet.barrier();
-            }
-            digest
-        }
-
-        /// Each token's copies go where `route` sends them: counted per
-        /// rank and per lane, each copy starting from its token's word.
-        fn walk_route(&self, batch: &TokenBatch, layer: usize, walk: &mut Walk) {
-            let cluster = &self.cfg.cluster;
-            let (w, k) = (cluster.world_size(), self.cfg.model.gate.k());
-            let owners = self.plan.base.layer(layer);
-            let no_copies = self.plan.replicas[layer].is_empty();
-            let meeting_point = self.mode.context_coherent() && k > 1;
-            let is_live = |u: usize| self.live_ranks.binary_search(&u).is_ok();
-            let frame = walk.plane.wire.frame() as u64;
-            let node_of = &walk.plane.node_of;
-            let copies = walk.copies.chunks_exact_mut(k);
-            for (id, (token, copies)) in walk.tokens.iter().zip(copies).enumerate() {
-                let me = token.rank;
-                let dispatch = &mut walk.plane.acc[me].dispatch;
-                let route = batch.route(id, layer);
-                for (slot, (copy, &expert)) in copies.iter_mut().zip(route).enumerate() {
-                    let expert = usize::from(expert);
-                    let dst = if no_copies || (meeting_point && slot == 0) {
-                        owners[expert]
-                    } else {
-                        self.plan.serve(cluster, me, layer, expert, is_live)
-                    };
-                    dispatch.total += 1;
-                    dispatch.same_gpu += u64::from(dst == me);
-                    dispatch.same_node += u64::from(node_of[dst] == node_of[me]);
-                    walk.lanes[me * w + dst] += frame;
-                    *copy = Spot {
-                        rank: dst,
-                        word: token.word,
-                    };
-                }
-            }
-        }
-
-        /// `(layer, expert)` folded into every copy's word, the holder
-        /// check once per distinct `(rank, expert)`, and each rank's clock
-        /// advanced by the cost of its copies and distinct experts.
-        fn walk_experts(&self, batch: &TokenBatch, layer: usize, walk: &mut Walk) {
-            let cfg = self.cfg;
-            let (k, e) = (cfg.model.gate.k(), cfg.model.n_experts);
-            walk.rows.fill(0);
-            walk.touched.fill(0);
-            walk.seen.fill(false);
-            for (id, copies) in walk.copies.chunks_exact_mut(k).enumerate() {
-                for (copy, &expert) in copies.iter_mut().zip(batch.route(id, layer)) {
-                    let r = copy.rank;
-                    walk.rows[r] += 1;
-                    let mark = &mut walk.seen[r * e + usize::from(expert)];
-                    if !*mark {
-                        let live = self.live_ranks.binary_search(&r).is_ok();
-                        assert!(
-                            live && self.plan.available_on(layer, usize::from(expert), r),
-                            "token routed to an expert this rank does not hold"
-                        );
-                        *mark = true;
-                        walk.touched[r] += 1;
-                    }
-                    copy.word = fold(fold(copy.word, layer as u64), u64::from(expert));
-                }
-            }
-            let plane = &mut walk.plane;
-            for (me, (&rows, &touched)) in walk.rows.iter().zip(&walk.touched).enumerate() {
-                let t_ffn = cfg.compute.expert_time(&cfg.model, rows, touched, 1);
-                plane.fleet.advance(me, t_ffn);
-                plane.acc[me].breakdown.expert_ffn += t_ffn;
-            }
-        }
-
-        /// Copies go home (vanilla) or a secondary to its primary
-        /// (context-coherent top-2), the two words merge, and the token
-        /// sits where its merged word is; context-coherent top-1 tokens
-        /// stay with their one copy.
-        fn walk_combine(&self, batch: &TokenBatch, layer: usize, walk: &mut Walk) {
-            let (w, k) = (self.cfg.cluster.world_size(), self.cfg.model.gate.k());
-            let coherent = self.mode.context_coherent();
-            let frame = walk.plane.wire.frame() as u64;
-            let copies = walk.copies.chunks_exact(k);
-            for (id, (token, copies)) in walk.tokens.iter_mut().zip(copies).enumerate() {
-                match *copies {
-                    [copy] if coherent => *token = copy,
-                    [copy] => {
-                        walk.lanes[copy.rank * w + token.rank] += frame;
-                        token.word = copy.word;
-                    }
-                    [primary, secondary] => {
-                        // Context-coherent top-2 merges where the primary
-                        // ran, its owner by the meeting-point rule, so the
-                        // secondary always meets it there.
-                        let dst = if coherent {
-                            debug_assert_eq!(
-                                primary.rank,
-                                self.plan
-                                    .base
-                                    .unit_of(layer, usize::from(batch.route(id, layer)[0])),
-                                "a secondary's destination is its primary's rank"
-                            );
-                            primary.rank
-                        } else {
-                            walk.lanes[primary.rank * w + token.rank] += frame;
-                            token.rank
-                        };
-                        walk.lanes[secondary.rank * w + dst] += frame;
-                        *token = Spot {
-                            rank: dst,
-                            word: fold(primary.word, secondary.word),
-                        };
-                    }
-                    _ => unreachable!("top-1 or top-2"),
-                }
-            }
-            if !(coherent && k == 1) {
-                walk_exchange(walk);
-            }
-        }
-    }
-
-    /// The Alltoall of the hop just built: a barrier, then the lanes'
-    /// bytes, which are then cleared.
-    fn walk_exchange(walk: &mut Walk) {
-        let Plane { fleet, acc, .. } = &mut walk.plane;
-        timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-        timed(
-            fleet,
-            acc,
-            |b| &mut b.alltoall,
-            |fleet| fleet.all_to_all_v(&walk.lanes),
-        );
-        walk.lanes.fill(0);
-    }
-
-    /// [`InferenceEngine::run_pass`] with the walk for the body.
-    fn walk_pass(
-        engine: &InferenceEngine,
-        mode: ParallelismMode,
-        plan: &ReplicationPlan,
-        batches: &[TokenBatch],
-        ctx_offset: usize,
-        live_ranks: &[usize],
-    ) -> InferenceReport {
-        let cfg = engine.config();
-        let w = cfg.cluster.world_size();
-        let pass = Pass {
-            cfg,
-            mode,
-            plan,
-            live_ranks,
-            batches,
-            ctx_offset,
-        };
-        let mut walk = Walk {
-            plane: engine.plane(),
-            tokens: Vec::new(),
-            copies: Vec::new(),
-            rows: Vec::new(),
-            touched: Vec::new(),
-            seen: Vec::new(),
-            lanes: Vec::new(),
-        };
-        let output_digest = pass.walk(&mut walk);
-        let fleet = &walk.plane.fleet;
-        let mut breakdown = OpBreakdown::default();
-        let mut dispatch = DispatchStats::default();
-        for r in &walk.plane.acc {
-            breakdown.merge(&r.breakdown);
-            dispatch.merge(&r.dispatch);
-        }
-        InferenceReport {
-            mode,
-            total_time: (0..w).map(|r| fleet.now(r)).fold(0.0f64, f64::max),
-            breakdown: breakdown.scaled(1.0 / w as f64),
-            tokens_processed: batches.iter().map(|b| b.len() as u64).sum(),
-            dispatch,
-            alltoall_bytes: fleet.totals(OpKind::Alltoall).sent,
-            allgather_bytes: fleet.totals(OpKind::AllGather).sent,
-            output_digest,
-        }
-    }
-
-    /// Every field of a report, its floats as bits.
-    fn report_bits(r: &InferenceReport) -> impl PartialEq + std::fmt::Debug {
-        let b = &r.breakdown;
-        let times = [
-            r.total_time,
-            b.gating,
-            b.attention,
-            b.expert_ffn,
-            b.alltoall,
-            b.allgather,
-            b.imbalance,
-        ];
-        (
-            r.mode,
-            times.map(f64::to_bits),
-            r.tokens_processed,
-            r.dispatch,
-            r.alltoall_bytes,
-            r.allgather_bytes,
-            r.output_digest,
-        )
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// The walk over token positions reports what the wire pass does,
-        /// every float to the bit, on random engines: top-1 and top-2,
-        /// every mode, four fleet shapes, bare and `most_popular(.., 3)`
-        /// plans, ranks lost with the plan evacuated as the serving loop
-        /// evacuates it, batches of any size and a context offset.
-        #[test]
-        fn the_walk_reports_what_the_wire_pass_does(
-            (nodes, gpn) in prop_oneof![Just((1usize, 4usize)), Just((2, 2)), Just((2, 4)), Just((4, 2))],
-            (k, mode) in (1usize..=2, 0usize..3),
-            (n_layers, n_tokens, n_iters) in (1usize..=4, 0usize..=24, 1usize..=3),
-            (popular, dead, ctx_offset) in (0u8..2, prop_oneof![Just(0u8), 0u8..=255], prop_oneof![Just(0usize), 1usize..40]),
-            seed in 0u64..1_000_000,
-        ) {
-            let gate = if k == 1 { GateKind::Top1 } else { GateKind::Top2 };
-            let mut model = moe_gpt_m(16).with_gate(gate);
-            model.n_layers = n_layers;
-            let engine = InferenceEngine::builder(model, ClusterSpec::new(nodes, gpn).unwrap())
-                .profile_tokens(400)
-                .seed(seed)
-                .build();
-            let cfg = engine.config();
-            let w = cfg.cluster.world_size();
-            let mode = ParallelismMode::ALL[mode];
-            let base = engine.placement_for(mode).clone();
-            let mut plan = if popular == 1 {
-                ReplicationPlan::most_popular(engine.objective(), base, 3)
-            } else {
-                ReplicationPlan::bare(base)
-            };
-            // Bit `r` of `dead` loses rank `r`, one GPU after another, as
-            // the serving loop does, while more than one is live.
-            let mut live: Vec<usize> = (0..w).collect();
-            for gpu in (0..w).filter(|&r| dead >> r & 1 == 1) {
-                if live.len() == 1 {
-                    break;
-                }
-                live.retain(|&r| r != gpu);
-                plan = exflow_placement::online::plan_gpu_loss(&plan, &live, gpu, 1).0;
-            }
-            let batches: Vec<TokenBatch> = (0..n_iters)
-                .map(|i| TokenBatch::sample(engine.routing(), &cfg.corpus, n_tokens, k, seed + i as u64))
-                .collect();
-            let wire = engine.run_pass(mode, &plan, &batches, ctx_offset, &live, &mut engine.plane());
-            let walked = walk_pass(&engine, mode, &plan, &batches, ctx_offset, &live);
-            prop_assert_eq!(
-                report_bits(&walked), report_bits(&wire),
-                "{}x{} {:?} {} live {:?}", nodes, gpn, gate, mode, live
-            );
         }
     }
 }

@@ -390,7 +390,7 @@ impl<'a> ServingState<'a> {
             tokens: TokenBatch::empty(cfg.model.n_layers, cfg.model.gate.k()),
             events: EventQueue::new(),
             adaptive,
-            plane: engine.plane(),
+            plane: Plane::new(engine.config()),
             step_batch: TokenBatch::empty(cfg.model.n_layers, cfg.model.gate.k()),
             cur_window: 0,
             pending_paths: Vec::new(),
