@@ -2,7 +2,7 @@
 //!
 //! A pass keeps one `u64` word per token and per top-k copy of it: the
 //! token's origin, every `(layer, expert)` that ran it and every top-2
-//! copy merged into it, folded in order with [`fold`]. That word is what
+//! copy merged into it, folded in order with `fold`. That word is what
 //! a run computes and what [`crate::InferenceReport::output_digest`]
 //! hashes.
 //!

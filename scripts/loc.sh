@@ -14,11 +14,22 @@
 # comments are removed from the line, so a brace inside one of them does
 # not end an item early.
 #
-# Usage: scripts/loc.sh    (prints a report; always exits 0 on success)
+# The files are the ones git tracks, so outside a checkout of this
+# repository (a `git archive` export, alone or inside another git
+# repository) there is nothing to count: the script then prints one
+# message and no report, and exits 1.
+#
+# Usage: scripts/loc.sh    (prints a report and exits 0)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-git ls-files -- ':(glob)crates/*/src/**/*.rs' ':(glob)src/**/*.rs' |
+sources=$(git ls-files -- ':(glob)crates/*/src/**/*.rs' ':(glob)src/**/*.rs' 2>/dev/null) || sources=
+if [ -z "$sources" ]; then
+  echo "loc.sh: git tracks no .rs file under crates/*/src or src here; run it in a checkout" >&2
+  exit 1
+fi
+
+printf '%s\n' "$sources" |
   xargs awk '
     FNR == 1 {
       dir = FILENAME
