@@ -657,6 +657,21 @@ impl RoutingModel {
         })
     }
 
+    /// Where an unrestricted draw from row `r` (row `from` of its table)
+    /// lands when the generator yields `u`: the target `u * total`, every
+    /// cell admissible.
+    fn draw(&self, r: usize, from: usize, u: f64) -> usize {
+        let total = self.rows.totals[r];
+        self.pick(self.rows.get(r), total, u * total, None, from)
+    }
+
+    /// [`RoutingModel::draw`] from row `from` of `domain`'s transition
+    /// from layer `gap`.
+    #[cfg(test)]
+    fn draw_at(&self, domain: usize, gap: usize, from: usize, u: f64) -> usize {
+        self.draw(self.row_index(domain, gap, from), from, u)
+    }
+
     /// Sample the next expert given the current one, restricted to the
     /// active set (if any) and excluding `exclude` (for top-2's second pick).
     fn sample_next<R: Rng>(
@@ -671,11 +686,10 @@ impl RoutingModel {
         let r = self.row_index(domain, gap, from);
         let row = self.rows.get(r);
         let Some(mask) = &self.active else {
-            let total = match exclude {
-                // Every entry is admissible: the total is the cached one.
-                None => self.rows.totals[r],
-                Some(x) => row_sum(self.floor, e, row, |i| i != x),
+            let Some(x) = exclude else {
+                return self.draw(r, from, rng.gen::<f64>());
             };
+            let total = row_sum(self.floor, e, row, |i| i != x);
             return self.pick(row, total, rng.gen::<f64>() * total, exclude, from);
         };
         let admissible = |i: usize| Some(i) != exclude && mask[i];

@@ -404,6 +404,84 @@ fn search_matches_the_scan_at_row_boundaries_at_the_edges() {
     }
 }
 
+/// The step between the uniforms `gen::<f64>()` yields: multiples of
+/// 2^-53 in `[0, 1)`.
+const GRID: f64 = f64::EPSILON / 2.0;
+
+/// Every uniform an unrestricted draw from row `from` could be misjudged
+/// at lands where the dense scan does: both edge uniforms of each of the
+/// row's `(4E).next_power_of_two()` buckets (`b / G`, and the last grid
+/// point below `(b + 1) / G`), and the grid points up to four steps either
+/// side of where each cell's bracket of targets starts and of where the
+/// last one ends.
+fn attack_uniforms(
+    model: &RoutingModel,
+    dense: &Dense,
+    (domain, gap, from): (usize, usize, usize),
+) {
+    let g = (4 * dense.e).next_power_of_two();
+    let row = dense.row(domain, gap, from);
+    let total = row.iter().fold(0.0f64, |total, &p| total + p);
+    let mut uniforms: Vec<f64> = (0..g)
+        .flat_map(|b| [b as f64 / g as f64, (b + 1) as f64 / g as f64 - GRID])
+        .collect();
+    let mut prefix = 0.0f64;
+    for &p in row.iter().chain([&0.0]) {
+        let at = (prefix / total / GRID).floor() * GRID;
+        uniforms.extend((-4..=4).map(|steps| at + f64::from(steps) * GRID));
+        prefix += p;
+    }
+    for u in uniforms.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+        assert_eq!(
+            model.draw_at(domain, gap, from, u),
+            dense.scan(domain, gap, from, u * total, None),
+            "E {} domain {domain} gap {gap} row {from} uniform {u:e} ({:#x})",
+            dense.e,
+            u.to_bits()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// An unrestricted draw is the dense scan's at every bucket edge and
+    /// around every cell bracket, in fresh and interpolated models: E
+    /// powers of two and not, κ and `domain_share` at 0, 1 and between,
+    /// 1–3 permutations. The first and last rows of each table and two
+    /// more.
+    #[test]
+    fn draws_match_the_scan_at_every_bucket_edge(
+        e in prop_oneof![(0u32..=7).prop_map(|k| 1usize << k), 1usize..=255],
+        (kappas, shares) in (proptest::collection::vec(unit(), 2), proptest::collection::vec(unit(), 2)),
+        (perms, seeds) in (proptest::collection::vec(1usize..=3, 2), proptest::collection::vec(0u64..1_000_000, 2)),
+        alpha in unit(),
+        rows in proptest::collection::vec(0usize..255, 2),
+    ) {
+        let specs: Vec<AffinityModelSpec> = (0..2)
+            .map(|i| {
+                let mut spec = AffinityModelSpec::new(2, e)
+                    .with_affinity(kappas[i])
+                    .with_seed(seeds[i]);
+                spec.n_permutations = perms[i];
+                spec.n_domains = 2;
+                spec.domain_share = shares[i];
+                spec
+            })
+            .collect();
+        let (a, b) = (specs[0].build(), specs[1].build());
+        let (da, db) = (Dense::new(&specs[0]), Dense::new(&specs[1]));
+        let froms = [0, e - 1, rows[0] % e, rows[1] % e];
+        for (model, dense) in [(a.interpolate(&b, alpha), da.interpolate(&db, alpha)), (a, da)] {
+            for domain in 0..2 {
+                for &from in &froms {
+                    attack_uniforms(&model, &dense, (domain, 0, from));
+                }
+            }
+        }
+    }
+}
+
 /// The replan-e512 benchmark's routing: E = 512, L = 2, a three-phase
 /// piecewise schedule over 8 windows of 2 400 tokens.
 #[test]
