@@ -37,15 +37,22 @@
 //!
 //! **Sampling.** A draw's target is `uniform * total`, and the sampler is
 //! defined as the sequential scan that subtracts cell after cell from it.
-//! An unrestricted draw, or a top-2 second pick, instead walks the row's
-//! few segments to the cell whose computed prefix sums bracket the
-//! target, and takes it only when a rounding margin proves the scan stops
-//! there (the proof is on the private `search`); otherwise, and for a
-//! model restricted to active experts, it runs the scan run by run. Every
-//! draw is the scan's, so routes, traces and everything downstream keep
-//! their bits.
+//! An unrestricted draw first reads one byte: its row's guide entry for
+//! the uniform's bucket, one of `G = (4E).next_power_of_two()` equal
+//! ones, which names the cell every target of the bucket lands on where a
+//! rounding margin proves the scan stops there at both of the bucket's
+//! edges (the scan is monotone in its target, so the edges bound every
+//! target between them). A draw the guide does not answer, or a top-2
+//! second pick, walks the row's few segments to the cell whose computed
+//! prefix sums bracket the target, and takes it only when the same margin
+//! proves it (the proof is on the private `search`); otherwise, and for a
+//! model restricted to active experts, it runs the scan run by run. A
+//! model builds its guides on its first unrestricted draw, and only when
+//! `E <= 255`, so that a cell index fits a byte. Every draw is the scan's,
+//! so routes, traces and everything downstream keep their bits.
 
 use std::ops::{ControlFlow, Range};
+use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -315,6 +322,18 @@ fn scan(
 /// the second-order terms and the rounding of the margin and of
 /// `lo_k + margin`, `hi_k - margin`. A draw this fails to settle goes to
 /// the scan itself, so every draw is the scan's.
+///
+/// Certifying a bucket of uniforms. [`guide_row`] gives the uniforms
+/// `[b / G, (b + 1) / G)` cell `k` only when this certificate, with `k`'s
+/// bounds formed as here, holds at both edge targets `fl(b / G * total)`
+/// and `fl((b + 1) / G * total)`, so the scan stops at `k` from both.
+/// Every uniform of the bucket has a target between the two, since
+/// `fl(u * total)` is monotone in `u`; and the scan is monotone in its
+/// target: `fl(t - p)` is monotone in `t`, so each `t_i` is, and a larger
+/// target stops at the same cell or a later one. So a target between two
+/// that stop at `k` stops at `k`. The upper edge is the bucket's open end,
+/// so this holds for any `u` in the bucket, not only for the multiples of
+/// `2^-53` the generator yields.
 fn search(
     floor: f64,
     e: usize,
@@ -324,12 +343,6 @@ fn search(
     total: f64,
     target: f64,
 ) -> Option<usize> {
-    // Cell of the floor run over columns `start..end` that begins at `lo`.
-    let in_run = |start: usize, end: usize, lo: f64| {
-        let j = (((target - lo) / floor) as usize).min(end - start - 1);
-        let lo_k = lo + j as f64 * floor;
-        (start + j, lo_k, lo_k + floor)
-    };
     let mut lo = 0.0f64;
     let mut col = 0;
     let mut last_spike = None;
@@ -338,7 +351,7 @@ fn search(
         if c > col {
             let hi = lo + (c - col) as f64 * floor;
             if target < hi {
-                found = Some(in_run(col, c, lo));
+                found = Some(in_run(col..c, lo, floor, target));
                 break;
             }
             lo = hi;
@@ -352,22 +365,108 @@ fn search(
         lo = hi;
         col = c + 1;
     }
-    let (k, lo_k, hi_k) = match found {
+    let cell = match found {
         Some(cell) => cell,
-        None if col < e => in_run(col, e, lo),
+        None if col < e => in_run(col..e, lo, floor, target),
         // The last cell is a spike and `target` lies past it.
         None => last_spike?,
     };
-    let margin = (e + 4 * n_spikes + 16) as f64 * f64::EPSILON * total;
-    let above = k == 0 || target >= lo_k + margin;
-    let below = k == last || target < hi_k - margin;
-    (above && below).then_some(k)
+    certify(cell, target, margin(e, n_spikes, total), last)
+}
+
+/// The cell of a run of `cols.len()` cells worth `p` each, beginning at
+/// the computed prefix sum `lo`, that `target` falls in (the run's last
+/// past its end), with the cell's computed prefix sums `lo_k` and `hi_k`.
+fn in_run(cols: Range<usize>, lo: f64, p: f64, target: f64) -> (usize, f64, f64) {
+    let j = (((target - lo) / p) as usize).min(cols.len() - 1);
+    let lo_k = lo + j as f64 * p;
+    (cols.start + j, lo_k, lo_k + p)
+}
+
+/// [`search`]'s rounding margin for a row of `e` cells, `n_spikes` of them
+/// spikes, that sums to `total`.
+fn margin(e: usize, n_spikes: usize, total: f64) -> f64 {
+    (e + 4 * n_spikes + 16) as f64 * f64::EPSILON * total
+}
+
+/// The targets `margin` proves the scan stops at cell `k` for, whose
+/// computed prefix sums are `lo_k` and `hi_k`: `lo_k + margin ..
+/// hi_k - margin`, unbounded below at `k = 0` and above at `last`, the
+/// last cell the scan may return.
+fn certified((k, lo_k, hi_k): (usize, f64, f64), margin: f64, last: usize) -> Range<f64> {
+    let inf = f64::INFINITY;
+    let above = if k == 0 { -inf } else { lo_k + margin };
+    let below = if k == last { inf } else { hi_k - margin };
+    above..below
+}
+
+/// `k` when [`certified`] holds `target`.
+fn certify(cell: (usize, f64, f64), target: f64, margin: f64, last: usize) -> Option<usize> {
+    certified(cell, margin, last)
+        .contains(&target)
+        .then_some(cell.0)
+}
+
+/// A guide entry no cell is certified for: the draw goes to the search.
+const MISS: u8 = u8::MAX;
+
+/// Guide buckets per row of a model with `e` experts: a power of two, so
+/// `u * G` and `b / G` are exact.
+fn buckets(e: usize) -> usize {
+    (4 * e).next_power_of_two()
+}
+
+/// Fill `out`, the guide of one row of `e` cells summing to `total`, with
+/// `out.len()` buckets: entry `b` is the cell `k` whose [`certified`]
+/// targets hold both of the bucket's edge targets `(b / G) * total` and
+/// `((b + 1) / G) * total` (see [`search`]), and stays [`MISS`] where no
+/// cell's do. Each cell's bounds are formed as `search` forms them, and its
+/// buckets are found from the two ends of its certified targets, so a
+/// row costs its segments, its cells in runs at least a bucket wide (a
+/// narrower cell holds no bucket whole), and the fill.
+fn guide_row(floor: f64, e: usize, row: &[Spike], total: f64, out: &mut [u8]) {
+    let (g, margin) = (out.len(), margin(e, row.len(), total));
+    let scale = 1.0 / g as f64;
+    let (per_target, last_edge) = (g as f64 / total, g as f64);
+    let edge = |b: f64| (b * scale) * total;
+    // The first bucket edge at or past `x`, or `G + 1`: edges ascend in
+    // `b`, and `x / total * G` rounded up is at most an edge off. (Edges
+    // are counted in `f64`, exact to 2^53, to keep integer conversions out
+    // of the loops.)
+    let first_edge = |x: f64| {
+        let mut b = (x * per_target).ceil().clamp(0.0, last_edge + 1.0);
+        while b > 0.0 && edge(b - 1.0) >= x {
+            b -= 1.0;
+        }
+        while b <= last_edge && edge(b) < x {
+            b += 1.0;
+        }
+        b as usize
+    };
+    let mut lo = 0.0f64;
+    let _ = walk::<()>(floor, e, row, |cols, p| {
+        if p >= total * scale {
+            for (j, k) in cols.clone().enumerate() {
+                let lo_k = lo + j as f64 * p;
+                let targets = certified((k, lo_k, lo_k + p), margin, e - 1);
+                // Bucket `b` holds when `edge(b)` and `edge(b + 1)` do.
+                let (from, to) = (first_edge(targets.start), first_edge(targets.end));
+                if from + 1 < to {
+                    out[from..to - 1].fill(k as u8);
+                }
+            }
+        }
+        lo += cols.len() as f64 * p;
+        ControlFlow::Continue(())
+    });
 }
 
 #[cfg(test)]
 thread_local! {
     /// Draws [`search`] left to the scan, on this thread.
     static FALLBACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Draws a guide entry answered, on this thread.
+    static GUIDED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The concrete Markov routing process. See the module docs for the
@@ -384,6 +483,10 @@ pub struct RoutingModel {
     /// Optional restriction to a subset of active experts (used by the
     /// training simulator to model early-training expert collapse).
     active: Option<Vec<bool>>,
+    /// Every row's [`guide_row`], [`buckets`] entries each, in row order;
+    /// built on the first unrestricted draw, and empty when a cell index
+    /// does not fit below [`MISS`].
+    guide: OnceLock<Vec<u8>>,
 }
 
 impl RoutingModel {
@@ -457,6 +560,7 @@ impl RoutingModel {
             floor,
             rows,
             active: None,
+            guide: OnceLock::new(),
         }
     }
 
@@ -553,6 +657,7 @@ impl RoutingModel {
             floor,
             rows,
             active: None,
+            guide: OnceLock::new(),
         }
     }
 
@@ -658,11 +763,39 @@ impl RoutingModel {
     }
 
     /// Where an unrestricted draw from row `r` (row `from` of its table)
-    /// lands when the generator yields `u`: the target `u * total`, every
-    /// cell admissible.
+    /// lands when the generator yields `u` in `[0, 1)`: the target
+    /// `u * total`, every cell admissible. The guide entry of `u`'s bucket
+    /// when it names a cell, else [`RoutingModel::pick`].
     fn draw(&self, r: usize, from: usize, u: f64) -> usize {
-        let total = self.rows.totals[r];
-        self.pick(self.rows.get(r), total, u * total, None, from)
+        debug_assert!((0.0..1.0).contains(&u), "a uniform in [0, 1)");
+        let g = buckets(self.spec.n_experts);
+        match self.guide().get(r * g + (u * g as f64) as usize) {
+            Some(&k) if k != MISS => {
+                #[cfg(test)]
+                GUIDED.with(|n| n.set(n.get() + 1));
+                usize::from(k)
+            }
+            _ => {
+                let total = self.rows.totals[r];
+                self.pick(self.rows.get(r), total, u * total, None, from)
+            }
+        }
+    }
+
+    /// Every row's guide, built on first use.
+    fn guide(&self) -> &[u8] {
+        self.guide.get_or_init(|| {
+            let e = self.spec.n_experts;
+            if e > usize::from(MISS) {
+                return Vec::new();
+            }
+            let g = buckets(e);
+            let mut guide = vec![MISS; self.rows.totals.len() * g];
+            for (r, out) in guide.chunks_exact_mut(g).enumerate() {
+                guide_row(self.floor, e, self.rows.get(r), self.rows.totals[r], out);
+            }
+            guide
+        })
     }
 
     /// [`RoutingModel::draw`] from row `from` of `domain`'s transition
@@ -684,14 +817,15 @@ impl RoutingModel {
     ) -> usize {
         let e = self.spec.n_experts;
         let r = self.row_index(domain, gap, from);
-        let row = self.rows.get(r);
         let Some(mask) = &self.active else {
             let Some(x) = exclude else {
                 return self.draw(r, from, rng.gen::<f64>());
             };
+            let row = self.rows.get(r);
             let total = row_sum(self.floor, e, row, |i| i != x);
             return self.pick(row, total, rng.gen::<f64>() * total, exclude, from);
         };
+        let row = self.rows.get(r);
         let admissible = |i: usize| Some(i) != exclude && mask[i];
         let total = row_sum(self.floor, e, row, admissible);
         debug_assert!(total > 0.0, "renormalized row must have mass");

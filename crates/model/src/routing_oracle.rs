@@ -410,16 +410,16 @@ const GRID: f64 = f64::EPSILON / 2.0;
 
 /// Every uniform an unrestricted draw from row `from` could be misjudged
 /// at lands where the dense scan does: both edge uniforms of each of the
-/// row's `(4E).next_power_of_two()` buckets (`b / G`, and the last grid
-/// point below `(b + 1) / G`), and the grid points up to four steps either
-/// side of where each cell's bracket of targets starts and of where the
-/// last one ends.
+/// row's `G` guide buckets (`b / G`, and the last grid point below
+/// `(b + 1) / G`), and the grid points up to four steps either side of
+/// where each cell's bracket of targets starts and of where the last one
+/// ends.
 fn attack_uniforms(
     model: &RoutingModel,
     dense: &Dense,
     (domain, gap, from): (usize, usize, usize),
 ) {
-    let g = (4 * dense.e).next_power_of_two();
+    let g = buckets(dense.e);
     let row = dense.row(domain, gap, from);
     let total = row.iter().fold(0.0f64, |total, &p| total + p);
     let mut uniforms: Vec<f64> = (0..g)
@@ -505,6 +505,120 @@ fn the_search_settles_the_replan_e512_draws() {
             "seed {seed}: {fallbacks} of 19 200 draws fell back"
         );
     }
+}
+
+/// Every guide entry is the cell [`search`] certifies at both of its
+/// bucket's edge targets, and a miss wherever the two do not name one
+/// cell: in fresh and interpolated models, at κ = 0 with E a power of two
+/// (where bucket edges fall exactly on cell brackets, inside the margin),
+/// at κ = 1 (a zero floor), at E = 1 and at E = 255, the widest guided.
+#[test]
+fn every_guide_entry_is_the_search_at_both_edges() {
+    let spec = |e, kappa, seed| AffinityModelSpec {
+        n_domains: 2,
+        ..AffinityModelSpec::new(3, e)
+            .with_affinity(kappa)
+            .with_seed(seed)
+    };
+    for (e, kappa) in [
+        (16, 0.0),
+        (16, 0.85),
+        (24, 1.0),
+        (1, 0.5),
+        (255, 0.85),
+        (7, 0.3),
+    ] {
+        let a = spec(e, kappa, 1).build();
+        let b = spec(e, kappa * 0.5, 2).build();
+        for model in [a.interpolate(&b, 0.3), a] {
+            let g = buckets(e);
+            let guide = model.guide();
+            assert_eq!(guide.len(), model.rows.totals.len() * g);
+            for (r, entries) in guide.chunks_exact(g).enumerate() {
+                let (row, total) = (model.rows.get(r), model.rows.totals[r]);
+                let settle = |b: usize| {
+                    let spikes = row.iter().map(|s| (s.col as usize, s.p));
+                    let target = (b as f64 / g as f64) * total;
+                    search(model.floor, e, spikes, row.len(), e - 1, total, target)
+                };
+                for (b, &entry) in entries.iter().enumerate() {
+                    let want = match (settle(b), settle(b + 1)) {
+                        (Some(k), Some(j)) if k == j => k as u8,
+                        _ => MISS,
+                    };
+                    assert_eq!(entry, want, "E {e} κ {kappa} row {r} bucket {b}");
+                }
+            }
+        }
+    }
+}
+
+/// `offline-fig10`'s routing: MoE-GPT-M/32e-24L under the default spec,
+/// top-1 batches from the Pile proxy. At most a fifth of its draws miss
+/// the guide; the misses are the buckets that straddle two cells, most
+/// of the floor's `1 - κ` share of the row.
+#[test]
+fn the_guide_answers_most_offline_fig10_draws() {
+    use crate::corpus::{CorpusSpec, TokenBatch};
+    let shape = crate::presets::moe_gpt_m(32);
+    for seed in [7u64, 0x5eed] {
+        let spec = AffinityModelSpec::new(shape.n_layers, shape.n_experts).with_seed(seed);
+        let model = spec.build();
+        let corpus = CorpusSpec::pile_proxy(model.n_domains());
+        let tokens = 2000;
+        GUIDED.with(|n| n.set(0));
+        let _ = TokenBatch::sample(&model, &corpus, tokens, 1, seed);
+        let draws = tokens * (shape.n_layers - 1);
+        let missed = 1.0 - GUIDED.with(std::cell::Cell::get) as f64 / draws as f64;
+        assert!(
+            missed <= 0.20,
+            "seed {seed}: {missed:.3} of {draws} draws missed the guide"
+        );
+    }
+}
+
+/// A top-2 second pick, a model restricted to active experts and one with
+/// 256 experts (a cell index would collide with the miss mark) read no
+/// guide; a draw the guide does not answer is the dense scan's all the
+/// same.
+#[test]
+fn second_picks_masked_models_and_e256_read_no_guide() {
+    let guided = || GUIDED.with(std::cell::Cell::get);
+    let routes = |model: &RoutingModel, k: usize| {
+        let before = guided();
+        for seed in 0..200 {
+            let mut route = Vec::new();
+            model.sample_route_into(&mut StdRng::seed_from_u64(seed), 0, k, &mut route);
+        }
+        guided() - before
+    };
+    let spec = AffinityModelSpec::new(6, 16);
+    let model = spec.build();
+    // The primary walk draws first, so top-2 routes make top-1's draws
+    // and then the second picks.
+    let top1 = routes(&model, 1);
+    assert!(top1 > 0);
+    assert_eq!(routes(&model, 2), top1, "second picks read the guide");
+
+    let mut masked = spec.build();
+    masked.set_active_experts(Some(vec![1, 4, 9]));
+    assert_eq!(routes(&masked, 1), 0);
+    assert!(
+        masked.guide.get().is_none(),
+        "a masked draw built the guide"
+    );
+
+    let spec = AffinityModelSpec::new(2, 256).with_seed(3);
+    let (model, dense) = (spec.build(), Dense::new(&spec));
+    assert!(model.guide().is_empty());
+    let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+    let before = guided();
+    for token in 0..2000 {
+        let mut route = Vec::new();
+        model.sample_route_into(&mut a, token % 4, 1, &mut route);
+        assert_eq!(route, dense.route(&mut b, 2, token % 4, 1), "token {token}");
+    }
+    assert_eq!(guided(), before);
 }
 
 /// A million draws at each of E = 16, 32 and 512, top-1 and top-2, against
