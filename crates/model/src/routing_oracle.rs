@@ -482,6 +482,22 @@ proptest! {
     }
 }
 
+/// A row where a cell bracket meets a bucket edge: at `u = 1/2` the scan
+/// stops a cell before the computed prefix sums place the target, so only
+/// the margin keeps bucket 16 of 32 out of the guide. (A 3 000-case run of
+/// the bucket-edge proptest found it.)
+#[test]
+fn draws_match_the_scan_where_a_bracket_meets_a_bucket_edge() {
+    let spec = AffinityModelSpec {
+        n_domains: 2,
+        domain_share: 0.0,
+        ..AffinityModelSpec::new(2, 8)
+            .with_affinity(0.466_266_618_701_942_4)
+            .with_seed(101_056)
+    };
+    attack_uniforms(&spec.build(), &Dense::new(&spec), (1, 0, 2));
+}
+
 /// The replan-e512 benchmark's routing: E = 512, L = 2, a three-phase
 /// piecewise schedule over 8 windows of 2 400 tokens.
 #[test]
