@@ -343,6 +343,12 @@ fn search(
     total: f64,
     target: f64,
 ) -> Option<usize> {
+    // Cell of the floor run over columns `start..end` that begins at `lo`.
+    let in_run = |start: usize, end: usize, lo: f64| {
+        let j = (((target - lo) / floor) as usize).min(end - start - 1);
+        let lo_k = lo + j as f64 * floor;
+        (start + j, lo_k, lo_k + floor)
+    };
     let mut lo = 0.0f64;
     let mut col = 0;
     let mut last_spike = None;
@@ -351,7 +357,7 @@ fn search(
         if c > col {
             let hi = lo + (c - col) as f64 * floor;
             if target < hi {
-                found = Some(in_run(col..c, lo, floor, target));
+                found = Some(in_run(col, c, lo));
                 break;
             }
             lo = hi;
@@ -367,20 +373,13 @@ fn search(
     }
     let cell = match found {
         Some(cell) => cell,
-        None if col < e => in_run(col..e, lo, floor, target),
+        None if col < e => in_run(col, e, lo),
         // The last cell is a spike and `target` lies past it.
         None => last_spike?,
     };
-    certify(cell, target, margin(e, n_spikes, total), last)
-}
-
-/// The cell of a run of `cols.len()` cells worth `p` each, beginning at
-/// the computed prefix sum `lo`, that `target` falls in (the run's last
-/// past its end), with the cell's computed prefix sums `lo_k` and `hi_k`.
-fn in_run(cols: Range<usize>, lo: f64, p: f64, target: f64) -> (usize, f64, f64) {
-    let j = (((target - lo) / p) as usize).min(cols.len() - 1);
-    let lo_k = lo + j as f64 * p;
-    (cols.start + j, lo_k, lo_k + p)
+    certified(cell, margin(e, n_spikes, total), last)
+        .contains(&target)
+        .then_some(cell.0)
 }
 
 /// [`search`]'s rounding margin for a row of `e` cells, `n_spikes` of them
@@ -398,13 +397,6 @@ fn certified((k, lo_k, hi_k): (usize, f64, f64), margin: f64, last: usize) -> Ra
     let above = if k == 0 { -inf } else { lo_k + margin };
     let below = if k == last { inf } else { hi_k - margin };
     above..below
-}
-
-/// `k` when [`certified`] holds `target`.
-fn certify(cell: (usize, f64, f64), target: f64, margin: f64, last: usize) -> Option<usize> {
-    certified(cell, margin, last)
-        .contains(&target)
-        .then_some(cell.0)
 }
 
 /// A guide entry no cell is certified for: the draw goes to the search.
