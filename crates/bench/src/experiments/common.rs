@@ -6,8 +6,8 @@
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_core::json::Json;
 use exflow_core::{
-    BatchPolicy, InferenceEngine, InferenceReport, OnlineConfig, ParallelismMode, Scenario,
-    ServingConfig,
+    BatchPolicy, EngineBuilder, InferenceEngine, InferenceReport, OnlineConfig, ParallelismMode,
+    Scenario, ServingConfig,
 };
 use exflow_model::presets::moe_gpt_m;
 use exflow_model::routing::AffinityModelSpec;
@@ -368,10 +368,7 @@ pub(crate) fn serving_model(layers: usize) -> ModelConfig {
     model
 }
 
-/// Build one serving engine. All policies share the model, cluster, and
-/// master seed, so the profiled incumbent placement — and, downstream,
-/// the arrival sample and per-request routing draws of the serving run —
-/// are identical across policies; only the re-placement behavior differs.
+/// Build one serving engine.
 pub(crate) fn serving_engine(
     layers: usize,
     online: OnlineConfig,
@@ -379,6 +376,18 @@ pub(crate) fn serving_engine(
     backend: GapBackend,
     seed: u64,
 ) -> InferenceEngine {
+    serving_builder(layers, online, seed)
+        .parallelism(Parallelism::new(threads))
+        .gap_backend(backend)
+        .build()
+}
+
+/// The builder of one serving engine. All policies share the model,
+/// cluster, and master seed, so the profiled incumbent placement — and,
+/// downstream, the arrival sample and per-request routing draws of the
+/// serving run — are identical across policies; only the re-placement
+/// behavior differs.
+pub(crate) fn serving_builder(layers: usize, online: OnlineConfig, seed: u64) -> EngineBuilder {
     let cost = CostModel::new(
         LinkCost::from_latency_bandwidth(0.3e-6, 1.5e12),
         LinkCost::from_latency_bandwidth(1.0e-6, 300.0e9),
@@ -390,11 +399,8 @@ pub(crate) fn serving_engine(
         .requests_per_gpu(SERVING_MAX_BATCH / 4)
         .prompt_len(4)
         .profile_tokens(800)
-        .parallelism(Parallelism::new(threads))
-        .gap_backend(backend)
         .online(online)
         .seed(seed ^ 0x5e_4b_1e)
-        .build()
 }
 
 /// One serving cell's arrival calibration, against a probed full-batch
@@ -441,6 +447,47 @@ pub(crate) fn over_byte_budget(f: &Json, prefix: &str, budget: &str) -> Option<S
              per-re-plan budget"
         )
     })
+}
+
+/// The solver widths and gap backends the invariance tests re-run a
+/// sweep's cells at: 1, 2 and 8 threads on the dense backend and one
+/// thread on CSR. The sweeps themselves run at one thread on
+/// `GapBackend::Auto`, the default of `Objective::from_snapshot` and of
+/// the engine builder.
+#[cfg(test)]
+pub(crate) const VARIANTS: [(usize, GapBackend); 4] = [
+    (1, GapBackend::Dense),
+    (2, GapBackend::Dense),
+    (8, GapBackend::Dense),
+    (1, GapBackend::Sparse),
+];
+
+/// What the invariance tests hold a sweep's cells to: `run(threads,
+/// backend)` is `reference` — the cell as the sweep computes it — at every
+/// one of the [`VARIANTS`].
+#[cfg(test)]
+pub(crate) fn assert_invariant<T: PartialEq>(
+    what: &str,
+    reference: &T,
+    run: impl Fn(usize, GapBackend) -> T,
+) {
+    for (threads, backend) in VARIANTS {
+        assert!(
+            run(threads, backend) == *reference,
+            "{what} diverged at {threads} threads on the {backend:?} backend"
+        );
+    }
+}
+
+/// `builder`'s engine at `threads` solver threads on `backend`.
+#[cfg(test)]
+pub(crate) fn build_at(
+    builder: &EngineBuilder,
+    threads: usize,
+    backend: GapBackend,
+) -> InferenceEngine {
+    let builder = builder.clone().parallelism(Parallelism::new(threads));
+    builder.gap_backend(backend).build()
 }
 
 /// What tier-1's debug-profile tests sweep instead: the paper-sized

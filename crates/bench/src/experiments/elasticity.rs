@@ -11,12 +11,14 @@
 //! recovers within the run).
 
 use exflow_core::json::Json;
-use exflow_core::{OnlineConfig, ParallelismMode, Scenario, ServingReport};
+use exflow_core::{
+    EngineBuilder, InferenceEngine, OnlineConfig, ParallelismMode, Scenario, ServingReport,
+};
 use exflow_model::{ArrivalProcess, FaultKind, FaultSchedule};
-use exflow_placement::{GapBackend, ReplicationPlan};
+use exflow_placement::{Parallelism, ReplicationPlan};
 
 use crate::experiments::common::{
-    at_widths, calibrate_serving, serving_engine, Workload, SERVING_DECAY, SERVING_EXPERTS,
+    at_widths, calibrate_serving, serving_builder, Workload, SERVING_DECAY, SERVING_EXPERTS,
 };
 use crate::fmt::{render_table, us};
 use crate::table::{num, nums, text, Bars};
@@ -41,6 +43,11 @@ const ELASTICITY_FAULT_AT: f64 = 0.4;
 /// fraction of the arrival horizon.
 const ELASTICITY_REJOIN_AT: f64 = 0.6;
 
+/// MoE layers of the serving model in every `table_elasticity` cell.
+const LAYERS: usize = 4;
+
+const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
+
 /// The `table_elasticity` sweep: one Poisson arrival sample served
 /// through a mid-run GPU loss (and, in the second cell, a later rejoin)
 /// by two fleets that differ only in replication — none (lost experts
@@ -55,50 +62,21 @@ const ELASTICITY_REJOIN_AT: f64 = 0.6;
 /// CSR gap backend, or if a loss without a rejoin costs the replicated
 /// fleet any emergency bytes.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
-    let layers = 4;
     let n_requests = ELASTICITY_REQUESTS;
-    let mode = ParallelismMode::ContextCoherentAffinity;
-    // A static (never drift-replanning) policy on both fleets: the only
-    // re-placements in these cells are the emergency ones the fault
-    // layer itself triggers, so the recovery clock measures elasticity,
-    // not drift adaptation.
-    let oc = OnlineConfig {
-        drift_threshold: f64::INFINITY,
-        decay: SERVING_DECAY,
-        ..OnlineConfig::default()
-    };
-
-    let eng = serving_engine(layers, oc, 1, GapBackend::Dense, w.seed);
-    let world = eng.config().cluster.world_size();
-    let (rate, horizon, config) =
-        calibrate_serving(&eng, mode, ELASTICITY_UTILIZATION, n_requests)?;
-    let cfg = config(ArrivalProcess::poisson(rate));
+    let eng = fleet(w).build();
     // The replicated fleet starts from the same profiled placement with
     // every expert replicated everywhere, so any lost expert has a live
     // copy. `everywhere` materializes the actual non-owner subsets, so
     // the memory figure below counts real copies, not a world-size
     // fan-out assumption.
     let full_replication = ReplicationPlan::everywhere(
-        eng.placement_for(mode).clone(),
-        vec![(0..SERVING_EXPERTS).collect(); layers],
+        eng.placement_for(MODE).clone(),
+        vec![(0..SERVING_EXPERTS).collect(); LAYERS],
     );
 
-    let faults = [
-        FaultSchedule::gpu_loss(world, 1, ELASTICITY_FAULT_AT * horizon),
-        FaultSchedule::loss_and_rejoin(
-            world,
-            1,
-            ELASTICITY_FAULT_AT * horizon,
-            ELASTICITY_REJOIN_AT * horizon,
-        ),
-    ];
-
-    let mut rows = Vec::with_capacity(faults.len());
-    for fault in faults {
+    let mut rows = Vec::new();
+    for (fault, plain_scenario) in faulted(&eng)? {
         let name = fault.name().to_string();
-        let plain_scenario = Scenario::offline(mode)
-            .with_serving(cfg.clone())
-            .with_faults(fault.clone());
         let repl_scenario = plain_scenario
             .clone()
             .with_replication(full_replication.clone());
@@ -107,7 +85,8 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
         // emergency re-placement.
         let what = format!("{name}: faulted serving report");
         let plain = at_widths(&what, |threads, backend| {
-            serving_engine(layers, oc, threads, backend, w.seed)
+            let fleet = fleet(w).parallelism(Parallelism::new(threads));
+            (fleet.gap_backend(backend).build())
                 .run_scenario(&plain_scenario)
                 .expect_serving()
         })?;
@@ -196,6 +175,42 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     Ok(rows)
 }
 
+/// The builder of both fleets' engine: a static (never drift-replanning)
+/// policy, so the only re-placements in these cells are the emergency
+/// ones the fault layer itself triggers, and the recovery clock measures
+/// elasticity, not drift adaptation.
+fn fleet(w: &Workload) -> EngineBuilder {
+    let oc = OnlineConfig {
+        drift_threshold: f64::INFINITY,
+        decay: SERVING_DECAY,
+        ..OnlineConfig::default()
+    };
+    serving_builder(LAYERS, oc, w.seed)
+}
+
+/// Each fault schedule and the scenario that serves one Poisson arrival
+/// sample through it, calibrated on the fleet's engine `eng`.
+fn faulted(eng: &InferenceEngine) -> Result<Vec<(FaultSchedule, Scenario)>, String> {
+    let world = eng.config().cluster.world_size();
+    let (rate, horizon, config) =
+        calibrate_serving(eng, MODE, ELASTICITY_UTILIZATION, ELASTICITY_REQUESTS)?;
+    let cfg = config(ArrivalProcess::poisson(rate));
+    let faults = [
+        FaultSchedule::gpu_loss(world, 1, ELASTICITY_FAULT_AT * horizon),
+        FaultSchedule::loss_and_rejoin(
+            world,
+            1,
+            ELASTICITY_FAULT_AT * horizon,
+            ELASTICITY_REJOIN_AT * horizon,
+        ),
+    ];
+    let scenario = |fault: FaultSchedule| {
+        let serving = Scenario::offline(MODE).with_serving(cfg.clone());
+        (fault.clone(), serving.with_faults(fault))
+    };
+    Ok(faults.into_iter().map(scenario).collect())
+}
+
 /// Under every fault schedule the replicated fleet must recover its
 /// latency tail (recovery >= 0) strictly faster than the unreplicated
 /// fleet (which may never recover at all, encoded as -1), and replica
@@ -270,4 +285,39 @@ pub fn render(rows: &[Json]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use exflow_placement::GapBackend;
+
+    use super::*;
+    use crate::experiments::common::{assert_invariant, build_at, FIXTURE, PAPER};
+
+    /// The no-replica fleet's whole faulted `ServingReport`, in every cell
+    /// of the sweep at `w`, is the same at every checked width and backend
+    /// as on the engine the sweep builds: the fleet that actually
+    /// exercises emergency re-placement.
+    fn faulted_reports_are_the_same_at_every_width_and_backend(w: &Workload) {
+        let fleet = fleet(w);
+        for (fault, scenario) in faulted(&fleet.clone().build()).unwrap() {
+            let serve = |threads, backend| {
+                let eng = build_at(&fleet, threads, backend);
+                eng.run_scenario(&scenario).expect_serving()
+            };
+            let what = format!("{}: faulted serving report", fault.name());
+            assert_invariant(&what, &serve(1, GapBackend::Auto), serve);
+        }
+    }
+
+    #[test]
+    fn the_faulted_fleet_serves_the_same_report_at_every_width_and_backend() {
+        faulted_reports_are_the_same_at_every_width_and_backend(&FIXTURE);
+    }
+
+    #[test]
+    #[ignore = "paper size: CI runs it on the release profile"]
+    fn the_paper_faulted_fleet_serves_the_same_report_at_every_width_and_backend() {
+        faulted_reports_are_the_same_at_every_width_and_backend(&PAPER);
+    }
 }

@@ -19,14 +19,16 @@
 //! scarce, a bounded replica memory buys locality that owner moves alone
 //! do not.
 
-use exflow_affinity::StreamingAffinity;
+use exflow_affinity::{AffinitySnapshot, StreamingAffinity};
 use exflow_core::json::Json;
 use exflow_core::{replan, OnlineConfig};
 use exflow_model::presets::moe_gpt_m;
 use exflow_model::routing::AffinityModelSpec;
 use exflow_model::DriftSchedule;
 use exflow_placement::local_search::solve_local_search_with;
-use exflow_placement::{split_seed, Objective, Parallelism, ReplicationPlan};
+use exflow_placement::{
+    split_seed, MigrationPlan, Objective, Parallelism, Placement, ReplanCost, ReplicationPlan,
+};
 use exflow_topology::ClusterSpec;
 
 use crate::experiments::common::{
@@ -59,6 +61,20 @@ const ONLINE_ORACLE_RESTARTS: usize = 2;
 /// The adaptive policies, in the order they re-plan.
 const POLICIES: [&str; 3] = ["budgeted", "owner", "joint"];
 
+/// MoE layers of every drift scenario.
+const LAYERS: usize = 5;
+
+/// Serving windows of every drift scenario.
+const WINDOWS: usize = 12;
+
+/// Tokens each serving window routes.
+const WINDOW_TOKENS: usize = 1500;
+
+/// One re-plan window of a scenario: the oracle's from-scratch re-solve,
+/// and each adaptive policy's re-plan step in `POLICIES` order — the plan
+/// it serves next, what it migrates and what the step cost.
+type Replanned = (Placement, [(ReplicationPlan, MigrationPlan, ReplanCost); 3]);
+
 /// Budgeted incremental re-placement must recover at least this fraction
 /// of the oracle re-solve's cross-traffic reduction on every
 /// `table_online` scenario (the acceptance bar of the online subsystem).
@@ -74,11 +90,11 @@ pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 /// `ReplicationPlan::serve` sends it.
 fn scenario(
     drift: &DriftSchedule,
-    layers: usize,
-    window_tokens: usize,
     seed: u64,
-) -> Result<Json, String> {
-    let e = ONLINE_EXPERTS;
+    objective: &dyn Fn(&AffinitySnapshot) -> Objective,
+    parallelism: Parallelism,
+) -> Result<(Json, Vec<Replanned>), String> {
+    let (e, layers, window_tokens) = (ONLINE_EXPERTS, LAYERS, WINDOW_TOKENS);
     let name = drift.name();
     // Two nodes of two GPUs, so a joint copy fans out one per node.
     let cluster = ClusterSpec::new(2, 2).expect("2 nodes of 2 GPUs is a valid cluster");
@@ -102,11 +118,11 @@ fn scenario(
     let mut streaming = StreamingAffinity::new(layers, e, ONLINE_DECAY);
     streaming.observe(&window_trace(drift, 0, window_tokens, 1, seed ^ 0x0ff1));
     let initial = ReplicationPlan::bare(solve_local_search_with(
-        &Objective::from_snapshot(&streaming.snapshot()),
+        &objective(&streaming.snapshot()),
         units,
         ONLINE_ORACLE_RESTARTS,
         seed,
-        Parallelism::single(),
+        parallelism,
     ));
     let mut oracle_plan = initial.clone();
     let mut plans = [(); 3].map(|_| initial.clone());
@@ -115,6 +131,7 @@ fn scenario(
     // Bytes migrated and re-plans that moved anything, per adaptive policy.
     let mut tally = [(0u64, 0usize); 3];
     let (mut replicas_added, mut replicas_dropped) = (0u64, 0u64);
+    let mut replanned = Vec::new();
 
     for window in 0..windows {
         let trace = window_trace(drift, window, window_tokens, 1, seed);
@@ -133,7 +150,7 @@ fn scenario(
             let snapshot = streaming.snapshot();
             // Oracle: from-scratch re-solve on the live estimate,
             // thread-count invariance verified.
-            let live = Objective::from_snapshot(&snapshot);
+            let live = objective(&snapshot);
             let oracle = |parallelism: Parallelism| {
                 solve_local_search_with(
                     &live,
@@ -143,7 +160,7 @@ fn scenario(
                     parallelism,
                 )
             };
-            let oracle_placement = oracle(Parallelism::single());
+            let oracle_placement = oracle(parallelism);
             for threads in CHECKED_WIDTHS {
                 if oracle_placement != oracle(Parallelism::new(threads)) {
                     return Err(format!(
@@ -152,7 +169,6 @@ fn scenario(
                     ));
                 }
             }
-            oracle_plan = ReplicationPlan::bare(oracle_placement);
 
             // The served re-plan step under each policy's budget (the
             // budget caps migration traffic, not solver compute), with
@@ -176,6 +192,8 @@ fn scenario(
                     POLICIES[i]
                 )
             })?;
+            replanned.push((oracle_placement.clone(), steps.clone()));
+            oracle_plan = ReplicationPlan::bare(oracle_placement);
 
             for (i, (next, plan, _)) in steps.into_iter().enumerate() {
                 let who = format!("{name}: {}", POLICIES[i]);
@@ -213,7 +231,7 @@ fn scenario(
     // Cross counts are realized cross-unit layer transitions summed over
     // every serving window — integers, so any drift across thread counts
     // or backends is unambiguous.
-    Ok(Json::obj(vec![
+    let row = Json::obj(vec![
         // Drift preset name (`piecewise-2phase`, `smooth`, ...).
         ("scenario", name.into()),
         // Experts per layer.
@@ -270,7 +288,8 @@ fn scenario(
         ("owner_cross", owner_cross.into()),
         // Cross-unit transitions under the joint policy.
         ("joint_cross", joint_cross.into()),
-    ]))
+    ]);
+    Ok((row, replanned))
 }
 
 /// Fraction of the oracle's cross-traffic reduction the budgeted policy
@@ -293,18 +312,27 @@ pub(crate) fn recovery(static_cross: f64, oracle_cross: f64, budgeted_cross: f64
 /// byte and slot budget. Errors (instead of panicking) if any invariance
 /// or budget check fails.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
-    let layers = 5;
-    let windows = 12;
-    let window_tokens = 1500;
-    let spec = AffinityModelSpec::new(layers, ONLINE_EXPERTS).with_seed(w.seed ^ 0x07_11_13);
-    DriftSchedule::presets(&spec, windows)
-        .iter()
-        .enumerate()
-        .map(|(i, drift)| {
-            let seed = split_seed(w.seed, 0xd1f7 ^ i as u64);
-            scenario(drift, layers, window_tokens, seed)
-        })
-        .collect()
+    let rows = drifts(w).into_iter().map(|(drift, seed)| {
+        let (row, _) = scenario(
+            &drift,
+            seed,
+            &Objective::from_snapshot,
+            Parallelism::single(),
+        )?;
+        Ok(row)
+    });
+    rows.collect()
+}
+
+/// The drift presets the sweep at `w` serves, each with its scenario's
+/// seed.
+fn drifts(w: &Workload) -> Vec<(DriftSchedule, u64)> {
+    let spec = AffinityModelSpec::new(LAYERS, ONLINE_EXPERTS).with_seed(w.seed ^ 0x07_11_13);
+    let presets = DriftSchedule::presets(&spec, WINDOWS)
+        .into_iter()
+        .enumerate();
+    let seeded = presets.map(|(i, drift)| (drift, split_seed(w.seed, 0xd1f7 ^ i as u64)));
+    seeded.collect()
 }
 
 /// Budgeted incremental re-placement must recover >= 80% of the oracle's
@@ -401,4 +429,37 @@ pub fn render(rows: &[Json]) -> String {
         ],
         rows,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use exflow_placement::GapBackend;
+
+    use super::*;
+    use crate::experiments::common::{assert_invariant, FIXTURE, PAPER};
+
+    /// Every scenario of the sweep at `w` — its row and, at every re-plan
+    /// window, the oracle's re-solve and each policy's `(next plan,
+    /// MigrationPlan, ReplanCost)` — is the same at every checked width
+    /// and backend as at the sweep's.
+    fn replans_are_the_same_at_every_width_and_backend(w: &Workload) {
+        for (drift, seed) in drifts(w) {
+            let run = |threads, backend| {
+                let objective = |s: &AffinitySnapshot| Objective::from_snapshot_with(s, backend);
+                scenario(&drift, seed, &objective, Parallelism::new(threads)).unwrap()
+            };
+            assert_invariant(drift.name(), &run(1, GapBackend::Auto), run);
+        }
+    }
+
+    #[test]
+    fn every_replan_is_the_same_at_every_width_and_backend() {
+        replans_are_the_same_at_every_width_and_backend(&FIXTURE);
+    }
+
+    #[test]
+    #[ignore = "paper size: CI runs it on the release profile"]
+    fn every_paper_replan_is_the_same_at_every_width_and_backend() {
+        replans_are_the_same_at_every_width_and_backend(&PAPER);
+    }
 }

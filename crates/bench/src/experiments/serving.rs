@@ -15,13 +15,12 @@
 //! these slow inter-node links.
 
 use exflow_core::json::Json;
-use exflow_core::{OnlineConfig, ParallelismMode, Scenario, ServingReport};
+use exflow_core::{InferenceEngine, OnlineConfig, ParallelismMode, Scenario, ServingReport};
 use exflow_model::{ArrivalProcess, DriftSchedule};
-use exflow_placement::GapBackend;
 
 use crate::experiments::common::{
-    at_widths, calibrate_serving, ratio, serving_engine, serving_model, Workload, SERVING_DECAY,
-    SERVING_DECODE_STEPS, SERVING_MAX_BATCH, SERVING_UTILIZATION, SERVING_WINDOWS,
+    at_widths, calibrate_serving, ratio, serving_builder, serving_engine, serving_model, Workload,
+    SERVING_DECAY, SERVING_DECODE_STEPS, SERVING_MAX_BATCH, SERVING_UTILIZATION, SERVING_WINDOWS,
 };
 use crate::fmt::{render_table, speedup, us};
 use crate::table::{num, text, Bars};
@@ -39,6 +38,14 @@ const SERVING_REPLICA_SLOTS: u64 = 4;
 /// Drift threshold of the serving re-placement policies.
 const SERVING_DRIFT_THRESHOLD: f64 = 0.08;
 
+/// MoE layers of the serving model in every `table_serving` cell.
+const LAYERS: usize = 4;
+
+/// Requests each `table_serving` cell serves.
+const REQUESTS: usize = 1400;
+
+const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
+
 /// The `table_serving` sweep: Poisson, diurnal, and flash-crowd arrival
 /// processes served end-to-end through the request-level front-end
 /// (`Scenario::with_serving`) under static / budgeted-online /
@@ -52,20 +59,12 @@ const SERVING_DRIFT_THRESHOLD: f64 = 0.08;
 /// and on the CSR gap backend, or if a policy dropped a request, saw
 /// another arrival sample, or never re-planned.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
-    cells(4, 1400, w)?.collect()
+    cells(LAYERS, REQUESTS, w)?.collect()
 }
 
-/// The cells of [`sweep`] at `w` for a `layers`-deep model serving
-/// `n_requests` requests, one per arrival process (Poisson first), each
-/// run when the iterator reaches it.
-pub(crate) fn cells(
-    layers: usize,
-    n_requests: usize,
-    w: &Workload,
-) -> Result<impl Iterator<Item = Result<Json, String>>, String> {
-    let seed = w.seed;
-    let mode = ParallelismMode::ContextCoherentAffinity;
-
+/// The online configs of the three policies on a `layers`-deep model: the
+/// static incumbent, budgeted-online and replication-aware re-placement.
+fn policies(layers: usize) -> [OnlineConfig; 3] {
     let bytes_per_expert = serving_model(layers).expert_params() * 2;
     let static_oc = OnlineConfig {
         drift_threshold: f64::INFINITY,
@@ -84,13 +83,15 @@ pub(crate) fn cells(
         replica_memory_bytes: SERVING_REPLICA_SLOTS * bytes_per_expert,
         ..online_oc
     };
+    [static_oc, online_oc, repl_oc]
+}
 
-    let static_eng = serving_engine(layers, static_oc, 1, GapBackend::Dense, seed);
-    let repl_eng = serving_engine(layers, repl_oc, 1, GapBackend::Dense, seed);
-
-    let drift = DriftSchedule::piecewise(&static_eng.config().routing_spec, 2, SERVING_WINDOWS);
-    let (rate, horizon, config) =
-        calibrate_serving(&static_eng, mode, SERVING_UTILIZATION, n_requests)?;
+/// Each arrival process's name and drifting serving scenario, Poisson
+/// first, with `n_requests` requests calibrated on the static incumbent's
+/// engine `eng`.
+fn arrivals(eng: &InferenceEngine, n_requests: usize) -> Result<Vec<(String, Scenario)>, String> {
+    let drift = DriftSchedule::piecewise(&eng.config().routing_spec, 2, SERVING_WINDOWS);
+    let (rate, horizon, config) = calibrate_serving(eng, MODE, SERVING_UTILIZATION, n_requests)?;
     // The flash crowd compresses the same mean load: a quiet base rate
     // with a 4x spike over 10% of the horizon.
     let arrivals = [
@@ -98,102 +99,122 @@ pub(crate) fn cells(
         ArrivalProcess::diurnal(rate, 0.5, horizon / 2.0),
         ArrivalProcess::flash_crowd(rate / 1.3, 4.0, 0.7 * horizon, 0.1 * horizon),
     ];
+    let scenario = |arrival: ArrivalProcess| {
+        let scenario = Scenario::offline(MODE).with_drift(drift.clone());
+        (
+            arrival.name().to_string(),
+            scenario.with_serving(config(arrival)),
+        )
+    };
+    Ok(arrivals.into_iter().map(scenario).collect())
+}
 
-    Ok(arrivals.into_iter().map(move |arrival| {
-        let name = arrival.name().to_string();
-        let scenario = Scenario::offline(mode)
-            .with_drift(drift.clone())
-            .with_serving(config(arrival));
-        let stat: ServingReport = static_eng.run_scenario(&scenario).expect_serving();
-        // The budgeted-online policy, held to the bit-identity contract at
-        // the checked solver widths and on the CSR objective backend.
-        let what = format!("{name}: serving report");
-        let online = at_widths(&what, |threads, backend| {
-            serving_engine(layers, online_oc, threads, backend, seed)
-                .run_scenario(&scenario)
-                .expect_serving()
-        })?;
-        let repl = repl_eng.run_scenario(&scenario).expect_serving();
+/// The cells of [`sweep`] at `w` for a `layers`-deep model serving
+/// `n_requests` requests, one per arrival process (Poisson first), each
+/// run when the iterator reaches it.
+pub(crate) fn cells(
+    layers: usize,
+    n_requests: usize,
+    w: &Workload,
+) -> Result<impl Iterator<Item = Result<Json, String>>, String> {
+    let seed = w.seed;
+    let [static_oc, online_oc, repl_oc] = policies(layers);
+    let static_eng = serving_builder(layers, static_oc, seed).build();
+    let repl_eng = serving_builder(layers, repl_oc, seed).build();
 
-        for (policy, r) in [
-            ("static", &stat),
-            ("online", &online),
-            ("replicated", &repl),
-        ] {
-            if r.n_requests() != n_requests {
+    Ok(arrivals(&static_eng, n_requests)?
+        .into_iter()
+        .map(move |(name, scenario)| {
+            let stat: ServingReport = static_eng.run_scenario(&scenario).expect_serving();
+            // The budgeted-online policy, held to the bit-identity contract at
+            // the checked solver widths and on the CSR objective backend.
+            let what = format!("{name}: serving report");
+            let online = at_widths(&what, |threads, backend| {
+                serving_engine(layers, online_oc, threads, backend, seed)
+                    .run_scenario(&scenario)
+                    .expect_serving()
+            })?;
+            let repl = repl_eng.run_scenario(&scenario).expect_serving();
+
+            for (policy, r) in [
+                ("static", &stat),
+                ("online", &online),
+                ("replicated", &repl),
+            ] {
+                if r.n_requests() != n_requests {
+                    return Err(format!(
+                        "{name}/{policy}: served {} of {n_requests} requests",
+                        r.n_requests()
+                    ));
+                }
+                if r.offered_load.to_bits() != stat.offered_load.to_bits() {
+                    return Err(format!(
+                        "{name}/{policy}: policies saw different arrival samples"
+                    ));
+                }
+            }
+            if online.migrations.replans == 0 {
                 return Err(format!(
-                    "{name}/{policy}: served {} of {n_requests} requests",
-                    r.n_requests()
+                    "{name}: piecewise drift fired no budgeted-online re-plans"
                 ));
             }
-            if r.offered_load.to_bits() != stat.offered_load.to_bits() {
-                return Err(format!(
-                    "{name}/{policy}: policies saw different arrival samples"
-                ));
-            }
-        }
-        if online.migrations.replans == 0 {
-            return Err(format!(
-                "{name}: piecewise drift fired no budgeted-online re-plans"
-            ));
-        }
 
-        Ok(Json::obj(vec![
-            // Arrival-process label (`poisson`, `diurnal`, `flash-crowd`).
-            ("arrival", name.as_str().into()),
-            // Requests served per cell.
-            ("requests", n_requests.into()),
-            // Decode steps (generated tokens) per request.
-            ("decode_steps", SERVING_DECODE_STEPS.into()),
-            // Serving windows of the drift schedule.
-            ("windows", SERVING_WINDOWS.into()),
-            // Batch-size cap of the continuous-batching policy.
-            ("max_batch", SERVING_MAX_BATCH.into()),
-            // Requests per unit virtual time the arrival process offered.
-            ("offered_load", stat.offered_load.into()),
-            // p50 request latency under the static incumbent.
-            ("static_p50", stat.p50().into()),
-            // p95 request latency under the static incumbent.
-            ("static_p95", stat.p95().into()),
-            // p99 request latency under the static incumbent.
-            ("static_p99", stat.p99().into()),
-            // Completed requests per unit virtual time, static incumbent.
-            ("static_goodput", stat.goodput().into()),
-            // p50 request latency under budgeted-online re-placement.
-            ("online_p50", online.p50().into()),
-            // p95 request latency under budgeted-online re-placement.
-            ("online_p95", online.p95().into()),
-            // p99 request latency under budgeted-online re-placement.
-            ("online_p99", online.p99().into()),
-            // Completed requests per unit virtual time, budgeted-online.
-            ("online_goodput", online.goodput().into()),
-            // Re-plans the budgeted-online policy executed.
-            ("online_replans", online.migrations.replans.into()),
-            // Bytes the budgeted-online policy migrated, whole run.
-            (
-                "online_migrated_bytes",
-                online.migrations.bytes.total().into(),
-            ),
-            // Virtual time the budgeted-online policy's weight copies
-            // occupied the links (`MigrationStats::time`): the surcharge
-            // its p99 may carry over the static incumbent's.
-            ("online_migration_time", online.migrations.time.into()),
-            // p50 request latency under replication-aware re-placement.
-            ("repl_p50", repl.p50().into()),
-            // p95 request latency under replication-aware re-placement.
-            ("repl_p95", repl.p95().into()),
-            // p99 request latency under replication-aware re-placement.
-            ("repl_p99", repl.p99().into()),
-            // Completed requests per unit virtual time, replication-aware.
-            ("repl_goodput", repl.goodput().into()),
-            // Replica copies the replication-aware policy created, whole
-            // run.
-            ("repl_replicas_added", repl.migrations.replicas_added.into()),
-            // Virtual time the replication-aware policy's copies occupied
-            // the links.
-            ("repl_migration_time", repl.migrations.time.into()),
-        ]))
-    }))
+            Ok(Json::obj(vec![
+                // Arrival-process label (`poisson`, `diurnal`, `flash-crowd`).
+                ("arrival", name.as_str().into()),
+                // Requests served per cell.
+                ("requests", n_requests.into()),
+                // Decode steps (generated tokens) per request.
+                ("decode_steps", SERVING_DECODE_STEPS.into()),
+                // Serving windows of the drift schedule.
+                ("windows", SERVING_WINDOWS.into()),
+                // Batch-size cap of the continuous-batching policy.
+                ("max_batch", SERVING_MAX_BATCH.into()),
+                // Requests per unit virtual time the arrival process offered.
+                ("offered_load", stat.offered_load.into()),
+                // p50 request latency under the static incumbent.
+                ("static_p50", stat.p50().into()),
+                // p95 request latency under the static incumbent.
+                ("static_p95", stat.p95().into()),
+                // p99 request latency under the static incumbent.
+                ("static_p99", stat.p99().into()),
+                // Completed requests per unit virtual time, static incumbent.
+                ("static_goodput", stat.goodput().into()),
+                // p50 request latency under budgeted-online re-placement.
+                ("online_p50", online.p50().into()),
+                // p95 request latency under budgeted-online re-placement.
+                ("online_p95", online.p95().into()),
+                // p99 request latency under budgeted-online re-placement.
+                ("online_p99", online.p99().into()),
+                // Completed requests per unit virtual time, budgeted-online.
+                ("online_goodput", online.goodput().into()),
+                // Re-plans the budgeted-online policy executed.
+                ("online_replans", online.migrations.replans.into()),
+                // Bytes the budgeted-online policy migrated, whole run.
+                (
+                    "online_migrated_bytes",
+                    online.migrations.bytes.total().into(),
+                ),
+                // Virtual time the budgeted-online policy's weight copies
+                // occupied the links (`MigrationStats::time`): the surcharge
+                // its p99 may carry over the static incumbent's.
+                ("online_migration_time", online.migrations.time.into()),
+                // p50 request latency under replication-aware re-placement.
+                ("repl_p50", repl.p50().into()),
+                // p95 request latency under replication-aware re-placement.
+                ("repl_p95", repl.p95().into()),
+                // p99 request latency under replication-aware re-placement.
+                ("repl_p99", repl.p99().into()),
+                // Completed requests per unit virtual time, replication-aware.
+                ("repl_goodput", repl.goodput().into()),
+                // Replica copies the replication-aware policy created, whole
+                // run.
+                ("repl_replicas_added", repl.migrations.replicas_added.into()),
+                // Virtual time the replication-aware policy's copies occupied
+                // the links.
+                ("repl_migration_time", repl.migrations.time.into()),
+            ]))
+        }))
 }
 
 /// What `ServingReport::migrations` documents, as a bar: weight copies
@@ -283,4 +304,40 @@ pub fn render(rows: &[Json]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use exflow_placement::GapBackend;
+
+    use super::*;
+    use crate::experiments::common::{assert_invariant, build_at, FIXTURE, PAPER};
+
+    /// The budgeted-online policy's whole `ServingReport`, in every cell
+    /// of the sweep at `w`, is the same at every checked width and backend
+    /// as on the engine the sweep builds.
+    fn online_reports_are_the_same_at_every_width_and_backend(w: &Workload) {
+        let [static_oc, online_oc, _] = policies(LAYERS);
+        let eng = serving_builder(LAYERS, static_oc, w.seed).build();
+        let online = serving_builder(LAYERS, online_oc, w.seed);
+        for (name, scenario) in arrivals(&eng, REQUESTS).unwrap() {
+            let serve = |threads, backend| {
+                let eng = build_at(&online, threads, backend);
+                eng.run_scenario(&scenario).expect_serving()
+            };
+            let what = format!("{name}: serving report");
+            assert_invariant(&what, &serve(1, GapBackend::Auto), serve);
+        }
+    }
+
+    #[test]
+    fn the_online_policy_serves_the_same_report_at_every_width_and_backend() {
+        online_reports_are_the_same_at_every_width_and_backend(&FIXTURE);
+    }
+
+    #[test]
+    #[ignore = "paper size: CI runs it on the release profile"]
+    fn the_paper_online_policy_serves_the_same_report_at_every_width_and_backend() {
+        online_reports_are_the_same_at_every_width_and_backend(&PAPER);
+    }
 }

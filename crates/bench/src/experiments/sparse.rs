@@ -1,6 +1,7 @@
 //! `table_sparse` — the CSR objective backend against the dense one, at
 //! the expert counts the CSR backend exists for.
 
+use exflow_affinity::AffinitySnapshot;
 use exflow_core::json::Json;
 use exflow_model::presets::large_zoo;
 use exflow_model::ModelConfig;
@@ -17,15 +18,33 @@ use crate::table::{num, text, Bars};
 /// the sparse backend; 0.006443 today, one in 155).
 pub const MIN_SPARSE_SPEEDUP_512: f64 = 2.0;
 
+/// Layers of every profiled instance (scaled down from the preset).
+const LAYERS: usize = 2;
+
+/// The instance of `cfg`'s cell at `w`: a [`LAYERS`]-deep profile of its
+/// expert count and gating fan-out, on its own stream of `w`'s seed.
+fn instance(cfg: &ModelConfig, w: &Workload) -> AffinitySnapshot {
+    let stream = w.seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64;
+    profile(LAYERS, cfg.n_experts, 3000, cfg.gate.k(), stream)
+}
+
+/// The bounded polish every cell runs on `objective`: one local-search
+/// pass from round-robin, as its final cross mass and placement.
+fn polish(objective: &Objective) -> (f64, Placement) {
+    let (layers, e) = (objective.n_layers(), objective.n_experts());
+    let mut placement = Placement::round_robin(layers, e, N_UNITS_LARGE);
+    (improve(objective, &mut placement, 1), placement)
+}
+
 /// Measure one `table_sparse` cell: profile a large-expert instance,
 /// build the objective once per backend from the same CSR estimates, sum
 /// one exact `swap_delta` pass over every swap candidate on each, run the
 /// same bounded polish on each, and verify the results are identical.
-fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
+fn cell(cfg: &ModelConfig, w: &Workload) -> Result<Json, String> {
     let e = cfg.n_experts;
     let k = cfg.gate.k();
-    let layers = 2;
-    let snapshot = profile(layers, e, 3000, k, seed);
+    let layers = LAYERS;
+    let snapshot = instance(cfg, w);
 
     /// What one backend's pass must reproduce bit for bit on the other.
     #[derive(PartialEq)]
@@ -37,7 +56,7 @@ fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
         density: Bits,
     }
     let run = |objective: &Objective| {
-        let mut placement = Placement::round_robin(layers, e, N_UNITS_LARGE);
+        let start = Placement::round_robin(layers, e, N_UNITS_LARGE);
         // The exact gain of every swap candidate once: `swap_delta` is
         // where the backends differ (`O(E)` flat vs `O(nnz)` indexed per
         // call), and what annealing and the walks' exact decisions pay.
@@ -46,12 +65,13 @@ fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
         for layer in 0..layers {
             for e1 in 0..e {
                 for e2 in (e1 + 1)..e {
-                    scan += objective.swap_delta(&placement, layer, e1, e2);
+                    scan += objective.swap_delta(&start, layer, e1, e2);
                 }
             }
         }
+        let (cost, placement) = polish(objective);
         Pass {
-            cost: Bits(improve(objective, &mut placement, 1)),
+            cost: Bits(cost),
             scan: Bits(scan),
             placement,
             nnz: objective.nnz(),
@@ -92,10 +112,7 @@ fn cell(cfg: &ModelConfig, seed: u64) -> Result<Json, String> {
 /// cells the CSR backend stores and walks. Errors if any cell's backends
 /// diverge.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
-    let cells = par_map(large_zoo(), |cfg| {
-        let stream = w.seed ^ ((cfg.n_experts as u64) << 20) ^ cfg.gate.k() as u64;
-        cell(&cfg, stream)
-    });
+    let cells = par_map(large_zoo(), |cfg| cell(&cfg, w));
     cells.into_iter().collect()
 }
 
@@ -115,5 +132,83 @@ pub(crate) fn bars(rows: &[Json], bars: &mut Bars) {
                 text(f, "preset")
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use exflow_placement::GapBackend;
+
+    use super::*;
+    use crate::experiments::common::{FIXTURE, PAPER};
+
+    /// What a cell computes that one backend must reproduce bit for bit
+    /// on the other: the polish, the objective's size, and the sum of one
+    /// exact `swap_delta` pass over every swap candidate of the
+    /// round-robin start. `swap_delta` is where the backends differ
+    /// (`O(E)` flat vs `O(nnz)` indexed per call), and what annealing and
+    /// the walks' exact decisions pay; the polish prices candidates from
+    /// the attraction table.
+    #[derive(PartialEq)]
+    struct Pass {
+        cost: Bits,
+        placement: Placement,
+        scan: Bits,
+        nnz: usize,
+        density: Bits,
+    }
+
+    fn pass(objective: &Objective) -> Pass {
+        let (layers, e) = (objective.n_layers(), objective.n_experts());
+        let start = Placement::round_robin(layers, e, N_UNITS_LARGE);
+        let mut scan = 0.0f64;
+        for layer in 0..layers {
+            for e1 in 0..e {
+                for e2 in (e1 + 1)..e {
+                    scan += objective.swap_delta(&start, layer, e1, e2);
+                }
+            }
+        }
+        let (cost, placement) = polish(objective);
+        Pass {
+            cost: Bits(cost),
+            placement,
+            scan: Bits(scan),
+            nnz: objective.nnz(),
+            density: Bits(objective.density()),
+        }
+    }
+
+    /// Every cell of the sweep at `w` is the same pass on the dense and
+    /// the CSR backend as on the default one the sweep solves on.
+    fn cells_are_the_same_on_both_backends(w: &Workload) {
+        for cfg in large_zoo() {
+            let snapshot = instance(&cfg, w);
+            let on = |backend| pass(&Objective::from_snapshot_with(&snapshot, backend));
+            let reference = on(GapBackend::Auto);
+            for backend in [GapBackend::Dense, GapBackend::Sparse] {
+                let other = on(backend);
+                assert!(
+                    other == reference,
+                    "backend divergence on {}: {backend:?} cost {} scan {} vs Auto cost {} scan {}",
+                    cfg.name,
+                    other.cost.0,
+                    other.scan.0,
+                    reference.cost.0,
+                    reference.scan.0
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_cell_is_the_same_on_both_backends() {
+        cells_are_the_same_on_both_backends(&FIXTURE);
+    }
+
+    #[test]
+    #[ignore = "paper size: CI runs it on the release profile"]
+    fn every_paper_cell_is_the_same_on_both_backends() {
+        cells_are_the_same_on_both_backends(&PAPER);
     }
 }
