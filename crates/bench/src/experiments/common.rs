@@ -1,7 +1,9 @@
 //! What two or more experiment modules share: the [`Workload`] every
 //! sweep runs at and the paper's engine and cluster shapes, then the
 //! beyond-paper tables' profiling and drift traces, incumbents, serving
-//! cells, in-sweep invariance and budget checks, and bar helpers.
+//! cells, per-window budget checks and bar helpers, and the helpers of the
+//! tests that re-run a sweep's cells at other solver widths and gap
+//! backends.
 
 use exflow_affinity::{AffinitySnapshot, RoutingTrace, StreamingAffinity};
 use exflow_core::json::Json;
@@ -15,9 +17,9 @@ use exflow_model::{ArrivalProcess, CorpusSpec, DriftSchedule, ModelConfig, Token
 use exflow_placement::greedy::solve_greedy;
 use exflow_placement::local_search::improve;
 use exflow_placement::online::MigrationPlan;
-use exflow_placement::{
-    split_seed, GapBackend, Objective, Parallelism, Placement, ReplicationPlan,
-};
+use exflow_placement::{split_seed, Objective, Placement, ReplicationPlan};
+#[cfg(test)]
+use exflow_placement::{GapBackend, Parallelism};
 use exflow_topology::{ClusterSpec, CostModel, LinkCost};
 
 use crate::table::num;
@@ -190,9 +192,6 @@ const SERVING_INTER_NODE_BW: f64 = 12.5e9;
 /// Streaming-estimator decay of the serving cells.
 pub(crate) const SERVING_DECAY: f64 = 0.3;
 
-/// The solver widths every in-sweep thread check compares with width 1.
-pub(crate) const CHECKED_WIDTHS: [usize; 2] = [2, 8];
-
 /// `num / den`, or 0 when the denominator is not positive: a degenerate
 /// cell reports no ratio rather than an infinite one.
 pub(crate) fn ratio(num: f64, den: f64) -> f64 {
@@ -290,96 +289,12 @@ pub(crate) fn within_slot_budget(
     Ok(())
 }
 
-/// An `f64` that equals only its own bit pattern: what "identical" means
-/// for a float everywhere in this crate.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Bits(pub(crate) f64);
-
-impl PartialEq for Bits {
-    fn eq(&self, other: &Bits) -> bool {
-        self.0.to_bits() == other.0.to_bits()
-    }
-}
-
-/// The backend half of the bit-identity contract, checked wherever a sweep
-/// solves: run `solve` on the dense and then on the CSR objective of one
-/// snapshot, and return the dense result — or `Err(diverged(dense, csr))`
-/// unless the two are equal. Floats go through as [`Bits`].
-pub(crate) fn on_both_backends<T: PartialEq>(
-    snapshot: &AffinitySnapshot,
-    mut solve: impl FnMut(&Objective) -> T,
-    diverged: impl FnOnce(&T, &T) -> String,
-) -> Result<T, String> {
-    let dense = solve(&Objective::from_snapshot_with(snapshot, GapBackend::Dense));
-    let sparse = solve(&Objective::from_snapshot_with(snapshot, GapBackend::Sparse));
-    if dense != sparse {
-        return Err(diverged(&dense, &sparse));
-    }
-    Ok(dense)
-}
-
-/// [`on_both_backends`] for a float score, compared bit for bit; the
-/// error names both values.
-pub(crate) fn score_on_both_backends(
-    snapshot: &AffinitySnapshot,
-    what: &str,
-    score: impl Fn(&Objective) -> f64,
-) -> Result<f64, String> {
-    let Bits(score) = on_both_backends(
-        snapshot,
-        |objective| Bits(score(objective)),
-        |dense, sparse| {
-            format!(
-                "{what} diverged across gap backends: dense {} vs sparse {}",
-                dense.0, sparse.0
-            )
-        },
-    )?;
-    Ok(score)
-}
-
-/// The engine-level bit-identity contract: `run(threads, backend)` must be
-/// the same report at one solver thread on the dense backend (returned),
-/// at each of the [`CHECKED_WIDTHS`], and at one thread on the CSR
-/// backend.
-pub(crate) fn at_widths<T: PartialEq>(
-    what: &str,
-    run: impl Fn(usize, GapBackend) -> T,
-) -> Result<T, String> {
-    let reference = run(1, GapBackend::Dense);
-    for threads in CHECKED_WIDTHS {
-        if run(threads, GapBackend::Dense) != reference {
-            return Err(format!(
-                "{what} diverged across solver widths (1 vs {threads})"
-            ));
-        }
-    }
-    if run(1, GapBackend::Sparse) != reference {
-        return Err(format!("{what} diverged across gap backends"));
-    }
-    Ok(reference)
-}
-
 /// The model every serving cell runs: `SERVING_EXPERTS` narrow experts.
 pub(crate) fn serving_model(layers: usize) -> ModelConfig {
     let mut model = moe_gpt_m(SERVING_EXPERTS);
     model.n_layers = layers;
     model.d_ff = SERVING_D_FF;
     model
-}
-
-/// Build one serving engine.
-pub(crate) fn serving_engine(
-    layers: usize,
-    online: OnlineConfig,
-    threads: usize,
-    backend: GapBackend,
-    seed: u64,
-) -> InferenceEngine {
-    serving_builder(layers, online, seed)
-        .parallelism(Parallelism::new(threads))
-        .gap_backend(backend)
-        .build()
 }
 
 /// The builder of one serving engine. All policies share the model,

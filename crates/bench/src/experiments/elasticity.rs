@@ -15,10 +15,10 @@ use exflow_core::{
     EngineBuilder, InferenceEngine, OnlineConfig, ParallelismMode, Scenario, ServingReport,
 };
 use exflow_model::{ArrivalProcess, FaultKind, FaultSchedule};
-use exflow_placement::{Parallelism, ReplicationPlan};
+use exflow_placement::ReplicationPlan;
 
 use crate::experiments::common::{
-    at_widths, calibrate_serving, serving_builder, Workload, SERVING_DECAY, SERVING_EXPERTS,
+    calibrate_serving, serving_builder, Workload, SERVING_DECAY, SERVING_EXPERTS,
 };
 use crate::fmt::{render_table, us};
 use crate::table::{num, nums, text, Bars};
@@ -57,10 +57,14 @@ const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
 /// deterministic virtual-time facts. The arrival rate is calibrated so the
 /// *surviving* fleet stays below saturation (`ELASTICITY_UTILIZATION`),
 /// which is what makes "time until the rolling p99 returns to its
-/// pre-fault level" well-defined. Errors (instead of panicking) if the
-/// faulted run is not bit-identical at 2 and 8 solver threads and on the
-/// CSR gap backend, or if a loss without a rejoin costs the replicated
-/// fleet any emergency bytes.
+/// pre-fault level" well-defined. Both fleets serve on one engine, built
+/// at one solver thread on the default gap backend;
+/// `tests::the_faulted_fleet_serves_the_same_report_at_every_width_and_backend`
+/// holds the no-replica fleet's faulted report to the same bits at 1, 2
+/// and 8 threads on the dense backend and at one on CSR. Errors (instead
+/// of panicking) if a fleet served short or the loss disrupted nothing,
+/// or if a loss without a rejoin costs the replicated fleet any emergency
+/// bytes.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let n_requests = ELASTICITY_REQUESTS;
     let eng = fleet(w).build();
@@ -80,16 +84,7 @@ pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
         let repl_scenario = plain_scenario
             .clone()
             .with_replication(full_replication.clone());
-        // Bit-identity of the faulted run across solver widths and the
-        // CSR objective backend, on the fleet that actually exercises
-        // emergency re-placement.
-        let what = format!("{name}: faulted serving report");
-        let plain = at_widths(&what, |threads, backend| {
-            let fleet = fleet(w).parallelism(Parallelism::new(threads));
-            (fleet.gap_backend(backend).build())
-                .run_scenario(&plain_scenario)
-                .expect_serving()
-        })?;
+        let plain = eng.run_scenario(&plain_scenario).expect_serving();
         let repl = eng.run_scenario(&repl_scenario).expect_serving();
 
         for (fleet, r) in [("no-replicas", &plain), ("replicated", &repl)] {

@@ -16,7 +16,6 @@ use exflow_core::{
 };
 use exflow_model::presets::moe_gpt_m;
 use exflow_model::{ArrivalProcess, DriftSchedule, FaultSchedule};
-use exflow_placement::Parallelism;
 use exflow_topology::ClusterSpec;
 
 use crate::experiments::common::PAPER;
@@ -44,7 +43,6 @@ pub fn run() -> Vec<WindowEvent> {
         .requests_per_gpu(MAX_BATCH / 4)
         .prompt_len(4)
         .profile_tokens(400)
-        .parallelism(Parallelism::new(1))
         .online(online)
         .seed(PAPER.seed)
         .build();

@@ -32,9 +32,8 @@ use exflow_placement::{
 use exflow_topology::ClusterSpec;
 
 use crate::experiments::common::{
-    on_both_backends, over_byte_budget, ratio, score_on_both_backends, window_trace,
-    within_byte_budget, within_slot_budget, Workload, CHECKED_WIDTHS, ONLINE_DECAY, ONLINE_EXPERTS,
-    ONLINE_REPLAN_EVERY,
+    over_byte_budget, ratio, window_trace, within_byte_budget, within_slot_budget, Workload,
+    ONLINE_DECAY, ONLINE_EXPERTS, ONLINE_REPLAN_EVERY,
 };
 use crate::fmt::pct;
 use crate::table::{int, num, nums, render_section, text, Bars};
@@ -81,11 +80,13 @@ type Replanned = (Placement, [(ReplicationPlan, MigrationPlan, ReplanCost); 3]);
 pub const MIN_ONLINE_RECOVERY: f64 = 0.8;
 
 /// Serve one drift scenario under the five policies, all from the same
-/// initial placement and on the same window traces. Every solve is
-/// verified invariant: the oracle re-solve across thread counts (1 vs
-/// each of the [`CHECKED_WIDTHS`]), the three served re-plans and the
-/// final cross mass across gap backends. Every re-plan is held to its
-/// byte budget, and the joint one to its replica slots. Cross counts are
+/// initial placement and on the same window traces, with every objective
+/// built by `objective` from the live estimate and every local search run
+/// at `parallelism`. Returns the row and each re-plan window's solves. The
+/// sweep runs it once, on `Objective::from_snapshot` at one thread; the
+/// tests re-run it on each gap backend and at several widths and hold
+/// every solve to the sweep's bits. Every re-plan is held to its byte
+/// budget, and the joint one to its replica slots. Cross counts are
 /// measured on the realized window traces, each hop going where
 /// `ReplicationPlan::serve` sends it.
 fn scenario(
@@ -148,50 +149,27 @@ fn scenario(
 
         if (window + 1).is_multiple_of(ONLINE_REPLAN_EVERY) && window + 1 < windows {
             let snapshot = streaming.snapshot();
-            // Oracle: from-scratch re-solve on the live estimate,
-            // thread-count invariance verified.
+            // Oracle: from-scratch re-solve on the live estimate.
             let live = objective(&snapshot);
-            let oracle = |parallelism: Parallelism| {
-                solve_local_search_with(
-                    &live,
-                    units,
-                    ONLINE_ORACLE_RESTARTS,
-                    split_seed(seed, 0x0c0de ^ window as u64),
-                    parallelism,
-                )
-            };
-            let oracle_placement = oracle(parallelism);
-            for threads in CHECKED_WIDTHS {
-                if oracle_placement != oracle(Parallelism::new(threads)) {
-                    return Err(format!(
-                        "{name}: oracle re-solve diverged across thread counts (1 vs {threads}) \
-                         at window {window}"
-                    ));
-                }
-            }
-
+            let oracle_placement = solve_local_search_with(
+                &live,
+                units,
+                ONLINE_ORACLE_RESTARTS,
+                split_seed(seed, 0x0c0de ^ window as u64),
+                parallelism,
+            );
             // The served re-plan step under each policy's budget (the
-            // budget caps migration traffic, not solver compute), with
-            // gap-backend invariance verified on all three.
-            let step = |objective: &Objective| {
-                std::array::from_fn::<_, 3, _>(|i| {
-                    replan(
-                        objective,
-                        &plans[i],
-                        &configs[i],
-                        cluster,
-                        bytes_per_expert,
-                        None,
-                    )
-                })
-            };
-            let steps = on_both_backends(&snapshot, step, |dense, sparse| {
-                let i = (0..3).find(|&i| dense[i] != sparse[i]).unwrap_or(0);
-                format!(
-                    "{name}: {} re-plan diverged across gap backends at window {window}",
-                    POLICIES[i]
+            // budget caps migration traffic, not solver compute).
+            let steps: [_; 3] = std::array::from_fn(|i| {
+                replan(
+                    &live,
+                    &plans[i],
+                    &configs[i],
+                    cluster,
+                    bytes_per_expert,
+                    None,
                 )
-            })?;
+            });
             replanned.push((oracle_placement.clone(), steps.clone()));
             oracle_plan = ReplicationPlan::bare(oracle_placement);
 
@@ -217,12 +195,8 @@ fn scenario(
     let [budgeted_cross, owner_cross, joint_cross] = cross;
 
     // The reported objective: the budgeted placement scored on the final
-    // live estimate, bit-compared across backends.
-    let cross_mass = score_on_both_backends(
-        &streaming.snapshot(),
-        &format!("{name}: final cross mass"),
-        |objective| objective.cross_mass(&budgeted.base),
-    )?;
+    // live estimate.
+    let cross_mass = objective(&streaming.snapshot()).cross_mass(&budgeted.base);
     let recovered = recovery(
         static_cross as f64,
         oracle_cross as f64,
@@ -306,11 +280,14 @@ pub(crate) fn recovery(static_cross: f64, oracle_cross: f64, budgeted_cross: f64
 /// under five re-placement policies racing on the same windows (static
 /// incumbent, oracle re-solve, and the served re-plan step as
 /// byte-budgeted owner moves and, at a tighter byte budget,
-/// owner-moves-only and joint replica + owner-move re-placement), recording realized cross-unit transition counts,
-/// migrated bytes, replica churn and the recovery fraction — verified
-/// bit-identical across thread counts and gap backends, and within every
-/// byte and slot budget. Errors (instead of panicking) if any invariance
-/// or budget check fails.
+/// owner-moves-only and joint replica + owner-move re-placement),
+/// recording realized cross-unit transition counts, migrated bytes,
+/// replica churn and the recovery fraction, each re-plan held within its
+/// byte and slot budget. Every scenario runs once, at one solver thread on
+/// the default gap backend; `tests::every_replan_is_the_same_at_every_
+/// width_and_backend` re-runs each one at 1, 2 and 8 threads on the dense
+/// backend and at one on CSR. Errors (instead of panicking) if a budget
+/// check fails.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     let rows = drifts(w).into_iter().map(|(drift, seed)| {
         let (row, _) = scenario(

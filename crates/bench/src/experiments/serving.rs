@@ -19,8 +19,8 @@ use exflow_core::{InferenceEngine, OnlineConfig, ParallelismMode, Scenario, Serv
 use exflow_model::{ArrivalProcess, DriftSchedule};
 
 use crate::experiments::common::{
-    at_widths, calibrate_serving, ratio, serving_builder, serving_engine, serving_model, Workload,
-    SERVING_DECAY, SERVING_DECODE_STEPS, SERVING_MAX_BATCH, SERVING_UTILIZATION, SERVING_WINDOWS,
+    calibrate_serving, ratio, serving_builder, serving_model, Workload, SERVING_DECAY,
+    SERVING_DECODE_STEPS, SERVING_MAX_BATCH, SERVING_UTILIZATION, SERVING_WINDOWS,
 };
 use crate::fmt::{render_table, speedup, us};
 use crate::table::{num, text, Bars};
@@ -54,10 +54,13 @@ const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
 /// policies see the *same* arrival sample and routing draws, so the tails
 /// differ only through placement quality and migration stalls; every
 /// figure is a virtual-time fact. The cell runs at `SERVING_UTILIZATION`
-/// (96%) of full-batch capacity. Errors (instead of panicking) if the
-/// budgeted-online report is not bit-identical at 2 and 8 solver threads
-/// and on the CSR gap backend, or if a policy dropped a request, saw
-/// another arrival sample, or never re-planned.
+/// (96%) of full-batch capacity. Each policy's engine is built once, at
+/// one solver thread on the default gap backend;
+/// `tests::the_online_policy_serves_the_same_report_at_every_width_and_backend`
+/// holds the budgeted-online report to the same bits at 1, 2 and 8
+/// threads on the dense backend and at one on CSR. Errors (instead of
+/// panicking) if a policy dropped a request, saw another arrival sample,
+/// or never re-planned.
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
     cells(LAYERS, REQUESTS, w)?.collect()
 }
@@ -117,104 +120,93 @@ pub(crate) fn cells(
     n_requests: usize,
     w: &Workload,
 ) -> Result<impl Iterator<Item = Result<Json, String>>, String> {
-    let seed = w.seed;
-    let [static_oc, online_oc, repl_oc] = policies(layers);
-    let static_eng = serving_builder(layers, static_oc, seed).build();
-    let repl_eng = serving_builder(layers, repl_oc, seed).build();
+    let [static_eng, online_eng, repl_eng] =
+        policies(layers).map(|oc| serving_builder(layers, oc, w.seed).build());
 
-    Ok(arrivals(&static_eng, n_requests)?
-        .into_iter()
-        .map(move |(name, scenario)| {
-            let stat: ServingReport = static_eng.run_scenario(&scenario).expect_serving();
-            // The budgeted-online policy, held to the bit-identity contract at
-            // the checked solver widths and on the CSR objective backend.
-            let what = format!("{name}: serving report");
-            let online = at_widths(&what, |threads, backend| {
-                serving_engine(layers, online_oc, threads, backend, seed)
-                    .run_scenario(&scenario)
-                    .expect_serving()
-            })?;
-            let repl = repl_eng.run_scenario(&scenario).expect_serving();
+    let cells = arrivals(&static_eng, n_requests)?.into_iter();
+    Ok(cells.map(move |(name, scenario)| {
+        let [stat, online, repl]: [ServingReport; 3] = [&static_eng, &online_eng, &repl_eng]
+            .map(|eng| eng.run_scenario(&scenario).expect_serving());
 
-            for (policy, r) in [
-                ("static", &stat),
-                ("online", &online),
-                ("replicated", &repl),
-            ] {
-                if r.n_requests() != n_requests {
-                    return Err(format!(
-                        "{name}/{policy}: served {} of {n_requests} requests",
-                        r.n_requests()
-                    ));
-                }
-                if r.offered_load.to_bits() != stat.offered_load.to_bits() {
-                    return Err(format!(
-                        "{name}/{policy}: policies saw different arrival samples"
-                    ));
-                }
-            }
-            if online.migrations.replans == 0 {
+        for (policy, r) in [
+            ("static", &stat),
+            ("online", &online),
+            ("replicated", &repl),
+        ] {
+            if r.n_requests() != n_requests {
                 return Err(format!(
-                    "{name}: piecewise drift fired no budgeted-online re-plans"
+                    "{name}/{policy}: served {} of {n_requests} requests",
+                    r.n_requests()
                 ));
             }
+            if r.offered_load.to_bits() != stat.offered_load.to_bits() {
+                return Err(format!(
+                    "{name}/{policy}: policies saw different arrival samples"
+                ));
+            }
+        }
+        if online.migrations.replans == 0 {
+            return Err(format!(
+                "{name}: piecewise drift fired no budgeted-online re-plans"
+            ));
+        }
 
-            Ok(Json::obj(vec![
-                // Arrival-process label (`poisson`, `diurnal`, `flash-crowd`).
-                ("arrival", name.as_str().into()),
-                // Requests served per cell.
-                ("requests", n_requests.into()),
-                // Decode steps (generated tokens) per request.
-                ("decode_steps", SERVING_DECODE_STEPS.into()),
-                // Serving windows of the drift schedule.
-                ("windows", SERVING_WINDOWS.into()),
-                // Batch-size cap of the continuous-batching policy.
-                ("max_batch", SERVING_MAX_BATCH.into()),
-                // Requests per unit virtual time the arrival process offered.
-                ("offered_load", stat.offered_load.into()),
-                // p50 request latency under the static incumbent.
-                ("static_p50", stat.p50().into()),
-                // p95 request latency under the static incumbent.
-                ("static_p95", stat.p95().into()),
-                // p99 request latency under the static incumbent.
-                ("static_p99", stat.p99().into()),
-                // Completed requests per unit virtual time, static incumbent.
-                ("static_goodput", stat.goodput().into()),
-                // p50 request latency under budgeted-online re-placement.
-                ("online_p50", online.p50().into()),
-                // p95 request latency under budgeted-online re-placement.
-                ("online_p95", online.p95().into()),
-                // p99 request latency under budgeted-online re-placement.
-                ("online_p99", online.p99().into()),
-                // Completed requests per unit virtual time, budgeted-online.
-                ("online_goodput", online.goodput().into()),
-                // Re-plans the budgeted-online policy executed.
-                ("online_replans", online.migrations.replans.into()),
-                // Bytes the budgeted-online policy migrated, whole run.
-                (
-                    "online_migrated_bytes",
-                    online.migrations.bytes.total().into(),
-                ),
-                // Virtual time the budgeted-online policy's weight copies
-                // occupied the links (`MigrationStats::time`): the surcharge
-                // its p99 may carry over the static incumbent's.
-                ("online_migration_time", online.migrations.time.into()),
-                // p50 request latency under replication-aware re-placement.
-                ("repl_p50", repl.p50().into()),
-                // p95 request latency under replication-aware re-placement.
-                ("repl_p95", repl.p95().into()),
-                // p99 request latency under replication-aware re-placement.
-                ("repl_p99", repl.p99().into()),
-                // Completed requests per unit virtual time, replication-aware.
-                ("repl_goodput", repl.goodput().into()),
-                // Replica copies the replication-aware policy created, whole
-                // run.
-                ("repl_replicas_added", repl.migrations.replicas_added.into()),
-                // Virtual time the replication-aware policy's copies occupied
-                // the links.
-                ("repl_migration_time", repl.migrations.time.into()),
-            ]))
-        }))
+        Ok(Json::obj(vec![
+            // Arrival-process label (`poisson`, `diurnal`, `flash-crowd`).
+            ("arrival", name.as_str().into()),
+            // Requests served per cell.
+            ("requests", n_requests.into()),
+            // Decode steps (generated tokens) per request.
+            ("decode_steps", SERVING_DECODE_STEPS.into()),
+            // Serving windows of the drift schedule.
+            ("windows", SERVING_WINDOWS.into()),
+            // Batch-size cap of the continuous-batching policy.
+            ("max_batch", SERVING_MAX_BATCH.into()),
+            // Requests per unit virtual time the arrival process offered.
+            ("offered_load", stat.offered_load.into()),
+            // p50 request latency under the static incumbent.
+            ("static_p50", stat.p50().into()),
+            // p95 request latency under the static incumbent.
+            ("static_p95", stat.p95().into()),
+            // p99 request latency under the static incumbent.
+            ("static_p99", stat.p99().into()),
+            // Completed requests per unit virtual time, static incumbent.
+            ("static_goodput", stat.goodput().into()),
+            // p50 request latency under budgeted-online re-placement.
+            ("online_p50", online.p50().into()),
+            // p95 request latency under budgeted-online re-placement.
+            ("online_p95", online.p95().into()),
+            // p99 request latency under budgeted-online re-placement.
+            ("online_p99", online.p99().into()),
+            // Completed requests per unit virtual time, budgeted-online.
+            ("online_goodput", online.goodput().into()),
+            // Re-plans the budgeted-online policy executed.
+            ("online_replans", online.migrations.replans.into()),
+            // Bytes the budgeted-online policy migrated, whole run.
+            (
+                "online_migrated_bytes",
+                online.migrations.bytes.total().into(),
+            ),
+            // Virtual time the budgeted-online policy's weight copies
+            // occupied the links (`MigrationStats::time`): the surcharge
+            // its p99 may carry over the static incumbent's.
+            ("online_migration_time", online.migrations.time.into()),
+            // p50 request latency under replication-aware re-placement.
+            ("repl_p50", repl.p50().into()),
+            // p95 request latency under replication-aware re-placement.
+            ("repl_p95", repl.p95().into()),
+            // p99 request latency under replication-aware re-placement.
+            ("repl_p99", repl.p99().into()),
+            // Completed requests per unit virtual time, replication-aware.
+            ("repl_goodput", repl.goodput().into()),
+            // Replica copies the replication-aware policy created, whole
+            // run.
+            ("repl_replicas_added", repl.migrations.replicas_added.into()),
+            // Virtual time the replication-aware policy's copies occupied
+            // the links.
+            ("repl_migration_time", repl.migrations.time.into()),
+        ]))
+    }))
 }
 
 /// What `ServingReport::migrations` documents, as a bar: weight copies

@@ -1,5 +1,7 @@
-//! `table_sparse` — the CSR objective backend against the dense one, at
-//! the expert counts the CSR backend exists for.
+//! `table_sparse` — the CSR objective backend at the expert counts it
+//! exists for: how small a share of the dense backend's cells it stores.
+//! The sweep solves each cell once. The tests below re-run every cell on
+//! the dense and the CSR backend and hold both to the sweep's bits.
 
 use exflow_affinity::AffinitySnapshot;
 use exflow_core::json::Json;
@@ -8,7 +10,7 @@ use exflow_model::ModelConfig;
 use exflow_placement::local_search::improve;
 use exflow_placement::{Objective, Placement};
 
-use crate::experiments::common::{on_both_backends, profile, Bits, Workload, N_UNITS_LARGE};
+use crate::experiments::common::{profile, Workload, N_UNITS_LARGE};
 use crate::sweep::par_map;
 use crate::table::{num, text, Bars};
 
@@ -36,84 +38,35 @@ fn polish(objective: &Objective) -> (f64, Placement) {
     (improve(objective, &mut placement, 1), placement)
 }
 
-/// Measure one `table_sparse` cell: profile a large-expert instance,
-/// build the objective once per backend from the same CSR estimates, sum
-/// one exact `swap_delta` pass over every swap candidate on each, run the
-/// same bounded polish on each, and verify the results are identical.
-fn cell(cfg: &ModelConfig, w: &Workload) -> Result<Json, String> {
-    let e = cfg.n_experts;
-    let k = cfg.gate.k();
-    let layers = LAYERS;
-    let snapshot = instance(cfg, w);
-
-    /// What one backend's pass must reproduce bit for bit on the other.
-    #[derive(PartialEq)]
-    struct Pass {
-        cost: Bits,
-        scan: Bits,
-        placement: Placement,
-        nnz: usize,
-        density: Bits,
-    }
-    let run = |objective: &Objective| {
-        let start = Placement::round_robin(layers, e, N_UNITS_LARGE);
-        // The exact gain of every swap candidate once: `swap_delta` is
-        // where the backends differ (`O(E)` flat vs `O(nnz)` indexed per
-        // call), and what annealing and the walks' exact decisions pay.
-        // The polish below prices candidates from the attraction table.
-        let mut scan = 0.0f64;
-        for layer in 0..layers {
-            for e1 in 0..e {
-                for e2 in (e1 + 1)..e {
-                    scan += objective.swap_delta(&start, layer, e1, e2);
-                }
-            }
-        }
-        let (cost, placement) = polish(objective);
-        Pass {
-            cost: Bits(cost),
-            scan: Bits(scan),
-            placement,
-            nnz: objective.nnz(),
-            density: Bits(objective.density()),
-        }
-    };
-    let pass = on_both_backends(&snapshot, run, |dense, sparse| {
-        format!(
-            "backend divergence on {}: dense {} vs sparse {}",
-            cfg.name, dense.cost.0, sparse.cost.0
-        )
-    })?;
-
-    Ok(Json::obj(vec![
-        // Large-zoo preset name.
-        ("preset", cfg.name.as_str().into()),
-        // Experts per layer.
-        ("experts", e.into()),
-        // Gating fan-out the instance was sampled with.
-        ("k", k.into()),
-        // Layers of the profiled instance (scaled down from the preset).
-        ("layers", layers.into()),
-        // Structural nonzeros across the instance's gap matrices
-        // (backend-independent, deterministic).
-        ("nnz", pass.nnz.into()),
-        // `nnz` over the dense cell count.
-        ("density", Json::Fixed(pass.density.0, 6)),
-        // Final cross mass (bit-identical across backends — verified).
-        ("cross_mass", pass.cost.0.into()),
-    ]))
-}
-
 /// The `table_sparse` sweep: the large-expert zoo (`E = 256/512`, top-1
-/// and top-2) solved once per objective backend (dense `E x E` vs CSR),
-/// verifying the two produce identical placements, bit-identical cross
-/// mass and the same sum over one exact `swap_delta` pass of every swap
-/// candidate, and recording nnz/density per cell — the share of the dense
-/// cells the CSR backend stores and walks. Errors if any cell's backends
-/// diverge.
+/// and top-2), each instance solved once on the default backend, which
+/// stores these sparse gaps as CSR. Each row records nnz and density, the
+/// share of the dense backend's cells the CSR backend stores and walks,
+/// and the cross mass of the bounded polish. The dense backend's pass over
+/// the same cells is `tests::every_cell_is_the_same_on_both_backends`
+/// (and its paper-size twin).
 pub fn sweep(w: &Workload) -> Result<Vec<Json>, String> {
-    let cells = par_map(large_zoo(), |cfg| cell(&cfg, w));
-    cells.into_iter().collect()
+    Ok(par_map(large_zoo(), |cfg| {
+        let objective = Objective::from_snapshot(&instance(&cfg, w));
+        let (cross_mass, _) = polish(&objective);
+        Json::obj(vec![
+            // Large-zoo preset name.
+            ("preset", cfg.name.as_str().into()),
+            // Experts per layer.
+            ("experts", cfg.n_experts.into()),
+            // Gating fan-out the instance was sampled with.
+            ("k", cfg.gate.k().into()),
+            // Layers of the profiled instance (scaled down from the preset).
+            ("layers", LAYERS.into()),
+            // Structural nonzeros across the instance's gap matrices
+            // (backend-independent, deterministic).
+            ("nnz", objective.nnz().into()),
+            // `nnz` over the dense cell count.
+            ("density", Json::Fixed(objective.density(), 6)),
+            // Final cross mass of the polish.
+            ("cross_mass", cross_mass.into()),
+        ])
+    }))
 }
 
 /// The sparse backend's win on the E=512 top-1 cell, as the count it is:
@@ -141,6 +94,16 @@ mod tests {
 
     use super::*;
     use crate::experiments::common::{FIXTURE, PAPER};
+
+    /// An `f64` that equals only its own bit pattern.
+    #[derive(Clone, Copy)]
+    struct Bits(f64);
+
+    impl PartialEq for Bits {
+        fn eq(&self, other: &Bits) -> bool {
+            self.0.to_bits() == other.0.to_bits()
+        }
+    }
 
     /// What a cell computes that one backend must reproduce bit for bit
     /// on the other: the polish, the objective's size, and the sum of one
