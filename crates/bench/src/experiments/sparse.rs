@@ -95,50 +95,41 @@ mod tests {
     use super::*;
     use crate::experiments::common::{FIXTURE, PAPER};
 
-    /// An `f64` that equals only its own bit pattern.
-    #[derive(Clone, Copy)]
-    struct Bits(f64);
-
-    impl PartialEq for Bits {
-        fn eq(&self, other: &Bits) -> bool {
-            self.0.to_bits() == other.0.to_bits()
-        }
-    }
-
-    /// What a cell computes that one backend must reproduce bit for bit
-    /// on the other: the polish, the objective's size, and the sum of one
-    /// exact `swap_delta` pass over every swap candidate of the
-    /// round-robin start. `swap_delta` is where the backends differ
-    /// (`O(E)` flat vs `O(nnz)` indexed per call), and what annealing and
-    /// the walks' exact decisions pay; the polish prices candidates from
-    /// the attraction table.
+    /// What a cell computes that one backend must reproduce on the other,
+    /// floats as their bits: the polish, the objective's size, and the
+    /// exact gain of every swap candidate of the round-robin start.
+    /// `swap_delta` is where the backends differ (`O(E)` flat vs `O(nnz)`
+    /// indexed per call), and what annealing and the walks' exact
+    /// decisions pay; the polish prices candidates from the attraction
+    /// table. Each gain is kept, not summed: a sum absorbs a one-ulp error
+    /// in most of its terms.
     #[derive(PartialEq)]
     struct Pass {
-        cost: Bits,
+        cost: u64,
         placement: Placement,
-        scan: Bits,
+        deltas: Vec<u64>,
         nnz: usize,
-        density: Bits,
+        density: u64,
     }
 
     fn pass(objective: &Objective) -> Pass {
         let (layers, e) = (objective.n_layers(), objective.n_experts());
         let start = Placement::round_robin(layers, e, N_UNITS_LARGE);
-        let mut scan = 0.0f64;
+        let mut deltas = Vec::new();
         for layer in 0..layers {
             for e1 in 0..e {
                 for e2 in (e1 + 1)..e {
-                    scan += objective.swap_delta(&start, layer, e1, e2);
+                    deltas.push(objective.swap_delta(&start, layer, e1, e2).to_bits());
                 }
             }
         }
         let (cost, placement) = polish(objective);
         Pass {
-            cost: Bits(cost),
+            cost: cost.to_bits(),
             placement,
-            scan: Bits(scan),
+            deltas,
             nnz: objective.nnz(),
-            density: Bits(objective.density()),
+            density: objective.density().to_bits(),
         }
     }
 
@@ -151,14 +142,14 @@ mod tests {
             let reference = on(GapBackend::Auto);
             for backend in [GapBackend::Dense, GapBackend::Sparse] {
                 let other = on(backend);
+                let at = (other.deltas.iter().zip(&reference.deltas)).position(|(a, b)| a != b);
                 assert!(
                     other == reference,
-                    "backend divergence on {}: {backend:?} cost {} scan {} vs Auto cost {} scan {}",
+                    "backend divergence on {}: {backend:?} vs Auto, polish cost {} vs {}, \
+                     first differing swap gain {at:?}",
                     cfg.name,
-                    other.cost.0,
-                    other.scan.0,
-                    reference.cost.0,
-                    reference.scan.0
+                    f64::from_bits(other.cost),
+                    f64::from_bits(reference.cost)
                 );
             }
         }
