@@ -14,10 +14,13 @@
 # comments are removed from the line, so a brace inside one of them does
 # not end an item early.
 #
-# The files are the ones git tracks, so outside a checkout of this
-# repository (a `git archive` export, alone or inside another git
-# repository) there is nothing to count: the script then prints one
-# message and no report, and exits 1.
+# The files are the ones git tracks in the checkout the script lives in,
+# whatever the working directory, so the report's first line names that
+# checkout's root and HEAD commit: to count another checkout, run that
+# checkout's own copy. Outside a checkout of this repository (a
+# `git archive` export, alone or inside another git repository) there is
+# nothing to count: the script then prints one message and no report, and
+# exits 1.
 #
 # Usage: scripts/loc.sh    (prints a report and exits 0)
 set -euo pipefail
@@ -28,6 +31,7 @@ if [ -z "$sources" ]; then
   echo "loc.sh: git tracks no .rs file under crates/*/src or src here; run it in a checkout" >&2
   exit 1
 fi
+printf 'Counted: %s at %s\n' "$(pwd -P)" "$(git rev-parse --short HEAD)"
 
 printf '%s\n' "$sources" |
   xargs awk '
