@@ -18,7 +18,7 @@
 //! regenerate the baseline deliberately with `--out BENCH_BASELINE.json all`.
 //!
 //! Exit codes: 0 on success; 1 if any artifact fails to regenerate (its
-//! sweep's in-run verification or its bars included) or the document cannot
+//! sweep's per-window checks or its bars included) or the document cannot
 //! be written; 2 on usage errors (no targets, unknown artifact name, bad
 //! `--jobs`, `--out` without `all`).
 

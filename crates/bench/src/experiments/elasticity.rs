@@ -46,6 +46,7 @@ const ELASTICITY_REJOIN_AT: f64 = 0.6;
 /// MoE layers of the serving model in every `table_elasticity` cell.
 const LAYERS: usize = 4;
 
+/// The parallelism mode every cell serves in.
 const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
 
 /// The `table_elasticity` sweep: one Poisson arrival sample served

@@ -232,7 +232,7 @@ fn scenario(
         // policy recovers.
         ("recovery", Json::Fixed(recovered, 4)),
         // Final cross mass of the budgeted placement on the live estimate
-        // (bit-identical across backends — verified).
+        // (the same bits on either backend, as the tests hold).
         ("cross_mass", cross_mass.into()),
         // Byte budget of one owner-moves-only or joint re-plan (the same
         // for both, so they race at equal migration bytes).

@@ -44,6 +44,7 @@ const LAYERS: usize = 4;
 /// Requests each `table_serving` cell serves.
 const REQUESTS: usize = 1400;
 
+/// The parallelism mode every cell serves in.
 const MODE: ParallelismMode = ParallelismMode::ContextCoherentAffinity;
 
 /// The `table_serving` sweep: Poisson, diurnal, and flash-crowd arrival

@@ -29,8 +29,11 @@ pub const SCHEMA: &str = "exflow-bench-summary/v12";
 
 /// How an entry's rows are produced: the rows at a [`Workload`] (non-test
 /// code has one, `PAPER`; a sweep of fixed size reads none of it), or the
-/// in-sweep check that failed. Cells a sweep hands to `par_map` fan across
-/// the installed sweep pool, and the rows are the same at any pool width.
+/// per-window check that failed. A sweep computes each row once, at one
+/// solver thread on the default gap backend; its module's tests re-run the
+/// same cells on the other backend and widths. Cells a sweep hands to
+/// `par_map` fan across the installed sweep pool, and the rows are the
+/// same at any pool width.
 pub type Sweep = fn(&Workload) -> Result<Vec<Json>, String>;
 
 /// One array section of the summary document.
