@@ -16,6 +16,10 @@ use exflow_topology::{ClusterSpec, CostModel, LinkClass, Rank};
 use crate::clock::VirtualClock;
 use crate::record::{CommRecord, Ledger, OpKind, OpTotals};
 
+#[cfg(test)]
+#[path = "lockstep_oracle.rs"]
+mod oracle;
+
 /// All W ranks of a simulated cluster advanced in lockstep by one caller.
 ///
 /// Where a [`RankComm`](crate::RankComm) is one rank's endpoint and a

@@ -257,6 +257,10 @@ impl EventQueue {
     }
 }
 
+#[cfg(test)]
+#[path = "serving_oracle.rs"]
+mod oracle;
+
 impl InferenceEngine {
     /// Virtual time of one full-occupancy decode step: a single batch of
     /// `batch_size` tokens through `mode`'s placement at prompt-length
