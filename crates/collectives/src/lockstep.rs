@@ -9,12 +9,20 @@
 //! same clock rules; `tests/properties.rs` feeds this type the lengths of
 //! the payloads that world moves and holds the two to the same clocks and
 //! ledger, bit for bit.
+//!
+//! A call costs what its traffic does, not what the fleet's size does:
+//! an AlltoallV's lanes are posted one by one ([`Lockstep::post`]) and
+//! the exchange walks only the non-empty ones, an AllGatherV prices each
+//! ring step from links hoisted at construction, and every call folds
+//! into the ledger once. The whole-matrix formulation these replaced is
+//! kept as a test oracle (`lockstep_oracle.rs`) and the two are held to
+//! the same clocks and ledger bit for bit.
 
 use exflow_topology::collective_cost::BytesByClass;
-use exflow_topology::{ClusterSpec, CostModel, LinkClass, Rank};
+use exflow_topology::{ClusterSpec, CostModel, LinkClass, LinkCost, Rank};
 
 use crate::clock::VirtualClock;
-use crate::record::{CommRecord, Ledger, OpKind, OpTotals};
+use crate::record::{Ledger, OpKind, OpTotals};
 
 #[cfg(test)]
 #[path = "lockstep_oracle.rs"]
@@ -24,23 +32,32 @@ mod oracle;
 ///
 /// Where a [`RankComm`](crate::RankComm) is one rank's endpoint and a
 /// collective completes once W threads have each called it, a `Lockstep`
-/// call *is* the collective: it takes every lane's byte count and applies
-/// the send / receive clock rules of [`crate::world`] to all W clocks and
-/// to the ledger. The caller runs each rank's compute between calls
-/// (`for rank in 0..w`) and charges it with [`Lockstep::advance`]. Clocks
-/// start at zero; totals accumulate until [`Lockstep::reset`]. A
-/// collective allocates nothing: its per-rank scratch lives here.
+/// call *is* the collective: it applies the send / receive clock rules of
+/// [`crate::world`] to all W clocks and to the ledger at once. The caller
+/// runs each rank's compute between calls (`for rank in 0..w`) and
+/// charges it with [`Lockstep::advance`]. Clocks start at zero; totals
+/// accumulate until [`Lockstep::reset`]. A collective allocates nothing:
+/// its scratch lives here.
 pub struct Lockstep {
     cost: CostModel,
-    /// `class[src * w + dst]`: the link a lane crosses.
+    /// `class[src * w + off]`: the link lane `src -> (src + off) % w`
+    /// crosses. Lanes are keyed by their offset along the sender's ring,
+    /// so ascending keys are the order every sender walks its lanes in.
     class: Vec<LinkClass>,
+    /// `right[r]`: the link from rank `r` to its ring successor, and its
+    /// cost — the one edge `r` sends over in an AllGatherV.
+    right: Vec<(LinkClass, LinkCost)>,
     clocks: Vec<VirtualClock>,
     ledger: Ledger,
-    /// Scratch of `all_to_all_v` (each rank's latest arrival stamp) and
-    /// of `all_gather_v` (each rank's stamp at the current step).
-    stamps: Vec<f64>,
-    /// `all_gather_v` scratch: each rank's bytes sent so far.
-    sent: Vec<BytesByClass>,
+    /// `lanes[key]`: the bytes posted on a lane since the last
+    /// AlltoallV; zero unless the lane's bit in `posted` is set.
+    lanes: Vec<u64>,
+    /// One bit per lane key, set while the lane is non-empty.
+    posted: Vec<u64>,
+    /// `all_to_all_v` scratch: `arrival[j * w + dst]` is the latest stamp
+    /// of any ring interval whose power-of-two block `j` starts at `dst`
+    /// (a sparse table; row 0 ends up each receiver's latest arrival).
+    arrival: Vec<f64>,
 }
 
 impl Lockstep {
@@ -48,24 +65,37 @@ impl Lockstep {
     /// at zero.
     pub fn new(cluster: ClusterSpec, cost: CostModel) -> Self {
         let w = cluster.world_size();
+        let link = |src: usize, dst: usize| cluster.link_class(Rank(src), Rank(dst % w));
         let class = (0..w * w)
-            .map(|lane| cluster.link_class(Rank(lane / w), Rank(lane % w)))
+            .map(|key| link(key / w, key / w + key % w))
+            .collect();
+        let right = (0..w)
+            .map(|r| {
+                let class = link(r, r + 1);
+                (class, cost.link(class))
+            })
             .collect();
         Lockstep {
             cost,
             class,
+            right,
             clocks: vec![VirtualClock::new(); w],
             ledger: Ledger::default(),
-            stamps: vec![0.0; w],
-            sent: vec![BytesByClass::default(); w],
+            lanes: vec![0; w * w],
+            posted: vec![0; (w * w).div_ceil(64)],
+            arrival: vec![0.0; w * (w.ilog2() as usize + 1)],
         }
     }
 
-    /// Every clock back to zero and every total cleared: the fleet as
-    /// [`Lockstep::new`] built it, its allocations kept.
+    /// Every clock back to zero, every total cleared and every posted
+    /// lane dropped: the fleet as [`Lockstep::new`] built it, its
+    /// allocations kept.
     pub fn reset(&mut self) {
         self.clocks.fill(VirtualClock::new());
         self.ledger = Ledger::default();
+        for key in drain_bits(&mut self.posted) {
+            self.lanes[key] = 0;
+        }
     }
 
     /// Current virtual time at `rank`.
@@ -83,6 +113,35 @@ impl Lockstep {
         self.ledger.totals(op)
     }
 
+    /// The key of lane `src -> dst`: `src`'s row, at `dst`'s offset along
+    /// `src`'s ring.
+    #[inline]
+    fn key(&self, src: usize, dst: usize) -> usize {
+        let w = self.clocks.len();
+        assert!(
+            src < w && dst < w,
+            "lane {src} -> {dst} is outside a fleet of {w}"
+        );
+        src * w + if dst >= src { dst - src } else { dst + w - src }
+    }
+
+    /// Add `bytes` to lane `src -> dst` of the next
+    /// [`Lockstep::all_to_all_v`]. Posting zero bytes leaves the lane as
+    /// it was.
+    #[inline]
+    pub fn post(&mut self, src: usize, dst: usize, bytes: u64) {
+        let key = self.key(src, dst);
+        if bytes > 0 {
+            self.lanes[key] += bytes;
+            self.posted[key / 64] |= 1 << (key % 64);
+        }
+    }
+
+    /// The bytes posted on lane `src -> dst` since the last AlltoallV.
+    pub fn posted(&self, src: usize, dst: usize) -> u64 {
+        self.lanes[self.key(src, dst)]
+    }
+
     /// Barrier: every clock moves to the fleet's max; one record per rank.
     pub fn barrier(&mut self) {
         let max = self
@@ -92,14 +151,14 @@ impl Lockstep {
             .fold(0.0, f64::max);
         for clock in &mut self.clocks {
             clock.wait_until(max);
-            self.ledger.record(CommRecord {
-                op: OpKind::Barrier,
-                sent: BytesByClass::default(),
-            });
         }
+        let w = self.clocks.len() as u64;
+        self.ledger
+            .charge(OpKind::Barrier, w, BytesByClass::default());
     }
 
-    /// AlltoallV: `bytes[src * w + dst]` bytes travel from `src` to `dst`.
+    /// AlltoallV over the posted lanes, which it then clears: each lane
+    /// `src -> dst` carries the bytes [`Lockstep::post`] put on it.
     ///
     /// Clock rule: each sender walks its lanes in ring order from itself
     /// (`dst = (src + off) % w`). A non-empty lane advances the sender by
@@ -108,39 +167,75 @@ impl Lockstep {
     /// clock as it then stands — an empty lane still carries the sender's
     /// progress through its earlier lanes. Once every sender is done, each
     /// receiver waits for the latest stamp among the `w - 1` lanes
-    /// addressed to it (`max` is exact, so the order it is folded in is
-    /// free).
-    pub fn all_to_all_v(&mut self, bytes: &[u64]) {
+    /// addressed to it; one record per rank.
+    ///
+    /// So a sender with `k` non-empty lanes besides its own stamps its
+    /// ring in `k + 1` intervals, one clock value each, and only those
+    /// are written: each interval as two power-of-two blocks of a sparse
+    /// table, pushed down to single receivers at the end. `max` is exact,
+    /// so neither that grouping nor the order it is folded in changes a
+    /// bit.
+    pub fn all_to_all_v(&mut self) {
         let w = self.clocks.len();
-        assert_eq!(
-            bytes.len(),
-            w * w,
-            "all_to_all_v needs exactly one byte count per lane"
-        );
-        let latest_arrival = &mut self.stamps;
-        latest_arrival.fill(0.0);
-        let lanes = bytes.chunks_exact(w).zip(self.class.chunks_exact(w));
-        for (src, (row, class)) in lanes.enumerate() {
-            let clock = &mut self.clocks[src];
-            let mut sent = BytesByClass::default();
-            // The ring from `src`: `src..w`, then `0..src`.
-            for dst in (src..w).chain(0..src) {
-                if row[dst] > 0 {
-                    clock.advance(self.cost.alltoall_transfer_time(class[dst], row[dst]));
-                    sent.add(class[dst], row[dst]);
-                }
-                if dst != src {
-                    latest_arrival[dst] = latest_arrival[dst].max(clock.now());
-                }
+        let Lockstep {
+            cost,
+            class,
+            clocks,
+            ledger,
+            lanes,
+            posted,
+            arrival,
+            ..
+        } = self;
+        arrival.fill(0.0);
+        // Offsets `from..to` of `src`'s ring, stamped with `at`.
+        let mut stamp = |src: usize, from: usize, to: usize, at: f64| {
+            let (lo, hi) = (src + from, src + to);
+            if lo >= hi {
+                // Nothing between two adjacent lanes, or no receivers.
+            } else if lo >= w {
+                cover(arrival, w, lo - w, hi - w, at);
+            } else if hi <= w {
+                cover(arrival, w, lo, hi, at);
+            } else {
+                cover(arrival, w, lo, w, at);
+                cover(arrival, w, 0, hi - w, at);
             }
-            self.ledger.record(CommRecord {
-                op: OpKind::Alltoall,
-                sent,
-            });
+        };
+        let mut sent = BytesByClass::default();
+        // The sender being walked and the first offset of its ring not
+        // yet stamped.
+        let (mut src, mut from) = (0, 1);
+        for key in drain_bits(posted) {
+            let off = key % w;
+            while src < key / w {
+                stamp(src, from, w, clocks[src].now());
+                (src, from) = (src + 1, 1);
+            }
+            let clock = &mut clocks[src];
+            stamp(src, from, off, clock.now());
+            from = from.max(off);
+            let bytes = std::mem::take(&mut lanes[key]);
+            clock.advance(cost.alltoall_transfer_time(class[key], bytes));
+            sent.add(class[key], bytes);
         }
-        for (clock, &arrival) in self.clocks.iter_mut().zip(latest_arrival.iter()) {
-            clock.wait_until(arrival);
+        while src < w {
+            stamp(src, from, w, clocks[src].now());
+            (src, from) = (src + 1, 1);
         }
+        for j in (1..arrival.len() / w).rev() {
+            let (lower, upper) = arrival.split_at_mut(j * w);
+            let lower = &mut lower[(j - 1) * w..];
+            let half = 1 << (j - 1);
+            for (i, &at) in upper[..=w - (1 << j)].iter().enumerate() {
+                lower[i] = lower[i].max(at);
+                lower[i + half] = lower[i + half].max(at);
+            }
+        }
+        for (clock, &at) in clocks.iter_mut().zip(&arrival[..w]) {
+            clock.wait_until(at);
+        }
+        ledger.charge(OpKind::Alltoall, w as u64, sent);
     }
 
     /// AllGatherV over a ring: rank `r` contributes `bytes[r]` bytes, and
@@ -151,41 +246,62 @@ impl Lockstep {
     /// transfer time of that block over that edge, then stamping — and
     /// waits for its left neighbour's stamp of the same step. A step reads
     /// only clocks the previous step left behind, so all of a step's sends
-    /// run before all of its receives.
+    /// run before all of its receives. Over the `w - 1` steps rank `r`
+    /// forwards every block but its successor's, which is what it is
+    /// charged; one record per rank.
     pub fn all_gather_v(&mut self, bytes: &[u64]) {
         let w = self.clocks.len();
         assert_eq!(bytes.len(), w, "all_gather_v needs one byte count per rank");
-        let (sent, stamps) = (&mut self.sent, &mut self.stamps);
-        sent.fill(BytesByClass::default());
+        let clocks = &mut self.clocks;
         for step in 0..w - 1 {
             // Rank `r` forwards block `r - step`, which wraps to
             // `r + w - step` below `step`.
             let wrapped = bytes[w - step..].iter().chain(&bytes[..w - step]);
-            let ranks = self
-                .clocks
-                .iter_mut()
-                .zip(sent.iter_mut())
-                .zip(stamps.iter_mut());
-            for (r, (((clock, sent), stamp), &block)) in ranks.zip(wrapped).enumerate() {
-                let class = self.class[r * w + if r + 1 == w { 0 } else { r + 1 }];
-                clock.advance(self.cost.transfer_time(class, block));
-                sent.add(class, block);
-                *stamp = clock.now();
+            for ((clock, (_, link)), &block) in clocks.iter_mut().zip(&self.right).zip(wrapped) {
+                clock.advance(link.time(block));
             }
-            // Rank `r` waits for rank `r - 1`'s stamp; rank 0 for rank
-            // `w - 1`'s.
-            let left = stamps[w - 1..].iter().chain(&stamps[..w - 1]);
-            for (clock, &stamp) in self.clocks.iter_mut().zip(left) {
-                clock.wait_until(stamp);
+            // Rank `r` waits for rank `r - 1`'s stamp, read before `r - 1`
+            // waits in turn; rank 0 for rank `w - 1`'s.
+            let last = clocks[w - 1].now();
+            for r in (1..w).rev() {
+                let left = clocks[r - 1].now();
+                clocks[r].wait_until(left);
             }
+            clocks[0].wait_until(last);
         }
-        for &sent in sent.iter() {
-            self.ledger.record(CommRecord {
-                op: OpKind::AllGather,
-                sent,
-            });
+        let total: u64 = bytes.iter().sum();
+        let mut sent = BytesByClass::default();
+        let successors = bytes[1..].iter().chain(&bytes[..1]);
+        for (&(class, _), &next) in self.right.iter().zip(successors) {
+            sent.add(class, total - next);
         }
+        self.ledger.charge(OpKind::AllGather, w as u64, sent);
     }
+}
+
+/// Raise `arrival`'s sparse table over receivers `lo..hi` (non-empty) to
+/// at least `at`: the two power-of-two blocks that cover the range.
+#[inline]
+fn cover(arrival: &mut [f64], w: usize, lo: usize, hi: usize, at: f64) {
+    let j = (hi - lo).ilog2() as usize;
+    let row = &mut arrival[j * w..(j + 1) * w];
+    row[lo] = row[lo].max(at);
+    let last = hi - (1 << j);
+    row[last] = row[last].max(at);
+}
+
+/// Every set bit of `words`, ascending, each word cleared as it is read.
+fn drain_bits(words: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter_mut().enumerate().flat_map(|(i, word)| {
+        let mut bits = std::mem::take(word);
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let bit = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                i * 64 + bit
+            })
+        })
+    })
 }
 
 #[cfg(test)]
@@ -202,9 +318,8 @@ mod tests {
         // 2: rank 2 receives nothing from it, yet waits until that send is
         // done.
         let mut f = fleet(1, 3);
-        let mut bytes = vec![0; 9];
-        bytes[1] = 1 << 20;
-        f.all_to_all_v(&bytes);
+        f.post(0, 1, 1 << 20);
+        f.all_to_all_v();
         assert!(f.now(0) > 0.0);
         assert_eq!(f.now(2), f.now(0));
     }
@@ -213,13 +328,19 @@ mod tests {
     fn a_reset_fleet_runs_as_a_new_one() {
         let ops = |f: &mut Lockstep| {
             f.advance(1, 1e-3);
-            f.all_to_all_v(&(0..16).map(|lane| lane * 4096).collect::<Vec<_>>());
+            for lane in 0..16 {
+                f.post(lane / 4, lane % 4, lane as u64 * 4096);
+            }
+            f.all_to_all_v();
             f.all_gather_v(&[1 << 20, 0, 7, 1 << 12]);
             f.barrier();
         };
         let (mut used, mut fresh) = (fleet(2, 2), fleet(2, 2));
         ops(&mut used);
+        // Lanes posted but never exchanged go with the reset.
+        used.post(3, 0, 1 << 16);
         used.reset();
+        assert_eq!(used.posted(3, 0), 0);
         ops(&mut used);
         ops(&mut fresh);
         for rank in 0..4 {
@@ -231,8 +352,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one byte count per lane")]
-    fn alltoall_rejects_a_ragged_matrix() {
-        fleet(1, 2).all_to_all_v(&[0; 3]);
+    fn posts_add_up_per_lane_until_the_exchange_clears_them() {
+        let mut f = fleet(2, 2);
+        f.post(2, 1, 5);
+        f.post(2, 1, 7);
+        f.post(1, 2, 0);
+        assert_eq!((f.posted(2, 1), f.posted(1, 2)), (12, 0));
+        f.all_to_all_v();
+        assert_eq!(f.posted(2, 1), 0);
+        assert_eq!(f.totals(OpKind::Alltoall).sent.inter_node, 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a fleet of 2")]
+    fn post_rejects_a_lane_outside_the_fleet() {
+        fleet(1, 2).post(0, 2, 1);
     }
 }

@@ -7,6 +7,7 @@
 use proptest::prelude::*;
 
 use super::*;
+use crate::record::CommRecord;
 
 /// The three collectives as one walk over every lane, rank and ring step.
 pub(super) struct Reference {
@@ -129,7 +130,11 @@ enum Op {
     Barrier,
     /// Lanes between live ranks non-empty with probability
     /// `density / 8`, self lanes with probability `own / 4`.
-    AllToAll { seed: u64, density: u8, own: u8 },
+    AllToAll {
+        seed: u64,
+        density: u8,
+        own: u8,
+    },
     /// Live ranks contribute a block, a quarter of them an empty one.
     AllGather(u64),
 }
@@ -138,8 +143,11 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..1 << 62).prop_map(Op::Advance),
         Just(Op::Barrier),
-        (0u64..1 << 62, 0u8..=8, 0u8..=4)
-            .prop_map(|(seed, density, own)| Op::AllToAll { seed, density, own }),
+        (0u64..1 << 62, 0u8..=8, 0u8..=4).prop_map(|(seed, density, own)| Op::AllToAll {
+            seed,
+            density,
+            own
+        }),
         (0u64..1 << 62).prop_map(Op::AllGather),
     ]
 }
@@ -192,7 +200,10 @@ fn apply(fleet: &mut Lockstep, reference: &mut Reference, live: &[bool], op: Op)
         }
         Op::AllToAll { seed, density, own } => {
             let bytes = lanes(w, live, seed, density, own);
-            fleet.all_to_all_v(&bytes);
+            for (lane, &n) in bytes.iter().enumerate() {
+                fleet.post(lane / w, lane % w, n);
+            }
+            fleet.all_to_all_v();
             reference.all_to_all_v(&bytes);
         }
         Op::AllGather(seed) => {

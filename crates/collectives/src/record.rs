@@ -61,9 +61,14 @@ pub(crate) struct Ledger([OpTotals; OpKind::ALL.len()]);
 
 impl Ledger {
     pub(crate) fn record(&mut self, rec: CommRecord) {
-        let t = &mut self.0[rec.op as usize];
-        t.records += 1;
-        t.sent.merge(&rec.sent);
+        self.charge(rec.op, 1, rec.sent);
+    }
+
+    /// Fold in `records` records of `op` that sent `sent` between them.
+    pub(crate) fn charge(&mut self, op: OpKind, records: u64, sent: BytesByClass) {
+        let t = &mut self.0[op as usize];
+        t.records += records;
+        t.sent.merge(&sent);
     }
 
     pub(crate) fn merge(&mut self, other: &Ledger) {

@@ -10,7 +10,7 @@ use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{ComputeCostModel, CorpusSpec, ModelConfig, RoutingModel, TokenBatch};
 use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
-use exflow_topology::{ClusterSpec, CostModel, Rank};
+use exflow_topology::{ClusterSpec, CostModel, LinkCost, Rank};
 
 use crate::frame::{fold, frame_size};
 use crate::modes::ParallelismMode;
@@ -485,8 +485,8 @@ impl InferenceEngine {
 /// pass as *state* — the fleet and the ledgers are reset when a pass
 /// starts, the positions are set by `home_tokens` and `route` — so one
 /// plane serves any number of passes of one engine and only its
-/// allocations carry over, with the prompt AllGather's price, which is a
-/// function of the engine and of the keys it is kept with.
+/// allocations carry over, with the prompt AllGather's prices, which are
+/// a function of the engine and of the keys they are kept with.
 pub(crate) struct Plane {
     /// `tokens[id]`: where token `id` of the iteration sits.
     tokens: Vec<Spot>,
@@ -494,8 +494,9 @@ pub(crate) struct Plane {
     copies: Vec<Spot>,
     /// Bytes one copy occupies on the wire ([`frame_size`]).
     frame: usize,
-    /// `lanes[src * w + dst]`: the bytes of the hop being built.
-    lanes: Vec<u64>,
+    /// The fleet's clocks and ledger, and the lanes of the hop being
+    /// built: `route` and `combine` post each copy's frame on its lane
+    /// as they place it, and `exchange` sends them.
     fleet: Lockstep,
     /// `acc[rank]`: each rank's share of the current pass.
     acc: Vec<RankResult>,
@@ -509,10 +510,16 @@ pub(crate) struct Plane {
     seen: Vec<bool>,
     /// The AllGathers' byte count per rank.
     contribs: Vec<u64>,
-    /// `gather_prompt_contexts`: the last charge, with the tokens per
-    /// iteration and the live ranks it was priced for, the only inputs
-    /// of a plane's engine that it depends on.
-    prompt_gather: Option<(usize, Vec<usize>, f64)>,
+    /// `ring[r]`: the cost of the link from rank `r` to its ring
+    /// successor, which the prompt AllGather's price reads.
+    ring: Vec<LinkCost>,
+    /// `gather_prompt_contexts`: `prompt_gather[n]` is the charge of an
+    /// `n`-token iteration over the live ranks `prompt_live`, `None`
+    /// until one is priced. Token count and live ranks are the only
+    /// inputs of a plane's engine that it depends on, so a change of the
+    /// live ranks drops every price.
+    prompt_gather: Vec<Option<f64>>,
+    prompt_live: Vec<usize>,
 }
 
 impl Plane {
@@ -523,7 +530,6 @@ impl Plane {
             tokens: Vec::new(),
             copies: Vec::new(),
             frame: frame_size(model.token_bytes(), model.sim_dim),
-            lanes: vec![0; w * w],
             fleet: Lockstep::new(cfg.cluster, cfg.link_cost),
             acc: Vec::with_capacity(w),
             node_of: (0..w).map(|r| cfg.cluster.node_of(Rank(r))).collect(),
@@ -531,7 +537,14 @@ impl Plane {
             touched: vec![0; w],
             seen: vec![false; w * model.n_experts],
             contribs: Vec::with_capacity(w),
-            prompt_gather: None,
+            ring: (0..w)
+                .map(|r| {
+                    let succ = Rank((r + 1) % w);
+                    cfg.link_cost.link(cfg.cluster.link_class(Rank(r), succ))
+                })
+                .collect(),
+            prompt_gather: Vec::new(),
+            prompt_live: Vec::new(),
         }
     }
 }
@@ -594,22 +607,13 @@ fn timed(
 }
 
 /// The Alltoall every token movement goes through, charged the bytes
-/// of the hop `route` or `combine` built in `plane.lanes`, which it
-/// then clears. It is a synchronization point: straggler wait at entry
-/// is attributed to `imbalance`, the collective's own cost to
-/// `alltoall`.
+/// of the hop `route` or `combine` posted on `plane.fleet`'s lanes. It
+/// is a synchronization point: straggler wait at entry is attributed to
+/// `imbalance`, the collective's own cost to `alltoall`.
 fn exchange(plane: &mut Plane) {
-    let Plane {
-        lanes, fleet, acc, ..
-    } = plane;
+    let Plane { fleet, acc, .. } = plane;
     timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-    timed(
-        fleet,
-        acc,
-        |b| &mut b.alltoall,
-        |fleet| fleet.all_to_all_v(lanes),
-    );
-    lanes.fill(0);
+    timed(fleet, acc, |b| &mut b.alltoall, Lockstep::all_to_all_v);
 }
 
 impl Pass<'_> {
@@ -701,9 +705,12 @@ impl Pass<'_> {
     /// token on every GPU) would dominate the simulation's memory traffic
     /// without affecting any per-layer behaviour, so it is charged
     /// analytically: every rank advances by the ring AllGather time the
-    /// cost model predicts for `frame`-byte tokens. The price depends on
-    /// the tokens per iteration and the live ranks alone, so the plane
-    /// keeps the last one and a pass on the same two reads it.
+    /// cost model predicts for `frame`-byte tokens
+    /// ([`CollectiveCostModel::allgatherv_time`](exflow_topology::CollectiveCostModel::allgatherv_time),
+    /// from the plane's hoisted ring links). The price depends on the
+    /// tokens per iteration and the live ranks alone, so the plane keeps
+    /// one per token count for the current live ranks, and a pass reads
+    /// the one it has.
     fn gather_prompt_contexts(&self, plane: &mut Plane) {
         let cfg = self.cfg;
         let Plane {
@@ -711,13 +718,23 @@ impl Pass<'_> {
             fleet,
             acc,
             contribs,
+            ring,
             prompt_gather,
+            prompt_live,
             ..
         } = plane;
         let n_tokens = self.batches.first().map_or(0, TokenBatch::len);
-        let t = match prompt_gather {
-            Some((n, live, t)) if *n == n_tokens && live[..] == *self.live_ranks => *t,
-            _ => {
+        if prompt_live[..] != *self.live_ranks {
+            prompt_live.clear();
+            prompt_live.extend_from_slice(self.live_ranks);
+            prompt_gather.clear();
+        }
+        if prompt_gather.len() <= n_tokens {
+            prompt_gather.resize(n_tokens + 1, None);
+        }
+        let t = match prompt_gather[n_tokens] {
+            Some(t) => t,
+            None => {
                 let n_live = self.live_ranks.len();
                 // Tokens are resident round-robin by id over the *live*
                 // ranks, so the live rank at position `j` holds
@@ -731,10 +748,8 @@ impl Pass<'_> {
                     };
                     (mine * cfg.prompt_len * *frame) as u64
                 }));
-                let analytic =
-                    exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
-                let t = analytic.allgatherv_time(contribs);
-                *prompt_gather = Some((n_tokens, self.live_ranks.to_vec(), t));
+                let t = ring_gather_time(ring, contribs);
+                prompt_gather[n_tokens] = Some(t);
                 t
             }
         };
@@ -770,7 +785,7 @@ impl Pass<'_> {
     /// layer with copies asks `serve`.
     fn route(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let cluster = &self.cfg.cluster;
-        let (w, k) = (cluster.world_size(), self.cfg.model.gate.k());
+        let k = self.cfg.model.gate.k();
         let owners = self.plan.base.layer(layer);
         let no_copies = self.plan.replicas[layer].is_empty();
         // Meeting-point rule: in context-coherent top-2 the *primary*
@@ -782,7 +797,7 @@ impl Pass<'_> {
             tokens,
             copies,
             frame,
-            lanes,
+            fleet,
             acc,
             node_of,
             ..
@@ -801,7 +816,7 @@ impl Pass<'_> {
                 dispatch.total += 1;
                 dispatch.same_gpu += u64::from(dst == me);
                 dispatch.same_node += u64::from(node_of[dst] == node_of[me]);
-                lanes[me * w + dst] += *frame as u64;
+                fleet.post(me, dst, *frame as u64);
                 *copy = Spot {
                     rank: dst,
                     word: token.word,
@@ -862,13 +877,13 @@ impl Pass<'_> {
     /// Where expert outputs go before the next layer's attention, and
     /// the top-2 merge.
     fn combine(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
-        let (w, k) = (self.cfg.cluster.world_size(), self.cfg.model.gate.k());
+        let k = self.cfg.model.gate.k();
         let coherent = self.mode.context_coherent();
         let Plane {
             tokens,
             copies,
             frame,
-            lanes,
+            fleet,
             ..
         } = plane;
         let frame = *frame as u64;
@@ -881,7 +896,7 @@ impl Pass<'_> {
             match *copies {
                 [copy] if coherent => *token = copy,
                 [copy] => {
-                    lanes[copy.rank * w + token.rank] += frame;
+                    fleet.post(copy.rank, token.rank, frame);
                     token.word = copy.word;
                 }
                 [primary, secondary] => {
@@ -896,10 +911,10 @@ impl Pass<'_> {
                         );
                         primary.rank
                     } else {
-                        lanes[primary.rank * w + token.rank] += frame;
+                        fleet.post(primary.rank, token.rank, frame);
                         token.rank
                     };
-                    lanes[secondary.rank * w + dst] += frame;
+                    fleet.post(secondary.rank, dst, frame);
                     *token = Spot {
                         rank: dst,
                         word: fold(primary.word, secondary.word),
@@ -912,6 +927,22 @@ impl Pass<'_> {
             exchange(plane);
         }
     }
+}
+
+/// The analytic ring AllGatherV time of
+/// [`CollectiveCostModel::allgatherv_time`](exflow_topology::CollectiveCostModel::allgatherv_time),
+/// to the bit, with `ring[r]` the cost of rank `r`'s link to its
+/// successor: the sum over the `w - 1` steps of the slowest transfer,
+/// rank `r` forwarding block `r - step` at step `step`.
+fn ring_gather_time(ring: &[LinkCost], contribs: &[u64]) -> f64 {
+    let w = ring.len();
+    (0..w.saturating_sub(1)).fold(0.0, |total, step| {
+        let wrapped = contribs[w - step..].iter().chain(&contribs[..w - step]);
+        let slowest = (ring.iter().zip(wrapped)).fold(0.0, |slowest: f64, (link, &block)| {
+            slowest.max(link.time(block))
+        });
+        total + slowest
+    })
 }
 
 #[cfg(test)]
@@ -1864,6 +1895,76 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_ring_price_is_the_analytic_allgather_time_to_the_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for (nodes, gpn) in [(1, 1), (1, 4), (2, 2), (4, 2), (3, 3), (16, 4)] {
+            let cfg =
+                InferenceEngine::builder(moe_gpt_m(8), ClusterSpec::new(nodes, gpn).unwrap()).cfg;
+            let plane = Plane::new(&cfg);
+            let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
+            for _ in 0..20 {
+                let contribs: Vec<u64> = (0..nodes * gpn)
+                    .map(|_| match rng.gen_range(0..4) {
+                        0 => 0,
+                        _ => {
+                            let bits = rng.gen_range(1..24);
+                            rng.gen_range(1..1u64 << bits)
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    ring_gather_time(&plane.ring, &contribs).to_bits(),
+                    analytic.allgatherv_time(&contribs).to_bits(),
+                    "{nodes}x{gpn} {contribs:?}"
+                );
+            }
+        }
+    }
+
+    /// One plane priced over changing live ranks at one token count
+    /// charges what a fresh plane does each time: a kept price never
+    /// outlives the live ranks it was priced for.
+    #[test]
+    fn a_plane_reprices_the_prompt_when_the_live_ranks_change() {
+        let engine = tiny_engine(2, 2);
+        let cfg = engine.config();
+        let mode = ParallelismMode::ContextCoherentAffinity;
+        let plan = ReplicationPlan::bare(engine.placement_for(mode).clone());
+        let batches = &engine.offline_batches()[..1];
+        let price = |plane: &mut Plane, live_ranks: &[usize]| {
+            let pass = Pass {
+                cfg,
+                mode,
+                plan: &plan,
+                live_ranks,
+                batches,
+                ctx_offset: 0,
+            };
+            plane.fleet.reset();
+            plane.acc.clear();
+            plane.acc.resize_with(4, RankResult::default);
+            pass.gather_prompt_contexts(plane);
+            plane.fleet.now(0).to_bits()
+        };
+        let mut kept = Plane::new(cfg);
+        let mut seen = Vec::new();
+        for live in [
+            &[0, 1, 2, 3][..],
+            &[0, 1, 3],
+            &[1, 3],
+            &[0, 1, 3],
+            &[0, 1, 2, 3],
+        ] {
+            let fresh = price(&mut Plane::new(cfg), live);
+            assert_eq!(price(&mut kept, live), fresh, "{live:?}");
+            seen.push(fresh);
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 3, "each live set has its own price");
+    }
+
     /// The dispatch rule as `route` applied it to every layer alike:
     /// a context-coherent top-2 primary to its owner (the meeting
     /// point), every other slot where `ReplicationPlan::serve` sends it,
@@ -1998,13 +2099,14 @@ mod tests {
             for layer in 0..n_layers {
                 plane.acc.clear();
                 plane.acc.resize_with(w, RankResult::default);
-                plane.lanes.fill(0);
+                plane.fleet.reset();
                 pass.route(&batch, layer, &mut plane);
                 let (copies, lanes, dispatch) = route_by_serve(&pass, &batch, layer, &plane.tokens);
                 let got: Vec<DispatchStats> = plane.acc.iter().map(|a| a.dispatch).collect();
                 prop_assert_eq!(got, dispatch, "layer {} of {:?}", layer, plan.replicas);
                 let bytes: Vec<u64> = lanes.iter().map(|&n| n * plane.frame as u64).collect();
-                prop_assert_eq!(&plane.lanes, &bytes, "layer {} of {:?}", layer, plan.replicas);
+                let posted: Vec<u64> = (0..w * w).map(|lane| plane.fleet.posted(lane / w, lane % w)).collect();
+                prop_assert_eq!(&posted, &bytes, "layer {} of {:?}", layer, plan.replicas);
                 prop_assert_eq!(&plane.copies, &copies, "layer {} of {:?}", layer, plan.replicas);
             }
         }

@@ -62,8 +62,7 @@
 //! from a seeded stream, and the engine passes themselves are
 //! bit-identical at any thread width — so [`ServingReport`]s are too.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -197,9 +196,9 @@ enum EventKind {
     Fleet(usize),
 }
 
-/// Event-queue entry: ordered by `(time, seq)` — total-order float
-/// comparison, then insertion sequence — so the pop order is a pure
-/// function of the pushes.
+/// Event-queue entry. The queue pops in `(time, seq)` order — total-order
+/// float comparison, then insertion sequence — so the pop order is a
+/// pure function of the pushes.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: f64,
@@ -207,53 +206,101 @@ struct Event {
     kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time.total_cmp(&other.time).is_eq() && self.seq == other.seq
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Min-heap of events with a monotone insertion sequence for ties.
+/// The serving loop's pending events, kept as the four streams they come
+/// from, each already in `(time, seq)` order, so a pop merges four heads
+/// and no heap is needed:
+/// - arrivals, read off the sampled (sorted) arrival times, request `i`
+///   numbered `i`;
+/// - fleet events, read off the fault schedule's (sorted) times, event
+///   `i` numbered `n + i` after the `n` arrivals;
+/// - wait deadlines, first in first out: each is pushed at the loop's
+///   clock plus the policy's one `max_wait`, and the clock never falls;
+/// - the one in-flight step's `StepDone`.
+///
+/// Deadlines and steps take the next sequence number when pushed. So the
+/// pops are exactly a `(time, seq)` min-heap's over the same pushes (the
+/// test oracle holds the two to one sequence), and an assert guards each
+/// stream's order.
+#[derive(Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
+    arrivals: Vec<f64>,
+    next_arrival: usize,
+    fleet: Vec<f64>,
+    next_fleet: usize,
+    deadlines: VecDeque<Event>,
+    step_done: Option<Event>,
     seq: u64,
 }
 
 impl EventQueue {
-    fn new() -> Self {
+    fn new(arrivals: Vec<f64>, fleet: Vec<f64>) -> Self {
+        let sorted = |times: &[f64]| times.is_sorted_by(|a, b| a.total_cmp(b).is_le());
+        assert!(sorted(&arrivals), "arrivals must be time-sorted");
+        assert!(sorted(&fleet), "fleet events must be time-sorted");
+        let seq = (arrivals.len() + fleet.len()) as u64;
         EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
+            arrivals,
+            fleet,
+            seq,
+            ..EventQueue::default()
         }
     }
 
-    fn push(&mut self, time: f64, kind: EventKind) {
-        self.heap.push(Reverse(Event {
-            time,
-            seq: self.seq,
-            kind,
-        }));
+    fn next(&mut self, time: f64, kind: EventKind) -> Event {
+        let seq = self.seq;
         self.seq += 1;
+        Event { time, seq, kind }
+    }
+
+    fn push_deadline(&mut self, time: f64, i: usize) {
+        let ev = self.next(time, EventKind::WaitDeadline(i));
+        if let Some(last) = self.deadlines.back() {
+            assert!(
+                last.time.total_cmp(&time).is_le(),
+                "wait deadlines must be pushed in time order"
+            );
+        }
+        self.deadlines.push_back(ev);
+    }
+
+    fn push_step_done(&mut self, time: f64) {
+        assert!(
+            self.step_done.is_none(),
+            "one decode step in flight at a time"
+        );
+        self.step_done = Some(self.next(time, EventKind::StepDone));
     }
 
     fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse(e)| e)
+        let n = self.arrivals.len() as u64;
+        let arrival = (self.arrivals.get(self.next_arrival)).map(|&time| Event {
+            time,
+            seq: self.next_arrival as u64,
+            kind: EventKind::Arrival(self.next_arrival),
+        });
+        let fleet = (self.fleet.get(self.next_fleet)).map(|&time| Event {
+            time,
+            seq: n + self.next_fleet as u64,
+            kind: EventKind::Fleet(self.next_fleet),
+        });
+        let heads = [
+            arrival,
+            fleet,
+            self.deadlines.front().copied(),
+            self.step_done,
+        ];
+        let (stream, first) = (heads.into_iter().enumerate())
+            .filter_map(|(stream, head)| Some((stream, head?)))
+            .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)))?;
+        match stream {
+            0 => self.next_arrival += 1,
+            1 => self.next_fleet += 1,
+            2 => {
+                self.deadlines.pop_front();
+            }
+            _ => self.step_done = None,
+        }
+        Some(first)
     }
 }
 
@@ -392,7 +439,7 @@ impl<'a> ServingState<'a> {
             serving,
             requests: Vec::with_capacity(n),
             tokens: TokenBatch::empty(cfg.model.n_layers, cfg.model.gate.k()),
-            events: EventQueue::new(),
+            events: EventQueue::default(),
             adaptive,
             plane: Plane::new(engine.config()),
             step_batch: TokenBatch::empty(cfg.model.n_layers, cfg.model.gate.k()),
@@ -437,11 +484,9 @@ impl<'a> ServingState<'a> {
                 arrival: t,
                 steps_done: 0,
             });
-            state.events.push(t, EventKind::Arrival(i));
         }
-        for (i, ev) in faults.events().iter().enumerate() {
-            state.events.push(ev.time, EventKind::Fleet(i));
-        }
+        let fleet = faults.events().iter().map(|ev| ev.time).collect();
+        state.events = EventQueue::new(arrivals, fleet);
         state
     }
 
@@ -453,8 +498,7 @@ impl<'a> ServingState<'a> {
     /// re-runs the batch-opening check even if nothing else happens.
     fn arm_deadline(&mut self, clock: f64, i: usize) {
         let BatchPolicy::SizeOrWait { max_wait, .. } = self.serving.batch;
-        self.events
-            .push(clock + max_wait, EventKind::WaitDeadline(i));
+        self.events.push_deadline(clock + max_wait, i);
     }
 
     fn on_arrival(&mut self, clock: f64, i: usize) {
@@ -681,7 +725,7 @@ impl<'a> ServingState<'a> {
         self.report.output_digest =
             fnv1a(self.report.output_digest, &step.output_digest.to_le_bytes());
         self.stepping = true;
-        self.events.push(clock + step_time, EventKind::StepDone);
+        self.events.push_step_done(clock + step_time);
     }
 
     fn finish(self) -> ServingReport {

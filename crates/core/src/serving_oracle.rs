@@ -57,26 +57,24 @@ impl HeapQueue {
 /// The queue under test and the heap, fed the same run: arrivals, then
 /// fleet events, then whatever each pop provokes.
 fn both(arrivals: &[f64], fleet: &[f64]) -> (EventQueue, HeapQueue) {
-    let mut queue = EventQueue::new();
+    let queue = EventQueue::new(arrivals.to_vec(), fleet.to_vec());
     let mut heap = HeapQueue::default();
     for (i, &t) in arrivals.iter().enumerate() {
-        queue.push(t, EventKind::Arrival(i));
         heap.push(t, EventKind::Arrival(i));
     }
     for (i, &t) in fleet.iter().enumerate() {
-        queue.push(t, EventKind::Fleet(i));
         heap.push(t, EventKind::Fleet(i));
     }
     (queue, heap)
 }
 
 fn deadline(queue: &mut EventQueue, heap: &mut HeapQueue, time: f64, i: usize) {
-    queue.push(time, EventKind::WaitDeadline(i));
+    queue.push_deadline(time, i);
     heap.push(time, EventKind::WaitDeadline(i));
 }
 
 fn step_done(queue: &mut EventQueue, heap: &mut HeapQueue, time: f64) {
-    queue.push(time, EventKind::StepDone);
+    queue.push_step_done(time);
     heap.push(time, EventKind::StepDone);
 }
 
