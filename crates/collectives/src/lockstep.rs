@@ -49,14 +49,18 @@ pub struct Lockstep {
     right: Vec<(LinkClass, LinkCost)>,
     clocks: Vec<VirtualClock>,
     ledger: Ledger,
-    /// `lanes[key]`: the bytes posted on a lane since the last
+    /// `lanes[src * w + off]`: the bytes posted on a lane since the last
     /// AlltoallV; zero unless the lane's bit in `posted` is set.
     lanes: Vec<u64>,
-    /// One bit per lane key, set while the lane is non-empty.
+    /// One bit per lane, set while the lane is non-empty: sender `src`'s
+    /// row is the `row_words` words from `src * row_words`, offset `off`
+    /// at bit `off % 64` of its word `off / 64`.
     posted: Vec<u64>,
-    /// `all_to_all_v` scratch: `arrival[j * w + dst]` is the latest stamp
-    /// of any ring interval whose power-of-two block `j` starts at `dst`
-    /// (a sparse table; row 0 ends up each receiver's latest arrival).
+    row_words: usize,
+    /// `all_to_all_v` scratch, a sparse table over each sender's ring
+    /// unrolled onto positions `0..2w` (position `p` is rank `p % w`):
+    /// `arrival[j * 2w + p]` is the latest stamp of a suffix whose
+    /// power-of-two block `j` starts at `p`.
     arrival: Vec<f64>,
 }
 
@@ -82,8 +86,9 @@ impl Lockstep {
             clocks: vec![VirtualClock::new(); w],
             ledger: Ledger::default(),
             lanes: vec![0; w * w],
-            posted: vec![0; (w * w).div_ceil(64)],
-            arrival: vec![0.0; w * (w.ilog2() as usize + 1)],
+            posted: vec![0; w * w.div_ceil(64)],
+            row_words: w.div_ceil(64),
+            arrival: vec![0.0; 2 * w * (w.ilog2() as usize + 1)],
         }
     }
 
@@ -93,8 +98,9 @@ impl Lockstep {
     pub fn reset(&mut self) {
         self.clocks.fill(VirtualClock::new());
         self.ledger = Ledger::default();
-        for key in drain_bits(&mut self.posted) {
-            self.lanes[key] = 0;
+        if self.posted.iter().any(|&word| word != 0) {
+            self.posted.fill(0);
+            self.lanes.fill(0);
         }
     }
 
@@ -113,16 +119,19 @@ impl Lockstep {
         self.ledger.totals(op)
     }
 
-    /// The key of lane `src -> dst`: `src`'s row, at `dst`'s offset along
-    /// `src`'s ring.
+    /// `dst`'s offset along `src`'s ring.
     #[inline]
-    fn key(&self, src: usize, dst: usize) -> usize {
+    fn offset(&self, src: usize, dst: usize) -> usize {
         let w = self.clocks.len();
         assert!(
             src < w && dst < w,
             "lane {src} -> {dst} is outside a fleet of {w}"
         );
-        src * w + if dst >= src { dst - src } else { dst + w - src }
+        if dst >= src {
+            dst - src
+        } else {
+            dst + w - src
+        }
     }
 
     /// Add `bytes` to lane `src -> dst` of the next
@@ -130,16 +139,16 @@ impl Lockstep {
     /// it was.
     #[inline]
     pub fn post(&mut self, src: usize, dst: usize, bytes: u64) {
-        let key = self.key(src, dst);
+        let off = self.offset(src, dst);
         if bytes > 0 {
-            self.lanes[key] += bytes;
-            self.posted[key / 64] |= 1 << (key % 64);
+            self.lanes[src * self.clocks.len() + off] += bytes;
+            self.posted[src * self.row_words + off / 64] |= 1 << (off % 64);
         }
     }
 
     /// The bytes posted on lane `src -> dst` since the last AlltoallV.
     pub fn posted(&self, src: usize, dst: usize) -> u64 {
-        self.lanes[self.key(src, dst)]
+        self.lanes[src * self.clocks.len() + self.offset(src, dst)]
     }
 
     /// Barrier: every clock moves to the fleet's max; one record per rank.
@@ -169,9 +178,11 @@ impl Lockstep {
     /// receiver waits for the latest stamp among the `w - 1` lanes
     /// addressed to it; one record per rank.
     ///
-    /// So a sender with `k` non-empty lanes besides its own stamps its
-    /// ring in `k + 1` intervals, one clock value each, and only those
-    /// are written: each interval as two power-of-two blocks of a sparse
+    /// A sender's clock only rises along its walk, so its stamp at a
+    /// receiver is the highest of the clocks it had on reaching each of
+    /// its non-empty lanes (or its own ring position) at or before that
+    /// receiver: one suffix of its ring per non-empty lane, and only
+    /// those are written, each as two power-of-two blocks of a sparse
     /// table, pushed down to single receivers at the end. `max` is exact,
     /// so neither that grouping nor the order it is folded in changes a
     /// bit.
@@ -184,56 +195,43 @@ impl Lockstep {
             ledger,
             lanes,
             posted,
+            row_words,
             arrival,
             ..
         } = self;
+        let span = 2 * w;
         arrival.fill(0.0);
-        // Offsets `from..to` of `src`'s ring, stamped with `at`.
-        let mut stamp = |src: usize, from: usize, to: usize, at: f64| {
-            let (lo, hi) = (src + from, src + to);
-            if lo >= hi {
-                // Nothing between two adjacent lanes, or no receivers.
-            } else if lo >= w {
-                cover(arrival, w, lo - w, hi - w, at);
-            } else if hi <= w {
-                cover(arrival, w, lo, hi, at);
-            } else {
-                cover(arrival, w, lo, w, at);
-                cover(arrival, w, 0, hi - w, at);
-            }
-        };
         let mut sent = BytesByClass::default();
-        // The sender being walked and the first offset of its ring not
-        // yet stamped.
-        let (mut src, mut from) = (0, 1);
-        for key in drain_bits(posted) {
-            let off = key % w;
-            while src < key / w {
-                stamp(src, from, w, clocks[src].now());
-                (src, from) = (src + 1, 1);
+        let rows = posted.chunks_exact_mut(*row_words);
+        for (src, ((clock, row), (lanes, class))) in (clocks.iter_mut().zip(rows))
+            .zip(lanes.chunks_exact_mut(w).zip(class.chunks_exact(w)))
+            .enumerate()
+        {
+            // The receivers after `src` along its ring, unrolled: `src + 1`
+            // up to `src + w - 1`.
+            let end = src + w;
+            cover(arrival, span, src + 1, end, clock.now());
+            for (i, word) in row.iter_mut().enumerate() {
+                for off in bits(std::mem::take(word)).map(|bit| i * 64 + bit) {
+                    let bytes = std::mem::take(&mut lanes[off]);
+                    clock.advance(cost.alltoall_transfer_time(class[off], bytes));
+                    sent.add(class[off], bytes);
+                    cover(arrival, span, src + off.max(1), end, clock.now());
+                }
             }
-            let clock = &mut clocks[src];
-            stamp(src, from, off, clock.now());
-            from = from.max(off);
-            let bytes = std::mem::take(&mut lanes[key]);
-            clock.advance(cost.alltoall_transfer_time(class[key], bytes));
-            sent.add(class[key], bytes);
         }
-        while src < w {
-            stamp(src, from, w, clocks[src].now());
-            (src, from) = (src + 1, 1);
-        }
-        for j in (1..arrival.len() / w).rev() {
-            let (lower, upper) = arrival.split_at_mut(j * w);
-            let lower = &mut lower[(j - 1) * w..];
+        for j in (1..arrival.len() / span).rev() {
+            let (lower, upper) = arrival.split_at_mut(j * span);
+            let lower = &mut lower[(j - 1) * span..];
             let half = 1 << (j - 1);
-            for (i, &at) in upper[..=w - (1 << j)].iter().enumerate() {
-                lower[i] = lower[i].max(at);
-                lower[i + half] = lower[i + half].max(at);
+            for (p, &at) in upper[..=span - (1 << j)].iter().enumerate() {
+                lower[p] = lower[p].max(at);
+                lower[p + half] = lower[p + half].max(at);
             }
         }
-        for (clock, &at) in clocks.iter_mut().zip(&arrival[..w]) {
-            clock.wait_until(at);
+        let (first, second) = arrival[..span].split_at(w);
+        for ((clock, &a), &b) in clocks.iter_mut().zip(first).zip(second) {
+            clock.wait_until(a.max(b));
         }
         ledger.charge(OpKind::Alltoall, w as u64, sent);
     }
@@ -279,27 +277,27 @@ impl Lockstep {
     }
 }
 
-/// Raise `arrival`'s sparse table over receivers `lo..hi` (non-empty) to
-/// at least `at`: the two power-of-two blocks that cover the range.
+/// Raise `arrival`'s sparse table, `span` positions a row, over `lo..hi` to
+/// at least `at`: the two power-of-two blocks that cover the range (none
+/// if it is empty, which only a one-rank fleet's is).
 #[inline]
-fn cover(arrival: &mut [f64], w: usize, lo: usize, hi: usize, at: f64) {
-    let j = (hi - lo).ilog2() as usize;
-    let row = &mut arrival[j * w..(j + 1) * w];
-    row[lo] = row[lo].max(at);
-    let last = hi - (1 << j);
-    row[last] = row[last].max(at);
+fn cover(arrival: &mut [f64], span: usize, lo: usize, hi: usize, at: f64) {
+    if lo < hi {
+        let j = (hi - lo).ilog2() as usize;
+        let row = &mut arrival[j * span..(j + 1) * span];
+        row[lo] = row[lo].max(at);
+        let last = hi - (1 << j);
+        row[last] = row[last].max(at);
+    }
 }
 
-/// Every set bit of `words`, ascending, each word cleared as it is read.
-fn drain_bits(words: &mut [u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter_mut().enumerate().flat_map(|(i, word)| {
-        let mut bits = std::mem::take(word);
-        std::iter::from_fn(move || {
-            (bits != 0).then(|| {
-                let bit = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                i * 64 + bit
-            })
+/// The set bits of `word`, ascending.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
         })
     })
 }
