@@ -40,21 +40,19 @@ mod oracle;
 /// its scratch lives here.
 pub struct Lockstep {
     cost: CostModel,
-    /// `class[src * w + off]`: the link lane `src -> (src + off) % w`
-    /// crosses. Lanes are keyed by their offset along the sender's ring,
-    /// so ascending keys are the order every sender walks its lanes in.
+    /// `class[src * w + dst]`: the link a lane crosses.
     class: Vec<LinkClass>,
     /// `right[r]`: the link from rank `r` to its ring successor, and its
     /// cost — the one edge `r` sends over in an AllGatherV.
     right: Vec<(LinkClass, LinkCost)>,
     clocks: Vec<VirtualClock>,
     ledger: Ledger,
-    /// `lanes[src * w + off]`: the bytes posted on a lane since the last
+    /// `lanes[src * w + dst]`: the bytes posted on a lane since the last
     /// AlltoallV; zero unless the lane's bit in `posted` is set.
     lanes: Vec<u64>,
-    /// One bit per lane, set while the lane is non-empty: sender `src`'s
-    /// row is the `row_words` words from `src * row_words`, offset `off`
-    /// at bit `off % 64` of its word `off / 64`.
+    /// One bit per lane, set once the lane is posted to: sender `src`'s
+    /// row is the `row_words` words from `src * row_words`, lane `dst` at
+    /// bit `dst % 64` of its word `dst / 64`.
     posted: Vec<u64>,
     row_words: usize,
     /// `all_to_all_v` scratch, a sparse table over each sender's ring
@@ -70,9 +68,7 @@ impl Lockstep {
     pub fn new(cluster: ClusterSpec, cost: CostModel) -> Self {
         let w = cluster.world_size();
         let link = |src: usize, dst: usize| cluster.link_class(Rank(src), Rank(dst % w));
-        let class = (0..w * w)
-            .map(|key| link(key / w, key / w + key % w))
-            .collect();
+        let class = (0..w * w).map(|lane| link(lane / w, lane % w)).collect();
         let right = (0..w)
             .map(|r| {
                 let class = link(r, r + 1);
@@ -88,7 +84,8 @@ impl Lockstep {
             lanes: vec![0; w * w],
             posted: vec![0; w * w.div_ceil(64)],
             row_words: w.div_ceil(64),
-            arrival: vec![0.0; 2 * w * (w.ilog2() as usize + 1)],
+            // Blocks up to the longest suffix, `w - 1` receivers.
+            arrival: vec![0.0; 2 * w * (w.max(2) - 1).ilog2() as usize + 2 * w],
         }
     }
 
@@ -119,36 +116,30 @@ impl Lockstep {
         self.ledger.totals(op)
     }
 
-    /// `dst`'s offset along `src`'s ring.
+    /// Lane `src -> dst`'s index in `lanes`.
     #[inline]
-    fn offset(&self, src: usize, dst: usize) -> usize {
+    fn lane(&self, src: usize, dst: usize) -> usize {
         let w = self.clocks.len();
         assert!(
             src < w && dst < w,
             "lane {src} -> {dst} is outside a fleet of {w}"
         );
-        if dst >= src {
-            dst - src
-        } else {
-            dst + w - src
-        }
+        src * w + dst
     }
 
     /// Add `bytes` to lane `src -> dst` of the next
-    /// [`Lockstep::all_to_all_v`]. Posting zero bytes leaves the lane as
-    /// it was.
+    /// [`Lockstep::all_to_all_v`]. A lane posted only zero bytes stays
+    /// empty.
     #[inline]
     pub fn post(&mut self, src: usize, dst: usize, bytes: u64) {
-        let off = self.offset(src, dst);
-        if bytes > 0 {
-            self.lanes[src * self.clocks.len() + off] += bytes;
-            self.posted[src * self.row_words + off / 64] |= 1 << (off % 64);
-        }
+        let lane = self.lane(src, dst);
+        self.lanes[lane] += bytes;
+        self.posted[src * self.row_words + dst / 64] |= 1 << (dst % 64);
     }
 
     /// The bytes posted on lane `src -> dst` since the last AlltoallV.
     pub fn posted(&self, src: usize, dst: usize) -> u64 {
-        self.lanes[src * self.clocks.len() + self.offset(src, dst)]
+        self.lanes[self.lane(src, dst)]
     }
 
     /// Barrier: every clock moves to the fleet's max; one record per rank.
@@ -201,6 +192,18 @@ impl Lockstep {
         } = self;
         let span = 2 * w;
         arrival.fill(0.0);
+        // Before its first lane every sender stamps all its receivers
+        // with its entry clock: each receiver takes the highest entry
+        // clock but its own, the second highest at the highest's sender.
+        let (mut top, mut second, mut at_top) = (0.0, 0.0, 0);
+        for (src, clock) in clocks.iter().enumerate() {
+            let now = clock.now();
+            if now > top {
+                (top, second, at_top) = (now, top, src);
+            } else if now > second {
+                second = now;
+            }
+        }
         let mut sent = BytesByClass::default();
         let rows = posted.chunks_exact_mut(*row_words);
         for (src, ((clock, row), (lanes, class))) in (clocks.iter_mut().zip(rows))
@@ -208,30 +211,44 @@ impl Lockstep {
             .enumerate()
         {
             // The receivers after `src` along its ring, unrolled: `src + 1`
-            // up to `src + w - 1`.
+            // up to `src + w - 1`, rank `dst` at `dst` or `dst + w`.
             let end = src + w;
-            cover(arrival, span, src + 1, end, clock.now());
-            for (i, word) in row.iter_mut().enumerate() {
-                for off in bits(std::mem::take(word)).map(|bit| i * 64 + bit) {
-                    let bytes = std::mem::take(&mut lanes[off]);
-                    clock.advance(cost.alltoall_transfer_time(class[off], bytes));
-                    sent.add(class[off], bytes);
-                    cover(arrival, span, src + off.max(1), end, clock.now());
+            let mut send = |dst: usize, at: usize| {
+                let bytes = std::mem::take(&mut lanes[dst]);
+                if bytes == 0 {
+                    return;
+                }
+                clock.advance(cost.alltoall_transfer_time(class[dst], bytes));
+                sent.add(class[dst], bytes);
+                cover(arrival, span, at.max(src + 1), end, clock.now());
+            };
+            // The ring from `src`: lanes `src..w`, then `0..src`.
+            let (head, shift) = (src / 64, src % 64);
+            let before = row[head] & ((1 << shift) - 1);
+            row[head] ^= before;
+            for (i, word) in row.iter_mut().enumerate().skip(head) {
+                bits(std::mem::take(word)).for_each(|bit| send(i * 64 + bit, i * 64 + bit));
+            }
+            row[head] = before;
+            for (i, word) in row[..=head].iter_mut().enumerate() {
+                bits(std::mem::take(word)).for_each(|bit| send(i * 64 + bit, i * 64 + bit + w));
+            }
+        }
+        // Block `j` at `p` is blocks `j - 1` at `p` and `p + 2^(j-1)`.
+        for j in (1..arrival.len() / span).rev() {
+            let (lower, upper) = arrival.split_at_mut(j * span);
+            let upper = &upper[..=span - (1 << j)];
+            let lower = &mut lower[(j - 1) * span..];
+            for half in [0, 1 << (j - 1)] {
+                for (low, &at) in lower[half..].iter_mut().zip(upper) {
+                    *low = low.max(at);
                 }
             }
         }
-        for j in (1..arrival.len() / span).rev() {
-            let (lower, upper) = arrival.split_at_mut(j * span);
-            let lower = &mut lower[(j - 1) * span..];
-            let half = 1 << (j - 1);
-            for (p, &at) in upper[..=span - (1 << j)].iter().enumerate() {
-                lower[p] = lower[p].max(at);
-                lower[p + half] = lower[p + half].max(at);
-            }
-        }
-        let (first, second) = arrival[..span].split_at(w);
-        for ((clock, &a), &b) in clocks.iter_mut().zip(first).zip(second) {
-            clock.wait_until(a.max(b));
+        let (near, far) = arrival[..span].split_at(w);
+        for (dst, ((clock, &a), &b)) in clocks.iter_mut().zip(near).zip(far).enumerate() {
+            let entry = if dst == at_top { second } else { top };
+            clock.wait_until(a.max(b).max(entry));
         }
         ledger.charge(OpKind::Alltoall, w as u64, sent);
     }
@@ -254,10 +271,11 @@ impl Lockstep {
         for step in 0..w - 1 {
             // Rank `r` forwards block `r - step`, which wraps to
             // `r + w - step` below `step`.
-            let wrapped = bytes[w - step..].iter().chain(&bytes[..w - step]);
-            for ((clock, (_, link)), &block) in clocks.iter_mut().zip(&self.right).zip(wrapped) {
-                clock.advance(link.time(block));
-            }
+            let (low, high) = clocks.split_at_mut(step);
+            let (low_links, high_links) = self.right.split_at(step);
+            (low.iter_mut().zip(low_links).zip(&bytes[w - step..]))
+                .chain(high.iter_mut().zip(high_links).zip(bytes))
+                .for_each(|((clock, (_, link)), &block)| clock.advance(link.time(block)));
             // Rank `r` waits for rank `r - 1`'s stamp, read before `r - 1`
             // waits in turn; rank 0 for rank `w - 1`'s.
             let last = clocks[w - 1].now();

@@ -505,7 +505,8 @@ pub(crate) struct Plane {
     /// `rows[rank]`: the tokens, or the copies, on each rank.
     rows: Vec<usize>,
     /// `run_experts`: `touched[rank]` counts the distinct experts each
-    /// rank runs, which `seen[rank * E + expert]` marks.
+    /// rank runs, which `seen[rank * E + expert]` marks (all clear
+    /// between calls).
     touched: Vec<usize>,
     seen: Vec<bool>,
     /// The AllGathers' byte count per rank.
@@ -585,13 +586,14 @@ struct Pass<'e> {
 struct RankResult {
     breakdown: OpBreakdown,
     dispatch: DispatchStats,
-    /// The rank's clock on entry to the collective being [`timed`].
+    /// The rank's clock on entry to the collective being [`synced`].
     entered: f64,
 }
 
-/// Run the collective `op` and charge each rank's clock movement across
-/// it to the breakdown field `slot` picks.
-fn timed(
+/// A barrier, then the collective `op`: each rank's wait at the barrier
+/// is charged to `imbalance` and its clock movement across `op` to the
+/// breakdown field `slot` picks.
+fn synced(
     fleet: &mut Lockstep,
     acc: &mut [RankResult],
     slot: fn(&mut OpBreakdown) -> &mut f64,
@@ -600,9 +602,13 @@ fn timed(
     for (r, a) in acc.iter_mut().enumerate() {
         a.entered = fleet.now(r);
     }
+    fleet.barrier();
+    // The barrier leaves every clock at the fleet's max.
+    let released = fleet.now(0);
     op(fleet);
     for (r, a) in acc.iter_mut().enumerate() {
-        *slot(&mut a.breakdown) += fleet.now(r) - a.entered;
+        a.breakdown.imbalance += released - a.entered;
+        *slot(&mut a.breakdown) += fleet.now(r) - released;
     }
 }
 
@@ -612,8 +618,7 @@ fn timed(
 /// `imbalance`, the collective's own cost to `alltoall`.
 fn exchange(plane: &mut Plane) {
     let Plane { fleet, acc, .. } = plane;
-    timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
-    timed(fleet, acc, |b| &mut b.alltoall, Lockstep::all_to_all_v);
+    synced(fleet, acc, |b| &mut b.alltoall, Lockstep::all_to_all_v);
 }
 
 impl Pass<'_> {
@@ -683,11 +688,10 @@ impl Pass<'_> {
                 ..
             } = plane;
             if self.mode.context_coherent() {
-                timed(fleet, acc, |b| &mut b.imbalance, Lockstep::barrier);
                 count_rows(rows, tokens);
                 contribs.clear();
                 contribs.extend(rows.iter().map(|&n| (n * *frame) as u64));
-                timed(
+                synced(
                     fleet,
                     acc,
                     |b| &mut b.allgather,
@@ -845,7 +849,6 @@ impl Pass<'_> {
         } = plane;
         rows.fill(0);
         touched.fill(0);
-        seen.fill(false);
         for (id, copies) in copies.chunks_exact_mut(k).enumerate() {
             for (copy, &expert) in copies.iter_mut().zip(batch.route(id, layer)) {
                 let (r, expert) = (copy.rank, usize::from(expert));
@@ -865,6 +868,12 @@ impl Pass<'_> {
                     touched[r] += 1;
                 }
                 copy.word = fold(fold(copy.word, layer as u64), expert as u64);
+            }
+        }
+        // Unmark what the walk marked: the copies again, not all W × E.
+        for (id, copies) in copies.chunks_exact(k).enumerate() {
+            for (copy, &expert) in copies.iter().zip(batch.route(id, layer)) {
+                seen[copy.rank * e + usize::from(expert)] = false;
             }
         }
         for (me, (&rows, &touched)) in rows.iter().zip(touched.iter()).enumerate() {

@@ -16,7 +16,9 @@
 //!
 //! The loop pops `(time, seq)`-ordered events into one `ServingState`;
 //! each event kind has one handler, and `try_start_step` runs after
-//! every event.
+//! every event. The queue merges four streams that are each already in
+//! that order (arrivals, fleet events, wait deadlines, the in-flight
+//! step), so a pop costs the same however many requests are pending.
 //!
 //! | event | handler | what it may mutate |
 //! | --- | --- | --- |
@@ -57,8 +59,9 @@
 //! fleet churn.
 //!
 //! The whole run is a pure function of `(config, drift schedule, serving
-//! config, fault schedule)`: the event queue orders events by `(time,
-//! sequence)` with total-order float comparison, every random draw comes
+//! config, fault schedule)`: the event queue pops events in `(time,
+//! sequence)` order with total-order float comparison — what a min-heap
+//! over the same pushes pops (`serving_oracle.rs`) — every random draw comes
 //! from a seeded stream, and the engine passes themselves are
 //! bit-identical at any thread width — so [`ServingReport`]s are too.
 
@@ -721,7 +724,9 @@ impl<'a> ServingState<'a> {
         if degraded {
             self.report.disruption.steps_degraded += 1;
         }
-        self.step_live = Arc::clone(&self.live_ranks);
+        if !Arc::ptr_eq(&self.step_live, &self.live_ranks) {
+            self.step_live = Arc::clone(&self.live_ranks);
+        }
         self.report.batch_occupancy[self.in_flight.len()] += 1;
         self.report.steps += 1;
         self.report.busy += step_time;
