@@ -505,8 +505,7 @@ pub(crate) struct Plane {
     /// `rows[rank]`: the tokens, or the copies, on each rank.
     rows: Vec<usize>,
     /// `run_experts`: `touched[rank]` counts the distinct experts each
-    /// rank runs, which `seen[rank * E + expert]` marks (all clear
-    /// between calls).
+    /// rank runs, which `seen[rank * E + expert]` marks.
     touched: Vec<usize>,
     seen: Vec<bool>,
     /// The AllGathers' byte count per rank.
@@ -849,6 +848,7 @@ impl Pass<'_> {
         } = plane;
         rows.fill(0);
         touched.fill(0);
+        seen.fill(false);
         for (id, copies) in copies.chunks_exact_mut(k).enumerate() {
             for (copy, &expert) in copies.iter_mut().zip(batch.route(id, layer)) {
                 let (r, expert) = (copy.rank, usize::from(expert));
@@ -868,12 +868,6 @@ impl Pass<'_> {
                     touched[r] += 1;
                 }
                 copy.word = fold(fold(copy.word, layer as u64), expert as u64);
-            }
-        }
-        // Unmark what the walk marked: the copies again, not all W × E.
-        for (id, copies) in copies.chunks_exact(k).enumerate() {
-            for (copy, &expert) in copies.iter().zip(batch.route(id, layer)) {
-                seen[copy.rank * e + usize::from(expert)] = false;
             }
         }
         for (me, (&rows, &touched)) in rows.iter().zip(touched.iter()).enumerate() {
