@@ -17,17 +17,16 @@
 //!
 //! One value holds all W clocks and one ledger, and a collective is a
 //! single call on the calling thread that takes byte counts and returns
-//! nothing: `all_to_all_v()` over the lanes posted since the last one
-//! (`post(src, dst, bytes)`), `all_gather_v(bytes[rank])`, and
-//! `barrier()`, which lifts every clock to the fleet's max. Only a lane's
-//! length reaches the clocks and the ledger, so the caller moves its
-//! payloads itself (the engine writes token rows into the destination
-//! tables). The caller is a bulk-synchronous
+//! nothing: `all_to_all_v(bytes[src * w + dst])`,
+//! `all_gather_v(bytes[rank])`, and `barrier()`, which lifts every clock
+//! to the fleet's max. Only a lane's length reaches the clocks and the
+//! ledger, so the caller moves its payloads itself (the engine writes
+//! token rows into the destination tables). The caller is a bulk-synchronous
 //! loop — run a stage for rank 0, 1, .. and charge it with
 //! `advance(rank, dt)`, then one collective, then the next stage — so a
-//! pass costs no thread, channel or wake-up, whatever W is. A call's host
-//! work follows its traffic: an AlltoallV visits only the posted lanes,
-//! not all W² of them. The clock rule of each collective is stated on the
+//! pass costs no thread, channel or wake-up, whatever W is. An AlltoallV
+//! leaves its lane matrix at zero, so the caller builds the next hop in
+//! the same buffer. The clock rule of each collective is stated on the
 //! method that implements it.
 //!
 //! # [`CommWorld::run`]: the threaded reference, and the probe surface

@@ -10,13 +10,14 @@
 //! the payloads that world moves and holds the two to the same clocks and
 //! ledger, bit for bit.
 //!
-//! A call costs what its traffic does, not what the fleet's size does:
-//! an AlltoallV's lanes are posted one by one ([`Lockstep::post`]) and
-//! the exchange walks only the non-empty ones, an AllGatherV prices each
-//! ring step from links hoisted at construction, and every call folds
-//! into the ledger once. The whole-matrix formulation these replaced is
-//! kept as a test oracle (`lockstep_oracle.rs`) and the two are held to
-//! the same clocks and ledger bit for bit.
+//! A call does the host work its clock rule needs and no more: an
+//! AlltoallV walks each sender's lanes once, in ring order, and leaves
+//! them empty for the next hop; an AllGatherV prices each ring step
+//! from links hoisted at construction; every call folds into the ledger
+//! once. The formulation these replaced (one ledger record per rank, a
+//! link lookup per ring cell) is kept as a test oracle
+//! (`lockstep_oracle.rs`) and the two are held to the same clocks and
+//! ledger bit for bit.
 
 use exflow_topology::collective_cost::BytesByClass;
 use exflow_topology::{ClusterSpec, CostModel, LinkClass, LinkCost, Rank};
@@ -32,12 +33,12 @@ mod oracle;
 ///
 /// Where a [`RankComm`](crate::RankComm) is one rank's endpoint and a
 /// collective completes once W threads have each called it, a `Lockstep`
-/// call *is* the collective: it applies the send / receive clock rules of
-/// [`crate::world`] to all W clocks and to the ledger at once. The caller
-/// runs each rank's compute between calls (`for rank in 0..w`) and
-/// charges it with [`Lockstep::advance`]. Clocks start at zero; totals
-/// accumulate until [`Lockstep::reset`]. A collective allocates nothing:
-/// its scratch lives here.
+/// call *is* the collective: it takes every lane's byte count and applies
+/// the send / receive clock rules of [`crate::world`] to all W clocks and
+/// to the ledger. The caller runs each rank's compute between calls
+/// (`for rank in 0..w`) and charges it with [`Lockstep::advance`]. Clocks
+/// start at zero; totals accumulate until [`Lockstep::reset`]. A
+/// collective allocates nothing: its per-rank scratch lives here.
 pub struct Lockstep {
     cost: CostModel,
     /// `class[src * w + dst]`: the link a lane crosses.
@@ -47,19 +48,8 @@ pub struct Lockstep {
     right: Vec<(LinkClass, LinkCost)>,
     clocks: Vec<VirtualClock>,
     ledger: Ledger,
-    /// `lanes[src * w + dst]`: the bytes posted on a lane since the last
-    /// AlltoallV; zero unless the lane's bit in `posted` is set.
-    lanes: Vec<u64>,
-    /// One bit per lane, set once the lane is posted to: sender `src`'s
-    /// row is the `row_words` words from `src * row_words`, lane `dst` at
-    /// bit `dst % 64` of its word `dst / 64`.
-    posted: Vec<u64>,
-    row_words: usize,
-    /// `all_to_all_v` scratch, a sparse table over each sender's ring
-    /// unrolled onto positions `0..2w` (position `p` is rank `p % w`):
-    /// `arrival[j * 2w + p]` is the latest stamp of a suffix whose
-    /// power-of-two block `j` starts at `p`.
-    arrival: Vec<f64>,
+    /// `all_to_all_v` scratch: each rank's latest arrival stamp.
+    stamps: Vec<f64>,
 }
 
 impl Lockstep {
@@ -81,24 +71,15 @@ impl Lockstep {
             right,
             clocks: vec![VirtualClock::new(); w],
             ledger: Ledger::default(),
-            lanes: vec![0; w * w],
-            posted: vec![0; w * w.div_ceil(64)],
-            row_words: w.div_ceil(64),
-            // Blocks up to the longest suffix, `w - 1` receivers.
-            arrival: vec![0.0; 2 * w * (w.max(2) - 1).ilog2() as usize + 2 * w],
+            stamps: vec![0.0; w],
         }
     }
 
-    /// Every clock back to zero, every total cleared and every posted
-    /// lane dropped: the fleet as [`Lockstep::new`] built it, its
-    /// allocations kept.
+    /// Every clock back to zero and every total cleared: the fleet as
+    /// [`Lockstep::new`] built it, its allocations kept.
     pub fn reset(&mut self) {
         self.clocks.fill(VirtualClock::new());
         self.ledger = Ledger::default();
-        if self.posted.iter().any(|&word| word != 0) {
-            self.posted.fill(0);
-            self.lanes.fill(0);
-        }
     }
 
     /// Current virtual time at `rank`.
@@ -116,32 +97,6 @@ impl Lockstep {
         self.ledger.totals(op)
     }
 
-    /// Lane `src -> dst`'s index in `lanes`.
-    #[inline]
-    fn lane(&self, src: usize, dst: usize) -> usize {
-        let w = self.clocks.len();
-        assert!(
-            src < w && dst < w,
-            "lane {src} -> {dst} is outside a fleet of {w}"
-        );
-        src * w + dst
-    }
-
-    /// Add `bytes` to lane `src -> dst` of the next
-    /// [`Lockstep::all_to_all_v`]. A lane posted only zero bytes stays
-    /// empty.
-    #[inline]
-    pub fn post(&mut self, src: usize, dst: usize, bytes: u64) {
-        let lane = self.lane(src, dst);
-        self.lanes[lane] += bytes;
-        self.posted[src * self.row_words + dst / 64] |= 1 << (dst % 64);
-    }
-
-    /// The bytes posted on lane `src -> dst` since the last AlltoallV.
-    pub fn posted(&self, src: usize, dst: usize) -> u64 {
-        self.lanes[self.lane(src, dst)]
-    }
-
     /// Barrier: every clock moves to the fleet's max; one record per rank.
     pub fn barrier(&mut self) {
         let max = self
@@ -157,8 +112,8 @@ impl Lockstep {
             .charge(OpKind::Barrier, w, BytesByClass::default());
     }
 
-    /// AlltoallV over the posted lanes, which it then clears: each lane
-    /// `src -> dst` carries the bytes [`Lockstep::post`] put on it.
+    /// AlltoallV: `bytes[src * w + dst]` bytes travel from `src` to `dst`,
+    /// and every lane is left at zero, ready for the next hop.
     ///
     /// Clock rule: each sender walks its lanes in ring order from itself
     /// (`dst = (src + off) % w`). A non-empty lane advances the sender by
@@ -167,88 +122,50 @@ impl Lockstep {
     /// clock as it then stands — an empty lane still carries the sender's
     /// progress through its earlier lanes. Once every sender is done, each
     /// receiver waits for the latest stamp among the `w - 1` lanes
-    /// addressed to it; one record per rank.
-    ///
-    /// A sender's clock only rises along its walk, so its stamp at a
-    /// receiver is the highest of the clocks it had on reaching each of
-    /// its non-empty lanes (or its own ring position) at or before that
-    /// receiver: one suffix of its ring per non-empty lane, and only
-    /// those are written, each as two power-of-two blocks of a sparse
-    /// table, pushed down to single receivers at the end. `max` is exact,
-    /// so neither that grouping nor the order it is folded in changes a
-    /// bit.
-    pub fn all_to_all_v(&mut self) {
+    /// addressed to it (`max` is exact, so the order it is folded in is
+    /// free); one record per rank.
+    pub fn all_to_all_v(&mut self, bytes: &mut [u64]) {
         let w = self.clocks.len();
+        assert_eq!(
+            bytes.len(),
+            w * w,
+            "all_to_all_v needs exactly one byte count per lane"
+        );
         let Lockstep {
             cost,
             class,
             clocks,
             ledger,
-            lanes,
-            posted,
-            row_words,
-            arrival,
+            stamps: latest_arrival,
             ..
         } = self;
-        let span = 2 * w;
-        arrival.fill(0.0);
-        // Before its first lane every sender stamps all its receivers
-        // with its entry clock: each receiver takes the highest entry
-        // clock but its own, the second highest at the highest's sender.
-        let (mut top, mut second, mut at_top) = (0.0, 0.0, 0);
-        for (src, clock) in clocks.iter().enumerate() {
-            let now = clock.now();
-            if now > top {
-                (top, second, at_top) = (now, top, src);
-            } else if now > second {
-                second = now;
-            }
-        }
+        latest_arrival.fill(0.0);
         let mut sent = BytesByClass::default();
-        let rows = posted.chunks_exact_mut(*row_words);
-        for (src, ((clock, row), (lanes, class))) in (clocks.iter_mut().zip(rows))
-            .zip(lanes.chunks_exact_mut(w).zip(class.chunks_exact(w)))
-            .enumerate()
-        {
-            // The receivers after `src` along its ring, unrolled: `src + 1`
-            // up to `src + w - 1`, rank `dst` at `dst` or `dst + w`.
-            let end = src + w;
-            let mut send = |dst: usize, at: usize| {
-                let bytes = std::mem::take(&mut lanes[dst]);
-                if bytes == 0 {
-                    return;
+        let lanes = bytes.chunks_exact_mut(w).zip(class.chunks_exact(w));
+        for (src, (clock, (row, class))) in clocks.iter_mut().zip(lanes).enumerate() {
+            let mut sender = *clock;
+            let mut walk = |row: &mut [u64], class: &[LinkClass], latest: &mut [f64]| {
+                for ((lane, &class), latest) in row.iter_mut().zip(class).zip(latest) {
+                    let bytes = std::mem::take(lane);
+                    if bytes > 0 {
+                        sender.advance(cost.alltoall_transfer_time(class, bytes));
+                        sent.add(class, bytes);
+                    }
+                    *latest = latest.max(sender.now());
                 }
-                clock.advance(cost.alltoall_transfer_time(class[dst], bytes));
-                sent.add(class[dst], bytes);
-                cover(arrival, span, at.max(src + 1), end, clock.now());
             };
-            // The ring from `src`: lanes `src..w`, then `0..src`.
-            let (head, shift) = (src / 64, src % 64);
-            let before = row[head] & ((1 << shift) - 1);
-            row[head] ^= before;
-            for (i, word) in row.iter_mut().enumerate().skip(head) {
-                bits(std::mem::take(word)).for_each(|bit| send(i * 64 + bit, i * 64 + bit));
-            }
-            row[head] = before;
-            for (i, word) in row[..=head].iter_mut().enumerate() {
-                bits(std::mem::take(word)).for_each(|bit| send(i * 64 + bit, i * 64 + bit + w));
-            }
+            // The ring from `src`: lanes `src..w`, then `0..src`. Its own
+            // lane's stamp is never past the clock it ends the walk on,
+            // so stamping it too changes no receiver's wait.
+            let (before, from) = row.split_at_mut(src);
+            let (class_before, class_from) = class.split_at(src);
+            let (latest_before, latest_from) = latest_arrival.split_at_mut(src);
+            walk(from, class_from, latest_from);
+            walk(before, class_before, latest_before);
+            *clock = sender;
         }
-        // Block `j` at `p` is blocks `j - 1` at `p` and `p + 2^(j-1)`.
-        for j in (1..arrival.len() / span).rev() {
-            let (lower, upper) = arrival.split_at_mut(j * span);
-            let upper = &upper[..=span - (1 << j)];
-            let lower = &mut lower[(j - 1) * span..];
-            for half in [0, 1 << (j - 1)] {
-                for (low, &at) in lower[half..].iter_mut().zip(upper) {
-                    *low = low.max(at);
-                }
-            }
-        }
-        let (near, far) = arrival[..span].split_at(w);
-        for (dst, ((clock, &a), &b)) in clocks.iter_mut().zip(near).zip(far).enumerate() {
-            let entry = if dst == at_top { second } else { top };
-            clock.wait_until(a.max(b).max(entry));
+        for (clock, &arrival) in clocks.iter_mut().zip(latest_arrival.iter()) {
+            clock.wait_until(arrival);
         }
         ledger.charge(OpKind::Alltoall, w as u64, sent);
     }
@@ -293,31 +210,24 @@ impl Lockstep {
         }
         self.ledger.charge(OpKind::AllGather, w as u64, sent);
     }
-}
 
-/// Raise `arrival`'s sparse table, `span` positions a row, over `lo..hi` to
-/// at least `at`: the two power-of-two blocks that cover the range (none
-/// if it is empty, which only a one-rank fleet's is).
-#[inline]
-fn cover(arrival: &mut [f64], span: usize, lo: usize, hi: usize, at: f64) {
-    if lo < hi {
-        let j = (hi - lo).ilog2() as usize;
-        let row = &mut arrival[j * span..(j + 1) * span];
-        row[lo] = row[lo].max(at);
-        let last = hi - (1 << j);
-        row[last] = row[last].max(at);
-    }
-}
-
-/// The set bits of `word`, ascending.
-fn bits(mut word: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (word != 0).then(|| {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            bit
+    /// The analytic price of a ring AllGatherV of `bytes[r]` from each rank
+    /// `r`, touching no clock:
+    /// [`CollectiveCostModel::allgatherv_time`](exflow_topology::CollectiveCostModel::allgatherv_time)
+    /// to the bit, read off the hoisted successor links — the sum over the
+    /// `w - 1` ring steps of the step's slowest transfer.
+    pub fn ring_gather_time(&self, bytes: &[u64]) -> f64 {
+        let w = self.right.len();
+        assert_eq!(bytes.len(), w, "a ring price needs one byte count per rank");
+        (0..w - 1).fold(0.0, |total, step| {
+            let wrapped = bytes[w - step..].iter().chain(&bytes[..w - step]);
+            let slowest = (self.right.iter().zip(wrapped))
+                .fold(0.0, |slowest: f64, ((_, link), &block)| {
+                    slowest.max(link.time(block))
+                });
+            total + slowest
         })
-    })
+    }
 }
 
 #[cfg(test)]
@@ -334,8 +244,9 @@ mod tests {
         // 2: rank 2 receives nothing from it, yet waits until that send is
         // done.
         let mut f = fleet(1, 3);
-        f.post(0, 1, 1 << 20);
-        f.all_to_all_v();
+        let mut bytes = vec![0; 9];
+        bytes[1] = 1 << 20;
+        f.all_to_all_v(&mut bytes);
         assert!(f.now(0) > 0.0);
         assert_eq!(f.now(2), f.now(0));
     }
@@ -344,19 +255,13 @@ mod tests {
     fn a_reset_fleet_runs_as_a_new_one() {
         let ops = |f: &mut Lockstep| {
             f.advance(1, 1e-3);
-            for lane in 0..16 {
-                f.post(lane / 4, lane % 4, lane as u64 * 4096);
-            }
-            f.all_to_all_v();
+            f.all_to_all_v(&mut (0..16).map(|lane| lane * 4096).collect::<Vec<_>>());
             f.all_gather_v(&[1 << 20, 0, 7, 1 << 12]);
             f.barrier();
         };
         let (mut used, mut fresh) = (fleet(2, 2), fleet(2, 2));
         ops(&mut used);
-        // Lanes posted but never exchanged go with the reset.
-        used.post(3, 0, 1 << 16);
         used.reset();
-        assert_eq!(used.posted(3, 0), 0);
         ops(&mut used);
         ops(&mut fresh);
         for rank in 0..4 {
@@ -368,20 +273,31 @@ mod tests {
     }
 
     #[test]
-    fn posts_add_up_per_lane_until_the_exchange_clears_them() {
-        let mut f = fleet(2, 2);
-        f.post(2, 1, 5);
-        f.post(2, 1, 7);
-        f.post(1, 2, 0);
-        assert_eq!((f.posted(2, 1), f.posted(1, 2)), (12, 0));
-        f.all_to_all_v();
-        assert_eq!(f.posted(2, 1), 0);
-        assert_eq!(f.totals(OpKind::Alltoall).sent.inter_node, 12);
+    #[should_panic(expected = "one byte count per lane")]
+    fn alltoall_rejects_a_ragged_matrix() {
+        fleet(1, 2).all_to_all_v(&mut [0; 3]);
     }
 
     #[test]
-    #[should_panic(expected = "outside a fleet of 2")]
-    fn post_rejects_a_lane_outside_the_fleet() {
-        fleet(1, 2).post(0, 2, 1);
+    fn the_ring_price_is_the_analytic_allgather_time_to_the_bit() {
+        let mut state = 5;
+        for (nodes, gpn) in [(1, 1), (1, 4), (2, 2), (4, 2), (3, 3), (16, 4)] {
+            let cluster = ClusterSpec::new(nodes, gpn).unwrap();
+            let f = Lockstep::new(cluster, CostModel::wilkes3());
+            let analytic = exflow_topology::CollectiveCostModel::new(cluster, CostModel::wilkes3());
+            for _ in 0..20 {
+                let bytes: Vec<u64> = (0..nodes * gpn)
+                    .map(|_| match oracle::mix(&mut state) % 4 {
+                        0 => 0,
+                        _ => oracle::block(&mut state),
+                    })
+                    .collect();
+                assert_eq!(
+                    f.ring_gather_time(&bytes).to_bits(),
+                    analytic.allgatherv_time(&bytes).to_bits(),
+                    "{nodes}x{gpn} {bytes:?}"
+                );
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
-//! Test oracle for [`Lockstep`]'s collectives: the whole-matrix
-//! formulation they replaced — every one of the w² lanes stamped in ring
-//! order, every cell of the (w − 1) × w AllGatherV ring priced with a
-//! link lookup, one ledger record per rank — and the property that holds
-//! the fleet to it bit for bit, in clocks and in ledger.
+//! Test oracle for [`Lockstep`]'s collectives: the formulation they
+//! replaced — one ledger record per rank, every cell of the (w − 1) × w
+//! AllGatherV ring priced with a link lookup, the AlltoallV's lanes only
+//! read — and the property that holds the fleet to it bit for bit, in
+//! clocks and in ledger.
 
 use proptest::prelude::*;
 
@@ -114,7 +114,7 @@ impl Reference {
 }
 
 /// SplitMix64: the generated inputs' stream, from one drawn seed.
-fn mix(state: &mut u64) -> u64 {
+pub(super) fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce5_e4b9);
@@ -153,7 +153,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// A byte count from tiny to a few MiB, so both α and β terms matter.
-fn block(state: &mut u64) -> u64 {
+pub(super) fn block(state: &mut u64) -> u64 {
     1 + mix(state) % (1 << (1 + mix(state) % 23))
 }
 
@@ -200,10 +200,9 @@ fn apply(fleet: &mut Lockstep, reference: &mut Reference, live: &[bool], op: Op)
         }
         Op::AllToAll { seed, density, own } => {
             let bytes = lanes(w, live, seed, density, own);
-            for (lane, &n) in bytes.iter().enumerate() {
-                fleet.post(lane / w, lane % w, n);
-            }
-            fleet.all_to_all_v();
+            let mut sent = bytes.clone();
+            fleet.all_to_all_v(&mut sent);
+            assert!(sent.iter().all(|&n| n == 0), "a lane left unsent");
             reference.all_to_all_v(&bytes);
         }
         Op::AllGather(seed) => {

@@ -202,11 +202,10 @@ fn lockstep_op(fleet: &mut Lockstep, w: usize, op: &Op) {
         Op::Advance(skews) => (0..w).for_each(|r| fleet.advance(r, skews[r])),
         Op::Barrier => fleet.barrier(),
         Op::AllToAll(lanes) => {
-            for lane in 0..w * w {
-                let (src, dst) = (lane / w, lane % w);
-                fleet.post(src, dst, lanes[src * MAX_W + dst] as u64);
-            }
-            fleet.all_to_all_v();
+            let mut bytes: Vec<u64> = (0..w * w)
+                .map(|lane| lanes[lane / w * MAX_W + lane % w] as u64)
+                .collect();
+            fleet.all_to_all_v(&mut bytes);
         }
         Op::AllGather(contribs) => {
             let bytes: Vec<u64> = contribs[..w].iter().map(|&n| n as u64).collect();

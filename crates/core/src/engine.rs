@@ -10,7 +10,7 @@ use exflow_model::routing::AffinityModelSpec;
 use exflow_model::{ComputeCostModel, CorpusSpec, ModelConfig, RoutingModel, TokenBatch};
 use exflow_placement::staged::solve_staged_with;
 use exflow_placement::{GapBackend, Objective, Parallelism, Placement, ReplicationPlan};
-use exflow_topology::{ClusterSpec, CostModel, LinkCost, Rank};
+use exflow_topology::{ClusterSpec, CostModel, Rank};
 
 use crate::frame::{fold, frame_size};
 use crate::modes::ParallelismMode;
@@ -494,9 +494,9 @@ pub(crate) struct Plane {
     copies: Vec<Spot>,
     /// Bytes one copy occupies on the wire ([`frame_size`]).
     frame: usize,
-    /// The fleet's clocks and ledger, and the lanes of the hop being
-    /// built: `route` and `combine` post each copy's frame on its lane
-    /// as they place it, and `exchange` sends them.
+    /// `lanes[src * w + dst]`: the bytes of the hop being built, which
+    /// the exchange sends and leaves at zero.
+    lanes: Vec<u64>,
     fleet: Lockstep,
     /// `acc[rank]`: each rank's share of the current pass.
     acc: Vec<RankResult>,
@@ -510,9 +510,6 @@ pub(crate) struct Plane {
     seen: Vec<bool>,
     /// The AllGathers' byte count per rank.
     contribs: Vec<u64>,
-    /// `ring[r]`: the cost of the link from rank `r` to its ring
-    /// successor, which the prompt AllGather's price reads.
-    ring: Vec<LinkCost>,
     /// `gather_prompt_contexts`: `prompt_gather[n]` is the charge of an
     /// `n`-token iteration over the live ranks `prompt_live`, `None`
     /// until one is priced. Token count and live ranks are the only
@@ -530,6 +527,7 @@ impl Plane {
             tokens: Vec::new(),
             copies: Vec::new(),
             frame: frame_size(model.token_bytes(), model.sim_dim),
+            lanes: vec![0; w * w],
             fleet: Lockstep::new(cfg.cluster, cfg.link_cost),
             acc: Vec::with_capacity(w),
             node_of: (0..w).map(|r| cfg.cluster.node_of(Rank(r))).collect(),
@@ -537,12 +535,6 @@ impl Plane {
             touched: vec![0; w],
             seen: vec![false; w * model.n_experts],
             contribs: Vec::with_capacity(w),
-            ring: (0..w)
-                .map(|r| {
-                    let succ = Rank((r + 1) % w);
-                    cfg.link_cost.link(cfg.cluster.link_class(Rank(r), succ))
-                })
-                .collect(),
             prompt_gather: Vec::new(),
             prompt_live: Vec::new(),
         }
@@ -612,12 +604,20 @@ fn synced(
 }
 
 /// The Alltoall every token movement goes through, charged the bytes
-/// of the hop `route` or `combine` posted on `plane.fleet`'s lanes. It
-/// is a synchronization point: straggler wait at entry is attributed to
-/// `imbalance`, the collective's own cost to `alltoall`.
+/// of the hop `route` or `combine` built in `plane.lanes`, which it
+/// leaves at zero. It is a synchronization point: straggler wait at
+/// entry is attributed to `imbalance`, the collective's own cost to
+/// `alltoall`.
 fn exchange(plane: &mut Plane) {
-    let Plane { fleet, acc, .. } = plane;
-    synced(fleet, acc, |b| &mut b.alltoall, Lockstep::all_to_all_v);
+    let Plane {
+        lanes, fleet, acc, ..
+    } = plane;
+    synced(
+        fleet,
+        acc,
+        |b| &mut b.alltoall,
+        |fleet| fleet.all_to_all_v(lanes),
+    );
 }
 
 impl Pass<'_> {
@@ -709,8 +709,7 @@ impl Pass<'_> {
     /// without affecting any per-layer behaviour, so it is charged
     /// analytically: every rank advances by the ring AllGather time the
     /// cost model predicts for `frame`-byte tokens
-    /// ([`CollectiveCostModel::allgatherv_time`](exflow_topology::CollectiveCostModel::allgatherv_time),
-    /// from the plane's hoisted ring links). The price depends on the
+    /// ([`Lockstep::ring_gather_time`]). The price depends on the
     /// tokens per iteration and the live ranks alone, so the plane keeps
     /// one per token count for the current live ranks, and a pass reads
     /// the one it has.
@@ -721,7 +720,6 @@ impl Pass<'_> {
             fleet,
             acc,
             contribs,
-            ring,
             prompt_gather,
             prompt_live,
             ..
@@ -744,14 +742,12 @@ impl Pass<'_> {
                 // `ceil`-or-`floor` of `n / n_live` of them and dead
                 // ranks contribute nothing.
                 contribs.clear();
-                contribs.extend((0..acc.len()).map(|r| {
-                    let mine = match self.live_ranks.iter().position(|&lr| lr == r) {
-                        Some(j) => n_tokens / n_live + usize::from(j < n_tokens % n_live),
-                        None => 0,
-                    };
-                    (mine * cfg.prompt_len * *frame) as u64
-                }));
-                let t = ring_gather_time(ring, contribs);
+                contribs.resize(acc.len(), 0);
+                for (j, &r) in self.live_ranks.iter().enumerate() {
+                    let mine = n_tokens / n_live + usize::from(j < n_tokens % n_live);
+                    contribs[r] = (mine * cfg.prompt_len * *frame) as u64;
+                }
+                let t = fleet.ring_gather_time(contribs);
                 prompt_gather[n_tokens] = Some(t);
                 t
             }
@@ -788,7 +784,7 @@ impl Pass<'_> {
     /// layer with copies asks `serve`.
     fn route(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
         let cluster = &self.cfg.cluster;
-        let k = self.cfg.model.gate.k();
+        let (w, k) = (cluster.world_size(), self.cfg.model.gate.k());
         let owners = self.plan.base.layer(layer);
         let no_copies = self.plan.replicas[layer].is_empty();
         // Meeting-point rule: in context-coherent top-2 the *primary*
@@ -800,7 +796,7 @@ impl Pass<'_> {
             tokens,
             copies,
             frame,
-            fleet,
+            lanes,
             acc,
             node_of,
             ..
@@ -819,7 +815,7 @@ impl Pass<'_> {
                 dispatch.total += 1;
                 dispatch.same_gpu += u64::from(dst == me);
                 dispatch.same_node += u64::from(node_of[dst] == node_of[me]);
-                fleet.post(me, dst, *frame as u64);
+                lanes[me * w + dst] += *frame as u64;
                 *copy = Spot {
                     rank: dst,
                     word: token.word,
@@ -880,13 +876,13 @@ impl Pass<'_> {
     /// Where expert outputs go before the next layer's attention, and
     /// the top-2 merge.
     fn combine(&self, batch: &TokenBatch, layer: usize, plane: &mut Plane) {
-        let k = self.cfg.model.gate.k();
+        let (w, k) = (self.cfg.cluster.world_size(), self.cfg.model.gate.k());
         let coherent = self.mode.context_coherent();
         let Plane {
             tokens,
             copies,
             frame,
-            fleet,
+            lanes,
             ..
         } = plane;
         let frame = *frame as u64;
@@ -899,7 +895,7 @@ impl Pass<'_> {
             match *copies {
                 [copy] if coherent => *token = copy,
                 [copy] => {
-                    fleet.post(copy.rank, token.rank, frame);
+                    lanes[copy.rank * w + token.rank] += frame;
                     token.word = copy.word;
                 }
                 [primary, secondary] => {
@@ -914,10 +910,10 @@ impl Pass<'_> {
                         );
                         primary.rank
                     } else {
-                        fleet.post(primary.rank, token.rank, frame);
+                        lanes[primary.rank * w + token.rank] += frame;
                         token.rank
                     };
-                    fleet.post(secondary.rank, dst, frame);
+                    lanes[secondary.rank * w + dst] += frame;
                     *token = Spot {
                         rank: dst,
                         word: fold(primary.word, secondary.word),
@@ -930,22 +926,6 @@ impl Pass<'_> {
             exchange(plane);
         }
     }
-}
-
-/// The analytic ring AllGatherV time of
-/// [`CollectiveCostModel::allgatherv_time`](exflow_topology::CollectiveCostModel::allgatherv_time),
-/// to the bit, with `ring[r]` the cost of rank `r`'s link to its
-/// successor: the sum over the `w - 1` steps of the slowest transfer,
-/// rank `r` forwarding block `r - step` at step `step`.
-fn ring_gather_time(ring: &[LinkCost], contribs: &[u64]) -> f64 {
-    let w = ring.len();
-    (0..w.saturating_sub(1)).fold(0.0, |total, step| {
-        let wrapped = contribs[w - step..].iter().chain(&contribs[..w - step]);
-        let slowest = (ring.iter().zip(wrapped)).fold(0.0, |slowest: f64, (link, &block)| {
-            slowest.max(link.time(block))
-        });
-        total + slowest
-    })
 }
 
 #[cfg(test)]
@@ -1898,33 +1878,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_ring_price_is_the_analytic_allgather_time_to_the_bit() {
-        let mut rng = StdRng::seed_from_u64(5);
-        for (nodes, gpn) in [(1, 1), (1, 4), (2, 2), (4, 2), (3, 3), (16, 4)] {
-            let cfg =
-                InferenceEngine::builder(moe_gpt_m(8), ClusterSpec::new(nodes, gpn).unwrap()).cfg;
-            let plane = Plane::new(&cfg);
-            let analytic = exflow_topology::CollectiveCostModel::new(cfg.cluster, cfg.link_cost);
-            for _ in 0..20 {
-                let contribs: Vec<u64> = (0..nodes * gpn)
-                    .map(|_| match rng.gen_range(0..4) {
-                        0 => 0,
-                        _ => {
-                            let bits = rng.gen_range(1..24);
-                            rng.gen_range(1..1u64 << bits)
-                        }
-                    })
-                    .collect();
-                assert_eq!(
-                    ring_gather_time(&plane.ring, &contribs).to_bits(),
-                    analytic.allgatherv_time(&contribs).to_bits(),
-                    "{nodes}x{gpn} {contribs:?}"
-                );
-            }
-        }
-    }
-
     /// One plane priced over changing live ranks at one token count
     /// charges what a fresh plane does each time: a kept price never
     /// outlives the live ranks it was priced for.
@@ -2102,14 +2055,13 @@ mod tests {
             for layer in 0..n_layers {
                 plane.acc.clear();
                 plane.acc.resize_with(w, RankResult::default);
-                plane.fleet.reset();
+                plane.lanes.fill(0);
                 pass.route(&batch, layer, &mut plane);
                 let (copies, lanes, dispatch) = route_by_serve(&pass, &batch, layer, &plane.tokens);
                 let got: Vec<DispatchStats> = plane.acc.iter().map(|a| a.dispatch).collect();
                 prop_assert_eq!(got, dispatch, "layer {} of {:?}", layer, plan.replicas);
                 let bytes: Vec<u64> = lanes.iter().map(|&n| n * plane.frame as u64).collect();
-                let posted: Vec<u64> = (0..w * w).map(|lane| plane.fleet.posted(lane / w, lane % w)).collect();
-                prop_assert_eq!(&posted, &bytes, "layer {} of {:?}", layer, plan.replicas);
+                prop_assert_eq!(&plane.lanes, &bytes, "layer {} of {:?}", layer, plan.replicas);
                 prop_assert_eq!(&plane.copies, &copies, "layer {} of {:?}", layer, plan.replicas);
             }
         }

@@ -393,7 +393,6 @@ struct ServingState<'a> {
     cur_window: usize,
     /// Realized paths of steps finished since the last window close,
     /// token-major and laid end to end (`n_layers` experts per step).
-    /// Nothing closes the last window, so its paths are not banked.
     pending_paths: Vec<u16>,
     /// Live GPUs, ascending; replaced only on fleet events.
     live_ranks: Arc<[usize]>,
@@ -519,13 +518,10 @@ impl<'a> ServingState<'a> {
         let decode_steps = self.serving.decode_steps;
         let (requests, tokens) = (&mut self.requests, &self.tokens);
         let (report, pending) = (&mut self.report, &mut self.pending_paths);
-        let bank = self.cur_window + 1 < self.adaptive.n_windows;
         self.in_flight.retain(|&i| {
             let req = &mut requests[i];
             let token = i * decode_steps + req.steps_done;
-            if bank {
-                pending.extend((0..tokens.n_layers()).map(|layer| tokens.route(token, layer)[0]));
-            }
+            pending.extend((0..tokens.n_layers()).map(|layer| tokens.route(token, layer)[0]));
             req.steps_done += 1;
             if req.steps_done < decode_steps {
                 return true;
@@ -724,9 +720,7 @@ impl<'a> ServingState<'a> {
         if degraded {
             self.report.disruption.steps_degraded += 1;
         }
-        if !Arc::ptr_eq(&self.step_live, &self.live_ranks) {
-            self.step_live = Arc::clone(&self.live_ranks);
-        }
+        self.step_live = Arc::clone(&self.live_ranks);
         self.report.batch_occupancy[self.in_flight.len()] += 1;
         self.report.steps += 1;
         self.report.busy += step_time;
