@@ -125,10 +125,9 @@ impl<'e> AdaptiveState<'e> {
     }
 
     /// One budgeted re-plan: run the re-plan step against the live
-    /// estimate (metered by `OnlineConfig::replan_time_budget`, its
-    /// attraction table built in the held buffer), commit the winner into
-    /// `self.live`, and price the migration. `None` when the plan is empty
-    /// (no event, no time charged).
+    /// estimate (its attraction table built in the held buffer), commit
+    /// the winner into `self.live`, and price the migration. `None` when
+    /// the plan is empty (no event, no time charged).
     fn replan(&mut self, window: usize, drift_now: f64) -> Option<(f64, Arc<ReplicationPlan>)> {
         let cfg = self.cfg;
         let (next, plan, cost) = replan(
@@ -168,9 +167,9 @@ impl<'e> AdaptiveState<'e> {
 /// `live` to it, and the solver work. Owner moves only when
 /// `oc.replica_memory_bytes` is 0 (over the copies the fleet already
 /// holds); otherwise the replicated solve, one copy per node of `cluster`.
-/// Solver work is capped by `oc.replan_time_budget` considered
-/// candidates; `cache` is the attraction table's buffer and changes no
-/// result. When to re-plan, and what a migration costs, is the caller's.
+/// The returned [`ReplanCost`] counts the solver work; `cache` is the
+/// attraction table's buffer and changes no result. When to re-plan, and
+/// what a migration costs, is the caller's.
 /// A `bytes_per_expert` of 0 counts as 1, so no budget divides by zero.
 pub fn replan(
     objective: &Objective,
@@ -192,17 +191,11 @@ pub fn replan(
                 migration_budget_bytes: budget,
             },
             &ReplicaPolicy::OnePerNode(cluster),
-            oc.replan_time_budget,
             cache,
         )
     } else {
-        let (base, cost) = solve_budgeted_metered(
-            objective,
-            &live.base,
-            budget / bpe,
-            oc.replan_time_budget,
-            cache,
-        );
+        let (base, cost) =
+            solve_budgeted_metered(objective, &live.base, budget / bpe, u64::MAX, cache);
         (live.reowned(base), cost)
     };
     let plan = MigrationPlan::between_replicated(live, &next, bpe);
@@ -374,15 +367,6 @@ pub(crate) mod tests {
                 top1(OnlineConfig {
                     migration_budget_bytes: 24 * bpe,
                     replica_memory_bytes: 6 * bpe,
-                    ..base
-                }),
-                cca,
-                6,
-            ),
-            (
-                "400-candidate scan",
-                top1(OnlineConfig {
-                    replan_time_budget: 400,
                     ..base
                 }),
                 cca,

@@ -45,16 +45,6 @@ pub struct OnlineConfig {
     /// races a full fan-out candidate, so this never finishes behind
     /// copy-everywhere at equal budgets.
     pub replica_memory_bytes: u64,
-    /// Solver-time budget of one re-plan, in swap candidates *considered*
-    /// (the deterministic operation count
-    /// [`ReplanCost::considered`](exflow_placement::ReplanCost::considered)
-    /// reports — not wall clock, so truncated runs stay bit-identical on
-    /// any machine or thread count). When the descent
-    /// exhausts the budget it commits the best move found so far and
-    /// stops; the truncation is reported per
-    /// [`ReplanEvent`](crate::report::ReplanEvent). `u64::MAX` — the
-    /// default — never truncates.
-    pub replan_time_budget: u64,
 }
 
 impl Default for OnlineConfig {
@@ -65,7 +55,6 @@ impl Default for OnlineConfig {
             migration_budget_bytes: u64::MAX,
             decay: 0.5,
             replica_memory_bytes: 0,
-            replan_time_budget: u64::MAX,
         }
     }
 }
@@ -1495,37 +1484,10 @@ mod tests {
         for replan in &report.replans {
             let c = replan.solver_cost;
             // Every considered candidate was decided either by an exact
-            // evaluation or by the attraction table alone, and an
-            // unlimited budget never truncates.
+            // evaluation or by the attraction table alone.
             assert_eq!(c.considered, c.evaluated + c.reused);
             assert!(c.considered > 0);
-            assert!(!c.truncated);
         }
-    }
-
-    #[test]
-    fn replan_time_budget_truncates_deterministically() {
-        let run = |scan_budget: u64| {
-            let engine = online_engine(OnlineConfig {
-                replan_time_budget: scan_budget,
-                ..adaptive_online()
-            });
-            trajectory(&engine, ParallelismMode::ContextCoherentAffinity, 6)
-        };
-        let tight = run(400);
-        let again = run(400);
-        assert_eq!(tight, again, "budgeted runs must stay deterministic");
-        assert!(tight.migrations.replans > 0, "tight budget still re-plans");
-        for replan in &tight.replans {
-            let c = replan.solver_cost;
-            assert!(c.considered <= 400, "meter overshot: {}", c.considered);
-            assert!(c.truncated, "a 400-candidate budget must truncate here");
-        }
-        // The unlimited budget is the exact pre-meter behavior.
-        let unlimited = run(u64::MAX);
-        let default = run(OnlineConfig::default().replan_time_budget);
-        assert_eq!(unlimited, default);
-        assert!(unlimited.replans.iter().all(|r| !r.solver_cost.truncated));
     }
 
     #[test]

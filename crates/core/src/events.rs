@@ -507,7 +507,6 @@ mod tests {
                     considered: 40,
                     evaluated: 28,
                     reused: 12,
-                    truncated: false,
                 },
             }],
             disruption: DisruptionStats {

@@ -199,10 +199,8 @@ pub struct ReplanEvent {
     pub bytes_by_class: BytesByClass,
     /// What the re-plan solve itself cost, in the deterministic
     /// operation counts of [`ReplanCost`]: swap
-    /// candidates considered, how many needed an exact gain evaluation vs
-    /// were decided by the attraction table alone, and whether
-    /// `OnlineConfig::replan_time_budget` truncated the descent (see
-    /// [`crate::OnlineConfig::replan_time_budget`]).
+    /// candidates considered, and how many needed an exact gain
+    /// evaluation vs were decided by the attraction table alone.
     pub solver_cost: ReplanCost,
 }
 

@@ -68,14 +68,11 @@
 //!   scratch in index order, whatever swaps marked it), so deferring a
 //!   rebuild changes no bit, and a caller-held buffer saves an allocation
 //!   and changes nothing else;
-//! * the scan budget counts *considered* candidates in scan order, however
-//!   each was answered, so budgeted truncation points never move;
-//! * a skipped row is charged as if scanned: `try_consider_many(n)` is by
-//!   definition `n` calls of `try_consider`, a budget that runs out inside
-//!   the row stops the walk where it always did, and since the row would
-//!   have offered nothing the shortlist (or, in the polish, the accepted
-//!   swap) — hence the exact calls and the pick — is what the full scan
-//!   leaves;
+//! * the meter counts *considered* candidates, however each was answered,
+//!   and charges a skipped row as if scanned: `considered` is what a walk
+//!   visiting every candidate reports, and since the row would have
+//!   offered nothing the shortlist (or, in the polish, the accepted swap)
+//!   — hence the exact calls and the pick — is what the full scan leaves;
 //! * nothing here consults the clock. Re-plan wall time is measured
 //!   outside the library (the `replan-e512` workload of `benchmark/`),
 //!   never branched on.
@@ -103,66 +100,33 @@ mod oracle;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReplanCost {
     /// Swap candidates the scan loops looked at, however each was
-    /// answered. This is the quantity a scan budget truncates on.
+    /// answered; a row a bound skips is charged as if scanned.
     pub considered: u64,
     /// Candidates decided by an exact [`Objective::swap_delta`] call: the
     /// attraction table's rounding bound could not separate them.
     pub evaluated: u64,
     /// Candidates the table decided alone (`considered - evaluated`).
     pub reused: u64,
-    /// Whether the scan budget ran out before the walks converged.
-    pub truncated: bool,
 }
 
-/// A deterministic operation-count meter for re-plan solver work.
-///
-/// `budget` caps [`ReplanCost::considered`]; when it is exhausted the
-/// scan loops finish the decision already in flight from the scanned
-/// prefix and then stop (the descent is truncated, never corrupted).
-/// `u64::MAX` means unlimited.
-#[derive(Debug, Clone)]
+/// A deterministic operation-count meter for re-plan solver work: it
+/// tallies a [`ReplanCost`] and never stops a walk.
+#[derive(Debug)]
 pub(crate) struct CostMeter {
-    budget: u64,
     cost: ReplanCost,
 }
 
 impl CostMeter {
-    /// A meter that truncates scans after `budget` considered candidates.
-    pub(crate) fn new(budget: u64) -> Self {
+    /// A meter that has counted nothing.
+    pub(crate) fn new() -> Self {
         CostMeter {
-            budget,
             cost: ReplanCost::default(),
         }
     }
 
-    /// A meter that never truncates.
-    pub(crate) fn unlimited() -> Self {
-        CostMeter::new(u64::MAX)
-    }
-
-    /// Charge one considered candidate; `false` when the budget is spent
-    /// (and the caller must stop scanning).
-    fn try_consider(&mut self) -> bool {
-        if self.cost.considered >= self.budget {
-            self.cost.truncated = true;
-            false
-        } else {
-            self.cost.considered += 1;
-            true
-        }
-    }
-
-    /// Charge `n` candidates at once: by definition what `n` calls of
-    /// [`Self::try_consider`], stopped at the first `false`, leave behind.
-    fn try_consider_many(&mut self, n: u64) -> bool {
-        if self.budget - self.cost.considered >= n {
-            self.cost.considered += n;
-            true
-        } else {
-            self.cost.considered = self.budget;
-            self.cost.truncated = true;
-            false
-        }
+    /// Charge `n` considered candidates.
+    fn consider(&mut self, n: u64) {
+        self.cost.considered += n;
     }
 
     /// One exact call for an already considered candidate.
@@ -182,10 +146,6 @@ impl CostMeter {
 
 /// A swap candidate: `(layer, e1, e2)`.
 type Swap = (usize, usize, usize);
-
-/// The scan budget ran out before a stretch of the polish ended.
-#[derive(Debug, PartialEq)]
-struct Spent;
 
 /// `(floor, bmax)` of [`SwapGainCache::partner_floor`].
 type PartnerFloor = (Vec<f64>, f64);
@@ -472,10 +432,9 @@ impl SwapGainCache {
 
     /// One stretch of the polish's row `(layer, e1)`: the first `e2` in
     /// `from..E` whose swap improves, every candidate up to it charged to
-    /// `meter`; `Err` when its budget ran out first. A stretch that
-    /// `bound` — a floor over the layer's experts where `placement` has
-    /// them — shows to hold no such `e2` is charged as if scanned and not
-    /// visited.
+    /// `meter`. A stretch that `bound` — a floor over the layer's experts
+    /// where `placement` has them — shows to hold no such `e2` is charged
+    /// as if scanned and not visited.
     fn first_improving(
         &self,
         objective: &Objective,
@@ -483,38 +442,33 @@ impl SwapGainCache {
         (layer, e1, from): Swap,
         bound: &PartnerFloor,
         meter: &mut CostMeter,
-    ) -> Result<Option<usize>, Spent> {
+    ) -> Option<usize> {
         let units = placement.layer(layer);
         let (least, widest) = self.row_floor(units, (layer, e1), 0..self.n_units, bound);
         if least >= IMPROVES + widest {
-            return match meter.try_consider_many((units.len() - from) as u64) {
-                true => Ok(None),
-                false => Err(Spent),
-            };
+            meter.consider((units.len() - from) as u64);
+            return None;
         }
         for (e2, approx, tol) in self.candidates(units, (layer, e1, from)) {
-            if !meter.try_consider() {
-                return Err(Spent);
-            }
+            meter.consider(1);
             // Only inside the rounding band can the exact delta fall on the
             // other side of the threshold.
             if approx < IMPROVES - tol
                 || (approx < IMPROVES + tol
                     && meter.exact_delta(objective, placement, (layer, e1, e2)) < IMPROVES)
             {
-                return Ok(Some(e2));
+                return Some(e2);
             }
         }
-        Ok(None)
+        None
     }
 }
 
 /// First-improvement swap passes over `placement`, in place, until a local
 /// optimum or `max_passes` — the walk behind
-/// [`crate::local_search::improve`] — charged to `meter`, priced from the
-/// attraction table (built in `cache` when one is passed), and truncated
-/// when the scan budget runs out (applied swaps stay). Returns the final
-/// cross mass.
+/// [`crate::local_search::improve`] — charged to `meter` and priced from
+/// the attraction table (built in `cache` when one is passed). Returns the
+/// final cross mass.
 pub(crate) fn improve_metered(
     objective: &Objective,
     placement: &mut Placement,
@@ -530,7 +484,7 @@ pub(crate) fn improve_metered(
         return oracle::improve(objective, placement, max_passes, meter, table);
     }
     let (e, l) = (objective.n_experts(), objective.n_layers());
-    'passes: for _ in 0..max_passes {
+    for _ in 0..max_passes {
         let mut improved = false;
         for layer in 0..l {
             table.settle(objective, placement, layer);
@@ -541,12 +495,11 @@ pub(crate) fn improve_metered(
                 let mut from = e1 + 1;
                 while from < e {
                     let stretch = (layer, e1, from);
-                    let e2 =
-                        match table.first_improving(objective, placement, stretch, &bound, meter) {
-                            Ok(Some(e2)) => e2,
-                            Ok(None) => break,
-                            Err(Spent) => break 'passes,
-                        };
+                    let Some(e2) =
+                        table.first_improving(objective, placement, stretch, &bound, meter)
+                    else {
+                        break;
+                    };
                     placement.swap(layer, e1, e2);
                     table.refresh(objective, (layer, e1, e2));
                     for moved in [e1, e2] {
@@ -575,23 +528,20 @@ struct Shortlist {
 
 impl Shortlist {
     /// Offer the candidates of one `(layer, e1)` row, charging each to
-    /// `meter`; `false` when its budget ran out.
+    /// `meter`.
     fn offer_row(
         &mut self,
         row: impl Iterator<Item = (usize, f64, f64)>,
         (layer, e1): (usize, usize),
         meter: &mut CostMeter,
-    ) -> bool {
+    ) {
         for (e2, approx, tol) in row {
-            if !meter.try_consider() {
-                return false;
-            }
+            meter.consider(1);
             if approx - tol <= self.upper {
                 self.kept.push((approx - tol, (layer, e1, e2)));
                 self.upper = self.upper.min(approx + tol);
             }
         }
-        true
     }
 
     /// Offer every pair `e1 < e2` of `layer`, row by row — the descent's
@@ -603,21 +553,21 @@ impl Shortlist {
         units: &[usize],
         layer: usize,
         meter: &mut CostMeter,
-    ) -> bool {
+    ) {
         // The floor leaves same-unit pairs out. Their `approx - tol` is an
         // exact zero: never kept below a negative `upper`.
         assert!(self.upper < 0.0);
         let e = units.len();
         let bound = table.partner_floor(units, layer, 0..e);
-        (0..e).all(|e1| {
+        for e1 in 0..e {
             let (least, widest) = table.row_floor(units, (layer, e1), 0..table.n_units, &bound);
             if least - widest <= self.upper {
                 let row = table.candidates(units, (layer, e1, e1 + 1));
-                self.offer_row(row, (layer, e1), meter)
+                self.offer_row(row, (layer, e1), meter);
             } else {
-                meter.try_consider_many((e - e1 - 1) as u64)
+                meter.consider((e - e1 - 1) as u64);
             }
-        })
+        }
     }
 
     /// Offer the trades of `layer` that move an expert to the unit `wanted`
@@ -634,7 +584,7 @@ impl Shortlist {
         wanted: &[usize],
         layer: usize,
         meter: &mut CostMeter,
-    ) -> bool {
+    ) {
         let mut misplaced = vec![Vec::new(); table.n_units];
         for (e2, (&u2, &w2)) in units.iter().zip(wanted).enumerate() {
             if u2 != w2 {
@@ -642,19 +592,17 @@ impl Shortlist {
             }
         }
         let bound = table.partner_floor(units, layer, misplaced.iter().flatten().copied());
-        (0..units.len())
-            .filter(|&e1| wanted[e1] != units[e1])
-            .all(|e1| {
-                let (w1, list) = (wanted[e1], &misplaced[wanted[e1]]);
-                let toward = std::iter::once(w1);
-                let (least, widest) = table.row_floor(units, (layer, e1), toward, &bound);
-                if least - widest <= self.upper {
-                    let row = table.partners(units, (layer, e1), list);
-                    self.offer_row(row, (layer, e1), meter)
-                } else {
-                    meter.try_consider_many(list.len() as u64)
-                }
-            })
+        for e1 in (0..units.len()).filter(|&e1| wanted[e1] != units[e1]) {
+            let (w1, list) = (wanted[e1], &misplaced[wanted[e1]]);
+            let toward = std::iter::once(w1);
+            let (least, widest) = table.row_floor(units, (layer, e1), toward, &bound);
+            if least - widest <= self.upper {
+                let row = table.partners(units, (layer, e1), list);
+                self.offer_row(row, (layer, e1), meter);
+            } else {
+                meter.consider(list.len() as u64);
+            }
+        }
     }
 }
 
@@ -663,8 +611,7 @@ impl Shortlist {
 /// moves of the incumbent. Without a `target` (descent) every pair is a
 /// candidate and only improving swaps are taken; with one, an expert off
 /// its target unit pairs with the experts that sit there and do not belong,
-/// best swap first whatever its sign. A spent scan budget finishes the
-/// decision in flight from the scanned prefix and stops.
+/// best swap first whatever its sign.
 fn budgeted_walk(
     objective: &Objective,
     incumbent: &Placement,
@@ -686,22 +633,17 @@ fn budgeted_walk(
     // The toward-target walk may pass through worse placements and returns
     // the cheapest visited; the descent returns its last and sums no cost.
     let mut best = target.map(|_| (objective.cross_mass(&placement), placement.clone()));
-    let mut exhausted = false;
     let mut scan = Shortlist {
         kept: Vec::new(),
         upper: threshold,
     };
-    while !exhausted {
+    loop {
         for layer in 0..l {
             table.settle(objective, &placement, layer);
             let units = placement.layer(layer);
-            let in_budget = match target {
+            match target {
                 None => scan.offer_pairs(table, units, layer, meter),
                 Some(t) => scan.offer_trades(table, units, t.layer(layer), layer, meter),
-            };
-            if !in_budget {
-                exhausted = true;
-                break;
             }
         }
         // Exact calls for what the bounds left, in scan order: the first
@@ -779,20 +721,22 @@ fn solve_budgeted_with_meter(
 /// from-scratch target (greedy chain + swap polish, no randomness) and
 /// keeps the cheaper.
 ///
-/// Solver compute is capped by `scan_budget`. The returned placement and
-/// [`ReplanCost`] are the same with or without a `cache` buffer; the cost
-/// reports how many candidates were considered, how many needed an exact
-/// `swap_delta` call, and how many the attraction table decided alone. A
-/// finite budget truncates the walks deterministically — every considered
-/// candidate is charged alike — and `u64::MAX` never truncates.
+/// The returned placement and [`ReplanCost`] are the same with or without
+/// a `cache` buffer; the cost reports how many candidates were considered,
+/// how many needed an exact `swap_delta` call, and how many the attraction
+/// table decided alone.
+///
+/// Nothing reads `_scan_budget`: it stays only for the pinned call of
+/// the `replan-e512` workload under `benchmark/`, until a change to the
+/// benchmark drops it.
 pub fn solve_budgeted_metered(
     objective: &Objective,
     incumbent: &Placement,
     max_moves: u64,
-    scan_budget: u64,
+    _scan_budget: u64,
     cache: Option<&mut SwapGainCache>,
 ) -> (Placement, ReplanCost) {
-    let mut meter = CostMeter::new(scan_budget);
+    let mut meter = CostMeter::new();
     let placement = solve_budgeted_with_meter(objective, incumbent, max_moves, &mut meter, cache);
     (placement, meter.cost())
 }
@@ -913,20 +857,19 @@ fn candidate(
 /// [`crate::online::MigrationPlan::between_replicated`] diff against the
 /// incumbent never exceeds `migration_budget_bytes`.
 ///
-/// Every inner budgeted solve is charged to one meter of `scan_budget`
-/// considered candidates in a fixed order (owner-moves-only first, then
-/// the policy's replica-first, then full fan-out), with `cache` as buffer.
-/// Replica-gain ranking is `O(nnz)` bookkeeping and is not charged.
+/// Every inner budgeted solve is charged to one meter in a fixed order
+/// (owner-moves-only first, then the policy's replica-first, then full
+/// fan-out), with `cache` as buffer. Replica-gain ranking is `O(nnz)`
+/// bookkeeping and is not charged.
 pub fn solve_budgeted_replicated_metered(
     objective: &Objective,
     incumbent: &ReplicationPlan,
     bytes_per_expert: u64,
     budget: &ReplicationBudget,
     policy: &ReplicaPolicy,
-    scan_budget: u64,
     mut cache: Option<&mut SwapGainCache>,
 ) -> (ReplicationPlan, ReplanCost) {
-    let mut meter = CostMeter::new(scan_budget);
+    let mut meter = CostMeter::new();
     let bpe = bytes_per_expert.max(1);
     let (n_layers, n_units) = (incumbent.base.n_layers(), incumbent.base.n_units());
     let gains = replica_gains_by_unit(objective, &incumbent.base);
@@ -1020,22 +963,6 @@ mod tests {
         Objective::from_raw(vec![m; gaps], e)
     }
 
-    #[test]
-    fn a_bulk_charge_is_that_many_single_charges() {
-        for n in [0u64, 1, 2, 7] {
-            let rooms = [0, 1, n.saturating_sub(1), n, n + 1, u64::MAX];
-            for (room, spent) in rooms.into_iter().flat_map(|r| [(r, 0u64), (r, 5)]) {
-                let budget = room.saturating_add(spent);
-                let mut bulk = CostMeter::new(budget);
-                bulk.cost.considered = spent;
-                let mut single = bulk.clone();
-                let fits = (0..n).all(|_| single.try_consider());
-                assert_eq!(bulk.try_consider_many(n), fits, "n {n} room {room}");
-                assert_eq!(bulk.cost, single.cost, "n {n} room {room}");
-            }
-        }
-    }
-
     /// A layer a swap left stale cannot be read before it is settled.
     #[test]
     #[cfg(debug_assertions)]
@@ -1070,7 +997,6 @@ mod tests {
                 // evaluated + reused partitions considered.
                 assert_eq!(cost_l, cost_c);
                 assert_eq!(cost_c.evaluated + cost_c.reused, cost_c.considered);
-                assert!(!cost_c.truncated);
             }
         }
     }
@@ -1111,7 +1037,7 @@ mod tests {
         // 0.0493), rounded up.
         for (name, walk, bar) in [("polish", polish, 260), ("toward-target", toward, 50)] {
             let run = |mut table: SwapGainCache| {
-                let mut meter = CostMeter::unlimited();
+                let mut meter = CostMeter::new();
                 let end = walk(&mut meter, &mut table);
                 (end, meter.cost(), table.probe.visited.get())
             };
@@ -1129,34 +1055,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_budget_truncates_deterministically_and_cache_free() {
-        let obj = objective_with(16, 4, 0.9, GapBackend::Dense);
-        let incumbent = Placement::round_robin(5, 16, 4);
-        let (full, _) = solve_budgeted_metered(&obj, &incumbent, u64::MAX, u64::MAX, None);
-        // Zero scan budget: nothing is even considered, incumbent returned.
-        let (none, cost0) = solve_budgeted_metered(&obj, &incumbent, u64::MAX, 0, None);
-        assert_eq!(none, incumbent);
-        assert!(cost0.truncated);
-        assert_eq!(cost0.considered, 0);
-        for scan in [1u64, 100, 2_000, 50_000] {
-            let (a, ca) = solve_budgeted_metered(&obj, &incumbent, u64::MAX, scan, None);
-            let mut cache = SwapGainCache::for_objective(&obj);
-            let (b, cb) =
-                solve_budgeted_metered(&obj, &incumbent, u64::MAX, scan, Some(&mut cache));
-            assert_eq!(a, b, "scan {scan}: truncation point depends on cache");
-            assert_eq!(ca.considered, cb.considered);
-            assert_eq!(ca.truncated, cb.truncated);
-            assert!(ca.considered <= scan);
-            // A truncated walk still never worsens the incumbent.
-            assert!(obj.cross_mass(&a) <= obj.cross_mass(&incumbent) + 1e-12);
-        }
-        // A generous budget reproduces the untruncated result.
-        let (big, cost_big) = solve_budgeted_metered(&obj, &incumbent, u64::MAX, u64::MAX, None);
-        assert_eq!(big, full);
-        assert!(!cost_big.truncated);
-    }
-
-    #[test]
     fn replicated_cached_matches_uncached_and_respects_budgets() {
         let obj = sparse_objective(16, 4);
         let l = obj.n_layers();
@@ -1171,15 +1069,8 @@ mod tests {
             ReplicaPolicy::Everywhere,
             ReplicaPolicy::OnePerNode(exflow_topology::ClusterSpec::new(2, 2).unwrap()),
         ] {
-            let (uncached, _) = solve_budgeted_replicated_metered(
-                &obj,
-                &incumbent,
-                10,
-                &budget,
-                &policy,
-                u64::MAX,
-                None,
-            );
+            let (uncached, _) =
+                solve_budgeted_replicated_metered(&obj, &incumbent, 10, &budget, &policy, None);
             let mut cache = SwapGainCache::for_objective(&obj);
             let (cached, cost) = solve_budgeted_replicated_metered(
                 &obj,
@@ -1187,7 +1078,6 @@ mod tests {
                 10,
                 &budget,
                 &policy,
-                u64::MAX,
                 Some(&mut cache),
             );
             assert_eq!(uncached, cached);
@@ -1268,16 +1158,9 @@ mod tests {
                     replica_memory_bytes: mem_slots * 10,
                     migration_budget_bytes: move_slots * 10,
                 };
-                let next = solve_budgeted_replicated_metered(
-                    &obj,
-                    &incumbent,
-                    10,
-                    &budget,
-                    policy,
-                    u64::MAX,
-                    None,
-                )
-                .0;
+                let next =
+                    solve_budgeted_replicated_metered(&obj, &incumbent, 10, &budget, policy, None)
+                        .0;
                 let extra = next.extra_copies_per_gpu() as u64;
                 assert!(
                     extra <= mem_slots,
@@ -1315,13 +1198,7 @@ mod tests {
                 };
                 let cross = |policy: &ReplicaPolicy| {
                     let (plan, _) = solve_budgeted_replicated_metered(
-                        &obj,
-                        &incumbent,
-                        10,
-                        &budget,
-                        policy,
-                        u64::MAX,
-                        None,
+                        &obj, &incumbent, 10, &budget, policy, None,
                     );
                     replicated_cross_mass(&obj, &plan)
                 };
@@ -1353,7 +1230,6 @@ mod tests {
                     migration_budget_bytes: bytes,
                 },
                 &ReplicaPolicy::Everywhere,
-                u64::MAX,
                 None,
             )
             .0;
@@ -1379,7 +1255,6 @@ mod tests {
             10,
             &budget,
             &ReplicaPolicy::Everywhere,
-            u64::MAX,
             None,
         )
         .0;
@@ -1403,7 +1278,7 @@ mod tests {
         };
         let solve = |obj: &Objective, from: &ReplicationPlan| {
             let policy = ReplicaPolicy::Everywhere;
-            solve_budgeted_replicated_metered(obj, from, bpe, &budget, &policy, u64::MAX, None).0
+            solve_budgeted_replicated_metered(obj, from, bpe, &budget, &policy, None).0
         };
         let next = solve(&objective_with(e, l - 1, 0.9, GapBackend::Auto), &incumbent);
         let mut landed = 0;
@@ -1457,7 +1332,6 @@ mod tests {
             10,
             &budget,
             &ReplicaPolicy::Everywhere,
-            u64::MAX,
             None,
         )
         .0;
@@ -1467,7 +1341,6 @@ mod tests {
             10,
             &budget,
             &ReplicaPolicy::Everywhere,
-            u64::MAX,
             None,
         )
         .0;
@@ -1483,7 +1356,7 @@ mod tests {
         let mut plain = seed.clone();
         let plain_cost = improve(&obj, &mut plain, 50);
         let mut cached = seed.clone();
-        let mut meter = CostMeter::unlimited();
+        let mut meter = CostMeter::new();
         let mut cache = SwapGainCache::for_objective(&obj);
         let cached_cost = improve_metered(&obj, &mut cached, 50, &mut meter, Some(&mut cache));
         assert_eq!(plain, cached);

@@ -51,20 +51,18 @@ fn first_improving(
     placement: &Placement,
     (layer, e1, from): Swap,
     meter: &mut CostMeter,
-) -> Result<Option<usize>, Spent> {
+) -> Option<usize> {
     let units = placement.layer(layer);
     for (e2, approx, tol) in table.candidates(units, (layer, e1, from)) {
-        if !meter.try_consider() {
-            return Err(Spent);
-        }
+        meter.consider(1);
         if approx < IMPROVES - tol
             || (approx < IMPROVES + tol
                 && meter.exact_delta(objective, placement, (layer, e1, e2)) < IMPROVES)
         {
-            return Ok(Some(e2));
+            return Some(e2);
         }
     }
-    Ok(None)
+    None
 }
 
 /// Reference for [`improve_metered`].
@@ -77,14 +75,12 @@ pub(super) fn improve(
 ) -> f64 {
     let e = objective.n_experts();
     let l = objective.n_layers();
-    'passes: for _ in 0..max_passes {
+    for _ in 0..max_passes {
         let mut improved = false;
         for layer in 0..l {
             for e1 in 0..e {
                 for e2 in (e1 + 1)..e {
-                    if !meter.try_consider() {
-                        break 'passes;
-                    }
+                    meter.consider(1);
                     let delta = meter.exact_delta(objective, placement, (layer, e1, e2));
                     if delta < -1e-12 {
                         placement.swap(layer, e1, e2);
@@ -128,14 +124,10 @@ fn descent(
     let mut placement = incumbent.clone();
     loop {
         let mut best: Option<(f64, usize, usize, usize)> = None;
-        let mut exhausted = false;
-        'scan: for layer in 0..l {
+        for layer in 0..l {
             for e1 in 0..e {
                 for e2 in (e1 + 1)..e {
-                    if !meter.try_consider() {
-                        exhausted = true;
-                        break 'scan;
-                    }
+                    meter.consider(1);
                     let delta = meter.exact_delta(objective, &placement, (layer, e1, e2));
                     if delta < -1e-12 && best.is_none_or(|(b, _, _, _)| delta < b) {
                         best = Some((delta, layer, e1, e2));
@@ -153,9 +145,6 @@ fn descent(
         }
         placement = next;
         table.probe.swaps.push((layer, e1, e2));
-        if exhausted {
-            break;
-        }
     }
     placement
 }
@@ -174,8 +163,7 @@ fn toward(
     let mut best = (objective.cross_mass(&placement), placement.clone());
     loop {
         let mut pick: Option<(f64, usize, usize, usize)> = None;
-        let mut exhausted = false;
-        'scan: for layer in 0..l {
+        for layer in 0..l {
             for e1 in 0..e {
                 let want = target.unit_of(layer, e1);
                 if placement.unit_of(layer, e1) == want {
@@ -186,10 +174,7 @@ fn toward(
                         && placement.unit_of(layer, e2) == want
                         && target.unit_of(layer, e2) != want
                     {
-                        if !meter.try_consider() {
-                            exhausted = true;
-                            break 'scan;
-                        }
+                        meter.consider(1);
                         let delta = meter.exact_delta(objective, &placement, (layer, e1, e2));
                         if pick.is_none_or(|(b, _, _, _)| delta < b) {
                             pick = Some((delta, layer, e1, e2));
@@ -211,9 +196,6 @@ fn toward(
         let cost = objective.cross_mass(&placement);
         if cost < best.0 {
             best = (cost, placement.clone());
-        }
-        if exhausted {
-            break;
         }
     }
     best.1
@@ -302,15 +284,14 @@ mod properties {
     /// Run `walk` on a table-driven buffer, on one that visits every
     /// candidate and on the reference one; assert all three accept the same
     /// swaps, the two table walks at the same cost — exact calls included —
-    /// and the reference at the same considered / truncated, and return the
+    /// and the reference at the same considered, and return the
     /// table-driven result and cost.
     fn same_walk<R: PartialEq + std::fmt::Debug>(
         objective: &Objective,
-        scan_budget: u64,
         walk: impl Fn(&mut CostMeter, &mut SwapGainCache) -> R,
     ) -> (R, ReplanCost) {
         let run = |mut table: SwapGainCache| {
-            let mut meter = CostMeter::new(scan_budget);
+            let mut meter = CostMeter::new();
             (
                 walk(&mut meter, &mut table),
                 table.probe.swaps,
@@ -328,77 +309,55 @@ mod properties {
         assert_eq!(swaps, swaps_ref, "swap sequence");
         assert_eq!(got, want, "result");
         assert_eq!(c_table.considered, c_ref.considered);
-        assert_eq!(c_table.truncated, c_ref.truncated);
         assert_eq!(c_ref.evaluated, c_ref.considered, "reference evaluates all");
         assert_eq!(c_table.evaluated + c_table.reused, c_table.considered);
         (got, c_table)
-    }
-
-    /// A scan budget from a draw: unlimited, a finite cut that lands
-    /// anywhere from the first candidate to a few full scans in, or one at
-    /// the end of a whole descent row `(layer, e1)` give or take a
-    /// candidate — where a row charged in bulk must stop exactly as a row
-    /// charged one candidate at a time.
-    fn scan_budget(draw: u64, layers: usize, e: usize) -> u64 {
-        let scan = (layers * e * (e - 1) / 2) as u64;
-        let (kind, draw) = (draw % 4, draw / 4);
-        match kind {
-            0 => u64::MAX,
-            1 => {
-                let rows = (layers * e) as u64;
-                let (k, nudge) = (draw % (3 * rows + 1), draw / (3 * rows + 1) % 3);
-                let in_layer = k % e as u64;
-                let whole_rows = k / rows * scan
-                    + k % rows / e as u64 * (scan / layers as u64)
-                    + (0..in_layer).map(|e1| e as u64 - e1 - 1).sum::<u64>();
-                (whole_rows + nudge).saturating_sub(1)
-            }
-            _ => draw % (4 * scan + 1),
-        }
     }
 
     fn table_bits(table: &SwapGainCache) -> Vec<u64> {
         table.attraction.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The draws of one case, in the order its property names them.
-    type Draws = (usize, u64, u64, u64, u64, u64);
+    /// The draws of one walks case, in the order its property names them.
+    type WalkDraws = (usize, u64, u64, u64, u64);
 
-    fn walk_draws() -> impl Strategy<Value = Draws> {
+    /// The draws of one polish-scan case.
+    type PolishDraws = (usize, u64, u64, u64, u64, u64);
+
+    fn walk_draws() -> impl Strategy<Value = WalkDraws> {
         let (shape, counts, density_pct) = (0usize..9, 0u64..2, 15u64..100);
-        let (max_moves, budget_draw, seed) = (0u64..12, 0u64..100_000, 0u64..10_000);
-        (shape, counts, density_pct, max_moves, budget_draw, seed)
+        let (max_moves, seed) = (0u64..12, 0u64..10_000);
+        (shape, counts, density_pct, max_moves, seed)
     }
 
     fn layer_scan_draws() -> impl Strategy<Value = (usize, u64, u64, u64)> {
         (0usize..9, 0u64..2, 15u64..100, 0u64..10_000)
     }
 
-    fn polish_scan_draws() -> impl Strategy<Value = Draws> {
+    fn polish_scan_draws() -> impl Strategy<Value = PolishDraws> {
         let (shape, counts, density_pct) = (1usize..9, 0u64..2, 15u64..100);
         let (polished, row_draw, seed) = (0u64..2, 0u64..100_000, 0u64..10_000);
         (shape, counts, density_pct, polished, row_draw, seed)
     }
 
-    fn walks_case((shape, counts, density_pct, max_moves, budget_draw, seed): Draws) {
+    fn walks_case((shape, counts, density_pct, max_moves, seed): WalkDraws) {
         let (layers, e, units) = SHAPES[shape];
         let (objectives, start) = instance(layers, e, units, counts == 1, density_pct, seed);
-        let scan = scan_budget(budget_draw, layers, e);
         let target = random_placement(layers, e, units, &mut StdRng::seed_from_u64(seed ^ 1));
         let mut results = Vec::new();
         for obj in &objectives {
-            let polished = same_walk(obj, scan, |meter, table| {
+            let polished = same_walk(obj, |meter, table| {
                 let mut p = start.clone();
                 let cost = improve_metered(obj, &mut p, 50, meter, Some(table));
                 (p, cost.to_bits())
             });
-            let descent = same_walk(obj, scan, |meter, table| {
+            let descent = same_walk(obj, |meter, table| {
                 budgeted_walk(obj, &start, None, max_moves, meter, Some(table))
             });
-            let toward = same_walk(obj, scan, |meter, table| {
+            let toward = same_walk(obj, |meter, table| {
                 budgeted_walk(obj, &start, Some(&target), max_moves, meter, Some(table))
             });
-            let solved = same_walk(obj, scan, |meter, table| {
+            let solved = same_walk(obj, |meter, table| {
                 solve_budgeted_with_meter(obj, &start, max_moves, meter, Some(table))
             });
             results.push((polished, descent, toward, solved));
@@ -414,8 +373,7 @@ mod properties {
     /// `approx - tol` the scan holds (the negative ones for the pairs, whose
     /// walk never starts above `IMPROVES`; infinity too for the trades) —
     /// where a row bound loose by the width of one band, or compared with
-    /// `<`, skips a row that held a candidate — under an unlimited budget
-    /// and a finite one.
+    /// `<`, skips a row that held a candidate.
     fn layer_scans_case((shape, counts, density_pct, seed): (usize, u64, u64, u64)) {
         let (layers, e, n_units) = SHAPES[shape];
         let (objectives, start) = instance(layers, e, n_units, counts == 1, density_pct, seed);
@@ -423,9 +381,9 @@ mod properties {
         let obj = &objectives[seed as usize % 2];
         let mut table = SwapGainCache::for_objective(obj);
         table.load(obj, &start);
-        let fresh = |upper: f64, budget: u64| {
+        let fresh = |upper: f64| {
             let kept = Vec::new();
-            (Shortlist { kept, upper }, CostMeter::new(budget))
+            (Shortlist { kept, upper }, CostMeter::new())
         };
         for layer in 0..layers {
             let (units, wanted) = (start.layer(layer), target.layer(layer));
@@ -435,16 +393,12 @@ mod properties {
                 let lower = pairs(e1).map(|(_, approx, tol)| approx - tol);
                 uppers.extend(lower.filter(|&x| x < 0.0));
             }
-            for (k, &upper) in uppers.iter().enumerate() {
-                let budget = [u64::MAX, (k * 37 % (e * e / 2 + 2)) as u64][k % 2];
-                let (mut pruned, mut m_pruned) = fresh(upper, budget);
-                let (mut full, mut m_full) = fresh(upper, budget);
-                let got = pruned.offer_pairs(&table, units, layer, &mut m_pruned);
-                let want = (0..e).all(|e1| full.offer_row(pairs(e1), (layer, e1), &mut m_full));
-                assert_eq!(
-                    (got, &pruned, m_pruned.cost()),
-                    (want, &full, m_full.cost())
-                );
+            for &upper in &uppers {
+                let (mut pruned, mut m_pruned) = fresh(upper);
+                let (mut full, mut m_full) = fresh(upper);
+                pruned.offer_pairs(&table, units, layer, &mut m_pruned);
+                (0..e).for_each(|e1| full.offer_row(pairs(e1), (layer, e1), &mut m_full));
+                assert_eq!((&pruned, m_pruned.cost()), (&full, m_full.cost()));
             }
             let trades = |e1: usize| {
                 let partner = move |e2: usize| units[e2] == wanted[e1] && wanted[e2] != units[e2];
@@ -456,17 +410,12 @@ mod properties {
             for e1 in off_target() {
                 uppers.extend(trades(e1).map(|(_, approx, tol)| approx - tol));
             }
-            for (k, &upper) in uppers.iter().enumerate() {
-                let budget = [u64::MAX, (k * 37 % (e * n_units + 2)) as u64][k % 2];
-                let (mut listed, mut m_listed) = fresh(upper, budget);
-                let (mut full, mut m_full) = fresh(upper, budget);
-                let got = listed.offer_trades(&table, units, wanted, layer, &mut m_listed);
-                let want =
-                    off_target().all(|e1| full.offer_row(trades(e1), (layer, e1), &mut m_full));
-                assert_eq!(
-                    (got, &listed, m_listed.cost()),
-                    (want, &full, m_full.cost())
-                );
+            for &upper in &uppers {
+                let (mut listed, mut m_listed) = fresh(upper);
+                let (mut full, mut m_full) = fresh(upper);
+                listed.offer_trades(&table, units, wanted, layer, &mut m_listed);
+                off_target().for_each(|e1| full.offer_row(trades(e1), (layer, e1), &mut m_full));
+                assert_eq!((&listed, m_listed.cost()), (&full, m_full.cost()));
             }
         }
     }
@@ -480,14 +429,13 @@ mod properties {
         obj: &Objective,
         (table, start): (&SwapGainCache, &Placement),
         (layer, first, from): Swap,
-        budget: u64,
         pruned: bool,
     ) -> (Vec<Swap>, ReplanCost, Placement, Vec<u64>) {
         let (mut table, mut placement) = (table.clone(), start.clone());
-        let mut meter = CostMeter::new(budget);
+        let mut meter = CostMeter::new();
         let e = obj.n_experts();
         let mut bound = table.partner_floor(placement.layer(layer), layer, 0..e);
-        'scan: for e1 in first..e.min(first + 12) {
+        for e1 in first..e.min(first + 12) {
             let mut from = if e1 == first { from } else { e1 + 1 };
             while from < e {
                 let stretch = (layer, e1, from);
@@ -495,11 +443,7 @@ mod properties {
                     true => table.first_improving(obj, &placement, stretch, &bound, &mut meter),
                     false => first_improving(&table, obj, &placement, stretch, &mut meter),
                 };
-                let e2 = match found {
-                    Ok(Some(e2)) => e2,
-                    Ok(None) => break,
-                    Err(Spent) => break 'scan,
-                };
+                let Some(e2) = found else { break };
                 placement.swap(layer, e1, e2);
                 table.refresh(obj, (layer, e1, e2));
                 for moved in [e1, e2] {
@@ -524,14 +468,13 @@ mod properties {
     /// two over it, the pair's own band and the row's widest both: where a
     /// bound loose by one band, or taken from the narrowest band, skips a
     /// stretch whose candidate needed an exact call. (The walks never hold
-    /// such a table; the two loops read the same one.) Every shift runs under an unlimited budget and under a
-    /// finite one that ends inside the scan, skipped stretches included.
-    fn polish_scans_case((shape, counts, density_pct, polished, row_draw, seed): Draws) {
+    /// such a table; the two loops read the same one.)
+    fn polish_scans_case((shape, counts, density_pct, polished, row_draw, seed): PolishDraws) {
         let (layers, e, n_units) = SHAPES[shape];
         let (objectives, mut start) = instance(layers, e, n_units, counts == 1, density_pct, seed);
         let obj = &objectives[seed as usize % 2];
         if polished == 1 {
-            improve_metered(obj, &mut start, 50, &mut CostMeter::unlimited(), None);
+            improve_metered(obj, &mut start, 50, &mut CostMeter::new(), None);
         }
         let mut loaded = SwapGainCache::for_objective(obj);
         loaded.load(obj, &start);
@@ -554,17 +497,12 @@ mod properties {
                         shifts.extend([tol, widest].map(|band| IMPROVES + k * band - approx));
                     }
                 }
-                for (k, shift) in shifts.into_iter().enumerate() {
+                for shift in shifts {
                     let mut table = loaded.clone();
                     table.attraction[((layer * e + e1) * g) + units[e1]] += shift;
-                    let scan = |budget, pruned| {
-                        polish_layer(obj, (&table, &start), (layer, e1, from), budget, pruned)
-                    };
-                    let whole = scan(u64::MAX, false);
-                    assert_eq!(scan(u64::MAX, true), whole, "shift {shift}");
-                    let total = whole.1.considered;
-                    let budget = (seed + 37 * k as u64) % (total + 1);
-                    assert_eq!(scan(budget, true), scan(budget, false), "budget {budget}");
+                    let scan =
+                        |pruned| polish_layer(obj, (&table, &start), (layer, e1, from), pruned);
+                    assert_eq!(scan(true), scan(false), "shift {shift}");
                 }
             }
         }
@@ -581,7 +519,7 @@ mod properties {
         let obj = &objectives[1];
         let start = random_placement(layers, e, units, &mut StdRng::seed_from_u64(3));
         let run = |mut table: SwapGainCache| {
-            let (mut p, mut meter) = (start.clone(), CostMeter::unlimited());
+            let (mut p, mut meter) = (start.clone(), CostMeter::new());
             improve_metered(obj, &mut p, 50, &mut meter, Some(&mut table));
             (p, meter.cost(), table.probe)
         };
@@ -632,7 +570,6 @@ mod properties {
             density_pct in 15u64..100,
             mem_slots in 0u64..4,
             move_slots in 0u64..10,
-            budget_draw in 0u64..100_000,
             seed in 0u64..10_000,
         ) {
             let (layers, e, units) = SHAPES[shape];
@@ -654,7 +591,6 @@ mod properties {
                             10,
                             &budget,
                             &policy,
-                            scan_budget(budget_draw, layers, e),
                             Some(cache),
                         )
                     };
@@ -665,7 +601,6 @@ mod properties {
                     prop_assert_eq!(&table.probe.swaps, &reference.probe.swaps);
                     prop_assert_eq!(got, want);
                     prop_assert_eq!(c_table.considered, c_ref.considered);
-                    prop_assert_eq!(c_table.truncated, c_ref.truncated);
                 }
             }
         }

@@ -286,7 +286,7 @@ proptest! {
         for policy in policies_for(u) {
             let incumbent = ReplicationPlan::bare(Placement::round_robin(4, e, u));
             let (plan, _) = solve_budgeted_replicated_metered(
-                &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
+                &obj, &incumbent, bpe, &budget, &policy, None,
             );
             for layer in 0..4 {
                 for &(expert, ref units) in &plan.replicas[layer] {
@@ -335,7 +335,7 @@ proptest! {
                 .collect();
             let incumbent = ReplicationPlan::with_policy(base, listed, &policy);
             let (plan, _) = solve_budgeted_replicated_metered(
-                &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
+                &obj, &incumbent, bpe, &budget, &policy, None,
             );
             let mut load = vec![0u64; u];
             for layer in 0..4 {
@@ -399,7 +399,7 @@ proptest! {
                 let base = solve_local_search_with(&obj, u, 1, seed, Parallelism::new(threads));
                 let incumbent = ReplicationPlan::bare(base);
                 let (plan, _) = solve_budgeted_replicated_metered(
-                &obj, &incumbent, bpe, &budget, &policy, u64::MAX, None,
+                &obj, &incumbent, bpe, &budget, &policy, None,
             );
                 let cross = exflow_placement::replicated_cross_mass(&obj, &plan).to_bits();
                 let frac = plan.trace_locality(&trace, &cluster).fraction().to_bits();

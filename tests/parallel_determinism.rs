@@ -8,15 +8,21 @@ use exflow::affinity::{AffinityMatrix, RoutingTrace};
 use exflow::model::routing::AffinityModelSpec;
 use exflow::model::{CorpusSpec, TokenBatch};
 use exflow::placement::annealing::AnnealParams;
+use exflow::placement::greedy::solve_greedy;
+use exflow::placement::local_search::{improve, random_placement};
 use exflow::placement::staged::solve_staged_with;
-use exflow::placement::{solve_with, Objective, Parallelism, SolverKind};
+use exflow::placement::{solve_with, split_seed, Objective, Parallelism, Placement, SolverKind};
 use exflow::topology::ClusterSpec;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A profiled 16-expert, 8-layer instance with enough restart-sensitive
-/// structure that a wrong RNG-stream split would actually show up.
+/// structure that a wrong RNG-stream split would actually show up: its
+/// affinity is weak enough that local-search restarts beat the greedy
+/// chain.
 fn fixed_instance() -> Objective {
     let model = AffinityModelSpec::new(8, 16)
-        .with_affinity(0.8)
+        .with_affinity(0.3)
         .with_seed(3)
         .build();
     let batch = TokenBatch::sample(&model, &CorpusSpec::pile_proxy(4), 4000, 1, 3);
@@ -35,6 +41,24 @@ fn stochastic_solvers() -> Vec<SolverKind> {
 #[test]
 fn placements_are_bit_identical_at_1_2_and_8_threads() {
     let obj = fixed_instance();
+    // Local search's six restarts of seed 21 end at different placements
+    // and one beats the polished greedy start, so its winner is whichever
+    // restart the seed's streams draw: a stream that moved with the width
+    // would show.
+    let ends: Vec<Placement> = (1..=6)
+        .map(|task| {
+            let mut rng = StdRng::seed_from_u64(split_seed(21, task));
+            let mut p = random_placement(8, 16, 4, &mut rng);
+            improve(&obj, &mut p, 50);
+            p
+        })
+        .collect();
+    assert!(
+        ends.iter().any(|p| *p != ends[0]),
+        "one end from every start"
+    );
+    let greedy_cost = improve(&obj, &mut solve_greedy(&obj, 4), 50);
+    assert!(ends.iter().any(|p| obj.cross_mass(p) < greedy_cost));
     for kind in stochastic_solvers() {
         let seq = solve_with(&obj, 4, &kind, 21, Parallelism::single());
         let seq_cost = obj.cross_mass(&seq);

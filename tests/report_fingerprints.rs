@@ -77,7 +77,8 @@ impl Fnv {
             self.f(ev.migration_time);
             self.bytes(&ev.bytes_by_class);
             self.u(ev.solver_cost.considered);
-            self.u(u64::from(ev.solver_cost.truncated));
+            // A slot no pinned run ever set, kept so the pins stay put.
+            self.u(0);
         }
         self.u(totals.replans);
         self.u(totals.experts_moved);
@@ -158,7 +159,6 @@ fn replicated_online(n_layers: usize) -> OnlineConfig {
         migration_budget_bytes: 12 * bytes_per_expert,
         decay: 0.3,
         replica_memory_bytes: 4 * bytes_per_expert,
-        ..OnlineConfig::default()
     }
 }
 

@@ -73,7 +73,6 @@ fn replicated() -> OnlineConfig {
         migration_budget_bytes: 12 * bytes_per_expert,
         decay: 0.3,
         replica_memory_bytes: 4 * bytes_per_expert,
-        ..OnlineConfig::default()
     }
 }
 
@@ -306,14 +305,15 @@ fn a_64_gpu_fleet_is_bit_identical_at_every_width_and_backend() {
         let mut model = moe_gpt_m(128);
         model.n_layers = 4;
         model.d_ff = 128;
+        let bpe = model.expert_params() * 2;
         let online = OnlineConfig {
             replan_every: 2,
             drift_threshold: 0.08,
             decay: 0.3,
-            // An unmetered E = 128 re-plan takes ~2 s in the debug
-            // profile; the scan budget is an operation count, so a
-            // truncated re-plan is as deterministic as a finished one.
-            replan_time_budget: 300_000,
+            // An unbounded E = 128 re-plan walks for seconds in the debug
+            // profile; sixteen expert moves per re-plan keep the walks
+            // short and still move experts.
+            migration_budget_bytes: 16 * bpe,
             ..OnlineConfig::default()
         };
         InferenceEngine::builder(model, ClusterSpec::new(16, 4).unwrap())
